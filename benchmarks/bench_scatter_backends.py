@@ -17,7 +17,8 @@ pair-heavy batch is answered and two quantities recorded:
 ``critical_path_seconds``
     The batch's wall-clock on a ``W``-worker deployment: longest-
     processing-time-first makespan of the sequential baseline's per-shard
-    task seconds (``last_scatter_seconds`` + ``last_rank_seconds``) plus
+    task seconds (``last_scatter_seconds`` + ``last_rank_seconds``: one
+    simulation task and one ranking task per shard per batch) plus
     the batch's serial share — the simulated-strong-scaling accounting of
     ``bench_parallel_serve.py``.  The *sequential* run's timings feed the
     makespan for every configuration because this host is pinned to one

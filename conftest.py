@@ -14,3 +14,9 @@ if str(_SRC) not in sys.path:
         import repro  # noqa: F401  (already installed)
     except ImportError:
         sys.path.insert(0, str(_SRC))
+
+
+def pytest_configure(config):
+    """Register the repo's custom markers (no ini file to list them in)."""
+    config.addinivalue_line(
+        "markers", "slow: runs an example end to end (a few seconds each)")

@@ -23,7 +23,7 @@ accuracy experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -138,34 +138,59 @@ def rank_top_k_entries(candidates: np.ndarray, values: np.ndarray,
     return _select_top_k(candidates, values, k)
 
 
-def propagate_scores(node: int, distributions: montecarlo.WalkDistributions,
+#: Widest dense block :func:`propagate_scores` pushes through one sparse
+#: product.  Per-source time halves by ~8 columns and flattens after; 16
+#: keeps a block of a 10k-node graph (1.3 MB) inside the L2 cache.
+PROPAGATE_BLOCK_WIDTH = 16
+
+
+def propagate_scores(nodes: Sequence[int],
+                     distributions: Sequence[montecarlo.WalkDistributions],
                      transition_t: sparse.csr_matrix, diagonal: np.ndarray,
-                     c: float, walk_steps: int) -> np.ndarray:
-    """Combine walk distributions into single-source scores (stateless form).
+                     c: float, walk_steps: int) -> List[np.ndarray]:
+    """Combine walk distributions into single-source scores, a block at a time.
 
     The reverse-Horner recurrence ``r <- P^T r + c^t (x ∘ P^t e_i)``
-    evaluated from ``t = T`` down to 0 — ``T`` sparse matvecs total.  This
-    free-function form exists so the engine
+    evaluated from ``t = T`` down to 0, for up to
+    :data:`PROPAGATE_BLOCK_WIDTH` sources at once: their vectors are the
+    columns of one dense ``n × B`` block, so the ``T`` sparse products are
+    shared (``transition_t @ block``) and each step's weighted distribution
+    is scatter-added into its own column.  SciPy accumulates every row of a
+    sparse × dense-block product in the same order as a sparse matvec, and
+    adding the zeros outside a step's support changes nothing, so each
+    column is bitwise the vector a one-source call produces — for any block
+    width, column order or repetition of ``nodes`` (pinned by
+    ``tests/test_properties.py`` against the dense per-source loop).
+
+    Returns one score vector per entry of ``nodes``.  The vectors are
+    column *views* into the shared blocks: rank them and drop them, or
+    ``.copy()`` the ones that must outlive the call — a kept view pins its
+    whole block.  This stateless form is what lets the engine
     (:meth:`QueryEngine.propagate_source`) and the sharded service's
     payload-free ranking workers (which rebuild ``transition_t`` and
     ``diagonal`` from resident shared-memory views) run literally the same
-    arithmetic: identical inputs produce bitwise-identical score vectors
-    because it *is* the same code.
+    arithmetic.
     """
     n = transition_t.shape[0]
     decay_powers = c ** np.arange(walk_steps + 1)
-    result = np.zeros(n, dtype=np.float64)
-    for step in range(walk_steps, -1, -1):
-        if step < walk_steps:
-            result = transition_t @ result
-        weighted = decay_powers[step] * (
-            diagonal * distributions.dense(n, step)
-        )
-        result += weighted
-    result[node] = 1.0
-    # Truncation and Monte-Carlo noise can push scores slightly past 1.
-    np.clip(result, 0.0, 1.0, out=result)
-    return result
+    vectors: List[np.ndarray] = []
+    for start in range(0, len(nodes), PROPAGATE_BLOCK_WIDTH):
+        block_nodes = nodes[start:start + PROPAGATE_BLOCK_WIDTH]
+        block_distributions = distributions[start:start + PROPAGATE_BLOCK_WIDTH]
+        block = np.zeros((n, len(block_nodes)), dtype=np.float64)
+        for step in range(walk_steps, -1, -1):
+            if step < walk_steps:
+                block = transition_t @ block
+            for column, source_distributions in enumerate(block_distributions):
+                support, values = source_distributions.per_step[step]
+                block[support, column] += decay_powers[step] * (
+                    diagonal[support] * values
+                )
+        block[block_nodes, np.arange(len(block_nodes))] = 1.0
+        # Truncation and Monte-Carlo noise can push scores slightly past 1.
+        np.clip(block, 0.0, 1.0, out=block)
+        vectors.extend(block[:, column] for column in range(len(block_nodes)))
+    return vectors
 
 
 def merge_top_k(partials: Sequence[List[Tuple[int, float]]],
@@ -286,20 +311,35 @@ class QueryEngine:
         distributions = montecarlo.exact_walk_distributions(self.graph, node, self.params)
         return self.propagate_source(node, distributions)
 
-    def propagate_source(self, node: int,
-                         distributions: montecarlo.WalkDistributions) -> np.ndarray:
+    def propagate_source(
+        self,
+        node: Union[int, Sequence[int]],
+        distributions: Union[montecarlo.WalkDistributions,
+                             Sequence[montecarlo.WalkDistributions]],
+    ) -> Union[np.ndarray, List[np.ndarray]]:
         """Combine walk distributions into single-source scores.
 
         Uses the reverse-Horner recurrence
         ``r <- P^T r + c^t (x ∘ P^t e_i)`` evaluated from ``t = T`` down to 0,
-        which needs only ``T`` sparse matvecs.  Delegates to the stateless
+        which needs only ``T`` sparse products.  Delegates to the stateless
         :func:`propagate_scores` so out-of-process callers (the resident
         scatter workers) share the exact arithmetic.
+
+        With one ``node`` and its distributions, returns that source's score
+        vector.  With a sequence of nodes and the matching sequence of
+        distributions — how the query services score a whole batch — the
+        sources share the sparse products block by block and a list of
+        vectors comes back, each bitwise what the one-node call returns
+        but a view into a shared block (see :func:`propagate_scores`).
         """
-        return propagate_scores(
-            node, distributions, self.transition_t, self.index.diagonal,
+        single = isinstance(node, (int, np.integer))
+        vectors = propagate_scores(
+            [node] if single else node,
+            [distributions] if single else distributions,
+            self.transition_t, self.index.diagonal,
             self.params.c, self.params.walk_steps,
         )
+        return vectors[0] if single else vectors
 
     def top_k(self, node: int, k: int = 10, walkers: Optional[int] = None,
               include_self: bool = False) -> List[Tuple[int, float]]:

@@ -81,11 +81,6 @@ class CacheStats:
             "evictions": self.evictions,
             "inserts": self.inserts,
             "invalidations": self.invalidations,
-            # Routed evictions (update-driven invalidate_sources /
-            # invalidate_reachable removals) under the name operators
-            # correlate with update storms; capacity evictions stay
-            # separate under "evictions".
-            "evictions_routed": self.invalidations,
             "hit_rate": self.hit_rate,
             **self.extras,
         }

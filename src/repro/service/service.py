@@ -394,14 +394,19 @@ class QueryService:
         """Answer a batch of queries; answers align with the input order.
 
         Queued graph updates are applied first, so a batch never runs
-        against an index older than updates accepted before it.  Distinct
-        sources referenced by the batch are resolved once: from the cache
-        when possible, otherwise via chunked multi-source walk simulations.
-        Answer types by query: :class:`PairQuery` -> float,
-        :class:`SourceQuery` -> dense score vector, :class:`TopKQuery` ->
-        ``[(node, score), ...]``.  The returned :class:`BatchAnswers` lists
-        the answers in input order and carries the :attr:`index_version`
-        they were computed at.
+        against an index older than updates accepted before it.  The batch
+        then runs as one pipeline — plan, resolve distributions, resolve
+        scores, resolve rankings, assemble — in which every piece of work
+        is done once per *distinct* key: a source's distributions come from
+        the cache or a chunked multi-source walk simulation, its score
+        vector from one block propagation shared with the batch's other
+        sources, and each ``(source, k)`` ranking is computed once however
+        many queries repeat it.  Answer types by query: :class:`PairQuery`
+        -> float, :class:`SourceQuery` -> dense score vector,
+        :class:`TopKQuery` -> ``[(node, score), ...]``; repeated queries
+        get equal but distinct objects.  The returned :class:`BatchAnswers`
+        lists the answers in input order and carries the
+        :attr:`index_version` they were computed at.
 
         ``flush_pending=False`` skips the drain — for callers that already
         flushed under their own locking discipline (the sharded service
@@ -414,8 +419,17 @@ class QueryService:
         for query in queries:
             self._validate_query(query)
         plan = plan_batch(queries)
-        distributions = self._resolve_distributions(plan, walkers)
-        answers = [self._answer(query, distributions) for query in queries]
+        walkers_count = (walkers if walkers is not None
+                         else self.query_params.query_walkers)
+        distributions = self._resolve_distributions(plan, walkers_count)
+        scores = self._resolve_scores(queries, distributions)
+        rankings = self._resolve_rankings(
+            list(dict.fromkeys((query.source, query.k) for query in queries
+                               if isinstance(query, TopKQuery))),
+            scores, walkers_count,
+        )
+        answers = [self._assemble(query, distributions, scores, rankings)
+                   for query in queries]
         self._counters["batches"] += 1
         self._counters["queries"] += len(queries)
         self._counters["sources_deduplicated"] += plan.deduplicated
@@ -432,10 +446,8 @@ class QueryService:
             raise CloudWalkerError(f"unknown query type {type(query).__name__!r}")
 
     def _resolve_distributions(
-        self, plan: BatchPlan, walkers: Optional[int]
+        self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, WalkDistributions]:
-        walkers_count = (walkers if walkers is not None
-                         else self.query_params.query_walkers)
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
@@ -459,8 +471,46 @@ class QueryService:
                 )
         return resolved
 
-    def _answer(self, query: Query,
-                distributions: Dict[int, WalkDistributions]) -> Answer:
+    def _resolve_scores(
+        self, queries: Sequence[Query],
+        distributions: Dict[int, WalkDistributions],
+    ) -> Dict[int, np.ndarray]:
+        """Score every distinct source of the source / top-k ``queries`` once.
+
+        One block propagation for the whole batch
+        (:meth:`~repro.core.queries.QueryEngine.propagate_source` with a
+        sequence): a source three queries ask about is scored once, and
+        distinct sources share the sparse products.  The vectors are views
+        into the batch's blocks — they live as long as the batch does.
+        """
+        sources = list(dict.fromkeys(
+            query.source for query in queries
+            if not isinstance(query, PairQuery)
+        ))
+        vectors = self.query_engine.propagate_source(
+            sources, [distributions[source] for source in sources]
+        )
+        return dict(zip(sources, vectors))
+
+    def _resolve_rankings(
+        self, requests: Sequence[Tuple[int, int]],
+        scores: Dict[int, np.ndarray], walkers_count: int,
+    ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
+        """Rank each distinct ``(source, k)`` of the batch's top-k queries."""
+        return {(source, k): rank_top_k(scores[source], source, k)
+                for source, k in requests}
+
+    def _assemble(
+        self, query: Query,
+        distributions: Dict[int, WalkDistributions],
+        scores: Dict[int, np.ndarray],
+        rankings: Dict[Tuple[int, int], List[Tuple[int, float]]],
+    ) -> Answer:
+        """One query's answer from the batch's resolved stages.
+
+        Source and top-k answers are copies: a repeated query gets an equal
+        but distinct object, and no answer keeps a batch's score block alive.
+        """
         if isinstance(query, PairQuery):
             self._counters["pair_queries"] += 1
             if query.source == query.target:
@@ -468,14 +518,11 @@ class QueryService:
             return self.query_engine.combine_pair(
                 distributions[query.source], distributions[query.target]
             )
-        scores = self.query_engine.propagate_source(
-            query.source, distributions[query.source]
-        )
         if isinstance(query, SourceQuery):
             self._counters["source_queries"] += 1
-            return scores
+            return scores[query.source].copy()
         self._counters["topk_queries"] += 1
-        return rank_top_k(scores, query.source, query.k)
+        return list(rankings[query.source, query.k])
 
     # ------------------------------------------------------------------ #
     # Lifecycle

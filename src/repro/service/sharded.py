@@ -12,10 +12,11 @@ of per-node serving state follows the plan —
 * **walk-distribution caches**: one LRU per shard, so a shard's cache holds
   exactly the sources it owns and an update invalidates only inside the
   touched shards;
-* **top-k ranking**: the owner shard scores the source, every shard ranks
-  the candidate nodes it owns, and the results are merged *exactly*
-  (:func:`repro.core.queries.merge_top_k` — the canonical total order makes
-  the merge provably equal to single-shard ranking);
+* **top-k ranking**: each distinct source of a batch is scored once, every
+  shard ranks the candidate nodes it owns for all of the batch's
+  ``(source, k)`` requests in one task, and the results are merged
+  *exactly* (:func:`repro.core.queries.merge_top_k` — the canonical total
+  order makes the merge provably equal to single-shard ranking);
 * **versions**: the global :attr:`~ShardedQueryService.index_version` keeps
   the single-shard semantics (one bump per applied update), while
   :attr:`~ShardedQueryService.shard_versions` records, per shard, the last
@@ -23,8 +24,8 @@ of per-node serving state follows the plan —
 
 Per-shard query work is *scattered in parallel*: cache misses are grouped
 by owning shard and simulated as one task per shard, and top-k ranking runs
-one task per shard, all through a persistent executor backend the service
-owns (``ServiceParams.serve_backend`` / ``ServiceParams.serve_workers``;
+one task per shard *per batch*, all through a persistent executor backend
+the service owns (``ServiceParams.serve_backend`` / ``serve_workers``;
 the same :func:`repro.core.sharding.run_shard_tasks` primitive the build
 path fans out through).  The service is **thread-safe**: concurrent
 :meth:`~QueryService.run_batch` calls and live updates (immediate or
@@ -80,6 +81,7 @@ from repro.core.index import (
     ShardedSnapshotStore,
 )
 from repro.core.queries import (
+    PROPAGATE_BLOCK_WIDTH,
     QueryEngine,
     merge_top_k,
     propagate_scores,
@@ -99,11 +101,12 @@ from repro.graph.partition import ShardPlan, load_balanced_plan, shard_loads
 from repro.service.batching import (
     BatchPlan,
     Query,
+    SourceQuery,
     TopKQuery,
     chunk_sources,
 )
 from repro.service.cache import CacheKey, WalkDistributionCache
-from repro.service.service import Answer, BatchAnswers, QueryService
+from repro.service.service import BatchAnswers, QueryService
 from repro.service.updates import GraphMutator, MutationResult
 
 PathLike = Union[str, os.PathLike]
@@ -158,31 +161,31 @@ def _simulate_shard_sources_resident(
     )
 
 
-def _rank_shard_resident(
-    handle: ResidentHandle, shard: int, values: np.ndarray,
-    source: int, k: int,
-) -> List[Tuple[int, float]]:
-    """One shard's top-k ranking against pool-resident owned-node arrays.
+def _rank_shard_batch(
+    owned: np.ndarray,
+    requests: Sequence[Tuple[np.ndarray, int, int]],
+) -> List[List[Tuple[int, float]]]:
+    """One shard's share of a batch's rankings, from gathered score slices.
 
-    The per-shard owned-node id arrays are a pure function of the plan and
-    the node count — epoch-stable, like the graph — so they ride the
-    resident registry and each ranking task ships only the shard's score
-    slice (``values = scores[owned]``, O(n / K) floats) plus a handle.
-    This is the in-process residency path (serial/thread serve backends:
-    the slice is a reference, not a copy); the process backend uses the
-    fully payload-free :func:`_rank_shard_payload_free` instead.
+    ``requests`` holds one ``(values, source, k)`` per distinct top-k
+    request of the batch, ``values = scores[owned]`` being this shard's
+    O(n / K) slice of the source's score vector.  Every backend without
+    shared-memory residency runs this: in-process (serial / threads) the
+    arguments are references; a process pool serving with
+    ``resident_graph=False`` pickles them.  Returns the shard's partial
+    top-k lists in request order.
     """
-    # `values` is this task's own gather (or its unpickled payload on the
-    # processes backend), so the ranking may mask it in place.
-    owned = resolve_resident(handle)[shard]
-    return rank_top_k_entries(owned, values, source, k, copy=False)
+    # Each slice is this task's own gather (or its unpickled payload), so
+    # the ranking may mask it in place.
+    return [rank_top_k_entries(owned, values, source, k, copy=False)
+            for values, source, k in requests]
 
 
-#: Per-worker caches behind :func:`_rank_shard_payload_free`, keyed by
-#: resident tokens so a residency epoch bump (live update, rebalance flip,
-#: broken-pool recovery) naturally invalidates them.  Module-level because
-#: ``DiGraph`` uses ``__slots__`` (nothing can be hung off the restored
-#: object) and process-pool workers are single-threaded.
+#: Per-worker caches behind :func:`_rank_shard_batch_payload_free`, keyed
+#: by resident tokens so a residency epoch bump (live update, rebalance
+#: flip, broken-pool recovery) naturally invalidates them.  Module-level
+#: because ``DiGraph`` uses ``__slots__`` (nothing can be hung off the
+#: restored object) and process-pool workers are single-threaded.
 _WORKER_TRANSITIONS: "OrderedDict[str, Any]" = OrderedDict()
 _WORKER_TRANSITION_CAPACITY = 4
 _WORKER_SCORES: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
@@ -202,68 +205,74 @@ def _worker_transition_t(graph: DiGraph, token: str):
     return transition_t
 
 
-def _rank_shard_payload_free(
+def _rank_shard_batch_payload_free(
     graph_handle: ResidentHandle,
     system_handle: ResidentHandle,
     nodes_handle: ResidentHandle,
     shard: int,
-    source: int,
-    k: int,
+    requests: Sequence[Tuple[int, int]],
     params: SimRankParams,
     walkers: int,
-) -> List[Tuple[int, float]]:
-    """One shard's top-k ranking with **no per-task data payload at all**.
+) -> List[List[Tuple[int, float]]]:
+    """One shard's share of a batch's rankings with **no data payload**.
 
-    The endgame of the zero-copy story: the task ships three resident
-    handles plus five scalars — O(1) bytes, independent of graph *and*
-    system size — instead of the shard's ``scores[owned]`` slice (O(n/K)
-    floats per task, i.e. the full score vector per batch across shards).
-    The worker reconstructs the score vector itself from state that is
-    already pool-resident:
+    The shared-memory-pool form of :func:`_rank_shard_batch`: the task
+    ships three resident handles, the batch's distinct ``(source, k)``
+    requests and a few scalars — independent of graph *and* system size —
+    and the worker rebuilds the score vectors from pool-resident state:
 
-    1. the source's walk distributions are **re-simulated** from the
-       deterministic ``(seed, source)`` stream
-       (:func:`repro.core.montecarlo.estimate_walk_distributions_batch` —
-       the exact call the service's scatter uses), so they are
-       bitwise-identical to the parent's by construction, and nothing
-       needs shipping;
-    2. the scores run through the shared
+    1. the sources its score LRU lacks are **re-simulated** together from
+       their deterministic ``(seed, source)`` streams (the exact
+       :func:`~repro.core.montecarlo.estimate_walk_distributions_batch`
+       call the service's scatter uses), so the distributions are
+       bitwise the parent's and nothing needs shipping;
+    2. they run as one block through the shared
        :func:`repro.core.queries.propagate_scores` against the resident
        graph's transition and the resident system view's diagonal — the
        same code over byte-identical restored arrays as the parent's
        :meth:`~repro.core.queries.QueryEngine.propagate_source`;
-    3. the shard ranks the owned slice exactly like every other path.
+    3. the shard ranks its owned slice for every request, in order.
 
-    Steps 1–2 are cached per ``(graph epoch, system epoch, source,
-    walkers, params)`` in a per-worker LRU, so a batch's K ranking tasks
-    pay the propagation once per worker that sees the source — redundant
-    across workers, but payload (the thing this path eliminates) dominates
-    propagation at serving scale, and epoch-keyed tokens make staleness
-    impossible: any lineage event re-registers and the key changes.
+    Steps 1–2 are cached per ``(graph epoch, system epoch, walkers,
+    params, source)`` in a per-worker LRU: a batch's K tasks pay for a
+    source once per worker that sees it, and epoch-keyed tokens make
+    staleness impossible (any lineage event re-registers, so the key
+    changes).  LRU entries are copies of their block column — a view
+    would pin a whole ``n × B`` block per entry.
     """
     graph = resolve_resident(graph_handle)
     system: ResidentSystem = resolve_resident(system_handle)
     owned = resolve_resident(nodes_handle)[shard]
-    score_key = (graph_handle.token, system_handle.token, source, walkers,
-                 params)
-    scores = _WORKER_SCORES.get(score_key)
-    if scores is None:
+    epoch = (graph_handle.token, system_handle.token, walkers, params)
+    scores: Dict[int, np.ndarray] = {}
+    missing: List[int] = []
+    for source in dict.fromkeys(source for source, _k in requests):
+        cached = _WORKER_SCORES.get(epoch + (source,))
+        if cached is None:
+            missing.append(source)
+        else:
+            _WORKER_SCORES.move_to_end(epoch + (source,))
+            scores[source] = cached
+    if missing:
         transition_t = _worker_transition_t(graph, graph_handle.token)
-        distributions = montecarlo.estimate_walk_distributions_batch(
-            graph, [source], params, walkers=walkers
-        )[source]
-        scores = propagate_scores(
-            source, distributions, transition_t, system.diagonal,
-            params.c, params.walk_steps,
-        )
-        _WORKER_SCORES[score_key] = scores
+        for chunk in chunk_sources(missing, PROPAGATE_BLOCK_WIDTH):
+            distributions = montecarlo.estimate_walk_distributions_batch(
+                graph, chunk, params, walkers=walkers
+            )
+            vectors = propagate_scores(
+                chunk, [distributions[source] for source in chunk],
+                transition_t, system.diagonal, params.c, params.walk_steps,
+            )
+            for source, vector in zip(chunk, vectors):
+                scores[source] = _WORKER_SCORES[epoch + (source,)] = \
+                    vector.copy()
         while len(_WORKER_SCORES) > _WORKER_SCORE_CAPACITY:
             _WORKER_SCORES.popitem(last=False)
-    else:
-        _WORKER_SCORES.move_to_end(score_key)
-    # scores[owned] is a fresh fancy-index gather, so in-place masking
-    # (copy=False) can never scribble on the cached vector.
-    return rank_top_k_entries(owned, scores[owned], source, k, copy=False)
+    # scores[source][owned] is a fresh fancy-index gather, so in-place
+    # masking (copy=False) can never scribble on a cached vector.
+    return [rank_top_k_entries(owned, scores[source][owned], source, k,
+                               copy=False)
+            for source, k in requests]
 
 
 class ShardedQueryService(QueryService):
@@ -317,14 +326,14 @@ class ShardedQueryService(QueryService):
         was fully served from the caches.  The parallel-serve benchmark
         accounts a ``W``-worker deployment's critical path from these.
     last_rank_seconds:
-        Wall-clock of each shard's top-k ranking tasks in the most recent
-        batch, accumulated per shard across the batch's top-k queries.
-        Reset on every batch alongside ``last_scatter_seconds`` — the two
-        together cover every per-shard task the batch scattered, which is
-        the accounting identity the rebalance planner's cumulative
-        counters are built on (a fully cached batch scatters no
-        simulation, so ``last_scatter_seconds`` stays empty while ranking
-        time still lands here).
+        Wall-clock of each shard's ranking task in the most recent batch —
+        one task per shard covers all of the batch's top-k queries; empty
+        when the batch had none.  Reset on every batch alongside
+        ``last_scatter_seconds`` — the two together cover every per-shard
+        task the batch scattered, which is the accounting identity the
+        rebalance planner's cumulative counters are built on (a fully
+        cached batch scatters no simulation, so ``last_scatter_seconds``
+        stays empty while ranking time still lands here).
     """
 
     last_scatter_seconds: Dict[int, float]
@@ -400,7 +409,6 @@ class ShardedQueryService(QueryService):
         # AND ranking — is counted, not just the last one.
         self.last_batch_payload_bytes = 0
         self._counters["scatter_payload_bytes"] = 0
-        self._batch_walkers: Optional[int] = None
 
     def _fresh_shard_state(self) -> None:
         """(Re)create the per-shard serving state for the current plan.
@@ -651,11 +659,11 @@ class ShardedQueryService(QueryService):
                 self._update_lock.release()
         with self._lock:
             # Sample the backend's cumulative pickled-task counter around
-            # the whole batch: a batch scatters several runs (one
-            # simulation fan-out plus one ranking fan-out per top-k
-            # query), and ``last_payload_bytes`` alone only ever shows the
-            # final run — which used to hide the ranking-scatter payloads
-            # from the zero-copy accounting entirely.
+            # the whole batch: a batch scatters up to two runs (one
+            # simulation fan-out, one ranking fan-out), and
+            # ``last_payload_bytes`` alone only ever shows the final run —
+            # which used to hide the ranking-scatter payloads from the
+            # zero-copy accounting entirely.
             before = getattr(self._serve_backend, "total_payload_bytes", None)
             answers = super().run_batch(queries, walkers=walkers,
                                         flush_pending=False)
@@ -982,7 +990,7 @@ class ShardedQueryService(QueryService):
     # Query execution (scatter-gather)
     # ------------------------------------------------------------------ #
     def _resolve_distributions(
-        self, plan: BatchPlan, walkers: Optional[int]
+        self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, montecarlo.WalkDistributions]:
         """Resolve a batch's sources against their owning shards' caches.
 
@@ -999,12 +1007,6 @@ class ShardedQueryService(QueryService):
         critical-path input); cache inserts and counters are applied in
         the gathering thread, under the batch's lock.
         """
-        walkers_count = (walkers if walkers is not None
-                         else self.query_params.query_walkers)
-        # Stash for _answer's payload-free ranking tasks, which re-simulate
-        # the source at exactly this batch's Monte-Carlo budget.  Batches
-        # serialise under the serve lock, so the stash cannot be torn.
-        self._batch_walkers = walkers_count
         resolved: Dict[int, montecarlo.WalkDistributions] = {}
         missing_by_shard: Dict[int, List[int]] = {}
         for source in plan.sources:
@@ -1025,29 +1027,20 @@ class ShardedQueryService(QueryService):
         self.last_scatter_seconds = {}
         self.last_rank_seconds = {}
         if missing_by_shard:
+            simulate, graph = _simulate_shard_sources, self.graph
             if self.service_params.resident_graph:
                 # Zero-copy hot path: the graph rides the pool's resident
                 # registry (re-registered automatically when an update
                 # swaps it — `self.graph` is then a new object, i.e. a new
                 # epoch), so each task ships a handle plus its source ids.
-                handle = self._serve_backend.ensure_resident("graph", self.graph)
-                tasks = {
-                    shard: partial(
-                        _simulate_shard_sources_resident, handle, sources,
-                        self.query_params, walkers_count,
-                        self.service_params.max_batch_size,
-                    )
-                    for shard, sources in missing_by_shard.items()
-                }
-            else:
-                tasks = {
-                    shard: partial(
-                        _simulate_shard_sources, self.graph, sources,
-                        self.query_params, walkers_count,
-                        self.service_params.max_batch_size,
-                    )
-                    for shard, sources in missing_by_shard.items()
-                }
+                simulate = _simulate_shard_sources_resident
+                graph = self._serve_backend.ensure_resident("graph", self.graph)
+            tasks = {
+                shard: partial(simulate, graph, sources, self.query_params,
+                               walkers_count,
+                               self.service_params.max_batch_size)
+                for shard, sources in missing_by_shard.items()
+            }
             outcomes = run_shard_tasks(self._serve_backend, tasks)
             for shard in sorted(outcomes):
                 simulated, seconds = outcomes[shard]
@@ -1063,87 +1056,98 @@ class ShardedQueryService(QueryService):
                     )
         return resolved
 
-    def _answer(self, query: Query,
-                distributions: Dict[int, montecarlo.WalkDistributions]) -> Answer:
-        """Answer one query; top-k is scattered across shards and merged.
+    def _resident_rank_handles(
+        self,
+    ) -> Optional[Tuple[ResidentHandle, ResidentHandle, ResidentHandle]]:
+        """``(graph, system, owned-nodes)`` handles when ranking tasks can
+        rebuild scores from shared-memory residents, else None.
 
-        The source's owner shard produces the score vector, each shard
-        ranks the candidate nodes it owns — one
-        :func:`repro.core.queries.rank_top_k_within` task per shard on the
-        serve backend — and the partial rankings are merged exactly
-        (:func:`repro.core.queries.merge_top_k`).  The ranking order is a
-        total order of the entries themselves, so concurrent per-shard
-        ranking cannot change the merged list.  Pair and source queries
-        are answered by the owner shard alone and delegate to the parent.
+        With residency on, the owned-node id arrays (epoch-stable, like the
+        graph) ride the resident registry, whose handle kind says where
+        ranking tasks run: ``"shm"`` is a process pool — its workers hold
+        the graph and the system view (diagonal) too, so need no score
+        slices; ``"local"`` (serial / threads) is this process, where one
+        propagation beats one per worker and a slice is a reference anyway.
         """
-        if isinstance(query, TopKQuery):
-            self._counters["topk_queries"] += 1
-            owned_nodes = self._shard_nodes()
-            capped_k = min(query.k, self.graph.n_nodes)
-            # With residency on, the owned-node id arrays (epoch-stable,
-            # like the graph) ride the resident registry.  How much else
-            # ships depends on the backend kind the registry reports:
-            #
-            # * ``"shm"`` (process pool): the graph and the system view
-            #   (diagonal) are resident too, so each ranking task ships
-            #   three handles plus scalars — no score slice, no propagate
-            #   here in the parent; the worker rebuilds the scores from
-            #   resident state (see :func:`_rank_shard_payload_free`).
-            # * ``"local"`` (serial/threads): tasks run in this process,
-            #   so the parent propagates once and each task closes over a
-            #   score-slice *reference* — zero serialisation already, and
-            #   one propagation beats K redundant ones.
-            shm_resident = False
-            if self.service_params.resident_graph:
-                nodes_handle = self._serve_backend.ensure_resident(
-                    "shard_nodes", owned_nodes)
-                shm_resident = nodes_handle.kind == "shm"
-            if shm_resident:
-                graph_handle = self._serve_backend.ensure_resident(
-                    "graph", self.graph)
-                system_handle = self._serve_backend.ensure_resident(
-                    "system", self._resident_system_view())
-                walkers_count = (self._batch_walkers
-                                 if self._batch_walkers is not None
-                                 else self.query_params.query_walkers)
-                tasks = {
-                    shard: partial(_rank_shard_payload_free, graph_handle,
-                                   system_handle, nodes_handle, shard,
-                                   query.source, capped_k,
-                                   self.query_params, walkers_count)
-                    for shard in range(self.num_shards)
-                }
-            else:
-                # Each task ships (or references) only its shard's gathered
-                # scores — O(n / K) per task instead of the full O(n)
-                # score vector K times over.
-                scores = self.query_engine.propagate_source(
-                    query.source, distributions[query.source]
-                )
-                if self.service_params.resident_graph:
-                    tasks = {
-                        shard: partial(_rank_shard_resident, nodes_handle,
-                                       shard, scores[owned_nodes[shard]],
-                                       query.source, capped_k)
-                        for shard in range(self.num_shards)
-                    }
-                else:
-                    tasks = {
-                        shard: partial(rank_top_k_entries, owned_nodes[shard],
-                                       scores[owned_nodes[shard]],
-                                       query.source, capped_k, copy=False)
-                        for shard in range(self.num_shards)
-                    }
-            outcomes = run_shard_tasks(self._serve_backend, tasks)
-            for shard in range(self.num_shards):
-                seconds = outcomes[shard][1]
-                self.last_rank_seconds[shard] = (
-                    self.last_rank_seconds.get(shard, 0.0) + seconds
-                )
-                self._shard_counters[shard]["rank_seconds"] += seconds
-            partials = [outcomes[shard][0] for shard in range(self.num_shards)]
-            return merge_top_k(partials, capped_k)
-        return super()._answer(query, distributions)
+        if not self.service_params.resident_graph:
+            return None
+        nodes_handle = self._serve_backend.ensure_resident(
+            "shard_nodes", self._shard_nodes())
+        if nodes_handle.kind != "shm":
+            return None
+        return (
+            self._serve_backend.ensure_resident("graph", self.graph),
+            self._serve_backend.ensure_resident(
+                "system", self._resident_system_view()),
+            nodes_handle,
+        )
+
+    def _resolve_scores(
+        self, queries: Sequence[Query],
+        distributions: Dict[int, montecarlo.WalkDistributions],
+    ) -> Dict[int, np.ndarray]:
+        """Score the batch's distinct sources once, where they are needed.
+
+        The parent's block propagation
+        (:meth:`QueryService._resolve_scores`) covers source queries
+        always, and top-k sources unless the pool workers rebuild those
+        from resident state (:meth:`_resident_rank_handles`).
+        """
+        if (any(isinstance(query, TopKQuery) for query in queries)
+                and self._resident_rank_handles() is not None):
+            queries = [query for query in queries
+                       if isinstance(query, SourceQuery)]
+        return super()._resolve_scores(queries, distributions)
+
+    def _resolve_rankings(
+        self, requests: Sequence[Tuple[int, int]],
+        scores: Dict[int, np.ndarray], walkers_count: int,
+    ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
+        """Rank the batch's distinct ``(source, k)`` in one scatter.
+
+        One task per shard carries every request of the batch: each shard
+        ranks the nodes it owns (:func:`_rank_shard_batch`, or
+        :func:`_rank_shard_batch_payload_free` on a shared-memory pool,
+        whose workers re-simulate at exactly this batch's
+        ``walkers_count``) and the partial rankings are merged exactly,
+        request by request (:func:`repro.core.queries.merge_top_k`).  The
+        ranking order is a total order of the entries themselves, so
+        concurrent per-shard ranking cannot change a merged list.
+        """
+        if not requests:
+            return {}
+        shards = range(self.num_shards)
+        capped = [(source, min(k, self.graph.n_nodes))
+                  for source, k in requests]
+        handles = self._resident_rank_handles()
+        if handles is not None:
+            tasks = {
+                shard: partial(_rank_shard_batch_payload_free, *handles,
+                               shard, capped, self.query_params,
+                               walkers_count)
+                for shard in shards
+            }
+        else:
+            # Each task ships (or references) only its shard's gathered
+            # scores — O(n / K) per request instead of the full O(n)
+            # score vector K times over.
+            tasks = {
+                shard: partial(_rank_shard_batch, owned,
+                               [(scores[source][owned], source, k)
+                                for source, k in capped])
+                for shard, owned in zip(shards, self._shard_nodes())
+            }
+        outcomes = run_shard_tasks(self._serve_backend, tasks)
+        for shard in shards:
+            seconds = outcomes[shard][1]
+            self.last_rank_seconds[shard] = seconds
+            self._shard_counters[shard]["rank_seconds"] += seconds
+        return {
+            request: merge_top_k(
+                [outcomes[shard][0][position] for shard in shards], k)
+            for position, (request, (_source, k))
+            in enumerate(zip(requests, capped))
+        }
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1208,13 +1212,6 @@ class ShardedQueryService(QueryService):
             ),
             "cache_inserts": sum(cache.stats.inserts for cache in self.shard_caches),
             "cache_invalidations": sum(
-                cache.stats.invalidations for cache in self.shard_caches
-            ),
-            # Cumulative update-routed evictions (invalidate_sources /
-            # invalidate_reachable), summed across shards — the figure to
-            # correlate with update storms, distinct from capacity
-            # "cache_evictions".
-            "cache_evictions_routed": sum(
                 cache.stats.invalidations for cache in self.shard_caches
             ),
             "cache_hit_rate": hits / lookups if lookups else 0.0,

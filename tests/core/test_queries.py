@@ -175,6 +175,30 @@ class TestExactHelpers:
         assert ranking_overlap(np.ones((1, 1)), np.ones((1, 1))) == 1.0
 
 
+class TestPropagateSourceSequence:
+    """The batch form of ``propagate_source`` against the one-node oracle."""
+
+    def test_sequence_equals_one_node_calls_bitwise(self, mc_engine,
+                                                    small_graph):
+        from repro.core import montecarlo
+        from repro.core.queries import PROPAGATE_BLOCK_WIDTH
+
+        # More sources than one block holds, one of them twice.
+        nodes = list(range(PROPAGATE_BLOCK_WIDTH + 3)) + [1]
+        distributions = montecarlo.estimate_walk_distributions_batch(
+            small_graph, nodes, mc_engine.params)
+        vectors = mc_engine.propagate_source(
+            nodes, [distributions[node] for node in nodes])
+        assert len(vectors) == len(nodes)
+        for node, vector in zip(nodes, vectors):
+            expected = mc_engine.propagate_source(node, distributions[node])
+            assert vector.shape == (small_graph.n_nodes,)
+            assert vector.tobytes() == expected.tobytes()
+
+    def test_empty_sequence(self, mc_engine):
+        assert mc_engine.propagate_source([], []) == []
+
+
 class TestRankTopKEntries:
     """The payload-light ranking form must equal rank_top_k_within exactly."""
 

@@ -123,3 +123,56 @@ def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
                 after = sharded.run_batch(queries)
                 _assert_equal(after_reference, after)
                 _assert_canonical_order(after)
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+def test_batch_scores_each_source_once_and_scatters_twice(backend,
+                                                          monkeypatch):
+    """A batch that repeats sources answers like one-query batches, from at
+    most two scatters (simulate + rank) however many top-k queries it has."""
+    import repro.service.sharded as sharded_module
+    from repro.graph import generators
+
+    graph = generators.copying_model_graph(150, out_degree=5, seed=3)
+    params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=2,
+                           index_walkers=20, query_walkers=80, seed=5)
+    queries = [
+        TopKQuery(3, k=5), SourceQuery(3), TopKQuery(3, k=5),
+        TopKQuery(3, k=9), TopKQuery(40, k=5), PairQuery(3, 40),
+        SourceQuery(3), SourceQuery(77), TopKQuery(77, k=400),
+        TopKQuery(5, k=1), TopKQuery(6, k=2), TopKQuery(7, k=3),
+    ]
+    scatters = []
+    real = sharded_module.run_shard_tasks
+
+    def counting(backend_, tasks):
+        scatters.append(len(tasks))
+        return real(backend_, tasks)
+
+    monkeypatch.setattr(sharded_module, "run_shard_tasks", counting)
+    service_params = ServiceParams(serve_backend=backend, serve_workers=2)
+    with ShardedQueryService.build(
+        graph, params, service_params=service_params,
+        sharding=ShardingParams(num_shards=3),
+    ) as sharded, ShardedQueryService.build(
+        graph, params, service_params=service_params,
+        sharding=ShardingParams(num_shards=3),
+    ) as one_at_a_time:
+        for _pass in ("cold", "cached"):
+            scatters.clear()
+            answers = sharded.run_batch(queries)
+            assert len(scatters) <= 2 and all(n <= 3 for n in scatters)
+            expected = [one_at_a_time.run_batch([query])[0]
+                        for query in queries]
+            for left, right in zip(expected, answers):
+                if isinstance(left, np.ndarray):
+                    assert left.tobytes() == right.tobytes()
+                else:
+                    assert left == right
+        stats = sharded.stats()
+        assert (stats["topk_queries"], stats["source_queries"],
+                stats["pair_queries"]) == (16, 6, 2)    # queries, not work
+    # Repeated queries get equal but distinct objects that own their memory.
+    assert answers[0] == answers[2] and answers[0] is not answers[2]
+    assert not np.shares_memory(answers[1], answers[6])
+    assert all(answers[i].base is None for i in (1, 6, 7))

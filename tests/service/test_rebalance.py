@@ -7,8 +7,9 @@ Four layers, bottom-up:
 * the **cost model** (:func:`repro.engine.cost_model.evaluate_rebalance`) —
   makespan ratios, the improvement threshold, the representativeness gate;
 * the **load accounting** the planner feeds on — including the regression
-  pin for top-k ranking seconds (``last_rank_seconds``), which the resident
-  fast path used to drop on the floor;
+  pin for top-k ranking seconds (``last_rank_seconds``: each shard's one
+  ranking task per batch, whatever the number of top-k queries), which the
+  resident fast path used to drop on the floor;
 * **live plan migration** (:meth:`~repro.service.ShardedQueryService.
   rebalance`): the headline invariant is that every answer — before,
   *during* (concurrent query threads) and after a migration, with live
@@ -192,8 +193,9 @@ class TestLoadAccounting:
         sharded.run_batch([TopKQuery(3, k=5), TopKQuery(12, k=4)])
         once = dict(sharded.last_rank_seconds)
         sharded.run_batch([TopKQuery(3, k=5)])
-        # The two-query batch accumulated two ranking tasks per shard; the
-        # reset between batches means the second batch starts from zero.
+        # The two-query batch ran one ranking task per shard covering both
+        # queries; the reset between batches means the second batch starts
+        # from zero.
         assert sorted(once) == [0, 1]
         assert sorted(sharded.last_rank_seconds) == [0, 1]
 

@@ -302,6 +302,29 @@ class TestResidentSystemLifecycle:
         assert resident_bytes < 96 * 1024
 
 
+class TestWorkerScoreCache:
+    """The per-worker score LRU behind the payload-free batch ranking."""
+
+    def test_entries_own_their_memory_and_small_lru_still_answers(
+            self, monkeypatch):
+        import repro.service.sharded as sharded_module
+
+        graph = generators.copying_model_graph(300, out_degree=5, seed=7)
+        queries = [TopKQuery(i, k=4) for i in range(6)] + [TopKQuery(2, k=7)]
+        reference = QueryService(graph, _build_index(graph),
+                                 _params()).run_batch(queries)
+        # Fewer LRU slots than the batch has sources: a task must still
+        # rank every request from the vectors it just built.
+        monkeypatch.setattr(sharded_module, "_WORKER_SCORE_CAPACITY", 2)
+        sharded_module._WORKER_SCORES.clear()
+        with _service(graph, resident=True) as service:
+            assert _answers_equal(reference, service.run_batch(queries))
+        cached = list(sharded_module._WORKER_SCORES.values())
+        assert len(cached) == 2
+        # A view would pin its whole n x B block for the LRU's lifetime.
+        assert all(vector.base is None for vector in cached)
+
+
 class TestCloseReleasesSharedMemory:
     def _segment_exists(self, name):
         try:

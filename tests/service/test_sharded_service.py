@@ -87,7 +87,7 @@ class TestScatterGatherTopK:
     def test_merge_equals_global_ranking(self, make_sharded):
         sharded = make_sharded(num_shards=4)
         distributions = sharded._resolve_distributions(
-            plan_batch([SourceQuery(5)]), None,
+            plan_batch([SourceQuery(5)]), sharded.query_params.query_walkers,
         )
         scores = sharded.engine.propagate_source(5, distributions[5])
         partials = [

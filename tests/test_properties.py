@@ -10,17 +10,19 @@ randomly generated graphs and inputs:
 * the Jacobi solver converges on diagonally dominant systems;
 * the engine's shuffle operations match their sequential equivalents;
 * the query service (batching + caching) is bitwise-equivalent to direct
-  core calls for the same seed.
+  core calls for the same seed;
+* block score propagation is byte-for-byte the one-source dense recurrence.
 """
 
 from typing import List, Tuple
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServiceParams, SimRankParams
-from repro.core import linear_system, montecarlo, walks
+from repro.core import linear_system, montecarlo, queries, walks
 from repro.core.diagonal import build_diagonal_index
 from repro.core.jacobi import exact_solve, jacobi_solve
 from repro.core.queries import QueryEngine
@@ -151,6 +153,66 @@ class TestQueryProperties:
         assert scores.shape == (graph.n_nodes,)
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
         assert scores[node_i] == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# Block score propagation
+# --------------------------------------------------------------------------- #
+def _propagate_one_source_dense(node, distributions, transition_t, diagonal,
+                                c, walk_steps):
+    """The reference recurrence: one source, a dense vector per step and one
+    sparse matvec per step (what ``propagate_scores`` was before it worked
+    on blocks)."""
+    n = transition_t.shape[0]
+    decay_powers = c ** np.arange(walk_steps + 1)
+    result = np.zeros(n, dtype=np.float64)
+    for step in range(walk_steps, -1, -1):
+        if step < walk_steps:
+            result = transition_t @ result
+        result += decay_powers[step] * (
+            diagonal * distributions.dense(n, step))
+    result[node] = 1.0
+    np.clip(result, 0.0, 1.0, out=result)
+    return result
+
+
+class TestBlockPropagateProperties:
+    @given(graphs(max_nodes=20, max_edges=60), st.data())
+    def test_block_columns_bytewise_equal_to_dense_single_source(self, graph,
+                                                                 data):
+        # Approximate serving shrinks (walkers, steps); sparse graphs give
+        # sources whose walks die out, i.e. empty supports at later steps.
+        params = SimRankParams(
+            c=0.6, jacobi_iterations=1, index_walkers=1,
+            walk_steps=data.draw(st.integers(min_value=1, max_value=6)),
+            query_walkers=data.draw(st.integers(min_value=1, max_value=50)),
+            seed=data.draw(st.integers(min_value=0, max_value=1_000)),
+        )
+        nodes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=graph.n_nodes - 1),
+            min_size=1, max_size=12))           # any order, duplicates welcome
+        width = data.draw(st.integers(min_value=1, max_value=13))
+        exact = data.draw(st.booleans())
+        # The diagonal of a real index can have any sign; zeros included.
+        diagonal = np.random.default_rng(params.seed).uniform(
+            -0.5, 1.5, graph.n_nodes).round(1)
+        transition_t = graph.transition_matrix().T.tocsr()
+        if exact:
+            distributions = {node: montecarlo.exact_walk_distributions(
+                graph, node, params) for node in set(nodes)}
+        else:
+            distributions = montecarlo.estimate_walk_distributions_batch(
+                graph, sorted(set(nodes)), params)
+        with mock.patch.object(queries, "PROPAGATE_BLOCK_WIDTH", width):
+            vectors = queries.propagate_scores(
+                nodes, [distributions[node] for node in nodes], transition_t,
+                diagonal, params.c, params.walk_steps)
+        assert len(vectors) == len(nodes)
+        for node, vector in zip(nodes, vectors):
+            expected = _propagate_one_source_dense(
+                node, distributions[node], transition_t, diagonal,
+                params.c, params.walk_steps)
+            assert vector.tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------------------- #
