@@ -1,25 +1,24 @@
 """Scatter backends — thread vs process pools across worker counts.
 
-The zero-copy serving work (`bench_zero_copy_serve.py`) proved that a
-resident working set collapses per-batch scatter payloads; this benchmark
-adds the missing multi-core axis: with the graph, linear system, and
-owned-node arrays all pool-resident, how do the ``threads`` and
-``processes`` serve backends compare as workers scale?
+With the graph pool-resident, a batch's scatter payload is a handle plus
+source ids; this benchmark adds the multi-core axis: how do the
+``threads`` and ``processes`` serve backends compare as workers scale?
 
 For every ``(backend, workers)`` configuration in the sweep the same
 pair-heavy batch is answered and two quantities recorded:
 
 ``payload_bytes_per_task``
-    Mean pickled bytes per scatter task (simulation *and* ranking tasks),
-    from the process backend's payload accounting.  Thread tasks cross no
-    process boundary, so their payload is identically zero; resident
-    process tasks ship only handles plus scalars.
+    Mean pickled bytes per scatter task (the cache-miss simulation tasks —
+    the only work a batch sends the pool), from the process backend's
+    payload accounting.  Thread tasks cross no process boundary, so their
+    payload is identically zero; process tasks ship only the graph handle
+    plus source ids.
 ``critical_path_seconds``
     The batch's wall-clock on a ``W``-worker deployment: longest-
     processing-time-first makespan of the sequential baseline's per-shard
-    task seconds (``last_scatter_seconds`` + ``last_rank_seconds``: one
-    simulation task and one ranking task per shard per batch) plus
-    the batch's serial share — the simulated-strong-scaling accounting of
+    simulation seconds (``last_scatter_seconds``) plus the batch's serial
+    share, which holds scoring and per-shard ranking (both run in the
+    serving process) — the simulated-strong-scaling accounting of
     ``bench_parallel_serve.py``.  The *sequential* run's timings feed the
     makespan for every configuration because this host is pinned to one
     core: per-task wall-clocks measured under a concurrent pool are
@@ -125,8 +124,7 @@ def _measure_config(graph, index, queries, backend, workers):
 
     Returns ``(answers, measured_seconds, payload_bytes, task_count)``.
     The warm-up batch forks/marks the pool and registers residency; the
-    measured batch samples the process backend's per-run payload lists so
-    ranking *and* simulation tasks are both counted.
+    measured batch samples the process backend's per-run payload lists.
     """
     with _service(graph, index, backend, workers) as service:
         service.run_batch(queries)  # warm-up: fork pool, register residency
@@ -211,7 +209,6 @@ def scatter_backends_experiment():
         sequential_seconds = time.perf_counter() - start
         baseline_tasks = [
             sequential.last_scatter_seconds.get(shard, 0.0)
-            + sequential.last_rank_seconds.get(shard, 0.0)
             for shard in range(NUM_SHARDS)
         ]
     serial_share = max(sequential_seconds - sum(baseline_tasks), 0.0)
@@ -281,7 +278,7 @@ def _check_and_render(result) -> str:
         result["rows"],
         title=(f"Thread vs process scatter backends for {result['n_queries']} "
                f"queries on a {result['graph_nodes']}-node graph "
-               f"({result['num_shards']} shards, resident working set, "
+               f"({result['num_shards']} shards, resident graph, "
                f"R'={result['query_walkers']}; critical path = W-worker "
                "wall-clock; workers=0 is the sequential scatter)"),
     )

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Verify that documentation references resolve: file paths AND symbols.
+"""Verify that documentation references resolve: paths, symbols, CLI flags.
 
-Documentation rots in two ways: the files it points at move, and the code
-symbols it names get renamed.  This checker keeps the docs honest on both
-axes by extracting, from ``docs/*.md``, ``README.md`` and the module
-docstrings that cite ``docs/`` files:
+Documentation rots in three ways: the files it points at move, the code
+symbols it names get renamed, and the command-line flags it recommends get
+deleted.  This checker keeps the docs honest on all three axes by
+extracting, from ``docs/*.md``, ``README.md`` and the module docstrings
+that cite ``docs/`` files:
 
 * every path-like reference (markdown links, backticked paths), failing
   when the path does not exist on disk;
@@ -15,7 +16,9 @@ docstrings that cite ``docs/`` files:
   symbol table of every public name exported by ``repro``'s modules;
   dataclass fields count as attributes.  References whose root is unknown
   to ``repro`` (``np.ndarray``, ``os.PathLike``, …) are skipped — foreign
-  libraries are not ours to police.
+  libraries are not ours to police;
+* every backticked span that opens with a ``--flag`` (```--shards 4```),
+  failing when no ``python -m repro`` subcommand accepts that flag.
 
 Runs inside the test suite (``tests/test_docs.py``) and standalone::
 
@@ -32,7 +35,7 @@ import pkgutil
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = REPO_ROOT / "src"
@@ -48,6 +51,10 @@ _DOCS_IN_SOURCE = re.compile(r"docs/[\w.-]+\.md")
 # Backticked dotted symbol references like `repro.service.QueryService`,
 # `QueryService.run_batch` or `ShardPlan.shard_of()` (no slashes = not a path).
 _CODE_SYMBOL = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
+# Backticked spans opening with a CLI flag, like `--shards 4` or `--force`.
+# Spans that open with a command (`pytest --benchmark-only`) name another
+# program's flags and are left alone.
+_CODE_FLAG = re.compile(r"`(--[A-Za-z][\w-]*)")
 
 
 def _doc_files() -> List[Path]:
@@ -81,6 +88,21 @@ def _iter_symbol_refs(path: Path) -> Iterator[str]:
         ref = match.group(1)
         if "/" not in ref:
             yield ref
+
+
+def _cli_flags() -> Set[str]:
+    """Every option string of every ``python -m repro`` (sub)command."""
+    from repro.cli import build_parser
+
+    flags: Set[str] = set()
+    pending = [build_parser()]
+    while pending:
+        parser = pending.pop()
+        flags.update(parser._option_string_actions)
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                pending.extend(action.choices.values())
+    return flags
 
 
 def _public_symbol_table() -> Dict[str, List[object]]:
@@ -206,6 +228,17 @@ def check_docs(verbose: bool = False) -> List[str]:
             problem = _resolve_symbol(ref, table)
             if problem is not None:
                 problems.append(f"{doc.relative_to(REPO_ROOT)}: {problem}")
+    flags = _cli_flags()
+    for doc in _doc_files():
+        for flag in _CODE_FLAG.findall(doc.read_text(encoding="utf-8")):
+            checked += 1
+            if verbose:
+                print(f"{doc.relative_to(REPO_ROOT)}: {flag}")
+            if flag not in flags:
+                problems.append(
+                    f"{doc.relative_to(REPO_ROOT)} names the flag {flag!r}, "
+                    f"which no `python -m repro` subcommand accepts"
+                )
     if verbose:
         print(f"checked {checked} references")
     return problems

@@ -12,7 +12,8 @@
 #   1. scripts/tier1.py            - full test suite + 80% coverage floor
 #                                    over repro.service and repro.core
 #   2. scripts/smoke_benchmarks.py - every benchmark imported and run tiny
-#   3. scripts/check_docs.py       - every doc path/symbol reference resolves
+#   3. scripts/check_docs.py       - every doc path/symbol/CLI-flag reference
+#                                    resolves
 #   4. scripts/replay_smoke.py     - tiny-trace `repro replay` end to end:
 #                                    deterministic exact + approximate
 #                                    scenario replays through the CLI

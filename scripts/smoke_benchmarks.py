@@ -158,19 +158,6 @@ def _smoke_parallel_serve() -> Dict[str, Any]:
     return result
 
 
-def _smoke_zero_copy_serve() -> Dict[str, Any]:
-    module = _load("bench_zero_copy_serve.py")
-    with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=15,
-                  QUERY_WALKERS=60, NUM_SHARDS=2, SERVE_WORKERS=1,
-                  N_SOURCES=16, N_TOPK=2, N_BATCHES=1,
-                  UPDATE_GRAPH_NODES=60):
-        result = module.zero_copy_serve_experiment()
-    # Bitwise identity is size-independent, so it IS asserted at smoke size
-    # (unlike the payload/throughput gate).
-    assert result["all_identical"], "zero-copy smoke scatter diverged bitwise"
-    return result
-
-
 def _smoke_scatter_backends() -> Dict[str, Any]:
     module = _load("bench_scatter_backends.py")
     with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=15,
@@ -309,7 +296,6 @@ SMOKE_RUNNERS: Dict[str, Callable[[], Any]] = {
     "bench_table4_rdd.py": _smoke_table4,
     "bench_table5_comparison.py": _smoke_table5,
     "bench_update_routing.py": _smoke_update_routing,
-    "bench_zero_copy_serve.py": _smoke_zero_copy_serve,
 }
 
 

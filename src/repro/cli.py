@@ -102,14 +102,6 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                         default=defaults.max_workers,
                         help="worker bound for threads/processes backends "
                              "(default: %(default)s)")
-    parser.add_argument("--resident-graph", dest="resident_graph",
-                        action=argparse.BooleanOptionalAction,
-                        default=defaults.resident_graph,
-                        help="register the graph as a pool-resident object "
-                             "so 'processes' scatter tasks ship a handle "
-                             "instead of the graph; --no-resident-graph "
-                             "restores ship-per-task (answers identical "
-                             "either way) (default: %(default)s)")
 
 
 def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
@@ -119,7 +111,6 @@ def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
         strategy=args.shard_strategy,
         backend=args.shard_backend,
         max_workers=args.shard_workers,
-        resident_graph=getattr(args, "resident_graph", True),
     )
 
 
@@ -340,7 +331,6 @@ def _make_service(args: argparse.Namespace):
     service_params = ServiceParams(
         cache_capacity=args.cache_capacity, max_batch_size=args.max_batch_size,
         serve_backend=args.serve_backend, serve_workers=args.serve_workers,
-        resident_graph=getattr(args, "resident_graph", True),
         accuracy_budget=getattr(args, "accuracy_budget", None),
         approx_walkers=getattr(args, "approx_walkers", None),
         approx_steps=getattr(args, "approx_steps", None),

@@ -156,25 +156,17 @@ class ServiceParams:
         ``k`` used by top-k queries that do not specify one.
     serve_backend:
         Executor backend the sharded service scatters *query-time* work
-        through (per-shard walk simulation and top-k ranking):
-        ``"serial"``, ``"threads"`` or ``"processes"`` (see
-        :mod:`repro.engine.executor`).  Like the build-time
+        through (per-shard cache-miss walk simulation; scoring and ranking
+        run in the serving process): ``"serial"``, ``"threads"`` or
+        ``"processes"`` (see :mod:`repro.engine.executor`).  Tasks ship a
+        handle to the pool-resident graph plus their source ids, so
+        payloads are O(sources), not O(graph).  Like the build-time
         ``ShardingParams.backend``, it changes only wall-clock, never
         answers.  Ignored by the single-shard service.
     serve_workers:
         Worker bound for the ``threads`` / ``processes`` serve backends.
         The pool is persistent (spun up once, reused per batch); call
         ``ShardedQueryService.close`` to release it.
-    resident_graph:
-        Register the served graph as a resident object on the serve
-        backend (see :meth:`repro.engine.executor.ExecutorBackend.
-        ensure_resident`): process workers materialise it once per epoch
-        from shared memory and scatter tasks ship only a handle, keeping
-        per-batch payloads O(sources) instead of O(graph).  A no-op for
-        the ``serial``/``threads`` backends (tasks already share the
-        owner's memory) and for the single-shard service.  Disable to
-        ship the graph inside every task (the pre-residency behaviour);
-        answers are bitwise-identical either way.
     http_port:
         Default TCP port of the HTTP serving tier
         (:mod:`repro.service.http`); ``0`` asks the OS for an ephemeral
@@ -228,7 +220,6 @@ class ServiceParams:
     default_top_k: int = 10
     serve_backend: str = "serial"
     serve_workers: int = 4
-    resident_graph: bool = True
     http_port: int = 8080
     coalesce_window: float = 0.002
     max_in_flight: int = 64
@@ -318,7 +309,6 @@ class ServiceParams:
             "default_top_k": self.default_top_k,
             "serve_backend": self.serve_backend,
             "serve_workers": self.serve_workers,
-            "resident_graph": self.resident_graph,
             "http_port": self.http_port,
             "coalesce_window": self.coalesce_window,
             "max_in_flight": self.max_in_flight,
@@ -453,24 +443,17 @@ class ShardingParams:
         ``"threads"`` or ``"processes"`` (see :mod:`repro.engine.executor`).
         The backend changes only wall-clock, never results: every shard's
         rows come from per-source random streams, so any execution order
-        produces a bitwise-identical index.
+        produces a bitwise-identical index.  Tasks ship a handle to the
+        pool-resident graph (re-registered after each live update), never
+        the graph itself.
     max_workers:
         Worker bound for the ``threads`` / ``processes`` backends.
-    resident_graph:
-        Register the graph as a resident object on the build backend, so
-        per-shard row-estimation tasks ship a handle instead of pickling
-        the whole graph into every task (``processes`` backend; a no-op
-        for ``serial``/``threads``).  Live updates re-register the
-        post-update graph — a new residency epoch — before fanning out.
-        Disable to restore ship-per-task behaviour; the built index is
-        bitwise-identical either way.
     """
 
     num_shards: int = 1
     strategy: str = "hash"
     backend: str = "serial"
     max_workers: int = 4
-    resident_graph: bool = True
 
     _VALID_STRATEGIES = ("hash", "contiguous", "partitioner")
     _VALID_BACKENDS = ("serial", "threads", "processes")
@@ -506,7 +489,6 @@ class ShardingParams:
             "strategy": self.strategy,
             "backend": self.backend,
             "max_workers": self.max_workers,
-            "resident_graph": self.resident_graph,
         }
 
     @classmethod

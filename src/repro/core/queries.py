@@ -165,11 +165,9 @@ def propagate_scores(nodes: Sequence[int],
     Returns one score vector per entry of ``nodes``.  The vectors are
     column *views* into the shared blocks: rank them and drop them, or
     ``.copy()`` the ones that must outlive the call — a kept view pins its
-    whole block.  This stateless form is what lets the engine
-    (:meth:`QueryEngine.propagate_source`) and the sharded service's
-    payload-free ranking workers (which rebuild ``transition_t`` and
-    ``diagonal`` from resident shared-memory views) run literally the same
-    arithmetic.
+    whole block.  Stateless: :meth:`QueryEngine.propagate_source` supplies
+    the engine's transition and diagonal, and the property test drives
+    this function directly.
     """
     n = transition_t.shape[0]
     decay_powers = c ** np.arange(walk_steps + 1)
@@ -321,9 +319,8 @@ class QueryEngine:
 
         Uses the reverse-Horner recurrence
         ``r <- P^T r + c^t (x ∘ P^t e_i)`` evaluated from ``t = T`` down to 0,
-        which needs only ``T`` sparse products.  Delegates to the stateless
-        :func:`propagate_scores` so out-of-process callers (the resident
-        scatter workers) share the exact arithmetic.
+        which needs only ``T`` sparse products (:func:`propagate_scores`
+        holds the arithmetic).
 
         With one ``node`` and its distributions, returns that source's score
         vector.  With a sequence of nodes and the matching sequence of

@@ -1,68 +1,54 @@
-"""The serving working set as a residency-exportable view.
+"""The maintained linear system as a residency-exportable view.
 
-PR 5 taught the executor's resident registry to broadcast the *graph* into
-shared memory (:meth:`repro.graph.digraph.DiGraph.resident_export`); this
-module extends the protocol to the rest of the state the online phase
-repeatedly touches — the maintained linear system's rows, the solved
-diagonal, and the plan's node-to-shard assignment.  A
+The executor's resident registry broadcasts the *graph* into shared memory
+(:meth:`repro.graph.digraph.DiGraph.resident_export`); this module extends
+the protocol to the other large object the build side fans out over — the
+maintained linear system's rows, together with the plan's node-to-shard
+assignment that says which rows a migration slice task keeps.  A
 :class:`ResidentSystem` is a thin immutable *view* over arrays owned by the
-walker/service; it exists so the identity-keyed registry
+walker; it exists so the identity-keyed registry
 (:meth:`repro.engine.executor.ExecutorBackend.ensure_resident`) has one
-object whose lifetime tracks the serving lineage:
+object whose lifetime tracks the index lineage:
 
-* the owner caches the view while the underlying ``system`` / ``diagonal``
-  / ``assignment`` objects stay the same, so steady-state scatters reuse
-  one registration;
+* the walker caches the view while the underlying ``system`` object stays
+  the same, so repeated fan-outs reuse one registration;
 * any lineage event — ``add_edges`` splicing a new system, a ``with_plan``
-  migration clone, a rebalance flip, a snapshot restore — produces new
-  underlying objects, the owner builds a **new view**, and the registry
-  bumps the residency epoch exactly like a graph swap.
+  migration clone — produces a **new view**, and the registry bumps the
+  residency epoch exactly like a graph swap.
 
-Export layout: the diagonal is one float64 array, the system is its three
-CSR buffers (``data``, ``indices``, ``indptr``) plus the shape in the meta
-dict, the assignment is one integer array; each piece is optional (a
-cold-started service has a diagonal but no system yet).  Restoration is
-zero-copy: the worker-side :meth:`ResidentSystem.resident_restore` wraps
-the shared-memory views in a ``scipy.sparse.csr_matrix`` without copying,
-so every per-task payload that used to carry index rows, diagonals or
-score slices shrinks to a handle.
+Export layout: the system's three CSR buffers (``data``, ``indices``,
+``indptr``) followed by the assignment, with the system shape in the meta
+dict.  Restoration is zero-copy: the worker-side
+:meth:`ResidentSystem.resident_restore` wraps the shared-memory views in a
+``scipy.sparse.csr_matrix`` without copying, so a migration slice task
+ships a handle plus a shard id instead of the ``n x n`` system.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 from scipy import sparse
 
 
 class ResidentSystem:
-    """Immutable residency view over the maintained system + diagonal.
+    """Immutable residency view over the maintained system + assignment.
 
     Parameters
     ----------
-    diagonal:
-        The solved correction diagonal (``DiagonalIndex.diagonal``), or
-        None when the view only carries build-side state.
     system:
         The maintained linear system (``IncrementalCloudWalker.system``)
-        as a CSR matrix, or None when the service serves a pre-built index
-        without update state.
+        as a CSR matrix.
     assignment:
-        The plan's per-node shard assignment (``ShardPlan.assign``), or
-        None.  Shipped with the system so migration slice tasks need only
-        a handle plus a shard id.
+        The plan's per-node shard assignment (``ShardPlan.assign``), one
+        entry per system row.
     """
 
-    __slots__ = ("diagonal", "system", "assignment")
+    __slots__ = ("system", "assignment")
 
-    def __init__(
-        self,
-        diagonal: Optional[np.ndarray] = None,
-        system: Optional[sparse.csr_matrix] = None,
-        assignment: Optional[np.ndarray] = None,
-    ) -> None:
-        self.diagonal = diagonal
+    def __init__(self, system: sparse.csr_matrix,
+                 assignment: np.ndarray) -> None:
         self.system = system
         self.assignment = assignment
 
@@ -70,28 +56,10 @@ class ResidentSystem:
     # Residency protocol (mirrors DiGraph.resident_export/resident_restore)
     # ------------------------------------------------------------------ #
     def resident_export(self) -> Tuple[Dict[str, Any], List[np.ndarray]]:
-        """Export as ``(meta, arrays)`` for shared-memory residency.
-
-        Array order is fixed — diagonal, then the system's CSR buffers,
-        then the assignment — with presence flags (and the system shape)
-        in the meta dict, so :meth:`resident_restore` can slot the
-        worker-side views back without ambiguity.
-        """
-        meta: Dict[str, Any] = {
-            "has_diagonal": self.diagonal is not None,
-            "system_shape": (tuple(int(d) for d in self.system.shape)
-                             if self.system is not None else None),
-            "has_assignment": self.assignment is not None,
-        }
-        arrays: List[np.ndarray] = []
-        if self.diagonal is not None:
-            arrays.append(self.diagonal)
-        if self.system is not None:
-            arrays.extend([self.system.data, self.system.indices,
-                           self.system.indptr])
-        if self.assignment is not None:
-            arrays.append(self.assignment)
-        return meta, arrays
+        """Export as ``(meta, arrays)`` for shared-memory residency."""
+        meta = {"system_shape": tuple(int(d) for d in self.system.shape)}
+        return meta, [self.system.data, self.system.indices,
+                      self.system.indptr, self.assignment]
 
     @classmethod
     def resident_restore(cls, meta: Dict[str, Any],
@@ -103,22 +71,11 @@ class ResidentSystem:
         pass), so the restored system is byte-for-byte the exporter's —
         the property every bitwise-identity gate downstream rests on.
         """
-        cursor = 0
-        diagonal: Optional[np.ndarray] = None
-        system: Optional[sparse.csr_matrix] = None
-        assignment: Optional[np.ndarray] = None
-        if meta["has_diagonal"]:
-            diagonal = arrays[cursor]
-            cursor += 1
-        if meta["system_shape"] is not None:
-            data, indices, indptr = arrays[cursor:cursor + 3]
-            cursor += 3
-            system = sparse.csr_matrix(
-                (data, indices, indptr), shape=meta["system_shape"], copy=False
-            )
-        if meta["has_assignment"]:
-            assignment = arrays[cursor]
-        return cls(diagonal=diagonal, system=system, assignment=assignment)
+        data, indices, indptr, assignment = arrays
+        system = sparse.csr_matrix(
+            (data, indices, indptr), shape=meta["system_shape"], copy=False
+        )
+        return cls(system=system, assignment=assignment)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -126,23 +83,9 @@ class ResidentSystem:
     def memory_bytes(self) -> int:
         """Footprint of the exported arrays — one copy per *pool*, not per
         worker: process workers map the single shared segment."""
-        total = 0
-        if self.diagonal is not None:
-            total += int(self.diagonal.nbytes)
-        if self.system is not None:
-            total += int(self.system.data.nbytes
-                         + self.system.indices.nbytes
-                         + self.system.indptr.nbytes)
-        if self.assignment is not None:
-            total += int(self.assignment.nbytes)
-        return total
+        return int(self.system.data.nbytes + self.system.indices.nbytes
+                   + self.system.indptr.nbytes + self.assignment.nbytes)
 
     def __repr__(self) -> str:
-        parts = []
-        if self.diagonal is not None:
-            parts.append(f"diagonal[{len(self.diagonal)}]")
-        if self.system is not None:
-            parts.append(f"system{self.system.shape}")
-        if self.assignment is not None:
-            parts.append(f"assignment[{len(self.assignment)}]")
-        return f"ResidentSystem({', '.join(parts) or 'empty'})"
+        return (f"ResidentSystem(system{self.system.shape}, "
+                f"assignment[{len(self.assignment)}])")

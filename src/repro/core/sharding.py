@@ -107,7 +107,7 @@ def make_plan(graph: DiGraph, sharding: ShardingParams) -> ShardPlan:
 
 
 def estimate_shard_rows(
-    graph: DiGraph, nodes: Sequence[int], params: SimRankParams
+    handle: ResidentHandle, nodes: Sequence[int], params: SimRankParams
 ) -> Triplets:
     """Estimate one shard's rows of the indexing system ``A x = 1``.
 
@@ -115,24 +115,18 @@ def estimate_shard_rows(
     shard's node list produces the shard's COO triplets, independently of
     every other shard (per-source random streams).  Module-level so the
     ``processes`` executor backend can pickle it.
+
+    The task ships the graph's :class:`~repro.engine.executor.
+    ResidentHandle` plus the shard's node list — O(nodes) bytes,
+    independent of graph size: a plain reference on ``serial``/``threads``,
+    and on ``processes`` the worker materialises the graph once per
+    residency epoch from shared memory
+    (:func:`repro.engine.executor.resolve_resident`).  The restored graph's
+    CSR arrays are byte-for-byte the registering process's, so the rows do
+    not depend on where the task ran.
     """
-    return linear_system.build_rows_streamed(graph, list(nodes), params)
-
-
-def estimate_shard_rows_resident(
-    handle: ResidentHandle, nodes: Sequence[int], params: SimRankParams
-) -> Triplets:
-    """:func:`estimate_shard_rows` against a pool-resident graph.
-
-    The task ships only the :class:`~repro.engine.executor.ResidentHandle`
-    plus the shard's node list — O(nodes) bytes, independent of graph
-    size; the worker materialises the graph once per residency epoch from
-    shared memory (:func:`repro.engine.executor.resolve_resident`).  The
-    estimated rows are bitwise-identical to the ship-the-graph path: the
-    restored graph's CSR arrays are byte-for-byte the registering
-    process's, and every row consumes its own ``(seed, source)`` stream.
-    """
-    return estimate_shard_rows(resolve_resident(handle), nodes, params)
+    return linear_system.build_rows_streamed(
+        resolve_resident(handle), list(nodes), params)
 
 
 def gather_shard_rows(
@@ -155,41 +149,28 @@ def gather_shard_rows(
     )
 
 
-def slice_shard_block(
-    system: sparse.csr_matrix, mask: np.ndarray
-) -> sparse.csr_matrix:
-    """Row-slice ``system`` to the rows selected by the boolean ``mask``.
+def slice_shard_block(handle: ResidentHandle, shard: int) -> sparse.csr_matrix:
+    """Row-slice a resident system view to the rows ``shard`` owns.
 
     The block keeps the full ``n x n`` shape with unselected rows empty, so
     blocks from *any* partition of the rows sum back to the full system —
     which is why a snapshot lineage can change shard plans between versions
     without perturbing a single bit of the gathered system.  Module-level
     so the ``processes`` executor backend can pickle migration slice tasks.
+
+    The task ships only the :class:`~repro.engine.executor.ResidentHandle`
+    of a :class:`~repro.core.resident_system.ResidentSystem` (system CSR +
+    plan assignment) plus the shard id — O(1) bytes instead of the full
+    ``n x n`` system and an ``n``-bool mask; the row mask is computed where
+    the task runs.  Slicing is deterministic over byte-identical restored
+    arrays, so the blocks do not depend on the backend.
     """
-    keep = sparse.diags(np.asarray(mask, dtype=np.float64))
-    block = (keep @ system).tocsr()
+    view: ResidentSystem = resolve_resident(handle)
+    keep = sparse.diags(np.asarray(view.assignment == shard, dtype=np.float64))
+    block = (keep @ view.system).tocsr()
     block.eliminate_zeros()
     block.sort_indices()
     return block
-
-
-def slice_shard_block_resident(
-    handle: ResidentHandle, shard: int
-) -> sparse.csr_matrix:
-    """:func:`slice_shard_block` against a pool-resident system view.
-
-    The migration path's zero-copy twin: the task ships only a
-    :class:`~repro.engine.executor.ResidentHandle` plus the shard id —
-    O(1) bytes — instead of re-pickling the full ``n x n`` system and an
-    ``n``-bool mask into every slice task.  The worker materialises the
-    :class:`~repro.core.resident_system.ResidentSystem` (system CSR +
-    plan assignment) once per residency epoch and computes the mask
-    locally.  Slicing is deterministic over byte-identical restored
-    arrays, so the blocks are bitwise-identical to the ship-per-task
-    path.
-    """
-    view: ResidentSystem = resolve_resident(handle)
-    return slice_shard_block(view.system, view.assignment == shard)
 
 
 class ShardedIncrementalWalker(IncrementalCloudWalker):
@@ -219,16 +200,12 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         the exact system is built in one pass, not sharded).
     backend:
         Executor backend running the per-shard tasks (default serial).
-        For the ``processes`` backend the graph is either registered as a
-        pool-resident object (``resident=True``, the default: workers
-        materialise it once per epoch from shared memory and tasks ship a
-        handle) or pickled into every task (``resident=False``).
-    resident:
-        Register the graph on the backend's resident registry before each
-        fan-out (see :meth:`repro.engine.executor.ExecutorBackend.
-        ensure_resident`).  Identity-keyed: a live update's new graph
-        starts a new residency epoch automatically.  Results are bitwise
-        identical either way.
+        The graph is registered on the backend's resident registry before
+        each fan-out (see :meth:`repro.engine.executor.ExecutorBackend.
+        ensure_resident`) and tasks ship its handle: ``processes`` workers
+        materialise it once per epoch from shared memory.  Identity-keyed:
+        a live update's new graph starts a new residency epoch
+        automatically.
 
     Attributes
     ----------
@@ -252,7 +229,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         params: Optional[SimRankParams] = None,
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
-        resident: bool = True,
         reachability: str = "interval",
     ) -> None:
         super().__init__(
@@ -262,7 +238,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         )
         self.plan = plan
         self.backend = backend or SerialBackend()
-        self.resident = resident
         self.shard_build_seconds: Dict[int, float] = {}
         self.shard_slice_seconds: Dict[int, float] = {}
         self.last_touched_shards: frozenset = frozenset()
@@ -288,7 +263,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             params=params,
             exact=exact,
             backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
-            resident=sharding.resident_graph,
             reachability=reachability,
         )
 
@@ -304,22 +278,15 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             return super()._build_rows(graph, sources)
         groups = self.plan.group_nodes(sources)
         self.last_touched_shards = frozenset(groups)
-        if self.resident:
-            # Register (or re-register after an update: `graph` is a new
-            # object, hence a new epoch) so each task ships a handle plus
-            # its node list instead of the whole graph.
-            handle = self.backend.ensure_resident("graph", graph)
-            tasks = {
-                shard: partial(estimate_shard_rows_resident, handle,
-                               groups[shard], self.params)
-                for shard in groups
-            }
-        else:
-            tasks = {
-                shard: partial(estimate_shard_rows, graph, groups[shard],
-                               self.params)
-                for shard in groups
-            }
+        # Register (or re-register after an update: `graph` is a new
+        # object, hence a new epoch) so each task ships a handle plus its
+        # node list instead of the whole graph.
+        handle = self.backend.ensure_resident("graph", graph)
+        tasks = {
+            shard: partial(estimate_shard_rows, handle, groups[shard],
+                           self.params)
+            for shard in groups
+        }
         outcomes = run_shard_tasks(self.backend, tasks)
         for shard, (_triplets, seconds) in outcomes.items():
             self.shard_build_seconds[shard] = seconds
@@ -343,8 +310,7 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             )
         clone = ShardedIncrementalWalker(
             self.graph, plan, params=self.params, exact=self.exact,
-            backend=self.backend, resident=self.resident,
-            reachability=self.reachability,
+            backend=self.backend, reachability=self.reachability,
         )
         clone.attach(self.index, system=self._system)
         return clone
@@ -364,11 +330,9 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         view = self._system_view
         if (view is None or view.system is not self._system
                 or view.assignment.shape[0] != self._system.shape[0]):
-            n = self._system.shape[0]
             view = ResidentSystem(
-                diagonal=self.index.diagonal if self.index is not None else None,
                 system=self._system,
-                assignment=self.plan.assign(n),
+                assignment=self.plan.assign(self._system.shape[0]),
             )
             self._system_view = view
         return view
@@ -383,50 +347,30 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         Used by sharded snapshots, which persist one block per shard
         directory (see :class:`repro.core.index.ShardedSnapshotStore`).
 
-        With a ``backend`` the per-shard slices run as one task per shard
-        through :func:`run_shard_tasks` (the migration path fans the new
-        plan's blocks out this way, recording per-shard timings in
-        :attr:`shard_slice_seconds`); without one they run serially
-        in-process.  The blocks are identical either way — slicing is
-        deterministic and shards are independent.
-
-        With ``resident=True`` (the default) the fan-out registers the
-        maintained system plus the plan assignment as one pool-resident
-        :class:`~repro.core.resident_system.ResidentSystem` and each task
-        ships only ``(handle, shard)`` (:func:`slice_shard_block_resident`)
-        instead of re-pickling the full system per shard.
+        The slices run as one :func:`slice_shard_block` task per shard
+        through :func:`run_shard_tasks` on ``backend`` (the migration path
+        passes the walker's own; the default is serial, in-process),
+        recording per-shard timings in :attr:`shard_slice_seconds`.  The
+        maintained system plus the plan assignment are registered as one
+        resident :class:`~repro.core.resident_system.ResidentSystem`, so
+        each task ships only ``(handle, shard)``.  The blocks are identical
+        on any backend — slicing is deterministic and shards are
+        independent.
         """
         if self._system is None:
             raise ConfigurationError("call build() or attach() before shard_systems()")
-        n = self._system.shape[0]
-        if backend is not None and self.resident:
-            handle = backend.ensure_resident("system",
-                                             self._system_residency_view())
-            tasks = {
-                shard: partial(slice_shard_block_resident, handle, shard)
-                for shard in range(self.plan.num_shards)
-            }
-            outcomes = run_shard_tasks(backend, tasks)
-            self.shard_slice_seconds = {
-                shard: seconds for shard, (_block, seconds) in outcomes.items()
-            }
-            return [outcomes[shard][0] for shard in range(self.plan.num_shards)]
-        assignment = self.plan.assign(n)
-        if backend is not None:
-            tasks = {
-                shard: partial(slice_shard_block, self._system,
-                               assignment == shard)
-                for shard in range(self.plan.num_shards)
-            }
-            outcomes = run_shard_tasks(backend, tasks)
-            self.shard_slice_seconds = {
-                shard: seconds for shard, (_block, seconds) in outcomes.items()
-            }
-            return [outcomes[shard][0] for shard in range(self.plan.num_shards)]
-        return [
-            slice_shard_block(self._system, assignment == shard)
-            for shard in range(self.plan.num_shards)
-        ]
+        backend = backend or SerialBackend()
+        handle = backend.ensure_resident("system", self._system_residency_view())
+        shards = range(self.plan.num_shards)
+        outcomes = run_shard_tasks(
+            backend,
+            {shard: partial(slice_shard_block, handle, shard)
+             for shard in shards},
+        )
+        self.shard_slice_seconds = {
+            shard: seconds for shard, (_block, seconds) in outcomes.items()
+        }
+        return [outcomes[shard][0] for shard in shards]
 
     def __repr__(self) -> str:
         return (

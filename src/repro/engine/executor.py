@@ -356,9 +356,8 @@ class ProcessBackend(ExecutorBackend):
     last_payload_bytes:
         Pickled size of each task of the most recent :meth:`run`, in
         submission order.  A free by-product of the fail-fast picklability
-        check; the zero-copy serving benchmark and the payload regression
-        test read it to prove scatter payloads stay O(arguments) once the
-        graph is resident.
+        check; the payload regression tests read it to prove scatter
+        payloads stay O(arguments) once the graph is resident.
     total_payload_bytes:
         Cumulative pickled task bytes across every ``run`` of this
         backend's lifetime.

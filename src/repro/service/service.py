@@ -426,7 +426,7 @@ class QueryService:
         rankings = self._resolve_rankings(
             list(dict.fromkeys((query.source, query.k) for query in queries
                                if isinstance(query, TopKQuery))),
-            scores, walkers_count,
+            scores,
         )
         answers = [self._assemble(query, distributions, scores, rankings)
                    for query in queries]
@@ -494,7 +494,7 @@ class QueryService:
 
     def _resolve_rankings(
         self, requests: Sequence[Tuple[int, int]],
-        scores: Dict[int, np.ndarray], walkers_count: int,
+        scores: Dict[int, np.ndarray],
     ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
         """Rank each distinct ``(source, k)`` of the batch's top-k queries."""
         return {(source, k): rank_top_k(scores[source], source, k)

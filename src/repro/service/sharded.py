@@ -22,18 +22,20 @@ of per-node serving state follows the plan —
   :attr:`~ShardedQueryService.shard_versions` records, per shard, the last
   global version that re-estimated one of its rows.
 
-Per-shard query work is *scattered in parallel*: cache misses are grouped
-by owning shard and simulated as one task per shard, and top-k ranking runs
-one task per shard *per batch*, all through a persistent executor backend
-the service owns (``ServiceParams.serve_backend`` / ``serve_workers``;
-the same :func:`repro.core.sharding.run_shard_tasks` primitive the build
-path fans out through).  The service is **thread-safe**: concurrent
+Per-shard walk simulation is *scattered in parallel*: cache misses are
+grouped by owning shard and simulated as one task per shard through a
+persistent executor backend the service owns
+(``ServiceParams.serve_backend`` / ``serve_workers``; the same
+:func:`repro.core.sharding.run_shard_tasks` primitive the build path fans
+out through).  Scoring and ranking run in the serving process on every
+backend: one block propagation per batch, then one ranking task per shard
+*per batch*.  The service is **thread-safe**: concurrent
 :meth:`~QueryService.run_batch` calls and live updates (immediate or
 deferred) serialise on an internal lock, so every
 :class:`~repro.service.service.BatchAnswers` is computed against exactly
 the index version it reports — never a torn mixture of two generations —
-while the per-shard work inside a batch still runs concurrently on the
-pool.  Call :meth:`ShardedQueryService.close` (or use the service as a
+while the per-shard simulation inside a batch still runs concurrently on
+the pool.  Call :meth:`ShardedQueryService.close` (or use the service as a
 context manager) to release the pools.
 
 The headline invariant is inherited from the rest of the stack and pinned by
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -80,31 +81,23 @@ from repro.core.index import (
     ShardedIndex,
     ShardedSnapshotStore,
 )
-from repro.core.queries import (
-    PROPAGATE_BLOCK_WIDTH,
-    QueryEngine,
-    merge_top_k,
-    propagate_scores,
-    rank_top_k_entries,
-)
-from repro.core.resident_system import ResidentSystem
+from repro.core.queries import QueryEngine, merge_top_k, rank_top_k_entries
 from repro.core.sharding import (
     ShardedIncrementalWalker,
     make_plan,
     run_shard_tasks,
 )
 from repro.engine.cost_model import RebalanceEstimate, evaluate_rebalance
-from repro.engine.executor import ResidentHandle, make_backend, resolve_resident
+from repro.engine.executor import (
+    ResidentHandle,
+    SerialBackend,
+    make_backend,
+    resolve_resident,
+)
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import ShardPlan, load_balanced_plan, shard_loads
-from repro.service.batching import (
-    BatchPlan,
-    Query,
-    SourceQuery,
-    TopKQuery,
-    chunk_sources,
-)
+from repro.service.batching import BatchPlan, Query, chunk_sources
 from repro.service.cache import CacheKey, WalkDistributionCache
 from repro.service.service import BatchAnswers, QueryService
 from repro.service.updates import GraphMutator, MutationResult
@@ -113,7 +106,7 @@ PathLike = Union[str, os.PathLike]
 
 
 def _simulate_shard_sources(
-    graph: DiGraph,
+    handle: ResidentHandle,
     sources: Sequence[int],
     params: SimRankParams,
     walkers: int,
@@ -122,12 +115,20 @@ def _simulate_shard_sources(
     """One shard's scatter payload: simulate its missing sources, chunked.
 
     Module-level (picklable) so the ``processes`` serve backend can ship
-    it to a worker.  The chunking is exactly the sequential path's
+    it to a worker.  The task closes over the graph's
+    :class:`~repro.engine.executor.ResidentHandle` and the shard's source
+    ids — O(sources) bytes, independent of graph size: a plain reference
+    on ``serial``/``threads``, and a ``processes`` worker materialises the
+    graph once per residency epoch
+    (:func:`repro.engine.executor.resolve_resident`).  The chunking is
+    exactly the sequential path's
     (:func:`repro.service.batching.chunk_sources` at the service's
-    ``max_batch_size``) and every source consumes its own ``(seed,
-    source)`` random stream, so running shards concurrently — in any
-    order, on any backend — produces bitwise-identical distributions.
+    ``max_batch_size``), the restored CSR arrays are byte-for-byte the
+    service's and every source consumes its own ``(seed, source)`` random
+    stream, so running shards concurrently — in any order, on any backend
+    — produces bitwise-identical distributions.
     """
+    graph: DiGraph = resolve_resident(handle)
     resolved: Dict[int, montecarlo.WalkDistributions] = {}
     for chunk in chunk_sources(list(sources), max_batch_size):
         resolved.update(
@@ -138,29 +139,6 @@ def _simulate_shard_sources(
     return resolved
 
 
-def _simulate_shard_sources_resident(
-    handle: ResidentHandle,
-    sources: Sequence[int],
-    params: SimRankParams,
-    walkers: int,
-    max_batch_size: int,
-) -> Dict[int, montecarlo.WalkDistributions]:
-    """:func:`_simulate_shard_sources` against a pool-resident graph.
-
-    The zero-copy serving hot path: the task closes over a
-    :class:`~repro.engine.executor.ResidentHandle` and the shard's source
-    ids — O(sources) bytes — and the worker materialises the graph once
-    per residency epoch (:func:`repro.engine.executor.resolve_resident`),
-    so steady-state scatter payloads are independent of graph size.  The
-    simulated distributions are bitwise-identical to the ship-the-graph
-    path: the restored CSR arrays are byte-for-byte the service's, and
-    every source consumes its own ``(seed, source)`` stream.
-    """
-    return _simulate_shard_sources(
-        resolve_resident(handle), sources, params, walkers, max_batch_size
-    )
-
-
 def _rank_shard_batch(
     owned: np.ndarray,
     requests: Sequence[Tuple[np.ndarray, int, int]],
@@ -169,110 +147,15 @@ def _rank_shard_batch(
 
     ``requests`` holds one ``(values, source, k)`` per distinct top-k
     request of the batch, ``values = scores[owned]`` being this shard's
-    O(n / K) slice of the source's score vector.  Every backend without
-    shared-memory residency runs this: in-process (serial / threads) the
-    arguments are references; a process pool serving with
-    ``resident_graph=False`` pickles them.  Returns the shard's partial
+    O(n / K) slice of the source's score vector.  Runs in the serving
+    process on every backend — ranking a slice is cheaper than shipping
+    it — so the arguments are references.  Returns the shard's partial
     top-k lists in request order.
     """
-    # Each slice is this task's own gather (or its unpickled payload), so
-    # the ranking may mask it in place.
+    # Each slice is this task's own gather, so the ranking may mask it in
+    # place.
     return [rank_top_k_entries(owned, values, source, k, copy=False)
             for values, source, k in requests]
-
-
-#: Per-worker caches behind :func:`_rank_shard_batch_payload_free`, keyed
-#: by resident tokens so a residency epoch bump (live update, rebalance
-#: flip, broken-pool recovery) naturally invalidates them.  Module-level
-#: because ``DiGraph`` uses ``__slots__`` (nothing can be hung off the
-#: restored object) and process-pool workers are single-threaded.
-_WORKER_TRANSITIONS: "OrderedDict[str, Any]" = OrderedDict()
-_WORKER_TRANSITION_CAPACITY = 4
-_WORKER_SCORES: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-_WORKER_SCORE_CAPACITY = 128
-
-
-def _worker_transition_t(graph: DiGraph, token: str):
-    """``P^T`` (CSR) for a resident graph, cached per residency token."""
-    cached = _WORKER_TRANSITIONS.get(token)
-    if cached is not None:
-        _WORKER_TRANSITIONS.move_to_end(token)
-        return cached
-    transition_t = graph.transition_matrix().T.tocsr()
-    _WORKER_TRANSITIONS[token] = transition_t
-    while len(_WORKER_TRANSITIONS) > _WORKER_TRANSITION_CAPACITY:
-        _WORKER_TRANSITIONS.popitem(last=False)
-    return transition_t
-
-
-def _rank_shard_batch_payload_free(
-    graph_handle: ResidentHandle,
-    system_handle: ResidentHandle,
-    nodes_handle: ResidentHandle,
-    shard: int,
-    requests: Sequence[Tuple[int, int]],
-    params: SimRankParams,
-    walkers: int,
-) -> List[List[Tuple[int, float]]]:
-    """One shard's share of a batch's rankings with **no data payload**.
-
-    The shared-memory-pool form of :func:`_rank_shard_batch`: the task
-    ships three resident handles, the batch's distinct ``(source, k)``
-    requests and a few scalars — independent of graph *and* system size —
-    and the worker rebuilds the score vectors from pool-resident state:
-
-    1. the sources its score LRU lacks are **re-simulated** together from
-       their deterministic ``(seed, source)`` streams (the exact
-       :func:`~repro.core.montecarlo.estimate_walk_distributions_batch`
-       call the service's scatter uses), so the distributions are
-       bitwise the parent's and nothing needs shipping;
-    2. they run as one block through the shared
-       :func:`repro.core.queries.propagate_scores` against the resident
-       graph's transition and the resident system view's diagonal — the
-       same code over byte-identical restored arrays as the parent's
-       :meth:`~repro.core.queries.QueryEngine.propagate_source`;
-    3. the shard ranks its owned slice for every request, in order.
-
-    Steps 1–2 are cached per ``(graph epoch, system epoch, walkers,
-    params, source)`` in a per-worker LRU: a batch's K tasks pay for a
-    source once per worker that sees it, and epoch-keyed tokens make
-    staleness impossible (any lineage event re-registers, so the key
-    changes).  LRU entries are copies of their block column — a view
-    would pin a whole ``n × B`` block per entry.
-    """
-    graph = resolve_resident(graph_handle)
-    system: ResidentSystem = resolve_resident(system_handle)
-    owned = resolve_resident(nodes_handle)[shard]
-    epoch = (graph_handle.token, system_handle.token, walkers, params)
-    scores: Dict[int, np.ndarray] = {}
-    missing: List[int] = []
-    for source in dict.fromkeys(source for source, _k in requests):
-        cached = _WORKER_SCORES.get(epoch + (source,))
-        if cached is None:
-            missing.append(source)
-        else:
-            _WORKER_SCORES.move_to_end(epoch + (source,))
-            scores[source] = cached
-    if missing:
-        transition_t = _worker_transition_t(graph, graph_handle.token)
-        for chunk in chunk_sources(missing, PROPAGATE_BLOCK_WIDTH):
-            distributions = montecarlo.estimate_walk_distributions_batch(
-                graph, chunk, params, walkers=walkers
-            )
-            vectors = propagate_scores(
-                chunk, [distributions[source] for source in chunk],
-                transition_t, system.diagonal, params.c, params.walk_steps,
-            )
-            for source, vector in zip(chunk, vectors):
-                scores[source] = _WORKER_SCORES[epoch + (source,)] = \
-                    vector.copy()
-        while len(_WORKER_SCORES) > _WORKER_SCORE_CAPACITY:
-            _WORKER_SCORES.popitem(last=False)
-    # scores[source][owned] is a fresh fancy-index gather, so in-place
-    # masking (copy=False) can never scribble on a cached vector.
-    return [rank_top_k_entries(owned, scores[source][owned], source, k,
-                               copy=False)
-            for source, k in requests]
 
 
 class ShardedQueryService(QueryService):
@@ -301,8 +184,8 @@ class ShardedQueryService(QueryService):
         ``K``-shard service can hold up to ``K * cache_capacity``
         distributions, mirroring a real deployment where every shard has
         its own memory budget.  ``serve_backend`` / ``serve_workers``
-        select the persistent executor pool the query-time scatter runs
-        through (release it with :meth:`close`).
+        select the persistent executor pool the cache-miss simulation
+        scatter runs through (release it with :meth:`close`).
     update_params:
         Live-update knobs, identical to the single-shard service.
     sharding:
@@ -330,14 +213,21 @@ class ShardedQueryService(QueryService):
         one task per shard covers all of the batch's top-k queries; empty
         when the batch had none.  Reset on every batch alongside
         ``last_scatter_seconds`` — the two together cover every per-shard
-        task the batch scattered, which is the accounting identity the
+        task the batch ran, which is the accounting identity the
         rebalance planner's cumulative counters are built on (a fully
         cached batch scatters no simulation, so ``last_scatter_seconds``
         stays empty while ranking time still lands here).
+    last_batch_payload_bytes:
+        Pickled task bytes the most recent batch sent to a ``processes``
+        serve pool: its cache-miss simulation tasks, each a graph handle
+        plus source ids.  Zero for a fully cached batch and on the
+        in-process backends; accumulated in
+        ``stats()["scatter_payload_bytes"]``.
     """
 
     last_scatter_seconds: Dict[int, float]
     last_rank_seconds: Dict[int, float]
+    last_batch_payload_bytes: int
 
     def __init__(
         self,
@@ -393,8 +283,8 @@ class ShardedQueryService(QueryService):
         # * ``_lock`` (inner) owns the served state: batches, the
         #   swap-in of an applied update (:meth:`_adopt_mutation`),
         #   snapshots and stats.  Concurrent callers can never observe a
-        #   half-applied update; the per-shard work *inside* a batch
-        #   still fans out through the serve pool below.
+        #   half-applied update; the per-shard simulation *inside* a
+        #   batch still fans out through the serve pool below.
         self._update_lock = threading.RLock()
         self._lock = threading.RLock()
         self._serve_backend = make_backend(
@@ -403,10 +293,6 @@ class ShardedQueryService(QueryService):
         )
         self.last_scatter_seconds: Dict[int, float] = {}
         self.last_rank_seconds: Dict[int, float] = {}
-        # Per-batch scatter-payload accounting (satellite of the zero-copy
-        # story): the backend's cumulative pickled-task counter is sampled
-        # around each batch, so every run the batch scatters — simulation
-        # AND ranking — is counted, not just the last one.
         self.last_batch_payload_bytes = 0
         self._counters["scatter_payload_bytes"] = 0
 
@@ -417,13 +303,8 @@ class ShardedQueryService(QueryService):
         per-shard caches start empty (ownership moved, and the plan-keyed
         cache routing must never serve a source from a shard that no
         longer owns it), per-shard counters restart (they describe load
-        *under this plan*), and the owned-node cache is dropped — the next
-        batch builds a new owned-nodes list, which is a new object and
-        therefore a new epoch in the serve backend's resident registry.
-        The resident system view is dropped for the same reason: a plan
-        flip changes nothing about the diagonal, but the registry is
-        identity-keyed, so a fresh view object is what bumps the system's
-        residency epoch in lockstep with the owned-nodes epoch.
+        *under this plan*), and the owned-node cache is dropped so the
+        next batch ranks against the new plan's ownership.
         """
         self.shard_caches: List[WalkDistributionCache] = [
             WalkDistributionCache(self.service_params.cache_capacity)
@@ -436,7 +317,6 @@ class ShardedQueryService(QueryService):
         ]
         self._shard_nodes_cache: Optional[List[np.ndarray]] = None
         self._shard_nodes_n = -1
-        self._system_view: Optional[ResidentSystem] = None
 
     # ------------------------------------------------------------------ #
     # Cold start
@@ -468,7 +348,6 @@ class ShardedQueryService(QueryService):
             graph, plan, params=params, exact=update_params.exact,
             backend=make_backend(sharding.backend,
                                  max_workers=sharding.max_workers),
-            resident=sharding.resident_graph,
             reachability=update_params.reachability,
         )
         mutator = GraphMutator(graph, params, update_params, walker=walker)
@@ -546,7 +425,6 @@ class ShardedQueryService(QueryService):
                 exact=update_params.exact,
                 backend=make_backend(service.sharding.backend,
                                      max_workers=service.sharding.max_workers),
-                resident=service.sharding.resident_graph,
                 reachability=update_params.reachability,
             )
             walker.attach(service.index, system=system)
@@ -585,23 +463,6 @@ class ShardedQueryService(QueryService):
             ]
             self._shard_nodes_n = self.graph.n_nodes
         return self._shard_nodes_cache
-
-    def _resident_system_view(self) -> ResidentSystem:
-        """The served system state as a residency view (cached by lineage).
-
-        Carries the solved diagonal — the only system-derived array the
-        payload-free ranking workers need.  The view object's identity
-        keys the serve backend's resident registry, so it is rebuilt
-        exactly on the epoch-bumping events: an adopted update swaps in a
-        new index (``view.diagonal is not self.index.diagonal``), and a
-        rebalance flip / snapshot restore goes through
-        :meth:`_fresh_shard_state`, which drops the cached view outright.
-        """
-        view = self._system_view
-        if view is None or view.diagonal is not self.index.diagonal:
-            view = ResidentSystem(diagonal=self.index.diagonal)
-            self._system_view = view
-        return view
 
     # ------------------------------------------------------------------ #
     # Lifecycle and concurrency
@@ -649,7 +510,7 @@ class ShardedQueryService(QueryService):
         swap-ins serialise, so the returned
         :class:`~repro.service.service.BatchAnswers` is always
         self-consistent with the :attr:`~QueryService.index_version` it
-        carries.  Within the batch, per-shard simulation and ranking run
+        carries.  Within the batch, per-shard cache-miss simulation runs
         concurrently on the serve pool.
         """
         if flush_pending and self._update_lock.acquire(blocking=False):
@@ -658,12 +519,9 @@ class ShardedQueryService(QueryService):
             finally:
                 self._update_lock.release()
         with self._lock:
-            # Sample the backend's cumulative pickled-task counter around
-            # the whole batch: a batch scatters up to two runs (one
-            # simulation fan-out, one ranking fan-out), and
-            # ``last_payload_bytes`` alone only ever shows the final run —
-            # which used to hide the ranking-scatter payloads from the
-            # zero-copy accounting entirely.
+            # A batch sends the pool at most one run, its cache-miss
+            # simulation fan-out; the cumulative counter's delta is that
+            # run's bytes, and zero when everything was cached.
             before = getattr(self._serve_backend, "total_payload_bytes", None)
             answers = super().run_batch(queries, walkers=walkers,
                                         flush_pending=False)
@@ -709,7 +567,6 @@ class ShardedQueryService(QueryService):
                 exact=self.update_params.exact,
                 backend=make_backend(self.sharding.backend,
                                      max_workers=self.sharding.max_workers),
-                resident=self.sharding.resident_graph,
                 reachability=self.update_params.reachability,
             )
             # Attaching estimates the linear system once — shard-by-shard,
@@ -890,10 +747,8 @@ class ShardedQueryService(QueryService):
            served has been touched yet.
         4. **Flip**, atomically under the serve lock: adopt the plan,
            reset the per-shard caches/counters/owned-node arrays
-           (:meth:`_fresh_shard_state` — a new owned-nodes object means a
-           new residency epoch, so pool workers can never rank against
-           stale ownership), bump the version, and install the new
-           walker's mutator.  A concurrent batch sees either the complete
+           (:meth:`_fresh_shard_state`), bump the version, and install
+           the new walker's mutator.  A concurrent batch sees either the complete
            old topology or the complete new one.
         5. **Persist**: when a snapshot directory is configured, save the
            post-flip version — the governing plan is written *before* the
@@ -1027,17 +882,14 @@ class ShardedQueryService(QueryService):
         self.last_scatter_seconds = {}
         self.last_rank_seconds = {}
         if missing_by_shard:
-            simulate, graph = _simulate_shard_sources, self.graph
-            if self.service_params.resident_graph:
-                # Zero-copy hot path: the graph rides the pool's resident
-                # registry (re-registered automatically when an update
-                # swaps it — `self.graph` is then a new object, i.e. a new
-                # epoch), so each task ships a handle plus its source ids.
-                simulate = _simulate_shard_sources_resident
-                graph = self._serve_backend.ensure_resident("graph", self.graph)
+            # The graph rides the pool's resident registry (re-registered
+            # automatically when an update swaps it — `self.graph` is then
+            # a new object, i.e. a new epoch), so each task ships a handle
+            # plus its source ids.
+            handle = self._serve_backend.ensure_resident("graph", self.graph)
             tasks = {
-                shard: partial(simulate, graph, sources, self.query_params,
-                               walkers_count,
+                shard: partial(_simulate_shard_sources, handle, sources,
+                               self.query_params, walkers_count,
                                self.service_params.max_batch_size)
                 for shard, sources in missing_by_shard.items()
             }
@@ -1056,88 +908,34 @@ class ShardedQueryService(QueryService):
                     )
         return resolved
 
-    def _resident_rank_handles(
-        self,
-    ) -> Optional[Tuple[ResidentHandle, ResidentHandle, ResidentHandle]]:
-        """``(graph, system, owned-nodes)`` handles when ranking tasks can
-        rebuild scores from shared-memory residents, else None.
-
-        With residency on, the owned-node id arrays (epoch-stable, like the
-        graph) ride the resident registry, whose handle kind says where
-        ranking tasks run: ``"shm"`` is a process pool — its workers hold
-        the graph and the system view (diagonal) too, so need no score
-        slices; ``"local"`` (serial / threads) is this process, where one
-        propagation beats one per worker and a slice is a reference anyway.
-        """
-        if not self.service_params.resident_graph:
-            return None
-        nodes_handle = self._serve_backend.ensure_resident(
-            "shard_nodes", self._shard_nodes())
-        if nodes_handle.kind != "shm":
-            return None
-        return (
-            self._serve_backend.ensure_resident("graph", self.graph),
-            self._serve_backend.ensure_resident(
-                "system", self._resident_system_view()),
-            nodes_handle,
-        )
-
-    def _resolve_scores(
-        self, queries: Sequence[Query],
-        distributions: Dict[int, montecarlo.WalkDistributions],
-    ) -> Dict[int, np.ndarray]:
-        """Score the batch's distinct sources once, where they are needed.
-
-        The parent's block propagation
-        (:meth:`QueryService._resolve_scores`) covers source queries
-        always, and top-k sources unless the pool workers rebuild those
-        from resident state (:meth:`_resident_rank_handles`).
-        """
-        if (any(isinstance(query, TopKQuery) for query in queries)
-                and self._resident_rank_handles() is not None):
-            queries = [query for query in queries
-                       if isinstance(query, SourceQuery)]
-        return super()._resolve_scores(queries, distributions)
-
     def _resolve_rankings(
         self, requests: Sequence[Tuple[int, int]],
-        scores: Dict[int, np.ndarray], walkers_count: int,
+        scores: Dict[int, np.ndarray],
     ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
-        """Rank the batch's distinct ``(source, k)`` in one scatter.
+        """Rank the batch's distinct ``(source, k)``: one task per shard.
 
-        One task per shard carries every request of the batch: each shard
-        ranks the nodes it owns (:func:`_rank_shard_batch`, or
-        :func:`_rank_shard_batch_payload_free` on a shared-memory pool,
-        whose workers re-simulate at exactly this batch's
-        ``walkers_count``) and the partial rankings are merged exactly,
-        request by request (:func:`repro.core.queries.merge_top_k`).  The
-        ranking order is a total order of the entries themselves, so
-        concurrent per-shard ranking cannot change a merged list.
+        Each shard's task carries every request of the batch and ranks the
+        nodes the shard owns from its gathered score slices
+        (:func:`_rank_shard_batch`); the partial rankings are merged
+        exactly, request by request
+        (:func:`repro.core.queries.merge_top_k`).  The tasks run in the
+        serving process on every backend — the scores are already here
+        (:meth:`QueryService._resolve_scores`) and ranking an ``n``-vector
+        is cheaper than publishing it to a pool — through
+        :func:`run_shard_tasks`, which times each shard's share.
         """
         if not requests:
             return {}
         shards = range(self.num_shards)
         capped = [(source, min(k, self.graph.n_nodes))
                   for source, k in requests]
-        handles = self._resident_rank_handles()
-        if handles is not None:
-            tasks = {
-                shard: partial(_rank_shard_batch_payload_free, *handles,
-                               shard, capped, self.query_params,
-                               walkers_count)
-                for shard in shards
-            }
-        else:
-            # Each task ships (or references) only its shard's gathered
-            # scores — O(n / K) per request instead of the full O(n)
-            # score vector K times over.
-            tasks = {
-                shard: partial(_rank_shard_batch, owned,
-                               [(scores[source][owned], source, k)
-                                for source, k in capped])
-                for shard, owned in zip(shards, self._shard_nodes())
-            }
-        outcomes = run_shard_tasks(self._serve_backend, tasks)
+        tasks = {
+            shard: partial(_rank_shard_batch, owned,
+                           [(scores[source][owned], source, k)
+                            for source, k in capped])
+            for shard, owned in zip(shards, self._shard_nodes())
+        }
+        outcomes = run_shard_tasks(SerialBackend(), tasks)
         for shard in shards:
             seconds = outcomes[shard][1]
             self.last_rank_seconds[shard] = seconds
@@ -1159,7 +957,7 @@ class ShardedQueryService(QueryService):
         summed across shards); the ``"shards"`` entry lists, per shard:
         owned nodes, cache size/hit rate/memory, simulated sources, routed
         edges and the shard's version.  ``serve_backend`` /
-        ``serve_workers`` describe the query-time scatter pool.  The whole
+        ``serve_workers`` describe the simulation scatter pool.  The whole
         snapshot is taken under the service lock, so its figures are
         mutually consistent even while batches and updates run
         concurrently.
@@ -1199,7 +997,6 @@ class ShardedQueryService(QueryService):
             "observed_sources": float(sum(self._node_loads.values())),
             "serve_backend": self.service_params.serve_backend,
             "serve_workers": self.service_params.serve_workers,
-            "resident_graph": self.service_params.resident_graph,
             "cache_size": sum(len(cache) for cache in self.shard_caches),
             "cache_capacity": self.service_params.cache_capacity * self.num_shards,
             "cache_memory_bytes": sum(

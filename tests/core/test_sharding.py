@@ -26,7 +26,7 @@ from repro.core.sharding import (
     gather_shard_rows,
     make_plan,
 )
-from repro.engine.executor import ThreadBackend
+from repro.engine.executor import SerialBackend, ThreadBackend
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
 from repro.graph.partition import (
@@ -157,8 +157,9 @@ class TestShardedBuild:
 
     def test_gather_matches_monolithic_estimation(self, graph, params):
         plan = ShardPlan.hashed(3)
+        handle = SerialBackend().ensure_resident("graph", graph)
         triplets = [
-            estimate_shard_rows(graph, plan.nodes_of(shard, graph.n_nodes), params)
+            estimate_shard_rows(handle, plan.nodes_of(shard, graph.n_nodes), params)
             for shard in range(3)
         ]
         gathered = gather_shard_rows(triplets, graph.n_nodes)

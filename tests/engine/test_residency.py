@@ -1,6 +1,6 @@
 """Resident object registry: registration, resolution, epochs, cleanup.
 
-The zero-copy serving hot path hangs off this contract: a backend owner
+Every pool fan-out hangs off this contract: a backend owner
 registers a large object once per epoch (``ensure_resident``), scatter
 tasks ship only the returned :class:`~repro.engine.executor.ResidentHandle`
 and resolve it where they run (:func:`~repro.engine.executor.
@@ -39,13 +39,7 @@ def _graph_fingerprint(handle):
 
 def _system_fingerprint(handle):
     """Module-level (picklable) task: summarise the resident system view."""
-    view = resolve_resident(handle)
-    return (
-        float(view.diagonal.sum()) if view.diagonal is not None else None,
-        (int(view.system.nnz), float(view.system.data.sum()))
-        if view.system is not None else None,
-        int(view.assignment.sum()) if view.assignment is not None else None,
-    )
+    return _system_fingerprint_local(resolve_resident(handle))
 
 
 def _die_hard():
@@ -219,21 +213,18 @@ class TestSharedMemoryResidency:
 
 
 class TestResidentSystemResidency:
-    """The tentpole extension: the linear system rides the same registry.
+    """The linear system rides the same registry.
 
-    A :class:`ResidentSystem` (diagonal + system CSR + shard assignment)
-    must round-trip through the shared-memory export byte-for-byte, as
+    A :class:`ResidentSystem` (system CSR + shard assignment) must
+    round-trip through the shared-memory export byte-for-byte, as
     zero-copy views, with the same epoch semantics as the graph.
     """
 
     def _view(self, n=48, seed=21):
-        rng = np.random.default_rng(seed)
-        diagonal = rng.random(n)
         system = sparse.random(n, n, density=0.15, format="csr",
                                random_state=np.random.RandomState(seed))
-        assignment = rng.integers(0, 4, size=n)
-        return ResidentSystem(diagonal=diagonal, system=system,
-                              assignment=assignment)
+        assignment = np.random.default_rng(seed).integers(0, 4, size=n)
+        return ResidentSystem(system=system, assignment=assignment)
 
     def test_roundtrip_is_bitwise_and_zero_copy(self):
         view = self._view()
@@ -242,15 +233,13 @@ class TestResidentSystemResidency:
             handle = backend.ensure_resident("system", view)
             assert handle.kind == "shm"
             restored = resolve_resident(handle)
-            assert np.array_equal(restored.diagonal, view.diagonal)
             assert restored.system.shape == view.system.shape
             assert np.array_equal(restored.system.data, view.system.data)
             assert np.array_equal(restored.system.indices,
                                   view.system.indices)
             assert np.array_equal(restored.system.indptr, view.system.indptr)
             assert np.array_equal(restored.assignment, view.assignment)
-            for array in (restored.diagonal, restored.system.data,
-                          restored.assignment):
+            for array in (restored.system.data, restored.assignment):
                 assert array.base is not None, (
                     "restored system arrays must be shared-memory views, "
                     "not copies"
@@ -266,19 +255,6 @@ class TestResidentSystemResidency:
             # Two runs: the second is served from the worker-side cache.
             assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
             assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
-
-    def test_partial_views_roundtrip(self):
-        """Each piece is optional (e.g. diagonal-only serving views)."""
-        diagonal_only = ResidentSystem(diagonal=np.arange(9, dtype=np.float64))
-        backend = ProcessBackend(max_workers=1)
-        try:
-            handle = backend.ensure_resident("system", diagonal_only)
-            restored = resolve_resident(handle)
-            assert np.array_equal(restored.diagonal, diagonal_only.diagonal)
-            assert restored.system is None
-            assert restored.assignment is None
-        finally:
-            backend.close()
 
     def test_new_view_object_bumps_epoch_and_unlinks(self):
         """Identity-keyed, like the graph: a lineage event builds a new
@@ -308,12 +284,8 @@ class TestResidentSystemResidency:
 
 def _system_fingerprint_local(view):
     """Parent-side twin of :func:`_system_fingerprint` (no handle)."""
-    return (
-        float(view.diagonal.sum()) if view.diagonal is not None else None,
-        (int(view.system.nnz), float(view.system.data.sum()))
-        if view.system is not None else None,
-        int(view.assignment.sum()) if view.assignment is not None else None,
-    )
+    return (int(view.system.nnz), float(view.system.data.sum()),
+            int(view.assignment.sum()))
 
 
 class TestResidentRestoreEquivalence:

@@ -1,10 +1,10 @@
 """Scatter-payload regression: task bytes stay O(sources), not O(graph).
 
-The zero-copy serving path's load-bearing property is *what ships per
-task*: with the graph resident on the serve pool, a batch's scatter
-payload must be a function of the batch (source ids, parameters, handle)
-and **independent of graph size** — otherwise residency has silently
-regressed and every batch is paying an O(graph) serialisation tax again.
+The serving path's load-bearing property is *what ships per task*: the
+graph is resident on the serve pool, so a batch's scatter payload must be
+a function of the batch's cache misses (source ids, parameters, handle)
+and **independent of graph size** — and scoring and ranking, which run in
+the serving process, must ship nothing at all.
 
 The instrumentation is the real one: :class:`~repro.engine.executor.
 ProcessBackend` records every task's pickled size as a by-product of its
@@ -19,15 +19,23 @@ including after the serve pool broke mid-flight.
 """
 
 from concurrent.futures import BrokenExecutor
+from functools import partial
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.config import ServiceParams, ShardingParams, SimRankParams
+from repro.core import montecarlo
 from repro.engine.executor import ProcessBackend
 from repro.graph import generators
-from repro.service import PairQuery, QueryService, ShardedQueryService, TopKQuery
+from repro.service import (
+    PairQuery,
+    QueryService,
+    ShardedQueryService,
+    SourceQuery,
+    TopKQuery,
+)
 
 NUM_SHARDS = 4
 
@@ -57,12 +65,17 @@ def _params():
                          index_walkers=20, query_walkers=60, seed=11)
 
 
-def _service(graph, resident):
+def _simulate_shipping_the_graph(graph, sources, params):
+    """A scatter task that closes over the graph itself, not a handle."""
+    return montecarlo.estimate_walk_distributions_batch(graph, sources, params)
+
+
+def _service(graph):
     service = ShardedQueryService(
         graph,
         _build_index(graph),
         _params(),
-        ServiceParams(cache_capacity=0, resident_graph=resident),
+        ServiceParams(cache_capacity=0),
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
     service._serve_backend = InlineProcessBackend(max_workers=1)
@@ -91,9 +104,9 @@ class TestScatterPayloadIndependentOfGraphSize:
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
         queries = _pair_queries(16)
-        with _service(small, resident=True) as service:
+        with _service(small) as service:
             small_bytes = _batch_scatter_bytes(service, queries)
-        with _service(large, resident=True) as service:
+        with _service(large) as service:
             large_bytes = _batch_scatter_bytes(service, queries)
         # A 10x larger graph must not move the scatter payload: allow only
         # incidental slack (token strings, pickling framing).
@@ -104,26 +117,27 @@ class TestScatterPayloadIndependentOfGraphSize:
         assert large_bytes < 64 * 1024
 
     def test_nonresident_payload_does_grow_with_the_graph(self):
-        """Sanity check on the instrument: without residency the graph
-        rides inside every task, so the same measurement must see growth —
+        """Sanity check on the instrument: a hand-built task that carries
+        the graph itself must be seen to grow by the same measurement —
         otherwise the regression test above is vacuous."""
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
-        queries = _pair_queries(16)
-        with _service(small, resident=False) as service:
-            small_bytes = _batch_scatter_bytes(service, queries)
-        with _service(large, resident=False) as service:
-            large_bytes = _batch_scatter_bytes(service, queries)
-        assert large_bytes > small_bytes * 4
-        with _service(large, resident=True) as service:
-            resident_bytes = _batch_scatter_bytes(service, queries)
-        assert large_bytes > resident_bytes * 5, (
-            "residency should cut per-batch scatter bytes by >= 5x here"
+        backend = InlineProcessBackend(max_workers=1)
+        shipped = []
+        for graph in (small, large):
+            backend.run([partial(_simulate_shipping_the_graph, graph, [0, 1],
+                                 _params())])
+            shipped.append(backend.last_payload_bytes[0])
+        assert shipped[1] > shipped[0] * 4
+        with _service(large) as service:
+            resident_bytes = _batch_scatter_bytes(service, _pair_queries(16))
+        assert shipped[1] > resident_bytes * 5, (
+            "one ship-the-graph task should outweigh a whole resident batch"
         )
 
     def test_resident_payload_scales_with_sources_only(self):
         graph = generators.copying_model_graph(2000, out_degree=5, seed=7)
-        with _service(graph, resident=True) as service:
+        with _service(graph) as service:
             few_bytes = _batch_scatter_bytes(service, _pair_queries(8))
             many_bytes = _batch_scatter_bytes(service, _pair_queries(64))
         # 8x the sources: payload grows (it carries the source ids) but
@@ -135,7 +149,7 @@ class TestScatterPayloadIndependentOfGraphSize:
         queries = _pair_queries(10) + [TopKQuery(3, k=5)]
         reference = QueryService(graph, _build_index(graph),
                                  _params()).run_batch(queries)
-        with _service(graph, resident=True) as service:
+        with _service(graph) as service:
             answers = service.run_batch(queries)
         for left, right in zip(reference, answers):
             if isinstance(left, (float, list)):
@@ -156,16 +170,15 @@ def _answers_equal(left, right):
     return True
 
 
-def _build_service(graph, resident, num_shards=NUM_SHARDS):
-    """A ``.build`` service (owns update state) on an inline process pool."""
+def _build_service(graph, service_params=ServiceParams(cache_capacity=0)):
+    """A ``.build`` service (owns update state); inline process pool unless
+    ``service_params`` names a real serve backend."""
     service = ShardedQueryService.build(
-        graph, _params(),
-        service_params=ServiceParams(cache_capacity=0,
-                                     resident_graph=resident),
-        sharding=ShardingParams(num_shards=num_shards,
-                                resident_graph=resident),
+        graph, _params(), service_params=service_params,
+        sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
-    service._serve_backend = InlineProcessBackend(max_workers=1)
+    if service_params.serve_backend == "serial":
+        service._serve_backend = InlineProcessBackend(max_workers=1)
     return service
 
 
@@ -174,74 +187,59 @@ def _mixed_queries(count, topk=4):
 
 
 class TestResidentSystemLifecycle:
-    """Epoch lockstep of the resident system/owned-node views (satellite).
+    """What the serve pool holds and receives across lineage events.
 
-    The payload-free ranking path is only safe if every lineage event —
-    an applied ``add_edges``, a rebalance plan flip, a snapshot restore —
-    re-registers the system view and the owned-node arrays under a fresh
-    epoch.  These tests pin the token bumps through the *real* service
-    entry points, with the real shared-memory export (inline execution).
+    Only the graph is resident on the serve backend; scores and rankings
+    are computed in the serving process; the maintained system is
+    resident on the build backend only, for migration slices.  These tests
+    drive the *real* service entry points — live updates, a rebalance
+    flip, a snapshot restore — with the real shared-memory export.
     """
 
     def test_add_edges_bumps_system_epoch(self):
+        """Build side: the walker's resident system view follows the
+        lineage — an applied update splices a new system, so the next
+        slice fan-out registers a fresh epoch, never the pre-update rows."""
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        with _build_service(graph, resident=True) as service:
-            before = service.run_batch(_mixed_queries(8))
-            first = service._serve_backend.resident_handle("system")
+        with _build_service(graph) as service:
+            walker = service._mutator.walker
+            walker.backend = InlineProcessBackend(max_workers=1)
+            walker.shard_systems(backend=walker.backend)
+            first = walker.backend.resident_handle("system")
             assert first is not None and first.kind == "shm"
+            walker.shard_systems(backend=walker.backend)
+            assert walker.backend.resident_handle("system") is first
             service.add_edges([(0, 150), (3, 290)])
-            after = service.run_batch(_mixed_queries(8))
-            second = service._serve_backend.resident_handle("system")
+            blocks = walker.shard_systems(backend=walker.backend)
+            second = walker.backend.resident_handle("system")
             assert second.token != first.token, (
-                "an adopted update must re-register the system view"
+                "an applied update must re-register the system view"
             )
-            assert len(before) == len(after)
-
-    def test_rebalance_flip_bumps_system_and_nodes_epochs(self):
-        from repro.graph.partition import ShardPlan
-
-        graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        with _build_service(graph, resident=True) as service:
-            service.run_batch(_mixed_queries(8))
-            system_before = service._serve_backend.resident_handle("system")
-            nodes_before = service._serve_backend.resident_handle("shard_nodes")
-            assert system_before is not None and nodes_before is not None
-            outcome = service.rebalance(
-                plan=ShardPlan.contiguous(NUM_SHARDS, graph.n_nodes),
-                force=True,
-            )
-            assert outcome["applied"]
-            service.run_batch(_mixed_queries(8))
-            system_after = service._serve_backend.resident_handle("system")
-            nodes_after = service._serve_backend.resident_handle("shard_nodes")
-            assert system_after.token != system_before.token
-            assert nodes_after.token != nodes_before.token, (
-                "a plan flip must re-register the owned-node arrays"
-            )
+            assert (sum(blocks) - walker.system).nnz == 0
 
     def test_snapshot_restore_serves_from_fresh_registration(self, tmp_path):
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
         queries = _mixed_queries(8)
-        with _build_service(graph, resident=True) as service:
+        with _build_service(graph) as service:
             reference = service.run_batch(queries)
             service.save_snapshot(tmp_path)
         restored = ShardedQueryService.from_snapshot(
             graph, tmp_path,
-            service_params=ServiceParams(cache_capacity=0,
-                                         resident_graph=True),
+            service_params=ServiceParams(cache_capacity=0),
         )
         restored._serve_backend = InlineProcessBackend(max_workers=1)
         with restored:
             answers = restored.run_batch(queries)
-            handle = restored._serve_backend.resident_handle("system")
+            handle = restored._serve_backend.resident_handle("graph")
             assert handle is not None and handle.kind == "shm", (
-                "a restored lineage must register a fresh system view"
+                "a restored lineage must register the graph afresh"
             )
         assert _answers_equal(reference, answers)
 
-    def test_payload_free_identity_across_updates_and_migration(self):
-        """Bitwise identity vs ship-per-task, before/after live updates
-        and across a forced rebalance migration (acceptance gate)."""
+    def test_identity_on_every_backend(self):
+        """Bitwise identity vs the single-shard service on every serve
+        backend, before/after live updates and across a forced rebalance
+        migration (acceptance gate)."""
         from repro.graph.partition import ShardPlan
 
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
@@ -256,8 +254,10 @@ class TestResidentSystemLifecycle:
         single.add_edges(edges)
         after_reference = single.run_batch(queries)
 
-        for resident in (True, False):
-            with _build_service(graph, resident=resident) as service:
+        for backend in ("serial", "threads", "processes"):
+            service_params = ServiceParams(
+                cache_capacity=0, serve_backend=backend, serve_workers=2)
+            with _build_service(graph, service_params) as service:
                 assert _answers_equal(before_reference,
                                       service.run_batch(queries))
                 service.add_edges(edges)
@@ -266,7 +266,7 @@ class TestResidentSystemLifecycle:
                 assert service.rebalance(plan=plan, force=True)["applied"]
                 assert _answers_equal(after_reference,
                                       service.run_batch(queries)), (
-                    f"resident={resident} diverged after a plan migration"
+                    f"{backend} diverged after a plan migration"
                 )
 
     def test_system_payload_independent_of_system_size(self):
@@ -275,9 +275,9 @@ class TestResidentSystemLifecycle:
         queries = _mixed_queries(8)
         small = generators.copying_model_graph(300, out_degree=5, seed=7)
         large = generators.copying_model_graph(3000, out_degree=5, seed=7)
-        with _build_service(small, resident=True) as service:
+        with _build_service(small) as service:
             small_bytes = _batch_scatter_bytes(service, queries)
-        with _build_service(large, resident=True) as service:
+        with _build_service(large) as service:
             large_bytes = _batch_scatter_bytes(service, queries)
         assert large_bytes <= small_bytes * 1.25, (
             f"scatter payload grew with the maintained system: "
@@ -285,44 +285,53 @@ class TestResidentSystemLifecycle:
         )
 
     def test_topk_payload_carries_no_score_slices(self):
-        """The satellite accounting fix made ranking payloads visible:
-        with residency on, a top-k heavy batch must not ship per-shard
-        score slices (O(n/K) floats each) — only handles + scalars."""
+        """A top-k heavy batch ships exactly what simulating its sources
+        ships: ranking sends no per-shard score slices (O(n/K) floats
+        each) — nothing — to the pool."""
         graph = generators.copying_model_graph(2000, out_degree=5, seed=7)
         topk_queries = [TopKQuery(i, k=8) for i in range(6)]
-        with _service(graph, resident=True) as service:
-            resident_bytes = _batch_scatter_bytes(service, topk_queries)
-            assert service.last_batch_payload_bytes == resident_bytes
-            assert service.stats()["scatter_payload_bytes"] >= resident_bytes
-        with _service(graph, resident=False) as service:
-            shipped_bytes = _batch_scatter_bytes(service, topk_queries)
-        # Score slices alone are ~ 8 bytes x n/K x shards x queries; the
-        # payload-free path ships none of them.
-        assert resident_bytes * 4 < shipped_bytes
-        assert resident_bytes < 96 * 1024
+        with _service(graph) as service:
+            topk_bytes = _batch_scatter_bytes(service, topk_queries)
+            assert service.last_batch_payload_bytes == topk_bytes
+            assert service.stats()["scatter_payload_bytes"] >= topk_bytes
+            # cache_capacity=0: the same sources re-simulate, rank nothing.
+            assert topk_bytes == _batch_scatter_bytes(
+                service, [SourceQuery(i) for i in range(6)])
+        # One shard's slices alone would be 8 bytes x n/K x queries.
+        assert topk_bytes < 8 * graph.n_nodes // NUM_SHARDS * len(topk_queries)
 
-
-class TestWorkerScoreCache:
-    """The per-worker score LRU behind the payload-free batch ranking."""
-
-    def test_entries_own_their_memory_and_small_lru_still_answers(
-            self, monkeypatch):
-        import repro.service.sharded as sharded_module
-
-        graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        queries = [TopKQuery(i, k=4) for i in range(6)] + [TopKQuery(2, k=7)]
-        reference = QueryService(graph, _build_index(graph),
-                                 _params()).run_batch(queries)
-        # Fewer LRU slots than the batch has sources: a task must still
-        # rank every request from the vectors it just built.
-        monkeypatch.setattr(sharded_module, "_WORKER_SCORE_CAPACITY", 2)
-        sharded_module._WORKER_SCORES.clear()
-        with _service(graph, resident=True) as service:
-            assert _answers_equal(reference, service.run_batch(queries))
-        cached = list(sharded_module._WORKER_SCORES.values())
-        assert len(cached) == 2
-        # A view would pin its whole n x B block for the LRU's lifetime.
-        assert all(vector.base is None for vector in cached)
+    def test_processes_pool_receives_only_simulate_tasks(self):
+        """On a real ``processes`` pool: a fully cached top-k batch sends
+        the pool nothing and registers nothing beyond the graph; a batch
+        with cache misses sends handle-sized simulate tasks only, and
+        answers exactly as the ``serial`` backend does."""
+        graph = generators.copying_model_graph(400, out_degree=5, seed=7)
+        topk_queries = [TopKQuery(i, k=6) for i in range(8)]
+        sharding = ShardingParams(num_shards=NUM_SHARDS)
+        with ShardedQueryService(
+                graph, _build_index(graph), _params(),
+                ServiceParams(cache_capacity=64), sharding=sharding) as serial:
+            reference = serial.run_batch(topk_queries)
+        with ShardedQueryService(
+                graph, _build_index(graph), _params(),
+                ServiceParams(cache_capacity=64, serve_backend="processes",
+                              serve_workers=2),
+                sharding=sharding) as service:
+            backend = service._serve_backend
+            cold = service.run_batch(topk_queries)
+            assert 0 < len(backend.last_payload_bytes) <= NUM_SHARDS
+            assert max(backend.last_payload_bytes) < 4096, (
+                "simulate tasks must ship a handle and source ids only"
+            )
+            shipped = backend.total_payload_bytes
+            warm = service.run_batch(topk_queries)
+            assert backend.total_payload_bytes == shipped, (
+                "a fully cached top-k batch must send the pool nothing"
+            )
+            assert service.last_batch_payload_bytes == 0
+            assert set(backend._residents) == {"graph"}
+        assert _answers_equal(reference, cold)
+        assert _answers_equal(reference, warm)
 
 
 class TestCloseReleasesSharedMemory:
@@ -350,23 +359,28 @@ class TestCloseReleasesSharedMemory:
         service.close()  # idempotent
 
     def test_close_unlinks_system_and_nodes_segments(self):
-        """The full working set — graph, system view, owned-node arrays —
-        is released on close, including after the pool broke."""
+        """The build backend's residents — the graph and the system view
+        (system rows + node assignment) a rebalance slices from — are
+        released too, including after the build pool broke."""
+        from repro.graph.partition import ShardPlan
+
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
-        service = ShardedQueryService(
-            graph, _build_index(graph), _params(),
-            ServiceParams(cache_capacity=0, serve_backend="processes",
-                          serve_workers=1),
-            sharding=ShardingParams(num_shards=2),
+        service = ShardedQueryService.build(
+            graph, _params(),
+            service_params=ServiceParams(cache_capacity=0),
+            sharding=ShardingParams(num_shards=2, backend="processes",
+                                    max_workers=1),
         )
-        service.run_batch(_pair_queries(4) + [TopKQuery(1, k=5)])
-        handles = {key: service._serve_backend.resident_handle(key)
-                   for key in ("graph", "system", "shard_nodes")}
+        plan = ShardPlan.contiguous(2, graph.n_nodes)
+        assert service.rebalance(plan=plan, force=True)["applied"]
+        backend = service._mutator.walker.backend
+        handles = {key: backend.resident_handle(key)
+                   for key in ("graph", "system")}
         for key, handle in handles.items():
-            assert handle is not None, f"{key} must be resident after a batch"
+            assert handle is not None, f"{key} must be resident after a slice"
             assert self._segment_exists(handle.shm_name)
         with pytest.raises(BrokenExecutor):
-            service._serve_backend.run([_die_hard])
+            backend.run([_die_hard])
         for key, handle in handles.items():
             assert not self._segment_exists(handle.shm_name), (
                 f"broken-pool recovery leaked the {key} segment"

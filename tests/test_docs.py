@@ -4,8 +4,8 @@ Three layers of honesty checks:
 
 * required documents exist and still cover the topics source docstrings
   cite them for;
-* every path and ``module.symbol`` reference in the docs resolves
-  (``scripts/check_docs.py``, also run standalone);
+* every path, ``module.symbol`` and ``--flag`` reference in the docs
+  resolves (``scripts/check_docs.py``, also run standalone);
 * every public symbol of the serving/persistence API surface carries a
   docstring.
 """
@@ -111,6 +111,18 @@ class TestDocLinks:
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
         problems = checker.check_docs()
         assert len(problems) == 2
+
+    def test_checker_detects_deleted_cli_flag(self, tmp_path, monkeypatch):
+        """A flag that survives in prose after leaving the CLI is rot too."""
+        checker = _load_checker()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "README.md").write_text(
+            "serve with `--shards 4` / `--no-auto-rebalance`, never with "
+            "`--no-resident-graph`; `pytest --benchmark-only` is not ours\n"
+        )
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        problems = checker.check_docs()
+        assert len(problems) == 1 and "--no-resident-graph" in problems[0]
 
     def test_checker_cli_exit_codes(self):
         completed = subprocess.run(
