@@ -25,7 +25,9 @@
 #                                    reachability modes (bfs vs interval):
 #                                    bitwise-equal systems/diagonals and
 #                                    identical affected/eviction sets per
-#                                    batch
+#                                    batch; with_edges graph == constructor's;
+#                                    reported phases cover update_seconds
+#                                    (and are printed)
 #   7. scripts/kernel_smoke.py     - kernel twins vs Python oracles, bitwise
 #                                    (runs jitted when numba is importable,
 #                                    plain-Python otherwise — skip, not fail)

@@ -8,12 +8,18 @@ storm of edge batches on a tiny graph, asserting after *every* batch that
 
 * the affected-source sets are identical,
 * the maintained linear systems are byte-equal (data/indices/indptr),
-* the solved index diagonals are byte-equal, and
+* the solved index diagonals are byte-equal,
 * a per-node distribution cache invalidated with each mode's affected set
-  loses exactly the same keys.
+  loses exactly the same keys,
+* the graph ``DiGraph.with_edges`` merged equals the constructor's on the
+  union (all four CSR arrays), and
+* the phases the walker reports (graph / routing / rows / splice / solve)
+  add up to within 10 % of its ``update_seconds``.
 
 This is the cheap always-on guard for the switch's core contract: the
 interval path may only ever be a faster route to the *identical* result.
+It also prints the per-phase cost of the storm, so a regression in the
+update path shows without a profiler.
 Exit code 0 on success, 1 on any divergence; runs in a couple of seconds.
 
 Usage::
@@ -41,8 +47,9 @@ def main() -> int:
     import numpy as np
 
     from repro.config import SimRankParams
-    from repro.core.incremental import IncrementalCloudWalker
+    from repro.core.incremental import PHASES, IncrementalCloudWalker
     from repro.graph import generators
+    from repro.graph.digraph import DiGraph
 
     params = SimRankParams(c=0.6, walk_steps=WALK_STEPS, jacobi_iterations=3,
                            index_walkers=10, query_walkers=10, seed=7)
@@ -60,6 +67,7 @@ def main() -> int:
         walkers[mode] = walker
 
     failures = 0
+    phase_totals = dict.fromkeys(PHASES, 0.0)
     for step in range(N_BATCHES):
         batch = []
         while len(batch) < EDGES_PER_BATCH:
@@ -67,8 +75,25 @@ def main() -> int:
             v = int(rng.choice(hot))
             if u != v:
                 batch.append((u, v))
+        union = DiGraph(N_NODES, np.vstack(
+            [walkers["interval"].graph.edge_array(), np.asarray(batch)]))
         infos = {mode: walkers[mode].add_edges(batch)
                  for mode in ("bfs", "interval")}
+        for mode, info in infos.items():
+            merged = walkers[mode].graph
+            if not all(np.array_equal(ours, theirs) for ours, theirs in zip(
+                    merged.resident_export()[1], union.resident_export()[1])):
+                print(f"FAIL batch {step}: {mode} graph differs from the "
+                      f"constructor's", file=sys.stderr)
+                failures += 1
+            accounted = sum(info[phase] for phase in PHASES)
+            if abs(accounted - info["update_seconds"]) > 0.1 * info["update_seconds"]:
+                print(f"FAIL batch {step}: {mode} phases cover "
+                      f"{accounted:.6f}s of {info['update_seconds']:.6f}s",
+                      file=sys.stderr)
+                failures += 1
+        for phase in PHASES:
+            phase_totals[phase] += infos["interval"][phase]
         if infos["bfs"]["affected"] != infos["interval"]["affected"]:
             print(f"FAIL batch {step}: affected sets differ", file=sys.stderr)
             failures += 1
@@ -101,6 +126,9 @@ def main() -> int:
         return 1
     print(f"update-routing smoke: {N_BATCHES} batches, both modes "
           f"bitwise-identical (graph {N_NODES} nodes, T={WALK_STEPS})")
+    print("update-routing smoke: interval-mode ms per batch: " + ", ".join(
+        f"{phase[:-len('_seconds')]} {seconds / N_BATCHES * 1e3:.2f}"
+        for phase, seconds in phase_totals.items()))
     return 0
 
 

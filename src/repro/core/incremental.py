@@ -59,6 +59,41 @@ def affected_sources(graph: DiGraph, changed_heads: Iterable[int], steps: int,
     return reachability.reachable_set(graph, changed_heads, steps, mode=mode)
 
 
+PHASES = ("graph_seconds", "routing_seconds", "rows_seconds",
+          "splice_seconds", "solve_seconds")
+"""Keys of :meth:`IncrementalCloudWalker.add_edges`'s summary that partition
+its ``update_seconds`` (back-to-back stopwatch readings, in this order)."""
+
+
+def _choose_rows(mask: np.ndarray, when_true: sparse.csr_matrix,
+                 when_false: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Row ``i`` of ``when_true`` where ``mask[i]``, of ``when_false`` elsewhere.
+
+    Assembled directly from the operands' ``indptr/indices/data`` — whole
+    rows are copied in order, so two canonical CSR operands (sorted column
+    indices, no explicit zeros) give a canonical result.  The result is
+    square with ``len(mask)`` rows; an operand with fewer rows (the system
+    before the graph grew) counts as empty from there on.
+    """
+    n = len(mask)
+    true_counts, false_counts = np.zeros((2, n), dtype=np.int64)
+    true_counts[:when_true.shape[0]] = np.diff(when_true.indptr)
+    false_counts[:when_false.shape[0]] = np.diff(when_false.indptr)
+    counts = np.where(mask, true_counts, false_counts)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    from_true = np.repeat(mask, counts)
+    take_true = np.repeat(mask, true_counts)
+    take_false = np.repeat(~mask, false_counts)
+    indices = np.empty(indptr[-1], dtype=when_true.indices.dtype)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices[from_true] = when_true.indices[take_true]
+    indices[~from_true] = when_false.indices[take_false]
+    data[from_true] = when_true.data[take_true]
+    data[~from_true] = when_false.data[take_false]
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 class IncrementalCloudWalker:
     """Maintains a CloudWalker index across edge insertions.
 
@@ -135,7 +170,16 @@ class IncrementalCloudWalker:
                     f"system has shape {system.shape} but the graph has "
                     f"{self.graph.n_nodes} nodes"
                 )
-            self._system = system.tocsr()
+            system = system.tocsr()
+            if not system.has_canonical_format or (
+                    np.count_nonzero(system.data) < system.nnz):
+                # add_edges copies kept rows verbatim, so they must already
+                # be the canonical CSR a build produces (on a copy: the
+                # caller's matrix is not ours to reorder).
+                system = system.copy()
+                system.sum_duplicates()
+                system.eliminate_zeros()
+            self._system = system
         else:
             self._system = self._build_rows(
                 self.graph, range(self.graph.n_nodes)
@@ -153,8 +197,7 @@ class IncrementalCloudWalker:
             full = linear_system.build_exact_system(graph, self.params)
             mask = np.zeros(graph.n_nodes, dtype=bool)
             mask[sources] = True
-            keep = sparse.diags(mask.astype(np.float64))
-            return (keep @ full).tocsr()
+            return _choose_rows(mask, full, sparse.csr_matrix((0, 0)))
         if self.stream_per_source:
             rows, cols, values = linear_system.build_rows_streamed(
                 graph, sources, self.params
@@ -213,56 +256,37 @@ class IncrementalCloudWalker:
         if self.index is None or self._system is None:
             raise ConfigurationError("call build() or attach() before add_edges()")
         if not new_edges:
-            return {"affected_rows": 0, "update_seconds": 0.0, "new_nodes": 0,
-                    "affected": frozenset(), "routing_seconds": 0.0,
-                    "reachability": self.reachability}
+            return {"affected_rows": 0, "new_nodes": 0, "affected": frozenset(),
+                    "reachability": self.reachability,
+                    **dict.fromkeys(("update_seconds",) + PHASES, 0.0)}
 
         start = time.perf_counter()
         old_n = self.graph.n_nodes
-        max_endpoint = max(max(int(u), int(v)) for u, v in new_edges)
-        new_n = max(old_n, max_endpoint + 1)
-        combined_edges = np.vstack([
-            self.graph.edge_array(),
-            np.asarray(list(new_edges), dtype=np.int64).reshape(-1, 2),
-        ])
-        new_graph = DiGraph(new_n, combined_edges, name=self.graph.name)
+        new_graph = self.graph.with_edges(new_edges)
+        new_n = new_graph.n_nodes
 
         self._update_count += 1
         heads = {int(v) for _u, v in new_edges}
-        new_node_ids = set(range(old_n, new_n))
         routing_start = time.perf_counter()
         self._routing.advance(self.graph, new_graph, list(new_edges))
         affected = self._routing.query(new_graph, heads,
                                        self.params.walk_steps)
-        routing_seconds = time.perf_counter() - routing_start
-        affected |= new_node_ids
+        affected.update(range(old_n, new_n))
+        rows_start = time.perf_counter()
 
         # Re-estimate the affected rows on the new graph.
-        fresh_rows = self._build_rows(new_graph, sorted(affected))
+        affected_ids = sorted(affected)
+        fresh_rows = self._build_rows(new_graph, affected_ids)
+        splice_start = time.perf_counter()
 
-        # Splice: keep unaffected rows of the old system, take affected rows
-        # from the fresh estimate.  (Row dimensions may have grown.)
-        old_system = self._system
-        if new_n > old_n:
-            old_system = sparse.csr_matrix(
-                (old_system.data, old_system.indices, old_system.indptr),
-                shape=(old_n, new_n),
-            )
-            old_system = sparse.vstack(
-                [old_system, sparse.csr_matrix((new_n - old_n, new_n))]
-            ).tocsr()
-        keep_mask = np.ones(new_n, dtype=np.float64)
-        keep_mask[sorted(affected)] = 0.0
-        keep = sparse.diags(keep_mask)
-        spliced = (keep @ old_system + fresh_rows).tocsr()
-        # Zeroed-out affected cells survive the splice as explicit zeros and
-        # the splice arithmetic leaves column indices unsorted; restoring the
-        # canonical CSR a from-scratch build produces makes the solver's
-        # summation order — and hence the solved diagonal — bitwise
-        # reproducible.
-        spliced.eliminate_zeros()
-        spliced.sort_indices()
-        self._system = spliced
+        # Splice: affected rows (every new node among them) from the fresh
+        # estimate, all others from the old system.  Both are canonical CSR,
+        # so the result is too — the arrays a from-scratch build produces,
+        # which keeps the solver's summation order, and hence the solved
+        # diagonal, bitwise reproducible.
+        is_affected = np.zeros(new_n, dtype=bool)
+        is_affected[affected_ids] = True
+        self._system = _choose_rows(is_affected, fresh_rows, self._system)
 
         if self.warm_start:
             # Warm-start the solve from the previous diagonal.
@@ -273,20 +297,25 @@ class IncrementalCloudWalker:
         else:
             # Cold start, exactly like build(): same guess -> same iterates.
             initial = None
-        monte_carlo_seconds = time.perf_counter() - start
+        solve_start = time.perf_counter()
         self.graph = new_graph
         self.index = self._solve(
             new_graph, self._system, initial=initial,
-            seconds_so_far=monte_carlo_seconds,
+            seconds_so_far=solve_start - start,
             update_kind="incremental-add-edges", affected=len(affected),
         )
+        end = time.perf_counter()
         return {
             "affected_rows": len(affected),
             "affected_fraction": len(affected) / max(new_n, 1),
             "affected": frozenset(affected),
             "new_nodes": new_n - old_n,
-            "update_seconds": time.perf_counter() - start,
-            "routing_seconds": routing_seconds,
+            "update_seconds": end - start,
+            "graph_seconds": routing_start - start,
+            "routing_seconds": rows_start - routing_start,
+            "rows_seconds": splice_start - rows_start,
+            "splice_seconds": solve_start - splice_start,
+            "solve_seconds": end - solve_start,
             "reachability": self.reachability,
         }
 

@@ -99,21 +99,24 @@ def estimate_walk_distributions_batch(
     simulated once.
     """
     walkers_count = walkers if walkers is not None else params.query_walkers
-    batch_counts = walks.simulate_walks_batch(
-        graph, sources, walkers_count, params.walk_steps, params.seed
-    )
-    return {
-        source: WalkDistributions(
-            source=int(source),
-            steps=params.walk_steps,
-            walkers=walkers_count,
-            per_step=[
-                (nodes, counts.astype(np.float64) / walkers_count)
-                for nodes, counts in per_step
-            ],
-        )
-        for source, per_step in batch_counts.items()
-    }
+    result: Dict[int, WalkDistributions] = {}
+    for packed in walks.simulate_walks_packed(
+            graph, sources, walkers_count, params.walk_steps, params.seed):
+        for source, bounds in zip(packed.sources.tolist(), packed.offsets.tolist()):
+            # One copy of the source's slice, per-step views into that: a
+            # cached entry must not pin the whole block's buffers.
+            nodes = packed.nodes[bounds[0]:bounds[-1]].copy()
+            values = (packed.counts[bounds[0]:bounds[-1]].astype(np.float64)
+                      / walkers_count)
+            local = [bound - bounds[0] for bound in bounds]
+            result[source] = WalkDistributions(
+                source=source,
+                steps=params.walk_steps,
+                walkers=walkers_count,
+                per_step=[(nodes[lo:hi], values[lo:hi])
+                          for lo, hi in zip(local, local[1:])],
+            )
+    return result
 
 
 def exact_walk_distributions(

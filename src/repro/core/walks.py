@@ -13,7 +13,8 @@ dead walker is encoded as position ``-1``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -184,101 +185,138 @@ def single_source_walk_counts(
     return result
 
 
-def simulate_walks_batch(
+class PackedWalks(NamedTuple):
+    """Per-step walk counts of a block of sources in one flat, source-major record.
+
+    ``sources`` holds the distinct simulated sources in ascending order;
+    the ``(nodes, counts)`` pair of source ``sources[k]`` at step ``t`` —
+    what :func:`single_source_walk_counts` returns as ``result[t]`` — is
+    ``nodes[lo:hi], counts[lo:hi]`` with ``lo, hi = offsets[k, t],
+    offsets[k, t + 1]``.  ``offsets`` has shape ``(len(sources), steps + 2)``
+    and each row ends where the next begins, so one source's whole record
+    is the contiguous slice ``offsets[k, 0]:offsets[k, -1]``.
+    """
+
+    sources: np.ndarray
+    offsets: np.ndarray
+    nodes: np.ndarray
+    counts: np.ndarray
+
+
+# Uniforms the packed kernel holds at a time: it simulates its sources in
+# blocks of ``_BLOCK_DRAWS // (walkers * steps)``, which bounds the walker,
+# uniform and key buffers of a build, update or query task whatever the
+# number of sources it covers.
+_BLOCK_DRAWS = 1 << 18
+
+
+def simulate_walks_packed(
     graph: DiGraph,
     sources: Union[Sequence[int], np.ndarray],
     walkers_per_source: int,
     steps: int,
     seed: Optional[int],
-) -> Dict[int, List[Tuple[np.ndarray, np.ndarray]]]:
-    """Simulate walks for many sources in one vectorised pass.
+) -> Iterator[PackedWalks]:
+    """Simulate walks for many sources, a vectorised block at a time.
 
-    Returns ``{source: per_step}`` where ``per_step[t]`` is the same
-    ``(nodes, counts)`` pair :func:`single_source_walk_counts` produces.  The
-    result for each source is bitwise-identical to::
+    Yields one :class:`PackedWalks` per block of ascending distinct sources
+    (duplicates in ``sources`` are collapsed; each source is simulated
+    exactly once).  The record of each source is bitwise-identical to::
 
         single_source_walk_counts(graph, source, walkers_per_source, steps,
                                   make_rng(seed, stream=source))
 
     because every source consumes its own ``(seed, source)`` random stream —
     the stream :func:`repro.core.montecarlo.estimate_walk_distributions` uses
-    by default.  Batching therefore never changes query answers; it only
-    amortises the per-step indexing work (degree lookups, neighbour gathers,
-    per-node aggregation) across all sources' walkers at once, which is what
-    makes the query service's grouped execution worthwhile.
-
-    Duplicate entries in ``sources`` are collapsed; each distinct source is
-    simulated exactly once.
+    by default.  Batching therefore never changes a row or a query answer,
+    and neither does the block size; it only amortises the per-step indexing
+    work (degree lookups, neighbour gathers, per-node aggregation) across a
+    block's walkers at once.
     """
     if walkers_per_source < 1:
         raise ValueError(f"walkers_per_source must be >= 1, got {walkers_per_source}")
     unique_sources = np.unique(np.asarray(sources, dtype=np.int64))
-    if len(unique_sources) == 0:
-        return {}
-    for source in unique_sources:
-        graph.check_node(int(source))
-    rngs = [make_rng(seed, stream=int(source)) for source in unique_sources]
+    if len(unique_sources) and (
+            unique_sources[0] < 0 or unique_sources[-1] >= graph.n_nodes):
+        outside = (unique_sources < 0) | (unique_sources >= graph.n_nodes)
+        graph.check_node(unique_sources[outside][0])
+    per_block = max(1, _BLOCK_DRAWS // max(1, walkers_per_source * steps))
+    return (
+        _simulate_block(graph, unique_sources[lo:lo + per_block],
+                        walkers_per_source, steps, seed)
+        for lo in range(0, len(unique_sources), per_block)
+    )
+
+
+def _simulate_block(
+    graph: DiGraph,
+    unique_sources: np.ndarray,
+    walkers_per_source: int,
+    steps: int,
+    seed: Optional[int],
+) -> PackedWalks:
+    """One block of :func:`simulate_walks_packed`: valid, ascending sources.
+
+    Only live walkers are carried from step to step, in contiguous
+    per-source runs whose within-run order matches the single-source
+    simulation.  A source's uniforms are drawn up front in one call — a
+    ``Generator``'s doubles are one stream, so the prefix a source consumes
+    is the same however many calls produced it.
+    """
     n_sources = len(unique_sources)
     n_nodes = np.int64(graph.n_nodes)
     indptr, indices = graph.in_csr
 
-    # Walkers live in one flat array of contiguous per-source blocks, so the
-    # within-block walker order matches the single-source simulation exactly.
+    budget = walkers_per_source * steps
+    uniforms = np.empty(n_sources * budget, dtype=np.float64)
+    for k, source in enumerate(unique_sources.tolist()):
+        make_rng(seed, stream=source).random(
+            out=uniforms[k * budget:(k + 1) * budget])
+    # Position in ``uniforms`` of each source's next unread draw.
+    cursor = np.arange(n_sources, dtype=np.int64) * budget
+
+    owner = np.repeat(np.arange(n_sources, dtype=np.int64), walkers_per_source)
     positions = np.repeat(unique_sources, walkers_per_source)
-    source_index = np.repeat(np.arange(n_sources, dtype=np.int64), walkers_per_source)
-    results: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {
-        int(source): [] for source in unique_sources
-    }
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-
+    lengths = np.zeros((n_sources, steps + 1), dtype=np.int64)
+    owner_chunks: List[np.ndarray] = []
+    node_chunks: List[np.ndarray] = []
+    count_chunks: List[np.ndarray] = []
     for t in range(steps + 1):
-        alive = positions != DEAD
-        # Per-(source, node) aggregation in one np.unique over packed keys;
-        # splitting at source boundaries recovers each source's sorted
-        # (nodes, counts) pair — the same output np.unique gives per source.
-        keys = source_index[alive] * n_nodes + positions[alive]
-        unique_keys, counts = np.unique(keys, return_counts=True)
-        key_sources = unique_keys // n_nodes
-        boundaries = np.searchsorted(key_sources, np.arange(n_sources + 1))
-        for k in range(n_sources):
-            lo, hi = boundaries[k], boundaries[k + 1]
-            if lo == hi:
-                results[int(unique_sources[k])].append(empty)
-            else:
-                results[int(unique_sources[k])].append(
-                    ((unique_keys[lo:hi] % n_nodes).astype(np.int64),
-                     counts[lo:hi].astype(np.int64))
-                )
-        if t == steps or not alive.any():
+        # Per-(source, node) aggregation in one np.unique over packed keys:
+        # sorted by source, then node — np.unique's order per source.
+        keys, counts = np.unique(owner * n_nodes + positions, return_counts=True)
+        key_owner = keys // n_nodes
+        lengths[:, t] = np.bincount(key_owner, minlength=n_sources)
+        owner_chunks.append(key_owner)
+        node_chunks.append(keys - key_owner * n_nodes)
+        count_chunks.append(counts.astype(np.int64, copy=False))
+        if t == steps:
             break
+        starts = indptr[positions]
+        degrees = indptr[positions + 1] - starts
+        moving = degrees > 0
+        owner = owner[moving]
+        if len(owner) == 0:
+            break
+        # Walker j of the moving set reads its source's next unread draw:
+        # the source's cursor plus j's rank among that source's movers.
+        draws = np.bincount(owner, minlength=n_sources)
+        rank_base = cursor - (np.cumsum(draws) - draws)
+        chosen = uniforms[rank_base[owner] + np.arange(len(owner), dtype=np.int64)]
+        cursor += draws
+        positions = indices[
+            starts[moving] + (chosen * degrees[moving]).astype(np.int64)]
 
-        # One vectorised step for all sources; only the uniform draws are
-        # made per source so each block replays its own random stream.
-        new_positions = np.full_like(positions, DEAD)
-        alive_idx = np.flatnonzero(alive)
-        current = positions[alive_idx]
-        starts = indptr[current]
-        degrees = indptr[current + 1] - starts
-        has_neighbors = degrees > 0
-        moving_idx = alive_idx[has_neighbors]
-        if len(moving_idx):
-            draws_per_source = np.bincount(
-                source_index[moving_idx], minlength=n_sources
-            )
-            uniforms = np.concatenate(
-                [rngs[k].random(int(count)) for k, count in enumerate(draws_per_source)]
-            )
-            chosen_offset = (uniforms * degrees[has_neighbors]).astype(np.int64)
-            new_positions[moving_idx] = indices[starts[has_neighbors] + chosen_offset]
-        positions = new_positions
-
-    # Sources whose walkers all died early get empty tails, mirroring the
-    # single-source early-exit path.
-    for source in unique_sources:
-        tail = results[int(source)]
-        while len(tail) < steps + 1:
-            tail.append(empty)
-    return results
+    # Steps were emitted step-major; a stable sort on the source index makes
+    # the record source-major while keeping step and node order within it.
+    order = np.argsort(np.concatenate(owner_chunks), kind="stable")
+    flat_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths.ravel(), out=flat_offsets[1:])
+    offsets = np.lib.stride_tricks.sliding_window_view(
+        flat_offsets, steps + 2)[:: steps + 1]
+    return PackedWalks(unique_sources, offsets,
+                       np.concatenate(node_chunks)[order],
+                       np.concatenate(count_chunks)[order])
 
 
 def exact_walk_distributions(graph: DiGraph, source: int, steps: int) -> List[np.ndarray]:

@@ -62,21 +62,9 @@ class DiGraph:
         self._n = int(n_nodes)
         self.name = name
 
-        edge_array = np.asarray(list(edges), dtype=np.int64)
-        if edge_array.size == 0:
-            edge_array = edge_array.reshape(0, 2)
-        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
-            raise GraphFormatError(
-                f"edges must be (src, dst) pairs, got array of shape {edge_array.shape}"
-            )
+        edge_array = self._as_edge_pairs(edges)
+        self._check_endpoints(edge_array, self._n)
         if edge_array.shape[0] > 0:
-            lo = edge_array.min()
-            hi = edge_array.max()
-            if lo < 0 or hi >= self._n:
-                raise GraphFormatError(
-                    f"edge endpoints must lie in [0, {self._n - 1}], "
-                    f"found endpoints in [{lo}, {hi}]"
-                )
             # Deduplicate parallel edges: sort by (src, dst) then unique rows.
             edge_array = np.unique(edge_array, axis=0)
 
@@ -86,6 +74,31 @@ class DiGraph:
 
         self._out_indptr, self._out_indices = self._build_csr(src, dst, self._n)
         self._in_indptr, self._in_indices = self._build_csr(dst, src, self._n)
+
+    @staticmethod
+    def _as_edge_pairs(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
+        """``edges`` as an ``(m, 2)`` int64 array (arrays are taken as is)."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_array = np.asarray(edges, dtype=np.int64)
+        if edge_array.size == 0:
+            edge_array = edge_array.reshape(0, 2)
+        if edge_array.ndim != 2 or edge_array.shape[1] != 2:
+            raise GraphFormatError(
+                f"edges must be (src, dst) pairs, got array of shape {edge_array.shape}"
+            )
+        return edge_array
+
+    @staticmethod
+    def _check_endpoints(edge_array: np.ndarray, n: int) -> None:
+        if edge_array.shape[0] > 0:
+            lo = edge_array.min()
+            hi = edge_array.max()
+            if lo < 0 or hi >= n:
+                raise GraphFormatError(
+                    f"edge endpoints must lie in [0, {n - 1}], "
+                    f"found endpoints in [{lo}, {hi}]"
+                )
 
     @staticmethod
     def _build_csr(
@@ -249,6 +262,65 @@ class DiGraph:
         """Return the graph with every edge reversed."""
         reversed_edges = self.edge_array()[:, ::-1]
         return DiGraph(self._n, reversed_edges, name=f"{self.name}-reversed")
+
+    def with_edges(
+        self, new_edges: Iterable[Tuple[int, int]], n_nodes: Optional[int] = None
+    ) -> "DiGraph":
+        """Return this graph plus ``new_edges``, at the cost of the change.
+
+        Edges the graph already has and duplicates inside ``new_edges`` are
+        dropped; the rest are merged into the sorted out- and in-adjacency
+        rows, so the four CSR arrays are byte-for-byte what the constructor
+        produces on the union — without re-sorting the existing edges.
+        ``n_nodes`` (default: just enough for the largest endpoint, never
+        fewer than now) lets the graph grow; new nodes start with empty rows.
+        """
+        pairs = self._as_edge_pairs(new_edges)
+        if n_nodes is None:
+            n_nodes = max(self._n, int(pairs.max()) + 1 if len(pairs) else 0)
+        if n_nodes < self._n:
+            raise GraphFormatError(
+                f"n_nodes must be >= {self._n} (a graph only grows), got {n_nodes}"
+            )
+        self._check_endpoints(pairs, n_nodes)
+        pairs = np.unique(pairs, axis=0)
+        grown = np.full(n_nodes - self._n, self._m, dtype=np.int64)
+        out_indptr = np.concatenate([self._out_indptr, grown])
+        in_indptr = np.concatenate([self._in_indptr, grown])
+
+        slots, present = self._row_slots(
+            out_indptr, self._out_indices, pairs[:, 0], pairs[:, 1])
+        pairs, slots = pairs[~present], slots[~present]
+        out_indices = np.insert(self._out_indices, slots, pairs[:, 1])
+        out_indptr[1:] += np.cumsum(np.bincount(pairs[:, 0], minlength=n_nodes))
+        # The in-adjacency groups by head, sources ascending within a row.
+        pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
+        slots, _ = self._row_slots(
+            in_indptr, self._in_indices, pairs[:, 1], pairs[:, 0])
+        in_indices = np.insert(self._in_indices, slots, pairs[:, 0])
+        in_indptr[1:] += np.cumsum(np.bincount(pairs[:, 1], minlength=n_nodes))
+        return DiGraph.resident_restore(
+            {"n_nodes": n_nodes, "n_edges": self._m + len(pairs), "name": self.name},
+            [in_indptr, in_indices, out_indptr, out_indices],
+        )
+
+    @staticmethod
+    def _row_slots(
+        indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray, values: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where ``values[j]`` belongs in the sorted row ``keys[j]``.
+
+        Returns the position in ``indices`` before which to insert each
+        value, and whether the row already holds it.
+        """
+        slots = np.empty(len(keys), dtype=np.int64)
+        present = np.zeros(len(keys), dtype=bool)
+        for j, (key, value) in enumerate(zip(keys.tolist(), values.tolist())):
+            row = indices[indptr[key]:indptr[key + 1]]
+            at = int(np.searchsorted(row, value))
+            slots[j] = indptr[key] + at
+            present[j] = at < len(row) and row[at] == value
+        return slots, present
 
     def subgraph(self, nodes: Sequence[int]) -> "DiGraph":
         """Return the induced subgraph on ``nodes`` with ids relabelled 0..k-1.

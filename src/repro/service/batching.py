@@ -6,7 +6,7 @@ items, link-prediction sweeps reuse one endpoint, and so on.  The planner
 exploits that: it collects the distributions every query needs, collapses
 duplicates, and groups the distinct sources into chunks sized for one
 vectorised multi-source walk simulation each
-(:func:`repro.core.walks.simulate_walks_batch`).
+(:func:`repro.core.walks.simulate_walks_packed`).
 
 Planning is pure bookkeeping — no simulation happens here — so it can be
 unit-tested exhaustively and reused by both the library service and the CLI.

@@ -135,8 +135,8 @@ class WalkDistributionCache:
         """Drop every entry whose source node is in ``nodes``; returns the count.
 
         This is the graph-mutation hook: when edges are inserted, only the
-        sources inside the forward BFS ball of the new edges' heads
-        (:func:`repro.core.walks.forward_reachable_set`) have stale
+        sources inside the forward ball of the new edges' heads
+        (:func:`repro.core.reachability.reachable_set`) have stale
         distributions, and a key's node identifies its source — so exactly
         those entries are removed, across *all* ``(steps, walkers, seed)``
         variants of each node, and every other entry stays hot.  Removals

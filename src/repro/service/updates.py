@@ -14,10 +14,10 @@ Correctness contract (see ``docs/architecture.md``):
 * the maintainer runs with per-source random streams and cold-start solves,
   so after any sequence of updates the index is **bitwise-identical** to one
   built from scratch on the updated graph;
-* the affected set is the forward BFS ball of the new edges' heads
-  (:func:`repro.core.walks.forward_reachable_set`) — sources outside it have
-  bitwise-unchanged walk distributions, which is what makes keeping their
-  cache entries safe.
+* the affected set is the forward ball of radius ``T`` around the new
+  edges' heads (:func:`repro.core.reachability.reachable_set`, interval
+  mode by default) — sources outside it have bitwise-unchanged walk
+  distributions, which is what makes keeping their cache entries safe.
 
 Example
 -------
@@ -42,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 from scipy import sparse
 
 from repro.config import SimRankParams, UpdateParams
-from repro.core.incremental import IncrementalCloudWalker
+from repro.core.incremental import PHASES, IncrementalCloudWalker
 from repro.core.index import DiagonalIndex
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
@@ -72,6 +72,12 @@ class MutationResult:
         The slice of ``update_seconds`` spent computing the affected set
         (the part ``UpdateParams.reachability`` switches between the BFS
         sweep and the interval labels).
+    graph_seconds, rows_seconds, splice_seconds, solve_seconds:
+        The other phases of the walker's ``add_edges`` — merging the edges
+        into the graph, re-estimating the affected rows, splicing them into
+        the linear system, the Jacobi re-solve.  With ``routing_seconds``
+        they add up to the walker's own ``update_seconds``
+        (:data:`repro.core.incremental.PHASES`).
     """
 
     edges_added: int
@@ -79,6 +85,10 @@ class MutationResult:
     affected: frozenset
     update_seconds: float
     routing_seconds: float = 0.0
+    graph_seconds: float = 0.0
+    rows_seconds: float = 0.0
+    splice_seconds: float = 0.0
+    solve_seconds: float = 0.0
 
     @property
     def affected_rows(self) -> int:
@@ -303,7 +313,7 @@ class GraphMutator:
             new_nodes=int(info["new_nodes"]),
             affected=frozenset(info["affected"]),
             update_seconds=time.perf_counter() - start,
-            routing_seconds=float(info.get("routing_seconds", 0.0)),
+            **{phase: float(info.get(phase, 0.0)) for phase in PHASES},
         )
 
     def __repr__(self) -> str:

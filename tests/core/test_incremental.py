@@ -174,18 +174,59 @@ class TestBitwiseReproducibility:
         assert np.array_equal(maintainer.system.indptr, reference.system.indptr)
 
     def test_chained_updates_with_new_nodes_bitwise_equal(self, graph, params):
-        maintainer = self._fresh(graph, params)
-        batches = [[(2, graph.n_nodes)], [(7, 33), (graph.n_nodes, 1)]]
+        from repro.core.sharding import ShardedIncrementalWalker
+        from repro.graph.partition import ShardPlan
+
+        def sharded(num_shards):
+            def fresh(on_graph):
+                walker = ShardedIncrementalWalker(
+                    on_graph, ShardPlan.hashed(num_shards), params=params)
+                walker.build()
+                return walker
+            return fresh
+
+        # The plain walker GraphMutator constructs by default, then the
+        # sharded one (its own _build_rows) for K in {1, 2, 5}.
+        self._check_chained_updates(
+            graph, lambda on_graph: self._fresh(on_graph, params))
+        for num_shards in (1, 2, 5):
+            self._check_chained_updates(graph, sharded(num_shards))
+
+    @staticmethod
+    def _check_chained_updates(graph, fresh):
+        maintainer = fresh(graph)
+        n = graph.n_nodes
+        batches = [[(2, n)], [(7, 33), (n, 1), (7, 33)], [(n + 2, n + 2), (0, 30)]]
         for batch in batches:
             maintainer.add_edges(batch)
         merged = DiGraph(
-            graph.n_nodes + 1,
+            n + 3,
             np.vstack([graph.edge_array(),
                        np.array([edge for batch in batches for edge in batch])]),
             name=graph.name,
         )
-        reference = self._fresh(merged, params)
+        reference = fresh(merged)
+        assert maintainer.graph == merged
         assert np.array_equal(maintainer.index.diagonal, reference.index.diagonal)
+        # The spliced system is the canonical CSR a build produces — by
+        # construction, not by a clean-up pass.
+        ours, theirs = maintainer.system, reference.system
+        assert ours.shape == theirs.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
+        assert ours.has_sorted_indices
+        assert np.count_nonzero(ours.data) == ours.nnz == len(ours.data)
+
+    def test_summary_phases_partition_the_update(self, graph, params):
+        from repro.core.incremental import PHASES
+
+        maintainer = self._fresh(graph, params)
+        info = maintainer.add_edges([(0, 30), (5, graph.n_nodes)])
+        assert all(info[phase] >= 0.0 for phase in PHASES)
+        assert sum(info[phase] for phase in PHASES) == pytest.approx(
+            info["update_seconds"])
+        noop = maintainer.add_edges([])
+        assert [noop[phase] for phase in PHASES] == [0.0] * len(PHASES)
 
     def test_attach_with_system_resumes_bitwise(self, graph, params):
         donor = self._fresh(graph, params)
@@ -195,6 +236,39 @@ class TestBitwiseReproducibility:
         new_edges = [(4, 19)]
         adopter.add_edges(new_edges)
         donor.add_edges(new_edges)
+        assert np.array_equal(adopter.index.diagonal, donor.index.diagonal)
+
+    def test_attach_canonicalises_a_foreign_system(self, graph, params):
+        """Shuffled column order and explicit zeros in a caller-supplied
+        system must not survive into the rows an update keeps."""
+        from scipy import sparse
+
+        donor = self._fresh(graph, params)
+        canonical = donor.system
+        rng = np.random.default_rng(4)
+        indices, data = canonical.indices.copy(), canonical.data.copy()
+        for lo, hi in zip(canonical.indptr, canonical.indptr[1:]):
+            order = rng.permutation(hi - lo)
+            indices[lo:hi], data[lo:hi] = indices[lo:hi][order], data[lo:hi][order]
+        # One explicit zero appended to the last row, at a column it lacks.
+        spare = np.setdiff1d(np.arange(graph.n_nodes), indices[canonical.indptr[-2]:])[0]
+        indptr = canonical.indptr.copy()
+        indptr[-1] += 1
+        messy = sparse.csr_matrix(
+            (np.append(data, 0.0), np.append(indices, spare), indptr),
+            shape=canonical.shape)
+        before = (messy.indices.copy(), messy.data.copy())
+        adopter = IncrementalCloudWalker(graph, params=params,
+                                         stream_per_source=True, warm_start=False)
+        adopter.attach(donor.index, system=messy)
+        assert np.array_equal(messy.indices, before[0])  # caller's copy untouched
+        assert np.array_equal(messy.data, before[1])
+        new_edges = [(4, 19)]
+        adopter.add_edges(new_edges)
+        donor.add_edges(new_edges)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(adopter.system, name),
+                                  getattr(donor.system, name)), name
         assert np.array_equal(adopter.index.diagonal, donor.index.diagonal)
 
     def test_attach_without_system_estimates_it(self, graph, params):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import SimRankParams
-from repro.core import linear_system, montecarlo
+from repro.core import linear_system, montecarlo, walks
 from repro.graph import generators
 
 
@@ -58,6 +58,32 @@ class TestWalkDistributions:
         )
         with pytest.raises(ValueError):
             montecarlo.distribution_error(a, b, graph.n_nodes)
+
+    def test_batch_entries_own_their_arrays(self, graph, params):
+        """A cached entry must not pin the batch it was simulated in: one
+        base per entry and array kind, shared by that entry's steps only."""
+        batch = montecarlo.estimate_walk_distributions_batch(
+            graph, [5, 9, 9, 30, 2], params)
+        assert sorted(batch) == [2, 5, 9, 30]
+        bases = {}
+        for source, entry in batch.items():
+            direct = montecarlo.estimate_walk_distributions(graph, source, params)
+            assert entry.source == source and entry.walkers == direct.walkers
+            for (nodes, values), (want_nodes, want_values) in zip(
+                    entry.per_step, direct.per_step, strict=True):
+                assert nodes.tobytes() == want_nodes.tobytes()
+                assert values.tobytes() == want_values.tobytes()
+                assert (nodes.dtype, values.dtype) == (np.int64, np.float64)
+                for array in (nodes, values):
+                    assert array.base is not None and array.base.base is None
+                    assert array.base.flags.owndata
+                    bases.setdefault(id(array.base), set()).add(source)
+            resident = {id(a.base): a.base.nbytes
+                        for pair in entry.per_step for a in pair}
+            assert sum(resident.values()) == sum(
+                a.nbytes for pair in entry.per_step for a in pair)
+        assert all(len(owners) == 1 for owners in bases.values())
+        assert len(bases) == 2 * len(batch)
 
     def test_reproducible_with_same_seed(self, graph, params):
         first = montecarlo.estimate_walk_distributions(graph, 4, params, walkers=100)
@@ -133,6 +159,41 @@ class TestLinearSystem:
         row_sums = np.asarray(system.sum(axis=1)).ravel()
         assert row_sums[0] > 0 and row_sums[1] > 0
         assert np.allclose(row_sums[2:], 0.0)
+
+    def test_streamed_rows_do_not_depend_on_the_block_size(self, graph, params):
+        from unittest import mock
+
+        sources = [69, 3, 3, 17] + list(range(40))
+        reference = linear_system.build_rows_streamed(graph, sources, params)
+        assert reference[0].tolist() == sorted(reference[0].tolist())
+        assert set(reference[0].tolist()) == set(sources)
+        draws_per_source = params.index_walkers * params.walk_steps
+        for block in (1, 7, 256, len(sources) + 5):
+            with mock.patch.object(walks, "_BLOCK_DRAWS", block * draws_per_source):
+                blocked = linear_system.build_rows_streamed(graph, sources, params)
+            for left, right in zip(reference, blocked):
+                assert left.dtype == right.dtype
+                assert left.tobytes() == right.tobytes()
+
+    def test_streamed_rows_pinned(self, graph, params):
+        """Triplets of the per-(source, step) loop this kernel replaced
+        (SHA-256 of each array, generated at the commit before the packed
+        kernel): same entries, same per-cell summation order."""
+        import hashlib
+
+        triplets = linear_system.build_rows_streamed(graph, range(70), params)
+        assert [str(array.dtype) for array in triplets] == [
+            "int64", "int64", "float64"]
+        assert [hashlib.sha256(array.tobytes()).hexdigest() for array in triplets] == [
+            "fa799d2a27bde4306d323de4ea4b14504deeb74e8b4daec6c18918340a3c85b1",
+            "6da6ec1bc173c0ba1fd9876fc78a37c56a78d21617c4ff7fbec06e5fdf995a79",
+            "5aa2183d355f68dcc15c47853f953481c60cbf08200a7485fcbd1deb79184e9f",
+        ]
+
+    def test_streamed_rows_empty_sources(self, graph, params):
+        rows, cols, values = linear_system.build_rows_streamed(graph, [], params)
+        assert len(rows) == len(cols) == len(values) == 0
+        assert (rows.dtype, cols.dtype, values.dtype) == (np.int64, np.int64, np.float64)
 
     def test_zero_in_degree_node_row_is_identity(self, params):
         from repro.graph.digraph import DiGraph

@@ -124,12 +124,22 @@ class TestWalkStepCounts:
         assert len(steps) <= 4
 
 
+def _walk_counts_by_source(graph, sources, walkers, steps, seed):
+    """The packed kernel's blocks as ``{source: per_step}`` with
+    ``per_step[t]`` the ``(nodes, counts)`` pair of the single-source oracle."""
+    return {
+        source: [(packed.nodes[lo:hi], packed.counts[lo:hi])
+                 for lo, hi in zip(bounds, bounds[1:])]
+        for packed in walks.simulate_walks_packed(graph, sources, walkers, steps, seed)
+        for source, bounds in zip(packed.sources.tolist(), packed.offsets.tolist())
+    }
+
+
 class TestSimulateWalksBatch:
     def test_bitwise_equal_to_single_source(self):
         graph = generators.copying_model_graph(100, out_degree=4, seed=5)
         sources = [3, 17, 41]
-        batch = walks.simulate_walks_batch(graph, sources, walkers_per_source=40,
-                                           steps=4, seed=9)
+        batch = _walk_counts_by_source(graph, sources, walkers=40, steps=4, seed=9)
         for source in sources:
             direct = walks.single_source_walk_counts(
                 graph, source, walkers=40, steps=4,
@@ -143,8 +153,8 @@ class TestSimulateWalksBatch:
     def test_bitwise_equal_with_absorption(self):
         # Sparse graph: most walkers die early, exercising the empty-tail path.
         graph = generators.erdos_renyi_graph(30, avg_degree=0.5, seed=3)
-        batch = walks.simulate_walks_batch(graph, list(range(10)),
-                                           walkers_per_source=15, steps=6, seed=2)
+        batch = _walk_counts_by_source(graph, list(range(10)),
+                                       walkers=15, steps=6, seed=2)
         for source in range(10):
             direct = walks.single_source_walk_counts(
                 graph, source, walkers=15, steps=6,
@@ -156,28 +166,102 @@ class TestSimulateWalksBatch:
 
     def test_duplicate_sources_collapsed(self):
         graph = generators.cycle_graph(8)
-        batch = walks.simulate_walks_batch(graph, [2, 2, 5, 2], 10, 3, seed=1)
+        batch = _walk_counts_by_source(graph, [2, 2, 5, 2], 10, 3, seed=1)
         assert sorted(batch) == [2, 5]
 
     def test_counts_conserved_on_cycle(self):
         graph = generators.cycle_graph(8)
-        batch = walks.simulate_walks_batch(graph, [0, 4], 25, 5, seed=1)
+        batch = _walk_counts_by_source(graph, [0, 4], 25, 5, seed=1)
         for source in (0, 4):
             for _nodes, counts in batch[source]:
                 assert counts.sum() == 25
 
     def test_empty_sources(self):
         graph = generators.cycle_graph(4)
-        assert walks.simulate_walks_batch(graph, [], 10, 3, seed=1) == {}
+        assert list(walks.simulate_walks_packed(graph, [], 10, 3, seed=1)) == []
 
     def test_invalid_inputs_rejected(self):
         from repro.errors import NodeNotFoundError
 
         graph = generators.cycle_graph(4)
         with pytest.raises(NodeNotFoundError):
-            walks.simulate_walks_batch(graph, [0, 99], 10, 3, seed=1)
+            walks.simulate_walks_packed(graph, [0, 99], 10, 3, seed=1)
         with pytest.raises(ValueError):
-            walks.simulate_walks_batch(graph, [0], 0, 3, seed=1)
+            walks.simulate_walks_packed(graph, [0], 0, 3, seed=1)
+
+
+class TestSimulateWalksPacked:
+    """The one batched kernel against the single-source oracle, bitwise."""
+
+    @staticmethod
+    def _assert_matches_oracle(graph, sources, walkers, steps, seed):
+        blocks = list(walks.simulate_walks_packed(graph, sources, walkers, steps, seed))
+        simulated = [source for packed in blocks for source in packed.sources.tolist()]
+        assert simulated == sorted(set(sources))
+        for packed in blocks:
+            assert packed.offsets.shape == (len(packed.sources), steps + 2)
+            for array in packed:
+                assert array.dtype == np.int64
+            # Source-major and gap-free: each row ends where the next begins.
+            assert packed.offsets[0, 0] == 0
+            assert packed.offsets[-1, -1] == len(packed.nodes)
+            assert np.array_equal(packed.offsets[1:, 0], packed.offsets[:-1, -1])
+            for k, source in enumerate(packed.sources.tolist()):
+                direct = walks.single_source_walk_counts(
+                    graph, source, walkers, steps, walks.make_rng(seed, stream=source))
+                for t, (nodes, counts) in enumerate(direct):
+                    lo, hi = packed.offsets[k, t], packed.offsets[k, t + 1]
+                    assert packed.nodes[lo:hi].tobytes() == nodes.tobytes()
+                    assert packed.counts[lo:hi].tobytes() == counts.tobytes()
+                    assert nodes.dtype == counts.dtype == np.int64
+        return blocks
+
+    @pytest.mark.parametrize("walkers", [1, 2, 40])
+    @pytest.mark.parametrize("sources", [
+        [3], [41, 3, 17], [5, 5, 99, 0, 5], list(range(100)), [99, 98, 98, 2],
+    ])
+    def test_any_subset_order_and_repetition(self, sources, walkers):
+        graph = generators.copying_model_graph(100, out_degree=4, seed=5)
+        self._assert_matches_oracle(graph, sources, walkers, steps=6, seed=9)
+
+    @pytest.mark.parametrize("walkers", [1, 15])
+    def test_walkers_that_all_die_before_the_last_step(self, walkers):
+        # 3 -> 2 -> 1 -> 0: a walker from node k is dead after k + 1 steps,
+        # node 4 is isolated, so every source has an empty tail of its own
+        # length and the live set shrinks to nothing mid-simulation.
+        graph = DiGraph(5, [(0, 1), (1, 2), (2, 3)])
+        self._assert_matches_oracle(graph, [4, 0, 3, 1, 2], walkers, steps=6, seed=2)
+        (packed,) = walks.simulate_walks_packed(graph, [3, 4], walkers, 6, seed=2)
+        assert np.diff(packed.offsets, axis=1).tolist() == [
+            [1, 1, 1, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0]]
+
+    def test_sparse_random_graph_with_absorption(self):
+        graph = generators.erdos_renyi_graph(30, avg_degree=0.5, seed=3)
+        self._assert_matches_oracle(graph, list(range(30)), 15, steps=6, seed=2)
+
+    def test_zero_steps(self):
+        graph = generators.cycle_graph(4)
+        self._assert_matches_oracle(graph, [2, 0], 5, steps=0, seed=1)
+
+    @pytest.mark.parametrize("draws, per_block", [(1, 1), (15 * 6 * 7, 7), (1 << 18, 30)])
+    def test_blocks_hold_a_bounded_number_of_draws(self, draws, per_block):
+        from unittest import mock
+
+        graph = generators.erdos_renyi_graph(30, avg_degree=2.0, seed=3)
+        with mock.patch.object(walks, "_BLOCK_DRAWS", draws):
+            blocks = self._assert_matches_oracle(
+                graph, list(range(30)), 15, steps=6, seed=2)
+        assert [len(packed.sources) for packed in blocks] == (
+            [per_block] * (30 // per_block) + [30 % per_block] * (30 % per_block > 0))
+
+    def test_first_out_of_range_source_is_reported(self):
+        from repro.errors import NodeNotFoundError
+
+        graph = generators.cycle_graph(4)
+        for sources, offender in (([0, 99, 7], 7), ([2, -3, 99, -1], -3), ([4], 4)):
+            with pytest.raises(NodeNotFoundError) as caught:
+                walks.simulate_walks_packed(graph, sources, 10, 3, seed=1)
+            assert caught.value.node == offender
 
 
 class TestExactWalkDistributions:

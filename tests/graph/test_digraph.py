@@ -53,6 +53,16 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             DiGraph(3, [(0, 1, 2)])
 
+    def test_edge_array_taken_as_is(self, small_graph):
+        edges = np.array([[0, 1], [0, 2], [1, 2], [2, 0], [0, 1]])
+        assert DiGraph(4, edges) == small_graph
+        assert DiGraph(4, edges[:, ::-1]) == small_graph.reverse()
+        assert DiGraph(4, np.empty((0, 2), dtype=np.int64)).n_edges == 0
+        with pytest.raises(GraphFormatError, match=r"pairs, got array of shape \(2, 3\)"):
+            DiGraph(4, np.zeros((2, 3), dtype=np.int64))
+        with pytest.raises(GraphFormatError, match=r"lie in \[0, 3\], found endpoints in \[0, 4\]"):
+            DiGraph(4, np.array([[0, 4]]))
+
     def test_repr_mentions_name(self, small_graph):
         assert "small" in repr(small_graph)
 
@@ -134,6 +144,26 @@ class TestDerivedGraphs:
         assert rev.has_edge(1, 0)
         assert not rev.has_edge(0, 1)
         assert np.array_equal(rev.in_degrees(), small_graph.out_degrees())
+
+    def test_with_edges(self, small_graph):
+        grown = small_graph.with_edges([(3, 0), (0, 1), (4, 4), (3, 0)])
+        assert (grown.n_nodes, grown.n_edges, grown.name) == (5, 6, "small")
+        assert grown.out_neighbors(3).tolist() == [0]
+        assert grown.in_neighbors(0).tolist() == [2, 3]
+        assert grown.has_edge(4, 4)
+        assert (small_graph.n_nodes, small_graph.n_edges) == (4, 4)
+        assert small_graph.with_edges([], n_nodes=6).n_nodes == 6
+        assert small_graph.with_edges([]) == small_graph
+
+    def test_with_edges_rejects_bad_input(self, small_graph):
+        with pytest.raises(GraphFormatError, match="only grows"):
+            small_graph.with_edges([(0, 3)], n_nodes=3)
+        with pytest.raises(GraphFormatError, match=r"lie in \[0, 4\]"):
+            small_graph.with_edges([(0, 5)], n_nodes=5)
+        with pytest.raises(GraphFormatError, match="found endpoints in"):
+            small_graph.with_edges([(-1, 2)])
+        with pytest.raises(GraphFormatError, match="pairs"):
+            small_graph.with_edges([(0, 1, 2)])
 
     def test_subgraph(self, small_graph):
         sub = small_graph.subgraph([0, 1, 2])

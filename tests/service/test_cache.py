@@ -56,6 +56,24 @@ class TestAccounting:
         cache.put(_key(1), _distribution(service_graph, service_params, 1))
         assert cache.memory_bytes() > 0
 
+    def test_served_entries_share_no_buffer(self, make_service):
+        """Entries simulated in one batch each own their arrays, so evicting
+        one frees it and ``memory_bytes`` is what is actually resident."""
+        service = make_service(cache_capacity=16)
+        service.run_batch([SourceQuery(node) for node in (1, 2, 3, 4, 5)])
+        entries = list(service.cache._entries.values())
+        assert len(entries) == 5
+        owners = {}
+        for position, entry in enumerate(entries):
+            for nodes, values in entry.per_step:
+                for array in (nodes, values):
+                    base = array if array.base is None else array.base
+                    assert base.flags.owndata
+                    owners.setdefault(id(base), (position, base.nbytes))
+                    assert owners[id(base)][0] == position
+        assert service.cache.memory_bytes() == sum(
+            nbytes for _position, nbytes in owners.values())
+
     def test_clear_keeps_stats(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=4)
         cache.put(_key(1), _distribution(service_graph, service_params, 1))

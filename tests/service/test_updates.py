@@ -54,6 +54,16 @@ class TestUpdateSemantics:
         assert result.edges_added == 1
         assert live_service.graph.has_edge(0, 40)
 
+    def test_result_carries_the_walkers_phases(self, live_service):
+        from repro.core.incremental import PHASES
+
+        result = live_service.add_edges([(0, 40), (3, 50)])
+        phases = [getattr(result, phase) for phase in PHASES]
+        assert all(seconds > 0.0 for seconds in phases)
+        # The phases partition the walker's clock; the result's own clock
+        # starts just before and stops just after it.
+        assert sum(phases) <= result.update_seconds
+
     def test_affected_set_is_forward_ball_of_heads(self, live_service):
         edges = [(3, 50), (7, 61)]
         result = live_service.add_edges(edges)

@@ -98,6 +98,39 @@ class TestGraphProperties:
         assert np.allclose(column_sums[in_degrees > 0], 1.0)
         assert np.allclose(column_sums[in_degrees == 0], 0.0)
 
+    @given(st.integers(min_value=0, max_value=12), st.data())
+    def test_with_edges_bitwise_equal_to_constructor_on_the_union(self, n_nodes, data):
+        """Merging into the sorted adjacency gives the constructor's arrays:
+        duplicates inside the batch, edges already present, self-loops, the
+        empty batch and node growth (implied or requested) included."""
+        node = st.integers(min_value=0, max_value=max(n_nodes - 1, 0))
+        graph = DiGraph(n_nodes, data.draw(st.lists(
+            st.tuples(node, node), max_size=40 if n_nodes else 0)))
+        grown = n_nodes + data.draw(st.integers(min_value=0, max_value=4))
+        endpoint = st.integers(min_value=0, max_value=max(grown - 1, 0))
+        batch = data.draw(st.lists(
+            st.tuples(endpoint, endpoint), max_size=15 if grown else 0))
+        batch += data.draw(st.lists(st.sampled_from(batch), max_size=4)) if batch else []
+        batch += data.draw(st.lists(
+            st.sampled_from(list(graph.edges())), max_size=4)) if graph.n_edges else []
+        explicit = data.draw(st.booleans())
+        as_array = data.draw(st.booleans())
+
+        merged = graph.with_edges(
+            np.asarray(batch, dtype=np.int64).reshape(-1, 2) if as_array else batch,
+            n_nodes=grown if explicit else None)
+        expected_nodes = grown if explicit else max(
+            [n_nodes] + [max(edge) + 1 for edge in batch])
+        reference = DiGraph(expected_nodes, np.vstack(
+            [graph.edge_array(), np.asarray(batch, dtype=np.int64).reshape(-1, 2)]))
+        assert (merged.n_nodes, merged.n_edges) == (reference.n_nodes, reference.n_edges)
+        for ours, theirs in zip(merged.resident_export()[1],
+                                reference.resident_export()[1], strict=True):
+            assert ours.dtype == theirs.dtype and ours.flags.c_contiguous
+            assert ours.tobytes() == theirs.tobytes()
+        # The receiver is immutable: merging never writes into its arrays.
+        assert graph == DiGraph(n_nodes, list(graph.edges()))
+
     @given(graphs())
     def test_memory_accounting_non_negative(self, graph):
         assert graph.memory_bytes() > 0
@@ -232,8 +265,14 @@ class TestServiceProperties:
             st.lists(st.integers(min_value=0, max_value=graph.n_nodes - 1),
                      min_size=n_sources, max_size=n_sources)
         )
-        batch = walks.simulate_walks_batch(graph, sources, walkers_per_source=12,
-                                           steps=3, seed=seed)
+        batch = {
+            source: [(packed.nodes[lo:hi], packed.counts[lo:hi])
+                     for lo, hi in zip(bounds, bounds[1:])]
+            for packed in walks.simulate_walks_packed(
+                graph, sources, walkers_per_source=12, steps=3, seed=seed)
+            for source, bounds in zip(packed.sources.tolist(),
+                                      packed.offsets.tolist())
+        }
         for source in set(sources):
             direct = walks.single_source_walk_counts(
                 graph, source, walkers=12, steps=3,
@@ -481,6 +520,38 @@ class TestShardingProperties:
         if single_result is not None:
             assert sharded_result.affected == single_result.affected
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
+
+    @given(graphs(max_nodes=14, max_edges=50), st.data())
+    def test_update_sequence_leaves_the_system_a_fresh_build_has(self, graph, data):
+        """Any run of ``add_edges`` calls (growing the graph, repeating
+        edges) splices to the byte-identical canonical CSR and diagonal of a
+        from-scratch build on the final graph, for any shard count."""
+        from repro.core.sharding import ShardedIncrementalWalker
+        from repro.graph.partition import ShardPlan
+
+        params = self._params(seed=data.draw(st.integers(0, 500)))
+        num_shards = data.draw(st.sampled_from([1, 2, 5]))
+
+        def built(on_graph):
+            walker = ShardedIncrementalWalker(
+                on_graph, ShardPlan.hashed(num_shards), params=params)
+            walker.build()
+            return walker
+
+        walker = built(graph)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            top = walker.graph.n_nodes + 1     # up to two new nodes per call
+            walker.add_edges(data.draw(st.lists(
+                st.tuples(st.integers(0, top), st.integers(0, top)),
+                min_size=1, max_size=4)))
+        reference = built(DiGraph(walker.graph.n_nodes, walker.graph.edge_array()))
+        assert walker.graph == reference.graph
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(walker.system, name),
+                                  getattr(reference.system, name)), name
+        assert walker.system.has_sorted_indices
+        assert np.count_nonzero(walker.system.data) == len(walker.system.data)
+        assert walker.index.diagonal.tobytes() == reference.index.diagonal.tobytes()
 
     @given(graphs(max_nodes=14, max_edges=50), st.data())
     def test_shard_versions_partition_the_global_version(self, graph, data):
