@@ -313,15 +313,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         default=defaults.approx_steps,
                         help="explicit approximate-mode walk steps "
                              "(needs --accuracy-budget)")
-    parser.add_argument("--kernels", dest="kernels",
-                        default=defaults.kernels,
-                        choices=["python", "numba"],
-                        help="inner-loop kernel tier; 'numba' jit-compiles "
-                             "the meeting-probability and reachability hot "
-                             "loops when numba is importable and falls back "
-                             "to the python oracles (bitwise-identical "
-                             "answers) when it is not "
-                             "(default: %(default)s)")
 
 
 def _make_service(args: argparse.Namespace):
@@ -334,7 +325,6 @@ def _make_service(args: argparse.Namespace):
         accuracy_budget=getattr(args, "accuracy_budget", None),
         approx_walkers=getattr(args, "approx_walkers", None),
         approx_steps=getattr(args, "approx_steps", None),
-        kernels=getattr(args, "kernels", "python"),
     )
     # Parameters default to the ones persisted in the index so a cold-started
     # service answers exactly like the process that built the index.

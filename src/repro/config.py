@@ -205,14 +205,6 @@ class ServiceParams:
         Explicit walk-step count of the approximate mode; requires
         ``accuracy_budget``.  ``None`` keeps the exact ``walk_steps``
         unless calibration chooses a shorter walk.
-    kernels:
-        Which implementation tier runs the core inner loops (the
-        pair-combine step dot, the self-meeting accumulation, and the
-        interval-reachability Dijkstra): ``"python"`` (the NumPy oracles)
-        or ``"numba"`` (jitted twins, bitwise-identical by construction —
-        see :mod:`repro.core.kernels`).  ``"numba"`` on an interpreter
-        without numba installed is not an error: execution falls back to
-        the oracles, so the flag is safe to bake into deployment configs.
     """
 
     cache_capacity: int = 1024
@@ -226,12 +218,8 @@ class ServiceParams:
     accuracy_budget: Optional[float] = None
     approx_walkers: Optional[int] = None
     approx_steps: Optional[int] = None
-    kernels: str = "python"
 
     _VALID_SERVE_BACKENDS = ("serial", "threads", "processes")
-    # Kept in sync with repro.core.kernels.KERNEL_MODES (hardcoded here to
-    # keep config importable before the core package).
-    _VALID_KERNELS = ("python", "numba")
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 0:
@@ -291,37 +279,10 @@ class ServiceParams:
                 raise ConfigurationError(
                     f"approx_steps must be >= 1, got {self.approx_steps}"
                 )
-        if self.kernels not in self._VALID_KERNELS:
-            raise ConfigurationError(
-                f"kernels must be one of {self._VALID_KERNELS}, "
-                f"got {self.kernels!r}"
-            )
 
     def with_(self, **changes: Any) -> "ServiceParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a plain-dict representation (used by service stats)."""
-        return {
-            "cache_capacity": self.cache_capacity,
-            "max_batch_size": self.max_batch_size,
-            "default_top_k": self.default_top_k,
-            "serve_backend": self.serve_backend,
-            "serve_workers": self.serve_workers,
-            "http_port": self.http_port,
-            "coalesce_window": self.coalesce_window,
-            "max_in_flight": self.max_in_flight,
-            "accuracy_budget": self.accuracy_budget,
-            "approx_walkers": self.approx_walkers,
-            "approx_steps": self.approx_steps,
-            "kernels": self.kernels,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ServiceParams":
-        """Reconstruct parameters from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -356,13 +317,6 @@ class UpdateParams:
         Re-estimate affected rows from exact walk distributions instead of
         Monte-Carlo.  Only feasible for small graphs; used by tests that
         want updates exactly equal to exact rebuilds.
-    reachability:
-        How update routing computes "which sources does this edge batch
-        touch" (and which cache entries die): ``"interval"`` routes through
-        the pre-order window labels of
-        :mod:`repro.core.reachability`; ``"bfs"`` keeps the per-level
-        frontier sweep as the bitwise-identity oracle.  Both return the
-        identical affected set — the switch trades routing cost only.
     """
 
     max_pending_edges: int = 10_000
@@ -371,7 +325,6 @@ class UpdateParams:
     snapshot_retain: int = 5
     snapshot_dir: Optional[str] = None
     exact: bool = False
-    reachability: str = "interval"
 
     def __post_init__(self) -> None:
         if self.max_pending_edges < 1:
@@ -394,32 +347,10 @@ class UpdateParams:
             raise ConfigurationError(
                 "snapshot_every > 0 requires snapshot_dir to be set"
             )
-        if self.reachability not in ("bfs", "interval"):
-            raise ConfigurationError(
-                f"reachability must be 'bfs' or 'interval', "
-                f"got {self.reachability!r}"
-            )
 
     def with_(self, **changes: Any) -> "UpdateParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a plain-dict representation (used by service stats)."""
-        return {
-            "max_pending_edges": self.max_pending_edges,
-            "max_node_growth": self.max_node_growth,
-            "snapshot_every": self.snapshot_every,
-            "snapshot_retain": self.snapshot_retain,
-            "snapshot_dir": self.snapshot_dir,
-            "exact": self.exact,
-            "reachability": self.reachability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "UpdateParams":
-        """Reconstruct parameters from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -482,20 +413,6 @@ class ShardingParams:
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a plain-dict representation (used by snapshots and stats)."""
-        return {
-            "num_shards": self.num_shards,
-            "strategy": self.strategy,
-            "backend": self.backend,
-            "max_workers": self.max_workers,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardingParams":
-        """Reconstruct parameters from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RebalanceParams:
@@ -556,20 +473,6 @@ class RebalanceParams:
     def with_(self, **changes: Any) -> "RebalanceParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Return a plain-dict representation (used by service stats)."""
-        return {
-            "improvement_threshold": self.improvement_threshold,
-            "min_sources": self.min_sources,
-            "cold_weight": self.cold_weight,
-            "check_interval": self.check_interval,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RebalanceParams":
-        """Reconstruct parameters from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -27,36 +27,17 @@ own ``(seed, source)`` random stream, so the updated index is
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.config import SimRankParams
-from repro.core import linear_system, reachability, walks
+from repro.core import linear_system, walks
 from repro.core.index import BuildInfo, DiagonalIndex
-from repro.core.reachability import ReachabilityIndex
 from repro.core.jacobi import jacobi_solve
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-
-
-def affected_sources(graph: DiGraph, changed_heads: Iterable[int], steps: int,
-                     mode: str = "bfs") -> Set[int]:
-    """Nodes whose rows ``a_i`` may change when the in-links of
-    ``changed_heads`` change.
-
-    A reverse walk from source ``i`` visits ``v`` within ``T`` steps exactly
-    when there is a forward path ``v -> ... -> i`` of length at most ``T``,
-    so the affected set is the forward BFS ball of radius ``T`` around the
-    changed heads (including the heads themselves).  ``mode`` selects the
-    routing implementation (``"bfs"`` frontier sweep or ``"interval"``
-    window labels — see :mod:`repro.core.reachability`); both return the
-    identical set, and the walker and the query service's cache
-    invalidation share this entry point so "which rows to re-estimate" and
-    "which cache entries to drop" can never disagree.
-    """
-    return reachability.reachable_set(graph, changed_heads, steps, mode=mode)
 
 
 PHASES = ("graph_seconds", "routing_seconds", "rows_seconds",
@@ -117,25 +98,16 @@ class IncrementalCloudWalker:
         Start the Jacobi solve of an update from the previous diagonal
         (faster convergence) instead of the cold-start guess ``1 - c``
         a fresh build uses.  Disable for bitwise reproducibility.
-    reachability:
-        Update-routing mode: ``"interval"`` (default) answers "which rows
-        does this batch touch" from carried pre-order window labels;
-        ``"bfs"`` keeps the frontier-sweep oracle.  The affected sets are
-        identical either way.
     """
 
     def __init__(self, graph: DiGraph, params: Optional[SimRankParams] = None,
                  exact: bool = False, stream_per_source: bool = False,
-                 warm_start: bool = True,
-                 reachability: str = "interval") -> None:
+                 warm_start: bool = True) -> None:
         self.graph = graph
         self.params = params or SimRankParams.paper_defaults()
         self.exact = exact
         self.stream_per_source = stream_per_source
         self.warm_start = warm_start
-        self.reachability = reachability
-        self._routing = ReachabilityIndex(reachability)
-        self._routing.prepare(graph)
         self._system: Optional[sparse.csr_matrix] = None
         self.index: Optional[DiagonalIndex] = None
         self._update_count = 0
@@ -252,25 +224,32 @@ class IncrementalCloudWalker:
         affected source set itself (``"affected"``, which the query service
         turns into its cache-invalidation set) and the update cost; the new
         graph and index are available as :attr:`graph` / :attr:`index`.
+        Edges the graph already has are ignored, and a batch with no new
+        edge returns the zero-cost summary without touching anything.
         """
         if self.index is None or self._system is None:
             raise ConfigurationError("call build() or attach() before add_edges()")
-        if not new_edges:
+        # Only edges the graph does not have yet change anything: heads of
+        # re-inserted edges must not widen the ball, and an all-present
+        # batch must leave graph, system, index and random streams alone.
+        old_n = self.graph.n_nodes
+        edges = [(int(u), int(v)) for u, v in new_edges]
+        fresh = [
+            (u, v) for u, v in edges
+            if not (0 <= u < old_n and 0 <= v < old_n and self.graph.has_edge(u, v))
+        ]
+        if not fresh:
             return {"affected_rows": 0, "new_nodes": 0, "affected": frozenset(),
-                    "reachability": self.reachability,
                     **dict.fromkeys(("update_seconds",) + PHASES, 0.0)}
 
         start = time.perf_counter()
-        old_n = self.graph.n_nodes
-        new_graph = self.graph.with_edges(new_edges)
+        new_graph = self.graph.with_edges(fresh)
         new_n = new_graph.n_nodes
 
         self._update_count += 1
-        heads = {int(v) for _u, v in new_edges}
         routing_start = time.perf_counter()
-        self._routing.advance(self.graph, new_graph, list(new_edges))
-        affected = self._routing.query(new_graph, heads,
-                                       self.params.walk_steps)
+        affected = walks.forward_reachable_set(
+            new_graph, {v for _u, v in fresh}, self.params.walk_steps)
         affected.update(range(old_n, new_n))
         rows_start = time.perf_counter()
 
@@ -316,7 +295,6 @@ class IncrementalCloudWalker:
             "rows_seconds": splice_start - rows_start,
             "splice_seconds": solve_start - splice_start,
             "solve_seconds": end - solve_start,
-            "reachability": self.reachability,
         }
 
     # ------------------------------------------------------------------ #

@@ -229,12 +229,10 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         params: Optional[SimRankParams] = None,
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
-        reachability: str = "interval",
     ) -> None:
         super().__init__(
             graph, params=params, exact=exact,
             stream_per_source=True, warm_start=False,
-            reachability=reachability,
         )
         self.plan = plan
         self.backend = backend or SerialBackend()
@@ -254,7 +252,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         sharding: ShardingParams,
         params: Optional[SimRankParams] = None,
         exact: bool = False,
-        reachability: str = "interval",
     ) -> "ShardedIncrementalWalker":
         """Construct plan, backend and walker from a :class:`ShardingParams`."""
         return cls(
@@ -263,7 +260,6 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             params=params,
             exact=exact,
             backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
-            reachability=reachability,
         )
 
     def _build_rows(self, graph: DiGraph, sources) -> sparse.csr_matrix:
@@ -310,7 +306,7 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             )
         clone = ShardedIncrementalWalker(
             self.graph, plan, params=self.params, exact=self.exact,
-            backend=self.backend, reachability=self.reachability,
+            backend=self.backend,
         )
         clone.attach(self.index, system=self._system)
         return clone

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Optional
 
 from repro.config import SimRankParams
-from repro.core import reachability
 from repro.core.montecarlo import WalkDistributions
 from repro.errors import ConfigurationError
 
@@ -136,7 +135,7 @@ class WalkDistributionCache:
 
         This is the graph-mutation hook: when edges are inserted, only the
         sources inside the forward ball of the new edges' heads
-        (:func:`repro.core.reachability.reachable_set`) have stale
+        (:func:`repro.core.walks.forward_reachable_set`) have stale
         distributions, and a key's node identifies its source — so exactly
         those entries are removed, across *all* ``(steps, walkers, seed)``
         variants of each node, and every other entry stays hot.  Removals
@@ -149,23 +148,6 @@ class WalkDistributionCache:
             del self._entries[key]
         self.stats.invalidations += len(stale_keys)
         return len(stale_keys)
-
-    def invalidate_reachable(self, graph: Any, heads: Iterable[int],
-                             steps: int, mode: str = "interval") -> int:
-        """Drop the entries a mutation with the given edge heads stales.
-
-        Convenience radius-query form of :meth:`invalidate_sources`: the
-        stale sources are the bounded forward ball around ``heads`` on the
-        *post-mutation* ``graph``, computed by
-        :func:`repro.core.reachability.reachable_set` in the requested
-        ``mode`` (``"interval"`` window labels or the ``"bfs"`` oracle —
-        identical sets either way).  The service's own mutation path passes
-        the walker's already-computed affected set to
-        :meth:`invalidate_sources` instead, so routing runs once per drain;
-        this entry point serves callers that only know the edge batch.
-        """
-        ball = reachability.reachable_set(graph, heads, steps, mode=mode)
-        return self.invalidate_sources(ball)
 
     def clear(self) -> None:
         """Drop every entry (the stats counters are kept)."""

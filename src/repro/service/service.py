@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import ServiceParams, SimRankParams, UpdateParams
-from repro.core import kernels, montecarlo
+from repro.core import montecarlo
 from repro.core.index import DiagonalIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import QueryEngine, rank_top_k
@@ -118,10 +118,6 @@ class QueryService:
         self.params = params or index.params
         self.service_params = service_params or ServiceParams()
         self.update_params = update_params or UpdateParams()
-        # Select the kernel tier for this process (oracles vs jitted twins;
-        # falls back to the oracles when numba is absent — see
-        # repro.core.kernels).  Answers are bitwise-identical either way.
-        kernels.request(self.service_params.kernels)
         self.engine = QueryEngine(graph, index, self.params)
         self.budget_calibration = None
         self.query_params = self._derive_query_params()
@@ -574,13 +570,10 @@ class QueryService:
             **self._counters,
             "index_version": self._version,
             "pending_updates": self.pending_updates,
-            "reachability": self.update_params.reachability,
             "approx_mode": self.query_params is not self.params,
             "accuracy_budget": self.service_params.accuracy_budget,
             "query_walkers_served": self.query_params.query_walkers,
             "walk_steps_served": self.query_params.walk_steps,
-            "kernels_requested": kernels.requested(),
-            "kernels_active": kernels.active(),
             "cache_size": len(self.cache),
             "cache_capacity": self.cache.capacity,
             "cache_memory_bytes": self.cache.memory_bytes(),

@@ -75,7 +75,7 @@ from repro.config import (
     SimRankParams,
     UpdateParams,
 )
-from repro.core import kernels, montecarlo
+from repro.core import montecarlo
 from repro.core.index import (
     DiagonalIndex,
     ShardedIndex,
@@ -348,7 +348,6 @@ class ShardedQueryService(QueryService):
             graph, plan, params=params, exact=update_params.exact,
             backend=make_backend(sharding.backend,
                                  max_workers=sharding.max_workers),
-            reachability=update_params.reachability,
         )
         mutator = GraphMutator(graph, params, update_params, walker=walker)
         index = mutator.build()
@@ -425,7 +424,6 @@ class ShardedQueryService(QueryService):
                 exact=update_params.exact,
                 backend=make_backend(service.sharding.backend,
                                      max_workers=service.sharding.max_workers),
-                reachability=update_params.reachability,
             )
             walker.attach(service.index, system=system)
             service._mutator = GraphMutator(graph, service.params, update_params,
@@ -567,7 +565,6 @@ class ShardedQueryService(QueryService):
                 exact=self.update_params.exact,
                 backend=make_backend(self.sharding.backend,
                                      max_workers=self.sharding.max_workers),
-                reachability=self.update_params.reachability,
             )
             # Attaching estimates the linear system once — shard-by-shard,
             # concurrently — exactly like the single-shard attach but with
@@ -989,8 +986,6 @@ class ShardedQueryService(QueryService):
             "accuracy_budget": self.service_params.accuracy_budget,
             "query_walkers_served": self.query_params.query_walkers,
             "walk_steps_served": self.query_params.walk_steps,
-            "kernels_requested": kernels.requested(),
-            "kernels_active": kernels.active(),
             "num_shards": self.num_shards,
             "shard_strategy": self.plan.strategy,
             "plan_generation": self._plan_generation,

@@ -15,9 +15,9 @@ Correctness contract (see ``docs/architecture.md``):
   so after any sequence of updates the index is **bitwise-identical** to one
   built from scratch on the updated graph;
 * the affected set is the forward ball of radius ``T`` around the new
-  edges' heads (:func:`repro.core.reachability.reachable_set`, interval
-  mode by default) — sources outside it have bitwise-unchanged walk
-  distributions, which is what makes keeping their cache entries safe.
+  edges' heads (:func:`repro.core.walks.forward_reachable_set`) — sources
+  outside it have bitwise-unchanged walk distributions, which is what
+  makes keeping their cache entries safe.
 
 Example
 -------
@@ -70,8 +70,7 @@ class MutationResult:
         Wall-clock cost of the incremental re-index.
     routing_seconds:
         The slice of ``update_seconds`` spent computing the affected set
-        (the part ``UpdateParams.reachability`` switches between the BFS
-        sweep and the interval labels).
+        (:func:`repro.core.walks.forward_reachable_set`).
     graph_seconds, rows_seconds, splice_seconds, solve_seconds:
         The other phases of the walker's ``add_edges`` — merging the edges
         into the graph, re-estimating the affected rows, splicing them into
@@ -135,7 +134,6 @@ class GraphMutator:
             exact=self.update_params.exact,
             stream_per_source=True,
             warm_start=False,
-            reachability=self.update_params.reachability,
         )
         self._pending: List[Edge] = []
 
@@ -294,22 +292,16 @@ class GraphMutator:
         callers may pass raw edges.  Returns None when nothing new is left.
         """
         batch = self._validated(edges)
-        seen = set()
-        fresh: List[Edge] = []
-        for u, v in batch:
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            in_range = u < self.graph.n_nodes and v < self.graph.n_nodes
-            if in_range and self.graph.has_edge(u, v):
-                continue
-            fresh.append((u, v))
-        if not fresh:
-            return None
+        edges_before = self.graph.n_edges
         start = time.perf_counter()
-        info = self._walker.add_edges(fresh)
+        # The walker drops edges the graph already has (and duplicates), so
+        # the edge count tells how many insertions were new.
+        info = self._walker.add_edges(batch)
+        edges_added = self.graph.n_edges - edges_before
+        if not edges_added:
+            return None
         return MutationResult(
-            edges_added=len(fresh),
+            edges_added=edges_added,
             new_nodes=int(info["new_nodes"]),
             affected=frozenset(info["affected"]),
             update_seconds=time.perf_counter() - start,

@@ -40,9 +40,6 @@ def _full_results(directory):
            {"min_speedup_at_4": 2.7,
             "speedup_at_4": {"threads": 2.7, "processes": 3.0},
             "gate_passed": True, "all_identical": True,
-            "kernels": {"numba_available": False,
-                        "bitwise_identical": True,
-                        "combine_pair_speedup": None},
             "rows": [
                 {"backend": "serial", "workers": 0,
                  "payload_bytes_per_task": 0,

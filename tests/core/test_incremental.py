@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import SimRankParams
 from repro.core.diagonal import build_diagonal_index
-from repro.core.incremental import IncrementalCloudWalker, affected_sources
+from repro.core.incremental import PHASES, IncrementalCloudWalker
 from repro.core.walks import forward_reachable_set
 from repro.errors import ConfigurationError
 from repro.graph import generators
@@ -24,28 +24,38 @@ def graph():
 
 
 class TestAffectedSources:
+    """The affected set of an in-link change is the forward ball of its heads."""
+
     def test_chain_propagation(self):
         # 0 -> 1 -> 2 -> 3 -> 4; changing In(1) affects nodes reachable from 1.
         chain = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert affected_sources(chain, [1], steps=1) == {1, 2}
-        assert affected_sources(chain, [1], steps=3) == {1, 2, 3, 4}
-        assert affected_sources(chain, [4], steps=2) == {4}
+        assert forward_reachable_set(chain, [1], steps=1) == {1, 2}
+        assert forward_reachable_set(chain, [1], steps=3) == {1, 2, 3, 4}
+        assert forward_reachable_set(chain, [4], steps=2) == {4}
 
     def test_multiple_heads(self):
         chain = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert affected_sources(chain, [0, 3], steps=1) == {0, 1, 3, 4}
+        assert forward_reachable_set(chain, [0, 3], steps=1) == {0, 1, 3, 4}
 
     def test_cycle_saturates(self):
         cycle = generators.cycle_graph(4)
-        assert affected_sources(cycle, [0], steps=10) == {0, 1, 2, 3}
+        assert forward_reachable_set(cycle, [0], steps=10) == {0, 1, 2, 3}
 
-    def test_delegates_to_shared_bfs_helper(self):
-        # The service's cache invalidation uses forward_reachable_set
-        # directly; both callers must always see the same set.
+    def test_delegates_to_shared_bfs_helper(self, params):
+        # The service invalidates its caches with the walker's affected set,
+        # so that set must be exactly the shared BFS helper's ball around the
+        # heads of the edges that are new — on the updated graph.
         graph = generators.copying_model_graph(40, out_degree=3, seed=9)
-        for heads, steps in ([5], 2), ([1, 17], 4), ([0], 0):
-            assert affected_sources(graph, heads, steps) == \
-                forward_reachable_set(graph, heads, steps)
+        walker = IncrementalCloudWalker(graph, params=params)
+        walker.build()
+        present = tuple(int(x) for x in graph.edge_array()[0])
+        for batch in [(1, 5)], [(2, 1), (3, 17), present], [(0, 40), (40, 7)]:
+            heads = {v for u, v in batch if (u, v) != present}
+            old_n = walker.graph.n_nodes
+            info = walker.add_edges(batch)
+            assert info["affected"] == forward_reachable_set(
+                walker.graph, heads, params.walk_steps
+            ) | set(range(old_n, walker.graph.n_nodes))
 
 
 class TestIncrementalExact:
@@ -91,6 +101,33 @@ class TestIncrementalExact:
         info = maintainer.add_edges([])
         assert info["affected_rows"] == 0
         assert np.array_equal(maintainer.index.diagonal, before)
+
+    @pytest.mark.parametrize("stream_per_source", [False, True])
+    def test_readding_present_edges_is_noop(self, graph, params,
+                                            stream_per_source):
+        """Edges the graph already has cost nothing and change nothing —
+        not the graph, the system, the diagonal or the next update's
+        random stream."""
+        def build():
+            walker = IncrementalCloudWalker(
+                graph, params=params, stream_per_source=stream_per_source)
+            walker.build()
+            return walker
+
+        maintainer, untouched = build(), build()
+        present = [tuple(int(x) for x in edge) for edge in graph.edge_array()[:2]]
+        state = (maintainer.graph, maintainer.system, maintainer.index)
+        info = maintainer.add_edges(present + present[:1])
+        assert info["affected"] == frozenset()
+        assert info["affected_rows"] == info["new_nodes"] == 0
+        assert all(info[key] == 0.0 for key in ("update_seconds",) + PHASES)
+        assert (maintainer.graph, maintainer.system, maintainer.index) == state
+        # A present edge riding along with a new one adds no head of its own
+        # and the update after a no-op draws what it would have drawn anyway.
+        mixed = maintainer.add_edges(present + [(0, 30)])
+        alone = untouched.add_edges([(0, 30)])
+        assert mixed["affected"] == alone["affected"]
+        assert np.array_equal(maintainer.index.diagonal, untouched.index.diagonal)
 
 
 class TestIncrementalMonteCarlo:
@@ -218,8 +255,6 @@ class TestBitwiseReproducibility:
         assert np.count_nonzero(ours.data) == ours.nnz == len(ours.data)
 
     def test_summary_phases_partition_the_update(self, graph, params):
-        from repro.core.incremental import PHASES
-
         maintainer = self._fresh(graph, params)
         info = maintainer.add_edges([(0, 30), (5, graph.n_nodes)])
         assert all(info[phase] >= 0.0 for phase in PHASES)

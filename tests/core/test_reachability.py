@@ -1,28 +1,23 @@
-"""Interval-labeled reachability: equivalence with the BFS oracle.
+"""Update routing: ``walks.forward_reachable_set`` and the walker that uses it.
 
-The contract under test is exact set equality — the interval path may only
-ever be a faster route to the *identical* affected set, because the service's
-bitwise-reproducibility story hangs off "same affected set -> same
-re-estimated rows -> same index".
+``forward_reachable_set`` is the only answer the system has to "which rows
+does this edge batch touch", and the bitwise-reproducibility story hangs off
+it: same affected set -> same re-estimated rows -> same index.  It is checked
+here against an oracle that shares nothing with it — a BFS over a plain
+``{node: successors}`` dict built from the raw edge list, never from the CSR
+arrays — and the walker's routed updates against a from-scratch build.
 """
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import SimRankParams
 from repro.core import walks
-from repro.core.incremental import IncrementalCloudWalker, affected_sources
-from repro.core.reachability import (
-    REACHABILITY_MODES,
-    ReachabilityIndex,
-    _REBUILD_AFTER_EXTENSIONS,
-    build_labels,
-    extend_labels,
-    interval_reachable_set,
-    reachable_set,
-    shared_labels,
-)
-from repro.errors import ConfigurationError, NodeNotFoundError
+from repro.core.incremental import IncrementalCloudWalker
 from repro.graph.digraph import DiGraph
+
+WALK_STEPS = 10  # the paper's T
 
 
 def random_graph(rng, n_nodes, n_edges):
@@ -31,177 +26,86 @@ def random_graph(rng, n_nodes, n_edges):
     return DiGraph(n_nodes, [(int(u), int(v)) for u, v in edges])
 
 
-class TestIntervalEqualsBfs:
-    def test_random_graphs_seeds_and_radii(self):
-        rng = np.random.default_rng(20150801)
-        for _ in range(40):
-            n_nodes = int(rng.integers(2, 120))
-            graph = random_graph(rng, n_nodes, int(rng.integers(0, 4 * n_nodes)))
-            labels = build_labels(graph)
-            for _ in range(6):
-                n_seeds = int(rng.integers(1, min(n_nodes, 6) + 1))
-                seeds = [int(s) for s in rng.integers(0, n_nodes, size=n_seeds)]
-                steps = int(rng.integers(0, 12))
-                expected = walks.forward_reachable_set(graph, seeds, steps)
-                assert interval_reachable_set(
-                    graph, seeds, steps, labels=labels
-                ) == expected
-
-    def test_repeated_queries_on_shared_labels(self):
-        """The reusable distance scratch must leave no residue between
-        queries — ask overlapping questions back to back."""
-        rng = np.random.default_rng(7)
-        graph = random_graph(rng, 80, 200)
-        labels = build_labels(graph)
-        for steps in (1, 3, 3, 7, 2, 7, 1):
-            seeds = [int(s) for s in rng.integers(0, 80, size=3)]
-            assert interval_reachable_set(
-                graph, seeds, steps, labels=labels
-            ) == walks.forward_reachable_set(graph, seeds, steps)
-
-    def test_trivial_radii_match_oracle_contract(self):
-        graph = DiGraph(5, [(0, 1), (1, 2)])
-        for steps in (0, -2):
-            assert interval_reachable_set(graph, [2, 0, 2], steps) == {0, 2}
-            assert reachable_set(graph, [2, 0, 2], steps, mode="interval") == {0, 2}
-        assert interval_reachable_set(graph, [], 4) == set()
-        with pytest.raises(NodeNotFoundError):
-            interval_reachable_set(graph, [9], 0)
-
-    def test_huge_radius_is_clamped_not_overflowed(self):
-        rng = np.random.default_rng(11)
-        graph = random_graph(rng, 50, 140)
-        expected = walks.forward_reachable_set(graph, [3, 7], 10**12)
-        assert interval_reachable_set(graph, [3, 7], 10**12) == expected
-
-    def test_mode_dispatch_and_validation(self):
-        graph = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
-        assert reachable_set(graph, [0], 2, mode="bfs") == {0, 1, 2}
-        assert reachable_set(graph, [0], 2, mode="interval") == {0, 1, 2}
-        with pytest.raises(ConfigurationError):
-            reachable_set(graph, [0], 2, mode="dfs")
-        assert set(REACHABILITY_MODES) == {"bfs", "interval"}
-
-    def test_affected_sources_modes_agree(self):
-        rng = np.random.default_rng(3)
-        graph = random_graph(rng, 60, 150)
-        heads = [int(h) for h in rng.integers(0, 60, size=4)]
-        assert affected_sources(graph, heads, 5, mode="interval") == \
-            affected_sources(graph, heads, 5, mode="bfs")
+def naive_ball(edges, seeds, steps):
+    """Forward ball by set arithmetic over a dict adjacency."""
+    successors = {}
+    for u, v in edges:
+        successors.setdefault(u, set()).add(v)
+    ball = frontier = set(seeds)
+    for _ in range(steps):
+        frontier = {w for v in frontier for w in successors.get(v, ())} - ball
+        if not frontier:
+            break
+        ball = ball | frontier
+    return ball
 
 
-class TestLabelLifecycle:
-    def test_extension_lineage_stays_exact(self):
-        rng = np.random.default_rng(42)
-        for trial in range(12):
-            n_nodes = int(rng.integers(3, 50))
-            graph = random_graph(rng, n_nodes, int(rng.integers(1, 3 * n_nodes)))
-            labels = build_labels(graph)
-            for _ in range(5):
-                new_n = graph.n_nodes + int(rng.integers(0, 3))
-                new_edges = []
-                while len(new_edges) < int(rng.integers(1, 4)):
-                    u = int(rng.integers(0, new_n))
-                    v = int(rng.integers(0, new_n))
-                    if u != v:
-                        new_edges.append((u, v))
-                combined = [
-                    (int(u), int(v)) for u, v in graph.edge_array()
-                ] + new_edges
-                graph = DiGraph(new_n, combined)
-                labels = extend_labels(labels, new_n, new_edges)
-                seeds = [int(s) for s in rng.integers(0, new_n, size=3)]
-                steps = int(rng.integers(0, 8))
-                assert interval_reachable_set(
-                    graph, seeds, steps, labels=labels
-                ) == walks.forward_reachable_set(graph, seeds, steps)
+def edges_among(n_nodes, max_edges):
+    node = st.integers(0, n_nodes - 1)
+    return st.lists(st.tuples(node, node), max_size=max_edges)
 
-    def test_extend_rejects_shrink(self):
-        labels = build_labels(DiGraph(4, [(0, 1)]))
-        with pytest.raises(ConfigurationError):
-            extend_labels(labels, 3, [])
 
-    def test_shared_labels_keyed_by_identity(self):
-        graph = DiGraph(5, [(0, 1), (1, 2)])
-        twin = DiGraph(5, [(0, 1), (1, 2)])
-        assert shared_labels(graph) is shared_labels(graph)
-        assert shared_labels(graph) is not shared_labels(twin)
+class TestForwardBallAgainstNaiveOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_dict_adjacency_bfs(self, data):
+        n_nodes = data.draw(st.integers(1, 24), label="n_nodes")
+        edges = data.draw(edges_among(n_nodes, 80), label="edges")
+        graph = DiGraph(n_nodes, edges)
+        # One with_edges growth step: the graph routing actually runs on is
+        # the merged snapshot, possibly with nodes the old one lacked.
+        grown_n = n_nodes + data.draw(st.integers(0, 3), label="new_nodes")
+        extra = data.draw(edges_among(grown_n, 8), label="extra")
+        grown = graph.with_edges(extra, n_nodes=grown_n)
 
-    def test_index_rebuilds_after_extension_budget(self):
-        rng = np.random.default_rng(5)
-        graph = random_graph(rng, 30, 60)
-        index = ReachabilityIndex("interval")
-        index.prepare(graph)
-        for step in range(_REBUILD_AFTER_EXTENSIONS + 3):
-            new_edges = [(int(rng.integers(0, 30)), int(rng.integers(0, 30)))]
-            if new_edges[0][0] == new_edges[0][1]:
-                new_edges = [(0, 29)]
-            combined = [
-                (int(u), int(v)) for u, v in graph.edge_array()
-            ] + new_edges
-            new_graph = DiGraph(30, combined)
-            index.advance(graph, new_graph, new_edges)
-            graph = new_graph
-            assert index.labels.extensions <= _REBUILD_AFTER_EXTENSIONS
-            seeds = [int(rng.integers(0, 30))]
-            assert index.query(graph, seeds, 4) == \
-                walks.forward_reachable_set(graph, seeds, 4)
-
-    def test_index_handles_unseen_graph_and_bfs_mode(self):
-        graph = DiGraph(6, [(0, 1), (1, 2), (3, 4)])
-        for mode in REACHABILITY_MODES:
-            index = ReachabilityIndex(mode)
-            # No prepare/advance: the query must still be exact.
-            assert index.query(graph, [0], 2) == {0, 1, 2}
-        with pytest.raises(ConfigurationError):
-            ReachabilityIndex("frontier")
-
-    def test_broken_lineage_falls_back_to_rebuild(self):
-        base = DiGraph(5, [(0, 1), (1, 2)])
-        other = DiGraph(5, [(0, 1), (1, 2), (2, 3)])
-        follow = DiGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        index = ReachabilityIndex("interval")
-        index.prepare(base)
-        # Advance claims `other` as the base, which the index never saw.
-        index.advance(other, follow, [(3, 4)])
-        assert index.query(follow, [0], 4) == {0, 1, 2, 3, 4}
+        for on_graph, its_edges in ((graph, edges), (grown, edges + extra)):
+            n = on_graph.n_nodes
+            seeds = data.draw(
+                st.lists(st.integers(0, n - 1), max_size=6), label="seeds")
+            steps = data.draw(
+                st.sampled_from([-2, 0, 1, 2, WALK_STEPS, n + 5, 10**12]),
+                label="steps")
+            result = walks.forward_reachable_set(on_graph, seeds, steps)
+            assert result == naive_ball(its_edges, seeds, steps)
+            assert all(type(node) is int for node in result)
 
 
 class TestWalkerRouting:
     def test_walker_modes_produce_identical_summaries_and_systems(self):
-        from repro.config import SimRankParams
-
+        """An updated walker and one built from scratch on the same graph
+        agree on every byte, batch after batch, and each summary's affected
+        set is the forward ball of the batch's heads."""
         rng = np.random.default_rng(9)
         graph = random_graph(rng, 40, 90)
         params = SimRankParams.fast_defaults()
-        walkers = {}
-        for mode in REACHABILITY_MODES:
+
+        def fresh(on_graph):
             walker = IncrementalCloudWalker(
-                graph, params=params, stream_per_source=True,
-                warm_start=False, reachability=mode,
+                on_graph, params=params, stream_per_source=True,
+                warm_start=False,
             )
             walker.build()
-            walkers[mode] = walker
+            return walker
+
+        walker = fresh(graph)
         for _ in range(4):
             batch = []
             while len(batch) < 3:
-                u = int(rng.integers(0, walkers["bfs"].graph.n_nodes))
-                v = int(rng.integers(0, walkers["bfs"].graph.n_nodes))
+                u = int(rng.integers(0, walker.graph.n_nodes))
+                v = int(rng.integers(0, walker.graph.n_nodes))
                 if u != v:
                     batch.append((u, v))
-            infos = {
-                mode: walkers[mode].add_edges(batch)
-                for mode in REACHABILITY_MODES
-            }
-            assert infos["bfs"]["affected"] == infos["interval"]["affected"]
-            assert infos["interval"]["reachability"] == "interval"
-            assert infos["interval"]["routing_seconds"] >= 0.0
-            bfs_sys = walkers["bfs"].system
-            int_sys = walkers["interval"].system
-            assert np.array_equal(bfs_sys.data, int_sys.data)
-            assert np.array_equal(bfs_sys.indices, int_sys.indices)
-            assert np.array_equal(bfs_sys.indptr, int_sys.indptr)
-            assert np.array_equal(
-                walkers["bfs"].index.diagonal,
-                walkers["interval"].index.diagonal,
-            )
+            new_heads = {v for u, v in batch if not walker.graph.has_edge(u, v)}
+            info = walker.add_edges(batch)
+            assert info["affected"] == walks.forward_reachable_set(
+                walker.graph, new_heads, params.walk_steps)
+            assert info["affected_rows"] == len(info["affected"])
+            assert info["routing_seconds"] >= 0.0
+            assert "reachability" not in info
+            reference = fresh(DiGraph(
+                walker.graph.n_nodes, walker.graph.edge_array()))
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(walker.system, name),
+                                      getattr(reference.system, name)), name
+            assert np.array_equal(walker.index.diagonal,
+                                  reference.index.diagonal)

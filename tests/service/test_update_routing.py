@@ -1,26 +1,19 @@
-"""Update routing through the reachability switch, end to end.
+"""Update routing through the services, end to end.
 
-``UpdateParams.reachability`` selects how the service computes "which rows
-does this edge batch touch / which cache entries die".  These tests drive
-two identically built services — one per mode — through the same mutation
-stream and assert the observable outcomes are *identical*: affected sets,
-cache-eviction sets, served answers, and index bytes.  The sharded variant
+Each test drives a service through a mutation stream and, after every
+batch, holds it against a service built from scratch on the same graph:
+the affected set is the forward ball of the new edges' heads, the cache
+entries dropped are exactly the cached part of that ball, and served
+answers and index bytes are the from-scratch ones.  The sharded variant
 additionally flips the shard plan mid-stream (a forced rebalance) to prove
-the routing switch survives plan migration.
+routing survives plan migration.
 """
 
 import numpy as np
-import pytest
 
-from repro.config import (
-    ServiceParams,
-    ShardingParams,
-    SimRankParams,
-    UpdateParams,
-)
-from repro.core.reachability import REACHABILITY_MODES
-from repro.errors import ConfigurationError
-from repro.graph import generators
+from repro.config import ShardingParams
+from repro.core.walks import forward_reachable_set
+from repro.graph.digraph import DiGraph
 from repro.service import (
     PairQuery,
     QueryService,
@@ -53,118 +46,53 @@ def cached_nodes(service):
     return {key.node for cache in caches for key in cache._entries}
 
 
-class TestUpdateParamsSwitch:
-    def test_validation_and_round_trip(self):
-        assert UpdateParams().reachability == "interval"
-        assert UpdateParams(reachability="bfs").reachability == "bfs"
-        with pytest.raises(ConfigurationError):
-            UpdateParams(reachability="dfs")
-        params = UpdateParams(reachability="bfs")
-        assert UpdateParams.from_dict(params.to_dict()) == params
+def add_edges_checked(service, batch):
+    """Apply ``batch``; check its affected set and evictions against the ball."""
+    # Re-fill the cache so there is something for the update to evict.
+    service.run_batch(QUERIES)
+    before = cached_nodes(service)
+    new_heads = {v for u, v in batch if not service.graph.has_edge(u, v)}
+    result = service.add_edges(batch)
+    ball = forward_reachable_set(
+        service.graph, new_heads, service.params.walk_steps)
+    assert result.affected == ball
+    assert before - cached_nodes(service) == before & ball
+    assert result.routing_seconds >= 0.0
+    return result
 
-    def test_stats_surface_the_mode(self, service_graph, service_index,
-                                    service_params):
-        for mode in REACHABILITY_MODES:
-            service = QueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-            )
-            assert service.stats()["reachability"] == mode
+
+def assert_serves_like_a_fresh_build(service):
+    reference = QueryService.build(
+        DiGraph(service.graph.n_nodes, service.graph.edge_array()),
+        service.params)
+    assert np.array_equal(service.index.diagonal, reference.index.diagonal)
+    for ours, theirs in zip(service.run_batch(QUERIES),
+                            reference.run_batch(QUERIES)):
+        assert np.array_equal(ours, theirs)
 
 
 class TestSingleShardEquivalence:
     def test_modes_agree_on_affected_evictions_and_answers(
             self, service_graph, service_index, service_params):
-        services = {
-            mode: QueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-            )
-            for mode in REACHABILITY_MODES
-        }
+        service = QueryService(service_graph, service_index, service_params)
         for batch in edge_batches(service_graph.n_nodes, 4, 3, seed=101):
-            outcomes = {}
-            for mode, service in services.items():
-                # Re-fill the cache so every mode evicts from the same pool.
-                service.run_batch(QUERIES)
-                before = cached_nodes(service)
-                result = service.add_edges(batch)
-                evicted = before - cached_nodes(service)
-                outcomes[mode] = (result, evicted)
-            bfs_result, bfs_evicted = outcomes["bfs"]
-            int_result, int_evicted = outcomes["interval"]
-            assert int_result.affected == bfs_result.affected
-            assert int_evicted == bfs_evicted
-            assert int_result.routing_seconds >= 0.0
-            answers = {
-                mode: list(service.run_batch(QUERIES))
-                for mode, service in services.items()
-            }
-            for left, right in zip(answers["bfs"], answers["interval"]):
-                if isinstance(left, float):
-                    assert left == right
-                elif isinstance(left, list):
-                    assert left == right
-                else:
-                    assert np.array_equal(left, right)
-            assert np.array_equal(
-                services["bfs"].index.diagonal,
-                services["interval"].index.diagonal,
-            )
+            add_edges_checked(service, batch)
+            assert_serves_like_a_fresh_build(service)
 
 
 class TestShardedEquivalenceAcrossPlanFlips:
     def test_rebalance_does_not_split_the_modes(self, service_graph,
                                                 service_index,
                                                 service_params):
-        services = {
-            mode: ShardedQueryService(
-                service_graph, service_index, service_params,
-                update_params=UpdateParams(reachability=mode),
-                sharding=ShardingParams(num_shards=3, strategy="hash"),
-            )
-            for mode in REACHABILITY_MODES
-        }
+        service = ShardedQueryService(
+            service_graph, service_index, service_params,
+            sharding=ShardingParams(num_shards=3, strategy="hash"),
+        )
         batches = edge_batches(service_graph.n_nodes, 4, 3, seed=77)
         for step, batch in enumerate(batches):
             if step == 2:
-                # Flip the plan mid-stream; the walker clone must inherit
-                # the routing mode (with_plan passes it through).
-                for mode, service in services.items():
-                    report = service.rebalance(force=True)
-                    assert report["applied"]
-                    walker = service._ensure_mutator().walker
-                    assert walker.reachability == mode
-            outcomes = {}
-            for mode, service in services.items():
-                service.run_batch(QUERIES)
-                before = cached_nodes(service)
-                result = service.add_edges(batch)
-                evicted = before - cached_nodes(service)
-                outcomes[mode] = (result.affected, evicted)
-            assert outcomes["bfs"] == outcomes["interval"]
-        assert np.array_equal(
-            services["bfs"].index.diagonal,
-            services["interval"].index.diagonal,
-        )
-
-
-class TestCacheRadiusQuery:
-    def test_invalidate_reachable_matches_invalidate_sources(
-            self, service_graph, service_index, service_params):
-        from repro.core import walks
-
-        rng = np.random.default_rng(19)
-        heads = [int(h) for h in rng.integers(0, service_graph.n_nodes, size=3)]
-        steps = service_params.walk_steps
-        ball = walks.forward_reachable_set(service_graph, heads, steps)
-        for mode in REACHABILITY_MODES:
-            service = QueryService(service_graph, service_index, service_params)
-            service.run_batch(QUERIES)
-            reference = QueryService(service_graph, service_index,
-                                     service_params)
-            reference.run_batch(QUERIES)
-            dropped = service.cache.invalidate_reachable(
-                service_graph, heads, steps, mode=mode)
-            assert dropped == reference.cache.invalidate_sources(ball)
-            assert cached_nodes(service) == cached_nodes(reference)
+                # Flip the plan mid-stream: the walker clone adopts the
+                # maintained system, so routing carries on from it.
+                assert service.rebalance(force=True)["applied"]
+            add_edges_checked(service, batch)
+            assert_serves_like_a_fresh_build(service)
