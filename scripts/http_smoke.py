@@ -8,12 +8,19 @@ a real child process:
 2. start ``repro serve-http`` with the **processes** serve backend (the
    one that owns shared-memory segments and worker pools) on an ephemeral
    port, waiting for the startup announcement,
-3. apply a couple of seconds of concurrent query/update/health load from
+3. probe the ranked-answer cache entries: the same ``topk`` line posted
+   twice returns byte-identical JSON, the second served from a ranking
+   entry (``cache_ranking_hits`` in ``/stats`` moves by exactly one),
+4. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
-4. send SIGTERM and require the graceful path: exit code 0 and the
+5. probe again after the load's waited live update: the reply carries the
+   bumped ``index_version`` and equals what a fresh single-shard
+   ``QueryService`` built on the updated graph answers — the update
+   dropped the ranking entry instead of serving it stale,
+6. send SIGTERM and require the graceful path: exit code 0 and the
    ``shutdown complete`` line (the drain ran, requests were answered, not
    dropped),
-5. compare ``/dev/shm`` before and after — a ``psm_*`` segment created
+7. compare ``/dev/shm`` before and after — a ``psm_*`` segment created
    during the run that survives the server's exit is a leaked resident
    graph or worker-pool segment, and the script exits non-zero.
 
@@ -49,6 +56,11 @@ INDEX_WALKERS = 20
 QUERY_WALKERS = 200
 WALK_STEPS = 4
 N_LOAD_THREADS = 4
+UPDATE_EDGES = [[0, 200], [3, 150]]
+#: The ranking-entry probe's query: the head of a new edge, so the update
+#: changes its answer (a stale entry cannot pass), and outside the load
+#: threads' ``0..19`` range, so only the probe ever asks for it.
+PROBE_LINE = "topk 200 5"
 
 
 def _cli_env() -> dict:
@@ -135,6 +147,71 @@ def _load_worker(port: int, deadline: float,
         connection.close()
 
 
+def _request(port: int, method: str, path: str, payload=None) -> bytes:
+    """One request on a fresh connection; returns the raw 200 body."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+        connection.request(method, path, body,
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        raw = response.read()
+        if response.status != 200:
+            raise RuntimeError(f"{method} {path} answered {response.status}: "
+                               f"{raw[:200]!r}")
+        return raw
+    finally:
+        connection.close()
+
+
+def _ranking_hits(port: int) -> int:
+    return json.loads(_request(port, "GET", "/stats"))["cache_ranking_hits"]
+
+
+def _probe_repeat(port: int) -> int:
+    """The probe line twice: identical bytes, second from a ranking entry.
+
+    Runs before the load starts, so the counter delta is exact.  Returns
+    the index version the replies carried.
+    """
+    hits = _ranking_hits(port)
+    first = _request(port, "POST", "/query", {"queries": [PROBE_LINE]})
+    second = _request(port, "POST", "/query", {"queries": [PROBE_LINE]})
+    if first != second:
+        raise RuntimeError(f"repeated {PROBE_LINE!r} answered differently:\n"
+                           f"{first!r}\n{second!r}")
+    served = _ranking_hits(port) - hits
+    if served != 1:
+        raise RuntimeError(f"repeating {PROBE_LINE!r} moved cache_ranking_hits "
+                           f"by {served}, expected exactly 1")
+    return json.loads(first)["index_version"]
+
+
+def _probe_after_update(port: int, graph: Path, index: Path,
+                        version_before: int) -> None:
+    """The probe line after the waited update: bumped version, fresh answer."""
+    sys.path.insert(0, str(SRC_DIR))
+    from repro.core.index import DiagonalIndex
+    from repro.graph import io
+    from repro.service import QueryService, parse_query
+    from repro.service.http import encode_answer
+
+    reply = json.loads(_request(port, "POST", "/query",
+                                {"queries": [PROBE_LINE]}))
+    if reply["index_version"] != version_before + 1:
+        raise RuntimeError(f"index_version {reply['index_version']} after the "
+                           f"update, expected {version_before + 1}")
+    updated = io.read_edge_list(graph, relabel=False).with_edges(
+        [tuple(edge) for edge in UPDATE_EDGES])
+    reference = QueryService.build(updated, DiagonalIndex.load(index).params)
+    query = parse_query(PROBE_LINE)
+    expected = encode_answer(query, reference.run_batch([query])[0])
+    if reply["answers"] != [expected]:
+        raise RuntimeError(f"{PROBE_LINE!r} after the update answered "
+                           f"{reply['answers']}, a fresh build answers "
+                           f"{[expected]}")
+
+
 def _apply_load(port: int, seconds: float) -> dict:
     outcome = {"requests": 0, "failures": 0, "errors": []}
     lock = threading.Lock()
@@ -147,20 +224,13 @@ def _apply_load(port: int, seconds: float) -> dict:
     for thread in threads:
         thread.start()
     # One live update mid-load, waited so the drain path runs under load.
-    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
-        body = json.dumps({"edges": [[0, 200], [3, 150]],
-                           "wait": True}).encode("utf-8")
-        connection.request("POST", "/update", body,
-                           {"Content-Type": "application/json"})
-        response = connection.getresponse()
-        payload = json.loads(response.read().decode("utf-8"))
-        if response.status != 200 or "index_version" not in payload:
-            outcome["errors"].append(
-                f"waited update failed: {response.status} {payload}"
-            )
-    finally:
-        connection.close()
+        payload = json.loads(_request(port, "POST", "/update",
+                                      {"edges": UPDATE_EDGES, "wait": True}))
+        if "index_version" not in payload:
+            outcome["errors"].append(f"waited update answered {payload}")
+    except RuntimeError as exc:
+        outcome["errors"].append(f"waited update failed: {exc}")
     for thread in threads:
         thread.join(timeout=seconds + 60)
     return outcome
@@ -188,10 +258,16 @@ def main(argv=None) -> int:
         server = _start_server(graph, index)
         try:
             port = _await_port(server)
-            print(f"http-smoke: server up on port {port}, applying "
+            version = _probe_repeat(port)
+            print(f"http-smoke: server up on port {port}, repeated top-k "
+                  f"served from its ranking entry; applying "
                   f"{args.seconds:.0f}s of load from "
                   f"{N_LOAD_THREADS} threads")
             outcome = _apply_load(port, args.seconds)
+            if not outcome["errors"]:
+                _probe_after_update(port, graph, index, version)
+                print("http-smoke: post-update top-k equals a fresh build's "
+                      f"at index_version {version + 1}")
         except Exception:
             server.kill()
             server.wait(timeout=30)

@@ -282,7 +282,8 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = ServiceParams()
     parser.add_argument("--cache-capacity", dest="cache_capacity", type=int,
                         default=defaults.cache_capacity,
-                        help="walk-distribution cache entries, 0 disables "
+                        help="cached walk distributions (and, counted "
+                             "apart, ranked top-k answers), 0 disables "
                              "(default: %(default)s)")
     parser.add_argument("--max-batch-size", dest="max_batch_size", type=int,
                         default=defaults.max_batch_size,
@@ -359,7 +360,8 @@ def _print_service_stats(service, out) -> None:
     print(f"walk simulations: {stats['sources_simulated']} run, "
           f"{stats['sources_deduplicated']} deduplicated, "
           f"cache hit rate {stats['cache_hit_rate']:.2%} "
-          f"({stats['cache_size']}/{stats['cache_capacity']} entries)", file=out)
+          f"({stats['cache_size']}/{stats['cache_capacity']} distributions, "
+          f"{stats['cache_ranking_entries']} ranked answers)", file=out)
 
 
 def _cmd_query_batch(args: argparse.Namespace, out) -> int:

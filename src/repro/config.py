@@ -147,7 +147,9 @@ class ServiceParams:
     ----------
     cache_capacity:
         Maximum number of per-source walk distributions kept in the LRU
-        cache.  ``0`` disables caching entirely (every query re-simulates).
+        cache, and — counted separately — of ranked top-k answers kept
+        beside them.  ``0`` disables caching entirely (every query
+        re-simulates, re-scores and re-ranks).
     max_batch_size:
         Maximum number of distinct sources simulated in one vectorised
         multi-source walk batch; larger batches amortise per-step overhead

@@ -60,7 +60,7 @@ from repro.service.batching import (
     chunk_sources,
     plan_batch,
 )
-from repro.service.cache import CacheKey, WalkDistributionCache
+from repro.service.cache import CacheKey, Ranking, WalkDistributionCache
 from repro.service.updates import GraphMutator, MutationResult
 
 PathLike = Union[str, os.PathLike]
@@ -345,6 +345,7 @@ class QueryService:
         self.engine = QueryEngine(self.graph, self.index, self.params)
         self._rebuild_query_engine()
         self.cache.invalidate_sources(result.affected)
+        self.cache.drop_rankings()
         self._version += 1
         self._counters["updates_applied"] += 1
         self._counters["edges_added"] += result.edges_added
@@ -391,13 +392,22 @@ class QueryService:
 
         Queued graph updates are applied first, so a batch never runs
         against an index older than updates accepted before it.  The batch
-        then runs as one pipeline — plan, resolve distributions, resolve
-        scores, resolve rankings, assemble — in which every piece of work
-        is done once per *distinct* key: a source's distributions come from
-        the cache or a chunked multi-source walk simulation, its score
-        vector from one block propagation shared with the batch's other
-        sources, and each ``(source, k)`` ranking is computed once however
-        many queries repeat it.  Answer types by query: :class:`PairQuery`
+        then runs as one pipeline — look up rankings, plan, resolve
+        distributions, resolve scores, resolve rankings, assemble — in
+        which every piece of work is done once per *distinct* key.  First
+        each distinct ``(source, k)`` of the batch's top-k queries is
+        looked up as a ranking entry of the cache (key ``(CacheKey, k)``):
+        a hit is the finished answer of an earlier batch at this index
+        version and goes straight to assembly.  Only the remaining queries
+        are planned: a source's distributions come from the cache or a
+        chunked multi-source walk simulation, its score vector from one
+        block propagation shared with the batch's other sources, and each
+        missing ``(source, k)`` ranking is computed once however many
+        queries repeat it — then stored, as an immutable tuple, for the
+        batches to come.  A miss runs exactly the pipeline a service with
+        ``cache_capacity=0`` runs for every query; there is no second
+        path.  Source answers are not cached (a dense vector per entry).
+        Answer types by query: :class:`PairQuery`
         -> float, :class:`SourceQuery` -> dense score vector,
         :class:`TopKQuery` -> ``[(node, score), ...]``; repeated queries
         get equal but distinct objects.  The returned :class:`BatchAnswers`
@@ -414,22 +424,67 @@ class QueryService:
         queries = list(queries)
         for query in queries:
             self._validate_query(query)
-        plan = plan_batch(queries)
         walkers_count = (walkers if walkers is not None
                          else self.query_params.query_walkers)
+        self._record_load(queries)
+        requests = list(dict.fromkeys((query.source, query.k) for query in queries
+                                      if isinstance(query, TopKQuery)))
+        rankings = self._lookup_rankings(requests, walkers_count)
+        # Only what the ranking entries could not answer goes down the
+        # pipeline; with no hit that is the whole batch, unfiltered.
+        pending = queries if not rankings else [
+            query for query in queries
+            if not isinstance(query, TopKQuery)
+            or (query.source, query.k) not in rankings]
+        plan = plan_batch(pending)
         distributions = self._resolve_distributions(plan, walkers_count)
-        scores = self._resolve_scores(queries, distributions)
-        rankings = self._resolve_rankings(
-            list(dict.fromkeys((query.source, query.k) for query in queries
-                               if isinstance(query, TopKQuery))),
-            scores,
-        )
+        scores = self._resolve_scores(pending, distributions)
+        fresh = self._resolve_rankings(
+            [request for request in requests if request not in rankings], scores)
+        for (source, k), ranking in fresh.items():
+            rankings[source, k] = entry = tuple(ranking)
+            self._cache_of(source).put(
+                self._ranking_key(source, k, walkers_count), entry)
         answers = [self._assemble(query, distributions, scores, rankings)
                    for query in queries]
         self._counters["batches"] += 1
         self._counters["queries"] += len(queries)
         self._counters["sources_deduplicated"] += plan.deduplicated
         return BatchAnswers(answers, self._version)
+
+    def _cache_of(self, source: int) -> WalkDistributionCache:
+        """The LRU holding ``source``'s entries (the sharded service routes)."""
+        return self.cache
+
+    def _ranking_key(self, source: int, k: int,
+                     walkers_count: int) -> Tuple[CacheKey, int]:
+        """Ranking-entry key: the source's distribution key plus ``k``."""
+        return (CacheKey.for_query(source, self.query_params, walkers_count), k)
+
+    def _record_load(self, queries: Sequence[Query]) -> None:
+        """Per-batch load accounting hook, called before any cache lookup.
+
+        Nothing to record on a single shard; the sharded service counts
+        every distinct source here, so a source answered from a ranking
+        entry still reaches the rebalance planner.
+        """
+
+    def _lookup_rankings(
+        self, requests: Sequence[Tuple[int, int]], walkers_count: int
+    ) -> Dict[Tuple[int, int], Ranking]:
+        """The batch's distinct ``(source, k)`` already answered at this version.
+
+        Each request is looked up under ``(CacheKey, k)`` in its source's
+        cache; a hit is the finished answer, valid because every index
+        version bump drops all ranking entries (:meth:`_adopt_mutation`).
+        """
+        found: Dict[Tuple[int, int], Ranking] = {}
+        for source, k in requests:
+            cached = self._cache_of(source).get(
+                self._ranking_key(source, k, walkers_count))
+            if cached is not None:
+                found[source, k] = cached
+        return found
 
     def _validate_query(self, query: Query) -> None:
         self.graph.check_node(query.source)
@@ -483,6 +538,8 @@ class QueryService:
             query.source for query in queries
             if not isinstance(query, PairQuery)
         ))
+        if not sources:
+            return {}
         vectors = self.query_engine.propagate_source(
             sources, [distributions[source] for source in sources]
         )
@@ -500,7 +557,7 @@ class QueryService:
         self, query: Query,
         distributions: Dict[int, WalkDistributions],
         scores: Dict[int, np.ndarray],
-        rankings: Dict[Tuple[int, int], List[Tuple[int, float]]],
+        rankings: Dict[Tuple[int, int], Ranking],
     ) -> Answer:
         """One query's answer from the batch's resolved stages.
 
@@ -577,6 +634,7 @@ class QueryService:
             "cache_size": len(self.cache),
             "cache_capacity": self.cache.capacity,
             "cache_memory_bytes": self.cache.memory_bytes(),
+            "cache_ranking_entries": self.cache.ranking_entries,
             **{f"cache_{key}": value
                for key, value in self.cache.stats.to_dict().items()},
         }

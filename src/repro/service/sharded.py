@@ -9,9 +9,11 @@ of per-node serving state follows the plan —
   linear system; index builds and incremental updates fan out per shard
   through an executor backend
   (:class:`~repro.core.sharding.ShardedIncrementalWalker`);
-* **walk-distribution caches**: one LRU per shard, so a shard's cache holds
-  exactly the sources it owns and an update invalidates only inside the
-  touched shards;
+* **caches**: one :class:`~repro.service.cache.WalkDistributionCache` per
+  shard, holding the walk distributions *and* the ranked top-k answers of
+  exactly the sources the shard owns; an update invalidates distributions
+  only inside the touched shards, and — because it re-solves the whole
+  diagonal — drops the ranked answers of every shard;
 * **top-k ranking**: each distinct source of a batch is scored once, every
   shard ranks the candidate nodes it owns for all of the batch's
   ``(source, k)`` requests in one task, and the results are merged
@@ -97,8 +99,13 @@ from repro.engine.executor import (
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import ShardPlan, load_balanced_plan, shard_loads
-from repro.service.batching import BatchPlan, Query, chunk_sources
-from repro.service.cache import CacheKey, WalkDistributionCache
+from repro.service.batching import (
+    BatchPlan,
+    Query,
+    chunk_sources,
+    required_sources,
+)
+from repro.service.cache import CacheKey, CacheStats, WalkDistributionCache
 from repro.service.service import BatchAnswers, QueryService
 from repro.service.updates import GraphMutator, MutationResult
 
@@ -182,10 +189,11 @@ class ShardedQueryService(QueryService):
     service_params:
         Cache and batching knobs.  ``cache_capacity`` is **per shard**: a
         ``K``-shard service can hold up to ``K * cache_capacity``
-        distributions, mirroring a real deployment where every shard has
-        its own memory budget.  ``serve_backend`` / ``serve_workers``
-        select the persistent executor pool the cache-miss simulation
-        scatter runs through (release it with :meth:`close`).
+        distributions (and as many ranked answers), mirroring a real
+        deployment where every shard has its own memory budget.
+        ``serve_backend`` / ``serve_workers`` select the persistent
+        executor pool the cache-miss simulation scatter runs through
+        (release it with :meth:`close`).
     update_params:
         Live-update knobs, identical to the single-shard service.
     sharding:
@@ -210,13 +218,15 @@ class ShardedQueryService(QueryService):
         accounts a ``W``-worker deployment's critical path from these.
     last_rank_seconds:
         Wall-clock of each shard's ranking task in the most recent batch —
-        one task per shard covers all of the batch's top-k queries; empty
-        when the batch had none.  Reset on every batch alongside
-        ``last_scatter_seconds`` — the two together cover every per-shard
-        task the batch ran, which is the accounting identity the
-        rebalance planner's cumulative counters are built on (a fully
-        cached batch scatters no simulation, so ``last_scatter_seconds``
-        stays empty while ranking time still lands here).
+        one task per shard covers all of the batch's top-k queries that no
+        ranking entry answered; empty when there were none.  Reset on every
+        batch alongside ``last_scatter_seconds`` — the two together cover
+        every per-shard task the batch ran, which is the accounting
+        identity the rebalance planner's cumulative counters are built on
+        (a batch with cached distributions but a new ``k`` scatters no
+        simulation, so ``last_scatter_seconds`` stays empty while ranking
+        time still lands here; a batch served from ranking entries ran no
+        task of either kind).
     last_batch_payload_bytes:
         Pickled task bytes the most recent batch sent to a ``processes``
         serve pool: its cache-miss simulation tasks, each a graph handle
@@ -600,8 +610,10 @@ class ShardedQueryService(QueryService):
         The sharded counterpart of :meth:`QueryService._adopt_mutation`:
         runs under the serve lock (the expensive re-index already happened,
         possibly detached from it), re-points the service at the mutator's
-        new graph/index/engine, invalidates exactly the affected sources in
-        their owning shards' caches, and bumps the global and touched-shard
+        new graph/index/engine, invalidates exactly the affected sources'
+        distributions in their owning shards' caches, drops the ranking
+        entries of *every* shard (they were scored against the diagonal
+        the update just re-solved), and bumps the global and touched-shard
         versions together — so a concurrent batch sees either the complete
         old state or the complete new one, never a mixture.
         """
@@ -615,6 +627,8 @@ class ShardedQueryService(QueryService):
             touched = self.plan.group_nodes(result.affected)
             for shard, nodes in touched.items():
                 self.shard_caches[shard].invalidate_sources(nodes)
+            for cache in self.shard_caches:
+                cache.drop_rankings()
             self.sharded_index.index = self.index
             self.sharded_index.touch(sorted(touched), self._version)
             self._counters["updates_applied"] += 1
@@ -841,6 +855,25 @@ class ShardedQueryService(QueryService):
     # ------------------------------------------------------------------ #
     # Query execution (scatter-gather)
     # ------------------------------------------------------------------ #
+    def _cache_of(self, source: int) -> WalkDistributionCache:
+        """The cache of the shard owning ``source`` — both entry kinds."""
+        return self.shard_caches[self.plan.shard_of(source)]
+
+    def _record_load(self, queries: Sequence[Query]) -> None:
+        """Count each distinct source of the batch against node and shard.
+
+        Load accounting feeds the rebalance planner: every source a batch
+        asks about counts once against its node and its owning shard,
+        served from a ranking entry, from cached distributions or from a
+        fresh simulation alike — placement decides which shard *would* pay
+        for the source once its cache entries age out, so the hottest
+        sources must not vanish from the planner's input by being cached.
+        """
+        for source in dict.fromkeys(node for query in queries
+                                    for node in required_sources(query)):
+            self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
+            self._shard_counters[self.plan.shard_of(source)]["sources_routed"] += 1
+
     def _resolve_distributions(
         self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, montecarlo.WalkDistributions]:
@@ -863,12 +896,6 @@ class ShardedQueryService(QueryService):
         missing_by_shard: Dict[int, List[int]] = {}
         for source in plan.sources:
             shard = self.plan.shard_of(source)
-            # Load accounting feeds the rebalance planner: every routed
-            # source counts against its node and its owning shard, cached
-            # or not — placement decides which shard *would* pay for the
-            # source once its cache entry ages out.
-            self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
-            self._shard_counters[shard]["sources_routed"] += 1
             cached = self.shard_caches[shard].get(
                 CacheKey.for_query(source, self.query_params, walkers_count)
             )
@@ -963,8 +990,7 @@ class ShardedQueryService(QueryService):
             return self._stats_locked()
 
     def _stats_locked(self) -> Dict[str, Any]:
-        hits = sum(cache.stats.hits for cache in self.shard_caches)
-        lookups = sum(cache.stats.lookups for cache in self.shard_caches)
+        totals = CacheStats.total(cache.stats for cache in self.shard_caches)
         shard_rows = []
         owned_nodes = self._shard_nodes()
         for shard, cache in enumerate(self.shard_caches):
@@ -997,16 +1023,10 @@ class ShardedQueryService(QueryService):
             "cache_memory_bytes": sum(
                 cache.memory_bytes() for cache in self.shard_caches
             ),
-            "cache_hits": hits,
-            "cache_misses": sum(cache.stats.misses for cache in self.shard_caches),
-            "cache_evictions": sum(
-                cache.stats.evictions for cache in self.shard_caches
+            "cache_ranking_entries": sum(
+                cache.ranking_entries for cache in self.shard_caches
             ),
-            "cache_inserts": sum(cache.stats.inserts for cache in self.shard_caches),
-            "cache_invalidations": sum(
-                cache.stats.invalidations for cache in self.shard_caches
-            ),
-            "cache_hit_rate": hits / lookups if lookups else 0.0,
+            **{f"cache_{key}": value for key, value in totals.to_dict().items()},
             "last_batch_payload_bytes": self.last_batch_payload_bytes,
             "shards": shard_rows,
         }

@@ -8,11 +8,11 @@ leaks between tests.
 
 import pytest
 
-from repro.config import ServiceParams, SimRankParams
+from repro.config import ServiceParams, ShardingParams, SimRankParams
 from repro.core.diagonal import build_diagonal_index
 from repro.core.queries import QueryEngine
 from repro.graph import generators
-from repro.service import QueryService
+from repro.service import QueryService, ShardedQueryService
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +44,22 @@ def make_service(service_graph, service_index, service_params):
         return QueryService(
             service_graph, service_index, service_params,
             ServiceParams(**service_overrides) if service_overrides else None,
+        )
+
+    return factory
+
+
+@pytest.fixture()
+def make_sharded(service_graph, service_index, service_params):
+    """Factory producing a fresh sharded service per call."""
+
+    def factory(num_shards=3, strategy="hash", rebalance=None,
+                **service_overrides) -> ShardedQueryService:
+        return ShardedQueryService(
+            service_graph, service_index, service_params,
+            ServiceParams(**service_overrides) if service_overrides else None,
+            sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
+            rebalance_params=rebalance,
         )
 
     return factory

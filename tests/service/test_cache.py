@@ -5,7 +5,13 @@ import pytest
 
 from repro.core import montecarlo
 from repro.errors import ConfigurationError
-from repro.service import CacheKey, PairQuery, SourceQuery, WalkDistributionCache
+from repro.service import (
+    CacheKey,
+    PairQuery,
+    SourceQuery,
+    TopKQuery,
+    WalkDistributionCache,
+)
 
 
 def _key(node: int) -> CacheKey:
@@ -81,6 +87,129 @@ class TestAccounting:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 1 and cache.stats.inserts == 1
+
+
+def _recount(cache: WalkDistributionCache) -> int:
+    """``memory_bytes`` the slow way: walk every entry of both kinds."""
+    total = 0
+    for entry in cache._entries.values():
+        for nodes, values in entry.per_step:
+            total += nodes.nbytes + values.nbytes
+    for ranking in cache._rankings.values():
+        total += 16 * len(ranking)
+    return total
+
+
+class TestRunningByteTotal:
+    def test_total_equals_a_recount_after_any_operation_sequence(
+        self, service_graph, service_params
+    ):
+        rng = np.random.default_rng(5)
+        pool = {node: _distribution(service_graph, service_params, node)
+                for node in range(12)}
+        cache = WalkDistributionCache(capacity=6)
+        seen = set()
+        for _ in range(600):
+            operation = rng.choice(
+                ["put", "put", "put", "rank", "rank", "get", "invalidate",
+                 "drop", "clear"],
+                p=[0.2, 0.2, 0.2, 0.12, 0.12, 0.1, 0.03, 0.02, 0.01])
+            node = int(rng.integers(0, 12))
+            if operation == "put":           # insert, refresh or evict
+                cache.put(_key(node), pool[node])
+            elif operation == "rank":        # rankings of varying length
+                length = int(rng.integers(0, 9))
+                cache.put((_key(node), length),
+                          tuple((i, 0.5) for i in range(length)))
+            elif operation == "get":
+                cache.get(_key(node))
+                cache.get((_key(node), 3))
+            elif operation == "invalidate":
+                cache.invalidate_sources(rng.integers(0, 12, size=3).tolist())
+            elif operation == "drop":
+                cache.drop_rankings()
+            else:
+                cache.clear()
+            assert cache.memory_bytes() == _recount(cache)
+            assert len(cache) <= 6 and cache.ranking_entries <= 6
+            seen.add((len(cache) > 0, cache.ranking_entries > 0))
+        assert len(seen) == 4           # every mix of kinds was visited
+        assert cache.stats.evictions > 0 and cache.stats.invalidations > 0
+        assert cache.stats.rankings_dropped > 0
+
+    def test_memory_bytes_does_not_walk_the_entries(
+        self, service_graph, service_params
+    ):
+        cache = WalkDistributionCache(capacity=4)
+        cache.put(_key(1), _distribution(service_graph, service_params, 1))
+        cache.put((_key(1), 2), ((4, 0.5), (9, 0.25)))
+        expected = _recount(cache)
+
+        class Unwalkable(dict):
+            def values(self):
+                raise AssertionError("memory_bytes iterated the entries")
+
+        cache._entries = Unwalkable(cache._entries)
+        cache._rankings = Unwalkable(cache._rankings)
+        assert cache.memory_bytes() == expected
+
+    def test_service_stats_report_the_running_total(self, make_service):
+        service = make_service(cache_capacity=3)
+        for node in range(8):
+            service.run_batch([PairQuery(node, node + 1),
+                               TopKQuery(node, k=4), TopKQuery(node, k=2)])
+        assert service.stats()["cache_evictions"] > 0
+        assert service.stats()["cache_memory_bytes"] == _recount(service.cache)
+
+
+class TestRankingEntries:
+    def test_kinds_keep_separate_lru_orders(self, service_graph, service_params):
+        cache = WalkDistributionCache(capacity=2)
+        for node in (1, 2):
+            cache.put(_key(node), _distribution(service_graph, service_params, node))
+        # Rankings never push a distribution out, however many arrive ...
+        for node in range(5):
+            cache.put((_key(node), 3), ((node, 1.0),))
+        assert _key(1) in cache and _key(2) in cache and len(cache) == 2
+        # ... and evict among themselves, least recently used first.
+        assert cache.ranking_entries == 2 and cache.stats.evictions == 3
+        assert (_key(3), 3) in cache and (_key(4), 3) in cache
+
+    def test_lookups_count_once_overall_and_once_per_kind(self):
+        cache = WalkDistributionCache(capacity=2)
+        assert cache.get((_key(1), 3)) is None
+        cache.put((_key(1), 3), ())      # an empty ranking is still a hit
+        assert cache.get((_key(1), 3)) == ()
+        assert cache.get(_key(1)) is None
+        stats = cache.stats
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert (stats.ranking_hits, stats.ranking_misses) == (1, 1)
+        assert stats.hit_rate == pytest.approx(1 / 3)
+        assert stats.ranking_hit_rate == pytest.approx(1 / 2)
+        assert stats.to_dict()["ranking_hit_rate"] == stats.ranking_hit_rate
+
+    def test_drop_rankings_leaves_distributions_and_counts_apart(
+        self, service_graph, service_params
+    ):
+        cache = WalkDistributionCache(capacity=4)
+        cache.put(_key(1), _distribution(service_graph, service_params, 1))
+        cache.put((_key(1), 3), ((2, 0.5),))
+        cache.put((_key(2), 3), ((1, 0.5),))
+        assert cache.invalidate_sources([2]) == 0     # rankings are not its business
+        assert cache.drop_rankings() == 2 and cache.drop_rankings() == 0
+        assert _key(1) in cache and cache.ranking_entries == 0
+        assert cache.stats.rankings_dropped == 2
+        assert cache.stats.invalidations == 0
+
+    def test_totals_sum_field_by_field(self):
+        from repro.service.cache import CacheStats
+
+        parts = [CacheStats(hits=1, misses=2, ranking_hits=1),
+                 CacheStats(hits=3, evictions=4, rankings_dropped=5)]
+        total = CacheStats.total(parts)
+        assert total == CacheStats(hits=4, misses=2, evictions=4,
+                                   ranking_hits=1, rankings_dropped=5)
+        assert CacheStats.total([]) == CacheStats()
 
 
 class TestEviction:

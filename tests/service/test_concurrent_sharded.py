@@ -145,9 +145,11 @@ def test_concurrent_updates_and_batches_are_never_torn():
     assert stats["cache_invalidations"] == sum(
         row["cache_invalidations"] for row in shard_rows
     )
-    assert stats["cache_size"] == (stats["cache_inserts"]
-                                   - stats["cache_evictions"]
-                                   - stats["cache_invalidations"])
+    # Inserts and evictions count both entry kinds; rankings leave on
+    # every version bump, distributions only inside an update's ball.
+    assert stats["cache_size"] + stats["cache_ranking_entries"] == (
+        stats["cache_inserts"] - stats["cache_evictions"]
+        - stats["cache_invalidations"] - stats["cache_rankings_dropped"])
     lookups = stats["cache_hits"] + stats["cache_misses"]
     assert lookups > 0
     assert stats["cache_hit_rate"] == stats["cache_hits"] / lookups

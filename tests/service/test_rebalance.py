@@ -57,22 +57,6 @@ def assert_answers_equal(left, right):
             assert np.array_equal(a, b)
 
 
-@pytest.fixture()
-def make_sharded(service_graph, service_index, service_params):
-    """Factory producing a fresh sharded service per call."""
-
-    def factory(num_shards=3, strategy="hash", rebalance=None,
-                **service_overrides):
-        return ShardedQueryService(
-            service_graph, service_index, service_params,
-            ServiceParams(**service_overrides) if service_overrides else None,
-            sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
-            rebalance_params=rebalance,
-        )
-
-    return factory
-
-
 # --------------------------------------------------------------------------- #
 # Planner
 # --------------------------------------------------------------------------- #
@@ -192,7 +176,9 @@ class TestLoadAccounting:
         sharded = make_sharded(num_shards=2)
         sharded.run_batch([TopKQuery(3, k=5), TopKQuery(12, k=4)])
         once = dict(sharded.last_rank_seconds)
-        sharded.run_batch([TopKQuery(3, k=5)])
+        # A k the first batch did not answer: (3, 5) itself would be served
+        # from its ranking entry and rank nothing.
+        sharded.run_batch([TopKQuery(3, k=6)])
         # The two-query batch ran one ranking task per shard covering both
         # queries; the reset between batches means the second batch starts
         # from zero.
@@ -200,14 +186,19 @@ class TestLoadAccounting:
         assert sorted(sharded.last_rank_seconds) == [0, 1]
 
     def test_cached_batch_still_accounts_ranking(self, make_sharded):
-        # The accounting identity: a fully cached batch scatters no
-        # simulation (last_scatter_seconds stays empty) but ranking still
-        # runs per shard and must still be charged.
+        # The accounting identity: a batch whose distributions are all
+        # cached scatters no simulation (last_scatter_seconds stays empty)
+        # but a new k still ranks per shard and must still be charged ...
         sharded = make_sharded(num_shards=3)
         sharded.run_batch([TopKQuery(3, k=5)])
-        sharded.run_batch([TopKQuery(3, k=5)])
+        sharded.run_batch([TopKQuery(3, k=4)])
         assert sharded.last_scatter_seconds == {}
         assert sorted(sharded.last_rank_seconds) == [0, 1, 2]
+        # ... while a repeated (source, k) is served from its ranking entry:
+        # no task of either kind ran, so there is nothing to charge.
+        sharded.run_batch([TopKQuery(3, k=5)])
+        assert sharded.last_scatter_seconds == {}
+        assert sharded.last_rank_seconds == {}
 
     def test_cumulative_counters_sum_batch_timings(self, make_sharded):
         sharded = make_sharded(num_shards=3)

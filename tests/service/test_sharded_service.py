@@ -9,7 +9,7 @@ suite (``tests/test_properties.py``, random graphs, K in {1, 2, 5}).
 import numpy as np
 import pytest
 
-from repro.config import ServiceParams, ShardingParams, UpdateParams
+from repro.config import ShardingParams, UpdateParams
 from repro.core.queries import merge_top_k, rank_top_k, rank_top_k_within
 from repro.errors import CloudWalkerError
 from repro.graph import generators
@@ -37,20 +37,6 @@ def assert_answers_equal(left, right):
             assert a == b
         else:
             assert np.array_equal(a, b)
-
-
-@pytest.fixture()
-def make_sharded(service_graph, service_index, service_params):
-    """Factory producing a fresh sharded service per call."""
-
-    def factory(num_shards=3, strategy="hash", **service_overrides):
-        return ShardedQueryService(
-            service_graph, service_index, service_params,
-            ServiceParams(**service_overrides) if service_overrides else None,
-            sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
-        )
-
-    return factory
 
 
 class TestAnswerEquivalence:

@@ -18,6 +18,7 @@ from typing import List, Tuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -444,6 +445,121 @@ class TestLiveUpdateProperties:
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)
         assert versions[0] == 1 and versions[-1] == service.index_version
+
+
+# --------------------------------------------------------------------------- #
+# Ranking-entry invariants
+# --------------------------------------------------------------------------- #
+class TestRankingEntryProperties:
+    """Ranked-answer cache entries never change an answer or a version.
+
+    A caching service and a ``cache_capacity=0`` twin are driven through
+    the same random interleaving of query batches, live updates, a forced
+    rebalance and a snapshot restart; the twin recomputes every answer
+    through the plain pipeline, so any stale or misfiled ranking entry
+    shows up as a difference.
+    """
+
+    @staticmethod
+    def _params(seed: int) -> SimRankParams:
+        return SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
+                             index_walkers=15, query_walkers=40, seed=seed)
+
+    @staticmethod
+    def _build(num_shards, graph, params, capacity):
+        from repro.config import ShardingParams
+        from repro.service import ShardedQueryService
+
+        service_params = ServiceParams(cache_capacity=capacity)
+        if num_shards is None:
+            return QueryService.build(graph, params, service_params)
+        return ShardedQueryService.build(
+            graph, params, service_params,
+            sharding=ShardingParams(num_shards=num_shards))
+
+    @staticmethod
+    def _restart(service, directory):
+        """Snapshot ``service`` into ``directory`` and cold-start from it."""
+        from repro.config import ShardingParams
+
+        service.flush_updates()
+        service.save_snapshot(directory)
+        extra = ({"sharding": ShardingParams(num_shards=service.num_shards)}
+                 if hasattr(service, "num_shards") else {})
+        restarted = type(service).from_snapshot(
+            service.graph, directory,
+            service_params=service.service_params, **extra)
+        service.close()
+        return restarted
+
+    @staticmethod
+    def _batch(data, n_nodes):
+        """Top-k traffic that repeats ``(source, k)``, varies ``k`` on one
+        source (past ``n`` too) and mixes in pair / source queries on the
+        same few sources."""
+        from repro.service import TopKQuery
+
+        node = st.integers(0, min(n_nodes - 1, 3))
+        query = st.one_of(
+            st.builds(TopKQuery, node, st.sampled_from([1, 3, n_nodes + 5])),
+            st.builds(PairQuery, node, node),
+            st.builds(SourceQuery, node),
+        )
+        return data.draw(st.lists(query, min_size=1, max_size=6))
+
+    @pytest.mark.parametrize("num_shards", [None, 1, 4])
+    @settings(max_examples=15)
+    @given(graph=graphs(max_nodes=10, max_edges=30), data=st.data())
+    def test_answers_equal_an_uncached_twin(self, tmp_path_factory, num_shards,
+                                            graph, data):
+        params = self._params(seed=data.draw(st.integers(0, 500)))
+        cached = self._build(num_shards, graph, params, capacity=64)
+        plain = self._build(num_shards, graph, params, capacity=0)
+        operations = ["batch", "batch", "batch", "add", "defer", "readd",
+                      "restart"] + (["rebalance"] if num_shards else [])
+        for _ in range(data.draw(st.integers(3, 8))):
+            operation = data.draw(st.sampled_from(operations))
+            n_nodes = cached.graph.n_nodes
+            if operation == "batch":
+                queries = self._batch(data, n_nodes)
+                walkers = data.draw(st.sampled_from([None, None, 25]))
+                TestShardingProperties._assert_equal(
+                    plain.run_batch(queries, walkers=walkers),
+                    cached.run_batch(queries, walkers=walkers))
+            elif operation in ("add", "defer"):
+                edges = data.draw(st.lists(
+                    st.tuples(st.integers(0, n_nodes), st.integers(0, n_nodes)),
+                    min_size=1, max_size=3))
+                for service in (plain, cached):
+                    service.add_edges(edges, defer=operation == "defer")
+            elif operation == "readd":
+                # Present edges only: a graph no-op, so no version bump and
+                # every ranking entry must survive (and still be right).
+                present = [tuple(edge) for edge in
+                           cached.graph.edge_array()[:2].tolist()]
+                entries = cached.stats()["cache_ranking_entries"]
+                pending = cached.pending_updates
+                for service in (plain, cached):
+                    assert service.add_edges(present) is None or pending
+                if not pending:
+                    assert cached.stats()["cache_ranking_entries"] == entries
+            elif operation == "rebalance":
+                reports = [service.rebalance(force=True)
+                           for service in (plain, cached)]
+                assert reports[0]["applied"] == reports[1]["applied"]
+                if reports[1]["applied"]:
+                    assert cached.stats()["cache_ranking_entries"] == 0
+            else:
+                plain = self._restart(plain, tmp_path_factory.mktemp("plain"))
+                cached = self._restart(cached, tmp_path_factory.mktemp("cached"))
+            assert cached.index_version == plain.index_version
+        queries = self._batch(data, cached.graph.n_nodes)
+        TestShardingProperties._assert_equal(plain.run_batch(queries),
+                                             cached.run_batch(queries))
+        assert plain.stats()["cache_size"] == 0
+        assert plain.stats()["cache_ranking_entries"] == 0
+        plain.close()
+        cached.close()
 
 
 # --------------------------------------------------------------------------- #
