@@ -17,7 +17,7 @@ from repro.graph import datasets
 def test_ablation_design_choices(benchmark, results_dir):
     graph = datasets.load("wiki-vote")
 
-    def run_all():
+    def run_sweeps():
         return {
             "index_walkers": ablation.index_walker_sweep(graph, [10, 30, 100, 300]),
             "walk_steps": ablation.walk_steps_sweep(graph, [2, 5, 10], reference_steps=14),
@@ -27,7 +27,7 @@ def test_ablation_design_choices(benchmark, results_dir):
             "solver": ablation.solver_sweep(graph),
         }
 
-    result = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_sweeps, rounds=1, iterations=1)
     rendered = (
         reporting.format_table(result["index_walkers"],
                                title="Ablation — index walkers R (wiki-vote stand-in)")

@@ -14,8 +14,8 @@ sharded service and gates two properties:
   within the declared budget on every replayed scenario *and* improve p99
   batch latency by >= 1.5x on at least one scenario.
 
-The per-scenario records (``result["scenarios"]``) feed the consolidated
-``BENCH_serving.json`` trajectory table via ``run_all.consolidate_serving``.
+The per-scenario records (``result["scenarios"]``) are persisted with the
+rest of the result (``benchmark_results/scenarios.json``).
 
 Runs standalone too::
 

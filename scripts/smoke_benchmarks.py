@@ -14,9 +14,9 @@ For every ``bench_*.py`` it
 
 Performance *gates* (minimum speedups etc.) are deliberately **not**
 asserted here: they are meaningless at smoke sizes and belong to the real
-benchmark runs (``benchmarks/run_all.py``).  Benchmarks that only expose a
-pytest body (no standalone experiment function) are smoked through the same
-library calls their body makes.
+benchmark runs (``python -m pytest benchmarks/bench_*.py``).  Benchmarks
+that only expose a pytest body (no standalone experiment function) are
+smoked through the same library calls their body makes.
 
 The registry below must cover every ``bench_*.py`` file — the test suite
 (``tests/bench/test_smoke_benchmarks.py``) fails when a new benchmark is
@@ -26,7 +26,7 @@ smoke is a benchmark that will rot.
 Usage::
 
     PYTHONPATH=src python scripts/smoke_benchmarks.py           # run all
-    PYTHONPATH=src python scripts/smoke_benchmarks.py --only sharded
+    PYTHONPATH=src python scripts/smoke_benchmarks.py --only service
 """
 
 from __future__ import annotations
@@ -146,46 +146,6 @@ def _smoke_service_throughput() -> Dict[str, Any]:
         return module.service_throughput_experiment()
 
 
-def _smoke_parallel_serve() -> Dict[str, Any]:
-    module = _load("bench_parallel_serve.py")
-    with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=15,
-                  QUERY_WALKERS=60, NUM_SHARDS=4, WORKER_COUNTS=(1, 2),
-                  N_SOURCES=24, N_TOPK=3, UPDATE_GRAPH_NODES=80):
-        result = module.parallel_serve_experiment()
-    # Bitwise identity is size-independent, so it IS asserted at smoke size
-    # (unlike the wall-clock gate).
-    assert result["all_identical"], "parallel smoke scatter diverged bitwise"
-    return result
-
-
-def _smoke_scatter_backends() -> Dict[str, Any]:
-    module = _load("bench_scatter_backends.py")
-    with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=15,
-                  QUERY_WALKERS=60, NUM_SHARDS=2, WORKER_COUNTS=(1, 2),
-                  BACKENDS=("threads",), N_SOURCES=16, N_TOPK=2):
-        result = module.scatter_backends_experiment()
-    # Bitwise identity is size-independent, so it IS asserted at smoke size
-    # (unlike the critical-path gate).
-    assert result["all_identical"], "a scatter smoke backend diverged bitwise"
-    return result
-
-
-def _smoke_rebalance() -> Dict[str, Any]:
-    module = _load("bench_rebalance.py")
-    with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=15,
-                  QUERY_WALKERS=60, NUM_SHARDS=3, HOT_SOURCES=8, N_TOPK=2,
-                  N_BATCHES=2):
-        result = module.rebalance_experiment()
-    # Bitwise identity and the planner's willingness to migrate a skewed
-    # trace are size-independent, so they ARE asserted at smoke size
-    # (unlike the timing-based p99 gate).
-    assert result["all_identical"], "rebalance smoke scatter diverged bitwise"
-    assert result["rebalance_applied"], (
-        "rebalance smoke planner declined a skewed trace"
-    )
-    return result
-
-
 def _smoke_scenarios() -> Dict[str, Any]:
     module = _load("bench_scenarios.py")
     with _patched(module, GRAPH_NODES=150, WALK_STEPS=3, INDEX_WALKERS=12,
@@ -199,17 +159,6 @@ def _smoke_scenarios() -> Dict[str, Any]:
     assert result["approx_within_budget"], (
         "a scenario smoke approximate replay exceeded its accuracy budget"
     )
-    return result
-
-
-def _smoke_sharded_build() -> Dict[str, Any]:
-    module = _load("bench_sharded_build.py")
-    with _patched(module, GRAPH_NODES=150, INDEX_WALKERS=20, WALK_STEPS=4,
-                  SHARD_COUNTS=(2, 4)):
-        result = module.sharded_build_experiment()
-    # Bitwise identity is size-independent, so it IS asserted at smoke size
-    # (unlike the wall-clock gate).
-    assert result["all_identical"], "sharded smoke build diverged bitwise"
     return result
 
 
@@ -263,12 +212,8 @@ SMOKE_RUNNERS: Dict[str, Callable[[], Any]] = {
     "bench_fig3_effectiveness.py": _smoke_fig3,
     "bench_http_serve.py": _smoke_http_serve,
     "bench_incremental_service.py": _smoke_incremental_service,
-    "bench_parallel_serve.py": _smoke_parallel_serve,
-    "bench_rebalance.py": _smoke_rebalance,
-    "bench_scatter_backends.py": _smoke_scatter_backends,
     "bench_scenarios.py": _smoke_scenarios,
     "bench_service_throughput.py": _smoke_service_throughput,
-    "bench_sharded_build.py": _smoke_sharded_build,
     "bench_table1_datasets.py": _smoke_table1,
     "bench_table2_parameters.py": _smoke_table2,
     "bench_table3_broadcasting.py": _smoke_table3,

@@ -51,7 +51,6 @@ from repro.config import ShardingParams, SimRankParams
 from repro.core import linear_system
 from repro.core.incremental import IncrementalCloudWalker
 from repro.core.index import DiagonalIndex
-from repro.core.resident_system import ResidentSystem
 from repro.engine.executor import (
     ExecutorBackend,
     ResidentHandle,
@@ -87,8 +86,8 @@ def run_shard_tasks(
     shard id to a zero-argument callable; tasks are submitted in ascending
     shard order (so a serial backend reproduces the historical sequential
     loop exactly) and each result is returned as ``(value, seconds)`` —
-    the per-shard wall-clock is what the benchmarks use to account a
-    ``K``-worker deployment's critical path.
+    the per-shard wall-clock the spine benchmark's tracer
+    (``benchmarks/spine/spans.py``) reads as worker seconds.
 
     For the ``processes`` backend every task must be picklable: build each
     from module-level functions via :func:`functools.partial`, as
@@ -149,25 +148,16 @@ def gather_shard_rows(
     )
 
 
-def slice_shard_block(handle: ResidentHandle, shard: int) -> sparse.csr_matrix:
-    """Row-slice a resident system view to the rows ``shard`` owns.
+def slice_shard_block(system: sparse.csr_matrix,
+                      keep: np.ndarray) -> sparse.csr_matrix:
+    """Row-slice ``system`` to the rows the boolean mask ``keep`` selects.
 
     The block keeps the full ``n x n`` shape with unselected rows empty, so
     blocks from *any* partition of the rows sum back to the full system —
     which is why a snapshot lineage can change shard plans between versions
-    without perturbing a single bit of the gathered system.  Module-level
-    so the ``processes`` executor backend can pickle migration slice tasks.
-
-    The task ships only the :class:`~repro.engine.executor.ResidentHandle`
-    of a :class:`~repro.core.resident_system.ResidentSystem` (system CSR +
-    plan assignment) plus the shard id — O(1) bytes instead of the full
-    ``n x n`` system and an ``n``-bool mask; the row mask is computed where
-    the task runs.  Slicing is deterministic over byte-identical restored
-    arrays, so the blocks do not depend on the backend.
+    without perturbing a single bit of the gathered system.
     """
-    view: ResidentSystem = resolve_resident(handle)
-    keep = sparse.diags(np.asarray(view.assignment == shard, dtype=np.float64))
-    block = (keep @ view.system).tocsr()
+    block = (sparse.diags(np.asarray(keep, dtype=np.float64)) @ system).tocsr()
     block.eliminate_zeros()
     block.sort_indices()
     return block
@@ -211,9 +201,7 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
     ----------
     shard_build_seconds:
         Wall-clock of each shard's most recent row-estimation task, indexed
-        by shard id.  With a serial backend these are additive; on a
-        ``K``-worker deployment the build's critical path is their maximum
-        (this is what ``benchmarks/bench_sharded_build.py`` measures).
+        by shard id (the ``index`` CLI reports the slowest shard).
     last_touched_shards:
         Shards whose rows the most recent estimation touched (all shards
         for a full build; the affected ball's owners for an update).
@@ -237,13 +225,7 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         self.plan = plan
         self.backend = backend or SerialBackend()
         self.shard_build_seconds: Dict[int, float] = {}
-        self.shard_slice_seconds: Dict[int, float] = {}
         self.last_touched_shards: frozenset = frozenset()
-        # Residency view over (system, assignment), rebuilt whenever the
-        # maintained system is a new object (add_edges splices a new CSR)
-        # — identity-keyed like every resident registration, so a stale
-        # view can never be re-registered after a lineage event.
-        self._system_view: Optional[ResidentSystem] = None
 
     @classmethod
     def from_params(
@@ -311,62 +293,21 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         clone.attach(self.index, system=self._system)
         return clone
 
-    def _system_residency_view(self) -> ResidentSystem:
-        """The maintained system + assignment as one residency view (cached).
-
-        The view object's identity is what keys the resident registry, so
-        it must change exactly when the underlying state does: a new
-        maintained system (``add_edges`` splices a new CSR, ``attach``
-        adopts one) or a new node count (the assignment covers every row)
-        invalidates the cache.  ``with_plan`` migration clones start with
-        no cached view at all — their first registration is a fresh epoch
-        on the shared backend, so workers can never slice under a retired
-        plan's assignment.
-        """
-        view = self._system_view
-        if (view is None or view.system is not self._system
-                or view.assignment.shape[0] != self._system.shape[0]):
-            view = ResidentSystem(
-                system=self._system,
-                assignment=self.plan.assign(self._system.shape[0]),
-            )
-            self._system_view = view
-        return view
-
-    def shard_systems(
-        self, backend: Optional[ExecutorBackend] = None
-    ) -> List[sparse.csr_matrix]:
+    def shard_systems(self) -> List[sparse.csr_matrix]:
         """Row-slice the maintained system into per-shard blocks.
 
         Block ``k`` is an ``n x n`` CSR holding exactly shard ``k``'s rows
         (other rows empty); summing the blocks reproduces the full system.
         Used by sharded snapshots, which persist one block per shard
-        directory (see :class:`repro.core.index.ShardedSnapshotStore`).
-
-        The slices run as one :func:`slice_shard_block` task per shard
-        through :func:`run_shard_tasks` on ``backend`` (the migration path
-        passes the walker's own; the default is serial, in-process),
-        recording per-shard timings in :attr:`shard_slice_seconds`.  The
-        maintained system plus the plan assignment are registered as one
-        resident :class:`~repro.core.resident_system.ResidentSystem`, so
-        each task ships only ``(handle, shard)``.  The blocks are identical
-        on any backend — slicing is deterministic and shards are
-        independent.
+        directory (see :class:`repro.core.index.ShardedSnapshotStore`), and
+        by the build half of a live rebalance.  Slicing runs in-process,
+        one :func:`slice_shard_block` per shard under the plan's assignment.
         """
         if self._system is None:
             raise ConfigurationError("call build() or attach() before shard_systems()")
-        backend = backend or SerialBackend()
-        handle = backend.ensure_resident("system", self._system_residency_view())
-        shards = range(self.plan.num_shards)
-        outcomes = run_shard_tasks(
-            backend,
-            {shard: partial(slice_shard_block, handle, shard)
-             for shard in shards},
-        )
-        self.shard_slice_seconds = {
-            shard: seconds for shard, (_block, seconds) in outcomes.items()
-        }
-        return [outcomes[shard][0] for shard in shards]
+        assignment = self.plan.assign(self._system.shape[0])
+        return [slice_shard_block(self._system, assignment == shard)
+                for shard in range(self.plan.num_shards)]
 
     def __repr__(self) -> str:
         return (

@@ -209,24 +209,6 @@ class ShardedQueryService(QueryService):
 
     Attributes
     ----------
-    last_scatter_seconds:
-        Wall-clock of each shard's most recent cache-miss simulation task,
-        keyed by shard id — the serving-side mirror of
-        :attr:`~repro.core.sharding.ShardedIncrementalWalker.
-        shard_build_seconds`.  Reset on every batch; empty when the batch
-        was fully served from the caches.  The parallel-serve benchmark
-        accounts a ``W``-worker deployment's critical path from these.
-    last_rank_seconds:
-        Wall-clock of each shard's ranking task in the most recent batch —
-        one task per shard covers all of the batch's top-k queries that no
-        ranking entry answered; empty when there were none.  Reset on every
-        batch alongside ``last_scatter_seconds`` — the two together cover
-        every per-shard task the batch ran, which is the accounting
-        identity the rebalance planner's cumulative counters are built on
-        (a batch with cached distributions but a new ``k`` scatters no
-        simulation, so ``last_scatter_seconds`` stays empty while ranking
-        time still lands here; a batch served from ranking entries ran no
-        task of either kind).
     last_batch_payload_bytes:
         Pickled task bytes the most recent batch sent to a ``processes``
         serve pool: its cache-miss simulation tasks, each a graph handle
@@ -235,8 +217,6 @@ class ShardedQueryService(QueryService):
         ``stats()["scatter_payload_bytes"]``.
     """
 
-    last_scatter_seconds: Dict[int, float]
-    last_rank_seconds: Dict[int, float]
     last_batch_payload_bytes: int
 
     def __init__(
@@ -301,8 +281,6 @@ class ShardedQueryService(QueryService):
             self.service_params.serve_backend,
             max_workers=self.service_params.serve_workers,
         )
-        self.last_scatter_seconds: Dict[int, float] = {}
-        self.last_rank_seconds: Dict[int, float] = {}
         self.last_batch_payload_bytes = 0
         self._counters["scatter_payload_bytes"] = 0
 
@@ -322,7 +300,7 @@ class ShardedQueryService(QueryService):
         ]
         self._shard_counters: List[Dict[str, Any]] = [
             {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0,
-             "scatter_seconds": 0.0, "rank_seconds": 0.0}
+             "scatter_seconds": 0.0}
             for _ in range(self.plan.num_shards)
         ]
         self._shard_nodes_cache: Optional[List[np.ndarray]] = None
@@ -750,7 +728,7 @@ class ShardedQueryService(QueryService):
            ``RebalanceParams.improvement_threshold`` — or equals the
            serving plan — returns ``{"applied": False, ...}`` untouched.
         3. **Build**: re-slice the maintained linear system into the
-           proposal's shard blocks through the walker's executor backend
+           proposal's shard blocks, in-process
            (:meth:`~repro.core.sharding.ShardedIncrementalWalker.
            with_plan`).  Queries keep serving the old plan throughout —
            only the update lock is held.  Any failure here propagates and
@@ -811,7 +789,7 @@ class ShardedQueryService(QueryService):
             # anything served changes.
             mutator = self._ensure_mutator()
             new_walker = mutator.walker.with_plan(proposal)
-            blocks = new_walker.shard_systems(backend=new_walker.backend)
+            blocks = new_walker.shard_systems()
             with self._lock:
                 self.plan = proposal
                 self._fresh_shard_state()
@@ -887,10 +865,9 @@ class ShardedQueryService(QueryService):
         source's simulation consumes its own ``(seed, source)`` stream,
         neither the grouping nor the concurrent execution can change any
         distribution — only which cache holds it and how long the scatter
-        takes.  Per-shard task wall-clocks land in
-        ``last_scatter_seconds`` (the parallel-serve benchmark's
-        critical-path input); cache inserts and counters are applied in
-        the gathering thread, under the batch's lock.
+        takes.  Each task's wall-clock accumulates in its shard's
+        ``scatter_seconds`` stats row; cache inserts and counters are
+        applied in the gathering thread, under the batch's lock.
         """
         resolved: Dict[int, montecarlo.WalkDistributions] = {}
         missing_by_shard: Dict[int, List[int]] = {}
@@ -903,8 +880,6 @@ class ShardedQueryService(QueryService):
                 resolved[source] = cached
             else:
                 missing_by_shard.setdefault(shard, []).append(source)
-        self.last_scatter_seconds = {}
-        self.last_rank_seconds = {}
         if missing_by_shard:
             # The graph rides the pool's resident registry (re-registered
             # automatically when an update swaps it — `self.graph` is then
@@ -920,7 +895,6 @@ class ShardedQueryService(QueryService):
             outcomes = run_shard_tasks(self._serve_backend, tasks)
             for shard in sorted(outcomes):
                 simulated, seconds = outcomes[shard]
-                self.last_scatter_seconds[shard] = seconds
                 self._shard_counters[shard]["scatter_seconds"] += seconds
                 self._counters["sources_simulated"] += len(simulated)
                 self._shard_counters[shard]["sources_simulated"] += len(simulated)
@@ -946,7 +920,7 @@ class ShardedQueryService(QueryService):
         serving process on every backend — the scores are already here
         (:meth:`QueryService._resolve_scores`) and ranking an ``n``-vector
         is cheaper than publishing it to a pool — through
-        :func:`run_shard_tasks`, which times each shard's share.
+        :func:`run_shard_tasks` on a serial backend.
         """
         if not requests:
             return {}
@@ -960,10 +934,6 @@ class ShardedQueryService(QueryService):
             for shard, owned in zip(shards, self._shard_nodes())
         }
         outcomes = run_shard_tasks(SerialBackend(), tasks)
-        for shard in shards:
-            seconds = outcomes[shard][1]
-            self.last_rank_seconds[shard] = seconds
-            self._shard_counters[shard]["rank_seconds"] += seconds
         return {
             request: merge_top_k(
                 [outcomes[shard][0][position] for shard in shards], k)

@@ -25,8 +25,9 @@ from repro.core.sharding import (
     estimate_shard_rows,
     gather_shard_rows,
     make_plan,
+    slice_shard_block,
 )
-from repro.engine.executor import SerialBackend, ThreadBackend
+from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
 from repro.graph.partition import (
@@ -54,6 +55,31 @@ def reference(graph, params):
                                     stream_per_source=True, warm_start=False)
     walker.build()
     return walker
+
+
+def _canonical_row(matrix, row):
+    """Row ``row`` of a CSR matrix as (columns, values): sorted, no zeros."""
+    start, stop = matrix.indptr[row], matrix.indptr[row + 1]
+    order = np.argsort(matrix.indices[start:stop], kind="stable")
+    columns = matrix.indices[start:stop][order]
+    values = matrix.data[start:stop][order]
+    keep = values != 0
+    return columns[keep], values[keep]
+
+
+def _assert_exact_row_slice(block, system, keep):
+    """``block`` holds the ``keep`` rows of ``system`` byte-for-byte, in
+    canonical CSR form (sorted columns, no explicit zeros), and no others."""
+    assert block.shape == system.shape
+    assert block.data.dtype == system.data.dtype
+    assert block.has_sorted_indices
+    assert (block.data != 0).all()
+    assert (np.diff(block.indptr)[~keep] == 0).all()
+    for row in np.flatnonzero(keep):
+        columns, values = _canonical_row(system, row)
+        start, stop = block.indptr[row], block.indptr[row + 1]
+        assert block.indices[start:stop].tobytes() == columns.tobytes()
+        assert block.data[start:stop].tobytes() == values.tobytes()
 
 
 class TestShardPlan:
@@ -134,6 +160,7 @@ class TestShardPlan:
 class TestShardedBuild:
     @pytest.mark.parametrize("num_shards,strategy", [
         (1, "hash"), (2, "contiguous"), (4, "hash"), (5, "partitioner"),
+        (3, "contiguous"), (8, "hash"), (4, "partitioner"),
     ])
     def test_build_bitwise_identical(self, graph, params, reference,
                                      num_shards, strategy):
@@ -147,13 +174,17 @@ class TestShardedBuild:
         assert walker.last_touched_shards == frozenset(range(num_shards))
 
     def test_thread_backend_identical(self, graph, params, reference):
-        walker = ShardedIncrementalWalker(
-            graph, ShardPlan.hashed(4), params=params,
-            backend=ThreadBackend(max_workers=4),
-        )
-        index = walker.build()
-        walker.backend.shutdown()
-        assert np.array_equal(index.diagonal, reference.index.diagonal)
+        # Pool backends too: threads, and processes materialising the graph
+        # from shared memory.
+        for backend in (ThreadBackend(max_workers=4),
+                        ProcessBackend(max_workers=2)):
+            walker = ShardedIncrementalWalker(
+                graph, ShardPlan.hashed(4), params=params, backend=backend,
+            )
+            index = walker.build()
+            walker.backend.shutdown()
+            assert np.array_equal(index.diagonal, reference.index.diagonal)
+            assert (walker.system - reference.system).nnz == 0
 
     def test_gather_matches_monolithic_estimation(self, graph, params):
         plan = ShardPlan.hashed(3)
@@ -191,7 +222,7 @@ class TestShardedBuild:
 
 
 class TestShardedUpdates:
-    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("num_shards", [2, 4, 1, 3, 8])
     def test_add_edges_bitwise_identical(self, graph, params, num_shards):
         edges = [(0, 30), (2, 95), (95, 1)]  # includes node growth
         single = IncrementalCloudWalker(graph, params=params,
@@ -227,21 +258,85 @@ class TestShardedUpdates:
     def test_shard_systems_partition_full_system(self, graph, params):
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(3), params=params)
         walker.build()
-        blocks = walker.shard_systems()
-        assert len(blocks) == 3
-        assignment = walker.plan.assign(graph.n_nodes)
-        for shard, block in enumerate(blocks):
-            row_nnz = np.diff(block.indptr)
-            assert (row_nnz[assignment != shard] == 0).all()
-        total = blocks[0]
-        for block in blocks[1:]:
-            total = total + block
-        assert (total - walker.system).nnz == 0
+        # Before and after an update that splices a new system and grows
+        # the graph.
+        for edges in ([], [(0, 30), (2, 95), (95, 1)]):
+            if edges:
+                walker.add_edges(edges)
+            blocks = walker.shard_systems()
+            assert len(blocks) == 3
+            assignment = walker.plan.assign(walker.graph.n_nodes)
+            for shard, block in enumerate(blocks):
+                row_nnz = np.diff(block.indptr)
+                assert (row_nnz[assignment != shard] == 0).all()
+            assert (sum(blocks) - walker.system).nnz == 0
+
+    @pytest.mark.parametrize("num_shards,strategy", [
+        (1, "hash"), (4, "hash"), (3, "contiguous"), (4, "contiguous"),
+        (2, "partitioner"), (4, "partitioner"), (8, "hash"),
+    ])
+    def test_shard_systems_are_exact_row_slices(self, graph, params,
+                                                num_shards, strategy):
+        # Every block carries its shard's rows of the maintained system
+        # byte-for-byte, before and after a six-edge update that splices a
+        # new system and grows the graph past the planned range.
+        walker = ShardedIncrementalWalker(
+            graph, ShardPlan.for_graph(graph, num_shards, strategy),
+            params=params,
+        )
+        walker.build()
+        edges = [(0, 30), (2, 95), (95, 1), (4, 11), (11, 4), (60, 61)]
+        for update in ([], edges):
+            if update:
+                walker.add_edges(update)
+            assignment = walker.plan.assign(walker.system.shape[0])
+            blocks = walker.shard_systems()
+            assert len(blocks) == num_shards
+            for shard, block in enumerate(blocks):
+                _assert_exact_row_slice(block, walker.system,
+                                        assignment == shard)
 
     def test_shard_systems_before_build_raises(self, graph, params):
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2), params=params)
         with pytest.raises(ConfigurationError):
             walker.shard_systems()
+
+
+class TestSliceShardBlock:
+    @pytest.mark.parametrize("selection", ["all", "none", "even", "random"])
+    def test_block_is_canonical_row_slice(self, selection):
+        # A non-canonical input (shuffled columns within each row, explicit
+        # zeros) still yields sorted, zero-free rows, and the input is left
+        # untouched.
+        n = 40
+        rng = np.random.default_rng(5)
+        source = sparse.random(n, n, density=0.2, format="csr",
+                               random_state=np.random.RandomState(5))
+        shuffle = np.concatenate([
+            start + rng.permutation(stop - start)
+            for start, stop in zip(source.indptr[:-1], source.indptr[1:])])
+        indices = source.indices[shuffle]
+        data = source.data[shuffle]
+        data[::7] = 0.0
+        system = sparse.csr_matrix((data, indices, source.indptr.copy()),
+                                   shape=(n, n))
+        original = (system.data.copy(), system.indices.copy(),
+                    system.indptr.copy())
+        keep = {
+            "all": np.ones(n, dtype=bool),
+            "none": np.zeros(n, dtype=bool),
+            "even": np.arange(n) % 2 == 0,
+            "random": rng.random(n) < 0.3,
+        }[selection]
+
+        block = slice_shard_block(system, keep)
+
+        _assert_exact_row_slice(block, system, keep)
+        if selection == "none":
+            assert block.nnz == 0
+        for before, after in zip(original,
+                                 (system.data, system.indices, system.indptr)):
+            assert np.array_equal(before, after)
 
 
 class TestShardedSnapshots:

@@ -18,9 +18,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.core.resident_system import ResidentSystem
 from repro.engine.executor import (
     ProcessBackend,
     SerialBackend,
@@ -35,11 +33,6 @@ def _graph_fingerprint(handle):
     graph = resolve_resident(handle)
     indptr, indices = graph.in_csr
     return (graph.n_nodes, graph.n_edges, int(indices.sum()), int(indptr[-1]))
-
-
-def _system_fingerprint(handle):
-    """Module-level (picklable) task: summarise the resident system view."""
-    return _system_fingerprint_local(resolve_resident(handle))
 
 
 def _die_hard():
@@ -210,82 +203,6 @@ class TestSharedMemoryResidency:
             )
         finally:
             backend.close()
-
-
-class TestResidentSystemResidency:
-    """The linear system rides the same registry.
-
-    A :class:`ResidentSystem` (system CSR + shard assignment) must
-    round-trip through the shared-memory export byte-for-byte, as
-    zero-copy views, with the same epoch semantics as the graph.
-    """
-
-    def _view(self, n=48, seed=21):
-        system = sparse.random(n, n, density=0.15, format="csr",
-                               random_state=np.random.RandomState(seed))
-        assignment = np.random.default_rng(seed).integers(0, 4, size=n)
-        return ResidentSystem(system=system, assignment=assignment)
-
-    def test_roundtrip_is_bitwise_and_zero_copy(self):
-        view = self._view()
-        backend = ProcessBackend(max_workers=1)
-        try:
-            handle = backend.ensure_resident("system", view)
-            assert handle.kind == "shm"
-            restored = resolve_resident(handle)
-            assert restored.system.shape == view.system.shape
-            assert np.array_equal(restored.system.data, view.system.data)
-            assert np.array_equal(restored.system.indices,
-                                  view.system.indices)
-            assert np.array_equal(restored.system.indptr, view.system.indptr)
-            assert np.array_equal(restored.assignment, view.assignment)
-            for array in (restored.system.data, restored.assignment):
-                assert array.base is not None, (
-                    "restored system arrays must be shared-memory views, "
-                    "not copies"
-                )
-        finally:
-            backend.close()
-
-    def test_worker_resolves_bitwise_equal_view(self):
-        view = self._view()
-        expected = _system_fingerprint_local(view)
-        with ProcessBackend(max_workers=1) as backend:
-            handle = backend.ensure_resident("system", view)
-            # Two runs: the second is served from the worker-side cache.
-            assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
-            assert backend.run([partial(_system_fingerprint, handle)]) == [expected]
-
-    def test_new_view_object_bumps_epoch_and_unlinks(self):
-        """Identity-keyed, like the graph: a lineage event builds a new
-        view object, which must re-export and release the old segment."""
-        backend = ProcessBackend(max_workers=1)
-        try:
-            view = self._view(seed=1)
-            first = backend.ensure_resident("system", view)
-            # Same object => same registration, no re-export.
-            assert backend.ensure_resident("system", view) is first
-            second = backend.ensure_resident("system", self._view(seed=2))
-            assert second.epoch == first.epoch + 1
-            assert second.token != first.token
-            assert not _segment_exists(first.shm_name)
-            assert _segment_exists(second.shm_name)
-        finally:
-            backend.close()
-
-    def test_handle_is_small(self):
-        backend = ProcessBackend(max_workers=1)
-        try:
-            handle = backend.ensure_resident("system", self._view(n=2000))
-            assert len(pickle.dumps(handle)) < 2048
-        finally:
-            backend.close()
-
-
-def _system_fingerprint_local(view):
-    """Parent-side twin of :func:`_system_fingerprint` (no handle)."""
-    return (int(view.system.nnz), float(view.system.data.sum()),
-            int(view.assignment.sum()))
 
 
 class TestResidentRestoreEquivalence:

@@ -2,7 +2,7 @@
 
 The tentpole contract of the parallel serving path: for random graphs, any
 shard count K in {1, 2, 5}, any serve backend in {serial, threads,
-processes} and any worker count in {1, 4}, every answer of the sharded
+processes} and worker counts from 1 to 8, every answer of the sharded
 service — pair, source and top-k (including the score-descending /
 node-id-ascending tie order of ``merge_top_k``) — is bitwise-identical to
 the single-shard :class:`~repro.service.QueryService`, before *and* after
@@ -26,11 +26,12 @@ from repro.service import (
     TopKQuery,
 )
 
-#: backends x workers grid from the issue; processes runs fewer trials.
+#: backends x workers grid; processes runs fewer trials.
 BACKEND_GRID = [
     ("serial", 1), ("serial", 4),
     ("threads", 1), ("threads", 4),
     ("processes", 1), ("processes", 4),
+    ("threads", 2), ("threads", 8), ("processes", 2),
 ]
 SHARD_COUNTS = (1, 2, 5)
 K_VALUES = (1, 2, 5)

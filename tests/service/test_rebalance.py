@@ -6,10 +6,8 @@ Four layers, bottom-up:
   and per-shard load aggregation (:func:`~repro.graph.partition.shard_loads`);
 * the **cost model** (:func:`repro.engine.cost_model.evaluate_rebalance`) —
   makespan ratios, the improvement threshold, the representativeness gate;
-* the **load accounting** the planner feeds on — including the regression
-  pin for top-k ranking seconds (``last_rank_seconds``: each shard's one
-  ranking task per batch, whatever the number of top-k queries), which the
-  resident fast path used to drop on the floor;
+* the **load accounting** the planner feeds on (routed sources per node
+  and shard) and the per-shard ``scatter_seconds`` monitor row;
 * **live plan migration** (:meth:`~repro.service.ShardedQueryService.
   rebalance`): the headline invariant is that every answer — before,
   *during* (concurrent query threads) and after a migration, with live
@@ -28,6 +26,7 @@ from repro.config import (
     ShardingParams,
     SimRankParams,
 )
+from repro.core.index import ShardedSnapshotStore
 from repro.engine.cost_model import evaluate_rebalance
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
@@ -161,61 +160,41 @@ class TestEvaluateRebalance:
 # Load accounting (the planner's input; satellite-4 regression pins)
 # --------------------------------------------------------------------------- #
 class TestLoadAccounting:
-    def test_rank_seconds_cover_every_shard(self, make_sharded):
-        # Regression: the resident fast path recorded simulation timings
-        # but dropped the per-shard top-k ranking seconds.  Every shard
-        # ranks every top-k query, so after a batch with one, all shards
-        # must appear.
-        sharded = make_sharded(num_shards=3)
-        sharded.run_batch([TopKQuery(3, k=5)])
-        assert sorted(sharded.last_rank_seconds) == [0, 1, 2]
-        assert all(seconds >= 0.0
-                   for seconds in sharded.last_rank_seconds.values())
-
-    def test_rank_seconds_accumulate_within_a_batch(self, make_sharded):
-        sharded = make_sharded(num_shards=2)
-        sharded.run_batch([TopKQuery(3, k=5), TopKQuery(12, k=4)])
-        once = dict(sharded.last_rank_seconds)
-        # A k the first batch did not answer: (3, 5) itself would be served
-        # from its ranking entry and rank nothing.
-        sharded.run_batch([TopKQuery(3, k=6)])
-        # The two-query batch ran one ranking task per shard covering both
-        # queries; the reset between batches means the second batch starts
-        # from zero.
-        assert sorted(once) == [0, 1]
-        assert sorted(sharded.last_rank_seconds) == [0, 1]
-
-    def test_cached_batch_still_accounts_ranking(self, make_sharded):
-        # The accounting identity: a batch whose distributions are all
-        # cached scatters no simulation (last_scatter_seconds stays empty)
-        # but a new k still ranks per shard and must still be charged ...
-        sharded = make_sharded(num_shards=3)
-        sharded.run_batch([TopKQuery(3, k=5)])
-        sharded.run_batch([TopKQuery(3, k=4)])
-        assert sharded.last_scatter_seconds == {}
-        assert sorted(sharded.last_rank_seconds) == [0, 1, 2]
-        # ... while a repeated (source, k) is served from its ranking entry:
-        # no task of either kind ran, so there is nothing to charge.
-        sharded.run_batch([TopKQuery(3, k=5)])
-        assert sharded.last_scatter_seconds == {}
-        assert sharded.last_rank_seconds == {}
-
     def test_cumulative_counters_sum_batch_timings(self, make_sharded):
+        # A shard's cumulative scatter_seconds grows exactly in the batches
+        # that simulate one of its sources; the last two batches are fully
+        # cached (distributions, then a ranking entry) and add nothing.
         sharded = make_sharded(num_shards=3)
-        scatter_total = {shard: 0.0 for shard in range(3)}
-        rank_total = {shard: 0.0 for shard in range(3)}
+        rows = sharded.stats()["shards"]
+        grew = []
         for batch in ([TopKQuery(3, k=5)], [SourceQuery(7)],
-                      [TopKQuery(3, k=5), TopKQuery(9, k=2)]):
+                      [TopKQuery(3, k=5), TopKQuery(9, k=2)],
+                      [SourceQuery(7)], [TopKQuery(9, k=2)]):
             sharded.run_batch(batch)
-            for shard, seconds in sharded.last_scatter_seconds.items():
-                scatter_total[shard] += seconds
-            for shard, seconds in sharded.last_rank_seconds.items():
-                rank_total[shard] += seconds
-        for row in sharded.stats()["shards"]:
-            assert row["scatter_seconds"] == pytest.approx(
-                scatter_total[row["shard"]])
-            assert row["rank_seconds"] == pytest.approx(
-                rank_total[row["shard"]])
+            previous, rows = rows, sharded.stats()["shards"]
+            pairs = list(zip(previous, rows))
+            timed = [new["scatter_seconds"] > old["scatter_seconds"]
+                     for old, new in pairs]
+            assert timed == [new["sources_simulated"] > old["sources_simulated"]
+                             for old, new in pairs]
+            grew.append(sum(timed))
+        assert grew[0] == 1 and grew[-2:] == [0, 0]
+
+    @pytest.mark.parametrize("num_shards", [1, 3, 5, 8])
+    def test_every_shard_has_one_counter_row(self, make_sharded, num_shards):
+        # One row per shard, in shard order; the rows partition the nodes
+        # and the simulated sources, and carry no ranking timer.
+        sharded = make_sharded(num_shards=num_shards)
+        sharded.run_batch(QUERIES)
+        stats = sharded.stats()
+        rows = stats["shards"]
+        assert [row["shard"] for row in rows] == list(range(num_shards))
+        assert sum(row["nodes"] for row in rows) == sharded.graph.n_nodes
+        assert sum(row["sources_simulated"] for row in rows) \
+            == stats["sources_simulated"] > 0
+        for row in rows:
+            assert row["scatter_seconds"] >= 0.0
+            assert "rank_seconds" not in row
 
     def test_sources_routed_counts_cached_lookups(self, make_sharded):
         sharded = make_sharded(num_shards=3)
@@ -306,22 +285,29 @@ class TestMigration:
         report = sharded.maybe_rebalance()
         assert not report["applied"]
 
-    def test_skewed_load_triggers_unforced_migration(self, make_sharded):
+    def test_skewed_load_triggers_unforced_migration(self, make_service,
+                                                     make_sharded):
         # Hammer sources owned by one contiguous shard; the planner must
-        # clear the threshold on observed load alone.
+        # clear the threshold on observed load alone, and the periodic
+        # auto-rebalance tick must apply the migration without changing
+        # an answer.
         sharded = make_sharded(
             num_shards=3, strategy="contiguous",
             rebalance=RebalanceParams(min_sources=0, cold_weight=0.01,
                                       improvement_threshold=1.5),
         )
-        hot = [SourceQuery(i) for i in range(10)]
+        hot = [SourceQuery(i) for i in range(10)] + [
+            PairQuery(0, 1), TopKQuery(2, k=6)]
         for _ in range(4):
-            sharded.run_batch(hot)
+            before = sharded.run_batch(hot)
         proposal, estimate = sharded.plan_rebalance()
         assert estimate.should_rebalance, estimate.reason
-        report = sharded.rebalance()
+        report = sharded.maybe_rebalance()
         assert report["applied"]
         assert sharded.plan.strategy == "partitioner"
+        reference = make_service().run_batch(hot)
+        assert_answers_equal(reference, before)
+        assert_answers_equal(reference, sharded.run_batch(hot))
 
     def test_migration_after_live_update(self, make_service, make_sharded):
         single = make_service()
@@ -389,6 +375,44 @@ class TestMigration:
         # keeps learning across migrations.
         assert sharded.stats()["observed_sources"] == 2.0
 
+    @pytest.mark.parametrize("target", ["hash", "partitioner", "balanced"])
+    def test_snapshot_after_migration_round_trips(self, tmp_path, target):
+        # The migrated lineage persists the new plan's shard blocks; they
+        # gather to the maintained system and a restart under that plan
+        # answers like the service it was saved from.
+        graph = generators.copying_model_graph(90, out_degree=4, seed=3)
+        queries = [PairQuery(3, 7), SourceQuery(12), TopKQuery(5, k=4)]
+        plan = {
+            "hash": ShardPlan(3, strategy="hash"),
+            "partitioner": ShardPlan(
+                3, strategy="partitioner",
+                assignment=np.random.default_rng(1)
+                .integers(0, 3, size=graph.n_nodes).astype(np.int64)),
+            "balanced": load_balanced_plan(
+                3, np.arange(graph.n_nodes, dtype=float) + 1.0),
+        }[target]
+        with ShardedQueryService.build(
+            graph, STRESS_PARAMS,
+            service_params=ServiceParams(cache_capacity=0),
+            sharding=ShardingParams(num_shards=3, strategy="contiguous"),
+        ) as sharded:
+            assert sharded.rebalance(plan=plan, force=True)["applied"]
+            sharded.add_edges([(1, 50), (2, 60)])
+            expected = sharded.run_batch(queries)
+            version, _directory = sharded.save_snapshot(tmp_path)
+            updated_graph = sharded.graph
+            system = sharded._mutator.walker.system
+        _loaded_version, loaded, gathered = \
+            ShardedSnapshotStore(tmp_path).load()
+        assert loaded.plan == plan
+        assert (gathered - system).nnz == 0
+        with ShardedQueryService.from_snapshot(
+                updated_graph, tmp_path, params=STRESS_PARAMS,
+                service_params=ServiceParams(cache_capacity=0)) as restored:
+            assert restored.index_version == version
+            assert restored.plan == plan
+            assert_answers_equal(expected, restored.run_batch(queries))
+
 
 # --------------------------------------------------------------------------- #
 # Property tests: random graphs and plans, K in {1, 2, 5}
@@ -398,7 +422,7 @@ STRESS_PARAMS = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
 
 
 @pytest.mark.parametrize("num_shards,seed", [
-    (1, 5), (2, 11), (5, 29),
+    (1, 5), (2, 11), (5, 29), (3, 41), (6, 37),
 ])
 def test_migration_identity_on_random_graphs(num_shards, seed):
     """Before / after migration, with interleaved live updates, every

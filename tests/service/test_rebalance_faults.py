@@ -3,9 +3,9 @@
 A migration has three failure surfaces, and each must leave the system
 serving correct answers:
 
-* a **shard build dying mid-migration** (executor task failure) must leave
-  the service byte-for-byte on the old plan — the new lineage is built
-  entirely before anything served changes;
+* a **shard build dying mid-migration** (re-slicing the system fails)
+  must leave the service byte-for-byte on the old plan — the new lineage
+  is built entirely before anything served changes;
 * a **crash between the governing-plan write and the shard payloads**
   leaves an inconsistent version on disk; the store must roll back to the
   previous version *under its own plan* on the next load, and a subsequent
@@ -87,18 +87,16 @@ class TestKilledShardBuild:
         with _service(graph) as service:
             expected = _answers(service)
             old_assignment = service.plan.assign(graph.n_nodes)
-            real = sharding_module.run_shard_tasks
+            real = sharding_module.slice_shard_block
 
-            def killer(backend, tasks):
+            def killer(system, keep):
                 raise _ShardBuildKilled("shard build killed mid-migration")
 
-            # Kill the migration's re-slice fan-out only: the serve-time
-            # scatter resolves `run_shard_tasks` through its own module
-            # namespace and keeps working.
-            monkeypatch.setattr(sharding_module, "run_shard_tasks", killer)
+            # Kill the migration's re-slice of the maintained system.
+            monkeypatch.setattr(sharding_module, "slice_shard_block", killer)
             with pytest.raises(_ShardBuildKilled):
                 service.rebalance(plan=_balanced_plan(graph), force=True)
-            monkeypatch.setattr(sharding_module, "run_shard_tasks", real)
+            monkeypatch.setattr(sharding_module, "slice_shard_block", real)
 
             # Nothing served changed: same plan, same generation, same
             # version, same (bitwise) answers, no half-initialised caches.
@@ -112,11 +110,11 @@ class TestKilledShardBuild:
     def test_failed_build_then_successful_migration(self, monkeypatch):
         graph = _graph()
         with _service(graph) as service:
-            def killer(backend, tasks):
+            def killer(system, keep):
                 raise _ShardBuildKilled("shard build killed mid-migration")
 
             with monkeypatch.context() as patched:
-                patched.setattr(sharding_module, "run_shard_tasks", killer)
+                patched.setattr(sharding_module, "slice_shard_block", killer)
                 with pytest.raises(_ShardBuildKilled):
                     service.rebalance(plan=_balanced_plan(graph), force=True)
             # The service recovers without a restart: updates apply and the
@@ -144,11 +142,11 @@ class TestKilledShardBuild:
             assert handle is not None and handle.shm_name is not None
             name = handle.shm_name
 
-            def killer(backend, tasks):
+            def killer(system, keep):
                 raise _ShardBuildKilled("shard build killed mid-migration")
 
             with monkeypatch.context() as patched:
-                patched.setattr(sharding_module, "run_shard_tasks", killer)
+                patched.setattr(sharding_module, "slice_shard_block", killer)
                 with pytest.raises(_ShardBuildKilled):
                     service.rebalance(plan=ShardPlan(2, strategy="contiguous",
                                                      n_nodes=200), force=True)

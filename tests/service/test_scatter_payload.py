@@ -18,6 +18,7 @@ Also here: the executor-lifecycle guarantee that
 including after the serve pool broke mid-flight.
 """
 
+import glob
 from concurrent.futures import BrokenExecutor
 from functools import partial
 from multiprocessing import shared_memory
@@ -190,32 +191,11 @@ class TestResidentSystemLifecycle:
     """What the serve pool holds and receives across lineage events.
 
     Only the graph is resident on the serve backend; scores and rankings
-    are computed in the serving process; the maintained system is
-    resident on the build backend only, for migration slices.  These tests
-    drive the *real* service entry points — live updates, a rebalance
-    flip, a snapshot restore — with the real shared-memory export.
+    are computed in the serving process, and migration slices of the
+    maintained system run in-process.  These tests drive the *real*
+    service entry points — live updates, a rebalance flip, a snapshot
+    restore — with the real shared-memory export.
     """
-
-    def test_add_edges_bumps_system_epoch(self):
-        """Build side: the walker's resident system view follows the
-        lineage — an applied update splices a new system, so the next
-        slice fan-out registers a fresh epoch, never the pre-update rows."""
-        graph = generators.copying_model_graph(300, out_degree=5, seed=7)
-        with _build_service(graph) as service:
-            walker = service._mutator.walker
-            walker.backend = InlineProcessBackend(max_workers=1)
-            walker.shard_systems(backend=walker.backend)
-            first = walker.backend.resident_handle("system")
-            assert first is not None and first.kind == "shm"
-            walker.shard_systems(backend=walker.backend)
-            assert walker.backend.resident_handle("system") is first
-            service.add_edges([(0, 150), (3, 290)])
-            blocks = walker.shard_systems(backend=walker.backend)
-            second = walker.backend.resident_handle("system")
-            assert second.token != first.token, (
-                "an applied update must re-register the system view"
-            )
-            assert (sum(blocks) - walker.system).nnz == 0
 
     def test_snapshot_restore_serves_from_fresh_registration(self, tmp_path):
         graph = generators.copying_model_graph(300, out_degree=5, seed=7)
@@ -358,34 +338,29 @@ class TestCloseReleasesSharedMemory:
         assert not self._segment_exists(handle.shm_name)
         service.close()  # idempotent
 
-    def test_close_unlinks_system_and_nodes_segments(self):
-        """The build backend's residents — the graph and the system view
-        (system rows + node assignment) a rebalance slices from — are
-        released too, including after the build pool broke."""
+    def test_close_unlinks_system_and_nodes_segments(self, tmp_path):
+        """A ``processes`` build backend through a rebalance and a
+        snapshot registers only the graph (slicing the maintained system
+        is in-process), and ``close`` leaves no segment behind."""
         from repro.graph.partition import ShardPlan
 
+        before = set(glob.glob("/dev/shm/psm_*"))
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
-        service = ShardedQueryService.build(
+        with ShardedQueryService.build(
             graph, _params(),
             service_params=ServiceParams(cache_capacity=0),
             sharding=ShardingParams(num_shards=2, backend="processes",
                                     max_workers=1),
-        )
-        plan = ShardPlan.contiguous(2, graph.n_nodes)
-        assert service.rebalance(plan=plan, force=True)["applied"]
-        backend = service._mutator.walker.backend
-        handles = {key: backend.resident_handle(key)
-                   for key in ("graph", "system")}
-        for key, handle in handles.items():
-            assert handle is not None, f"{key} must be resident after a slice"
+        ) as service:
+            plan = ShardPlan.contiguous(2, graph.n_nodes)
+            assert service.rebalance(plan=plan, force=True)["applied"]
+            service.save_snapshot(tmp_path)
+            backend = service._mutator.walker.backend
+            assert set(backend._residents) == {"graph"}
+            handle = backend.resident_handle("graph")
             assert self._segment_exists(handle.shm_name)
-        with pytest.raises(BrokenExecutor):
-            backend.run([_die_hard])
-        for key, handle in handles.items():
-            assert not self._segment_exists(handle.shm_name), (
-                f"broken-pool recovery leaked the {key} segment"
-            )
-        service.close()  # must stay a no-op for already-released segments
+        assert not self._segment_exists(handle.shm_name)
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
     def test_close_releases_segments_after_pool_breaks(self):
         """The satellite guarantee: a broken pool cannot leak segments.

@@ -20,6 +20,7 @@ from repro.service import (
     SourceQuery,
     TopKQuery,
     plan_batch,
+    required_sources,
 )
 
 QUERIES = [
@@ -296,15 +297,21 @@ class TestLifecycle:
             assert stats["serve_workers"] == 3
 
     def test_scatter_timings_cover_touched_shards(self, make_sharded):
+        def scatter_seconds():
+            return [row["scatter_seconds"]
+                    for row in sharded.stats()["shards"]]
+
         with make_sharded(num_shards=3) as sharded:
             sharded.run_batch(QUERIES)
-            touched = set(sharded.last_scatter_seconds)
+            touched = {sharded.shard_of(source) for query in QUERIES
+                       for source in required_sources(query)}
             assert touched  # something was simulated
-            assert all(seconds >= 0.0
-                       for seconds in sharded.last_scatter_seconds.values())
+            timed = scatter_seconds()
+            assert {shard for shard, seconds in enumerate(timed)
+                    if seconds > 0.0} == touched
             # Fully cached re-run scatters nothing.
             sharded.run_batch(QUERIES)
-            assert sharded.last_scatter_seconds == {}
+            assert scatter_seconds() == timed
 
 
 class TestConstruction:
