@@ -58,8 +58,7 @@ def main() -> int:
     hot = rng.permutation(N_NODES)[: N_NODES // 10]
 
     def built(on_graph):
-        walker = IncrementalCloudWalker(
-            on_graph, params=params, stream_per_source=True, warm_start=False)
+        walker = IncrementalCloudWalker(on_graph, params=params)
         walker.build()
         return walker
 

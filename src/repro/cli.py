@@ -203,43 +203,46 @@ def _cmd_stats(args: argparse.Namespace, out) -> int:
 def _cmd_index(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
     params = _params_from_args(args)
-    if _wants_sharding(args):
-        if args.mode != "local":
+    if args.mode != "local":
+        if args.shards != 1:
             raise CloudWalkerError(
                 "--shards composes with the default 'local' mode only; the "
                 "'broadcasting'/'rdd' execution models have their own "
                 "partitioning"
             )
-        from repro.core.sharding import build_sharded_index
-
-        sharding = _sharding_from_args(args)
+        walker = CloudWalker(graph, params=params, mode=args.mode)
         start = time.perf_counter()
-        index, sharded_walker = build_sharded_index(graph, sharding, params=params)
+        index = walker.build_index()
         elapsed = time.perf_counter() - start
-        sharded_walker.backend.close()
         index.save(args.output)
-        per_shard = sharded_walker.shard_build_seconds
-        critical_path = max(per_shard.values()) if per_shard else 0.0
         print(f"indexed {graph.n_nodes} nodes / {graph.n_edges} edges "
-              f"in {elapsed:.2f}s across {sharding.num_shards} "
-              f"{sharding.strategy!r} shards ({sharding.backend} backend); "
-              f"slowest shard {critical_path:.2f}s", file=out)
+              f"in {elapsed:.2f}s using the {args.mode!r} execution model",
+              file=out)
         print(f"index written to {args.output} "
               f"({index.memory_bytes / 1024:.1f} KiB, residual "
-              f"{index.build_info.jacobi_residual:.4f}); bitwise-identical "
-              "for any --shards value", file=out)
+              f"{index.build_info.jacobi_residual:.4f})", file=out)
+        walker.shutdown()
         return 0
-    walker = CloudWalker(graph, params=params, mode=args.mode)
+    from repro.core.sharding import build_sharded_index
+
+    # One builder for every K (1 included): per-source streams, the index a
+    # service's own build or update would produce.
+    sharding = _sharding_from_args(args)
     start = time.perf_counter()
-    index = walker.build_index()
+    index, sharded_walker = build_sharded_index(graph, sharding, params=params)
     elapsed = time.perf_counter() - start
+    sharded_walker.backend.close()
     index.save(args.output)
+    per_shard = sharded_walker.shard_build_seconds
+    critical_path = max(per_shard.values()) if per_shard else 0.0
     print(f"indexed {graph.n_nodes} nodes / {graph.n_edges} edges "
-          f"in {elapsed:.2f}s using the {args.mode!r} execution model", file=out)
+          f"in {elapsed:.2f}s across {sharding.num_shards} "
+          f"{sharding.strategy!r} shards ({sharding.backend} backend); "
+          f"slowest shard {critical_path:.2f}s", file=out)
     print(f"index written to {args.output} "
           f"({index.memory_bytes / 1024:.1f} KiB, residual "
-          f"{index.build_info.jacobi_residual:.4f})", file=out)
-    walker.shutdown()
+          f"{index.build_info.jacobi_residual:.4f}); bitwise-identical "
+          "for any --shards value", file=out)
     return 0
 
 
@@ -802,7 +805,14 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser = subparsers.add_parser("stats", help="print graph statistics")
     _add_graph_arguments(stats_parser)
 
-    index = subparsers.add_parser("index", help="build the CloudWalker index")
+    index = subparsers.add_parser(
+        "index", help="build the CloudWalker index",
+        description="Build the CloudWalker index.  The default 'local' mode "
+                    "estimates every row from its own (seed, source) random "
+                    "stream, so the file is bitwise-identical for any "
+                    "--shards value and to the index a query service builds; "
+                    "per-source generators make it slower than the shared "
+                    "stream the 'broadcasting'/'rdd' models use.")
     _add_graph_arguments(index)
     _add_param_arguments(index)
     _add_sharding_arguments(index)

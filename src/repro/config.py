@@ -423,7 +423,7 @@ class RebalanceParams:
     The sharded service keeps per-shard load counters (sources routed,
     scatter/ranking seconds); the rebalance planner
     (:func:`repro.graph.partition.load_balanced_plan` +
-    :func:`repro.engine.cost_model.evaluate_rebalance`) turns them into a
+    :func:`repro.graph.partition.evaluate_rebalance`) turns them into a
     proposed :class:`~repro.graph.partition.ShardPlan` and a
     should-we-migrate decision.  These parameters bound when a proposal is
     adopted — the migration itself never changes answers (bitwise-identical
@@ -579,17 +579,13 @@ class ExecutionOptions:
         physically executed on the local machine.
     num_partitions:
         Default number of partitions for RDDs created from graph data.
-        ``None`` lets the engine pick ``total_cores * 2``.
-    simulate_cluster:
-        When true, jobs also produce a simulated wall-clock estimate for
-        :attr:`cluster` via the cost model (used by the benchmark harness).
+        ``None`` lets the engine pick ``max(total_cores, 2)``.
     cluster:
         The cluster the cost model should simulate.
     """
 
     backend: str = "serial"
     num_partitions: Optional[int] = None
-    simulate_cluster: bool = False
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
 
     _VALID_BACKENDS = ("serial", "threads", "processes")

@@ -16,9 +16,8 @@ The pipeline mirrors the paper:
    distributed execution models from the paper (graph broadcast to every
    worker vs. graph stored in an RDD), built on :mod:`repro.engine`.
 7. :mod:`~repro.core.cloudwalker` — the user-facing facade.
+
+Modules are imported where they are used (``from repro.core.cloudwalker
+import CloudWalker``); the package itself imports nothing, so the serving
+side loads only the modules it calls.
 """
-
-from repro.core.cloudwalker import CloudWalker
-from repro.core.index import DiagonalIndex
-
-__all__ = ["CloudWalker", "DiagonalIndex"]

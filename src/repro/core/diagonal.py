@@ -2,11 +2,16 @@
 
 This module is the *algorithmic* implementation of CloudWalker's offline
 phase (estimate the rows of ``A`` by Monte-Carlo, then run ``L`` Jacobi
-iterations on ``A x = 1``), independent of how the work is distributed.  The
-distributed execution models (:mod:`repro.core.broadcast_impl`,
-:mod:`repro.core.rdd_impl`) produce the same result through the engine; the
-local estimator here is what a single worker runs on its partition, and also
-the default path for library users who just want SimRank on one machine.
+iterations on ``A x = 1``), independent of how the work is distributed.  It
+draws every row from one shared random stream
+(:func:`repro.core.linear_system.build_rows`).  The distributed execution
+models (:mod:`repro.core.broadcast_impl`, :mod:`repro.core.rdd_impl`) are
+statistically equivalent estimators with streams of their own: broadcasting
+draws partition ``p``'s rows from stream ``10_000 + p``, so its rows depend
+on ``num_partitions``, and the RDD model seeds every ``(step, node)``
+separately.  None of the three is bitwise-equal to the serving side's
+per-source-stream index (:mod:`repro.core.incremental`).  This module is
+the reproduction side's single-machine path, ``CloudWalker``'s default.
 """
 
 from __future__ import annotations

@@ -13,15 +13,15 @@ system; listed as such in ``docs/DESIGN.md``):
    BFS from the new edges' heads;
 3. re-estimate only the affected rows of ``A`` (Monte-Carlo, same budget as
    the original build);
-4. warm-start the Jacobi solve from the previous diagonal.
+4. re-solve from the same cold-start guess a fresh build uses.
 
-For localized updates this costs a small fraction of a full rebuild while
-producing an index that is statistically indistinguishable from one built
-from scratch.  With ``stream_per_source=True`` (the query service's
-configuration) the guarantee is stronger: every row is estimated from its
-own ``(seed, source)`` random stream, so the updated index is
-*bitwise-identical* to one built from scratch on the updated graph — see
-``docs/architecture.md`` for the full versioning contract.
+Every row is estimated from its own ``(seed, source)`` random stream
+(:func:`repro.core.linear_system.build_rows_streamed`), so the updated index
+is *bitwise-identical* to one built from scratch on the updated graph — see
+``docs/architecture.md`` for the full versioning contract.  (The faster
+shared-stream estimator, :func:`repro.core.linear_system.build_rows`, stays
+on the reproduction side: :mod:`repro.core.diagonal` and the paper's
+execution models.)
 """
 
 from __future__ import annotations
@@ -88,29 +88,19 @@ class IncrementalCloudWalker:
         Use exact walk distributions instead of Monte-Carlo (small graphs;
         makes incremental results exactly equal to full rebuilds, which the
         tests exploit).
-    stream_per_source:
-        Estimate every row from its own ``(seed, source)`` random stream
-        (:func:`repro.core.linear_system.build_rows_streamed`) instead of
-        one shared stream per update.  Together with ``warm_start=False``
-        this makes incremental updates bitwise-identical to full rebuilds
-        on the updated graph — the mode the query service runs in.
-    warm_start:
-        Start the Jacobi solve of an update from the previous diagonal
-        (faster convergence) instead of the cold-start guess ``1 - c``
-        a fresh build uses.  Disable for bitwise reproducibility.
+
+    Rows are estimated from per-source random streams and every solve
+    cold-starts from ``1 - c``, so an update leaves exactly the index a
+    full rebuild on the updated graph would produce.
     """
 
     def __init__(self, graph: DiGraph, params: Optional[SimRankParams] = None,
-                 exact: bool = False, stream_per_source: bool = False,
-                 warm_start: bool = True) -> None:
+                 exact: bool = False) -> None:
         self.graph = graph
         self.params = params or SimRankParams.paper_defaults()
         self.exact = exact
-        self.stream_per_source = stream_per_source
-        self.warm_start = warm_start
         self._system: Optional[sparse.csr_matrix] = None
         self.index: Optional[DiagonalIndex] = None
-        self._update_count = 0
 
     # ------------------------------------------------------------------ #
     def build(self) -> DiagonalIndex:
@@ -118,7 +108,7 @@ class IncrementalCloudWalker:
         start = time.perf_counter()
         self._system = self._build_rows(self.graph, range(self.graph.n_nodes)).tolil().tocsr()
         self.index = self._solve(self.graph, self._system,
-                                 initial=None, seconds_so_far=time.perf_counter() - start,
+                                 seconds_so_far=time.perf_counter() - start,
                                  update_kind="full-build", affected=self.graph.n_nodes)
         return self.index
 
@@ -170,34 +160,25 @@ class IncrementalCloudWalker:
             mask = np.zeros(graph.n_nodes, dtype=bool)
             mask[sources] = True
             return _choose_rows(mask, full, sparse.csr_matrix((0, 0)))
-        if self.stream_per_source:
-            rows, cols, values = linear_system.build_rows_streamed(
-                graph, sources, self.params
-            )
-        else:
-            rng = walks.make_rng(self.params.seed, stream=50_000 + self._update_count)
-            rows, cols, values = linear_system.build_rows(
-                graph, sources, self.params, rng=rng
-            )
+        rows, cols, values = linear_system.build_rows_streamed(
+            graph, sources, self.params
+        )
         return sparse.csr_matrix(
             (values, (rows, cols)), shape=(graph.n_nodes, graph.n_nodes)
         )
 
     def _solve(self, graph: DiGraph, system: sparse.csr_matrix,
-               initial: Optional[np.ndarray], seconds_so_far: float,
-               update_kind: str, affected: int) -> DiagonalIndex:
+               seconds_so_far: float, update_kind: str,
+               affected: int) -> DiagonalIndex:
         rhs = np.ones(graph.n_nodes, dtype=np.float64)
         start = time.perf_counter()
         if graph.n_nodes == 0:
             x = np.zeros(0, dtype=np.float64)
             residual = float("nan")
         else:
-            guess = (
-                initial if initial is not None
-                else np.full(graph.n_nodes, 1.0 - self.params.c)
-            )
             solution = jacobi_solve(
-                system, rhs, iterations=self.params.jacobi_iterations, initial=guess
+                system, rhs, iterations=self.params.jacobi_iterations,
+                initial=np.full(graph.n_nodes, 1.0 - self.params.c),
             )
             x = solution.x
             residual = solution.final_residual
@@ -246,7 +227,6 @@ class IncrementalCloudWalker:
         new_graph = self.graph.with_edges(fresh)
         new_n = new_graph.n_nodes
 
-        self._update_count += 1
         routing_start = time.perf_counter()
         affected = walks.forward_reachable_set(
             new_graph, {v for _u, v in fresh}, self.params.walk_steps)
@@ -267,19 +247,11 @@ class IncrementalCloudWalker:
         is_affected[affected_ids] = True
         self._system = _choose_rows(is_affected, fresh_rows, self._system)
 
-        if self.warm_start:
-            # Warm-start the solve from the previous diagonal.
-            initial: Optional[np.ndarray] = np.full(
-                new_n, 1.0 - self.params.c, dtype=np.float64
-            )
-            initial[:old_n] = self.index.diagonal
-        else:
-            # Cold start, exactly like build(): same guess -> same iterates.
-            initial = None
+        # Cold start, exactly like build(): same guess -> same iterates.
         solve_start = time.perf_counter()
         self.graph = new_graph
         self.index = self._solve(
-            new_graph, self._system, initial=initial,
+            new_graph, self._system,
             seconds_so_far=solve_start - start,
             update_kind="incremental-add-edges", affected=len(affected),
         )

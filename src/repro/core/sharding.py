@@ -218,10 +218,7 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
     ) -> None:
-        super().__init__(
-            graph, params=params, exact=exact,
-            stream_per_source=True, warm_start=False,
-        )
+        super().__init__(graph, params=params, exact=exact)
         self.plan = plan
         self.backend = backend or SerialBackend()
         self.shard_build_seconds: Dict[int, float] = {}

@@ -21,11 +21,11 @@ lets a single machine reproduce the *shape* of the paper's cluster results
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.config import ClusterSpec
 from repro.engine.metrics import JobMetrics
-from repro.errors import CapacityExceededError, ConfigurationError
+from repro.errors import CapacityExceededError
 
 
 @dataclass
@@ -206,105 +206,3 @@ class ClusterCostModel:
             scaled.stages.append(scaled_stage)
         return self.estimate(scaled)
 
-
-# --------------------------------------------------------------------------- #
-# Shard-rebalance cost evaluation
-# --------------------------------------------------------------------------- #
-@dataclass
-class RebalanceEstimate:
-    """Predicted effect of migrating to a proposed shard plan.
-
-    The scatter of a query batch is bounded by its slowest shard, so the
-    critical path under a plan is the *maximum* per-shard load and the
-    predicted improvement is the ratio of maxima — the same makespan
-    accounting the serving benchmarks gate on.  Loads are whatever per-node
-    weights the caller aggregated (routed sources, scatter seconds); the
-    prediction only assumes load moves with the node it is attributed to.
-    """
-
-    current_loads: list
-    proposed_loads: list
-    current_makespan: float
-    proposed_makespan: float
-    predicted_improvement: float
-    current_imbalance: float
-    proposed_imbalance: float
-    should_rebalance: bool
-    reason: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "current_loads": [round(load, 6) for load in self.current_loads],
-            "proposed_loads": [round(load, 6) for load in self.proposed_loads],
-            "current_makespan": round(self.current_makespan, 6),
-            "proposed_makespan": round(self.proposed_makespan, 6),
-            "predicted_improvement": round(self.predicted_improvement, 4),
-            "current_imbalance": round(self.current_imbalance, 4),
-            "proposed_imbalance": round(self.proposed_imbalance, 4),
-            "should_rebalance": self.should_rebalance,
-            "reason": self.reason,
-        }
-
-
-def evaluate_rebalance(
-    current_loads: Sequence[float],
-    proposed_loads: Sequence[float],
-    improvement_threshold: float = 1.2,
-    min_total_load: float = 0.0,
-) -> RebalanceEstimate:
-    """Decide whether a proposed plan's load split justifies migrating.
-
-    Parameters
-    ----------
-    current_loads / proposed_loads:
-        Per-shard load under the serving plan and under the proposal
-        (same length; see :func:`repro.graph.partition.shard_loads`).
-    improvement_threshold:
-        Minimum ``current_makespan / proposed_makespan`` ratio before
-        ``should_rebalance`` is true (see
-        :class:`repro.config.RebalanceParams`).
-    min_total_load:
-        Below this total observed load the counters are considered
-        unrepresentative and the answer is "don't".
-    """
-    if len(current_loads) != len(proposed_loads) or len(current_loads) == 0:
-        raise ConfigurationError(
-            "current and proposed loads must be non-empty and the same "
-            f"length, got {len(current_loads)} vs {len(proposed_loads)}"
-        )
-    if improvement_threshold < 1.0:
-        raise ConfigurationError(
-            f"improvement_threshold must be >= 1.0, got {improvement_threshold}"
-        )
-    from repro.graph.partition import imbalance
-
-    current = [float(load) for load in current_loads]
-    proposed = [float(load) for load in proposed_loads]
-    current_makespan = max(current)
-    proposed_makespan = max(proposed)
-    total = sum(current)
-    improvement = (current_makespan / proposed_makespan
-                   if proposed_makespan > 0 else 1.0)
-    if total < min_total_load:
-        should = False
-        reason = (f"observed load {total:.1f} below the representative "
-                  f"minimum {min_total_load:.1f}")
-    elif improvement >= improvement_threshold:
-        should = True
-        reason = (f"predicted critical-path improvement {improvement:.2f}x "
-                  f"meets the {improvement_threshold:.2f}x threshold")
-    else:
-        should = False
-        reason = (f"predicted critical-path improvement {improvement:.2f}x "
-                  f"below the {improvement_threshold:.2f}x threshold")
-    return RebalanceEstimate(
-        current_loads=current,
-        proposed_loads=proposed,
-        current_makespan=current_makespan,
-        proposed_makespan=proposed_makespan,
-        predicted_improvement=improvement,
-        current_imbalance=imbalance(current),
-        proposed_imbalance=imbalance(proposed),
-        should_rebalance=should,
-        reason=reason,
-    )

@@ -20,10 +20,15 @@ routes queries and live edge insertions, and it must keep answering
 ``shard_of`` deterministically for node ids that did not exist when the plan
 was made (live updates grow the graph).  See :mod:`repro.core.sharding` for
 the build machinery and ``docs/sharding.md`` for the full lifecycle.
+
+A live service re-plans from observed load: :func:`shard_loads` prices a
+plan under per-node weights, :func:`load_balanced_plan` proposes a balanced
+one, and :func:`evaluate_rebalance` decides whether migrating pays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -371,7 +376,7 @@ def shard_loads(plan: ShardPlan, n_nodes: int,
     ``weights[node]`` is the observed (or predicted) cost of serving
     ``node`` — e.g. routed-source counts or scatter seconds attributed to
     it.  The result is the float64 sum of weights per shard, the quantity
-    :func:`repro.engine.cost_model.evaluate_rebalance` compares between
+    :func:`evaluate_rebalance` compares between
     the current and a proposed plan.
     """
     weights = np.asarray(weights, dtype=np.float64).ravel()
@@ -417,3 +422,104 @@ def load_balanced_plan(num_shards: int, weights: np.ndarray) -> ShardPlan:
         assignment[node] = target
         loads[target] += weights[node]
     return ShardPlan(num_shards, strategy="partitioner", assignment=assignment)
+
+
+# --------------------------------------------------------------------------- #
+# Rebalance decision
+# --------------------------------------------------------------------------- #
+@dataclass
+class RebalanceEstimate:
+    """Predicted effect of migrating to a proposed shard plan.
+
+    The scatter of a query batch is bounded by its slowest shard, so the
+    critical path under a plan is the *maximum* per-shard load and the
+    predicted improvement is the ratio of maxima.  Loads are whatever per-node
+    weights the caller aggregated (routed sources, scatter seconds); the
+    prediction only assumes load moves with the node it is attributed to.
+    """
+
+    current_loads: list
+    proposed_loads: list
+    current_makespan: float
+    proposed_makespan: float
+    predicted_improvement: float
+    current_imbalance: float
+    proposed_imbalance: float
+    should_rebalance: bool
+    reason: str
+
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-friendly summary, floats rounded for logs and monitoring."""
+        return {
+            "current_loads": [round(load, 6) for load in self.current_loads],
+            "proposed_loads": [round(load, 6) for load in self.proposed_loads],
+            "current_makespan": round(self.current_makespan, 6),
+            "proposed_makespan": round(self.proposed_makespan, 6),
+            "predicted_improvement": round(self.predicted_improvement, 4),
+            "current_imbalance": round(self.current_imbalance, 4),
+            "proposed_imbalance": round(self.proposed_imbalance, 4),
+            "should_rebalance": self.should_rebalance,
+            "reason": self.reason,
+        }
+
+
+def evaluate_rebalance(
+    current_loads: Sequence[float],
+    proposed_loads: Sequence[float],
+    improvement_threshold: float = 1.2,
+    min_total_load: float = 0.0,
+) -> RebalanceEstimate:
+    """Decide whether a proposed plan's load split justifies migrating.
+
+    Parameters
+    ----------
+    current_loads / proposed_loads:
+        Per-shard load under the serving plan and under the proposal
+        (same length; see :func:`shard_loads`).
+    improvement_threshold:
+        Minimum ``current_makespan / proposed_makespan`` ratio before
+        ``should_rebalance`` is true (see
+        :class:`repro.config.RebalanceParams`).
+    min_total_load:
+        Below this total observed load the counters are considered
+        unrepresentative and the answer is "don't".
+    """
+    if len(current_loads) != len(proposed_loads) or len(current_loads) == 0:
+        raise ConfigurationError(
+            "current and proposed loads must be non-empty and the same "
+            f"length, got {len(current_loads)} vs {len(proposed_loads)}"
+        )
+    if improvement_threshold < 1.0:
+        raise ConfigurationError(
+            f"improvement_threshold must be >= 1.0, got {improvement_threshold}"
+        )
+    current = [float(load) for load in current_loads]
+    proposed = [float(load) for load in proposed_loads]
+    current_makespan = max(current)
+    proposed_makespan = max(proposed)
+    total = sum(current)
+    improvement = (current_makespan / proposed_makespan
+                   if proposed_makespan > 0 else 1.0)
+    if total < min_total_load:
+        should = False
+        reason = (f"observed load {total:.1f} below the representative "
+                  f"minimum {min_total_load:.1f}")
+    elif improvement >= improvement_threshold:
+        should = True
+        reason = (f"predicted critical-path improvement {improvement:.2f}x "
+                  f"meets the {improvement_threshold:.2f}x threshold")
+    else:
+        should = False
+        reason = (f"predicted critical-path improvement {improvement:.2f}x "
+                  f"below the {improvement_threshold:.2f}x threshold")
+    return RebalanceEstimate(
+        current_loads=current,
+        proposed_loads=proposed,
+        current_makespan=current_makespan,
+        proposed_makespan=proposed_makespan,
+        predicted_improvement=improvement,
+        current_imbalance=imbalance(current),
+        proposed_imbalance=imbalance(proposed),
+        should_rebalance=should,
+        reason=reason,
+    )

@@ -89,7 +89,6 @@ from repro.core.sharding import (
     make_plan,
     run_shard_tasks,
 )
-from repro.engine.cost_model import RebalanceEstimate, evaluate_rebalance
 from repro.engine.executor import (
     ResidentHandle,
     SerialBackend,
@@ -98,7 +97,13 @@ from repro.engine.executor import (
 )
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan, load_balanced_plan, shard_loads
+from repro.graph.partition import (
+    RebalanceEstimate,
+    ShardPlan,
+    evaluate_rebalance,
+    load_balanced_plan,
+    shard_loads,
+)
 from repro.service.batching import (
     BatchPlan,
     Query,
@@ -691,7 +696,7 @@ class ShardedQueryService(QueryService):
         Greedy LPT over the per-node weights
         (:func:`repro.graph.partition.load_balanced_plan`), evaluated
         against the serving plan with the critical-path cost model
-        (:func:`repro.engine.cost_model.evaluate_rebalance`).  Read-only:
+        (:func:`repro.graph.partition.evaluate_rebalance`).  Read-only:
         returns ``(proposal, estimate)`` and changes nothing, so it is
         safe to call from monitoring paths at any time.
         """

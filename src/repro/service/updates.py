@@ -115,9 +115,10 @@ class GraphMutator:
         :class:`~repro.core.sharding.ShardedIncrementalWalker` into the
         same intake pipeline (validation, dedup, bounded queue): anything
         exposing the maintainer's ``build / attach / add_edges / graph /
-        index / system`` surface works.  The walker must run with
-        per-source streams and cold-start solves, or the service's
-        bitwise-reproducibility contract breaks.
+        index / system`` surface works.  Subclasses of
+        :class:`IncrementalCloudWalker` inherit its per-source streams and
+        cold-start solves, which the service's bitwise-reproducibility
+        contract relies on.
     """
 
     def __init__(
@@ -132,8 +133,6 @@ class GraphMutator:
             graph,
             params=params,
             exact=self.update_params.exact,
-            stream_per_source=True,
-            warm_start=False,
         )
         self._pending: List[Edge] = []
 

@@ -62,8 +62,8 @@ class TestIncrementalExact:
     """With exact systems, incremental updates must equal full rebuilds."""
 
     def test_matches_full_rebuild_after_edge_insertions(self, graph, params):
-        # Enough Jacobi iterations that the warm-started incremental solve and
-        # the cold-started full rebuild both converge to the same fixed point.
+        # Enough Jacobi iterations that the incremental solve and the full
+        # rebuild both converge to the same fixed point.
         converged = params.with_(jacobi_iterations=40)
         maintainer = IncrementalCloudWalker(graph, params=converged, exact=True)
         maintainer.build()
@@ -102,15 +102,11 @@ class TestIncrementalExact:
         assert info["affected_rows"] == 0
         assert np.array_equal(maintainer.index.diagonal, before)
 
-    @pytest.mark.parametrize("stream_per_source", [False, True])
-    def test_readding_present_edges_is_noop(self, graph, params,
-                                            stream_per_source):
+    def test_readding_present_edges_is_noop(self, graph, params):
         """Edges the graph already has cost nothing and change nothing —
-        not the graph, the system, the diagonal or the next update's
-        random stream."""
+        not the graph, the system or the diagonal."""
         def build():
-            walker = IncrementalCloudWalker(
-                graph, params=params, stream_per_source=stream_per_source)
+            walker = IncrementalCloudWalker(graph, params=params)
             walker.build()
             return walker
 
@@ -190,8 +186,7 @@ class TestBitwiseReproducibility:
     """Per-source streams + cold solves: updates == rebuilds, bitwise."""
 
     def _fresh(self, graph, params):
-        walker = IncrementalCloudWalker(graph, params=params,
-                                        stream_per_source=True, warm_start=False)
+        walker = IncrementalCloudWalker(graph, params=params)
         walker.build()
         return walker
 
@@ -265,8 +260,7 @@ class TestBitwiseReproducibility:
 
     def test_attach_with_system_resumes_bitwise(self, graph, params):
         donor = self._fresh(graph, params)
-        adopter = IncrementalCloudWalker(graph, params=params,
-                                         stream_per_source=True, warm_start=False)
+        adopter = IncrementalCloudWalker(graph, params=params)
         adopter.attach(donor.index, system=donor.system)
         new_edges = [(4, 19)]
         adopter.add_edges(new_edges)
@@ -293,8 +287,7 @@ class TestBitwiseReproducibility:
             (np.append(data, 0.0), np.append(indices, spare), indptr),
             shape=canonical.shape)
         before = (messy.indices.copy(), messy.data.copy())
-        adopter = IncrementalCloudWalker(graph, params=params,
-                                         stream_per_source=True, warm_start=False)
+        adopter = IncrementalCloudWalker(graph, params=params)
         adopter.attach(donor.index, system=messy)
         assert np.array_equal(messy.indices, before[0])  # caller's copy untouched
         assert np.array_equal(messy.data, before[1])
@@ -308,8 +301,7 @@ class TestBitwiseReproducibility:
 
     def test_attach_without_system_estimates_it(self, graph, params):
         donor = self._fresh(graph, params)
-        adopter = IncrementalCloudWalker(graph, params=params,
-                                         stream_per_source=True, warm_start=False)
+        adopter = IncrementalCloudWalker(graph, params=params)
         adopter.attach(donor.index)
         assert adopter.system is not None
         assert np.array_equal(adopter.system.data, donor.system.data)

@@ -80,10 +80,7 @@ class TestWalkerRouting:
         params = SimRankParams.fast_defaults()
 
         def fresh(on_graph):
-            walker = IncrementalCloudWalker(
-                on_graph, params=params, stream_per_source=True,
-                warm_start=False,
-            )
+            walker = IncrementalCloudWalker(on_graph, params=params)
             walker.build()
             return walker
 

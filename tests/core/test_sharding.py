@@ -51,8 +51,7 @@ def graph():
 @pytest.fixture(scope="module")
 def reference(graph, params):
     """The single-shard walker the sharded one must match bitwise."""
-    walker = IncrementalCloudWalker(graph, params=params,
-                                    stream_per_source=True, warm_start=False)
+    walker = IncrementalCloudWalker(graph, params=params)
     walker.build()
     return walker
 
@@ -225,8 +224,7 @@ class TestShardedUpdates:
     @pytest.mark.parametrize("num_shards", [2, 4, 1, 3, 8])
     def test_add_edges_bitwise_identical(self, graph, params, num_shards):
         edges = [(0, 30), (2, 95), (95, 1)]  # includes node growth
-        single = IncrementalCloudWalker(graph, params=params,
-                                        stream_per_source=True, warm_start=False)
+        single = IncrementalCloudWalker(graph, params=params)
         single.build()
         single_info = single.add_edges(edges)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import ClusterSpec
-from repro.engine import ClusterContext
+from repro.engine.context import ClusterContext
 from repro.engine.cost_model import ClusterCostModel
 from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend, make_backend
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics

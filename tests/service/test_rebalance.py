@@ -4,7 +4,7 @@ Four layers, bottom-up:
 
 * the **LPT planner** (:func:`repro.graph.partition.load_balanced_plan`)
   and per-shard load aggregation (:func:`~repro.graph.partition.shard_loads`);
-* the **cost model** (:func:`repro.engine.cost_model.evaluate_rebalance`) —
+* the **rebalance decision** (:func:`repro.graph.partition.evaluate_rebalance`) —
   makespan ratios, the improvement threshold, the representativeness gate;
 * the **load accounting** the planner feeds on (routed sources per node
   and shard) and the per-shard ``scatter_seconds`` monitor row;
@@ -27,10 +27,14 @@ from repro.config import (
     SimRankParams,
 )
 from repro.core.index import ShardedSnapshotStore
-from repro.engine.cost_model import evaluate_rebalance
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
-from repro.graph.partition import ShardPlan, load_balanced_plan, shard_loads
+from repro.graph.partition import (
+    ShardPlan,
+    evaluate_rebalance,
+    load_balanced_plan,
+    shard_loads,
+)
 from repro.service import (
     PairQuery,
     QueryService,

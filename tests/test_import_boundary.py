@@ -1,0 +1,42 @@
+"""The serving side never loads the Spark simulator.
+
+``repro.service`` and the sharded build share exactly one module with
+``repro.engine`` — ``executor`` (backends and the resident registry) — and
+none of the reproduction-side core modules (the ``CloudWalker`` facade, the
+paper's two execution models, the shared-stream diagonal estimator).  The
+check runs in a fresh interpreter, because this test session has long since
+imported everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SERVING_MODULES = ("repro.service", "repro.service.http", "repro.core.sharding")
+REPRODUCTION_CORE = ("repro.core.cloudwalker", "repro.core.broadcast_impl",
+                     "repro.core.rdd_impl", "repro.core.diagonal")
+
+
+def _loaded_after_importing(modules):
+    script = (
+        "import importlib, json, sys\n"
+        f"for name in {list(modules)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=60,
+                               check=True)
+    return set(json.loads(completed.stdout))
+
+
+def test_serving_imports_stop_at_engine_executor():
+    loaded = _loaded_after_importing(SERVING_MODULES)
+    engine = {name for name in loaded if name.startswith("repro.engine.")}
+    assert engine == {"repro.engine.executor"}
+    assert not loaded & set(REPRODUCTION_CORE)

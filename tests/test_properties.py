@@ -27,7 +27,7 @@ from repro.core import linear_system, montecarlo, queries, walks
 from repro.core.diagonal import build_diagonal_index
 from repro.core.jacobi import exact_solve, jacobi_solve
 from repro.core.queries import QueryEngine
-from repro.engine import ClusterContext
+from repro.engine.context import ClusterContext
 from repro.graph.digraph import DiGraph
 from repro.service import PairQuery, QueryService, SourceQuery
 
@@ -360,19 +360,6 @@ class TestEngineProperties:
         for key, value in pairs:
             expected[key] = expected.get(key, 0) + value
         assert result == expected
-
-    @given(st.lists(st.integers(min_value=-100, max_value=100), max_size=80),
-           st.integers(min_value=1, max_value=5))
-    def test_sort_by_matches_sorted(self, values, partitions):
-        with ClusterContext() as ctx:
-            result = ctx.parallelize(values, partitions).sort_by(lambda x: x).collect()
-        assert result == sorted(values)
-
-    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=60))
-    def test_distinct_matches_set(self, values):
-        with ClusterContext() as ctx:
-            result = ctx.parallelize(values).distinct().collect()
-        assert sorted(result) == sorted(set(values))
 
 
 # --------------------------------------------------------------------------- #
