@@ -6,16 +6,18 @@ itself is not available offline, so this subpackage provides a from-scratch
 engine exposing the subset of the Spark API the paper's jobs need:
 
 * :class:`~repro.engine.context.ClusterContext` — entry point
-  (``parallelize``, ``broadcast``, ``graph_in_adjacency_rdd``,
-  ``checkpoint`` / ``metrics_since``).
+  (``parallelize``, ``broadcast``, ``accumulator``, ``text_file``,
+  ``graph_in_adjacency_rdd``, ``checkpoint`` / ``metrics_since``).
 * :class:`~repro.engine.rdd.RDD` — lazy, lineage-based distributed
-  collections with the transformations the execution models run
-  (``map``, ``flat_map``, ``map_partitions_with_index``, ``cogroup``,
-  ``reduce_by_key``, ``persist``) and one action, ``collect``.
+  collections with the usual transformations (``map``, ``flat_map``,
+  ``filter``, ``map_partitions``, ``reduce_by_key``, ``group_by_key``,
+  ``join``, ``cogroup``, …) and actions (``collect``, ``count``,
+  ``reduce``, ``take``).
 * :class:`~repro.engine.scheduler.DAGScheduler` — splits the lineage graph
   into stages at shuffle boundaries and runs them on a pluggable local
   backend (serial, thread pool or process pool).
-* :class:`~repro.engine.broadcast.Broadcast` — read-only shared variables.
+* :class:`~repro.engine.broadcast.Broadcast` /
+  :class:`~repro.engine.accumulator.Accumulator` — shared variables.
 * :class:`~repro.engine.cost_model.ClusterCostModel` — converts the measured
   task metrics of a job into an estimated wall-clock on a simulated cluster
   (:class:`~repro.config.ClusterSpec`), which is how the benchmark harness

@@ -1,20 +1,21 @@
 """ClusterContext: the engine's entry point (Spark's ``SparkContext``).
 
 A context owns the execution backend, the DAG scheduler, the persistent RDD
-cache, the broadcast registry, the cluster cost model and the job-metrics
-history.  CloudWalker's
+cache, the broadcast registry and the job-metrics history.  CloudWalker's
 execution models create one context per run and use it for every job.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import ClusterSpec, ExecutionOptions
-from repro.engine.broadcast import Broadcast
-from repro.engine.cost_model import ClusterCostModel
+from repro.engine.accumulator import Accumulator
+from repro.engine.broadcast import Broadcast, estimate_size_bytes
+from repro.engine.cost_model import ClusterCostModel, CostEstimate
 from repro.engine.metrics import JobMetrics, merge_job_metrics
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import DAGScheduler
@@ -24,7 +25,7 @@ from repro.graph.partition import Partitioner
 
 
 class ClusterContext:
-    """Entry point for creating RDDs and broadcasts.
+    """Entry point for creating RDDs, broadcasts and accumulators.
 
     Parameters
     ----------
@@ -37,8 +38,8 @@ class ClusterContext:
     Example
     -------
     >>> ctx = ClusterContext()
-    >>> sorted(ctx.parallelize(range(5)).map(lambda x: x * x).collect())
-    [0, 1, 4, 9, 16]
+    >>> ctx.parallelize(range(10)).map(lambda x: x * x).sum()
+    285
     """
 
     def __init__(
@@ -67,6 +68,9 @@ class ClusterContext:
     def _next_rdd_id(self) -> int:
         self._rdd_counter += 1
         return self._rdd_counter
+
+    def _evict(self, rdd_id: int) -> None:
+        self._cache.pop(rdd_id, None)
 
     def _run_job(self, rdd: RDD, action: str) -> List[List[Any]]:
         self._job_counter += 1
@@ -98,12 +102,42 @@ class ClusterContext:
             self, data, num_partitions or self.default_parallelism, name=name
         )
 
+    def empty_rdd(self) -> RDD:
+        """An RDD with no records and a single partition."""
+        return ParallelCollectionRDD(self, [], 1, name="empty")
+
+    def range(self, start: int, stop: Optional[int] = None,
+              num_partitions: Optional[int] = None) -> RDD:
+        """RDD over ``range(start, stop)`` (or ``range(start)``)."""
+        if stop is None:
+            start, stop = 0, start
+        return self.parallelize(range(start, stop), num_partitions, name="range")
+
+    def text_file(self, path, num_partitions: Optional[int] = None) -> RDD:
+        """RDD of lines from a text file (or all ``part-*`` files in a dir)."""
+        path = Path(path)
+        if path.is_dir():
+            files = sorted(path.glob("part-*"))
+        else:
+            files = [path]
+        lines: List[str] = []
+        for file_path in files:
+            with file_path.open("r", encoding="utf-8") as handle:
+                lines.extend(line.rstrip("\n") for line in handle)
+        return self.parallelize(lines, num_partitions, name=f"text_file({path.name})")
+
     def broadcast(self, value: Any, size_bytes: Optional[int] = None) -> Broadcast:
         """Create a broadcast variable and account its size for the cost model."""
         broadcast = Broadcast(value, size_bytes=size_bytes)
         self.broadcasts.append(broadcast)
         self._pending_broadcast_bytes += broadcast.size_bytes
         return broadcast
+
+    def accumulator(self, initial: Any = 0,
+                    combine: Callable[[Any, Any], Any] = lambda a, b: a + b,
+                    name: str = "accumulator") -> Accumulator:
+        """Create an accumulator."""
+        return Accumulator(initial, combine, name)
 
     # ------------------------------------------------------------------ #
     # Graph ingestion helpers (the RDD execution model starts here)
@@ -136,9 +170,20 @@ class ClusterContext:
         rdd._partitions = groups
         return rdd
 
+    def graph_edges_rdd(self, graph: DiGraph, num_partitions: Optional[int] = None) -> RDD:
+        """RDD of ``(src, dst)`` edges for ``graph``."""
+        return self.parallelize(
+            list(graph.edges()), num_partitions or self.default_parallelism, name="edges"
+        )
+
     # ------------------------------------------------------------------ #
-    # Metrics
+    # Metrics and cost estimation
     # ------------------------------------------------------------------ #
+    @property
+    def last_job_metrics(self) -> Optional[JobMetrics]:
+        """Metrics of the most recent job, if any."""
+        return self.job_history[-1] if self.job_history else None
+
     def metrics_since(self, job_index: int, action: str = "phase") -> JobMetrics:
         """Merge all job metrics recorded at or after ``job_index``."""
         return merge_job_metrics(self.job_history[job_index:], action=action)
@@ -146,6 +191,19 @@ class ClusterContext:
     def checkpoint(self) -> int:
         """Return a marker usable with :meth:`metrics_since`."""
         return len(self.job_history)
+
+    def estimate_cost(self, metrics: Optional[JobMetrics] = None,
+                      cluster: Optional[ClusterSpec] = None) -> CostEstimate:
+        """Estimate cluster wall-clock for ``metrics`` (default: last job)."""
+        metrics = metrics or self.last_job_metrics
+        if metrics is None:
+            raise ValueError("no job has been run yet; nothing to estimate")
+        model = self.cost_model if cluster is None else ClusterCostModel(cluster)
+        return model.estimate(metrics)
+
+    def estimate_broadcast_size(self, value: Any) -> int:
+        """Expose the broadcast size estimator (used by execution models)."""
+        return estimate_size_bytes(value)
 
     def shutdown(self) -> None:
         """Release executor resources and cached partitions."""

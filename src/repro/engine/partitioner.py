@@ -8,7 +8,7 @@ ingestion time); a shuffle may repartition by arbitrary keys.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Any, Hashable, List, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -38,3 +38,44 @@ class HashKeyPartitioner(KeyPartitioner):
 
     def partition(self, key: Hashable) -> int:
         return hash(key) % self.num_partitions
+
+
+class RangeKeyPartitioner(KeyPartitioner):
+    """Partition by sorted key ranges; keys must be mutually comparable.
+
+    ``bounds`` holds ``num_partitions - 1`` ascending split points; a key goes
+    to the first partition whose bound is >= key.
+    """
+
+    def __init__(self, bounds: Sequence[Any]) -> None:
+        super().__init__(len(bounds) + 1)
+        self.bounds: List[Any] = list(bounds)
+
+    def partition(self, key: Any) -> int:
+        # Linear scan: the number of partitions is small (tens), and keys can
+        # be of any comparable type, so binary search buys little.
+        for index, bound in enumerate(self.bounds):
+            if key <= bound:
+                return index
+        return self.num_partitions - 1
+
+    @classmethod
+    def from_sample(cls, keys: Sequence[Any], num_partitions: int) -> "RangeKeyPartitioner":
+        """Build bounds from a sample of keys (used by ``RDD.sort_by``)."""
+        if num_partitions < 1:
+            raise ConfigurationError(
+                f"num_partitions must be >= 1, got {num_partitions}"
+            )
+        ordered = sorted(keys)
+        if num_partitions == 1 or not ordered:
+            return cls([])
+        bounds = []
+        for index in range(1, num_partitions):
+            position = int(len(ordered) * index / num_partitions)
+            bounds.append(ordered[min(position, len(ordered) - 1)])
+        # Collapse duplicate bounds to keep partitions disjoint.
+        unique_bounds = []
+        for bound in bounds:
+            if not unique_bounds or bound > unique_bounds[-1]:
+                unique_bounds.append(bound)
+        return cls(unique_bounds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import ClusterContext
+from repro.engine.context import ClusterContext
 
 
 @pytest.fixture()

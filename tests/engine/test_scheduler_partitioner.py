@@ -1,9 +1,9 @@
-"""Tests for scheduler helpers and the shuffle key partitioner."""
+"""Tests for scheduler helpers and shuffle key partitioners."""
 
 import pytest
 
 from repro.engine.context import ClusterContext
-from repro.engine.partitioner import HashKeyPartitioner
+from repro.engine.partitioner import HashKeyPartitioner, RangeKeyPartitioner
 from repro.engine.scheduler import estimate_records_bytes
 from repro.errors import ConfigurationError
 
@@ -41,6 +41,36 @@ class TestHashKeyPartitioner:
             HashKeyPartitioner(0)
 
 
+class TestRangeKeyPartitioner:
+    def test_bounds_partitioning(self):
+        partitioner = RangeKeyPartitioner([10, 20])
+        assert partitioner.num_partitions == 3
+        assert partitioner.partition(5) == 0
+        assert partitioner.partition(10) == 0
+        assert partitioner.partition(15) == 1
+        assert partitioner.partition(99) == 2
+
+    def test_from_sample_produces_balanced_bounds(self):
+        keys = list(range(100))
+        partitioner = RangeKeyPartitioner.from_sample(keys, 4)
+        assignments = [partitioner.partition(key) for key in keys]
+        counts = [assignments.count(p) for p in range(partitioner.num_partitions)]
+        assert max(counts) <= 2 * min(count for count in counts if count)
+
+    def test_from_sample_duplicate_keys_collapse(self):
+        partitioner = RangeKeyPartitioner.from_sample([1, 1, 1, 1], 4)
+        assert partitioner.num_partitions <= 2
+
+    def test_from_sample_empty(self):
+        partitioner = RangeKeyPartitioner.from_sample([], 3)
+        assert partitioner.num_partitions == 1
+        assert partitioner.partition("anything") == 0
+
+    def test_from_sample_invalid(self):
+        with pytest.raises(ConfigurationError):
+            RangeKeyPartitioner.from_sample([1, 2], 0)
+
+
 class TestStageStructure:
     def test_cached_shuffle_not_recomputed(self):
         with ClusterContext() as ctx:
@@ -64,7 +94,7 @@ class TestStageStructure:
     def test_job_metrics_stage_kinds_in_order(self):
         with ClusterContext() as ctx:
             ctx.parallelize([("a", 1)], 1).reduce_by_key(lambda x, y: x + y).collect()
-            kinds = [stage.kind for stage in ctx.job_history[-1].stages]
+            kinds = [stage.kind for stage in ctx.last_job_metrics.stages]
             assert kinds == ["narrow", "shuffle-map", "shuffle-reduce"]
 
     def test_diamond_lineage_reuses_memoized_parent(self):
@@ -79,6 +109,6 @@ class TestStageStructure:
             left = base.map(lambda x: x * 2)
             right = base.map(lambda x: x * 3)
             union = left.union(right)
-            assert len(union.collect()) == 20
+            assert union.count() == 20
             # `base` is materialised once per job even though two children use it.
             assert len(calls) == 10

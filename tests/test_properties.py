@@ -361,6 +361,19 @@ class TestEngineProperties:
             expected[key] = expected.get(key, 0) + value
         assert result == expected
 
+    @given(st.lists(st.integers(min_value=-100, max_value=100), max_size=80),
+           st.integers(min_value=1, max_value=5))
+    def test_sort_by_matches_sorted(self, values, partitions):
+        with ClusterContext() as ctx:
+            result = ctx.parallelize(values, partitions).sort_by(lambda x: x).collect()
+        assert result == sorted(values)
+
+    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=60))
+    def test_distinct_matches_set(self, values):
+        with ClusterContext() as ctx:
+            result = ctx.parallelize(values).distinct().collect()
+        assert sorted(result) == sorted(set(values))
+
 
 # --------------------------------------------------------------------------- #
 # Live-update invariants
