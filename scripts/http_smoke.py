@@ -24,6 +24,11 @@ a real child process:
    during the run that survives the server's exit is a leaked resident
    graph or worker-pool segment, and the script exits non-zero.
 
+Then a short second leg serves the same index at ``--shards 1``, which
+takes the same overlapped-drain path as any K: one query, one waited
+update, the probe again against a fresh build, and the same graceful
+SIGTERM and ``/dev/shm`` checks.
+
 Exit codes: 0 all good, 1 a stage failed, 2 shared-memory segments leaked.
 
 Usage::
@@ -89,12 +94,12 @@ def _shm_segments() -> set:
             if entry.name.startswith("psm_")}
 
 
-def _start_server(graph: Path, index: Path) -> subprocess.Popen:
+def _start_server(graph: Path, index: Path, shards: int) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve-http",
          "--graph", str(graph), "--index", str(index),
-         "--shards", "2", "--serve-backend", "processes",
-         "--serve-workers", "2", "--port", "0"],
+         "--shards", str(shards), "--serve-backend", "processes",
+         "--serve-workers", str(shards), "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=_cli_env(), cwd=str(REPO_ROOT),
     )
@@ -236,6 +241,83 @@ def _apply_load(port: int, seconds: float) -> dict:
     return outcome
 
 
+def _shutdown(server: subprocess.Popen) -> bool:
+    """SIGTERM the server; True when it drained and exited 0."""
+    server.send_signal(signal.SIGTERM)
+    try:
+        rc = server.wait(timeout=120)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        print("http-smoke: FAIL - server did not exit after SIGTERM",
+              file=sys.stderr)
+        return False
+    tail = server.stdout.read() if server.stdout else ""
+    ok = True
+    if rc != 0:
+        print(f"http-smoke: FAIL - server exited {rc} after SIGTERM "
+              f"(expected 0)\n{tail}", file=sys.stderr)
+        ok = False
+    if "shutdown complete" not in tail:
+        print(f"http-smoke: FAIL - no graceful-shutdown line in "
+              f"output:\n{tail}", file=sys.stderr)
+        ok = False
+    return ok
+
+
+def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
+    """Two shards: ranking-entry probe, concurrent load, post-update probe."""
+    server = _start_server(graph, index, shards=2)
+    try:
+        port = _await_port(server)
+        version = _probe_repeat(port)
+        print(f"http-smoke: server up on port {port}, repeated top-k "
+              f"served from its ranking entry; applying "
+              f"{seconds:.0f}s of load from {N_LOAD_THREADS} threads")
+        outcome = _apply_load(port, seconds)
+        if not outcome["errors"]:
+            _probe_after_update(port, graph, index, version)
+            print("http-smoke: post-update top-k equals a fresh build's "
+                  f"at index_version {version + 1}")
+    except Exception:
+        server.kill()
+        server.wait(timeout=30)
+        raise
+    print(f"http-smoke: {outcome['requests']} requests, "
+          f"{outcome['failures']} non-200, "
+          f"{len(outcome['errors'])} client errors")
+    ok = _shutdown(server)
+    for error in outcome["errors"]:
+        print(f"http-smoke: FAIL - client error: {error}", file=sys.stderr)
+        ok = False
+    if outcome["failures"]:
+        print(f"http-smoke: FAIL - {outcome['failures']} non-200 "
+              f"responses under load", file=sys.stderr)
+        ok = False
+    if outcome["requests"] == 0:
+        print("http-smoke: FAIL - the load phase issued no requests",
+              file=sys.stderr)
+        ok = False
+    return ok
+
+
+def _one_shard_leg(graph: Path, index: Path) -> bool:
+    """One shard: a query, a waited update, the probe against a fresh build."""
+    server = _start_server(graph, index, shards=1)
+    try:
+        port = _await_port(server)
+        version = json.loads(_request(port, "POST", "/query",
+                                      {"queries": [PROBE_LINE]}))["index_version"]
+        _request(port, "POST", "/update", {"edges": UPDATE_EDGES, "wait": True})
+        _probe_after_update(port, graph, index, version)
+        print("http-smoke: --shards 1 post-update top-k equals a fresh "
+              f"build's at index_version {version + 1}")
+    except Exception:
+        server.kill()
+        server.wait(timeout=30)
+        raise
+    return _shutdown(server)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=2.0,
@@ -255,59 +337,8 @@ def main(argv=None) -> int:
                  "--steps", str(WALK_STEPS), "--output", str(index))
 
         before = _shm_segments()
-        server = _start_server(graph, index)
-        try:
-            port = _await_port(server)
-            version = _probe_repeat(port)
-            print(f"http-smoke: server up on port {port}, repeated top-k "
-                  f"served from its ranking entry; applying "
-                  f"{args.seconds:.0f}s of load from "
-                  f"{N_LOAD_THREADS} threads")
-            outcome = _apply_load(port, args.seconds)
-            if not outcome["errors"]:
-                _probe_after_update(port, graph, index, version)
-                print("http-smoke: post-update top-k equals a fresh build's "
-                      f"at index_version {version + 1}")
-        except Exception:
-            server.kill()
-            server.wait(timeout=30)
-            raise
-        print(f"http-smoke: {outcome['requests']} requests, "
-              f"{outcome['failures']} non-200, "
-              f"{len(outcome['errors'])} client errors")
-
-        server.send_signal(signal.SIGTERM)
-        try:
-            rc = server.wait(timeout=120)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            print("http-smoke: FAIL - server did not exit after SIGTERM",
-                  file=sys.stderr)
-            return 1
-        tail = server.stdout.read() if server.stdout else ""
-
-        ok = True
-        if outcome["failures"] or outcome["errors"]:
-            for error in outcome["errors"]:
-                print(f"http-smoke: FAIL - client error: {error}",
-                      file=sys.stderr)
-            if outcome["failures"]:
-                print(f"http-smoke: FAIL - {outcome['failures']} non-200 "
-                      f"responses under load", file=sys.stderr)
-            ok = False
-        if outcome["requests"] == 0:
-            print("http-smoke: FAIL - the load phase issued no requests",
-                  file=sys.stderr)
-            ok = False
-        if rc != 0:
-            print(f"http-smoke: FAIL - server exited {rc} after SIGTERM "
-                  f"(expected 0)\n{tail}", file=sys.stderr)
-            ok = False
-        if "shutdown complete" not in tail:
-            print(f"http-smoke: FAIL - no graceful-shutdown line in "
-                  f"output:\n{tail}", file=sys.stderr)
-            ok = False
-
+        ok = _load_leg(graph, index, args.seconds)
+        ok = _one_shard_leg(graph, index) and ok
         leaked = _shm_segments() - before
         if leaked:
             print(f"http-smoke: FAIL - leaked shared-memory segments: "
@@ -315,7 +346,8 @@ def main(argv=None) -> int:
             return 2
         if not ok:
             return 1
-    print("http-smoke: graceful shutdown verified, no leaked segments")
+    print("http-smoke: graceful shutdown verified at --shards 2 and 1, "
+          "no leaked segments")
     return 0
 
 

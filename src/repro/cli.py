@@ -4,6 +4,13 @@ The CLI covers the operational workflow a user of the original system would
 have: inspect datasets, generate or ingest a graph, build the offline index,
 validate it, and answer queries — all from the shell.
 
+Every serving and maintenance command (``query-batch``, ``serve``,
+``serve-http``, ``replay``, ``update``, ``rebalance``, ``snapshot``) has one
+deployment shape for every ``--shards K``: a single machine is the K = 1
+cluster, so K = 1 runs the same :class:`~repro.service.ShardedQueryService`
+and writes the same snapshot layout (``shard_plan.json`` plus one
+``shard-NN/`` store per shard) as any other K.
+
 Examples
 --------
 ::
@@ -44,10 +51,11 @@ from repro.config import (
     UpdateParams,
 )
 from repro.core.cloudwalker import CloudWalker
-from repro.core.index import DiagonalIndex, ShardedSnapshotStore, SnapshotStore
+from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
 from repro.errors import CloudWalkerError
 from repro.graph import datasets, generators, io, stats
 from repro.graph.digraph import DiGraph
+from repro.graph.partition import ShardPlan
 
 
 # --------------------------------------------------------------------------- #
@@ -87,8 +95,8 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = ShardingParams()
     parser.add_argument("--shards", type=int, default=defaults.num_shards,
-                        help="number of index shards K; 1 = single-shard "
-                             "(default: %(default)s)")
+                        help="number of index shards K (default: "
+                             "%(default)s)")
     parser.add_argument("--shard-strategy", dest="shard_strategy",
                         default=defaults.strategy,
                         choices=["hash", "contiguous", "partitioner"],
@@ -123,19 +131,6 @@ def _rebalance_from_args(args: argparse.Namespace) -> RebalanceParams:
         check_interval=getattr(args, "rebalance_interval",
                                defaults.check_interval),
     )
-
-
-def _wants_sharding(args: argparse.Namespace) -> bool:
-    """True when ``--shards`` asks for the sharded path.
-
-    Any value other than the default 1 goes through
-    :class:`ShardingParams` validation, so ``--shards 0`` fails loudly
-    instead of silently serving single-shard.
-    """
-    shards = getattr(args, "shards", 1)
-    if shards != 1:
-        _sharding_from_args(args)
-    return shards != 1
 
 
 def _add_param_arguments(parser: argparse.ArgumentParser) -> None:
@@ -295,8 +290,8 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
                         choices=["serial", "threads", "processes"],
-                        help="executor backend for query-time scatter across "
-                             "shards; needs --shards > 1 to matter "
+                        help="executor backend for the cache-miss walk "
+                             "simulation, one task per owning shard "
                              "(default: %(default)s)")
     parser.add_argument("--serve-workers", dest="serve_workers", type=int,
                         default=defaults.serve_workers,
@@ -320,26 +315,21 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_service(args: argparse.Namespace):
-    from repro.service import QueryService, ShardedQueryService
+    from repro.service import ShardedQueryService
 
     graph = _load_graph(args)
     service_params = ServiceParams(
         cache_capacity=args.cache_capacity, max_batch_size=args.max_batch_size,
         serve_backend=args.serve_backend, serve_workers=args.serve_workers,
-        accuracy_budget=getattr(args, "accuracy_budget", None),
-        approx_walkers=getattr(args, "approx_walkers", None),
-        approx_steps=getattr(args, "approx_steps", None),
+        accuracy_budget=args.accuracy_budget,
+        approx_walkers=args.approx_walkers, approx_steps=args.approx_steps,
     )
     # Parameters default to the ones persisted in the index so a cold-started
     # service answers exactly like the process that built the index.
-    if _wants_sharding(args):
-        return ShardedQueryService.from_index_file(
-            graph, args.index, service_params=service_params,
-            sharding=_sharding_from_args(args),
-            rebalance_params=_rebalance_from_args(args),
-        )
-    return QueryService.from_index_file(
-        graph, args.index, service_params=service_params
+    return ShardedQueryService.from_index_file(
+        graph, args.index, service_params=service_params,
+        sharding=_sharding_from_args(args),
+        rebalance_params=_rebalance_from_args(args),
     )
 
 
@@ -403,8 +393,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
 
     service = _make_service(args)
     try:
-        sharded = f" across {args.shards} shards" \
-            if getattr(args, "shards", 1) > 1 else ""
+        sharded = f" across {args.shards} shards" if args.shards > 1 else ""
         print(f"serving SimRank queries over {service.graph.name!r} "
               f"({service.graph.n_nodes} nodes{sharded}); one query per line "
               "('pair i j', 'source i', 'topk i [k]'), 'add i j' to insert an "
@@ -455,21 +444,19 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
 
     service = _make_service(args)
     try:
-        sharded = f" across {args.shards} shards" \
-            if getattr(args, "shards", 1) > 1 else ""
-        auto = bool(getattr(args, "auto_rebalance", False)) \
-            and hasattr(service, "maybe_rebalance")
+        sharded = f" across {args.shards} shards" if args.shards > 1 else ""
         print(f"serving SimRank queries over {service.graph.name!r} "
               f"({service.graph.n_nodes} nodes{sharded}) via HTTP; "
               "POST /query, POST /update, POST /rebalance, "
               "GET /healthz|/version|/stats; "
               "SIGTERM or Ctrl-C drains gracefully"
-              + ("; auto-rebalance on" if auto else ""), file=out)
+              + ("; auto-rebalance on" if args.auto_rebalance else ""),
+              file=out)
         server = HttpServiceServer(
             service, host=args.host, port=args.port,
             coalesce_window=args.coalesce_window,
             max_in_flight=args.max_in_flight,
-            auto_rebalance=auto,
+            auto_rebalance=args.auto_rebalance,
         )
         try:
             server.run(out=out)
@@ -550,75 +537,58 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
                          graph: DiGraph, out):
     """Resolve the service an ``update`` run mutates, plus its description.
 
-    Priority: a non-empty ``--snapshot-dir`` (sharded layout auto-detected
-    from its ``shard_plan.json``) wins over ``--index``; ``--shards K``
-    with a plain index file starts a fresh sharded lineage.
+    A ``--snapshot-dir`` holding a consistent snapshot wins over
+    ``--index`` and keeps its own shard count; otherwise ``--index``
+    starts a lineage with ``--shards K`` shards.
     """
-    from repro.service import QueryService, ShardedQueryService
+    from repro.service import ShardedQueryService
 
     sharding = _sharding_from_args(args)
-    if args.snapshot_dir and ShardedSnapshotStore.is_sharded(args.snapshot_dir):
-        sharded_store = ShardedSnapshotStore(args.snapshot_dir, retain=args.retain)
-        if sharded_store.latest_version() is None:
-            # A crashed first save leaves the plan with no consistent
-            # version; recover from --index under the directory's plan so
-            # the lineage stays writable, instead of hard-failing.
-            if not args.index:
-                raise CloudWalkerError(
-                    f"{args.snapshot_dir} has no consistent sharded snapshot "
-                    "(crashed first save?); pass --index to restart the "
-                    "lineage or use a fresh directory"
-                )
-            plan = sharded_store.load_plan()
-            print(f"note: {args.snapshot_dir} has no consistent sharded "
-                  f"snapshot; restarting the lineage from {args.index} under "
-                  f"its persisted {plan.num_shards}-shard plan", file=out)
-            service = ShardedQueryService.from_index_file(
-                graph, args.index, update_params=update_params,
-                sharding=sharding.with_(num_shards=plan.num_shards,
-                                        strategy=plan.strategy),
-                plan=plan,
-            )
-            return service, f"{args.index} ({plan.num_shards} shards)"
+    store = ShardedSnapshotStore(args.snapshot_dir, retain=args.retain) \
+        if args.snapshot_dir else None
+    if store is not None and store.latest_version() is not None:
         service = ShardedQueryService.from_snapshot(
             graph, args.snapshot_dir, update_params=update_params,
             sharding=sharding,
         )
-        if args.shards > 1 and args.shards != service.num_shards:
+        shards = service.num_shards
+        if args.shards > 1 and args.shards != shards:
             print(f"note: a lineage's shard count is immutable (assignments "
                   f"migrate via 'rebalance', the count never does); keeping "
-                  f"the directory's {service.num_shards} shards (ignoring "
+                  f"the directory's {shards}-shard plan (ignoring "
                   f"--shards {args.shards})", file=out)
-        return service, (f"sharded snapshot v{service.index_version} "
-                         f"({service.num_shards} shards) in {args.snapshot_dir}")
-    store = SnapshotStore(args.snapshot_dir, retain=args.retain) \
-        if args.snapshot_dir else None
-    if store is not None and store.latest_version() is not None:
-        if _wants_sharding(args):
-            raise CloudWalkerError(
-                f"{args.snapshot_dir} holds a single-shard snapshot lineage; "
-                "drop --shards or start a sharded lineage in a fresh directory"
-            )
-        service = QueryService.from_snapshot(
-            graph, args.snapshot_dir, update_params=update_params
-        )
-        if not store.system_path(service.index_version).exists():
+        if store.describe(service.index_version)["systems"] < shards:
             print("note: snapshot carries no linear system; estimating it once",
                   file=out)
-        return service, f"snapshot v{service.index_version} in {args.snapshot_dir}"
-    if args.index:
-        print("note: plain index carries no linear system; estimating it once "
-              "(snapshots avoid this)", file=out)
-        if _wants_sharding(args):
-            service = ShardedQueryService.from_index_file(
-                graph, args.index, update_params=update_params, sharding=sharding
+        return service, (f"snapshot v{service.index_version} in "
+                         f"{args.snapshot_dir} ({shards}-shard plan)")
+    plan = None
+    if store is not None and (store.directory / store.PLAN_FILE).exists():
+        # A crashed first save leaves the plan with no consistent version;
+        # recover from --index under the directory's plan so the lineage
+        # stays writable, instead of hard-failing.
+        if not args.index:
+            raise CloudWalkerError(
+                f"{args.snapshot_dir} has no consistent sharded snapshot "
+                "(crashed first save?); pass --index to restart the "
+                "lineage or use a fresh directory"
             )
-            return service, f"{args.index} ({args.shards} shards)"
-        service = QueryService.from_index_file(
-            graph, args.index, update_params=update_params
-        )
-        return service, str(args.index)
-    raise CloudWalkerError("update requires --index or a non-empty --snapshot-dir")
+        plan = store.load_plan()
+        sharding = sharding.with_(num_shards=plan.num_shards,
+                                  strategy=plan.strategy)
+        print(f"note: {args.snapshot_dir} has no consistent sharded "
+              f"snapshot; restarting the lineage from {args.index} under "
+              f"its persisted {plan.num_shards}-shard plan", file=out)
+    elif not args.index:
+        raise CloudWalkerError(
+            "update requires --index or a non-empty --snapshot-dir")
+    print("note: plain index carries no linear system; estimating it once "
+          "(snapshots avoid this)", file=out)
+    service = ShardedQueryService.from_index_file(
+        graph, args.index, update_params=update_params, sharding=sharding,
+        plan=plan,
+    )
+    return service, f"{args.index} ({service.num_shards}-shard plan)"
 
 
 def _cmd_update(args: argparse.Namespace, out) -> int:
@@ -644,8 +614,13 @@ def _cmd_update(args: argparse.Namespace, out) -> int:
                   f"({result.new_nodes} new nodes), index now version "
                   f"{service.index_version}", file=out)
         if args.snapshot_dir:
+            written = service.stats()["snapshots_written"]
             version, path = service.save_snapshot(args.snapshot_dir)
-            print(f"snapshot v{version} written to {path}", file=out)
+            if service.stats()["snapshots_written"] > written:
+                print(f"snapshot v{version} written to {path}", file=out)
+            else:
+                print(f"snapshot v{version} already on disk in {path}",
+                      file=out)
             if result is not None and not args.output_graph:
                 print("warning: snapshot records the UPDATED graph but "
                       "--output-graph was not given; pass the updated edge list "
@@ -664,7 +639,7 @@ def _cmd_update(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_rebalance(args: argparse.Namespace, out) -> int:
-    """Offline plan migration: re-balance a sharded lineage's assignment.
+    """Offline plan migration: re-balance a lineage's shard assignment.
 
     Loads the service exactly like ``update`` (snapshot directory first,
     ``--index`` fallback), weights every node by its **in-degree** — the
@@ -674,7 +649,8 @@ def _cmd_rebalance(args: argparse.Namespace, out) -> int:
     under ``--force``).  A migration into ``--snapshot-dir`` persists the
     new governing plan alongside the re-sliced shard systems, so the next
     ``serve-http``/``update`` against the directory serves the new plan;
-    answers are bitwise-unchanged either way.
+    answers are bitwise-unchanged either way.  A one-shard lineage has
+    nothing to migrate: its proposed plan equals the serving plan.
     """
     graph = _load_graph(args)
     update_params = UpdateParams(
@@ -683,11 +659,6 @@ def _cmd_rebalance(args: argparse.Namespace, out) -> int:
     )
     service, source = _load_update_service(args, update_params, graph, out)
     try:
-        if not hasattr(service, "rebalance"):
-            raise CloudWalkerError(
-                "rebalance needs a sharded service; this lineage is "
-                "single-shard (build one with --shards K)"
-            )
         service.rebalance_params = service.rebalance_params.with_(
             improvement_threshold=args.rebalance_threshold,
             # Offline weights are structural, not observed-query counters,
@@ -711,74 +682,46 @@ def _cmd_rebalance(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace, out) -> int:
-    if ShardedSnapshotStore.is_sharded(args.dir):
-        return _cmd_snapshot_sharded(args, out)
-    store = SnapshotStore(args.dir, retain=args.retain)
+    """``snapshot list|save|prune`` over a lineage of any shard count.
+
+    ``list`` shows the *consistent* versions (present in every shard
+    store) and how many shards saved their system block; ``save`` writes
+    an index file's diagonal into every shard store with no system blocks
+    (a new directory gets a one-shard plan), so the first update estimates
+    the system once; ``prune`` bounds every shard store.
+    """
+    store = ShardedSnapshotStore(args.dir, retain=args.retain)
     if args.action == "list":
         versions = store.versions()
         if not versions:
             print(f"no snapshots in {args.dir}", file=out)
             return 0
-        print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'system':<7} path", file=out)
+        plan = store.load_plan()
+        print(f"{plan.num_shards}-shard {plan.strategy!r} lineage", file=out)
+        print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'systems':<8} path",
+              file=out)
         for version in versions:
             info = store.describe(version)
-            has_system = "yes" if info["has_system"] else "no"
+            systems = f"{info['systems']}/{info['num_shards']}"
             print(f"{version:<9} {info['n_nodes']:<9} {info['n_edges']:<10} "
-                  f"{has_system:<7} {info['path']}", file=out)
+                  f"{systems:<8} {args.dir}", file=out)
         return 0
     if args.action == "save":
         if not args.index:
             print("snapshot save requires --index", file=out)
             return 2
-        version = store.save_snapshot(DiagonalIndex.load(args.index))
-        print(f"snapshot v{version} written to {store.index_path(version)}", file=out)
+        plan = store.load_plan() \
+            if (store.directory / store.PLAN_FILE).exists() else ShardPlan.hashed(1)
+        version = store.save_snapshot(
+            ShardedIndex(index=DiagonalIndex.load(args.index), plan=plan))
+        print(f"snapshot v{version} written to {args.dir} "
+              f"({plan.num_shards}-shard plan, no linear system)", file=out)
         return 0
-    # prune
     removed = store.prune()
     if removed:
         print(f"pruned versions {removed}; kept {store.versions()}", file=out)
     else:
         print(f"nothing to prune; kept {store.versions()}", file=out)
-    return 0
-
-
-def _cmd_snapshot_sharded(args: argparse.Namespace, out) -> int:
-    """``snapshot`` against a sharded lineage (``shard_plan.json`` present).
-
-    ``list`` shows the *consistent* versions (present in every shard
-    store); ``prune`` bounds every shard store; ``save`` is refused — a
-    sharded snapshot needs per-shard system blocks, which only a serving
-    process has (``update --snapshot-dir`` or
-    ``ShardedQueryService.save_snapshot``).
-    """
-    store = ShardedSnapshotStore(args.dir, retain=args.retain)
-    plan = store.load_plan()
-    if args.action == "list":
-        versions = store.versions()
-        if not versions:
-            print(f"no consistent sharded snapshots in {args.dir} "
-                  f"({plan.num_shards}-shard {plan.strategy!r} plan)", file=out)
-            return 0
-        print(f"{plan.num_shards}-shard {plan.strategy!r} lineage", file=out)
-        print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'systems':<8} path",
-              file=out)
-        for version in versions:
-            infos = [store.shard_store(shard).describe(version)
-                     for shard in range(plan.num_shards)]
-            systems = sum(1 for info in infos if info["has_system"])
-            print(f"{version:<9} {infos[0]['n_nodes']:<9} "
-                  f"{infos[0]['n_edges']:<10} "
-                  f"{f'{systems}/{plan.num_shards}':<8} {args.dir}", file=out)
-        return 0
-    if args.action == "save":
-        print(f"{args.dir} is a sharded lineage; 'snapshot save' of a plain "
-              "index would leave the shards without their system blocks — "
-              "snapshot through the serving path instead "
-              "(python -m repro update --snapshot-dir ...)", file=out)
-        return 2
-    store.prune()
-    print(f"pruned every shard store to {args.retain} versions; "
-          f"kept {store.versions()}", file=out)
     return 0
 
 
@@ -896,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default=False,
                             help="periodically migrate to a better-balanced "
                                  "shard plan when the observed query load "
-                                 "justifies it; needs --shards > 1 "
+                                 "justifies it; a no-op at --shards 1 "
                                  "(default: %(default)s)")
     serve_http.add_argument("--rebalance-threshold",
                             dest="rebalance_threshold", type=float,
@@ -954,14 +897,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rebalance = subparsers.add_parser(
         "rebalance",
-        help="migrate a sharded snapshot lineage to a load-balanced shard "
-             "plan (offline; answers are bitwise-unchanged)",
+        help="migrate a snapshot lineage to a load-balanced shard plan "
+             "(offline; answers are bitwise-unchanged)",
     )
     _add_graph_arguments(rebalance)
     _add_sharding_arguments(rebalance)
     rebalance.add_argument("--snapshot-dir", dest="snapshot_dir",
-                           help="sharded snapshot lineage to migrate and "
-                                "write the new plan generation into")
+                           help="snapshot lineage to migrate and write the "
+                                "new plan generation into")
     rebalance.add_argument("--index",
                            help="index .npz fallback when --snapshot-dir has "
                                 "no consistent snapshot yet")
@@ -1006,7 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snapshot.add_argument("action", choices=["list", "save", "prune"])
     snapshot.add_argument("--dir", required=True, help="snapshot directory")
-    snapshot.add_argument("--index", help="index .npz to save (snapshot save)")
+    snapshot.add_argument("--index",
+                          help="index .npz to save, without a linear system "
+                               "(snapshot save)")
     snapshot.add_argument("--retain", type=int, default=UpdateParams().snapshot_retain,
                           help="snapshot versions to keep (default: %(default)s)")
 

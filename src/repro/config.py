@@ -164,7 +164,8 @@ class ServiceParams:
         handle to the pool-resident graph plus their source ids, so
         payloads are O(sources), not O(graph).  Like the build-time
         ``ShardingParams.backend``, it changes only wall-clock, never
-        answers.  Ignored by the single-shard service.
+        answers.  Ignored by the library's plain ``QueryService``; a
+        one-shard ``ShardedQueryService`` still simulates through it.
     serve_workers:
         Worker bound for the ``threads`` / ``processes`` serve backends.
         The pool is persistent (spun up once, reused per batch); call
@@ -362,8 +363,9 @@ class ShardingParams:
     Attributes
     ----------
     num_shards:
-        ``K`` — number of index shards.  ``1`` means the single-shard path
-        (a :class:`~repro.service.QueryService` with no routing layer).
+        ``K`` — number of index shards.  ``1`` is the one-shard cluster:
+        the same :class:`~repro.service.ShardedQueryService` and snapshot
+        layout as any other ``K``, with every node on shard 0.
     strategy:
         How nodes are assigned to shards: ``"hash"`` (multiplicative hash of
         the node id — balanced, stable under growth), ``"contiguous"``

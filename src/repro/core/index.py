@@ -12,14 +12,15 @@ Three persistence layers live here:
     The index payload itself plus provenance, with atomic ``.npz``
     save/load.
 :class:`SnapshotStore`
-    Versioned, bounded-retention snapshots of one index lineage, optionally
-    carrying the Monte-Carlo linear system so incremental maintenance
-    survives restarts.
+    Versioned, bounded-retention snapshots of one shard's index, optionally
+    carrying the Monte-Carlo linear system (or the shard's rows of it) so
+    incremental maintenance survives restarts.
 :class:`ShardedIndex` / :class:`ShardedSnapshotStore`
-    The sharded deployment's view: the (broadcast) diagonal plus a
-    :class:`~repro.graph.partition.ShardPlan` and per-shard versions, and a
-    snapshot directory holding one :class:`SnapshotStore` per shard — each
-    shard persists the full diagonal next to *its own rows* of the linear
+    A deployment's view: the (broadcast) diagonal plus a
+    :class:`~repro.graph.partition.ShardPlan` and per-shard versions, and
+    the one lineage format both service classes use — a snapshot directory
+    holding one :class:`SnapshotStore` per shard (one for K = 1), each
+    persisting the full diagonal next to *its own rows* of the linear
     system.
 """
 
@@ -271,7 +272,8 @@ class SnapshotStore:
 
     Versions are monotonically increasing integers; :meth:`save_snapshot`
     assigns ``latest + 1`` and prunes snapshots beyond ``retain`` so a
-    long-running update stream cannot fill the disk.
+    long-running update stream cannot fill the disk.  A service lineage
+    holds one such store per shard (:class:`ShardedSnapshotStore`).
     """
 
     _INDEX_PATTERN = re.compile(r"^index-v(\d{8})\.npz$")
@@ -419,21 +421,6 @@ class SnapshotStore:
         )
 
 
-def save_snapshot(
-    index: DiagonalIndex,
-    directory: PathLike,
-    system: Optional[sparse.spmatrix] = None,
-    retain: int = 5,
-) -> int:
-    """Convenience wrapper: persist one snapshot into ``directory``."""
-    return SnapshotStore(directory, retain=retain).save_snapshot(index, system=system)
-
-
-def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
-    """Convenience wrapper: load the newest snapshot from ``directory``."""
-    return SnapshotStore(directory).load_latest()
-
-
 # --------------------------------------------------------------------------- #
 # Sharded deployments
 # --------------------------------------------------------------------------- #
@@ -499,9 +486,11 @@ class ShardedIndex:
 
 
 class ShardedSnapshotStore:
-    """Versioned snapshots of a sharded deployment — one store per shard.
+    """Versioned snapshots of a deployment — one store per shard.
 
-    Layout of a sharded snapshot directory::
+    The only lineage format: both service classes write and read it, a
+    single-shard lineage being ``shard_plan.json`` plus ``shard-00/``.
+    Layout of a snapshot directory::
 
         <directory>/
             shard_plan.json         # the lineage's base ShardPlan
@@ -540,15 +529,12 @@ class ShardedSnapshotStore:
     _PLAN_PATTERN = re.compile(r"^shard_plan-v(\d{8})\.json$")
 
     def __init__(self, directory: PathLike, retain: int = 5) -> None:
+        if retain < 1:
+            raise CloudWalkerError(f"snapshot retention must be >= 1, got {retain}")
         self.directory = Path(directory)
         self.retain = retain
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    def is_sharded(cls, directory: PathLike) -> bool:
-        """True when ``directory`` holds a sharded (not plain) snapshot."""
-        return (Path(directory) / cls.PLAN_FILE).exists()
-
     def shard_store(self, shard: int) -> SnapshotStore:
         """The plain :class:`SnapshotStore` of one shard."""
         return SnapshotStore(self.directory / f"shard-{shard:02d}",
@@ -749,15 +735,38 @@ class ShardedSnapshotStore:
                                shard_versions=[version] * plan.num_shards)
         return version, sharded, system
 
-    def prune(self, retain: Optional[int] = None) -> None:
+    def describe(self, version: int) -> Dict[str, Any]:
+        """Cheap metadata of one consistent version, without loading it.
+
+        Graph sizes come from shard 0 (every shard stores the same
+        diagonal); ``systems`` counts the shards that saved their system
+        block — fewer than ``num_shards`` means :meth:`load` returns no
+        system and the first update estimates it once.
+        """
+        plan = self.load_plan(version)
+        infos = [self.shard_store(shard).describe(version)
+                 for shard in range(plan.num_shards)]
+        return {
+            "n_nodes": infos[0]["n_nodes"],
+            "n_edges": infos[0]["n_edges"],
+            "num_shards": plan.num_shards,
+            "systems": sum(1 for info in infos if info["has_system"]),
+        }
+
+    def prune(self, retain: Optional[int] = None) -> List[int]:
         """Prune every shard store to the newest ``retain`` versions.
 
-        Plan-generation files that no longer govern any remaining version
-        are removed with the snapshots that needed them; the base plan and
-        any generation newer than the newest consistent version (an
-        in-flight save) are always kept.
+        Returns the consistent versions removed.  Plan-generation files
+        that no longer govern any remaining version are removed with the
+        snapshots that needed them; the base plan and any generation newer
+        than the newest consistent version (an in-flight save) are always
+        kept.
         """
-        plan = self._load_plan_file(self.directory / self.PLAN_FILE)
+        base = self.directory / self.PLAN_FILE
+        if not base.exists():
+            return []
+        before = self.versions()
+        plan = self._load_plan_file(base)
         for shard in range(plan.num_shards):
             self.shard_store(shard).prune(retain)
         remaining = self.versions()
@@ -771,6 +780,7 @@ class ShardedSnapshotStore:
             if gen not in governing and remaining and gen <= max(remaining):
                 with contextlib.suppress(OSError):
                     self.plan_path(gen).unlink()
+        return [version for version in before if version not in remaining]
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,8 @@
 """A stdlib-only asyncio HTTP/JSON tier over the query services.
 
 :class:`HttpServiceServer` puts a network edge in front of a
-:class:`~repro.service.ShardedQueryService` (or a plain
-:class:`~repro.service.QueryService`) without any third-party dependency:
+:class:`~repro.service.ShardedQueryService` of any shard count (a single
+machine is the one-shard cluster) without any third-party dependency:
 hand-rolled HTTP/1.1 over :func:`asyncio.start_server`, JSON bodies, and
 the wire grammar the CLI already speaks —
 :func:`~repro.service.batching.parse_query` /
@@ -25,9 +25,7 @@ The concurrency model (the reason this tier exists):
   strand via ``flush_updates_overlapped``: the expensive re-index holds
   only the service's update lock, so in-flight and new query batches keep
   serving the previous consistent version and swap atomically when the
-  drain lands.  A service without the overlapped surface (the plain,
-  non-thread-safe ``QueryService``) shares one strand between queries and
-  drains, which serialises them safely.
+  drain lands.
 * **Graceful drain on SIGTERM/SIGINT** — stop accepting, answer every
   admitted request, apply every admitted update, then release pools via
   the service's ordinary idempotent ``close()`` lifecycle.
@@ -76,7 +74,7 @@ from repro.service.batching import (
     parse_query,
 )
 from repro.service.coalesce import BatchCoalescer
-from repro.service.service import QueryService
+from repro.service.sharded import ShardedQueryService
 
 #: Largest accepted request body; a batch of thousands of queries fits in
 #: a few KB, so anything near this is a client bug or abuse.
@@ -139,10 +137,10 @@ class HttpServiceServer:
     Parameters
     ----------
     service:
-        The service to front.  A :class:`~repro.service.ShardedQueryService`
-        gets the full overlapped-drain model (queries and update drains on
-        separate worker strands); a plain ``QueryService`` is serialised on
-        one strand, since it is not thread-safe.
+        The :class:`~repro.service.ShardedQueryService` to front, at any
+        shard count; queries and update drains run on separate worker
+        strands.  Any other service (the library's plain, non-thread-safe
+        ``QueryService`` included) is refused with a :class:`TypeError`.
     host / port:
         Bind address.  ``port=None`` takes ``ServiceParams.http_port``;
         ``0`` asks the OS for an ephemeral port — read :attr:`port` after
@@ -151,7 +149,7 @@ class HttpServiceServer:
         Override the corresponding ``ServiceParams`` knobs (see
         :class:`~repro.config.ServiceParams`).
     auto_rebalance:
-        When true (and the service is sharded), a background strand calls
+        When true, a background strand calls
         :meth:`~repro.service.sharded.ShardedQueryService.maybe_rebalance`
         every ``RebalanceParams.check_interval`` seconds: the service
         migrates to a better-balanced plan when its observed load says the
@@ -168,13 +166,18 @@ class HttpServiceServer:
 
     def __init__(
         self,
-        service: QueryService,
+        service: ShardedQueryService,
         host: str = "127.0.0.1",
         port: Optional[int] = None,
         coalesce_window: Optional[float] = None,
         max_in_flight: Optional[int] = None,
         auto_rebalance: bool = False,
     ) -> None:
+        if not isinstance(service, ShardedQueryService):
+            raise TypeError(
+                f"HttpServiceServer fronts a ShardedQueryService (one shard "
+                f"for a single machine), got {type(service).__name__}"
+            )
         params = service.service_params
         self.service = service
         self.host = host
@@ -187,7 +190,6 @@ class HttpServiceServer:
         self._coalescer: Optional[BatchCoalescer] = None
         self._query_executor: Optional[ThreadPoolExecutor] = None
         self._drain_executor: Optional[ThreadPoolExecutor] = None
-        self._own_drain_executor = False
         self._pending_edges: List[Tuple[int, int]] = []
         self._drain_waiters: List["asyncio.Future[int]"] = []
         self._drain_task: Optional["asyncio.Task[None]"] = None
@@ -218,17 +220,9 @@ class HttpServiceServer:
         self._query_executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="http-query"
         )
-        overlapped = hasattr(self.service, "flush_updates_overlapped")
-        if overlapped:
-            self._drain_executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="http-drain"
-            )
-            self._own_drain_executor = True
-        else:
-            # A plain QueryService is not thread-safe: drains share the
-            # query strand, which serialises them with batch execution.
-            self._drain_executor = self._query_executor
-            self._own_drain_executor = False
+        self._drain_executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="http-drain"
+        )
         self._coalescer = BatchCoalescer(
             self.service, self._query_executor,
             window=self.coalesce_window, max_in_flight=self.max_in_flight,
@@ -238,7 +232,7 @@ class HttpServiceServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.auto_rebalance and hasattr(self.service, "maybe_rebalance"):
+        if self.auto_rebalance:
             self._rebalance_task = asyncio.get_running_loop().create_task(
                 self._auto_rebalance_loop()
             )
@@ -289,9 +283,9 @@ class HttpServiceServer:
         if self._query_executor is not None:
             self._query_executor.shutdown(wait=True)
             self._query_executor = None
-        if self._own_drain_executor and self._drain_executor is not None:
+        if self._drain_executor is not None:
             self._drain_executor.shutdown(wait=True)
-        self._drain_executor = None
+            self._drain_executor = None
         self.service.close()
 
     def run(self, out: Optional[IO[str]] = None) -> None:
@@ -538,15 +532,11 @@ class HttpServiceServer:
         drain, and queries on the other strand keep serving the old plan
         until the atomic flip.  Body: ``{"force": true}`` migrates even
         when the cost model's threshold is not met (the shard count never
-        changes either way).  Returns the migration report.
+        changes either way; a one-shard service reports that the proposed
+        plan equals the serving plan).  Returns the migration report.
         """
         if self._stopping:
             return 503, {"error": "service is shutting down"}
-        rebalance = getattr(self.service, "rebalance", None)
-        if rebalance is None:
-            raise _HttpError(
-                400, "service is not sharded; there is no plan to rebalance"
-            )
         payload = self._parse_body(body)
         force = payload.get("force", False)
         if not isinstance(force, bool):
@@ -554,7 +544,7 @@ class HttpServiceServer:
         self._counters["rebalances_triggered"] += 1
         try:
             report = await asyncio.get_running_loop().run_in_executor(
-                self._drain_executor, partial(rebalance, force=force)
+                self._drain_executor, partial(self.service.rebalance, force=force)
             )
         except Exception:
             self._counters["rebalance_failures"] += 1
@@ -645,11 +635,7 @@ class HttpServiceServer:
     def _apply_edges(self, edges: Sequence[Tuple[int, int]]) -> int:
         """Worker-strand body of one drain: enqueue, flush, report version."""
         self.service.add_edges(edges, defer=True)
-        flush = getattr(self.service, "flush_updates_overlapped", None)
-        if flush is not None:
-            flush()
-        else:
-            self.service.flush_updates()
+        self.service.flush_updates_overlapped()
         return self.service.index_version
 
     # ------------------------------------------------------------------ #

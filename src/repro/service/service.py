@@ -43,14 +43,16 @@ import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from repro.config import ServiceParams, SimRankParams, UpdateParams
 from repro.core import montecarlo
-from repro.core.index import DiagonalIndex, SnapshotStore
+from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import QueryEngine, rank_top_k
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
+from repro.graph.partition import ShardPlan
 from repro.service.batching import (
     BatchPlan,
     PairQuery,
@@ -184,16 +186,21 @@ class QueryService:
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
+        **options: Any,
     ) -> "QueryService":
         """Cold-start a service from a persisted index — no re-indexing.
 
         The index file carries the parameters it was built with, so a
         restarted service answers queries identically to the one that
-        built it (provided ``params`` is left at its default).
+        built it (provided ``params`` is left at its default).  It carries
+        no linear system, so the first update estimates it once.
+        ``options`` go to the constructor (for a
+        :class:`~repro.service.ShardedQueryService`: ``sharding``, ``plan``,
+        ``rebalance_params``).
         """
         index = DiagonalIndex.load(path)
         return cls(graph, index, params=params, service_params=service_params,
-                   update_params=update_params)
+                   update_params=update_params, **options)
 
     @classmethod
     def build(
@@ -228,25 +235,25 @@ class QueryService:
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
     ) -> "QueryService":
-        """Cold-start from the newest snapshot in ``directory``.
+        """Cold-start from the newest consistent snapshot in ``directory``.
 
-        Restores the snapshot's index *and* linear system (when present), so
-        the restarted service resumes incremental updates without
+        Reads any lineage (:class:`~repro.core.index.ShardedSnapshotStore`,
+        whatever its shard count) and restores its index *and* linear
+        system (gathered from the shard blocks, when every shard saved
+        one), so the restarted service resumes incremental updates without
         re-estimating anything, and continues the version sequence where the
         snapshotting service left off.  ``graph`` must be the graph the
         snapshot was taken of.
         """
         update_params = update_params or UpdateParams()
-        store = SnapshotStore(directory, retain=update_params.snapshot_retain)
-        version, index = store.load_latest()
-        service = cls(graph, index, params=params, service_params=service_params,
-                      update_params=update_params)
+        store = ShardedSnapshotStore(directory,
+                                     retain=update_params.snapshot_retain)
+        version, sharded_index, system = store.load()
+        service = cls(graph, sharded_index.index, params=params,
+                      service_params=service_params, update_params=update_params)
         service._version = version
-        system = store.load_system(version)
         if system is not None:
-            mutator = GraphMutator(graph, service.params, update_params)
-            mutator.attach(index, system=system)
-            service._mutator = mutator
+            service._ensure_mutator(system)
         return service
 
     # ------------------------------------------------------------------ #
@@ -267,13 +274,14 @@ class QueryService:
         """Edges queued via ``add_edges(..., defer=True)``, not yet applied."""
         return self._mutator.pending_edges if self._mutator is not None else 0
 
-    def _ensure_mutator(self) -> GraphMutator:
+    def _ensure_mutator(self, system: Optional[sparse.spmatrix] = None
+                        ) -> GraphMutator:
         if self._mutator is None:
             # Attaching to a pre-built index estimates the linear system for
-            # the current graph once; from then on updates are incremental.
-            # Services created via build()/from_snapshot() skip this.
+            # the current graph once, unless a snapshot supplies ``system``;
+            # from then on updates are incremental.  build() skips this.
             mutator = GraphMutator(self.graph, self.params, self.update_params)
-            mutator.attach(self.index)
+            mutator.attach(self.index, system=system)
             self._mutator = mutator
         return self._mutator
 
@@ -359,17 +367,22 @@ class QueryService:
     def save_snapshot(self, directory: Optional[PathLike] = None) -> Tuple[int, str]:
         """Persist the served index (and system) at the current version.
 
-        ``directory`` defaults to ``update_params.snapshot_dir``.  Returns
-        ``(version, index_path)``.  Saving the same version twice is a
-        no-op; a directory whose versions are ahead of this service is
-        rejected — it belongs to another service's lineage.
+        Writes the one lineage layout
+        (:class:`~repro.core.index.ShardedSnapshotStore`) under the
+        service's plan — one shard here — so any lineage opens in either
+        service class.  ``directory`` defaults to
+        ``update_params.snapshot_dir``.  Returns ``(version, directory)``.
+        Saving the same version twice is a no-op (``snapshots_written``
+        does not move); a directory ahead of this service, or holding
+        another shard count, is rejected — it is another lineage.
         """
         directory = directory if directory is not None else self.update_params.snapshot_dir
         if directory is None:
             raise CloudWalkerError(
                 "no snapshot directory: pass one or set UpdateParams.snapshot_dir"
             )
-        store = SnapshotStore(directory, retain=self.update_params.snapshot_retain)
+        store = ShardedSnapshotStore(directory,
+                                     retain=self.update_params.snapshot_retain)
         latest = store.latest_version()
         if latest is not None and latest > self._version:
             raise CloudWalkerError(
@@ -377,10 +390,20 @@ class QueryService:
                 f"of this service (version {self._version})"
             )
         if latest != self._version:
-            system = self._mutator.system if self._mutator is not None else None
-            store.save_snapshot(self.index, system=system, version=self._version)
+            sharded_index, shard_systems = self._snapshot_state()
+            store.save_snapshot(sharded_index, shard_systems=shard_systems,
+                                version=self._version)
             self._counters["snapshots_written"] += 1
-        return self._version, str(store.index_path(self._version))
+        return self._version, str(store.directory)
+
+    def _snapshot_state(self) -> Tuple[ShardedIndex,
+                                       Optional[List[sparse.spmatrix]]]:
+        """The index under the service's plan, plus one system block per
+        shard (None without a maintained system) — here the whole system."""
+        sharded_index = ShardedIndex(index=self.index, plan=ShardPlan.hashed(1),
+                                     shard_versions=[self._version])
+        system = self._mutator.system if self._mutator is not None else None
+        return sharded_index, (None if system is None else [system])
 
     # ------------------------------------------------------------------ #
     # Batch execution

@@ -176,9 +176,9 @@ class ShardedQueryService(QueryService):
     Accepts every query and update the single-shard service does, with the
     same answers (bitwise) and the same ``index_version`` sequence; the
     additional surface is per-shard observability (:meth:`stats`,
-    :attr:`shard_versions`) and sharded persistence
-    (:meth:`save_snapshot` / :meth:`from_snapshot` write and read one
-    :class:`~repro.core.index.SnapshotStore` per shard).
+    :attr:`shard_versions`), per-shard system blocks in its snapshots (the
+    lineage layout both classes share) and rebalancing.  It is the one
+    class the CLI and the HTTP tier serve, at ``K = 1`` too.
 
     Parameters
     ----------
@@ -352,32 +352,6 @@ class ShardedQueryService(QueryService):
         return service
 
     @classmethod
-    def from_index_file(
-        cls,
-        graph: DiGraph,
-        path: PathLike,
-        params: Optional[SimRankParams] = None,
-        service_params: Optional[ServiceParams] = None,
-        update_params: Optional[UpdateParams] = None,
-        sharding: Optional[ShardingParams] = None,
-        plan: Optional[ShardPlan] = None,
-        rebalance_params: Optional[RebalanceParams] = None,
-    ) -> "ShardedQueryService":
-        """Cold-start a sharded service from a persisted plain index.
-
-        The index file carries no shard state: the plan is derived from
-        ``sharding`` (or taken verbatim from ``plan``, e.g. one recovered
-        from an existing snapshot lineage), caches start cold, and the
-        first update triggers the (sharded, concurrent) one-time system
-        estimation — exactly the plain-index trade-off of
-        :meth:`QueryService.from_index_file`.
-        """
-        index = DiagonalIndex.load(path)
-        return cls(graph, index, params=params, service_params=service_params,
-                   update_params=update_params, sharding=sharding, plan=plan,
-                   rebalance_params=rebalance_params)
-
-    @classmethod
     def from_snapshot(
         cls,
         graph: DiGraph,
@@ -388,7 +362,7 @@ class ShardedQueryService(QueryService):
         sharding: Optional[ShardingParams] = None,
         rebalance_params: Optional[RebalanceParams] = None,
     ) -> "ShardedQueryService":
-        """Cold-start from the newest *consistent* sharded snapshot.
+        """Cold-start from the newest *consistent* snapshot of any lineage.
 
         Restores the plan governing that snapshot (a lineage that
         rebalanced serves under its newest adopted plan), the broadcast
@@ -410,17 +384,8 @@ class ShardedQueryService(QueryService):
                       ),
                       rebalance_params=rebalance_params)
         service._version = version
-        service.sharded_index.shard_versions = [version] * service.num_shards
         if system is not None:
-            walker = ShardedIncrementalWalker(
-                graph, service.plan, params=service.params,
-                exact=update_params.exact,
-                backend=make_backend(service.sharding.backend,
-                                     max_workers=service.sharding.max_workers),
-            )
-            walker.attach(service.index, system=system)
-            service._mutator = GraphMutator(graph, service.params, update_params,
-                                            walker=walker)
+            service._ensure_mutator(system)
         return service
 
     # ------------------------------------------------------------------ #
@@ -481,9 +446,7 @@ class ShardedQueryService(QueryService):
                 self._serve_backend.close()
             finally:
                 if self._mutator is not None:
-                    backend = getattr(self._mutator.walker, "backend", None)
-                    if backend is not None:
-                        backend.close()
+                    self._mutator.walker.backend.close()
 
     def run_batch(self, queries: Sequence[Query],
                   walkers: Optional[int] = None,
@@ -551,7 +514,7 @@ class ShardedQueryService(QueryService):
     # ------------------------------------------------------------------ #
     # Live updates (shard-routed)
     # ------------------------------------------------------------------ #
-    def _ensure_mutator(self) -> GraphMutator:
+    def _ensure_mutator(self, system: Optional[Any] = None) -> GraphMutator:
         if self._mutator is None:
             walker = ShardedIncrementalWalker(
                 self.graph, self.plan, params=self.params,
@@ -559,10 +522,10 @@ class ShardedQueryService(QueryService):
                 backend=make_backend(self.sharding.backend,
                                      max_workers=self.sharding.max_workers),
             )
-            # Attaching estimates the linear system once — shard-by-shard,
-            # concurrently — exactly like the single-shard attach but with
-            # the build fanned out.
-            walker.attach(self.index)
+            # Attaching without a snapshot's ``system`` estimates it once —
+            # shard-by-shard, concurrently — exactly like the single-shard
+            # attach but with the build fanned out.
+            walker.attach(self.index, system=system)
             self._mutator = GraphMutator(self.graph, self.params,
                                          self.update_params, walker=walker)
         return self._mutator
@@ -619,41 +582,25 @@ class ShardedQueryService(QueryService):
             self._maybe_auto_snapshot()
 
     def save_snapshot(self, directory: Optional[PathLike] = None) -> Tuple[int, str]:
-        """Persist one consistent sharded snapshot at the current version.
+        """Persist one consistent snapshot at the current version.
 
-        Every shard's :class:`~repro.core.index.SnapshotStore` receives the
-        broadcast diagonal plus its own rows of the linear system (when the
-        service maintains one).  Returns ``(version, directory)``.  Saving
-        the same version twice is a no-op; a directory ahead of this
-        service, or created with a different plan, is rejected.  Takes the
-        update lock before the serve lock, so a snapshot can never read the
-        linear system mid-way through a detached re-index.
+        :meth:`QueryService.save_snapshot` under both locks: every shard's
+        :class:`~repro.core.index.SnapshotStore` receives the broadcast
+        diagonal plus its own rows of the linear system (when the service
+        maintains one).  Taking the update lock before the serve lock means
+        a snapshot can never read the linear system mid-way through a
+        detached re-index.
         """
         with self._update_lock, self._lock:
-            directory = directory if directory is not None \
-                else self.update_params.snapshot_dir
-            if directory is None:
-                raise CloudWalkerError(
-                    "no snapshot directory: pass one or set UpdateParams.snapshot_dir"
-                )
-            store = ShardedSnapshotStore(directory,
-                                         retain=self.update_params.snapshot_retain)
-            latest = store.latest_version()
-            if latest is not None and latest > self._version:
-                raise CloudWalkerError(
-                    f"snapshot directory {directory} is at version {latest}, ahead "
-                    f"of this service (version {self._version})"
-                )
-            if latest != self._version:
-                shard_systems = None
-                if self._mutator is not None and isinstance(
-                        self._mutator.walker, ShardedIncrementalWalker):
-                    if self._mutator.system is not None:
-                        shard_systems = self._mutator.walker.shard_systems()
-                store.save_snapshot(self.sharded_index, shard_systems=shard_systems,
-                                    version=self._version)
-                self._counters["snapshots_written"] += 1
-            return self._version, str(store.directory)
+            return super().save_snapshot(directory)
+
+    def _snapshot_state(self) -> Tuple[ShardedIndex,
+                                       Optional[List[Any]]]:
+        """The served plan's index plus each shard's system rows."""
+        shard_systems = None
+        if self._mutator is not None and self._mutator.system is not None:
+            shard_systems = self._mutator.walker.shard_systems()
+        return self.sharded_index, shard_systems
 
     # ------------------------------------------------------------------ #
     # Workload-adaptive rebalancing

@@ -411,11 +411,26 @@ class TestShardedSnapshots:
         _version, _loaded, system = store.load()
         assert system is None
 
-    def test_is_sharded_detection(self, graph, params, tmp_path):
-        assert not ShardedSnapshotStore.is_sharded(tmp_path)
-        _walker, sharded = self._sharded(graph, params)
-        ShardedSnapshotStore(tmp_path).save_snapshot(sharded)
-        assert ShardedSnapshotStore.is_sharded(tmp_path)
+    def test_zero_retention_is_refused_before_anything_is_written(
+            self, tmp_path):
+        # Validated at construction, like SnapshotStore: a retain=0 store
+        # must not get as far as writing shard_plan.json, which would leave
+        # a plan-only directory that looks like a crashed first save.
+        with pytest.raises(CloudWalkerError,
+                           match="snapshot retention must be >= 1"):
+            ShardedSnapshotStore(tmp_path / "snaps", retain=0)
+        assert not (tmp_path / "snaps").exists()
+
+    def test_prune_returns_the_removed_versions(self, graph, params, tmp_path):
+        walker, sharded = self._sharded(graph, params)
+        store = ShardedSnapshotStore(tmp_path / "snaps", retain=5)
+        assert store.prune() == []  # no lineage yet
+        for version in range(1, 4):
+            store.save_snapshot(sharded, shard_systems=walker.shard_systems(),
+                                version=version)
+        assert store.prune(retain=1) == [1, 2]
+        assert store.versions() == [3]
+        assert store.prune(retain=1) == []
 
     def test_load_missing_or_unknown_version(self, graph, params, tmp_path):
         store = ShardedSnapshotStore(tmp_path / "empty")
@@ -575,9 +590,6 @@ class TestShardedSnapshotFaultInjection:
         store.save_snapshot(sharded, shard_systems=walker.shard_systems())
         (directory / ShardedSnapshotStore.PLAN_FILE).write_bytes(corruption)
 
-        # Still *detected* as a sharded lineage — corruption must not make
-        # it silently fall back to the single-shard code path.
-        assert ShardedSnapshotStore.is_sharded(directory)
         fresh = ShardedSnapshotStore(directory)
         with pytest.raises(CloudWalkerError, match="shard plan"):
             fresh.load_plan()

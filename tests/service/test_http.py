@@ -379,17 +379,26 @@ class TestLifecycle:
         service.close()
         service.close()
 
-    def test_plain_query_service_is_served_on_one_strand(self):
-        """A non-thread-safe ``QueryService`` still gets correct answers
-        and live updates — drains share the query strand."""
+    def test_plain_query_service_is_rejected_at_construction(self):
+        """The tier fronts only a ``ShardedQueryService``: the library's
+        plain, non-thread-safe ``QueryService`` is refused up front."""
+        with QueryService.build(_graph(), PARAMS) as service:
+            with pytest.raises(TypeError, match="ShardedQueryService"):
+                HttpServiceServer(service, port=0)
+
+    def test_one_shard_service_gets_overlapped_drains(self):
+        """K = 1 serves like any K: queries and update drains on separate
+        strands, answers equal to the single-shard library service."""
         graph = _graph()
-        service = QueryService.build(graph, PARAMS)
+        service = ShardedQueryService.build(
+            graph, PARAMS, sharding=ShardingParams(num_shards=1))
         with QueryService.build(graph, PARAMS) as reference:
             before, version_before = _expected(reference, QUERY_LINES)
             reference.add_edges([(0, 40)])
             after, version_after = _expected(reference, QUERY_LINES)
 
         async def scenario(server):
+            assert server._drain_executor is not server._query_executor
             first = await _request(server.port, "POST", "/query",
                                    {"queries": QUERY_LINES})
             update = await _request(server.port, "POST", "/update",
@@ -709,16 +718,19 @@ class TestRebalance:
         assert stats["http"]["rebalances_skipped"] == 1
         assert stats["http"]["rebalances_applied"] == 0
 
-    def test_rebalance_on_plain_service_is_400(self):
-        service = QueryService.build(_graph(), PARAMS)
+    def test_rebalance_on_one_shard_service_is_a_no_op(self):
+        service = ShardedQueryService.build(
+            _graph(), PARAMS, sharding=ShardingParams(num_shards=1))
 
         async def scenario(server):
             return await _request(server.port, "POST", "/rebalance",
                                   {"force": True})
 
         status, payload = _serve(service, scenario)
-        assert status == 400
-        assert "not sharded" in payload["error"]
+        assert status == 200
+        assert payload["applied"] is False
+        assert payload["reason"] == "proposed plan equals the serving plan"
+        assert payload["index_version"] == 1
 
     def test_rebalance_force_must_be_boolean(self):
         service = self._contiguous(_graph(), RebalanceParams(min_sources=0))

@@ -322,7 +322,7 @@ class TestServiceSnapshots:
         assert np.array_equal(restarted.index.diagonal, rebuilt.index.diagonal)
 
     def test_auto_snapshot_cadence(self, update_graph, update_params_cheap, tmp_path):
-        from repro.core.index import SnapshotStore
+        from repro.core.index import ShardedSnapshotStore
 
         service = QueryService.build(
             update_graph, update_params_cheap,
@@ -330,7 +330,7 @@ class TestServiceSnapshots:
         )
         for head in (50, 51, 52, 53):
             service.add_edges([(0, head)])
-        store = SnapshotStore(tmp_path)
+        store = ShardedSnapshotStore(tmp_path)
         # Updates 2 and 4 snapshotted, at service versions 3 and 5.
         assert store.versions() == [3, 5]
         assert service.stats()["snapshots_written"] == 2

@@ -15,6 +15,19 @@ def run_cli(*argv):
     return code, buffer.getvalue()
 
 
+def _single_shard_answer_lines(graph_file, index_path, lines):
+    """The CLI's answer lines, computed by an in-process ``QueryService``."""
+    from repro.cli import _format_answer
+    from repro.service import QueryService, parse_query
+
+    graph = graph_io.read_edge_list(graph_file, relabel=False)
+    queries = [parse_query(line) for line in lines]
+    with QueryService.from_index_file(graph, index_path) as reference:
+        answers = reference.run_batch(queries)
+    return [_format_answer(query, answer)
+            for query, answer in zip(queries, answers)]
+
+
 @pytest.fixture()
 def graph_file(tmp_path):
     graph = generators.copying_model_graph(80, out_degree=5, seed=17)
@@ -340,7 +353,9 @@ class TestUpdateAndSnapshot:
 
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        assert "2" in output and "3" in output and "yes" in output
+        assert "1-shard 'hash' lineage" in output
+        rows = [line.split() for line in output.splitlines()[2:]]
+        assert [(row[0], row[3]) for row in rows] == [("2", "1/1"), ("3", "1/1")]
 
     def test_update_warns_without_output_graph(self, indexed, tmp_path):
         graph_file, index_path = indexed
@@ -406,10 +421,14 @@ class TestUpdateAndSnapshot:
         code, output = run_cli("snapshot", "prune", "--dir", str(snaps),
                                "--retain", "1")
         assert code == 0
-        assert "pruned versions [1, 2]" in output
+        assert "pruned versions [1, 2]; kept [3]" in output
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        assert "index-v00000003.npz" in output
+        # A new directory gets the one-shard layout; saves carry no system.
+        assert (snaps / "shard_plan.json").exists()
+        assert sorted(path.name for path in (snaps / "shard-00").iterdir()) \
+            == ["index-v00000003.npz"]
+        assert output.splitlines()[2].split()[::3] == ["3", "0/1"]
 
     def test_snapshot_save_requires_index(self, tmp_path):
         code, output = run_cli("snapshot", "save", "--dir", str(tmp_path))
@@ -420,6 +439,46 @@ class TestUpdateAndSnapshot:
         code, output = run_cli("snapshot", "list", "--dir", str(tmp_path / "none"))
         assert code == 0
         assert "no snapshots" in output
+
+    def test_snapshot_zero_retention_fails_without_writing(self, indexed,
+                                                           tmp_path):
+        _graph_file, index_path = indexed
+        snaps = tmp_path / "snaps"
+        code, output = run_cli("snapshot", "save", "--dir", str(snaps),
+                               "--index", str(index_path), "--retain", "0")
+        assert code == 1
+        assert "snapshot retention must be >= 1" in output
+        assert not snaps.exists()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_restart_drill_reopens_the_lineage_without_writing(
+            self, indexed, tmp_path, shards):
+        """The documented restart drill: re-adding an edge already in the
+        graph opens the lineage, applies nothing and writes nothing — and
+        says the version is already on disk instead of claiming a write."""
+        graph_file, index_path = indexed
+        snaps = tmp_path / "snaps"
+        graph2 = tmp_path / "updated.tsv"
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("2 50\n")
+        code, _ = run_cli(
+            "update", "--graph", str(graph_file), "--index", str(index_path),
+            "--edges", str(edges), "--snapshot-dir", str(snaps),
+            "--shards", str(shards), "--output-graph", str(graph2),
+        )
+        assert code == 0
+        files_before = sorted(str(path) for path in snaps.rglob("*"))
+
+        code, output = run_cli(
+            "update", "--graph", str(graph2), "--edges", str(edges),
+            "--snapshot-dir", str(snaps),
+        )
+        assert code == 0
+        assert f"loaded snapshot v2 in {snaps} ({shards}-shard plan)" in output
+        assert "all 1 edges already present; nothing to update" in output
+        assert f"snapshot v2 already on disk in {snaps}" in output
+        assert "written" not in output
+        assert sorted(str(path) for path in snaps.rglob("*")) == files_before
 
 
 class TestShardedCli:
@@ -465,20 +524,20 @@ class TestShardedCli:
 
     def test_query_batch_parallel_scatter_matches_single_shard(self, indexed,
                                                                tmp_path):
+        lines = ["pair 3 9", "topk 3 5", "source 7"]
+        answer_lines = _single_shard_answer_lines(*indexed, lines)
         graph_file, index_path = indexed
         queries = tmp_path / "queries.txt"
-        queries.write_text("pair 3 9\ntopk 3 5\nsource 7\n")
-        _code, reference = run_cli(
-            "query-batch", "--graph", str(graph_file),
-            "--index", str(index_path), "--queries", str(queries),
-        )
-        answer_lines = reference.splitlines()[:3]
-        for backend, workers in (("serial", "1"), ("threads", "4"),
-                                 ("processes", "2")):
+        queries.write_text("\n".join(lines) + "\n")
+        for shards, backend, workers in (("1", "serial", "1"),
+                                         ("1", "processes", "2"),
+                                         ("3", "serial", "1"),
+                                         ("3", "threads", "4"),
+                                         ("3", "processes", "2")):
             code, output = run_cli(
                 "query-batch", "--graph", str(graph_file),
                 "--index", str(index_path), "--queries", str(queries),
-                "--shards", "3", "--serve-backend", backend,
+                "--shards", shards, "--serve-backend", backend,
                 "--serve-workers", workers,
             )
             assert code == 0
@@ -513,16 +572,19 @@ class TestShardedCli:
         assert code == 0
         assert "2-shard" in output and "2/2" in output
         assert "no snapshots" not in output
-        # save: refused — it would strand the shards without system blocks.
+        # save: the diagonal into every shard store, under the lineage's
+        # plan, with no system blocks (the first update estimates them).
         code, output = run_cli("snapshot", "save", "--dir", str(snaps),
                                "--index", str(index_path))
-        assert code == 2
-        assert "sharded lineage" in output
-        # prune: bounds every shard store, reports kept versions.
+        assert code == 0
+        assert "snapshot v3 written" in output and "2-shard plan" in output
+        code, output = run_cli("snapshot", "list", "--dir", str(snaps))
+        assert output.splitlines()[-1].split()[::3] == ["3", "0/2"]
+        # prune: bounds every shard store, reports the removed versions.
         code, output = run_cli("snapshot", "prune", "--dir", str(snaps),
                                "--retain", "1")
         assert code == 0
-        assert "kept [2]" in output
+        assert "pruned versions [2]; kept [3]" in output
 
     def test_serve_loop_sharded(self, indexed, monkeypatch):
         import io as io_module
@@ -548,7 +610,8 @@ class TestShardedCli:
         import sys
 
         graph_file, index_path = indexed
-        outputs = []
+        expected = _single_shard_answer_lines(graph_file, index_path,
+                                              ["pair 3 9", "topk 3 5"])
         for extra in ([], ["--shards", "4"]):
             monkeypatch.setattr(
                 sys, "stdin", io_module.StringIO("pair 3 9\ntopk 3 5\nquit\n")
@@ -558,9 +621,8 @@ class TestShardedCli:
                 *extra,
             )
             assert code == 0
-            outputs.append([line for line in output.splitlines()
-                            if line.startswith(("s(", "topk "))])
-        assert outputs[0] == outputs[1]
+            assert [line for line in output.splitlines()
+                    if line.startswith(("s(", "topk "))] == expected
 
     def test_update_sharded_snapshot_lineage(self, indexed, tmp_path):
         graph_file, index_path = indexed
@@ -574,7 +636,7 @@ class TestShardedCli:
             "--snapshot-dir", str(snap_dir), "--output-graph", str(graph2),
         )
         assert code == 0
-        assert "(2 shards)" in output
+        assert "(2-shard plan)" in output
         assert (snap_dir / "shard_plan.json").exists()
         assert (snap_dir / "shard-00").is_dir()
         assert (snap_dir / "shard-01").is_dir()
@@ -588,8 +650,8 @@ class TestShardedCli:
             "--output-graph", str(graph2),
         )
         assert code == 0
-        assert "sharded snapshot v2 (2 shards)" in output
-        assert "keeping the directory's 2 shards" in output
+        assert f"snapshot v2 in {snap_dir} (2-shard plan)" in output
+        assert "keeping the directory's 2-shard plan" in output
         assert "index now version 3" in output
 
     def test_update_recovers_sharded_dir_without_consistent_snapshot(
@@ -633,7 +695,10 @@ class TestShardedCli:
         assert code == 1
         assert "no consistent sharded snapshot" in output
 
-    def test_update_shards_rejects_plain_lineage(self, indexed, tmp_path):
+    def test_update_keeps_a_one_shard_lineage_shard_count(self, indexed,
+                                                          tmp_path):
+        """One shard-count policy for every K: ``--shards 2`` against a
+        one-shard lineage is noted and ignored, like any other mismatch."""
         graph_file, index_path = indexed
         edges = tmp_path / "edges.tsv"
         edges.write_text("1 50\n")
@@ -645,12 +710,93 @@ class TestShardedCli:
             "--output-graph", str(graph2),
         )
         assert code == 0
+        edges.write_text("2 50\n")
         code, output = run_cli(
             "update", "--graph", str(graph2), "--edges", str(edges),
             "--snapshot-dir", str(snap_dir), "--shards", "2",
+            "--output-graph", str(graph2),
         )
-        assert code == 1
-        assert "single-shard snapshot lineage" in output
+        assert code == 0
+        assert ("keeping the directory's 1-shard plan (ignoring --shards 2)"
+                in output)
+        assert "snapshot v3 written" in output
+        assert not (snap_dir / "shard-01").exists()
+
+    def test_query_service_lineage_opens_in_sharded_service_and_cli(
+            self, indexed, tmp_path):
+        """Cross-class lineage, one way: a ``QueryService.save_snapshot``
+        lineage opens in ``ShardedQueryService.from_snapshot`` and in
+        ``update --snapshot-dir``, same answers and ``index_version``."""
+        from repro.service import PairQuery, QueryService, ShardedQueryService
+        from repro.service import SourceQuery, TopKQuery
+
+        graph_file, index_path = indexed
+        graph = graph_io.read_edge_list(graph_file, relabel=False)
+        snaps = tmp_path / "snaps"
+        graph2 = tmp_path / "updated.tsv"
+        queries = [PairQuery(3, 9), TopKQuery(50, k=5), SourceQuery(2)]
+        with QueryService.from_index_file(graph, index_path) as library:
+            library.add_edges([(2, 50)])
+            library.save_snapshot(snaps)
+            graph_io.write_edge_list(library.graph, graph2)
+            expected = library.run_batch(queries)
+        updated = graph_io.read_edge_list(graph2, relabel=False)
+        with ShardedQueryService.from_snapshot(updated, snaps) as sharded:
+            assert sharded.num_shards == 1
+            answers = sharded.run_batch(queries)
+        assert answers.index_version == expected.index_version == 2
+        assert answers[:2] == expected[:2]
+        assert answers[2].tobytes() == expected[2].tobytes()
+
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("7 61\n")
+        code, output = run_cli(
+            "update", "--graph", str(graph2), "--edges", str(edges),
+            "--snapshot-dir", str(snaps),
+        )
+        assert code == 0
+        assert f"loaded snapshot v2 in {snaps} (1-shard plan)" in output
+        assert "estimating" not in output
+        assert "snapshot v3 written" in output
+
+    def test_sharded_cli_lineage_opens_in_query_service(self, indexed,
+                                                        tmp_path):
+        """Cross-class lineage, the other way: a two-shard CLI lineage
+        opens in ``QueryService.from_snapshot`` with the system gathered
+        from both shard blocks."""
+        from repro.service import PairQuery, QueryService, ShardedQueryService
+        from repro.service import SourceQuery, TopKQuery
+
+        graph_file, index_path = indexed
+        snaps = tmp_path / "snaps"
+        graph2 = tmp_path / "updated.tsv"
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("2 50\n")
+        code, _ = run_cli(
+            "update", "--graph", str(graph_file), "--index", str(index_path),
+            "--edges", str(edges), "--snapshot-dir", str(snaps),
+            "--shards", "2", "--output-graph", str(graph2),
+        )
+        assert code == 0
+        updated = graph_io.read_edge_list(graph2, relabel=False)
+        queries = [PairQuery(3, 9), TopKQuery(50, k=5), SourceQuery(2)]
+        with ShardedQueryService.from_snapshot(updated, snaps) as sharded:
+            assert sharded.num_shards == 2
+            expected = sharded.run_batch(queries)
+            sharded.add_edges([(7, 61)])
+            expected_after = sharded.run_batch(queries)
+        with QueryService.from_snapshot(updated, snaps) as library:
+            answers = library.run_batch(queries)
+            # The gathered system is attached: the next update is
+            # incremental and lands where the sharded one did.
+            assert library.add_edges([(7, 61)]).affected_rows \
+                < updated.n_nodes
+            answers_after = library.run_batch(queries)
+        for got, want in ((answers, expected), (answers_after, expected_after)):
+            assert got.index_version == want.index_version
+            assert got[:2] == want[:2]
+            assert got[2].tobytes() == want[2].tobytes()
+        assert (answers.index_version, answers_after.index_version) == (2, 3)
 
 
 class TestReplay:
