@@ -41,7 +41,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.config import (
     RebalanceParams,
@@ -360,16 +360,8 @@ def _print_service_stats(service, out) -> None:
 def _cmd_query_batch(args: argparse.Namespace, out) -> int:
     from repro.service import parse_query
 
-    if args.queries == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
-            with open(args.queries, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            raise CloudWalkerError(f"cannot read queries file: {exc}") from exc
-    queries = [parse_query(line, default_k=args.k) for line in lines
-               if line.strip() and not line.lstrip().startswith("#")]
+    queries = [parse_query(line, default_k=args.k)
+               for line in _read_lines(args.queries, "queries")]
     if not queries:
         print("no queries found", file=out)
         return 2
@@ -517,10 +509,8 @@ def _cmd_replay(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _read_edge_lines(source: str) -> List[Tuple[int, int]]:
-    """Parse an edge file (or stdin for ``-``): one ``src dst`` pair per line."""
-    from repro.service import parse_edge
-
+def _read_lines(source: str, what: str) -> List[str]:
+    """The non-blank, non-comment lines of a file (or stdin for ``-``)."""
     if source == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -528,8 +518,8 @@ def _read_edge_lines(source: str) -> List[Tuple[int, int]]:
             with open(source, "r", encoding="utf-8") as handle:
                 lines = handle.read().splitlines()
         except OSError as exc:
-            raise CloudWalkerError(f"cannot read edges file: {exc}") from exc
-    return [parse_edge(line) for line in lines
+            raise CloudWalkerError(f"cannot read {what} file: {exc}") from exc
+    return [line for line in lines
             if line.strip() and not line.lstrip().startswith("#")]
 
 
@@ -592,8 +582,10 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
 
 
 def _cmd_update(args: argparse.Namespace, out) -> int:
+    from repro.service import parse_edge
+
     graph = _load_graph(args)
-    edges = _read_edge_lines(args.edges)
+    edges = [parse_edge(line) for line in _read_lines(args.edges, "edges")]
     if not edges:
         print("no edges found", file=out)
         return 2

@@ -421,6 +421,21 @@ class SnapshotStore:
         )
 
 
+def save_snapshot(
+    index: DiagonalIndex,
+    directory: PathLike,
+    system: Optional[sparse.spmatrix] = None,
+    retain: int = 5,
+) -> int:
+    """Convenience wrapper: persist one snapshot into ``directory``."""
+    return SnapshotStore(directory, retain=retain).save_snapshot(index, system=system)
+
+
+def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
+    """Convenience wrapper: load the newest snapshot from ``directory``."""
+    return SnapshotStore(directory).load_latest()
+
+
 # --------------------------------------------------------------------------- #
 # Sharded deployments
 # --------------------------------------------------------------------------- #
@@ -623,10 +638,23 @@ class ShardedSnapshotStore:
 
         A version whose governing plan file does not load is excluded:
         a crash (or corruption) that damaged a new plan generation rolls
-        the store back to the last version with a readable plan.
+        the store back to the last version with a readable plan.  A
+        directory holding a single-store lineage (``index-v*.npz`` at its
+        root, the layout plain services wrote before every lineage became
+        sharded) is refused, so no lineage starts next to it at v1.
         """
         plan_path = self.directory / self.PLAN_FILE
         if not plan_path.exists():
+            legacy = SnapshotStore(self.directory)
+            latest = legacy.latest_version()
+            if latest is not None:
+                raise CloudWalkerError(
+                    f"{self.directory} holds a single-store snapshot lineage "
+                    "(index-v*.npz at its root, without shard_plan.json), a "
+                    "layout no longer read; migrate it into a new directory "
+                    f"with 'snapshot save --dir NEW --index "
+                    f"{legacy.index_path(latest)}'"
+                )
             return []
         plan = self._load_plan_file(plan_path)
         common: Optional[set] = None
@@ -762,10 +790,10 @@ class ShardedSnapshotStore:
         than the newest consistent version (an in-flight save) are always
         kept.
         """
+        before = self.versions()
         base = self.directory / self.PLAN_FILE
         if not base.exists():
             return []
-        before = self.versions()
         plan = self._load_plan_file(base)
         for shard in range(plan.num_shards):
             self.shard_store(shard).prune(retain)

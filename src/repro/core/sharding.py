@@ -136,13 +136,16 @@ def gather_shard_rows(
     Shards own disjoint row sets, so the gather is a pure concatenation —
     no summation across shards — and the resulting matrix is
     bitwise-identical to estimating all rows in one call (each row's values
-    depend only on its own ``(seed, source)`` stream).
+    depend only on its own ``(seed, source)`` stream).  A single shard's
+    triplets (one touched shard, or K = 1) are used as they are, without a
+    concatenated copy.
     """
     if not shard_triplets:
         return sparse.csr_matrix((n_nodes, n_nodes), dtype=np.float64)
-    rows = np.concatenate([triplet[0] for triplet in shard_triplets])
-    cols = np.concatenate([triplet[1] for triplet in shard_triplets])
-    values = np.concatenate([triplet[2] for triplet in shard_triplets])
+    rows, cols, values = (
+        parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for parts in zip(*shard_triplets)
+    )
     return sparse.csr_matrix(
         (values, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.float64
     )
@@ -155,8 +158,13 @@ def slice_shard_block(system: sparse.csr_matrix,
     The block keeps the full ``n x n`` shape with unselected rows empty, so
     blocks from *any* partition of the rows sum back to the full system —
     which is why a snapshot lineage can change shard plans between versions
-    without perturbing a single bit of the gathered system.
+    without perturbing a single bit of the gathered system.  A mask that
+    selects every row (one shard owns them all) of an already canonical
+    ``system`` returns it itself, so a one-shard save writes the maintained
+    system without copying it.
     """
+    if np.all(keep) and system.has_sorted_indices and system.data.all():
+        return system
     block = (sparse.diags(np.asarray(keep, dtype=np.float64)) @ system).tocsr()
     block.eliminate_zeros()
     block.sort_indices()

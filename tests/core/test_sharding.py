@@ -336,6 +336,11 @@ class TestSliceShardBlock:
                                  (system.data, system.indices, system.indptr)):
             assert np.array_equal(before, after)
 
+    def test_whole_canonical_system_is_not_copied(self):
+        system = sparse.random(40, 40, density=0.2, format="csr",
+                               random_state=np.random.RandomState(5))
+        assert slice_shard_block(system, np.ones(40, dtype=bool)) is system
+
 
 class TestShardedSnapshots:
     def _sharded(self, graph, params, num_shards=3):

@@ -9,6 +9,8 @@ from repro.core.index import (
     BuildInfo,
     DiagonalIndex,
     SnapshotStore,
+    load_latest,
+    save_snapshot,
 )
 from repro.errors import CloudWalkerError
 
@@ -78,6 +80,12 @@ class TestRoundTrip:
         }
         with pytest.raises(CloudWalkerError):
             store.describe(99)
+
+    def test_module_level_wrappers(self, index, tmp_path):
+        assert save_snapshot(index, tmp_path) == 1
+        version, loaded = load_latest(tmp_path)
+        assert version == 1
+        assert np.array_equal(loaded.diagonal, index.diagonal)
 
 
 class TestSystemPersistence:

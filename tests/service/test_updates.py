@@ -353,6 +353,21 @@ class TestServiceSnapshots:
         with pytest.raises(CloudWalkerError):
             fresh.save_snapshot(tmp_path)
 
+    def test_single_store_lineage_rejected(
+        self, update_graph, update_params_cheap, tmp_path
+    ):
+        from repro.core.index import save_snapshot
+
+        service = QueryService.build(update_graph, update_params_cheap)
+        save_snapshot(service.index, tmp_path)
+        save_snapshot(service.index, tmp_path)  # a single-store lineage at v2
+        # Neither class starts a second lineage at v1 next to it.
+        with pytest.raises(CloudWalkerError, match="single-store"):
+            service.save_snapshot(tmp_path)
+        with pytest.raises(CloudWalkerError, match="single-store"):
+            QueryService.from_snapshot(update_graph, tmp_path)
+        assert not (tmp_path / "shard_plan.json").exists()
+
     def test_save_without_directory_rejected(self, live_service):
         with pytest.raises(CloudWalkerError):
             live_service.save_snapshot()

@@ -450,6 +450,42 @@ class TestUpdateAndSnapshot:
         assert "snapshot retention must be >= 1" in output
         assert not snaps.exists()
 
+    def test_single_store_lineage_is_refused_with_its_migration(
+            self, indexed, tmp_path):
+        """A directory of ``index-v*.npz`` files at its root (the old
+        single-store layout) is refused by every command, never shadowed
+        by a new lineage; the migration the error names works."""
+        from repro.core.index import DiagonalIndex, save_snapshot
+
+        graph_file, index_path = indexed
+        legacy = tmp_path / "legacy"
+        save_snapshot(DiagonalIndex.load(index_path), legacy)
+        save_snapshot(DiagonalIndex.load(index_path), legacy)
+        before = sorted(path.name for path in legacy.iterdir())
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("2 50\n")
+        migration = f"--index {legacy / 'index-v00000002.npz'}"
+        for argv in (
+            ("snapshot", "list", "--dir", str(legacy)),
+            ("snapshot", "prune", "--dir", str(legacy)),
+            ("snapshot", "save", "--dir", str(legacy), "--index", str(index_path)),
+            ("update", "--graph", str(graph_file), "--edges", str(edges),
+             "--snapshot-dir", str(legacy)),
+            ("update", "--graph", str(graph_file), "--edges", str(edges),
+             "--snapshot-dir", str(legacy), "--index", str(index_path)),
+        ):
+            code, output = run_cli(*argv)
+            assert code == 1, argv
+            assert "single-store snapshot lineage" in output
+            assert migration in output
+        assert sorted(path.name for path in legacy.iterdir()) == before
+
+        fresh = tmp_path / "fresh"
+        code, output = run_cli("snapshot", "save", "--dir", str(fresh),
+                               *migration.split())
+        assert code == 0
+        assert f"snapshot v1 written to {fresh}" in output
+
     @pytest.mark.parametrize("shards", [1, 2])
     def test_restart_drill_reopens_the_lineage_without_writing(
             self, indexed, tmp_path, shards):
