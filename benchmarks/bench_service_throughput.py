@@ -73,7 +73,7 @@ def service_throughput_experiment():
 
     # Service path: the same queries, batched, over a shared cache.
     service = QueryService(graph, index, params,
-                           ServiceParams(cache_capacity=256, max_batch_size=128))
+                           ServiceParams(cache_capacity=256))
     start = time.perf_counter()
     service_answers = []
     for batch in batches:

@@ -57,7 +57,7 @@ def main() -> None:
     # batch API answers queries sharing a source from one simulation.
     service = QueryService.from_index_file(
         graph, "/tmp/cloudwalker-quickstart-index.npz",
-        service_params=ServiceParams(cache_capacity=512, max_batch_size=128),
+        service_params=ServiceParams(cache_capacity=512),
     )
     batch = [PairQuery(10, 25), PairQuery(25, 10), TopKQuery(10, k=5),
              PairQuery(10, 77)]

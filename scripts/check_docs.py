@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Verify that documentation references resolve: paths, symbols, CLI flags.
 
-Documentation rots in three ways: the files it points at move, the code
-symbols it names get renamed, and the command-line flags it recommends get
-deleted.  This checker keeps the docs honest on all three axes by
-extracting, from ``docs/*.md``, ``README.md`` and the module docstrings
-that cite ``docs/`` files:
+Documentation rots in four ways: the files it points at move, the code
+symbols it names get renamed, the command-line flags it recommends get
+deleted, and the config fields its knob tables list get removed.  This
+checker keeps the docs honest on all four axes by extracting, from
+``docs/*.md``, ``README.md`` and the module docstrings that cite ``docs/``
+files:
 
 * every path-like reference (markdown links, backticked paths), failing
   when the path does not exist on disk;
@@ -18,7 +19,10 @@ that cite ``docs/`` files:
   to ``repro`` (``np.ndarray``, ``os.PathLike``, …) are skipped — foreign
   libraries are not ours to police;
 * every backticked span that opens with a ``--flag`` (```--shards 4```),
-  failing when no ``python -m repro`` subcommand accepts that flag.
+  failing when no ``python -m repro`` subcommand accepts that flag;
+* every knob table under a heading labelled with its config class
+  (``### Update knobs (`UpdateParams`)``), failing when a row's backticked
+  first-column name is not a field of that dataclass.
 
 Runs inside the test suite (``tests/test_docs.py``) and standalone::
 
@@ -29,6 +33,7 @@ Runs inside the test suite (``tests/test_docs.py``) and standalone::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -55,6 +60,11 @@ _CODE_SYMBOL = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 # Spans that open with a command (`pytest --benchmark-only`) name another
 # program's flags and are left alone.
 _CODE_FLAG = re.compile(r"`(--[A-Za-z][\w-]*)")
+# A heading that labels the knob tables below it with their config class,
+# like ``### Cache knobs (`ServiceParams`)``.
+_KNOB_HEADING = re.compile(r"^#+ .*\(`([A-Za-z_]\w*)`\)\s*$")
+# A table row whose first cell is one backticked name: `| `cache_capacity` |`.
+_KNOB_ROW = re.compile(r"^\|\s*`([A-Za-z_]\w*)`\s*\|")
 
 
 def _doc_files() -> List[Path]:
@@ -88,6 +98,32 @@ def _iter_symbol_refs(path: Path) -> Iterator[str]:
         ref = match.group(1)
         if "/" not in ref:
             yield ref
+
+
+def _iter_knob_rows(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(class, name)`` for each first-column name of a labelled table."""
+    owner: Optional[str] = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            heading = _KNOB_HEADING.match(line)
+            owner = heading.group(1) if heading else None
+        elif owner is not None:
+            row = _KNOB_ROW.match(line)
+            if row:
+                yield owner, row.group(1)
+
+
+def _check_knob(owner: str, name: str,
+                table: Dict[str, List[object]]) -> Optional[str]:
+    """A problem string unless ``name`` is a field of dataclass ``owner``."""
+    classes = [candidate for candidate in table.get(owner, [])
+               if dataclasses.is_dataclass(candidate)]
+    if not classes:
+        return f"knob table labelled {owner!r}, which is no repro dataclass"
+    if any(name in {field.name for field in dataclasses.fields(candidate)}
+           for candidate in classes):
+        return None
+    return f"knob table of {owner} lists {name!r}, which is no field of it"
 
 
 def _cli_flags() -> Set[str]:
@@ -226,6 +262,13 @@ def check_docs(verbose: bool = False) -> List[str]:
             if verbose:
                 print(f"{doc.relative_to(REPO_ROOT)}: {ref}")
             problem = _resolve_symbol(ref, table)
+            if problem is not None:
+                problems.append(f"{doc.relative_to(REPO_ROOT)}: {problem}")
+        for owner, name in _iter_knob_rows(doc):
+            checked += 1
+            if verbose:
+                print(f"{doc.relative_to(REPO_ROOT)}: {owner}.{name}")
+            problem = _check_knob(owner, name, table)
             if problem is not None:
                 problems.append(f"{doc.relative_to(REPO_ROOT)}: {problem}")
     flags = _cli_flags()

@@ -283,15 +283,11 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         help="cached walk distributions (and, counted "
                              "apart, ranked top-k answers), 0 disables "
                              "(default: %(default)s)")
-    parser.add_argument("--max-batch-size", dest="max_batch_size", type=int,
-                        default=defaults.max_batch_size,
-                        help="max sources per vectorised walk batch "
-                             "(default: %(default)s)")
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
                         choices=["serial", "threads", "processes"],
                         help="executor backend for the cache-miss walk "
-                             "simulation, one task per owning shard "
+                             "simulation, one task per serve worker "
                              "(default: %(default)s)")
     parser.add_argument("--serve-workers", dest="serve_workers", type=int,
                         default=defaults.serve_workers,
@@ -319,7 +315,7 @@ def _make_service(args: argparse.Namespace):
 
     graph = _load_graph(args)
     service_params = ServiceParams(
-        cache_capacity=args.cache_capacity, max_batch_size=args.max_batch_size,
+        cache_capacity=args.cache_capacity,
         serve_backend=args.serve_backend, serve_workers=args.serve_workers,
         accuracy_budget=args.accuracy_budget,
         approx_walkers=args.approx_walkers, approx_steps=args.approx_steps,

@@ -150,19 +150,17 @@ class ServiceParams:
         cache, and — counted separately — of ranked top-k answers kept
         beside them.  ``0`` disables caching entirely (every query
         re-simulates, re-scores and re-ranks).
-    max_batch_size:
-        Maximum number of distinct sources simulated in one vectorised
-        multi-source walk batch; larger batches amortise per-step overhead
-        but increase peak memory (``sources * walkers`` walker slots).
     default_top_k:
         ``k`` used by top-k queries that do not specify one.
     serve_backend:
         Executor backend the sharded service scatters *query-time* work
-        through (per-shard cache-miss walk simulation; scoring and ranking
-        run in the serving process): ``"serial"``, ``"threads"`` or
-        ``"processes"`` (see :mod:`repro.engine.executor`).  Tasks ship a
-        handle to the pool-resident graph plus their source ids, so
-        payloads are O(sources), not O(graph).  Like the build-time
+        through (a batch's cache-miss walk simulation, split into
+        ``min(serve_workers, misses)`` contiguous runs — one on
+        ``"serial"``; scoring and ranking run in the serving process):
+        ``"serial"``, ``"threads"`` or ``"processes"`` (see
+        :mod:`repro.engine.executor`).  Tasks ship a handle to the
+        pool-resident graph plus their run's source ids, so payloads are
+        O(sources), not O(graph).  Like the build-time
         ``ShardingParams.backend``, it changes only wall-clock, never
         answers.  Ignored by the library's plain ``QueryService``; a
         one-shard ``ShardedQueryService`` still simulates through it.
@@ -211,7 +209,6 @@ class ServiceParams:
     """
 
     cache_capacity: int = 1024
-    max_batch_size: int = 256
     default_top_k: int = 10
     serve_backend: str = "serial"
     serve_workers: int = 4
@@ -228,10 +225,6 @@ class ServiceParams:
         if self.cache_capacity < 0:
             raise ConfigurationError(
                 f"cache_capacity must be >= 0, got {self.cache_capacity}"
-            )
-        if self.max_batch_size < 1:
-            raise ConfigurationError(
-                f"max_batch_size must be >= 1, got {self.max_batch_size}"
             )
         if self.default_top_k < 1:
             raise ConfigurationError(

@@ -11,7 +11,7 @@ and provides the exact (non-Monte-Carlo) counterparts for tests/ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,12 @@ SparseVector = Tuple[np.ndarray, np.ndarray]
 class WalkDistributions:
     """Estimated distributions ``P^t e_source`` for ``t = 0..steps``.
 
+    One flat record, the layout :func:`repro.core.walks.simulate_walks_packed`
+    emits for a source: step ``t``'s sparse vector is ``nodes[lo:hi],
+    values[lo:hi]`` with ``lo, hi = offsets[t], offsets[t + 1]`` (see
+    :meth:`at`).  The entry owns its three arrays, so a cached entry pins
+    nothing else.
+
     Attributes
     ----------
     source:
@@ -36,26 +42,50 @@ class WalkDistributions:
     walkers:
         Number of Monte-Carlo walkers used (0 means the distributions are
         exact).
-    per_step:
-        ``per_step[t]`` is a sparse vector ``(nodes, probabilities)``.
+    offsets:
+        ``T + 2`` int64 step boundaries into ``nodes`` / ``values``,
+        starting at 0.
+    nodes:
+        The steps' supports (int64), each sorted ascending.
+    values:
+        The matching probabilities (float64).
     """
 
     source: int
     steps: int
     walkers: int
-    per_step: List[SparseVector]
+    offsets: np.ndarray
+    nodes: np.ndarray
+    values: np.ndarray
+
+    def at(self, step: int) -> SparseVector:
+        """Step ``step``'s sparse vector ``(nodes, values)``, as views."""
+        lo, hi = self.offsets[step], self.offsets[step + 1]
+        return self.nodes[lo:hi], self.values[lo:hi]
 
     def dense(self, n_nodes: int, step: int) -> np.ndarray:
         """Return the distribution at ``step`` as a dense vector."""
         vector = np.zeros(n_nodes, dtype=np.float64)
-        nodes, values = self.per_step[step]
+        nodes, values = self.at(step)
         vector[nodes] = values
         return vector
 
     def survival(self, step: int) -> float:
         """Total surviving probability mass at ``step`` (walk absorption)."""
-        _nodes, values = self.per_step[step]
+        _nodes, values = self.at(step)
         return float(values.sum())
+
+
+def _from_steps(source: int, steps: int, walkers: int,
+                per_step: List[SparseVector]) -> WalkDistributions:
+    """Pack ``T + 1`` per-step ``(nodes, values)`` pairs into one record."""
+    offsets = np.zeros(steps + 2, dtype=np.int64)
+    np.cumsum([len(nodes) for nodes, _values in per_step], out=offsets[1:])
+    return WalkDistributions(
+        source=int(source), steps=steps, walkers=walkers, offsets=offsets,
+        nodes=np.concatenate([nodes for nodes, _values in per_step]),
+        values=np.concatenate([values for _nodes, values in per_step]),
+    )
 
 
 def estimate_walk_distributions(
@@ -75,18 +105,14 @@ def estimate_walk_distributions(
     counts = walks.single_source_walk_counts(
         graph, source, walkers_count, params.walk_steps, rng
     )
-    per_step: List[SparseVector] = [
+    return _from_steps(source, params.walk_steps, walkers_count, [
         (nodes, count.astype(np.float64) / walkers_count) for nodes, count in counts
-    ]
-    return WalkDistributions(
-        source=int(source), steps=params.walk_steps, walkers=walkers_count,
-        per_step=per_step,
-    )
+    ])
 
 
 def estimate_walk_distributions_batch(
     graph: DiGraph,
-    sources: List[int],
+    sources: Sequence[int],
     params: SimRankParams,
     walkers: Optional[int] = None,
 ) -> Dict[int, WalkDistributions]:
@@ -102,19 +128,16 @@ def estimate_walk_distributions_batch(
     result: Dict[int, WalkDistributions] = {}
     for packed in walks.simulate_walks_packed(
             graph, sources, walkers_count, params.walk_steps, params.seed):
-        for source, bounds in zip(packed.sources.tolist(), packed.offsets.tolist()):
-            # One copy of the source's slice, per-step views into that: a
-            # cached entry must not pin the whole block's buffers.
-            nodes = packed.nodes[bounds[0]:bounds[-1]].copy()
-            values = (packed.counts[bounds[0]:bounds[-1]].astype(np.float64)
-                      / walkers_count)
-            local = [bound - bounds[0] for bound in bounds]
+        for source, bounds in zip(packed.sources.tolist(), packed.offsets):
+            # One copy per array: a cached entry must not pin the block.
+            lo, hi = bounds[0], bounds[-1]
             result[source] = WalkDistributions(
                 source=source,
                 steps=params.walk_steps,
                 walkers=walkers_count,
-                per_step=[(nodes[lo:hi], values[lo:hi])
-                          for lo, hi in zip(local, local[1:])],
+                offsets=bounds - lo,
+                nodes=packed.nodes[lo:hi].copy(),
+                values=packed.counts[lo:hi].astype(np.float64) / walkers_count,
             )
     return result
 
@@ -123,14 +146,11 @@ def exact_walk_distributions(
     graph: DiGraph, source: int, params: SimRankParams
 ) -> WalkDistributions:
     """Exact ``P^t e_source`` (sparse form), for tests and ablations."""
-    dense_vectors = walks.exact_walk_distributions(graph, source, params.walk_steps)
     per_step: List[SparseVector] = []
-    for vector in dense_vectors:
+    for vector in walks.exact_walk_distributions(graph, source, params.walk_steps):
         nodes = np.flatnonzero(vector)
-        per_step.append((nodes.astype(np.int64), vector[nodes]))
-    return WalkDistributions(
-        source=int(source), steps=params.walk_steps, walkers=0, per_step=per_step
-    )
+        per_step.append((nodes, vector[nodes]))
+    return _from_steps(source, params.walk_steps, 0, per_step)
 
 
 def distribution_error(estimated: WalkDistributions, exact: WalkDistributions,
@@ -167,23 +187,6 @@ def _sorted_intersection(
     return np.flatnonzero(matched), positions[matched]
 
 
-def sparse_dot(left: SparseVector, right: SparseVector,
-               weights: Optional[np.ndarray] = None) -> float:
-    """Compute ``sum_u left[u] * right[u] * weights[u]`` for sparse vectors."""
-    left_nodes, left_values = left
-    right_nodes, right_values = right
-    if len(left_nodes) == 0 or len(right_nodes) == 0:
-        return 0.0
-    # Both node arrays are sorted and unique (np.unique output).
-    left_idx, right_idx = _sorted_intersection(left_nodes, right_nodes)
-    if len(left_idx) == 0:
-        return 0.0
-    products = left_values[left_idx] * right_values[right_idx]
-    if weights is not None:
-        products = products * weights[left_nodes[left_idx]]
-    return float(products.sum())
-
-
 def combine_pair_distributions(
     dist_i: WalkDistributions,
     dist_j: WalkDistributions,
@@ -198,21 +201,19 @@ def combine_pair_distributions(
     buffers: the step supports are intersected with one ``searchsorted``
     each (no intersect1d concatenate-and-sort), and the gathered values,
     products and weights reuse two scratch buffers sized once to the
-    largest step support.  Bitwise-identical to the historical per-step
-    ``sparse_dot`` loop: each step's products are formed in the same
-    ascending-node order, summed with the same ``np.sum``, and accumulated
-    in the same step order.
+    largest step support.  Bitwise-identical to a per-step
+    ``np.intersect1d`` dot-product loop: each step's products are formed
+    in the same ascending-node order, summed with the same ``np.sum``, and
+    accumulated in the same step order.
     """
-    max_support = 0
-    for step in range(steps + 1):
-        max_support = max(max_support, len(dist_i.per_step[step][0]))
+    max_support = int(np.diff(dist_i.offsets[:steps + 2]).max(initial=0))
     scratch_a = np.empty(max_support, dtype=np.float64)
     scratch_b = np.empty(max_support, dtype=np.float64)
     total = 0.0
     factor = 1.0
     for step in range(steps + 1):
-        left_nodes, left_values = dist_i.per_step[step]
-        right_nodes, right_values = dist_j.per_step[step]
+        left_nodes, left_values = dist_i.at(step)
+        right_nodes, right_values = dist_j.at(step)
         if len(left_nodes) and len(right_nodes):
             left_idx, right_idx = _sorted_intersection(left_nodes, right_nodes)
             count = len(left_idx)
@@ -230,35 +231,3 @@ def combine_pair_distributions(
                 total += factor * float(products.sum())
         factor *= decay
     return float(total)
-
-
-def self_meeting_column(distributions: WalkDistributions, decay: float) -> Dict[int, float]:
-    """Column ``a_i`` of the indexing system from one node's distributions.
-
-    ``a_i[u] = sum_t c^t (P^t e_i)[u]^2`` — the probability-weighted chance
-    that two independent reverse walks from ``i`` are both at ``u`` after
-    ``t`` steps, discounted by ``c^t``.  Vectorised: all steps' supports
-    are concatenated once and the per-node sums are formed with one
-    ``np.bincount``, which accumulates strictly in input order — the same
-    left-to-right association as the historical per-entry dict
-    accumulation, so the result is bitwise-identical (``np.add.reduceat``
-    would not be: its segment reduction associates differently).
-    """
-    node_chunks: List[np.ndarray] = []
-    value_chunks: List[np.ndarray] = []
-    factor = 1.0
-    for step in range(distributions.steps + 1):
-        nodes, values = distributions.per_step[step]
-        if len(nodes):
-            node_chunks.append(nodes)
-            value_chunks.append(factor * values * values)
-        factor *= decay
-    if not node_chunks:
-        return {}
-    all_nodes = np.concatenate(node_chunks)
-    all_values = np.concatenate(value_chunks)
-    # bincount over the inverse index keeps memory O(support) even for
-    # huge node ids; accumulation stays in input order either way.
-    unique_nodes, inverse = np.unique(all_nodes, return_inverse=True)
-    sums = np.bincount(inverse, weights=all_values)
-    return dict(zip(unique_nodes.tolist(), sums.tolist()))

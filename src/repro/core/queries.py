@@ -180,7 +180,7 @@ def propagate_scores(nodes: Sequence[int],
             if step < walk_steps:
                 block = transition_t @ block
             for column, source_distributions in enumerate(block_distributions):
-                support, values = source_distributions.per_step[step]
+                support, values = source_distributions.at(step)
                 block[support, column] += decay_powers[step] * (
                     diagonal[support] * values
                 )
@@ -282,8 +282,7 @@ class QueryEngine:
         """Score a pair from two walk distributions (shared with the service).
 
         Delegates to :func:`repro.core.montecarlo.combine_pair_distributions`,
-        which batches all steps over preallocated buffers; the result is
-        bitwise-identical to the historical per-step ``sparse_dot`` loop.
+        which batches all steps over preallocated buffers.
         """
         total = montecarlo.combine_pair_distributions(
             dist_i, dist_j, self.index.diagonal,

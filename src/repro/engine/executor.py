@@ -299,6 +299,7 @@ class SerialBackend(ExecutorBackend):
     """Run every task sequentially in the calling thread."""
 
     name = "serial"
+    max_workers = 1
 
     def run(self, tasks: Sequence[Task]) -> List[T]:
         """Call each task in order; no pool, no concurrency."""

@@ -45,7 +45,6 @@ from repro.service.batching import (
     Query,
     SourceQuery,
     TopKQuery,
-    chunk_sources,
     parse_edge,
     parse_query,
     plan_batch,
@@ -94,7 +93,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "WalkDistributionCache",
-    "chunk_sources",
     "generate_trace",
     "parse_edge",
     "parse_query",

@@ -3,10 +3,11 @@
 A batch of concurrent queries usually references far fewer *distinct* source
 nodes than it has queries — recommendation traffic hammers the same hot
 items, link-prediction sweeps reuse one endpoint, and so on.  The planner
-exploits that: it collects the distributions every query needs, collapses
-duplicates, and groups the distinct sources into chunks sized for one
-vectorised multi-source walk simulation each
-(:func:`repro.core.walks.simulate_walks_packed`).
+exploits that: it collects the distributions every query needs and
+collapses duplicates; the service simulates the distinct sources its cache
+lacks in one vectorised multi-source walk simulation
+(:func:`repro.core.walks.simulate_walks_packed`, which alone sizes its
+blocks).
 
 Planning is pure bookkeeping — no simulation happens here — so it can be
 unit-tested exhaustively and reused by both the library service and the CLI.
@@ -72,7 +73,7 @@ class BatchPlan:
     sources:
         Distinct source nodes whose distributions must be available, in
         first-referenced order.  The service resolves these against its
-        cache and feeds the misses through :func:`chunk_sources`.
+        cache and simulates the misses in one call.
     source_references:
         Total number of (query, source) references before deduplication;
         ``source_references - len(sources)`` simulations are saved by the
@@ -103,20 +104,6 @@ def plan_batch(queries: Sequence[Query]) -> BatchPlan:
     return BatchPlan(
         queries=list(queries), sources=sources, source_references=references,
     )
-
-
-def chunk_sources(sources: Sequence[int], max_batch_size: int) -> List[List[int]]:
-    """Group sources into lists of at most ``max_batch_size``.
-
-    Each chunk becomes one vectorised multi-source simulation; the service
-    applies this to the sources its cache could not supply.
-    """
-    if max_batch_size < 1:
-        raise CloudWalkerError(f"max_batch_size must be >= 1, got {max_batch_size}")
-    return [
-        list(sources[start:start + max_batch_size])
-        for start in range(0, len(sources), max_batch_size)
-    ]
 
 
 def parse_edge(text: str) -> Tuple[int, int]:

@@ -15,7 +15,8 @@ counters:
 
 * **distribution entries**, keyed by a :class:`CacheKey` — the
   :class:`~repro.core.montecarlo.WalkDistributions` of one source
-  (``T + 1`` sparse vectors, about 1 KB per step at 1000 walkers).  They
+  (one flat ``offsets`` / ``nodes`` / ``values`` record of its ``T + 1``
+  sparse steps, about 1 KB per step at 1000 walkers).  They
   depend on the graph only inside the source's backward ball, so a graph
   update drops exactly the affected sources (:meth:`WalkDistributionCache.
   invalidate_sources`) and every other entry stays hot;
@@ -92,9 +93,7 @@ def _payload_bytes(entry: Union[WalkDistributions, Ranking]) -> int:
     """Resident payload size of one entry of either kind."""
     if isinstance(entry, tuple):
         return RANKING_PAIR_BYTES * len(entry)
-    # Runs on every insert of a cold workload: a list, not a generator,
-    # halves its cost.
-    return sum([nodes.nbytes + values.nbytes for nodes, values in entry.per_step])
+    return entry.offsets.nbytes + entry.nodes.nbytes + entry.values.nbytes
 
 
 @dataclass

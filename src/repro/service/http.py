@@ -22,7 +22,7 @@ The concurrency model (the reason this tier exists):
   tail latency instead of letting them grow without limit.
 * **Overlapped update drains** — ``POST /update`` buffers edges on the
   event loop and a single drain task applies them on a *separate* worker
-  strand via ``flush_updates_overlapped``: the expensive re-index holds
+  strand via ``flush_updates``: the expensive re-index holds
   only the service's update lock, so in-flight and new query batches keep
   serving the previous consistent version and swap atomically when the
   drain lands.
@@ -635,7 +635,7 @@ class HttpServiceServer:
     def _apply_edges(self, edges: Sequence[Tuple[int, int]]) -> int:
         """Worker-strand body of one drain: enqueue, flush, report version."""
         self.service.add_edges(edges, defer=True)
-        self.service.flush_updates_overlapped()
+        self.service.flush_updates()
         return self.service.index_version
 
     # ------------------------------------------------------------------ #

@@ -59,7 +59,6 @@ from repro.service.batching import (
     Query,
     SourceQuery,
     TopKQuery,
-    chunk_sources,
     plan_batch,
 )
 from repro.service.cache import CacheKey, Ranking, WalkDistributionCache
@@ -101,7 +100,7 @@ class QueryService:
         Algorithmic parameters; defaults to the parameters the index was
         built with, which is what keeps answers reproducible across restarts.
     service_params:
-        Cache capacity and batch-planning knobs.
+        Cache capacity and serving knobs.
     update_params:
         Live-update knobs (pending-edge queue bound, snapshot cadence).
     """
@@ -340,10 +339,10 @@ class QueryService:
         """Swap in the mutator's post-update state and bump the version.
 
         The cheap, state-swapping half of an update — split from the
-        expensive re-index so the overlapped-drain path
-        (:meth:`ShardedQueryService.flush_updates_overlapped
-        <repro.service.sharded.ShardedQueryService.flush_updates_overlapped>`)
-        can run the re-index outside the service lock and call only this
+        expensive re-index so the sharded drain
+        (:meth:`ShardedQueryService.flush_updates
+        <repro.service.sharded.ShardedQueryService.flush_updates>`)
+        can run the re-index outside the serve lock and call only this
         part under it.  Readers holding the previous ``graph`` / ``index``
         / ``engine`` objects stay consistent: the mutator builds a *new*
         graph and index and this merely re-points the service at them.
@@ -422,8 +421,8 @@ class QueryService:
         looked up as a ranking entry of the cache (key ``(CacheKey, k)``):
         a hit is the finished answer of an earlier batch at this index
         version and goes straight to assembly.  Only the remaining queries
-        are planned: a source's distributions come from the cache or a
-        chunked multi-source walk simulation, its score vector from one
+        are planned: a source's distributions come from the cache or one
+        multi-source walk simulation of the batch's misses, its score vector from one
         block propagation shared with the batch's other sources, and each
         missing ``(source, k)`` ranking is computed once however many
         queries repeat it — then stored, as an immutable tuple, for the
@@ -522,28 +521,43 @@ class QueryService:
     def _resolve_distributions(
         self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, WalkDistributions]:
+        """Look every source of the batch up in its cache; simulate the rest.
+
+        The misses go through :meth:`_simulate` in one ascending call and
+        are stored in their sources' caches in that order.
+        """
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
-            cached = self.cache.get(
+            cached = self._cache_of(source).get(
                 CacheKey.for_query(source, self.query_params, walkers_count)
             )
             if cached is not None:
                 resolved[source] = cached
             else:
                 missing.append(source)
-        for chunk in chunk_sources(missing, self.service_params.max_batch_size):
-            simulated = montecarlo.estimate_walk_distributions_batch(
-                self.graph, chunk, self.query_params, walkers=walkers_count
-            )
+        if missing:
+            simulated = self._simulate(sorted(missing), walkers_count)
             self._counters["sources_simulated"] += len(simulated)
             for source, distribution in simulated.items():
                 resolved[source] = distribution
-                self.cache.put(
+                self._cache_of(source).put(
                     CacheKey.for_query(source, self.query_params, walkers_count),
                     distribution,
                 )
         return resolved
+
+    def _simulate(self, sources: List[int],
+                  walkers_count: int) -> Dict[int, WalkDistributions]:
+        """Walk distributions of a batch's cache misses: one kernel call.
+
+        The sharded service overrides this to fan the call out over its
+        serve pool; neither can change a distribution, since every source
+        draws from its own ``(seed, source)`` stream.
+        """
+        return montecarlo.estimate_walk_distributions_batch(
+            self.graph, sources, self.query_params, walkers=walkers_count
+        )
 
     def _resolve_scores(
         self, queries: Sequence[Query],

@@ -24,19 +24,22 @@ of per-node serving state follows the plan —
   :attr:`~ShardedQueryService.shard_versions` records, per shard, the last
   global version that re-estimated one of its rows.
 
-Per-shard walk simulation is *scattered in parallel*: cache misses are
-grouped by owning shard and simulated as one task per shard through a
+A batch's cache misses are simulated in *one scatter*: the ascending
+misses split into ``min(serve_workers, misses)`` contiguous runs on a
 persistent executor backend the service owns
 (``ServiceParams.serve_backend`` / ``serve_workers``; the same
 :func:`repro.core.sharding.run_shard_tasks` primitive the build path fans
-out through).  Scoring and ranking run in the serving process on every
+out through), and each result is stored in its owning shard's cache.
+Every source has its own random stream and the graph is in every worker,
+so ownership decides where a distribution is cached, not where it is
+simulated.  Scoring and ranking run in the serving process on every
 backend: one block propagation per batch, then one ranking task per shard
 *per batch*.  The service is **thread-safe**: concurrent
 :meth:`~QueryService.run_batch` calls and live updates (immediate or
 deferred) serialise on an internal lock, so every
 :class:`~repro.service.service.BatchAnswers` is computed against exactly
 the index version it reports — never a torn mixture of two generations —
-while the per-shard simulation inside a batch still runs concurrently on
+while the simulation runs inside a batch still execute concurrently on
 the pool.  Call :meth:`ShardedQueryService.close` (or use the service as a
 context manager) to release the pools.
 
@@ -104,51 +107,37 @@ from repro.graph.partition import (
     load_balanced_plan,
     shard_loads,
 )
-from repro.service.batching import (
-    BatchPlan,
-    Query,
-    chunk_sources,
-    required_sources,
-)
-from repro.service.cache import CacheKey, CacheStats, WalkDistributionCache
+from repro.service.batching import Query, required_sources
+from repro.service.cache import CacheStats, WalkDistributionCache
 from repro.service.service import BatchAnswers, QueryService
 from repro.service.updates import GraphMutator, MutationResult
 
 PathLike = Union[str, os.PathLike]
 
 
-def _simulate_shard_sources(
+def _simulate_sources(
     handle: ResidentHandle,
     sources: Sequence[int],
     params: SimRankParams,
     walkers: int,
-    max_batch_size: int,
 ) -> Dict[int, montecarlo.WalkDistributions]:
-    """One shard's scatter payload: simulate its missing sources, chunked.
+    """One run of a batch's cache-miss scatter: one kernel call.
 
     Module-level (picklable) so the ``processes`` serve backend can ship
     it to a worker.  The task closes over the graph's
-    :class:`~repro.engine.executor.ResidentHandle` and the shard's source
+    :class:`~repro.engine.executor.ResidentHandle` and its run's source
     ids — O(sources) bytes, independent of graph size: a plain reference
     on ``serial``/``threads``, and a ``processes`` worker materialises the
     graph once per residency epoch
-    (:func:`repro.engine.executor.resolve_resident`).  The chunking is
-    exactly the sequential path's
-    (:func:`repro.service.batching.chunk_sources` at the service's
-    ``max_batch_size``), the restored CSR arrays are byte-for-byte the
-    service's and every source consumes its own ``(seed, source)`` random
-    stream, so running shards concurrently — in any order, on any backend
-    — produces bitwise-identical distributions.
+    (:func:`repro.engine.executor.resolve_resident`).  The restored CSR
+    arrays are byte-for-byte the service's and every source consumes its
+    own ``(seed, source)`` random stream, so however the misses are split
+    into runs — in any order, on any backend — the distributions are
+    bitwise-identical to one in-process call.
     """
-    graph: DiGraph = resolve_resident(handle)
-    resolved: Dict[int, montecarlo.WalkDistributions] = {}
-    for chunk in chunk_sources(list(sources), max_batch_size):
-        resolved.update(
-            montecarlo.estimate_walk_distributions_batch(
-                graph, chunk, params, walkers=walkers
-            )
-        )
-    return resolved
+    return montecarlo.estimate_walk_distributions_batch(
+        resolve_resident(handle), sources, params, walkers=walkers
+    )
 
 
 def _rank_shard_batch(
@@ -192,7 +181,7 @@ class ShardedQueryService(QueryService):
     params:
         Algorithmic parameters; defaults to the index's build parameters.
     service_params:
-        Cache and batching knobs.  ``cache_capacity`` is **per shard**: a
+        Cache and serving knobs.  ``cache_capacity`` is **per shard**: a
         ``K``-shard service can hold up to ``K * cache_capacity``
         distributions (and as many ranked answers), mirroring a real
         deployment where every shard has its own memory budget.
@@ -217,7 +206,7 @@ class ShardedQueryService(QueryService):
     last_batch_payload_bytes:
         Pickled task bytes the most recent batch sent to a ``processes``
         serve pool: its cache-miss simulation tasks, each a graph handle
-        plus source ids.  Zero for a fully cached batch and on the
+        plus a run of source ids.  Zero for a fully cached batch and on the
         in-process backends; accumulated in
         ``stats()["scatter_payload_bytes"]``.
     """
@@ -278,7 +267,7 @@ class ShardedQueryService(QueryService):
         # * ``_lock`` (inner) owns the served state: batches, the
         #   swap-in of an applied update (:meth:`_adopt_mutation`),
         #   snapshots and stats.  Concurrent callers can never observe a
-        #   half-applied update; the per-shard simulation *inside* a
+        #   half-applied update; the cache-miss simulation *inside* a
         #   batch still fans out through the serve pool below.
         self._update_lock = threading.RLock()
         self._lock = threading.RLock()
@@ -304,8 +293,7 @@ class ShardedQueryService(QueryService):
             for _ in range(self.plan.num_shards)
         ]
         self._shard_counters: List[Dict[str, Any]] = [
-            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0,
-             "scatter_seconds": 0.0}
+            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
             for _ in range(self.plan.num_shards)
         ]
         self._shard_nodes_cache: Optional[List[np.ndarray]] = None
@@ -464,7 +452,7 @@ class ShardedQueryService(QueryService):
         swap-ins serialise, so the returned
         :class:`~repro.service.service.BatchAnswers` is always
         self-consistent with the :attr:`~QueryService.index_version` it
-        carries.  Within the batch, per-shard cache-miss simulation runs
+        carries.  Within the batch, the cache-miss simulation runs
         concurrently on the serve pool.
         """
         if flush_pending and self._update_lock.acquire(blocking=False):
@@ -486,25 +474,16 @@ class ShardedQueryService(QueryService):
             return answers
 
     def flush_updates(self) -> Optional[MutationResult]:
-        """Drain queued edge insertions as one re-index, thread-safely.
-
-        Delegates to :meth:`flush_updates_overlapped`: the re-index runs
-        under the update lock only, so concurrent batches keep serving the
-        previous consistent version instead of queueing behind the drain.
-        """
-        return self.flush_updates_overlapped()
-
-    def flush_updates_overlapped(self) -> Optional[MutationResult]:
         """Drain queued updates with the re-index OFF the serve lock.
 
-        The overlapped-drain primitive the HTTP tier's drain strand calls:
-        the expensive incremental re-index holds only the update lock
+        The expensive incremental re-index holds only the update lock
         (serialising with other updates), while in-flight and new query
         batches proceed under the serve lock against the previous
         graph/index/engine objects — which stay internally consistent
         because the mutator builds *new* objects and
         :meth:`_adopt_mutation` re-points the service at them atomically
-        under the serve lock at the very end.  Returns the applied
+        under the serve lock at the very end.  The HTTP tier's drain
+        strand calls this.  Returns the applied
         :class:`~repro.service.updates.MutationResult`, or None when the
         queue was empty (or contained only already-present edges).
         """
@@ -704,7 +683,7 @@ class ShardedQueryService(QueryService):
         report dict (``applied``, ``estimate``, ``plan_generation``, …).
         """
         with self._update_lock:
-            self.flush_updates_overlapped()
+            self.flush_updates()
             with self._lock:
                 n = self.graph.n_nodes
                 weights = self._load_weights(node_loads)
@@ -804,59 +783,35 @@ class ShardedQueryService(QueryService):
             self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
             self._shard_counters[self.plan.shard_of(source)]["sources_routed"] += 1
 
-    def _resolve_distributions(
-        self, plan: BatchPlan, walkers_count: int
-    ) -> Dict[int, montecarlo.WalkDistributions]:
-        """Resolve a batch's sources against their owning shards' caches.
+    def _simulate(self, sources: List[int], walkers_count: int
+                  ) -> Dict[int, montecarlo.WalkDistributions]:
+        """Simulate a batch's ascending misses in one scatter on the pool.
 
-        Every source is looked up in — and simulated into — the cache of
-        the shard that owns it; misses are grouped per shard and scattered
-        as **one task per shard** through the persistent serve backend
-        (:func:`repro.core.sharding.run_shard_tasks`), each task chunking
-        its sources exactly like the single-shard path.  Because each
-        source's simulation consumes its own ``(seed, source)`` stream,
-        neither the grouping nor the concurrent execution can change any
-        distribution — only which cache holds it and how long the scatter
-        takes.  Each task's wall-clock accumulates in its shard's
-        ``scatter_seconds`` stats row; cache inserts and counters are
-        applied in the gathering thread, under the batch's lock.
+        The misses split into ``min(workers, misses)`` contiguous runs (one
+        on ``serial``), each a single kernel call
+        (:func:`_simulate_sources`) through
+        :func:`repro.core.sharding.run_shard_tasks`.  Each simulated
+        source counts against its owning shard's ``sources_simulated``;
+        the base class stores it in that shard's cache.
         """
-        resolved: Dict[int, montecarlo.WalkDistributions] = {}
-        missing_by_shard: Dict[int, List[int]] = {}
-        for source in plan.sources:
-            shard = self.plan.shard_of(source)
-            cached = self.shard_caches[shard].get(
-                CacheKey.for_query(source, self.query_params, walkers_count)
-            )
-            if cached is not None:
-                resolved[source] = cached
-            else:
-                missing_by_shard.setdefault(shard, []).append(source)
-        if missing_by_shard:
-            # The graph rides the pool's resident registry (re-registered
-            # automatically when an update swaps it — `self.graph` is then
-            # a new object, i.e. a new epoch), so each task ships a handle
-            # plus its source ids.
-            handle = self._serve_backend.ensure_resident("graph", self.graph)
-            tasks = {
-                shard: partial(_simulate_shard_sources, handle, sources,
-                               self.query_params, walkers_count,
-                               self.service_params.max_batch_size)
-                for shard, sources in missing_by_shard.items()
-            }
-            outcomes = run_shard_tasks(self._serve_backend, tasks)
-            for shard in sorted(outcomes):
-                simulated, seconds = outcomes[shard]
-                self._shard_counters[shard]["scatter_seconds"] += seconds
-                self._counters["sources_simulated"] += len(simulated)
-                self._shard_counters[shard]["sources_simulated"] += len(simulated)
-                for source, distribution in simulated.items():
-                    resolved[source] = distribution
-                    self.shard_caches[shard].put(
-                        CacheKey.for_query(source, self.query_params, walkers_count),
-                        distribution,
-                    )
-        return resolved
+        # The graph rides the pool's resident registry (re-registered
+        # automatically when an update swaps it — `self.graph` is then a
+        # new object, i.e. a new epoch), so each task ships a handle plus
+        # its run's source ids.
+        handle = self._serve_backend.ensure_resident("graph", self.graph)
+        runs = np.array_split(
+            sources, min(self._serve_backend.max_workers, len(sources)))
+        outcomes = run_shard_tasks(self._serve_backend, {
+            run: partial(_simulate_sources, handle, chunk, self.query_params,
+                         walkers_count)
+            for run, chunk in enumerate(runs)
+        })
+        simulated: Dict[int, montecarlo.WalkDistributions] = {}
+        for distributions, _seconds in outcomes.values():
+            simulated.update(distributions)
+        for source in simulated:
+            self._shard_counters[self.plan.shard_of(source)]["sources_simulated"] += 1
+        return simulated
 
     def _resolve_rankings(
         self, requests: Sequence[Tuple[int, int]],
@@ -901,8 +856,8 @@ class ShardedQueryService(QueryService):
 
         The aggregate mirrors :meth:`QueryService.stats` (cache figures
         summed across shards); the ``"shards"`` entry lists, per shard:
-        owned nodes, cache size/hit rate/memory, simulated sources, routed
-        edges and the shard's version.  ``serve_backend`` /
+        owned nodes, cache size/hit rate/memory, simulated and routed
+        sources, routed edges and the shard's version.  ``serve_backend`` /
         ``serve_workers`` describe the simulation scatter pool.  The whole
         snapshot is taken under the service lock, so its figures are
         mutually consistent even while batches and updates run

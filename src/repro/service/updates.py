@@ -235,30 +235,6 @@ class GraphMutator:
         self._pending.extend(edges)
         return len(self._pending)
 
-    def take_pending(self) -> List[Edge]:
-        """Atomically snapshot and clear the pending queue.
-
-        The overlapped-drain path uses this under the owner's update lock:
-        the taken edges belong to exactly one drain, so an ``enqueue``
-        racing with a long :meth:`apply_detached` can never be lost (the
-        next drain picks it up) nor double-applied.  Pair with
-        :meth:`requeue` if the drain fails.
-        """
-        taken, self._pending = self._pending, []
-        return taken
-
-    def requeue(self, edges: Sequence[Edge]) -> int:
-        """Put already-validated edges back at the FRONT of the queue.
-
-        The failure path of a detached drain: edges taken by
-        :meth:`take_pending` must survive an ``apply_detached`` that raised.
-        Re-insertion deliberately skips the ``max_pending_edges`` bound —
-        this is a recovery path restoring edges the bound already admitted,
-        and dropping them would silently violate at-least-once delivery.
-        """
-        self._pending = list(edges) + self._pending
-        return len(self._pending)
-
     def apply(self, edges: Sequence[Edge] = ()) -> Optional[MutationResult]:
         """Drain the queue plus ``edges`` as ONE incremental re-index.
 
@@ -269,33 +245,24 @@ class GraphMutator:
         is a graph no-op and must not cost a re-index, invalidate hot cache
         entries, or bump the version (at-least-once update feeds replay
         constantly).  Returns None when nothing (new) is left to apply.
+
+        The queue is taken up front, so an ``enqueue`` racing with the
+        re-index (the sharded service runs it off its serve lock) lands in
+        the next drain.  A failed re-index puts the taken edges back at the
+        front of the queue, past the ``max_pending_edges`` bound they were
+        already admitted under.
         """
-        taken = self.take_pending()
+        taken, self._pending = self._pending, []
         try:
-            return self.apply_detached(taken + self._validated(edges))
+            batch = self._validated(taken + list(edges))
+            edges_before = self.graph.n_edges
+            start = time.perf_counter()
+            # The walker drops edges the graph already has (and duplicates),
+            # so the edge count tells how many insertions were new.
+            info = self._walker.add_edges(batch)
         except Exception:
-            # A failed apply must not silently drop previously deferred
-            # edges: restore them for the next drain attempt.
-            self.requeue(taken)
+            self._pending = taken + self._pending
             raise
-
-    def apply_detached(self, edges: Sequence[Edge]) -> Optional[MutationResult]:
-        """Re-index ``edges`` WITHOUT reading or clearing the pending queue.
-
-        The core of :meth:`apply`, split out for drains that run outside
-        the owner's lock: the caller snapshots the queue first (via
-        :meth:`take_pending`, under its lock), then runs this expensive
-        step detached while readers keep serving the previous consistent
-        graph/index.  Because it never touches ``_pending``, a concurrent
-        ``enqueue`` is safe throughout.  Inputs are validated here too, so
-        callers may pass raw edges.  Returns None when nothing new is left.
-        """
-        batch = self._validated(edges)
-        edges_before = self.graph.n_edges
-        start = time.perf_counter()
-        # The walker drops edges the graph already has (and duplicates), so
-        # the edge count tells how many insertions were new.
-        info = self._walker.add_edges(batch)
         edges_added = self.graph.n_edges - edges_before
         if not edges_added:
             return None

@@ -23,7 +23,7 @@ class TestWalkDistributions:
     def test_estimate_shape_and_normalisation(self, graph, params):
         dist = montecarlo.estimate_walk_distributions(graph, 3, params)
         assert dist.source == 3
-        assert len(dist.per_step) == params.walk_steps + 1
+        assert len(dist.offsets) == params.walk_steps + 2 and dist.offsets[0] == 0
         assert dist.survival(0) == pytest.approx(1.0)
         for step in range(params.walk_steps + 1):
             assert dist.survival(step) <= 1.0 + 1e-12
@@ -60,8 +60,9 @@ class TestWalkDistributions:
             montecarlo.distribution_error(a, b, graph.n_nodes)
 
     def test_batch_entries_own_their_arrays(self, graph, params):
-        """A cached entry must not pin the batch it was simulated in: one
-        base per entry and array kind, shared by that entry's steps only."""
+        """A cached entry must not pin the batch it was simulated in: each
+        of its three arrays owns exactly its own bytes, shared with no
+        other entry, and every step matches the single-source oracle."""
         batch = montecarlo.estimate_walk_distributions_batch(
             graph, [5, 9, 9, 30, 2], params)
         assert sorted(batch) == [2, 5, 9, 30]
@@ -69,59 +70,25 @@ class TestWalkDistributions:
         for source, entry in batch.items():
             direct = montecarlo.estimate_walk_distributions(graph, source, params)
             assert entry.source == source and entry.walkers == direct.walkers
-            for (nodes, values), (want_nodes, want_values) in zip(
-                    entry.per_step, direct.per_step, strict=True):
-                assert nodes.tobytes() == want_nodes.tobytes()
-                assert values.tobytes() == want_values.tobytes()
-                assert (nodes.dtype, values.dtype) == (np.int64, np.float64)
-                for array in (nodes, values):
-                    assert array.base is not None and array.base.base is None
-                    assert array.base.flags.owndata
-                    bases.setdefault(id(array.base), set()).add(source)
-            resident = {id(a.base): a.base.nbytes
-                        for pair in entry.per_step for a in pair}
-            assert sum(resident.values()) == sum(
-                a.nbytes for pair in entry.per_step for a in pair)
+            assert entry.offsets.tobytes() == direct.offsets.tobytes()
+            for step in range(params.walk_steps + 1):
+                for ours, theirs in zip(entry.at(step), direct.at(step)):
+                    assert ours.tobytes() == theirs.tobytes()
+            arrays = (entry.offsets, entry.nodes, entry.values)
+            assert [a.dtype for a in arrays] == [np.int64, np.int64, np.float64]
+            for array in arrays:
+                base = array if array.base is None else array.base
+                assert base.flags.owndata and base.nbytes == array.nbytes
+                bases.setdefault(id(base), set()).add(source)
         assert all(len(owners) == 1 for owners in bases.values())
-        assert len(bases) == 2 * len(batch)
+        assert len(bases) == 3 * len(batch)
 
     def test_reproducible_with_same_seed(self, graph, params):
         first = montecarlo.estimate_walk_distributions(graph, 4, params, walkers=100)
         second = montecarlo.estimate_walk_distributions(graph, 4, params, walkers=100)
         for step in range(params.walk_steps + 1):
-            assert np.array_equal(first.per_step[step][0], second.per_step[step][0])
-            assert np.allclose(first.per_step[step][1], second.per_step[step][1])
-
-
-class TestSparseDot:
-    def test_disjoint_supports(self):
-        left = (np.array([0, 1]), np.array([0.5, 0.5]))
-        right = (np.array([2, 3]), np.array([0.5, 0.5]))
-        assert montecarlo.sparse_dot(left, right) == 0.0
-
-    def test_overlapping_supports_with_weights(self):
-        left = (np.array([1, 2, 5]), np.array([0.2, 0.3, 0.5]))
-        right = (np.array([2, 5, 7]), np.array([0.4, 0.6, 1.0]))
-        weights = np.ones(10)
-        expected = 0.3 * 0.4 + 0.5 * 0.6
-        assert montecarlo.sparse_dot(left, right, weights) == pytest.approx(expected)
-
-    def test_empty_vector(self):
-        empty = (np.array([], dtype=np.int64), np.array([]))
-        other = (np.array([1]), np.array([1.0]))
-        assert montecarlo.sparse_dot(empty, other) == 0.0
-
-
-class TestSelfMeetingColumn:
-    def test_star_graph_column(self):
-        # Leaves of a star: P e_leaf = e_hub, P^2 e_leaf = 0.
-        graph = generators.star_graph(3)
-        params = SimRankParams(c=0.5, walk_steps=3, seed=1)
-        dist = montecarlo.exact_walk_distributions(graph, 1, params)
-        column = montecarlo.self_meeting_column(dist, decay=0.5)
-        assert column[1] == pytest.approx(1.0)   # t=0 at the leaf itself
-        assert column[0] == pytest.approx(0.5)   # t=1 at the hub, weight c
-        assert len(column) == 2
+            assert np.array_equal(first.at(step)[0], second.at(step)[0])
+            assert np.allclose(first.at(step)[1], second.at(step)[1])
 
 
 class TestLinearSystem:
@@ -218,26 +185,13 @@ class TestVectorisedKernelsBitwise:
     association, same element order) — not merely approximately equal."""
 
     @staticmethod
-    def _reference_self_meeting_column(distributions, decay):
-        """The historical dict-accumulation loop, kept as ground truth."""
-        column = {}
-        factor = 1.0
-        for step in range(distributions.steps + 1):
-            nodes, values = distributions.per_step[step]
-            contributions = factor * values * values
-            for node, contribution in zip(nodes.tolist(), contributions.tolist()):
-                column[node] = column.get(node, 0.0) + contribution
-            factor *= decay
-        return column
-
-    @staticmethod
     def _reference_combine_pair(dist_i, dist_j, weights, decay, steps):
         """The historical per-step intersect1d loop, kept as ground truth."""
         total = 0.0
         factor = 1.0
         for step in range(steps + 1):
-            left_nodes, left_values = dist_i.per_step[step]
-            right_nodes, right_values = dist_j.per_step[step]
+            left_nodes, left_values = dist_i.at(step)
+            right_nodes, right_values = dist_j.at(step)
             dot = 0.0
             if len(left_nodes) and len(right_nodes):
                 common, left_idx, right_idx = np.intersect1d(
@@ -251,23 +205,6 @@ class TestVectorisedKernelsBitwise:
             total += factor * dot
             factor *= decay
         return float(total)
-
-    def test_self_meeting_column_bitwise_equal(self, graph, params):
-        for source in (0, 7, 23, 41):
-            dist = montecarlo.estimate_walk_distributions(
-                graph, source, params, walkers=150)
-            fast = montecarlo.self_meeting_column(dist, decay=params.c)
-            reference = self._reference_self_meeting_column(dist, decay=params.c)
-            assert fast.keys() == reference.keys()
-            for node, value in reference.items():
-                assert fast[node] == value, f"node {node} diverged bitwise"
-
-    def test_self_meeting_column_empty_distributions(self):
-        dist = montecarlo.WalkDistributions(
-            source=0, steps=2, walkers=10,
-            per_step=[(np.empty(0, dtype=np.int64), np.empty(0))] * 3,
-        )
-        assert montecarlo.self_meeting_column(dist, decay=0.6) == {}
 
     def test_combine_pair_distributions_bitwise_equal(self, graph, params):
         weights = np.linspace(0.4, 1.0, graph.n_nodes)
@@ -284,33 +221,14 @@ class TestVectorisedKernelsBitwise:
             assert fast == reference, f"pair ({node_i}, {node_j}) diverged"
 
     def test_combine_pair_distributions_disjoint_and_dead(self):
-        empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        dist_a = montecarlo.WalkDistributions(
-            source=0, steps=1, walkers=1,
-            per_step=[(np.array([0]), np.array([1.0])), empty],
-        )
-        dist_b = montecarlo.WalkDistributions(
-            source=1, steps=1, walkers=1,
-            per_step=[(np.array([1]), np.array([1.0])), empty],
-        )
+        def alone_then_dead(source):
+            return montecarlo.WalkDistributions(
+                source=source, steps=1, walkers=1,
+                offsets=np.array([0, 1, 1]), nodes=np.array([source]),
+                values=np.array([1.0]),
+            )
+
+        dist_a, dist_b = alone_then_dead(0), alone_then_dead(1)
         weights = np.ones(4)
         assert montecarlo.combine_pair_distributions(
             dist_a, dist_b, weights, 0.6, 1) == 0.0
-
-    def test_sparse_dot_matches_intersect1d_reference(self):
-        rng = np.random.default_rng(7)
-        weights = rng.random(50)
-        for _ in range(20):
-            left_nodes = np.unique(rng.integers(0, 50, size=rng.integers(0, 12)))
-            right_nodes = np.unique(rng.integers(0, 50, size=rng.integers(0, 12)))
-            left = (left_nodes, rng.random(len(left_nodes)))
-            right = (right_nodes, rng.random(len(right_nodes)))
-            expected = 0.0
-            if len(left_nodes) and len(right_nodes):
-                common, li, ri = np.intersect1d(
-                    left_nodes, right_nodes, assume_unique=True,
-                    return_indices=True)
-                if len(common):
-                    expected = float(
-                        (left[1][li] * right[1][ri] * weights[common]).sum())
-            assert montecarlo.sparse_dot(left, right, weights) == expected

@@ -220,10 +220,10 @@ class TestResidentRestoreEquivalence:
                 graph, [0, 3, 7], params)
             mirrored = montecarlo.estimate_walk_distributions_batch(
                 restored, [0, 3, 7], params)
+            assert original.keys() == mirrored.keys()
             for source in original:
-                for (n_a, v_a), (n_b, v_b) in zip(
-                        original[source].per_step, mirrored[source].per_step):
-                    assert np.array_equal(n_a, n_b)
-                    assert np.array_equal(v_a, v_b)
+                for name in ("offsets", "nodes", "values"):
+                    assert np.array_equal(getattr(original[source], name),
+                                          getattr(mirrored[source], name))
         finally:
             backend.close()

@@ -1,4 +1,4 @@
-"""Batch planning: deduplication, chunking and the query line format."""
+"""Batch planning: deduplication and the query line format."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.service import (
     PairQuery,
     SourceQuery,
     TopKQuery,
-    chunk_sources,
     parse_query,
     plan_batch,
     required_sources,
@@ -39,12 +38,6 @@ class TestPlanBatch:
         assert plan.source_references == 6
         assert plan.deduplicated == 3
 
-    def test_chunks_respect_max_batch_size(self):
-        sources = list(range(10))
-        chunks = chunk_sources(sources, max_batch_size=4)
-        assert [len(chunk) for chunk in chunks] == [4, 4, 2]
-        assert [node for chunk in chunks for node in chunk] == sources
-
     def test_self_pairs_produce_empty_plan(self):
         plan = plan_batch([PairQuery(1, 1), PairQuery(2, 2)])
         assert plan.sources == []
@@ -52,11 +45,6 @@ class TestPlanBatch:
     def test_empty_batch(self):
         plan = plan_batch([])
         assert plan.sources == [] and plan.deduplicated == 0
-        assert chunk_sources([], max_batch_size=4) == []
-
-    def test_invalid_max_batch_size_rejected(self):
-        with pytest.raises(CloudWalkerError):
-            chunk_sources([1], max_batch_size=0)
 
 
 class TestParseQuery:

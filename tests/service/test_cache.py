@@ -71,12 +71,11 @@ class TestAccounting:
         assert len(entries) == 5
         owners = {}
         for position, entry in enumerate(entries):
-            for nodes, values in entry.per_step:
-                for array in (nodes, values):
-                    base = array if array.base is None else array.base
-                    assert base.flags.owndata
-                    owners.setdefault(id(base), (position, base.nbytes))
-                    assert owners[id(base)][0] == position
+            for array in (entry.offsets, entry.nodes, entry.values):
+                base = array if array.base is None else array.base
+                assert base.flags.owndata
+                owners.setdefault(id(base), (position, base.nbytes))
+                assert owners[id(base)][0] == position
         assert service.cache.memory_bytes() == sum(
             nbytes for _position, nbytes in owners.values())
 
@@ -93,8 +92,8 @@ def _recount(cache: WalkDistributionCache) -> int:
     """``memory_bytes`` the slow way: walk every entry of both kinds."""
     total = 0
     for entry in cache._entries.values():
-        for nodes, values in entry.per_step:
-            total += nodes.nbytes + values.nbytes
+        for array in (entry.offsets, entry.nodes, entry.values):
+            total += array.nbytes
     for ranking in cache._rankings.values():
         total += 16 * len(ranking)
     return total

@@ -79,8 +79,8 @@ def test_concurrent_updates_and_batches_are_never_torn():
 
     with ShardedQueryService.build(
         graph, PARAMS,
-        service_params=ServiceParams(cache_capacity=64, max_batch_size=8,
-                                     serve_backend="threads", serve_workers=4),
+        service_params=ServiceParams(cache_capacity=64, serve_backend="threads",
+                                     serve_workers=4),
         sharding=ShardingParams(num_shards=3),
     ) as service:
         def query_worker(slot):

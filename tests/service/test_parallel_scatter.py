@@ -104,8 +104,7 @@ def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
             with ShardedQueryService.build(
                 graph, params,
                 service_params=ServiceParams(
-                    max_batch_size=3, serve_backend=backend,
-                    serve_workers=workers,
+                    serve_backend=backend, serve_workers=workers,
                 ),
                 sharding=ShardingParams(num_shards=num_shards),
             ) as sharded:
@@ -126,12 +125,59 @@ def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
                 _assert_canonical_order(after)
 
 
+def _count_scatters(monkeypatch):
+    """Record ``(kind, tasks)`` of every ``run_shard_tasks`` call the sharded
+    service makes, the kind read from the task function's name."""
+    import repro.service.sharded as sharded_module
+
+    scatters = []
+    real = sharded_module.run_shard_tasks
+
+    def counting(backend_, tasks):
+        name = next(iter(tasks.values())).func.__name__
+        scatters.append(("simulate" if "simulate" in name else "rank",
+                         len(tasks)))
+        return real(backend_, tasks)
+
+    monkeypatch.setattr(sharded_module, "run_shard_tasks", counting)
+    return scatters
+
+
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
+    """A batch whose misses span every shard simulates them with one
+    ``run_shard_tasks`` call of at most ``min(workers, misses)`` runs — one
+    on ``serial`` — and answers like the single-shard service."""
+    from repro.graph import generators
+
+    graph = generators.copying_model_graph(90, out_degree=4, seed=11)
+    params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=2,
+                           index_walkers=20, query_walkers=60, seed=8)
+    queries = [SourceQuery(node) for node in range(0, 90, 9)] + [
+        PairQuery(1, 2), TopKQuery(4, k=6)]
+    scatters = _count_scatters(monkeypatch)
+    with ShardedQueryService.build(
+        graph, params,
+        service_params=ServiceParams(serve_backend=backend, serve_workers=2),
+        sharding=ShardingParams(num_shards=3),
+    ) as sharded:
+        misses = {source for query in queries
+                  for source in (query.source, getattr(query, "target", None))
+                  if source is not None}
+        assert {sharded.shard_of(source) for source in misses} == {0, 1, 2}
+        answers = sharded.run_batch(queries)
+        simulate = [tasks for kind, tasks in scatters if kind == "simulate"]
+        assert len(simulate) == 1
+        assert simulate[0] == (1 if backend == "serial" else min(2, len(misses)))
+        assert sharded.stats()["sources_simulated"] == len(misses)
+    _assert_equal(QueryService.build(graph, params).run_batch(queries), answers)
+
+
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 def test_batch_scores_each_source_once_and_scatters_twice(backend,
                                                           monkeypatch):
     """A batch that repeats sources answers like one-query batches, from at
     most two scatters (simulate + rank) however many top-k queries it has."""
-    import repro.service.sharded as sharded_module
     from repro.graph import generators
 
     graph = generators.copying_model_graph(150, out_degree=5, seed=3)
@@ -143,14 +189,7 @@ def test_batch_scores_each_source_once_and_scatters_twice(backend,
         SourceQuery(3), SourceQuery(77), TopKQuery(77, k=400),
         TopKQuery(5, k=1), TopKQuery(6, k=2), TopKQuery(7, k=3),
     ]
-    scatters = []
-    real = sharded_module.run_shard_tasks
-
-    def counting(backend_, tasks):
-        scatters.append(len(tasks))
-        return real(backend_, tasks)
-
-    monkeypatch.setattr(sharded_module, "run_shard_tasks", counting)
+    scatters = _count_scatters(monkeypatch)
     service_params = ServiceParams(serve_backend=backend, serve_workers=2)
     with ShardedQueryService.build(
         graph, params, service_params=service_params,
@@ -162,7 +201,12 @@ def test_batch_scores_each_source_once_and_scatters_twice(backend,
         for _pass in ("cold", "cached"):
             scatters.clear()
             answers = sharded.run_batch(queries)
-            assert len(scatters) <= 2 and all(n <= 3 for n in scatters)
+            # Cold: one simulate scatter of one run per serve worker (one on
+            # serial), then one rank task per shard; cached: every ranking
+            # is a cache entry, so nothing scatters.
+            simulate_runs = 1 if backend == "serial" else 2
+            assert scatters == ([("simulate", simulate_runs), ("rank", 3)]
+                                if _pass == "cold" else [])
             expected = [one_at_a_time.run_batch([query])[0]
                         for query in queries]
             for left, right in zip(expected, answers):

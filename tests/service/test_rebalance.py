@@ -7,7 +7,7 @@ Four layers, bottom-up:
 * the **rebalance decision** (:func:`repro.graph.partition.evaluate_rebalance`) —
   makespan ratios, the improvement threshold, the representativeness gate;
 * the **load accounting** the planner feeds on (routed sources per node
-  and shard) and the per-shard ``scatter_seconds`` monitor row;
+  and shard) and the per-shard ``sources_simulated`` monitor row;
 * **live plan migration** (:meth:`~repro.service.ShardedQueryService.
   rebalance`): the headline invariant is that every answer — before,
   *during* (concurrent query threads) and after a migration, with live
@@ -165,23 +165,23 @@ class TestEvaluateRebalance:
 # --------------------------------------------------------------------------- #
 class TestLoadAccounting:
     def test_cumulative_counters_sum_batch_timings(self, make_sharded):
-        # A shard's cumulative scatter_seconds grows exactly in the batches
-        # that simulate one of its sources; the last two batches are fully
-        # cached (distributions, then a ranking entry) and add nothing.
+        # A shard's cumulative sources_simulated grows exactly in the
+        # batches that simulate one of its sources, by their number; the
+        # last two batches are fully cached (distributions, then a ranking
+        # entry) and add nothing.
         sharded = make_sharded(num_shards=3)
         rows = sharded.stats()["shards"]
         grew = []
-        for batch in ([TopKQuery(3, k=5)], [SourceQuery(7)],
-                      [TopKQuery(3, k=5), TopKQuery(9, k=2)],
-                      [SourceQuery(7)], [TopKQuery(9, k=2)]):
+        for batch, fresh in (([TopKQuery(3, k=5)], {3}), ([SourceQuery(7)], {7}),
+                             ([TopKQuery(3, k=5), TopKQuery(9, k=2)], {9}),
+                             ([SourceQuery(7)], set()), ([TopKQuery(9, k=2)], set())):
             sharded.run_batch(batch)
             previous, rows = rows, sharded.stats()["shards"]
-            pairs = list(zip(previous, rows))
-            timed = [new["scatter_seconds"] > old["scatter_seconds"]
-                     for old, new in pairs]
-            assert timed == [new["sources_simulated"] > old["sources_simulated"]
-                             for old, new in pairs]
-            grew.append(sum(timed))
+            growth = [new["sources_simulated"] - old["sources_simulated"]
+                      for old, new in zip(previous, rows)]
+            assert growth == [sum(sharded.shard_of(source) == shard
+                                  for source in fresh) for shard in range(3)]
+            grew.append(sum(amount > 0 for amount in growth))
         assert grew[0] == 1 and grew[-2:] == [0, 0]
 
     @pytest.mark.parametrize("num_shards", [1, 3, 5, 8])
@@ -197,8 +197,7 @@ class TestLoadAccounting:
         assert sum(row["sources_simulated"] for row in rows) \
             == stats["sources_simulated"] > 0
         for row in rows:
-            assert row["scatter_seconds"] >= 0.0
-            assert "rank_seconds" not in row
+            assert "scatter_seconds" not in row and "rank_seconds" not in row
 
     def test_sources_routed_counts_cached_lookups(self, make_sharded):
         sharded = make_sharded(num_shards=3)

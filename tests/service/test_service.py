@@ -29,14 +29,20 @@ class TestBatchSemantics:
         assert np.array_equal(single_service.single_source(7), batched[1])
         assert single_service.top_k(5, k=3) == batched[2]
 
-    def test_chunked_batch_identical_to_unchunked(self, make_service):
-        chunked = make_service(max_batch_size=2)
-        unchunked = make_service(max_batch_size=256)
+    def test_chunked_batch_identical_to_unchunked(self, make_service,
+                                                  service_params):
+        # The kernel alone sizes its blocks: two sources per block here.
+        from unittest import mock
+
+        from repro.core import walks
+
         queries = [SourceQuery(node) for node in range(9)]
-        left = chunked.run_batch(queries)
-        right = unchunked.run_batch(queries)
+        draws = service_params.query_walkers * service_params.walk_steps
+        with mock.patch.object(walks, "_BLOCK_DRAWS", 2 * draws):
+            left = make_service().run_batch(queries)
+        right = make_service().run_batch(queries)
         for a, b in zip(left, right):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
     def test_symmetry_within_batch(self, make_service):
         service = make_service()
@@ -119,8 +125,6 @@ class TestValidationAndAccounting:
     def test_invalid_service_params_rejected(self):
         with pytest.raises(ConfigurationError):
             ServiceParams(cache_capacity=-1)
-        with pytest.raises(ConfigurationError):
-            ServiceParams(max_batch_size=0)
         with pytest.raises(ConfigurationError):
             ServiceParams(default_top_k=0)
 

@@ -297,21 +297,21 @@ class TestLifecycle:
             assert stats["serve_workers"] == 3
 
     def test_scatter_timings_cover_touched_shards(self, make_sharded):
-        def scatter_seconds():
-            return [row["scatter_seconds"]
+        def simulated():
+            return [row["sources_simulated"]
                     for row in sharded.stats()["shards"]]
 
         with make_sharded(num_shards=3) as sharded:
             sharded.run_batch(QUERIES)
-            touched = {sharded.shard_of(source) for query in QUERIES
+            sources = {source for query in QUERIES
                        for source in required_sources(query)}
-            assert touched  # something was simulated
-            timed = scatter_seconds()
-            assert {shard for shard, seconds in enumerate(timed)
-                    if seconds > 0.0} == touched
-            # Fully cached re-run scatters nothing.
+            assert sources  # something was simulated
+            owned = [sum(sharded.shard_of(source) == shard for source in sources)
+                     for shard in range(3)]
+            assert simulated() == owned
+            # Fully cached re-run simulates nothing.
             sharded.run_batch(QUERIES)
-            assert scatter_seconds() == timed
+            assert simulated() == owned
 
 
 class TestConstruction:

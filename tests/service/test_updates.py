@@ -88,6 +88,36 @@ class TestUpdateSemantics:
         assert live_service.flush_updates() is None
         assert live_service.index_version == 1
 
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_failed_drain_requeues_its_edges(self, update_graph,
+                                             update_params_cheap, num_shards,
+                                             monkeypatch):
+        """A re-index that raises loses no queued edge: the queue is as it
+        was, and the next drain applies those edges."""
+        from repro.config import ShardingParams
+        from repro.service import ShardedQueryService
+
+        service = (QueryService.build(update_graph, update_params_cheap)
+                   if num_shards is None else ShardedQueryService.build(
+                       update_graph, update_params_cheap,
+                       sharding=ShardingParams(num_shards=num_shards)))
+        service.add_edges([(2, 30), (4, 31)], defer=True)
+
+        def broken(_edges):
+            raise RuntimeError("re-index failed")
+
+        monkeypatch.setattr(service._mutator.walker, "add_edges", broken)
+        with pytest.raises(RuntimeError, match="re-index failed"):
+            service.flush_updates()
+        assert service.pending_updates == 2
+        assert service.index_version == 1
+        monkeypatch.undo()
+        result = service.flush_updates()
+        assert result is not None and result.edges_added == 2
+        assert service.pending_updates == 0 and service.index_version == 2
+        assert service.graph.has_edge(2, 30) and service.graph.has_edge(4, 31)
+        service.close()
+
     def test_new_node_becomes_queryable(self, live_service):
         old_n = live_service.graph.n_nodes
         result = live_service.add_edges([(0, old_n)])

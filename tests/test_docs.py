@@ -4,8 +4,8 @@ Three layers of honesty checks:
 
 * required documents exist and still cover the topics source docstrings
   cite them for;
-* every path, ``module.symbol`` and ``--flag`` reference in the docs
-  resolves (``scripts/check_docs.py``, also run standalone);
+* every path, ``module.symbol``, ``--flag`` and knob-table reference in
+  the docs resolves (``scripts/check_docs.py``, also run standalone);
 * every public symbol of the serving/persistence API surface carries a
   docstring.
 """
@@ -123,6 +123,21 @@ class TestDocLinks:
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
         problems = checker.check_docs()
         assert len(problems) == 1 and "--no-resident-graph" in problems[0]
+
+    def test_checker_detects_deleted_config_field(self, tmp_path, monkeypatch):
+        """A knob-table row that outlives its config field is rot too."""
+        checker = _load_checker()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "README.md").write_text(
+            "### Cache knobs (`ServiceParams`)\n\n"
+            "| Knob | Default | Meaning |\n| --- | --- | --- |\n"
+            "| `cache_capacity` | 1024 | LRU entries |\n"
+            "| `max_batch_size` | 256 | Max sources per walk simulation |\n\n"
+            "### Elsewhere\n\n| `not_a_knob` | prose table |\n"
+        )
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        problems = checker.check_docs()
+        assert len(problems) == 1 and "max_batch_size" in problems[0]
 
     def test_checker_cli_exit_codes(self):
         completed = subprocess.run(

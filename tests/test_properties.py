@@ -9,6 +9,8 @@ randomly generated graphs and inputs:
 * the indexing linear system is well-formed for any graph;
 * the Jacobi solver converges on diagonally dominant systems;
 * the engine's shuffle operations match their sequential equivalents;
+* a batch's walk distributions are owned records equal to the
+  single-source oracle, whatever the kernel's block size;
 * the query service (batching + caching) is bitwise-equivalent to direct
   core calls for the same seed;
 * block score propagation is byte-for-byte the one-source dense recurrence.
@@ -283,6 +285,42 @@ class TestServiceProperties:
                 assert np.array_equal(batch_nodes, nodes)
                 assert np.array_equal(batch_counts, counts)
 
+    @given(graphs(max_nodes=14, max_edges=50), st.data())
+    def test_batch_entries_are_owned_records_equal_to_the_oracle(self, graph,
+                                                                  data):
+        """Every entry of a batch — any source multiset, walker count and
+        kernel block size — equals the single-source oracle step by step,
+        owns its three arrays (one base each, shared with no other entry),
+        and is sized by the cache as exactly their bytes."""
+        from repro.service.cache import _payload_bytes
+
+        params = self._params(data.draw(st.integers(0, 10_000))).with_(
+            query_walkers=data.draw(st.integers(min_value=1, max_value=60)))
+        sources = data.draw(st.lists(
+            st.integers(min_value=0, max_value=graph.n_nodes - 1), max_size=10))
+        block = data.draw(st.sampled_from([1, 7, walks._BLOCK_DRAWS]))
+        with mock.patch.object(walks, "_BLOCK_DRAWS", block):
+            batch = montecarlo.estimate_walk_distributions_batch(
+                graph, sources, params)
+        assert sorted(batch) == sorted(set(sources))
+        bases = set()
+        for source, entry in batch.items():
+            oracle = montecarlo.estimate_walk_distributions(graph, source, params)
+            assert (entry.source, entry.steps, entry.walkers) == (
+                oracle.source, oracle.steps, oracle.walkers)
+            for step in range(params.walk_steps + 1):
+                for ours, theirs in zip(entry.at(step), oracle.at(step), strict=True):
+                    assert ours.dtype == theirs.dtype
+                    assert ours.tobytes() == theirs.tobytes()
+            arrays = (entry.offsets, entry.nodes, entry.values)
+            for array in arrays:
+                base = array if array.base is None else array.base
+                assert base.base is None and base.flags.owndata
+                assert base.nbytes == array.nbytes
+                assert id(base) not in bases
+                bases.add(id(base))
+            assert _payload_bytes(entry) == sum(array.nbytes for array in arrays)
+
     @given(graphs(max_nodes=12, max_edges=45), st.data())
     def test_service_bitwise_equal_to_direct_core_calls(self, graph, data):
         seed = data.draw(st.integers(min_value=0, max_value=1_000))
@@ -290,7 +328,7 @@ class TestServiceProperties:
         index = build_diagonal_index(graph, params)
         engine = QueryEngine(graph, index, params)
         service = QueryService(graph, index, params,
-                               ServiceParams(cache_capacity=8, max_batch_size=3))
+                               ServiceParams(cache_capacity=8))
         node_i = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
         node_j = data.draw(st.integers(min_value=0, max_value=graph.n_nodes - 1))
         pair, scores = service.run_batch([PairQuery(node_i, node_j),
