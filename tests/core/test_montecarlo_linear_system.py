@@ -1,5 +1,7 @@
 """Unit tests for Monte-Carlo estimators and linear-system assembly."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,46 @@ class TestWalkDistributions:
                 bases.setdefault(id(base), set()).add(source)
         assert all(len(owners) == 1 for owners in bases.values())
         assert len(bases) == 3 * len(batch)
+
+    def test_steps_are_views_that_tile_the_record(self, graph, params):
+        dist = montecarlo.estimate_walk_distributions_batch(
+            graph, [11], params)[11]
+        assert np.all(np.diff(dist.offsets) >= 0)
+        assert dist.offsets[-1] == len(dist.nodes) == len(dist.values)
+        for step in range(params.walk_steps + 1):
+            nodes, values = dist.at(step)
+            assert np.shares_memory(nodes, dist.nodes)
+            assert np.shares_memory(values, dist.values)
+            assert np.all(np.diff(nodes) > 0)
+        assert sum(len(dist.at(step)[0])
+                   for step in range(params.walk_steps + 1)) == len(dist.nodes)
+
+    def test_record_round_trips_through_pickle(self, graph, params):
+        """Pool workers return records pickled; the copy must be exact."""
+        entry = montecarlo.estimate_walk_distributions_batch(
+            graph, [6], params)[6]
+        copy = pickle.loads(pickle.dumps(entry))
+        assert (copy.source, copy.steps, copy.walkers) == (
+            entry.source, entry.steps, entry.walkers)
+        for name in ("offsets", "nodes", "values"):
+            ours, theirs = getattr(copy, name), getattr(entry, name)
+            assert (ours.dtype, ours.tobytes()) == (theirs.dtype, theirs.tobytes())
+
+    def test_dead_walks_leave_later_steps_empty(self, params):
+        from repro.graph.digraph import DiGraph
+
+        graph = DiGraph(3, [(0, 1), (1, 2)])  # node 0 has no in-links
+        batch = montecarlo.estimate_walk_distributions_batch(graph, [0], params)
+        for dist in (batch[0],
+                     montecarlo.estimate_walk_distributions(graph, 0, params),
+                     montecarlo.exact_walk_distributions(graph, 0, params)):
+            assert dist.offsets.tolist() == [0] + [1] * (params.walk_steps + 1)
+            assert dist.nodes.tolist() == [0] and dist.values.tolist() == [1.0]
+            assert dist.survival(params.walk_steps) == 0.0
+
+    def test_batch_of_no_sources_is_empty(self, graph, params):
+        assert montecarlo.estimate_walk_distributions_batch(
+            graph, [], params) == {}
 
     def test_reproducible_with_same_seed(self, graph, params):
         first = montecarlo.estimate_walk_distributions(graph, 4, params, walkers=100)
