@@ -741,9 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build the CloudWalker index.  The default 'local' mode "
                     "estimates every row from its own (seed, source) random "
                     "stream, so the file is bitwise-identical for any "
-                    "--shards value and to the index a query service builds; "
-                    "per-source generators make it slower than the shared "
-                    "stream the 'broadcasting'/'rdd' models use.")
+                    "--shards value and to the index a query service builds.")
     _add_graph_arguments(index)
     _add_param_arguments(index)
     _add_sharding_arguments(index)

@@ -18,7 +18,7 @@ system; listed as such in ``docs/DESIGN.md``):
 Every row is estimated from its own ``(seed, source)`` random stream
 (:func:`repro.core.linear_system.build_rows_streamed`), so the updated index
 is *bitwise-identical* to one built from scratch on the updated graph — see
-``docs/architecture.md`` for the full versioning contract.  (The faster
+``docs/architecture.md`` for the full versioning contract.  (The
 shared-stream estimator, :func:`repro.core.linear_system.build_rows`, stays
 on the reproduction side: :mod:`repro.core.diagonal` and the paper's
 execution models.)
@@ -106,7 +106,7 @@ class IncrementalCloudWalker:
     def build(self) -> DiagonalIndex:
         """Initial full build (also callable to force a rebuild)."""
         start = time.perf_counter()
-        self._system = self._build_rows(self.graph, range(self.graph.n_nodes)).tolil().tocsr()
+        self._system = self._build_rows(self.graph, range(self.graph.n_nodes))
         self.index = self._solve(self.graph, self._system,
                                  seconds_so_far=time.perf_counter() - start,
                                  update_kind="full-build", affected=self.graph.n_nodes)

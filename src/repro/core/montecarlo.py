@@ -121,8 +121,11 @@ def estimate_walk_distributions_batch(
     Each source's result is bitwise-identical to
     :func:`estimate_walk_distributions` called with its default ``rng`` (the
     ``(params.seed, source)`` stream), so batching — and any cache built on
-    top of it — can never change a query answer.  Duplicate sources are
-    simulated once.
+    top of it — can never change a query answer.  The kernel reads those
+    streams without building them one by one: it derives a block's PCG64
+    states at once and draws, step by step, only what live walkers use
+    (:func:`repro.core.walks.simulate_walks_packed`).  Duplicate sources
+    are simulated once.
     """
     walkers_count = walkers if walkers is not None else params.query_walkers
     result: Dict[int, WalkDistributions] = {}

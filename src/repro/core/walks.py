@@ -13,11 +13,14 @@ dead walker is encoded as position ``-1``.
 
 from __future__ import annotations
 
+import threading
 from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
                     Tuple, Union)
 
 import numpy as np
 
+from repro.core.streams import pcg64_states
+from repro.errors import StreamDerivationError
 from repro.graph.digraph import DiGraph
 
 DEAD = -1
@@ -203,11 +206,49 @@ class PackedWalks(NamedTuple):
     counts: np.ndarray
 
 
-# Uniforms the packed kernel holds at a time: it simulates its sources in
-# blocks of ``_BLOCK_DRAWS // (walkers * steps)``, which bounds the walker,
-# uniform and key buffers of a build, update or query task whatever the
-# number of sources it covers.
+# Walker-steps the packed kernel simulates at a time: it takes its sources
+# in blocks of ``_BLOCK_DRAWS // (walkers * steps)``, which bounds the
+# walker and key buffers (and the generator pool) of a build, update or
+# query task whatever the number of sources it covers.
 _BLOCK_DRAWS = 1 << 18
+
+# Seeds whose derived streams have been checked against make_rng in this
+# process, and each thread's reusable (PCG64, Generator) pairs.
+_CHECKED_SEEDS: Set[int] = set()
+_GENERATOR_POOL = threading.local()
+
+
+def _stream_generators(seed: Optional[int],
+                       sources: Sequence[int]) -> List[np.random.Generator]:
+    """Generators drawing exactly what ``make_rng(seed, stream=s)`` draws,
+    one per source, in order.
+
+    A seeded block gets the calling thread's pooled generators, with the
+    states :func:`repro.core.streams.pcg64_states` derives for the whole
+    block — no ``SeedSequence``, no ``PCG64`` construction.  They are
+    reassigned by the thread's next call, so a caller uses them within one
+    block and hands none out.  ``seed=None`` gets fresh unseeded generators.
+    """
+    if seed is None:
+        return [make_rng(None) for _ in range(len(sources))]
+    states = pcg64_states(seed, sources)
+    if seed not in _CHECKED_SEEDS and states:
+        stream = int(sources[0])
+        expected = make_rng(seed, stream=stream).bit_generator.state["state"]
+        if (expected["state"], expected["inc"]) != states[0]:
+            raise StreamDerivationError(seed, stream, np.__version__)
+        _CHECKED_SEEDS.add(seed)
+    pool = getattr(_GENERATOR_POOL, "pairs", None)
+    if pool is None:
+        pool = _GENERATOR_POOL.pairs = []
+    while len(pool) < len(states):
+        bit_generator = np.random.PCG64()
+        pool.append((bit_generator, np.random.Generator(bit_generator)))
+    for (bit_generator, _generator), (state, inc) in zip(pool, states):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return [generator for _bit_generator, generator in pool[:len(states)]]
 
 
 def simulate_walks_packed(
@@ -231,7 +272,8 @@ def simulate_walks_packed(
     by default.  Batching therefore never changes a row or a query answer,
     and neither does the block size; it only amortises the per-step indexing
     work (degree lookups, neighbour gathers, per-node aggregation) across a
-    block's walkers at once.
+    block's walkers at once, and the streams' seeding across the block
+    (:func:`_stream_generators`).
     """
     if walkers_per_source < 1:
         raise ValueError(f"walkers_per_source must be >= 1, got {walkers_per_source}")
@@ -259,21 +301,14 @@ def _simulate_block(
 
     Only live walkers are carried from step to step, in contiguous
     per-source runs whose within-run order matches the single-source
-    simulation.  A source's uniforms are drawn up front in one call — a
-    ``Generator``'s doubles are one stream, so the prefix a source consumes
-    is the same however many calls produced it.
+    simulation.  Each step, a source's generator draws just the uniforms its
+    moving walkers read — a ``Generator``'s doubles are one stream, so what
+    a source reads is the same however many calls produced it.
     """
     n_sources = len(unique_sources)
     n_nodes = np.int64(graph.n_nodes)
     indptr, indices = graph.in_csr
-
-    budget = walkers_per_source * steps
-    uniforms = np.empty(n_sources * budget, dtype=np.float64)
-    for k, source in enumerate(unique_sources.tolist()):
-        make_rng(seed, stream=source).random(
-            out=uniforms[k * budget:(k + 1) * budget])
-    # Position in ``uniforms`` of each source's next unread draw.
-    cursor = np.arange(n_sources, dtype=np.int64) * budget
+    generators = _stream_generators(seed, unique_sources)
 
     owner = np.repeat(np.arange(n_sources, dtype=np.int64), walkers_per_source)
     positions = np.repeat(unique_sources, walkers_per_source)
@@ -298,12 +333,16 @@ def _simulate_block(
         owner = owner[moving]
         if len(owner) == 0:
             break
-        # Walker j of the moving set reads its source's next unread draw:
-        # the source's cursor plus j's rank among that source's movers.
+        # Source k's movers are one contiguous run of ``owner``; its
+        # generator fills their uniforms in walker order, continuing its
+        # stream where the previous step left it.
         draws = np.bincount(owner, minlength=n_sources)
-        rank_base = cursor - (np.cumsum(draws) - draws)
-        chosen = uniforms[rank_base[owner] + np.arange(len(owner), dtype=np.int64)]
-        cursor += draws
+        ends = np.cumsum(draws)
+        movers = np.flatnonzero(draws)
+        chosen = np.empty(len(owner), dtype=np.float64)
+        for k, lo, hi in zip(movers.tolist(), (ends - draws)[movers].tolist(),
+                             ends[movers].tolist()):
+            generators[k].random(out=chosen[lo:hi])
         positions = indices[
             starts[moving] + (chosen * degrees[moving]).astype(np.int64)]
 

@@ -132,3 +132,26 @@ class DatasetNotFoundError(CloudWalkerError, KeyError):
         )
         self.name = name
         self.available = list(available)
+
+
+class StreamDerivationError(CloudWalkerError):
+    """Raised when the walk kernel's random streams would differ from NumPy's.
+
+    The kernel derives the PCG64 state of every ``(seed, source)`` stream
+    itself (:mod:`repro.core.streams`) instead of building one
+    ``SeedSequence`` per source; every row, answer and pinned checksum rests
+    on that derivation matching :func:`repro.core.walks.make_rng`.  It is
+    checked once per process and seed, and a mismatch — a NumPy release
+    that changed its seeding — stops the kernel rather than silently
+    producing different walks.
+    """
+
+    def __init__(self, seed: int, stream: int, numpy_version: str) -> None:
+        super().__init__(
+            f"derived PCG64 state of stream {stream} under seed {seed} differs "
+            f"from make_rng's with NumPy {numpy_version}; the kernel's stream "
+            "derivation must be updated to this NumPy's SeedSequence seeding"
+        )
+        self.seed = seed
+        self.stream = stream
+        self.numpy_version = numpy_version

@@ -201,6 +201,33 @@ class TestShardedBuild:
                                  shape=(graph.n_nodes, graph.n_nodes))
         assert (gathered - full).nnz == 0
 
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_built_system_is_the_gathered_csr(self, graph, params, num_shards,
+                                              exact):
+        """``build()`` keeps the gathered CSR as it is: canonical, and
+        byte-equal (arrays and dtypes) to gathering the same rows."""
+        from repro.core import linear_system
+
+        plan = ShardPlan.hashed(num_shards)
+        walker = ShardedIncrementalWalker(graph, plan, params=params, exact=exact)
+        walker.build()
+        if exact:
+            exact_system = linear_system.build_exact_system(graph, params).tocoo()
+            triplets = [(exact_system.row, exact_system.col, exact_system.data)]
+        else:
+            handle = SerialBackend().ensure_resident("graph", graph)
+            triplets = [
+                estimate_shard_rows(handle, plan.nodes_of(shard, graph.n_nodes), params)
+                for shard in range(num_shards)
+            ]
+        expected = gather_shard_rows(triplets, graph.n_nodes)
+        assert walker.system.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(walker.system, name), getattr(expected, name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+
     def test_shard_build_timings_recorded(self, graph, params):
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(3), params=params)
         walker.build()
