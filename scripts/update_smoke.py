@@ -11,7 +11,10 @@ asserting after *every* batch that
   (:func:`repro.core.walks.forward_reachable_set` on the merged graph),
 * the maintained linear system (``indptr/indices/data``) and the solved
   diagonal are byte-equal to those of a walker built from scratch on the
-  union graph, and
+  union graph,
+* the maintained diagonal is byte-equal to the reproduction side's
+  single-machine index (:func:`repro.core.diagonal.build_diagonal_index`)
+  of the union graph, so serving and reproduction agree, and
 * the phases the walker reports (graph / routing / rows / splice / solve)
   add up to within 10 % of its ``update_seconds``.
 
@@ -48,6 +51,7 @@ def main() -> int:
 
     from repro.config import SimRankParams
     from repro.core import walks
+    from repro.core.diagonal import build_diagonal_index
     from repro.core.incremental import PHASES, IncrementalCloudWalker
     from repro.graph import generators
     from repro.graph.digraph import DiGraph
@@ -101,6 +105,10 @@ def main() -> int:
         if not np.array_equal(walker.index.diagonal, reference.index.diagonal):
             failures.append(f"batch {step}: diagonal differs from a "
                             f"from-scratch build")
+        if walker.index.diagonal.tobytes() != build_diagonal_index(
+                union, params).diagonal.tobytes():
+            failures.append(f"batch {step}: diagonal differs from "
+                            f"build_diagonal_index")
 
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
@@ -108,7 +116,8 @@ def main() -> int:
         print(f"update smoke: {len(failures)} divergence(s)", file=sys.stderr)
         return 1
     print(f"update smoke: {N_BATCHES} batches, bitwise-identical to "
-          f"from-scratch builds (graph {N_NODES} nodes, T={WALK_STEPS})")
+          f"from-scratch builds and build_diagonal_index (graph {N_NODES} "
+          f"nodes, T={WALK_STEPS})")
     print("update smoke: ms per batch: " + ", ".join(
         f"{phase[:-len('_seconds')]} {seconds / N_BATCHES * 1e3:.2f}"
         for phase, seconds in phase_totals.items()))

@@ -747,7 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sharding_arguments(index)
     index.add_argument("--mode", default="local",
                        choices=["local", "broadcasting", "rdd"],
-                       help="execution model (default: %(default)s)")
+                       help="execution model (default: %(default)s); "
+                            "'broadcasting' writes the 'local' index byte "
+                            "for byte, 'rdd' an estimate of its own")
     index.add_argument("--output", required=True, help="where to write the .npz index")
 
     validate = subparsers.add_parser("validate", help="validate an index against a graph")

@@ -22,13 +22,13 @@ import time
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
-from repro.core import linear_system, walks
+from repro.core import linear_system
 from repro.core.index import BuildInfo, DiagonalIndex
 from repro.core.jacobi import jacobi_step
 from repro.core.queries import QueryEngine
+from repro.core.sharding import gather_shard_rows
 from repro.engine.context import ClusterContext
 from repro.graph.digraph import DiGraph
 
@@ -105,21 +105,13 @@ class BroadcastingModel:
             range(n_nodes), self.num_partitions, name="nodes"
         )
 
-        def estimate_rows(partition_index: int, nodes) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-            node_list = list(nodes)
-            if not node_list:
-                return []
-            local_graph = graph_broadcast.value
-            rng = walks.make_rng(params.seed, stream=10_000 + partition_index)
-            rows, cols, values = linear_system.build_rows(
-                local_graph, node_list, params, rng=rng
-            )
-            return [(rows, cols, values)]
+        def estimate_rows(nodes) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+            return [linear_system.build_rows(graph_broadcast.value, list(nodes), params)]
 
-        triples = nodes_rdd.map_partitions_with_index(estimate_rows).collect()
+        triples = nodes_rdd.map_partitions(estimate_rows).collect()
         monte_carlo_seconds = time.perf_counter() - start
 
-        system = self._assemble_system(triples, n_nodes)
+        system = gather_shard_rows(triples, n_nodes)
 
         # Phase 2: parallel Jacobi.  Each iteration broadcasts the previous
         # iterate and lets every partition update its block of x.
@@ -179,19 +171,6 @@ class BroadcastingModel:
         )
         self._query_engine = QueryEngine(self.graph, self.index, params)
         return self.index
-
-    @staticmethod
-    def _assemble_system(
-        triples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], n_nodes: int
-    ) -> sparse.csr_matrix:
-        if not triples:
-            return sparse.csr_matrix((n_nodes, n_nodes), dtype=np.float64)
-        rows = np.concatenate([chunk[0] for chunk in triples])
-        cols = np.concatenate([chunk[1] for chunk in triples])
-        values = np.concatenate([chunk[2] for chunk in triples])
-        return sparse.csr_matrix(
-            (values, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.float64
-        )
 
     def _node_blocks(self, n_nodes: int) -> List[np.ndarray]:
         boundaries = np.linspace(0, n_nodes, self.num_partitions + 1, dtype=np.int64)

@@ -52,8 +52,9 @@ class CloudWalker:
         * ``"local"`` — single-process vectorised implementation (default;
           what a library user wants on one machine);
         * ``"broadcasting"`` — the paper's broadcast model, run through the
-          cluster engine;
-        * ``"rdd"`` — the paper's RDD model, run through the cluster engine.
+          cluster engine (the ``"local"`` index, byte for byte);
+        * ``"rdd"`` — the paper's RDD model, run through the cluster engine
+          (its own sampler: equal to ``"local"`` up to Monte-Carlo noise).
     context / cluster:
         Optional engine context and simulated cluster for the distributed
         modes.

@@ -2,16 +2,15 @@
 
 This module is the *algorithmic* implementation of CloudWalker's offline
 phase (estimate the rows of ``A`` by Monte-Carlo, then run ``L`` Jacobi
-iterations on ``A x = 1``), independent of how the work is distributed.  It
-draws every row from one shared random stream
-(:func:`repro.core.linear_system.build_rows`).  The distributed execution
-models (:mod:`repro.core.broadcast_impl`, :mod:`repro.core.rdd_impl`) are
-statistically equivalent estimators with streams of their own: broadcasting
-draws partition ``p``'s rows from stream ``10_000 + p``, so its rows depend
-on ``num_partitions``, and the RDD model seeds every ``(step, node)``
-separately.  None of the three is bitwise-equal to the serving side's
-per-source-stream index (:mod:`repro.core.incremental`).  This module is
-the reproduction side's single-machine path, ``CloudWalker``'s default.
+iterations on ``A x = 1``), independent of how the work is distributed —
+``CloudWalker``'s default single-machine path.  Every row reads its own
+``(seed, node)`` random stream (:func:`repro.core.linear_system.build_rows`),
+so the index is byte-equal to the one the broadcasting execution model
+(:mod:`repro.core.broadcast_impl`, any number of partitions), the sharded
+and incremental builders (:mod:`repro.core.incremental`) and the query
+service produce.  The RDD model (:mod:`repro.core.rdd_impl`) is the one
+exception: its walk spreads collapsed walker counts with per-``(step,
+node)`` multinomial draws, so it matches up to Monte-Carlo noise only.
 """
 
 from __future__ import annotations

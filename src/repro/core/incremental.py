@@ -16,12 +16,10 @@ system; listed as such in ``docs/DESIGN.md``):
 4. re-solve from the same cold-start guess a fresh build uses.
 
 Every row is estimated from its own ``(seed, source)`` random stream
-(:func:`repro.core.linear_system.build_rows_streamed`), so the updated index
-is *bitwise-identical* to one built from scratch on the updated graph — see
-``docs/architecture.md`` for the full versioning contract.  (The
-shared-stream estimator, :func:`repro.core.linear_system.build_rows`, stays
-on the reproduction side: :mod:`repro.core.diagonal` and the paper's
-execution models.)
+(:func:`repro.core.linear_system.build_rows`), so the updated index is
+*bitwise-identical* to one built from scratch on the updated graph — by
+this class or by :func:`repro.core.diagonal.build_diagonal_index` — see
+``docs/architecture.md`` for the full versioning contract.
 """
 
 from __future__ import annotations
@@ -160,12 +158,7 @@ class IncrementalCloudWalker:
             mask = np.zeros(graph.n_nodes, dtype=bool)
             mask[sources] = True
             return _choose_rows(mask, full, sparse.csr_matrix((0, 0)))
-        rows, cols, values = linear_system.build_rows_streamed(
-            graph, sources, self.params
-        )
-        return sparse.csr_matrix(
-            (values, (rows, cols)), shape=(graph.n_nodes, graph.n_nodes)
-        )
+        return linear_system.build_system(graph, self.params, sources)
 
     def _solve(self, graph: DiGraph, system: sparse.csr_matrix,
                seconds_so_far: float, update_kind: str,

@@ -98,7 +98,10 @@ def estimate_walk_distributions(
     """Monte-Carlo estimate of ``P^t e_source`` for ``t = 0..T``.
 
     Uses ``walkers`` random walkers (default ``params.query_walkers``), each
-    taking ``params.walk_steps`` reverse steps.
+    taking ``params.walk_steps`` reverse steps.  This one-source loop is the
+    reference the tests hold :func:`estimate_walk_distributions_batch` — the
+    estimator every query path uses — to, byte for byte, on the default
+    ``(params.seed, source)`` stream.
     """
     walkers_count = walkers if walkers is not None else params.query_walkers
     rng = rng if rng is not None else walks.make_rng(params.seed, stream=source)

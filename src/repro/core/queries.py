@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.config import SimRankParams
-from repro.core import montecarlo, walks
+from repro.core import montecarlo
 from repro.core.index import DiagonalIndex
 from repro.graph.digraph import DiGraph
 
@@ -214,7 +214,11 @@ class QueryEngine:
     """Answers SimRank queries against a graph + diagonal index.
 
     The engine caches the sparse transition matrix ``P`` (needed by MCSS for
-    the reverse propagation) so repeated queries do not rebuild it.
+    the reverse propagation) so repeated queries do not rebuild it.  Walks
+    come from the query services' kernel
+    (:func:`repro.core.montecarlo.estimate_walk_distributions_batch`), where
+    every source reads its own ``(seed, source)`` stream, so a query asked
+    here, asked again, or asked through a query service gets the same answer.
     """
 
     def __init__(self, graph: DiGraph, index: DiagonalIndex,
@@ -225,7 +229,6 @@ class QueryEngine:
         self.params = params or index.params
         self._transition: Optional[sparse.csr_matrix] = None
         self._transition_t: Optional[sparse.csr_matrix] = None
-        self._query_counter = 0
 
     # ------------------------------------------------------------------ #
     # Cached linear-algebra views
@@ -244,10 +247,6 @@ class QueryEngine:
             self._transition_t = self.transition.T.tocsr()
         return self._transition_t
 
-    def _next_rng(self, salt: int) -> np.random.Generator:
-        self._query_counter += 1
-        return walks.make_rng(self.params.seed, stream=salt * 1_000_003 + self._query_counter)
-
     # ------------------------------------------------------------------ #
     # Single-pair queries
     # ------------------------------------------------------------------ #
@@ -258,14 +257,9 @@ class QueryEngine:
         node_j = self.graph.check_node(node_j)
         if node_i == node_j:
             return 1.0
-        walkers = walkers if walkers is not None else self.params.query_walkers
-        dist_i = montecarlo.estimate_walk_distributions(
-            self.graph, node_i, self.params, rng=self._next_rng(node_i), walkers=walkers
-        )
-        dist_j = montecarlo.estimate_walk_distributions(
-            self.graph, node_j, self.params, rng=self._next_rng(node_j), walkers=walkers
-        )
-        return self.combine_pair(dist_i, dist_j)
+        distributions = montecarlo.estimate_walk_distributions_batch(
+            self.graph, [node_i, node_j], self.params, walkers=walkers)
+        return self.combine_pair(distributions[node_i], distributions[node_j])
 
     def exact_single_pair(self, node_i: int, node_j: int) -> float:
         """Exact linearized ``s(i, j)`` (no Monte-Carlo), for validation."""
@@ -296,10 +290,8 @@ class QueryEngine:
     def single_source(self, node: int, walkers: Optional[int] = None) -> np.ndarray:
         """MCSS: Monte-Carlo estimate of ``s(node, ·)`` as a dense vector."""
         node = self.graph.check_node(node)
-        walkers = walkers if walkers is not None else self.params.query_walkers
-        distributions = montecarlo.estimate_walk_distributions(
-            self.graph, node, self.params, rng=self._next_rng(node), walkers=walkers
-        )
+        distributions = montecarlo.estimate_walk_distributions_batch(
+            self.graph, [node], self.params, walkers=walkers)[node]
         return self.propagate_source(node, distributions)
 
     def exact_single_source(self, node: int) -> np.ndarray:

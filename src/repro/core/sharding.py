@@ -16,7 +16,7 @@ This module reproduces that shape for the offline phase:
 
 Determinism is inherited, not re-proven: every row is estimated from its own
 ``(seed, source)`` random stream (:func:`repro.core.linear_system.
-build_rows_streamed`), so the gathered system — and therefore the solved
+build_rows`), so the gathered system — and therefore the solved
 diagonal — is **bitwise-identical** to a single-shard build for any ``K``,
 any shard strategy and any executor backend.  The same argument covers
 incremental updates: an edge insertion's affected rows are grouped by owning
@@ -124,7 +124,7 @@ def estimate_shard_rows(
     CSR arrays are byte-for-byte the registering process's, so the rows do
     not depend on where the task ran.
     """
-    return linear_system.build_rows_streamed(
+    return linear_system.build_rows(
         resolve_resident(handle), list(nodes), params)
 
 

@@ -75,10 +75,10 @@ def forward_reachable_set(
 def make_rng(seed: Optional[int], stream: int = 0) -> np.random.Generator:
     """Create a deterministic random generator for a given logical stream.
 
-    CloudWalker runs many independent Monte-Carlo simulations (one per source
-    node, per query, per execution-model partition); deriving each stream
-    from ``(seed, stream)`` keeps results reproducible regardless of
-    execution order or parallelism.
+    Every Monte-Carlo walk from source ``s`` reads stream ``s``: an index
+    row, a query's walk distributions, on any execution model, shard or
+    worker.  Deriving each stream from ``(seed, stream)`` keeps results
+    reproducible regardless of execution order or parallelism.
     """
     if seed is None:
         return np.random.default_rng()
@@ -110,50 +110,6 @@ def step_walkers(
         alive_indices = np.flatnonzero(alive)
         new_positions[alive_indices[has_neighbors]] = next_nodes
     return new_positions
-
-
-def walk_step_counts(
-    graph: DiGraph,
-    sources: np.ndarray,
-    walkers_per_source: int,
-    steps: int,
-    rng: np.random.Generator,
-) -> Iterator[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Simulate walks for many sources at once, yielding per-step counts.
-
-    For every step ``t`` in ``0..steps`` the generator yields
-    ``(t, source_ids, node_ids, counts)`` where ``counts[k]`` walkers that
-    started at ``source_ids[k]`` are currently located at ``node_ids[k]``.
-    Step 0 is the trivial distribution (every walker still at its source).
-
-    The simulation advances *all* walkers of *all* sources in a single flat
-    array, which is what makes pure-Python CloudWalker indexing feasible.
-    """
-    sources = np.asarray(sources, dtype=np.int64)
-    n_sources = len(sources)
-    if n_sources == 0:
-        return
-    source_index = np.repeat(np.arange(n_sources, dtype=np.int64), walkers_per_source)
-    positions = np.repeat(sources, walkers_per_source)
-
-    for t in range(steps + 1):
-        alive = positions != DEAD
-        if alive.any():
-            # Aggregate walkers per (source, node) pair.
-            keys = source_index[alive] * np.int64(graph.n_nodes) + positions[alive]
-            unique_keys, counts = np.unique(keys, return_counts=True)
-            yield (
-                t,
-                sources[(unique_keys // graph.n_nodes)],
-                (unique_keys % graph.n_nodes).astype(np.int64),
-                counts.astype(np.int64),
-            )
-        else:
-            yield (t, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                   np.empty(0, dtype=np.int64))
-            return
-        if t < steps:
-            positions = step_walkers(graph, positions, rng)
 
 
 def single_source_walk_counts(

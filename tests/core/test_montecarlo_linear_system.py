@@ -173,13 +173,13 @@ class TestLinearSystem:
         from unittest import mock
 
         sources = [69, 3, 3, 17] + list(range(40))
-        reference = linear_system.build_rows_streamed(graph, sources, params)
+        reference = linear_system.build_rows(graph, sources, params)
         assert reference[0].tolist() == sorted(reference[0].tolist())
         assert set(reference[0].tolist()) == set(sources)
         draws_per_source = params.index_walkers * params.walk_steps
         for block in (1, 7, 256, len(sources) + 5):
             with mock.patch.object(walks, "_BLOCK_DRAWS", block * draws_per_source):
-                blocked = linear_system.build_rows_streamed(graph, sources, params)
+                blocked = linear_system.build_rows(graph, sources, params)
             for left, right in zip(reference, blocked):
                 assert left.dtype == right.dtype
                 assert left.tobytes() == right.tobytes()
@@ -190,7 +190,7 @@ class TestLinearSystem:
         kernel): same entries, same per-cell summation order."""
         import hashlib
 
-        triplets = linear_system.build_rows_streamed(graph, range(70), params)
+        triplets = linear_system.build_rows(graph, range(70), params)
         assert [str(array.dtype) for array in triplets] == [
             "int64", "int64", "float64"]
         assert [hashlib.sha256(array.tobytes()).hexdigest() for array in triplets] == [
@@ -200,7 +200,7 @@ class TestLinearSystem:
         ]
 
     def test_streamed_rows_empty_sources(self, graph, params):
-        rows, cols, values = linear_system.build_rows_streamed(graph, [], params)
+        rows, cols, values = linear_system.build_rows(graph, [], params)
         assert len(rows) == len(cols) == len(values) == 0
         assert (rows.dtype, cols.dtype, values.dtype) == (np.int64, np.int64, np.float64)
 

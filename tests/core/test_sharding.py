@@ -194,7 +194,7 @@ class TestShardedBuild:
         ]
         gathered = gather_shard_rows(triplets, graph.n_nodes)
         from repro.core import linear_system
-        rows, cols, values = linear_system.build_rows_streamed(
+        rows, cols, values = linear_system.build_rows(
             graph, range(graph.n_nodes), params
         )
         full = sparse.csr_matrix((values, (rows, cols)),

@@ -95,35 +95,6 @@ class TestSingleSourceWalkCounts:
             walks.single_source_walk_counts(graph, 99, walkers=5, steps=2, rng=rng)
 
 
-class TestWalkStepCounts:
-    def test_counts_per_source_conserved(self):
-        graph = generators.cycle_graph(8)
-        sources = np.array([0, 3, 5])
-        rng = walks.make_rng(1)
-        for step, source_ids, node_ids, counts in walks.walk_step_counts(
-            graph, sources, walkers_per_source=10, steps=4, rng=rng
-        ):
-            per_source = {}
-            for source, count in zip(source_ids.tolist(), counts.tolist()):
-                per_source[source] = per_source.get(source, 0) + count
-            assert per_source == {0: 10, 3: 10, 5: 10}
-            assert len(node_ids) == len(source_ids)
-
-    def test_empty_sources(self):
-        graph = generators.cycle_graph(4)
-        rng = walks.make_rng(1)
-        assert list(walks.walk_step_counts(graph, np.array([], dtype=np.int64), 5, 3, rng)) == []
-
-    def test_terminates_when_all_walkers_die(self):
-        graph = DiGraph(2, [(0, 1)])  # node 0 absorbs after one step
-        rng = walks.make_rng(1)
-        steps = list(walks.walk_step_counts(graph, np.array([1]), 10, 5, rng))
-        # step 0 at node 1, step 1 at node 0, step 2 empty then stop.
-        assert steps[0][0] == 0
-        assert steps[-1][3].sum() == 0
-        assert len(steps) <= 4
-
-
 def _walk_counts_by_source(graph, sources, walkers, steps, seed):
     """The packed kernel's blocks as ``{source: per_step}`` with
     ``per_step[t]`` the ``(nodes, counts)`` pair of the single-source oracle."""

@@ -127,6 +127,39 @@ class TestStatsIndexValidateQuery:
         assert code == 0
         assert output.count("node") >= 3
 
+    def test_one_off_queries_match_query_batch(self, indexed, tmp_path):
+        """``query`` and ``query-batch`` read the same per-source streams,
+        so on the same graph, index and parameters they print the same
+        scores — repeated one-off calls included."""
+        graph_file, index_path = indexed
+        common = ("--graph", str(graph_file), "--index", str(index_path),
+                  "--walkers", "50", "--query-walkers", "200", "--steps", "5")
+        one_off = []
+        for argv in (("pair", "--source", "3", "--target", "9"),
+                     ("pair", "--source", "3", "--target", "9"),
+                     ("source", "--source", "5"),
+                     ("topk", "--source", "5", "--k", "4")):
+            code, output = run_cli("query", *argv, *common)
+            assert code == 0
+            one_off.append(output.splitlines())
+        queries = tmp_path / "queries.txt"
+        queries.write_text("pair 3 9\nsource 5\ntopk 5 4\n")
+        code, output = run_cli(
+            "query-batch", "--graph", str(graph_file), "--index", str(index_path),
+            "--queries", str(queries),
+        )
+        assert code == 0
+        batch = output.splitlines()
+        pair_line = next(line for line in batch if line.startswith("s(3, 9)"))
+        assert one_off[0] == one_off[1] == [pair_line]
+        source_line = next(line for line in batch if line.startswith("source 5"))
+        assert one_off[2][0].endswith(source_line.split(": ", 1)[1])
+        topk_line = next(line for line in batch if line.startswith("topk 5"))
+        ranked = [(fields[2], fields[4]) for fields in map(str.split, one_off[3])]
+        assert len(ranked) == 4
+        assert topk_line.split(": ", 1)[1] == " ".join(
+            f"{node}={score}" for node, score in ranked)
+
     def test_validate(self, indexed):
         graph_file, index_path = indexed
         code, output = run_cli(
@@ -148,13 +181,21 @@ class TestStatsIndexValidateQuery:
         assert "FAILED" in output
 
     def test_index_broadcasting_mode(self, tmp_path, graph_file):
-        index_path = tmp_path / "bc-index.npz"
-        code, output = run_cli(
-            "index", "--graph", str(graph_file), "--output", str(index_path),
-            "--mode", "broadcasting", "--walkers", "30", "--steps", "4",
-        )
-        assert code == 0
-        assert "broadcasting" in output
+        from repro.core.index import DiagonalIndex
+
+        diagonals = {}
+        for mode in ("broadcasting", "local"):
+            index_path = tmp_path / f"{mode}-index.npz"
+            code, output = run_cli(
+                "index", "--graph", str(graph_file), "--output", str(index_path),
+                "--mode", mode, "--walkers", "30", "--steps", "4",
+            )
+            assert code == 0
+            assert ("'broadcasting' execution model" in output) == (
+                mode == "broadcasting")
+            diagonals[mode] = DiagonalIndex.load(index_path).diagonal
+        # The broadcast model writes the local index byte for byte.
+        assert diagonals["broadcasting"].tobytes() == diagonals["local"].tobytes()
 
 
 class TestQueryBatchAndServe:

@@ -3,7 +3,7 @@
 ``repro.service`` and the sharded build share exactly one module with
 ``repro.engine`` — ``executor`` (backends and the resident registry) — and
 none of the reproduction-side core modules (the ``CloudWalker`` facade, the
-paper's two execution models, the shared-stream diagonal estimator).  The
+paper's two execution models, the local diagonal estimator).  The
 check runs in a fresh interpreter, because this test session has long since
 imported everything.
 """

@@ -13,6 +13,9 @@ randomly generated graphs and inputs:
   single-source oracle, whatever the kernel's block size;
 * the query service (batching + caching) is bitwise-equivalent to direct
   core calls for the same seed;
+* every route to an index — the local estimator, the broadcasting model
+  over any partitioning, the query service's build — gives the same bytes,
+  and the one-off query engine answers as the service does;
 * block score propagation is byte-for-byte the one-source dense recurrence.
 """
 
@@ -360,6 +363,56 @@ class TestServiceProperties:
         assert scores.shape == (graph.n_nodes,)
         assert (scores >= 0.0).all() and (scores <= 1.0).all()
         assert scores[node_i] == 1.0
+
+
+# --------------------------------------------------------------------------- #
+# One random-stream discipline
+# --------------------------------------------------------------------------- #
+class TestOneStreamDiscipline:
+    """Every Monte-Carlo walk from node ``s`` reads the ``(seed, s)`` stream,
+    so each route to an index or an answer is the same computation."""
+
+    @given(graphs(max_nodes=12, max_edges=40), st.integers(0, 3),
+           st.integers(min_value=0, max_value=2**32 - 1), st.data())
+    def test_every_route_gives_the_same_bytes(self, drawn, isolated, seed, data):
+        from repro.config import ExecutionOptions
+        from repro.core.cloudwalker import CloudWalker
+        from repro.core.diagonal import DiagonalEstimator
+        from repro.service import TopKQuery
+
+        # Extra nodes with no edges at all: isolated, and dead ends for
+        # every reverse walk that starts there.
+        graph = DiGraph(drawn.n_nodes + isolated, drawn.edge_array())
+        params = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=3,
+                               index_walkers=15, query_walkers=30, seed=seed)
+        estimator = DiagonalEstimator(graph, params)
+        system = estimator.build_system()
+        diagonal = build_diagonal_index(graph, params).diagonal
+        service = QueryService.build(graph, params)
+        served = service._mutator.walker.system
+        for name in ("indptr", "indices", "data"):
+            assert getattr(system, name).tobytes() == getattr(served, name).tobytes()
+        assert service.index.diagonal.tobytes() == diagonal.tobytes()
+        for num_partitions in range(1, 5):
+            walker = CloudWalker(graph, params, mode="broadcasting",
+                                 context=ClusterContext(ExecutionOptions(
+                                     num_partitions=num_partitions)))
+            assert walker.build_index().diagonal.tobytes() == diagonal.tobytes()
+            walker.shutdown()
+
+        engine = QueryEngine(graph, service.index, params)
+        node = st.integers(min_value=0, max_value=graph.n_nodes - 1)
+        node_i, node_j = data.draw(node), data.draw(node)
+        k = data.draw(st.integers(min_value=1, max_value=graph.n_nodes))
+        pair, scores, ranking = service.run_batch(
+            [PairQuery(node_i, node_j), SourceQuery(node_i), TopKQuery(node_i, k)])
+        # Asked twice: the engine keeps no state between queries.
+        for _ in range(2):
+            assert np.float64(engine.single_pair(node_i, node_j)).tobytes() == \
+                np.float64(pair).tobytes()
+            assert engine.single_source(node_i).tobytes() == scores.tobytes()
+            assert engine.top_k(node_i, k) == ranking
+        service.close()
 
 
 # --------------------------------------------------------------------------- #
