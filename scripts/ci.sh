@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 suite (with the coverage gate), benchmark smoke,
 # docs reference check, trace-replay smoke, HTTP serving smoke,
-# update smoke.
+# update smoke, size probe.
 #
 # scripts/tier1.py degrades gracefully when pytest-cov is absent so a bare
 # checkout can still run the suite; CI must NOT take that degraded path.
 # This script first makes sure the dev tooling (dev-requirements.txt,
-# which pins pytest-cov) is installed, then runs the six checks that
+# which pins pytest-cov) is installed, then runs the seven checks that
 # gate a PR:
 #
 #   1. scripts/tier1.py            - full test suite + 80% coverage floor
@@ -28,9 +28,12 @@
 #                                    ball; with_edges graph == constructor's;
 #                                    reported phases cover update_seconds
 #                                    (and are printed)
+#   7. scripts/size_probe.py       - build, cold top-k, update and peak RSS
+#                                    at a tiny size, so the probe stays
+#                                    runnable (printed, not gated)
 #
 # Usage:
-#   bash scripts/ci.sh            # all six stages
+#   bash scripts/ci.sh            # all seven stages
 #   CI_SKIP_INSTALL=1 bash scripts/ci.sh   # offline: use whatever is installed
 set -euo pipefail
 
@@ -54,22 +57,25 @@ if ! "${PYTHON}" -c "import pytest_cov" >/dev/null 2>&1; then
          "coverage gate" >&2
 fi
 
-echo "ci: [1/6] tier-1 suite (+ coverage gate when available)"
+echo "ci: [1/7] tier-1 suite (+ coverage gate when available)"
 "${PYTHON}" scripts/tier1.py
 
-echo "ci: [2/6] benchmark smoke"
+echo "ci: [2/7] benchmark smoke"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" "${PYTHON}" scripts/smoke_benchmarks.py
 
-echo "ci: [3/6] docs reference check"
+echo "ci: [3/7] docs reference check"
 "${PYTHON}" scripts/check_docs.py
 
-echo "ci: [4/6] trace-replay smoke (deterministic exact + approximate CLI replay)"
+echo "ci: [4/7] trace-replay smoke (deterministic exact + approximate CLI replay)"
 "${PYTHON}" scripts/replay_smoke.py
 
-echo "ci: [5/6] HTTP serving smoke (graceful shutdown + shm leak check)"
+echo "ci: [5/7] HTTP serving smoke (graceful shutdown + shm leak check)"
 "${PYTHON}" scripts/http_smoke.py
 
-echo "ci: [6/6] update smoke (storm vs from-scratch builds, bitwise compare)"
+echo "ci: [6/7] update smoke (storm vs from-scratch builds, bitwise compare)"
 "${PYTHON}" scripts/update_smoke.py
+
+echo "ci: [7/7] size probe (build, cold top-k, update, peak RSS at a tiny size)"
+"${PYTHON}" scripts/size_probe.py --nodes 2000
 
 echo "ci: all stages passed"

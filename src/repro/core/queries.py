@@ -14,6 +14,8 @@ The three query types from the paper:
 ``MCSS`` (single source)
     Estimate ``P^t e_i`` by Monte-Carlo, then push each step's weighted
     distribution back out through ``(P^T)^t`` — O(T² · R' · log d̄).
+    :func:`propagate_scores` pushes only the support each step reaches, so
+    a top-k costs what its walks touch, not what the graph holds.
 ``MCAP`` (all pairs)
     MCSS repeated for every node — O(n · T² · R' · log d̄).
 
@@ -23,6 +25,7 @@ accuracy experiments.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,10 +43,11 @@ def _select_top_k(candidates: np.ndarray, values: np.ndarray,
 
     The order is *score descending, node id ascending* — a total order, so
     the result is a pure function of the (node, score) set.  That property
-    is what makes sharded serving exact: ranking a score vector in one
-    piece, or ranking disjoint candidate slices and merging them, must
-    produce the same list (see :func:`merge_top_k`).  Non-finite scores
-    (the ``-inf`` used to mask the source itself) are dropped.
+    is what lets :meth:`SourceScores.top_k` rank only the positive support
+    and pad with zero-score ids, and :func:`merge_top_k` merge rankings of
+    disjoint candidate sets, and still produce the list a dense ranking
+    does.  Non-finite scores (the ``-inf`` used to mask the source itself)
+    are dropped.
     """
     finite = np.isfinite(values)
     candidates, values = candidates[finite], values[finite]
@@ -61,145 +65,227 @@ def _select_top_k(candidates: np.ndarray, values: np.ndarray,
 
 def rank_top_k(scores: np.ndarray, node: int, k: int,
                include_self: bool = False) -> List[Tuple[int, float]]:
-    """Rank a single-source score vector into a top-``k`` list.
+    """Rank a dense single-source score vector into a top-``k`` list.
 
-    Parameters
-    ----------
-    scores:
-        Dense score vector (one entry per node), e.g. the output of
-        :meth:`QueryEngine.propagate_source`.
-    node:
-        The source node; excluded from the ranking unless ``include_self``.
-    k:
-        Maximum length of the returned list (capped at ``len(scores)``).
-    include_self:
-        Keep the source itself (score 1.0) in the ranking.
-
-    Returns ``[(node_id, score), ...]`` ordered by score descending with
-    node-id-ascending tie-breaking — a canonical total order shared by
-    :meth:`QueryEngine.top_k`, the query service, and the sharded service's
-    scatter-gather merge (:func:`rank_top_k_within` + :func:`merge_top_k`),
-    so all paths rank bitwise-identically.
+    The dense reference for :meth:`SourceScores.top_k`, which every query
+    path ranks with: ``rank_top_k(scores.dense(), scores.source, k)``
+    equals ``scores.top_k(k)`` exactly (pinned by
+    ``tests/test_properties.py``).  ``node`` is excluded from the ranking
+    unless ``include_self``; at most ``min(k, len(scores))`` entries come
+    back, ordered by score descending with node-id-ascending tie-breaking.
     """
-    return rank_top_k_within(
-        scores, node, np.arange(len(scores)), k, include_self=include_self
-    )
-
-
-def rank_top_k_within(scores: np.ndarray, node: int,
-                      candidates: np.ndarray, k: int,
-                      include_self: bool = False) -> List[Tuple[int, float]]:
-    """Rank only ``candidates`` (a subset of node ids) of a score vector.
-
-    This is one shard's half of the scatter-gather top-k: the shard ranks
-    the candidate nodes it owns, and :func:`merge_top_k` combines the
-    per-shard lists.  Because the ranking order is total,
-    ``merge_top_k([rank_top_k_within(scores, node, part, k) for part in
-    partition_of_all_nodes], k)`` equals ``rank_top_k(scores, node, k)``
-    exactly — the equivalence the sharded service's tests pin down.
-
-    Arguments match :func:`rank_top_k`; ``candidates`` is an array of node
-    ids (need not be sorted, must be a subset of ``range(len(scores))``).
-    Returns at most ``min(k, len(scores))`` entries.
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    # scores[candidates] is already a fresh gather, so the ranking may
-    # scribble on it directly (copy=False) — one allocation, not two.
-    return rank_top_k_entries(
-        candidates, scores[candidates], node, min(k, len(scores)),
-        include_self=include_self, copy=False,
-    )
-
-
-def rank_top_k_entries(candidates: np.ndarray, values: np.ndarray,
-                       node: int, k: int,
-                       include_self: bool = False,
-                       copy: bool = True) -> List[Tuple[int, float]]:
-    """Rank explicit ``(candidates, values)`` pairs into a top-``k`` list.
-
-    The payload-light form of :func:`rank_top_k_within`: the caller has
-    already gathered the candidates' scores, so a scatter task ships
-    ``O(candidates)`` floats instead of the full score vector — this is
-    what the sharded service's per-shard ranking tasks close over.  Same
-    canonical order, same result: ``rank_top_k_within(scores, node, part,
-    k)`` equals ``rank_top_k_entries(part, scores[part], node, min(k,
-    len(scores)))`` exactly.
-
-    ``copy=False`` lets a caller that owns ``values`` (a fresh gather, a
-    task's unpickled payload) skip the defensive copy; the array may then
-    be modified in place (the source is masked to ``-inf``).
-    """
-    candidates = np.asarray(candidates, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if copy:
-        values = values.copy()
+    values = np.array(scores, dtype=np.float64)
     if not include_self:
-        values[candidates == node] = -np.inf
-    return _select_top_k(candidates, values, k)
+        values[node] = -np.inf
+    return _select_top_k(np.arange(len(values)), values, min(k, len(values)))
 
 
-#: Widest dense block :func:`propagate_scores` pushes through one sparse
-#: product.  Per-source time halves by ~8 columns and flattens after; 16
-#: keeps a block of a 10k-node graph (1.3 MB) inside the L2 cache.
-PROPAGATE_BLOCK_WIDTH = 16
+@dataclass(frozen=True)
+class SourceScores:
+    """One source's single-source scores over their positive support.
+
+    ``nodes`` (ascending) and ``values`` list every node scoring above
+    zero, the source itself at 1.0 included; every other node scores
+    exactly ``+0.0``.  :meth:`dense` rebuilds the vector the dense
+    recurrence produces, byte for byte, for the callers whose answer *is*
+    that vector; :meth:`top_k` ranks without touching the zeros it does not
+    return.
+    """
+
+    source: int
+    n_nodes: int
+    nodes: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The score vector, one entry per node (a fresh array)."""
+        vector = np.zeros(self.n_nodes, dtype=np.float64)
+        vector[self.nodes] = self.values
+        return vector
+
+    def top_k(self, k: int,
+              include_self: bool = False) -> List[Tuple[int, float]]:
+        """The top-``k`` ranking :func:`rank_top_k` gives :meth:`dense`.
+
+        The positive support is ranked in the canonical order; when fewer
+        than ``k`` of its nodes remain, the lowest ids outside it (never
+        the source, which scores 1.0) follow at ``0.0`` — where ties on a
+        zero score put them in the dense ranking too.  At most
+        ``min(k, n_nodes)`` entries, one fewer without ``include_self``.
+        """
+        nodes, values = self.nodes, self.values
+        limit = min(k, self.n_nodes if include_self else self.n_nodes - 1)
+        if not include_self:
+            keep = nodes != self.source
+            nodes, values = nodes[keep], values[keep]
+        ranked = _select_top_k(nodes, values, limit)
+        missing = limit - len(ranked)
+        if missing > 0:
+            lowest = np.arange(min(self.n_nodes, missing + len(self.nodes)))
+            zeros = np.setdiff1d(lowest, self.nodes, assume_unique=True)
+            ranked.extend((int(node), 0.0) for node in zeros[:missing])
+        return ranked
+
+
+#: A column whose support covers more than this fraction of the nodes
+#: leaves the frontier for the dense ``transition_t @ block`` product.
+#: Swept on copying-model graphs of 10k and 100k nodes: 2-10 % cost the
+#: same within noise, 1 % and 20 % more (``docs/architecture.md`` §2).
+DENSE_FILL_FRACTION = 0.05
+
+
+def _frontier_products(transition: sparse.csr_matrix, keys: np.ndarray,
+                       values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every term of one ``P^T`` step over a frontier, unsummed.
+
+    ``keys`` are ``column * n + node`` ascending.  Row ``u`` of ``P``'s CSR
+    is column ``u`` of ``P^T``, so the frontier entry ``(column, u)``
+    contributes ``P[u, i] * value`` to ``(column, i)`` for each out-edge
+    ``i`` of that row.  Terms come out entry by entry, i.e. for each
+    target in ascending ``u`` — the order SciPy's CSR kernel sums row ``i``
+    of ``P^T`` in.
+    """
+    n = transition.shape[0]
+    nodes = keys % n
+    starts = transition.indptr[nodes]
+    counts = transition.indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    positions = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return (np.repeat(keys - nodes, counts) + transition.indices[positions],
+            transition.data[positions] * np.repeat(values, counts))
 
 
 def propagate_scores(nodes: Sequence[int],
                      distributions: Sequence[montecarlo.WalkDistributions],
+                     transition: sparse.csr_matrix,
                      transition_t: sparse.csr_matrix, diagonal: np.ndarray,
-                     c: float, walk_steps: int) -> List[np.ndarray]:
-    """Combine walk distributions into single-source scores, a block at a time.
+                     c: float, walk_steps: int) -> List[SourceScores]:
+    """Combine walk distributions into single-source scores, over their support.
 
     The reverse-Horner recurrence ``r <- P^T r + c^t (x ∘ P^t e_i)``
-    evaluated from ``t = T`` down to 0, for up to
-    :data:`PROPAGATE_BLOCK_WIDTH` sources at once: their vectors are the
-    columns of one dense ``n × B`` block, so the ``T`` sparse products are
-    shared (``transition_t @ block``) and each step's weighted distribution
-    is scatter-added into its own column.  SciPy accumulates every row of a
-    sparse × dense-block product in the same order as a sparse matvec, and
-    adding the zeros outside a step's support changes nothing, so each
-    column is bitwise the vector a one-source call produces — for any block
-    width, column order or repetition of ``nodes`` (pinned by
-    ``tests/test_properties.py`` against the dense per-source loop).
+    evaluated from ``t = T`` down to 0, one column per entry of ``nodes``.
+    Each column carries only its support: keys ``column * n + node`` with
+    their values, all columns in one pair of arrays.  A step expands the
+    frontier's out-edges (:func:`_frontier_products`), appends the step's
+    weighted distribution terms and sums per key with one ``np.bincount``,
+    which adds in input order from ``+0.0``: exactly the additions of the
+    dense ``transition_t @ block`` product followed by the scatter-add,
+    minus terms ``a * (+0.0)``.  A sum started at ``+0.0`` is never
+    ``-0.0`` under round-to-nearest, so dropping those terms changes no
+    bit, for a diagonal of any sign.  Steps above the last one any walk
+    reached hold only zeros and are skipped.
 
-    Returns one score vector per entry of ``nodes``.  The vectors are
-    column *views* into the shared blocks: rank them and drop them, or
-    ``.copy()`` the ones that must outlive the call — a kept view pins its
-    whole block.  Stateless: :meth:`QueryEngine.propagate_source` supplies
-    the engine's transition and diagonal, and the property test drives
-    this function directly.
+    A column whose support passes :data:`DENSE_FILL_FRACTION` of the nodes
+    moves, with its exact values, into a contiguous ``(n, m)`` block of the
+    columns that did, and finishes on the dense product there; light
+    columns never enter it.  Either way each column is bitwise the vector
+    the dense per-source recurrence produces (pinned by
+    ``tests/test_properties.py``), for any column order or repetition of
+    ``nodes``.  Returns one :class:`SourceScores` per entry of ``nodes``.
+    Stateless: :meth:`QueryEngine.propagate_source` supplies the engine's
+    matrices and diagonal.
     """
-    n = transition_t.shape[0]
+    n = transition.shape[0]
+    width = len(nodes)
+    if not width:
+        return []
+    sources = np.asarray(nodes, dtype=np.int64)
+    column_base = np.arange(width, dtype=np.int64) * n
+    # Every column's weighted distribution terms c^t (x ∘ P^t e_i), grouped
+    # by step: step t's are term_*[bounds[t]:bounds[t + 1]].
+    sizes = np.array([np.diff(d.offsets[:walk_steps + 2])
+                      for d in distributions])
+    term_step = np.repeat(np.tile(np.arange(walk_steps + 1), width),
+                          sizes.ravel())
+    term_column = np.repeat(np.arange(width), sizes.sum(axis=1))
+    term_node = np.concatenate([d.nodes[:d.offsets[walk_steps + 1]]
+                                for d in distributions])
     decay_powers = c ** np.arange(walk_steps + 1)
-    vectors: List[np.ndarray] = []
-    for start in range(0, len(nodes), PROPAGATE_BLOCK_WIDTH):
-        block_nodes = nodes[start:start + PROPAGATE_BLOCK_WIDTH]
-        block_distributions = distributions[start:start + PROPAGATE_BLOCK_WIDTH]
-        block = np.zeros((n, len(block_nodes)), dtype=np.float64)
-        for step in range(walk_steps, -1, -1):
-            if step < walk_steps:
-                block = transition_t @ block
-            for column, source_distributions in enumerate(block_distributions):
-                support, values = source_distributions.at(step)
-                block[support, column] += decay_powers[step] * (
-                    diagonal[support] * values
-                )
-        block[block_nodes, np.arange(len(block_nodes))] = 1.0
-        # Truncation and Monte-Carlo noise can push scores slightly past 1.
-        np.clip(block, 0.0, 1.0, out=block)
-        vectors.extend(block[:, column] for column in range(len(block_nodes)))
-    return vectors
+    term_weight = decay_powers[term_step] * (
+        diagonal[term_node] * np.concatenate(
+            [d.values[:d.offsets[walk_steps + 1]] for d in distributions]))
+    order = np.argsort(term_step, kind="stable")
+    term_column, term_node, term_weight = (
+        term_column[order], term_node[order], term_weight[order])
+    bounds = np.searchsorted(term_step[order], np.arange(walk_steps + 2))
+    keys = np.empty(0, dtype=np.int64)
+    values = np.empty(0, dtype=np.float64)
+    is_dense = np.zeros(width, dtype=bool)
+    position = np.full(width, -1, dtype=np.int64)   # column -> block column
+    block = np.zeros((n, 0), dtype=np.float64)
+    top = int(sizes.nonzero()[1].max(initial=0))
+    for step in range(top, -1, -1):
+        lo, hi = bounds[step], bounds[step + 1]
+        step_column, step_node, step_weight = (
+            term_column[lo:hi], term_node[lo:hi], term_weight[lo:hi])
+        if block.shape[1]:
+            block = transition_t @ block
+            heavy = is_dense[step_column]
+            block[step_node[heavy], position[step_column[heavy]]] += (
+                step_weight[heavy])
+            step_column, step_node, step_weight = (
+                step_column[~heavy], step_node[~heavy], step_weight[~heavy])
+        terms = [(column_base[step_column] + step_node, step_weight)]
+        if len(keys):
+            terms.insert(0, _frontier_products(transition, keys, values))
+        if step == 0:
+            # Make room for each source's 1.0 (its +0.0 term moves no sum).
+            light = np.flatnonzero(~is_dense)
+            terms.append((column_base[light] + sources[light],
+                          np.zeros(len(light))))
+        keys, inverse = np.unique(np.concatenate([k for k, _ in terms]),
+                                  return_inverse=True)
+        values = np.bincount(
+            inverse.reshape(-1), weights=np.concatenate([v for _, v in terms]),
+            minlength=len(keys)).astype(np.float64, copy=False)
+        if step > 0 and len(keys) > DENSE_FILL_FRACTION * n:
+            columns = keys // n
+            heavy = np.flatnonzero(np.bincount(columns, minlength=width)
+                                   > DENSE_FILL_FRACTION * n)
+            if len(heavy):
+                moving = np.isin(columns, heavy)
+                position[heavy] = np.arange(len(heavy)) + block.shape[1]
+                grown = np.zeros((n, block.shape[1] + len(heavy)))
+                grown[:, :block.shape[1]] = block
+                grown[keys[moving] - column_base[columns[moving]],
+                      position[columns[moving]]] = values[moving]
+                block = grown
+                is_dense[heavy] = True
+                keys, values = keys[~moving], values[~moving]
+    # The sources' own scores, then truncation and Monte-Carlo noise can
+    # push scores slightly past 1.
+    block[sources[is_dense], position[is_dense]] = 1.0
+    np.clip(block, 0.0, 1.0, out=block)
+    light = np.flatnonzero(~is_dense)
+    values[np.searchsorted(keys, column_base[light] + sources[light])] = 1.0
+    np.clip(values, 0.0, 1.0, out=values)
+    positive = values > 0.0
+    keys, values = keys[positive], values[positive]
+    column_bounds = np.searchsorted(keys, np.append(column_base, width * n))
+    scores: List[SourceScores] = []
+    for column, source in enumerate(sources.tolist()):
+        if is_dense[column]:
+            vector = block[:, position[column]]
+            support = np.flatnonzero(vector)
+            scores.append(SourceScores(source, n, support, vector[support]))
+        else:
+            lo, hi = column_bounds[column], column_bounds[column + 1]
+            scores.append(SourceScores(source, n,
+                                       keys[lo:hi] - column_base[column],
+                                       values[lo:hi]))
+    return scores
 
 
 def merge_top_k(partials: Sequence[List[Tuple[int, float]]],
                 k: int) -> List[Tuple[int, float]]:
     """Merge per-shard top-``k`` lists into the exact global top-``k``.
 
-    ``partials`` are lists produced by :func:`rank_top_k_within` over
-    *disjoint* candidate sets.  The merge is exact (not approximate)
-    because every global top-``k`` entry is necessarily inside its owning
-    shard's local top-``k``: fewer than ``k`` candidates beat it globally,
-    so fewer than ``k`` beat it in its own shard.  Returns at most ``k``
+    ``partials`` are top-``k`` lists, each ranked in the canonical order
+    over one of several *disjoint* candidate sets.  The merge is exact (not
+    approximate) because every global top-``k`` entry is necessarily inside
+    its own set's top-``k``: fewer than ``k`` candidates beat it globally,
+    so fewer than ``k`` beat it in its own set.  Returns at most ``k``
     entries in the canonical order of :func:`rank_top_k`.
     """
     entries = [entry for part in partials for entry in part]
@@ -289,15 +375,20 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     def single_source(self, node: int, walkers: Optional[int] = None) -> np.ndarray:
         """MCSS: Monte-Carlo estimate of ``s(node, ·)`` as a dense vector."""
-        node = self.graph.check_node(node)
-        distributions = montecarlo.estimate_walk_distributions_batch(
-            self.graph, [node], self.params, walkers=walkers)[node]
-        return self.propagate_source(node, distributions)
+        return self._source_scores(node, walkers).dense()
 
     def exact_single_source(self, node: int) -> np.ndarray:
         """Exact linearized single-source scores, for validation."""
         node = self.graph.check_node(node)
         distributions = montecarlo.exact_walk_distributions(self.graph, node, self.params)
+        return self.propagate_source(node, distributions).dense()
+
+    def _source_scores(self, node: int,
+                       walkers: Optional[int] = None) -> SourceScores:
+        """MCSS over the support: one walk simulation, one propagation."""
+        node = self.graph.check_node(node)
+        distributions = montecarlo.estimate_walk_distributions_batch(
+            self.graph, [node], self.params, walkers=walkers)[node]
         return self.propagate_source(node, distributions)
 
     def propagate_source(
@@ -305,35 +396,34 @@ class QueryEngine:
         node: Union[int, Sequence[int]],
         distributions: Union[montecarlo.WalkDistributions,
                              Sequence[montecarlo.WalkDistributions]],
-    ) -> Union[np.ndarray, List[np.ndarray]]:
+    ) -> Union[SourceScores, List[SourceScores]]:
         """Combine walk distributions into single-source scores.
 
         Uses the reverse-Horner recurrence
-        ``r <- P^T r + c^t (x ∘ P^t e_i)`` evaluated from ``t = T`` down to 0,
-        which needs only ``T`` sparse products (:func:`propagate_scores`
-        holds the arithmetic).
+        ``r <- P^T r + c^t (x ∘ P^t e_i)`` evaluated from ``t = T`` down to
+        0 over each source's support (:func:`propagate_scores` holds the
+        arithmetic).
 
-        With one ``node`` and its distributions, returns that source's score
-        vector.  With a sequence of nodes and the matching sequence of
-        distributions — how the query services score a whole batch — the
-        sources share the sparse products block by block and a list of
-        vectors comes back, each bitwise what the one-node call returns
-        but a view into a shared block (see :func:`propagate_scores`).
+        With one ``node`` and its distributions, returns that source's
+        :class:`SourceScores`.  With a sequence of nodes and the matching
+        sequence of distributions — how the query services score a whole
+        batch — the sources share each step's array operations and a list
+        comes back, each entry bitwise what the one-node call returns.
         """
         single = isinstance(node, (int, np.integer))
-        vectors = propagate_scores(
+        scores = propagate_scores(
             [node] if single else node,
             [distributions] if single else distributions,
-            self.transition_t, self.index.diagonal,
+            self.transition, self.transition_t, self.index.diagonal,
             self.params.c, self.params.walk_steps,
         )
-        return vectors[0] if single else vectors
+        return scores[0] if single else scores
 
     def top_k(self, node: int, k: int = 10, walkers: Optional[int] = None,
               include_self: bool = False) -> List[Tuple[int, float]]:
         """Top-``k`` most similar nodes to ``node`` by MCSS scores."""
-        scores = self.single_source(node, walkers=walkers)
-        return rank_top_k(scores, node, k, include_self=include_self)
+        return self._source_scores(node, walkers).top_k(
+            k, include_self=include_self)
 
     # ------------------------------------------------------------------ #
     # All-pairs queries

@@ -38,7 +38,7 @@ ranking order costs ``capacity * k * 16`` bytes — 160 KB at the defaults.
 Because a cached value is exactly what the direct computation would produce
 for the same key (see
 :func:`repro.core.montecarlo.estimate_walk_distributions_batch` and
-:func:`repro.core.queries.rank_top_k`), a cache hit can never change a
+:meth:`repro.core.queries.SourceScores.top_k`), a cache hit can never change a
 query answer — only make it cheaper.
 """
 

@@ -109,8 +109,10 @@ def encode_answer(query: Query, answer: Any) -> Any:
     if isinstance(query, PairQuery):
         return float(answer)
     if isinstance(query, SourceQuery):
-        values = answer.tolist() if isinstance(answer, np.ndarray) else answer
-        return [float(value) for value in values]
+        # ``tolist`` already yields Python floats; only lists need a pass.
+        if isinstance(answer, np.ndarray):
+            return answer.tolist()
+        return [float(value) for value in answer]
     return [[int(node), float(score)] for node, score in answer]
 
 

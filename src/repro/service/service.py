@@ -49,7 +49,7 @@ from repro.config import ServiceParams, SimRankParams, UpdateParams
 from repro.core import montecarlo
 from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
 from repro.core.montecarlo import WalkDistributions
-from repro.core.queries import QueryEngine, rank_top_k
+from repro.core.queries import QueryEngine, SourceScores
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import ShardPlan
@@ -422,13 +422,14 @@ class QueryService:
         a hit is the finished answer of an earlier batch at this index
         version and goes straight to assembly.  Only the remaining queries
         are planned: a source's distributions come from the cache or one
-        multi-source walk simulation of the batch's misses, its score vector from one
-        block propagation shared with the batch's other sources, and each
-        missing ``(source, k)`` ranking is computed once however many
-        queries repeat it — then stored, as an immutable tuple, for the
-        batches to come.  A miss runs exactly the pipeline a service with
-        ``cache_capacity=0`` runs for every query; there is no second
-        path.  Source answers are not cached (a dense vector per entry).
+        multi-source walk simulation of the batch's misses, its scores
+        from one propagation over the supports of the batch's sources, and
+        each missing ``(source, k)`` ranking is computed once over that
+        support however many queries repeat it — then stored, as an
+        immutable tuple, for the batches to come.  A miss runs exactly the
+        pipeline a service with ``cache_capacity=0`` runs for every query;
+        there is no second path.  Only a :class:`SourceQuery` answer is a
+        dense vector, and it is not cached.
         Answer types by query: :class:`PairQuery`
         -> float, :class:`SourceQuery` -> dense score vector,
         :class:`TopKQuery` -> ``[(node, score), ...]``; repeated queries
@@ -562,14 +563,16 @@ class QueryService:
     def _resolve_scores(
         self, queries: Sequence[Query],
         distributions: Dict[int, WalkDistributions],
-    ) -> Dict[int, np.ndarray]:
+    ) -> Dict[int, SourceScores]:
         """Score every distinct source of the source / top-k ``queries`` once.
 
-        One block propagation for the whole batch
+        One propagation for the whole batch
         (:meth:`~repro.core.queries.QueryEngine.propagate_source` with a
         sequence): a source three queries ask about is scored once, and
-        distinct sources share the sparse products.  The vectors are views
-        into the batch's blocks — they live as long as the batch does.
+        distinct sources share each step's array operations.  Each score
+        record holds the source's positive support only; nothing here is
+        ``n`` floats wide except the columns dense enough to take the dense
+        product.
         """
         sources = list(dict.fromkeys(
             query.source for query in queries
@@ -577,29 +580,35 @@ class QueryService:
         ))
         if not sources:
             return {}
-        vectors = self.query_engine.propagate_source(
+        scored = self.query_engine.propagate_source(
             sources, [distributions[source] for source in sources]
         )
-        return dict(zip(sources, vectors))
+        return dict(zip(sources, scored))
 
     def _resolve_rankings(
         self, requests: Sequence[Tuple[int, int]],
-        scores: Dict[int, np.ndarray],
+        scores: Dict[int, SourceScores],
     ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
-        """Rank each distinct ``(source, k)`` of the batch's top-k queries."""
-        return {(source, k): rank_top_k(scores[source], source, k)
+        """Rank each distinct ``(source, k)`` of the batch's top-k queries.
+
+        Over the source's support, in the canonical order
+        (:meth:`~repro.core.queries.SourceScores.top_k`): the one ranking
+        path of every service class and shard count.
+        """
+        return {(source, k): scores[source].top_k(k)
                 for source, k in requests}
 
     def _assemble(
         self, query: Query,
         distributions: Dict[int, WalkDistributions],
-        scores: Dict[int, np.ndarray],
+        scores: Dict[int, SourceScores],
         rankings: Dict[Tuple[int, int], Ranking],
     ) -> Answer:
         """One query's answer from the batch's resolved stages.
 
-        Source and top-k answers are copies: a repeated query gets an equal
-        but distinct object, and no answer keeps a batch's score block alive.
+        Source and top-k answers are fresh objects: a repeated query gets
+        an equal but distinct one.  A source answer is the one place a
+        score record becomes a dense vector.
         """
         if isinstance(query, PairQuery):
             self._counters["pair_queries"] += 1
@@ -610,7 +619,7 @@ class QueryService:
             )
         if isinstance(query, SourceQuery):
             self._counters["source_queries"] += 1
-            return scores[query.source].copy()
+            return scores[query.source].dense()
         self._counters["topk_queries"] += 1
         return list(rankings[query.source, query.k])
 

@@ -14,11 +14,11 @@ of per-node serving state follows the plan —
   exactly the sources the shard owns; an update invalidates distributions
   only inside the touched shards, and — because it re-solves the whole
   diagonal — drops the ranked answers of every shard;
-* **top-k ranking**: each distinct source of a batch is scored once, every
-  shard ranks the candidate nodes it owns for all of the batch's
-  ``(source, k)`` requests in one task, and the results are merged
-  *exactly* (:func:`repro.core.queries.merge_top_k` — the canonical total
-  order makes the merge provably equal to single-shard ranking);
+* **top-k ranking**: shared with the single-shard service — each distinct
+  source of a batch is scored once over its support, and each distinct
+  ``(source, k)`` is ranked once over that support
+  (:meth:`QueryService._resolve_rankings`), so no shard splits a ranking
+  and nothing needs merging;
 * **versions**: the global :attr:`~ShardedQueryService.index_version` keeps
   the single-shard semantics (one bump per applied update), while
   :attr:`~ShardedQueryService.shard_versions` records, per shard, the last
@@ -33,8 +33,8 @@ out through), and each result is stored in its owning shard's cache.
 Every source has its own random stream and the graph is in every worker,
 so ownership decides where a distribution is cached, not where it is
 simulated.  Scoring and ranking run in the serving process on every
-backend: one block propagation per batch, then one ranking task per shard
-*per batch*.  The service is **thread-safe**: concurrent
+backend: one support-sized propagation per batch, then one ranking per
+distinct ``(source, k)``.  The service is **thread-safe**: concurrent
 :meth:`~QueryService.run_batch` calls and live updates (immediate or
 deferred) serialise on an internal lock, so every
 :class:`~repro.service.service.BatchAnswers` is computed against exactly
@@ -48,7 +48,7 @@ the test suite: **for any number of shards, any strategy and any backend,
 every answer — pair, source and top-k, before and after live updates — is
 bitwise-identical to the single-shard service's.**  Sharding changes where
 work happens and what can run concurrently, never results.  See
-``docs/sharding.md`` for the full routing and merge semantics.
+``docs/sharding.md`` for the full routing and ranking semantics.
 
 Example
 -------
@@ -86,7 +86,9 @@ from repro.core.index import (
     ShardedIndex,
     ShardedSnapshotStore,
 )
-from repro.core.queries import QueryEngine, merge_top_k, rank_top_k_entries
+from repro.core.queries import QueryEngine
+# benchmarks/spine/spans.py binds merge_top_k here by name; no serving path calls it.
+from repro.core.queries import merge_top_k  # noqa: F401
 from repro.core.sharding import (
     ShardedIncrementalWalker,
     make_plan,
@@ -94,7 +96,6 @@ from repro.core.sharding import (
 )
 from repro.engine.executor import (
     ResidentHandle,
-    SerialBackend,
     make_backend,
     resolve_resident,
 )
@@ -138,25 +139,6 @@ def _simulate_sources(
     return montecarlo.estimate_walk_distributions_batch(
         resolve_resident(handle), sources, params, walkers=walkers
     )
-
-
-def _rank_shard_batch(
-    owned: np.ndarray,
-    requests: Sequence[Tuple[np.ndarray, int, int]],
-) -> List[List[Tuple[int, float]]]:
-    """One shard's share of a batch's rankings, from gathered score slices.
-
-    ``requests`` holds one ``(values, source, k)`` per distinct top-k
-    request of the batch, ``values = scores[owned]`` being this shard's
-    O(n / K) slice of the source's score vector.  Runs in the serving
-    process on every backend — ranking a slice is cheaper than shipping
-    it — so the arguments are references.  Returns the shard's partial
-    top-k lists in request order.
-    """
-    # Each slice is this task's own gather, so the ranking may mask it in
-    # place.
-    return [rank_top_k_entries(owned, values, source, k, copy=False)
-            for values, source, k in requests]
 
 
 class ShardedQueryService(QueryService):
@@ -284,9 +266,8 @@ class ShardedQueryService(QueryService):
         Called at construction and at the atomic flip of a plan migration:
         per-shard caches start empty (ownership moved, and the plan-keyed
         cache routing must never serve a source from a shard that no
-        longer owns it), per-shard counters restart (they describe load
-        *under this plan*), and the owned-node cache is dropped so the
-        next batch ranks against the new plan's ownership.
+        longer owns it), and per-shard counters restart (they describe load
+        *under this plan*).
         """
         self.shard_caches: List[WalkDistributionCache] = [
             WalkDistributionCache(self.service_params.cache_capacity)
@@ -296,8 +277,6 @@ class ShardedQueryService(QueryService):
             {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
             for _ in range(self.plan.num_shards)
         ]
-        self._shard_nodes_cache: Optional[List[np.ndarray]] = None
-        self._shard_nodes_n = -1
 
     # ------------------------------------------------------------------ #
     # Cold start
@@ -394,19 +373,8 @@ class ShardedQueryService(QueryService):
         return list(self.sharded_index.shard_versions)
 
     def shard_of(self, node: int) -> int:
-        """The shard owning ``node`` — its cache, index rows and ranking."""
+        """The shard owning ``node`` — its caches and index rows."""
         return self.plan.shard_of(node)
-
-    def _shard_nodes(self) -> List[np.ndarray]:
-        """Per-shard owned-node arrays for the current graph (cached)."""
-        if self._shard_nodes_cache is None or self._shard_nodes_n != self.graph.n_nodes:
-            assignment = self.plan.assign(self.graph.n_nodes)
-            self._shard_nodes_cache = [
-                np.flatnonzero(assignment == shard)
-                for shard in range(self.num_shards)
-            ]
-            self._shard_nodes_n = self.graph.n_nodes
-        return self._shard_nodes_cache
 
     # ------------------------------------------------------------------ #
     # Lifecycle and concurrency
@@ -547,7 +515,6 @@ class ShardedQueryService(QueryService):
             self.index = self._mutator.index
             self.engine = QueryEngine(self.graph, self.index, self.params)
             self._rebuild_query_engine()
-            self._shard_nodes_cache = None
             self._version += 1
             touched = self.plan.group_nodes(result.affected)
             for shard, nodes in touched.items():
@@ -590,7 +557,7 @@ class ShardedQueryService(QueryService):
         """Per-node planner weights: cold weight plus observed query load.
 
         Every node carries ``RebalanceParams.cold_weight`` (a never-queried
-        node still costs its shard index rows and ranking work), plus the
+        node still costs its shard index rows), plus the
         observed routed-source counts — the service's own ``_node_loads``
         by default, or a caller-supplied dict/array (e.g. structural
         weights for an offline re-plan).  Must be called under ``_lock``
@@ -813,41 +780,6 @@ class ShardedQueryService(QueryService):
             self._shard_counters[self.plan.shard_of(source)]["sources_simulated"] += 1
         return simulated
 
-    def _resolve_rankings(
-        self, requests: Sequence[Tuple[int, int]],
-        scores: Dict[int, np.ndarray],
-    ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
-        """Rank the batch's distinct ``(source, k)``: one task per shard.
-
-        Each shard's task carries every request of the batch and ranks the
-        nodes the shard owns from its gathered score slices
-        (:func:`_rank_shard_batch`); the partial rankings are merged
-        exactly, request by request
-        (:func:`repro.core.queries.merge_top_k`).  The tasks run in the
-        serving process on every backend — the scores are already here
-        (:meth:`QueryService._resolve_scores`) and ranking an ``n``-vector
-        is cheaper than publishing it to a pool — through
-        :func:`run_shard_tasks` on a serial backend.
-        """
-        if not requests:
-            return {}
-        shards = range(self.num_shards)
-        capped = [(source, min(k, self.graph.n_nodes))
-                  for source, k in requests]
-        tasks = {
-            shard: partial(_rank_shard_batch, owned,
-                           [(scores[source][owned], source, k)
-                            for source, k in capped])
-            for shard, owned in zip(shards, self._shard_nodes())
-        }
-        outcomes = run_shard_tasks(SerialBackend(), tasks)
-        return {
-            request: merge_top_k(
-                [outcomes[shard][0][position] for shard in shards], k)
-            for position, (request, (_source, k))
-            in enumerate(zip(requests, capped))
-        }
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -869,11 +801,12 @@ class ShardedQueryService(QueryService):
     def _stats_locked(self) -> Dict[str, Any]:
         totals = CacheStats.total(cache.stats for cache in self.shard_caches)
         shard_rows = []
-        owned_nodes = self._shard_nodes()
+        owned_nodes = np.bincount(self.plan.assign(self.graph.n_nodes),
+                                  minlength=self.num_shards)
         for shard, cache in enumerate(self.shard_caches):
             shard_rows.append({
                 "shard": shard,
-                "nodes": int(len(owned_nodes[shard])),
+                "nodes": int(owned_nodes[shard]),
                 "version": self.sharded_index.shard_versions[shard],
                 "cache_size": len(cache),
                 "cache_hit_rate": cache.stats.hit_rate,

@@ -181,52 +181,80 @@ class TestPropagateSourceSequence:
     def test_sequence_equals_one_node_calls_bitwise(self, mc_engine,
                                                     small_graph):
         from repro.core import montecarlo
-        from repro.core.queries import PROPAGATE_BLOCK_WIDTH
 
-        # More sources than one block holds, one of them twice.
-        nodes = list(range(PROPAGATE_BLOCK_WIDTH + 3)) + [1]
+        # Many sources in one call, one of them twice.
+        nodes = list(range(19)) + [1]
         distributions = montecarlo.estimate_walk_distributions_batch(
             small_graph, nodes, mc_engine.params)
-        vectors = mc_engine.propagate_source(
+        scored = mc_engine.propagate_source(
             nodes, [distributions[node] for node in nodes])
-        assert len(vectors) == len(nodes)
-        for node, vector in zip(nodes, vectors):
+        assert len(scored) == len(nodes)
+        for node, scores in zip(nodes, scored):
             expected = mc_engine.propagate_source(node, distributions[node])
-            assert vector.shape == (small_graph.n_nodes,)
-            assert vector.tobytes() == expected.tobytes()
+            assert scores.source == node
+            assert scores.dense().shape == (small_graph.n_nodes,)
+            assert scores.dense().tobytes() == expected.dense().tobytes()
+            assert scores.nodes.tobytes() == expected.nodes.tobytes()
 
     def test_empty_sequence(self, mc_engine):
         assert mc_engine.propagate_source([], []) == []
 
 
-class TestRankTopKEntries:
-    """The payload-light ranking form must equal rank_top_k_within exactly."""
+def _scores_of(dense, source):
+    """The support record of a dense score vector (source forced to 1.0)."""
+    from repro.core.queries import SourceScores
 
-    def test_equals_rank_top_k_within_on_random_scores(self):
-        from repro.core.queries import rank_top_k_entries, rank_top_k_within
+    dense = dense.copy()
+    dense[source] = 1.0
+    support = np.flatnonzero(dense)
+    return SourceScores(source, len(dense), support, dense[support]), dense
+
+
+class TestSourceScoresTopK:
+    """Ranking over the support must equal the dense ``rank_top_k`` exactly."""
+
+    def test_sparse_rank_equals_dense_rank_on_random_scores(self):
+        from repro.core.queries import rank_top_k
 
         rng = np.random.default_rng(42)
-        for _ in range(20):
-            n = int(rng.integers(3, 40))
-            scores = rng.random(n)
-            # Duplicate scores exercise the node-id tie-break.
-            scores[rng.integers(0, n)] = scores[0]
-            node = int(rng.integers(0, n))
-            size = int(rng.integers(1, n + 1))
-            candidates = rng.choice(n, size=size, replace=False)
-            for k in (1, 2, 5, n + 3):
-                expected = rank_top_k_within(scores, node, candidates, k)
-                capped = min(k, len(scores))
-                actual = rank_top_k_entries(
-                    candidates, scores[candidates], node, capped)
-                assert actual == expected
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            dense = rng.random(n).round(1)       # zeros and ties included
+            dense[rng.random(n) < 0.5] = 0.0
+            source = int(rng.integers(0, n))
+            scores, dense = _scores_of(dense, source)
+            for k in (1, 2, 5, n - 1, n, n + 3):
+                for include_self in (False, True):
+                    assert scores.top_k(k, include_self=include_self) == \
+                        rank_top_k(dense, source, k, include_self=include_self)
 
-    def test_include_self_and_empty(self):
-        from repro.core.queries import rank_top_k_entries
+    def test_ties_order_by_node_id(self):
+        scores, dense = _scores_of(np.array([0.0, 0.25, 0.5, 0.25, 0.25]), 0)
+        assert scores.top_k(3) == [(2, 0.5), (1, 0.25), (3, 0.25)]
+        assert scores.top_k(3, include_self=True) == [
+            (0, 1.0), (2, 0.5), (1, 0.25)]
 
-        scores = np.array([0.5, 1.0, 0.25])
-        ranked = rank_top_k_entries(np.array([0, 1, 2]), scores, 1, 3,
-                                    include_self=True)
-        assert ranked[0] == (1, 1.0)
-        assert rank_top_k_entries(np.array([], dtype=np.int64),
-                                  np.array([]), 0, 5) == []
+    def test_k_past_the_support_pads_lowest_zero_ids(self):
+        from repro.core.queries import rank_top_k
+
+        dense = np.zeros(8)
+        dense[[3, 6]] = [0.5, 0.25]
+        scores, dense = _scores_of(dense, 4)
+        ranked = scores.top_k(6)
+        assert ranked == [(3, 0.5), (6, 0.25), (0, 0.0), (1, 0.0), (2, 0.0),
+                          (5, 0.0)]
+        assert ranked == rank_top_k(dense, 4, 6)
+        assert len(scores.top_k(100)) == 7       # never the source itself
+        assert len(scores.top_k(100, include_self=True)) == 8
+
+    def test_include_self_and_empty_support(self):
+        from repro.core.queries import rank_top_k
+
+        # A source no walk leaves: its only positive score is its own 1.0.
+        scores, dense = _scores_of(np.zeros(4), 2)
+        assert scores.top_k(2) == [(0, 0.0), (1, 0.0)]
+        assert scores.top_k(2, include_self=True) == [(2, 1.0), (0, 0.0)]
+        assert scores.top_k(9) == rank_top_k(dense, 2, 9)
+        alone, _ = _scores_of(np.zeros(1), 0)
+        assert alone.top_k(5) == []
+        assert alone.top_k(5, include_self=True) == [(0, 1.0)]

@@ -4,9 +4,9 @@ The tentpole contract of the parallel serving path: for random graphs, any
 shard count K in {1, 2, 5}, any serve backend in {serial, threads,
 processes} and worker counts from 1 to 8, every answer of the sharded
 service — pair, source and top-k (including the score-descending /
-node-id-ascending tie order of ``merge_top_k``) — is bitwise-identical to
-the single-shard :class:`~repro.service.QueryService`, before *and* after
-random edge batches.
+node-id-ascending tie order of the canonical ranking) — is
+bitwise-identical to the single-shard :class:`~repro.service.QueryService`,
+before *and* after random edge batches.
 
 These are deterministic seeded-random sweeps (``numpy.random.default_rng``
 with fixed seeds) rather than hypothesis properties, so the expensive
@@ -174,10 +174,11 @@ def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-def test_batch_scores_each_source_once_and_scatters_twice(backend,
-                                                          monkeypatch):
+def test_batch_scores_each_source_once_and_scatters_once(backend,
+                                                         monkeypatch):
     """A batch that repeats sources answers like one-query batches, from at
-    most two scatters (simulate + rank) however many top-k queries it has."""
+    most one scatter (simulate) however many top-k queries it has: ranking
+    runs inline, over each source's support."""
     from repro.graph import generators
 
     graph = generators.copying_model_graph(150, out_degree=5, seed=3)
@@ -202,10 +203,10 @@ def test_batch_scores_each_source_once_and_scatters_twice(backend,
             scatters.clear()
             answers = sharded.run_batch(queries)
             # Cold: one simulate scatter of one run per serve worker (one on
-            # serial), then one rank task per shard; cached: every ranking
-            # is a cache entry, so nothing scatters.
+            # serial); cached: every ranking is a cache entry, so nothing
+            # scatters.
             simulate_runs = 1 if backend == "serial" else 2
-            assert scatters == ([("simulate", simulate_runs), ("rank", 3)]
+            assert scatters == ([("simulate", simulate_runs)]
                                 if _pass == "cold" else [])
             expected = [one_at_a_time.run_batch([query])[0]
                         for query in queries]

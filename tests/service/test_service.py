@@ -70,7 +70,7 @@ class TestCoreEquivalence:
     ):
         service = make_service()
         dist = montecarlo.estimate_walk_distributions(service_graph, 7, service_params)
-        expected = direct_engine.propagate_source(7, dist)
+        expected = direct_engine.propagate_source(7, dist).dense()
         assert np.array_equal(service.single_source(7), expected)
 
     def test_topk_matches_engine_ranking_of_same_scores(self, make_service):

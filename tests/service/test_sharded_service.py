@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import ShardingParams, UpdateParams
-from repro.core.queries import merge_top_k, rank_top_k, rank_top_k_within
+from repro.core.queries import merge_top_k, rank_top_k
 from repro.errors import CloudWalkerError
 from repro.graph import generators
 from repro.service import (
@@ -71,34 +71,44 @@ class TestAnswerEquivalence:
 
 
 class TestScatterGatherTopK:
-    def test_merge_equals_global_ranking(self, make_sharded):
+    def test_sparse_ranking_equals_dense_ranking(self, make_sharded):
         sharded = make_sharded(num_shards=4)
         distributions = sharded._resolve_distributions(
             plan_batch([SourceQuery(5)]), sharded.query_params.query_walkers,
         )
         scores = sharded.engine.propagate_source(5, distributions[5])
-        partials = [
-            rank_top_k_within(scores, 5, owned, 7)
-            for owned in sharded._shard_nodes()
-        ]
-        assert merge_top_k(partials, 7) == rank_top_k(scores, 5, 7)
+        for k in (1, 7, sharded.graph.n_nodes + 2):
+            expected = rank_top_k(scores.dense(), 5, k)
+            assert scores.top_k(k) == expected
+            assert sharded.top_k(5, k=k) == expected
 
     def test_ties_merge_canonically(self):
         # Equal scores must break ties by node id no matter how candidates
-        # are split across shards.
+        # are split into the ranked lists being merged.
         scores = np.array([0.5, 0.25, 0.25, 0.25, 0.1])
         whole = rank_top_k(scores, 0, 3, include_self=True)
         assert whole == [(0, 0.5), (1, 0.25), (2, 0.25)]
-        partials = [
-            rank_top_k_within(scores, 0, np.array([2, 4]), 3, include_self=True),
-            rank_top_k_within(scores, 0, np.array([0, 1, 3]), 3, include_self=True),
-        ]
+        partials = [[(2, 0.25), (4, 0.1)], [(0, 0.5), (1, 0.25), (3, 0.25)]]
         assert merge_top_k(partials, 3) == whole
 
     def test_k_larger_than_graph(self, make_service, make_sharded):
         single = make_service()
         sharded = make_sharded(num_shards=5)
         assert sharded.top_k(2, k=10_000) == single.top_k(2, k=10_000)
+
+    def test_source_without_in_links_pads_zero_scores(self, make_service,
+                                                      make_sharded):
+        # Its score vector is exactly e_source: every ranked node is a
+        # zero-score pad, lowest ids first, never the source.
+        sharded = make_sharded(num_shards=3)
+        graph = sharded.graph
+        sources = np.flatnonzero(graph.in_degrees() == 0)
+        assert len(sources)
+        source = int(sources[0])
+        ranked = sharded.top_k(source, k=4)
+        expected = [node for node in range(graph.n_nodes) if node != source][:4]
+        assert ranked == [(node, 0.0) for node in expected]
+        assert ranked == make_service().top_k(source, k=4)
 
 
 class TestShardRouting:

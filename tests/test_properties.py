@@ -16,7 +16,8 @@ randomly generated graphs and inputs:
 * every route to an index — the local estimator, the broadcasting model
   over any partitioning, the query service's build — gives the same bytes,
   and the one-off query engine answers as the service does;
-* block score propagation is byte-for-byte the one-source dense recurrence.
+* support score propagation is byte-for-byte the one-source dense
+  recurrence, and ranking over the support is the dense ranking.
 """
 
 from typing import List, Tuple
@@ -201,7 +202,7 @@ def _propagate_one_source_dense(node, distributions, transition_t, diagonal,
                                 c, walk_steps):
     """The reference recurrence: one source, a dense vector per step and one
     sparse matvec per step (what ``propagate_scores`` was before it worked
-    on blocks)."""
+    on blocks, and then on supports)."""
     n = transition_t.shape[0]
     decay_powers = c ** np.arange(walk_steps + 1)
     result = np.zeros(n, dtype=np.float64)
@@ -216,11 +217,16 @@ def _propagate_one_source_dense(node, distributions, transition_t, diagonal,
 
 
 class TestBlockPropagateProperties:
+    @settings(max_examples=60)
     @given(graphs(max_nodes=20, max_edges=60), st.data())
     def test_block_columns_bytewise_equal_to_dense_single_source(self, graph,
                                                                  data):
+        """Support propagation plus support ranking equal the dense
+        recurrence plus the dense ranking, byte for byte, whichever columns
+        take the dense fallback and whenever they move to it."""
         # Approximate serving shrinks (walkers, steps); sparse graphs give
-        # sources whose walks die out, i.e. empty supports at later steps.
+        # sources whose walks die out, i.e. empty supports at later steps,
+        # and cycles bring a walk back into its own source.
         params = SimRankParams(
             c=0.6, jacobi_iterations=1, index_walkers=1,
             walk_steps=data.draw(st.integers(min_value=1, max_value=6)),
@@ -229,29 +235,41 @@ class TestBlockPropagateProperties:
         )
         nodes = data.draw(st.lists(
             st.integers(min_value=0, max_value=graph.n_nodes - 1),
-            min_size=1, max_size=12))           # any order, duplicates welcome
-        width = data.draw(st.integers(min_value=1, max_value=13))
+            min_size=1, max_size=13))           # any order, duplicates welcome
         exact = data.draw(st.booleans())
         # The diagonal of a real index can have any sign; zeros included.
         diagonal = np.random.default_rng(params.seed).uniform(
             -0.5, 1.5, graph.n_nodes).round(1)
-        transition_t = graph.transition_matrix().T.tocsr()
+        transition = graph.transition_matrix()
+        transition_t = transition.T.tocsr()
         if exact:
             distributions = {node: montecarlo.exact_walk_distributions(
                 graph, node, params) for node in set(nodes)}
         else:
             distributions = montecarlo.estimate_walk_distributions_batch(
                 graph, sorted(set(nodes)), params)
-        with mock.patch.object(queries, "PROPAGATE_BLOCK_WIDTH", width):
-            vectors = queries.propagate_scores(
-                nodes, [distributions[node] for node in nodes], transition_t,
-                diagonal, params.c, params.walk_steps)
-        assert len(vectors) == len(nodes)
-        for node, vector in zip(nodes, vectors):
-            expected = _propagate_one_source_dense(
-                node, distributions[node], transition_t, diagonal,
-                params.c, params.walk_steps)
-            assert vector.tobytes() == expected.tobytes()
+        expected = {node: _propagate_one_source_dense(
+            node, distributions[node], transition_t, diagonal,
+            params.c, params.walk_steps) for node in set(nodes)}
+        # All dense from the first step, the shipped fill, migration in
+        # mid-run, and never dense.
+        for fill in (0.0, queries.DENSE_FILL_FRACTION, 0.25, 1.0):
+            with mock.patch.object(queries, "DENSE_FILL_FRACTION", fill):
+                scored = queries.propagate_scores(
+                    nodes, [distributions[node] for node in nodes],
+                    transition, transition_t, diagonal, params.c,
+                    params.walk_steps)
+            assert len(scored) == len(nodes)
+            for node, scores in zip(nodes, scored):
+                dense = expected[node]
+                assert scores.source == node
+                assert scores.dense().tobytes() == dense.tobytes()
+                assert np.array_equal(scores.nodes, np.flatnonzero(dense))
+                for k in range(1, graph.n_nodes + 3):
+                    for include_self in (False, True):
+                        assert scores.top_k(k, include_self=include_self) == \
+                            queries.rank_top_k(dense, node, k,
+                                               include_self=include_self)
 
 
 # --------------------------------------------------------------------------- #
@@ -345,7 +363,8 @@ class TestServiceProperties:
         else:
             dist_j = montecarlo.estimate_walk_distributions(graph, node_j, params)
             assert pair == engine.combine_pair(dist_i, dist_j)
-        assert np.array_equal(scores, engine.propagate_source(node_i, dist_i))
+        assert np.array_equal(scores,
+                              engine.propagate_source(node_i, dist_i).dense())
         # Cached re-ask answers identically.
         assert service.single_pair(node_i, node_j) == pair
         assert np.array_equal(service.single_source(node_i), scores)
