@@ -71,9 +71,9 @@ def _params():
 
 def _make_service(graph, index):
     from repro.config import ServiceParams, ShardingParams
-    from repro.service import ShardedQueryService
+    from repro.service import QueryService
 
-    return ShardedQueryService(
+    return QueryService(
         graph, index, _params(),
         ServiceParams(cache_capacity=0, serve_backend="threads",
                       serve_workers=SERVE_WORKERS,

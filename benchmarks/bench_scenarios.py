@@ -3,8 +3,8 @@
 Every other serving benchmark drives one workload shape (uniform batches);
 this one replays the full scenario registry
 (:data:`repro.service.scenarios.TRACE_GENERATORS` — uniform, Zipf-skewed,
-bursty, adversarial update storms, multi-tenant interleaving) against the
-sharded service and gates two properties:
+bursty, adversarial update storms, multi-tenant interleaving) against
+a 4-shard ``QueryService`` and gates two properties:
 
 * **exact-mode identity**: every scenario's answer checksum on the sharded
   service equals the single-shard ``QueryService`` reference — the serving
@@ -73,7 +73,7 @@ def scenarios_experiment():
     from repro.config import ServiceParams, ShardingParams
     from repro.core.diagonal import build_diagonal_index
     from repro.graph import generators
-    from repro.service import QueryService, ShardedQueryService
+    from repro.service import QueryService
 
     params = _params()
     graph = generators.copying_model_graph(
@@ -90,7 +90,7 @@ def scenarios_experiment():
     for name, trace in sorted(traces.items()):
         single = _replay(QueryService(graph, index, params), trace)
         sharded = _replay(
-            ShardedQueryService(graph, index, params, sharding=sharding),
+            QueryService(graph, index, params, sharding=sharding),
             trace,
         )
         identical = (sharded.answer_checksum == single.answer_checksum
@@ -124,7 +124,7 @@ def scenarios_experiment():
     improvements = []
     for name in APPROX_SCENARIOS:
         approx = _replay(
-            ShardedQueryService(graph, index, params, approx_service_params,
+            QueryService(graph, index, params, approx_service_params,
                                 sharding=sharding),
             traces[name], reference=reference,
         )

@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Sharded builds and scatter-gather serving, end to end.
+"""Sharded builds and serving, end to end.
 
-Demonstrates the sharding subsystem of :mod:`repro.core.sharding` and
-:mod:`repro.service.sharded`:
+There is one serving class, ``QueryService``; ``ShardingParams(num_shards=K)``
+splits its per-node state — caches, index rows, versions — across ``K``
+shards, and the default ``K = 1`` is a one-shard plan of the same program.
+This example:
 
-1. build the same index single-shard and across 4 shards, and verify the
-   diagonals are *bitwise-identical*;
-2. serve pair / source / top-k queries through a ``ShardedQueryService``
-   and check every answer against the single-shard service;
-3. insert edges live and watch only the *touched* shards re-estimate,
+1. builds the same index with one shard and with 4 shards, and verifies
+   the diagonals are *bitwise-identical*;
+2. serves pair / source / top-k queries at ``K = 4`` and checks every
+   answer against the one-shard service;
+3. inserts edges live and watches only the *touched* shards re-estimate,
    bump their versions and drop cache entries;
-4. snapshot the sharded deployment (one store per shard) and cold-start a
-   second service from it.
+4. snapshots the 4-shard deployment (one store per shard) and cold-starts
+   a second service from it, under the lineage's plan.
 
-The sharded service scatters per-shard query work through a persistent
+The 4-shard service simulates its cache misses through a persistent
 ``threads`` pool (``ServiceParams.serve_backend``) and is closed at the
 end — ``close()`` releases the serve pool and the walker's build backend.
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from repro import ServiceParams, ShardingParams, SimRankParams
 from repro.graph import generators
-from repro.service import PairQuery, QueryService, ShardedQueryService, TopKQuery
+from repro.service import PairQuery, QueryService, TopKQuery
 
 
 def main() -> None:
@@ -37,10 +39,10 @@ def main() -> None:
     params = SimRankParams.fast_defaults()
     print(f"graph: {graph}")
 
-    # 1. Single-shard vs 4-shard build: same diagonal, bit for bit.  The
-    # sharded service also scatters *query-time* work through a thread pool.
+    # 1. One-shard vs 4-shard build: same diagonal, bit for bit.  The
+    # 4-shard service also scatters *query-time* work through a thread pool.
     single = QueryService.build(graph, params)
-    sharded = ShardedQueryService.build(
+    sharded = QueryService.build(
         graph, params,
         service_params=ServiceParams(serve_backend="threads", serve_workers=4),
         sharding=ShardingParams(num_shards=4, strategy="hash"),
@@ -48,12 +50,12 @@ def main() -> None:
     identical = np.array_equal(single.index.diagonal, sharded.index.diagonal)
     print(f"4-shard build bitwise-identical to single-shard: {identical}")
 
-    # 2. Scatter-gather serving: every answer matches the single-shard path.
+    # 2. Every answer at K = 4 matches the one-shard service's.
     queries = [PairQuery(3, 17), TopKQuery(3, k=5), PairQuery(40, 41)]
     reference = single.run_batch(queries)
     answers = sharded.run_batch(queries)
     print(f"answers match single-shard: {list(reference) == list(answers)}")
-    print(f"top-5 for node 3 (merged across shards): {answers[1]}")
+    print(f"top-5 for node 3: {answers[1]}")
 
     # 3. A live edit: only shards owning affected rows are touched.
     result = sharded.add_edges([(2, 120), (5, 120)])
@@ -67,14 +69,14 @@ def main() -> None:
     print(f"post-update answers match single-shard: "
           f"{list(single.run_batch(queries)) == list(post)}")
 
-    # 4. Sharded snapshot: one SnapshotStore per shard, restored as one.
+    # 4. Snapshot: one SnapshotStore per shard, restored under its plan.
     with tempfile.TemporaryDirectory() as snapshot_dir:
         version, where = sharded.save_snapshot(snapshot_dir)
         print(f"sharded snapshot v{version} written to {where}")
-        restored = ShardedQueryService.from_snapshot(sharded.graph, snapshot_dir)
+        restored = QueryService.from_snapshot(sharded.graph, snapshot_dir)
         match = list(restored.run_batch(queries)) == list(post)
-        print(f"restored service (version {restored.index_version}) answers "
-              f"match: {match}")
+        print(f"restored service (version {restored.index_version}, "
+              f"{restored.num_shards} shards) answers match: {match}")
 
     per_shard = sharded.stats()["shards"]
     print("per-shard stats (nodes / cache entries / simulated): "
@@ -82,6 +84,7 @@ def main() -> None:
                       f"/{row['sources_simulated']}" for row in per_shard))
 
     # 5. Release the persistent scatter/build pools.
+    single.close()
     sharded.close()
     restored.close()
     print("pools released (close is idempotent; a later batch would revive them)")

@@ -19,8 +19,9 @@ The public API is intentionally small; the most common entry points are:
 ``repro.service``
     The online serving layer: batched query execution over a persistently
     loaded index with an LRU cache of walk distributions, live edge
-    insertions folded in incrementally, versioned index snapshots, and a
-    sharded scatter-gather deployment (``ShardedQueryService``).
+    insertions folded in incrementally, versioned index snapshots, and
+    per-node state split across ``K`` shards (``QueryService``; ``K = 1``
+    is a one-shard plan).
 
 Quick start::
 
@@ -63,7 +64,6 @@ __all__ = [
     "NodeNotFoundError",
     "QueryService",
     "ServiceParams",
-    "ShardedQueryService",
     "ShardingParams",
     "SimRankParams",
     "UpdateParams",
@@ -83,8 +83,4 @@ def __getattr__(name: str):
         from repro.service.service import QueryService
 
         return QueryService
-    if name == "ShardedQueryService":
-        from repro.service.sharded import ShardedQueryService
-
-        return ShardedQueryService
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

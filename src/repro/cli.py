@@ -7,7 +7,7 @@ validate it, and answer queries — all from the shell.
 Every serving and maintenance command (``query-batch``, ``serve``,
 ``serve-http``, ``replay``, ``update``, ``rebalance``, ``snapshot``) has one
 deployment shape for every ``--shards K``: a single machine is the K = 1
-cluster, so K = 1 runs the same :class:`~repro.service.ShardedQueryService`
+cluster, a one-shard plan of the same :class:`~repro.service.QueryService`,
 and writes the same snapshot layout (``shard_plan.json`` plus one
 ``shard-NN/`` store per shard) as any other K.
 
@@ -311,7 +311,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_service(args: argparse.Namespace):
-    from repro.service import ShardedQueryService
+    from repro.service import QueryService
 
     graph = _load_graph(args)
     service_params = ServiceParams(
@@ -322,7 +322,7 @@ def _make_service(args: argparse.Namespace):
     )
     # Parameters default to the ones persisted in the index so a cold-started
     # service answers exactly like the process that built the index.
-    return ShardedQueryService.from_index_file(
+    return QueryService.from_index_file(
         graph, args.index, service_params=service_params,
         sharding=_sharding_from_args(args),
         rebalance_params=_rebalance_from_args(args),
@@ -422,7 +422,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
             print("interrupted; shutting down", file=out)
         _print_service_stats(service, out)
     finally:
-        # Releases the persistent scatter pools of a sharded service.
+        # Releases the service's persistent scatter pools.
         service.close()
     return 0
 
@@ -527,13 +527,13 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
     ``--index`` and keeps its own shard count; otherwise ``--index``
     starts a lineage with ``--shards K`` shards.
     """
-    from repro.service import ShardedQueryService
+    from repro.service import QueryService
 
     sharding = _sharding_from_args(args)
     store = ShardedSnapshotStore(args.snapshot_dir, retain=args.retain) \
         if args.snapshot_dir else None
     if store is not None and store.latest_version() is not None:
-        service = ShardedQueryService.from_snapshot(
+        service = QueryService.from_snapshot(
             graph, args.snapshot_dir, update_params=update_params,
             sharding=sharding,
         )
@@ -570,7 +570,7 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
             "update requires --index or a non-empty --snapshot-dir")
     print("note: plain index carries no linear system; estimating it once "
           "(snapshots avoid this)", file=out)
-    service = ShardedQueryService.from_index_file(
+    service = QueryService.from_index_file(
         graph, args.index, update_params=update_params, sharding=sharding,
         plan=plan,
     )

@@ -153,7 +153,7 @@ class ServiceParams:
     default_top_k:
         ``k`` used by top-k queries that do not specify one.
     serve_backend:
-        Executor backend the sharded service scatters *query-time* work
+        Executor backend the service scatters *query-time* work
         through (a batch's cache-miss walk simulation, split into
         ``min(serve_workers, misses)`` contiguous runs — one on
         ``"serial"``; scoring and ranking run in the serving process):
@@ -162,12 +162,11 @@ class ServiceParams:
         pool-resident graph plus their run's source ids, so payloads are
         O(sources), not O(graph).  Like the build-time
         ``ShardingParams.backend``, it changes only wall-clock, never
-        answers.  Ignored by the library's plain ``QueryService``; a
-        one-shard ``ShardedQueryService`` still simulates through it.
+        answers, at every shard count (one shard included).
     serve_workers:
         Worker bound for the ``threads`` / ``processes`` serve backends.
         The pool is persistent (spun up once, reused per batch); call
-        ``ShardedQueryService.close`` to release it.
+        ``QueryService.close`` to release it.
     http_port:
         Default TCP port of the HTTP serving tier
         (:mod:`repro.service.http`); ``0`` asks the OS for an ephemeral
@@ -357,7 +356,7 @@ class ShardingParams:
     ----------
     num_shards:
         ``K`` — number of index shards.  ``1`` is the one-shard cluster:
-        the same :class:`~repro.service.ShardedQueryService` and snapshot
+        the same :class:`~repro.service.QueryService` and snapshot
         layout as any other ``K``, with every node on shard 0.
     strategy:
         How nodes are assigned to shards: ``"hash"`` (multiplicative hash of
@@ -415,7 +414,7 @@ class ShardingParams:
 class RebalanceParams:
     """Knobs of workload-adaptive shard rebalancing.
 
-    The sharded service keeps per-shard load counters (sources routed,
+    The service keeps per-shard load counters (sources routed,
     scatter/ranking seconds); the rebalance planner
     (:func:`repro.graph.partition.load_balanced_plan` +
     :func:`repro.graph.partition.evaluate_rebalance`) turns them into a

@@ -18,7 +18,7 @@ Three persistence layers live here:
 :class:`ShardedIndex` / :class:`ShardedSnapshotStore`
     A deployment's view: the (broadcast) diagonal plus a
     :class:`~repro.graph.partition.ShardPlan` and per-shard versions, and
-    the one lineage format both service classes use — a snapshot directory
+    the one lineage format the service uses — a snapshot directory
     holding one :class:`SnapshotStore` per shard (one for K = 1), each
     persisting the full diagonal next to *its own rows* of the linear
     system.
@@ -503,8 +503,8 @@ class ShardedIndex:
 class ShardedSnapshotStore:
     """Versioned snapshots of a deployment — one store per shard.
 
-    The only lineage format: both service classes write and read it, a
-    single-shard lineage being ``shard_plan.json`` plus ``shard-00/``.
+    The only lineage format: the service writes and reads it at every
+    shard count, a one-shard lineage being ``shard_plan.json`` plus ``shard-00/``.
     Layout of a snapshot directory::
 
         <directory>/

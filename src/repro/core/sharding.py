@@ -81,8 +81,8 @@ def run_shard_tasks(
     This is the one fan-out primitive shared by the offline and online
     phases: :class:`ShardedIncrementalWalker` runs per-shard row estimation
     through it at build/update time, and
-    :class:`~repro.service.sharded.ShardedQueryService` runs per-shard walk
-    simulation and top-k ranking through it at query time.  ``tasks`` maps
+    :func:`repro.service.sharded.simulate_misses` runs a batch's cache-miss
+    walk simulation through it at query time.  ``tasks`` maps
     shard id to a zero-argument callable; tasks are submitted in ascending
     shard order (so a serial backend reproduces the historical sequential
     loop exactly) and each result is returned as ``(value, seconds)`` —

@@ -269,7 +269,7 @@ class ShardPlan:
         """Shard of every node in ``0..n_nodes-1`` as an int64 array.
 
         Vectorised (this runs on every applied update and snapshot save of
-        a sharded service), but elementwise identical to :meth:`shard_of`.
+        the service), but elementwise identical to :meth:`shard_of`.
         """
         ids = np.arange(n_nodes, dtype=np.int64)
         if self.strategy == "contiguous":

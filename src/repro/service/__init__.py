@@ -14,14 +14,16 @@ serving layer fit for sustained query traffic:
     insertions drained into incremental re-indexes whose affected-source
     sets drive targeted cache invalidation.
 :mod:`repro.service.service`
-    :class:`QueryService`, tying index persistence, planning, simulation,
-    caching, live updates and versioned snapshots together behind
-    single-query and batch APIs.
+    :class:`QueryService`, the one serving class, tying index persistence,
+    planning, simulation, caching, live updates, versioned snapshots and
+    rebalancing together behind single-query and batch APIs.  Per-node
+    state — caches, index rows, versions — follows a
+    :class:`~repro.graph.partition.ShardPlan` of ``K`` shards; ``K = 1``
+    (the default) is a one-shard plan, and answers are bitwise-identical
+    at every ``K``.
 :mod:`repro.service.sharded`
-    :class:`ShardedQueryService`, the scatter-gather deployment of the
-    same service: per-shard caches, index rows and versions behind a
-    :class:`~repro.graph.partition.ShardPlan`, with answers
-    bitwise-identical to the single-shard path for any shard count.
+    The cache-miss scatter: a batch's missing walk distributions
+    simulated in one fan-out over the service's serve pool.
 :mod:`repro.service.coalesce`
     :class:`BatchCoalescer`, cross-connection batch coalescing: concurrent
     submissions are collected for a short window and executed as one
@@ -69,8 +71,10 @@ from repro.service.scenarios import (
     write_trace,
 )
 from repro.service.service import BatchAnswers, QueryService
-from repro.service.sharded import ShardedQueryService
 from repro.service.updates import GraphMutator, MutationResult
+
+# benchmarks/spine binds ShardedQueryService by name; it is QueryService.
+ShardedQueryService = QueryService
 
 __all__ = [
     "BatchAnswers",
@@ -86,7 +90,6 @@ __all__ = [
     "QueryService",
     "ReplayOptions",
     "ScenarioResult",
-    "ShardedQueryService",
     "SourceQuery",
     "TopKQuery",
     "TRACE_GENERATORS",

@@ -1,7 +1,7 @@
 """A stdlib-only asyncio HTTP/JSON tier over the query services.
 
 :class:`HttpServiceServer` puts a network edge in front of a
-:class:`~repro.service.ShardedQueryService` of any shard count (a single
+:class:`~repro.service.QueryService` of any shard count (a single
 machine is the one-shard cluster) without any third-party dependency:
 hand-rolled HTTP/1.1 over :func:`asyncio.start_server`, JSON bodies, and
 the wire grammar the CLI already speaks —
@@ -74,7 +74,7 @@ from repro.service.batching import (
     parse_query,
 )
 from repro.service.coalesce import BatchCoalescer
-from repro.service.sharded import ShardedQueryService
+from repro.service.service import QueryService
 
 #: Largest accepted request body; a batch of thousands of queries fits in
 #: a few KB, so anything near this is a client bug or abuse.
@@ -139,10 +139,9 @@ class HttpServiceServer:
     Parameters
     ----------
     service:
-        The :class:`~repro.service.ShardedQueryService` to front, at any
-        shard count; queries and update drains run on separate worker
-        strands.  Any other service (the library's plain, non-thread-safe
-        ``QueryService`` included) is refused with a :class:`TypeError`.
+        The thread-safe :class:`~repro.service.QueryService` to front, at
+        any shard count; queries and update drains run on separate worker
+        strands.
     host / port:
         Bind address.  ``port=None`` takes ``ServiceParams.http_port``;
         ``0`` asks the OS for an ephemeral port — read :attr:`port` after
@@ -152,7 +151,7 @@ class HttpServiceServer:
         :class:`~repro.config.ServiceParams`).
     auto_rebalance:
         When true, a background strand calls
-        :meth:`~repro.service.sharded.ShardedQueryService.maybe_rebalance`
+        :meth:`~repro.service.service.QueryService.maybe_rebalance`
         every ``RebalanceParams.check_interval`` seconds: the service
         migrates to a better-balanced plan when its observed load says the
         critical path improves past the configured threshold, and the tick
@@ -168,18 +167,13 @@ class HttpServiceServer:
 
     def __init__(
         self,
-        service: ShardedQueryService,
+        service: QueryService,
         host: str = "127.0.0.1",
         port: Optional[int] = None,
         coalesce_window: Optional[float] = None,
         max_in_flight: Optional[int] = None,
         auto_rebalance: bool = False,
     ) -> None:
-        if not isinstance(service, ShardedQueryService):
-            raise TypeError(
-                f"HttpServiceServer fronts a ShardedQueryService (one shard "
-                f"for a single machine), got {type(service).__name__}"
-            )
         params = service.service_params
         self.service = service
         self.host = host
@@ -528,8 +522,8 @@ class HttpServiceServer:
     async def _handle_rebalance(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
         """``POST /rebalance``: plan-and-migrate on the drain strand.
 
-        Runs the service's :meth:`~repro.service.sharded.
-        ShardedQueryService.rebalance` off the event loop, on the *drain*
+        Runs the service's :meth:`~repro.service.service.
+        QueryService.rebalance` off the event loop, on the *drain*
         executor — a migration takes the update lock, exactly like a
         drain, and queries on the other strand keep serving the old plan
         until the atomic flip.  Body: ``{"force": true}`` migrates even
@@ -607,7 +601,7 @@ class HttpServiceServer:
         """The ``--auto-rebalance`` strand: periodic threshold-gated ticks.
 
         Every ``RebalanceParams.check_interval`` seconds, run one
-        :meth:`~repro.service.sharded.ShardedQueryService.maybe_rebalance`
+        :meth:`~repro.service.service.QueryService.maybe_rebalance`
         on the drain executor.  A tick that does not clear the cost
         model's threshold is a cheap no-op (``rebalances_skipped``); a
         tick that migrates bumps ``rebalances_applied``; a failed tick is

@@ -18,8 +18,8 @@ pieces:
   hot shards, and multi-tenant interleaving — each fully determined by its
   seed;
 * a **replay driver**: :func:`replay_trace` runs a trace against an
-  in-process :class:`~repro.service.service.QueryService` /
-  :class:`~repro.service.sharded.ShardedQueryService`;
+  in-process :class:`~repro.service.service.QueryService` (any shard
+  count);
   :func:`replay_trace_http` replays the same trace through the HTTP tier's
   coalescer.  Both emit one normalized :class:`ScenarioResult` per run —
   QPS, p50/p99 latency, cache hit rate, rebalances triggered and an answer
@@ -571,7 +571,7 @@ class ReplayOptions:
     long after the batch opened.  ``pace=True`` replays in (approximate)
     real time by sleeping until each batch's first arrival offset; the
     default replays as fast as possible.  ``rebalance_every`` asks the
-    service for :meth:`~repro.service.sharded.ShardedQueryService.
+    service for :meth:`~repro.service.service.QueryService.
     maybe_rebalance` after every N batches (``0`` disables; in-process
     replay only) and records each decision.  ``update_wait``,
     ``max_attempts`` and ``max_retry_seconds`` apply to the HTTP driver
@@ -836,8 +836,7 @@ def replay_trace(service, trace: Trace,
             _digest_answer(checksum, encoded)
             if reference is not None:
                 _accumulate_errors(query, encoded, reference, errors)
-        if options.rebalance_every and n_batches % options.rebalance_every == 0 \
-                and hasattr(service, "maybe_rebalance"):
+        if options.rebalance_every and n_batches % options.rebalance_every == 0:
             report = service.maybe_rebalance()
             decisions.append(bool(report["applied"]))
     duration = time.perf_counter() - start

@@ -3,20 +3,44 @@
 :class:`QueryService` is the serving layer on top of the core query engine:
 it owns a persistently loaded graph + diagonal index, deduplicates and
 batches concurrent queries so distributions shared between them are
-simulated once (:mod:`repro.service.batching`), keeps an LRU cache of
+simulated once (:mod:`repro.service.batching`), keeps LRU caches of
 per-source walk distributions so repeated traffic skips simulation entirely
 (:mod:`repro.service.cache`), and accepts **live edge insertions** that are
 folded into the index incrementally between query batches
 (:mod:`repro.service.updates`).
 
+The node space is split across ``K`` shards by a
+:class:`~repro.graph.partition.ShardPlan` (``ShardingParams``; ``K = 1``,
+one shard holding every node, by default), and every piece of per-node
+serving state follows the plan:
+
+* **index maintenance**: each shard owns its nodes' rows of the indexing
+  linear system; builds and incremental updates fan out per shard through
+  an executor backend (:class:`~repro.core.sharding.ShardedIncrementalWalker`);
+* **caches**: one :class:`~repro.service.cache.WalkDistributionCache` per
+  shard, holding the walk distributions *and* the ranked top-k answers of
+  exactly the sources the shard owns; an update invalidates distributions
+  only inside the touched shards and drops every shard's ranked answers;
+* **versions**: :attr:`~QueryService.index_version` bumps once per applied
+  update, while :attr:`~QueryService.shard_versions` records, per shard,
+  the last version that re-estimated one of its rows.
+
+A batch's cache misses are simulated in one scatter on a persistent serve
+pool (:func:`repro.service.sharded.simulate_misses`); scoring and ranking
+run in the serving process: one support-sized propagation per batch, one
+ranking per distinct ``(source, k)``.  The service is thread-safe:
+concurrent batches and live updates serialise on an internal lock, while a
+drain's expensive re-index runs outside it.
+
 Determinism is the design invariant: for a fixed seed, every answer the
-service produces — batched, cached, or one-off — is bitwise-identical to the
-direct core computation for the same source nodes, because all three paths
-consume the same per-source ``(seed, source)`` random stream and share the
-scoring code of :class:`repro.core.queries.QueryEngine`.  Updates keep the
-invariant: after any sequence of :meth:`QueryService.add_edges` calls the
-served index is bitwise-identical to one built from scratch on the updated
-graph, and only cache entries inside the update's affected ball are dropped.
+service produces — batched, cached, or one-off, at any shard count, plan
+and backend — is bitwise-identical to the direct core computation for the
+same source nodes, because all paths consume the same per-source
+``(seed, source)`` random stream and share the scoring code of
+:class:`repro.core.queries.QueryEngine`.  Updates keep the invariant: after
+any sequence of :meth:`QueryService.add_edges` calls the served index is
+bitwise-identical to one built from scratch on the updated graph, and only
+cache entries inside the update's affected ball are dropped.
 
 Every batch answer carries the service's monotonically increasing
 :attr:`~QueryService.index_version` (see :class:`BatchAnswers`), so callers
@@ -26,7 +50,7 @@ answer was computed against.
 Example
 -------
 >>> from repro.graph import generators
->>> from repro.config import SimRankParams
+>>> from repro.config import ShardingParams, SimRankParams
 >>> from repro.core.diagonal import build_diagonal_index
 >>> from repro.service import PairQuery, QueryService, TopKQuery
 >>> graph = generators.copying_model_graph(120, out_degree=5, seed=1)
@@ -35,24 +59,42 @@ Example
 >>> answers = service.run_batch([PairQuery(3, 7), TopKQuery(3, k=5)])
 >>> 0.0 <= answers[0] <= 1.0
 True
+>>> sharded = QueryService.build(graph, params,
+...                              sharding=ShardingParams(num_shards=4))
+>>> sharded.run_batch([PairQuery(3, 7), TopKQuery(3, k=5)]) == answers
+True
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
-from repro.config import ServiceParams, SimRankParams, UpdateParams
-from repro.core import montecarlo
+from repro.config import (
+    RebalanceParams,
+    ServiceParams,
+    ShardingParams,
+    SimRankParams,
+    UpdateParams,
+)
 from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import QueryEngine, SourceScores
+from repro.core.sharding import ShardedIncrementalWalker, make_plan
+from repro.engine.executor import make_backend
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
+from repro.graph.partition import (
+    RebalanceEstimate,
+    ShardPlan,
+    evaluate_rebalance,
+    load_balanced_plan,
+    shard_loads,
+)
 from repro.service.batching import (
     BatchPlan,
     PairQuery,
@@ -60,14 +102,18 @@ from repro.service.batching import (
     SourceQuery,
     TopKQuery,
     plan_batch,
+    required_sources,
 )
-from repro.service.cache import CacheKey, Ranking, WalkDistributionCache
+from repro.service.cache import CacheKey, CacheStats, Ranking, WalkDistributionCache
+from repro.service.sharded import simulate_misses
 from repro.service.updates import GraphMutator, MutationResult
 
 PathLike = Union[str, os.PathLike]
 
 Answer = Any
 """A query answer: float (pair), ndarray (source) or ranking list (top-k)."""
+
+NodeLoads = Union[Dict[int, float], Sequence[float]]
 
 
 class BatchAnswers(List[Answer]):
@@ -87,6 +133,17 @@ class BatchAnswers(List[Answer]):
         self.index_version = index_version
 
 
+def _make_walker(graph: DiGraph, plan: ShardPlan, params: SimRankParams,
+                 update_params: UpdateParams,
+                 sharding: ShardingParams) -> ShardedIncrementalWalker:
+    """The index maintainer: row estimation fanned out over ``plan``'s shards
+    through ``sharding``'s build backend."""
+    return ShardedIncrementalWalker(
+        graph, plan, params=params, exact=update_params.exact,
+        backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
+    )
+
+
 class QueryService:
     """Batched, cached SimRank query serving over a loaded index.
 
@@ -95,25 +152,73 @@ class QueryService:
     graph:
         The graph queries run against.
     index:
-        A built (or loaded) diagonal index; validated against ``graph``.
+        A built or loaded index: either a plain :class:`DiagonalIndex`
+        (shard state starts fresh) or a
+        :class:`~repro.core.index.ShardedIndex` restored from a snapshot
+        (its plan and shard versions are adopted); validated against
+        ``graph``.
     params:
         Algorithmic parameters; defaults to the parameters the index was
         built with, which is what keeps answers reproducible across restarts.
     service_params:
-        Cache capacity and serving knobs.
+        Cache and serving knobs.  ``cache_capacity`` is **per shard**: a
+        ``K``-shard service can hold up to ``K * cache_capacity``
+        distributions (and as many ranked answers).  ``serve_backend`` /
+        ``serve_workers`` select the persistent executor pool the
+        cache-miss simulation scatter runs through (release it with
+        :meth:`close`).
     update_params:
         Live-update knobs (pending-edge queue bound, snapshot cadence).
+    sharding:
+        Shard count / strategy / build backend; defaults to one shard.
+        Ignored when ``plan`` (or a :class:`ShardedIndex`) already fixes
+        the assignment, except for the backend settings.
+    plan:
+        An explicit node-to-shard assignment, overriding ``sharding``'s
+        strategy.
+    rebalance_params:
+        Knobs of workload-adaptive rebalancing (improvement threshold,
+        representativeness minimum, cold weight); see :meth:`rebalance`.
+
+    Attributes
+    ----------
+    last_batch_payload_bytes:
+        Pickled task bytes the most recent batch sent to a ``processes``
+        serve pool: its cache-miss simulation tasks, each a graph handle
+        plus a run of source ids.  Zero for a fully cached batch and on the
+        in-process backends; accumulated in
+        ``stats()["scatter_payload_bytes"]``.
     """
+
+    last_batch_payload_bytes: int
 
     def __init__(
         self,
         graph: DiGraph,
-        index: DiagonalIndex,
+        index: Union[DiagonalIndex, ShardedIndex],
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
+        sharding: Optional[ShardingParams] = None,
+        plan: Optional[ShardPlan] = None,
+        rebalance_params: Optional[RebalanceParams] = None,
     ) -> None:
+        shard_versions: Optional[List[int]] = None
+        if isinstance(index, ShardedIndex):
+            plan = index.plan if plan is None else plan
+            shard_versions = list(index.shard_versions)
+            index = index.index
         index.validate_for(graph)
+        self.sharding = sharding or ShardingParams()
+        if plan is None:
+            plan = make_plan(graph, self.sharding)
+        elif plan.num_shards != self.sharding.num_shards and sharding is not None:
+            raise CloudWalkerError(
+                f"plan has {plan.num_shards} shards but sharding params say "
+                f"{self.sharding.num_shards}"
+            )
+        self.plan = plan
+        self.rebalance_params = rebalance_params or RebalanceParams()
         self.graph = graph
         self.index = index
         self.params = params or index.params
@@ -122,19 +227,44 @@ class QueryService:
         self.engine = QueryEngine(graph, index, self.params)
         self.budget_calibration = None
         self.query_params = self._derive_query_params()
-        self.query_engine = (
-            self.engine if self.query_params is self.params
-            else QueryEngine(graph, index, self.query_params)
-        )
-        self.cache = WalkDistributionCache(self.service_params.cache_capacity)
+        self._rebuild_query_engine()
         self._mutator: Optional[GraphMutator] = None
         self._version = 1
         self._counters: Dict[str, int] = {
             "queries": 0, "pair_queries": 0, "source_queries": 0,
             "topk_queries": 0, "batches": 0, "sources_simulated": 0,
             "sources_deduplicated": 0, "updates_applied": 0, "edges_added": 0,
-            "snapshots_written": 0,
+            "snapshots_written": 0, "rebalances_applied": 0,
+            "scatter_payload_bytes": 0,
         }
+        self._fresh_shard_state()
+        self.sharded_index = ShardedIndex(
+            index=self.index, plan=self.plan,
+            shard_versions=shard_versions or [self._version] * self.plan.num_shards,
+        )
+        # Per-node observed query load (routed sources), the planner's
+        # input.  Node-keyed, so it survives plan migrations unchanged.
+        self._node_loads: Dict[int, float] = {}
+        self._plan_generation = 1
+        # Two reentrant locks with a strict acquisition order —
+        # ``_update_lock`` before ``_lock``, never the reverse:
+        #
+        # * ``_update_lock`` (outer) owns the mutator: the pending queue
+        #   and the expensive incremental re-index.  Drains hold ONLY this
+        #   lock while re-indexing, so readers keep serving the previous
+        #   consistent graph/index/engine objects in the meantime.
+        # * ``_lock`` (inner) owns the served state: batches, the
+        #   swap-in of an applied update (:meth:`_adopt_mutation`),
+        #   snapshots and stats.  Concurrent callers can never observe a
+        #   half-applied update; the cache-miss simulation *inside* a
+        #   batch still fans out through the serve pool below.
+        self._update_lock = threading.RLock()
+        self._lock = threading.RLock()
+        self._serve_backend = make_backend(
+            self.service_params.serve_backend,
+            max_workers=self.service_params.serve_workers,
+        )
+        self.last_batch_payload_bytes = 0
 
     def _derive_query_params(self) -> SimRankParams:
         """Serving-time parameters: ``self.params`` itself in exact mode.
@@ -174,6 +304,24 @@ class QueryService:
             else QueryEngine(self.graph, self.index, self.query_params)
         )
 
+    def _fresh_shard_state(self) -> None:
+        """(Re)create the per-shard serving state for the current plan.
+
+        Called at construction and at the atomic flip of a plan migration:
+        per-shard caches start empty (ownership moved, and the plan-keyed
+        cache routing must never serve a source from a shard that no
+        longer owns it), and per-shard counters restart (they describe load
+        *under this plan*).
+        """
+        self.shard_caches: List[WalkDistributionCache] = [
+            WalkDistributionCache(self.service_params.cache_capacity)
+            for _ in range(self.plan.num_shards)
+        ]
+        self._shard_counters: List[Dict[str, Any]] = [
+            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
+            for _ in range(self.plan.num_shards)
+        ]
+
     # ------------------------------------------------------------------ #
     # Cold start
     # ------------------------------------------------------------------ #
@@ -193,13 +341,12 @@ class QueryService:
         restarted service answers queries identically to the one that
         built it (provided ``params`` is left at its default).  It carries
         no linear system, so the first update estimates it once.
-        ``options`` go to the constructor (for a
-        :class:`~repro.service.ShardedQueryService`: ``sharding``, ``plan``,
+        ``options`` go to the constructor (``sharding``, ``plan``,
         ``rebalance_params``).
         """
-        index = DiagonalIndex.load(path)
-        return cls(graph, index, params=params, service_params=service_params,
-                   update_params=update_params, **options)
+        return cls(graph, DiagonalIndex.load(path), params=params,
+                   service_params=service_params, update_params=update_params,
+                   **options)
 
     @classmethod
     def build(
@@ -208,20 +355,31 @@ class QueryService:
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
+        sharding: Optional[ShardingParams] = None,
+        rebalance_params: Optional[RebalanceParams] = None,
     ) -> "QueryService":
         """Build an index for ``graph`` and serve it, update-ready.
 
-        The build runs through the incremental maintainer (per-source
-        streams, cold-start solve), so the service keeps the linear system
-        in memory and the first :meth:`add_edges` pays only for its affected
-        rows — unlike a service constructed around a pre-built index, whose
-        first update must re-estimate the system once.
+        The per-shard row estimations run through the executor backend of
+        ``sharding`` and are gathered into one solve, so the served index
+        is bitwise-identical at every shard count.  The service keeps the
+        linear system in memory, so the first :meth:`add_edges` pays only
+        for its affected rows — unlike a service constructed around a
+        pre-built index, whose first update must re-estimate the system
+        once.
         """
         params = params or SimRankParams.paper_defaults()
-        mutator = GraphMutator(graph, params, update_params)
+        sharding = sharding or ShardingParams()
+        update_params = update_params or UpdateParams()
+        plan = make_plan(graph, sharding)
+        mutator = GraphMutator(
+            _make_walker(graph, plan, params, update_params, sharding),
+            update_params)
         index = mutator.build()
-        service = cls(graph, index, params=params, service_params=service_params,
-                      update_params=update_params)
+        service = cls(graph, index, params=params,
+                      service_params=service_params,
+                      update_params=update_params, sharding=sharding, plan=plan,
+                      rebalance_params=rebalance_params)
         service._mutator = mutator
         return service
 
@@ -233,27 +391,58 @@ class QueryService:
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
+        sharding: Optional[ShardingParams] = None,
+        rebalance_params: Optional[RebalanceParams] = None,
     ) -> "QueryService":
-        """Cold-start from the newest consistent snapshot in ``directory``.
+        """Cold-start from the newest *consistent* snapshot of any lineage.
 
-        Reads any lineage (:class:`~repro.core.index.ShardedSnapshotStore`,
-        whatever its shard count) and restores its index *and* linear
-        system (gathered from the shard blocks, when every shard saved
-        one), so the restarted service resumes incremental updates without
-        re-estimating anything, and continues the version sequence where the
-        snapshotting service left off.  ``graph`` must be the graph the
-        snapshot was taken of.
+        Restores the plan governing that snapshot (a lineage that
+        rebalanced serves under its newest adopted plan), the broadcast
+        diagonal and — when every shard saved its system block — the
+        gathered linear system, so the restarted service resumes
+        incremental updates without re-estimating anything, continues the
+        version sequence where the snapshotting service left off, and
+        snapshots back into the same lineage.  ``sharding`` supplies only
+        the executor backend; the shard count and assignment always come
+        from the snapshot's persisted plan.  ``graph`` must be the graph
+        the snapshot was taken of.
         """
         update_params = update_params or UpdateParams()
-        store = ShardedSnapshotStore(directory,
-                                     retain=update_params.snapshot_retain)
+        sharding = sharding or ShardingParams()
+        store = ShardedSnapshotStore(directory, retain=update_params.snapshot_retain)
         version, sharded_index, system = store.load()
-        service = cls(graph, sharded_index.index, params=params,
-                      service_params=service_params, update_params=update_params)
+        service = cls(graph, sharded_index, params=params,
+                      service_params=service_params, update_params=update_params,
+                      sharding=sharding.with_(
+                          num_shards=sharded_index.plan.num_shards,
+                          strategy=sharded_index.plan.strategy,
+                      ),
+                      rebalance_params=rebalance_params)
         service._version = version
         if system is not None:
             service._ensure_mutator(system)
         return service
+
+    # ------------------------------------------------------------------ #
+    # Shard topology
+    # ------------------------------------------------------------------ #
+    @property
+    def num_shards(self) -> int:
+        """Number of shards (``K``) the service routes across."""
+        return self.plan.num_shards
+
+    @property
+    def shard_versions(self) -> List[int]:
+        """Per-shard generations: the global :attr:`index_version` at which
+        each shard's index rows were last (re-)estimated.  A shard whose
+        version trails the global one simply had no affected rows in the
+        updates since — its rows (and cached distributions) are still
+        bitwise-current."""
+        return list(self.sharded_index.shard_versions)
+
+    def shard_of(self, node: int) -> int:
+        """The shard owning ``node`` — its caches and index rows."""
+        return self.plan.shard_of(node)
 
     # ------------------------------------------------------------------ #
     # Live updates
@@ -263,8 +452,9 @@ class QueryService:
         """Monotonically increasing generation of the served index.
 
         Starts at 1 (or at the restored snapshot's version) and increases by
-        one per applied update.  Carried on every :class:`BatchAnswers`, so
-        callers can detect answers computed against a stale graph.
+        one per applied update (and per applied rebalance).  Carried on
+        every :class:`BatchAnswers`, so callers can detect answers computed
+        against a stale graph.
         """
         return self._version
 
@@ -277,11 +467,13 @@ class QueryService:
                         ) -> GraphMutator:
         if self._mutator is None:
             # Attaching to a pre-built index estimates the linear system for
-            # the current graph once, unless a snapshot supplies ``system``;
-            # from then on updates are incremental.  build() skips this.
-            mutator = GraphMutator(self.graph, self.params, self.update_params)
-            mutator.attach(self.index, system=system)
-            self._mutator = mutator
+            # the current graph once — shard by shard, through the build
+            # backend — unless a snapshot supplies ``system``; from then on
+            # updates are incremental.  build() skips this.
+            walker = _make_walker(self.graph, self.plan, self.params,
+                                  self.update_params, self.sharding)
+            walker.attach(self.index, system=system)
+            self._mutator = GraphMutator(walker, self.update_params)
         return self._mutator
 
     def add_edges(self, edges: Sequence[Tuple[int, int]],
@@ -298,34 +490,53 @@ class QueryService:
         batch that would overflow it drains the queue eagerly first, and a
         single batch larger than the bound is simply applied immediately.
 
+        Each edge is routed to the shard owning its *head* (the node whose
+        in-links change); the per-shard routed counts appear in
+        :meth:`stats`.  The re-index touches only the shards owning
+        affected rows and holds only the update lock — in-flight query
+        batches keep serving the previous consistent version until the
+        swap-in.
+
         Edges are validated on this call (negative endpoints, runaway node
         growth), so a bad edge fails here instead of poisoning the queue.
         Returns the :class:`~repro.service.updates.MutationResult` of the
         applied update; None when deferring, or when every submitted edge
         already existed (a graph no-op: no re-index, no version bump).
         """
-        mutator = self._ensure_mutator()
-        if defer:
-            if len(edges) > self.update_params.max_pending_edges:
-                # Too large to ever queue: apply now (never lose edges).
-                return self._apply_updates(edges)
-            if (mutator.pending_edges + len(edges)
-                    > self.update_params.max_pending_edges):
-                self.flush_updates()
-            mutator.enqueue(edges)
-            return None
-        return self._apply_updates(edges)
+        with self._update_lock:
+            with self._lock:
+                for shard, routed in self.plan.group_edges(
+                        (int(u), int(v)) for u, v in edges).items():
+                    self._shard_counters[shard]["edges_routed"] += len(routed)
+            mutator = self._ensure_mutator()
+            if defer:
+                if len(edges) > self.update_params.max_pending_edges:
+                    # Too large to ever queue: apply now (never lose edges).
+                    return self._apply_updates(edges)
+                if (mutator.pending_edges + len(edges)
+                        > self.update_params.max_pending_edges):
+                    self.flush_updates()
+                mutator.enqueue(edges)
+                return None
+            return self._apply_updates(edges)
 
     def flush_updates(self) -> Optional[MutationResult]:
         """Apply all queued edge insertions as one incremental re-index.
 
-        Swaps in the updated graph + index, invalidates exactly the cache
-        entries of affected sources, and bumps :attr:`index_version`.
-        Returns None when the queue is empty.
+        The re-index holds only the update lock (serialising with other
+        updates), while in-flight and new query batches proceed under the
+        serve lock against the previous graph/index/engine objects — which
+        stay consistent because the mutator builds *new* objects and
+        :meth:`_adopt_mutation` re-points the service at them atomically
+        at the very end.  The HTTP tier's drain strand calls this.
+        Returns the applied :class:`~repro.service.updates.MutationResult`,
+        or None when the queue was empty (or held only already-present
+        edges).
         """
-        if self._mutator is None or self._mutator.pending_edges == 0:
-            return None
-        return self._apply_updates(())
+        with self._update_lock:
+            if self._mutator is None or self._mutator.pending_edges == 0:
+                return None
+            return self._apply_updates(())
 
     def _apply_updates(self, edges: Sequence[Tuple[int, int]]) -> Optional[MutationResult]:
         """Drain the queue plus ``edges`` and swap the result in."""
@@ -336,27 +547,34 @@ class QueryService:
         return result
 
     def _adopt_mutation(self, result: MutationResult) -> None:
-        """Swap in the mutator's post-update state and bump the version.
+        """Swap in the post-update state; invalidate per shard, atomically.
 
-        The cheap, state-swapping half of an update — split from the
-        expensive re-index so the sharded drain
-        (:meth:`ShardedQueryService.flush_updates
-        <repro.service.sharded.ShardedQueryService.flush_updates>`)
-        can run the re-index outside the serve lock and call only this
-        part under it.  Readers holding the previous ``graph`` / ``index``
-        / ``engine`` objects stay consistent: the mutator builds a *new*
-        graph and index and this merely re-points the service at them.
+        The cheap, state-swapping half of an update, run under the serve
+        lock after the expensive re-index (which held only the update
+        lock): re-points the service at the mutator's new graph/index/
+        engine, invalidates exactly the affected sources' distributions in
+        their owning shards' caches, drops the ranking entries of *every*
+        shard (they were scored against the diagonal the update just
+        re-solved), and bumps the global and touched-shard versions
+        together — so a concurrent batch sees either the complete old state
+        or the complete new one, never a mixture.
         """
-        self.graph = self._mutator.graph
-        self.index = self._mutator.index
-        self.engine = QueryEngine(self.graph, self.index, self.params)
-        self._rebuild_query_engine()
-        self.cache.invalidate_sources(result.affected)
-        self.cache.drop_rankings()
-        self._version += 1
-        self._counters["updates_applied"] += 1
-        self._counters["edges_added"] += result.edges_added
-        self._maybe_auto_snapshot()
+        with self._lock:
+            self.graph = self._mutator.graph
+            self.index = self._mutator.index
+            self.engine = QueryEngine(self.graph, self.index, self.params)
+            self._rebuild_query_engine()
+            self._version += 1
+            touched = self.plan.group_nodes(result.affected)
+            for shard, nodes in touched.items():
+                self.shard_caches[shard].invalidate_sources(nodes)
+            for cache in self.shard_caches:
+                cache.drop_rankings()
+            self.sharded_index.index = self.index
+            self.sharded_index.touch(sorted(touched), self._version)
+            self._counters["updates_applied"] += 1
+            self._counters["edges_added"] += result.edges_added
+            self._maybe_auto_snapshot()
 
     def _maybe_auto_snapshot(self) -> None:
         cadence = self.update_params.snapshot_every
@@ -364,133 +582,318 @@ class QueryService:
             self.save_snapshot()
 
     def save_snapshot(self, directory: Optional[PathLike] = None) -> Tuple[int, str]:
-        """Persist the served index (and system) at the current version.
+        """Persist one consistent snapshot at the current version.
 
         Writes the one lineage layout
         (:class:`~repro.core.index.ShardedSnapshotStore`) under the
-        service's plan — one shard here — so any lineage opens in either
-        service class.  ``directory`` defaults to
-        ``update_params.snapshot_dir``.  Returns ``(version, directory)``.
-        Saving the same version twice is a no-op (``snapshots_written``
-        does not move); a directory ahead of this service, or holding
-        another shard count, is rejected — it is another lineage.
+        service's plan: every shard's store receives the broadcast diagonal
+        plus its own rows of the linear system (when the service maintains
+        one).  ``directory`` defaults to ``update_params.snapshot_dir``.
+        Returns ``(version, directory)``.  Saving the same version twice is
+        a no-op (``snapshots_written`` does not move); a directory ahead of
+        this service, or holding another shard count, is rejected — it is
+        another lineage.  Taking the update lock before the serve lock
+        means a snapshot never reads the system mid-way through a detached
+        re-index.
         """
-        directory = directory if directory is not None else self.update_params.snapshot_dir
-        if directory is None:
-            raise CloudWalkerError(
-                "no snapshot directory: pass one or set UpdateParams.snapshot_dir"
-            )
-        store = ShardedSnapshotStore(directory,
-                                     retain=self.update_params.snapshot_retain)
-        latest = store.latest_version()
-        if latest is not None and latest > self._version:
-            raise CloudWalkerError(
-                f"snapshot directory {directory} is at version {latest}, ahead "
-                f"of this service (version {self._version})"
-            )
-        if latest != self._version:
-            sharded_index, shard_systems = self._snapshot_state()
-            store.save_snapshot(sharded_index, shard_systems=shard_systems,
-                                version=self._version)
-            self._counters["snapshots_written"] += 1
-        return self._version, str(store.directory)
+        with self._update_lock, self._lock:
+            directory = (directory if directory is not None
+                         else self.update_params.snapshot_dir)
+            if directory is None:
+                raise CloudWalkerError(
+                    "no snapshot directory: pass one or set "
+                    "UpdateParams.snapshot_dir"
+                )
+            store = ShardedSnapshotStore(directory,
+                                         retain=self.update_params.snapshot_retain)
+            latest = store.latest_version()
+            if latest is not None and latest > self._version:
+                raise CloudWalkerError(
+                    f"snapshot directory {directory} is at version {latest}, "
+                    f"ahead of this service (version {self._version})"
+                )
+            if latest != self._version:
+                shard_systems = None
+                if self._mutator is not None and self._mutator.system is not None:
+                    shard_systems = self._mutator.walker.shard_systems()
+                store.save_snapshot(self.sharded_index,
+                                    shard_systems=shard_systems,
+                                    version=self._version)
+                self._counters["snapshots_written"] += 1
+            return self._version, str(store.directory)
 
-    def _snapshot_state(self) -> Tuple[ShardedIndex,
-                                       Optional[List[sparse.spmatrix]]]:
-        """The index under the service's plan, plus one system block per
-        shard (None without a maintained system) — here the whole system."""
-        sharded_index = ShardedIndex(index=self.index, plan=ShardPlan.hashed(1),
-                                     shard_versions=[self._version])
-        system = self._mutator.system if self._mutator is not None else None
-        return sharded_index, (None if system is None else [system])
+    # ------------------------------------------------------------------ #
+    # Workload-adaptive rebalancing
+    # ------------------------------------------------------------------ #
+    def _load_weights(self, node_loads: Optional[NodeLoads] = None) -> np.ndarray:
+        """Per-node planner weights: cold weight plus observed query load.
+
+        Every node carries ``RebalanceParams.cold_weight`` (a never-queried
+        node still costs its shard index rows), plus the
+        observed routed-source counts — the service's own ``_node_loads``
+        by default, or a caller-supplied dict/array (e.g. structural
+        weights for an offline re-plan).  Must be called under ``_lock``
+        when reading the live counters.
+        """
+        n = self.graph.n_nodes
+        weights = np.full(n, self.rebalance_params.cold_weight, dtype=np.float64)
+        observed = self._node_loads if node_loads is None else node_loads
+        if isinstance(observed, dict):
+            for node, load in observed.items():
+                if 0 <= int(node) < n:
+                    weights[int(node)] += float(load)
+        else:
+            arr = np.asarray(observed, dtype=np.float64)
+            if arr.shape != (n,):
+                raise CloudWalkerError(
+                    f"node_loads must have one entry per node ({n}), "
+                    f"got shape {arr.shape}"
+                )
+            weights += arr
+        return weights
+
+    def _propose(self, node_loads: Optional[NodeLoads] = None,
+                 plan: Optional[ShardPlan] = None
+                 ) -> Tuple[ShardPlan, ShardPlan, RebalanceEstimate]:
+        """``(serving plan, proposal, estimate)`` for the observed load.
+
+        The proposal is ``plan`` when given (it must keep the shard count),
+        otherwise greedy LPT over the per-node weights
+        (:func:`repro.graph.partition.load_balanced_plan`); either is
+        evaluated against the serving plan with the critical-path cost
+        model (:func:`repro.graph.partition.evaluate_rebalance`).
+        """
+        with self._lock:
+            n = self.graph.n_nodes
+            weights = self._load_weights(node_loads)
+            current = self.plan
+        proposal = plan if plan is not None \
+            else load_balanced_plan(current.num_shards, weights)
+        if proposal.num_shards != current.num_shards:
+            raise CloudWalkerError(
+                f"rebalance cannot change the shard count: serving "
+                f"{current.num_shards} shards, proposal has "
+                f"{proposal.num_shards}"
+            )
+        estimate = evaluate_rebalance(
+            shard_loads(current, n, weights),
+            shard_loads(proposal, n, weights),
+            improvement_threshold=self.rebalance_params.improvement_threshold,
+            min_total_load=(self.rebalance_params.min_sources
+                            + n * self.rebalance_params.cold_weight),
+        )
+        return current, proposal, estimate
+
+    def plan_rebalance(
+        self, node_loads: Optional[NodeLoads] = None,
+    ) -> Tuple[ShardPlan, RebalanceEstimate]:
+        """Propose a plan for the observed load, without migrating.
+
+        Read-only: returns ``(proposal, estimate)`` (see :meth:`_propose`)
+        and changes nothing, so it is safe to call from monitoring paths
+        at any time.
+        """
+        _current, proposal, estimate = self._propose(node_loads)
+        return proposal, estimate
+
+    def rebalance(
+        self,
+        plan: Optional[ShardPlan] = None,
+        node_loads: Optional[NodeLoads] = None,
+        force: bool = False,
+    ) -> Dict[str, Any]:
+        """Migrate to a better-balanced plan, live, without wrong answers.
+
+        The migration protocol, in order:
+
+        1. **Drain** the deferred-update queue (the whole migration holds
+           the update lock, so no new edges can slip into the mutator that
+           is about to be replaced — ``add_edges`` blocks until the flip).
+        2. **Plan**: propose via :meth:`plan_rebalance` (or adopt the
+           caller's ``plan``, which must keep the shard count) and
+           evaluate it.  Unless ``force``, a proposal that does not clear
+           ``RebalanceParams.improvement_threshold`` — or equals the
+           serving plan — returns ``{"applied": False, ...}`` untouched.
+        3. **Build**: re-slice the maintained linear system into the
+           proposal's shard blocks, in-process
+           (:meth:`~repro.core.sharding.ShardedIncrementalWalker.
+           with_plan`).  Queries keep serving the old plan throughout —
+           only the update lock is held.  Any failure here propagates and
+           leaves the service byte-for-byte on the old plan: nothing
+           served has been touched yet.
+        4. **Flip**, atomically under the serve lock: adopt the plan,
+           reset the per-shard caches/counters/owned-node arrays
+           (:meth:`_fresh_shard_state`), bump the version, and install
+           the new walker's mutator.  A concurrent batch sees either the complete
+           old topology or the complete new one.
+        5. **Persist**: when a snapshot directory is configured, save the
+           post-flip version — the governing plan is written *before* the
+           shard payloads, so a crash mid-save leaves an inconsistent
+           version that :class:`~repro.core.index.ShardedSnapshotStore`
+           rolls back on the next load.
+
+        Answers are bitwise-identical across the flip: shard blocks are
+        row-slices of one plan-independent linear system, per-source
+        random streams are keyed ``(seed, source)``, and each ``(source,
+        k)`` is ranked once over its source's support whichever shard owns
+        it — the plan only decides *where* state lives and work runs.
+        Returns a report dict (``applied``, ``estimate``,
+        ``plan_generation``, …).
+        """
+        with self._update_lock:
+            self.flush_updates()
+            n = self.graph.n_nodes
+            current_plan, proposal, estimate = self._propose(node_loads, plan)
+            report: Dict[str, Any] = {
+                "applied": False,
+                "estimate": estimate.to_dict(),
+                "plan_generation": self._plan_generation,
+                "index_version": self._version,
+            }
+            if np.array_equal(proposal.assign(n), current_plan.assign(n)):
+                report["reason"] = "proposed plan equals the serving plan"
+                return report
+            if not force and not estimate.should_rebalance:
+                report["reason"] = estimate.reason
+                return report
+            # Build the new sharded lineage from the current system —
+            # the expensive, failure-prone step, done entirely before
+            # anything served changes.
+            mutator = self._ensure_mutator()
+            new_walker = mutator.walker.with_plan(proposal)
+            blocks = new_walker.shard_systems()
+            with self._lock:
+                self.plan = proposal
+                self._fresh_shard_state()
+                self._version += 1
+                self._plan_generation += 1
+                self.sharded_index = ShardedIndex(
+                    index=self.index, plan=proposal,
+                    shard_versions=[self._version] * proposal.num_shards,
+                )
+                self._mutator = GraphMutator(new_walker, self.update_params)
+                self._counters["rebalances_applied"] += 1
+                report.update(
+                    applied=True,
+                    reason=("forced" if force and not estimate.should_rebalance
+                            else estimate.reason),
+                    plan_generation=self._plan_generation,
+                    index_version=self._version,
+                )
+            if self.update_params.snapshot_dir is not None:
+                store = ShardedSnapshotStore(
+                    self.update_params.snapshot_dir,
+                    retain=self.update_params.snapshot_retain,
+                )
+                store.save_snapshot(self.sharded_index, shard_systems=blocks,
+                                    version=self._version)
+                self._counters["snapshots_written"] += 1
+                report["snapshot_version"] = self._version
+            return report
+
+    def maybe_rebalance(self) -> Dict[str, Any]:
+        """One auto-rebalance tick: migrate only if the model says so.
+
+        The periodic entry point of the HTTP tier's ``--auto-rebalance``
+        strand — exactly :meth:`rebalance` with ``force=False``, so an
+        unrepresentative or not-good-enough proposal is a cheap no-op.
+        """
+        return self.rebalance(force=False)
 
     # ------------------------------------------------------------------ #
     # Batch execution
     # ------------------------------------------------------------------ #
     def run_batch(self, queries: Sequence[Query],
-                  walkers: Optional[int] = None,
-                  flush_pending: bool = True) -> BatchAnswers:
+                  walkers: Optional[int] = None) -> BatchAnswers:
         """Answer a batch of queries; answers align with the input order.
 
-        Queued graph updates are applied first, so a batch never runs
-        against an index older than updates accepted before it.  The batch
-        then runs as one pipeline — look up rankings, plan, resolve
+        Queued graph updates are applied first — unless another thread is
+        already draining them (a non-blocking acquisition of the update
+        lock), in which case the batch serves the previous consistent
+        version, which the in-flight drain swaps out atomically when done.
+        The batch itself then runs under the serve lock, so the returned
+        :class:`BatchAnswers` is always self-consistent with the
+        :attr:`index_version` it carries.
+
+        The batch runs as one pipeline — look up rankings, plan, resolve
         distributions, resolve scores, resolve rankings, assemble — in
         which every piece of work is done once per *distinct* key.  First
         each distinct ``(source, k)`` of the batch's top-k queries is
-        looked up as a ranking entry of the cache (key ``(CacheKey, k)``):
-        a hit is the finished answer of an earlier batch at this index
-        version and goes straight to assembly.  Only the remaining queries
-        are planned: a source's distributions come from the cache or one
-        multi-source walk simulation of the batch's misses, its scores
-        from one propagation over the supports of the batch's sources, and
-        each missing ``(source, k)`` ranking is computed once over that
-        support however many queries repeat it — then stored, as an
-        immutable tuple, for the batches to come.  A miss runs exactly the
-        pipeline a service with ``cache_capacity=0`` runs for every query;
-        there is no second path.  Only a :class:`SourceQuery` answer is a
-        dense vector, and it is not cached.
-        Answer types by query: :class:`PairQuery`
-        -> float, :class:`SourceQuery` -> dense score vector,
-        :class:`TopKQuery` -> ``[(node, score), ...]``; repeated queries
-        get equal but distinct objects.  The returned :class:`BatchAnswers`
-        lists the answers in input order and carries the
-        :attr:`index_version` they were computed at.
-
-        ``flush_pending=False`` skips the drain — for callers that already
-        flushed under their own locking discipline (the sharded service
-        drains *before* taking its serve lock so the expensive re-index
-        never serialises readers behind it).
+        looked up as a ranking entry of its source's shard cache (key
+        ``(CacheKey, k)``): a hit is the finished answer of an earlier
+        batch at this index version and goes straight to assembly.  Only
+        the remaining queries are planned: a source's distributions come
+        from the cache or one multi-source walk simulation of the batch's
+        misses, its scores from one propagation over the supports of the
+        batch's sources, and each missing ``(source, k)`` ranking is
+        computed once over that support however many queries repeat it —
+        then stored, as an immutable tuple, for the batches to come.  A
+        miss runs exactly the pipeline a service with ``cache_capacity=0``
+        runs for every query; there is no second path.  Only a
+        :class:`SourceQuery` answer is a dense vector, and it is not
+        cached.  Answer types by query: :class:`PairQuery` -> float,
+        :class:`SourceQuery` -> dense score vector, :class:`TopKQuery` ->
+        ``[(node, score), ...]``; repeated queries get equal but distinct
+        objects.
         """
-        if flush_pending:
-            self.flush_updates()
-        queries = list(queries)
-        for query in queries:
-            self._validate_query(query)
-        walkers_count = (walkers if walkers is not None
-                         else self.query_params.query_walkers)
-        self._record_load(queries)
-        requests = list(dict.fromkeys((query.source, query.k) for query in queries
-                                      if isinstance(query, TopKQuery)))
-        rankings = self._lookup_rankings(requests, walkers_count)
-        # Only what the ranking entries could not answer goes down the
-        # pipeline; with no hit that is the whole batch, unfiltered.
-        pending = queries if not rankings else [
-            query for query in queries
-            if not isinstance(query, TopKQuery)
-            or (query.source, query.k) not in rankings]
-        plan = plan_batch(pending)
-        distributions = self._resolve_distributions(plan, walkers_count)
-        scores = self._resolve_scores(pending, distributions)
-        fresh = self._resolve_rankings(
-            [request for request in requests if request not in rankings], scores)
-        for (source, k), ranking in fresh.items():
-            rankings[source, k] = entry = tuple(ranking)
-            self._cache_of(source).put(
-                self._ranking_key(source, k, walkers_count), entry)
-        answers = [self._assemble(query, distributions, scores, rankings)
-                   for query in queries]
-        self._counters["batches"] += 1
-        self._counters["queries"] += len(queries)
-        self._counters["sources_deduplicated"] += plan.deduplicated
-        return BatchAnswers(answers, self._version)
-
-    def _cache_of(self, source: int) -> WalkDistributionCache:
-        """The LRU holding ``source``'s entries (the sharded service routes)."""
-        return self.cache
+        if self._update_lock.acquire(blocking=False):
+            try:
+                self.flush_updates()
+            finally:
+                self._update_lock.release()
+        with self._lock:
+            # A batch sends the pool at most one run, its cache-miss
+            # simulation fan-out; the cumulative counter's delta is that
+            # run's bytes, and zero when everything was cached.
+            payload_before = getattr(self._serve_backend, "total_payload_bytes",
+                                     None)
+            queries = list(queries)
+            for query in queries:
+                self._validate_query(query)
+            walkers_count = (walkers if walkers is not None
+                             else self.query_params.query_walkers)
+            # Load accounting for the rebalance planner, before any cache
+            # lookup: each distinct source counts once against its node and
+            # its owning shard however it is served, so the hottest sources
+            # — the cached ones — stay in the planner's input.
+            for source in dict.fromkeys(node for query in queries
+                                        for node in required_sources(query)):
+                self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
+                self._shard_counters[self.plan.shard_of(source)][
+                    "sources_routed"] += 1
+            requests = list(dict.fromkeys(
+                (query.source, query.k) for query in queries
+                if isinstance(query, TopKQuery)))
+            rankings = self._lookup_rankings(requests, walkers_count)
+            # Only what the ranking entries could not answer goes down the
+            # pipeline; with no hit that is the whole batch, unfiltered.
+            pending = queries if not rankings else [
+                query for query in queries
+                if not isinstance(query, TopKQuery)
+                or (query.source, query.k) not in rankings]
+            plan = plan_batch(pending)
+            distributions = self._resolve_distributions(plan, walkers_count)
+            scores = self._resolve_scores(pending, distributions)
+            for source, k in requests:
+                if (source, k) not in rankings:
+                    rankings[source, k] = entry = tuple(scores[source].top_k(k))
+                    self.shard_caches[self.plan.shard_of(source)].put(
+                        self._ranking_key(source, k, walkers_count), entry)
+            answers = [self._assemble(query, distributions, scores, rankings)
+                       for query in queries]
+            self._counters["batches"] += 1
+            self._counters["queries"] += len(queries)
+            self._counters["sources_deduplicated"] += plan.deduplicated
+            if payload_before is not None:
+                delta = self._serve_backend.total_payload_bytes - payload_before
+                self.last_batch_payload_bytes = delta
+                self._counters["scatter_payload_bytes"] += delta
+            return BatchAnswers(answers, self._version)
 
     def _ranking_key(self, source: int, k: int,
                      walkers_count: int) -> Tuple[CacheKey, int]:
         """Ranking-entry key: the source's distribution key plus ``k``."""
         return (CacheKey.for_query(source, self.query_params, walkers_count), k)
-
-    def _record_load(self, queries: Sequence[Query]) -> None:
-        """Per-batch load accounting hook, called before any cache lookup.
-
-        Nothing to record on a single shard; the sharded service counts
-        every distinct source here, so a source answered from a ranking
-        entry still reaches the rebalance planner.
-        """
 
     def _lookup_rankings(
         self, requests: Sequence[Tuple[int, int]], walkers_count: int
@@ -498,12 +901,12 @@ class QueryService:
         """The batch's distinct ``(source, k)`` already answered at this version.
 
         Each request is looked up under ``(CacheKey, k)`` in its source's
-        cache; a hit is the finished answer, valid because every index
-        version bump drops all ranking entries (:meth:`_adopt_mutation`).
+        shard cache; a hit is the finished answer, valid because every
+        index version bump drops all ranking entries (:meth:`_adopt_mutation`).
         """
         found: Dict[Tuple[int, int], Ranking] = {}
         for source, k in requests:
-            cached = self._cache_of(source).get(
+            cached = self.shard_caches[self.plan.shard_of(source)].get(
                 self._ranking_key(source, k, walkers_count))
             if cached is not None:
                 found[source, k] = cached
@@ -522,15 +925,18 @@ class QueryService:
     def _resolve_distributions(
         self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, WalkDistributions]:
-        """Look every source of the batch up in its cache; simulate the rest.
+        """Look every source of the batch up in its shard's cache; simulate
+        the rest.
 
-        The misses go through :meth:`_simulate` in one ascending call and
-        are stored in their sources' caches in that order.
+        The misses are simulated in one ascending scatter on the serve pool
+        (:func:`~repro.service.sharded.simulate_misses`), counted against
+        their owning shards and stored in those shards' caches in that
+        order.
         """
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
-            cached = self._cache_of(source).get(
+            cached = self.shard_caches[self.plan.shard_of(source)].get(
                 CacheKey.for_query(source, self.query_params, walkers_count)
             )
             if cached is not None:
@@ -538,27 +944,19 @@ class QueryService:
             else:
                 missing.append(source)
         if missing:
-            simulated = self._simulate(sorted(missing), walkers_count)
+            simulated = simulate_misses(self._serve_backend, self.graph,
+                                        sorted(missing), self.query_params,
+                                        walkers_count)
             self._counters["sources_simulated"] += len(simulated)
             for source, distribution in simulated.items():
+                shard = self.plan.shard_of(source)
+                self._shard_counters[shard]["sources_simulated"] += 1
                 resolved[source] = distribution
-                self._cache_of(source).put(
+                self.shard_caches[shard].put(
                     CacheKey.for_query(source, self.query_params, walkers_count),
                     distribution,
                 )
         return resolved
-
-    def _simulate(self, sources: List[int],
-                  walkers_count: int) -> Dict[int, WalkDistributions]:
-        """Walk distributions of a batch's cache misses: one kernel call.
-
-        The sharded service overrides this to fan the call out over its
-        serve pool; neither can change a distribution, since every source
-        draws from its own ``(seed, source)`` stream.
-        """
-        return montecarlo.estimate_walk_distributions_batch(
-            self.graph, sources, self.query_params, walkers=walkers_count
-        )
 
     def _resolve_scores(
         self, queries: Sequence[Query],
@@ -572,7 +970,9 @@ class QueryService:
         distinct sources share each step's array operations.  Each score
         record holds the source's positive support only; nothing here is
         ``n`` floats wide except the columns dense enough to take the dense
-        product.
+        product.  Rankings come from these records
+        (:meth:`~repro.core.queries.SourceScores.top_k`, in the canonical
+        order), so no shard splits a ranking and nothing needs merging.
         """
         sources = list(dict.fromkeys(
             query.source for query in queries
@@ -584,19 +984,6 @@ class QueryService:
             sources, [distributions[source] for source in sources]
         )
         return dict(zip(sources, scored))
-
-    def _resolve_rankings(
-        self, requests: Sequence[Tuple[int, int]],
-        scores: Dict[int, SourceScores],
-    ) -> Dict[Tuple[int, int], List[Tuple[int, float]]]:
-        """Rank each distinct ``(source, k)`` of the batch's top-k queries.
-
-        Over the source's support, in the canonical order
-        (:meth:`~repro.core.queries.SourceScores.top_k`): the one ranking
-        path of every service class and shard count.
-        """
-        return {(source, k): scores[source].top_k(k)
-                for source, k in requests}
 
     def _assemble(
         self, query: Query,
@@ -627,15 +1014,29 @@ class QueryService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release pooled resources; safe to call more than once.
+        """Shut down the service's persistent executor pools.
 
-        The single-shard service owns no pools, so this is a no-op — it
-        exists so callers (the CLI serve loop, benchmarks, tests) can
-        manage every service uniformly: :class:`ShardedQueryService`
-        overrides it to shut down its persistent executor backends.  A
-        closed service remains queryable; pooled backends transparently
-        recreate their workers on the next use.
+        Releases the query-time serve pool and, when a mutator exists, the
+        build backend its :class:`~repro.core.sharding.
+        ShardedIncrementalWalker` fans re-estimation out through —
+        including every **resident shared-memory segment** either backend
+        registered, which must be unlinked even when a pool died mid-batch
+        (closing a broken ``ProcessBackend`` never raises; resident
+        release is a parent-side unlink).  The two backends are closed in
+        a ``try/finally`` chain so a failure releasing one can never leak
+        the other's segments.  Safe to call repeatedly, and the service
+        stays usable afterwards — pooled backends recreate their workers,
+        and residency re-registers, on the next scatter — so ``close`` is
+        about releasing threads/processes/memory, not about ending the
+        service's life.  The CLI serve loop, the benchmarks and the tests
+        call it via ``with service: ...``.
         """
+        with self._update_lock, self._lock:
+            try:
+                self._serve_backend.close()
+            finally:
+                if self._mutator is not None:
+                    self._mutator.walker.backend.close()
 
     def __enter__(self) -> "QueryService":
         """Context-manager entry: the service itself."""
@@ -668,26 +1069,63 @@ class QueryService:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
-        """Serving counters plus cache effectiveness, for logs and tests."""
-        return {
-            **self._counters,
-            "index_version": self._version,
-            "pending_updates": self.pending_updates,
-            "approx_mode": self.query_params is not self.params,
-            "accuracy_budget": self.service_params.accuracy_budget,
-            "query_walkers_served": self.query_params.query_walkers,
-            "walk_steps_served": self.query_params.walk_steps,
-            "cache_size": len(self.cache),
-            "cache_capacity": self.cache.capacity,
-            "cache_memory_bytes": self.cache.memory_bytes(),
-            "cache_ranking_entries": self.cache.ranking_entries,
-            **{f"cache_{key}": value
-               for key, value in self.cache.stats.to_dict().items()},
-        }
+        """Serving counters, cache effectiveness and a per-shard breakdown.
+
+        Cache figures are summed across shards; the ``"shards"`` entry
+        lists, per shard: owned nodes, cache size/hit rate/memory,
+        simulated and routed sources, routed edges and the shard's version.
+        ``serve_backend`` / ``serve_workers`` describe the simulation
+        scatter pool.  The whole snapshot is taken under the serve lock,
+        so its figures are mutually consistent even while batches and
+        updates run concurrently.
+        """
+        with self._lock:
+            totals = CacheStats.total(cache.stats for cache in self.shard_caches)
+            owned_nodes = np.bincount(self.plan.assign(self.graph.n_nodes),
+                                      minlength=self.num_shards)
+            shard_rows = [{
+                "shard": shard,
+                "nodes": int(owned_nodes[shard]),
+                "version": self.sharded_index.shard_versions[shard],
+                "cache_size": len(cache),
+                "cache_hit_rate": cache.stats.hit_rate,
+                "cache_invalidations": cache.stats.invalidations,
+                "cache_memory_bytes": cache.memory_bytes(),
+                **self._shard_counters[shard],
+            } for shard, cache in enumerate(self.shard_caches)]
+            return {
+                **self._counters,
+                "index_version": self._version,
+                "pending_updates": self.pending_updates,
+                "approx_mode": self.query_params is not self.params,
+                "accuracy_budget": self.service_params.accuracy_budget,
+                "query_walkers_served": self.query_params.query_walkers,
+                "walk_steps_served": self.query_params.walk_steps,
+                "num_shards": self.num_shards,
+                "shard_strategy": self.plan.strategy,
+                "plan_generation": self._plan_generation,
+                "observed_sources": float(sum(self._node_loads.values())),
+                "serve_backend": self.service_params.serve_backend,
+                "serve_workers": self.service_params.serve_workers,
+                "cache_size": sum(len(cache) for cache in self.shard_caches),
+                "cache_capacity": (self.service_params.cache_capacity
+                                   * self.num_shards),
+                "cache_memory_bytes": sum(
+                    cache.memory_bytes() for cache in self.shard_caches
+                ),
+                "cache_ranking_entries": sum(
+                    cache.ranking_entries for cache in self.shard_caches
+                ),
+                **{f"cache_{key}": value
+                   for key, value in totals.to_dict().items()},
+                "last_batch_payload_bytes": self.last_batch_payload_bytes,
+                "shards": shard_rows,
+            }
 
     def __repr__(self) -> str:
         return (
-            f"QueryService(graph={self.graph.name!r}, n_nodes={self.graph.n_nodes}, "
-            f"version={self._version}, queries={self._counters['queries']}, "
-            f"cache_hit_rate={self.cache.stats.hit_rate:.2f})"
+            f"QueryService(graph={self.graph.name!r}, "
+            f"n_nodes={self.graph.n_nodes}, shards={self.num_shards}, "
+            f"strategy={self.plan.strategy!r}, version={self._version}, "
+            f"queries={self._counters['queries']})"
         )

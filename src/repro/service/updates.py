@@ -22,10 +22,12 @@ Correctness contract (see ``docs/architecture.md``):
 Example
 -------
 >>> from repro.config import SimRankParams
+>>> from repro.core.incremental import IncrementalCloudWalker
 >>> from repro.graph import generators
 >>> from repro.service.updates import GraphMutator
 >>> graph = generators.copying_model_graph(60, out_degree=4, seed=5)
->>> mutator = GraphMutator(graph, SimRankParams.fast_defaults())
+>>> walker = IncrementalCloudWalker(graph, SimRankParams.fast_defaults())
+>>> mutator = GraphMutator(walker)
 >>> mutator.build()  # doctest: +ELLIPSIS
 DiagonalIndex(...)
 >>> result = mutator.apply([(0, 30)])
@@ -41,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from scipy import sparse
 
-from repro.config import SimRankParams, UpdateParams
+from repro.config import UpdateParams
 from repro.core.incremental import PHASES, IncrementalCloudWalker
 from repro.core.index import DiagonalIndex
 from repro.errors import CloudWalkerError
@@ -100,40 +102,25 @@ class GraphMutator:
 
     Parameters
     ----------
-    graph:
-        The graph at attach time (updates replace it; read the current one
-        from :attr:`graph`).
-    params:
-        Algorithmic parameters, shared with the service so re-estimated
-        rows use the same budgets as queries expect.
-    update_params:
-        Queue bound and the exact-re-estimation switch.
     walker:
-        An already-configured incremental maintainer to drive instead of
-        the default :class:`IncrementalCloudWalker`.  This is how the
-        sharded service plugs its
-        :class:`~repro.core.sharding.ShardedIncrementalWalker` into the
-        same intake pipeline (validation, dedup, bounded queue): anything
-        exposing the maintainer's ``build / attach / add_edges / graph /
-        index / system`` surface works.  Subclasses of
+        The configured incremental maintainer the mutator drives — the
+        service's :class:`~repro.core.sharding.ShardedIncrementalWalker`;
+        it holds the graph (updates replace it; read the current one from
+        :attr:`graph`) and the algorithmic parameters.  Subclasses of
         :class:`IncrementalCloudWalker` inherit its per-source streams and
         cold-start solves, which the service's bitwise-reproducibility
         contract relies on.
+    update_params:
+        Queue bound and node-growth limit.
     """
 
     def __init__(
         self,
-        graph: DiGraph,
-        params: SimRankParams,
+        walker: IncrementalCloudWalker,
         update_params: Optional[UpdateParams] = None,
-        walker: Optional[IncrementalCloudWalker] = None,
     ) -> None:
         self.update_params = update_params or UpdateParams()
-        self._walker = walker if walker is not None else IncrementalCloudWalker(
-            graph,
-            params=params,
-            exact=self.update_params.exact,
-        )
+        self._walker = walker
         self._pending: List[Edge] = []
 
     # ------------------------------------------------------------------ #
@@ -163,31 +150,16 @@ class GraphMutator:
     def walker(self) -> IncrementalCloudWalker:
         """The incremental maintainer driving re-indexes.
 
-        Exposed so owners that injected a specialised walker (the sharded
-        service's :class:`~repro.core.sharding.ShardedIncrementalWalker`)
-        can reach its extra surface — per-shard system blocks, build
-        timings — without the mutator having to mirror it.
+        Exposed so the service can reach the
+        :class:`~repro.core.sharding.ShardedIncrementalWalker` surface —
+        per-shard system blocks, build timings, its backend — without the
+        mutator having to mirror it.
         """
         return self._walker
 
-    # ------------------------------------------------------------------ #
-    # Attach / build
-    # ------------------------------------------------------------------ #
     def build(self) -> DiagonalIndex:
         """Full build of system + index for the current graph."""
         return self._walker.build()
-
-    def attach(self, index: DiagonalIndex,
-               system: Optional[sparse.spmatrix] = None) -> None:
-        """Adopt an existing index so updates can maintain it incrementally.
-
-        Without ``system`` (a plain index file carries none), the linear
-        system is estimated now — a one-time cost comparable to a rebuild.
-        Snapshots persist the system precisely to skip this on restart.
-        """
-        self._walker.attach(
-            index, system=sparse.csr_matrix(system) if system is not None else None
-        )
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -247,7 +219,7 @@ class GraphMutator:
         constantly).  Returns None when nothing (new) is left to apply.
 
         The queue is taken up front, so an ``enqueue`` racing with the
-        re-index (the sharded service runs it off its serve lock) lands in
+        re-index (the service runs it off its serve lock) lands in
         the next drain.  A failed re-index puts the taken edges back at the
         front of the queue, past the ``max_pending_edges`` bound they were
         already admitted under.

@@ -18,7 +18,7 @@ from repro.config import ServiceParams, ShardingParams, SimRankParams
 from repro.core.diagonal import build_diagonal_index
 from repro.errors import ConfigurationError
 from repro.graph import generators
-from repro.service import PairQuery, QueryService, ShardedQueryService
+from repro.service import PairQuery, QueryService
 
 PARAMS = SimRankParams(c=0.6, walk_steps=5, jacobi_iterations=4,
                        index_walkers=60, query_walkers=500, seed=17)
@@ -95,7 +95,7 @@ class TestServedErrorWithinBudget:
         if num_shards == 1:
             service = QueryService(graph, index, PARAMS, service_params)
         else:
-            service = ShardedQueryService(
+            service = QueryService(
                 graph, index, PARAMS, service_params,
                 sharding=ShardingParams(num_shards=num_shards),
             )

@@ -217,8 +217,8 @@ class TestBitwiseReproducibility:
                 return walker
             return fresh
 
-        # The plain walker GraphMutator constructs by default, then the
-        # sharded one (its own _build_rows) for K in {1, 2, 5}.
+        # The plain IncrementalCloudWalker, then the sharded one (its own
+        # _build_rows) for K in {1, 2, 5}.
         self._check_chained_updates(
             graph, lambda on_graph: self._fresh(on_graph, params))
         for num_shards in (1, 2, 5):

@@ -582,9 +582,9 @@ class TestShardedSnapshotFaultInjection:
     def test_service_save_crash_leaves_service_retryable(
             self, graph, params, tmp_path, monkeypatch):
         from repro.core.index import SnapshotStore
-        from repro.service import ShardedQueryService
+        from repro.service import QueryService
 
-        service = ShardedQueryService.build(
+        service = QueryService.build(
             graph, params, sharding=ShardingParams(num_shards=2),
         )
         try:

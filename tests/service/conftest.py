@@ -12,7 +12,7 @@ from repro.config import ServiceParams, ShardingParams, SimRankParams
 from repro.core.diagonal import build_diagonal_index
 from repro.core.queries import QueryEngine
 from repro.graph import generators
-from repro.service import QueryService, ShardedQueryService
+from repro.service import QueryService
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +54,8 @@ def make_sharded(service_graph, service_index, service_params):
     """Factory producing a fresh sharded service per call."""
 
     def factory(num_shards=3, strategy="hash", rebalance=None,
-                **service_overrides) -> ShardedQueryService:
-        return ShardedQueryService(
+                **service_overrides) -> QueryService:
+        return QueryService(
             service_graph, service_index, service_params,
             ServiceParams(**service_overrides) if service_overrides else None,
             sharding=ShardingParams(num_shards=num_shards, strategy=strategy),

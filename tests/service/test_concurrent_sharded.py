@@ -1,6 +1,6 @@
 """Concurrency stress: interleaved updates and batches on a sharded service.
 
-A thread-backed :class:`~repro.service.ShardedQueryService` receives live
+A thread-backed :class:`~repro.service.QueryService` receives live
 edge insertions (immediate *and* deferred) from one thread while two other
 threads hammer it with query batches.  The invariants pinned here:
 
@@ -28,7 +28,6 @@ from repro.graph import generators
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -77,7 +76,7 @@ def test_concurrent_updates_and_batches_are_never_torn():
     errors = []
     stop = threading.Event()
 
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, PARAMS,
         service_params=ServiceParams(cache_capacity=64, serve_backend="threads",
                                      serve_workers=4),
@@ -161,7 +160,7 @@ def test_deferred_and_immediate_interleave_single_threaded_baseline():
     pinned against the deferred/immediate drain semantics."""
     graph = generators.copying_model_graph(90, out_degree=4, seed=3)
     by_version = _reference_by_version(graph)
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, PARAMS,
         service_params=ServiceParams(serve_backend="threads", serve_workers=2),
         sharding=ShardingParams(num_shards=3),

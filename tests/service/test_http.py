@@ -38,7 +38,7 @@ from repro.config import (
 )
 from repro.graph import generators
 from repro.graph.partition import ShardPlan
-from repro.service import QueryService, ShardedQueryService, parse_query
+from repro.service import QueryService, parse_query
 from repro.service.http import HttpServiceServer, edge_from_wire, encode_answer
 
 PARAMS = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
@@ -61,7 +61,7 @@ def _sharded(graph, **service_overrides):
         cache_capacity=32, serve_backend="threads", serve_workers=2,
         coalesce_window=0.005, **service_overrides,
     )
-    return ShardedQueryService.build(
+    return QueryService.build(
         graph, PARAMS, service_params=service_params,
         sharding=ShardingParams(num_shards=3),
     )
@@ -270,7 +270,7 @@ class TestProtocol:
 
     def test_update_burst_past_pending_bound_is_429(self):
         graph = _graph()
-        service = ShardedQueryService.build(
+        service = QueryService.build(
             graph, PARAMS,
             service_params=ServiceParams(serve_backend="threads",
                                          serve_workers=2),
@@ -379,19 +379,11 @@ class TestLifecycle:
         service.close()
         service.close()
 
-    def test_plain_query_service_is_rejected_at_construction(self):
-        """The tier fronts only a ``ShardedQueryService``: the library's
-        plain, non-thread-safe ``QueryService`` is refused up front."""
-        with QueryService.build(_graph(), PARAMS) as service:
-            with pytest.raises(TypeError, match="ShardedQueryService"):
-                HttpServiceServer(service, port=0)
-
     def test_one_shard_service_gets_overlapped_drains(self):
-        """K = 1 serves like any K: queries and update drains on separate
-        strands, answers equal to the single-shard library service."""
+        """K = 1 (the default) serves like any K: queries and update drains
+        on separate strands, answers equal to a from-scratch build's."""
         graph = _graph()
-        service = ShardedQueryService.build(
-            graph, PARAMS, sharding=ShardingParams(num_shards=1))
+        service = QueryService.build(graph, PARAMS)
         with QueryService.build(graph, PARAMS) as reference:
             before, version_before = _expected(reference, QUERY_LINES)
             reference.add_edges([(0, 40)])
@@ -665,7 +657,7 @@ class TestRebalance:
             serve_backend="threads", serve_workers=2,
             coalesce_window=0.005, **service_overrides,
         )
-        return ShardedQueryService.build(
+        return QueryService.build(
             graph, PARAMS, service_params=service_params,
             sharding=ShardingParams(num_shards=3, strategy="contiguous"),
             rebalance_params=rebalance,
@@ -719,7 +711,7 @@ class TestRebalance:
         assert stats["http"]["rebalances_applied"] == 0
 
     def test_rebalance_on_one_shard_service_is_a_no_op(self):
-        service = ShardedQueryService.build(
+        service = QueryService.build(
             _graph(), PARAMS, sharding=ShardingParams(num_shards=1))
 
         async def scenario(server):

@@ -21,7 +21,6 @@ from repro.graph.digraph import DiGraph
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -101,7 +100,7 @@ def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
         edges = _random_edges(rng, graph.n_nodes)
         for num_shards in SHARD_COUNTS:
             single = QueryService.build(graph, params)
-            with ShardedQueryService.build(
+            with QueryService.build(
                 graph, params,
                 service_params=ServiceParams(
                     serve_backend=backend, serve_workers=workers,
@@ -156,7 +155,7 @@ def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
     queries = [SourceQuery(node) for node in range(0, 90, 9)] + [
         PairQuery(1, 2), TopKQuery(4, k=6)]
     scatters = _count_scatters(monkeypatch)
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, params,
         service_params=ServiceParams(serve_backend=backend, serve_workers=2),
         sharding=ShardingParams(num_shards=3),
@@ -192,10 +191,10 @@ def test_batch_scores_each_source_once_and_scatters_once(backend,
     ]
     scatters = _count_scatters(monkeypatch)
     service_params = ServiceParams(serve_backend=backend, serve_workers=2)
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, params, service_params=service_params,
         sharding=ShardingParams(num_shards=3),
-    ) as sharded, ShardedQueryService.build(
+    ) as sharded, QueryService.build(
         graph, params, service_params=service_params,
         sharding=ShardingParams(num_shards=3),
     ) as one_at_a_time:

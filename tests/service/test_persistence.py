@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.index import DiagonalIndex
+from repro.config import ShardingParams, UpdateParams
+from repro.core.index import DiagonalIndex, ShardedSnapshotStore
 from repro.errors import CloudWalkerError
 from repro.service import QueryService, TopKQuery
 
@@ -76,3 +77,29 @@ class TestAtomicity:
         service_index.save(path)
         with pytest.raises(CloudWalkerError):
             QueryService.from_index_file(generators.cycle_graph(7), path)
+
+
+class TestRestoredLineage:
+    @pytest.mark.parametrize("auto", [False, True], ids=["explicit", "auto"])
+    def test_restored_service_snapshots_into_its_own_lineage(
+        self, service_graph, service_params, tmp_path, auto
+    ):
+        """A 3-shard lineage reopened by a default ``from_snapshot`` serves
+        under the lineage's plan, so after an update both an explicit save
+        and the ``snapshot_every`` auto-save land in that lineage."""
+        with QueryService.build(service_graph, service_params,
+                                sharding=ShardingParams(num_shards=3)) as origin:
+            origin.save_snapshot(tmp_path)
+        update_params = (UpdateParams(snapshot_dir=tmp_path, snapshot_every=1)
+                         if auto else None)
+        with QueryService.from_snapshot(service_graph, tmp_path,
+                                        update_params=update_params) as restored:
+            assert restored.num_shards == 3
+            assert restored.add_edges([(0, 117), (1, 118)]) is not None
+            assert restored.save_snapshot(tmp_path)[0] == 2
+            assert restored.stats()["snapshots_written"] == 1
+            expected = restored.run_batch([TopKQuery(0, k=5)])
+        version, sharded_index, _system = ShardedSnapshotStore(tmp_path).load()
+        assert (version, sharded_index.plan.num_shards) == (2, 3)
+        with QueryService.from_snapshot(restored.graph, tmp_path) as reopened:
+            assert reopened.run_batch([TopKQuery(0, k=5)]) == expected

@@ -34,10 +34,6 @@ def make_any(request, make_service, make_sharded):
     return make_service if request.param == "single" else make_sharded
 
 
-def caches_of(service):
-    return [service.cache] if service.cache is not None else service.shard_caches
-
-
 def count_calls(monkeypatch, owner, name):
     """Replace ``owner.name`` with a counting pass-through; returns the log."""
     calls = []
@@ -114,9 +110,8 @@ class TestInvalidation:
     def test_update_drops_every_shards_rankings_but_only_the_balls_distributions(
             self, service_graph, service_params):
         from repro.config import ShardingParams
-        from repro.service import ShardedQueryService
 
-        service = ShardedQueryService.build(
+        service = QueryService.build(
             service_graph, service_params,
             sharding=ShardingParams(num_shards=4))
         nodes = range(service_graph.n_nodes)
@@ -186,7 +181,7 @@ class TestKeysAndCapacity:
         assert stats["cache_size"] == 0 and stats["cache_ranking_entries"] == 0
         assert stats["cache_memory_bytes"] == 0
         assert stats["cache_hits"] == 0 and stats["cache_ranking_hits"] == 0
-        assert all(len(cache._rankings) == 0 for cache in caches_of(service))
+        assert all(len(cache._rankings) == 0 for cache in service.shard_caches)
 
     def test_exact_and_approximate_modes_never_share_an_entry(self, make_service):
         exact = make_service()
@@ -194,23 +189,24 @@ class TestKeysAndCapacity:
                               approx_steps=3)
         for service in (exact, approx):
             service.run_batch([TopKQuery(3, k=5)])
-        exact_keys = set(exact.cache._rankings)
-        approx_keys = set(approx.cache._rankings)
+        exact_keys = set(exact.shard_caches[0]._rankings)
+        approx_keys = set(approx.shard_caches[0]._rankings)
         assert len(exact_keys) == len(approx_keys) == 1
         assert exact_keys.isdisjoint(approx_keys)
         (key, k), = approx_keys
         assert (key.walkers, key.steps, k) == (40, 3, 5)
         # An entry filed by one mode is a miss for the other.
-        assert exact.cache.get(next(iter(approx_keys))) is None
+        assert exact.shard_caches[0].get(next(iter(approx_keys))) is None
 
     def test_ranking_key_is_the_distribution_key_plus_k(self, make_service,
                                                         service_params):
         service = make_service()
         service.run_batch([TopKQuery(3, k=5)])
         key = CacheKey.for_query(3, service_params, service_params.query_walkers)
-        assert key in service.cache and (key, 5) in service.cache
-        assert (key, 4) not in service.cache
-        entry = service.cache.get((key, 5))
+        cache, = service.shard_caches
+        assert key in cache and (key, 5) in cache
+        assert (key, 4) not in cache
+        entry = cache.get((key, 5))
         assert isinstance(entry, tuple) and len(entry) == 5
         assert all(isinstance(pair, tuple) for pair in entry)
 

@@ -8,7 +8,7 @@ Four layers, bottom-up:
   makespan ratios, the improvement threshold, the representativeness gate;
 * the **load accounting** the planner feeds on (routed sources per node
   and shard) and the per-shard ``sources_simulated`` monitor row;
-* **live plan migration** (:meth:`~repro.service.ShardedQueryService.
+* **live plan migration** (:meth:`~repro.service.QueryService.
   rebalance`): the headline invariant is that every answer — before,
   *during* (concurrent query threads) and after a migration, with live
   updates interleaved — is bitwise-identical to a never-migrated
@@ -38,7 +38,6 @@ from repro.graph.partition import (
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -394,7 +393,7 @@ class TestMigration:
             "balanced": load_balanced_plan(
                 3, np.arange(graph.n_nodes, dtype=float) + 1.0),
         }[target]
-        with ShardedQueryService.build(
+        with QueryService.build(
             graph, STRESS_PARAMS,
             service_params=ServiceParams(cache_capacity=0),
             sharding=ShardingParams(num_shards=3, strategy="contiguous"),
@@ -409,7 +408,7 @@ class TestMigration:
             ShardedSnapshotStore(tmp_path).load()
         assert loaded.plan == plan
         assert (gathered - system).nnz == 0
-        with ShardedQueryService.from_snapshot(
+        with QueryService.from_snapshot(
                 updated_graph, tmp_path, params=STRESS_PARAMS,
                 service_params=ServiceParams(cache_capacity=0)) as restored:
             assert restored.index_version == version
@@ -442,7 +441,7 @@ def test_migration_identity_on_random_graphs(num_shards, seed):
              for _ in range(3)]
 
     reference = QueryService.build(graph, STRESS_PARAMS)
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, STRESS_PARAMS,
         sharding=ShardingParams(num_shards=num_shards, strategy="contiguous"),
         rebalance_params=RebalanceParams(min_sources=0),
@@ -479,7 +478,7 @@ def test_queries_during_migration_are_never_torn():
     errors = []
     stop = threading.Event()
 
-    with ShardedQueryService.build(
+    with QueryService.build(
         graph, STRESS_PARAMS,
         sharding=ShardingParams(num_shards=3, strategy="contiguous",
                                 backend="threads"),

@@ -37,7 +37,7 @@ from repro.graph import generators
 from repro.graph.partition import ShardPlan, load_balanced_plan
 from repro.service import (
     PairQuery,
-    ShardedQueryService,
+    QueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -55,7 +55,7 @@ def _service(graph, tmp_path=None, **kwargs):
     update_params = None
     if tmp_path is not None:
         update_params = UpdateParams(snapshot_dir=str(tmp_path))
-    return ShardedQueryService.build(
+    return QueryService.build(
         graph, PARAMS,
         sharding=ShardingParams(num_shards=3, strategy="contiguous"),
         update_params=update_params,
@@ -128,7 +128,7 @@ class TestKilledShardBuild:
 
     def test_no_shm_leak_after_failed_migration(self, monkeypatch):
         graph = _graph(n=200)
-        service = ShardedQueryService.build(
+        service = QueryService.build(
             graph, PARAMS,
             sharding=ShardingParams(num_shards=2),
             service_params=ServiceParams(cache_capacity=0,
@@ -190,7 +190,7 @@ class TestCrashedPersistence:
 
         # A cold start serves the previous version under the OLD plan,
         # with identical answers.
-        restored = ShardedQueryService.from_snapshot(graph, tmp_path,
+        restored = QueryService.from_snapshot(graph, tmp_path,
                                                      params=PARAMS)
         with restored:
             assert restored.index_version == base_version
@@ -256,7 +256,7 @@ class TestCorruptPlans:
         # The migrated version's governing plan is unreadable: the version
         # vanishes from the consistent set and loads roll back.
         assert store.versions() == [v_old]
-        restored = ShardedQueryService.from_snapshot(graph, tmp_path,
+        restored = QueryService.from_snapshot(graph, tmp_path,
                                                      params=PARAMS)
         with restored:
             assert restored.index_version == v_old
@@ -272,7 +272,7 @@ class TestCorruptPlans:
         with pytest.raises(CloudWalkerError, match="cannot load shard plan"):
             store.versions()
         with pytest.raises(CloudWalkerError, match="cannot load shard plan"):
-            ShardedQueryService.from_snapshot(graph, tmp_path, params=PARAMS)
+            QueryService.from_snapshot(graph, tmp_path, params=PARAMS)
 
 
 # --------------------------------------------------------------------------- #

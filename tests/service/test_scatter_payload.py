@@ -14,7 +14,7 @@ tasks inline, so the regression test measures exactly the bytes a worker
 pool would receive without paying fork costs per parametrisation.
 
 Also here: the executor-lifecycle guarantee that
-:meth:`ShardedQueryService.close` releases every shared-memory segment,
+:meth:`QueryService.close` releases every shared-memory segment,
 including after the serve pool broke mid-flight.
 """
 
@@ -33,7 +33,6 @@ from repro.graph import generators
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -72,7 +71,7 @@ def _simulate_shipping_the_graph(graph, sources, params):
 
 
 def _service(graph):
-    service = ShardedQueryService(
+    service = QueryService(
         graph,
         _build_index(graph),
         _params(),
@@ -174,7 +173,7 @@ def _answers_equal(left, right):
 def _build_service(graph, service_params=ServiceParams(cache_capacity=0)):
     """A ``.build`` service (owns update state); inline process pool unless
     ``service_params`` names a real serve backend."""
-    service = ShardedQueryService.build(
+    service = QueryService.build(
         graph, _params(), service_params=service_params,
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
@@ -203,7 +202,7 @@ class TestResidentSystemLifecycle:
         with _build_service(graph) as service:
             reference = service.run_batch(queries)
             service.save_snapshot(tmp_path)
-        restored = ShardedQueryService.from_snapshot(
+        restored = QueryService.from_snapshot(
             graph, tmp_path,
             service_params=ServiceParams(cache_capacity=0),
         )
@@ -288,11 +287,11 @@ class TestResidentSystemLifecycle:
         graph = generators.copying_model_graph(400, out_degree=5, seed=7)
         topk_queries = [TopKQuery(i, k=6) for i in range(8)]
         sharding = ShardingParams(num_shards=NUM_SHARDS)
-        with ShardedQueryService(
+        with QueryService(
                 graph, _build_index(graph), _params(),
                 ServiceParams(cache_capacity=64), sharding=sharding) as serial:
             reference = serial.run_batch(topk_queries)
-        with ShardedQueryService(
+        with QueryService(
                 graph, _build_index(graph), _params(),
                 ServiceParams(cache_capacity=64, serve_backend="processes",
                               serve_workers=2),
@@ -325,7 +324,7 @@ class TestCloseReleasesSharedMemory:
 
     def test_close_unlinks_serve_pool_segments(self):
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
-        service = ShardedQueryService(
+        service = QueryService(
             graph, _build_index(graph), _params(),
             ServiceParams(cache_capacity=0, serve_backend="processes",
                           serve_workers=1),
@@ -346,7 +345,7 @@ class TestCloseReleasesSharedMemory:
 
         before = set(glob.glob("/dev/shm/psm_*"))
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
-        with ShardedQueryService.build(
+        with QueryService.build(
             graph, _params(),
             service_params=ServiceParams(cache_capacity=0),
             sharding=ShardingParams(num_shards=2, backend="processes",
@@ -371,7 +370,7 @@ class TestCloseReleasesSharedMemory:
         already-unlinked segment) instead of raising.
         """
         graph = generators.copying_model_graph(300, out_degree=5, seed=3)
-        service = ShardedQueryService(
+        service = QueryService(
             graph, _build_index(graph), _params(),
             ServiceParams(cache_capacity=0, serve_backend="processes",
                           serve_workers=1),

@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError, WireFormatError
 from repro.service import (
     QueryService,
     ReplayOptions,
-    ShardedQueryService,
     Trace,
     TraceEvent,
     generate_trace,
@@ -203,7 +202,7 @@ def make_sharded(service_graph, service_index, service_params):
 
     def factory(service_overrides=None, **sharding_overrides):
         sharding_overrides.setdefault("num_shards", 3)
-        return ShardedQueryService(
+        return QueryService(
             service_graph, service_index, service_params,
             service_overrides,
             sharding=ShardingParams(**sharding_overrides),
@@ -234,7 +233,7 @@ class TestReplayDeterminism:
         options = ReplayOptions(batch_size=6, rebalance_every=2)
         results = []
         for _ in range(2):
-            service = ShardedQueryService(
+            service = QueryService(
                 service_graph, service_index, service_params,
                 sharding=ShardingParams(num_shards=3, strategy="contiguous"),
                 rebalance_params=RebalanceParams(min_sources=1,

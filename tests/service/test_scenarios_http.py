@@ -28,7 +28,7 @@ from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
 from repro.service import (
     ReplayOptions,
-    ShardedQueryService,
+    QueryService,
     generate_trace,
     replay_trace,
     replay_trace_http,
@@ -50,7 +50,7 @@ def _sharded(graph, update_params=None, **service_overrides):
     service_params = ServiceParams(
         cache_capacity=32, coalesce_window=0.005, **service_overrides,
     )
-    return ShardedQueryService.build(
+    return QueryService.build(
         graph, PARAMS, service_params=service_params,
         update_params=update_params,
         sharding=ShardingParams(num_shards=3),

@@ -1,4 +1,4 @@
-"""Tests for the scatter-gather :class:`ShardedQueryService`.
+"""Tests for the scatter-gather :class:`QueryService`.
 
 The headline contract — sharded answers are bitwise-identical to the
 single-shard service for every query type, before and after live updates —
@@ -16,7 +16,6 @@ from repro.graph import generators
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
     plan_batch,
@@ -146,7 +145,7 @@ class TestLiveUpdates:
 
     def _services(self, service_graph, params, num_shards=3):
         single = QueryService.build(service_graph, params)
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             service_graph, params,
             sharding=ShardingParams(num_shards=num_shards),
         )
@@ -174,7 +173,7 @@ class TestLiveUpdates:
         # Disjoint communities + contiguous plan: an edit inside community 0
         # must leave every other shard's version and cache untouched.
         graph = generators.community_graph(4, 16, p_in=0.35, p_out=0.0, seed=3)
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             graph, service_params,
             sharding=ShardingParams(num_shards=4, strategy="contiguous"),
         )
@@ -205,14 +204,14 @@ class TestLiveUpdates:
 class TestShardedPersistence:
     def test_snapshot_round_trip_resumes_incrementally(self, service_graph,
                                                        service_params, tmp_path):
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             service_graph, service_params,
             sharding=ShardingParams(num_shards=3),
         )
         sharded.add_edges([(0, 60)])
         version, path = sharded.save_snapshot(tmp_path / "snaps")
         assert version == 2
-        restored = ShardedQueryService.from_snapshot(
+        restored = QueryService.from_snapshot(
             sharded.graph, tmp_path / "snaps"
         )
         assert restored.index_version == 2
@@ -225,7 +224,7 @@ class TestShardedPersistence:
 
     def test_save_same_version_twice_is_noop(self, service_graph, service_params,
                                              tmp_path):
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             service_graph, service_params, sharding=ShardingParams(num_shards=2),
         )
         sharded.save_snapshot(tmp_path / "snaps")
@@ -238,7 +237,7 @@ class TestShardedPersistence:
             make_sharded().save_snapshot()
 
     def test_auto_snapshot_cadence(self, service_graph, service_params, tmp_path):
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             service_graph, service_params,
             update_params=UpdateParams(snapshot_every=1,
                                        snapshot_dir=str(tmp_path / "snaps")),
@@ -253,7 +252,7 @@ class TestShardedPersistence:
                                         service_params, tmp_path, make_service):
         path = tmp_path / "index.npz"
         service_index.save(path)
-        sharded = ShardedQueryService.from_index_file(
+        sharded = QueryService.from_index_file(
             service_graph, path, params=service_params,
             sharding=ShardingParams(num_shards=3),
         )
@@ -285,7 +284,7 @@ class TestLifecycle:
         assert sharded._serve_backend._pool is None
 
     def test_close_shuts_down_walker_backend(self, service_graph, service_params):
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             service_graph, service_params,
             sharding=ShardingParams(num_shards=2, backend="threads"),
         )
@@ -332,7 +331,7 @@ class TestConstruction:
         plan = ShardPlan.contiguous(2, service_graph.n_nodes)
         sharded_index = ShardedIndex(index=service_index, plan=plan,
                                      shard_versions=[4, 4])
-        service = ShardedQueryService(service_graph, sharded_index,
+        service = QueryService(service_graph, sharded_index,
                                       service_params)
         assert service.num_shards == 2
         assert service.plan.strategy == "contiguous"
@@ -342,7 +341,7 @@ class TestConstruction:
                                               service_params):
         from repro.graph.partition import ShardPlan
         with pytest.raises(CloudWalkerError):
-            ShardedQueryService(
+            QueryService(
                 service_graph, service_index, service_params,
                 sharding=ShardingParams(num_shards=3),
                 plan=ShardPlan.hashed(2),

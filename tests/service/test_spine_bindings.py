@@ -1,0 +1,65 @@
+"""The names the spine benchmark's tracer binds, pinned.
+
+``benchmarks/spine/spans.py`` times serving layers by rebinding module and
+class attributes by name, so the serving path must keep looking those names
+up at call time: ``repro.service.service.plan_batch`` inside ``run_batch``,
+``repro.service.sharded.run_shard_tasks`` inside the cache-miss scatter,
+and ``run_batch`` / ``add_edges`` on the class that
+``repro.service.sharded.ShardedQueryService`` names.
+"""
+
+import pytest
+
+import repro.service.service as service_module
+import repro.service.sharded as sharded_module
+from repro.config import ShardingParams
+from repro.core import queries
+from repro.service import PairQuery, QueryService, SourceQuery, TopKQuery
+
+
+def test_sharded_query_service_names_the_one_class():
+    from repro.service import ShardedQueryService
+
+    assert sharded_module.ShardedQueryService is QueryService
+    assert ShardedQueryService is QueryService
+    with pytest.raises(AttributeError):
+        getattr(sharded_module, "NoSuchName")
+
+
+def test_traced_methods_live_on_the_class_itself():
+    assert "run_batch" in QueryService.__dict__
+    assert "add_edges" in QueryService.__dict__
+
+
+def test_merge_top_k_stays_importable_from_sharded():
+    from repro.service.sharded import merge_top_k
+
+    assert merge_top_k is queries.merge_top_k
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_a_miss_batch_looks_up_each_bound_name_once(
+        num_shards, service_graph, service_params, monkeypatch):
+    with QueryService.build(
+            service_graph, service_params,
+            sharding=ShardingParams(num_shards=num_shards)) as service:
+        calls = {"plan_batch": 0, "run_shard_tasks": 0}
+        for module, name in ((service_module, "plan_batch"),
+                             (sharded_module, "run_shard_tasks")):
+            real = getattr(module, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        answers = service.run_batch(
+            [PairQuery(1, 2), TopKQuery(3, k=5), SourceQuery(7)])
+        assert calls == {"plan_batch": 1, "run_shard_tasks": 1}
+        assert service.stats()["sources_simulated"] == 4
+    monkeypatch.undo()
+    reference = QueryService.build(service_graph, service_params)
+    expected = reference.run_batch(
+        [PairQuery(1, 2), TopKQuery(3, k=5), SourceQuery(7)])
+    assert answers[:2] == expected[:2]
+    assert answers[2].tobytes() == expected[2].tobytes()

@@ -17,7 +17,6 @@ from repro.graph.digraph import DiGraph
 from repro.service import (
     PairQuery,
     QueryService,
-    ShardedQueryService,
     SourceQuery,
     TopKQuery,
 )
@@ -41,9 +40,8 @@ def edge_batches(n_nodes, n_batches, per_batch, seed):
 
 
 def cached_nodes(service):
-    caches = ([service.cache] if getattr(service, "cache", None) is not None
-              else service.shard_caches)
-    return {key.node for cache in caches for key in cache._entries}
+    return {key.node for cache in service.shard_caches
+            for key in cache._entries}
 
 
 def add_edges_checked(service, batch):
@@ -84,7 +82,7 @@ class TestShardedEquivalenceAcrossPlanFlips:
     def test_rebalance_does_not_split_the_modes(self, service_graph,
                                                 service_index,
                                                 service_params):
-        service = ShardedQueryService(
+        service = QueryService(
             service_graph, service_index, service_params,
             sharding=ShardingParams(num_shards=3, strategy="hash"),
         )

@@ -95,12 +95,10 @@ class TestUpdateSemantics:
         """A re-index that raises loses no queued edge: the queue is as it
         was, and the next drain applies those edges."""
         from repro.config import ShardingParams
-        from repro.service import ShardedQueryService
 
-        service = (QueryService.build(update_graph, update_params_cheap)
-                   if num_shards is None else ShardedQueryService.build(
-                       update_graph, update_params_cheap,
-                       sharding=ShardingParams(num_shards=num_shards)))
+        service = QueryService.build(
+            update_graph, update_params_cheap,
+            sharding=ShardingParams(num_shards=num_shards or 1))
         service.add_edges([(2, 30), (4, 31)], defer=True)
 
         def broken(_edges):
@@ -243,9 +241,9 @@ class TestTargetedInvalidation:
         for node in live_service.graph.nodes():
             key = CacheKey.for_query(node, live_service.params, walkers)
             if node in result.affected:
-                assert key not in live_service.cache
+                assert key not in live_service.shard_caches[0]
             else:
-                assert key in live_service.cache
+                assert key in live_service.shard_caches[0]
 
     def test_unaffected_traffic_stays_cached_after_update(self, live_service):
         self._warm_all(live_service)

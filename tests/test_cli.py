@@ -801,10 +801,10 @@ class TestShardedCli:
 
     def test_query_service_lineage_opens_in_sharded_service_and_cli(
             self, indexed, tmp_path):
-        """Cross-class lineage, one way: a ``QueryService.save_snapshot``
-        lineage opens in ``ShardedQueryService.from_snapshot`` and in
-        ``update --snapshot-dir``, same answers and ``index_version``."""
-        from repro.service import PairQuery, QueryService, ShardedQueryService
+        """A library ``QueryService.save_snapshot`` lineage opens in a fresh
+        ``QueryService.from_snapshot`` and in ``update --snapshot-dir``,
+        same answers and ``index_version``."""
+        from repro.service import PairQuery, QueryService
         from repro.service import SourceQuery, TopKQuery
 
         graph_file, index_path = indexed
@@ -818,7 +818,7 @@ class TestShardedCli:
             graph_io.write_edge_list(library.graph, graph2)
             expected = library.run_batch(queries)
         updated = graph_io.read_edge_list(graph2, relabel=False)
-        with ShardedQueryService.from_snapshot(updated, snaps) as sharded:
+        with QueryService.from_snapshot(updated, snaps) as sharded:
             assert sharded.num_shards == 1
             answers = sharded.run_batch(queries)
         assert answers.index_version == expected.index_version == 2
@@ -838,10 +838,10 @@ class TestShardedCli:
 
     def test_sharded_cli_lineage_opens_in_query_service(self, indexed,
                                                         tmp_path):
-        """Cross-class lineage, the other way: a two-shard CLI lineage
-        opens in ``QueryService.from_snapshot`` with the system gathered
-        from both shard blocks."""
-        from repro.service import PairQuery, QueryService, ShardedQueryService
+        """The other way: a two-shard CLI lineage opens in the library's
+        ``QueryService.from_snapshot`` with the system gathered from both
+        shard blocks."""
+        from repro.service import PairQuery, QueryService
         from repro.service import SourceQuery, TopKQuery
 
         graph_file, index_path = indexed
@@ -857,7 +857,7 @@ class TestShardedCli:
         assert code == 0
         updated = graph_io.read_edge_list(graph2, relabel=False)
         queries = [PairQuery(3, 9), TopKQuery(50, k=5), SourceQuery(2)]
-        with ShardedQueryService.from_snapshot(updated, snaps) as sharded:
+        with QueryService.from_snapshot(updated, snaps) as sharded:
             assert sharded.num_shards == 2
             expected = sharded.run_batch(queries)
             sharded.add_edges([(7, 61)])

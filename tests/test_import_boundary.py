@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 SERVING_MODULES = ("repro.service", "repro.service.http", "repro.core.sharding")
@@ -40,3 +42,13 @@ def test_serving_imports_stop_at_engine_executor():
     engine = {name for name in loaded if name.startswith("repro.engine.")}
     assert engine == {"repro.engine.executor"}
     assert not loaded & set(REPRODUCTION_CORE)
+
+
+@pytest.mark.parametrize("first", ["repro.service.sharded",
+                                   "repro.service.service",
+                                   "repro.service.http"])
+def test_each_serving_module_imports_first_without_a_cycle(first):
+    """``service.py`` imports the miss scatter from ``sharded.py``, never the
+    reverse: whichever serving module a fresh interpreter imports first, the
+    import completes."""
+    assert first in _loaded_after_importing([first])

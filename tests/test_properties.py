@@ -536,7 +536,7 @@ class TestLiveUpdateProperties:
         walkers = params.query_walkers
         for node in old_nodes:
             key = CacheKey.for_query(node, params, walkers)
-            assert (key in service.cache) == (node not in result.affected)
+            assert (key in service.shard_caches[0]) == (node not in result.affected)
         assert service.stats()["cache_invalidations"] == \
             len(result.affected & old_nodes)
 
@@ -581,27 +581,21 @@ class TestRankingEntryProperties:
     @staticmethod
     def _build(num_shards, graph, params, capacity):
         from repro.config import ShardingParams
-        from repro.service import ShardedQueryService
 
         service_params = ServiceParams(cache_capacity=capacity)
         if num_shards is None:
             return QueryService.build(graph, params, service_params)
-        return ShardedQueryService.build(
+        return QueryService.build(
             graph, params, service_params,
             sharding=ShardingParams(num_shards=num_shards))
 
     @staticmethod
     def _restart(service, directory):
         """Snapshot ``service`` into ``directory`` and cold-start from it."""
-        from repro.config import ShardingParams
-
         service.flush_updates()
         service.save_snapshot(directory)
-        extra = ({"sharding": ShardingParams(num_shards=service.num_shards)}
-                 if hasattr(service, "num_shards") else {})
-        restarted = type(service).from_snapshot(
-            service.graph, directory,
-            service_params=service.service_params, **extra)
+        restarted = QueryService.from_snapshot(
+            service.graph, directory, service_params=service.service_params)
         service.close()
         return restarted
 
@@ -717,7 +711,6 @@ class TestShardingProperties:
     @given(graphs(max_nodes=14, max_edges=50), st.data())
     def test_sharded_answers_bitwise_equal_single_shard(self, graph, data):
         from repro.config import ShardingParams
-        from repro.service import ShardedQueryService
 
         params = self._params(seed=data.draw(st.integers(0, 500)))
         num_shards = data.draw(st.sampled_from([1, 2, 5]))
@@ -727,7 +720,7 @@ class TestShardingProperties:
         queries = self._queries(draw_node, n_queries=2)
 
         single = QueryService.build(graph, params)
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             graph, params,
             sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
         )
@@ -785,10 +778,9 @@ class TestShardingProperties:
     @given(graphs(max_nodes=14, max_edges=50), st.data())
     def test_shard_versions_partition_the_global_version(self, graph, data):
         from repro.config import ShardingParams
-        from repro.service import ShardedQueryService
 
         params = self._params(seed=7)
-        sharded = ShardedQueryService.build(
+        sharded = QueryService.build(
             graph, params, sharding=ShardingParams(num_shards=2),
         )
         head = data.draw(st.integers(0, graph.n_nodes - 1))
