@@ -1,28 +1,30 @@
 #!/usr/bin/env python3
 """Update smoke: a storm of edge batches against from-scratch builds.
 
-Drives one incremental walker (per-source streams, cold solves — the
-service's configuration) through a storm of edge batches on a tiny graph,
-asserting after *every* batch that
+Drives the index maintainer (:class:`repro.core.sharding.
+ShardedIncrementalWalker`, per-source streams, cold solves — the service's
+configuration) through a storm of edge batches on a tiny graph, once on a
+one-shard and once on a three-shard plan, asserting after *every* batch
+that
 
 * the graph ``DiGraph.with_edges`` merged equals the constructor's on the
   union (all four CSR arrays),
 * the affected-source set is the forward ball of the new edges' heads
   (:func:`repro.core.walks.forward_reachable_set` on the merged graph),
-* the maintained linear system (``indptr/indices/data``) and the solved
-  diagonal are byte-equal to those of a walker built from scratch on the
-  union graph,
+* the maintained linear system (``indptr/indices/data``) is byte-equal to
+  a from-scratch :func:`repro.core.linear_system.build_system` on the union
+  graph,
 * the maintained diagonal is byte-equal to the reproduction side's
   single-machine index (:func:`repro.core.diagonal.build_diagonal_index`)
   of the union graph, so serving and reproduction agree, and
-* the phases the walker reports (graph / routing / rows / splice / solve)
-  add up to within 10 % of its ``update_seconds``.
+* the phases the walker reports on its ``MutationResult`` (graph / routing
+  / rows / splice / solve) add up to within 10 % of its ``update_seconds``.
 
 This is the cheap always-on guard for the update path's core contract: an
 update may only ever be a cheaper route to the from-scratch result.  It
-also prints the per-phase cost of the storm and the microseconds per
-re-estimated row (the walk kernel's per-row cost), so a regression in the
-update path shows without a profiler.
+also prints, per shard count, the per-phase cost of the storm and the
+microseconds per re-estimated row (the walk kernel's per-row cost), so a
+regression in the update path shows without a profiler.
 Exit code 0 on success, 1 on any divergence; runs in a couple of seconds.
 
 Usage::
@@ -44,17 +46,20 @@ N_NODES = 150
 N_BATCHES = 5
 EDGES_PER_BATCH = 3
 WALK_STEPS = 6
+SHARD_COUNTS = (1, 3)
 
 
-def main() -> int:
+def storm(num_shards: int) -> int:
+    """Run the storm on a ``num_shards`` plan; print its costs; 0 = pass."""
     import numpy as np
 
     from repro.config import SimRankParams
-    from repro.core import walks
+    from repro.core import linear_system, walks
     from repro.core.diagonal import build_diagonal_index
-    from repro.core.incremental import PHASES, IncrementalCloudWalker
+    from repro.core.sharding import PHASES, ShardedIncrementalWalker
     from repro.graph import generators
     from repro.graph.digraph import DiGraph
+    from repro.graph.partition import ShardPlan
 
     params = SimRankParams(c=0.6, walk_steps=WALK_STEPS, jacobi_iterations=3,
                            index_walkers=10, query_walkers=10, seed=7)
@@ -62,12 +67,9 @@ def main() -> int:
     rng = np.random.default_rng(7)
     hot = rng.permutation(N_NODES)[: N_NODES // 10]
 
-    def built(on_graph):
-        walker = IncrementalCloudWalker(on_graph, params=params)
-        walker.build()
-        return walker
-
-    walker = built(graph)
+    walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
+                                      params=params)
+    walker.build()
     failures = []
     phase_totals = dict.fromkeys(PHASES, 0.0)
     affected_rows = 0
@@ -81,50 +83,55 @@ def main() -> int:
         union = DiGraph(N_NODES, np.vstack(
             [walker.graph.edge_array(), np.asarray(batch)]))
         new_heads = {v for u, v in batch if not walker.graph.has_edge(u, v)}
-        info = walker.add_edges(batch)
+        result = walker.add_edges(batch)
+        if result is None:
+            failures.append(f"batch {step}: no new edge in a fresh batch")
+            continue
         for phase in PHASES:
-            phase_totals[phase] += info[phase]
-        affected_rows += info["affected_rows"]
+            phase_totals[phase] += getattr(result, phase)
+        affected_rows += result.affected_rows
 
         if not all(np.array_equal(ours, theirs) for ours, theirs in zip(
                 walker.graph.resident_export()[1], union.resident_export()[1])):
             failures.append(f"batch {step}: graph differs from the constructor's")
-        accounted = sum(info[phase] for phase in PHASES)
-        if abs(accounted - info["update_seconds"]) > 0.1 * info["update_seconds"]:
+        accounted = sum(getattr(result, phase) for phase in PHASES)
+        if abs(accounted - result.update_seconds) > 0.1 * result.update_seconds:
             failures.append(f"batch {step}: phases cover {accounted:.6f}s of "
-                            f"{info['update_seconds']:.6f}s")
-        if info["affected"] != walks.forward_reachable_set(
+                            f"{result.update_seconds:.6f}s")
+        if result.affected != walks.forward_reachable_set(
                 union, new_heads, WALK_STEPS):
             failures.append(f"batch {step}: affected set is not the forward ball")
-        reference = built(union)
+        system = linear_system.build_system(union, params)
         for name in ("indptr", "indices", "data"):
-            if not np.array_equal(getattr(walker.system, name),
-                                  getattr(reference.system, name)):
+            if (getattr(walker.system, name).tobytes()
+                    != getattr(system, name).tobytes()):
                 failures.append(f"batch {step}: system {name} differs from a "
                                 f"from-scratch build")
-        if not np.array_equal(walker.index.diagonal, reference.index.diagonal):
-            failures.append(f"batch {step}: diagonal differs from a "
-                            f"from-scratch build")
         if walker.index.diagonal.tobytes() != build_diagonal_index(
                 union, params).diagonal.tobytes():
             failures.append(f"batch {step}: diagonal differs from "
                             f"build_diagonal_index")
 
+    label = f"update smoke (K={num_shards})"
     for failure in failures:
-        print(f"FAIL {failure}", file=sys.stderr)
+        print(f"FAIL {label}: {failure}", file=sys.stderr)
     if failures:
-        print(f"update smoke: {len(failures)} divergence(s)", file=sys.stderr)
+        print(f"{label}: {len(failures)} divergence(s)", file=sys.stderr)
         return 1
-    print(f"update smoke: {N_BATCHES} batches, bitwise-identical to "
-          f"from-scratch builds and build_diagonal_index (graph {N_NODES} "
-          f"nodes, T={WALK_STEPS})")
-    print("update smoke: ms per batch: " + ", ".join(
+    print(f"{label}: {N_BATCHES} batches, bitwise-identical to from-scratch "
+          f"builds and build_diagonal_index (graph {N_NODES} nodes, "
+          f"T={WALK_STEPS})")
+    print(f"{label}: ms per batch: " + ", ".join(
         f"{phase[:-len('_seconds')]} {seconds / N_BATCHES * 1e3:.2f}"
         for phase, seconds in phase_totals.items()))
-    print(f"update smoke: us per re-estimated row: "
+    print(f"{label}: us per re-estimated row: "
           f"{phase_totals['rows_seconds'] / max(affected_rows, 1) * 1e6:.1f} "
           f"({affected_rows} rows)")
     return 0
+
+
+def main() -> int:
+    return max(storm(num_shards) for num_shards in SHARD_COUNTS)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ The dataclasses defined here:
 
 :class:`UpdateParams`
     Knobs of the service's live-update path: the pending-edge queue bound,
-    snapshot cadence/retention and the exact-re-estimation switch (see
-    :mod:`repro.service.updates`).
+    the node-growth limit and snapshot cadence/retention (see
+    :meth:`repro.service.QueryService.add_edges`).
 
 :class:`ShardingParams`
     Shape of a sharded deployment: how many shards, how nodes are assigned
@@ -282,7 +282,8 @@ class ServiceParams:
 
 @dataclass(frozen=True)
 class UpdateParams:
-    """Knobs of the service's live-update path (:mod:`repro.service.updates`).
+    """Knobs of the service's live-update path
+    (:meth:`repro.service.QueryService.add_edges`).
 
     Attributes
     ----------
@@ -308,10 +309,6 @@ class UpdateParams:
         Directory of the service's :class:`repro.core.index.SnapshotStore`;
         ``None`` means snapshots are only written when a caller passes an
         explicit directory to ``QueryService.save_snapshot``.
-    exact:
-        Re-estimate affected rows from exact walk distributions instead of
-        Monte-Carlo.  Only feasible for small graphs; used by tests that
-        want updates exactly equal to exact rebuilds.
     """
 
     max_pending_edges: int = 10_000
@@ -319,7 +316,6 @@ class UpdateParams:
     snapshot_every: int = 0
     snapshot_retain: int = 5
     snapshot_dir: Optional[str] = None
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if self.max_pending_edges < 1:

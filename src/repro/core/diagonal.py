@@ -6,11 +6,12 @@ iterations on ``A x = 1``), independent of how the work is distributed —
 ``CloudWalker``'s default single-machine path.  Every row reads its own
 ``(seed, node)`` random stream (:func:`repro.core.linear_system.build_rows`),
 so the index is byte-equal to the one the broadcasting execution model
-(:mod:`repro.core.broadcast_impl`, any number of partitions), the sharded
-and incremental builders (:mod:`repro.core.incremental`) and the query
-service produce.  The RDD model (:mod:`repro.core.rdd_impl`) is the one
-exception: its walk spreads collapsed walker counts with per-``(step,
-node)`` multinomial draws, so it matches up to Monte-Carlo noise only.
+(:mod:`repro.core.broadcast_impl`, any number of partitions), the index
+maintainer (:class:`repro.core.sharding.ShardedIncrementalWalker`, any
+shard count, after any sequence of updates) and the query service
+produce.  The RDD model (:mod:`repro.core.rdd_impl`) is the one exception:
+its walk spreads collapsed walker counts with per-``(step, node)``
+multinomial draws, so it matches up to Monte-Carlo noise only.
 """
 
 from __future__ import annotations

@@ -266,7 +266,7 @@ class SnapshotStore:
     and, optionally, a ``system-v<NNNNNNNN>.npz`` with the Monte-Carlo
     linear system ``A`` the index was solved from.  Persisting the system is
     what makes incremental maintenance survive restarts: a fresh process can
-    :meth:`repro.core.incremental.IncrementalCloudWalker.attach` the loaded
+    :meth:`repro.core.sharding.ShardedIncrementalWalker.attach` the loaded
     system and update it for the cost of the affected rows only, instead of
     re-estimating every row first.
 
@@ -382,7 +382,7 @@ class SnapshotStore:
         """Load the linear system of ``version`` (latest by default).
 
         Returns None when the snapshot was saved without a system — callers
-        fall back to re-estimating it (see ``IncrementalCloudWalker.attach``).
+        fall back to re-estimating it (see ``ShardedIncrementalWalker.attach``).
         """
         if version is None:
             version = self.latest_version()

@@ -56,7 +56,7 @@ def build_rows(
     broadcast partitions gathers the rows a single call produces, and
     re-estimating only the affected rows after an edge insertion yields the
     system a from-scratch build on the updated graph has (see
-    :class:`repro.core.incremental.IncrementalCloudWalker`).
+    :class:`repro.core.sharding.ShardedIncrementalWalker`).
 
     Rows are assembled a kernel block of ascending ids at a time, so memory
     stays bounded by the block, and for the same reason the block size

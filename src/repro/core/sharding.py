@@ -6,22 +6,25 @@ Jacobi iteration, and the online phase serves from the gathered result.
 This module reproduces that shape for the offline phase:
 
 * a :class:`~repro.graph.partition.ShardPlan` assigns every node (row) to
-  one of ``K`` shards;
-* :class:`ShardedIncrementalWalker` estimates each shard's rows as an
-  independent task and runs the tasks through an
+  one of ``K`` shards (``K = 1`` by default);
+* :class:`ShardedIncrementalWalker` — the one index maintainer — estimates
+  each shard's rows as an independent task and runs the tasks through an
   :mod:`engine executor <repro.engine.executor>` backend, so shards build
   concurrently;
 * the per-shard row sets are *gathered* into one linear system and solved
-  exactly like the single-shard path.
+  with ``L`` cold-started Jacobi sweeps;
+* an edge insertion re-runs the same computation on the affected rows
+  only, and reports what it did as a :class:`MutationResult`.
 
 Determinism is inherited, not re-proven: every row is estimated from its own
 ``(seed, source)`` random stream (:func:`repro.core.linear_system.
 build_rows`), so the gathered system — and therefore the solved
-diagonal — is **bitwise-identical** to a single-shard build for any ``K``,
-any shard strategy and any executor backend.  The same argument covers
-incremental updates: an edge insertion's affected rows are grouped by owning
-shard, only the *touched* shards re-estimate, and the spliced system is
-bitwise-equal to the single-shard incremental result (see
+diagonal — is **bitwise-identical** to a from-scratch
+:func:`repro.core.diagonal.build_diagonal_index` for any ``K``, any shard
+strategy and any executor backend.  The same argument covers incremental
+updates: an edge insertion's affected rows are grouped by owning shard,
+only the *touched* shards re-estimate, and the spliced system is
+bitwise-equal to a from-scratch build on the updated graph (see
 ``docs/sharding.md`` for the full proof sketch).
 
 Example
@@ -41,6 +44,7 @@ Example
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -48,9 +52,9 @@ import numpy as np
 from scipy import sparse
 
 from repro.config import ShardingParams, SimRankParams
-from repro.core import linear_system
-from repro.core.incremental import IncrementalCloudWalker
-from repro.core.index import DiagonalIndex
+from repro.core import linear_system, walks
+from repro.core.index import BuildInfo, DiagonalIndex
+from repro.core.jacobi import jacobi_solve
 from repro.engine.executor import (
     ExecutorBackend,
     ResidentHandle,
@@ -171,17 +175,108 @@ def slice_shard_block(system: sparse.csr_matrix,
     return block
 
 
-class ShardedIncrementalWalker(IncrementalCloudWalker):
-    """A :class:`~repro.core.incremental.IncrementalCloudWalker` whose row
-    estimation fans out across shards.
+PHASES = ("graph_seconds", "routing_seconds", "rows_seconds",
+          "splice_seconds", "solve_seconds")
+"""The :class:`MutationResult` fields that partition its ``update_seconds``
+(back-to-back stopwatch readings of :meth:`ShardedIncrementalWalker.
+add_edges`, in this order)."""
 
-    The class changes *where* rows are estimated, never *what* they are:
-    :meth:`_build_rows` groups the requested sources by owning shard, runs
-    one :func:`estimate_shard_rows` task per touched shard through the
-    executor backend, and gathers the results.  Everything else — graph
-    extension, affected-ball computation, system splicing, the cold-start
-    Jacobi solve — is inherited unchanged, which is what makes the sharded
-    index bitwise-identical to the single-shard one by construction.
+
+@dataclass(frozen=True)
+class MutationResult:
+    """Outcome of one applied (possibly batched) edge insertion.
+
+    Attributes
+    ----------
+    edges_added:
+        Number of *new* edges the update inserted (edges the graph already
+        had, and duplicates within the batch, are dropped first).
+    new_nodes:
+        Nodes the update introduced (edge endpoints beyond the old
+        ``n_nodes``).
+    affected:
+        The affected-source set: every node whose walk distributions — and
+        therefore cached entries and index row — may have changed.  New
+        nodes are included.
+    update_seconds:
+        Wall-clock cost of the incremental re-index.
+    routing_seconds:
+        The slice of ``update_seconds`` spent computing the affected set
+        (:func:`repro.core.walks.forward_reachable_set`).
+    graph_seconds, rows_seconds, splice_seconds, solve_seconds:
+        The other phases — merging the edges into the graph, re-estimating
+        the affected rows, splicing them into the linear system, the
+        Jacobi re-solve.  With ``routing_seconds`` they add up to
+        ``update_seconds`` (:data:`PHASES`).
+    """
+
+    edges_added: int
+    new_nodes: int
+    affected: frozenset
+    update_seconds: float
+    routing_seconds: float
+    graph_seconds: float
+    rows_seconds: float
+    splice_seconds: float
+    solve_seconds: float
+
+    @property
+    def affected_rows(self) -> int:
+        """Number of re-estimated index rows."""
+        return len(self.affected)
+
+
+def _choose_rows(mask: np.ndarray, when_true: sparse.csr_matrix,
+                 when_false: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Row ``i`` of ``when_true`` where ``mask[i]``, of ``when_false`` elsewhere.
+
+    Assembled directly from the operands' ``indptr/indices/data`` — whole
+    rows are copied in order, so two canonical CSR operands (sorted column
+    indices, no explicit zeros) give a canonical result.  The result is
+    square with ``len(mask)`` rows; an operand with fewer rows (the system
+    before the graph grew) counts as empty from there on.
+    """
+    n = len(mask)
+    true_counts, false_counts = np.zeros((2, n), dtype=np.int64)
+    true_counts[:when_true.shape[0]] = np.diff(when_true.indptr)
+    false_counts[:when_false.shape[0]] = np.diff(when_false.indptr)
+    counts = np.where(mask, true_counts, false_counts)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    from_true = np.repeat(mask, counts)
+    take_true = np.repeat(mask, true_counts)
+    take_false = np.repeat(~mask, false_counts)
+    indices = np.empty(indptr[-1], dtype=when_true.indices.dtype)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices[from_true] = when_true.indices[take_true]
+    indices[~from_true] = when_false.indices[take_false]
+    data[from_true] = when_true.data[take_true]
+    data[~from_true] = when_false.data[take_false]
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+class ShardedIncrementalWalker:
+    """The index maintainer: builds a CloudWalker index shard by shard and
+    keeps it current across edge insertions.
+
+    The offline phase is one computation — estimate each row of ``A`` from
+    that node's own walks, then run ``L`` Jacobi sweeps from ``1 - c`` —
+    and an update re-runs it on the affected rows only:
+
+    1. keep the assembled linear system ``A`` from the last build;
+    2. on :meth:`add_edges`, compute the affected source set by a bounded
+       forward BFS from the new edges' heads (an insertion ``u -> v`` only
+       changes the reverse walks of nodes ``v`` reaches within ``T`` steps);
+    3. re-estimate only the affected rows: :meth:`_build_rows` groups them
+       by owning shard and runs one :func:`estimate_shard_rows` task per
+       touched shard through the executor backend;
+    4. splice them into ``A`` and re-solve from the cold start a build uses.
+
+    Every row reads its own ``(seed, source)`` random stream
+    (:func:`repro.core.linear_system.build_rows`), so the maintained system
+    and diagonal are **bitwise-identical** to a from-scratch
+    :func:`repro.core.diagonal.build_diagonal_index` on the current graph,
+    for any ``K``, plan and backend (``docs/sharding.md``).
 
     Parameters
     ----------
@@ -189,13 +284,15 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
         Initial graph (replaced by updates; read the current one from
         :attr:`graph`).
     plan:
-        Node-to-shard assignment; must answer :meth:`ShardPlan.shard_of`
-        for ids created by later updates (all built-in strategies do).
+        Node-to-shard assignment (default: one shard holding every node);
+        must answer :meth:`ShardPlan.shard_of` for ids created by later
+        updates (all built-in strategies do).
     params:
         Algorithmic parameters, shared by the build and all updates.
     exact:
         Use exact walk distributions instead of Monte-Carlo (small graphs;
-        the exact system is built in one pass, not sharded).
+        the exact system is built in one pass, not sharded, and makes
+        updates exactly equal to exact rebuilds, which tests exploit).
     backend:
         Executor backend running the per-shard tasks (default serial).
         The graph is registered on the backend's resident registry before
@@ -221,46 +318,84 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
     def __init__(
         self,
         graph: DiGraph,
-        plan: ShardPlan,
+        plan: Optional[ShardPlan] = None,
         params: Optional[SimRankParams] = None,
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
     ) -> None:
-        super().__init__(graph, params=params, exact=exact)
-        self.plan = plan
+        self.graph = graph
+        self.plan = plan if plan is not None else ShardPlan.hashed(1)
+        self.params = params or SimRankParams.paper_defaults()
+        self.exact = exact
         self.backend = backend or SerialBackend()
+        self._system: Optional[sparse.csr_matrix] = None
+        self.index: Optional[DiagonalIndex] = None
         self.shard_build_seconds: Dict[int, float] = {}
         self.last_touched_shards: frozenset = frozenset()
 
-    @classmethod
-    def from_params(
-        cls,
-        graph: DiGraph,
-        sharding: ShardingParams,
-        params: Optional[SimRankParams] = None,
-        exact: bool = False,
-    ) -> "ShardedIncrementalWalker":
-        """Construct plan, backend and walker from a :class:`ShardingParams`."""
-        return cls(
-            graph,
-            make_plan(graph, sharding),
-            params=params,
-            exact=exact,
-            backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
-        )
+    # ------------------------------------------------------------------ #
+    def build(self) -> DiagonalIndex:
+        """Initial full build (also callable to force a rebuild)."""
+        start = time.perf_counter()
+        self._system = self._build_rows(self.graph, range(self.graph.n_nodes))
+        self.index = self._solve(self.graph, self._system,
+                                 seconds_so_far=time.perf_counter() - start,
+                                 update_kind="full-build", affected=self.graph.n_nodes)
+        return self.index
+
+    def attach(self, index: DiagonalIndex,
+               system: Optional[sparse.csr_matrix] = None) -> None:
+        """Adopt an existing index (and optionally its linear system).
+
+        Lets a maintainer take over an index that was built elsewhere — a
+        cold-started query service, or a snapshot reloaded from disk — so
+        :meth:`add_edges` can update it incrementally.  If ``system`` is not
+        given (the index file does not carry it), the linear system for the
+        *current* graph is estimated now; this one-time cost is comparable
+        to a rebuild, which is exactly why snapshots persist the system
+        alongside the diagonal (see
+        :meth:`repro.core.index.SnapshotStore.save_snapshot`).
+        """
+        index.validate_for(self.graph)
+        if system is not None:
+            if system.shape != (self.graph.n_nodes, self.graph.n_nodes):
+                raise ConfigurationError(
+                    f"system has shape {system.shape} but the graph has "
+                    f"{self.graph.n_nodes} nodes"
+                )
+            system = system.tocsr()
+            if not system.has_canonical_format or (
+                    np.count_nonzero(system.data) < system.nnz):
+                # add_edges copies kept rows verbatim, so they must already
+                # be the canonical CSR a build produces (on a copy: the
+                # caller's matrix is not ours to reorder).
+                system = system.copy()
+                system.sum_duplicates()
+                system.eliminate_zeros()
+            self._system = system
+        else:
+            self._system = self._build_rows(self.graph, range(self.graph.n_nodes))
+        self.index = index
+
+    @property
+    def system(self) -> Optional[sparse.csr_matrix]:
+        """The maintained linear system ``A`` (None before build/attach)."""
+        return self._system
 
     def _build_rows(self, graph: DiGraph, sources) -> sparse.csr_matrix:
         """Estimate rows shard-by-shard through the executor backend."""
         sources = list(sources)
-        if self.exact or not sources:
-            # The exact system is assembled from one sparse matrix power
-            # sweep — there is nothing row-independent to fan out.
-            self.last_touched_shards = frozenset(
-                self.plan.group_nodes(sources)
-            ) if sources else frozenset()
-            return super()._build_rows(graph, sources)
         groups = self.plan.group_nodes(sources)
         self.last_touched_shards = frozenset(groups)
+        if self.exact:
+            # The exact system is assembled from one sparse matrix power
+            # sweep — there is nothing row-independent to fan out.
+            mask = np.zeros(graph.n_nodes, dtype=bool)
+            mask[sources] = True
+            return _choose_rows(mask, linear_system.build_exact_system(
+                graph, self.params), sparse.csr_matrix((0, 0)))
+        if not sources:
+            return gather_shard_rows([], graph.n_nodes)
         # Register (or re-register after an update: `graph` is a new
         # object, hence a new epoch) so each task ships a handle plus its
         # node list instead of the whole graph.
@@ -275,6 +410,106 @@ class ShardedIncrementalWalker(IncrementalCloudWalker):
             self.shard_build_seconds[shard] = seconds
         return gather_shard_rows(
             [outcomes[shard][0] for shard in sorted(outcomes)], graph.n_nodes
+        )
+
+    def _solve(self, graph: DiGraph, system: sparse.csr_matrix,
+               seconds_so_far: float, update_kind: str,
+               affected: int) -> DiagonalIndex:
+        rhs = np.ones(graph.n_nodes, dtype=np.float64)
+        start = time.perf_counter()
+        if graph.n_nodes == 0:
+            x = np.zeros(0, dtype=np.float64)
+            residual = float("nan")
+        else:
+            solution = jacobi_solve(
+                system, rhs, iterations=self.params.jacobi_iterations,
+                initial=np.full(graph.n_nodes, 1.0 - self.params.c),
+            )
+            x = solution.x
+            residual = solution.final_residual
+        solve_seconds = time.perf_counter() - start
+        build_info = BuildInfo(
+            execution_model="incremental",
+            monte_carlo_seconds=seconds_so_far,
+            solve_seconds=solve_seconds,
+            total_seconds=seconds_so_far + solve_seconds,
+            jacobi_residual=residual,
+            system_nnz=int(system.nnz),
+            extras={"update_kind": update_kind, "affected_rows": affected},
+        )
+        return DiagonalIndex(
+            diagonal=x, params=self.params, graph_name=graph.name,
+            n_nodes=graph.n_nodes, n_edges=graph.n_edges, build_info=build_info,
+        )
+
+    # ------------------------------------------------------------------ #
+    def add_edges(self, new_edges: Sequence[Tuple[int, int]]
+                  ) -> Optional[MutationResult]:
+        """Insert edges and update the index incrementally.
+
+        Returns the :class:`MutationResult` — the affected source set
+        (which the query service turns into its cache-invalidation set)
+        and the update cost by phase; the new graph and index are available
+        as :attr:`graph` / :attr:`index`.  Edges the graph already has are
+        ignored, and a batch with no new edge returns None without touching
+        anything.  Only the touched shards re-estimate rows.
+        """
+        if self.index is None or self._system is None:
+            raise ConfigurationError("call build() or attach() before add_edges()")
+        # Only edges the graph does not have yet change anything: heads of
+        # re-inserted edges must not widen the ball, and an all-present
+        # batch must leave graph, system, index and random streams alone.
+        old_n = self.graph.n_nodes
+        fresh = [
+            (u, v) for u, v in ((int(u), int(v)) for u, v in new_edges)
+            if not (0 <= u < old_n and 0 <= v < old_n and self.graph.has_edge(u, v))
+        ]
+        if not fresh:
+            return None
+
+        start = time.perf_counter()
+        new_graph = self.graph.with_edges(fresh)
+        new_n = new_graph.n_nodes
+
+        routing_start = time.perf_counter()
+        affected = walks.forward_reachable_set(
+            new_graph, {v for _u, v in fresh}, self.params.walk_steps)
+        affected.update(range(old_n, new_n))
+        rows_start = time.perf_counter()
+
+        # Re-estimate the affected rows on the new graph.
+        affected_ids = sorted(affected)
+        fresh_rows = self._build_rows(new_graph, affected_ids)
+        splice_start = time.perf_counter()
+
+        # Splice: affected rows (every new node among them) from the fresh
+        # estimate, all others from the old system.  Both are canonical CSR,
+        # so the result is too — the arrays a from-scratch build produces,
+        # which keeps the solver's summation order, and hence the solved
+        # diagonal, bitwise reproducible.
+        is_affected = np.zeros(new_n, dtype=bool)
+        is_affected[affected_ids] = True
+        system = _choose_rows(is_affected, fresh_rows, self._system)
+
+        # Cold start, exactly like build(): same guess -> same iterates.
+        solve_start = time.perf_counter()
+        index = self._solve(
+            new_graph, system, seconds_so_far=solve_start - start,
+            update_kind="incremental-add-edges", affected=len(affected),
+        )
+        end = time.perf_counter()
+        edges_added = new_graph.n_edges - self.graph.n_edges
+        self.graph, self._system, self.index = new_graph, system, index
+        return MutationResult(
+            edges_added=edges_added,
+            new_nodes=new_n - old_n,
+            affected=frozenset(affected),
+            update_seconds=end - start,
+            graph_seconds=routing_start - start,
+            routing_seconds=rows_start - routing_start,
+            rows_seconds=splice_start - rows_start,
+            splice_seconds=solve_start - splice_start,
+            solve_seconds=end - solve_start,
         )
 
     def with_plan(self, plan: ShardPlan) -> "ShardedIncrementalWalker":
@@ -334,6 +569,9 @@ def build_sharded_index(
     snapshotting.  This is the call behind ``python -m repro index
     --shards K``.
     """
-    walker = ShardedIncrementalWalker.from_params(graph, sharding, params=params)
+    walker = ShardedIncrementalWalker(
+        graph, make_plan(graph, sharding), params=params,
+        backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
+    )
     index = walker.build()
     return index, walker

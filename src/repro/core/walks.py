@@ -36,7 +36,7 @@ def forward_reachable_set(
     there is a forward path ``v -> ... -> i`` of length at most ``T``, so the
     sources whose reverse-walk distributions may change when ``In(v)``
     changes are the forward BFS ball of radius ``T`` around ``v`` (seeds
-    included).  Shared by :mod:`repro.core.incremental` (which rows to
+    included).  Shared by :mod:`repro.core.sharding` (which rows to
     re-estimate) and :mod:`repro.service` (which cache entries to
     invalidate) so both always agree.
     """

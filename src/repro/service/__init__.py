@@ -9,14 +9,14 @@ serving layer fit for sustained query traffic:
 :mod:`repro.service.batching`
     Query dataclasses plus the batch planner that deduplicates sources and
     groups them for vectorised multi-source simulation.
-:mod:`repro.service.updates`
-    :class:`GraphMutator`, the live-update path: a bounded queue of edge
-    insertions drained into incremental re-indexes whose affected-source
-    sets drive targeted cache invalidation.
 :mod:`repro.service.service`
     :class:`QueryService`, the one serving class, tying index persistence,
     planning, simulation, caching, live updates, versioned snapshots and
-    rebalancing together behind single-query and batch APIs.  Per-node
+    rebalancing together behind single-query and batch APIs.  Live updates
+    go through a bounded queue of edge insertions drained into incremental
+    re-indexes (:class:`~repro.core.sharding.ShardedIncrementalWalker`)
+    whose affected-source sets, reported on a :class:`MutationResult`,
+    drive targeted cache invalidation.  Per-node
     state — caches, index rows, versions — follows a
     :class:`~repro.graph.partition.ShardPlan` of ``K`` shards; ``K = 1``
     (the default) is a one-shard plan, and answers are bitwise-identical
@@ -41,6 +41,7 @@ serving layer fit for sustained query traffic:
     (``ServiceParams.accuracy_budget``).
 """
 
+from repro.core.sharding import MutationResult
 from repro.service.batching import (
     BatchPlan,
     PairQuery,
@@ -71,7 +72,6 @@ from repro.service.scenarios import (
     write_trace,
 )
 from repro.service.service import BatchAnswers, QueryService
-from repro.service.updates import GraphMutator, MutationResult
 
 # benchmarks/spine binds ShardedQueryService by name; it is QueryService.
 ShardedQueryService = QueryService
@@ -82,7 +82,6 @@ __all__ = [
     "BatchPlan",
     "CacheKey",
     "CacheStats",
-    "GraphMutator",
     "HttpServiceServer",
     "MutationResult",
     "PairQuery",

@@ -22,7 +22,7 @@ The concurrency model (the reason this tier exists):
   tail latency instead of letting them grow without limit.
 * **Overlapped update drains** — ``POST /update`` buffers edges on the
   event loop and a single drain task applies them on a *separate* worker
-  strand via ``flush_updates``: the expensive re-index holds
+  strand via ``add_edges``: the expensive re-index holds
   only the service's update lock, so in-flight and new query batches keep
   serving the previous consistent version and swap atomically when the
   drain lands.
@@ -569,8 +569,8 @@ class HttpServiceServer:
         """Apply buffered edges on the drain strand until none remain.
 
         One drain task exists at a time; each pass takes the whole buffer
-        (coalescing an update burst into one re-index) and applies it via
-        the overlapped flush, so query batches on the other strand keep
+        (coalescing an update burst into one re-index) and applies it with
+        one ``add_edges``, so query batches on the other strand keep
         serving the previous version during the re-index.  Waiters from
         ``"wait": true`` updates resolve with the post-drain version.
         """
@@ -629,9 +629,8 @@ class HttpServiceServer:
             self._counters[key] += 1
 
     def _apply_edges(self, edges: Sequence[Tuple[int, int]]) -> int:
-        """Worker-strand body of one drain: enqueue, flush, report version."""
-        self.service.add_edges(edges, defer=True)
-        self.service.flush_updates()
+        """Worker-strand body of one drain: apply, report version."""
+        self.service.add_edges(edges)
         return self.service.index_version
 
     # ------------------------------------------------------------------ #

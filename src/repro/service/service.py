@@ -6,8 +6,9 @@ batches concurrent queries so distributions shared between them are
 simulated once (:mod:`repro.service.batching`), keeps LRU caches of
 per-source walk distributions so repeated traffic skips simulation entirely
 (:mod:`repro.service.cache`), and accepts **live edge insertions** that are
-folded into the index incrementally between query batches
-(:mod:`repro.service.updates`).
+folded into the index incrementally between query batches (a bounded
+queue here, the re-index in
+:class:`~repro.core.sharding.ShardedIncrementalWalker`).
 
 The node space is split across ``K`` shards by a
 :class:`~repro.graph.partition.ShardPlan` (``ShardingParams``; ``K = 1``,
@@ -84,7 +85,12 @@ from repro.config import (
 from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import QueryEngine, SourceScores
-from repro.core.sharding import ShardedIncrementalWalker, make_plan
+from repro.core.sharding import (
+    MutationResult,
+    ShardedIncrementalWalker,
+    build_sharded_index,
+    make_plan,
+)
 from repro.engine.executor import make_backend
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
@@ -106,7 +112,6 @@ from repro.service.batching import (
 )
 from repro.service.cache import CacheKey, CacheStats, Ranking, WalkDistributionCache
 from repro.service.sharded import simulate_misses
-from repro.service.updates import GraphMutator, MutationResult
 
 PathLike = Union[str, os.PathLike]
 
@@ -114,6 +119,8 @@ Answer = Any
 """A query answer: float (pair), ndarray (source) or ranking list (top-k)."""
 
 NodeLoads = Union[Dict[int, float], Sequence[float]]
+
+Edge = Tuple[int, int]
 
 
 class BatchAnswers(List[Answer]):
@@ -131,17 +138,6 @@ class BatchAnswers(List[Answer]):
     def __init__(self, answers: Sequence[Answer], index_version: int) -> None:
         super().__init__(answers)
         self.index_version = index_version
-
-
-def _make_walker(graph: DiGraph, plan: ShardPlan, params: SimRankParams,
-                 update_params: UpdateParams,
-                 sharding: ShardingParams) -> ShardedIncrementalWalker:
-    """The index maintainer: row estimation fanned out over ``plan``'s shards
-    through ``sharding``'s build backend."""
-    return ShardedIncrementalWalker(
-        graph, plan, params=params, exact=update_params.exact,
-        backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
-    )
 
 
 class QueryService:
@@ -168,7 +164,8 @@ class QueryService:
         cache-miss simulation scatter runs through (release it with
         :meth:`close`).
     update_params:
-        Live-update knobs (pending-edge queue bound, snapshot cadence).
+        Live-update knobs (pending-edge queue bound, node-growth limit,
+        snapshot cadence).
     sharding:
         Shard count / strategy / build backend; defaults to one shard.
         Ignored when ``plan`` (or a :class:`ShardedIndex`) already fixes
@@ -224,11 +221,13 @@ class QueryService:
         self.params = params or index.params
         self.service_params = service_params or ServiceParams()
         self.update_params = update_params or UpdateParams()
-        self.engine = QueryEngine(graph, index, self.params)
         self.budget_calibration = None
         self.query_params = self._derive_query_params()
-        self._rebuild_query_engine()
-        self._mutator: Optional[GraphMutator] = None
+        self.query_engine = QueryEngine(graph, index, self.query_params)
+        # The index maintainer (attached on the first update unless a build
+        # or snapshot supplies it) and the deferred-edge queue it drains.
+        self._walker: Optional[ShardedIncrementalWalker] = None
+        self._pending: List[Edge] = []
         self._version = 1
         self._counters: Dict[str, int] = {
             "queries": 0, "pair_queries": 0, "source_queries": 0,
@@ -249,7 +248,7 @@ class QueryService:
         # Two reentrant locks with a strict acquisition order —
         # ``_update_lock`` before ``_lock``, never the reverse:
         #
-        # * ``_update_lock`` (outer) owns the mutator: the pending queue
+        # * ``_update_lock`` (outer) owns the walker: the pending queue
         #   and the expensive incremental re-index.  Drains hold ONLY this
         #   lock while re-indexing, so readers keep serving the previous
         #   consistent graph/index/engine objects in the meantime.
@@ -296,13 +295,6 @@ class QueryService:
         if steps is None:
             steps = self.params.walk_steps
         return self.params.with_(query_walkers=walkers, walk_steps=steps)
-
-    def _rebuild_query_engine(self) -> None:
-        """Re-point ``query_engine`` after ``graph``/``index``/``engine`` moved."""
-        self.query_engine = (
-            self.engine if self.query_params is self.params
-            else QueryEngine(self.graph, self.index, self.query_params)
-        )
 
     def _fresh_shard_state(self) -> None:
         """(Re)create the per-shard serving state for the current plan.
@@ -370,17 +362,12 @@ class QueryService:
         """
         params = params or SimRankParams.paper_defaults()
         sharding = sharding or ShardingParams()
-        update_params = update_params or UpdateParams()
-        plan = make_plan(graph, sharding)
-        mutator = GraphMutator(
-            _make_walker(graph, plan, params, update_params, sharding),
-            update_params)
-        index = mutator.build()
+        index, walker = build_sharded_index(graph, sharding, params)
         service = cls(graph, index, params=params,
                       service_params=service_params,
-                      update_params=update_params, sharding=sharding, plan=plan,
-                      rebalance_params=rebalance_params)
-        service._mutator = mutator
+                      update_params=update_params, sharding=sharding,
+                      plan=walker.plan, rebalance_params=rebalance_params)
+        service._walker = walker
         return service
 
     @classmethod
@@ -420,7 +407,7 @@ class QueryService:
                       rebalance_params=rebalance_params)
         service._version = version
         if system is not None:
-            service._ensure_mutator(system)
+            service._ensure_walker(system)
         return service
 
     # ------------------------------------------------------------------ #
@@ -461,22 +448,52 @@ class QueryService:
     @property
     def pending_updates(self) -> int:
         """Edges queued via ``add_edges(..., defer=True)``, not yet applied."""
-        return self._mutator.pending_edges if self._mutator is not None else 0
+        return len(self._pending)
 
-    def _ensure_mutator(self, system: Optional[sparse.spmatrix] = None
-                        ) -> GraphMutator:
-        if self._mutator is None:
+    def _ensure_walker(self, system: Optional[sparse.spmatrix] = None
+                       ) -> ShardedIncrementalWalker:
+        if self._walker is None:
             # Attaching to a pre-built index estimates the linear system for
             # the current graph once — shard by shard, through the build
             # backend — unless a snapshot supplies ``system``; from then on
             # updates are incremental.  build() skips this.
-            walker = _make_walker(self.graph, self.plan, self.params,
-                                  self.update_params, self.sharding)
+            walker = ShardedIncrementalWalker(
+                self.graph, self.plan, params=self.params,
+                backend=make_backend(self.sharding.backend,
+                                     max_workers=self.sharding.max_workers),
+            )
             walker.attach(self.index, system=system)
-            self._mutator = GraphMutator(walker, self.update_params)
-        return self._mutator
+            self._walker = walker
+        return self._walker
 
-    def add_edges(self, edges: Sequence[Tuple[int, int]],
+    def _validated(self, edges: Sequence[Edge]) -> List[Edge]:
+        """Normalise and validate endpoints *before* any edge is accepted.
+
+        Validating at intake (not at apply time) is what keeps a deferred
+        queue unpoisonable: a bad edge is rejected on the call that submits
+        it, instead of wedging every later drain.  Endpoints must be
+        non-negative and may not implicitly grow the graph by more than
+        ``max_node_growth`` nodes.
+        """
+        validated: List[Edge] = []
+        limit = self.graph.n_nodes + self.update_params.max_node_growth
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u < 0 or v < 0:
+                raise CloudWalkerError(
+                    f"edge ({u}, {v}) has a negative endpoint"
+                )
+            if max(u, v) >= limit:
+                raise CloudWalkerError(
+                    f"edge ({u}, {v}) would grow the graph past node {limit - 1} "
+                    f"(n_nodes={self.graph.n_nodes} + max_node_growth="
+                    f"{self.update_params.max_node_growth}); raise "
+                    f"UpdateParams.max_node_growth if this is intentional"
+                )
+            validated.append((u, v))
+        return validated
+
+    def add_edges(self, edges: Sequence[Edge],
                   defer: bool = False) -> Optional[MutationResult]:
         """Insert edges into the served graph.
 
@@ -490,35 +507,34 @@ class QueryService:
         batch that would overflow it drains the queue eagerly first, and a
         single batch larger than the bound is simply applied immediately.
 
-        Each edge is routed to the shard owning its *head* (the node whose
-        in-links change); the per-shard routed counts appear in
+        Edges are validated first (negative endpoints, runaway node
+        growth), so a bad edge fails here — naming it — instead of
+        poisoning the queue, and a refused batch changes nothing.  Each
+        accepted edge is routed to the shard owning its *head* (the node
+        whose in-links change); the per-shard routed counts appear in
         :meth:`stats`.  The re-index touches only the shards owning
         affected rows and holds only the update lock — in-flight query
         batches keep serving the previous consistent version until the
         swap-in.
 
-        Edges are validated on this call (negative endpoints, runaway node
-        growth), so a bad edge fails here instead of poisoning the queue.
-        Returns the :class:`~repro.service.updates.MutationResult` of the
+        Returns the :class:`~repro.core.sharding.MutationResult` of the
         applied update; None when deferring, or when every submitted edge
         already existed (a graph no-op: no re-index, no version bump).
         """
         with self._update_lock:
+            edges = self._validated(edges)
             with self._lock:
-                for shard, routed in self.plan.group_edges(
-                        (int(u), int(v)) for u, v in edges).items():
+                for shard, routed in self.plan.group_edges(edges).items():
                     self._shard_counters[shard]["edges_routed"] += len(routed)
-            mutator = self._ensure_mutator()
-            if defer:
-                if len(edges) > self.update_params.max_pending_edges:
-                    # Too large to ever queue: apply now (never lose edges).
-                    return self._apply_updates(edges)
-                if (mutator.pending_edges + len(edges)
-                        > self.update_params.max_pending_edges):
-                    self.flush_updates()
-                mutator.enqueue(edges)
-                return None
-            return self._apply_updates(edges)
+            bound = self.update_params.max_pending_edges
+            # A batch too large to ever queue is applied now (never lose
+            # edges).
+            if not defer or len(edges) > bound:
+                return self._apply_updates(edges)
+            if len(self._pending) + len(edges) > bound:
+                self.flush_updates()
+            self._pending.extend(edges)
+            return None
 
     def flush_updates(self) -> Optional[MutationResult]:
         """Apply all queued edge insertions as one incremental re-index.
@@ -526,24 +542,30 @@ class QueryService:
         The re-index holds only the update lock (serialising with other
         updates), while in-flight and new query batches proceed under the
         serve lock against the previous graph/index/engine objects — which
-        stay consistent because the mutator builds *new* objects and
+        stay consistent because the walker builds *new* objects and
         :meth:`_adopt_mutation` re-points the service at them atomically
-        at the very end.  The HTTP tier's drain strand calls this.
-        Returns the applied :class:`~repro.service.updates.MutationResult`,
+        at the very end.
+        Returns the applied :class:`~repro.core.sharding.MutationResult`,
         or None when the queue was empty (or held only already-present
         edges).
         """
         with self._update_lock:
-            if self._mutator is None or self._mutator.pending_edges == 0:
+            if not self._pending:
                 return None
             return self._apply_updates(())
 
-    def _apply_updates(self, edges: Sequence[Tuple[int, int]]) -> Optional[MutationResult]:
-        """Drain the queue plus ``edges`` and swap the result in."""
-        result = self._ensure_mutator().apply(edges)
-        if result is None:
-            return None
-        self._adopt_mutation(result)
+    def _apply_updates(self, edges: Sequence[Edge]) -> Optional[MutationResult]:
+        """Drain the queue plus ``edges`` as ONE re-index; swap the result in.
+
+        Batching the drain matters: the affected balls of queued edges
+        usually overlap, so one combined update re-estimates their union
+        once.  The queue is cleared only once the re-index succeeded, so a
+        failed one loses no queued edge — the next drain applies them.
+        """
+        result = self._ensure_walker().add_edges(self._pending + list(edges))
+        self._pending = []
+        if result is not None:
+            self._adopt_mutation(result)
         return result
 
     def _adopt_mutation(self, result: MutationResult) -> None:
@@ -551,19 +573,19 @@ class QueryService:
 
         The cheap, state-swapping half of an update, run under the serve
         lock after the expensive re-index (which held only the update
-        lock): re-points the service at the mutator's new graph/index/
-        engine, invalidates exactly the affected sources' distributions in
-        their owning shards' caches, drops the ranking entries of *every*
-        shard (they were scored against the diagonal the update just
-        re-solved), and bumps the global and touched-shard versions
+        lock): re-points the service at the walker's new graph/index and
+        a query engine over them, invalidates exactly the affected sources'
+        distributions in their owning shards' caches, drops the ranking
+        entries of *every* shard (they were scored against the diagonal the
+        update just re-solved), and bumps the global and touched-shard versions
         together — so a concurrent batch sees either the complete old state
         or the complete new one, never a mixture.
         """
         with self._lock:
-            self.graph = self._mutator.graph
-            self.index = self._mutator.index
-            self.engine = QueryEngine(self.graph, self.index, self.params)
-            self._rebuild_query_engine()
+            self.graph = self._walker.graph
+            self.index = self._walker.index
+            self.query_engine = QueryEngine(self.graph, self.index,
+                                            self.query_params)
             self._version += 1
             touched = self.plan.group_nodes(result.affected)
             for shard, nodes in touched.items():
@@ -613,9 +635,8 @@ class QueryService:
                     f"ahead of this service (version {self._version})"
                 )
             if latest != self._version:
-                shard_systems = None
-                if self._mutator is not None and self._mutator.system is not None:
-                    shard_systems = self._mutator.walker.shard_systems()
+                shard_systems = (self._walker.shard_systems()
+                                 if self._walker is not None else None)
                 store.save_snapshot(self.sharded_index,
                                     shard_systems=shard_systems,
                                     version=self._version)
@@ -707,7 +728,7 @@ class QueryService:
         The migration protocol, in order:
 
         1. **Drain** the deferred-update queue (the whole migration holds
-           the update lock, so no new edges can slip into the mutator that
+           the update lock, so no new edges can slip into the walker that
            is about to be replaced — ``add_edges`` blocks until the flip).
         2. **Plan**: propose via :meth:`plan_rebalance` (or adopt the
            caller's ``plan``, which must keep the shard count) and
@@ -724,7 +745,7 @@ class QueryService:
         4. **Flip**, atomically under the serve lock: adopt the plan,
            reset the per-shard caches/counters/owned-node arrays
            (:meth:`_fresh_shard_state`), bump the version, and install
-           the new walker's mutator.  A concurrent batch sees either the complete
+           the new walker.  A concurrent batch sees either the complete
            old topology or the complete new one.
         5. **Persist**: when a snapshot directory is configured, save the
            post-flip version — the governing plan is written *before* the
@@ -759,8 +780,7 @@ class QueryService:
             # Build the new sharded lineage from the current system —
             # the expensive, failure-prone step, done entirely before
             # anything served changes.
-            mutator = self._ensure_mutator()
-            new_walker = mutator.walker.with_plan(proposal)
+            new_walker = self._ensure_walker().with_plan(proposal)
             blocks = new_walker.shard_systems()
             with self._lock:
                 self.plan = proposal
@@ -771,7 +791,7 @@ class QueryService:
                     index=self.index, plan=proposal,
                     shard_versions=[self._version] * proposal.num_shards,
                 )
-                self._mutator = GraphMutator(new_walker, self.update_params)
+                self._walker = new_walker
                 self._counters["rebalances_applied"] += 1
                 report.update(
                     applied=True,
@@ -1016,7 +1036,7 @@ class QueryService:
     def close(self) -> None:
         """Shut down the service's persistent executor pools.
 
-        Releases the query-time serve pool and, when a mutator exists, the
+        Releases the query-time serve pool and, when a walker exists, the
         build backend its :class:`~repro.core.sharding.
         ShardedIncrementalWalker` fans re-estimation out through —
         including every **resident shared-memory segment** either backend
@@ -1035,8 +1055,8 @@ class QueryService:
             try:
                 self._serve_backend.close()
             finally:
-                if self._mutator is not None:
-                    self._mutator.walker.backend.close()
+                if self._walker is not None:
+                    self._walker.backend.close()
 
     def __enter__(self) -> "QueryService":
         """Context-manager entry: the service itself."""

@@ -1,9 +1,13 @@
 """Shared fixtures for core tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.config import SimRankParams
+from repro.core import linear_system
+from repro.core.diagonal import build_diagonal_index
 from repro.graph import generators
 
 
@@ -14,6 +18,17 @@ def small_params() -> SimRankParams:
         c=0.6, walk_steps=6, jacobi_iterations=5, index_walkers=80,
         query_walkers=800, seed=7,
     )
+
+
+@pytest.fixture(scope="session")
+def from_scratch():
+    """``from_scratch(graph, params)``: the ``system`` and ``index`` a
+    from-scratch build on ``graph`` produces — the reference every
+    maintained (sharded, updated) index must match bitwise."""
+    def build(graph, params):
+        return SimpleNamespace(system=linear_system.build_system(graph, params),
+                               index=build_diagonal_index(graph, params))
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,18 @@
-"""Tests for incremental index maintenance."""
+"""Tests for incremental index maintenance.
+
+The reference every update is held against is a from-scratch build on the
+updated graph (the ``from_scratch`` fixture):
+:func:`repro.core.linear_system.build_system` for the system and
+:func:`repro.core.diagonal.build_diagonal_index` for the diagonal.
+"""
 
 import numpy as np
 import pytest
 
 from repro.config import SimRankParams
+from repro.core import linear_system
 from repro.core.diagonal import build_diagonal_index
-from repro.core.incremental import PHASES, IncrementalCloudWalker
+from repro.core.sharding import PHASES, ShardedIncrementalWalker
 from repro.core.walks import forward_reachable_set
 from repro.errors import ConfigurationError
 from repro.graph import generators
@@ -46,14 +53,14 @@ class TestAffectedSources:
         # so that set must be exactly the shared BFS helper's ball around the
         # heads of the edges that are new — on the updated graph.
         graph = generators.copying_model_graph(40, out_degree=3, seed=9)
-        walker = IncrementalCloudWalker(graph, params=params)
+        walker = ShardedIncrementalWalker(graph, params=params)
         walker.build()
         present = tuple(int(x) for x in graph.edge_array()[0])
         for batch in [(1, 5)], [(2, 1), (3, 17), present], [(0, 40), (40, 7)]:
             heads = {v for u, v in batch if (u, v) != present}
             old_n = walker.graph.n_nodes
-            info = walker.add_edges(batch)
-            assert info["affected"] == forward_reachable_set(
+            result = walker.add_edges(batch)
+            assert result.affected == forward_reachable_set(
                 walker.graph, heads, params.walk_steps
             ) | set(range(old_n, walker.graph.n_nodes))
 
@@ -65,11 +72,11 @@ class TestIncrementalExact:
         # Enough Jacobi iterations that the incremental solve and the full
         # rebuild both converge to the same fixed point.
         converged = params.with_(jacobi_iterations=40)
-        maintainer = IncrementalCloudWalker(graph, params=converged, exact=True)
+        maintainer = ShardedIncrementalWalker(graph, params=converged, exact=True)
         maintainer.build()
         new_edges = [(0, 30), (5, 42), (17, 3)]
-        info = maintainer.add_edges(new_edges)
-        assert info["affected_rows"] >= 3
+        result = maintainer.add_edges(new_edges)
+        assert result.affected_rows >= 3
 
         merged = DiGraph(
             graph.n_nodes,
@@ -77,8 +84,6 @@ class TestIncrementalExact:
             name=graph.name,
         )
         # The spliced linear system must equal the one a full rebuild sees...
-        from repro.core import linear_system
-
         full_system = linear_system.build_exact_system(merged, converged)
         assert abs(maintainer._system - full_system).max() < 1e-12
         # ... and therefore the solved diagonal matches the full rebuild.
@@ -87,48 +92,45 @@ class TestIncrementalExact:
         assert maintainer.graph.n_edges == merged.n_edges
 
     def test_new_node_added(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params, exact=True)
+        maintainer = ShardedIncrementalWalker(graph, params=params, exact=True)
         maintainer.build()
-        info = maintainer.add_edges([(2, graph.n_nodes)])  # brand-new node id
-        assert info["new_nodes"] == 1
+        result = maintainer.add_edges([(2, graph.n_nodes)])  # brand-new node id
+        assert result.new_nodes == 1
         assert maintainer.graph.n_nodes == graph.n_nodes + 1
         assert maintainer.index.diagonal.shape == (graph.n_nodes + 1,)
 
     def test_empty_update_is_noop(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params, exact=True)
+        maintainer = ShardedIncrementalWalker(graph, params=params, exact=True)
         maintainer.build()
         before = maintainer.index.diagonal.copy()
-        info = maintainer.add_edges([])
-        assert info["affected_rows"] == 0
+        assert maintainer.add_edges([]) is None
         assert np.array_equal(maintainer.index.diagonal, before)
 
     def test_readding_present_edges_is_noop(self, graph, params):
         """Edges the graph already has cost nothing and change nothing —
         not the graph, the system or the diagonal."""
         def build():
-            walker = IncrementalCloudWalker(graph, params=params)
+            walker = ShardedIncrementalWalker(graph, params=params)
             walker.build()
             return walker
 
         maintainer, untouched = build(), build()
         present = [tuple(int(x) for x in edge) for edge in graph.edge_array()[:2]]
         state = (maintainer.graph, maintainer.system, maintainer.index)
-        info = maintainer.add_edges(present + present[:1])
-        assert info["affected"] == frozenset()
-        assert info["affected_rows"] == info["new_nodes"] == 0
-        assert all(info[key] == 0.0 for key in ("update_seconds",) + PHASES)
+        assert maintainer.add_edges(present + present[:1]) is None
         assert (maintainer.graph, maintainer.system, maintainer.index) == state
         # A present edge riding along with a new one adds no head of its own
         # and the update after a no-op draws what it would have drawn anyway.
         mixed = maintainer.add_edges(present + [(0, 30)])
         alone = untouched.add_edges([(0, 30)])
-        assert mixed["affected"] == alone["affected"]
+        assert mixed.affected == alone.affected
+        assert mixed.edges_added == alone.edges_added == 1
         assert np.array_equal(maintainer.index.diagonal, untouched.index.diagonal)
 
 
 class TestIncrementalMonteCarlo:
     def test_update_close_to_full_rebuild(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params)
+        maintainer = ShardedIncrementalWalker(graph, params=params)
         maintainer.build()
         new_edges = [(1, 20), (7, 33)]
         maintainer.add_edges(new_edges)
@@ -144,20 +146,20 @@ class TestIncrementalMonteCarlo:
         # On a long path graph, an edge at the tail only affects a few rows.
         path_edges = [(i, i + 1) for i in range(199)]
         path = DiGraph(200, path_edges, name="path")
-        maintainer = IncrementalCloudWalker(path, params=params)
+        maintainer = ShardedIncrementalWalker(path, params=params)
         maintainer.build()
-        info = maintainer.add_edges([(100, 199)])
-        assert info["affected_fraction"] < 0.1
+        result = maintainer.add_edges([(100, 199)])
+        assert result.affected_rows / maintainer.graph.n_nodes < 0.1
 
     def test_build_required_before_update(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params)
+        maintainer = ShardedIncrementalWalker(graph, params=params)
         with pytest.raises(ConfigurationError):
             maintainer.add_edges([(0, 1)])
 
     def test_index_usable_for_queries_after_update(self, graph, params):
         from repro.core.queries import QueryEngine
 
-        maintainer = IncrementalCloudWalker(graph, params=params)
+        maintainer = ShardedIncrementalWalker(graph, params=params)
         maintainer.build()
         maintainer.add_edges([(3, 50)])
         engine = QueryEngine(maintainer.graph, maintainer.index, params)
@@ -165,7 +167,7 @@ class TestIncrementalMonteCarlo:
         assert engine.single_pair(4, 4) == 1.0
 
     def test_build_info_records_update_kind(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params)
+        maintainer = ShardedIncrementalWalker(graph, params=params)
         maintainer.build()
         assert maintainer.index.build_info.extras["update_kind"] == "full-build"
         maintainer.add_edges([(0, 10)])
@@ -173,25 +175,29 @@ class TestIncrementalMonteCarlo:
         assert maintainer.index.build_info.extras["affected_rows"] > 0
 
     def test_result_carries_affected_set(self, graph, params):
-        maintainer = IncrementalCloudWalker(graph, params=params)
+        maintainer = ShardedIncrementalWalker(graph, params=params)
         maintainer.build()
-        info = maintainer.add_edges([(0, 10)])
-        assert info["affected"] == frozenset(
+        result = maintainer.add_edges([(0, 10)])
+        assert result.affected == frozenset(
             forward_reachable_set(maintainer.graph, [10], params.walk_steps)
         )
-        assert maintainer.add_edges([])["affected"] == frozenset()
+        assert maintainer.add_edges([]) is None
+
+
+def _walker(graph, params, num_shards=1):
+    from repro.graph.partition import ShardPlan
+
+    walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
+                                      params=params)
+    walker.build()
+    return walker
 
 
 class TestBitwiseReproducibility:
     """Per-source streams + cold solves: updates == rebuilds, bitwise."""
 
-    def _fresh(self, graph, params):
-        walker = IncrementalCloudWalker(graph, params=params)
-        walker.build()
-        return walker
-
-    def test_update_bitwise_equal_to_rebuild(self, graph, params):
-        maintainer = self._fresh(graph, params)
+    def test_update_bitwise_equal_to_rebuild(self, graph, params, from_scratch):
+        maintainer = _walker(graph, params)
         new_edges = [(0, 30), (5, 42), (17, 3)]
         maintainer.add_edges(new_edges)
         merged = DiGraph(
@@ -199,68 +205,51 @@ class TestBitwiseReproducibility:
             np.vstack([graph.edge_array(), np.array(new_edges)]),
             name=graph.name,
         )
-        reference = self._fresh(merged, params)
+        reference = from_scratch(merged, params)
         assert np.array_equal(maintainer.index.diagonal, reference.index.diagonal)
         assert np.array_equal(maintainer.system.data, reference.system.data)
         assert np.array_equal(maintainer.system.indices, reference.system.indices)
         assert np.array_equal(maintainer.system.indptr, reference.system.indptr)
 
-    def test_chained_updates_with_new_nodes_bitwise_equal(self, graph, params):
-        from repro.core.sharding import ShardedIncrementalWalker
-        from repro.graph.partition import ShardPlan
-
-        def sharded(num_shards):
-            def fresh(on_graph):
-                walker = ShardedIncrementalWalker(
-                    on_graph, ShardPlan.hashed(num_shards), params=params)
-                walker.build()
-                return walker
-            return fresh
-
-        # The plain IncrementalCloudWalker, then the sharded one (its own
-        # _build_rows) for K in {1, 2, 5}.
-        self._check_chained_updates(
-            graph, lambda on_graph: self._fresh(on_graph, params))
-        for num_shards in (1, 2, 5):
-            self._check_chained_updates(graph, sharded(num_shards))
-
-    @staticmethod
-    def _check_chained_updates(graph, fresh):
-        maintainer = fresh(graph)
+    def test_chained_updates_with_new_nodes_bitwise_equal(self, graph, params,
+                                                          from_scratch):
         n = graph.n_nodes
         batches = [[(2, n)], [(7, 33), (n, 1), (7, 33)], [(n + 2, n + 2), (0, 30)]]
-        for batch in batches:
-            maintainer.add_edges(batch)
         merged = DiGraph(
             n + 3,
             np.vstack([graph.edge_array(),
                        np.array([edge for batch in batches for edge in batch])]),
             name=graph.name,
         )
-        reference = fresh(merged)
-        assert maintainer.graph == merged
-        assert np.array_equal(maintainer.index.diagonal, reference.index.diagonal)
-        # The spliced system is the canonical CSR a build produces — by
-        # construction, not by a clean-up pass.
-        ours, theirs = maintainer.system, reference.system
-        assert ours.shape == theirs.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(ours, name), getattr(theirs, name)), name
-        assert ours.has_sorted_indices
-        assert np.count_nonzero(ours.data) == ours.nnz == len(ours.data)
+        reference = from_scratch(merged, params)
+        for num_shards in (1, 2, 5):
+            maintainer = _walker(graph, params, num_shards)
+            for batch in batches:
+                maintainer.add_edges(batch)
+            assert maintainer.graph == merged
+            assert np.array_equal(maintainer.index.diagonal,
+                                  reference.index.diagonal)
+            # The spliced system is the canonical CSR a build produces — by
+            # construction, not by a clean-up pass.
+            ours, theirs = maintainer.system, reference.system
+            assert ours.shape == theirs.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(ours, name),
+                                      getattr(theirs, name)), name
+            assert ours.has_sorted_indices
+            assert np.count_nonzero(ours.data) == ours.nnz == len(ours.data)
 
     def test_summary_phases_partition_the_update(self, graph, params):
-        maintainer = self._fresh(graph, params)
-        info = maintainer.add_edges([(0, 30), (5, graph.n_nodes)])
-        assert all(info[phase] >= 0.0 for phase in PHASES)
-        assert sum(info[phase] for phase in PHASES) == pytest.approx(
-            info["update_seconds"])
-        noop = maintainer.add_edges([])
-        assert [noop[phase] for phase in PHASES] == [0.0] * len(PHASES)
+        maintainer = _walker(graph, params)
+        result = maintainer.add_edges([(0, 30), (5, graph.n_nodes)])
+        assert all(getattr(result, phase) >= 0.0 for phase in PHASES)
+        assert sum(getattr(result, phase) for phase in PHASES) == pytest.approx(
+            result.update_seconds)
+        assert maintainer.add_edges([]) is None
 
     def test_attach_with_system_resumes_bitwise(self, graph, params):
-        donor = self._fresh(graph, params)
-        adopter = IncrementalCloudWalker(graph, params=params)
+        donor = _walker(graph, params)
+        adopter = ShardedIncrementalWalker(graph, params=params)
         adopter.attach(donor.index, system=donor.system)
         new_edges = [(4, 19)]
         adopter.add_edges(new_edges)
@@ -272,7 +261,7 @@ class TestBitwiseReproducibility:
         system must not survive into the rows an update keeps."""
         from scipy import sparse
 
-        donor = self._fresh(graph, params)
+        donor = _walker(graph, params)
         canonical = donor.system
         rng = np.random.default_rng(4)
         indices, data = canonical.indices.copy(), canonical.data.copy()
@@ -287,7 +276,7 @@ class TestBitwiseReproducibility:
             (np.append(data, 0.0), np.append(indices, spare), indptr),
             shape=canonical.shape)
         before = (messy.indices.copy(), messy.data.copy())
-        adopter = IncrementalCloudWalker(graph, params=params)
+        adopter = ShardedIncrementalWalker(graph, params=params)
         adopter.attach(donor.index, system=messy)
         assert np.array_equal(messy.indices, before[0])  # caller's copy untouched
         assert np.array_equal(messy.data, before[1])
@@ -300,21 +289,21 @@ class TestBitwiseReproducibility:
         assert np.array_equal(adopter.index.diagonal, donor.index.diagonal)
 
     def test_attach_without_system_estimates_it(self, graph, params):
-        donor = self._fresh(graph, params)
-        adopter = IncrementalCloudWalker(graph, params=params)
+        donor = _walker(graph, params)
+        adopter = ShardedIncrementalWalker(graph, params=params)
         adopter.attach(donor.index)
         assert adopter.system is not None
         assert np.array_equal(adopter.system.data, donor.system.data)
 
     def test_attach_validates_shapes(self, graph, params):
-        donor = self._fresh(graph, params)
+        donor = _walker(graph, params)
         other = generators.cycle_graph(7)
-        adopter = IncrementalCloudWalker(other, params=params)
+        adopter = ShardedIncrementalWalker(other, params=params)
         from repro.errors import CloudWalkerError
 
         with pytest.raises(CloudWalkerError):
             adopter.attach(donor.index)
         bad_system = donor.system[:10, :10]
-        adopter_same_graph = IncrementalCloudWalker(graph, params=params)
+        adopter_same_graph = ShardedIncrementalWalker(graph, params=params)
         with pytest.raises(ConfigurationError):
             adopter_same_graph.attach(donor.index, system=bad_system)

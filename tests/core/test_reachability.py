@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import SimRankParams
 from repro.core import walks
-from repro.core.incremental import IncrementalCloudWalker
+from repro.core.sharding import ShardedIncrementalWalker
 from repro.graph.digraph import DiGraph
 
 WALK_STEPS = 10  # the paper's T
@@ -71,20 +71,17 @@ class TestForwardBallAgainstNaiveOracle:
 
 
 class TestWalkerRouting:
-    def test_walker_modes_produce_identical_summaries_and_systems(self):
-        """An updated walker and one built from scratch on the same graph
-        agree on every byte, batch after batch, and each summary's affected
+    def test_walker_modes_produce_identical_summaries_and_systems(
+            self, from_scratch):
+        """An updated walker and a from-scratch build on the same graph
+        agree on every byte, batch after batch, and each result's affected
         set is the forward ball of the batch's heads."""
         rng = np.random.default_rng(9)
         graph = random_graph(rng, 40, 90)
         params = SimRankParams.fast_defaults()
 
-        def fresh(on_graph):
-            walker = IncrementalCloudWalker(on_graph, params=params)
-            walker.build()
-            return walker
-
-        walker = fresh(graph)
+        walker = ShardedIncrementalWalker(graph, params=params)
+        walker.build()
         for _ in range(4):
             batch = []
             while len(batch) < 3:
@@ -93,14 +90,16 @@ class TestWalkerRouting:
                 if u != v:
                     batch.append((u, v))
             new_heads = {v for u, v in batch if not walker.graph.has_edge(u, v)}
-            info = walker.add_edges(batch)
-            assert info["affected"] == walks.forward_reachable_set(
+            result = walker.add_edges(batch)
+            if not new_heads:
+                assert result is None
+                continue
+            assert result.affected == walks.forward_reachable_set(
                 walker.graph, new_heads, params.walk_steps)
-            assert info["affected_rows"] == len(info["affected"])
-            assert info["routing_seconds"] >= 0.0
-            assert "reachability" not in info
-            reference = fresh(DiGraph(
-                walker.graph.n_nodes, walker.graph.edge_array()))
+            assert result.affected_rows == len(result.affected)
+            assert result.routing_seconds >= 0.0
+            reference = from_scratch(DiGraph(
+                walker.graph.n_nodes, walker.graph.edge_array()), params)
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(walker.system, name),
                                       getattr(reference.system, name)), name

@@ -6,7 +6,7 @@ The load-bearing claims pinned here:
   diagonal — is bitwise-identical to the single-shard build, for every
   strategy and backend;
 * incremental updates through the sharded walker splice to the exact same
-  system and diagonal as the single-shard incremental path;
+  system and diagonal as a from-scratch build on the updated graph;
 * per-shard system blocks partition the full system and round-trip through
   sharded snapshots losslessly;
 * :class:`ShardPlan` is a total, persistable routing function.
@@ -17,7 +17,6 @@ import pytest
 from scipy import sparse
 
 from repro.config import ShardingParams, SimRankParams
-from repro.core.incremental import IncrementalCloudWalker
 from repro.core.index import ShardedIndex, ShardedSnapshotStore
 from repro.core.sharding import (
     ShardedIncrementalWalker,
@@ -27,6 +26,7 @@ from repro.core.sharding import (
     make_plan,
     slice_shard_block,
 )
+from repro.core.walks import forward_reachable_set
 from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
@@ -49,11 +49,9 @@ def graph():
 
 
 @pytest.fixture(scope="module")
-def reference(graph, params):
-    """The single-shard walker the sharded one must match bitwise."""
-    walker = IncrementalCloudWalker(graph, params=params)
-    walker.build()
-    return walker
+def reference(graph, params, from_scratch):
+    """The from-scratch build the sharded walker must match bitwise."""
+    return from_scratch(graph, params)
 
 
 def _canonical_row(matrix, row):
@@ -249,23 +247,23 @@ class TestShardedBuild:
 
 class TestShardedUpdates:
     @pytest.mark.parametrize("num_shards", [2, 4, 1, 3, 8])
-    def test_add_edges_bitwise_identical(self, graph, params, num_shards):
+    def test_add_edges_bitwise_identical(self, graph, params, num_shards,
+                                         from_scratch):
         edges = [(0, 30), (2, 95), (95, 1)]  # includes node growth
-        single = IncrementalCloudWalker(graph, params=params)
-        single.build()
-        single_info = single.add_edges(edges)
-
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
                                           params=params)
         walker.build()
-        sharded_info = walker.add_edges(edges)
+        result = walker.add_edges(edges)
 
-        assert sharded_info["affected"] == single_info["affected"]
+        merged = graph.with_edges(edges)
+        single = from_scratch(merged, params)
+        assert result.affected == frozenset(forward_reachable_set(
+            merged, {30, 95, 1}, params.walk_steps)) | {90, 91, 92, 93, 94, 95}
         assert np.array_equal(walker.index.diagonal, single.index.diagonal)
         assert (walker.system - single.system).nnz == 0
         # Only the shards owning affected rows were re-estimated.
         expected_touched = frozenset(
-            walker.plan.shard_of(node) for node in sharded_info["affected"]
+            walker.plan.shard_of(node) for node in result.affected
         )
         assert walker.last_touched_shards == expected_touched
 

@@ -403,7 +403,7 @@ class TestMigration:
             expected = sharded.run_batch(queries)
             version, _directory = sharded.save_snapshot(tmp_path)
             updated_graph = sharded.graph
-            system = sharded._mutator.walker.system
+            system = sharded._walker.system
         _loaded_version, loaded, gathered = \
             ShardedSnapshotStore(tmp_path).load()
         assert loaded.plan == plan

@@ -354,7 +354,7 @@ class TestCloseReleasesSharedMemory:
             plan = ShardPlan.contiguous(2, graph.n_nodes)
             assert service.rebalance(plan=plan, force=True)["applied"]
             service.save_snapshot(tmp_path)
-            backend = service._mutator.walker.backend
+            backend = service._walker.backend
             assert set(backend._residents) == {"graph"}
             handle = backend.resident_handle("graph")
             assert self._segment_exists(handle.shm_name)

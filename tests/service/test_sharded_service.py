@@ -75,7 +75,7 @@ class TestScatterGatherTopK:
         distributions = sharded._resolve_distributions(
             plan_batch([SourceQuery(5)]), sharded.query_params.query_walkers,
         )
-        scores = sharded.engine.propagate_source(5, distributions[5])
+        scores = sharded.query_engine.propagate_source(5, distributions[5])
         for k in (1, 7, sharded.graph.n_nodes + 2):
             expected = rank_top_k(scores.dense(), 5, k)
             assert scores.top_k(k) == expected
@@ -217,7 +217,7 @@ class TestShardedPersistence:
         assert restored.index_version == 2
         assert restored.num_shards == 3
         # The restored system lets the next update run incrementally.
-        assert restored._mutator is not None
+        assert restored._walker is not None
         assert_answers_equal(sharded.run_batch(QUERIES), restored.run_batch(QUERIES))
         result = restored.add_edges([(1, 40)])
         assert result is not None and restored.index_version == 3
@@ -288,7 +288,7 @@ class TestLifecycle:
             service_graph, service_params,
             sharding=ShardingParams(num_shards=2, backend="threads"),
         )
-        walker_backend = sharded._mutator.walker.backend
+        walker_backend = sharded._walker.backend
         assert walker_backend._pool is not None  # the build fanned out
         sharded.close()
         assert walker_backend._pool is None

@@ -4,12 +4,14 @@
 class attributes by name, so the serving path must keep looking those names
 up at call time: ``repro.service.service.plan_batch`` inside ``run_batch``,
 ``repro.service.sharded.run_shard_tasks`` inside the cache-miss scatter,
-and ``run_batch`` / ``add_edges`` on the class that
+``repro.core.sharding.run_shard_tasks`` inside the index build/update
+scatter, and ``run_batch`` / ``add_edges`` on the class that
 ``repro.service.sharded.ShardedQueryService`` names.
 """
 
 import pytest
 
+import repro.core.sharding as core_sharding
 import repro.service.service as service_module
 import repro.service.sharded as sharded_module
 from repro.config import ShardingParams
@@ -63,3 +65,31 @@ def test_a_miss_batch_looks_up_each_bound_name_once(
         [PairQuery(1, 2), TopKQuery(3, k=5), SourceQuery(7)])
     assert answers[:2] == expected[:2]
     assert answers[2].tobytes() == expected[2].tobytes()
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_build_and_update_scatter_through_the_core_sharding_global(
+        num_shards, service_graph, service_params, monkeypatch):
+    calls = []
+    real = core_sharding.run_shard_tasks
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core_sharding, "run_shard_tasks", counting)
+    with QueryService.build(
+            service_graph, service_params,
+            sharding=ShardingParams(num_shards=num_shards)) as service:
+        assert len(calls) == 1
+        present = tuple(int(node) for node in service.graph.edge_array()[0])
+        assert service.add_edges([(0, 40)]) is not None
+        assert len(calls) == 2
+        assert service.add_edges([present]) is None
+        assert len(calls) == 2
+    index, walker = core_sharding.build_sharded_index(
+        service_graph, ShardingParams(num_shards=num_shards), service_params)
+    walker.backend.close()
+    assert len(calls) == 3
+    assert index.build_info.monte_carlo_seconds > 0.0
+    assert index.build_info.solve_seconds > 0.0

@@ -55,14 +55,13 @@ class TestUpdateSemantics:
         assert live_service.graph.has_edge(0, 40)
 
     def test_result_carries_the_walkers_phases(self, live_service):
-        from repro.core.incremental import PHASES
+        from repro.core.sharding import PHASES
 
         result = live_service.add_edges([(0, 40), (3, 50)])
         phases = [getattr(result, phase) for phase in PHASES]
         assert all(seconds > 0.0 for seconds in phases)
-        # The phases partition the walker's clock; the result's own clock
-        # starts just before and stops just after it.
-        assert sum(phases) <= result.update_seconds
+        # The phases partition the walker's clock, which is the result's.
+        assert sum(phases) == pytest.approx(result.update_seconds)
 
     def test_affected_set_is_forward_ball_of_heads(self, live_service):
         edges = [(3, 50), (7, 61)]
@@ -104,7 +103,7 @@ class TestUpdateSemantics:
         def broken(_edges):
             raise RuntimeError("re-index failed")
 
-        monkeypatch.setattr(service._mutator.walker, "add_edges", broken)
+        monkeypatch.setattr(service._walker, "add_edges", broken)
         with pytest.raises(RuntimeError, match="re-index failed"):
             service.flush_updates()
         assert service.pending_updates == 2
@@ -155,6 +154,30 @@ class TestUpdateSemantics:
         live_service.flush_updates()
         assert live_service.graph.has_edge(2, 30)
         assert live_service.index_version == 2
+
+    @pytest.mark.parametrize("defer", [False, True])
+    def test_refused_edges_are_never_routed_or_queued(
+            self, update_graph, update_params_cheap, defer):
+        """Intake validation runs before routing: a refused edge names
+        itself and leaves the routed counts, the queue and the version as
+        they were."""
+        from repro.config import ShardingParams
+
+        with QueryService.build(
+                update_graph, update_params_cheap,
+                update_params=UpdateParams(max_node_growth=10),
+                sharding=ShardingParams(num_shards=2)) as service:
+            for bad, message in (((-1, 3), "negative endpoint"),
+                                 ((0, 500), "would grow the graph"),
+                                 ((3, -2), "negative endpoint")):
+                pattern = rf"edge \({bad[0]}, {bad[1]}\) (has a|would)"
+                with pytest.raises(CloudWalkerError, match=pattern) as info:
+                    service.add_edges([bad], defer=defer)
+                assert message in str(info.value)
+            stats = service.stats()
+            assert sum(row["edges_routed"] for row in stats["shards"]) == 0
+            assert service.pending_updates == 0
+            assert service.index_version == 1
 
     def test_runaway_node_growth_rejected(self, update_graph, update_params_cheap):
         service = QueryService.build(
@@ -340,7 +363,7 @@ class TestServiceSnapshots:
         restarted = QueryService.from_snapshot(update_graph, tmp_path)
         # The snapshot carried the system, so the maintainer is attached
         # and the next update re-estimates only affected rows.
-        assert restarted._mutator is not None
+        assert restarted._walker is not None
         result = restarted.add_edges([(3, 22)])
         assert result.affected_rows < update_graph.n_nodes
         assert restarted.index_version == 2

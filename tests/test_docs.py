@@ -173,9 +173,8 @@ class TestPublicDocstrings:
 
     MODULES = [
         "repro.service", "repro.service.service", "repro.service.sharded",
-        "repro.service.batching", "repro.service.cache", "repro.service.updates",
-        "repro.service.http", "repro.service.coalesce",
-        "repro.service.scenarios",
+        "repro.service.batching", "repro.service.cache", "repro.service.http",
+        "repro.service.coalesce", "repro.service.scenarios",
         "repro.core.index", "repro.core.sharding", "repro.core.queries",
         "repro.graph.partition",
     ]

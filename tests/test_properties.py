@@ -408,7 +408,7 @@ class TestOneStreamDiscipline:
         system = estimator.build_system()
         diagonal = build_diagonal_index(graph, params).diagonal
         service = QueryService.build(graph, params)
-        served = service._mutator.walker.system
+        served = service._walker.system
         for name in ("indptr", "indices", "data"):
             assert getattr(system, name).tobytes() == getattr(served, name).tobytes()
         assert service.index.diagonal.tobytes() == diagonal.tobytes()
