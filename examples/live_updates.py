@@ -50,8 +50,9 @@ def main() -> None:
         # Insert edges: only the forward BFS ball of the heads is affected.
         result = service.add_edges([(2, 150), (7, 150)])
         print(f"live update: {result.edges_added} edges inserted, "
-              f"{result.affected_rows}/{service.graph.n_nodes} index rows "
-              f"re-estimated, {service.stats()['cache_invalidations']} cache "
+              f"{result.affected_rows}/{service.graph.n_nodes} rows affected, "
+              f"{result.estimated_rows} re-estimated, "
+              f"{service.stats()['cache_invalidations']} cache "
               f"entries invalidated")
 
         # Deferred updates queue up and drain at the next batch, as one

@@ -407,6 +407,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
                             print("edge already present; nothing to do", file=out)
                         else:
                             print(f"edge added: {result.affected_rows} rows "
+                                  f"affected, {result.estimated_rows} rows "
                                   f"re-estimated, index now version "
                                   f"{service.index_version}", file=out)
                         continue
@@ -598,7 +599,8 @@ def _cmd_update(args: argparse.Namespace, out) -> int:
         else:
             print(f"applied {result.edges_added} edge insertions in "
                   f"{elapsed:.2f}s: {result.affected_rows}/"
-                  f"{service.graph.n_nodes} rows re-estimated "
+                  f"{service.graph.n_nodes} rows affected, "
+                  f"{result.estimated_rows} rows re-estimated "
                   f"({result.new_nodes} new nodes), index now version "
                   f"{service.index_version}", file=out)
         if args.snapshot_dir:

@@ -448,7 +448,7 @@ class ShardedIndex:
     worker for the online phase).  What is sharded is the *maintenance*
     state: each shard owns the rows of the linear system for the nodes the
     plan assigns to it, and carries its own version counter that only moves
-    when one of its rows is re-estimated.
+    when an update's affected set holds one of its rows.
 
     Attributes
     ----------
@@ -486,7 +486,7 @@ class ShardedIndex:
         self.index.validate_for(graph)
 
     def touch(self, shards: Sequence[int], version: int) -> None:
-        """Record that ``shards`` were re-estimated at global ``version``."""
+        """Record that an update at global ``version`` affected ``shards``."""
         for shard in shards:
             self.shard_versions[shard] = version
 

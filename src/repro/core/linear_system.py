@@ -54,7 +54,7 @@ def build_rows(
     estimated in the same call.  That independence is what makes every
     route to an index give the same bytes: a build split over shards or
     broadcast partitions gathers the rows a single call produces, and
-    re-estimating only the affected rows after an edge insertion yields the
+    re-estimating only the changed rows after an edge insertion yields the
     system a from-scratch build on the updated graph has (see
     :class:`repro.core.sharding.ShardedIncrementalWalker`).
 

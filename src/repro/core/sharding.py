@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -196,16 +196,25 @@ class MutationResult:
         ``n_nodes``).
     affected:
         The affected-source set: every node whose walk distributions — and
-        therefore cached entries and index row — may have changed.  New
-        nodes are included.
+        therefore cached entries and index row — may have changed (the
+        forward ball of radius ``T`` around the new edges' heads).  New
+        nodes are included.  It drives cache invalidation and shard
+        version bumps.
+    estimated:
+        The index rows the update actually re-estimated: the affected rows
+        whose stored support contains a head of a new edge, plus every new
+        node — a subset of ``affected``
+        (:meth:`ShardedIncrementalWalker.add_edges` says why the other
+        affected rows are already exact).
     update_seconds:
         Wall-clock cost of the incremental re-index.
     routing_seconds:
         The slice of ``update_seconds`` spent computing the affected set
-        (:func:`repro.core.walks.forward_reachable_set`).
+        (:func:`repro.core.walks.forward_reachable_set`) and the rows to
+        re-estimate.
     graph_seconds, rows_seconds, splice_seconds, solve_seconds:
         The other phases — merging the edges into the graph, re-estimating
-        the affected rows, splicing them into the linear system, the
+        the ``estimated`` rows, splicing them into the linear system, the
         Jacobi re-solve.  With ``routing_seconds`` they add up to
         ``update_seconds`` (:data:`PHASES`).
     """
@@ -213,6 +222,7 @@ class MutationResult:
     edges_added: int
     new_nodes: int
     affected: frozenset
+    estimated: frozenset
     update_seconds: float
     routing_seconds: float
     graph_seconds: float
@@ -222,36 +232,47 @@ class MutationResult:
 
     @property
     def affected_rows(self) -> int:
-        """Number of re-estimated index rows."""
+        """Size of the affected set (the rows whose caches were dropped)."""
         return len(self.affected)
+
+    @property
+    def estimated_rows(self) -> int:
+        """Number of index rows the update re-estimated."""
+        return len(self.estimated)
 
 
 def _choose_rows(mask: np.ndarray, when_true: sparse.csr_matrix,
                  when_false: sparse.csr_matrix) -> sparse.csr_matrix:
     """Row ``i`` of ``when_true`` where ``mask[i]``, of ``when_false`` elsewhere.
 
-    Assembled directly from the operands' ``indptr/indices/data`` — whole
-    rows are copied in order, so two canonical CSR operands (sorted column
-    indices, no explicit zeros) give a canonical result.  The result is
-    square with ``len(mask)`` rows; an operand with fewer rows (the system
-    before the graph grew) counts as empty from there on.
+    Assembled directly from the operands' ``indptr/indices/data``: each
+    maximal run of rows taken from one operand is one contiguous slice of
+    its arrays, copied whole, so the cost is a copy per run — not a gather
+    over every non-zero.  Whole rows are copied in order, so two canonical
+    CSR operands (sorted column indices, no explicit zeros) give a
+    canonical result.  The result is square with ``len(mask)`` rows; an
+    operand with fewer rows (the system before the graph grew) counts as
+    empty from there on.
     """
     n = len(mask)
     true_counts, false_counts = np.zeros((2, n), dtype=np.int64)
     true_counts[:when_true.shape[0]] = np.diff(when_true.indptr)
     false_counts[:when_false.shape[0]] = np.diff(when_false.indptr)
-    counts = np.where(mask, true_counts, false_counts)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    from_true = np.repeat(mask, counts)
-    take_true = np.repeat(mask, true_counts)
-    take_false = np.repeat(~mask, false_counts)
+    np.cumsum(np.where(mask, true_counts, false_counts), out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=when_true.indices.dtype)
     data = np.empty(indptr[-1], dtype=np.float64)
-    indices[from_true] = when_true.indices[take_true]
-    indices[~from_true] = when_false.indices[take_false]
-    data[from_true] = when_true.data[take_true]
-    data[~from_true] = when_false.data[take_false]
+    # Maximal runs [lo, hi) of equal mask values.
+    lo = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=np.int8(-1)))
+    hi = np.append(lo, n)[1:]
+    for operand, runs in ((when_true, mask[lo]), (when_false, ~mask[lo])):
+        first, last = (np.minimum(bound[runs], operand.shape[0])
+                       for bound in (lo, hi))
+        for begin, end, at in zip(operand.indptr[first].tolist(),
+                                  operand.indptr[last].tolist(),
+                                  indptr[first].tolist()):
+            indices[at:at + end - begin] = operand.indices[begin:end]
+            data[at:at + end - begin] = operand.data[begin:end]
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -261,15 +282,16 @@ class ShardedIncrementalWalker:
 
     The offline phase is one computation — estimate each row of ``A`` from
     that node's own walks, then run ``L`` Jacobi sweeps from ``1 - c`` —
-    and an update re-runs it on the affected rows only:
+    and an update re-runs it on the rows it can change only:
 
     1. keep the assembled linear system ``A`` from the last build;
     2. on :meth:`add_edges`, compute the affected source set by a bounded
        forward BFS from the new edges' heads (an insertion ``u -> v`` only
        changes the reverse walks of nodes ``v`` reaches within ``T`` steps);
-    3. re-estimate only the affected rows: :meth:`_build_rows` groups them
-       by owning shard and runs one :func:`estimate_shard_rows` task per
-       touched shard through the executor backend;
+    3. re-estimate only the affected rows whose stored support holds a
+       head, plus the new nodes: :meth:`_build_rows` groups them by owning
+       shard and runs one :func:`estimate_shard_rows` task per touched
+       shard through the executor backend;
     4. splice them into ``A`` and re-solve from the cold start a build uses.
 
     Every row reads its own ``(seed, source)`` random stream
@@ -309,7 +331,7 @@ class ShardedIncrementalWalker:
         by shard id (the ``index`` CLI reports the slowest shard).
     last_touched_shards:
         Shards whose rows the most recent estimation touched (all shards
-        for a full build; the affected ball's owners for an update).
+        for a full build; the re-estimated rows' owners for an update).
     """
 
     shard_build_seconds: Dict[int, float]
@@ -337,10 +359,12 @@ class ShardedIncrementalWalker:
     def build(self) -> DiagonalIndex:
         """Initial full build (also callable to force a rebuild)."""
         start = time.perf_counter()
-        self._system = self._build_rows(self.graph, range(self.graph.n_nodes))
+        self._system = self._build_rows(self.graph, np.arange(self.graph.n_nodes))
         self.index = self._solve(self.graph, self._system,
                                  seconds_so_far=time.perf_counter() - start,
-                                 update_kind="full-build", affected=self.graph.n_nodes)
+                                 update_kind="full-build",
+                                 affected=self.graph.n_nodes,
+                                 estimated=self.graph.n_nodes)
         return self.index
 
     def attach(self, index: DiagonalIndex,
@@ -374,7 +398,8 @@ class ShardedIncrementalWalker:
                 system.eliminate_zeros()
             self._system = system
         else:
-            self._system = self._build_rows(self.graph, range(self.graph.n_nodes))
+            self._system = self._build_rows(self.graph,
+                                            np.arange(self.graph.n_nodes))
         self.index = index
 
     @property
@@ -382,9 +407,9 @@ class ShardedIncrementalWalker:
         """The maintained linear system ``A`` (None before build/attach)."""
         return self._system
 
-    def _build_rows(self, graph: DiGraph, sources) -> sparse.csr_matrix:
+    def _build_rows(self, graph: DiGraph,
+                    sources: np.ndarray) -> sparse.csr_matrix:
         """Estimate rows shard-by-shard through the executor backend."""
-        sources = list(sources)
         groups = self.plan.group_nodes(sources)
         self.last_touched_shards = frozenset(groups)
         if self.exact:
@@ -394,7 +419,7 @@ class ShardedIncrementalWalker:
             mask[sources] = True
             return _choose_rows(mask, linear_system.build_exact_system(
                 graph, self.params), sparse.csr_matrix((0, 0)))
-        if not sources:
+        if not len(sources):
             return gather_shard_rows([], graph.n_nodes)
         # Register (or re-register after an update: `graph` is a new
         # object, hence a new epoch) so each task ships a handle plus its
@@ -414,7 +439,7 @@ class ShardedIncrementalWalker:
 
     def _solve(self, graph: DiGraph, system: sparse.csr_matrix,
                seconds_so_far: float, update_kind: str,
-               affected: int) -> DiagonalIndex:
+               affected: int, estimated: int) -> DiagonalIndex:
         rhs = np.ones(graph.n_nodes, dtype=np.float64)
         start = time.perf_counter()
         if graph.n_nodes == 0:
@@ -435,7 +460,8 @@ class ShardedIncrementalWalker:
             total_seconds=seconds_so_far + solve_seconds,
             jacobi_residual=residual,
             system_nnz=int(system.nnz),
-            extras={"update_kind": update_kind, "affected_rows": affected},
+            extras={"update_kind": update_kind, "affected_rows": affected,
+                    "estimated_rows": estimated},
         )
         return DiagonalIndex(
             diagonal=x, params=self.params, graph_name=graph.name,
@@ -448,11 +474,29 @@ class ShardedIncrementalWalker:
         """Insert edges and update the index incrementally.
 
         Returns the :class:`MutationResult` — the affected source set
-        (which the query service turns into its cache-invalidation set)
-        and the update cost by phase; the new graph and index are available
-        as :attr:`graph` / :attr:`index`.  Edges the graph already has are
-        ignored, and a batch with no new edge returns None without touching
-        anything.  Only the touched shards re-estimate rows.
+        (which the query service turns into its cache-invalidation set),
+        the rows actually re-estimated and the update cost by phase; the
+        new graph and index are available as :attr:`graph` / :attr:`index`.
+        Edges the graph already has are ignored, and a batch with no new
+        edge returns None without touching anything.
+
+        Of the affected ball only the rows whose walks stood on a head
+        re-estimate, plus every new node; the rest keep their old rows
+        byte for byte, and those are exactly the rows a from-scratch build
+        on the new graph estimates:
+
+        * :meth:`DiGraph.with_edges` changes only the heads' in-lists;
+        * a row's walks read one uniform per *moving* walker per step from
+          the row's own ``(seed, source)`` stream, so a row none of whose
+          walkers stood on a head at a step ``< T`` replays the same
+          trajectories — and the same draws — on the new graph;
+        * a row's stored support is the union of the nodes its walks
+          visited at steps ``0..T``: every stored value is at least
+          ``c^T / W^2 > 0``, so no visit is missing.  The test also sees
+          step-``T`` visits, which only makes it conservative.
+
+        The same holds for the exact system, whose rows depend on the same
+        in-lists.  Only the shards owning re-estimated rows run a task.
         """
         if self.index is None or self._system is None:
             raise ConfigurationError("call build() or attach() before add_edges()")
@@ -472,30 +516,31 @@ class ShardedIncrementalWalker:
         new_n = new_graph.n_nodes
 
         routing_start = time.perf_counter()
+        heads = {v for _u, v in fresh}
         affected = walks.forward_reachable_set(
-            new_graph, {v for _u, v in fresh}, self.params.walk_steps)
+            new_graph, heads, self.params.walk_steps)
         affected.update(range(old_n, new_n))
+        estimated = self._rows_to_estimate(affected, heads, old_n, new_n)
         rows_start = time.perf_counter()
 
-        # Re-estimate the affected rows on the new graph.
-        affected_ids = sorted(affected)
-        fresh_rows = self._build_rows(new_graph, affected_ids)
+        fresh_rows = self._build_rows(new_graph, estimated)
         splice_start = time.perf_counter()
 
-        # Splice: affected rows (every new node among them) from the fresh
-        # estimate, all others from the old system.  Both are canonical CSR,
-        # so the result is too — the arrays a from-scratch build produces,
-        # which keeps the solver's summation order, and hence the solved
-        # diagonal, bitwise reproducible.
-        is_affected = np.zeros(new_n, dtype=bool)
-        is_affected[affected_ids] = True
-        system = _choose_rows(is_affected, fresh_rows, self._system)
+        # Splice: re-estimated rows (every new node among them) from the
+        # fresh estimate, all others from the old system.  Both are
+        # canonical CSR, so the result is too — the arrays a from-scratch
+        # build produces, which keeps the solver's summation order, and
+        # hence the solved diagonal, bitwise reproducible.
+        replaced = np.zeros(new_n, dtype=bool)
+        replaced[estimated] = True
+        system = _choose_rows(replaced, fresh_rows, self._system)
 
         # Cold start, exactly like build(): same guess -> same iterates.
         solve_start = time.perf_counter()
         index = self._solve(
             new_graph, system, seconds_so_far=solve_start - start,
             update_kind="incremental-add-edges", affected=len(affected),
+            estimated=len(estimated),
         )
         end = time.perf_counter()
         edges_added = new_graph.n_edges - self.graph.n_edges
@@ -504,6 +549,7 @@ class ShardedIncrementalWalker:
             edges_added=edges_added,
             new_nodes=new_n - old_n,
             affected=frozenset(affected),
+            estimated=frozenset(estimated.tolist()),
             update_seconds=end - start,
             graph_seconds=routing_start - start,
             routing_seconds=rows_start - routing_start,
@@ -511,6 +557,24 @@ class ShardedIncrementalWalker:
             splice_seconds=solve_start - splice_start,
             solve_seconds=end - solve_start,
         )
+
+    def _rows_to_estimate(self, affected: Set[int], heads: Set[int],
+                          old_n: int, new_n: int) -> np.ndarray:
+        """The rows :meth:`add_edges` re-estimates, ascending: the affected
+        old rows whose stored support holds an old head, then the new nodes.
+        """
+        ball = np.fromiter(affected, dtype=np.int64, count=len(affected))
+        rows = np.sort(ball[ball < old_n])
+        indptr, indices = self._system.indptr, self._system.indices
+        starts = indptr[rows]
+        lengths = indptr[rows + 1] - starts
+        # One gather of the rows' stored columns, tagged with their row.
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        columns = indices[np.arange(len(owner)) + np.repeat(
+            starts - np.cumsum(lengths) + lengths, lengths)]
+        old_heads = np.fromiter((v for v in heads if v < old_n), dtype=np.int64)
+        hit = np.unique(owner[np.isin(columns, old_heads)])
+        return np.concatenate([rows[hit], np.arange(old_n, new_n)])
 
     def with_plan(self, plan: ShardPlan) -> "ShardedIncrementalWalker":
         """Return a walker maintaining the same system under a new plan.

@@ -36,8 +36,8 @@ def forward_reachable_set(
     there is a forward path ``v -> ... -> i`` of length at most ``T``, so the
     sources whose reverse-walk distributions may change when ``In(v)``
     changes are the forward BFS ball of radius ``T`` around ``v`` (seeds
-    included).  Shared by :mod:`repro.core.sharding` (which rows to
-    re-estimate) and :mod:`repro.service` (which cache entries to
+    included).  Shared by :mod:`repro.core.sharding` (which rows may need
+    re-estimating) and :mod:`repro.service` (which cache entries to
     invalidate) so both always agree.
     """
     seed_list = sorted({graph.check_node(node) for node in seeds})

@@ -271,15 +271,22 @@ class ShardPlan:
         Vectorised (this runs on every applied update and snapshot save of
         the service), but elementwise identical to :meth:`shard_of`.
         """
-        ids = np.arange(n_nodes, dtype=np.int64)
+        return self._shards_of(np.arange(n_nodes, dtype=np.int64))
+
+    def _shards_of(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`shard_of` of each of the non-negative int64 ``ids``.
+
+        The hash keeps the low 32 bits of ``id * _KNUTH``, which int64
+        arithmetic gets right even where the product wraps.
+        """
         if self.strategy == "contiguous":
             return np.minimum(ids // self._chunk, self.num_shards - 1)
-        hashed = ((ids * np.int64(self._KNUTH)) & np.int64(0xFFFFFFFF)) \
+        shards = ((ids * np.int64(self._KNUTH)) & np.int64(0xFFFFFFFF)) \
             % self.num_shards
         if self._assignment is not None:
-            known = min(n_nodes, len(self._assignment))
-            hashed[:known] = self._assignment[:known]
-        return hashed
+            known = ids < len(self._assignment)
+            shards[known] = self._assignment[ids[known]]
+        return shards
 
     def nodes_of(self, shard: int, n_nodes: int) -> np.ndarray:
         """Ascending node ids of ``shard`` among the first ``n_nodes`` nodes."""
@@ -295,10 +302,12 @@ class ShardPlan:
         Only shards that own at least one of ``nodes`` appear as keys — this
         is how the update path computes its *touched shard* set.
         """
-        groups: Dict[int, List[int]] = {}
-        for node in sorted(int(node) for node in nodes):
-            groups.setdefault(self.shard_of(node), []).append(node)
-        return groups
+        ids = np.sort(np.fromiter(nodes, dtype=np.int64))
+        if len(ids) and ids[0] < 0:
+            raise ConfigurationError(f"node ids must be >= 0, got {ids[0]}")
+        shards = self._shards_of(ids)
+        return {int(shard): ids[shards == shard].tolist()
+                for shard in np.unique(shards)}
 
     def group_edges(
         self, edges: Iterable[Tuple[int, int]]

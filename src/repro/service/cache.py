@@ -46,20 +46,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from repro.config import SimRankParams
 from repro.core.montecarlo import WalkDistributions
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):
     """Identity of one cached walk distribution.
 
     Two queries share a cache entry exactly when the distribution they need
     is mathematically identical: same source node, same number of walk
-    steps, same Monte-Carlo budget, and same base seed.
+    steps, same Monte-Carlo budget, and same base seed.  A named tuple, so
+    the dict and LRU operations of an update's invalidation sweep hash it
+    in C.
     """
 
     node: int
@@ -174,11 +175,14 @@ class WalkDistributionCache:
         self.stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, WalkDistributions]" = OrderedDict()
         self._rankings: "OrderedDict[RankingKey, Ranking]" = OrderedDict()
-        # Payload size per resident entry, measured once at insert: by the
-        # time an entry is evicted its arrays are cold, and walking them
-        # again costs a cold workload as much as the insert did.
-        self._sizes: Dict[Union[CacheKey, RankingKey], int] = {}
+        # Payload size per resident distribution, measured once at insert:
+        # by the time an entry is evicted its arrays are cold, and walking
+        # them again costs a cold workload as much as the insert did.  A
+        # ranking's size is its length, so rankings keep only a running
+        # total, and dropping them all touches no key.
+        self._sizes: Dict[CacheKey, int] = {}
         self._bytes = 0
+        self._ranking_bytes = 0
 
     def __len__(self) -> int:
         """Resident distributions (rankings: :attr:`ranking_entries`)."""
@@ -220,16 +224,27 @@ class WalkDistributionCache:
             return
         entries = self._kind(key)
         if key in entries:
-            self._bytes -= self._sizes[key]
+            self._release(entries, key, entries[key])
             entries.move_to_end(key)
         entries[key] = entry
-        size = self._sizes[key] = _payload_bytes(entry)
-        self._bytes += size
+        size = _payload_bytes(entry)
+        if entries is self._rankings:
+            self._ranking_bytes += size
+        else:
+            self._sizes[key] = size
+            self._bytes += size
         self.stats.inserts += 1
         while len(entries) > self.capacity:
-            evicted_key, _evicted = entries.popitem(last=False)
-            self._bytes -= self._sizes.pop(evicted_key)
+            self._release(entries, *entries.popitem(last=False))
             self.stats.evictions += 1
+
+    def _release(self, entries: "OrderedDict", key: Union[CacheKey, RankingKey],
+                 entry: Union[WalkDistributions, Ranking]) -> None:
+        """Take a leaving (or replaced) entry's bytes off the running total."""
+        if entries is self._rankings:
+            self._ranking_bytes -= _payload_bytes(entry)
+        else:
+            self._bytes -= self._sizes.pop(key)
 
     def invalidate_sources(self, nodes: Iterable[int]) -> int:
         """Drop every distribution whose source is in ``nodes``; returns the count.
@@ -262,9 +277,8 @@ class WalkDistributionCache:
         Counted as ``rankings_dropped``; distributions are left alone.
         """
         dropped = len(self._rankings)
-        for key in self._rankings:
-            self._bytes -= self._sizes.pop(key)
         self._rankings.clear()
+        self._ranking_bytes = 0
         self.stats.rankings_dropped += dropped
         return dropped
 
@@ -273,7 +287,7 @@ class WalkDistributionCache:
         self._entries.clear()
         self._rankings.clear()
         self._sizes.clear()
-        self._bytes = 0
+        self._bytes = self._ranking_bytes = 0
 
     def memory_bytes(self) -> int:
         """Resident payload size of all cached entries, in O(1).
@@ -282,7 +296,7 @@ class WalkDistributionCache:
         :meth:`drop_rankings` and :meth:`clear` — ``stats()`` reads it under
         the serve lock, so it must not walk the entries.
         """
-        return self._bytes
+        return self._bytes + self._ranking_bytes
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,7 @@ serving state follows the plan:
   only inside the touched shards and drops every shard's ranked answers;
 * **versions**: :attr:`~QueryService.index_version` bumps once per applied
   update, while :attr:`~QueryService.shard_versions` records, per shard,
-  the last version that re-estimated one of its rows.
+  the last version whose update affected one of its rows.
 
 A batch's cache misses are simulated in one scatter on a persistent serve
 pool (:func:`repro.service.sharded.simulate_misses`); scoring and ranking

@@ -8,6 +8,8 @@ updated graph (the ``from_scratch`` fixture):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimRankParams
 from repro.core import linear_system
@@ -17,6 +19,7 @@ from repro.core.walks import forward_reachable_set
 from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
+from repro.graph.partition import ShardPlan
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +188,6 @@ class TestIncrementalMonteCarlo:
 
 
 def _walker(graph, params, num_shards=1):
-    from repro.graph.partition import ShardPlan
-
     walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
                                       params=params)
     walker.build()
@@ -307,3 +308,84 @@ class TestBitwiseReproducibility:
         adopter_same_graph = ShardedIncrementalWalker(graph, params=params)
         with pytest.raises(ConfigurationError):
             adopter_same_graph.attach(donor.index, system=bad_system)
+
+
+def _csr_row(system, row):
+    lo, hi = system.indptr[row], system.indptr[row + 1]
+    return system.indices[lo:hi].tobytes(), system.data[lo:hi].tobytes()
+
+
+class TestSupportPrunedUpdates:
+    """An update re-estimates only the affected rows whose stored support
+    holds a head, plus the new nodes — and still lands on the from-scratch
+    system, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pruned_updates_equal_from_scratch(self, data, from_scratch):
+        n = data.draw(st.integers(2, 12), label="n_nodes")
+        node = st.integers(0, n - 1)
+        graph = DiGraph(n, data.draw(
+            st.lists(st.tuples(node, node), max_size=3 * n), label="edges"))
+        # Few walkers and short walks: supports stay small, so many ball
+        # rows avoid the heads and some visit them only at step T.
+        params = SimRankParams(
+            c=0.6, walk_steps=data.draw(st.integers(1, 3), label="steps"),
+            jacobi_iterations=3, query_walkers=10,
+            index_walkers=data.draw(st.integers(1, 6), label="walkers"),
+            seed=data.draw(st.integers(0, 2 ** 16), label="seed"))
+        num_shards = data.draw(st.sampled_from([1, 2, 5]), label="K")
+        walker = _walker(graph, params, num_shards)
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            current = walker.graph
+            m = current.n_nodes
+            # Present edges, heads with in-degree 0, and new-node heads and
+            # tails (ids up to m + 2) all mix in one batch.
+            any_node = st.integers(0, m + 2)
+            kinds = [st.tuples(any_node, any_node)]
+            present = [tuple(int(x) for x in edge) for edge in current.edge_array()]
+            if present:
+                kinds.append(st.sampled_from(present))
+            unreached = np.flatnonzero(current.in_degrees() == 0).tolist()
+            if unreached:
+                kinds.append(st.tuples(any_node, st.sampled_from(unreached)))
+            batch = data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=5),
+                              label="batch")
+            result = walker.add_edges(batch)
+            reference = from_scratch(walker.graph, params)
+            for name in ("indptr", "indices", "data"):
+                assert (getattr(walker.system, name).tobytes()
+                        == getattr(reference.system, name).tobytes()), name
+            assert (walker.index.diagonal.tobytes()
+                    == reference.index.diagonal.tobytes())
+            if result is not None:
+                assert result.estimated_rows <= result.affected_rows
+                assert result.estimated <= result.affected
+                assert set(range(m, walker.graph.n_nodes)) <= result.estimated
+                extras = walker.index.build_info.extras
+                assert extras["estimated_rows"] == result.estimated_rows
+                assert extras["affected_rows"] == result.affected_rows
+
+    def test_ball_row_off_every_head_keeps_its_old_row(self, from_scratch):
+        # In(3) = {1, 2} and In(1) = {0}: a single walker from 3 reaches the
+        # head 0 only through 1, so some seed sends it through 2 instead —
+        # row 3 is in the ball of 0 yet its walks never stood on 0.
+        graph = DiGraph(5, [(0, 1), (1, 3), (2, 3), (4, 2)])
+        for seed in range(50):
+            params = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=4,
+                                   index_walkers=1, query_walkers=10, seed=seed)
+            walker = _walker(graph, params)
+            if 0 not in walker.system.indices[
+                    walker.system.indptr[3]:walker.system.indptr[4]]:
+                break
+        else:
+            pytest.fail("no seed sent row 3's walker off the head")
+        old_row = _csr_row(walker.system, 3)
+        result = walker.add_edges([(4, 0)])
+        assert 3 in result.affected
+        assert 3 not in result.estimated and 0 in result.estimated
+        assert _csr_row(walker.system, 3) == old_row
+        reference = from_scratch(walker.graph, params)
+        assert _csr_row(reference.system, 3) == old_row
+        assert (walker.index.diagonal.tobytes()
+                == reference.index.diagonal.tobytes())

@@ -20,6 +20,7 @@ from repro.config import ShardingParams, SimRankParams
 from repro.core.index import ShardedIndex, ShardedSnapshotStore
 from repro.core.sharding import (
     ShardedIncrementalWalker,
+    _choose_rows,
     build_sharded_index,
     estimate_shard_rows,
     gather_shard_rows,
@@ -111,6 +112,26 @@ class TestShardPlan:
         for shard, group in groups.items():
             assert group == sorted(group)
             assert all(plan.shard_of(node) == shard for node in group)
+
+    @pytest.mark.parametrize("strategy", ["hash", "contiguous", "partitioner"])
+    def test_group_nodes_matches_shard_of_elementwise(self, graph, strategy):
+        plan = ShardPlan.for_graph(graph, 4, strategy)
+        # Duplicates, any order, and ids past the planned range (the
+        # partitioner's hash fallback) — as a set, a list and an array.
+        nodes = [graph.n_nodes + 6, 3, 0, 3, graph.n_nodes, 2 ** 40, 17, 1]
+        expected = {}
+        for node in sorted(nodes):
+            expected.setdefault(plan.shard_of(node), []).append(node)
+        for given_nodes in (nodes, np.asarray(nodes), frozenset(nodes)):
+            groups = plan.group_nodes(given_nodes)
+            reference = expected if not isinstance(given_nodes, frozenset) else {
+                shard: sorted(set(group)) for shard, group in expected.items()}
+            assert groups == reference
+            assert all(type(node) is int for group in groups.values()
+                       for node in group)
+        assert plan.group_nodes([]) == {}
+        with pytest.raises(ConfigurationError):
+            plan.group_nodes([4, -1])
 
     def test_group_edges_routes_by_head(self):
         plan = ShardPlan.contiguous(2, n_nodes=10)
@@ -261,9 +282,9 @@ class TestShardedUpdates:
             merged, {30, 95, 1}, params.walk_steps)) | {90, 91, 92, 93, 94, 95}
         assert np.array_equal(walker.index.diagonal, single.index.diagonal)
         assert (walker.system - single.system).nnz == 0
-        # Only the shards owning affected rows were re-estimated.
+        # Only the shards owning re-estimated rows ran a task.
         expected_touched = frozenset(
-            walker.plan.shard_of(node) for node in result.affected
+            walker.plan.shard_of(node) for node in result.estimated
         )
         assert walker.last_touched_shards == expected_touched
 
@@ -323,6 +344,33 @@ class TestShardedUpdates:
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2), params=params)
         with pytest.raises(ConfigurationError):
             walker.shard_systems()
+
+
+class TestChooseRows:
+    """The update splice: whole rows from one operand or the other."""
+
+    def test_matches_a_dense_row_select(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            n = int(rng.integers(0, 10))
+            # Either operand may have fewer rows (the pre-growth system):
+            # rows past its end count as empty.
+            operands = [sparse.random(int(rng.integers(0, n + 1)), n,
+                                      density=0.4, format="csr",
+                                      random_state=2 * trial + side)
+                        for side in (0, 1)]
+            dense = []
+            for operand in operands:
+                padded = np.zeros((n, n))
+                padded[:operand.shape[0]] = operand.toarray()
+                dense.append(padded)
+            mask = rng.random(n) < rng.random()
+            chosen = _choose_rows(mask, *operands)
+            assert chosen.shape == (n, n)
+            assert np.array_equal(chosen.toarray(),
+                                  np.where(mask[:, None], *dense))
+            assert chosen.has_sorted_indices
+            assert np.count_nonzero(chosen.data) == chosen.nnz
 
 
 class TestSliceShardBlock:

@@ -201,6 +201,33 @@ class TestRankingEntries:
         assert cache.stats.rankings_dropped == 2
         assert cache.stats.invalidations == 0
 
+    def test_drop_rankings_hashes_no_key(self):
+        """An update drops every ranking; that must not cost a hash per key."""
+        hashes = []
+
+        class CountedK(int):
+            def __hash__(self):
+                hashes.append(1)
+                return int.__hash__(self)
+
+        cache = WalkDistributionCache(capacity=8)
+        for node in range(5):
+            cache.put((_key(node), CountedK(3)), ((node, 0.5), (9, 0.25)))
+        hashes.clear()
+        assert cache.drop_rankings() == 5
+        assert hashes == [] and cache.memory_bytes() == 0
+
+    def test_cache_key_is_a_plain_tuple_subtype(self):
+        # Hashed in C like the tuple it is, and still told apart from a
+        # ranking key, which is a plain (CacheKey, k) tuple.
+        key = _key(7)
+        assert isinstance(key, tuple) and hash(key) == hash((7, 5, 300, 13))
+        assert key.node == 7 and key == CacheKey.for_query(
+            7, type("P", (), {"walk_steps": 5, "seed": 13})(), 300)
+        cache = WalkDistributionCache(capacity=2)
+        assert cache._kind(key) is cache._entries
+        assert cache._kind((key, 3)) is cache._rankings
+
     def test_totals_sum_field_by_field(self):
         from repro.service.cache import CacheStats
 
