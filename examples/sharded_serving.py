@@ -2,16 +2,18 @@
 """Sharded builds and serving, end to end.
 
 There is one serving class, ``QueryService``; ``ShardingParams(num_shards=K)``
-splits its per-node state — caches, index rows, versions — across ``K``
-shards, and the default ``K = 1`` is a one-shard plan of the same program.
+splits its index rows, versions and load counters across ``K`` shards,
+and the default ``K = 1`` is a one-shard plan of the same program.  Every
+query is served from one cache of ``cache_capacity × K`` entries per kind.
 This example:
 
 1. builds the same index with one shard and with 4 shards, and verifies
    the diagonals are *bitwise-identical*;
 2. serves pair / source / top-k queries at ``K = 4`` and checks every
    answer against the one-shard service;
-3. inserts edges live and watches only the *touched* shards re-estimate,
-   bump their versions and drop cache entries;
+3. inserts edges live and watches only the *touched* shards re-estimate
+   and bump their versions, while the cache drops only the affected
+   sources;
 4. snapshots the 4-shard deployment (one store per shard) and cold-starts
    a second service from it, under the lineage's plan.
 
@@ -57,7 +59,7 @@ def main() -> None:
     print(f"answers match single-shard: {list(reference) == list(answers)}")
     print(f"top-5 for node 3: {answers[1]}")
 
-    # 3. A live edit: only shards owning affected rows are touched.
+    # 3. A live edit: only shards owning re-estimated rows are touched.
     result = sharded.add_edges([(2, 120), (5, 120)])
     touched = [shard for shard, version in enumerate(sharded.shard_versions)
                if version == sharded.index_version]
@@ -78,10 +80,11 @@ def main() -> None:
         print(f"restored service (version {restored.index_version}, "
               f"{restored.num_shards} shards) answers match: {match}")
 
-    per_shard = sharded.stats()["shards"]
-    print("per-shard stats (nodes / cache entries / simulated): "
-          + ", ".join(f"s{row['shard']}: {row['nodes']}/{row['cache_size']}"
-                      f"/{row['sources_simulated']}" for row in per_shard))
+    stats = sharded.stats()
+    print("per-shard stats (nodes / routed / simulated): "
+          + ", ".join(f"s{row['shard']}: {row['nodes']}/{row['sources_routed']}"
+                      f"/{row['sources_simulated']}" for row in stats["shards"])
+          + f"; one cache of {stats['cache_size']} distributions")
 
     # 5. Release the persistent scatter/build pools.
     single.close()

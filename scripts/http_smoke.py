@@ -11,6 +11,9 @@ a real child process:
 3. probe the ranked-answer cache entries: the same ``topk`` line posted
    twice returns byte-identical JSON, the second served from a ranking
    entry (``cache_ranking_hits`` in ``/stats`` moves by exactly one),
+   then force a plan flip (``POST /rebalance``) and post it once more: the
+   same answer at the bumped ``index_version``, again from its ranking
+   entry — the flip kept the cache warm,
 4. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
 5. probe again after the load's waited live update: the reply carries the
@@ -173,11 +176,11 @@ def _ranking_hits(port: int) -> int:
     return json.loads(_request(port, "GET", "/stats"))["cache_ranking_hits"]
 
 
-def _probe_repeat(port: int) -> int:
+def _probe_repeat(port: int) -> dict:
     """The probe line twice: identical bytes, second from a ranking entry.
 
     Runs before the load starts, so the counter delta is exact.  Returns
-    the index version the replies carried.
+    the parsed reply.
     """
     hits = _ranking_hits(port)
     first = _request(port, "POST", "/query", {"queries": [PROBE_LINE]})
@@ -189,7 +192,33 @@ def _probe_repeat(port: int) -> int:
     if served != 1:
         raise RuntimeError(f"repeating {PROBE_LINE!r} moved cache_ranking_hits "
                            f"by {served}, expected exactly 1")
-    return json.loads(first)["index_version"]
+    return json.loads(first)
+
+
+def _probe_after_flip(port: int, before: dict) -> int:
+    """Force a plan flip, then the probe line once more.
+
+    The flip moves neither the graph nor the diagonal, so the answer is
+    the pre-flip one, served from the ranking entry the flip kept.
+    Returns the post-flip index version.
+    """
+    report = json.loads(_request(port, "POST", "/rebalance", {"force": True}))
+    if not report.get("applied"):
+        raise RuntimeError(f"forced rebalance was not applied: {report}")
+    hits = _ranking_hits(port)
+    reply = json.loads(_request(port, "POST", "/query",
+                                {"queries": [PROBE_LINE]}))
+    if reply["index_version"] != before["index_version"] + 1:
+        raise RuntimeError(f"index_version {reply['index_version']} after the "
+                           f"flip, expected {before['index_version'] + 1}")
+    if reply["answers"] != before["answers"]:
+        raise RuntimeError(f"{PROBE_LINE!r} after the flip answered "
+                           f"{reply['answers']}, before it {before['answers']}")
+    served = _ranking_hits(port) - hits
+    if served != 1:
+        raise RuntimeError(f"{PROBE_LINE!r} after the flip moved "
+                           f"cache_ranking_hits by {served}, expected exactly 1")
+    return reply["index_version"]
 
 
 def _probe_after_update(port: int, graph: Path, index: Path,
@@ -269,10 +298,11 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
     server = _start_server(graph, index, shards=2)
     try:
         port = _await_port(server)
-        version = _probe_repeat(port)
+        version = _probe_after_flip(port, _probe_repeat(port))
         print(f"http-smoke: server up on port {port}, repeated top-k "
-              f"served from its ranking entry; applying "
-              f"{seconds:.0f}s of load from {N_LOAD_THREADS} threads")
+              f"served from its ranking entry, before and after a forced "
+              f"plan flip; applying {seconds:.0f}s of load from "
+              f"{N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)
         if not outcome["errors"]:
             _probe_after_update(port, graph, index, version)

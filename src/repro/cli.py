@@ -280,9 +280,9 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = ServiceParams()
     parser.add_argument("--cache-capacity", dest="cache_capacity", type=int,
                         default=defaults.cache_capacity,
-                        help="cached walk distributions (and, counted "
-                             "apart, ranked top-k answers), 0 disables "
-                             "(default: %(default)s)")
+                        help="cached walk distributions per shard (and, "
+                             "counted apart, ranked top-k answers), 0 "
+                             "disables (default: %(default)s)")
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
                         choices=["serial", "threads", "processes"],

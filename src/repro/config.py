@@ -146,10 +146,11 @@ class ServiceParams:
     Attributes
     ----------
     cache_capacity:
-        Maximum number of per-source walk distributions kept in the LRU
-        cache, and — counted separately — of ranked top-k answers kept
-        beside them.  ``0`` disables caching entirely (every query
-        re-simulates, re-scores and re-ranks).
+        Cache entries per kind per shard: a ``K``-shard service keeps one
+        LRU of ``cache_capacity × K`` entries per kind — per-source walk
+        distributions and, counted separately, ranked top-k answers.
+        ``0`` disables caching entirely (every query re-simulates,
+        re-scores and re-ranks).
     default_top_k:
         ``k`` used by top-k queries that do not specify one.
     serve_backend:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
 from repro.core import linear_system
 from repro.core.index import BuildInfo, DiagonalIndex
-from repro.core.jacobi import jacobi_step
+from repro.core.jacobi import jacobi_step, relative_residual
 from repro.core.queries import QueryEngine
 from repro.core.sharding import gather_shard_rows
 from repro.engine.context import ClusterContext
@@ -142,9 +142,7 @@ class BroadcastingModel:
             x = new_x
         solve_seconds = time.perf_counter() - solve_start
 
-        residual = float(
-            np.linalg.norm(system @ x - rhs) / max(np.linalg.norm(rhs), 1e-12)
-        ) if n_nodes else float("nan")
+        residual = relative_residual(system, x, rhs) if n_nodes else float("nan")
 
         phase_metrics = self.context.metrics_since(checkpoint, action="build-index")
         build_info = BuildInfo(

@@ -455,7 +455,8 @@ class ShardedIndex:
     index:
         The global :class:`DiagonalIndex` (identical on every shard).
     plan:
-        Node-to-shard assignment; also routes queries and edge insertions.
+        Node-to-shard assignment; also routes edge insertions and the
+        serving load counters.
     shard_versions:
         Per-shard generation counters, aligned with the plan's shard ids.
         ``shard_versions[k]`` is the global :attr:`index version
@@ -486,7 +487,8 @@ class ShardedIndex:
         self.index.validate_for(graph)
 
     def touch(self, shards: Sequence[int], version: int) -> None:
-        """Record that an update at global ``version`` affected ``shards``."""
+        """Record that an update at global ``version`` re-estimated rows of
+        ``shards``."""
         for shard in shards:
             self.shard_versions[shard] = version
 

@@ -13,7 +13,8 @@ depends only on the *previous* iterate, so all n updates can run in parallel
   distributed execution models to update their partition of ``x``;
 * :func:`gauss_seidel_solve` and :func:`exact_solve` — sequential baselines
   used by the convergence ablation (figure F1);
-* :class:`SolveResult` — solution plus per-iteration residual history.
+* :class:`SolveResult` — solution plus per-iteration residual history;
+* :func:`relative_residual` — the residual norm the results report.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ def _validate_system(system: sparse.spmatrix, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _relative_residual(system: sparse.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
+def relative_residual(system: sparse.spmatrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """``||system @ x - rhs|| / ||rhs||`` (the plain residual norm when
+    ``rhs`` is zero) — one SpMV."""
     denominator = float(np.linalg.norm(rhs))
     if denominator == 0.0:
         return float(np.linalg.norm(system @ x))
@@ -104,7 +107,7 @@ def jacobi_solve(
         updated = (rhs - off_diagonal) / safe_diagonal
         x = np.where(diagonal != 0.0, updated, x)
         if track_residuals:
-            residuals.append(_relative_residual(system, x, rhs))
+            residuals.append(relative_residual(system, x, rhs))
     return SolveResult(x=x, iterations=iterations, residuals=residuals, method="jacobi")
 
 
@@ -168,7 +171,7 @@ def gauss_seidel_solve(
                 continue
             off_sum = float(values[~diag_mask] @ x[cols[~diag_mask]])
             x[row] = (rhs[row] - off_sum) / diagonal
-        residuals.append(_relative_residual(csr, x, rhs))
+        residuals.append(relative_residual(csr, x, rhs))
     return SolveResult(x=x, iterations=iterations, residuals=residuals,
                        method="gauss-seidel")
 
@@ -189,5 +192,5 @@ def exact_solve(system: sparse.spmatrix, rhs: np.ndarray) -> SolveResult:
     if not np.isfinite(x).all():
         raise SolverError("direct solve produced non-finite values (singular system?)")
     result = SolveResult(x=x, iterations=1, method="exact")
-    result.residuals.append(_relative_residual(system, x, rhs))
+    result.residuals.append(relative_residual(system, x, rhs))
     return result

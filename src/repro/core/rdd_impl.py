@@ -24,7 +24,7 @@ from scipy import sparse
 
 from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
 from repro.core.index import BuildInfo, DiagonalIndex
-from repro.core.jacobi import jacobi_step
+from repro.core.jacobi import jacobi_step, relative_residual
 from repro.engine.context import ClusterContext
 from repro.engine.rdd import RDD
 from repro.errors import IndexNotBuiltError
@@ -248,11 +248,7 @@ class RDDModel:
             x = new_x
         solve_seconds = time.perf_counter() - solve_start
 
-        residual = (
-            float(np.linalg.norm(system @ x - rhs) / max(np.linalg.norm(rhs), 1e-12))
-            if n_nodes
-            else float("nan")
-        )
+        residual = relative_residual(system, x, rhs) if n_nodes else float("nan")
         phase_metrics = self.context.metrics_since(checkpoint, action="build-index")
         build_info = BuildInfo(
             execution_model=self.name,

@@ -54,7 +54,7 @@ from scipy import sparse
 from repro.config import ShardingParams, SimRankParams
 from repro.core import linear_system, walks
 from repro.core.index import BuildInfo, DiagonalIndex
-from repro.core.jacobi import jacobi_solve
+from repro.core.jacobi import jacobi_solve, relative_residual
 from repro.engine.executor import (
     ExecutorBackend,
     ResidentHandle,
@@ -446,12 +446,15 @@ class ShardedIncrementalWalker:
             x = np.zeros(0, dtype=np.float64)
             residual = float("nan")
         else:
-            solution = jacobi_solve(
+            # Only the last residual is reported, so it is computed once
+            # rather than after every sweep (none after zero sweeps).
+            x = jacobi_solve(
                 system, rhs, iterations=self.params.jacobi_iterations,
                 initial=np.full(graph.n_nodes, 1.0 - self.params.c),
-            )
-            x = solution.x
-            residual = solution.final_residual
+                track_residuals=False,
+            ).x
+            residual = (relative_residual(system, x, rhs)
+                        if self.params.jacobi_iterations else float("inf"))
         solve_seconds = time.perf_counter() - start
         build_info = BuildInfo(
             execution_model="incremental",

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.config import ClusterSpec, ExecutionOptions
 from repro.engine.accumulator import Accumulator
-from repro.engine.broadcast import Broadcast, estimate_size_bytes
+from repro.engine.broadcast import Broadcast
 from repro.engine.cost_model import ClusterCostModel, CostEstimate
 from repro.engine.metrics import JobMetrics, merge_job_metrics
 from repro.engine.rdd import RDD, ParallelCollectionRDD
@@ -200,10 +200,6 @@ class ClusterContext:
             raise ValueError("no job has been run yet; nothing to estimate")
         model = self.cost_model if cluster is None else ClusterCostModel(cluster)
         return model.estimate(metrics)
-
-    def estimate_broadcast_size(self, value: Any) -> int:
-        """Expose the broadcast size estimator (used by execution models)."""
-        return estimate_size_bytes(value)
 
     def shutdown(self) -> None:
         """Release executor resources and cached partitions."""

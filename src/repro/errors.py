@@ -96,10 +96,6 @@ class JobExecutionError(EngineError):
         self.cause = cause
 
 
-class ShuffleError(EngineError):
-    """Raised when shuffle data is missing or inconsistent."""
-
-
 class CapacityExceededError(EngineError):
     """Raised by the cluster cost model when a plan does not fit the cluster.
 

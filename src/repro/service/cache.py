@@ -117,13 +117,6 @@ class CacheStats:
     ranking_misses: int = 0
     rankings_dropped: int = 0
 
-    @classmethod
-    def total(cls, parts: Iterable["CacheStats"]) -> "CacheStats":
-        """Field-wise sum — the aggregate counters of a set of shard caches."""
-        parts = list(parts)
-        return cls(**{name: sum(getattr(part, name) for part in parts)
-                      for name in cls.__dataclass_fields__})
-
     @property
     def lookups(self) -> int:
         """Total lookups served (hits plus misses)."""

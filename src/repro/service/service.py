@@ -3,28 +3,33 @@
 :class:`QueryService` is the serving layer on top of the core query engine:
 it owns a persistently loaded graph + diagonal index, deduplicates and
 batches concurrent queries so distributions shared between them are
-simulated once (:mod:`repro.service.batching`), keeps LRU caches of
-per-source walk distributions so repeated traffic skips simulation entirely
-(:mod:`repro.service.cache`), and accepts **live edge insertions** that are
-folded into the index incrementally between query batches (a bounded
-queue here, the re-index in
+simulated once (:mod:`repro.service.batching`), keeps one LRU cache of
+per-source walk distributions and ranked answers so repeated traffic skips
+simulation entirely (:mod:`repro.service.cache`), and accepts **live edge
+insertions** that are folded into the index incrementally between query
+batches (a bounded queue here, the re-index in
 :class:`~repro.core.sharding.ShardedIncrementalWalker`).
 
 The node space is split across ``K`` shards by a
 :class:`~repro.graph.partition.ShardPlan` (``ShardingParams``; ``K = 1``,
-one shard holding every node, by default), and every piece of per-node
-serving state follows the plan:
+one shard holding every node, by default).  The plan decides where index
+rows live, as in the paper, where workers own rows of the indexing system
+but each holds the whole broadcast diagonal:
 
 * **index maintenance**: each shard owns its nodes' rows of the indexing
   linear system; builds and incremental updates fan out per shard through
   an executor backend (:class:`~repro.core.sharding.ShardedIncrementalWalker`);
-* **caches**: one :class:`~repro.service.cache.WalkDistributionCache` per
-  shard, holding the walk distributions *and* the ranked top-k answers of
-  exactly the sources the shard owns; an update invalidates distributions
-  only inside the touched shards and drops every shard's ranked answers;
 * **versions**: :attr:`~QueryService.index_version` bumps once per applied
   update, while :attr:`~QueryService.shard_versions` records, per shard,
-  the last version whose update affected one of its rows.
+  the last version at which one of its rows was re-estimated;
+* **load counters**: routed and simulated sources are counted against
+  their owning shard, the rebalance planner's input.
+
+The query path does not consult the plan: one
+:class:`~repro.service.cache.WalkDistributionCache` holds the walk
+distributions *and* the ranked top-k answers of every source, keyed
+independently of the plan; an update invalidates the distributions inside
+its affected ball and drops every ranked answer.
 
 A batch's cache misses are simulated in one scatter on a persistent serve
 pool (:func:`repro.service.sharded.simulate_misses`); scoring and ranking
@@ -110,7 +115,7 @@ from repro.service.batching import (
     plan_batch,
     required_sources,
 )
-from repro.service.cache import CacheKey, CacheStats, Ranking, WalkDistributionCache
+from repro.service.cache import CacheKey, Ranking, WalkDistributionCache
 from repro.service.sharded import simulate_misses
 
 PathLike = Union[str, os.PathLike]
@@ -157,9 +162,9 @@ class QueryService:
         Algorithmic parameters; defaults to the parameters the index was
         built with, which is what keeps answers reproducible across restarts.
     service_params:
-        Cache and serving knobs.  ``cache_capacity`` is **per shard**: a
-        ``K``-shard service can hold up to ``K * cache_capacity``
-        distributions (and as many ranked answers).  ``serve_backend`` /
+        Cache and serving knobs.  The service keeps one LRU of
+        ``cache_capacity × K`` entries per kind: up to ``K * cache_capacity``
+        distributions and as many ranked answers.  ``serve_backend`` /
         ``serve_workers`` select the persistent executor pool the
         cache-miss simulation scatter runs through (release it with
         :meth:`close`).
@@ -236,6 +241,8 @@ class QueryService:
             "snapshots_written": 0, "rebalances_applied": 0,
             "scatter_payload_bytes": 0,
         }
+        self.cache = WalkDistributionCache(
+            self.service_params.cache_capacity * self.plan.num_shards)
         self._fresh_shard_state()
         self.sharded_index = ShardedIndex(
             index=self.index, plan=self.plan,
@@ -297,18 +304,13 @@ class QueryService:
         return self.params.with_(query_walkers=walkers, walk_steps=steps)
 
     def _fresh_shard_state(self) -> None:
-        """(Re)create the per-shard serving state for the current plan.
+        """(Re)set the per-shard load counters for the current plan.
 
         Called at construction and at the atomic flip of a plan migration:
-        per-shard caches start empty (ownership moved, and the plan-keyed
-        cache routing must never serve a source from a shard that no
-        longer owns it), and per-shard counters restart (they describe load
-        *under this plan*).
+        the counters describe load *under this plan*, so they restart.  The
+        cache is not shard state — its keys do not depend on the plan, and
+        a flip moves neither the graph nor the diagonal — so it stays warm.
         """
-        self.shard_caches: List[WalkDistributionCache] = [
-            WalkDistributionCache(self.service_params.cache_capacity)
-            for _ in range(self.plan.num_shards)
-        ]
         self._shard_counters: List[Dict[str, Any]] = [
             {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
             for _ in range(self.plan.num_shards)
@@ -428,7 +430,7 @@ class QueryService:
         return list(self.sharded_index.shard_versions)
 
     def shard_of(self, node: int) -> int:
-        """The shard owning ``node`` — its caches and index rows."""
+        """The shard owning ``node`` — its index rows and load counters."""
         return self.plan.shard_of(node)
 
     # ------------------------------------------------------------------ #
@@ -513,7 +515,7 @@ class QueryService:
         accepted edge is routed to the shard owning its *head* (the node
         whose in-links change); the per-shard routed counts appear in
         :meth:`stats`.  The re-index touches only the shards owning
-        affected rows and holds only the update lock — in-flight query
+        re-estimated rows and holds only the update lock — in-flight query
         batches keep serving the previous consistent version until the
         swap-in.
 
@@ -569,15 +571,15 @@ class QueryService:
         return result
 
     def _adopt_mutation(self, result: MutationResult) -> None:
-        """Swap in the post-update state; invalidate per shard, atomically.
+        """Swap in the post-update state and invalidate, atomically.
 
         The cheap, state-swapping half of an update, run under the serve
         lock after the expensive re-index (which held only the update
         lock): re-points the service at the walker's new graph/index and
         a query engine over them, invalidates exactly the affected sources'
-        distributions in their owning shards' caches, drops the ranking
-        entries of *every* shard (they were scored against the diagonal the
-        update just re-solved), and bumps the global and touched-shard versions
+        distributions, drops every ranking entry (they were scored against
+        the diagonal the update just re-solved), and bumps the global
+        version and the versions of the shards whose rows were re-estimated
         together — so a concurrent batch sees either the complete old state
         or the complete new one, never a mixture.
         """
@@ -587,13 +589,11 @@ class QueryService:
             self.query_engine = QueryEngine(self.graph, self.index,
                                             self.query_params)
             self._version += 1
-            touched = self.plan.group_nodes(result.affected)
-            for shard, nodes in touched.items():
-                self.shard_caches[shard].invalidate_sources(nodes)
-            for cache in self.shard_caches:
-                cache.drop_rankings()
+            self.cache.invalidate_sources(result.affected)
+            self.cache.drop_rankings()
             self.sharded_index.index = self.index
-            self.sharded_index.touch(sorted(touched), self._version)
+            self.sharded_index.touch(sorted(self._walker.last_touched_shards),
+                                     self._version)
             self._counters["updates_applied"] += 1
             self._counters["edges_added"] += result.edges_added
             self._maybe_auto_snapshot()
@@ -743,10 +743,11 @@ class QueryService:
            leaves the service byte-for-byte on the old plan: nothing
            served has been touched yet.
         4. **Flip**, atomically under the serve lock: adopt the plan,
-           reset the per-shard caches/counters/owned-node arrays
-           (:meth:`_fresh_shard_state`), bump the version, and install
-           the new walker.  A concurrent batch sees either the complete
-           old topology or the complete new one.
+           reset the per-shard counters (:meth:`_fresh_shard_state`), bump
+           the version, and install the new walker.  A concurrent batch
+           sees either the complete old topology or the complete new one.
+           The cache stays warm: its keys do not depend on the plan, and
+           the flip moves neither the graph nor the diagonal.
         5. **Persist**: when a snapshot directory is configured, save the
            post-flip version — the governing plan is written *before* the
            shard payloads, so a crash mid-save leaves an inconsistent
@@ -839,7 +840,7 @@ class QueryService:
         distributions, resolve scores, resolve rankings, assemble — in
         which every piece of work is done once per *distinct* key.  First
         each distinct ``(source, k)`` of the batch's top-k queries is
-        looked up as a ranking entry of its source's shard cache (key
+        looked up as a ranking entry of the cache (key
         ``(CacheKey, k)``): a hit is the finished answer of an earlier
         batch at this index version and goes straight to assembly.  Only
         the remaining queries are planned: a source's distributions come
@@ -897,8 +898,8 @@ class QueryService:
             for source, k in requests:
                 if (source, k) not in rankings:
                     rankings[source, k] = entry = tuple(scores[source].top_k(k))
-                    self.shard_caches[self.plan.shard_of(source)].put(
-                        self._ranking_key(source, k, walkers_count), entry)
+                    self.cache.put(self._ranking_key(source, k, walkers_count),
+                                   entry)
             answers = [self._assemble(query, distributions, scores, rankings)
                        for query in queries]
             self._counters["batches"] += 1
@@ -920,14 +921,14 @@ class QueryService:
     ) -> Dict[Tuple[int, int], Ranking]:
         """The batch's distinct ``(source, k)`` already answered at this version.
 
-        Each request is looked up under ``(CacheKey, k)`` in its source's
-        shard cache; a hit is the finished answer, valid because every
-        index version bump drops all ranking entries (:meth:`_adopt_mutation`).
+        Each request is looked up under ``(CacheKey, k)`` in the cache; a
+        hit is the finished answer, valid because every applied update
+        drops all ranking entries (:meth:`_adopt_mutation`).  A rebalance
+        flip keeps them: it moves neither the graph nor the diagonal.
         """
         found: Dict[Tuple[int, int], Ranking] = {}
         for source, k in requests:
-            cached = self.shard_caches[self.plan.shard_of(source)].get(
-                self._ranking_key(source, k, walkers_count))
+            cached = self.cache.get(self._ranking_key(source, k, walkers_count))
             if cached is not None:
                 found[source, k] = cached
         return found
@@ -945,18 +946,16 @@ class QueryService:
     def _resolve_distributions(
         self, plan: BatchPlan, walkers_count: int
     ) -> Dict[int, WalkDistributions]:
-        """Look every source of the batch up in its shard's cache; simulate
-        the rest.
+        """Look every source of the batch up in the cache; simulate the rest.
 
         The misses are simulated in one ascending scatter on the serve pool
         (:func:`~repro.service.sharded.simulate_misses`), counted against
-        their owning shards and stored in those shards' caches in that
-        order.
+        their owning shards and stored in the cache in that order.
         """
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
-            cached = self.shard_caches[self.plan.shard_of(source)].get(
+            cached = self.cache.get(
                 CacheKey.for_query(source, self.query_params, walkers_count)
             )
             if cached is not None:
@@ -969,10 +968,10 @@ class QueryService:
                                         walkers_count)
             self._counters["sources_simulated"] += len(simulated)
             for source, distribution in simulated.items():
-                shard = self.plan.shard_of(source)
-                self._shard_counters[shard]["sources_simulated"] += 1
+                self._shard_counters[self.plan.shard_of(source)][
+                    "sources_simulated"] += 1
                 resolved[source] = distribution
-                self.shard_caches[shard].put(
+                self.cache.put(
                     CacheKey.for_query(source, self.query_params, walkers_count),
                     distribution,
                 )
@@ -1091,28 +1090,23 @@ class QueryService:
     def stats(self) -> Dict[str, Any]:
         """Serving counters, cache effectiveness and a per-shard breakdown.
 
-        Cache figures are summed across shards; the ``"shards"`` entry
-        lists, per shard: owned nodes, cache size/hit rate/memory,
-        simulated and routed sources, routed edges and the shard's version.
+        Cache figures describe the service's one cache; the ``"shards"``
+        entry lists, per shard: owned nodes, the shard's version, and its
+        simulated and routed sources and routed edges.
         ``serve_backend`` / ``serve_workers`` describe the simulation
         scatter pool.  The whole snapshot is taken under the serve lock,
         so its figures are mutually consistent even while batches and
         updates run concurrently.
         """
         with self._lock:
-            totals = CacheStats.total(cache.stats for cache in self.shard_caches)
             owned_nodes = np.bincount(self.plan.assign(self.graph.n_nodes),
                                       minlength=self.num_shards)
             shard_rows = [{
                 "shard": shard,
                 "nodes": int(owned_nodes[shard]),
                 "version": self.sharded_index.shard_versions[shard],
-                "cache_size": len(cache),
-                "cache_hit_rate": cache.stats.hit_rate,
-                "cache_invalidations": cache.stats.invalidations,
-                "cache_memory_bytes": cache.memory_bytes(),
                 **self._shard_counters[shard],
-            } for shard, cache in enumerate(self.shard_caches)]
+            } for shard in range(self.num_shards)]
             return {
                 **self._counters,
                 "index_version": self._version,
@@ -1127,17 +1121,12 @@ class QueryService:
                 "observed_sources": float(sum(self._node_loads.values())),
                 "serve_backend": self.service_params.serve_backend,
                 "serve_workers": self.service_params.serve_workers,
-                "cache_size": sum(len(cache) for cache in self.shard_caches),
-                "cache_capacity": (self.service_params.cache_capacity
-                                   * self.num_shards),
-                "cache_memory_bytes": sum(
-                    cache.memory_bytes() for cache in self.shard_caches
-                ),
-                "cache_ranking_entries": sum(
-                    cache.ranking_entries for cache in self.shard_caches
-                ),
+                "cache_size": len(self.cache),
+                "cache_capacity": self.cache.capacity,
+                "cache_memory_bytes": self.cache.memory_bytes(),
+                "cache_ranking_entries": self.cache.ranking_entries,
                 **{f"cache_{key}": value
-                   for key, value in totals.to_dict().items()},
+                   for key, value in self.cache.stats.to_dict().items()},
                 "last_batch_payload_bytes": self.last_batch_payload_bytes,
                 "shards": shard_rows,
             }

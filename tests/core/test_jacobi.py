@@ -12,6 +12,7 @@ from repro.core.jacobi import (
     gauss_seidel_solve,
     jacobi_solve,
     jacobi_step,
+    relative_residual,
 )
 from repro.errors import SolverError
 from repro.graph import generators
@@ -79,6 +80,39 @@ class TestJacobiSolve:
         system, rhs = _diagonally_dominant_system()
         result = jacobi_solve(system, rhs, iterations=3, track_residuals=False)
         assert result.residuals == []
+
+    def test_tracked_residual_is_the_relative_residual(self):
+        system, rhs = _diagonally_dominant_system()
+        result = jacobi_solve(system, rhs, iterations=2)
+        assert result.final_residual == relative_residual(system, result.x, rhs)
+        assert relative_residual(system, result.x, np.zeros_like(rhs)) == \
+            float(np.linalg.norm(system @ result.x))
+
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    def test_maintainer_reports_the_tracked_residual_bytes(self, iterations):
+        """The index maintainer solves untracked and computes one residual;
+        it reports the bytes a tracked solve ends on (``inf`` after zero
+        sweeps), for a build and for an update."""
+        from repro.core.sharding import ShardedIncrementalWalker
+        from repro.graph.partition import ShardPlan
+
+        params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=iterations,
+                               index_walkers=30, seed=5)
+        graph = generators.copying_model_graph(60, out_degree=4, seed=2)
+        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2), params=params)
+        for step in ("build", "update"):
+            if step == "build":
+                walker.build()
+            else:
+                assert walker.add_edges([(0, 33), (7, 21)]) is not None
+            n = walker.graph.n_nodes
+            tracked = jacobi_solve(walker.system, np.ones(n),
+                                   iterations=iterations,
+                                   initial=np.full(n, 1.0 - params.c))
+            reported = walker.index.build_info.jacobi_residual
+            assert np.float64(reported).tobytes() == \
+                np.float64(tracked.final_residual).tobytes(), step
+            assert walker.index.diagonal.tobytes() == tracked.x.tobytes()
 
 
 class TestJacobiStep:

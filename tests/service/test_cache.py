@@ -67,7 +67,7 @@ class TestAccounting:
         one frees it and ``memory_bytes`` is what is actually resident."""
         service = make_service(cache_capacity=16)
         service.run_batch([SourceQuery(node) for node in (1, 2, 3, 4, 5)])
-        entries = list(service.shard_caches[0]._entries.values())
+        entries = list(service.cache._entries.values())
         assert len(entries) == 5
         owners = {}
         for position, entry in enumerate(entries):
@@ -76,7 +76,7 @@ class TestAccounting:
                 assert base.flags.owndata
                 owners.setdefault(id(base), (position, base.nbytes))
                 assert owners[id(base)][0] == position
-        assert service.shard_caches[0].memory_bytes() == sum(
+        assert service.cache.memory_bytes() == sum(
             nbytes for _position, nbytes in owners.values())
 
     def test_clear_keeps_stats(self, service_graph, service_params):
@@ -158,7 +158,7 @@ class TestRunningByteTotal:
             service.run_batch([PairQuery(node, node + 1),
                                TopKQuery(node, k=4), TopKQuery(node, k=2)])
         assert service.stats()["cache_evictions"] > 0
-        cache, = service.shard_caches
+        cache = service.cache
         assert service.stats()["cache_memory_bytes"] == _recount(cache)
 
 
@@ -227,16 +227,6 @@ class TestRankingEntries:
         cache = WalkDistributionCache(capacity=2)
         assert cache._kind(key) is cache._entries
         assert cache._kind((key, 3)) is cache._rankings
-
-    def test_totals_sum_field_by_field(self):
-        from repro.service.cache import CacheStats
-
-        parts = [CacheStats(hits=1, misses=2, ranking_hits=1),
-                 CacheStats(hits=3, evictions=4, rankings_dropped=5)]
-        total = CacheStats.total(parts)
-        assert total == CacheStats(hits=4, misses=2, evictions=4,
-                                   ranking_hits=1, rankings_dropped=5)
-        assert CacheStats.total([]) == CacheStats()
 
 
 class TestEviction:

@@ -138,14 +138,9 @@ def test_concurrent_updates_and_batches_are_never_torn():
             total_batches += 1
     assert total_batches > 0, "stress run produced no concurrent batches"
 
-    # Cache accounting adds up across shards after concurrent traffic.
-    shard_rows = stats["shards"]
-    assert stats["cache_size"] == sum(row["cache_size"] for row in shard_rows)
-    assert stats["cache_invalidations"] == sum(
-        row["cache_invalidations"] for row in shard_rows
-    )
-    # Inserts and evictions count both entry kinds; rankings leave on
-    # every version bump, distributions only inside an update's ball.
+    # Cache accounting adds up after concurrent traffic.  Inserts and
+    # evictions count both entry kinds; rankings leave on every applied
+    # update, distributions only inside an update's ball.
     assert stats["cache_size"] + stats["cache_ranking_entries"] == (
         stats["cache_inserts"] - stats["cache_evictions"]
         - stats["cache_invalidations"] - stats["cache_rankings_dropped"])

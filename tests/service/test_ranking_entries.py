@@ -116,9 +116,8 @@ class TestInvalidation:
             sharding=ShardingParams(num_shards=4))
         nodes = range(service_graph.n_nodes)
         service.run_batch([TopKQuery(node, k=3) for node in nodes])
-        assert all(cache.ranking_entries > 0 for cache in service.shard_caches)
-        cached = {key.node for cache in service.shard_caches
-                  for key in cache._entries}
+        assert service.cache.ranking_entries == service_graph.n_nodes
+        cached = {key.node for key in service.cache._entries}
         assert cached == set(nodes)
 
         tail, head = 0, 7
@@ -128,16 +127,13 @@ class TestInvalidation:
                                      service_params.walk_steps)
         assert result.affected == ball and len(ball) < len(cached)
 
-        assert [cache.ranking_entries for cache in service.shard_caches] == [0] * 4
+        assert service.cache.ranking_entries == 0
         stats = service.stats()
         assert stats["cache_rankings_dropped"] == service_graph.n_nodes
         # Distributions keep the per-ball rule: exactly cached ∩ ball left.
         assert stats["cache_invalidations"] == len(ball & cached)
         assert stats["cache_size"] == len(cached - ball)
-        untouched = [row["shard"] for row in stats["shards"]
-                     if row["cache_invalidations"] == 0]
-        for shard in untouched:
-            assert len(service.shard_caches[shard]) > 0
+        assert {key.node for key in service.cache._entries} == cached - ball
         service.close()
 
     def test_answers_after_the_update_are_the_fresh_ones(self, make_any,
@@ -163,12 +159,15 @@ class TestInvalidation:
         assert service.stats()["cache_ranking_hits"] == 3
         service.close()
 
-    def test_plan_flip_drops_rankings(self, make_sharded):
+    def test_plan_flip_keeps_rankings(self, make_sharded):
         service = make_sharded(num_shards=3)
         before = service.run_batch(TOPK)
+        entries = service.stats()["cache_ranking_entries"]
         assert service.rebalance(force=True)["applied"]
-        assert service.stats()["cache_ranking_entries"] == 0
+        assert service.stats()["cache_ranking_entries"] == entries
+        hits = service.stats()["cache_ranking_hits"]
         assert service.run_batch(TOPK) == before
+        assert service.stats()["cache_ranking_hits"] == hits + entries
         service.close()
 
 
@@ -181,7 +180,7 @@ class TestKeysAndCapacity:
         assert stats["cache_size"] == 0 and stats["cache_ranking_entries"] == 0
         assert stats["cache_memory_bytes"] == 0
         assert stats["cache_hits"] == 0 and stats["cache_ranking_hits"] == 0
-        assert all(len(cache._rankings) == 0 for cache in service.shard_caches)
+        assert len(service.cache._rankings) == 0
 
     def test_exact_and_approximate_modes_never_share_an_entry(self, make_service):
         exact = make_service()
@@ -189,21 +188,21 @@ class TestKeysAndCapacity:
                               approx_steps=3)
         for service in (exact, approx):
             service.run_batch([TopKQuery(3, k=5)])
-        exact_keys = set(exact.shard_caches[0]._rankings)
-        approx_keys = set(approx.shard_caches[0]._rankings)
+        exact_keys = set(exact.cache._rankings)
+        approx_keys = set(approx.cache._rankings)
         assert len(exact_keys) == len(approx_keys) == 1
         assert exact_keys.isdisjoint(approx_keys)
         (key, k), = approx_keys
         assert (key.walkers, key.steps, k) == (40, 3, 5)
         # An entry filed by one mode is a miss for the other.
-        assert exact.shard_caches[0].get(next(iter(approx_keys))) is None
+        assert exact.cache.get(next(iter(approx_keys))) is None
 
     def test_ranking_key_is_the_distribution_key_plus_k(self, make_service,
                                                         service_params):
         service = make_service()
         service.run_batch([TopKQuery(3, k=5)])
         key = CacheKey.for_query(3, service_params, service_params.query_walkers)
-        cache, = service.shard_caches
+        cache = service.cache
         assert key in cache and (key, 5) in cache
         assert (key, 4) not in cache
         entry = cache.get((key, 5))

@@ -246,12 +246,17 @@ class TestMigration:
         assert all(version == sharded.index_version
                    for version in sharded.shard_versions)
 
-    def test_migration_resets_per_shard_caches(self, make_sharded):
+    def test_migration_keeps_the_cache(self, make_sharded):
         sharded = make_sharded(num_shards=3, strategy="contiguous")
-        sharded.run_batch(QUERIES)
-        assert sharded.stats()["cache_size"] > 0
-        sharded.rebalance(force=True)
-        assert sharded.stats()["cache_size"] == 0
+        answers = sharded.run_batch(QUERIES)
+        before = sharded.stats()
+        assert before["cache_size"] > 0
+        assert sharded.rebalance(force=True)["applied"]
+        after = sharded.stats()
+        assert after["cache_size"] == before["cache_size"]
+        assert after["cache_ranking_entries"] == before["cache_ranking_entries"]
+        assert_answers_equal(answers, sharded.run_batch(QUERIES))
+        assert sharded.stats()["sources_simulated"] == before["sources_simulated"]
 
     def test_identical_proposal_is_a_no_op(self, make_sharded):
         sharded = make_sharded(num_shards=3, strategy="contiguous")

@@ -111,14 +111,15 @@ class TestScatterGatherTopK:
 
 
 class TestShardRouting:
-    def test_sources_cached_on_owning_shard(self, make_sharded):
+    def test_sources_counted_on_owning_shard(self, make_sharded):
         sharded = make_sharded(num_shards=3)
+        sources = (4, 9, 17, 23)
         sharded.run_batch([SourceQuery(4), SourceQuery(9), PairQuery(17, 23)])
-        for source in (4, 9, 17, 23):
-            owner = sharded.shard_of(source)
-            for shard, cache in enumerate(sharded.shard_caches):
-                entries = [key.node for key in cache._entries]
-                assert (source in entries) == (shard == owner)
+        assert {key.node for key in sharded.cache._entries} == set(sources)
+        owners = [sharded.shard_of(source) for source in sources]
+        for row in sharded.stats()["shards"]:
+            assert row["sources_simulated"] == owners.count(row["shard"])
+            assert row["sources_routed"] == owners.count(row["shard"])
 
     def test_per_shard_capacity(self, make_sharded):
         sharded = make_sharded(num_shards=2, cache_capacity=1)
@@ -136,8 +137,9 @@ class TestShardRouting:
         assert sum(row["nodes"] for row in stats["shards"]) == sharded.graph.n_nodes
         assert sum(row["sources_simulated"] for row in stats["shards"]) \
             == stats["sources_simulated"]
-        assert stats["cache_size"] == sum(row["cache_size"]
-                                          for row in stats["shards"])
+        assert all(set(row) == {"shard", "nodes", "version", "sources_routed",
+                                "sources_simulated", "edges_routed"}
+                   for row in stats["shards"])
 
 
 class TestLiveUpdates:
@@ -171,22 +173,35 @@ class TestLiveUpdates:
 
     def test_only_touched_shards_bump_and_invalidate(self, service_params):
         # Disjoint communities + contiguous plan: an edit inside community 0
-        # must leave every other shard's version and cache untouched.
+        # re-estimates rows of shard 0 only, so only its version moves, and
+        # only sources of community 0 leave the cache.
         graph = generators.community_graph(4, 16, p_in=0.35, p_out=0.0, seed=3)
         sharded = QueryService.build(
             graph, service_params,
             sharding=ShardingParams(num_shards=4, strategy="contiguous"),
         )
         sharded.run_batch([SourceQuery(node) for node in range(0, 64, 4)])
-        sizes_before = [len(cache) for cache in sharded.shard_caches]
+        cached_before = {key.node for key in sharded.cache._entries}
         result = sharded.add_edges([(0, 5)])
         assert result is not None
-        assert sharded.shard_versions[0] == 2
-        assert sharded.shard_versions[1:] == [1, 1, 1]
-        for shard in range(1, 4):
-            assert len(sharded.shard_caches[shard]) == sizes_before[shard]
-            assert sharded.shard_caches[shard].stats.invalidations == 0
-        assert sharded.shard_caches[0].stats.invalidations > 0
+        touched = {sharded.shard_of(node) for node in result.estimated}
+        assert touched == {0}
+        assert sharded.shard_versions == [2 if shard in touched else 1
+                                          for shard in range(4)]
+        dropped = cached_before - {key.node for key in sharded.cache._entries}
+        assert dropped and dropped == cached_before & result.affected
+        assert {sharded.shard_of(node) for node in dropped} == {0}
+
+    def test_versions_follow_the_estimated_rows_not_the_ball(
+            self, service_graph, service_params):
+        _single, sharded = self._services(service_graph, service_params, 4)
+        result = sharded.add_edges([(100, 3)])
+        estimated = {sharded.shard_of(node) for node in result.estimated}
+        ball = {sharded.shard_of(node) for node in result.affected}
+        assert estimated < ball  # the edit tells the two rules apart
+        assert sharded.shard_versions == [2 if shard in estimated else 1
+                                          for shard in range(4)]
+        assert max(sharded.shard_versions) == sharded.index_version
 
     def test_duplicate_edges_are_noops(self, service_graph, service_params):
         _single, sharded = self._services(service_graph, service_params, 2)

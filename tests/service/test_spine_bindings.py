@@ -93,3 +93,32 @@ def test_build_and_update_scatter_through_the_core_sharding_global(
     assert len(calls) == 3
     assert index.build_info.monte_carlo_seconds > 0.0
     assert index.build_info.solve_seconds > 0.0
+
+
+#: ``stats()`` keys the spine reads: its preconditions (hit rate, applied
+#: updates, serve backend), its per-layer deltas and its shard-load rows.
+#: It reads most of them with a default, so a schema trim would not fail
+#: a run — it would silently zero a metric.
+SPINE_STATS_KEYS = (
+    "cache_hits", "cache_misses", "cache_evictions", "cache_invalidations",
+    "cache_memory_bytes", "updates_applied", "serve_backend",
+    "sources_deduplicated", "sources_simulated", "topk_queries",
+    "pair_queries", "scatter_payload_bytes",
+)
+
+
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_stats_keep_the_keys_the_spine_reads(num_shards, service_graph,
+                                             service_params):
+    with QueryService.build(
+            service_graph, service_params,
+            sharding=ShardingParams(num_shards=num_shards)) as service:
+        service.run_batch([PairQuery(1, 2), TopKQuery(3, k=5)])
+        assert service.add_edges([(0, 40)]) is not None
+        stats = service.stats()
+    assert set(SPINE_STATS_KEYS) <= set(stats)
+    assert stats["updates_applied"] == 1
+    assert stats["serve_backend"] == "serial"
+    rows = stats["shards"]
+    assert [row["shard"] for row in rows] == list(range(num_shards))
+    assert sum(row["sources_routed"] for row in rows) == 3

@@ -264,9 +264,9 @@ class TestTargetedInvalidation:
         for node in live_service.graph.nodes():
             key = CacheKey.for_query(node, live_service.params, walkers)
             if node in result.affected:
-                assert key not in live_service.shard_caches[0]
+                assert key not in live_service.cache
             else:
-                assert key in live_service.shard_caches[0]
+                assert key in live_service.cache
 
     def test_unaffected_traffic_stays_cached_after_update(self, live_service):
         self._warm_all(live_service)

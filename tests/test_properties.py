@@ -536,7 +536,7 @@ class TestLiveUpdateProperties:
         walkers = params.query_walkers
         for node in old_nodes:
             key = CacheKey.for_query(node, params, walkers)
-            assert (key in service.shard_caches[0]) == (node not in result.affected)
+            assert (key in service.cache) == (node not in result.affected)
         assert service.stats()["cache_invalidations"] == \
             len(result.affected & old_nodes)
 
@@ -614,6 +614,47 @@ class TestRankingEntryProperties:
         )
         return data.draw(st.lists(query, min_size=1, max_size=6))
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 5])
+    @settings(max_examples=10)
+    @given(graph=graphs(max_nodes=12, max_edges=40), data=st.data())
+    def test_rebalance_flip_keeps_the_cache(self, num_shards, graph, data):
+        """Batches, updates and forced plan flips, interleaved: answers stay
+        byte-equal to an uncached twin, and a flip keeps every entry — the
+        batch before it replays without simulating a source."""
+        params = self._params(seed=data.draw(st.integers(0, 500)))
+        cached = self._build(num_shards, graph, params, capacity=64)
+        plain = self._build(num_shards, graph, params, capacity=0)
+        queries = self._batch(data, graph.n_nodes)
+        for _ in range(data.draw(st.integers(2, 6))):
+            operation = data.draw(st.sampled_from(["batch", "add", "rebalance"]))
+            n_nodes = cached.graph.n_nodes
+            if operation == "add":
+                edges = data.draw(st.lists(
+                    st.tuples(st.integers(0, n_nodes), st.integers(0, n_nodes)),
+                    min_size=1, max_size=3))
+                for service in (plain, cached):
+                    service.add_edges(edges)
+                continue
+            if operation == "batch":
+                queries = self._batch(data, n_nodes)
+            TestShardingProperties._assert_equal(plain.run_batch(queries),
+                                                 cached.run_batch(queries))
+            if operation == "rebalance":
+                before = cached.stats()
+                reports = [service.rebalance(force=True)
+                           for service in (plain, cached)]
+                assert reports[0]["applied"] == reports[1]["applied"]
+                after = cached.stats()
+                for key in ("cache_size", "cache_ranking_entries"):
+                    assert after[key] == before[key]
+                TestShardingProperties._assert_equal(plain.run_batch(queries),
+                                                     cached.run_batch(queries))
+                assert (cached.stats()["sources_simulated"]
+                        == before["sources_simulated"])
+            assert cached.index_version == plain.index_version
+        plain.close()
+        cached.close()
+
     @pytest.mark.parametrize("num_shards", [None, 1, 4])
     @settings(max_examples=15)
     @given(graph=graphs(max_nodes=10, max_edges=30), data=st.data())
@@ -651,11 +692,15 @@ class TestRankingEntryProperties:
                 if not pending:
                     assert cached.stats()["cache_ranking_entries"] == entries
             elif operation == "rebalance":
+                # The flip drains the queue first; past that it keeps the
+                # cache whole, rankings included.
+                for service in (plain, cached):
+                    service.flush_updates()
+                entries = cached.stats()["cache_ranking_entries"]
                 reports = [service.rebalance(force=True)
                            for service in (plain, cached)]
                 assert reports[0]["applied"] == reports[1]["applied"]
-                if reports[1]["applied"]:
-                    assert cached.stats()["cache_ranking_entries"] == 0
+                assert cached.stats()["cache_ranking_entries"] == entries
             else:
                 plain = self._restart(plain, tmp_path_factory.mktemp("plain"))
                 cached = self._restart(cached, tmp_path_factory.mktemp("cached"))
@@ -725,7 +770,7 @@ class TestShardingProperties:
             sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
         )
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
-        # Second pass runs from the per-shard caches; still identical.
+        # Second pass runs from the cache; still identical.
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
 
         # Live edge insertions (possibly growing the graph by one node,
@@ -789,7 +834,8 @@ class TestShardingProperties:
         if result is None:
             assert sharded.shard_versions == [1, 1]
             return
-        touched = {sharded.shard_of(node) for node in result.affected}
+        # A shard's version moves when one of its rows is re-estimated.
+        touched = {sharded.shard_of(node) for node in result.estimated}
         for shard in range(sharded.num_shards):
             expected = 2 if shard in touched else 1
             assert sharded.shard_versions[shard] == expected
