@@ -14,8 +14,8 @@ This example:
 3. inserts edges live and watches only the *touched* shards re-estimate
    and bump their versions, while the cache drops only the affected
    sources;
-4. snapshots the 4-shard deployment (one store per shard) and cold-starts
-   a second service from it, under the lineage's plan.
+4. snapshots the 4-shard deployment (index, system and plan record) and
+   cold-starts a second service from it, under the lineage's plan.
 
 The 4-shard service simulates its cache misses through a persistent
 ``threads`` pool (``ServiceParams.serve_backend``) and is closed at the
@@ -71,7 +71,7 @@ def main() -> None:
     print(f"post-update answers match single-shard: "
           f"{list(single.run_batch(queries)) == list(post)}")
 
-    # 4. Snapshot: one SnapshotStore per shard, restored under its plan.
+    # 4. Snapshot: index, system and plan record, restored under its plan.
     with tempfile.TemporaryDirectory() as snapshot_dir:
         version, where = sharded.save_snapshot(snapshot_dir)
         print(f"sharded snapshot v{version} written to {where}")

@@ -270,6 +270,22 @@ def _apply_load(port: int, seconds: float) -> dict:
     return outcome
 
 
+def _stop(server: subprocess.Popen, grace: float = 20.0) -> None:
+    """Stop the server on a failure path without leaking its pool.
+
+    SIGTERM first, so the server closes its process pool and unlinks the
+    pool's ``/dev/shm`` segment; SIGKILL only if it is still running after
+    ``grace`` seconds (a killed server's pool workers outlive it, holding
+    the segment).
+    """
+    server.send_signal(signal.SIGTERM)
+    try:
+        server.wait(timeout=grace)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait(timeout=30)
+
+
 def _shutdown(server: subprocess.Popen) -> bool:
     """SIGTERM the server; True when it drained and exited 0."""
     server.send_signal(signal.SIGTERM)
@@ -309,8 +325,7 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
             print("http-smoke: post-update top-k equals a fresh build's "
                   f"at index_version {version + 1}")
     except Exception:
-        server.kill()
-        server.wait(timeout=30)
+        _stop(server)
         raise
     print(f"http-smoke: {outcome['requests']} requests, "
           f"{outcome['failures']} non-200, "
@@ -342,8 +357,7 @@ def _one_shard_leg(graph: Path, index: Path) -> bool:
         print("http-smoke: --shards 1 post-update top-k equals a fresh "
               f"build's at index_version {version + 1}")
     except Exception:
-        server.kill()
-        server.wait(timeout=30)
+        _stop(server)
         raise
     return _shutdown(server)
 

@@ -28,7 +28,15 @@ also prints, per shard count, the per-phase cost of the storm and the
 microseconds per re-estimated row (the walk kernel's per-row cost, over
 ``MutationResult.estimated_rows``), so a regression in the update path
 shows without a profiler.
-Exit code 0 on success, 1 on any divergence; runs in a couple of seconds.
+
+A last leg drives one snapshot lineage through the CLI, one process per
+command: ``index --shards 3``, an ``update --shards 3`` into
+``--snapshot-dir D``, a second ``update`` restarted from ``D``, a forced
+``rebalance`` and one more ``update``.  It asserts that ``D`` holds only ``index-``/``system-``/
+``plan-v*`` files, three per version, that ``snapshot list`` lists those
+versions, and that the newest diagonal is byte-equal to a from-scratch
+build on the final graph.
+Exit code 0 on success, 1 on any divergence; runs in a few seconds.
 
 Usage::
 
@@ -136,8 +144,97 @@ def storm(num_shards: int) -> int:
     return 0
 
 
+def _cli(*args: str) -> str:
+    """Run ``python -m repro ARGS`` in a child process; its stdout."""
+    import os
+    import subprocess
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "repro", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    if done.returncode != 0:
+        raise RuntimeError(f"repro {' '.join(args)} exited "
+                           f"{done.returncode}:\n{done.stdout}{done.stderr}")
+    return done.stdout
+
+
+def lineage() -> int:
+    """The CLI lineage leg (module docstring); 0 = pass."""
+    import re
+    import tempfile
+
+    from repro.core.diagonal import build_diagonal_index
+    from repro.core.index import DiagonalIndex, SnapshotStore
+    from repro.graph import io as graph_io
+
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="update-smoke-") as tmp:
+        root = Path(tmp)
+        snaps = root / "snaps"
+        graph, index = root / "g0.tsv", root / "index.npz"
+        _cli("generate", "--model", "copying", "--nodes", str(N_NODES),
+             "--degree", "4", "--seed", "7", "--output", str(graph))
+        _cli("index", "--graph", str(graph), "--output", str(index),
+             "--shards", "3", "--walkers", "10", "--query-walkers", "10",
+             "--steps", str(WALK_STEPS))
+        batches = ["3 40\n7 41\n", f"9 {N_NODES}\n11 12\n", "20 21\n"]
+        for step, edges in enumerate(batches):
+            (root / f"e{step}.tsv").write_text(edges, encoding="utf-8")
+        current = graph
+        for step, edges in enumerate(batches):
+            if step == 2:
+                report = _cli("rebalance", "--graph", str(current),
+                              "--snapshot-dir", str(snaps), "--force")
+                if "migrated to plan generation" not in report:
+                    failures.append(f"forced rebalance did not migrate:\n{report}")
+            updated = root / f"g{step + 1}.tsv"
+            start = ["--index", str(index), "--shards", "3"] if step == 0 else []
+            _cli("update", "--graph", str(current), *start,
+                 "--edges", str(root / f"e{step}.tsv"),
+                 "--snapshot-dir", str(snaps), "--output-graph", str(updated))
+            current = updated
+
+        store = SnapshotStore(snaps)
+        versions = store.versions()
+        names = sorted(path.name for path in snaps.iterdir())
+        expected = sorted(
+            store.index_path(v).name for v in versions) + sorted(
+            store.plan_path(v).name for v in versions) + sorted(
+            store.system_path(v).name for v in versions)
+        if versions != [2, 3, 4, 5] or names != sorted(expected):
+            failures.append(f"lineage holds {names}, expected three files "
+                            f"for each of versions 2..5")
+        listed = [int(match.group(1)) for match in re.finditer(
+            r"^(\d+)\s", _cli("snapshot", "list", "--dir", str(snaps)),
+            re.MULTILINE)]
+        if listed != versions:
+            failures.append(f"snapshot list shows {listed}, not {versions}")
+        if store.load_plan().num_shards != 3:
+            failures.append("the lineage lost its 3-shard plan")
+        final = graph_io.read_edge_list(current, relabel=False)
+        params = DiagonalIndex.load(index).params
+        newest = store.load()[1].index.diagonal
+        if newest.tobytes() != build_diagonal_index(
+                final, params).diagonal.tobytes():
+            failures.append("newest diagonal differs from a from-scratch "
+                            "build on the final graph")
+
+    label = "update smoke (CLI lineage, K=3)"
+    for failure in failures:
+        print(f"FAIL {label}: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"{label}: index, update, restarted update, forced rebalance, "
+          f"update; versions {versions}, three files each, newest diagonal "
+          f"bitwise-equal to a from-scratch build")
+    return 0
+
+
 def main() -> int:
-    return max(storm(num_shards) for num_shards in SHARD_COUNTS)
+    return max([storm(num_shards) for num_shards in SHARD_COUNTS]
+               + [lineage()])
 
 
 if __name__ == "__main__":

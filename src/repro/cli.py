@@ -8,8 +8,8 @@ Every serving and maintenance command (``query-batch``, ``serve``,
 ``serve-http``, ``replay``, ``update``, ``rebalance``, ``snapshot``) has one
 deployment shape for every ``--shards K``: a single machine is the K = 1
 cluster, a one-shard plan of the same :class:`~repro.service.QueryService`,
-and writes the same snapshot layout (``shard_plan.json`` plus one
-``shard-NN/`` store per shard) as any other K.
+and writes the same snapshot layout (per version ``index-vN.npz``, an
+optional ``system-vN.npz`` and ``plan-vN.json``) as any other K.
 
 Examples
 --------
@@ -51,7 +51,7 @@ from repro.config import (
     UpdateParams,
 )
 from repro.core.cloudwalker import CloudWalker
-from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
+from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.errors import CloudWalkerError
 from repro.graph import datasets, generators, io, stats
 from repro.graph.digraph import DiGraph
@@ -524,14 +524,14 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
                          graph: DiGraph, out):
     """Resolve the service an ``update`` run mutates, plus its description.
 
-    A ``--snapshot-dir`` holding a consistent snapshot wins over
-    ``--index`` and keeps its own shard count; otherwise ``--index``
-    starts a lineage with ``--shards K`` shards.
+    A ``--snapshot-dir`` holding a snapshot wins over ``--index`` and
+    keeps its own shard count; otherwise ``--index`` starts a lineage
+    with ``--shards K`` shards.
     """
     from repro.service import QueryService
 
     sharding = _sharding_from_args(args)
-    store = ShardedSnapshotStore(args.snapshot_dir, retain=args.retain) \
+    store = SnapshotStore(args.snapshot_dir, retain=args.retain) \
         if args.snapshot_dir else None
     if store is not None and store.latest_version() is not None:
         service = QueryService.from_snapshot(
@@ -544,36 +544,18 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
                   f"migrate via 'rebalance', the count never does); keeping "
                   f"the directory's {shards}-shard plan (ignoring "
                   f"--shards {args.shards})", file=out)
-        if store.describe(service.index_version)["systems"] < shards:
+        if not store.describe(service.index_version)["has_system"]:
             print("note: snapshot carries no linear system; estimating it once",
                   file=out)
         return service, (f"snapshot v{service.index_version} in "
                          f"{args.snapshot_dir} ({shards}-shard plan)")
-    plan = None
-    if store is not None and (store.directory / store.PLAN_FILE).exists():
-        # A crashed first save leaves the plan with no consistent version;
-        # recover from --index under the directory's plan so the lineage
-        # stays writable, instead of hard-failing.
-        if not args.index:
-            raise CloudWalkerError(
-                f"{args.snapshot_dir} has no consistent sharded snapshot "
-                "(crashed first save?); pass --index to restart the "
-                "lineage or use a fresh directory"
-            )
-        plan = store.load_plan()
-        sharding = sharding.with_(num_shards=plan.num_shards,
-                                  strategy=plan.strategy)
-        print(f"note: {args.snapshot_dir} has no consistent sharded "
-              f"snapshot; restarting the lineage from {args.index} under "
-              f"its persisted {plan.num_shards}-shard plan", file=out)
-    elif not args.index:
+    if not args.index:
         raise CloudWalkerError(
             "update requires --index or a non-empty --snapshot-dir")
     print("note: plain index carries no linear system; estimating it once "
           "(snapshots avoid this)", file=out)
     service = QueryService.from_index_file(
         graph, args.index, update_params=update_params, sharding=sharding,
-        plan=plan,
     )
     return service, f"{args.index} ({service.num_shards}-shard plan)"
 
@@ -636,9 +618,9 @@ def _cmd_rebalance(args: argparse.Namespace, out) -> int:
     structural stand-in for query load available offline (a node's scatter
     and ranking cost scales with how much of the graph points at it) —
     and migrates when the cost model clears the threshold (or always,
-    under ``--force``).  A migration into ``--snapshot-dir`` persists the
-    new governing plan alongside the re-sliced shard systems, so the next
-    ``serve-http``/``update`` against the directory serves the new plan;
+    under ``--force``).  A migration into ``--snapshot-dir`` saves a new
+    version whose plan record holds the new plan next to the unchanged
+    system, so the next ``update`` against the directory serves it;
     answers are bitwise-unchanged either way.  A one-shard lineage has
     nothing to migrate: its proposed plan equals the serving plan.
     """
@@ -674,13 +656,13 @@ def _cmd_rebalance(args: argparse.Namespace, out) -> int:
 def _cmd_snapshot(args: argparse.Namespace, out) -> int:
     """``snapshot list|save|prune`` over a lineage of any shard count.
 
-    ``list`` shows the *consistent* versions (present in every shard
-    store) and how many shards saved their system block; ``save`` writes
-    an index file's diagonal into every shard store with no system blocks
-    (a new directory gets a one-shard plan), so the first update estimates
-    the system once; ``prune`` bounds every shard store.
+    ``list`` shows the committed versions and whether each carries the
+    linear system; ``save`` writes an index file's diagonal as a new
+    version with no system, under the lineage's plan (a new directory
+    gets a one-shard plan), so the first update estimates the system
+    once; ``prune`` keeps the newest ``--retain`` versions.
     """
-    store = ShardedSnapshotStore(args.dir, retain=args.retain)
+    store = SnapshotStore(args.dir, retain=args.retain)
     if args.action == "list":
         versions = store.versions()
         if not versions:
@@ -688,22 +670,23 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
             return 0
         plan = store.load_plan()
         print(f"{plan.num_shards}-shard {plan.strategy!r} lineage", file=out)
-        print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'systems':<8} path",
+        print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'system':<8} path",
               file=out)
         for version in versions:
             info = store.describe(version)
-            systems = f"{info['systems']}/{info['num_shards']}"
+            system = "yes" if info["has_system"] else "no"
             print(f"{version:<9} {info['n_nodes']:<9} {info['n_edges']:<10} "
-                  f"{systems:<8} {args.dir}", file=out)
+                  f"{system:<8} {store.index_path(version)}", file=out)
         return 0
     if args.action == "save":
         if not args.index:
             print("snapshot save requires --index", file=out)
             return 2
-        plan = store.load_plan() \
-            if (store.directory / store.PLAN_FILE).exists() else ShardPlan.hashed(1)
-        version = store.save_snapshot(
-            ShardedIndex(index=DiagonalIndex.load(args.index), plan=plan))
+        latest = store.latest_version()
+        plan = store.load_plan(latest) if latest else ShardPlan.hashed(1)
+        version = store.save_snapshot(ShardedIndex(
+            index=DiagonalIndex.load(args.index), plan=plan,
+            shard_versions=[(latest or 0) + 1] * plan.num_shards))
         print(f"snapshot v{version} written to {args.dir} "
               f"({plan.num_shards}-shard plan, no linear system)", file=out)
         return 0
@@ -893,11 +876,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(rebalance)
     _add_sharding_arguments(rebalance)
     rebalance.add_argument("--snapshot-dir", dest="snapshot_dir",
-                           help="snapshot lineage to migrate and write the "
-                                "new plan generation into")
+                           help="snapshot lineage to migrate; the new plan "
+                                "is saved as its next version")
     rebalance.add_argument("--index",
                            help="index .npz fallback when --snapshot-dir has "
-                                "no consistent snapshot yet")
+                                "no snapshot yet")
     rebalance.add_argument("--retain", type=int,
                            default=UpdateParams().snapshot_retain,
                            help="snapshot versions to keep (default: "

@@ -29,7 +29,8 @@ The dataclasses defined here:
 :class:`ClusterSpec`
     A description of the (simulated) cluster used by the engine's cost
     model.  The paper's testbed was 10 machines, each with 16 cores, 377 GB
-    RAM and 20 TB of disk; :meth:`ClusterSpec.paper_cluster` reproduces it.
+    RAM and 20 TB of disk; :meth:`ClusterSpec.paper_cluster` reproduces its
+    compute, memory and network (the cost model never reads disk).
 """
 
 from __future__ import annotations
@@ -485,8 +486,6 @@ class ClusterSpec:
         CPU cores available to executors on each machine.
     memory_per_machine_gb:
         Executor memory per machine, in gigabytes.
-    disk_per_machine_tb:
-        Local disk per machine, in terabytes (used only for spill checks).
     network_gbps:
         Point-to-point network bandwidth in gigabits per second.
     """
@@ -494,7 +493,6 @@ class ClusterSpec:
     machines: int = 1
     cores_per_machine: int = 4
     memory_per_machine_gb: float = 8.0
-    disk_per_machine_tb: float = 0.5
     network_gbps: float = 1.0
 
     def __post_init__(self) -> None:
@@ -507,10 +505,6 @@ class ClusterSpec:
         if self.memory_per_machine_gb <= 0:
             raise ConfigurationError(
                 f"memory_per_machine_gb must be > 0, got {self.memory_per_machine_gb}"
-            )
-        if self.disk_per_machine_tb <= 0:
-            raise ConfigurationError(
-                f"disk_per_machine_tb must be > 0, got {self.disk_per_machine_tb}"
             )
         if self.network_gbps <= 0:
             raise ConfigurationError(
@@ -534,12 +528,11 @@ class ClusterSpec:
 
     @classmethod
     def paper_cluster(cls) -> "ClusterSpec":
-        """The testbed used in the paper: 10 x (16 cores, 377 GB, 20 TB)."""
+        """The testbed used in the paper: 10 x (16 cores, 377 GB)."""
         return cls(
             machines=10,
             cores_per_machine=16,
             memory_per_machine_gb=377.0,
-            disk_per_machine_tb=20.0,
             network_gbps=10.0,
         )
 
@@ -550,7 +543,6 @@ class ClusterSpec:
             machines=1,
             cores_per_machine=cores,
             memory_per_machine_gb=memory_gb,
-            disk_per_machine_tb=0.5,
             network_gbps=10.0,
         )
 

@@ -6,22 +6,17 @@ online query only needs ``x`` and the graph, so the index is tiny compared to
 the graph itself — the property that lets CloudWalker answer "big SimRank"
 queries with "instant response".
 
-Three persistence layers live here:
+Two persistence layers live here:
 
 :class:`DiagonalIndex`
     The index payload itself plus provenance, with atomic ``.npz``
     save/load.
-:class:`SnapshotStore`
-    Versioned, bounded-retention snapshots of one shard's index, optionally
-    carrying the Monte-Carlo linear system (or the shard's rows of it) so
-    incremental maintenance survives restarts.
-:class:`ShardedIndex` / :class:`ShardedSnapshotStore`
-    A deployment's view: the (broadcast) diagonal plus a
-    :class:`~repro.graph.partition.ShardPlan` and per-shard versions, and
-    the one lineage format the service uses — a snapshot directory
-    holding one :class:`SnapshotStore` per shard (one for K = 1), each
-    persisting the full diagonal next to *its own rows* of the linear
-    system.
+:class:`ShardedIndex` / :class:`SnapshotStore`
+    A deployment's view — the (broadcast) diagonal plus a
+    :class:`~repro.graph.partition.ShardPlan` and per-shard versions — and
+    its versioned lineage: per version one index file, an optional file
+    holding the maintained linear system (so incremental maintenance
+    survives restarts) and one plan record, at every shard count.
 """
 
 from __future__ import annotations
@@ -256,188 +251,7 @@ def _parse_literal(text: str) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# Versioned snapshots
-# --------------------------------------------------------------------------- #
-class SnapshotStore:
-    """Versioned, bounded-retention snapshots of a diagonal index.
-
-    A snapshot directory holds one ``index-v<NNNNNNNN>.npz`` per version
-    (written through the same atomic machinery as :meth:`DiagonalIndex.save`)
-    and, optionally, a ``system-v<NNNNNNNN>.npz`` with the Monte-Carlo
-    linear system ``A`` the index was solved from.  Persisting the system is
-    what makes incremental maintenance survive restarts: a fresh process can
-    :meth:`repro.core.sharding.ShardedIncrementalWalker.attach` the loaded
-    system and update it for the cost of the affected rows only, instead of
-    re-estimating every row first.
-
-    Versions are monotonically increasing integers; :meth:`save_snapshot`
-    assigns ``latest + 1`` and prunes snapshots beyond ``retain`` so a
-    long-running update stream cannot fill the disk.  A service lineage
-    holds one such store per shard (:class:`ShardedSnapshotStore`).
-    """
-
-    _INDEX_PATTERN = re.compile(r"^index-v(\d{8})\.npz$")
-
-    def __init__(self, directory: PathLike, retain: int = 5) -> None:
-        if retain < 1:
-            raise CloudWalkerError(f"snapshot retention must be >= 1, got {retain}")
-        self.directory = Path(directory)
-        self.retain = retain
-
-    # ------------------------------------------------------------------ #
-    def index_path(self, version: int) -> Path:
-        """Path of the index file for ``version``."""
-        return self.directory / f"index-v{version:08d}.npz"
-
-    def system_path(self, version: int) -> Path:
-        """Path of the (optional) linear-system file for ``version``."""
-        return self.directory / f"system-v{version:08d}.npz"
-
-    def versions(self) -> List[int]:
-        """All snapshot versions present on disk, ascending."""
-        if not self.directory.is_dir():
-            return []
-        found = []
-        for entry in self.directory.iterdir():
-            match = self._INDEX_PATTERN.match(entry.name)
-            if match:
-                found.append(int(match.group(1)))
-        return sorted(found)
-
-    def latest_version(self) -> Optional[int]:
-        """The newest version on disk, or None for an empty store."""
-        versions = self.versions()
-        return versions[-1] if versions else None
-
-    # ------------------------------------------------------------------ #
-    def save_snapshot(
-        self,
-        index: DiagonalIndex,
-        system: Optional[sparse.spmatrix] = None,
-        version: Optional[int] = None,
-    ) -> int:
-        """Persist ``index`` (and optionally its system) as a new version.
-
-        Returns the version written.  ``version`` defaults to ``latest + 1``
-        (1 for an empty store); passing an explicit version must not move
-        backwards, so restarted writers cannot silently shadow newer state.
-        """
-        latest = self.latest_version()
-        if version is None:
-            version = (latest or 0) + 1
-        elif latest is not None and version <= latest:
-            raise CloudWalkerError(
-                f"snapshot version must increase: latest is {latest}, got {version}"
-            )
-        self.directory.mkdir(parents=True, exist_ok=True)
-        index.save(self.index_path(version))
-        if system is not None:
-            csr = sparse.csr_matrix(system)
-            atomic_write(
-                self.system_path(version),
-                lambda handle: np.savez_compressed(
-                    handle,
-                    data=csr.data,
-                    indices=csr.indices,
-                    indptr=csr.indptr,
-                    shape=np.asarray(csr.shape, dtype=np.int64),
-                ),
-            )
-        self.prune()
-        return version
-
-    def load(self, version: int) -> DiagonalIndex:
-        """Load the index of a specific version."""
-        return DiagonalIndex.load(self.index_path(version))
-
-    def describe(self, version: int) -> Dict[str, Any]:
-        """Cheap metadata of one snapshot, without loading the diagonal.
-
-        Reads only the scalar entries of the ``.npz`` (lazy per-member
-        access), so listing a directory of large-graph snapshots stays
-        O(versions), not O(versions x index size).
-        """
-        path = self.index_path(version)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                n_nodes, n_edges = int(data["n_nodes"]), int(data["n_edges"])
-        except (OSError, KeyError, ValueError) as exc:
-            raise CloudWalkerError(f"cannot read snapshot {path}: {exc}") from exc
-        return {
-            "version": version,
-            "n_nodes": n_nodes,
-            "n_edges": n_edges,
-            "has_system": self.system_path(version).exists(),
-            "path": str(path),
-        }
-
-    def load_latest(self) -> Tuple[int, DiagonalIndex]:
-        """Load the newest snapshot as ``(version, index)``."""
-        latest = self.latest_version()
-        if latest is None:
-            raise CloudWalkerError(f"no snapshots found in {self.directory}")
-        return latest, self.load(latest)
-
-    def load_system(self, version: Optional[int] = None) -> Optional[sparse.csr_matrix]:
-        """Load the linear system of ``version`` (latest by default).
-
-        Returns None when the snapshot was saved without a system — callers
-        fall back to re-estimating it (see ``ShardedIncrementalWalker.attach``).
-        """
-        if version is None:
-            version = self.latest_version()
-            if version is None:
-                return None
-        path = self.system_path(version)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                shape = tuple(int(extent) for extent in data["shape"])
-                return sparse.csr_matrix(
-                    (data["data"], data["indices"], data["indptr"]), shape=shape
-                )
-        except (OSError, KeyError, ValueError) as exc:
-            raise CloudWalkerError(f"cannot load system from {path}: {exc}") from exc
-
-    def prune(self, retain: Optional[int] = None) -> List[int]:
-        """Delete all but the newest ``retain`` versions; returns the removed."""
-        retain = retain if retain is not None else self.retain
-        if retain < 1:
-            raise CloudWalkerError(f"snapshot retention must be >= 1, got {retain}")
-        versions = self.versions()
-        removed = versions[:-retain] if len(versions) > retain else []
-        for version in removed:
-            with contextlib.suppress(OSError):
-                self.index_path(version).unlink()
-            with contextlib.suppress(OSError):
-                self.system_path(version).unlink()
-        return removed
-
-    def __repr__(self) -> str:
-        return (
-            f"SnapshotStore(directory={str(self.directory)!r}, "
-            f"versions={self.versions()}, retain={self.retain})"
-        )
-
-
-def save_snapshot(
-    index: DiagonalIndex,
-    directory: PathLike,
-    system: Optional[sparse.spmatrix] = None,
-    retain: int = 5,
-) -> int:
-    """Convenience wrapper: persist one snapshot into ``directory``."""
-    return SnapshotStore(directory, retain=retain).save_snapshot(index, system=system)
-
-
-def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
-    """Convenience wrapper: load the newest snapshot from ``directory``."""
-    return SnapshotStore(directory).load_latest()
-
-
-# --------------------------------------------------------------------------- #
-# Sharded deployments
+# Deployments and their snapshot lineage
 # --------------------------------------------------------------------------- #
 @dataclass
 class ShardedIndex:
@@ -448,7 +262,7 @@ class ShardedIndex:
     worker for the online phase).  What is sharded is the *maintenance*
     state: each shard owns the rows of the linear system for the nodes the
     plan assigns to it, and carries its own version counter that only moves
-    when an update's affected set holds one of its rows.
+    when an update re-estimates one of its rows.
 
     Attributes
     ----------
@@ -502,48 +316,38 @@ class ShardedIndex:
         }
 
 
-class ShardedSnapshotStore:
-    """Versioned snapshots of a deployment — one store per shard.
+class SnapshotStore:
+    """Versioned, bounded-retention snapshots of a deployment.
 
-    The only lineage format: the service writes and reads it at every
-    shard count, a one-shard lineage being ``shard_plan.json`` plus ``shard-00/``.
-    Layout of a snapshot directory::
+    One lineage layout for every shard count — a version is three files::
 
         <directory>/
-            shard_plan.json         # the lineage's base ShardPlan
-            shard_plan-v*.json      # plan generations: the plan effective
-                                    #   FROM that snapshot version on
-            shard-00/               # a plain SnapshotStore per shard:
-                index-v*.npz        #   the (global) diagonal index
-                system-v*.npz       #   ONLY this shard's rows of the system
-            shard-01/
-            ...
+            system-v<NNNNNNNN>.npz   # optional: the maintained linear system
+            plan-v<NNNNNNNN>.json    # {"plan": ..., "shard_versions": [...]}
+            index-v<NNNNNNNN>.npz    # the diagonal index: the commit marker
 
-    Every shard directory is a plain :class:`SnapshotStore`, so all its
-    guarantees carry over unchanged: atomic writes, monotone versions,
-    bounded retention.  A *consistent* sharded snapshot is a version present
-    in **every** shard store; :meth:`versions` returns exactly those, so a
-    crash that wrote only some shards rolls back to the last complete
-    version on load.  The partial files are ignored by every load, replaced
-    (never adopted) if a later save reuses their version number, and
-    eventually dropped by retention pruning.
+    :meth:`save_snapshot` writes them through :func:`atomic_write` in that
+    order, so a version exists once its index file does, and
+    :meth:`versions` lists the index files whose plan record loads.  A
+    crash before the index write leaves debris that every load ignores and
+    the next save of that version replaces; a corrupt plan record rolls
+    loads back to the previous version.  The system is written as the
+    service maintains it and loads byte-equal, which is what makes
+    incremental maintenance survive restarts: a fresh process attaches it
+    (:meth:`~repro.core.sharding.ShardedIncrementalWalker.attach`) and
+    updates for the cost of the affected rows, instead of re-estimating
+    every row first.
 
-    **Plan generations.**  A live rebalance changes the shard plan without
-    starting a new lineage: the save that first uses a new plan also writes
-    ``shard_plan-v{version}.json``, and the plan *governing* a version is
-    the newest generation at or before it (the base ``shard_plan.json``
-    when none is).  The shard *count* stays immutable per directory — only
-    the node-to-shard assignment migrates — so the consistency intersection
-    is well-defined across generations.  A version whose governing plan
-    file is corrupt is excluded from :meth:`versions`, rolling loads back
-    to the last version with a readable plan; the per-shard system blocks
-    sum to the same full system under any plan, so a rollback (or a crash
-    between the plan write and the shard writes) can never change answers,
-    only which placement serves them.
+    Versions only move forward (saving the newest one again is a no-op),
+    retention prunes all three files of the oldest versions, and the shard
+    count is fixed per directory — a rebalance changes only the assignment
+    the next plan record holds.  Two older layouts are refused with a
+    migration hint instead of being shadowed by a new lineage at v1: index
+    files with no loadable plan record (a single-store lineage), and a
+    ``shard_plan.json`` with one store per shard.
     """
 
-    PLAN_FILE = "shard_plan.json"
-    _PLAN_PATTERN = re.compile(r"^shard_plan-v(\d{8})\.json$")
+    _FILE = re.compile(r"^(index|system|plan)-v(\d{8})\.(npz|json)$")
 
     def __init__(self, directory: PathLike, retain: int = 5) -> None:
         if retain < 1:
@@ -552,268 +356,254 @@ class ShardedSnapshotStore:
         self.retain = retain
 
     # ------------------------------------------------------------------ #
-    def shard_store(self, shard: int) -> SnapshotStore:
-        """The plain :class:`SnapshotStore` of one shard."""
-        return SnapshotStore(self.directory / f"shard-{shard:02d}",
-                             retain=self.retain)
+    def _path(self, kind: str, version: int) -> Path:
+        suffix = "json" if kind == "plan" else "npz"
+        return self.directory / f"{kind}-v{version:08d}.{suffix}"
+
+    def index_path(self, version: int) -> Path:
+        """Path of the index file (the commit marker) of ``version``."""
+        return self._path("index", version)
+
+    def system_path(self, version: int) -> Path:
+        """Path of the (optional) linear-system file of ``version``."""
+        return self._path("system", version)
 
     def plan_path(self, version: int) -> Path:
-        """Path of the plan-generation file effective from ``version`` on."""
-        return self.directory / f"shard_plan-v{version:08d}.json"
+        """Path of the plan record of ``version``."""
+        return self._path("plan", version)
 
-    def plan_generation_versions(self) -> List[int]:
-        """Snapshot versions at which a new plan generation took effect."""
-        if not self.directory.exists():
-            return []
-        found = []
-        for path in self.directory.iterdir():
-            match = self._PLAN_PATTERN.match(path.name)
-            if match:
-                found.append(int(match.group(1)))
-        return sorted(found)
+    def _files(self) -> Dict[str, List[int]]:
+        """The versions on disk of each file kind, committed or not."""
+        found: Dict[str, List[int]] = {"index": [], "system": [], "plan": []}
+        if self.directory.is_dir():
+            for entry in self.directory.iterdir():
+                match = self._FILE.match(entry.name)
+                if match and entry.name == self._path(
+                        match.group(1), int(match.group(2))).name:
+                    found[match.group(1)].append(int(match.group(2)))
+        return found
 
-    def _governing_plan_path(self, version: int) -> Path:
-        """File holding the plan that governs snapshot ``version``."""
-        generations = [gen for gen in self.plan_generation_versions()
-                       if gen <= version]
-        if generations:
-            return self.plan_path(max(generations))
-        return self.directory / self.PLAN_FILE
-
-    def _load_plan_file(self, path: Path) -> ShardPlan:
+    def _read_record(self, version: int) -> Tuple[ShardPlan, List[int]]:
+        path = self.plan_path(version)
         try:
-            return ShardPlan.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError, KeyError) as exc:
-            raise CloudWalkerError(f"cannot load shard plan from {path}: {exc}") from exc
-
-    def load_plan(self, version: Optional[int] = None) -> ShardPlan:
-        """Load the :class:`ShardPlan` governing ``version``.
-
-        Without a version: the plan governing the newest consistent
-        snapshot, or the base plan for a store with no consistent version
-        yet.  Raises :class:`~repro.errors.CloudWalkerError` when the
-        governing plan file is absent or corrupt.
-        """
-        if version is None:
-            version = self.latest_version()
-            if version is None:
-                return self._load_plan_file(self.directory / self.PLAN_FILE)
-        return self._load_plan_file(self._governing_plan_path(version))
-
-    def _save_plan(self, plan: ShardPlan, version: int) -> None:
-        """Record ``plan`` as the one governing snapshots from ``version``.
-
-        First save of the lineage writes the base ``shard_plan.json``.
-        Later saves compare against the plan governing the versions
-        *before* this one: an unchanged plan writes nothing (and removes a
-        crashed save's same-version generation debris, which may describe
-        a plan that was never adopted); a changed plan — a rebalance —
-        writes a new generation file at ``version``.  The shard count is
-        immutable per directory either way.
-        """
-        base = self.directory / self.PLAN_FILE
-
-        def writer(handle) -> None:
-            handle.write(json.dumps(plan.to_dict(), indent=2).encode("utf-8"))
-
-        if not base.exists():
-            self.directory.mkdir(parents=True, exist_ok=True)
-            atomic_write(base, writer)
-            return
-        effective = self._load_plan_file(self._governing_plan_path(version - 1))
-        if effective == plan:
-            with contextlib.suppress(OSError):
-                self.plan_path(version).unlink()
-            return
-        if effective.num_shards != plan.num_shards:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            plan = ShardPlan.from_dict(record["plan"])
+            shard_versions = [int(value) for value in record["shard_versions"]]
+            if len(shard_versions) != plan.num_shards:
+                raise ValueError(f"{len(shard_versions)} shard versions for "
+                                 f"{plan.num_shards} shards")
+        except (OSError, ValueError, KeyError, TypeError,
+                CloudWalkerError) as exc:
             raise CloudWalkerError(
-                f"snapshot directory {self.directory} holds a "
-                f"{effective.num_shards}-shard lineage; the shard count is "
-                f"immutable per directory (got a {plan.num_shards}-shard "
-                "plan) — re-shard into a fresh directory"
+                f"cannot load plan record {path}: {exc}") from exc
+        return plan, shard_versions
+
+    def _refuse_legacy(self, indexed: List[int], committed: List[int]) -> None:
+        """Raise on a directory holding a layout this store no longer reads."""
+        if (self.directory / "shard_plan.json").exists():
+            stores = self.directory / "shard-00"
+            indexed = sorted(stores.glob("index-v*.npz"))
+            source = indexed[-1] if indexed else stores / "index-vN.npz"
+            raise CloudWalkerError(
+                f"{self.directory} holds a per-shard snapshot lineage "
+                "(shard_plan.json plus shard-NN/ stores), a layout no longer "
+                "read; migrate it into a new directory with 'snapshot save "
+                f"--dir NEW --index {source}'"
             )
-        atomic_write(self.plan_path(version), writer)
+        if indexed and not committed:
+            raise CloudWalkerError(
+                f"{self.directory} holds index files but no loadable plan "
+                "record: a single-store snapshot lineage (index-v*.npz "
+                "without plan-v*.json), or every plan record is corrupt; "
+                "migrate it into a new directory with 'snapshot save --dir "
+                f"NEW --index {self.index_path(indexed[-1])}'"
+            )
 
     # ------------------------------------------------------------------ #
     def versions(self) -> List[int]:
-        """Versions present in *every* shard store (consistent snapshots).
-
-        A version whose governing plan file does not load is excluded:
-        a crash (or corruption) that damaged a new plan generation rolls
-        the store back to the last version with a readable plan.  A
-        directory holding a single-store lineage (``index-v*.npz`` at its
-        root, the layout plain services wrote before every lineage became
-        sharded) is refused, so no lineage starts next to it at v1.
-        """
-        plan_path = self.directory / self.PLAN_FILE
-        if not plan_path.exists():
-            legacy = SnapshotStore(self.directory)
-            latest = legacy.latest_version()
-            if latest is not None:
-                raise CloudWalkerError(
-                    f"{self.directory} holds a single-store snapshot lineage "
-                    "(index-v*.npz at its root, without shard_plan.json), a "
-                    "layout no longer read; migrate it into a new directory "
-                    f"with 'snapshot save --dir NEW --index "
-                    f"{legacy.index_path(latest)}'"
-                )
-            return []
-        plan = self._load_plan_file(plan_path)
-        common: Optional[set] = None
-        for shard in range(plan.num_shards):
-            present = set(self.shard_store(shard).versions())
-            common = present if common is None else common & present
-        return sorted(
-            version for version in (common or ())
-            if self._plan_loadable(version)
-        )
-
-    def _plan_loadable(self, version: int) -> bool:
-        try:
-            self._load_plan_file(self._governing_plan_path(version))
-            return True
-        except CloudWalkerError:
-            return False
+        """Committed versions, ascending: index files whose plan record
+        loads.  Raises on a legacy layout (see the class docstring)."""
+        indexed = sorted(self._files()["index"])
+        committed = []
+        for version in indexed:
+            with contextlib.suppress(CloudWalkerError):
+                self._read_record(version)
+                committed.append(version)
+        self._refuse_legacy(indexed, committed)
+        return committed
 
     def latest_version(self) -> Optional[int]:
-        """Newest consistent version, or None for an empty store."""
+        """The newest committed version, or None for an empty store."""
         versions = self.versions()
         return versions[-1] if versions else None
+
+    def load_plan(self, version: Optional[int] = None) -> ShardPlan:
+        """The :class:`ShardPlan` of ``version`` (default: the newest)."""
+        if version is None:
+            version = self.latest_version()
+            if version is None:
+                raise CloudWalkerError(f"no snapshots found in {self.directory}")
+        return self._read_record(version)[0]
 
     def save_snapshot(
         self,
         sharded: ShardedIndex,
-        shard_systems: Optional[Sequence[Optional[sparse.spmatrix]]] = None,
+        system: Optional[sparse.spmatrix] = None,
         version: Optional[int] = None,
     ) -> int:
-        """Persist one consistent sharded snapshot; returns its version.
+        """Persist ``sharded`` (and optionally its system) as a version.
 
-        Writes the plan (the base file on the first save; a new
-        generation file when the plan changed — a rebalance), then every
-        shard's store: the global diagonal index plus, when
-        ``shard_systems`` is given, that shard's system block.
-        ``version`` defaults to ``latest + 1``.  The plan lands *before*
-        the shard files on purpose: a crash in between leaves ``version``
-        inconsistent, so loads roll back to the previous version under its
-        own plan and the orphaned generation is replaced (or removed) by
-        the next save.  A shard already holding ``version`` is skipped
-        only when that version is *consistent* (present in every shard) —
-        a genuine re-save no-op.  A shard file at ``version`` that is not
-        consistent is the debris of a crashed earlier save and may
-        describe different data, so it is replaced, never adopted into the
-        new snapshot.
+        Returns the version written.  ``version`` defaults to ``latest + 1``
+        (1 for an empty store); an already-listed version is a no-op, and
+        one below the newest is refused, so a restarted writer cannot
+        silently shadow newer state.  The plan's shard count must match the
+        newest version's.  The system (written as the caller maintains it)
+        and the plan record land before the index file, so a crash leaves
+        the previous version the newest committed one.
         """
-        consistent = set(self.versions())
+        versions = self.versions()
+        latest = versions[-1] if versions else None
         if version is None:
-            version = (max(consistent) if consistent else 0) + 1
-        self._save_plan(sharded.plan, version)
-        for shard in range(sharded.num_shards):
-            store = self.shard_store(shard)
-            if store.latest_version() == version:
-                if version in consistent:
-                    continue
-                with contextlib.suppress(OSError):
-                    store.index_path(version).unlink()
-                with contextlib.suppress(OSError):
-                    store.system_path(version).unlink()
-            system = shard_systems[shard] if shard_systems is not None else None
-            store.save_snapshot(sharded.index, system=system, version=version)
+            version = (latest or 0) + 1
+        elif version in versions:
+            return version
+        elif latest is not None and version < latest:
+            raise CloudWalkerError(
+                f"snapshot version must increase: latest is {latest}, got {version}"
+            )
+        if latest is not None:
+            lineage = self.load_plan(latest).num_shards
+            if lineage != sharded.num_shards:
+                raise CloudWalkerError(
+                    f"snapshot directory {self.directory} holds a "
+                    f"{lineage}-shard lineage; the shard count is immutable "
+                    f"per directory (got a {sharded.num_shards}-shard plan) "
+                    "— re-shard into a fresh directory"
+                )
+        self.directory.mkdir(parents=True, exist_ok=True)
+        if system is None:
+            # A crashed save of this version may have left a system file.
+            with contextlib.suppress(OSError):
+                self.system_path(version).unlink()
+        else:
+            csr = sparse.csr_matrix(system)
+            atomic_write(
+                self.system_path(version),
+                lambda handle: np.savez_compressed(
+                    handle, data=csr.data, indices=csr.indices,
+                    indptr=csr.indptr,
+                    shape=np.asarray(csr.shape, dtype=np.int64),
+                ),
+            )
+        record = json.dumps({"plan": sharded.plan.to_dict(),
+                             "shard_versions": list(sharded.shard_versions)})
+        atomic_write(self.plan_path(version),
+                     lambda handle: handle.write(record.encode("utf-8")))
+        sharded.index.save(self.index_path(version))
+        self.prune()
         return version
 
     def load(
         self, version: Optional[int] = None
     ) -> Tuple[int, ShardedIndex, Optional[sparse.csr_matrix]]:
-        """Load a consistent snapshot as ``(version, sharded_index, system)``.
+        """Load a snapshot as ``(version, sharded_index, system)``.
 
-        ``version`` defaults to the newest consistent one.  The plan is
-        the one *governing* that version (a lineage that rebalanced loads
-        older versions under their original plan).  The returned system is
-        the gather (sum) of the per-shard blocks — bitwise-equal to the
-        system the writing service maintained — or None when any shard
-        was saved without its block (callers then re-estimate, just like
-        attaching to a plain index file).
+        ``version`` defaults to the newest committed one.  ``system`` is
+        None when the version was saved without one (callers then
+        re-estimate it once, as when attaching to a plain index file).
         """
+        versions = self.versions()
         if version is None:
-            version = self.latest_version()
-            if version is None:
-                raise CloudWalkerError(
-                    f"no consistent sharded snapshots found in {self.directory}"
-                )
-        elif version not in self.versions():
+            if not versions:
+                raise CloudWalkerError(f"no snapshots found in {self.directory}")
+            version = versions[-1]
+        elif version not in versions:
             raise CloudWalkerError(
-                f"version {version} is not a consistent snapshot in "
-                f"{self.directory} (have {self.versions()})"
+                f"version {version} is not a snapshot in {self.directory} "
+                f"(have {versions})"
             )
-        plan = self.load_plan(version)
-        index = self.shard_store(0).load(version)
+        plan, shard_versions = self._read_record(version)
+        index = DiagonalIndex.load(self.index_path(version))
         system: Optional[sparse.csr_matrix] = None
-        blocks: List[sparse.csr_matrix] = []
-        for shard in range(plan.num_shards):
-            block = self.shard_store(shard).load_system(version)
-            if block is None:
-                blocks = []
-                break
-            blocks.append(block)
-        if blocks:
-            system = blocks[0]
-            for block in blocks[1:]:
-                system = system + block
-            system = system.tocsr()
-            system.eliminate_zeros()
-            system.sort_indices()
+        path = self.system_path(version)
+        if path.exists():
+            try:
+                with np.load(path, allow_pickle=False) as data:
+                    system = sparse.csr_matrix(
+                        (data["data"], data["indices"], data["indptr"]),
+                        shape=tuple(int(extent) for extent in data["shape"]),
+                    )
+            except (OSError, KeyError, ValueError) as exc:
+                raise CloudWalkerError(
+                    f"cannot load system from {path}: {exc}") from exc
         sharded = ShardedIndex(index=index, plan=plan,
-                               shard_versions=[version] * plan.num_shards)
+                               shard_versions=shard_versions)
         return version, sharded, system
 
     def describe(self, version: int) -> Dict[str, Any]:
-        """Cheap metadata of one consistent version, without loading it.
+        """Cheap metadata of one version, without loading the diagonal.
 
-        Graph sizes come from shard 0 (every shard stores the same
-        diagonal); ``systems`` counts the shards that saved their system
-        block — fewer than ``num_shards`` means :meth:`load` returns no
-        system and the first update estimates it once.
+        Reads only the scalar entries of the index ``.npz`` (lazy
+        per-member access) and the plan record, so listing a directory of
+        large-graph snapshots stays O(versions), not O(versions x index
+        size).
         """
-        plan = self.load_plan(version)
-        infos = [self.shard_store(shard).describe(version)
-                 for shard in range(plan.num_shards)]
+        path = self.index_path(version)
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                n_nodes, n_edges = int(data["n_nodes"]), int(data["n_edges"])
+        except (OSError, KeyError, ValueError) as exc:
+            raise CloudWalkerError(f"cannot read snapshot {path}: {exc}") from exc
         return {
-            "n_nodes": infos[0]["n_nodes"],
-            "n_edges": infos[0]["n_edges"],
-            "num_shards": plan.num_shards,
-            "systems": sum(1 for info in infos if info["has_system"]),
+            "n_nodes": n_nodes,
+            "n_edges": n_edges,
+            "num_shards": self.load_plan(version).num_shards,
+            "has_system": self.system_path(version).exists(),
         }
 
     def prune(self, retain: Optional[int] = None) -> List[int]:
-        """Prune every shard store to the newest ``retain`` versions.
+        """Keep the newest ``retain`` versions; returns the removed ones.
 
-        Returns the consistent versions removed.  Plan-generation files
-        that no longer govern any remaining version are removed with the
-        snapshots that needed them; the base plan and any generation newer
-        than the newest consistent version (an in-flight save) are always
-        kept.
+        Every file of an older version goes, crash debris included — the
+        index files first, so an interrupted prune never leaves a
+        committed version without its plan record.
         """
-        before = self.versions()
-        base = self.directory / self.PLAN_FILE
-        if not base.exists():
+        retain = retain if retain is not None else self.retain
+        if retain < 1:
+            raise CloudWalkerError(f"snapshot retention must be >= 1, got {retain}")
+        versions = self.versions()
+        if len(versions) <= retain:
             return []
-        plan = self._load_plan_file(base)
-        for shard in range(plan.num_shards):
-            self.shard_store(shard).prune(retain)
-        remaining = self.versions()
-        generations = self.plan_generation_versions()
-        governing = set()
-        for version in remaining:
-            effective = [gen for gen in generations if gen <= version]
-            if effective:
-                governing.add(max(effective))
-        for gen in generations:
-            if gen not in governing and remaining and gen <= max(remaining):
-                with contextlib.suppress(OSError):
-                    self.plan_path(gen).unlink()
-        return [version for version in before if version not in remaining]
+        oldest_kept = versions[-retain]
+        files = self._files()
+        for kind in ("index", "system", "plan"):
+            for version in files[kind]:
+                if version < oldest_kept:
+                    with contextlib.suppress(OSError):
+                        self._path(kind, version).unlink()
+        return versions[:-retain]
 
     def __repr__(self) -> str:
         return (
-            f"ShardedSnapshotStore(directory={str(self.directory)!r}, "
+            f"SnapshotStore(directory={str(self.directory)!r}, "
             f"versions={self.versions()}, retain={self.retain})"
         )
+
+
+def save_snapshot(
+    index: DiagonalIndex,
+    directory: PathLike,
+    system: Optional[sparse.spmatrix] = None,
+    retain: int = 5,
+) -> int:
+    """Convenience wrapper: persist a plain index into ``directory`` as a
+    one-shard deployment (the layout ``snapshot save`` starts)."""
+    sharded = ShardedIndex(index=index, plan=ShardPlan.hashed(1))
+    return SnapshotStore(directory, retain=retain).save_snapshot(
+        sharded, system=system)
+
+
+def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
+    """Convenience wrapper: load the newest snapshot's index from ``directory``."""
+    version, sharded, _system = SnapshotStore(directory).load()
+    return version, sharded.index

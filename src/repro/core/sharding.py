@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -153,26 +153,6 @@ def gather_shard_rows(
     return sparse.csr_matrix(
         (values, (rows, cols)), shape=(n_nodes, n_nodes), dtype=np.float64
     )
-
-
-def slice_shard_block(system: sparse.csr_matrix,
-                      keep: np.ndarray) -> sparse.csr_matrix:
-    """Row-slice ``system`` to the rows the boolean mask ``keep`` selects.
-
-    The block keeps the full ``n x n`` shape with unselected rows empty, so
-    blocks from *any* partition of the rows sum back to the full system —
-    which is why a snapshot lineage can change shard plans between versions
-    without perturbing a single bit of the gathered system.  A mask that
-    selects every row (one shard owns them all) of an already canonical
-    ``system`` returns it itself, so a one-shard save writes the maintained
-    system without copying it.
-    """
-    if np.all(keep) and system.has_sorted_indices and system.data.all():
-        return system
-    block = (sparse.diags(np.asarray(keep, dtype=np.float64)) @ system).tocsr()
-    block.eliminate_zeros()
-    block.sort_indices()
-    return block
 
 
 PHASES = ("graph_seconds", "routing_seconds", "rows_seconds",
@@ -586,8 +566,7 @@ class ShardedIncrementalWalker:
         graph, parameters and executor backend, and *adopts* the current
         linear system and index via :meth:`attach` — no re-estimation, no
         solve, and therefore no way for the migration to perturb answers.
-        Only the row-to-shard grouping of future updates (and the
-        :meth:`shard_systems` slicing) changes.
+        Only the row-to-shard grouping of future updates changes.
         """
         if self._system is None or self.index is None:
             raise ConfigurationError(
@@ -599,22 +578,6 @@ class ShardedIncrementalWalker:
         )
         clone.attach(self.index, system=self._system)
         return clone
-
-    def shard_systems(self) -> List[sparse.csr_matrix]:
-        """Row-slice the maintained system into per-shard blocks.
-
-        Block ``k`` is an ``n x n`` CSR holding exactly shard ``k``'s rows
-        (other rows empty); summing the blocks reproduces the full system.
-        Used by sharded snapshots, which persist one block per shard
-        directory (see :class:`repro.core.index.ShardedSnapshotStore`), and
-        by the build half of a live rebalance.  Slicing runs in-process,
-        one :func:`slice_shard_block` per shard under the plan's assignment.
-        """
-        if self._system is None:
-            raise ConfigurationError("call build() or attach() before shard_systems()")
-        assignment = self.plan.assign(self._system.shape[0])
-        return [slice_shard_block(self._system, assignment == shard)
-                for shard in range(self.plan.num_shards)]
 
     def __repr__(self) -> str:
         return (

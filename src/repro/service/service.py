@@ -87,7 +87,7 @@ from repro.config import (
     SimRankParams,
     UpdateParams,
 )
-from repro.core.index import DiagonalIndex, ShardedIndex, ShardedSnapshotStore
+from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import QueryEngine, SourceScores
 from repro.core.sharding import (
@@ -383,22 +383,22 @@ class QueryService:
         sharding: Optional[ShardingParams] = None,
         rebalance_params: Optional[RebalanceParams] = None,
     ) -> "QueryService":
-        """Cold-start from the newest *consistent* snapshot of any lineage.
+        """Cold-start from the newest snapshot of a lineage.
 
-        Restores the plan governing that snapshot (a lineage that
-        rebalanced serves under its newest adopted plan), the broadcast
-        diagonal and — when every shard saved its system block — the
-        gathered linear system, so the restarted service resumes
+        Restores the snapshot's plan and per-shard versions from its plan
+        record (a lineage that rebalanced serves under its newest plan),
+        the broadcast diagonal and — when the snapshot carries one — the
+        linear system, byte for byte, so the restarted service resumes
         incremental updates without re-estimating anything, continues the
         version sequence where the snapshotting service left off, and
         snapshots back into the same lineage.  ``sharding`` supplies only
         the executor backend; the shard count and assignment always come
-        from the snapshot's persisted plan.  ``graph`` must be the graph
-        the snapshot was taken of.
+        from the plan record.  ``graph`` must be the graph the snapshot
+        was taken of.
         """
         update_params = update_params or UpdateParams()
         sharding = sharding or ShardingParams()
-        store = ShardedSnapshotStore(directory, retain=update_params.snapshot_retain)
+        store = SnapshotStore(directory, retain=update_params.snapshot_retain)
         version, sharded_index, system = store.load()
         service = cls(graph, sharded_index, params=params,
                       service_params=service_params, update_params=update_params,
@@ -604,13 +604,12 @@ class QueryService:
             self.save_snapshot()
 
     def save_snapshot(self, directory: Optional[PathLike] = None) -> Tuple[int, str]:
-        """Persist one consistent snapshot at the current version.
+        """Persist one snapshot at the current version.
 
-        Writes the one lineage layout
-        (:class:`~repro.core.index.ShardedSnapshotStore`) under the
-        service's plan: every shard's store receives the broadcast diagonal
-        plus its own rows of the linear system (when the service maintains
-        one).  ``directory`` defaults to ``update_params.snapshot_dir``.
+        Writes the diagonal, the plan record (plan and per-shard versions)
+        and — when the service maintains one — the linear system through
+        :class:`~repro.core.index.SnapshotStore`.  ``directory`` defaults
+        to ``update_params.snapshot_dir``.
         Returns ``(version, directory)``.  Saving the same version twice is
         a no-op (``snapshots_written`` does not move); a directory ahead of
         this service, or holding another shard count, is rejected — it is
@@ -626,8 +625,8 @@ class QueryService:
                     "no snapshot directory: pass one or set "
                     "UpdateParams.snapshot_dir"
                 )
-            store = ShardedSnapshotStore(directory,
-                                         retain=self.update_params.snapshot_retain)
+            store = SnapshotStore(directory,
+                                  retain=self.update_params.snapshot_retain)
             latest = store.latest_version()
             if latest is not None and latest > self._version:
                 raise CloudWalkerError(
@@ -635,11 +634,11 @@ class QueryService:
                     f"ahead of this service (version {self._version})"
                 )
             if latest != self._version:
-                shard_systems = (self._walker.shard_systems()
-                                 if self._walker is not None else None)
-                store.save_snapshot(self.sharded_index,
-                                    shard_systems=shard_systems,
-                                    version=self._version)
+                store.save_snapshot(
+                    self.sharded_index,
+                    system=(self._walker.system
+                            if self._walker is not None else None),
+                    version=self._version)
                 self._counters["snapshots_written"] += 1
             return self._version, str(store.directory)
 
@@ -735,10 +734,10 @@ class QueryService:
            evaluate it.  Unless ``force``, a proposal that does not clear
            ``RebalanceParams.improvement_threshold`` — or equals the
            serving plan — returns ``{"applied": False, ...}`` untouched.
-        3. **Build**: re-slice the maintained linear system into the
-           proposal's shard blocks, in-process
-           (:meth:`~repro.core.sharding.ShardedIncrementalWalker.
-           with_plan`).  Queries keep serving the old plan throughout —
+        3. **Build**: a walker adopting the maintained linear system under
+           the proposal (:meth:`~repro.core.sharding.
+           ShardedIncrementalWalker.with_plan`; no re-estimation, no
+           solve).  Queries keep serving the old plan throughout —
            only the update lock is held.  Any failure here propagates and
            leaves the service byte-for-byte on the old plan: nothing
            served has been touched yet.
@@ -749,13 +748,13 @@ class QueryService:
            The cache stays warm: its keys do not depend on the plan, and
            the flip moves neither the graph nor the diagonal.
         5. **Persist**: when a snapshot directory is configured, save the
-           post-flip version — the governing plan is written *before* the
-           shard payloads, so a crash mid-save leaves an inconsistent
-           version that :class:`~repro.core.index.ShardedSnapshotStore`
-           rolls back on the next load.
+           post-flip version (:meth:`save_snapshot`: the system, then the
+           new plan record, then the index file that commits it), so a
+           crash mid-save leaves the previous version the one the next
+           load serves.
 
-        Answers are bitwise-identical across the flip: shard blocks are
-        row-slices of one plan-independent linear system, per-source
+        Answers are bitwise-identical across the flip: the plan never
+        touches the one linear system the walker maintains, per-source
         random streams are keyed ``(seed, source)``, and each ``(source,
         k)`` is ranked once over its source's support whichever shard owns
         it — the plan only decides *where* state lives and work runs.
@@ -778,11 +777,10 @@ class QueryService:
             if not force and not estimate.should_rebalance:
                 report["reason"] = estimate.reason
                 return report
-            # Build the new sharded lineage from the current system —
-            # the expensive, failure-prone step, done entirely before
-            # anything served changes.
+            # Build the new walker from the current system — the
+            # failure-prone step, done entirely before anything served
+            # changes.
             new_walker = self._ensure_walker().with_plan(proposal)
-            blocks = new_walker.shard_systems()
             with self._lock:
                 self.plan = proposal
                 self._fresh_shard_state()
@@ -802,14 +800,7 @@ class QueryService:
                     index_version=self._version,
                 )
             if self.update_params.snapshot_dir is not None:
-                store = ShardedSnapshotStore(
-                    self.update_params.snapshot_dir,
-                    retain=self.update_params.snapshot_retain,
-                )
-                store.save_snapshot(self.sharded_index, shard_systems=blocks,
-                                    version=self._version)
-                self._counters["snapshots_written"] += 1
-                report["snapshot_version"] = self._version
+                report["snapshot_version"] = self.save_snapshot()[0]
             return report
 
     def maybe_rebalance(self) -> Dict[str, Any]:

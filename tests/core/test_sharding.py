@@ -7,8 +7,6 @@ The load-bearing claims pinned here:
   strategy and backend;
 * incremental updates through the sharded walker splice to the exact same
   system and diagonal as a from-scratch build on the updated graph;
-* per-shard system blocks partition the full system and round-trip through
-  sharded snapshots losslessly;
 * :class:`ShardPlan` is a total, persistable routing function.
 """
 
@@ -17,7 +15,7 @@ import pytest
 from scipy import sparse
 
 from repro.config import ShardingParams, SimRankParams
-from repro.core.index import ShardedIndex, ShardedSnapshotStore
+from repro.core.index import ShardedIndex
 from repro.core.sharding import (
     ShardedIncrementalWalker,
     _choose_rows,
@@ -25,7 +23,6 @@ from repro.core.sharding import (
     estimate_shard_rows,
     gather_shard_rows,
     make_plan,
-    slice_shard_block,
 )
 from repro.core.walks import forward_reachable_set
 from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend
@@ -53,31 +50,6 @@ def graph():
 def reference(graph, params, from_scratch):
     """The from-scratch build the sharded walker must match bitwise."""
     return from_scratch(graph, params)
-
-
-def _canonical_row(matrix, row):
-    """Row ``row`` of a CSR matrix as (columns, values): sorted, no zeros."""
-    start, stop = matrix.indptr[row], matrix.indptr[row + 1]
-    order = np.argsort(matrix.indices[start:stop], kind="stable")
-    columns = matrix.indices[start:stop][order]
-    values = matrix.data[start:stop][order]
-    keep = values != 0
-    return columns[keep], values[keep]
-
-
-def _assert_exact_row_slice(block, system, keep):
-    """``block`` holds the ``keep`` rows of ``system`` byte-for-byte, in
-    canonical CSR form (sorted columns, no explicit zeros), and no others."""
-    assert block.shape == system.shape
-    assert block.data.dtype == system.data.dtype
-    assert block.has_sorted_indices
-    assert (block.data != 0).all()
-    assert (np.diff(block.indptr)[~keep] == 0).all()
-    for row in np.flatnonzero(keep):
-        columns, values = _canonical_row(system, row)
-        start, stop = block.indptr[row], block.indptr[row + 1]
-        assert block.indices[start:stop].tobytes() == columns.tobytes()
-        assert block.data[start:stop].tobytes() == values.tobytes()
 
 
 class TestShardPlan:
@@ -299,51 +271,24 @@ class TestShardedUpdates:
         walker.add_edges([(0, 5)])
         assert walker.last_touched_shards == frozenset({0})
 
-    def test_shard_systems_partition_full_system(self, graph, params):
-        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(3), params=params)
+    def test_with_plan_adopts_the_system_as_is(self, graph, params):
+        # A rebalance's walker takes over the maintained system and index
+        # themselves: no re-estimation, no copy, no per-shard slicing.
+        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(3),
+                                          params=params)
         walker.build()
-        # Before and after an update that splices a new system and grows
-        # the graph.
-        for edges in ([], [(0, 30), (2, 95), (95, 1)]):
-            if edges:
-                walker.add_edges(edges)
-            blocks = walker.shard_systems()
-            assert len(blocks) == 3
-            assignment = walker.plan.assign(walker.graph.n_nodes)
-            for shard, block in enumerate(blocks):
-                row_nnz = np.diff(block.indptr)
-                assert (row_nnz[assignment != shard] == 0).all()
-            assert (sum(blocks) - walker.system).nnz == 0
+        walker.add_edges([(0, 30), (2, 95)])
+        moved = walker.with_plan(ShardPlan.contiguous(3, walker.graph.n_nodes))
+        assert moved.system is walker.system
+        assert moved.index is walker.index
+        assert moved.plan == ShardPlan.contiguous(3, walker.graph.n_nodes)
+        assert walker.plan == ShardPlan.hashed(3)
 
-    @pytest.mark.parametrize("num_shards,strategy", [
-        (1, "hash"), (4, "hash"), (3, "contiguous"), (4, "contiguous"),
-        (2, "partitioner"), (4, "partitioner"), (8, "hash"),
-    ])
-    def test_shard_systems_are_exact_row_slices(self, graph, params,
-                                                num_shards, strategy):
-        # Every block carries its shard's rows of the maintained system
-        # byte-for-byte, before and after a six-edge update that splices a
-        # new system and grows the graph past the planned range.
-        walker = ShardedIncrementalWalker(
-            graph, ShardPlan.for_graph(graph, num_shards, strategy),
-            params=params,
-        )
-        walker.build()
-        edges = [(0, 30), (2, 95), (95, 1), (4, 11), (11, 4), (60, 61)]
-        for update in ([], edges):
-            if update:
-                walker.add_edges(update)
-            assignment = walker.plan.assign(walker.system.shape[0])
-            blocks = walker.shard_systems()
-            assert len(blocks) == num_shards
-            for shard, block in enumerate(blocks):
-                _assert_exact_row_slice(block, walker.system,
-                                        assignment == shard)
-
-    def test_shard_systems_before_build_raises(self, graph, params):
-        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2), params=params)
+    def test_with_plan_before_build_raises(self, graph, params):
+        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2),
+                                          params=params)
         with pytest.raises(ConfigurationError):
-            walker.shard_systems()
+            walker.with_plan(ShardPlan.hashed(2))
 
 
 class TestChooseRows:
@@ -371,164 +316,6 @@ class TestChooseRows:
                                   np.where(mask[:, None], *dense))
             assert chosen.has_sorted_indices
             assert np.count_nonzero(chosen.data) == chosen.nnz
-
-
-class TestSliceShardBlock:
-    @pytest.mark.parametrize("selection", ["all", "none", "even", "random"])
-    def test_block_is_canonical_row_slice(self, selection):
-        # A non-canonical input (shuffled columns within each row, explicit
-        # zeros) still yields sorted, zero-free rows, and the input is left
-        # untouched.
-        n = 40
-        rng = np.random.default_rng(5)
-        source = sparse.random(n, n, density=0.2, format="csr",
-                               random_state=np.random.RandomState(5))
-        shuffle = np.concatenate([
-            start + rng.permutation(stop - start)
-            for start, stop in zip(source.indptr[:-1], source.indptr[1:])])
-        indices = source.indices[shuffle]
-        data = source.data[shuffle]
-        data[::7] = 0.0
-        system = sparse.csr_matrix((data, indices, source.indptr.copy()),
-                                   shape=(n, n))
-        original = (system.data.copy(), system.indices.copy(),
-                    system.indptr.copy())
-        keep = {
-            "all": np.ones(n, dtype=bool),
-            "none": np.zeros(n, dtype=bool),
-            "even": np.arange(n) % 2 == 0,
-            "random": rng.random(n) < 0.3,
-        }[selection]
-
-        block = slice_shard_block(system, keep)
-
-        _assert_exact_row_slice(block, system, keep)
-        if selection == "none":
-            assert block.nnz == 0
-        for before, after in zip(original,
-                                 (system.data, system.indices, system.indptr)):
-            assert np.array_equal(before, after)
-
-    def test_whole_canonical_system_is_not_copied(self):
-        system = sparse.random(40, 40, density=0.2, format="csr",
-                               random_state=np.random.RandomState(5))
-        assert slice_shard_block(system, np.ones(40, dtype=bool)) is system
-
-
-class TestShardedSnapshots:
-    def _sharded(self, graph, params, num_shards=3):
-        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
-                                          params=params)
-        index = walker.build()
-        return walker, ShardedIndex(index=index, plan=walker.plan)
-
-    def test_round_trip(self, graph, params, tmp_path):
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        version = store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-        assert version == 1
-        loaded_version, loaded, system = store.load()
-        assert loaded_version == 1
-        assert np.array_equal(loaded.index.diagonal, sharded.index.diagonal)
-        assert loaded.plan == sharded.plan
-        assert (system - walker.system).nnz == 0
-
-    def test_partial_write_rolls_back_to_consistent_version(
-            self, graph, params, tmp_path):
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-        # Simulate a crash that wrote version 2 to only one shard.
-        store.shard_store(0).save_snapshot(sharded.index, version=2)
-        assert store.versions() == [1]
-        loaded_version, _loaded, _system = store.load()
-        assert loaded_version == 1
-
-    def test_stale_partial_write_is_replaced_not_adopted(
-            self, graph, params, tmp_path):
-        # A later save that reuses a crashed save's version number must
-        # overwrite the stale shard file, never mix it into the snapshot.
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-        # Crash debris: shard 0 alone holds a v2 with *update-A* data.
-        walker.add_edges([(0, 5)])
-        stale_diagonal = walker.index.diagonal.copy()
-        store.shard_store(0).save_snapshot(walker.index, version=2)
-        # A different history (update B) reaches v2 and snapshots it.
-        fresh_walker, _ = self._sharded(graph, params)
-        fresh_walker.add_edges([(1, 7)])
-        fresh = ShardedIndex(index=fresh_walker.index, plan=fresh_walker.plan)
-        version = store.save_snapshot(
-            fresh, shard_systems=fresh_walker.shard_systems(), version=2
-        )
-        assert version == 2
-        loaded_version, loaded, system = store.load()
-        assert loaded_version == 2
-        assert np.array_equal(loaded.index.diagonal, fresh_walker.index.diagonal)
-        assert not np.array_equal(loaded.index.diagonal, stale_diagonal)
-        assert (system - fresh_walker.system).nnz == 0
-        # Re-saving a now-consistent version is still a per-shard no-op.
-        before = store.shard_store(0).index_path(2).stat().st_mtime_ns
-        store.save_snapshot(fresh, shard_systems=fresh_walker.shard_systems(),
-                            version=2)
-        assert store.shard_store(0).index_path(2).stat().st_mtime_ns == before
-
-    def test_plan_is_immutable_per_directory(self, graph, params, tmp_path):
-        walker, sharded = self._sharded(graph, params, num_shards=3)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-        other_walker, other = self._sharded(graph, params, num_shards=2)
-        with pytest.raises(CloudWalkerError):
-            store.save_snapshot(other, shard_systems=other_walker.shard_systems())
-
-    def test_save_without_systems_loads_none(self, graph, params, tmp_path):
-        _walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        store.save_snapshot(sharded)
-        _version, _loaded, system = store.load()
-        assert system is None
-
-    def test_zero_retention_is_refused_before_anything_is_written(
-            self, tmp_path):
-        # Validated at construction, like SnapshotStore: a retain=0 store
-        # must not get as far as writing shard_plan.json, which would leave
-        # a plan-only directory that looks like a crashed first save.
-        with pytest.raises(CloudWalkerError,
-                           match="snapshot retention must be >= 1"):
-            ShardedSnapshotStore(tmp_path / "snaps", retain=0)
-        assert not (tmp_path / "snaps").exists()
-
-    def test_prune_returns_the_removed_versions(self, graph, params, tmp_path):
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps", retain=5)
-        assert store.prune() == []  # no lineage yet
-        for version in range(1, 4):
-            store.save_snapshot(sharded, shard_systems=walker.shard_systems(),
-                                version=version)
-        assert store.prune(retain=1) == [1, 2]
-        assert store.versions() == [3]
-        assert store.prune(retain=1) == []
-
-    def test_load_missing_or_unknown_version(self, graph, params, tmp_path):
-        store = ShardedSnapshotStore(tmp_path / "empty")
-        with pytest.raises(CloudWalkerError):
-            store.load()
-        _walker, sharded = self._sharded(graph, params)
-        populated = ShardedSnapshotStore(tmp_path / "snaps")
-        populated.save_snapshot(sharded)
-        with pytest.raises(CloudWalkerError):
-            populated.load(version=9)
-
-    def test_prune_bounds_every_shard(self, graph, params, tmp_path):
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps", retain=2)
-        for version in range(1, 5):
-            store.save_snapshot(sharded, shard_systems=walker.shard_systems(),
-                                version=version)
-        assert store.versions() == [3, 4]
-        for shard in range(sharded.num_shards):
-            assert store.shard_store(shard).versions() == [3, 4]
 
 
 class TestShardedIndexDataclass:
@@ -560,123 +347,3 @@ class TestShardedIndexDataclass:
         other = generators.copying_model_graph(40, out_degree=3, seed=1)
         with pytest.raises(CloudWalkerError):
             sharded.validate_for(other)
-
-
-class TestShardedSnapshotFaultInjection:
-    """Crash and corruption drills for :class:`ShardedSnapshotStore`.
-
-    Unlike the debris simulations above (which place partial files by
-    hand), these kill the save *machinery itself* mid-flight — a
-    monkeypatched shard store that fails on write — and corrupt the
-    persisted plan, then assert the recovery contract: the consistent
-    version is the intersection, partial writes are replaced (never
-    adopted), and a corrupted ``shard_plan.json`` fails loudly on every
-    surface instead of being silently rewritten.
-    """
-
-    def _sharded(self, graph, params, num_shards=3):
-        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
-                                          params=params)
-        index = walker.build()
-        return walker, ShardedIndex(index=index, plan=walker.plan)
-
-    def test_save_killed_between_shard_writes_rolls_back_then_replaces(
-            self, graph, params, tmp_path, monkeypatch):
-        from repro.core.index import SnapshotStore
-
-        walker, sharded = self._sharded(graph, params)
-        store = ShardedSnapshotStore(tmp_path / "snaps")
-        store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-
-        original = SnapshotStore.save_snapshot
-        injected = {"armed": True}
-
-        def dying_save(self, *args, **kwargs):
-            if injected["armed"] and self.directory.name == "shard-01":
-                raise OSError("injected: disk full between shard writes")
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SnapshotStore, "save_snapshot", dying_save)
-        with pytest.raises(OSError, match="between shard writes"):
-            store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-
-        # Shard 0 wrote v2, shard 1 died, shard 2 never ran: the
-        # intersection hides the partial version from every reader.
-        assert store.shard_store(0).versions() == [1, 2]
-        assert store.shard_store(1).versions() == [1]
-        assert store.versions() == [1]
-        assert store.latest_version() == 1
-        version, loaded, system = store.load()
-        assert version == 1
-        assert np.array_equal(loaded.index.diagonal, sharded.index.diagonal)
-        assert (system - walker.system).nnz == 0
-
-        # Poison the orphaned partial so adoption (vs replacement) would be
-        # observable, then retry the save with the fault disarmed.
-        injected["armed"] = False
-        partial_path = store.shard_store(0).index_path(2)
-        partial_path.write_bytes(b"injected: torn partial write")
-        version = store.save_snapshot(sharded,
-                                      shard_systems=walker.shard_systems())
-        assert version == 2
-        assert store.versions() == [1, 2]
-        version, reloaded, system = store.load()
-        assert version == 2
-        assert np.array_equal(reloaded.index.diagonal, sharded.index.diagonal)
-        assert (system - walker.system).nnz == 0
-
-    def test_service_save_crash_leaves_service_retryable(
-            self, graph, params, tmp_path, monkeypatch):
-        from repro.core.index import SnapshotStore
-        from repro.service import QueryService
-
-        service = QueryService.build(
-            graph, params, sharding=ShardingParams(num_shards=2),
-        )
-        try:
-            original = SnapshotStore.save_snapshot
-            injected = {"armed": True}
-
-            def dying_save(self, *args, **kwargs):
-                if injected["armed"] and self.directory.name == "shard-01":
-                    raise OSError("injected: shard crash")
-                return original(self, *args, **kwargs)
-
-            monkeypatch.setattr(SnapshotStore, "save_snapshot", dying_save)
-            with pytest.raises(OSError):
-                service.save_snapshot(tmp_path / "snaps")
-            assert service.stats()["snapshots_written"] == 0
-            injected["armed"] = False
-            version, _path = service.save_snapshot(tmp_path / "snaps")
-            assert version == service.index_version
-            assert service.stats()["snapshots_written"] == 1
-            assert ShardedSnapshotStore(tmp_path / "snaps").latest_version() \
-                == version
-        finally:
-            service.close()
-
-    @pytest.mark.parametrize("corruption", [
-        b"{not json at all",
-        b"{}",
-        b'{"strategy": "hash"}',
-    ])
-    def test_corrupted_plan_fails_loudly_everywhere(
-            self, graph, params, tmp_path, corruption):
-        walker, sharded = self._sharded(graph, params)
-        directory = tmp_path / "snaps"
-        store = ShardedSnapshotStore(directory)
-        store.save_snapshot(sharded, shard_systems=walker.shard_systems())
-        (directory / ShardedSnapshotStore.PLAN_FILE).write_bytes(corruption)
-
-        fresh = ShardedSnapshotStore(directory)
-        with pytest.raises(CloudWalkerError, match="shard plan"):
-            fresh.load_plan()
-        with pytest.raises(CloudWalkerError, match="shard plan"):
-            fresh.versions()
-        with pytest.raises(CloudWalkerError, match="shard plan"):
-            fresh.load()
-        # A save must refuse too: overwriting a plan it cannot read could
-        # silently re-route every node of an existing lineage.
-        with pytest.raises(CloudWalkerError, match="shard plan"):
-            fresh.save_snapshot(sharded,
-                                shard_systems=walker.shard_systems())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ShardingParams, UpdateParams
-from repro.core.index import DiagonalIndex, ShardedSnapshotStore
+from repro.core.index import DiagonalIndex, SnapshotStore
 from repro.errors import CloudWalkerError
 from repro.service import QueryService, TopKQuery
 
@@ -99,7 +99,65 @@ class TestRestoredLineage:
             assert restored.save_snapshot(tmp_path)[0] == 2
             assert restored.stats()["snapshots_written"] == 1
             expected = restored.run_batch([TopKQuery(0, k=5)])
-        version, sharded_index, _system = ShardedSnapshotStore(tmp_path).load()
+        version, sharded_index, _system = SnapshotStore(tmp_path).load()
         assert (version, sharded_index.plan.num_shards) == (2, 3)
         with QueryService.from_snapshot(restored.graph, tmp_path) as reopened:
             assert reopened.run_batch([TopKQuery(0, k=5)]) == expected
+
+    def test_shard_versions_survive_a_restart(self, tmp_path):
+        """Entry k is the version at which shard k's rows were last
+        re-estimated — on the writer and, from the plan record, after a
+        restart (a localized edit leaves most shards at version 1)."""
+        from repro.config import SimRankParams
+        from repro.graph import generators
+
+        graph = generators.copying_model_graph(300, out_degree=4, seed=0)
+        params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=3,
+                               index_walkers=10, query_walkers=20, seed=3)
+        with QueryService.build(
+                graph, params,
+                sharding=ShardingParams(num_shards=8,
+                                        strategy="contiguous")) as writer:
+            writer.add_edges([(290, 295)])
+            written = writer.shard_versions
+            writer.save_snapshot(tmp_path)
+            updated = writer.graph
+        assert 1 in written and 2 in written
+        with QueryService.from_snapshot(updated, tmp_path) as restored:
+            assert restored.shard_versions == written
+            assert [row["version"] for row in restored.stats()["shards"]] \
+                == written
+            # An update after the restart bumps only the shards it touches.
+            restored.add_edges([(291, 296)])
+            touched = restored._walker.last_touched_shards
+            assert restored.shard_versions == [
+                3 if shard in touched else version
+                for shard, version in enumerate(written)]
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_rebalance_persists_the_flip(self, service_graph, service_params,
+                                         tmp_path, num_shards):
+        """A forced flip saves its version under the new plan, with the
+        unchanged system; a restart serves that plan, versions and bytes."""
+        with QueryService.build(
+                service_graph, service_params,
+                update_params=UpdateParams(snapshot_dir=str(tmp_path)),
+                sharding=ShardingParams(num_shards=num_shards,
+                                        strategy="contiguous")) as writer:
+            writer.save_snapshot()
+            report = writer.rebalance(force=True)
+            assert report["applied"]
+            assert report["snapshot_version"] == writer.index_version == 2
+            written = (writer.plan, writer.shard_versions,
+                       writer._walker.system)
+            expected = writer.run_batch([TopKQuery(0, k=5)])
+        store = SnapshotStore(tmp_path)
+        assert store.versions() == [1, 2]
+        assert store.load_plan(1).strategy == "contiguous"
+        with QueryService.from_snapshot(service_graph, tmp_path) as restored:
+            assert restored.plan == written[0]
+            assert restored.shard_versions == written[1] == [2] * num_shards
+            for name in ("indptr", "indices", "data"):
+                assert getattr(restored._walker.system, name).tobytes() == \
+                    getattr(written[2], name).tobytes()
+            assert restored.run_batch([TopKQuery(0, k=5)]) == expected

@@ -26,7 +26,7 @@ from repro.config import (
     ShardingParams,
     SimRankParams,
 )
-from repro.core.index import ShardedSnapshotStore
+from repro.core.index import SnapshotStore
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
 from repro.graph.partition import (
@@ -410,7 +410,7 @@ class TestMigration:
             updated_graph = sharded.graph
             system = sharded._walker.system
         _loaded_version, loaded, gathered = \
-            ShardedSnapshotStore(tmp_path).load()
+            SnapshotStore(tmp_path).load()
         assert loaded.plan == plan
         assert (gathered - system).nnz == 0
         with QueryService.from_snapshot(

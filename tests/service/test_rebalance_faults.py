@@ -1,29 +1,30 @@
-"""Fault injection for plan migration and plan-generation persistence.
+"""Fault injection for plan migration and its persistence.
 
 A migration has three failure surfaces, and each must leave the system
 serving correct answers:
 
-* a **shard build dying mid-migration** (re-slicing the system fails)
-  must leave the service byte-for-byte on the old plan — the new lineage
-  is built entirely before anything served changes;
-* a **crash between the governing-plan write and the shard payloads**
-  leaves an inconsistent version on disk; the store must roll back to the
-  previous version *under its own plan* on the next load, and a subsequent
-  save must replace the orphaned generation file, never adopt it;
-* a **corrupt persisted plan generation** excludes its version from the
-  consistent set (rollback), while a corrupt *base* plan still fails
-  loudly — the lineage's identity is gone, silence would serve garbage.
+* a **walker build dying mid-migration** (adopting the system under the
+  new plan fails) must leave the service byte-for-byte on the old plan —
+  the new walker is built entirely before anything served changes;
+* a **crash between the new plan record and the index file** that commits
+  it leaves debris on disk; the store must roll back to the previous
+  version *under its own plan* on the next load, and a subsequent save
+  must replace the debris, never adopt it;
+* a **corrupt plan record** excludes its version (rollback), while a
+  lineage whose every plan record is corrupt is refused loudly — its
+  identity is gone, silence would serve garbage.
 
 Plus the resource invariant: a failed migration followed by ``close()``
 leaves no resident shared-memory segments behind.
 """
 
+import json
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-import repro.core.sharding as sharding_module
+import repro.core.index as index_module
 from repro.config import (
     RebalanceParams,
     ServiceParams,
@@ -31,7 +32,8 @@ from repro.config import (
     SimRankParams,
     UpdateParams,
 )
-from repro.core.index import ShardedSnapshotStore, SnapshotStore
+from repro.core.index import ShardedIndex, SnapshotStore
+from repro.core.sharding import ShardedIncrementalWalker
 from repro.errors import CloudWalkerError
 from repro.graph import generators
 from repro.graph.partition import ShardPlan, load_balanced_plan
@@ -79,24 +81,24 @@ class _ShardBuildKilled(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# Killed shard builds
+# Killed walker builds
 # --------------------------------------------------------------------------- #
+def _killer(self, plan):
+    raise _ShardBuildKilled("shard build killed mid-migration")
+
+
 class TestKilledShardBuild:
     def test_failed_build_leaves_old_plan_serving(self, monkeypatch):
         graph = _graph()
         with _service(graph) as service:
             expected = _answers(service)
             old_assignment = service.plan.assign(graph.n_nodes)
-            real = sharding_module.slice_shard_block
 
-            def killer(system, keep):
-                raise _ShardBuildKilled("shard build killed mid-migration")
-
-            # Kill the migration's re-slice of the maintained system.
-            monkeypatch.setattr(sharding_module, "slice_shard_block", killer)
-            with pytest.raises(_ShardBuildKilled):
-                service.rebalance(plan=_balanced_plan(graph), force=True)
-            monkeypatch.setattr(sharding_module, "slice_shard_block", real)
+            # Kill the migration's walker build under the proposal.
+            with monkeypatch.context() as patched:
+                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
+                with pytest.raises(_ShardBuildKilled):
+                    service.rebalance(plan=_balanced_plan(graph), force=True)
 
             # Nothing served changed: same plan, same generation, same
             # version, same (bitwise) answers, no half-initialised caches.
@@ -110,11 +112,8 @@ class TestKilledShardBuild:
     def test_failed_build_then_successful_migration(self, monkeypatch):
         graph = _graph()
         with _service(graph) as service:
-            def killer(system, keep):
-                raise _ShardBuildKilled("shard build killed mid-migration")
-
             with monkeypatch.context() as patched:
-                patched.setattr(sharding_module, "slice_shard_block", killer)
+                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
                 with pytest.raises(_ShardBuildKilled):
                     service.rebalance(plan=_balanced_plan(graph), force=True)
             # The service recovers without a restart: updates apply and the
@@ -142,11 +141,8 @@ class TestKilledShardBuild:
             assert handle is not None and handle.shm_name is not None
             name = handle.shm_name
 
-            def killer(system, keep):
-                raise _ShardBuildKilled("shard build killed mid-migration")
-
             with monkeypatch.context() as patched:
-                patched.setattr(sharding_module, "slice_shard_block", killer)
+                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
                 with pytest.raises(_ShardBuildKilled):
                     service.rebalance(plan=ShardPlan(2, strategy="contiguous",
                                                      n_nodes=200), force=True)
@@ -158,8 +154,21 @@ class TestKilledShardBuild:
 
 
 # --------------------------------------------------------------------------- #
-# Crash between the plan write and the shard payloads
+# Crash between the plan record and the index file
 # --------------------------------------------------------------------------- #
+def _kill_index_writes(patched):
+    """Make every index-file write die: a save then stops after its system
+    and plan record hit the disk, before the index file commits them."""
+    real = index_module.atomic_write
+
+    def crash(path, writer):
+        if path.name.startswith("index-"):
+            raise OSError("disk gone mid-save")
+        return real(path, writer)
+
+    patched.setattr(index_module, "atomic_write", crash)
+
+
 class TestCrashedPersistence:
     def test_interrupted_save_rolls_back_to_old_plan(self, tmp_path,
                                                      monkeypatch):
@@ -169,23 +178,18 @@ class TestCrashedPersistence:
             expected = _answers(service)
             base_version = service.index_version
 
-            crashed = SnapshotStore.save_snapshot
-
-            def crash(store_self, *args, **kwargs):
-                raise OSError("disk gone mid-save")
-
             # The migration itself flips in memory; the persistence step
-            # dies after the governing plan generation hit the disk but
-            # before any shard payload did.
-            monkeypatch.setattr(SnapshotStore, "save_snapshot", crash)
-            with pytest.raises(OSError):
-                service.rebalance(plan=_balanced_plan(graph), force=True)
-            monkeypatch.setattr(SnapshotStore, "save_snapshot", crashed)
+            # dies after the new plan record hit the disk but before the
+            # index file committed it.
+            with monkeypatch.context() as patched:
+                _kill_index_writes(patched)
+                with pytest.raises(OSError):
+                    service.rebalance(plan=_balanced_plan(graph), force=True)
 
-        store = ShardedSnapshotStore(tmp_path)
-        # The new version is inconsistent (no shard has it): rolled back.
+        store = SnapshotStore(tmp_path)
+        assert store.plan_path(base_version + 1).exists()
+        # The new version never committed: rolled back.
         assert store.versions() == [base_version]
-        assert store.plan_generation_versions() == [base_version + 1]
         assert store.load_plan().strategy == "contiguous"
 
         # A cold start serves the previous version under the OLD plan,
@@ -197,45 +201,44 @@ class TestCrashedPersistence:
             assert restored.plan.strategy == "contiguous"
             assert _answers(restored) == expected
 
-    def test_next_save_replaces_orphaned_generation(self, tmp_path,
-                                                    monkeypatch):
+    def test_next_save_replaces_orphaned_plan_record(self, tmp_path,
+                                                     monkeypatch):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
 
-            def crash(store_self, *args, **kwargs):
-                raise OSError("disk gone mid-save")
-
             with monkeypatch.context() as patched:
-                patched.setattr(SnapshotStore, "save_snapshot", crash)
+                _kill_index_writes(patched)
                 with pytest.raises(OSError):
                     service.rebalance(plan=_balanced_plan(graph), force=True)
             # The retry (same in-memory plan, same target version) must
-            # replace the orphaned generation file and produce a
-            # consistent snapshot under the migrated plan.
+            # commit a version under the migrated plan.
             version, _ = service.save_snapshot()
-            store = ShardedSnapshotStore(tmp_path)
+            store = SnapshotStore(tmp_path)
             assert version in store.versions()
             assert store.load_plan(version) == service.plan
 
-    def test_unadopted_generation_never_governs_older_versions(self, tmp_path):
+    def test_orphaned_plan_record_never_governs_older_versions(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
             v1 = service.index_version
-            store = ShardedSnapshotStore(tmp_path)
-            # Simulate a crashed migration that wrote only the plan file
-            # for a version that never became consistent.
-            store._save_plan(_balanced_plan(graph), v1 + 1)
+            # A crashed migration's debris: a plan record for a version
+            # whose index file was never written.
+            store = SnapshotStore(tmp_path)
+            store.plan_path(v1 + 1).write_text(json.dumps({
+                "plan": _balanced_plan(graph).to_dict(),
+                "shard_versions": [v1 + 1] * 3,
+            }), encoding="utf-8")
             assert store.versions() == [v1]
-            # v1 still loads under the base plan, not the orphan.
-            assert store.load_plan(v1).strategy == "contiguous"
+            # v1 still loads under its own plan, not the orphan.
+            assert store.load_plan().strategy == "contiguous"
             _, sharded_index, _ = store.load(v1)
             assert sharded_index.plan.strategy == "contiguous"
 
 
 # --------------------------------------------------------------------------- #
-# Corrupt plan files
+# Corrupt plan records
 # --------------------------------------------------------------------------- #
 class TestCorruptPlans:
     def _migrated_lineage(self, graph, tmp_path):
@@ -247,14 +250,14 @@ class TestCorruptPlans:
             assert _answers(service) == expected
         return expected
 
-    def test_corrupt_generation_rolls_back_its_version(self, tmp_path):
+    def test_corrupt_plan_record_rolls_back_its_version(self, tmp_path):
         graph = _graph()
         expected = self._migrated_lineage(graph, tmp_path)
-        store = ShardedSnapshotStore(tmp_path)
+        store = SnapshotStore(tmp_path)
         v_old, v_new = store.versions()
         store.plan_path(v_new).write_text("{ not json", encoding="utf-8")
-        # The migrated version's governing plan is unreadable: the version
-        # vanishes from the consistent set and loads roll back.
+        # The migrated version's plan record is unreadable: the version
+        # vanishes and loads roll back.
         assert store.versions() == [v_old]
         restored = QueryService.from_snapshot(graph, tmp_path,
                                                      params=PARAMS)
@@ -263,23 +266,24 @@ class TestCorruptPlans:
             assert restored.plan.strategy == "contiguous"
             assert _answers(restored) == expected
 
-    def test_corrupt_base_plan_fails_loudly(self, tmp_path):
+    def test_every_plan_record_corrupt_fails_loudly(self, tmp_path):
         graph = _graph()
         self._migrated_lineage(graph, tmp_path)
-        store = ShardedSnapshotStore(tmp_path)
-        (tmp_path / ShardedSnapshotStore.PLAN_FILE).write_text(
-            "{ not json", encoding="utf-8")
-        with pytest.raises(CloudWalkerError, match="cannot load shard plan"):
+        store = SnapshotStore(tmp_path)
+        for version in store.versions():
+            store.plan_path(version).write_text("{ not json",
+                                                encoding="utf-8")
+        with pytest.raises(CloudWalkerError, match="no loadable plan record"):
             store.versions()
-        with pytest.raises(CloudWalkerError, match="cannot load shard plan"):
+        with pytest.raises(CloudWalkerError, match="no loadable plan record"):
             QueryService.from_snapshot(graph, tmp_path, params=PARAMS)
 
 
 # --------------------------------------------------------------------------- #
-# Plan-generation bookkeeping
+# Plans across versions
 # --------------------------------------------------------------------------- #
-class TestPlanGenerations:
-    def test_load_plan_by_version_is_governing(self, tmp_path):
+class TestPlanRecords:
+    def test_each_version_loads_under_its_own_plan(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
@@ -289,24 +293,22 @@ class TestPlanGenerations:
             service.add_edges([(1, 50)])
             service.save_snapshot()
             v3 = service.index_version
-        store = ShardedSnapshotStore(tmp_path)
+        store = SnapshotStore(tmp_path)
         assert store.versions() == [v1, v2, v3]
         assert store.load_plan(v1).strategy == "contiguous"
         assert store.load_plan(v2).strategy == "partitioner"
-        # v3 wrote no new generation: it is governed by v2's plan.
-        assert store.plan_generation_versions() == [v2]
         assert store.load_plan(v3) == store.load_plan(v2)
 
     def test_shard_count_is_immutable_per_directory(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
-            version = service.index_version
-        store = ShardedSnapshotStore(tmp_path)
+            index = service.index
+        store = SnapshotStore(tmp_path)
         with pytest.raises(CloudWalkerError, match="immutable"):
-            store._save_plan(ShardPlan(4), version + 1)
+            store.save_snapshot(ShardedIndex(index=index, plan=ShardPlan(4)))
 
-    def test_prune_drops_generations_with_their_versions(self, tmp_path):
+    def test_prune_keeps_the_migrated_plan_of_the_survivors(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
@@ -315,30 +317,31 @@ class TestPlanGenerations:
             for edge in [(1, 50), (2, 60), (3, 70)]:
                 service.add_edges([edge])
                 service.save_snapshot()
-        store = ShardedSnapshotStore(tmp_path, retain=2)
+        store = SnapshotStore(tmp_path, retain=2)
         store.prune()
         remaining = store.versions()
         assert len(remaining) == 2
         assert migration_version not in remaining
-        # The migrated plan still governs the survivors even though the
-        # generation's own version was pruned... via the generation file,
-        # which must therefore survive the prune.
-        assert store.plan_generation_versions() == [migration_version]
+        # The migration's own version is gone, yet the survivors still
+        # load under the migrated plan: each carries its own record.
+        assert not store.plan_path(migration_version).exists()
+        assert store.load_plan(remaining[0]).strategy == "partitioner"
         assert store.load_plan(remaining[-1]).strategy == "partitioner"
 
-    def test_prune_removes_superseded_generations(self, tmp_path):
+    def test_prune_removes_plan_records_of_pruned_versions(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
             service.rebalance(plan=_balanced_plan(graph), force=True)
-            first_gen = service.index_version
-            # Second migration: the first generation governs only its own
-            # version; prune both away and the file must go too.
+            first_migration = service.index_version
+            # Second migration, then enough saves to prune both away.
             service.rebalance(plan=ShardPlan(3, strategy="hash"), force=True)
             for edge in [(1, 50), (2, 60), (3, 70)]:
                 service.add_edges([edge])
                 service.save_snapshot()
-        store = ShardedSnapshotStore(tmp_path, retain=2)
+        store = SnapshotStore(tmp_path, retain=2)
         store.prune()
-        assert first_gen not in store.plan_generation_versions()
+        records = sorted(path.name for path in tmp_path.glob("plan-v*.json"))
+        assert records == [store.plan_path(v).name for v in store.versions()]
+        assert not store.plan_path(first_migration).exists()
         assert store.load_plan().strategy == "hash"

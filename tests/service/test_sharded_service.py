@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import ShardingParams, UpdateParams
+from repro.core.index import SnapshotStore
 from repro.core.queries import merge_top_k, rank_top_k
 from repro.errors import CloudWalkerError
 from repro.graph import generators
@@ -259,8 +260,7 @@ class TestShardedPersistence:
             sharding=ShardingParams(num_shards=2),
         )
         sharded.add_edges([(0, 60)])
-        from repro.core.index import ShardedSnapshotStore
-        store = ShardedSnapshotStore(tmp_path / "snaps")
+        store = SnapshotStore(tmp_path / "snaps")
         assert store.latest_version() == 2
 
     def test_from_index_file_cold_start(self, service_graph, service_index,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ServiceParams, SimRankParams, UpdateParams
+from repro.core.index import SnapshotStore
 from repro.core.walks import forward_reachable_set
 from repro.errors import CloudWalkerError, ConfigurationError
 from repro.graph import generators
@@ -373,15 +374,13 @@ class TestServiceSnapshots:
         assert np.array_equal(restarted.index.diagonal, rebuilt.index.diagonal)
 
     def test_auto_snapshot_cadence(self, update_graph, update_params_cheap, tmp_path):
-        from repro.core.index import ShardedSnapshotStore
-
         service = QueryService.build(
             update_graph, update_params_cheap,
             update_params=UpdateParams(snapshot_every=2, snapshot_dir=str(tmp_path)),
         )
         for head in (50, 51, 52, 53):
             service.add_edges([(0, head)])
-        store = ShardedSnapshotStore(tmp_path)
+        store = SnapshotStore(tmp_path)
         # Updates 2 and 4 snapshotted, at service versions 3 and 5.
         assert store.versions() == [3, 5]
         assert service.stats()["snapshots_written"] == 2
@@ -407,17 +406,17 @@ class TestServiceSnapshots:
     def test_single_store_lineage_rejected(
         self, update_graph, update_params_cheap, tmp_path
     ):
-        from repro.core.index import save_snapshot
-
         service = QueryService.build(update_graph, update_params_cheap)
-        save_snapshot(service.index, tmp_path)
-        save_snapshot(service.index, tmp_path)  # a single-store lineage at v2
-        # Neither class starts a second lineage at v1 next to it.
+        # A single-store lineage at v2: index files, no plan records.
+        service.index.save(tmp_path / "index-v00000001.npz")
+        service.index.save(tmp_path / "index-v00000002.npz")
+        # The service neither starts a second lineage at v1 next to it
+        # nor restores from it.
         with pytest.raises(CloudWalkerError, match="single-store"):
             service.save_snapshot(tmp_path)
         with pytest.raises(CloudWalkerError, match="single-store"):
             QueryService.from_snapshot(update_graph, tmp_path)
-        assert not (tmp_path / "shard_plan.json").exists()
+        assert not list(tmp_path.glob("plan-v*.json"))
 
     def test_save_without_directory_rejected(self, live_service):
         with pytest.raises(CloudWalkerError):

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core.index import SnapshotStore
 from repro.graph import generators
 from repro.graph import io as graph_io
 
@@ -396,7 +397,7 @@ class TestUpdateAndSnapshot:
         assert code == 0
         assert "1-shard 'hash' lineage" in output
         rows = [line.split() for line in output.splitlines()[2:]]
-        assert [(row[0], row[3]) for row in rows] == [("2", "1/1"), ("3", "1/1")]
+        assert [(row[0], row[3]) for row in rows] == [("2", "yes"), ("3", "yes")]
 
     def test_update_warns_without_output_graph(self, indexed, tmp_path):
         graph_file, index_path = indexed
@@ -465,11 +466,11 @@ class TestUpdateAndSnapshot:
         assert "pruned versions [1, 2]; kept [3]" in output
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        # A new directory gets the one-shard layout; saves carry no system.
-        assert (snaps / "shard_plan.json").exists()
-        assert sorted(path.name for path in (snaps / "shard-00").iterdir()) \
-            == ["index-v00000003.npz"]
-        assert output.splitlines()[2].split()[::3] == ["3", "0/1"]
+        # A new directory gets a one-shard plan; saves carry no system.
+        assert sorted(path.name for path in snaps.iterdir()) \
+            == ["index-v00000003.npz", "plan-v00000003.json"]
+        assert output.splitlines()[0] == "1-shard 'hash' lineage"
+        assert output.splitlines()[2].split()[::3] == ["3", "no"]
 
     def test_snapshot_save_requires_index(self, tmp_path):
         code, output = run_cli("snapshot", "save", "--dir", str(tmp_path))
@@ -496,12 +497,14 @@ class TestUpdateAndSnapshot:
         """A directory of ``index-v*.npz`` files at its root (the old
         single-store layout) is refused by every command, never shadowed
         by a new lineage; the migration the error names works."""
-        from repro.core.index import DiagonalIndex, save_snapshot
+        from repro.core.index import DiagonalIndex
 
         graph_file, index_path = indexed
         legacy = tmp_path / "legacy"
-        save_snapshot(DiagonalIndex.load(index_path), legacy)
-        save_snapshot(DiagonalIndex.load(index_path), legacy)
+        legacy.mkdir()
+        for version in (1, 2):
+            DiagonalIndex.load(index_path).save(
+                legacy / f"index-v0000000{version}.npz")
         before = sorted(path.name for path in legacy.iterdir())
         edges = tmp_path / "edges.tsv"
         edges.write_text("2 50\n")
@@ -644,20 +647,21 @@ class TestShardedCli:
             "--snapshot-dir", str(snaps),
         )
         assert code == 0 and "snapshot v2 written" in output
-        # list: consistent sharded versions, not 'no snapshots'.
+        # list: the sharded lineage's versions, not 'no snapshots'.
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        assert "2-shard" in output and "2/2" in output
+        assert "2-shard" in output
+        assert output.splitlines()[-1].split()[::3] == ["2", "yes"]
         assert "no snapshots" not in output
-        # save: the diagonal into every shard store, under the lineage's
-        # plan, with no system blocks (the first update estimates them).
+        # save: the diagonal as a new version under the lineage's plan,
+        # with no system (the first update estimates it).
         code, output = run_cli("snapshot", "save", "--dir", str(snaps),
                                "--index", str(index_path))
         assert code == 0
         assert "snapshot v3 written" in output and "2-shard plan" in output
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
-        assert output.splitlines()[-1].split()[::3] == ["3", "0/2"]
-        # prune: bounds every shard store, reports the removed versions.
+        assert output.splitlines()[-1].split()[::3] == ["3", "no"]
+        # prune: keeps the newest versions, reports the removed ones.
         code, output = run_cli("snapshot", "prune", "--dir", str(snaps),
                                "--retain", "1")
         assert code == 0
@@ -714,9 +718,11 @@ class TestShardedCli:
         )
         assert code == 0
         assert "(2-shard plan)" in output
-        assert (snap_dir / "shard_plan.json").exists()
-        assert (snap_dir / "shard-00").is_dir()
-        assert (snap_dir / "shard-01").is_dir()
+        # One version: index, system and plan record, whatever K is.
+        assert sorted(path.name for path in snap_dir.iterdir()) == [
+            "index-v00000002.npz", "plan-v00000002.json",
+            "system-v00000002.npz"]
+        assert SnapshotStore(snap_dir).load_plan().num_shards == 2
 
         # Resume from the sharded lineage (auto-detected, plan immutable).
         edges2 = tmp_path / "edges2.tsv"
@@ -731,46 +737,87 @@ class TestShardedCli:
         assert "keeping the directory's 2-shard plan" in output
         assert "index now version 3" in output
 
-    def test_update_recovers_sharded_dir_without_consistent_snapshot(
+    def test_per_shard_lineage_is_refused_with_its_migration(
             self, indexed, tmp_path):
-        # A crash during the very first sharded save leaves shard_plan.json
-        # with no consistent version; update must fall back to --index under
-        # the persisted plan instead of hard-failing.
+        """A ``shard_plan.json`` lineage with one store per shard (the
+        layout before plan records) is refused by ``update`` and
+        ``snapshot``, with a migration command that works."""
         import json
 
+        from repro.core.index import DiagonalIndex
+
         graph_file, index_path = indexed
-        snap_dir = tmp_path / "snaps"
-        snap_dir.mkdir()
-        (snap_dir / "shard_plan.json").write_text(json.dumps(
-            {"num_shards": 2, "strategy": "hash", "n_nodes": None}
-        ))
+        old = tmp_path / "old"
+        (old / "shard-00").mkdir(parents=True)
+        (old / "shard_plan.json").write_text(json.dumps(
+            {"num_shards": 1, "strategy": "hash", "n_nodes": None}))
+        DiagonalIndex.load(index_path).save(
+            old / "shard-00" / "index-v00000004.npz")
         edges = tmp_path / "edges.tsv"
         edges.write_text("1 50\n")
+        migration = f"--index {old / 'shard-00' / 'index-v00000004.npz'}"
+        for argv in (
+            ("update", "--graph", str(graph_file), "--edges", str(edges),
+             "--snapshot-dir", str(old), "--index", str(index_path)),
+            ("snapshot", "list", "--dir", str(old)),
+        ):
+            code, output = run_cli(*argv)
+            assert code == 1, argv
+            assert "per-shard snapshot lineage" in output
+            assert migration in output
+        assert not list(old.glob("*-v*"))
+
+        new = tmp_path / "new"
+        code, output = run_cli("snapshot", "save", "--dir", str(new),
+                               *migration.split())
+        assert code == 0
         code, output = run_cli(
-            "update", "--graph", str(graph_file), "--index", str(index_path),
-            "--edges", str(edges), "--snapshot-dir", str(snap_dir),
+            "update", "--graph", str(graph_file), "--edges", str(edges),
+            "--snapshot-dir", str(new),
         )
         assert code == 0
-        assert "no consistent sharded snapshot" in output
-        assert "2-shard plan" in output
+        assert f"loaded snapshot v1 in {new} (1-shard plan)" in output
         assert "snapshot v2 written" in output
 
-        # Without --index there is nothing to recover from: fail loudly.
-        code, output = run_cli(
-            "update", "--graph", str(graph_file),
-            "--edges", str(edges), "--snapshot-dir", str(tmp_path / "snaps2"),
+    def test_offline_rebalance_is_the_next_version_of_the_lineage(
+            self, indexed, tmp_path):
+        """``rebalance --force`` saves its flip as the next version under
+        the new plan, with the system; the next ``update`` resumes under
+        that plan with no re-estimation, and older versions keep theirs."""
+        graph_file, index_path = indexed
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("1 50\n")
+        snaps = tmp_path / "snaps"
+        graph2 = tmp_path / "updated.tsv"
+        code, _ = run_cli(
+            "update", "--graph", str(graph_file), "--index", str(index_path),
+            "--edges", str(edges), "--shards", "3",
+            "--shard-strategy", "contiguous",
+            "--snapshot-dir", str(snaps), "--output-graph", str(graph2),
         )
-        assert code == 1
-        (tmp_path / "snaps2").mkdir()
-        (tmp_path / "snaps2" / "shard_plan.json").write_text(json.dumps(
-            {"num_shards": 2, "strategy": "hash", "n_nodes": None}
-        ))
+        assert code == 0
+        code, output = run_cli("rebalance", "--graph", str(graph2),
+                               "--snapshot-dir", str(snaps), "--force")
+        assert code == 0
+        assert "loaded snapshot v2" in output
+        assert "migrated to plan generation 2" in output
+        store = SnapshotStore(snaps)
+        assert store.versions() == [2, 3]
+        assert store.describe(3)["has_system"]
+        assert store.load_plan(2).strategy == "contiguous"
+        migrated = store.load_plan(3)
+        assert migrated.strategy == "partitioner"
+
+        edges.write_text("2 60\n")
         code, output = run_cli(
-            "update", "--graph", str(graph_file),
-            "--edges", str(edges), "--snapshot-dir", str(tmp_path / "snaps2"),
+            "update", "--graph", str(graph2), "--edges", str(edges),
+            "--snapshot-dir", str(snaps), "--output-graph", str(graph2),
         )
-        assert code == 1
-        assert "no consistent sharded snapshot" in output
+        assert code == 0
+        assert f"snapshot v3 in {snaps} (3-shard plan)" in output
+        assert "estimating" not in output
+        assert "snapshot v4 written" in output
+        assert store.load_plan(4) == migrated
 
     def test_update_keeps_a_one_shard_lineage_shard_count(self, indexed,
                                                           tmp_path):
@@ -797,7 +844,7 @@ class TestShardedCli:
         assert ("keeping the directory's 1-shard plan (ignoring --shards 2)"
                 in output)
         assert "snapshot v3 written" in output
-        assert not (snap_dir / "shard-01").exists()
+        assert SnapshotStore(snap_dir).load_plan().num_shards == 1
 
     def test_query_service_lineage_opens_in_sharded_service_and_cli(
             self, indexed, tmp_path):

@@ -840,3 +840,56 @@ class TestShardingProperties:
             expected = 2 if shard in touched else 1
             assert sharded.shard_versions[shard] == expected
         assert max(sharded.shard_versions) == sharded.index_version
+
+
+# --------------------------------------------------------------------------- #
+# Snapshot round trips
+# --------------------------------------------------------------------------- #
+class TestSnapshotRoundTripProperties:
+    """A lineage version restores the writer exactly: after any run of
+    edge batches and forced plan flips, each saved as it happens,
+    ``from_snapshot`` gives the writer's system and diagonal byte for byte
+    (dtypes included), its plan, per-shard versions, version and answers.
+    """
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 5])
+    @settings(max_examples=10)
+    @given(graph=graphs(max_nodes=14, max_edges=50), data=st.data())
+    def test_from_snapshot_restores_the_writer_bitwise(
+            self, tmp_path_factory, num_shards, graph, data):
+        from repro.config import ShardingParams
+        from repro.service import TopKQuery
+
+        params = TestShardingProperties._params(
+            seed=data.draw(st.integers(0, 500)))
+        directory = tmp_path_factory.mktemp("lineage")
+        writer = QueryService.build(
+            graph, params, ServiceParams(cache_capacity=0),
+            sharding=ShardingParams(num_shards=num_shards,
+                                    strategy="contiguous"))
+        for _ in range(data.draw(st.integers(1, 4))):
+            top = writer.graph.n_nodes      # may grow the graph by one node
+            writer.add_edges(data.draw(st.lists(
+                st.tuples(st.integers(0, top), st.integers(0, top)),
+                min_size=1, max_size=3)))
+            if data.draw(st.booleans()):
+                writer.rebalance(force=True)
+            writer.save_snapshot(directory)
+            queries = [TopKQuery(node, k=4)
+                       for node in range(min(writer.graph.n_nodes, 3))]
+            with QueryService.from_snapshot(
+                    writer.graph, directory,
+                    service_params=ServiceParams(cache_capacity=0)) as restored:
+                for name in ("indptr", "indices", "data"):
+                    ours = getattr(restored._walker.system, name)
+                    theirs = getattr(writer._walker.system, name)
+                    assert ours.dtype == theirs.dtype, name
+                    assert ours.tobytes() == theirs.tobytes(), name
+                assert restored.index.diagonal.tobytes() == \
+                    writer.index.diagonal.tobytes()
+                assert restored.plan == writer.plan
+                assert restored.shard_versions == writer.shard_versions
+                assert restored.index_version == writer.index_version
+                TestShardingProperties._assert_equal(
+                    writer.run_batch(queries), restored.run_batch(queries))
+        writer.close()
