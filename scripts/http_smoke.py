@@ -8,18 +8,18 @@ a real child process:
 2. start ``repro serve-http`` with the **processes** serve backend (the
    one that owns shared-memory segments and worker pools) on an ephemeral
    port, waiting for the startup announcement,
-3. probe the ranked-answer cache entries: the same ``topk`` line posted
-   twice returns byte-identical JSON, the second served from a ranking
-   entry (``cache_ranking_hits`` in ``/stats`` moves by exactly one),
-   then force a plan flip (``POST /rebalance``) and post it once more: the
-   same answer at the bumped ``index_version``, again from its ranking
-   entry — the flip kept the cache warm,
+3. probe the score cache entries: one ``topk`` line and one ``source``
+   line, each posted twice, return byte-identical JSON, the second served
+   from its score entry (``cache_score_hits`` in ``/stats`` moves by
+   exactly one per line), then force a plan flip (``POST /rebalance``) and
+   post each once more: the same answer at the bumped ``index_version``,
+   again from its score entry — the flip kept the cache warm,
 4. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
 5. probe again after the load's waited live update: the reply carries the
    bumped ``index_version`` and equals what a fresh single-shard
    ``QueryService`` built on the updated graph answers — the update
-   dropped the ranking entry instead of serving it stale,
+   dropped the score entries instead of serving them stale,
 6. send SIGTERM and require the graceful path: exit code 0 and the
    ``shutdown complete`` line (the drain ran, requests were answered, not
    dropped),
@@ -65,10 +65,11 @@ QUERY_WALKERS = 200
 WALK_STEPS = 4
 N_LOAD_THREADS = 4
 UPDATE_EDGES = [[0, 200], [3, 150]]
-#: The ranking-entry probe's query: the head of a new edge, so the update
-#: changes its answer (a stale entry cannot pass), and outside the load
-#: threads' ``0..19`` range, so only the probe ever asks for it.
-PROBE_LINE = "topk 200 5"
+#: The score-entry probe's queries: each on the head of a new edge, so the
+#: update changes its answer (a stale entry cannot pass), on two distinct
+#: sources (each line's first post is its source's miss), and outside the
+#: load threads' ``0..19`` range, so only the probe ever asks for them.
+PROBE_LINES = ("topk 200 5", "source 150")
 
 
 def _cli_env() -> dict:
@@ -172,78 +173,86 @@ def _request(port: int, method: str, path: str, payload=None) -> bytes:
         connection.close()
 
 
-def _ranking_hits(port: int) -> int:
-    return json.loads(_request(port, "GET", "/stats"))["cache_ranking_hits"]
+def _score_hits(port: int) -> int:
+    return json.loads(_request(port, "GET", "/stats"))["cache_score_hits"]
+
+
+def _post_once_from_cache(port: int, line: str) -> bytes:
+    """Post ``line`` and require exactly one score-entry hit for it."""
+    hits = _score_hits(port)
+    reply = _request(port, "POST", "/query", {"queries": [line]})
+    served = _score_hits(port) - hits
+    if served != 1:
+        raise RuntimeError(f"{line!r} moved cache_score_hits by {served}, "
+                           f"expected exactly 1")
+    return reply
 
 
 def _probe_repeat(port: int) -> dict:
-    """The probe line twice: identical bytes, second from a ranking entry.
+    """Each probe line twice: identical bytes, second from a score entry.
 
-    Runs before the load starts, so the counter delta is exact.  Returns
-    the parsed reply.
+    Runs before the load starts, so the counter deltas are exact.  Returns
+    the parsed first reply per line.
     """
-    hits = _ranking_hits(port)
-    first = _request(port, "POST", "/query", {"queries": [PROBE_LINE]})
-    second = _request(port, "POST", "/query", {"queries": [PROBE_LINE]})
-    if first != second:
-        raise RuntimeError(f"repeated {PROBE_LINE!r} answered differently:\n"
-                           f"{first!r}\n{second!r}")
-    served = _ranking_hits(port) - hits
-    if served != 1:
-        raise RuntimeError(f"repeating {PROBE_LINE!r} moved cache_ranking_hits "
-                           f"by {served}, expected exactly 1")
-    return json.loads(first)
+    replies = {}
+    for line in PROBE_LINES:
+        first = _request(port, "POST", "/query", {"queries": [line]})
+        second = _post_once_from_cache(port, line)
+        if first != second:
+            raise RuntimeError(f"repeated {line!r} answered differently:\n"
+                               f"{first!r}\n{second!r}")
+        replies[line] = json.loads(first)
+    return replies
 
 
 def _probe_after_flip(port: int, before: dict) -> int:
-    """Force a plan flip, then the probe line once more.
+    """Force a plan flip, then each probe line once more.
 
-    The flip moves neither the graph nor the diagonal, so the answer is
-    the pre-flip one, served from the ranking entry the flip kept.
+    The flip moves neither the graph nor the diagonal, so each answer is
+    the pre-flip one, served from the score entry the flip kept.
     Returns the post-flip index version.
     """
     report = json.loads(_request(port, "POST", "/rebalance", {"force": True}))
     if not report.get("applied"):
         raise RuntimeError(f"forced rebalance was not applied: {report}")
-    hits = _ranking_hits(port)
-    reply = json.loads(_request(port, "POST", "/query",
-                                {"queries": [PROBE_LINE]}))
-    if reply["index_version"] != before["index_version"] + 1:
-        raise RuntimeError(f"index_version {reply['index_version']} after the "
-                           f"flip, expected {before['index_version'] + 1}")
-    if reply["answers"] != before["answers"]:
-        raise RuntimeError(f"{PROBE_LINE!r} after the flip answered "
-                           f"{reply['answers']}, before it {before['answers']}")
-    served = _ranking_hits(port) - hits
-    if served != 1:
-        raise RuntimeError(f"{PROBE_LINE!r} after the flip moved "
-                           f"cache_ranking_hits by {served}, expected exactly 1")
-    return reply["index_version"]
+    version = None
+    for line in PROBE_LINES:
+        reply = json.loads(_post_once_from_cache(port, line))
+        version = reply["index_version"]
+        if version != before[line]["index_version"] + 1:
+            raise RuntimeError(f"index_version {version} after the flip, "
+                               f"expected {before[line]['index_version'] + 1}")
+        if reply["answers"] != before[line]["answers"]:
+            raise RuntimeError(f"{line!r} after the flip answered "
+                               f"{reply['answers']}, before it "
+                               f"{before[line]['answers']}")
+    return version
 
 
 def _probe_after_update(port: int, graph: Path, index: Path,
                         version_before: int) -> None:
-    """The probe line after the waited update: bumped version, fresh answer."""
+    """Each probe line after the waited update: bumped version, fresh answer."""
     sys.path.insert(0, str(SRC_DIR))
     from repro.core.index import DiagonalIndex
     from repro.graph import io
     from repro.service import QueryService, parse_query
     from repro.service.http import encode_answer
 
-    reply = json.loads(_request(port, "POST", "/query",
-                                {"queries": [PROBE_LINE]}))
-    if reply["index_version"] != version_before + 1:
-        raise RuntimeError(f"index_version {reply['index_version']} after the "
-                           f"update, expected {version_before + 1}")
     updated = io.read_edge_list(graph, relabel=False).with_edges(
         [tuple(edge) for edge in UPDATE_EDGES])
     reference = QueryService.build(updated, DiagonalIndex.load(index).params)
-    query = parse_query(PROBE_LINE)
-    expected = encode_answer(query, reference.run_batch([query])[0])
-    if reply["answers"] != [expected]:
-        raise RuntimeError(f"{PROBE_LINE!r} after the update answered "
-                           f"{reply['answers']}, a fresh build answers "
-                           f"{[expected]}")
+    for line in PROBE_LINES:
+        reply = json.loads(_request(port, "POST", "/query", {"queries": [line]}))
+        if reply["index_version"] != version_before + 1:
+            raise RuntimeError(f"index_version {reply['index_version']} after "
+                               f"the update, expected {version_before + 1}")
+        query = parse_query(line)
+        expected = encode_answer(query, reference.run_batch([query])[0])
+        if reply["answers"] != [expected]:
+            raise RuntimeError(f"{line!r} after the update answered "
+                               f"{reply['answers']}, a fresh build answers "
+                               f"{[expected]}")
+    reference.close()
 
 
 def _apply_load(port: int, seconds: float) -> dict:
@@ -310,20 +319,20 @@ def _shutdown(server: subprocess.Popen) -> bool:
 
 
 def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
-    """Two shards: ranking-entry probe, concurrent load, post-update probe."""
+    """Two shards: score-entry probe, concurrent load, post-update probe."""
     server = _start_server(graph, index, shards=2)
     try:
         port = _await_port(server)
         version = _probe_after_flip(port, _probe_repeat(port))
-        print(f"http-smoke: server up on port {port}, repeated top-k "
-              f"served from its ranking entry, before and after a forced "
-              f"plan flip; applying {seconds:.0f}s of load from "
+        print(f"http-smoke: server up on port {port}, repeated top-k and "
+              f"source lines served from their score entries, before and "
+              f"after a forced plan flip; applying {seconds:.0f}s of load from "
               f"{N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)
         if not outcome["errors"]:
             _probe_after_update(port, graph, index, version)
-            print("http-smoke: post-update top-k equals a fresh build's "
-                  f"at index_version {version + 1}")
+            print("http-smoke: post-update top-k and source equal a fresh "
+                  f"build's at index_version {version + 1}")
     except Exception:
         _stop(server)
         raise
@@ -351,11 +360,11 @@ def _one_shard_leg(graph: Path, index: Path) -> bool:
     try:
         port = _await_port(server)
         version = json.loads(_request(port, "POST", "/query",
-                                      {"queries": [PROBE_LINE]}))["index_version"]
+                                      {"queries": list(PROBE_LINES)}))["index_version"]
         _request(port, "POST", "/update", {"edges": UPDATE_EDGES, "wait": True})
         _probe_after_update(port, graph, index, version)
-        print("http-smoke: --shards 1 post-update top-k equals a fresh "
-              f"build's at index_version {version + 1}")
+        print("http-smoke: --shards 1 post-update top-k and source equal a "
+              f"fresh build's at index_version {version + 1}")
     except Exception:
         _stop(server)
         raise

@@ -281,7 +281,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-capacity", dest="cache_capacity", type=int,
                         default=defaults.cache_capacity,
                         help="cached walk distributions per shard (and, "
-                             "counted apart, ranked top-k answers), 0 "
+                             "counted apart, source score records), 0 "
                              "disables (default: %(default)s)")
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
@@ -350,7 +350,7 @@ def _print_service_stats(service, out) -> None:
           f"{stats['sources_deduplicated']} deduplicated, "
           f"cache hit rate {stats['cache_hit_rate']:.2%} "
           f"({stats['cache_size']}/{stats['cache_capacity']} distributions, "
-          f"{stats['cache_ranking_entries']} ranked answers)", file=out)
+          f"{stats['cache_score_entries']} scored sources)", file=out)
 
 
 def _cmd_query_batch(args: argparse.Namespace, out) -> int:

@@ -149,7 +149,8 @@ class ServiceParams:
     cache_capacity:
         Cache entries per kind per shard: a ``K``-shard service keeps one
         LRU of ``cache_capacity × K`` entries per kind — per-source walk
-        distributions and, counted separately, ranked top-k answers.
+        distributions and, counted separately, source score records
+        (also bounded in bytes, see :mod:`repro.service.cache`).
         ``0`` disables caching entirely (every query re-simulates,
         re-scores and re-ranks).
     default_top_k:

@@ -193,6 +193,16 @@ def _sorted_intersection(
     return np.flatnonzero(matched), positions[matched]
 
 
+def _step_keys(dist: WalkDistributions, steps: int,
+               n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Steps ``0..steps`` of ``dist`` as one ascending ``step · n + node`` key run."""
+    end = dist.offsets[steps + 1]
+    sizes = np.diff(dist.offsets[:steps + 2])
+    keys = np.repeat(np.arange(steps + 1, dtype=np.int64) * n_nodes, sizes)
+    keys += dist.nodes[:end]
+    return keys, dist.values[:end]
+
+
 def combine_pair_distributions(
     dist_i: WalkDistributions,
     dist_j: WalkDistributions,
@@ -203,37 +213,33 @@ def combine_pair_distributions(
     """Score one pair from two walk distributions over all steps at once.
 
     Computes ``sum_t c^t sum_u (P^t e_i)[u] (P^t e_j)[u] weights[u]`` —
-    the MCSP combine — batching the per-step work over preallocated
-    buffers: the step supports are intersected with one ``searchsorted``
-    each (no intersect1d concatenate-and-sort), and the gathered values,
-    products and weights reuse two scratch buffers sized once to the
-    largest step support.  Bitwise-identical to a per-step
-    ``np.intersect1d`` dot-product loop: each step's products are formed
-    in the same ascending-node order, summed with the same ``np.sum``, and
-    accumulated in the same step order.
+    the MCSP combine — in one pass: both supports are keyed ``step · n +
+    node`` (``n = len(weights)``), ascending, so one ``searchsorted``
+    intersects every step at once, and the products and weights are
+    gathered for all common keys together.  Bitwise-identical to a
+    per-step ``np.intersect1d`` dot-product loop: each step's products are
+    formed in the same ascending-node order, each step's slice is summed
+    with the same ``np.sum``, and the sums are accumulated in the same
+    step order.  A step with no common node adds ``+0.0`` there, which
+    leaves a total started at ``+0.0`` unchanged, so it is skipped.
     """
-    max_support = int(np.diff(dist_i.offsets[:steps + 2]).max(initial=0))
-    scratch_a = np.empty(max_support, dtype=np.float64)
-    scratch_b = np.empty(max_support, dtype=np.float64)
+    n_nodes = len(weights)
+    left_keys, left_values = _step_keys(dist_i, steps, n_nodes)
+    right_keys, right_values = _step_keys(dist_j, steps, n_nodes)
+    if not len(left_keys) or not len(right_keys):
+        return 0.0
+    left_idx, right_idx = _sorted_intersection(left_keys, right_keys)
+    if not len(left_idx):
+        return 0.0
+    step_of, nodes = np.divmod(left_keys[left_idx], n_nodes)
+    products = left_values[left_idx] * right_values[right_idx]
+    products *= weights[nodes]
+    bounds = np.searchsorted(step_of, np.arange(steps + 2)).tolist()
     total = 0.0
     factor = 1.0
     for step in range(steps + 1):
-        left_nodes, left_values = dist_i.at(step)
-        right_nodes, right_values = dist_j.at(step)
-        if len(left_nodes) and len(right_nodes):
-            left_idx, right_idx = _sorted_intersection(left_nodes, right_nodes)
-            count = len(left_idx)
-            if count:
-                products = np.multiply(
-                    np.take(left_values, left_idx, out=scratch_a[:count]),
-                    np.take(right_values, right_idx, out=scratch_b[:count]),
-                    out=scratch_a[:count],
-                )
-                step_weights = np.take(
-                    weights, left_nodes[left_idx], out=scratch_b[:count]
-                )
-                products = np.multiply(products, step_weights,
-                                       out=scratch_a[:count])
-                total += factor * float(products.sum())
+        lo, hi = bounds[step], bounds[step + 1]
+        if hi > lo:
+            total += factor * float(products[lo:hi].sum())
         factor *= decay
     return float(total)

@@ -86,7 +86,8 @@ class SourceScores:
 
     ``nodes`` (ascending) and ``values`` list every node scoring above
     zero, the source itself at 1.0 included; every other node scores
-    exactly ``+0.0``.  :meth:`dense` rebuilds the vector the dense
+    exactly ``+0.0``.  The record owns both arrays, so the serving cache
+    can keep it without pinning the batch it was propagated in.  :meth:`dense` rebuilds the vector the dense
     recurrence produces, byte for byte, for the callers whose answer *is*
     that vector; :meth:`top_k` ranks without touching the zeros it does not
     return.
@@ -270,10 +271,11 @@ def propagate_scores(nodes: Sequence[int],
             support = np.flatnonzero(vector)
             scores.append(SourceScores(source, n, support, vector[support]))
         else:
+            # A copy of the values, so a cached record pins no batch buffer.
             lo, hi = column_bounds[column], column_bounds[column + 1]
             scores.append(SourceScores(source, n,
                                        keys[lo:hi] - column_base[column],
-                                       values[lo:hi]))
+                                       values[lo:hi].copy()))
     return scores
 
 

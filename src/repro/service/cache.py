@@ -1,4 +1,4 @@
-"""LRU cache of the serving layer: walk distributions and ranked answers.
+"""LRU cache of the serving layer: walk distributions and source scores.
 
 The expensive part of every online query is estimating the walk
 distributions ``P^t e_source`` — O(T · R') work per source.  Those
@@ -10,51 +10,61 @@ or a miss, and evictions are counted so capacity tuning has data to work
 with.
 
 One cache holds two kinds of entry — each kind in its own LRU order bounded
-by the cache's capacity, both behind one ``get`` / ``put`` and one set of
-counters:
+by the cache's capacity, both under one :class:`CacheKey` space and one set
+of counters:
 
-* **distribution entries**, keyed by a :class:`CacheKey` — the
-  :class:`~repro.core.montecarlo.WalkDistributions` of one source
-  (one flat ``offsets`` / ``nodes`` / ``values`` record of its ``T + 1``
-  sparse steps, about 1 KB per step at 1000 walkers).  They
-  depend on the graph only inside the source's backward ball, so a graph
-  update drops exactly the affected sources (:meth:`WalkDistributionCache.
-  invalidate_sources`) and every other entry stays hot;
-* **ranking entries**, keyed by ``(CacheKey, k)`` — the finished answer of
-  one top-``k`` query, an immutable tuple of ``(node, score)`` pairs (16
-  bytes of payload per pair).  For top-k the servable artefact is ``k``
-  pairs, not ``2(T + 1)`` arrays: a hit skips distribution lookup, score
-  propagation and ranking altogether.  A ranking is a function of the
+* **distribution entries** (:meth:`WalkDistributionCache.get` /
+  :meth:`~WalkDistributionCache.put`) — the
+  :class:`~repro.core.montecarlo.WalkDistributions` of one source (one
+  flat ``offsets`` / ``nodes`` / ``values`` record of its ``T + 1`` sparse
+  steps, about 1 KB per step at 1000 walkers).  They depend on the graph
+  only inside the source's backward ball, so a graph update drops exactly
+  the affected sources (:meth:`WalkDistributionCache.invalidate_sources`)
+  and every other entry stays hot;
+* **score entries** (:meth:`~WalkDistributionCache.get_scores` /
+  :meth:`~WalkDistributionCache.put_scores`) — a :class:`ScoreEntry`: the
+  source's :class:`~repro.core.queries.SourceScores` record (its positive
+  support, 16 bytes per node of it) with the source's top-``k`` rankings
+  memoised per ``k``.  A hit answers every source and top-k query on that
+  source without distribution lookup or score propagation; a top-k hit for
+  a ``k`` asked before is a dict lookup.  Scores are a function of the
   *whole* diagonal index, which every update re-solves, so the owning
-  service drops all of them at once on every index version bump
-  (:meth:`WalkDistributionCache.drop_rankings`).
+  service drops all of them at once on every applied update
+  (:meth:`WalkDistributionCache.drop_scores`).
 
 The kinds do not compete for slots, and that is measured, not assumed: on
 the spine's ``zipf_hot`` stream one shared order let one-off rankings of
 cold sources push out distributions that pair queries still needed (13 %
-more walk simulations, ranking hit rate 0.84 instead of 0.89).  A full
-ranking order costs ``capacity * k * 16`` bytes — 160 KB at the defaults.
+more walk simulations).  A score record is as large as the source's
+support: on that stream 416 bytes at the median but 7.1 KB on average and
+50 KB at most (the columns dense enough for the dense product), so an
+entry count alone does not bound the score kind's memory — its 2 653
+records held 18 MB, and peak RSS grew 18 %.  The score kind is therefore
+also bounded in bytes, at :data:`SCORE_SLOT_BYTES` per slot of capacity:
+on that stream 6 MB, at a score hit rate of 0.85 instead of 0.89.
 
 Because a cached value is exactly what the direct computation would produce
 for the same key (see
-:func:`repro.core.montecarlo.estimate_walk_distributions_batch` and
-:meth:`repro.core.queries.SourceScores.top_k`), a cache hit can never change a
-query answer — only make it cheaper.
+:func:`repro.core.montecarlo.estimate_walk_distributions_batch`,
+:meth:`repro.core.queries.QueryEngine.propagate_source` and
+:meth:`repro.core.queries.SourceScores.top_k`), a cache hit can never change
+a query answer — only make it cheaper.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.config import SimRankParams
 from repro.core.montecarlo import WalkDistributions
+from repro.core.queries import SourceScores
 from repro.errors import ConfigurationError
 
 
 class CacheKey(NamedTuple):
-    """Identity of one cached walk distribution.
+    """Identity of one cached source: its distributions and its scores.
 
     Two queries share a cache entry exactly when the distribution they need
     is mathematically identical: same source node, same number of walk
@@ -79,21 +89,41 @@ class CacheKey(NamedTuple):
                    seed=params.seed)
 
 
-RankingKey = Tuple[CacheKey, int]
-"""Identity of one cached top-k answer: the source's :class:`CacheKey`
-(the answer is a function of exactly those distributions) plus ``k``."""
-
 Ranking = Tuple[Tuple[int, float], ...]
-"""A cached top-k answer: immutable ``(node, score)`` pairs, best first."""
+"""A memoised top-k answer: immutable ``(node, score)`` pairs, best first."""
 
-#: Payload of one ``(node, score)`` pair of a ranking: an int64 and a float64.
-RANKING_PAIR_BYTES = 16
+#: Score-record bytes the score kind may hold per slot of capacity, about
+#: 3.5 times the median record of the spine's ``zipf_hot`` stream.
+SCORE_SLOT_BYTES = 1536
 
 
-def _payload_bytes(entry: Union[WalkDistributions, Ranking]) -> int:
-    """Resident payload size of one entry of either kind."""
-    if isinstance(entry, tuple):
-        return RANKING_PAIR_BYTES * len(entry)
+class ScoreEntry:
+    """One source's scores plus its top-k rankings, memoised per ``k``.
+
+    ``scores`` is never written to: a source answer is its fresh
+    :meth:`~repro.core.queries.SourceScores.dense` copy and a top-k answer
+    a fresh list of the memoised tuple.  ``nbytes`` is the record's payload
+    (support nodes and values), measured once; the memo is a few
+    ``(node, score)`` pairs per ``k`` and is not counted.
+    """
+
+    __slots__ = ("scores", "nbytes", "_rankings")
+
+    def __init__(self, scores: SourceScores) -> None:
+        self.scores = scores
+        self.nbytes = scores.nodes.nbytes + scores.values.nbytes
+        self._rankings: Dict[int, Ranking] = {}
+
+    def top_k(self, k: int) -> List[Tuple[int, float]]:
+        """The source's top-``k`` answer (a fresh list), ranked once per ``k``."""
+        ranking = self._rankings.get(k)
+        if ranking is None:
+            ranking = self._rankings[k] = tuple(self.scores.top_k(k))
+        return list(ranking)
+
+
+def _payload_bytes(entry: WalkDistributions) -> int:
+    """Resident payload size of one distribution entry."""
     return entry.offsets.nbytes + entry.nodes.nbytes + entry.values.nbytes
 
 
@@ -102,10 +132,10 @@ class CacheStats:
     """Counters describing cache effectiveness.
 
     ``hits`` / ``misses`` / ``inserts`` / ``evictions`` count entries of
-    both kinds; the ``ranking_*`` counters are the ranking entries' share of
+    both kinds; the ``score_*`` counters are the score entries' share of
     them, so the distribution share is the difference.  ``invalidations``
     counts distribution entries dropped by a graph update and
-    ``rankings_dropped`` ranking entries dropped by an index version bump.
+    ``score_dropped`` score entries dropped by an applied update.
     """
 
     hits: int = 0
@@ -113,9 +143,9 @@ class CacheStats:
     evictions: int = 0
     inserts: int = 0
     invalidations: int = 0
-    ranking_hits: int = 0
-    ranking_misses: int = 0
-    rankings_dropped: int = 0
+    score_hits: int = 0
+    score_misses: int = 0
+    score_dropped: int = 0
 
     @property
     def lookups(self) -> int:
@@ -128,10 +158,10 @@ class CacheStats:
         return self.hits / self.lookups if self.lookups else 0.0
 
     @property
-    def ranking_hit_rate(self) -> float:
-        """Fraction of ranking lookups answered from a ranking entry."""
-        lookups = self.ranking_hits + self.ranking_misses
-        return self.ranking_hits / lookups if lookups else 0.0
+    def score_hit_rate(self) -> float:
+        """Fraction of score lookups answered from a score entry."""
+        lookups = self.score_hits + self.score_misses
+        return self.score_hits / lookups if lookups else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         """Counters (plus derived hit rates) as a plain dict, for stats()."""
@@ -142,23 +172,25 @@ class CacheStats:
             "inserts": self.inserts,
             "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
-            "ranking_hits": self.ranking_hits,
-            "ranking_misses": self.ranking_misses,
-            "ranking_hit_rate": self.ranking_hit_rate,
-            "rankings_dropped": self.rankings_dropped,
+            "score_hits": self.score_hits,
+            "score_misses": self.score_misses,
+            "score_hit_rate": self.score_hit_rate,
+            "score_dropped": self.score_dropped,
         }
 
 
 class WalkDistributionCache:
-    """Bounded LRU of distribution and ranking entries (see the module doc).
+    """Bounded LRU of distribution and score entries (see the module doc).
 
     ``capacity`` bounds each kind of entry separately — up to ``capacity``
-    distributions and up to ``capacity`` rankings, each kind evicting its
-    own least recently used entry; 0 disables caching (every lookup misses,
-    nothing is stored).  Recency is updated on both successful lookups and
-    inserts, so a hot source stays resident as long as queries keep
-    touching it — and a source that is only ever asked for its top-k keeps
-    its small ranking entry while the distributions behind it age out.
+    distributions and up to ``capacity`` score entries, each kind evicting
+    its own least recently used entry; the score kind also evicts while its
+    records hold more than ``capacity * SCORE_SLOT_BYTES`` bytes, though
+    never the entry just stored.  0 disables caching (every lookup misses,
+    nothing is stored).  Recency is updated on both successful
+    lookups and inserts, so a hot source stays resident as long as queries
+    keep touching it — and a source that is only ever asked for its scores
+    keeps its score entry while the distributions behind it age out.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -167,77 +199,90 @@ class WalkDistributionCache:
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: "OrderedDict[CacheKey, WalkDistributions]" = OrderedDict()
-        self._rankings: "OrderedDict[RankingKey, Ranking]" = OrderedDict()
+        self._scores: "OrderedDict[CacheKey, ScoreEntry]" = OrderedDict()
+        self._score_budget = capacity * SCORE_SLOT_BYTES
         # Payload size per resident distribution, measured once at insert:
         # by the time an entry is evicted its arrays are cold, and walking
         # them again costs a cold workload as much as the insert did.  A
-        # ranking's size is its length, so rankings keep only a running
-        # total, and dropping them all touches no key.
+        # score entry carries its own size, so score entries keep only a
+        # running total, and dropping them all touches no key.
         self._sizes: Dict[CacheKey, int] = {}
         self._bytes = 0
-        self._ranking_bytes = 0
+        self._score_bytes = 0
 
     def __len__(self) -> int:
-        """Resident distributions (rankings: :attr:`ranking_entries`)."""
+        """Resident distributions (score entries: :attr:`score_entries`)."""
         return len(self._entries)
 
-    def __contains__(self, key: Union[CacheKey, RankingKey]) -> bool:
-        """Membership test without touching recency or the stats counters."""
-        return key in self._kind(key)
-
-    def _kind(self, key: Union[CacheKey, RankingKey]) -> "OrderedDict":
-        """The LRU order ``key`` lives in: a tuple key names a ranking."""
-        return self._rankings if type(key) is tuple else self._entries
+    def __contains__(self, key: CacheKey) -> bool:
+        """Distribution membership, without touching recency or the counters."""
+        return key in self._entries
 
     @property
-    def ranking_entries(self) -> int:
-        """Resident rankings."""
-        return len(self._rankings)
+    def score_entries(self) -> int:
+        """Resident score entries."""
+        return len(self._scores)
 
-    def get(self, key: Union[CacheKey, RankingKey]) -> Any:
-        """Return the cached entry for ``key``, or None on a miss."""
-        entries = self._kind(key)
-        entry = entries.get(key)
-        ranking = entries is self._rankings
+    def get(self, key: CacheKey) -> Optional[WalkDistributions]:
+        """Return the cached distributions for ``key``, or None on a miss."""
+        entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            if ranking:
-                self.stats.ranking_misses += 1
             return None
-        entries.move_to_end(key)
+        self._entries.move_to_end(key)
         self.stats.hits += 1
-        if ranking:
-            self.stats.ranking_hits += 1
         return entry
 
-    def put(self, key: Union[CacheKey, RankingKey],
-            entry: Union[WalkDistributions, Ranking]) -> None:
-        """Insert (or refresh) an entry, evicting its kind's LRU entry if full."""
+    def get_scores(self, key: CacheKey) -> Optional[ScoreEntry]:
+        """Return the score entry for ``key``, or None on a miss."""
+        entry = self._scores.get(key)
+        if entry is None:
+            self.stats.misses += 1
+            self.stats.score_misses += 1
+            return None
+        self._scores.move_to_end(key)
+        self.stats.hits += 1
+        self.stats.score_hits += 1
+        return entry
+
+    def put(self, key: CacheKey, entry: WalkDistributions) -> None:
+        """Insert (or refresh) distributions, evicting the LRU one if full."""
         if self.capacity == 0:
             return
-        entries = self._kind(key)
-        if key in entries:
-            self._release(entries, key, entries[key])
-            entries.move_to_end(key)
-        entries[key] = entry
-        size = _payload_bytes(entry)
-        if entries is self._rankings:
-            self._ranking_bytes += size
-        else:
-            self._sizes[key] = size
-            self._bytes += size
+        if key in self._entries:
+            self._bytes -= self._sizes[key]
+            self._entries.move_to_end(key)
+        self._entries[key] = entry
+        self._sizes[key] = size = _payload_bytes(entry)
+        self._bytes += size
         self.stats.inserts += 1
-        while len(entries) > self.capacity:
-            self._release(entries, *entries.popitem(last=False))
+        while len(self._entries) > self.capacity:
+            evicted, _entry = self._entries.popitem(last=False)
+            self._bytes -= self._sizes.pop(evicted)
             self.stats.evictions += 1
 
-    def _release(self, entries: "OrderedDict", key: Union[CacheKey, RankingKey],
-                 entry: Union[WalkDistributions, Ranking]) -> None:
-        """Take a leaving (or replaced) entry's bytes off the running total."""
-        if entries is self._rankings:
-            self._ranking_bytes -= _payload_bytes(entry)
-        else:
-            self._bytes -= self._sizes.pop(key)
+    def put_scores(self, key: CacheKey, scores: SourceScores) -> ScoreEntry:
+        """Wrap ``scores`` in a :class:`ScoreEntry` and store it; returns it.
+
+        The entry is returned even at capacity 0, where nothing is stored,
+        so a caller ranks through one path either way.
+        """
+        entry = ScoreEntry(scores)
+        if self.capacity == 0:
+            return entry
+        previous = self._scores.get(key)
+        if previous is not None:
+            self._score_bytes -= previous.nbytes
+            self._scores.move_to_end(key)
+        self._scores[key] = entry
+        self._score_bytes += entry.nbytes
+        self.stats.inserts += 1
+        while len(self._scores) > self.capacity or (
+                self._score_bytes > self._score_budget
+                and len(self._scores) > 1):
+            self._score_bytes -= self._scores.popitem(last=False)[1].nbytes
+            self.stats.evictions += 1
+        return entry
 
     def invalidate_sources(self, nodes: Iterable[int]) -> int:
         """Drop every distribution whose source is in ``nodes``; returns the count.
@@ -249,9 +294,9 @@ class WalkDistributionCache:
         those entries are removed, across *all* ``(steps, walkers, seed)``
         variants of each node, and every other distribution stays hot.
         Removals are counted as ``invalidations``, separately from capacity
-        ``evictions``.  Ranking entries are not this method's business: the
+        ``evictions``.  Score entries are not this method's business: the
         update that calls it also moved the diagonal under every one of
-        them, so the service pairs it with :meth:`drop_rankings`.
+        them, so the service pairs it with :meth:`drop_scores`.
         """
         stale_nodes = {int(node) for node in nodes}
         stale_keys = [key for key in self._entries if key.node in stale_nodes]
@@ -261,35 +306,36 @@ class WalkDistributionCache:
         self.stats.invalidations += len(stale_keys)
         return len(stale_keys)
 
-    def drop_rankings(self) -> int:
-        """Drop every ranking entry; returns the count.
+    def drop_scores(self) -> int:
+        """Drop every score entry; returns the count.
 
-        The index-version hook: a ranking is scored against the whole
-        diagonal, and every applied update re-solves it, so no ranking
-        survives a version bump — whichever sources the update touched.
-        Counted as ``rankings_dropped``; distributions are left alone.
+        The index-version hook: scores are propagated against the whole
+        diagonal, and every applied update re-solves it, so no score entry
+        survives an update — whichever sources the update touched.
+        Counted as ``score_dropped``; distributions are left alone.
         """
-        dropped = len(self._rankings)
-        self._rankings.clear()
-        self._ranking_bytes = 0
-        self.stats.rankings_dropped += dropped
+        dropped = len(self._scores)
+        self._scores.clear()
+        self._score_bytes = 0
+        self.stats.score_dropped += dropped
         return dropped
 
     def clear(self) -> None:
         """Drop every entry (the stats counters are kept)."""
         self._entries.clear()
-        self._rankings.clear()
+        self._scores.clear()
         self._sizes.clear()
-        self._bytes = self._ranking_bytes = 0
+        self._bytes = self._score_bytes = 0
 
     def memory_bytes(self) -> int:
         """Resident payload size of all cached entries, in O(1).
 
-        A running total kept by :meth:`put`, :meth:`invalidate_sources`,
-        :meth:`drop_rankings` and :meth:`clear` — ``stats()`` reads it under
-        the serve lock, so it must not walk the entries.
+        A running total kept by :meth:`put`, :meth:`put_scores`,
+        :meth:`invalidate_sources`, :meth:`drop_scores` and :meth:`clear` —
+        ``stats()`` reads it under the serve lock, so it must not walk the
+        entries.
         """
-        return self._bytes + self._ranking_bytes
+        return self._bytes + self._score_bytes
 
     def __repr__(self) -> str:
         return (

@@ -4,8 +4,8 @@
 it owns a persistently loaded graph + diagonal index, deduplicates and
 batches concurrent queries so distributions shared between them are
 simulated once (:mod:`repro.service.batching`), keeps one LRU cache of
-per-source walk distributions and ranked answers so repeated traffic skips
-simulation entirely (:mod:`repro.service.cache`), and accepts **live edge
+per-source walk distributions and source scores so repeated traffic skips
+simulation and propagation (:mod:`repro.service.cache`), and accepts **live edge
 insertions** that are folded into the index incrementally between query
 batches (a bounded queue here, the re-index in
 :class:`~repro.core.sharding.ShardedIncrementalWalker`).
@@ -27,14 +27,15 @@ but each holds the whole broadcast diagonal:
 
 The query path does not consult the plan: one
 :class:`~repro.service.cache.WalkDistributionCache` holds the walk
-distributions *and* the ranked top-k answers of every source, keyed
-independently of the plan; an update invalidates the distributions inside
-its affected ball and drops every ranked answer.
+distributions *and* the scores (with their memoised top-k rankings) of
+every source, keyed independently of the plan; an update invalidates the
+distributions inside its affected ball and drops every score entry.
 
 A batch's cache misses are simulated in one scatter on a persistent serve
 pool (:func:`repro.service.sharded.simulate_misses`); scoring and ranking
-run in the serving process: one support-sized propagation per batch, one
-ranking per distinct ``(source, k)``.  The service is thread-safe:
+run in the serving process: one support-sized propagation per batch over
+the sources no score entry answered, one ranking per distinct ``(source,
+k)`` and version.  The service is thread-safe:
 concurrent batches and live updates serialise on an internal lock, while a
 drain's expensive re-index runs outside it.
 
@@ -89,7 +90,7 @@ from repro.config import (
 )
 from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
-from repro.core.queries import QueryEngine, SourceScores
+from repro.core.queries import QueryEngine
 from repro.core.sharding import (
     MutationResult,
     ShardedIncrementalWalker,
@@ -115,7 +116,7 @@ from repro.service.batching import (
     plan_batch,
     required_sources,
 )
-from repro.service.cache import CacheKey, Ranking, WalkDistributionCache
+from repro.service.cache import CacheKey, ScoreEntry, WalkDistributionCache
 from repro.service.sharded import simulate_misses
 
 PathLike = Union[str, os.PathLike]
@@ -164,7 +165,7 @@ class QueryService:
     service_params:
         Cache and serving knobs.  The service keeps one LRU of
         ``cache_capacity × K`` entries per kind: up to ``K * cache_capacity``
-        distributions and as many ranked answers.  ``serve_backend`` /
+        distributions and as many score entries.  ``serve_backend`` /
         ``serve_workers`` select the persistent executor pool the
         cache-miss simulation scatter runs through (release it with
         :meth:`close`).
@@ -577,7 +578,7 @@ class QueryService:
         lock after the expensive re-index (which held only the update
         lock): re-points the service at the walker's new graph/index and
         a query engine over them, invalidates exactly the affected sources'
-        distributions, drops every ranking entry (they were scored against
+        distributions, drops every score entry (they were propagated against
         the diagonal the update just re-solved), and bumps the global
         version and the versions of the shards whose rows were re-estimated
         together — so a concurrent batch sees either the complete old state
@@ -590,7 +591,7 @@ class QueryService:
                                             self.query_params)
             self._version += 1
             self.cache.invalidate_sources(result.affected)
-            self.cache.drop_rankings()
+            self.cache.drop_scores()
             self.sharded_index.index = self.index
             self.sharded_index.touch(sorted(self._walker.last_touched_shards),
                                      self._version)
@@ -827,26 +828,25 @@ class QueryService:
         :class:`BatchAnswers` is always self-consistent with the
         :attr:`index_version` it carries.
 
-        The batch runs as one pipeline — look up rankings, plan, resolve
-        distributions, resolve scores, resolve rankings, assemble — in
-        which every piece of work is done once per *distinct* key.  First
-        each distinct ``(source, k)`` of the batch's top-k queries is
-        looked up as a ranking entry of the cache (key
-        ``(CacheKey, k)``): a hit is the finished answer of an earlier
-        batch at this index version and goes straight to assembly.  Only
-        the remaining queries are planned: a source's distributions come
-        from the cache or one multi-source walk simulation of the batch's
-        misses, its scores from one propagation over the supports of the
-        batch's sources, and each missing ``(source, k)`` ranking is
-        computed once over that support however many queries repeat it —
-        then stored, as an immutable tuple, for the batches to come.  A
-        miss runs exactly the pipeline a service with ``cache_capacity=0``
-        runs for every query; there is no second path.  Only a
-        :class:`SourceQuery` answer is a dense vector, and it is not
-        cached.  Answer types by query: :class:`PairQuery` -> float,
-        :class:`SourceQuery` -> dense score vector, :class:`TopKQuery` ->
-        ``[(node, score), ...]``; repeated queries get equal but distinct
-        objects.
+        The batch runs as one pipeline — look up scores, plan, resolve
+        distributions, resolve scores, assemble — in which every piece of
+        work is done once per *distinct* key.  First each distinct source of
+        the batch's source and top-k queries is looked up as a score entry
+        of the cache (key :class:`CacheKey`): a hit is the source's scores
+        as an earlier batch propagated them at this index version, and its
+        queries go straight to assembly.  Only the remaining queries — the
+        misses and every pair query — are planned: a source's distributions
+        come from the cache or one multi-source walk simulation of the
+        batch's misses, its scores from one propagation over the supports
+        of the missing sources, stored as score entries for the batches to
+        come.  A batch whose queries all hit runs no plan, simulation or
+        propagation.  A miss runs exactly the pipeline a service with
+        ``cache_capacity=0`` runs for every query; there is no second path.
+        Answer types by query: :class:`PairQuery` -> float,
+        :class:`SourceQuery` -> dense score vector (built from the entry's
+        support record), :class:`TopKQuery` -> ``[(node, score), ...]``
+        (ranked once per ``k`` on the entry); repeated queries get equal
+        but distinct objects.
         """
         if self._update_lock.acquire(blocking=False):
             try:
@@ -873,55 +873,47 @@ class QueryService:
                 self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
                 self._shard_counters[self.plan.shard_of(source)][
                     "sources_routed"] += 1
-            requests = list(dict.fromkeys(
-                (query.source, query.k) for query in queries
-                if isinstance(query, TopKQuery)))
-            rankings = self._lookup_rankings(requests, walkers_count)
-            # Only what the ranking entries could not answer goes down the
+            scored = list(dict.fromkeys(
+                query.source for query in queries
+                if not isinstance(query, PairQuery)))
+            entries = self._lookup_scores(scored, walkers_count)
+            # Only what the score entries could not answer goes down the
             # pipeline; with no hit that is the whole batch, unfiltered.
-            pending = queries if not rankings else [
+            pending = queries if not entries else [
                 query for query in queries
-                if not isinstance(query, TopKQuery)
-                or (query.source, query.k) not in rankings]
-            plan = plan_batch(pending)
-            distributions = self._resolve_distributions(plan, walkers_count)
-            scores = self._resolve_scores(pending, distributions)
-            for source, k in requests:
-                if (source, k) not in rankings:
-                    rankings[source, k] = entry = tuple(scores[source].top_k(k))
-                    self.cache.put(self._ranking_key(source, k, walkers_count),
-                                   entry)
-            answers = [self._assemble(query, distributions, scores, rankings)
+                if isinstance(query, PairQuery) or query.source not in entries]
+            distributions: Dict[int, WalkDistributions] = {}
+            if pending:
+                plan = plan_batch(pending)
+                distributions = self._resolve_distributions(plan, walkers_count)
+                entries.update(self._resolve_scores(pending, distributions,
+                                                    walkers_count))
+                self._counters["sources_deduplicated"] += plan.deduplicated
+            answers = [self._assemble(query, distributions, entries)
                        for query in queries]
             self._counters["batches"] += 1
             self._counters["queries"] += len(queries)
-            self._counters["sources_deduplicated"] += plan.deduplicated
             if payload_before is not None:
                 delta = self._serve_backend.total_payload_bytes - payload_before
                 self.last_batch_payload_bytes = delta
                 self._counters["scatter_payload_bytes"] += delta
             return BatchAnswers(answers, self._version)
 
-    def _ranking_key(self, source: int, k: int,
-                     walkers_count: int) -> Tuple[CacheKey, int]:
-        """Ranking-entry key: the source's distribution key plus ``k``."""
-        return (CacheKey.for_query(source, self.query_params, walkers_count), k)
+    def _lookup_scores(self, sources: Sequence[int],
+                       walkers_count: int) -> Dict[int, ScoreEntry]:
+        """The batch's distinct scored sources already propagated at this version.
 
-    def _lookup_rankings(
-        self, requests: Sequence[Tuple[int, int]], walkers_count: int
-    ) -> Dict[Tuple[int, int], Ranking]:
-        """The batch's distinct ``(source, k)`` already answered at this version.
-
-        Each request is looked up under ``(CacheKey, k)`` in the cache; a
-        hit is the finished answer, valid because every applied update
-        drops all ranking entries (:meth:`_adopt_mutation`).  A rebalance
+        Each source is looked up as a score entry under its
+        :class:`CacheKey`; a hit is valid because every applied update
+        drops all score entries (:meth:`_adopt_mutation`).  A rebalance
         flip keeps them: it moves neither the graph nor the diagonal.
         """
-        found: Dict[Tuple[int, int], Ranking] = {}
-        for source, k in requests:
-            cached = self.cache.get(self._ranking_key(source, k, walkers_count))
-            if cached is not None:
-                found[source, k] = cached
+        found: Dict[int, ScoreEntry] = {}
+        for source in sources:
+            entry = self.cache.get_scores(
+                CacheKey.for_query(source, self.query_params, walkers_count))
+            if entry is not None:
+                found[source] = entry
         return found
 
     def _validate_query(self, query: Query) -> None:
@@ -970,8 +962,8 @@ class QueryService:
 
     def _resolve_scores(
         self, queries: Sequence[Query],
-        distributions: Dict[int, WalkDistributions],
-    ) -> Dict[int, SourceScores]:
+        distributions: Dict[int, WalkDistributions], walkers_count: int,
+    ) -> Dict[int, ScoreEntry]:
         """Score every distinct source of the source / top-k ``queries`` once.
 
         One propagation for the whole batch
@@ -980,9 +972,10 @@ class QueryService:
         distinct sources share each step's array operations.  Each score
         record holds the source's positive support only; nothing here is
         ``n`` floats wide except the columns dense enough to take the dense
-        product.  Rankings come from these records
+        product.  Each record is stored as a score entry, whose rankings
         (:meth:`~repro.core.queries.SourceScores.top_k`, in the canonical
-        order), so no shard splits a ranking and nothing needs merging.
+        order) are memoised per ``k``, so no shard splits a ranking and
+        nothing needs merging.
         """
         sources = list(dict.fromkeys(
             query.source for query in queries
@@ -993,13 +986,17 @@ class QueryService:
         scored = self.query_engine.propagate_source(
             sources, [distributions[source] for source in sources]
         )
-        return dict(zip(sources, scored))
+        return {
+            source: self.cache.put_scores(
+                CacheKey.for_query(source, self.query_params, walkers_count),
+                scores)
+            for source, scores in zip(sources, scored)
+        }
 
     def _assemble(
         self, query: Query,
         distributions: Dict[int, WalkDistributions],
-        scores: Dict[int, SourceScores],
-        rankings: Dict[Tuple[int, int], Ranking],
+        entries: Dict[int, ScoreEntry],
     ) -> Answer:
         """One query's answer from the batch's resolved stages.
 
@@ -1016,9 +1013,9 @@ class QueryService:
             )
         if isinstance(query, SourceQuery):
             self._counters["source_queries"] += 1
-            return scores[query.source].dense()
+            return entries[query.source].scores.dense()
         self._counters["topk_queries"] += 1
-        return list(rankings[query.source, query.k])
+        return entries[query.source].top_k(query.k)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -1115,7 +1112,7 @@ class QueryService:
                 "cache_size": len(self.cache),
                 "cache_capacity": self.cache.capacity,
                 "cache_memory_bytes": self.cache.memory_bytes(),
-                "cache_ranking_entries": self.cache.ranking_entries,
+                "cache_score_entries": self.cache.score_entries,
                 **{f"cache_{key}": value
                    for key, value in self.cache.stats.to_dict().items()},
                 "last_batch_payload_bytes": self.last_batch_payload_bytes,

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import SimRankParams
 from repro.core import linear_system, montecarlo, walks
@@ -221,6 +223,11 @@ class TestLinearSystem:
         assert 0.0 <= info["rows_diagonally_dominant_fraction"] <= 1.0
 
 
+def _bits(value: float) -> bytes:
+    """A float's exact bytes: ``0.0`` and ``-0.0`` differ, NaNs compare."""
+    return np.float64(value).tobytes()
+
+
 class TestVectorisedKernelsBitwise:
     """The vectorised serving kernels must be bitwise-equal to their
     historical per-entry reference implementations (same summation
@@ -260,7 +267,44 @@ class TestVectorisedKernelsBitwise:
                 dist_i, dist_j, weights, params.c, params.walk_steps)
             reference = self._reference_combine_pair(
                 dist_i, dist_j, weights, params.c, params.walk_steps)
-            assert fast == reference, f"pair ({node_i}, {node_j}) diverged"
+            assert _bits(fast) == _bits(reference), (
+                f"pair ({node_i}, {node_j}) diverged")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_combine_pair_distributions_matches_reference_property(self, data):
+        """Any two step-sparse distributions and any finite weights — with
+        negative, zero and ``-0.0`` entries — combine to the per-step
+        reference's bits, through empty steps and disjoint supports."""
+        n_nodes = data.draw(st.integers(1, 24), label="n_nodes")
+        steps = data.draw(st.integers(0, 6), label="steps")
+        disjoint = data.draw(st.booleans(), label="disjoint")
+        weights = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.5]),
+                      st.floats(-1e3, 1e3)),
+            min_size=n_nodes, max_size=n_nodes), label="weights"))
+        decay = data.draw(st.floats(0.05, 0.95), label="decay")
+
+        def distribution(source, parity):
+            allowed = [node for node in range(n_nodes)
+                       if not disjoint or node % 2 == parity]
+            per_step = []
+            for _step in range(steps + 1):
+                nodes = sorted(data.draw(st.sets(st.sampled_from(allowed))
+                                         if allowed else st.just(set())))
+                values = data.draw(st.lists(
+                    st.floats(1e-6, 1.0), min_size=len(nodes),
+                    max_size=len(nodes)))
+                per_step.append((np.array(nodes, dtype=np.int64),
+                                 np.array(values, dtype=np.float64)))
+            return montecarlo._from_steps(source, steps, 1, per_step)
+
+        dist_i, dist_j = distribution(0, 0), distribution(1, 1)
+        fast = montecarlo.combine_pair_distributions(
+            dist_i, dist_j, weights, decay, steps)
+        reference = self._reference_combine_pair(
+            dist_i, dist_j, weights, decay, steps)
+        assert _bits(fast) == _bits(reference)
 
     def test_combine_pair_distributions_disjoint_and_dead(self):
         def alone_then_dead(source):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import montecarlo
+from repro.core.queries import SourceScores
 from repro.errors import ConfigurationError
 from repro.service import (
     CacheKey,
@@ -12,6 +13,7 @@ from repro.service import (
     TopKQuery,
     WalkDistributionCache,
 )
+from repro.service.cache import SCORE_SLOT_BYTES, ScoreEntry
 
 
 def _key(node: int) -> CacheKey:
@@ -63,8 +65,9 @@ class TestAccounting:
         assert cache.memory_bytes() > 0
 
     def test_served_entries_share_no_buffer(self, make_service):
-        """Entries simulated in one batch each own their arrays, so evicting
-        one frees it and ``memory_bytes`` is what is actually resident."""
+        """Entries simulated and scored in one batch each own their arrays,
+        so evicting one frees it and ``memory_bytes`` is what is actually
+        resident."""
         service = make_service(cache_capacity=16)
         service.run_batch([SourceQuery(node) for node in (1, 2, 3, 4, 5)])
         entries = list(service.cache._entries.values())
@@ -72,6 +75,14 @@ class TestAccounting:
         owners = {}
         for position, entry in enumerate(entries):
             for array in (entry.offsets, entry.nodes, entry.values):
+                base = array if array.base is None else array.base
+                assert base.flags.owndata
+                owners.setdefault(id(base), (position, base.nbytes))
+                assert owners[id(base)][0] == position
+        scores = list(service.cache._scores.values())
+        assert len(scores) == 5
+        for position, entry in enumerate(scores, start=len(entries)):
+            for array in (entry.scores.nodes, entry.scores.values):
                 base = array if array.base is None else array.base
                 assert base.flags.owndata
                 owners.setdefault(id(base), (position, base.nbytes))
@@ -88,14 +99,20 @@ class TestAccounting:
         assert cache.stats.hits == 1 and cache.stats.inserts == 1
 
 
+def _scores(node: int, length: int) -> SourceScores:
+    """A score record of ``length`` support nodes (values need not be real)."""
+    return SourceScores(node, 64, np.arange(length, dtype=np.int64),
+                        np.full(length, 0.5))
+
+
 def _recount(cache: WalkDistributionCache) -> int:
     """``memory_bytes`` the slow way: walk every entry of both kinds."""
     total = 0
     for entry in cache._entries.values():
         for array in (entry.offsets, entry.nodes, entry.values):
             total += array.nbytes
-    for ranking in cache._rankings.values():
-        total += 16 * len(ranking)
+    for entry in cache._scores.values():
+        total += entry.scores.nodes.nbytes + entry.scores.values.nbytes
     return total
 
 
@@ -110,38 +127,36 @@ class TestRunningByteTotal:
         seen = set()
         for _ in range(600):
             operation = rng.choice(
-                ["put", "put", "put", "rank", "rank", "get", "invalidate",
+                ["put", "put", "put", "score", "score", "get", "invalidate",
                  "drop", "clear"],
                 p=[0.2, 0.2, 0.2, 0.12, 0.12, 0.1, 0.03, 0.02, 0.01])
             node = int(rng.integers(0, 12))
             if operation == "put":           # insert, refresh or evict
                 cache.put(_key(node), pool[node])
-            elif operation == "rank":        # rankings of varying length
-                length = int(rng.integers(0, 9))
-                cache.put((_key(node), length),
-                          tuple((i, 0.5) for i in range(length)))
+            elif operation == "score":       # records of varying length
+                cache.put_scores(_key(node), _scores(node, int(rng.integers(0, 9))))
             elif operation == "get":
                 cache.get(_key(node))
-                cache.get((_key(node), 3))
+                cache.get_scores(_key(node))
             elif operation == "invalidate":
                 cache.invalidate_sources(rng.integers(0, 12, size=3).tolist())
             elif operation == "drop":
-                cache.drop_rankings()
+                cache.drop_scores()
             else:
                 cache.clear()
             assert cache.memory_bytes() == _recount(cache)
-            assert len(cache) <= 6 and cache.ranking_entries <= 6
-            seen.add((len(cache) > 0, cache.ranking_entries > 0))
+            assert len(cache) <= 6 and cache.score_entries <= 6
+            seen.add((len(cache) > 0, cache.score_entries > 0))
         assert len(seen) == 4           # every mix of kinds was visited
         assert cache.stats.evictions > 0 and cache.stats.invalidations > 0
-        assert cache.stats.rankings_dropped > 0
+        assert cache.stats.score_dropped > 0
 
     def test_memory_bytes_does_not_walk_the_entries(
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=4)
         cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.put((_key(1), 2), ((4, 0.5), (9, 0.25)))
+        cache.put_scores(_key(1), _scores(1, 2))
         expected = _recount(cache)
 
         class Unwalkable(dict):
@@ -149,84 +164,130 @@ class TestRunningByteTotal:
                 raise AssertionError("memory_bytes iterated the entries")
 
         cache._entries = Unwalkable(cache._entries)
-        cache._rankings = Unwalkable(cache._rankings)
+        cache._scores = Unwalkable(cache._scores)
         assert cache.memory_bytes() == expected
 
     def test_service_stats_report_the_running_total(self, make_service):
         service = make_service(cache_capacity=3)
         for node in range(8):
             service.run_batch([PairQuery(node, node + 1),
-                               TopKQuery(node, k=4), TopKQuery(node, k=2)])
+                               TopKQuery(node, k=4), SourceQuery(node + 2)])
         assert service.stats()["cache_evictions"] > 0
         cache = service.cache
         assert service.stats()["cache_memory_bytes"] == _recount(cache)
 
 
-class TestRankingEntries:
+class TestScoreEntries:
     def test_kinds_keep_separate_lru_orders(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=2)
         for node in (1, 2):
             cache.put(_key(node), _distribution(service_graph, service_params, node))
-        # Rankings never push a distribution out, however many arrive ...
+        # Score entries never push a distribution out, however many arrive,
+        # though they share its keys ...
         for node in range(5):
-            cache.put((_key(node), 3), ((node, 1.0),))
+            cache.put_scores(_key(node), _scores(node, 1))
         assert _key(1) in cache and _key(2) in cache and len(cache) == 2
         # ... and evict among themselves, least recently used first.
-        assert cache.ranking_entries == 2 and cache.stats.evictions == 3
-        assert (_key(3), 3) in cache and (_key(4), 3) in cache
+        assert cache.score_entries == 2 and cache.stats.evictions == 3
+        assert list(cache._scores) == [_key(3), _key(4)]
 
     def test_lookups_count_once_overall_and_once_per_kind(self):
         cache = WalkDistributionCache(capacity=2)
-        assert cache.get((_key(1), 3)) is None
-        cache.put((_key(1), 3), ())      # an empty ranking is still a hit
-        assert cache.get((_key(1), 3)) == ()
+        assert cache.get_scores(_key(1)) is None
+        stored = cache.put_scores(_key(1), _scores(1, 0))  # empty support hits too
+        assert cache.get_scores(_key(1)) is stored
         assert cache.get(_key(1)) is None
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 2)
-        assert (stats.ranking_hits, stats.ranking_misses) == (1, 1)
+        assert (stats.score_hits, stats.score_misses) == (1, 1)
         assert stats.hit_rate == pytest.approx(1 / 3)
-        assert stats.ranking_hit_rate == pytest.approx(1 / 2)
-        assert stats.to_dict()["ranking_hit_rate"] == stats.ranking_hit_rate
+        assert stats.score_hit_rate == pytest.approx(1 / 2)
+        assert stats.to_dict()["score_hit_rate"] == stats.score_hit_rate
 
-    def test_drop_rankings_leaves_distributions_and_counts_apart(
+    def test_put_scores_at_capacity_zero_returns_an_unstored_entry(self):
+        cache = WalkDistributionCache(capacity=0)
+        entry = cache.put_scores(_key(1), _scores(1, 3))
+        assert isinstance(entry, ScoreEntry) and entry.nbytes == 3 * 16
+        assert cache.score_entries == 0 and cache.memory_bytes() == 0
+        assert cache.stats.inserts == 0
+
+    def test_refreshing_a_score_entry_replaces_its_bytes(self):
+        cache = WalkDistributionCache(capacity=2)
+        cache.put_scores(_key(1), _scores(1, 4))
+        cache.put_scores(_key(2), _scores(2, 1))
+        fresh = cache.put_scores(_key(1), _scores(1, 2))
+        assert cache.memory_bytes() == (2 + 1) * 16
+        assert list(cache._scores) == [_key(2), _key(1)]
+        assert cache._scores[_key(1)] is fresh and cache.stats.evictions == 0
+
+    def test_score_kind_is_bounded_in_bytes_too(self):
+        cache = WalkDistributionCache(capacity=4)
+        budget = 4 * SCORE_SLOT_BYTES
+        two_slots = 2 * SCORE_SLOT_BYTES // 16      # support nodes of 2 slots' bytes
+        for node in range(3):
+            cache.put_scores(_key(node), _scores(node, two_slots))
+        # Three records of two slots each overrun four slots' bytes: the
+        # least recently used one leaves, though the entry count is below 4.
+        assert list(cache._scores) == [_key(1), _key(2)]
+        assert cache.memory_bytes() == budget and cache.stats.evictions == 1
+        # A record larger than the whole budget still stays, alone: the
+        # entry just stored is never the one evicted.
+        cache.put_scores(_key(9), _scores(9, budget // 16 + 1))
+        assert list(cache._scores) == [_key(9)]
+        assert cache.get_scores(_key(9)) is not None
+        assert cache.memory_bytes() == _recount(cache)
+
+    def test_rankings_are_memoised_per_k_and_served_fresh(self):
+        record = SourceScores(2, 6, np.array([0, 2, 4]),
+                              np.array([0.25, 1.0, 0.5]))
+        entry = ScoreEntry(record)
+        first = entry.top_k(2)
+        assert first == record.top_k(2) == [(4, 0.5), (0, 0.25)]
+        again = entry.top_k(2)
+        assert again == first and again is not first
+        first.clear()
+        assert entry.top_k(2) == again
+        assert entry.top_k(9) == record.top_k(9)
+        assert sorted(entry._rankings) == [2, 9]
+
+    def test_drop_scores_leaves_distributions_and_counts_apart(
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=4)
         cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.put((_key(1), 3), ((2, 0.5),))
-        cache.put((_key(2), 3), ((1, 0.5),))
-        assert cache.invalidate_sources([2]) == 0     # rankings are not its business
-        assert cache.drop_rankings() == 2 and cache.drop_rankings() == 0
-        assert _key(1) in cache and cache.ranking_entries == 0
-        assert cache.stats.rankings_dropped == 2
+        cache.put_scores(_key(1), _scores(1, 1))
+        cache.put_scores(_key(2), _scores(2, 1))
+        assert cache.invalidate_sources([2]) == 0     # scores are not its business
+        assert cache.score_entries == 2
+        assert cache.drop_scores() == 2 and cache.drop_scores() == 0
+        assert _key(1) in cache and cache.score_entries == 0
+        assert cache.stats.score_dropped == 2
         assert cache.stats.invalidations == 0
 
-    def test_drop_rankings_hashes_no_key(self):
-        """An update drops every ranking; that must not cost a hash per key."""
+    def test_drop_scores_hashes_no_key(self):
+        """An update drops every score entry; that must not cost a hash per key."""
         hashes = []
 
-        class CountedK(int):
+        class CountedKey(CacheKey):
+            __slots__ = ()
+
             def __hash__(self):
                 hashes.append(1)
-                return int.__hash__(self)
+                return tuple.__hash__(self)
 
         cache = WalkDistributionCache(capacity=8)
         for node in range(5):
-            cache.put((_key(node), CountedK(3)), ((node, 0.5), (9, 0.25)))
+            cache.put_scores(CountedKey(node, 5, 300, 13), _scores(node, 2))
         hashes.clear()
-        assert cache.drop_rankings() == 5
+        assert cache.drop_scores() == 5
         assert hashes == [] and cache.memory_bytes() == 0
 
     def test_cache_key_is_a_plain_tuple_subtype(self):
-        # Hashed in C like the tuple it is, and still told apart from a
-        # ranking key, which is a plain (CacheKey, k) tuple.
+        # Hashed in C like the tuple it is.
         key = _key(7)
         assert isinstance(key, tuple) and hash(key) == hash((7, 5, 300, 13))
         assert key.node == 7 and key == CacheKey.for_query(
             7, type("P", (), {"walk_steps": 5, "seed": 13})(), 300)
-        cache = WalkDistributionCache(capacity=2)
-        assert cache._kind(key) is cache._entries
-        assert cache._kind((key, 3)) is cache._rankings
 
 
 class TestEviction:

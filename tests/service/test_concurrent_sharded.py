@@ -139,11 +139,11 @@ def test_concurrent_updates_and_batches_are_never_torn():
     assert total_batches > 0, "stress run produced no concurrent batches"
 
     # Cache accounting adds up after concurrent traffic.  Inserts and
-    # evictions count both entry kinds; rankings leave on every applied
-    # update, distributions only inside an update's ball.
-    assert stats["cache_size"] + stats["cache_ranking_entries"] == (
+    # evictions count both entry kinds; score entries leave on every
+    # applied update, distributions only inside an update's ball.
+    assert stats["cache_size"] + stats["cache_score_entries"] == (
         stats["cache_inserts"] - stats["cache_evictions"]
-        - stats["cache_invalidations"] - stats["cache_rankings_dropped"])
+        - stats["cache_invalidations"] - stats["cache_score_dropped"])
     lookups = stats["cache_hits"] + stats["cache_misses"]
     assert lookups > 0
     assert stats["cache_hit_rate"] == stats["cache_hits"] / lookups

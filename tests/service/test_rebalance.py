@@ -166,8 +166,8 @@ class TestLoadAccounting:
     def test_cumulative_counters_sum_batch_timings(self, make_sharded):
         # A shard's cumulative sources_simulated grows exactly in the
         # batches that simulate one of its sources, by their number; the
-        # last two batches are fully cached (distributions, then a ranking
-        # entry) and add nothing.
+        # last two batches are fully cached (score entries) and add
+        # nothing.
         sharded = make_sharded(num_shards=3)
         rows = sharded.stats()["shards"]
         grew = []
@@ -254,7 +254,7 @@ class TestMigration:
         assert sharded.rebalance(force=True)["applied"]
         after = sharded.stats()
         assert after["cache_size"] == before["cache_size"]
-        assert after["cache_ranking_entries"] == before["cache_ranking_entries"]
+        assert after["cache_score_entries"] == before["cache_score_entries"]
         assert_answers_equal(answers, sharded.run_batch(QUERIES))
         assert sharded.stats()["sources_simulated"] == before["sources_simulated"]
 

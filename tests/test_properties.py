@@ -561,16 +561,16 @@ class TestLiveUpdateProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Ranking-entry invariants
+# Score-entry invariants
 # --------------------------------------------------------------------------- #
-class TestRankingEntryProperties:
-    """Ranked-answer cache entries never change an answer or a version.
+class TestScoreEntryProperties:
+    """Score cache entries never change an answer or a version.
 
     A caching service and a ``cache_capacity=0`` twin are driven through
     the same random interleaving of query batches, live updates, a forced
     rebalance and a snapshot restart; the twin recomputes every answer
-    through the plain pipeline, so any stale or misfiled ranking entry
-    shows up as a difference.
+    through the plain pipeline, so any stale or misfiled score entry (or
+    memoised ranking) shows up as a difference.
     """
 
     @staticmethod
@@ -601,9 +601,11 @@ class TestRankingEntryProperties:
 
     @staticmethod
     def _batch(data, n_nodes):
-        """Top-k traffic that repeats ``(source, k)``, varies ``k`` on one
-        source (past ``n`` too) and mixes in pair / source queries on the
-        same few sources."""
+        """Top-k and source traffic on the same few sources: it repeats
+        ``(source, k)``, varies ``k`` on one source (past ``n`` too), mixes
+        in pair queries, and asks again for the scores of sources the batch
+        already named, so source queries repeat within and across
+        batches."""
         from repro.service import TopKQuery
 
         node = st.integers(0, min(n_nodes - 1, 3))
@@ -612,7 +614,9 @@ class TestRankingEntryProperties:
             st.builds(PairQuery, node, node),
             st.builds(SourceQuery, node),
         )
-        return data.draw(st.lists(query, min_size=1, max_size=6))
+        queries = data.draw(st.lists(query, min_size=1, max_size=6))
+        repeated = data.draw(st.lists(st.sampled_from(queries), max_size=3))
+        return queries + [SourceQuery(query.source) for query in repeated]
 
     @pytest.mark.parametrize("num_shards", [1, 2, 5])
     @settings(max_examples=10)
@@ -645,7 +649,7 @@ class TestRankingEntryProperties:
                            for service in (plain, cached)]
                 assert reports[0]["applied"] == reports[1]["applied"]
                 after = cached.stats()
-                for key in ("cache_size", "cache_ranking_entries"):
+                for key in ("cache_size", "cache_score_entries"):
                     assert after[key] == before[key]
                 TestShardingProperties._assert_equal(plain.run_batch(queries),
                                                      cached.run_batch(queries))
@@ -682,25 +686,25 @@ class TestRankingEntryProperties:
                     service.add_edges(edges, defer=operation == "defer")
             elif operation == "readd":
                 # Present edges only: a graph no-op, so no version bump and
-                # every ranking entry must survive (and still be right).
+                # every score entry must survive (and still be right).
                 present = [tuple(edge) for edge in
                            cached.graph.edge_array()[:2].tolist()]
-                entries = cached.stats()["cache_ranking_entries"]
+                entries = cached.stats()["cache_score_entries"]
                 pending = cached.pending_updates
                 for service in (plain, cached):
                     assert service.add_edges(present) is None or pending
                 if not pending:
-                    assert cached.stats()["cache_ranking_entries"] == entries
+                    assert cached.stats()["cache_score_entries"] == entries
             elif operation == "rebalance":
                 # The flip drains the queue first; past that it keeps the
-                # cache whole, rankings included.
+                # cache whole, score entries included.
                 for service in (plain, cached):
                     service.flush_updates()
-                entries = cached.stats()["cache_ranking_entries"]
+                entries = cached.stats()["cache_score_entries"]
                 reports = [service.rebalance(force=True)
                            for service in (plain, cached)]
                 assert reports[0]["applied"] == reports[1]["applied"]
-                assert cached.stats()["cache_ranking_entries"] == entries
+                assert cached.stats()["cache_score_entries"] == entries
             else:
                 plain = self._restart(plain, tmp_path_factory.mktemp("plain"))
                 cached = self._restart(cached, tmp_path_factory.mktemp("cached"))
@@ -709,7 +713,7 @@ class TestRankingEntryProperties:
         TestShardingProperties._assert_equal(plain.run_batch(queries),
                                              cached.run_batch(queries))
         assert plain.stats()["cache_size"] == 0
-        assert plain.stats()["cache_ranking_entries"] == 0
+        assert plain.stats()["cache_score_entries"] == 0
         plain.close()
         cached.close()
 
