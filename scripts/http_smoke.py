@@ -14,16 +14,19 @@ a real child process:
    exactly one per line), then force a plan flip (``POST /rebalance``) and
    post each once more: the same answer at the bumped ``index_version``,
    again from its score entry — the flip kept the cache warm,
-4. apply a couple of seconds of concurrent query/update/health load from
+4. post one ``pair`` line with an endpoint of in-degree 0 in the served
+   graph: it answers ``0.0`` without a walk (``sources_simulated`` in
+   ``/stats`` does not move, ``dead_end_pairs`` moves by one),
+5. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
-5. probe again after the load's waited live update: the reply carries the
+6. probe again after the load's waited live update: the reply carries the
    bumped ``index_version`` and equals what a fresh single-shard
    ``QueryService`` built on the updated graph answers — the update
    dropped the score entries instead of serving them stale,
-6. send SIGTERM and require the graceful path: exit code 0 and the
+7. send SIGTERM and require the graceful path: exit code 0 and the
    ``shutdown complete`` line (the drain ran, requests were answered, not
    dropped),
-7. compare ``/dev/shm`` before and after — a ``psm_*`` segment created
+8. compare ``/dev/shm`` before and after — a ``psm_*`` segment created
    during the run that survives the server's exit is a leaked resident
    graph or worker-pool segment, and the script exits non-zero.
 
@@ -229,6 +232,36 @@ def _probe_after_flip(port: int, before: dict) -> int:
     return version
 
 
+def _probe_dead_end(port: int, graph: Path) -> None:
+    """A pair with an endpoint of in-degree 0 answers 0.0 without a walk.
+
+    Runs before the load starts, so the counter deltas are exact.
+    """
+    sys.path.insert(0, str(SRC_DIR))
+    from repro.graph import io
+
+    in_degrees = io.read_edge_list(graph, relabel=False).in_degrees()
+    dead = int((in_degrees == 0).argmax())
+    live = int((in_degrees > 0).argmax())
+    if in_degrees[dead] != 0:
+        raise RuntimeError("the smoke graph has no node of in-degree 0")
+    line = f"pair {live} {dead}"
+    before = json.loads(_request(port, "GET", "/stats"))
+    reply = json.loads(_request(port, "POST", "/query", {"queries": [line]}))
+    after = json.loads(_request(port, "GET", "/stats"))
+    if reply["answers"] != [0.0]:
+        raise RuntimeError(f"{line!r} answered {reply['answers']}, "
+                           f"expected [0.0]")
+    if after["sources_simulated"] != before["sources_simulated"]:
+        raise RuntimeError(f"{line!r} simulated "
+                           f"{after['sources_simulated'] - before['sources_simulated']}"
+                           f" sources, expected none")
+    if after["dead_end_pairs"] != before["dead_end_pairs"] + 1:
+        raise RuntimeError(f"{line!r} moved dead_end_pairs by "
+                           f"{after['dead_end_pairs'] - before['dead_end_pairs']}"
+                           f", expected exactly 1")
+
+
 def _probe_after_update(port: int, graph: Path, index: Path,
                         version_before: int) -> None:
     """Each probe line after the waited update: bumped version, fresh answer."""
@@ -324,9 +357,11 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
     try:
         port = _await_port(server)
         version = _probe_after_flip(port, _probe_repeat(port))
+        _probe_dead_end(port, graph)
         print(f"http-smoke: server up on port {port}, repeated top-k and "
               f"source lines served from their score entries, before and "
-              f"after a forced plan flip; applying {seconds:.0f}s of load from "
+              f"after a forced plan flip, a dead-end pair answered 0.0 "
+              f"unwalked; applying {seconds:.0f}s of load from "
               f"{N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)
         if not outcome["errors"]:

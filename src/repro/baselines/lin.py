@@ -98,7 +98,7 @@ class LinSimRank:
     def _get_transition(self):
         if self._transition is None:
             self._transition = self.graph.transition_matrix()
-            self._transition_t = self._transition.T.tocsr()
+            self._transition_t = self.graph.transition_matrix_t()
         return self._transition, self._transition_t
 
     # ------------------------------------------------------------------ #

@@ -279,6 +279,29 @@ def propagate_scores(nodes: Sequence[int],
     return scores
 
 
+def definitional_pair_score(graph: DiGraph, node_i: int,
+                            node_j: int) -> Optional[float]:
+    """The score SimRank's definition fixes for a pair, or None.
+
+    ``s(i, i) = 1``, and ``s(i, j) = 0`` for ``i != j`` when either node
+    has no in-neighbours.  The second is also what
+    :meth:`QueryEngine.combine_pair` returns for such a pair, bit for bit:
+    the step-0 supports ``{i}`` and ``{j}`` are disjoint, and a dead end's
+    walkers die at step 1, so no step has a common node and the total
+    stays ``+0.0``.  Every pair answer goes through here first — the
+    engine's and the service's — so a pair this returns a score for is
+    never walked.  Reads ``graph``'s in-CSR: an update that gives a dead
+    end its first in-edge ends the rule with the graph it swaps in.
+    """
+    if node_i == node_j:
+        return 1.0
+    indptr = graph.in_csr[0]
+    if (indptr[node_i] == indptr[node_i + 1]
+            or indptr[node_j] == indptr[node_j + 1]):
+        return 0.0
+    return None
+
+
 def merge_top_k(partials: Sequence[List[Tuple[int, float]]],
                 k: int) -> List[Tuple[int, float]]:
     """Merge per-shard top-``k`` lists into the exact global top-``k``.
@@ -332,7 +355,7 @@ class QueryEngine:
     def transition_t(self) -> sparse.csr_matrix:
         """``P^T`` in CSR form (cached separately for fast matvecs)."""
         if self._transition_t is None:
-            self._transition_t = self.transition.T.tocsr()
+            self._transition_t = self.graph.transition_matrix_t()
         return self._transition_t
 
     # ------------------------------------------------------------------ #
@@ -340,11 +363,16 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     def single_pair(self, node_i: int, node_j: int,
                     walkers: Optional[int] = None) -> float:
-        """MCSP: Monte-Carlo estimate of ``s(i, j)``."""
+        """MCSP: Monte-Carlo estimate of ``s(i, j)``.
+
+        A pair whose score the definition fixes
+        (:func:`definitional_pair_score`) is answered without walking.
+        """
         node_i = self.graph.check_node(node_i)
         node_j = self.graph.check_node(node_j)
-        if node_i == node_j:
-            return 1.0
+        fixed = definitional_pair_score(self.graph, node_i, node_j)
+        if fixed is not None:
+            return fixed
         distributions = montecarlo.estimate_walk_distributions_batch(
             self.graph, [node_i, node_j], self.params, walkers=walkers)
         return self.combine_pair(distributions[node_i], distributions[node_j])
@@ -353,8 +381,9 @@ class QueryEngine:
         """Exact linearized ``s(i, j)`` (no Monte-Carlo), for validation."""
         node_i = self.graph.check_node(node_i)
         node_j = self.graph.check_node(node_j)
-        if node_i == node_j:
-            return 1.0
+        fixed = definitional_pair_score(self.graph, node_i, node_j)
+        if fixed is not None:
+            return fixed
         dist_i = montecarlo.exact_walk_distributions(self.graph, node_i, self.params)
         dist_j = montecarlo.exact_walk_distributions(self.graph, node_j, self.params)
         return self.combine_pair(dist_i, dist_j)

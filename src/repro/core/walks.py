@@ -255,34 +255,52 @@ def _simulate_block(
 ) -> PackedWalks:
     """One block of :func:`simulate_walks_packed`: valid, ascending sources.
 
-    Only live walkers are carried from step to step, in contiguous
-    per-source runs whose within-run order matches the single-source
-    simulation.  Each step, a source's generator draws just the uniforms its
-    moving walkers read — a ``Generator``'s doubles are one stream, so what
-    a source reads is the same however many calls produced it.
+    Steps 0 and 1 are taken per source.  At step 0 every walker of a
+    source stands on it, so its record is ``(source, W)`` with no sort.
+    Each source with in-neighbours then draws its ``W`` uniforms in one
+    call, and its step-1 counts come from one ``np.bincount`` over
+    (source, in-list slot): in-lists are strictly ascending, so slot order
+    is node order — the order ``np.unique`` gives.  From step 2 on, only
+    live walkers are carried, in contiguous per-source runs whose
+    within-run order matches the single-source simulation, and each step's
+    per-(source, node) counts come from one ``np.unique`` over packed keys.
+    A source's generator draws just the uniforms its moving walkers read —
+    a ``Generator``'s doubles are one stream, so what a source reads is
+    the same however many calls produced it.
     """
     n_sources = len(unique_sources)
     n_nodes = np.int64(graph.n_nodes)
     indptr, indices = graph.in_csr
     generators = _stream_generators(seed, unique_sources)
 
-    owner = np.repeat(np.arange(n_sources, dtype=np.int64), walkers_per_source)
-    positions = np.repeat(unique_sources, walkers_per_source)
     lengths = np.zeros((n_sources, steps + 1), dtype=np.int64)
-    owner_chunks: List[np.ndarray] = []
-    node_chunks: List[np.ndarray] = []
-    count_chunks: List[np.ndarray] = []
-    for t in range(steps + 1):
-        # Per-(source, node) aggregation in one np.unique over packed keys:
-        # sorted by source, then node — np.unique's order per source.
-        keys, counts = np.unique(owner * n_nodes + positions, return_counts=True)
-        key_owner = keys // n_nodes
-        lengths[:, t] = np.bincount(key_owner, minlength=n_sources)
-        owner_chunks.append(key_owner)
-        node_chunks.append(keys - key_owner * n_nodes)
-        count_chunks.append(counts.astype(np.int64, copy=False))
-        if t == steps:
-            break
+    lengths[:, 0] = 1
+    owner_chunks: List[np.ndarray] = [np.arange(n_sources, dtype=np.int64)]
+    node_chunks: List[np.ndarray] = [unique_sources]
+    count_chunks: List[np.ndarray] = [
+        np.full(n_sources, walkers_per_source, dtype=np.int64)]
+    if steps:
+        starts = indptr[unique_sources]
+        degrees = indptr[unique_sources + 1] - starts
+        movers = np.flatnonzero(degrees)
+        starts, degrees = starts[movers], degrees[movers]
+        chosen = np.empty((len(movers), walkers_per_source), dtype=np.float64)
+        for row, k in enumerate(movers.tolist()):
+            generators[k].random(out=chosen[row])
+        slots = (chosen * degrees[:, None]).astype(np.int64)
+        # Each mover's in-list is one run of ``slot_base`` + slot numbers.
+        slot_base = np.cumsum(degrees) - degrees
+        hit = np.bincount((slot_base[:, None] + slots).ravel(),
+                          minlength=int(degrees.sum()))
+        filled = np.flatnonzero(hit)
+        run = np.searchsorted(slot_base, filled, side="right") - 1
+        owner_chunks.append(movers[run])
+        node_chunks.append(indices[starts[run] + filled - slot_base[run]])
+        count_chunks.append(hit[filled])
+        lengths[:, 1] = np.bincount(movers[run], minlength=n_sources)
+        owner = np.repeat(movers, walkers_per_source)
+        positions = indices[(starts[:, None] + slots).ravel()]
+    for t in range(2, steps + 1):
         starts = indptr[positions]
         degrees = indptr[positions + 1] - starts
         moving = degrees > 0
@@ -301,6 +319,14 @@ def _simulate_block(
             generators[k].random(out=chosen[lo:hi])
         positions = indices[
             starts[moving] + (chosen * degrees[moving]).astype(np.int64)]
+        # Per-(source, node) aggregation in one np.unique over packed keys:
+        # sorted by source, then node — np.unique's order per source.
+        keys, counts = np.unique(owner * n_nodes + positions, return_counts=True)
+        key_owner = keys // n_nodes
+        lengths[:, t] = np.bincount(key_owner, minlength=n_sources)
+        owner_chunks.append(key_owner)
+        node_chunks.append(keys - key_owner * n_nodes)
+        count_chunks.append(counts.astype(np.int64, copy=False))
 
     # Steps were emitted step-major; a stable sort on the source index makes
     # the record source-major while keeping step and node order within it.

@@ -230,18 +230,31 @@ class DiGraph:
         otherwise.  ``P @ e_v`` is then the one-step distribution of a SimRank
         walk starting at ``v``; nodes with no in-neighbours produce an
         all-zero column (the walk dies), matching the SimRank convention that
-        ``s(i, j) = 0`` when either node has no in-neighbours.
+        ``s(i, j) = 0`` when either node has no in-neighbours.  Row ``u`` of
+        ``P`` lists ``u``'s out-neighbours, so its CSR is the out-CSR with
+        data ``1 / |In(column)|`` — no COO sort.
         """
-        in_deg = self.in_degrees().astype(np.float64)
-        # For every edge (u -> v) there is a matrix entry (row u, col v).
-        cols = np.repeat(np.arange(self._n, dtype=np.int64), in_deg.astype(np.int64))
-        rows = self._in_indices
-        with np.errstate(divide="ignore"):
-            inv = np.where(in_deg > 0, 1.0 / in_deg, 0.0)
-        data = inv[cols]
         return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self._n, self._n), dtype=np.float64
-        )
+            (self._inverse_in_degrees()[self._out_indices], self._out_indices,
+             self._out_indptr), shape=(self._n, self._n))
+
+    def transition_matrix_t(self) -> sparse.csr_matrix:
+        """``P``'s transpose in CSR form: what ``transition_matrix().T.tocsr()``
+        gives, byte for byte.
+
+        Row ``v`` of ``P^T`` lists ``v``'s in-neighbours, each at
+        ``1 / |In(v)|``, so its CSR is the in-CSR with each row's weight
+        repeated.
+        """
+        return sparse.csr_matrix(
+            (np.repeat(self._inverse_in_degrees(), self.in_degrees()),
+             self._in_indices, self._in_indptr), shape=(self._n, self._n))
+
+    def _inverse_in_degrees(self) -> np.ndarray:
+        """``1 / |In(v)|`` per node, 0 where ``v`` has no in-neighbours."""
+        in_deg = self.in_degrees().astype(np.float64)
+        with np.errstate(divide="ignore"):
+            return np.where(in_deg > 0, 1.0 / in_deg, 0.0)
 
     def adjacency_matrix(self) -> sparse.csr_matrix:
         """Return the (0/1) adjacency matrix ``A`` with ``A[src, dst] = 1``."""

@@ -51,7 +51,12 @@ def required_sources(query: Query) -> Tuple[int, ...]:
     """The distribution source nodes a query needs simulated.
 
     A self-pair needs none: ``s(a, a) == 1`` by definition, mirroring the
-    shortcut in :meth:`repro.core.queries.QueryEngine.single_pair`.
+    shortcut in :meth:`repro.core.queries.QueryEngine.single_pair`.  A pair
+    with an endpoint of in-degree 0 needs none either (its score is
+    ``0.0``), but that rule needs the graph, which a query alone does not
+    carry: the service applies it
+    (:func:`repro.core.queries.definitional_pair_score`) and keeps such a
+    pair out of the plan, while its endpoints still count here, as load.
     """
     if isinstance(query, PairQuery):
         if query.source == query.target:

@@ -189,8 +189,10 @@ class WalkDistributionCache:
     never the entry just stored.  0 disables caching (every lookup misses,
     nothing is stored).  Recency is updated on both successful
     lookups and inserts, so a hot source stays resident as long as queries
-    keep touching it — and a source that is only ever asked for its scores
-    keeps its score entry while the distributions behind it age out.
+    keep touching it.  A score hit also refreshes the same key's
+    distributions, if resident: a hot source answered from its scores
+    keeps the distributions its next pair query reads, instead of letting
+    them age out and be simulated again.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -234,13 +236,19 @@ class WalkDistributionCache:
         return entry
 
     def get_scores(self, key: CacheKey) -> Optional[ScoreEntry]:
-        """Return the score entry for ``key``, or None on a miss."""
+        """Return the score entry for ``key``, or None on a miss.
+
+        A hit moves the key's distributions, when resident, to the
+        most-recent end too; that is no lookup, so no counter moves.
+        """
         entry = self._scores.get(key)
         if entry is None:
             self.stats.misses += 1
             self.stats.score_misses += 1
             return None
         self._scores.move_to_end(key)
+        if key in self._entries:
+            self._entries.move_to_end(key)
         self.stats.hits += 1
         self.stats.score_hits += 1
         return entry

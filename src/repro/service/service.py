@@ -90,7 +90,7 @@ from repro.config import (
 )
 from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
-from repro.core.queries import QueryEngine
+from repro.core.queries import QueryEngine, definitional_pair_score
 from repro.core.sharding import (
     MutationResult,
     ShardedIncrementalWalker,
@@ -236,8 +236,9 @@ class QueryService:
         self._pending: List[Edge] = []
         self._version = 1
         self._counters: Dict[str, int] = {
-            "queries": 0, "pair_queries": 0, "source_queries": 0,
-            "topk_queries": 0, "batches": 0, "sources_simulated": 0,
+            "queries": 0, "pair_queries": 0, "dead_end_pairs": 0,
+            "source_queries": 0, "topk_queries": 0, "batches": 0,
+            "sources_simulated": 0,
             "sources_deduplicated": 0, "updates_applied": 0, "edges_added": 0,
             "snapshots_written": 0, "rebalances_applied": 0,
             "scatter_payload_bytes": 0,
@@ -830,16 +831,24 @@ class QueryService:
 
         The batch runs as one pipeline — look up scores, plan, resolve
         distributions, resolve scores, assemble — in which every piece of
-        work is done once per *distinct* key.  First each distinct source of
+        work is done once per *distinct* key.  A pair query whose score
+        SimRank's definition fixes
+        (:func:`~repro.core.queries.definitional_pair_score`: a self-pair,
+        or a pair with an endpoint of in-degree 0 in the served graph) is
+        answered ``1.0`` / ``0.0`` and never enters the pipeline: no cache
+        lookup, simulation or combine — ``0.0`` is what the combine returns
+        for a dead-end pair anyway; those answered ``0.0`` count in the
+        ``dead_end_pairs`` stats key.  First each distinct source of
         the batch's source and top-k queries is looked up as a score entry
         of the cache (key :class:`CacheKey`): a hit is the source's scores
         as an earlier batch propagated them at this index version, and its
         queries go straight to assembly.  Only the remaining queries — the
-        misses and every pair query — are planned: a source's distributions
-        come from the cache or one multi-source walk simulation of the
-        batch's misses, its scores from one propagation over the supports
-        of the missing sources, stored as score entries for the batches to
-        come.  A batch whose queries all hit runs no plan, simulation or
+        misses and every pair query that needs walks — are planned: a
+        source's distributions come from the cache or one multi-source walk
+        simulation of the batch's misses, its scores from one propagation
+        over the supports of the missing sources, stored as score entries
+        for the batches to come.  A batch whose queries all hit (or take
+        the definitional shortcut) runs no plan, simulation or
         propagation.  A miss runs exactly the pipeline a service with
         ``cache_capacity=0`` runs for every query; there is no second path.
         Answer types by query: :class:`PairQuery` -> float,
@@ -865,9 +874,10 @@ class QueryService:
             walkers_count = (walkers if walkers is not None
                              else self.query_params.query_walkers)
             # Load accounting for the rebalance planner, before any cache
-            # lookup: each distinct source counts once against its node and
-            # its owning shard however it is served, so the hottest sources
-            # — the cached ones — stay in the planner's input.
+            # lookup or shortcut: each distinct source counts once against
+            # its node and its owning shard however it is served, so the
+            # hottest sources — the cached ones — stay in the planner's
+            # input.
             for source in dict.fromkeys(node for query in queries
                                         for node in required_sources(query)):
                 self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
@@ -877,11 +887,18 @@ class QueryService:
                 query.source for query in queries
                 if not isinstance(query, PairQuery)))
             entries = self._lookup_scores(scored, walkers_count)
-            # Only what the score entries could not answer goes down the
-            # pipeline; with no hit that is the whole batch, unfiltered.
-            pending = queries if not entries else [
-                query for query in queries
-                if isinstance(query, PairQuery) or query.source not in entries]
+            # Read under the serve lock: the graph an update swaps in ends
+            # a dead end's shortcut in the same swap.
+            fixed = [definitional_pair_score(self.graph, query.source,
+                                             query.target)
+                     if isinstance(query, PairQuery) else None
+                     for query in queries]
+            # Only what neither the definition nor a score entry answers
+            # goes down the pipeline.
+            pending = [
+                query for query, score in zip(queries, fixed)
+                if score is None and (isinstance(query, PairQuery)
+                                      or query.source not in entries)]
             distributions: Dict[int, WalkDistributions] = {}
             if pending:
                 plan = plan_batch(pending)
@@ -889,8 +906,8 @@ class QueryService:
                 entries.update(self._resolve_scores(pending, distributions,
                                                     walkers_count))
                 self._counters["sources_deduplicated"] += plan.deduplicated
-            answers = [self._assemble(query, distributions, entries)
-                       for query in queries]
+            answers = [self._assemble(query, score, distributions, entries)
+                       for query, score in zip(queries, fixed)]
             self._counters["batches"] += 1
             self._counters["queries"] += len(queries)
             if payload_before is not None:
@@ -994,20 +1011,23 @@ class QueryService:
         }
 
     def _assemble(
-        self, query: Query,
+        self, query: Query, fixed: Optional[float],
         distributions: Dict[int, WalkDistributions],
         entries: Dict[int, ScoreEntry],
     ) -> Answer:
         """One query's answer from the batch's resolved stages.
 
+        ``fixed`` is a pair's definitional score, None when it was walked.
         Source and top-k answers are fresh objects: a repeated query gets
         an equal but distinct one.  A source answer is the one place a
         score record becomes a dense vector.
         """
         if isinstance(query, PairQuery):
             self._counters["pair_queries"] += 1
-            if query.source == query.target:
-                return 1.0
+            if fixed is not None:
+                if fixed == 0.0:
+                    self._counters["dead_end_pairs"] += 1
+                return fixed
             return self.query_engine.combine_pair(
                 distributions[query.source], distributions[query.target]
             )

@@ -204,6 +204,27 @@ class TestScoreEntries:
         assert stats.score_hit_rate == pytest.approx(1 / 2)
         assert stats.to_dict()["score_hit_rate"] == stats.score_hit_rate
 
+    def test_a_score_hit_keeps_the_sources_distribution_warm(
+            self, service_graph, service_params):
+        cache = WalkDistributionCache(capacity=3)
+        for node in (1, 2, 3):
+            cache.put(_key(node), _distribution(service_graph, service_params, node))
+        cache.put_scores(_key(1), _scores(1, 2))
+        # Source 1 is asked only for its scores while new distributions
+        # churn through: each score hit moves its distribution to the
+        # most-recent end, so the churn evicts the others.
+        for node in (4, 5, 6, 7):
+            assert cache.get_scores(_key(1)) is not None
+            cache.put(_key(node), _distribution(service_graph, service_params, node))
+        assert _key(1) in cache
+        assert list(cache._entries) == [_key(6), _key(1), _key(7)]
+        # The refresh is no lookup: only the four score hits were counted.
+        assert (cache.stats.hits, cache.stats.misses) == (4, 0)
+        assert cache.stats.score_hits == 4
+        # A score hit with no resident distribution stores none.
+        cache.put_scores(_key(9), _scores(9, 1))
+        assert cache.get_scores(_key(9)) is not None and _key(9) not in cache
+
     def test_put_scores_at_capacity_zero_returns_an_unstored_entry(self):
         cache = WalkDistributionCache(capacity=0)
         entry = cache.put_scores(_key(1), _scores(1, 3))

@@ -1,0 +1,199 @@
+"""Dead-end pairs: answered by SimRank's definition, never walked.
+
+``s(i, j) = 0`` for ``i != j`` when either node has no in-neighbours, and
+:meth:`~repro.core.queries.QueryEngine.combine_pair` returns exactly that
+``0.0`` for such a pair.  The service answers these pairs without a cache
+lookup, simulation or combine, counts them in ``dead_end_pairs`` (and still
+in ``pair_queries`` and the planner's load), and the one-off engine shares
+the rule (:func:`~repro.core.queries.definitional_pair_score`).  The
+property at the bottom pins every pair answer, shortcut or not, to the
+combine of freshly simulated distributions across updates that end dead
+ends and add new ones.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import ServiceParams, ShardingParams, SimRankParams
+from repro.core import montecarlo
+from repro.core.queries import QueryEngine, definitional_pair_score
+from repro.graph.digraph import DiGraph
+from repro.service import PairQuery, QueryService, TopKQuery
+
+
+@pytest.fixture(params=[1, 3], ids=["K1", "K3"])
+def make_any(request, make_service, make_sharded):
+    """The single-shard service and a three-shard one."""
+    if request.param == 1:
+        return make_service
+    return lambda **options: make_sharded(num_shards=3, **options)
+
+
+def _dead_ends(graph: DiGraph) -> np.ndarray:
+    return np.flatnonzero(graph.in_degrees() == 0)
+
+
+def _count_combines(monkeypatch):
+    calls = []
+    original = QueryEngine.combine_pair
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(QueryEngine, "combine_pair", counting)
+    return calls
+
+
+class TestDeadEndPairs:
+    def test_a_batch_of_dead_end_pairs_does_no_walk_work(
+            self, make_any, service_graph, monkeypatch):
+        service = make_any()
+        dead = _dead_ends(service_graph)
+        live = np.flatnonzero(service_graph.in_degrees() > 0)
+        pairs = [PairQuery(int(dead[0]), int(dead[1])),
+                 PairQuery(int(dead[2]), int(live[0])),
+                 PairQuery(int(live[1]), int(dead[3])),
+                 PairQuery(int(dead[2]), int(live[0]))]
+        combines = _count_combines(monkeypatch)
+        before = service.stats()
+        answers = service.run_batch(pairs)
+        after = service.stats()
+        assert list(answers) == [0.0] * len(pairs)
+        assert all(type(answer) is float and np.signbit(answer) == False
+                   for answer in answers)
+        assert combines == []
+        assert after["sources_simulated"] == before["sources_simulated"]
+        assert (after["cache_hits"] + after["cache_misses"]
+                == before["cache_hits"] + before["cache_misses"])
+        assert after["pair_queries"] - before["pair_queries"] == len(pairs)
+        assert after["dead_end_pairs"] - before["dead_end_pairs"] == len(pairs)
+        # The endpoints still count as load for the rebalance planner.
+        assert after["observed_sources"] - before["observed_sources"] == 6
+
+    def test_a_self_pair_on_a_dead_end_is_still_one(self, make_any,
+                                                    service_graph):
+        service = make_any()
+        node = int(_dead_ends(service_graph)[0])
+        assert service.run_batch([PairQuery(node, node)]) == [1.0]
+        stats = service.stats()
+        assert stats["dead_end_pairs"] == 0 and stats["pair_queries"] == 1
+
+    def test_live_pairs_beside_dead_ends_are_walked_as_before(
+            self, make_any, service_graph, service_index, service_params,
+            monkeypatch):
+        service = make_any()
+        dead = int(_dead_ends(service_graph)[0])
+        live = np.flatnonzero(service_graph.in_degrees() > 0)[:3].tolist()
+        batch = [PairQuery(live[0], live[1]), PairQuery(dead, live[2]),
+                 TopKQuery(dead, k=3), PairQuery(live[1], live[2])]
+        combines = _count_combines(monkeypatch)
+        answers = service.run_batch(batch)
+        assert len(combines) == 2
+        engine = QueryEngine(service_graph, service_index, service_params)
+        assert answers[0] == engine.single_pair(live[0], live[1])
+        assert answers[1] == 0.0
+        assert answers[3] == engine.single_pair(live[1], live[2])
+        # The top-k on the dead end still simulates it: only pairs shortcut.
+        assert service.stats()["sources_simulated"] == 4
+
+    def test_engine_and_service_agree_through_one_rule(
+            self, make_service, service_graph, service_index, service_params,
+            monkeypatch):
+        dead = int(_dead_ends(service_graph)[0])
+        live, other = np.flatnonzero(service_graph.in_degrees() > 0)[:2].tolist()
+        assert definitional_pair_score(service_graph, dead, live) == 0.0
+        assert definitional_pair_score(service_graph, live, dead) == 0.0
+        assert definitional_pair_score(service_graph, dead, dead) == 1.0
+        assert definitional_pair_score(service_graph, live, live) == 1.0
+        assert definitional_pair_score(service_graph, live, other) is None
+        engine = QueryEngine(service_graph, service_index, service_params)
+        walks = []
+        original = montecarlo.estimate_walk_distributions_batch
+        monkeypatch.setattr(
+            montecarlo, "estimate_walk_distributions_batch",
+            lambda *args, **kwargs: walks.append(args) or original(*args, **kwargs))
+        assert engine.single_pair(dead, live) == 0.0
+        assert engine.exact_single_pair(live, dead) == 0.0
+        assert walks == []
+        assert make_service().single_pair(dead, live) == 0.0
+
+    def test_a_dead_ends_first_in_edge_ends_the_shortcut(
+            self, service_graph, service_params):
+        service = QueryService.build(service_graph, service_params)
+        dead = int(_dead_ends(service_graph)[0])
+        live = int(np.flatnonzero(service_graph.in_degrees() > 0)[0])
+        assert service.single_pair(dead, live) == 0.0
+        tail = int(service_graph.in_neighbors(live)[0])
+        service.add_edges([(tail, dead)])
+        answer = service.single_pair(dead, live)
+        engine = service.query_engine
+        distributions = montecarlo.estimate_walk_distributions_batch(
+            service.graph, [dead, live], service.query_params)
+        assert answer == engine.combine_pair(distributions[dead],
+                                             distributions[live])
+        assert answer > 0.0
+        assert service.stats()["dead_end_pairs"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Property: every pair answer is the combine of fresh distributions
+# --------------------------------------------------------------------------- #
+@st.composite
+def _graphs(draw) -> DiGraph:
+    n = draw(st.integers(min_value=2, max_value=12))
+    node = st.integers(min_value=0, max_value=n - 1)
+    return DiGraph(n, draw(st.lists(st.tuples(node, node), max_size=3 * n)))
+
+
+def _reference(service: QueryService, node_i: int, node_j: int,
+               walkers) -> float:
+    """The pair's score from the combine of freshly simulated walks."""
+    if node_i == node_j:
+        return 1.0
+    distributions = montecarlo.estimate_walk_distributions_batch(
+        service.graph, [node_i, node_j], service.query_params, walkers=walkers)
+    engine = QueryEngine(service.graph, service.index, service.query_params)
+    return engine.combine_pair(distributions[node_i], distributions[node_j])
+
+
+@settings(max_examples=15, deadline=None)
+@given(_graphs(), st.sampled_from([1, 2, 5]), st.booleans(),
+       st.sampled_from([None, 7]), st.data())
+def test_every_pair_answer_is_the_combine_of_fresh_walks(
+        graph, num_shards, approximate, walkers, data):
+    params = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
+                           index_walkers=10, query_walkers=20,
+                           seed=data.draw(st.integers(0, 1000)))
+    service_params = (ServiceParams(accuracy_budget=0.5, approx_walkers=9,
+                                    approx_steps=2)
+                      if approximate else ServiceParams())
+    with QueryService.build(graph, params, service_params=service_params,
+                            sharding=ShardingParams(num_shards=num_shards)
+                            ) as service:
+        for _round in range(3):
+            n = service.graph.n_nodes
+            node = st.integers(min_value=0, max_value=n - 1)
+            pairs = [PairQuery(i, j) for i, j in data.draw(
+                st.lists(st.tuples(node, node), min_size=1, max_size=8))]
+            before = service.stats()["dead_end_pairs"]
+            answers = service.run_batch(pairs, walkers=walkers)
+            for query, answer in zip(pairs, answers, strict=True):
+                expected = _reference(service, query.source, query.target,
+                                      walkers)
+                assert np.float64(answer).tobytes() == \
+                    np.float64(expected).tobytes()
+            dead = service.graph.in_degrees() == 0
+            assert service.stats()["dead_end_pairs"] - before == sum(
+                query.source != query.target
+                and (dead[query.source] or dead[query.target])
+                for query in pairs)
+            # Give a dead end its first in-edge (when one is left) and add
+            # a new node, itself a dead end, with an out-edge.
+            edges = [(n, int(data.draw(node)))]
+            if dead.any():
+                head = int(data.draw(st.sampled_from(np.flatnonzero(dead).tolist())))
+                edges.append((int(data.draw(node)), head))
+            service.add_edges(edges)

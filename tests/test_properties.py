@@ -4,7 +4,8 @@ These complement the example-based unit tests by checking invariants over
 randomly generated graphs and inputs:
 
 * CSR graph construction is consistent with the edge list it was built from;
-* the transition matrix is column-substochastic;
+* the transition matrix is column-substochastic, and it and its transpose
+  are the COO construction's bytes;
 * SimRank estimates always live in [0, 1] with unit self-similarity;
 * the indexing linear system is well-formed for any graph;
 * the Jacobi solver converges on diagonally dominant systems;
@@ -27,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.config import ServiceParams, SimRankParams
 from repro.core import linear_system, montecarlo, queries, walks
@@ -104,6 +106,29 @@ class TestGraphProperties:
         in_degrees = graph.in_degrees()
         assert np.allclose(column_sums[in_degrees > 0], 1.0)
         assert np.allclose(column_sums[in_degrees == 0], 0.0)
+
+    @given(graphs())
+    def test_transition_matrices_bitwise_equal_to_the_coo_build(self, graph):
+        """``P`` from the out-CSR and ``P^T`` from the in-CSR are the bytes
+        the COO construction and its transpose give: arrays, dtypes and
+        the sorted flag."""
+        n = graph.n_nodes
+        in_deg = graph.in_degrees().astype(np.float64)
+        cols = np.repeat(np.arange(n, dtype=np.int64), graph.in_degrees())
+        with np.errstate(divide="ignore"):
+            inverse = np.where(in_deg > 0, 1.0 / in_deg, 0.0)
+        reference = sparse.csr_matrix(
+            (inverse[cols], (graph.in_csr[1], cols)), shape=(n, n),
+            dtype=np.float64)
+        for ours, theirs in ((graph.transition_matrix(), reference),
+                             (graph.transition_matrix_t(),
+                              reference.T.tocsr())):
+            assert ours.shape == theirs.shape
+            assert ours.has_sorted_indices == theirs.has_sorted_indices
+            for name in ("indptr", "indices", "data"):
+                mine, other = getattr(ours, name), getattr(theirs, name)
+                assert mine.dtype == other.dtype
+                assert mine.tobytes() == other.tobytes()
 
     @given(st.integers(min_value=0, max_value=12), st.data())
     def test_with_edges_bitwise_equal_to_constructor_on_the_union(self, n_nodes, data):
@@ -283,29 +308,44 @@ class TestServiceProperties:
 
     @given(graphs(max_nodes=14, max_edges=50), st.data())
     def test_batch_walks_bitwise_equal_to_single_source(self, graph, data):
+        """Every step of the packed kernel — the per-source steps 0 and 1
+        included, alone at T = 0 and T = 1 — equals the single-source
+        oracle, dtypes too."""
         # Seeds of one to five 32-bit words: the kernel derives each
         # source's stream itself, and wide seeds take more hashing rounds.
         seed = data.draw(st.one_of(st.integers(min_value=0, max_value=10_000),
                                    st.integers(min_value=2**32, max_value=2**160 - 1)))
+        steps = data.draw(st.integers(min_value=0, max_value=5))
+        walkers = data.draw(st.integers(min_value=1, max_value=40))
         n_sources = data.draw(st.integers(min_value=1, max_value=min(4, graph.n_nodes)))
         sources = data.draw(
             st.lists(st.integers(min_value=0, max_value=graph.n_nodes - 1),
                      min_size=n_sources, max_size=n_sources)
         )
+        # A source whose in-list has one node, and the graph's highest
+        # in-degree: the two ends of the step-1 slot count.
+        in_degrees = graph.in_degrees()
+        sources += np.flatnonzero(in_degrees == 1)[:1].tolist()
+        sources.append(int(np.argmax(in_degrees)))
         batch = {
             source: [(packed.nodes[lo:hi], packed.counts[lo:hi])
                      for lo, hi in zip(bounds, bounds[1:])]
             for packed in walks.simulate_walks_packed(
-                graph, sources, walkers_per_source=12, steps=3, seed=seed)
+                graph, sources, walkers_per_source=walkers, steps=steps,
+                seed=seed)
             for source, bounds in zip(packed.sources.tolist(),
                                       packed.offsets.tolist())
         }
+        assert sorted(batch) == sorted(set(sources))
         for source in set(sources):
             direct = walks.single_source_walk_counts(
-                graph, source, walkers=12, steps=3,
+                graph, source, walkers=walkers, steps=steps,
                 rng=walks.make_rng(seed, stream=source),
             )
-            for (batch_nodes, batch_counts), (nodes, counts) in zip(batch[source], direct):
+            for (batch_nodes, batch_counts), (nodes, counts) in zip(
+                    batch[source], direct, strict=True):
+                assert batch_nodes.dtype == nodes.dtype == np.int64
+                assert batch_counts.dtype == counts.dtype == np.int64
                 assert np.array_equal(batch_nodes, nodes)
                 assert np.array_equal(batch_counts, counts)
 
@@ -440,8 +480,6 @@ class TestOneStreamDiscipline:
 class TestSolverProperties:
     @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=1000))
     def test_jacobi_converges_on_diagonally_dominant_systems(self, size, seed):
-        from scipy import sparse
-
         rng = np.random.default_rng(seed)
         matrix = rng.random((size, size)) * (0.5 / size)
         np.fill_diagonal(matrix, 1.0 + rng.random(size))
