@@ -19,10 +19,13 @@ a real child process:
    ``/stats`` does not move, ``dead_end_pairs`` moves by one),
 5. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
-6. probe again after the load's waited live update: the reply carries the
+6. require that some batch under that load closed before the window ran
+   out (``closed_early`` in ``/stats``' ``coalescer`` block), then probe
+   again after the load's waited live update: the reply carries the
    bumped ``index_version`` and equals what a fresh single-shard
    ``QueryService`` built on the updated graph answers — the update
-   dropped the score entries instead of serving them stale,
+   dropped the score entries instead of serving them stale — and its raw
+   body is byte-equal to ``json.dumps`` of that fresh answer's payload,
 7. send SIGTERM and require the graceful path: exit code 0 and the
    ``shutdown complete`` line (the drain ran, requests were answered, not
    dropped),
@@ -275,7 +278,8 @@ def _probe_after_update(port: int, graph: Path, index: Path,
         [tuple(edge) for edge in UPDATE_EDGES])
     reference = QueryService.build(updated, DiagonalIndex.load(index).params)
     for line in PROBE_LINES:
-        reply = json.loads(_request(port, "POST", "/query", {"queries": [line]}))
+        raw = _request(port, "POST", "/query", {"queries": [line]})
+        reply = json.loads(raw)
         if reply["index_version"] != version_before + 1:
             raise RuntimeError(f"index_version {reply['index_version']} after "
                                f"the update, expected {version_before + 1}")
@@ -285,6 +289,11 @@ def _probe_after_update(port: int, graph: Path, index: Path,
             raise RuntimeError(f"{line!r} after the update answered "
                                f"{reply['answers']}, a fresh build answers "
                                f"{[expected]}")
+        payload = json.dumps({"answers": [expected],
+                              "index_version": version_before + 1})
+        if raw != payload.encode("utf-8"):
+            raise RuntimeError(f"{line!r} body is not byte-equal to json.dumps "
+                               f"of a fresh build's payload")
     reference.close()
 
 
@@ -365,9 +374,16 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
               f"{N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)
         if not outcome["errors"]:
+            coalescer = json.loads(_request(port, "GET", "/stats"))["coalescer"]
+            if coalescer["closed_early"] <= 0:
+                raise RuntimeError(f"no batch closed before the window under "
+                                   f"load: {coalescer}")
             _probe_after_update(port, graph, index, version)
-            print("http-smoke: post-update top-k and source equal a fresh "
-                  f"build's at index_version {version + 1}")
+            print("http-smoke: post-update top-k and source bodies are "
+                  "byte-equal to json.dumps of a fresh build's payload at "
+                  f"index_version {version + 1}; {coalescer['closed_early']} "
+                  f"of {coalescer['batches']} batches closed before the "
+                  "window")
     except Exception:
         _stop(server)
         raise

@@ -5,11 +5,12 @@ The in-process services already deduplicate the sources *within* one batch
 queries one connection at a time — submitted individually, nothing would
 ever share a batch and every hot source would be simulated once per client.
 :class:`BatchCoalescer` closes that gap: concurrent submissions are queued,
-collected for a short window (``ServiceParams.coalesce_window``) and
-executed as ONE ``run_batch`` call, so the existing planner dedups sources
-*across connections* and the scatter fans out once.  While a batch executes
-on the worker strand, new submissions keep queueing — under load the
-coalescer batches naturally even with a zero window.
+collected until the batch holds as many submissions as were waiting when
+the previous batch finished (for at most ``ServiceParams.coalesce_window``
+seconds) and executed as ONE ``run_batch`` call, so the existing planner
+dedups sources *across connections* and the scatter fans out once.  While
+a batch executes on the worker strand, new submissions keep queueing —
+under load the coalescer batches naturally even with a zero window.
 
 Admission control lives here too: a submission that would push the number
 of admitted-but-unanswered queries past ``max_in_flight`` is refused with
@@ -63,9 +64,10 @@ class BatchCoalescer:
         executor for a non-thread-safe service; the coalescer itself never
         runs two batches concurrently either way (one collector task).
     window:
-        Seconds to keep collecting after the first queued submission
-        before executing the combined batch.  ``0`` executes whatever has
-        queued immediately.
+        Upper bound, in seconds, on how long a batch keeps collecting
+        after its first submission while it is still smaller than its
+        target (see :meth:`_collect_forever`).  ``0`` executes whatever
+        has queued immediately.
     max_in_flight:
         Bound on admitted-but-unanswered queries; beyond it
         :meth:`submit` raises :class:`~repro.errors.ServiceOverloadedError`.
@@ -85,9 +87,13 @@ class BatchCoalescer:
         self._collector: Optional["asyncio.Task[None]"] = None
         self._stopping = False
         self._in_flight = 0
+        #: Submissions waiting when the last batch finished: the size the
+        #: next batch collects up to.
+        self._target = 0
         self._counters: Dict[str, int] = {
             "submissions": 0, "batches": 0, "coalesced_submissions": 0,
             "rejected_submissions": 0, "isolation_retries": 0,
+            "closed_early": 0, "closed_at_window": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -158,7 +164,23 @@ class BatchCoalescer:
     # Collector
     # ------------------------------------------------------------------ #
     async def _collect_forever(self) -> None:
-        """The single collector loop: window-gather, execute, repeat."""
+        """The single collector loop: gather, execute, repeat.
+
+        A batch closes once it holds as many submissions as were waiting
+        when the previous batch finished — that batch's own, plus those
+        that queued behind it while it ran — or when the window runs out,
+        whichever comes first; whatever else is already queued then joins
+        it without a wait.  Closed-loop clients answered together come
+        back together, so the next batch is complete when the last of them
+        is back, and waiting past that only delays them.  The first batch,
+        and any batch after a lone submission with nobody queued behind
+        it, runs without waiting.
+
+        Counting the queued submissions keeps clients in step: two clients
+        knocked out of step (one stalls past the window once) arrive each
+        while the other's batch runs, and sized by the batch alone, every
+        later batch would hold one submission.
+        """
         loop = asyncio.get_running_loop()
         stopping = False
         while not stopping:
@@ -168,23 +190,26 @@ class BatchCoalescer:
                 batch: List[_Submission] = []
             else:
                 batch = [item]
-                if self.window > 0:
-                    deadline = loop.time() + self.window
-                    while True:
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            item = await asyncio.wait_for(
-                                self._queue.get(), remaining
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        if item is _STOP:
-                            stopping = True
-                            break
-                        batch.append(item)
-            # Take whatever else queued (during the window, or between the
+                deadline = loop.time() + self.window
+                while len(batch) < self._target:
+                    remaining = deadline - loop.time()
+                    if remaining <= 0:
+                        break
+                    try:
+                        item = await asyncio.wait_for(
+                            self._queue.get(), remaining
+                        )
+                    except asyncio.TimeoutError:
+                        break
+                    if item is _STOP:
+                        stopping = True
+                        break
+                    batch.append(item)
+                if not stopping:
+                    closed = ("closed_early" if len(batch) >= self._target
+                              else "closed_at_window")
+                    self._counters[closed] += 1
+            # Take whatever else queued (while collecting, or between the
             # stop flag and the sentinel) without waiting further.
             while not self._queue.empty():
                 item = self._queue.get_nowait()
@@ -194,6 +219,7 @@ class BatchCoalescer:
                     batch.append(item)
             if batch:
                 await self._execute(batch)
+                self._target = len(batch) + self._queue.qsize()
 
     async def _execute(self, batch: List[_Submission]) -> None:
         """Run one combined batch and slice the answers per submission.
@@ -248,7 +274,14 @@ class BatchCoalescer:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, int]:
-        """Coalescing counters: submissions, batches, rejections, retries."""
+        """Coalescing counters: submissions, batches, rejections, retries.
+
+        ``closed_early`` counts batches that reached their target (see
+        :meth:`_collect_forever`) before the window ran out, a batch that
+        had nothing to wait for included; ``closed_at_window`` counts
+        those the window closed.  A batch closed by :meth:`stop` counts in
+        neither.
+        """
         return {**self._counters, "in_flight": self._in_flight}
 
     def __repr__(self) -> str:

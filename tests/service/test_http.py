@@ -98,6 +98,33 @@ async def _send(reader, writer, method, path, payload=None, close=False):
     return status, (json.loads(data) if data else {}), headers
 
 
+def _raw_query(lines):
+    """The bytes of one ``POST /query`` request that closes its connection."""
+    body = json.dumps({"queries": lines}).encode("utf-8")
+    return (f"POST /query HTTP/1.1\r\nContent-Length: {len(body)}\r\n"
+            "Connection: close\r\n\r\n").encode("latin-1") + body
+
+
+async def _exchange_raw(port, request):
+    """Send raw request bytes on a fresh connection; (status, body bytes)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        status_line = await reader.readline()
+        length = 0
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        return int(status_line.split()[1]), await reader.readexactly(length)
+    finally:
+        writer.close()
+
+
 async def _request(port, method, path, payload=None):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
@@ -154,13 +181,68 @@ class TestProtocol:
             expected, version = _expected(reference, QUERY_LINES)
 
         async def scenario(server):
-            return await _request(server.port, "POST", "/query",
-                                  {"queries": QUERY_LINES})
+            return await _exchange_raw(server.port, _raw_query(QUERY_LINES))
 
-        status, payload = _serve(service, scenario)
+        status, raw = _serve(service, scenario)
         assert status == 200
-        assert payload["answers"] == expected
-        assert payload["index_version"] == version
+        # The body is byte-equal to ``json.dumps`` of the in-process
+        # payload, so decoding it gives back exactly the served floats.
+        assert raw == json.dumps({"answers": expected,
+                                  "index_version": version}).encode("utf-8")
+
+    def test_response_bytes_count_the_query_bodies_read(self):
+        service = _sharded(_graph())
+        lines = [["source 12"], ["pair 3 7", "topk 5 4"], QUERY_LINES]
+
+        async def scenario(server):
+            totals = []
+            for _ in range(2):
+                read = 0
+                for queries in lines:
+                    status, raw = await _exchange_raw(server.port,
+                                                      _raw_query(queries))
+                    assert status == 200
+                    read += len(raw)
+                _status, stats = await _request(server.port, "GET", "/stats")
+                totals.append((read, stats["http"]["response_bytes"]))
+            return totals
+
+        (first_read, first_total), (second_read, second_total) = _serve(
+            service, scenario)
+        assert first_total == first_read > 0
+        # The same sequence again writes the same bytes again.
+        assert second_read == first_read
+        assert second_total == first_total + second_read
+
+    def test_negative_content_length_is_400_and_counted(self):
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            answer = await _exchange_raw(
+                server.port,
+                b"POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+            _status, stats = await _request(server.port, "GET", "/stats")
+            return answer, stats["http"]["bad_requests"]
+
+        (status, raw), bad_requests = _serve(service, scenario)
+        assert status == 400
+        assert json.loads(raw) == {"error": "malformed Content-Length"}
+        assert bad_requests == 1
+
+    def test_oversized_request_head_is_431_and_counted(self):
+        service = _sharded(_graph())
+        request = (b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70_000
+                   + b"\r\n\r\n")
+
+        async def scenario(server):
+            answer = await _exchange_raw(server.port, request)
+            _status, stats = await _request(server.port, "GET", "/stats")
+            return answer, stats["http"]["bad_requests"]
+
+        (status, raw), bad_requests = _serve(service, scenario)
+        assert status == 431
+        assert "request head exceeds" in json.loads(raw)["error"]
+        assert bad_requests == 1
 
     def test_malformed_query_is_400_naming_the_input(self):
         service = _sharded(_graph())
@@ -348,10 +430,14 @@ class TestLifecycle:
             expected, version = _expected(reference, QUERY_LINES)
 
         async def body():
-            # A long window parks the submission inside the coalescer, so
-            # stop() races a genuinely in-flight request.
+            # After a batch of two, a long window parks a lone submission
+            # inside the coalescer, so stop() races a genuinely in-flight
+            # request.
             server = HttpServiceServer(service, port=0, coalesce_window=0.5)
             await server.start()
+            queries = [parse_query("pair 1 2")]
+            await asyncio.gather(server._coalescer.submit(queries),
+                                 server._coalescer.submit(queries))
             task = asyncio.ensure_future(_request(
                 server.port, "POST", "/query", {"queries": QUERY_LINES}
             ))
