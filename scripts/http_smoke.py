@@ -7,7 +7,11 @@ a real child process:
 1. build a small graph + index through the CLI,
 2. start ``repro serve-http`` with the **processes** serve backend (the
    one that owns shared-memory segments and worker pools) on an ephemeral
-   port, waiting for the startup announcement,
+   port, waiting for the startup announcement.  At ``QUERY_WALKERS``
+   every batch stays below the scatter grain
+   (``repro.service.sharded.SCATTER_GRAIN``), so its misses are walked in
+   the server's own thread: ``scatter_hops`` in ``/stats`` must stay 0 and
+   no ``psm_*`` segment may appear while this leg runs,
 3. probe the score cache entries: one ``topk`` line and one ``source``
    line, each posted twice, return byte-identical JSON, the second served
    from its score entry (``cache_score_hits`` in ``/stats`` moves by
@@ -37,6 +41,13 @@ Then a short second leg serves the same index at ``--shards 1``, which
 takes the same overlapped-drain path as any K: one query, one waited
 update, the probe again against a fresh build, and the same graceful
 SIGTERM and ``/dev/shm`` checks.
+
+A third leg keeps a real pool in the smoke: it serves an index built with
+``POOL_QUERY_WALKERS`` walkers per query, enough that one posted batch of
+``POOL_LINES`` crosses the grain.  ``scatter_hops`` must move, the pool's
+graph segment must exist while it serves, the body must be byte-equal to
+``json.dumps`` of a fresh build's payload, and SIGTERM must still exit 0
+and unlink the segment.
 
 Exit codes: 0 all good, 1 a stage failed, 2 shared-memory segments leaked.
 
@@ -76,6 +87,11 @@ UPDATE_EDGES = [[0, 200], [3, 150]]
 #: sources (each line's first post is its source's miss), and outside the
 #: load threads' ``0..19`` range, so only the probe ever asks for them.
 PROBE_LINES = ("topk 200 5", "source 150")
+#: The pool leg: eight distinct top-k sources at 120 000 walkers take
+#: 8 × 120 000 × (WALK_STEPS + 1) = 4.8 M walker-steps, over twice the
+#: 2 M-step scatter grain, so the batch crosses to both serve workers.
+POOL_QUERY_WALKERS = 120_000
+POOL_LINES = tuple(f"topk {node} 5" for node in range(100, 108))
 
 
 def _cli_env() -> dict:
@@ -179,8 +195,48 @@ def _request(port: int, method: str, path: str, payload=None) -> bytes:
         connection.close()
 
 
+def _stats(port: int) -> dict:
+    return json.loads(_request(port, "GET", "/stats"))
+
+
+def _require_inline(port: int, segments_before: set, stage: str) -> None:
+    """Every batch so far was walked inline: no hop, no pool segment."""
+    stats = _stats(port)
+    if stats["scatter_hops"] != 0:
+        raise RuntimeError(f"{stage}: scatter_hops {stats['scatter_hops']}, "
+                           "expected 0 below the scatter grain")
+    appeared = _shm_segments() - segments_before
+    if appeared:
+        raise RuntimeError(f"{stage}: psm_* segments {sorted(appeared)} "
+                           "appeared, though no batch reached the pool")
+
+
+def _fresh_answers(graph: Path, index: Path, lines, edges=()) -> list:
+    """A fresh single-shard build's encoded answers to ``lines``."""
+    sys.path.insert(0, str(SRC_DIR))
+    from repro.core.index import DiagonalIndex
+    from repro.graph import io
+    from repro.service import QueryService, parse_query
+    from repro.service.http import encode_answer
+
+    served = io.read_edge_list(graph, relabel=False).with_edges(
+        [tuple(edge) for edge in edges])
+    queries = [parse_query(line) for line in lines]
+    with QueryService.build(served,
+                            DiagonalIndex.load(index).params) as reference:
+        answers = reference.run_batch(queries)
+    return [encode_answer(query, answer)
+            for query, answer in zip(queries, answers)]
+
+
+def _body(answers: list, version: int) -> bytes:
+    """What ``json.dumps`` makes of a ``/query`` payload."""
+    return json.dumps({"answers": answers,
+                       "index_version": version}).encode("utf-8")
+
+
 def _score_hits(port: int) -> int:
-    return json.loads(_request(port, "GET", "/stats"))["cache_score_hits"]
+    return _stats(port)["cache_score_hits"]
 
 
 def _post_once_from_cache(port: int, line: str) -> bytes:
@@ -268,33 +324,20 @@ def _probe_dead_end(port: int, graph: Path) -> None:
 def _probe_after_update(port: int, graph: Path, index: Path,
                         version_before: int) -> None:
     """Each probe line after the waited update: bumped version, fresh answer."""
-    sys.path.insert(0, str(SRC_DIR))
-    from repro.core.index import DiagonalIndex
-    from repro.graph import io
-    from repro.service import QueryService, parse_query
-    from repro.service.http import encode_answer
-
-    updated = io.read_edge_list(graph, relabel=False).with_edges(
-        [tuple(edge) for edge in UPDATE_EDGES])
-    reference = QueryService.build(updated, DiagonalIndex.load(index).params)
-    for line in PROBE_LINES:
+    fresh = _fresh_answers(graph, index, PROBE_LINES, UPDATE_EDGES)
+    for line, expected in zip(PROBE_LINES, fresh):
         raw = _request(port, "POST", "/query", {"queries": [line]})
         reply = json.loads(raw)
         if reply["index_version"] != version_before + 1:
             raise RuntimeError(f"index_version {reply['index_version']} after "
                                f"the update, expected {version_before + 1}")
-        query = parse_query(line)
-        expected = encode_answer(query, reference.run_batch([query])[0])
         if reply["answers"] != [expected]:
             raise RuntimeError(f"{line!r} after the update answered "
                                f"{reply['answers']}, a fresh build answers "
                                f"{[expected]}")
-        payload = json.dumps({"answers": [expected],
-                              "index_version": version_before + 1})
-        if raw != payload.encode("utf-8"):
+        if raw != _body([expected], version_before + 1):
             raise RuntimeError(f"{line!r} body is not byte-equal to json.dumps "
                                f"of a fresh build's payload")
-    reference.close()
 
 
 def _apply_load(port: int, seconds: float) -> dict:
@@ -362,11 +405,13 @@ def _shutdown(server: subprocess.Popen) -> bool:
 
 def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
     """Two shards: score-entry probe, concurrent load, post-update probe."""
+    segments = _shm_segments()
     server = _start_server(graph, index, shards=2)
     try:
         port = _await_port(server)
         version = _probe_after_flip(port, _probe_repeat(port))
         _probe_dead_end(port, graph)
+        _require_inline(port, segments, "probes")
         print(f"http-smoke: server up on port {port}, repeated top-k and "
               f"source lines served from their score entries, before and "
               f"after a forced plan flip, a dead-end pair answered 0.0 "
@@ -379,11 +424,12 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
                 raise RuntimeError(f"no batch closed before the window under "
                                    f"load: {coalescer}")
             _probe_after_update(port, graph, index, version)
+            _require_inline(port, segments, "load")
             print("http-smoke: post-update top-k and source bodies are "
                   "byte-equal to json.dumps of a fresh build's payload at "
                   f"index_version {version + 1}; {coalescer['closed_early']} "
                   f"of {coalescer['batches']} batches closed before the "
-                  "window")
+                  "window; every batch walked inline, no pool segment")
     except Exception:
         _stop(server)
         raise
@@ -407,6 +453,7 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
 
 def _one_shard_leg(graph: Path, index: Path) -> bool:
     """One shard: a query, a waited update, the probe against a fresh build."""
+    segments = _shm_segments()
     server = _start_server(graph, index, shards=1)
     try:
         port = _await_port(server)
@@ -414,8 +461,35 @@ def _one_shard_leg(graph: Path, index: Path) -> bool:
                                       {"queries": list(PROBE_LINES)}))["index_version"]
         _request(port, "POST", "/update", {"edges": UPDATE_EDGES, "wait": True})
         _probe_after_update(port, graph, index, version)
+        _require_inline(port, segments, "--shards 1")
         print("http-smoke: --shards 1 post-update top-k and source equal a "
               f"fresh build's at index_version {version + 1}")
+    except Exception:
+        _stop(server)
+        raise
+    return _shutdown(server)
+
+
+def _pool_leg(graph: Path, index: Path) -> bool:
+    """Two shards, one batch over the grain: the pool runs, then SIGTERM."""
+    segments = _shm_segments()
+    server = _start_server(graph, index, shards=2)
+    try:
+        port = _await_port(server)
+        raw = _request(port, "POST", "/query", {"queries": list(POOL_LINES)})
+        hops = _stats(port)["scatter_hops"]
+        if hops <= 0:
+            raise RuntimeError(f"a {len(POOL_LINES)}-source batch at "
+                               f"{POOL_QUERY_WALKERS} walkers made no hop")
+        if not _shm_segments() - segments:
+            raise RuntimeError("the pool served without a psm_* segment for "
+                               "its resident graph")
+        if raw != _body(_fresh_answers(graph, index, POOL_LINES), 1):
+            raise RuntimeError("the pool-walked body is not byte-equal to "
+                               "json.dumps of a fresh build's payload")
+        print(f"http-smoke: a {len(POOL_LINES)}-source batch at "
+              f"{POOL_QUERY_WALKERS} walkers crossed to the pool in {hops} "
+              "runs; its body is byte-equal to a fresh build's")
     except Exception:
         _stop(server)
         raise
@@ -435,14 +509,18 @@ def main(argv=None) -> int:
         _run_cli("generate", "--model", "copying",
                  "--nodes", str(GRAPH_NODES), "--degree", "4",
                  "--seed", "7", "--output", str(graph))
-        _run_cli("index", "--graph", str(graph),
-                 "--walkers", str(INDEX_WALKERS),
-                 "--query-walkers", str(QUERY_WALKERS),
-                 "--steps", str(WALK_STEPS), "--output", str(index))
+        pool_index = Path(tmp) / "pool-index.npz"
+        for output, query_walkers in ((index, QUERY_WALKERS),
+                                      (pool_index, POOL_QUERY_WALKERS)):
+            _run_cli("index", "--graph", str(graph),
+                     "--walkers", str(INDEX_WALKERS),
+                     "--query-walkers", str(query_walkers),
+                     "--steps", str(WALK_STEPS), "--output", str(output))
 
         before = _shm_segments()
         ok = _load_leg(graph, index, args.seconds)
         ok = _one_shard_leg(graph, index) and ok
+        ok = _pool_leg(graph, pool_index) and ok
         leaked = _shm_segments() - before
         if leaked:
             print(f"http-smoke: FAIL - leaked shared-memory segments: "
@@ -450,8 +528,8 @@ def main(argv=None) -> int:
             return 2
         if not ok:
             return 1
-    print("http-smoke: graceful shutdown verified at --shards 2 and 1, "
-          "no leaked segments")
+    print("http-smoke: graceful shutdown verified at --shards 2 and 1 and "
+          "on a pool that ran, no leaked segments")
     return 0
 
 

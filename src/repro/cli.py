@@ -286,8 +286,11 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
                         choices=["serial", "threads", "processes"],
-                        help="executor backend for the cache-miss walk "
-                             "simulation, one task per serve worker "
+                        help="executor pool a batch's cache-miss walk "
+                             "simulation crosses to, one run per serve "
+                             "worker, once each run carries the scatter "
+                             "grain of 2M walker-steps; lighter batches are "
+                             "walked in the serving thread "
                              "(default: %(default)s)")
     parser.add_argument("--serve-workers", dest="serve_workers", type=int,
                         default=defaults.serve_workers,

@@ -158,8 +158,10 @@ class ServiceParams:
     serve_backend:
         Executor backend the service scatters *query-time* work
         through (a batch's cache-miss walk simulation, split into
-        ``min(serve_workers, misses)`` contiguous runs — one on
-        ``"serial"``; scoring and ranking run in the serving process):
+        ``min(serve_workers, misses, work // SCATTER_GRAIN)`` contiguous
+        runs, :func:`repro.service.sharded.scatter_runs`; one run — always
+        on ``"serial"`` — is walked in the serving thread, and scoring and
+        ranking run in the serving process):
         ``"serial"``, ``"threads"`` or ``"processes"`` (see
         :mod:`repro.engine.executor`).  Tasks ship a handle to the
         pool-resident graph plus their run's source ids, so payloads are

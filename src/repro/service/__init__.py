@@ -23,7 +23,8 @@ serving layer fit for sustained query traffic:
     at every ``K``.
 :mod:`repro.service.sharded`
     The cache-miss scatter: a batch's missing walk distributions
-    simulated in one fan-out over the service's serve pool.
+    simulated in one fan-out, in the serving thread or, once each run
+    carries ``SCATTER_GRAIN`` walker-steps, over the service's serve pool.
 :mod:`repro.service.coalesce`
     :class:`BatchCoalescer`, cross-connection batch coalescing: concurrent
     submissions are collected for a short window and executed as one

@@ -31,8 +31,10 @@ distributions *and* the scores (with their memoised top-k rankings) of
 every source, keyed independently of the plan; an update invalidates the
 distributions inside its affected ball and drops every score entry.
 
-A batch's cache misses are simulated in one scatter on a persistent serve
-pool (:func:`repro.service.sharded.simulate_misses`); scoring and ranking
+A batch's cache misses are simulated in one scatter
+(:func:`repro.service.sharded.simulate_misses`): in the serving thread, or
+on a persistent serve pool once each run carries a grain of walker-steps
+(:data:`repro.service.sharded.SCATTER_GRAIN`); scoring and ranking
 run in the serving process: one support-sized propagation per batch over
 the sources no score entry answered, one ranking per distinct ``(source,
 k)`` and version.  The service is thread-safe:
@@ -166,9 +168,9 @@ class QueryService:
         Cache and serving knobs.  The service keeps one LRU of
         ``cache_capacity × K`` entries per kind: up to ``K * cache_capacity``
         distributions and as many score entries.  ``serve_backend`` /
-        ``serve_workers`` select the persistent executor pool the
-        cache-miss simulation scatter runs through (release it with
-        :meth:`close`).
+        ``serve_workers`` select the persistent executor pool a batch's
+        cache-miss simulation crosses to when its runs carry the grain
+        (release it with :meth:`close`).
     update_params:
         Live-update knobs (pending-edge queue bound, node-growth limit,
         snapshot cadence).
@@ -188,8 +190,8 @@ class QueryService:
     last_batch_payload_bytes:
         Pickled task bytes the most recent batch sent to a ``processes``
         serve pool: its cache-miss simulation tasks, each a graph handle
-        plus a run of source ids.  Zero for a fully cached batch and on the
-        in-process backends; accumulated in
+        plus a run of source ids.  Zero for a fully cached batch, a batch
+        walked inline, and on the in-process backends; accumulated in
         ``stats()["scatter_payload_bytes"]``.
     """
 
@@ -238,10 +240,10 @@ class QueryService:
         self._counters: Dict[str, int] = {
             "queries": 0, "pair_queries": 0, "dead_end_pairs": 0,
             "source_queries": 0, "topk_queries": 0, "batches": 0,
-            "sources_simulated": 0,
+            "sources_simulated": 0, "misses_walked_inline": 0,
             "sources_deduplicated": 0, "updates_applied": 0, "edges_added": 0,
             "snapshots_written": 0, "rebalances_applied": 0,
-            "scatter_payload_bytes": 0,
+            "scatter_hops": 0, "scatter_payload_bytes": 0,
         }
         self.cache = WalkDistributionCache(
             self.service_params.cache_capacity * self.plan.num_shards)
@@ -265,7 +267,8 @@ class QueryService:
         #   swap-in of an applied update (:meth:`_adopt_mutation`),
         #   snapshots and stats.  Concurrent callers can never observe a
         #   half-applied update; the cache-miss simulation *inside* a
-        #   batch still fans out through the serve pool below.
+        #   batch that carries the grain still fans out through the serve
+        #   pool below.
         self._update_lock = threading.RLock()
         self._lock = threading.RLock()
         self._serve_backend = make_backend(
@@ -863,9 +866,10 @@ class QueryService:
             finally:
                 self._update_lock.release()
         with self._lock:
-            # A batch sends the pool at most one run, its cache-miss
+            # A batch sends the pool at most one scatter, its cache-miss
             # simulation fan-out; the cumulative counter's delta is that
-            # run's bytes, and zero when everything was cached.
+            # scatter's bytes, and zero when everything was cached or the
+            # misses were walked inline.
             payload_before = getattr(self._serve_backend, "total_payload_bytes",
                                      None)
             queries = list(queries)
@@ -948,8 +952,9 @@ class QueryService:
     ) -> Dict[int, WalkDistributions]:
         """Look every source of the batch up in the cache; simulate the rest.
 
-        The misses are simulated in one ascending scatter on the serve pool
-        (:func:`~repro.service.sharded.simulate_misses`), counted against
+        The misses are simulated in one ascending scatter
+        (:func:`~repro.service.sharded.simulate_misses`: inline, or on the
+        serve pool when the batch carries the grain), counted against
         their owning shards and stored in the cache in that order.
         """
         resolved: Dict[int, WalkDistributions] = {}
@@ -963,10 +968,13 @@ class QueryService:
             else:
                 missing.append(source)
         if missing:
-            simulated = simulate_misses(self._serve_backend, self.graph,
-                                        sorted(missing), self.query_params,
-                                        walkers_count)
+            simulated, hops = simulate_misses(
+                self._serve_backend, self.graph, sorted(missing),
+                self.query_params, walkers_count)
             self._counters["sources_simulated"] += len(simulated)
+            self._counters["scatter_hops"] += hops
+            if not hops:
+                self._counters["misses_walked_inline"] += len(simulated)
             for source, distribution in simulated.items():
                 self._shard_counters[self.plan.shard_of(source)][
                     "sources_simulated"] += 1
@@ -1102,9 +1110,11 @@ class QueryService:
         entry lists, per shard: owned nodes, the shard's version, and its
         simulated and routed sources and routed edges.
         ``serve_backend`` / ``serve_workers`` describe the simulation
-        scatter pool.  The whole snapshot is taken under the serve lock,
-        so its figures are mutually consistent even while batches and
-        updates run concurrently.
+        scatter pool; ``scatter_hops`` counts the runs handed to it and
+        ``misses_walked_inline`` the misses walked in the serving thread.
+        The whole snapshot is taken under the serve lock, so its figures
+        are mutually consistent even while batches and updates run
+        concurrently.
         """
         with self._lock:
             owned_nodes = np.bincount(self.plan.assign(self.graph.n_nodes),

@@ -173,6 +173,7 @@ class TestProtocol:
         assert stats["index_version"] == version
         assert stats["http"]["requests"] >= 2
         assert "batches" in stats["coalescer"]
+        assert stats["scatter_hops"] == stats["misses_walked_inline"] == 0
 
     def test_query_round_trip_is_bitwise_identical(self):
         graph = _graph()

@@ -11,6 +11,11 @@ before *and* after random edge batches.
 These are deterministic seeded-random sweeps (``numpy.random.default_rng``
 with fixed seeds) rather than hypothesis properties, so the expensive
 ``processes`` configurations run a bounded, reproducible number of trials.
+
+Toy batches carry far fewer walker-steps than
+:data:`repro.service.sharded.SCATTER_GRAIN`, so every test here lowers the
+grain to one walker-step: each batch then crosses to the pool whenever the
+pool has more than one worker, which is the route under test.
 """
 
 import numpy as np
@@ -34,6 +39,13 @@ BACKEND_GRID = [
 ]
 SHARD_COUNTS = (1, 2, 5)
 K_VALUES = (1, 2, 5)
+
+
+@pytest.fixture(autouse=True)
+def _every_batch_crosses(monkeypatch):
+    import repro.service.sharded as sharded_module
+
+    monkeypatch.setattr(sharded_module, "SCATTER_GRAIN", 1)
 
 
 def _random_graph(rng):

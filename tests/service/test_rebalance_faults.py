@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro.core.index as index_module
+import repro.service.sharded as sharded_module
 from repro.config import (
     RebalanceParams,
     ServiceParams,
@@ -126,13 +127,16 @@ class TestKilledShardBuild:
                 assert _answers(service) == _answers(reference)
 
     def test_no_shm_leak_after_failed_migration(self, monkeypatch):
+        # A toy batch is below the scatter grain and would be walked inline;
+        # a one-walker-step grain and two workers send it to the pool.
+        monkeypatch.setattr(sharded_module, "SCATTER_GRAIN", 1)
         graph = _graph(n=200)
         service = QueryService.build(
             graph, PARAMS,
             sharding=ShardingParams(num_shards=2),
             service_params=ServiceParams(cache_capacity=0,
                                          serve_backend="processes",
-                                         serve_workers=1),
+                                         serve_workers=2),
             rebalance_params=RebalanceParams(min_sources=0),
         )
         try:

@@ -16,6 +16,12 @@ pool would receive without paying fork costs per parametrisation.
 Also here: the executor-lifecycle guarantee that
 :meth:`QueryService.close` releases every shared-memory segment,
 including after the serve pool broke mid-flight.
+
+Every test measures what a batch ships once it reaches the pool.  Toy
+batches carry far fewer walker-steps than
+:data:`repro.service.sharded.SCATTER_GRAIN`, and one run is walked inline,
+so the module lowers the grain to one walker-step and gives each pool two
+workers: then every batch of two or more misses crosses.
 """
 
 import glob
@@ -38,6 +44,13 @@ from repro.service import (
 )
 
 NUM_SHARDS = 4
+
+
+@pytest.fixture(autouse=True)
+def _every_batch_crosses(monkeypatch):
+    import repro.service.sharded as sharded_module
+
+    monkeypatch.setattr(sharded_module, "SCATTER_GRAIN", 1)
 
 
 class InlineProcessBackend(ProcessBackend):
@@ -78,7 +91,7 @@ def _service(graph):
         ServiceParams(cache_capacity=0),
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
-    service._serve_backend = InlineProcessBackend(max_workers=1)
+    service._serve_backend = InlineProcessBackend(max_workers=2)
     return service
 
 
@@ -178,7 +191,7 @@ def _build_service(graph, service_params=ServiceParams(cache_capacity=0)):
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )
     if service_params.serve_backend == "serial":
-        service._serve_backend = InlineProcessBackend(max_workers=1)
+        service._serve_backend = InlineProcessBackend(max_workers=2)
     return service
 
 
@@ -206,7 +219,7 @@ class TestResidentSystemLifecycle:
             graph, tmp_path,
             service_params=ServiceParams(cache_capacity=0),
         )
-        restored._serve_backend = InlineProcessBackend(max_workers=1)
+        restored._serve_backend = InlineProcessBackend(max_workers=2)
         with restored:
             answers = restored.run_batch(queries)
             handle = restored._serve_backend.resident_handle("graph")
@@ -327,7 +340,7 @@ class TestCloseReleasesSharedMemory:
         service = QueryService(
             graph, _build_index(graph), _params(),
             ServiceParams(cache_capacity=0, serve_backend="processes",
-                          serve_workers=1),
+                          serve_workers=2),
             sharding=ShardingParams(num_shards=2),
         )
         service.run_batch(_pair_queries(4))
@@ -373,7 +386,7 @@ class TestCloseReleasesSharedMemory:
         service = QueryService(
             graph, _build_index(graph), _params(),
             ServiceParams(cache_capacity=0, serve_backend="processes",
-                          serve_workers=1),
+                          serve_workers=2),
             sharding=ShardingParams(num_shards=2),
         )
         service.run_batch(_pair_queries(4))

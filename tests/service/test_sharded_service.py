@@ -9,6 +9,7 @@ suite (``tests/test_properties.py``, random graphs, K in {1, 2, 5}).
 import numpy as np
 import pytest
 
+import repro.service.sharded as sharded_module
 from repro.config import ShardingParams, UpdateParams
 from repro.core.index import SnapshotStore
 from repro.core.queries import merge_top_k, rank_top_k
@@ -279,6 +280,13 @@ class TestShardedPersistence:
 
 
 class TestLifecycle:
+    @pytest.fixture()
+    def every_batch_crosses(self, monkeypatch):
+        """A one-walker-step grain: a toy batch's misses cross to the pool
+        instead of being walked inline, so the pool is started."""
+        monkeypatch.setattr(sharded_module, "SCATTER_GRAIN", 1)
+
+    @pytest.mark.usefixtures("every_batch_crosses")
     def test_close_releases_serve_pool_and_service_revives(self, make_service,
                                                            make_sharded):
         sharded = make_sharded(serve_backend="threads", serve_workers=2)
@@ -292,6 +300,7 @@ class TestLifecycle:
         assert_answers_equal(single.run_batch(QUERIES), sharded.run_batch(QUERIES))
         sharded.close()
 
+    @pytest.mark.usefixtures("every_batch_crosses")
     def test_context_manager_closes_pool(self, make_sharded):
         with make_sharded(serve_backend="threads") as sharded:
             sharded.run_batch(QUERIES)

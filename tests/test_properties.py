@@ -935,3 +935,86 @@ class TestSnapshotRoundTripProperties:
                 TestShardingProperties._assert_equal(
                     writer.run_batch(queries), restored.run_batch(queries))
         writer.close()
+
+
+# --------------------------------------------------------------------------- #
+# Where the misses are walked
+# --------------------------------------------------------------------------- #
+class TestScatterGrainProperties:
+    """Where a batch's misses are walked never changes an answer.
+
+    The same drawn run of batches and edge insertions is replayed on the
+    ``serial`` backend (always inline) and on a ``threads`` pool at three
+    grains: one walker-step (every batch of two or more misses crosses to
+    the pool), the default :data:`repro.service.sharded.SCATTER_GRAIN`,
+    and a grain no batch reaches (every batch inline).  Every answer must
+    be byte-equal to the serial replay's.
+    """
+
+    GRAINS = (1, None, 10 ** 15)    # None: the module default
+
+    @staticmethod
+    def _draw_batch(data, n_nodes):
+        from repro.service import TopKQuery
+
+        node = st.integers(0, n_nodes - 1)
+        query = st.one_of(st.builds(PairQuery, node, node),
+                          st.builds(SourceQuery, node),
+                          st.builds(TopKQuery, node, st.integers(1, 5)))
+        queries = data.draw(st.lists(query, min_size=1, max_size=8))
+        # Duplicate sources within the batch, as traffic repeats them.
+        return queries + data.draw(st.lists(st.sampled_from(queries),
+                                            max_size=4))
+
+    @staticmethod
+    def _replay(graph, params, steps, backend, workers, grain):
+        import repro.service.sharded as sharded
+
+        grain = sharded.SCATTER_GRAIN if grain is None else grain
+        replies = []
+        with mock.patch.object(sharded, "SCATTER_GRAIN", grain), \
+                QueryService.build(graph, params, ServiceParams(
+                    serve_backend=backend, serve_workers=workers)) as service:
+            for kind, payload, walkers in steps:
+                if kind == "add":
+                    service.add_edges(payload)
+                else:
+                    replies.append(service.run_batch(payload, walkers=walkers))
+            return replies, service.stats()["scatter_hops"]
+
+    @staticmethod
+    def _assert_byte_equal(reference, replies):
+        assert len(replies) == len(reference)
+        for expected, got in zip(reference, replies):
+            assert got.index_version == expected.index_version
+            assert len(got) == len(expected)
+            for left, right in zip(expected, got):
+                if isinstance(left, np.ndarray):
+                    assert left.dtype == right.dtype
+                    assert left.tobytes() == right.tobytes()
+                else:   # repr round-trips a float exactly
+                    assert repr(left) == repr(right)
+
+    @settings(max_examples=12)
+    @given(graph=graphs(max_nodes=14, max_edges=40), data=st.data())
+    def test_answers_byte_equal_across_grains_and_backends(self, graph, data):
+        params = TestShardingProperties._params(
+            seed=data.draw(st.integers(0, 500)))
+        workers = data.draw(st.integers(2, 4))
+        node = st.integers(0, graph.n_nodes - 1)
+        steps = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if steps and data.draw(st.booleans()):
+                steps.append(("add", data.draw(st.lists(
+                    st.tuples(node, node), min_size=1, max_size=3)), None))
+            steps.append(("batch", self._draw_batch(data, graph.n_nodes),
+                          data.draw(st.sampled_from([None, 25, 300]))))
+        reference, hops = self._replay(graph, params, steps, "serial", 1,
+                                       None)
+        assert hops == 0
+        for grain in self.GRAINS:
+            replies, hops = self._replay(graph, params, steps, "threads",
+                                         workers, grain)
+            self._assert_byte_equal(reference, replies)
+            if grain == self.GRAINS[-1]:
+                assert hops == 0
