@@ -29,8 +29,8 @@
 #                                    reported phases cover update_seconds
 #                                    (and are printed); then one CLI
 #                                    snapshot lineage (index, update,
-#                                    restarted update, forced rebalance,
-#                                    update): three files per version,
+#                                    restarted update, update): three
+#                                    files per version,
 #                                    newest diagonal == a fresh build
 #   7. scripts/size_probe.py       - build, cold top-k, update and peak RSS
 #                                    at a tiny size, so the probe stays

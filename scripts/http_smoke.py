@@ -15,9 +15,8 @@ a real child process:
 3. probe the score cache entries: one ``topk`` line and one ``source``
    line, each posted twice, return byte-identical JSON, the second served
    from its score entry (``cache_score_hits`` in ``/stats`` moves by
-   exactly one per line), then force a plan flip (``POST /rebalance``) and
-   post each once more: the same answer at the bumped ``index_version``,
-   again from its score entry — the flip kept the cache warm,
+   exactly one per line); ``POST /rebalance`` answers 404 (shard plans are
+   fixed at build) and leaves ``index_version`` unchanged,
 4. post one ``pair`` line with an endpoint of in-degree 0 in the served
    graph: it answers ``0.0`` without a walk (``sources_simulated`` in
    ``/stats`` does not move, ``dead_end_pairs`` moves by one),
@@ -178,21 +177,25 @@ def _load_worker(port: int, deadline: float,
         connection.close()
 
 
-def _request(port: int, method: str, path: str, payload=None) -> bytes:
-    """One request on a fresh connection; returns the raw 200 body."""
+def _exchange(port: int, method: str, path: str, payload=None):
+    """One request on a fresh connection; returns ``(status, raw body)``."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     try:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         connection.request(method, path, body,
                            {"Content-Type": "application/json"})
         response = connection.getresponse()
-        raw = response.read()
-        if response.status != 200:
-            raise RuntimeError(f"{method} {path} answered {response.status}: "
-                               f"{raw[:200]!r}")
-        return raw
+        return response.status, response.read()
     finally:
         connection.close()
+
+
+def _request(port: int, method: str, path: str, payload=None) -> bytes:
+    """One request on a fresh connection; returns the raw 200 body."""
+    status, raw = _exchange(port, method, path, payload)
+    if status != 200:
+        raise RuntimeError(f"{method} {path} answered {status}: {raw[:200]!r}")
+    return raw
 
 
 def _stats(port: int) -> dict:
@@ -267,27 +270,20 @@ def _probe_repeat(port: int) -> dict:
     return replies
 
 
-def _probe_after_flip(port: int, before: dict) -> int:
-    """Force a plan flip, then each probe line once more.
+def _probe_no_rebalance(port: int, before: dict) -> int:
+    """``POST /rebalance`` is no endpoint: 404, and the version stays put.
 
-    The flip moves neither the graph nor the diagonal, so each answer is
-    the pre-flip one, served from the score entry the flip kept.
-    Returns the post-flip index version.
+    Returns the served index version.
     """
-    report = json.loads(_request(port, "POST", "/rebalance", {"force": True}))
-    if not report.get("applied"):
-        raise RuntimeError(f"forced rebalance was not applied: {report}")
-    version = None
-    for line in PROBE_LINES:
-        reply = json.loads(_post_once_from_cache(port, line))
-        version = reply["index_version"]
-        if version != before[line]["index_version"] + 1:
-            raise RuntimeError(f"index_version {version} after the flip, "
-                               f"expected {before[line]['index_version'] + 1}")
-        if reply["answers"] != before[line]["answers"]:
-            raise RuntimeError(f"{line!r} after the flip answered "
-                               f"{reply['answers']}, before it "
-                               f"{before[line]['answers']}")
+    version = before[PROBE_LINES[0]]["index_version"]
+    status, raw = _exchange(port, "POST", "/rebalance", {"force": True})
+    if status != 404:
+        raise RuntimeError(f"POST /rebalance answered {status}, expected "
+                           f"404: {raw[:200]!r}")
+    after = json.loads(_request(port, "GET", "/version"))["index_version"]
+    if after != version:
+        raise RuntimeError(f"index_version {after} after POST /rebalance, "
+                           f"expected {version}")
     return version
 
 
@@ -409,12 +405,12 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
     server = _start_server(graph, index, shards=2)
     try:
         port = _await_port(server)
-        version = _probe_after_flip(port, _probe_repeat(port))
+        version = _probe_no_rebalance(port, _probe_repeat(port))
         _probe_dead_end(port, graph)
         _require_inline(port, segments, "probes")
         print(f"http-smoke: server up on port {port}, repeated top-k and "
-              f"source lines served from their score entries, before and "
-              f"after a forced plan flip, a dead-end pair answered 0.0 "
+              f"source lines served from their score entries, "
+              f"POST /rebalance 404, a dead-end pair answered 0.0 "
               f"unwalked; applying {seconds:.0f}s of load from "
               f"{N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)

@@ -31,8 +31,8 @@ shows without a profiler.
 
 A last leg drives one snapshot lineage through the CLI, one process per
 command: ``index --shards 3``, an ``update --shards 3`` into
-``--snapshot-dir D``, a second ``update`` restarted from ``D``, a forced
-``rebalance`` and one more ``update``.  It asserts that ``D`` holds only ``index-``/``system-``/
+``--snapshot-dir D``, a second ``update`` restarted from ``D`` and one
+more ``update``.  It asserts that ``D`` holds only ``index-``/``system-``/
 ``plan-v*`` files, three per version, that ``snapshot list`` lists those
 versions, and that the newest diagonal is byte-equal to a from-scratch
 build on the final graph.
@@ -184,11 +184,6 @@ def lineage() -> int:
             (root / f"e{step}.tsv").write_text(edges, encoding="utf-8")
         current = graph
         for step, edges in enumerate(batches):
-            if step == 2:
-                report = _cli("rebalance", "--graph", str(current),
-                              "--snapshot-dir", str(snaps), "--force")
-                if "migrated to plan generation" not in report:
-                    failures.append(f"forced rebalance did not migrate:\n{report}")
             updated = root / f"g{step + 1}.tsv"
             start = ["--index", str(index), "--shards", "3"] if step == 0 else []
             _cli("update", "--graph", str(current), *start,
@@ -203,9 +198,9 @@ def lineage() -> int:
             store.index_path(v).name for v in versions) + sorted(
             store.plan_path(v).name for v in versions) + sorted(
             store.system_path(v).name for v in versions)
-        if versions != [2, 3, 4, 5] or names != sorted(expected):
+        if versions != [2, 3, 4] or names != sorted(expected):
             failures.append(f"lineage holds {names}, expected three files "
-                            f"for each of versions 2..5")
+                            f"for each of versions 2..4")
         listed = [int(match.group(1)) for match in re.finditer(
             r"^(\d+)\s", _cli("snapshot", "list", "--dir", str(snaps)),
             re.MULTILINE)]
@@ -226,8 +221,7 @@ def lineage() -> int:
         print(f"FAIL {label}: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print(f"{label}: index, update, restarted update, forced rebalance, "
-          f"update; versions {versions}, three files each, newest diagonal "
+    print(f"{label}: index, update, restarted update, update; versions {versions}, three files each, newest diagonal "
           f"bitwise-equal to a from-scratch build")
     return 0
 

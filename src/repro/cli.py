@@ -5,7 +5,7 @@ have: inspect datasets, generate or ingest a graph, build the offline index,
 validate it, and answer queries — all from the shell.
 
 Every serving and maintenance command (``query-batch``, ``serve``,
-``serve-http``, ``replay``, ``update``, ``rebalance``, ``snapshot``) has one
+``serve-http``, ``replay``, ``update``, ``snapshot``) has one
 deployment shape for every ``--shards K``: a single machine is the K = 1
 cluster, a one-shard plan of the same :class:`~repro.service.QueryService`,
 and writes the same snapshot layout (per version ``index-vN.npz``, an
@@ -31,20 +31,17 @@ Examples
         --serve-backend threads --port 8080 --coalesce-window 0.002
     python -m repro update --graph graph.tsv --index index.npz \
         --edges new_edges.tsv --snapshot-dir snapshots/ --output index.npz
-    python -m repro rebalance --graph graph.tsv --snapshot-dir snapshots/ --force
     python -m repro snapshot list --dir snapshots/
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import List, Optional
 
 from repro.config import (
-    RebalanceParams,
     ServiceParams,
     ShardingParams,
     SimRankParams,
@@ -119,17 +116,6 @@ def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
         strategy=args.shard_strategy,
         backend=args.shard_backend,
         max_workers=args.shard_workers,
-    )
-
-
-def _rebalance_from_args(args: argparse.Namespace) -> RebalanceParams:
-    """Build :class:`RebalanceParams` from the ``--rebalance-*`` args."""
-    defaults = RebalanceParams()
-    return RebalanceParams(
-        improvement_threshold=getattr(args, "rebalance_threshold",
-                                      defaults.improvement_threshold),
-        check_interval=getattr(args, "rebalance_interval",
-                               defaults.check_interval),
     )
 
 
@@ -328,7 +314,6 @@ def _make_service(args: argparse.Namespace):
     return QueryService.from_index_file(
         graph, args.index, service_params=service_params,
         sharding=_sharding_from_args(args),
-        rebalance_params=_rebalance_from_args(args),
     )
 
 
@@ -440,16 +425,14 @@ def _cmd_serve_http(args: argparse.Namespace, out) -> int:
         sharded = f" across {args.shards} shards" if args.shards > 1 else ""
         print(f"serving SimRank queries over {service.graph.name!r} "
               f"({service.graph.n_nodes} nodes{sharded}) via HTTP; "
-              "POST /query, POST /update, POST /rebalance, "
+              "POST /query, POST /update, "
               "GET /healthz|/version|/stats; "
-              "SIGTERM or Ctrl-C drains gracefully"
-              + ("; auto-rebalance on" if args.auto_rebalance else ""),
+              "SIGTERM or Ctrl-C drains gracefully",
               file=out)
         server = HttpServiceServer(
             service, host=args.host, port=args.port,
             coalesce_window=args.coalesce_window,
             max_in_flight=args.max_in_flight,
-            auto_rebalance=args.auto_rebalance,
         )
         try:
             server.run(out=out)
@@ -482,7 +465,6 @@ def _cmd_replay(args: argparse.Namespace, out) -> int:
               f"written to {args.save_trace}", file=out)
     options = scenarios.ReplayOptions(
         batch_size=args.batch_size,
-        rebalance_every=args.rebalance_every,
         max_retry_seconds=args.max_retry_seconds,
     )
     service = _make_service(args)
@@ -497,8 +479,7 @@ def _cmd_replay(args: argparse.Namespace, out) -> int:
           f"({result.qps:.1f} q/s)", file=out)
     print(f"  p50 {result.p50_latency_seconds * 1e3:.2f}ms  "
           f"p99 {result.p99_latency_seconds * 1e3:.2f}ms  "
-          f"cache hit rate {result.cache_hit_rate:.2f}  "
-          f"rebalances {result.rebalances_applied}", file=out)
+          f"cache hit rate {result.cache_hit_rate:.2f}", file=out)
     print(f"  index versions {record['index_versions']}  "
           f"answers sha256 {result.answer_checksum[:16]}…", file=out)
     if result.realized_mean_error is not None:
@@ -544,10 +525,9 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
         )
         shards = service.num_shards
         if args.shards > 1 and args.shards != shards:
-            print(f"note: a lineage's shard count is immutable (assignments "
-                  f"migrate via 'rebalance', the count never does); keeping "
-                  f"the directory's {shards}-shard plan (ignoring "
-                  f"--shards {args.shards})", file=out)
+            print(f"note: a lineage's shard plan is fixed at its first "
+                  f"version; keeping the directory's {shards}-shard plan "
+                  f"(ignoring --shards {args.shards})", file=out)
         if not store.describe(service.index_version)["has_system"]:
             print("note: snapshot carries no linear system; estimating it once",
                   file=out)
@@ -609,49 +589,6 @@ def _cmd_update(args: argparse.Namespace, out) -> int:
             io.write_edge_list(service.graph, args.output_graph)
             print(f"updated graph ({service.graph.n_edges} edges) written to "
                   f"{args.output_graph}", file=out)
-    finally:
-        service.close()
-    return 0
-
-
-def _cmd_rebalance(args: argparse.Namespace, out) -> int:
-    """Offline plan migration: re-balance a lineage's shard assignment.
-
-    Loads the service exactly like ``update`` (snapshot directory first,
-    ``--index`` fallback), weights every node by its **in-degree** — the
-    structural stand-in for query load available offline (a node's scatter
-    and ranking cost scales with how much of the graph points at it) —
-    and migrates when the cost model clears the threshold (or always,
-    under ``--force``).  A migration into ``--snapshot-dir`` saves a new
-    version whose plan record holds the new plan next to the unchanged
-    system, so the next ``update`` against the directory serves it;
-    answers are bitwise-unchanged either way.  A one-shard lineage has
-    nothing to migrate: its proposed plan equals the serving plan.
-    """
-    graph = _load_graph(args)
-    update_params = UpdateParams(
-        snapshot_dir=args.snapshot_dir or None,
-        snapshot_retain=args.retain,
-    )
-    service, source = _load_update_service(args, update_params, graph, out)
-    try:
-        service.rebalance_params = service.rebalance_params.with_(
-            improvement_threshold=args.rebalance_threshold,
-            # Offline weights are structural, not observed-query counters,
-            # so the representativeness minimum does not apply.
-            min_sources=0,
-        )
-        weights = graph.in_degrees().astype(float)
-        print(f"loaded {source}", file=out)
-        start = time.perf_counter()
-        report = service.rebalance(node_loads=weights, force=args.force)
-        elapsed = time.perf_counter() - start
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-        if report["applied"]:
-            print(f"migrated to plan generation {report['plan_generation']} "
-                  f"in {elapsed:.2f}s (answers unchanged)", file=out)
-        else:
-            print(f"no migration: {report['reason']}", file=out)
     finally:
         service.close()
     return 0
@@ -810,25 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=service_defaults.max_in_flight,
                             help="admitted-but-unanswered query bound before "
                                  "503s (default: %(default)s)")
-    rebalance_defaults = RebalanceParams()
-    serve_http.add_argument("--auto-rebalance", dest="auto_rebalance",
-                            action=argparse.BooleanOptionalAction,
-                            default=False,
-                            help="periodically migrate to a better-balanced "
-                                 "shard plan when the observed query load "
-                                 "justifies it; a no-op at --shards 1 "
-                                 "(default: %(default)s)")
-    serve_http.add_argument("--rebalance-threshold",
-                            dest="rebalance_threshold", type=float,
-                            default=rebalance_defaults.improvement_threshold,
-                            help="minimum predicted critical-path improvement "
-                                 "(x) before an auto-rebalance migrates "
-                                 "(default: %(default)s)")
-    serve_http.add_argument("--rebalance-interval", dest="rebalance_interval",
-                            type=float,
-                            default=rebalance_defaults.check_interval,
-                            help="seconds between auto-rebalance checks "
-                                 "(default: %(default)s)")
 
     replay = subparsers.add_parser(
         "replay",
@@ -860,10 +778,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=32,
                         help="max consecutive query events answered as one "
                              "batch (default: %(default)s)")
-    replay.add_argument("--rebalance-every", dest="rebalance_every", type=int,
-                        default=0,
-                        help="ask for a rebalance check every N batches; "
-                             "0 disables (default: %(default)s)")
     replay.add_argument("--max-retry-seconds", dest="max_retry_seconds",
                         type=float, default=30.0,
                         help="cumulative backoff budget per event before an "
@@ -871,31 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "backpressure (default: %(default)s)")
     replay.add_argument("--output",
                         help="append the per-scenario JSONL record here")
-
-    rebalance = subparsers.add_parser(
-        "rebalance",
-        help="migrate a snapshot lineage to a load-balanced shard plan "
-             "(offline; answers are bitwise-unchanged)",
-    )
-    _add_graph_arguments(rebalance)
-    _add_sharding_arguments(rebalance)
-    rebalance.add_argument("--snapshot-dir", dest="snapshot_dir",
-                           help="snapshot lineage to migrate; the new plan "
-                                "is saved as its next version")
-    rebalance.add_argument("--index",
-                           help="index .npz fallback when --snapshot-dir has "
-                                "no snapshot yet")
-    rebalance.add_argument("--retain", type=int,
-                           default=UpdateParams().snapshot_retain,
-                           help="snapshot versions to keep (default: "
-                                "%(default)s)")
-    rebalance.add_argument("--rebalance-threshold",
-                           dest="rebalance_threshold", type=float,
-                           default=rebalance_defaults.improvement_threshold,
-                           help="minimum predicted critical-path improvement "
-                                "(x) before migrating (default: %(default)s)")
-    rebalance.add_argument("--force", action="store_true",
-                           help="migrate even below the improvement threshold")
 
     update = subparsers.add_parser(
         "update",
@@ -946,7 +835,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "serve-http": _cmd_serve_http,
     "replay": _cmd_replay,
-    "rebalance": _cmd_rebalance,
     "update": _cmd_update,
     "snapshot": _cmd_snapshot,
 }

@@ -16,15 +16,9 @@ The dataclasses defined here:
     :meth:`repro.service.QueryService.add_edges`).
 
 :class:`ShardingParams`
-    Shape of a sharded deployment: how many shards, how nodes are assigned
-    to them, and which executor backend builds them concurrently (see
-    :mod:`repro.core.sharding` and :mod:`repro.service.sharded`).
-
-:class:`RebalanceParams`
-    Knobs of workload-adaptive shard rebalancing: when the sharded
-    service's observed per-shard load skew justifies migrating to a new
-    :class:`~repro.graph.partition.ShardPlan` (see
-    :mod:`repro.service.sharded`).
+    How index rows are grouped into build tasks: how many shards, how nodes
+    are assigned to them, and which executor backend runs the tasks (see
+    :mod:`repro.core.sharding`).  Fixed at build; queries never read it.
 
 :class:`ClusterSpec`
     A description of the (simulated) cluster used by the engine's cost
@@ -201,8 +195,8 @@ class ServiceParams:
         :func:`repro.analysis.accuracy.exact_linearized_matrix` ground
         truth (see :func:`repro.analysis.accuracy.calibrate_query_budget`
         — exact ground truth is quadratic in graph size, so precalibrate
-        on large graphs).  Index maintenance (updates, snapshots,
-        rebalancing) always runs at the exact parameters.
+        on large graphs).  Index maintenance (updates and
+        snapshots) always runs at the exact parameters.
     approx_walkers:
         Explicit query-walker count of the approximate mode; requires
         ``accuracy_budget``.  ``None`` asks calibration to choose.
@@ -351,7 +345,14 @@ class UpdateParams:
 
 @dataclass(frozen=True)
 class ShardingParams:
-    """Shape of a sharded index build / sharded query service.
+    """How index rows are grouped into build and update tasks.
+
+    The shard plan these parameters make is fixed for a service's lifetime:
+    it decides which task estimates a node's row of the indexing system
+    (at build and on every update) and which shard's per-shard counters and
+    version a node counts against.  Queries walk the whole graph and never
+    consult it, so ``K`` and the strategy change wall-clock only, never an
+    answer.
 
     Attributes
     ----------
@@ -407,67 +408,6 @@ class ShardingParams:
             )
 
     def with_(self, **changes: Any) -> "ShardingParams":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class RebalanceParams:
-    """Knobs of workload-adaptive shard rebalancing.
-
-    The service keeps per-shard load counters (sources routed,
-    scatter/ranking seconds); the rebalance planner
-    (:func:`repro.graph.partition.load_balanced_plan` +
-    :func:`repro.graph.partition.evaluate_rebalance`) turns them into a
-    proposed :class:`~repro.graph.partition.ShardPlan` and a
-    should-we-migrate decision.  These parameters bound when a proposal is
-    adopted — the migration itself never changes answers (bitwise-identical
-    across the flip), only the shard placement the scatter fans over.
-
-    Attributes
-    ----------
-    improvement_threshold:
-        Minimum predicted critical-path improvement (current max shard
-        load / proposed max shard load) before a migration is worth its
-        one-off cost.  ``1.2`` = only migrate for a predicted 20%+ win.
-    min_sources:
-        Minimum number of observed routed sources before the counters are
-        considered representative; below it ``maybe_rebalance`` declines.
-    cold_weight:
-        Load attributed to every node with no observed traffic, in units
-        of one routed source.  Keeps never-queried nodes spread across
-        shards instead of piling onto one, and damps overfitting to a
-        short observation window.
-    check_interval:
-        Seconds between automatic rebalance checks when the HTTP tier
-        runs with ``--auto-rebalance``.
-    """
-
-    improvement_threshold: float = 1.2
-    min_sources: int = 16
-    cold_weight: float = 1.0
-    check_interval: float = 5.0
-
-    def __post_init__(self) -> None:
-        if self.improvement_threshold < 1.0:
-            raise ConfigurationError(
-                f"improvement_threshold must be >= 1.0, "
-                f"got {self.improvement_threshold}"
-            )
-        if self.min_sources < 0:
-            raise ConfigurationError(
-                f"min_sources must be >= 0, got {self.min_sources}"
-            )
-        if self.cold_weight < 0:
-            raise ConfigurationError(
-                f"cold_weight must be >= 0, got {self.cold_weight}"
-            )
-        if self.check_interval <= 0:
-            raise ConfigurationError(
-                f"check_interval must be > 0, got {self.check_interval}"
-            )
-
-    def with_(self, **changes: Any) -> "RebalanceParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
 

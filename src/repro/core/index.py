@@ -340,8 +340,9 @@ class SnapshotStore:
 
     Versions only move forward (saving the newest one again is a no-op),
     retention prunes all three files of the oldest versions, and the shard
-    count is fixed per directory — a rebalance changes only the assignment
-    the next plan record holds.  Two older layouts are refused with a
+    count is fixed per directory; each version's plan record holds the
+    assignment that version was saved under (lineages written by older
+    builds may change it between versions, and each loads under its own).  Two older layouts are refused with a
     migration hint instead of being shadowed by a new lineage at v1: index
     files with no loadable plan record (a single-store lineage), and a
     ``shard_plan.json`` with one store per shard.

@@ -559,26 +559,6 @@ class ShardedIncrementalWalker:
         hit = np.unique(owner[np.isin(columns, old_heads)])
         return np.concatenate([rows[hit], np.arange(old_n, new_n)])
 
-    def with_plan(self, plan: ShardPlan) -> "ShardedIncrementalWalker":
-        """Return a walker maintaining the same system under a new plan.
-
-        This is the build half of a live rebalance: the clone shares the
-        graph, parameters and executor backend, and *adopts* the current
-        linear system and index via :meth:`attach` — no re-estimation, no
-        solve, and therefore no way for the migration to perturb answers.
-        Only the row-to-shard grouping of future updates changes.
-        """
-        if self._system is None or self.index is None:
-            raise ConfigurationError(
-                "call build() or attach() before with_plan()"
-            )
-        clone = ShardedIncrementalWalker(
-            self.graph, plan, params=self.params, exact=self.exact,
-            backend=self.backend,
-        )
-        clone.attach(self.index, system=self._system)
-        return clone
-
     def __repr__(self) -> str:
         return (
             f"ShardedIncrementalWalker(n_nodes={self.graph.n_nodes}, "

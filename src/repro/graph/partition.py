@@ -15,21 +15,17 @@ the partitioning strategies the benchmarks compare:
 :class:`ShardPlan` builds on the same partitioners to describe a *sharded
 deployment*: a fixed, persistable assignment of every node (current and
 future) to one of ``K`` index shards.  Where a partitioner is a transient
-execution detail of one job, a shard plan is part of the serving state — it
-routes queries and live edge insertions, and it must keep answering
-``shard_of`` deterministically for node ids that did not exist when the plan
-was made (live updates grow the graph).  See :mod:`repro.core.sharding` for
-the build machinery and ``docs/sharding.md`` for the full lifecycle.
-
-A live service re-plans from observed load: :func:`shard_loads` prices a
-plan under per-node weights, :func:`load_balanced_plan` proposes a balanced
-one, and :func:`evaluate_rebalance` decides whether migrating pays.
+execution detail of one job, a shard plan is fixed for a service's lifetime — it
+groups index rows into build and update tasks (queries never consult it),
+and it must keep answering ``shard_of`` deterministically for node ids that
+did not exist when the plan was made (live updates grow the graph).  See
+:mod:`repro.core.sharding` for the build machinery and ``docs/sharding.md``
+for the full lifecycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -127,6 +123,11 @@ class EdgeBalancedPartitioner(Partitioner):
 
 class ShardPlan:
     """A persistable assignment of node ids to ``K`` index shards.
+
+    The plan decides which build or update task estimates a node's row of
+    the indexing system, and which shard's counters and version the node
+    counts against; it is made once, at build, and persisted with every
+    snapshot version.  Queries never consult it.
 
     A plan is a *total* function: :meth:`shard_of` answers for any
     non-negative node id, including ids beyond the graph the plan was made
@@ -368,167 +369,3 @@ class ShardPlan:
             f"ShardPlan(num_shards={self.num_shards}, "
             f"strategy={self.strategy!r}, n_nodes={self.n_nodes})"
         )
-
-
-def imbalance(loads: Sequence[float]) -> float:
-    """Return max/mean load imbalance (1.0 = perfectly balanced)."""
-    arr = np.asarray(list(loads), dtype=np.float64)
-    if arr.size == 0 or arr.mean() == 0:
-        return 1.0
-    return float(arr.max() / arr.mean())
-
-
-def shard_loads(plan: ShardPlan, n_nodes: int,
-                weights: np.ndarray) -> np.ndarray:
-    """Per-shard load of ``plan`` under per-node ``weights``.
-
-    ``weights[node]`` is the observed (or predicted) cost of serving
-    ``node`` — e.g. routed-source counts or scatter seconds attributed to
-    it.  The result is the float64 sum of weights per shard, the quantity
-    :func:`evaluate_rebalance` compares between
-    the current and a proposed plan.
-    """
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if len(weights) != n_nodes:
-        raise ConfigurationError(
-            f"weights must have one entry per node ({n_nodes}), "
-            f"got {len(weights)}"
-        )
-    return np.bincount(plan.assign(n_nodes), weights=weights,
-                       minlength=plan.num_shards).astype(np.float64)
-
-
-def load_balanced_plan(num_shards: int, weights: np.ndarray) -> ShardPlan:
-    """Propose a plan balancing observed per-node load across shards.
-
-    The workload-adaptive analogue of :class:`EdgeBalancedPartitioner`
-    (and of Tunable-LSH's adaptive re-clustering): nodes are visited in
-    decreasing *observed-load* order and each is assigned to the shard
-    with the least accumulated load so far (longest-processing-time
-    heuristic, within 4/3 of optimal makespan).  The result is an
-    explicit-assignment (``partitioner``-strategy) :class:`ShardPlan`, so
-    node ids beyond the observed range fall back to the hash rule —
-    routing stays total under live growth.
-
-    Deterministic: ties in load order break by node id (stable argsort),
-    ties in shard load break by shard id (``np.argmin``), so every
-    replica proposing from the same counters proposes the same plan.
-    """
-    if num_shards < 1:
-        raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if len(weights) == 0:
-        raise ConfigurationError("weights array must be non-empty")
-    if not np.all(np.isfinite(weights)) or weights.min() < 0:
-        raise ConfigurationError(
-            "weights must be finite and >= 0 to plan a rebalance"
-        )
-    order = np.argsort(-weights, kind="stable")
-    loads = np.zeros(num_shards, dtype=np.float64)
-    assignment = np.zeros(len(weights), dtype=np.int64)
-    for node in order:
-        target = int(np.argmin(loads))
-        assignment[node] = target
-        loads[target] += weights[node]
-    return ShardPlan(num_shards, strategy="partitioner", assignment=assignment)
-
-
-# --------------------------------------------------------------------------- #
-# Rebalance decision
-# --------------------------------------------------------------------------- #
-@dataclass
-class RebalanceEstimate:
-    """Predicted effect of migrating to a proposed shard plan.
-
-    The scatter of a query batch is bounded by its slowest shard, so the
-    critical path under a plan is the *maximum* per-shard load and the
-    predicted improvement is the ratio of maxima.  Loads are whatever per-node
-    weights the caller aggregated (routed sources, scatter seconds); the
-    prediction only assumes load moves with the node it is attributed to.
-    """
-
-    current_loads: list
-    proposed_loads: list
-    current_makespan: float
-    proposed_makespan: float
-    predicted_improvement: float
-    current_imbalance: float
-    proposed_imbalance: float
-    should_rebalance: bool
-    reason: str
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary, floats rounded for logs and monitoring."""
-        return {
-            "current_loads": [round(load, 6) for load in self.current_loads],
-            "proposed_loads": [round(load, 6) for load in self.proposed_loads],
-            "current_makespan": round(self.current_makespan, 6),
-            "proposed_makespan": round(self.proposed_makespan, 6),
-            "predicted_improvement": round(self.predicted_improvement, 4),
-            "current_imbalance": round(self.current_imbalance, 4),
-            "proposed_imbalance": round(self.proposed_imbalance, 4),
-            "should_rebalance": self.should_rebalance,
-            "reason": self.reason,
-        }
-
-
-def evaluate_rebalance(
-    current_loads: Sequence[float],
-    proposed_loads: Sequence[float],
-    improvement_threshold: float = 1.2,
-    min_total_load: float = 0.0,
-) -> RebalanceEstimate:
-    """Decide whether a proposed plan's load split justifies migrating.
-
-    Parameters
-    ----------
-    current_loads / proposed_loads:
-        Per-shard load under the serving plan and under the proposal
-        (same length; see :func:`shard_loads`).
-    improvement_threshold:
-        Minimum ``current_makespan / proposed_makespan`` ratio before
-        ``should_rebalance`` is true (see
-        :class:`repro.config.RebalanceParams`).
-    min_total_load:
-        Below this total observed load the counters are considered
-        unrepresentative and the answer is "don't".
-    """
-    if len(current_loads) != len(proposed_loads) or len(current_loads) == 0:
-        raise ConfigurationError(
-            "current and proposed loads must be non-empty and the same "
-            f"length, got {len(current_loads)} vs {len(proposed_loads)}"
-        )
-    if improvement_threshold < 1.0:
-        raise ConfigurationError(
-            f"improvement_threshold must be >= 1.0, got {improvement_threshold}"
-        )
-    current = [float(load) for load in current_loads]
-    proposed = [float(load) for load in proposed_loads]
-    current_makespan = max(current)
-    proposed_makespan = max(proposed)
-    total = sum(current)
-    improvement = (current_makespan / proposed_makespan
-                   if proposed_makespan > 0 else 1.0)
-    if total < min_total_load:
-        should = False
-        reason = (f"observed load {total:.1f} below the representative "
-                  f"minimum {min_total_load:.1f}")
-    elif improvement >= improvement_threshold:
-        should = True
-        reason = (f"predicted critical-path improvement {improvement:.2f}x "
-                  f"meets the {improvement_threshold:.2f}x threshold")
-    else:
-        should = False
-        reason = (f"predicted critical-path improvement {improvement:.2f}x "
-                  f"below the {improvement_threshold:.2f}x threshold")
-    return RebalanceEstimate(
-        current_loads=current,
-        proposed_loads=proposed,
-        current_makespan=current_makespan,
-        proposed_makespan=proposed_makespan,
-        predicted_improvement=improvement,
-        current_imbalance=imbalance(current),
-        proposed_imbalance=imbalance(proposed),
-        should_rebalance=should,
-        reason=reason,
-    )

@@ -11,16 +11,15 @@ serving layer fit for sustained query traffic:
     groups them for vectorised multi-source simulation.
 :mod:`repro.service.service`
     :class:`QueryService`, the one serving class, tying index persistence,
-    planning, simulation, caching, live updates, versioned snapshots and
-    rebalancing together behind single-query and batch APIs.  Live updates
+    planning, simulation, caching, live updates and versioned snapshots
+    together behind single-query and batch APIs.  Live updates
     go through a bounded queue of edge insertions drained into incremental
     re-indexes (:class:`~repro.core.sharding.ShardedIncrementalWalker`)
     whose affected-source sets, reported on a :class:`MutationResult`,
-    drive targeted cache invalidation.  Per-node
-    state — caches, index rows, versions — follows a
-    :class:`~repro.graph.partition.ShardPlan` of ``K`` shards; ``K = 1``
-    (the default) is a one-shard plan, and answers are bitwise-identical
-    at every ``K``.
+    drive targeted cache invalidation.  Index rows and their versions
+    follow a :class:`~repro.graph.partition.ShardPlan` of ``K`` shards,
+    fixed at build; ``K = 1`` (the default) is a one-shard plan, and
+    answers are bitwise-identical at every ``K``.
 :mod:`repro.service.sharded`
     The cache-miss scatter: a batch's missing walk distributions
     simulated in one fan-out, in the serving thread or, once each run

@@ -41,8 +41,6 @@ Endpoints (all JSON)::
     POST /update    {"edges": [[0, 40], "1 55", ...], "wait": false}
                     -> {"queued": n, "pending": m} (202), or with
                        "wait": true -> {"index_version": N} after the drain
-    POST /rebalance {"force": false}
-                    -> plan-migration report {"applied": ..., "estimate": ...}
 
 Determinism survives the network: ``json.dumps`` renders floats with
 ``repr``, which round-trips IEEE doubles exactly, so a decoded response is
@@ -60,7 +58,7 @@ import asyncio
 import json
 import signal
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -220,14 +218,6 @@ class HttpServiceServer:
     coalesce_window / max_in_flight:
         Override the corresponding ``ServiceParams`` knobs (see
         :class:`~repro.config.ServiceParams`).
-    auto_rebalance:
-        When true, a background strand calls
-        :meth:`~repro.service.service.QueryService.maybe_rebalance`
-        every ``RebalanceParams.check_interval`` seconds: the service
-        migrates to a better-balanced plan when its observed load says the
-        critical path improves past the configured threshold, and the tick
-        is a cheap no-op otherwise.  Manual migrations are always
-        available through ``POST /rebalance``.
 
     Use :meth:`run` for the blocking CLI entry (installs SIGTERM/SIGINT
     handlers), or :meth:`start` / :meth:`stop` from an existing event loop
@@ -243,7 +233,6 @@ class HttpServiceServer:
         port: Optional[int] = None,
         coalesce_window: Optional[float] = None,
         max_in_flight: Optional[int] = None,
-        auto_rebalance: bool = False,
     ) -> None:
         params = service.service_params
         self.service = service
@@ -263,16 +252,11 @@ class HttpServiceServer:
         self._connections: set = set()
         self._active_requests = 0
         self._stopping = False
-        self.auto_rebalance = bool(auto_rebalance)
-        self._rebalance_task: Optional["asyncio.Task[None]"] = None
         self._counters: Dict[str, int] = {
             "requests": 0, "queries_served": 0, "bad_requests": 0,
             "queries_rejected": 0, "updates_accepted": 0,
             "updates_rejected": 0, "edges_accepted": 0,
-            "update_drains": 0, "update_failures": 0,
-            "rebalances_triggered": 0, "rebalances_applied": 0,
-            "rebalances_skipped": 0, "rebalance_failures": 0,
-            "response_bytes": 0,
+            "update_drains": 0, "update_failures": 0, "response_bytes": 0,
         }
 
     # ------------------------------------------------------------------ #
@@ -301,10 +285,6 @@ class HttpServiceServer:
             limit=MAX_HEAD_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.auto_rebalance:
-            self._rebalance_task = asyncio.get_running_loop().create_task(
-                self._auto_rebalance_loop()
-            )
 
     async def stop(self) -> None:
         """Graceful drain: refuse new work, finish admitted work, close.
@@ -321,13 +301,6 @@ class HttpServiceServer:
         if self._server is None and self._coalescer is None:
             return
         self._stopping = True
-        if self._rebalance_task is not None:
-            self._rebalance_task.cancel()
-            try:
-                await self._rebalance_task
-            except asyncio.CancelledError:
-                pass
-            self._rebalance_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -441,7 +414,12 @@ class HttpServiceServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Read one request; None on a cleanly closed connection."""
+        """Read one request; None once the connection is closed.
+
+        A connection closed between requests is the ordinary end of a
+        keep-alive session; one closed inside a declared body is a
+        truncated request, counted in ``bad_requests``.
+        """
         try:
             blob = await reader.readuntil(b"\r\n\r\n")
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -469,7 +447,13 @@ class HttpServiceServer:
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body of {length} bytes exceeds "
                                   f"{MAX_BODY_BYTES}")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, ConnectionResetError):
+            # The client closed before its declared body arrived: there is
+            # no request to answer and no one to answer it.
+            self._counters["bad_requests"] += 1
+            return None
         return method.upper(), path, headers, body
 
     async def _write_response(self, writer: asyncio.StreamWriter, status: int,
@@ -508,10 +492,7 @@ class HttpServiceServer:
                 return await self._handle_query(body)
             if method == "POST" and path == "/update":
                 return await self._handle_update(body)
-            if method == "POST" and path == "/rebalance":
-                return await self._handle_rebalance(body)
-            if path in ("/healthz", "/version", "/stats", "/query", "/update",
-                        "/rebalance"):
+            if path in ("/healthz", "/version", "/stats", "/query", "/update"):
                 raise _HttpError(405, f"method {method} not allowed on {path}")
             raise _HttpError(404, f"unknown path {path!r}")
         except _HttpError as exc:
@@ -599,37 +580,6 @@ class HttpServiceServer:
         version = await waiter
         return 200, {"index_version": version}
 
-    async def _handle_rebalance(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
-        """``POST /rebalance``: plan-and-migrate on the drain strand.
-
-        Runs the service's :meth:`~repro.service.service.
-        QueryService.rebalance` off the event loop, on the *drain*
-        executor — a migration takes the update lock, exactly like a
-        drain, and queries on the other strand keep serving the old plan
-        until the atomic flip.  Body: ``{"force": true}`` migrates even
-        when the cost model's threshold is not met (the shard count never
-        changes either way; a one-shard service reports that the proposed
-        plan equals the serving plan).  Returns the migration report.
-        """
-        if self._stopping:
-            return 503, {"error": "service is shutting down"}
-        payload = self._parse_body(body)
-        force = payload.get("force", False)
-        if not isinstance(force, bool):
-            raise _HttpError(400, "'force' must be a JSON boolean")
-        self._counters["rebalances_triggered"] += 1
-        try:
-            report = await asyncio.get_running_loop().run_in_executor(
-                self._drain_executor, partial(self.service.rebalance, force=force)
-            )
-        except Exception:
-            self._counters["rebalance_failures"] += 1
-            raise
-        key = "rebalances_applied" if report.get("applied") \
-            else "rebalances_skipped"
-        self._counters[key] += 1
-        return 200, report
-
     async def _stats_payload(self) -> Dict[str, Any]:
         assert self._query_executor is not None
         service_stats = await asyncio.get_running_loop().run_in_executor(
@@ -676,37 +626,6 @@ class HttpServiceServer:
                 for waiter in waiters:
                     if not waiter.done():
                         waiter.set_result(version)
-
-    async def _auto_rebalance_loop(self) -> None:
-        """The ``--auto-rebalance`` strand: periodic threshold-gated ticks.
-
-        Every ``RebalanceParams.check_interval`` seconds, run one
-        :meth:`~repro.service.service.QueryService.maybe_rebalance`
-        on the drain executor.  A tick that does not clear the cost
-        model's threshold is a cheap no-op (``rebalances_skipped``); a
-        tick that migrates bumps ``rebalances_applied``; a failed tick is
-        counted and the loop keeps going — an unlucky migration attempt
-        must not take the serving tier's automation down with it.
-        """
-        loop = asyncio.get_running_loop()
-        interval = self.service.rebalance_params.check_interval
-        while not self._stopping:
-            await asyncio.sleep(interval)
-            if self._stopping:
-                break
-            self._counters["rebalances_triggered"] += 1
-            try:
-                report = await loop.run_in_executor(
-                    self._drain_executor, self.service.maybe_rebalance
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # noqa: BLE001 — keep ticking; visible in stats
-                self._counters["rebalance_failures"] += 1
-                continue
-            key = "rebalances_applied" if report.get("applied") \
-                else "rebalances_skipped"
-            self._counters[key] += 1
 
     def _apply_edges(self, edges: Sequence[Tuple[int, int]]) -> int:
         """Worker-strand body of one drain: apply, report version."""

@@ -1,7 +1,7 @@
 """Traffic-trace scenarios: trace model, generators and the replay driver.
 
 The serving benchmarks historically measured one workload shape — uniform
-query batches — which mispredicts both latency and rebalance behaviour on
+query batches — which mispredicts both latency and cache behaviour on
 the skewed, bursty traffic real deployments see (cf. the Tunable-LSH
 observation that workloads drift).  This module closes that gap with three
 pieces:
@@ -22,8 +22,7 @@ pieces:
   count);
   :func:`replay_trace_http` replays the same trace through the HTTP tier's
   coalescer.  Both emit one normalized :class:`ScenarioResult` per run —
-  QPS, p50/p99 latency, cache hit rate, rebalances triggered and an answer
-  checksum built from the lossless wire encoding
+  QPS, p50/p99 latency, cache hit rate and an answer checksum built from the lossless wire encoding
   (:func:`repro.service.http.encode_answer`), so in-process and HTTP
   replays of the same trace are checksum-comparable.
 
@@ -570,10 +569,7 @@ class ReplayOptions:
     disables) additionally flushes a batch when the next event arrives too
     long after the batch opened.  ``pace=True`` replays in (approximate)
     real time by sleeping until each batch's first arrival offset; the
-    default replays as fast as possible.  ``rebalance_every`` asks the
-    service for :meth:`~repro.service.service.QueryService.
-    maybe_rebalance` after every N batches (``0`` disables; in-process
-    replay only) and records each decision.  ``update_wait``,
+    default replays as fast as possible.  ``update_wait``,
     ``max_attempts`` and ``max_retry_seconds`` apply to the HTTP driver
     only: whether ``POST /update`` blocks until applied, how many times a
     429/503 backpressure response is retried (with linear backoff), and
@@ -585,7 +581,6 @@ class ReplayOptions:
     batch_size: int = 32
     batch_window: Optional[float] = None
     pace: bool = False
-    rebalance_every: int = 0
     update_wait: bool = True
     max_attempts: int = 50
     max_retry_seconds: float = 30.0
@@ -598,10 +593,6 @@ class ReplayOptions:
         if self.batch_window is not None and self.batch_window < 0:
             raise ConfigurationError(
                 f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.rebalance_every < 0:
-            raise ConfigurationError(
-                f"rebalance_every must be >= 0, got {self.rebalance_every}"
             )
         if self.max_attempts < 1:
             raise ConfigurationError(
@@ -637,8 +628,6 @@ class ScenarioResult:
     p50_latency_seconds: float
     p99_latency_seconds: float
     cache_hit_rate: float
-    rebalances_applied: int
-    rebalance_decisions: Tuple[bool, ...]
     answer_checksum: str
     index_versions: Tuple[int, int]
     versions_monotonic: bool
@@ -662,8 +651,6 @@ class ScenarioResult:
             "p50_latency_seconds": self.p50_latency_seconds,
             "p99_latency_seconds": self.p99_latency_seconds,
             "cache_hit_rate": self.cache_hit_rate,
-            "rebalances_applied": self.rebalances_applied,
-            "rebalance_decisions": list(self.rebalance_decisions),
             "answer_checksum": self.answer_checksum,
             "index_versions": list(self.index_versions),
             "versions_monotonic": self.versions_monotonic,
@@ -740,7 +727,7 @@ def _accumulate_errors(query: Query, answer: Any, reference: np.ndarray,
 def _finalize(scenario: str, transport: str, trace: Trace, checksum, latencies,
               n_batches: int, duration: float, versions: List[int],
               stats_before: Dict[str, Any], stats_after: Dict[str, Any],
-              decisions: List[bool], errors: List[float],
+              errors: List[float],
               budget: Optional[float], mode: str,
               retried: int = 0) -> ScenarioResult:
     """Assemble the normalized per-scenario record from raw replay state."""
@@ -766,9 +753,6 @@ def _finalize(scenario: str, transport: str, trace: Trace, checksum, latencies,
         p99_latency_seconds=(float(np.percentile(latency, 99))
                              if latency.size else 0.0),
         cache_hit_rate=hits / lookups if lookups else 0.0,
-        rebalances_applied=(stats_after.get("rebalances_applied", 0)
-                            - stats_before.get("rebalances_applied", 0)),
-        rebalance_decisions=tuple(decisions),
         answer_checksum=checksum.hexdigest(),
         index_versions=(versions[0], versions[-1]) if versions else (0, 0),
         versions_monotonic=monotonic,
@@ -800,15 +784,13 @@ def replay_trace(service, trace: Trace,
     realized-error reporting — meaningful only for traces without update
     events, since updates change the ground truth mid-replay.  The replay
     is deterministic for a fixed service seed and backend: two replays of
-    the same trace on freshly built services produce identical checksums
-    and identical rebalance decisions.
+    the same trace on freshly built services produce identical checksums.
     """
     options = options or ReplayOptions()
     default_k = service.service_params.default_top_k
     checksum = hashlib.sha256()
     latencies: List[float] = []
     errors: List[float] = []
-    decisions: List[bool] = []
     versions: List[int] = []
     stats_before = service.stats()
     mode = "approximate" if stats_before.get("approx_mode") else "exact"
@@ -836,13 +818,10 @@ def replay_trace(service, trace: Trace,
             _digest_answer(checksum, encoded)
             if reference is not None:
                 _accumulate_errors(query, encoded, reference, errors)
-        if options.rebalance_every and n_batches % options.rebalance_every == 0:
-            report = service.maybe_rebalance()
-            decisions.append(bool(report["applied"]))
     duration = time.perf_counter() - start
     return _finalize(trace.name, "in-process", trace, checksum, latencies,
                      n_batches, duration, versions, stats_before,
-                     service.stats(), decisions, errors,
+                     service.stats(), errors,
                      service.service_params.accuracy_budget, mode)
 
 
@@ -979,4 +958,4 @@ def replay_trace_http(trace: Trace, host: str, port: int,
         connection.close()
     return _finalize(trace.name, "http", trace, checksum, latencies,
                      n_batches, duration, versions, stats_before, stats_after,
-                     [], errors, budget, mode, retried)
+                     errors, budget, mode, retried)

@@ -12,9 +12,10 @@ batches (a bounded queue here, the re-index in
 
 The node space is split across ``K`` shards by a
 :class:`~repro.graph.partition.ShardPlan` (``ShardingParams``; ``K = 1``,
-one shard holding every node, by default).  The plan decides where index
-rows live, as in the paper, where workers own rows of the indexing system
-but each holds the whole broadcast diagonal:
+one shard holding every node, by default), fixed at build.  The plan
+decides which task estimates an index row, as in the paper, where workers
+own rows of the indexing system but each holds the whole broadcast
+diagonal:
 
 * **index maintenance**: each shard owns its nodes' rows of the indexing
   linear system; builds and incremental updates fan out per shard through
@@ -22,8 +23,8 @@ but each holds the whole broadcast diagonal:
 * **versions**: :attr:`~QueryService.index_version` bumps once per applied
   update, while :attr:`~QueryService.shard_versions` records, per shard,
   the last version at which one of its rows was re-estimated;
-* **load counters**: routed and simulated sources are counted against
-  their owning shard, the rebalance planner's input.
+* **load counters**: routed and simulated sources and routed edges are
+  counted against their owning shard (``stats()["shards"]``).
 
 The query path does not consult the plan: one
 :class:`~repro.service.cache.WalkDistributionCache` holds the walk
@@ -84,7 +85,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.config import (
-    RebalanceParams,
     ServiceParams,
     ShardingParams,
     SimRankParams,
@@ -102,13 +102,7 @@ from repro.core.sharding import (
 from repro.engine.executor import make_backend
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import (
-    RebalanceEstimate,
-    ShardPlan,
-    evaluate_rebalance,
-    load_balanced_plan,
-    shard_loads,
-)
+from repro.graph.partition import ShardPlan
 from repro.service.batching import (
     BatchPlan,
     PairQuery,
@@ -125,8 +119,6 @@ PathLike = Union[str, os.PathLike]
 
 Answer = Any
 """A query answer: float (pair), ndarray (source) or ranking list (top-k)."""
-
-NodeLoads = Union[Dict[int, float], Sequence[float]]
 
 Edge = Tuple[int, int]
 
@@ -181,9 +173,6 @@ class QueryService:
     plan:
         An explicit node-to-shard assignment, overriding ``sharding``'s
         strategy.
-    rebalance_params:
-        Knobs of workload-adaptive rebalancing (improvement threshold,
-        representativeness minimum, cold weight); see :meth:`rebalance`.
 
     Attributes
     ----------
@@ -206,7 +195,6 @@ class QueryService:
         update_params: Optional[UpdateParams] = None,
         sharding: Optional[ShardingParams] = None,
         plan: Optional[ShardPlan] = None,
-        rebalance_params: Optional[RebalanceParams] = None,
     ) -> None:
         shard_versions: Optional[List[int]] = None
         if isinstance(index, ShardedIndex):
@@ -223,7 +211,6 @@ class QueryService:
                 f"{self.sharding.num_shards}"
             )
         self.plan = plan
-        self.rebalance_params = rebalance_params or RebalanceParams()
         self.graph = graph
         self.index = index
         self.params = params or index.params
@@ -242,20 +229,18 @@ class QueryService:
             "source_queries": 0, "topk_queries": 0, "batches": 0,
             "sources_simulated": 0, "misses_walked_inline": 0,
             "sources_deduplicated": 0, "updates_applied": 0, "edges_added": 0,
-            "snapshots_written": 0, "rebalances_applied": 0,
-            "scatter_hops": 0, "scatter_payload_bytes": 0,
+            "snapshots_written": 0, "scatter_hops": 0, "scatter_payload_bytes": 0,
         }
         self.cache = WalkDistributionCache(
             self.service_params.cache_capacity * self.plan.num_shards)
-        self._fresh_shard_state()
+        self._shard_counters: List[Dict[str, int]] = [
+            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
+            for _ in range(self.plan.num_shards)
+        ]
         self.sharded_index = ShardedIndex(
             index=self.index, plan=self.plan,
             shard_versions=shard_versions or [self._version] * self.plan.num_shards,
         )
-        # Per-node observed query load (routed sources), the planner's
-        # input.  Node-keyed, so it survives plan migrations unchanged.
-        self._node_loads: Dict[int, float] = {}
-        self._plan_generation = 1
         # Two reentrant locks with a strict acquisition order —
         # ``_update_lock`` before ``_lock``, never the reverse:
         #
@@ -308,19 +293,6 @@ class QueryService:
             steps = self.params.walk_steps
         return self.params.with_(query_walkers=walkers, walk_steps=steps)
 
-    def _fresh_shard_state(self) -> None:
-        """(Re)set the per-shard load counters for the current plan.
-
-        Called at construction and at the atomic flip of a plan migration:
-        the counters describe load *under this plan*, so they restart.  The
-        cache is not shard state — its keys do not depend on the plan, and
-        a flip moves neither the graph nor the diagonal — so it stays warm.
-        """
-        self._shard_counters: List[Dict[str, Any]] = [
-            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
-            for _ in range(self.plan.num_shards)
-        ]
-
     # ------------------------------------------------------------------ #
     # Cold start
     # ------------------------------------------------------------------ #
@@ -340,8 +312,7 @@ class QueryService:
         restarted service answers queries identically to the one that
         built it (provided ``params`` is left at its default).  It carries
         no linear system, so the first update estimates it once.
-        ``options`` go to the constructor (``sharding``, ``plan``,
-        ``rebalance_params``).
+        ``options`` go to the constructor (``sharding``, ``plan``).
         """
         return cls(graph, DiagonalIndex.load(path), params=params,
                    service_params=service_params, update_params=update_params,
@@ -355,7 +326,6 @@ class QueryService:
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
         sharding: Optional[ShardingParams] = None,
-        rebalance_params: Optional[RebalanceParams] = None,
     ) -> "QueryService":
         """Build an index for ``graph`` and serve it, update-ready.
 
@@ -373,7 +343,7 @@ class QueryService:
         service = cls(graph, index, params=params,
                       service_params=service_params,
                       update_params=update_params, sharding=sharding,
-                      plan=walker.plan, rebalance_params=rebalance_params)
+                      plan=walker.plan)
         service._walker = walker
         return service
 
@@ -386,12 +356,12 @@ class QueryService:
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
         sharding: Optional[ShardingParams] = None,
-        rebalance_params: Optional[RebalanceParams] = None,
     ) -> "QueryService":
         """Cold-start from the newest snapshot of a lineage.
 
         Restores the snapshot's plan and per-shard versions from its plan
-        record (a lineage that rebalanced serves under its newest plan),
+        record (the newest version's own plan, whatever earlier versions
+        held),
         the broadcast diagonal and — when the snapshot carries one — the
         linear system, byte for byte, so the restarted service resumes
         incremental updates without re-estimating anything, continues the
@@ -410,8 +380,7 @@ class QueryService:
                       sharding=sharding.with_(
                           num_shards=sharded_index.plan.num_shards,
                           strategy=sharded_index.plan.strategy,
-                      ),
-                      rebalance_params=rebalance_params)
+                      ))
         service._version = version
         if system is not None:
             service._ensure_walker(system)
@@ -446,7 +415,7 @@ class QueryService:
         """Monotonically increasing generation of the served index.
 
         Starts at 1 (or at the restored snapshot's version) and increases by
-        one per applied update (and per applied rebalance).  Carried on
+        one per applied update.  Carried on
         every :class:`BatchAnswers`, so callers can detect answers computed
         against a stale graph.
         """
@@ -648,176 +617,6 @@ class QueryService:
             return self._version, str(store.directory)
 
     # ------------------------------------------------------------------ #
-    # Workload-adaptive rebalancing
-    # ------------------------------------------------------------------ #
-    def _load_weights(self, node_loads: Optional[NodeLoads] = None) -> np.ndarray:
-        """Per-node planner weights: cold weight plus observed query load.
-
-        Every node carries ``RebalanceParams.cold_weight`` (a never-queried
-        node still costs its shard index rows), plus the
-        observed routed-source counts — the service's own ``_node_loads``
-        by default, or a caller-supplied dict/array (e.g. structural
-        weights for an offline re-plan).  Must be called under ``_lock``
-        when reading the live counters.
-        """
-        n = self.graph.n_nodes
-        weights = np.full(n, self.rebalance_params.cold_weight, dtype=np.float64)
-        observed = self._node_loads if node_loads is None else node_loads
-        if isinstance(observed, dict):
-            for node, load in observed.items():
-                if 0 <= int(node) < n:
-                    weights[int(node)] += float(load)
-        else:
-            arr = np.asarray(observed, dtype=np.float64)
-            if arr.shape != (n,):
-                raise CloudWalkerError(
-                    f"node_loads must have one entry per node ({n}), "
-                    f"got shape {arr.shape}"
-                )
-            weights += arr
-        return weights
-
-    def _propose(self, node_loads: Optional[NodeLoads] = None,
-                 plan: Optional[ShardPlan] = None
-                 ) -> Tuple[ShardPlan, ShardPlan, RebalanceEstimate]:
-        """``(serving plan, proposal, estimate)`` for the observed load.
-
-        The proposal is ``plan`` when given (it must keep the shard count),
-        otherwise greedy LPT over the per-node weights
-        (:func:`repro.graph.partition.load_balanced_plan`); either is
-        evaluated against the serving plan with the critical-path cost
-        model (:func:`repro.graph.partition.evaluate_rebalance`).
-        """
-        with self._lock:
-            n = self.graph.n_nodes
-            weights = self._load_weights(node_loads)
-            current = self.plan
-        proposal = plan if plan is not None \
-            else load_balanced_plan(current.num_shards, weights)
-        if proposal.num_shards != current.num_shards:
-            raise CloudWalkerError(
-                f"rebalance cannot change the shard count: serving "
-                f"{current.num_shards} shards, proposal has "
-                f"{proposal.num_shards}"
-            )
-        estimate = evaluate_rebalance(
-            shard_loads(current, n, weights),
-            shard_loads(proposal, n, weights),
-            improvement_threshold=self.rebalance_params.improvement_threshold,
-            min_total_load=(self.rebalance_params.min_sources
-                            + n * self.rebalance_params.cold_weight),
-        )
-        return current, proposal, estimate
-
-    def plan_rebalance(
-        self, node_loads: Optional[NodeLoads] = None,
-    ) -> Tuple[ShardPlan, RebalanceEstimate]:
-        """Propose a plan for the observed load, without migrating.
-
-        Read-only: returns ``(proposal, estimate)`` (see :meth:`_propose`)
-        and changes nothing, so it is safe to call from monitoring paths
-        at any time.
-        """
-        _current, proposal, estimate = self._propose(node_loads)
-        return proposal, estimate
-
-    def rebalance(
-        self,
-        plan: Optional[ShardPlan] = None,
-        node_loads: Optional[NodeLoads] = None,
-        force: bool = False,
-    ) -> Dict[str, Any]:
-        """Migrate to a better-balanced plan, live, without wrong answers.
-
-        The migration protocol, in order:
-
-        1. **Drain** the deferred-update queue (the whole migration holds
-           the update lock, so no new edges can slip into the walker that
-           is about to be replaced — ``add_edges`` blocks until the flip).
-        2. **Plan**: propose via :meth:`plan_rebalance` (or adopt the
-           caller's ``plan``, which must keep the shard count) and
-           evaluate it.  Unless ``force``, a proposal that does not clear
-           ``RebalanceParams.improvement_threshold`` — or equals the
-           serving plan — returns ``{"applied": False, ...}`` untouched.
-        3. **Build**: a walker adopting the maintained linear system under
-           the proposal (:meth:`~repro.core.sharding.
-           ShardedIncrementalWalker.with_plan`; no re-estimation, no
-           solve).  Queries keep serving the old plan throughout —
-           only the update lock is held.  Any failure here propagates and
-           leaves the service byte-for-byte on the old plan: nothing
-           served has been touched yet.
-        4. **Flip**, atomically under the serve lock: adopt the plan,
-           reset the per-shard counters (:meth:`_fresh_shard_state`), bump
-           the version, and install the new walker.  A concurrent batch
-           sees either the complete old topology or the complete new one.
-           The cache stays warm: its keys do not depend on the plan, and
-           the flip moves neither the graph nor the diagonal.
-        5. **Persist**: when a snapshot directory is configured, save the
-           post-flip version (:meth:`save_snapshot`: the system, then the
-           new plan record, then the index file that commits it), so a
-           crash mid-save leaves the previous version the one the next
-           load serves.
-
-        Answers are bitwise-identical across the flip: the plan never
-        touches the one linear system the walker maintains, per-source
-        random streams are keyed ``(seed, source)``, and each ``(source,
-        k)`` is ranked once over its source's support whichever shard owns
-        it — the plan only decides *where* state lives and work runs.
-        Returns a report dict (``applied``, ``estimate``,
-        ``plan_generation``, …).
-        """
-        with self._update_lock:
-            self.flush_updates()
-            n = self.graph.n_nodes
-            current_plan, proposal, estimate = self._propose(node_loads, plan)
-            report: Dict[str, Any] = {
-                "applied": False,
-                "estimate": estimate.to_dict(),
-                "plan_generation": self._plan_generation,
-                "index_version": self._version,
-            }
-            if np.array_equal(proposal.assign(n), current_plan.assign(n)):
-                report["reason"] = "proposed plan equals the serving plan"
-                return report
-            if not force and not estimate.should_rebalance:
-                report["reason"] = estimate.reason
-                return report
-            # Build the new walker from the current system — the
-            # failure-prone step, done entirely before anything served
-            # changes.
-            new_walker = self._ensure_walker().with_plan(proposal)
-            with self._lock:
-                self.plan = proposal
-                self._fresh_shard_state()
-                self._version += 1
-                self._plan_generation += 1
-                self.sharded_index = ShardedIndex(
-                    index=self.index, plan=proposal,
-                    shard_versions=[self._version] * proposal.num_shards,
-                )
-                self._walker = new_walker
-                self._counters["rebalances_applied"] += 1
-                report.update(
-                    applied=True,
-                    reason=("forced" if force and not estimate.should_rebalance
-                            else estimate.reason),
-                    plan_generation=self._plan_generation,
-                    index_version=self._version,
-                )
-            if self.update_params.snapshot_dir is not None:
-                report["snapshot_version"] = self.save_snapshot()[0]
-            return report
-
-    def maybe_rebalance(self) -> Dict[str, Any]:
-        """One auto-rebalance tick: migrate only if the model says so.
-
-        The periodic entry point of the HTTP tier's ``--auto-rebalance``
-        strand — exactly :meth:`rebalance` with ``force=False``, so an
-        unrepresentative or not-good-enough proposal is a cheap no-op.
-        """
-        return self.rebalance(force=False)
-
-    # ------------------------------------------------------------------ #
     # Batch execution
     # ------------------------------------------------------------------ #
     def run_batch(self, queries: Sequence[Query],
@@ -877,14 +676,11 @@ class QueryService:
                 self._validate_query(query)
             walkers_count = (walkers if walkers is not None
                              else self.query_params.query_walkers)
-            # Load accounting for the rebalance planner, before any cache
-            # lookup or shortcut: each distinct source counts once against
-            # its node and its owning shard however it is served, so the
-            # hottest sources — the cached ones — stay in the planner's
-            # input.
+            # Per-shard load accounting, before any cache lookup or
+            # shortcut: each distinct source counts once against its
+            # owning shard however it is served.
             for source in dict.fromkeys(node for query in queries
                                         for node in required_sources(query)):
-                self._node_loads[source] = self._node_loads.get(source, 0.0) + 1.0
                 self._shard_counters[self.plan.shard_of(source)][
                     "sources_routed"] += 1
             scored = list(dict.fromkeys(
@@ -926,8 +722,7 @@ class QueryService:
 
         Each source is looked up as a score entry under its
         :class:`CacheKey`; a hit is valid because every applied update
-        drops all score entries (:meth:`_adopt_mutation`).  A rebalance
-        flip keeps them: it moves neither the graph nor the diagonal.
+        drops all score entries (:meth:`_adopt_mutation`).
         """
         found: Dict[int, ScoreEntry] = {}
         for source in sources:
@@ -1135,8 +930,6 @@ class QueryService:
                 "walk_steps_served": self.query_params.walk_steps,
                 "num_shards": self.num_shards,
                 "shard_strategy": self.plan.strategy,
-                "plan_generation": self._plan_generation,
-                "observed_sources": float(sum(self._node_loads.values())),
                 "serve_backend": self.service_params.serve_backend,
                 "serve_workers": self.service_params.serve_workers,
                 "cache_size": len(self.cache),

@@ -9,10 +9,10 @@ do the runs cross to the service's persistent serve pool
 :func:`repro.core.sharding.run_shard_tasks` primitive the build path fans
 out through).  One run is walked in the calling thread, on the ``serial``
 backend always: no hop, no pickled results, no resident registration.
-Every source has its own random stream, so the shard plan decides where a
-distribution is cached, not where it is simulated — and however the misses
-are split, and wherever they run, the distributions are bitwise-identical
-to one in-process call.
+Every source has its own random stream, and the shard plan plays no part:
+the service holds one cache, and however the misses are split, and
+wherever they run, the distributions are bitwise-identical to one
+in-process call.
 
 This module imports nothing from :mod:`repro.service.service`; the service
 imports :func:`simulate_misses` from here.

@@ -271,24 +271,32 @@ class TestShardedUpdates:
         walker.add_edges([(0, 5)])
         assert walker.last_touched_shards == frozenset({0})
 
-    def test_with_plan_adopts_the_system_as_is(self, graph, params):
-        # A rebalance's walker takes over the maintained system and index
-        # themselves: no re-estimation, no copy, no per-shard slicing.
+    def test_attach_under_another_plan_adopts_the_system_as_is(self, graph,
+                                                              params):
+        # A walker under another plan takes over the maintained system and
+        # index themselves (no re-estimation, no copy, no per-shard
+        # slicing), and its updates are the original walker's bit for bit:
+        # the plan groups row tasks, it does not shape the system.
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(3),
                                           params=params)
         walker.build()
         walker.add_edges([(0, 30), (2, 95)])
-        moved = walker.with_plan(ShardPlan.contiguous(3, walker.graph.n_nodes))
-        assert moved.system is walker.system
-        assert moved.index is walker.index
-        assert moved.plan == ShardPlan.contiguous(3, walker.graph.n_nodes)
-        assert walker.plan == ShardPlan.hashed(3)
+        other = ShardedIncrementalWalker(
+            walker.graph, ShardPlan.contiguous(3, walker.graph.n_nodes),
+            params=params)
+        other.attach(walker.index, system=walker.system)
+        assert other.system is walker.system
+        assert other.index is walker.index
+        walker.add_edges([(5, 40)])
+        other.add_edges([(5, 40)])
+        assert (other.system - walker.system).nnz == 0
+        assert np.array_equal(other.index.diagonal, walker.index.diagonal)
 
-    def test_with_plan_before_build_raises(self, graph, params):
+    def test_add_edges_before_build_raises(self, graph, params):
         walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2),
                                           params=params)
-        with pytest.raises(ConfigurationError):
-            walker.with_plan(ShardPlan.hashed(2))
+        with pytest.raises(ConfigurationError, match="before add_edges"):
+            walker.add_edges([(0, 1)])
 
 
 class TestChooseRows:

@@ -276,7 +276,8 @@ class TestLineageRules:
         assert store.versions() == [1]
 
     def test_assignment_may_change_between_versions(self, index, tmp_path):
-        # A rebalance keeps K and moves nodes: each version keeps its plan.
+        # Lineages written by older builds may keep K and move nodes
+        # between versions: each version keeps its own plan.
         store = SnapshotStore(tmp_path)
         store.save_snapshot(_sharded(index, ShardPlan.hashed(3)))
         moved = ShardPlan.contiguous(3, index.n_nodes)

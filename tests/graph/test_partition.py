@@ -9,7 +9,6 @@ from repro.graph.partition import (
     EdgeBalancedPartitioner,
     HashPartitioner,
     RangePartitioner,
-    imbalance,
 )
 
 
@@ -69,7 +68,8 @@ class TestEdgeBalancedPartitioner:
                 max(degrees[assignment == p].sum(), 1) for p in range(parts)
             ]
 
-        assert imbalance(loads(balanced)) <= imbalance(loads(range_part)) + 1e-9
+        # Equal totals, so the smaller maximum is the better balance.
+        assert max(loads(balanced)) <= max(loads(range_part))
 
     def test_partition_nodes_cover_all(self, skewed_graph):
         partitioner = EdgeBalancedPartitioner(4, skewed_graph)
@@ -83,14 +83,3 @@ class TestEdgeBalancedPartitioner:
         assert len(loads) == 4
         assert loads.sum() >= skewed_graph.n_edges
 
-
-class TestImbalance:
-    def test_balanced(self):
-        assert imbalance([5, 5, 5]) == pytest.approx(1.0)
-
-    def test_imbalanced(self):
-        assert imbalance([10, 0, 0]) == pytest.approx(3.0)
-
-    def test_empty(self):
-        assert imbalance([]) == 1.0
-        assert imbalance([0, 0]) == 1.0

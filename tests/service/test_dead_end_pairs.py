@@ -70,8 +70,9 @@ class TestDeadEndPairs:
                 == before["cache_hits"] + before["cache_misses"])
         assert after["pair_queries"] - before["pair_queries"] == len(pairs)
         assert after["dead_end_pairs"] - before["dead_end_pairs"] == len(pairs)
-        # The endpoints still count as load for the rebalance planner.
-        assert after["observed_sources"] - before["observed_sources"] == 6
+        # The endpoints still count in the per-shard routed counters.
+        assert (sum(row["sources_routed"] for row in after["shards"])
+                - sum(row["sources_routed"] for row in before["shards"])) == 6
 
     def test_a_self_pair_on_a_dead_end_is_still_one(self, make_any,
                                                     service_graph):

@@ -12,34 +12,34 @@ Three layers of coverage:
 * **concurrency** — overlapping real clients during deferred update
   drains observe monotone index versions and no torn reads (every
   response bitwise-matches a single-threaded reference at the version the
-  response reports), including while live plan migrations race the
-  coalescer and the drain strand;
-* **rebalancing** — ``POST /rebalance`` migrates without changing any
-  answer, and the ``auto_rebalance`` strand migrates on its own when the
-  observed load is skewed enough.
+  response reports), including while snapshot saves race the coalescer
+  and the drain strand.
 """
 
 import asyncio
 import http.client
 import json
-import random
+import socket
+import struct
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.config import (
-    RebalanceParams,
     ServiceParams,
     ShardingParams,
     SimRankParams,
     UpdateParams,
 )
 from repro.graph import generators
-from repro.graph.partition import ShardPlan
 from repro.service import QueryService, parse_query
-from repro.service.http import HttpServiceServer, edge_from_wire, encode_answer
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    HttpServiceServer,
+    edge_from_wire,
+    encode_answer,
+)
 
 PARAMS = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
                        index_walkers=15, query_walkers=40, seed=23)
@@ -422,6 +422,220 @@ class TestProtocol:
         status_line = _serve(service, scenario)
         assert b"400" in status_line
 
+    def test_http_block_counts_requests_and_drains_only(self):
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            return await _request(server.port, "GET", "/stats")
+
+        status, stats = _serve(service, scenario)
+        assert status == 200
+        assert set(stats["http"]) == {
+            "requests", "queries_served", "bad_requests", "queries_rejected",
+            "updates_accepted", "updates_rejected", "edges_accepted",
+            "update_drains", "update_failures", "response_bytes"}
+
+    def test_rebalance_is_an_unknown_path(self):
+        """Shard plans are fixed at build: ``/rebalance`` is no endpoint,
+        and asking for it changes nothing."""
+        service = _sharded(_graph())
+        version = service.index_version
+
+        async def scenario(server):
+            return (await _request(server.port, "POST", "/rebalance",
+                                   {"force": True}),
+                    await _request(server.port, "GET", "/version"))
+
+        (status, payload), (_v_status, after) = _serve(service, scenario)
+        assert status == 404
+        assert "/rebalance" in payload["error"]
+        assert after == {"index_version": version}
+
+
+def _raw(method, path, body=b"", length=None):
+    """The bytes of one request that closes its connection."""
+    length = len(body) if length is None else length
+    return (f"{method} {path} HTTP/1.1\r\nContent-Length: {length}\r\n"
+            "Connection: close\r\n\r\n").encode("latin-1") + body
+
+
+def _json(payload):
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestHostileClients:
+    """Each hostile input ends in a bounded, specific error: a status and
+    a message naming the fault, counted where it is the client's fault,
+    with nothing escaping to the event loop and the server still serving
+    the next connection."""
+
+    @pytest.mark.parametrize("request_bytes,status,counted,message", [
+        (_raw("POST", "/query", b"{not json"), 400, 1, "not valid JSON"),
+        (_raw("POST", "/query", b"\xff\xfe"), 400, 1, "not valid JSON"),
+        (_raw("POST", "/query", b"[1, 2]"), 400, 1,
+         "must be a JSON object"),
+        (_raw("POST", "/query", _json({})), 400, 1,
+         "non-empty 'queries' list"),
+        (_raw("POST", "/query", _json({"queries": [3]})), 400, 1,
+         "malformed query entry"),
+        (_raw("POST", "/query", _json({"queries": ["source 999999"]})),
+         404, 1, "999999"),
+        (_raw("POST", "/update", _json({"edges": "0 1"})), 400, 1,
+         "non-empty 'edges' list"),
+        (_raw("POST", "/update", _json({"edges": [{"u": 1}]})), 400, 1,
+         "malformed edge entry"),
+        (b"POST /query HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400, 1,
+         "malformed Content-Length"),
+        (_raw("POST", "/query", length=MAX_BODY_BYTES + 1), 413, 1,
+         "exceeds"),
+        (_raw("PUT", "/query", _json({"queries": ["pair 3 7"]})), 405, 0,
+         "not allowed"),
+    ], ids=["invalid-json", "not-utf8", "json-array", "no-queries",
+            "query-not-a-string", "unknown-node", "edges-not-a-list",
+            "edge-object", "content-length-not-a-number", "oversized-body",
+            "wrong-method"])
+    def test_malformed_request_is_rejected(self, request_bytes, status,
+                                           counted, message):
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            escaped = []
+            loop.set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            answer = await _exchange_raw(server.port, request_bytes)
+            after = await _request(server.port, "POST", "/query",
+                                   {"queries": ["pair 3 7"]})
+            _status, stats = await _request(server.port, "GET", "/stats")
+            return answer, after, stats, escaped
+
+        (got, raw), after, stats, escaped = _serve(service, scenario)
+        assert got == status
+        assert message in json.loads(raw)["error"]
+        assert stats["http"]["bad_requests"] == counted
+        assert after[0] == 200
+        assert escaped == []
+
+    def test_truncated_body_is_counted_and_closed(self):
+        """A client that declares a body, sends part of it and closes is a
+        bad request: counted, its connection closed, nothing escapes to the
+        event loop's exception handler, and the next connection is
+        served."""
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            escaped = []
+            loop.set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            writer.write(b"POST /query HTTP/1.1\r\nContent-Length: 100\r\n"
+                         b"\r\nabc")
+            await writer.drain()
+            writer.write_eof()
+            trailing = await reader.read()
+            writer.close()
+            stats = await _request(server.port, "GET", "/stats")
+            await asyncio.sleep(0.05)
+            return trailing, stats, escaped
+
+        trailing, (status, stats), escaped = _serve(service, scenario)
+        assert trailing == b""
+        assert status == 200
+        assert stats["http"]["bad_requests"] == 1
+        assert escaped == []
+
+    def test_client_closing_mid_head_is_a_clean_close(self):
+        """A head that never completes is a closed connection, not a bad
+        request: nothing is answered or counted, and nothing escapes."""
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            escaped = []
+            loop.set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            writer.write(b"POST /query HTTP/1.1\r\nContent-Le")
+            await writer.drain()
+            writer.write_eof()
+            trailing = await reader.read()
+            writer.close()
+            stats = await _request(server.port, "GET", "/stats")
+            await asyncio.sleep(0.05)
+            return trailing, stats, escaped
+
+        trailing, (status, stats), escaped = _serve(service, scenario)
+        assert trailing == b""
+        assert status == 200
+        assert stats["http"]["bad_requests"] == 0
+        assert escaped == []
+
+    def test_truncated_body_after_a_served_request(self):
+        """On a keep-alive connection the first request is answered in
+        full; the truncated second one is counted and ends the
+        connection."""
+        service = _sharded(_graph())
+        with QueryService.build(_graph(), PARAMS) as reference:
+            expected, version = _expected(reference, ["pair 3 7"])
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                           server.port)
+            first = await _send(reader, writer, "POST", "/query",
+                                {"queries": ["pair 3 7"]})
+            writer.write(b"POST /query HTTP/1.1\r\nContent-Length: 50\r\n"
+                         b"\r\n{\"queries\"")
+            await writer.drain()
+            writer.write_eof()
+            trailing = await reader.read()
+            writer.close()
+            stats = await _request(server.port, "GET", "/stats")
+            return first, trailing, stats
+
+        (status, payload, _headers), trailing, (_s, stats) = _serve(
+            service, scenario)
+        assert (status, payload) == (200, {"answers": expected,
+                                           "index_version": version})
+        assert trailing == b""
+        assert stats["http"]["bad_requests"] == 1
+
+    def test_reset_mid_body_is_counted(self):
+        """A connection reset inside a declared body is a truncated
+        request too: counted, and the server keeps serving."""
+        service = _sharded(_graph())
+
+        async def scenario(server):
+            loop = asyncio.get_running_loop()
+            escaped = []
+            loop.set_exception_handler(
+                lambda _loop, context: escaped.append(context))
+            _reader, writer = await asyncio.open_connection("127.0.0.1",
+                                                            server.port)
+            writer.write(b"POST /update HTTP/1.1\r\nContent-Length: 64\r\n"
+                         b"\r\n{\"edges\": [[0, ")
+            await writer.drain()
+            sock = writer.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            writer.transport.abort()
+            deadline = loop.time() + 10.0
+            stats = {}
+            while loop.time() < deadline:
+                _status, stats = await _request(server.port, "GET", "/stats")
+                if stats["http"]["bad_requests"]:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            return stats, escaped
+
+        stats, escaped = _serve(service, scenario)
+        assert stats["http"]["bad_requests"] == 1
+        assert stats["http"]["updates_accepted"] == 0
+        assert escaped == []
+
 
 class TestLifecycle:
     def test_stop_during_in_flight_request_drains_not_drops(self):
@@ -616,30 +830,23 @@ class TestConcurrency:
                 total += 1
         assert total > 0, "concurrency run produced no observations"
 
-    def test_migrations_racing_drains_and_clients_stay_bitwise_stable(self):
-        """Live plan migrations race deferred-update drains and the HTTP
-        coalescer: every response must bitwise-match one of the reference
-        answer states (migrations add versions but never answers), each
-        client's versions stay monotone, and any two responses reporting
-        the same version must carry identical answers (no torn reads)."""
+    def test_snapshot_saves_racing_drains_and_clients_stay_bitwise_stable(
+            self, tmp_path):
+        """Snapshot saves race deferred-update drains and the HTTP
+        coalescer: every response must bitwise-match the reference answers
+        at the version it reports, each client's versions stay monotone,
+        and every save commits the version it was taken at."""
         graph = _graph()
-        n = graph.n_nodes
-
-        # Reference states: answers after 0..len(EDIT_BATCHES) drained
-        # batches.  A migration between drains serves the *same* state
-        # under a new index version, so responses are validated against
-        # the set of states rather than a version-keyed map.
-        states = []
+        by_version = {}
         with QueryService.build(graph, PARAMS) as reference:
             answers, base_version = _expected(reference, QUERY_LINES)
-            states.append(answers)
+            by_version[base_version] = answers
             for batch in EDIT_BATCHES:
                 assert reference.add_edges(batch) is not None
-                answers, _version = _expected(reference, QUERY_LINES)
-                states.append(answers)
+                answers, version = _expected(reference, QUERY_LINES)
+                by_version[version] = answers
 
         service = _sharded(graph)
-        rng = random.Random(7)
         observations = {0: [], 1: [], 2: []}
         errors = []
         stop = threading.Event()
@@ -666,7 +873,7 @@ class TestConcurrency:
             finally:
                 connection.close()
 
-        migrations = 0
+        saved = []
         with _LoopThread(HttpServiceServer(service, port=0,
                                            coalesce_window=0.002)) as running:
             port = running.server.port
@@ -688,19 +895,10 @@ class TestConcurrency:
                         response = updater.getresponse()
                         payload = json.loads(response.read().decode("utf-8"))
                         assert response.status == 200, payload
-                        # Migrate to a random plan while clients hammer the
-                        # coalescer.  rebalance() serialises against drains
-                        # on the update lock, so this genuinely interleaves
-                        # with in-flight queries, not with the drain itself.
-                        plan = ShardPlan(
-                            num_shards=3, strategy="partitioner",
-                            assignment=np.array(
-                                [rng.randrange(3) for _ in range(n)]
-                            ),
-                        )
-                        report = service.rebalance(plan=plan, force=True)
-                        assert report["applied"] is True, report
-                        migrations += 1
+                        # Save while clients hammer the coalescer: the save
+                        # takes the update lock and then the serve lock,
+                        # so it interleaves with in-flight queries.
+                        saved.append(service.save_snapshot(tmp_path)[0])
                 finally:
                     updater.close()
             finally:
@@ -710,13 +908,9 @@ class TestConcurrency:
             assert not any(thread.is_alive() for thread in threads)
 
         assert errors == []
-        assert migrations == len(EDIT_BATCHES)
-        # Updates and migrations each bump the version exactly once.
-        assert service.index_version == (
-            base_version + len(EDIT_BATCHES) + migrations
-        )
-
-        by_version = {}
+        # Updates bump the version exactly once each; saves never do.
+        assert service.index_version == base_version + len(EDIT_BATCHES)
+        assert saved == sorted(by_version)[1:]
         total = 0
         for slot, seen in observations.items():
             versions = [version for version, _ in seen]
@@ -724,142 +918,8 @@ class TestConcurrency:
                 f"client {slot} observed versions going backwards: {versions}"
             )
             for version, answers in seen:
-                assert answers in states, (
-                    f"torn read: answers at version {version} match no "
-                    f"reference state"
-                )
-                previous = by_version.setdefault(version, answers)
-                assert previous == answers, (
-                    f"torn read: version {version} served two different "
-                    f"answer sets"
+                assert answers == by_version[version], (
+                    f"torn read: answers at version {version} diverged"
                 )
                 total += 1
-        assert total > 0, "migration stress produced no observations"
-
-
-class TestRebalance:
-    def _contiguous(self, graph, rebalance, **service_overrides):
-        service_overrides.setdefault("cache_capacity", 32)
-        service_params = ServiceParams(
-            serve_backend="threads", serve_workers=2,
-            coalesce_window=0.005, **service_overrides,
-        )
-        return QueryService.build(
-            graph, PARAMS, service_params=service_params,
-            sharding=ShardingParams(num_shards=3, strategy="contiguous"),
-            rebalance_params=rebalance,
-        )
-
-    def test_rebalance_endpoint_migrates_without_changing_answers(self):
-        graph = _graph()
-        service = self._contiguous(graph, RebalanceParams(min_sources=0))
-        with QueryService.build(graph, PARAMS) as reference:
-            expected, version = _expected(reference, QUERY_LINES)
-
-        async def scenario(server):
-            before = await _request(server.port, "POST", "/query",
-                                    {"queries": QUERY_LINES})
-            report = await _request(server.port, "POST", "/rebalance",
-                                    {"force": True})
-            after = await _request(server.port, "POST", "/query",
-                                   {"queries": QUERY_LINES})
-            stats = await _request(server.port, "GET", "/stats")
-            return before, report, after, stats
-
-        before, (r_status, report), after, (s_status, stats) = _serve(
-            service, scenario
-        )
-        assert before == (200, {"answers": expected,
-                                "index_version": version})
-        assert r_status == 200
-        assert report["applied"] is True
-        # The migration bumped the version without changing any answer.
-        assert after == (200, {"answers": expected,
-                               "index_version": version + 1})
-        assert s_status == 200
-        assert stats["plan_generation"] == 2
-        assert stats["http"]["rebalances_triggered"] == 1
-        assert stats["http"]["rebalances_applied"] == 1
-        assert stats["http"]["rebalances_skipped"] == 0
-
-    def test_unforced_rebalance_below_threshold_is_skipped(self):
-        service = self._contiguous(_graph(), RebalanceParams())
-
-        async def scenario(server):
-            report = await _request(server.port, "POST", "/rebalance", {})
-            stats = await _request(server.port, "GET", "/stats")
-            return report, stats
-
-        (r_status, report), (_s, stats) = _serve(service, scenario)
-        assert r_status == 200
-        assert report["applied"] is False
-        assert stats["plan_generation"] == 1
-        assert stats["http"]["rebalances_skipped"] == 1
-        assert stats["http"]["rebalances_applied"] == 0
-
-    def test_rebalance_on_one_shard_service_is_a_no_op(self):
-        service = QueryService.build(
-            _graph(), PARAMS, sharding=ShardingParams(num_shards=1))
-
-        async def scenario(server):
-            return await _request(server.port, "POST", "/rebalance",
-                                  {"force": True})
-
-        status, payload = _serve(service, scenario)
-        assert status == 200
-        assert payload["applied"] is False
-        assert payload["reason"] == "proposed plan equals the serving plan"
-        assert payload["index_version"] == 1
-
-    def test_rebalance_force_must_be_boolean(self):
-        service = self._contiguous(_graph(), RebalanceParams(min_sources=0))
-
-        async def scenario(server):
-            return await _request(server.port, "POST", "/rebalance",
-                                  {"force": "yes"})
-
-        status, payload = _serve(service, scenario)
-        assert status == 400
-        assert "force" in payload["error"]
-
-    def test_auto_rebalance_strand_migrates_on_skewed_load(self):
-        """With ``auto_rebalance`` on and a hot contiguous shard, the
-        periodic strand migrates on its own — and the migrated service
-        keeps serving bitwise-identical answers."""
-        graph = _graph()
-        # All hot sources live in shard 0 of the contiguous plan; a tiny
-        # cold weight makes observed skew dominate the planner's view.
-        service = self._contiguous(
-            graph,
-            RebalanceParams(min_sources=2, cold_weight=0.01,
-                            improvement_threshold=1.5, check_interval=0.05),
-            cache_capacity=0,
-        )
-        hot = ["source 1", "source 2", "source 3", "source 4"]
-        with QueryService.build(graph, PARAMS) as reference:
-            expected, version = _expected(reference, hot)
-
-        async def scenario(server):
-            first = await _request(server.port, "POST", "/query",
-                                   {"queries": hot})
-            deadline = asyncio.get_running_loop().time() + 30.0
-            stats = {}
-            while asyncio.get_running_loop().time() < deadline:
-                _status, stats = await _request(server.port, "GET", "/stats")
-                if stats["http"]["rebalances_applied"]:
-                    break
-                await asyncio.sleep(0.02)
-            second = await _request(server.port, "POST", "/query",
-                                    {"queries": hot})
-            return first, second, stats
-
-        first, second, stats = _serve(service, scenario, auto_rebalance=True)
-        assert first == (200, {"answers": expected,
-                               "index_version": version})
-        assert stats["http"]["rebalances_applied"] >= 1, (
-            "auto-rebalance strand never migrated a clearly skewed load"
-        )
-        assert second[0] == 200
-        assert second[1]["answers"] == expected
-        assert second[1]["index_version"] > version
-        assert service.plan.strategy == "partitioner"
+        assert total > 0, "save stress produced no observations"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import ShardingParams, UpdateParams
-from repro.core.index import DiagonalIndex, SnapshotStore
+from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.errors import CloudWalkerError
+from repro.graph.partition import ShardPlan
 from repro.service import QueryService, TopKQuery
 
 
@@ -135,29 +136,33 @@ class TestRestoredLineage:
                 for shard, version in enumerate(written)]
 
     @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_rebalance_persists_the_flip(self, service_graph, service_params,
-                                         tmp_path, num_shards):
-        """A forced flip saves its version under the new plan, with the
-        unchanged system; a restart serves that plan, versions and bytes."""
+    def test_restore_serves_the_newest_versions_plan(
+            self, service_graph, service_params, tmp_path, num_shards):
+        """A lineage whose newest version carries another plan (as older
+        builds wrote) restarts under that plan, with its versions and the
+        unchanged system byte for byte."""
         with QueryService.build(
                 service_graph, service_params,
                 update_params=UpdateParams(snapshot_dir=str(tmp_path)),
                 sharding=ShardingParams(num_shards=num_shards,
                                         strategy="contiguous")) as writer:
             writer.save_snapshot()
-            report = writer.rebalance(force=True)
-            assert report["applied"]
-            assert report["snapshot_version"] == writer.index_version == 2
-            written = (writer.plan, writer.shard_versions,
-                       writer._walker.system)
+            plan = ShardPlan.for_graph(service_graph, num_shards,
+                                       "partitioner")
+            system = writer._walker.system
+            SnapshotStore(tmp_path).save_snapshot(
+                ShardedIndex(index=writer.index, plan=plan,
+                             shard_versions=[2] * num_shards),
+                system=system, version=2)
             expected = writer.run_batch([TopKQuery(0, k=5)])
         store = SnapshotStore(tmp_path)
         assert store.versions() == [1, 2]
         assert store.load_plan(1).strategy == "contiguous"
         with QueryService.from_snapshot(service_graph, tmp_path) as restored:
-            assert restored.plan == written[0]
-            assert restored.shard_versions == written[1] == [2] * num_shards
+            assert restored.index_version == 2
+            assert restored.plan == plan
+            assert restored.shard_versions == [2] * num_shards
             for name in ("indptr", "indices", "data"):
                 assert getattr(restored._walker.system, name).tobytes() == \
-                    getattr(written[2], name).tobytes()
+                    getattr(system, name).tobytes()
             assert restored.run_batch([TopKQuery(0, k=5)]) == expected

@@ -1,21 +1,25 @@
-"""Fault injection for plan migration and its persistence.
+"""Fault injection for index maintenance and for per-version plan records.
 
-A migration has three failure surfaces, and each must leave the system
-serving correct answers:
+Three failure surfaces, and each must leave the system serving correct
+answers:
 
-* a **walker build dying mid-migration** (adopting the system under the
-  new plan fails) must leave the service byte-for-byte on the old plan —
-  the new walker is built entirely before anything served changes;
-* a **crash between the new plan record and the index file** that commits
-  it leaves debris on disk; the store must roll back to the previous
+* a **shard build dying inside an update** (one row task of
+  ``add_edges`` fails) must leave the service byte-for-byte on the old
+  version — the new graph, system and index are built entirely before
+  anything served changes — and ``close()`` afterwards must leave no
+  resident shared-memory segment behind;
+* a **crash between a plan record and the index file** that commits it
+  leaves debris on disk; the store must roll back to the previous
   version *under its own plan* on the next load, and a subsequent save
   must replace the debris, never adopt it;
 * a **corrupt plan record** excludes its version (rollback), while a
   lineage whose every plan record is corrupt is refused loudly — its
   identity is gone, silence would serve garbage.
 
-Plus the resource invariant: a failed migration followed by ``close()``
-leaves no resident shared-memory segments behind.
+A service's plan is fixed for its lifetime, but a lineage written by an
+older build may hold a different plan per version; the multi-plan
+lineages here are written through :meth:`SnapshotStore.save_snapshot`
+with explicit plans, and each version must load under its own record.
 """
 
 import json
@@ -25,19 +29,17 @@ import numpy as np
 import pytest
 
 import repro.core.index as index_module
-import repro.service.sharded as sharded_module
+import repro.core.sharding as sharding_module
 from repro.config import (
-    RebalanceParams,
     ServiceParams,
     ShardingParams,
     SimRankParams,
     UpdateParams,
 )
 from repro.core.index import ShardedIndex, SnapshotStore
-from repro.core.sharding import ShardedIncrementalWalker
 from repro.errors import CloudWalkerError
 from repro.graph import generators
-from repro.graph.partition import ShardPlan, load_balanced_plan
+from repro.graph.partition import ShardPlan
 from repro.service import (
     PairQuery,
     QueryService,
@@ -62,7 +64,6 @@ def _service(graph, tmp_path=None, **kwargs):
         graph, PARAMS,
         sharding=ShardingParams(num_shards=3, strategy="contiguous"),
         update_params=update_params,
-        rebalance_params=RebalanceParams(min_sources=0),
         **kwargs,
     )
 
@@ -72,9 +73,26 @@ def _answers(service):
             for a in service.run_batch(QUERIES)]
 
 
-def _balanced_plan(graph):
-    weights = np.arange(graph.n_nodes, dtype=float) + 1.0
-    return load_balanced_plan(3, weights)
+def _partitioner_plan(graph):
+    """A second 3-shard plan for the test graph (edge-balanced)."""
+    return ShardPlan.for_graph(graph, 3, "partitioner")
+
+
+def _save_under(service, directory, plan, version):
+    """Save ``service``'s index and system as ``version`` under ``plan``.
+
+    The service itself always saves under its own plan; writing through
+    the store with another one reproduces a lineage whose versions carry
+    different plans.
+    """
+    return SnapshotStore(directory).save_snapshot(
+        ShardedIndex(index=service.index, plan=plan,
+                     shard_versions=[version] * plan.num_shards),
+        system=service._walker.system, version=version)
+
+
+def _restore(graph, directory):
+    return QueryService.from_snapshot(graph, directory, params=PARAMS)
 
 
 class _ShardBuildKilled(RuntimeError):
@@ -82,79 +100,74 @@ class _ShardBuildKilled(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# Killed walker builds
+# Killed shard builds inside an update
 # --------------------------------------------------------------------------- #
-def _killer(self, plan):
-    raise _ShardBuildKilled("shard build killed mid-migration")
+def _killer(backend, tasks):
+    raise _ShardBuildKilled("shard build killed mid-update")
 
 
 class TestKilledShardBuild:
-    def test_failed_build_leaves_old_plan_serving(self, monkeypatch):
+    def test_failed_update_leaves_old_version_serving(self, monkeypatch):
         graph = _graph()
         with _service(graph) as service:
             expected = _answers(service)
-            old_assignment = service.plan.assign(graph.n_nodes)
-
-            # Kill the migration's walker build under the proposal.
+            version = service.index_version
             with monkeypatch.context() as patched:
-                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
+                patched.setattr(sharding_module, "run_shard_tasks", _killer)
                 with pytest.raises(_ShardBuildKilled):
-                    service.rebalance(plan=_balanced_plan(graph), force=True)
-
-            # Nothing served changed: same plan, same generation, same
-            # version, same (bitwise) answers, no half-initialised caches.
-            assert np.array_equal(service.plan.assign(graph.n_nodes),
-                                  old_assignment)
-            stats = service.stats()
-            assert stats["plan_generation"] == 1
-            assert stats["rebalances_applied"] == 0
+                    service.add_edges([(2, 60)])
+            # Nothing served changed: same graph, same version, same
+            # (bitwise) answers.
+            assert service.graph is graph
+            assert service.index_version == version
+            assert service.stats()["updates_applied"] == 0
             assert _answers(service) == expected
 
-    def test_failed_build_then_successful_migration(self, monkeypatch):
+    def test_failed_update_then_successful_retry(self, monkeypatch):
         graph = _graph()
         with _service(graph) as service:
             with monkeypatch.context() as patched:
-                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
+                patched.setattr(sharding_module, "run_shard_tasks", _killer)
                 with pytest.raises(_ShardBuildKilled):
-                    service.rebalance(plan=_balanced_plan(graph), force=True)
-            # The service recovers without a restart: updates apply and the
-            # retried migration lands.
+                    service.add_edges([(2, 60)])
+            # The service recovers without a restart: the retried update
+            # lands and answers like a service that never failed.
             assert service.add_edges([(2, 60)]) is not None
-            report = service.rebalance(plan=_balanced_plan(graph), force=True)
-            assert report["applied"]
             with _service(graph) as reference:
                 reference.add_edges([(2, 60)])
+                assert service.index_version == reference.index_version
                 assert _answers(service) == _answers(reference)
 
-    def test_no_shm_leak_after_failed_migration(self, monkeypatch):
-        # A toy batch is below the scatter grain and would be walked inline;
-        # a one-walker-step grain and two workers send it to the pool.
-        monkeypatch.setattr(sharded_module, "SCATTER_GRAIN", 1)
+    def test_no_shm_leak_after_failed_update(self, monkeypatch):
+        # A processes build backend registers the graph in shared memory;
+        # the failing update registers the post-update graph before its
+        # row tasks die.
         graph = _graph(n=200)
         service = QueryService.build(
             graph, PARAMS,
-            sharding=ShardingParams(num_shards=2),
-            service_params=ServiceParams(cache_capacity=0,
-                                         serve_backend="processes",
-                                         serve_workers=2),
-            rebalance_params=RebalanceParams(min_sources=0),
+            sharding=ShardingParams(num_shards=2, backend="processes",
+                                    max_workers=2),
+            service_params=ServiceParams(cache_capacity=0),
         )
+        names = []
         try:
+            backend = service._walker.backend
             service.run_batch(QUERIES)
-            handle = service._serve_backend.resident_handle("graph")
-            assert handle is not None and handle.shm_name is not None
-            name = handle.shm_name
-
+            names.append(backend.resident_handle("graph").shm_name)
             with monkeypatch.context() as patched:
-                patched.setattr(ShardedIncrementalWalker, "with_plan", _killer)
+                patched.setattr(sharding_module, "run_shard_tasks", _killer)
                 with pytest.raises(_ShardBuildKilled):
-                    service.rebalance(plan=ShardPlan(2, strategy="contiguous",
-                                                     n_nodes=200), force=True)
+                    service.add_edges([(2, 150)])
+            handle = backend.resident_handle("graph")
+            assert handle is not None and handle.shm_name is not None
+            names.append(handle.shm_name)
+            assert names[0] != names[1]
         finally:
             service.close()
-        with pytest.raises(FileNotFoundError):
-            segment = shared_memory.SharedMemory(name=name)
-            segment.close()
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                segment = shared_memory.SharedMemory(name=name)
+                segment.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -181,14 +194,13 @@ class TestCrashedPersistence:
             service.save_snapshot()
             expected = _answers(service)
             base_version = service.index_version
-
-            # The migration itself flips in memory; the persistence step
-            # dies after the new plan record hit the disk but before the
-            # index file committed it.
+            # The save dies after the new plan record hit the disk but
+            # before the index file committed it.
             with monkeypatch.context() as patched:
                 _kill_index_writes(patched)
                 with pytest.raises(OSError):
-                    service.rebalance(plan=_balanced_plan(graph), force=True)
+                    _save_under(service, tmp_path, _partitioner_plan(graph),
+                                base_version + 1)
 
         store = SnapshotStore(tmp_path)
         assert store.plan_path(base_version + 1).exists()
@@ -198,9 +210,7 @@ class TestCrashedPersistence:
 
         # A cold start serves the previous version under the OLD plan,
         # with identical answers.
-        restored = QueryService.from_snapshot(graph, tmp_path,
-                                                     params=PARAMS)
-        with restored:
+        with _restore(graph, tmp_path) as restored:
             assert restored.index_version == base_version
             assert restored.plan.strategy == "contiguous"
             assert _answers(restored) == expected
@@ -210,28 +220,30 @@ class TestCrashedPersistence:
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
-
             with monkeypatch.context() as patched:
                 _kill_index_writes(patched)
                 with pytest.raises(OSError):
-                    service.rebalance(plan=_balanced_plan(graph), force=True)
-            # The retry (same in-memory plan, same target version) must
-            # commit a version under the migrated plan.
+                    _save_under(service, tmp_path, _partitioner_plan(graph),
+                                service.index_version + 1)
+            # The next version the service commits is its own: the
+            # orphaned record is overwritten, never adopted.
+            service.add_edges([(1, 50)])
             version, _ = service.save_snapshot()
             store = SnapshotStore(tmp_path)
             assert version in store.versions()
             assert store.load_plan(version) == service.plan
+            assert store.load_plan(version).strategy == "contiguous"
 
     def test_orphaned_plan_record_never_governs_older_versions(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
             v1 = service.index_version
-            # A crashed migration's debris: a plan record for a version
-            # whose index file was never written.
+            # A crashed save's debris: a plan record for a version whose
+            # index file was never written.
             store = SnapshotStore(tmp_path)
             store.plan_path(v1 + 1).write_text(json.dumps({
-                "plan": _balanced_plan(graph).to_dict(),
+                "plan": _partitioner_plan(graph).to_dict(),
                 "shard_versions": [v1 + 1] * 3,
             }), encoding="utf-8")
             assert store.versions() == [v1]
@@ -245,34 +257,34 @@ class TestCrashedPersistence:
 # Corrupt plan records
 # --------------------------------------------------------------------------- #
 class TestCorruptPlans:
-    def _migrated_lineage(self, graph, tmp_path):
+    def _two_plan_lineage(self, graph, tmp_path):
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
             expected = _answers(service)
-            report = service.rebalance(plan=_balanced_plan(graph), force=True)
-            assert report["applied"]
-            assert _answers(service) == expected
+            _save_under(service, tmp_path, _partitioner_plan(graph),
+                        service.index_version + 1)
+        with _restore(graph, tmp_path) as restored:
+            assert restored.plan.strategy == "partitioner"
+            assert _answers(restored) == expected
         return expected
 
     def test_corrupt_plan_record_rolls_back_its_version(self, tmp_path):
         graph = _graph()
-        expected = self._migrated_lineage(graph, tmp_path)
+        expected = self._two_plan_lineage(graph, tmp_path)
         store = SnapshotStore(tmp_path)
         v_old, v_new = store.versions()
         store.plan_path(v_new).write_text("{ not json", encoding="utf-8")
-        # The migrated version's plan record is unreadable: the version
+        # The newer version's plan record is unreadable: the version
         # vanishes and loads roll back.
         assert store.versions() == [v_old]
-        restored = QueryService.from_snapshot(graph, tmp_path,
-                                                     params=PARAMS)
-        with restored:
+        with _restore(graph, tmp_path) as restored:
             assert restored.index_version == v_old
             assert restored.plan.strategy == "contiguous"
             assert _answers(restored) == expected
 
     def test_every_plan_record_corrupt_fails_loudly(self, tmp_path):
         graph = _graph()
-        self._migrated_lineage(graph, tmp_path)
+        self._two_plan_lineage(graph, tmp_path)
         store = SnapshotStore(tmp_path)
         for version in store.versions():
             store.plan_path(version).write_text("{ not json",
@@ -286,17 +298,32 @@ class TestCorruptPlans:
 # --------------------------------------------------------------------------- #
 # Plans across versions
 # --------------------------------------------------------------------------- #
+def _continue_lineage(graph, tmp_path, edges):
+    """Restore the newest version and commit one update-and-save per edge."""
+    with _restore(graph, tmp_path) as restored:
+        for edge in edges:
+            restored.add_edges([edge])
+            restored.save_snapshot(tmp_path)
+        return restored.plan
+
+
 class TestPlanRecords:
     def test_each_version_loads_under_its_own_plan(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
             v1 = service.index_version
-            service.rebalance(plan=_balanced_plan(graph), force=True)
-            v2 = service.index_version
-            service.add_edges([(1, 50)])
-            service.save_snapshot()
-            v3 = service.index_version
+            v2 = _save_under(service, tmp_path, _partitioner_plan(graph),
+                             v1 + 1)
+        with _restore(graph, tmp_path) as restored:
+            assert restored.index_version == v2
+            assert restored.plan == _partitioner_plan(graph)
+            restored.add_edges([(1, 50)])
+            restored.save_snapshot(tmp_path)
+            v3 = restored.index_version
+            with _service(graph) as reference:
+                reference.add_edges([(1, 50)])
+                assert _answers(restored) == _answers(reference)
         store = SnapshotStore(tmp_path)
         assert store.versions() == [v1, v2, v3]
         assert store.load_plan(v1).strategy == "contiguous"
@@ -312,23 +339,22 @@ class TestPlanRecords:
         with pytest.raises(CloudWalkerError, match="immutable"):
             store.save_snapshot(ShardedIndex(index=index, plan=ShardPlan(4)))
 
-    def test_prune_keeps_the_migrated_plan_of_the_survivors(self, tmp_path):
+    def test_prune_keeps_the_newer_plan_of_the_survivors(self, tmp_path):
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
-            service.rebalance(plan=_balanced_plan(graph), force=True)
-            migration_version = service.index_version
-            for edge in [(1, 50), (2, 60), (3, 70)]:
-                service.add_edges([edge])
-                service.save_snapshot()
+            switch_version = _save_under(service, tmp_path,
+                                         _partitioner_plan(graph),
+                                         service.index_version + 1)
+        _continue_lineage(graph, tmp_path, [(1, 50), (2, 60), (3, 70)])
         store = SnapshotStore(tmp_path, retain=2)
         store.prune()
         remaining = store.versions()
         assert len(remaining) == 2
-        assert migration_version not in remaining
-        # The migration's own version is gone, yet the survivors still
-        # load under the migrated plan: each carries its own record.
-        assert not store.plan_path(migration_version).exists()
+        assert switch_version not in remaining
+        # The version that switched plans is gone, yet the survivors still
+        # load under its plan: each carries its own record.
+        assert not store.plan_path(switch_version).exists()
         assert store.load_plan(remaining[0]).strategy == "partitioner"
         assert store.load_plan(remaining[-1]).strategy == "partitioner"
 
@@ -336,16 +362,16 @@ class TestPlanRecords:
         graph = _graph()
         with _service(graph, tmp_path) as service:
             service.save_snapshot()
-            service.rebalance(plan=_balanced_plan(graph), force=True)
-            first_migration = service.index_version
-            # Second migration, then enough saves to prune both away.
-            service.rebalance(plan=ShardPlan(3, strategy="hash"), force=True)
-            for edge in [(1, 50), (2, 60), (3, 70)]:
-                service.add_edges([edge])
-                service.save_snapshot()
+            first_switch = _save_under(service, tmp_path,
+                                       _partitioner_plan(graph),
+                                       service.index_version + 1)
+            # A second plan change, then enough saves to prune both away.
+            _save_under(service, tmp_path, ShardPlan(3, strategy="hash"),
+                        first_switch + 1)
+        _continue_lineage(graph, tmp_path, [(1, 50), (2, 60), (3, 70)])
         store = SnapshotStore(tmp_path, retain=2)
         store.prune()
         records = sorted(path.name for path in tmp_path.glob("plan-v*.json"))
         assert records == [store.plan_path(v).name for v in store.versions()]
-        assert not store.plan_path(first_migration).exists()
+        assert not store.plan_path(first_switch).exists()
         assert store.load_plan().strategy == "hash"

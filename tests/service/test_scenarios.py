@@ -6,8 +6,9 @@ Three contracts are pinned here:
   ``TraceEvent -> JSONL -> parse_trace_line`` bitwise, and malformed
   lines fail loudly with their line number (the ``parse_edge`` contract);
 * **seeded determinism** — the same trace replayed twice on freshly
-  built services yields identical answer checksums and identical
-  rebalance decisions, in exact and in approximate mode;
+  built services yields identical answer checksums, in exact and in
+  approximate mode, and identical integer counters in ``stats()``, the
+  per-shard rows included;
 * **exact-mode identity** — a sharded replay's checksum equals the
   single-shard reference's on every scenario shape, update storms
   included (approximate mode must *diverge* from it).
@@ -17,7 +18,7 @@ import json
 
 import pytest
 
-from repro.config import RebalanceParams, ServiceParams, ShardingParams
+from repro.config import ServiceParams, ShardingParams
 from repro.errors import ConfigurationError, WireFormatError
 from repro.service import (
     QueryService,
@@ -32,9 +33,26 @@ from repro.service import (
     write_records,
     write_trace,
 )
-from repro.service.scenarios import TRACE_GENERATORS
+from repro.service.scenarios import TRACE_GENERATORS, update_storm_trace
 
 N_NODES = 120  # matches the shared service_graph fixture
+
+
+def _integers(value, path=()):
+    """Every integer leaf of a ``stats()`` payload, keyed by its path."""
+    if isinstance(value, dict):
+        found = {}
+        for key, item in value.items():
+            found.update(_integers(item, path + (key,)))
+        return found
+    if isinstance(value, list):
+        found = {}
+        for index, item in enumerate(value):
+            found.update(_integers(item, path + (index,)))
+        return found
+    if isinstance(value, int) and not isinstance(value, bool):
+        return {path: value}
+    return {}
 
 
 # --------------------------------------------------------------------------- #
@@ -226,24 +244,36 @@ class TestReplayDeterminism:
         assert sharded_one.index_versions[1] > sharded_one.index_versions[0]
         assert single.mode == "exact" and single.accuracy_budget is None
 
-    def test_rebalance_decisions_are_deterministic(self, service_graph,
-                                                   service_index,
-                                                   service_params):
-        trace = generate_trace("zipf", N_NODES, n_events=24, seed=9)
-        options = ReplayOptions(batch_size=6, rebalance_every=2)
-        results = []
+    @pytest.mark.parametrize("scenario", sorted(TRACE_GENERATORS))
+    def test_counters_are_deterministic(self, service_graph, service_index,
+                                        service_params, scenario):
+        """Every integer ``stats()`` reports, per-shard rows included, is
+        fixed by the graph and the request stream: two same-seed replays
+        at K = 3 agree exactly (the work counters a timing-free comparison
+        rests on, and the ``sources_routed`` rows the spine reads) — for
+        every generator, the spine's ``zipf_trace`` and
+        ``update_storm_trace`` among them."""
+        if scenario == "update_storm":
+            trace = update_storm_trace(N_NODES, n_events=48, storm_every=12,
+                                       seed=9)
+        else:
+            trace = generate_trace(scenario, N_NODES, n_events=48, seed=9)
+        options = ReplayOptions(batch_size=6)
+        results, counters = [], []
         for _ in range(2):
-            service = QueryService(
+            with QueryService(
                 service_graph, service_index, service_params,
-                sharding=ShardingParams(num_shards=3, strategy="contiguous"),
-                rebalance_params=RebalanceParams(min_sources=1,
-                                                 improvement_threshold=1.01),
-            )
-            results.append(replay_trace(service, trace, options))
+                sharding=ShardingParams(num_shards=3),
+            ) as service:
+                results.append(replay_trace(service, trace, options))
+                counters.append(_integers(service.stats()))
         first, second = results
         assert first.answer_checksum == second.answer_checksum
-        assert first.rebalance_decisions == second.rebalance_decisions
-        assert len(first.rebalance_decisions) == first.n_batches // 2
+        assert counters[0] == counters[1]
+        # The walk includes every per-shard row and a non-trivial count.
+        assert sum(path[0] == "shards" for path in counters[0]) == 3 * 6
+        assert counters[0][("shards", 0, "sources_routed")] > 0
+        assert counters[0][("queries",)] == trace.n_queries
 
     def test_batches_split_on_size_window_and_updates(self, make_service):
         query = TraceEvent(at=0.0, kind="query", query="pair 1 2")
@@ -336,7 +366,5 @@ class TestApproxModeConfiguration:
             ReplayOptions(batch_size=0)
         with pytest.raises(ConfigurationError):
             ReplayOptions(batch_window=-0.1)
-        with pytest.raises(ConfigurationError):
-            ReplayOptions(rebalance_every=-1)
         with pytest.raises(ConfigurationError):
             ReplayOptions(max_attempts=0)

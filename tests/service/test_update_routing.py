@@ -5,8 +5,8 @@ batch, holds it against a service built from scratch on the same graph:
 the affected set is the forward ball of the new edges' heads, the cache
 entries dropped are exactly the cached part of that ball, and served
 answers and index bytes are the from-scratch ones.  The sharded variant
-additionally flips the shard plan mid-stream (a forced rebalance) to prove
-routing survives plan migration.
+additionally restarts from a snapshot mid-stream to prove routing carries
+on from the restored system.
 """
 
 import numpy as np
@@ -77,10 +77,10 @@ class TestSingleShardEquivalence:
             assert_serves_like_a_fresh_build(service)
 
 
-class TestShardedEquivalenceAcrossPlanFlips:
-    def test_rebalance_does_not_split_the_modes(self, service_graph,
-                                                service_index,
-                                                service_params):
+class TestShardedEquivalenceAcrossRestarts:
+    def test_restart_does_not_split_the_modes(self, service_graph,
+                                              service_index, service_params,
+                                              tmp_path):
         service = QueryService(
             service_graph, service_index, service_params,
             sharding=ShardingParams(num_shards=3, strategy="hash"),
@@ -88,8 +88,11 @@ class TestShardedEquivalenceAcrossPlanFlips:
         batches = edge_batches(service_graph.n_nodes, 4, 3, seed=77)
         for step, batch in enumerate(batches):
             if step == 2:
-                # Flip the plan mid-stream: the walker clone adopts the
-                # maintained system, so routing carries on from it.
-                assert service.rebalance(force=True)["applied"]
+                # Restart mid-stream: the restored walker attaches the
+                # saved system, so routing carries on from it.
+                service.save_snapshot(tmp_path)
+                service.close()
+                service = QueryService.from_snapshot(service.graph, tmp_path)
             add_edges_checked(service, batch)
             assert_serves_like_a_fresh_build(service)
+        service.close()

@@ -5,9 +5,10 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.core.index import SnapshotStore
+from repro.core.index import ShardedIndex, SnapshotStore
 from repro.graph import generators
 from repro.graph import io as graph_io
+from repro.graph.partition import ShardPlan
 
 
 def run_cli(*argv):
@@ -779,11 +780,12 @@ class TestShardedCli:
         assert f"loaded snapshot v1 in {new} (1-shard plan)" in output
         assert "snapshot v2 written" in output
 
-    def test_offline_rebalance_is_the_next_version_of_the_lineage(
+    def test_update_resumes_under_the_newest_versions_plan(
             self, indexed, tmp_path):
-        """``rebalance --force`` saves its flip as the next version under
-        the new plan, with the system; the next ``update`` resumes under
-        that plan with no re-estimation, and older versions keep theirs."""
+        """A lineage whose newest version carries another plan (as older
+        builds wrote) is resumed under that plan, with its system: the
+        next ``update`` re-estimates nothing up front and saves under it,
+        while older versions keep theirs."""
         graph_file, index_path = indexed
         edges = tmp_path / "edges.tsv"
         edges.write_text("1 50\n")
@@ -796,17 +798,15 @@ class TestShardedCli:
             "--snapshot-dir", str(snaps), "--output-graph", str(graph2),
         )
         assert code == 0
-        code, output = run_cli("rebalance", "--graph", str(graph2),
-                               "--snapshot-dir", str(snaps), "--force")
-        assert code == 0
-        assert "loaded snapshot v2" in output
-        assert "migrated to plan generation 2" in output
         store = SnapshotStore(snaps)
+        _version, sharded, system = store.load(2)
+        other = ShardPlan.for_graph(graph_io.read_edge_list(str(graph2)), 3,
+                                    "partitioner")
+        store.save_snapshot(ShardedIndex(index=sharded.index, plan=other,
+                                         shard_versions=[3] * 3),
+                            system=system, version=3)
         assert store.versions() == [2, 3]
-        assert store.describe(3)["has_system"]
         assert store.load_plan(2).strategy == "contiguous"
-        migrated = store.load_plan(3)
-        assert migrated.strategy == "partitioner"
 
         edges.write_text("2 60\n")
         code, output = run_cli(
@@ -817,7 +817,27 @@ class TestShardedCli:
         assert f"snapshot v3 in {snaps} (3-shard plan)" in output
         assert "estimating" not in output
         assert "snapshot v4 written" in output
-        assert store.load_plan(4) == migrated
+        assert store.load_plan(4) == other
+
+    def test_rebalance_is_no_subcommand(self, capsys):
+        """Shard plans are fixed at build; no command migrates them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rebalance", "--graph", "g.tsv", "--force"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'rebalance'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve-http", "--auto-rebalance"],
+        ["serve-http", "--rebalance-threshold", "1.5"],
+        ["serve-http", "--rebalance-interval", "1"],
+        ["replay", "--rebalance-every", "2"],
+    ], ids=["auto-rebalance", "rebalance-threshold", "rebalance-interval",
+            "rebalance-every"])
+    def test_plan_migration_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--graph", "g.tsv", "--index", "i.npz"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
     def test_update_keeps_a_one_shard_lineage_shard_count(self, indexed,
                                                           tmp_path):

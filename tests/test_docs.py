@@ -117,7 +117,7 @@ class TestDocLinks:
         checker = _load_checker()
         (tmp_path / "src").mkdir()
         (tmp_path / "README.md").write_text(
-            "serve with `--shards 4` / `--no-auto-rebalance`, never with "
+            "serve with `--shards 4` / `--cache-capacity 0`, never with "
             "`--no-resident-graph`; `pytest --benchmark-only` is not ours\n"
         )
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)

@@ -605,8 +605,8 @@ class TestScoreEntryProperties:
     """Score cache entries never change an answer or a version.
 
     A caching service and a ``cache_capacity=0`` twin are driven through
-    the same random interleaving of query batches, live updates, a forced
-    rebalance and a snapshot restart; the twin recomputes every answer
+    the same random interleaving of query batches, live updates, snapshot
+    saves and a snapshot restart; the twin recomputes every answer
     through the plain pipeline, so any stale or misfiled score entry (or
     memoised ranking) shows up as a difference.
     """
@@ -659,16 +659,17 @@ class TestScoreEntryProperties:
     @pytest.mark.parametrize("num_shards", [1, 2, 5])
     @settings(max_examples=10)
     @given(graph=graphs(max_nodes=12, max_edges=40), data=st.data())
-    def test_rebalance_flip_keeps_the_cache(self, num_shards, graph, data):
-        """Batches, updates and forced plan flips, interleaved: answers stay
-        byte-equal to an uncached twin, and a flip keeps every entry — the
+    def test_snapshot_save_keeps_the_cache(self, tmp_path_factory, num_shards,
+                                           graph, data):
+        """Batches, updates and snapshot saves, interleaved: answers stay
+        byte-equal to an uncached twin, and a save keeps every entry — the
         batch before it replays without simulating a source."""
         params = self._params(seed=data.draw(st.integers(0, 500)))
         cached = self._build(num_shards, graph, params, capacity=64)
         plain = self._build(num_shards, graph, params, capacity=0)
         queries = self._batch(data, graph.n_nodes)
         for _ in range(data.draw(st.integers(2, 6))):
-            operation = data.draw(st.sampled_from(["batch", "add", "rebalance"]))
+            operation = data.draw(st.sampled_from(["batch", "add", "save"]))
             n_nodes = cached.graph.n_nodes
             if operation == "add":
                 edges = data.draw(st.lists(
@@ -681,11 +682,12 @@ class TestScoreEntryProperties:
                 queries = self._batch(data, n_nodes)
             TestShardingProperties._assert_equal(plain.run_batch(queries),
                                                  cached.run_batch(queries))
-            if operation == "rebalance":
+            if operation == "save":
                 before = cached.stats()
-                reports = [service.rebalance(force=True)
-                           for service in (plain, cached)]
-                assert reports[0]["applied"] == reports[1]["applied"]
+                versions = [service.save_snapshot(
+                    tmp_path_factory.mktemp("save"))[0]
+                    for service in (plain, cached)]
+                assert versions[0] == versions[1] == cached.index_version
                 after = cached.stats()
                 for key in ("cache_size", "cache_score_entries"):
                     assert after[key] == before[key]
@@ -706,7 +708,7 @@ class TestScoreEntryProperties:
         cached = self._build(num_shards, graph, params, capacity=64)
         plain = self._build(num_shards, graph, params, capacity=0)
         operations = ["batch", "batch", "batch", "add", "defer", "readd",
-                      "restart"] + (["rebalance"] if num_shards else [])
+                      "restart"]
         for _ in range(data.draw(st.integers(3, 8))):
             operation = data.draw(st.sampled_from(operations))
             n_nodes = cached.graph.n_nodes
@@ -733,16 +735,6 @@ class TestScoreEntryProperties:
                     assert service.add_edges(present) is None or pending
                 if not pending:
                     assert cached.stats()["cache_score_entries"] == entries
-            elif operation == "rebalance":
-                # The flip drains the queue first; past that it keeps the
-                # cache whole, score entries included.
-                for service in (plain, cached):
-                    service.flush_updates()
-                entries = cached.stats()["cache_score_entries"]
-                reports = [service.rebalance(force=True)
-                           for service in (plain, cached)]
-                assert reports[0]["applied"] == reports[1]["applied"]
-                assert cached.stats()["cache_score_entries"] == entries
             else:
                 plain = self._restart(plain, tmp_path_factory.mktemp("plain"))
                 cached = self._restart(cached, tmp_path_factory.mktemp("cached"))
@@ -889,7 +881,7 @@ class TestShardingProperties:
 # --------------------------------------------------------------------------- #
 class TestSnapshotRoundTripProperties:
     """A lineage version restores the writer exactly: after any run of
-    edge batches and forced plan flips, each saved as it happens,
+    edge batches under any shard strategy, each saved as it happens,
     ``from_snapshot`` gives the writer's system and diagonal byte for byte
     (dtypes included), its plan, per-shard versions, version and answers.
     """
@@ -907,15 +899,15 @@ class TestSnapshotRoundTripProperties:
         directory = tmp_path_factory.mktemp("lineage")
         writer = QueryService.build(
             graph, params, ServiceParams(cache_capacity=0),
-            sharding=ShardingParams(num_shards=num_shards,
-                                    strategy="contiguous"))
+            sharding=ShardingParams(
+                num_shards=num_shards,
+                strategy=data.draw(st.sampled_from(
+                    ["hash", "contiguous", "partitioner"]))))
         for _ in range(data.draw(st.integers(1, 4))):
             top = writer.graph.n_nodes      # may grow the graph by one node
             writer.add_edges(data.draw(st.lists(
                 st.tuples(st.integers(0, top), st.integers(0, top)),
                 min_size=1, max_size=3)))
-            if data.draw(st.booleans()):
-                writer.rebalance(force=True)
             writer.save_snapshot(directory)
             queries = [TopKQuery(node, k=4)
                        for node in range(min(writer.graph.n_nodes, 3))]
