@@ -19,7 +19,11 @@ a real child process:
    fixed at build) and leaves ``index_version`` unchanged,
 4. post one ``pair`` line with an endpoint of in-degree 0 in the served
    graph: it answers ``0.0`` without a walk (``sources_simulated`` in
-   ``/stats`` does not move, ``dead_end_pairs`` moves by one),
+   ``/stats`` does not move, ``dead_end_pairs`` moves by one); then one
+   ``pair`` line of two endpoints with in-links whose walks cannot meet
+   within the walk length (found by a per-pair level-set search at build
+   time): it answers ``0.0``, ``unmeetable_pairs`` moves by one, and
+   neither ``dead_end_pairs`` nor ``sources_simulated`` moves,
 5. apply a couple of seconds of concurrent query/update/health load from
    several threads, requiring every response to succeed,
 6. require that some batch under that load closed before the window ran
@@ -317,6 +321,60 @@ def _probe_dead_end(port: int, graph: Path) -> None:
                            f", expected exactly 1")
 
 
+def _unmeetable_pair(graph) -> tuple:
+    """A pair of nodes with in-links whose walks can never meet.
+
+    A plain per-pair search over exact-step level sets (the nodes a node
+    reaches in exactly ``t`` in-edge steps), independent of the service's
+    batched test.  Only nodes whose level sets stay within the test's
+    frontier cap qualify, since the service walks a pair it gives up on.
+    """
+    from repro.core.queries import MEET_FRONTIER_CAP
+
+    def level_sets(node: int) -> list:
+        levels = [{node}]
+        for _step in range(WALK_STEPS):
+            levels.append({int(u) for v in levels[-1]
+                           for u in graph.in_neighbors(v)})
+        return levels
+
+    live = [int(node) for node in (graph.in_degrees() > 0).nonzero()[0]]
+    levels = {node: level_sets(node) for node in live}
+    small = [node for node in live
+             if max(map(len, levels[node])) <= MEET_FRONTIER_CAP]
+    for i in small:
+        for j in small:
+            if i < j and not any(left & right for left, right
+                                 in zip(levels[i], levels[j])):
+                return i, j
+    raise RuntimeError("the smoke graph has no unmeetable pair of live nodes")
+
+
+def _probe_unmeetable(port: int, graph: Path) -> None:
+    """A pair whose walks cannot meet answers 0.0 without a walk.
+
+    Both endpoints have in-links, so the dead-end rule does not apply; the
+    service's reachability test does.  Runs before the load starts, so the
+    counter deltas are exact.
+    """
+    sys.path.insert(0, str(SRC_DIR))
+    from repro.graph import io
+
+    node_i, node_j = _unmeetable_pair(io.read_edge_list(graph, relabel=False))
+    line = f"pair {node_i} {node_j}"
+    before = json.loads(_request(port, "GET", "/stats"))
+    reply = json.loads(_request(port, "POST", "/query", {"queries": [line]}))
+    after = json.loads(_request(port, "GET", "/stats"))
+    if reply["answers"] != [0.0]:
+        raise RuntimeError(f"{line!r} answered {reply['answers']}, "
+                           f"expected [0.0]")
+    for key, moved in (("unmeetable_pairs", 1), ("dead_end_pairs", 0),
+                       ("sources_simulated", 0)):
+        if after[key] != before[key] + moved:
+            raise RuntimeError(f"{line!r} moved {key} by "
+                               f"{after[key] - before[key]}, expected {moved}")
+
+
 def _probe_after_update(port: int, graph: Path, index: Path,
                         version_before: int) -> None:
     """Each probe line after the waited update: bumped version, fresh answer."""
@@ -407,12 +465,13 @@ def _load_leg(graph: Path, index: Path, seconds: float) -> bool:
         port = _await_port(server)
         version = _probe_no_rebalance(port, _probe_repeat(port))
         _probe_dead_end(port, graph)
+        _probe_unmeetable(port, graph)
         _require_inline(port, segments, "probes")
         print(f"http-smoke: server up on port {port}, repeated top-k and "
               f"source lines served from their score entries, "
-              f"POST /rebalance 404, a dead-end pair answered 0.0 "
-              f"unwalked; applying {seconds:.0f}s of load from "
-              f"{N_LOAD_THREADS} threads")
+              f"POST /rebalance 404, a dead-end pair and an unmeetable "
+              f"pair answered 0.0 unwalked; applying {seconds:.0f}s of "
+              f"load from {N_LOAD_THREADS} threads")
         outcome = _apply_load(port, seconds)
         if not outcome["errors"]:
             coalescer = json.loads(_request(port, "GET", "/stats"))["coalescer"]

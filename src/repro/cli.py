@@ -336,7 +336,8 @@ def _print_service_stats(service, out) -> None:
           f"{stats['topk_queries']} topk)", file=out)
     print(f"walk simulations: {stats['sources_simulated']} run, "
           f"{stats['sources_deduplicated']} deduplicated, "
-          f"{stats['dead_end_pairs']} dead-end pairs skipped, "
+          f"{stats['dead_end_pairs']} dead-end and "
+          f"{stats['unmeetable_pairs']} unmeetable pairs skipped, "
           f"cache hit rate {stats['cache_hit_rate']:.2%} "
           f"({stats['cache_size']}/{stats['cache_capacity']} distributions, "
           f"{stats['cache_score_entries']} scored sources)", file=out)

@@ -135,6 +135,22 @@ class SourceScores:
 DENSE_FILL_FRACTION = 0.05
 
 
+def _row_slots(indptr: np.ndarray, keys: np.ndarray,
+               n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR slots of each packed ``column * n + node`` key's row.
+
+    Returns ``(positions, counts, nodes)``: every slot of row ``nodes[0]``,
+    then of ``nodes[1]``, …; ``counts`` slots per key.
+    """
+    nodes = keys % n
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return (np.arange(total) + np.repeat(starts - (ends - counts), counts),
+            counts, nodes)
+
+
 def _frontier_products(transition: sparse.csr_matrix, keys: np.ndarray,
                        values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Every term of one ``P^T`` step over a frontier, unsummed.
@@ -146,13 +162,8 @@ def _frontier_products(transition: sparse.csr_matrix, keys: np.ndarray,
     target in ascending ``u`` — the order SciPy's CSR kernel sums row ``i``
     of ``P^T`` in.
     """
-    n = transition.shape[0]
-    nodes = keys % n
-    starts = transition.indptr[nodes]
-    counts = transition.indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    positions = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    positions, counts, nodes = _row_slots(transition.indptr, keys,
+                                          transition.shape[0])
     return (np.repeat(keys - nodes, counts) + transition.indices[positions],
             transition.data[positions] * np.repeat(values, counts))
 
@@ -302,6 +313,80 @@ def definitional_pair_score(graph: DiGraph, node_i: int,
     return None
 
 
+#: A pair whose level set outgrows this many nodes on either side before
+#: the sets meet or end is left to the walks.  Swept by
+#: ``benchmarks/micro/meet.py`` (2-core Xeon) on the spine's 10k-node
+#: copying-model graph, seed 0, first 400 ``uniform_cold`` batches: a cap
+#: of 16 proves 62.9 % of the walked pairs unmeetable in 0.19 ms a batch,
+#: 64 proves 79.5 % in 0.28 ms, 256 86.7 % in 0.38 ms, no cap 89.7 % in
+#: 0.56 ms, against 1.49 ms to walk the pairs' 26 endpoints.  Past 64 a
+#: proven pair saves about what the larger sets cost.  On an Erdős–Rényi
+#: graph of the same size and degree, whose level sets grow geometrically
+#: until the pairs meet, the test proves nothing: 0.91 ms a batch at 64,
+#: 1.67 ms at 256, against 13.4 ms of walks.
+MEET_FRONTIER_CAP = 64
+
+
+def _in_step(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray,
+             n: int) -> np.ndarray:
+    """One reverse step of packed ``pair · n + node`` level sets, ascending.
+
+    Each key moves to every in-neighbour of its node, within its pair; a
+    node without in-links drops out, as a walker standing there dies.
+    """
+    positions, counts, nodes = _row_slots(indptr, keys, n)
+    return np.unique(np.repeat(keys - nodes, counts) + indices[positions])
+
+
+def pairs_that_can_meet(graph: DiGraph, sources: Sequence[int],
+                        targets: Sequence[int], steps: int) -> np.ndarray:
+    """Which pairs' reverse walks may stand on a common node at a common step.
+
+    A walker from ``i`` stands, after ``t`` steps, on a node ``i`` reaches
+    in exactly ``t`` in-edge steps: its step-``t`` level set.  When no step
+    ``t <= steps`` has a node in both endpoints' level sets, every step of
+    :func:`~repro.core.montecarlo.combine_pair_distributions` intersects
+    two disjoint supports, and the pair's score is exactly ``+0.0`` —
+    walked or exact, for any walker count or seed.
+
+    All pairs grow their two level sets together, one step at a time, as
+    packed ``pair · n + node`` keys (the layout :func:`_frontier_products`
+    uses).  A pair is decided at its first common key (it can meet), when
+    either side's set empties or past step ``steps`` (it cannot), or when
+    either side outgrows :data:`MEET_FRONTIER_CAP` nodes first (it is left
+    to the walks).  Returns a boolean array, one entry per pair: False only
+    for pairs proven unable to meet.
+    """
+    cap = MEET_FRONTIER_CAP
+    n = graph.n_nodes
+    indptr, indices = graph.in_csr
+    count = len(sources)
+    can_meet = np.zeros(count, dtype=bool)
+    pair_base = np.arange(count, dtype=np.int64) * n
+    left = pair_base + np.asarray(sources, dtype=np.int64)
+    right = pair_base + np.asarray(targets, dtype=np.int64)
+    for step in range(steps + 1):
+        if step:
+            left = _in_step(indptr, indices, left, n)
+            right = _in_step(indptr, indices, right, n)
+        # A key both ascending sides hold is a pair meeting at this step.
+        at = np.minimum(np.searchsorted(right, left), max(len(right) - 1, 0))
+        met = left[right[at] == left] // n if len(right) else left[:0]
+        can_meet[met] = True
+        left_sizes = np.bincount(left // n, minlength=count)
+        right_sizes = np.bincount(right // n, minlength=count)
+        # Still undecided: both sides alive, not met.
+        active = (left_sizes > 0) & (right_sizes > 0) & ~can_meet
+        if step == steps or not active.any():
+            break
+        grown = active & ((left_sizes > cap) | (right_sizes > cap))
+        can_meet[grown] = True
+        active &= ~grown
+        left = left[active[left // n]]
+        right = right[active[right // n]]
+    return can_meet
+
+
 def merge_top_k(partials: Sequence[List[Tuple[int, float]]],
                 k: int) -> List[Tuple[int, float]]:
     """Merge per-shard top-``k`` lists into the exact global top-``k``.
@@ -361,16 +446,30 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     # Single-pair queries
     # ------------------------------------------------------------------ #
+    def _unwalked_pair_score(self, node_i: int,
+                             node_j: int) -> Optional[float]:
+        """A pair's score when no walk is needed for it, else None.
+
+        The definition's score (:func:`definitional_pair_score`), or
+        ``0.0`` for a pair whose walks cannot meet within the walk length
+        (:func:`pairs_that_can_meet`) — the rules the services apply.
+        """
+        fixed = definitional_pair_score(self.graph, node_i, node_j)
+        if fixed is None and not pairs_that_can_meet(
+                self.graph, [node_i], [node_j], self.params.walk_steps)[0]:
+            return 0.0
+        return fixed
+
     def single_pair(self, node_i: int, node_j: int,
                     walkers: Optional[int] = None) -> float:
         """MCSP: Monte-Carlo estimate of ``s(i, j)``.
 
-        A pair whose score the definition fixes
-        (:func:`definitional_pair_score`) is answered without walking.
+        A pair whose score the definition fixes, or whose walks cannot
+        meet, is answered without walking (:meth:`_unwalked_pair_score`).
         """
         node_i = self.graph.check_node(node_i)
         node_j = self.graph.check_node(node_j)
-        fixed = definitional_pair_score(self.graph, node_i, node_j)
+        fixed = self._unwalked_pair_score(node_i, node_j)
         if fixed is not None:
             return fixed
         distributions = montecarlo.estimate_walk_distributions_batch(
@@ -381,7 +480,7 @@ class QueryEngine:
         """Exact linearized ``s(i, j)`` (no Monte-Carlo), for validation."""
         node_i = self.graph.check_node(node_i)
         node_j = self.graph.check_node(node_j)
-        fixed = definitional_pair_score(self.graph, node_i, node_j)
+        fixed = self._unwalked_pair_score(node_i, node_j)
         if fixed is not None:
             return fixed
         dist_i = montecarlo.exact_walk_distributions(self.graph, node_i, self.params)

@@ -312,10 +312,15 @@ class ShardedIncrementalWalker:
     last_touched_shards:
         Shards whose rows the most recent estimation touched (all shards
         for a full build; the re-estimated rows' owners for an update).
+    last_added_edges:
+        The edges the most recent :meth:`add_edges` inserted, each once,
+        in submission order: none the graph already had (empty for an
+        all-present batch).
     """
 
     shard_build_seconds: Dict[int, float]
     last_touched_shards: frozenset
+    last_added_edges: Tuple[Tuple[int, int], ...]
 
     def __init__(
         self,
@@ -334,6 +339,7 @@ class ShardedIncrementalWalker:
         self.index: Optional[DiagonalIndex] = None
         self.shard_build_seconds: Dict[int, float] = {}
         self.last_touched_shards: frozenset = frozenset()
+        self.last_added_edges: Tuple[Tuple[int, int], ...] = ()
 
     # ------------------------------------------------------------------ #
     def build(self) -> DiagonalIndex:
@@ -487,10 +493,11 @@ class ShardedIncrementalWalker:
         # re-inserted edges must not widen the ball, and an all-present
         # batch must leave graph, system, index and random streams alone.
         old_n = self.graph.n_nodes
-        fresh = [
+        fresh = list(dict.fromkeys(
             (u, v) for u, v in ((int(u), int(v)) for u, v in new_edges)
             if not (0 <= u < old_n and 0 <= v < old_n and self.graph.has_edge(u, v))
-        ]
+        ))
+        self.last_added_edges = ()
         if not fresh:
             return None
 
@@ -528,6 +535,7 @@ class ShardedIncrementalWalker:
         end = time.perf_counter()
         edges_added = new_graph.n_edges - self.graph.n_edges
         self.graph, self._system, self.index = new_graph, system, index
+        self.last_added_edges = tuple(fresh)
         return MutationResult(
             edges_added=edges_added,
             new_nodes=new_n - old_n,

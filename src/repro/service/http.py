@@ -557,6 +557,13 @@ class HttpServiceServer:
         if not isinstance(entries, list) or not entries:
             raise _HttpError(400, "body must carry a non-empty 'edges' list")
         edges = [edge_from_wire(entry) for entry in entries]
+        try:
+            # The service's own intake check, before anything is queued:
+            # an edge past the node-growth limit is refused here, not in
+            # the drain.
+            edges = self.service.validate_edges(edges)
+        except CloudWalkerError as exc:
+            raise _HttpError(400, str(exc)) from exc
         bound = self.service.update_params.max_pending_edges
         if len(self._pending_edges) + len(edges) > bound:
             self._counters["updates_rejected"] += 1

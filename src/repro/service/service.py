@@ -92,7 +92,11 @@ from repro.config import (
 )
 from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
-from repro.core.queries import QueryEngine, definitional_pair_score
+from repro.core.queries import (
+    QueryEngine,
+    definitional_pair_score,
+    pairs_that_can_meet,
+)
 from repro.core.sharding import (
     MutationResult,
     ShardedIncrementalWalker,
@@ -226,7 +230,8 @@ class QueryService:
         self._version = 1
         self._counters: Dict[str, int] = {
             "queries": 0, "pair_queries": 0, "dead_end_pairs": 0,
-            "source_queries": 0, "topk_queries": 0, "batches": 0,
+            "unmeetable_pairs": 0, "source_queries": 0, "topk_queries": 0,
+            "batches": 0,
             "sources_simulated": 0, "misses_walked_inline": 0,
             "sources_deduplicated": 0, "updates_applied": 0, "edges_added": 0,
             "snapshots_written": 0, "scatter_hops": 0, "scatter_payload_bytes": 0,
@@ -442,14 +447,18 @@ class QueryService:
             self._walker = walker
         return self._walker
 
-    def _validated(self, edges: Sequence[Edge]) -> List[Edge]:
+    def validate_edges(self, edges: Sequence[Edge]) -> List[Edge]:
         """Normalise and validate endpoints *before* any edge is accepted.
 
         Validating at intake (not at apply time) is what keeps a deferred
         queue unpoisonable: a bad edge is rejected on the call that submits
         it, instead of wedging every later drain.  Endpoints must be
         non-negative and may not implicitly grow the graph by more than
-        ``max_node_growth`` nodes.
+        ``max_node_growth`` nodes.  :meth:`add_edges` calls it, and so does
+        any intake that buffers edges before handing them over (the HTTP
+        tier's ``/update``); the graph only grows, so an edge valid at
+        intake is valid when it is applied.  Raises
+        :class:`~repro.errors.CloudWalkerError` naming the first bad edge.
         """
         validated: List[Edge] = []
         limit = self.graph.n_nodes + self.update_params.max_node_growth
@@ -483,12 +492,14 @@ class QueryService:
         batch that would overflow it drains the queue eagerly first, and a
         single batch larger than the bound is simply applied immediately.
 
-        Edges are validated first (negative endpoints, runaway node
-        growth), so a bad edge fails here — naming it — instead of
-        poisoning the queue, and a refused batch changes nothing.  Each
-        accepted edge is routed to the shard owning its *head* (the node
-        whose in-links change); the per-shard routed counts appear in
-        :meth:`stats`.  The re-index touches only the shards owning
+        Edges are validated first (:meth:`validate_edges`: negative
+        endpoints, runaway node growth), so a bad edge fails here — naming
+        it — instead of poisoning the queue, and a refused batch changes
+        nothing.  Each edge the applied update inserts (not one the graph
+        already had, and a duplicate once) counts against the shard owning
+        its *head* (the node whose in-links change) in the ``edges_routed``
+        column of :meth:`stats` — a deferred edge when its drain applies
+        it.  The re-index touches only the shards owning
         re-estimated rows and holds only the update lock — in-flight query
         batches keep serving the previous consistent version until the
         swap-in.
@@ -498,10 +509,7 @@ class QueryService:
         already existed (a graph no-op: no re-index, no version bump).
         """
         with self._update_lock:
-            edges = self._validated(edges)
-            with self._lock:
-                for shard, routed in self.plan.group_edges(edges).items():
-                    self._shard_counters[shard]["edges_routed"] += len(routed)
+            edges = self.validate_edges(edges)
             bound = self.update_params.max_pending_edges
             # A batch too large to ever queue is applied now (never lose
             # edges).
@@ -568,6 +576,9 @@ class QueryService:
             self.sharded_index.index = self.index
             self.sharded_index.touch(sorted(self._walker.last_touched_shards),
                                      self._version)
+            for shard, routed in self.plan.group_edges(
+                    self._walker.last_added_edges).items():
+                self._shard_counters[shard]["edges_routed"] += len(routed)
             self._counters["updates_applied"] += 1
             self._counters["edges_added"] += result.edges_added
             self._maybe_auto_snapshot()
@@ -640,7 +651,12 @@ class QueryService:
         answered ``1.0`` / ``0.0`` and never enters the pipeline: no cache
         lookup, simulation or combine — ``0.0`` is what the combine returns
         for a dead-end pair anyway; those answered ``0.0`` count in the
-        ``dead_end_pairs`` stats key.  First each distinct source of
+        ``dead_end_pairs`` stats key.  The pairs left take one batched
+        reachability test on the served graph at the served walk length
+        (:func:`~repro.core.queries.pairs_that_can_meet`): a pair whose
+        endpoints' level sets share no node at any step is answered
+        ``0.0``, bit for bit the combine's answer, the same way, and
+        counted in ``unmeetable_pairs``.  First each distinct source of
         the batch's source and top-k queries is looked up as a score entry
         of the cache (key :class:`CacheKey`): a hit is the source's scores
         as an earlier batch propagated them at this index version, and its
@@ -693,6 +709,19 @@ class QueryService:
                                              query.target)
                      if isinstance(query, PairQuery) else None
                      for query in queries]
+            dead_ends = fixed.count(0.0)
+            # One reachability test for the pairs left: a pair whose walks
+            # cannot meet scores 0.0 without walking.
+            left = [position for position, (query, score)
+                    in enumerate(zip(queries, fixed))
+                    if isinstance(query, PairQuery) and score is None]
+            can_meet = pairs_that_can_meet(
+                self.graph, [queries[p].source for p in left],
+                [queries[p].target for p in left],
+                self.query_params.walk_steps)
+            unmeetable = [p for p, meets in zip(left, can_meet) if not meets]
+            for position in unmeetable:
+                fixed[position] = 0.0
             # Only what neither the definition nor a score entry answers
             # goes down the pipeline.
             pending = [
@@ -708,6 +737,8 @@ class QueryService:
                 self._counters["sources_deduplicated"] += plan.deduplicated
             answers = [self._assemble(query, score, distributions, entries)
                        for query, score in zip(queries, fixed)]
+            self._counters["dead_end_pairs"] += dead_ends
+            self._counters["unmeetable_pairs"] += len(unmeetable)
             self._counters["batches"] += 1
             self._counters["queries"] += len(queries)
             if payload_before is not None:
@@ -820,7 +851,8 @@ class QueryService:
     ) -> Answer:
         """One query's answer from the batch's resolved stages.
 
-        ``fixed`` is a pair's definitional score, None when it was walked.
+        ``fixed`` is a pair's score when it was answered unwalked, None
+        when it was walked.
         Source and top-k answers are fresh objects: a repeated query gets
         an equal but distinct one.  A source answer is the one place a
         score record becomes a dense vector.
@@ -828,8 +860,6 @@ class QueryService:
         if isinstance(query, PairQuery):
             self._counters["pair_queries"] += 1
             if fixed is not None:
-                if fixed == 0.0:
-                    self._counters["dead_end_pairs"] += 1
                 return fixed
             return self.query_engine.combine_pair(
                 distributions[query.source], distributions[query.target]

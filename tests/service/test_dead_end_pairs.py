@@ -11,6 +11,8 @@ combine of freshly simulated distributions across updates that end dead
 ends and add new ones.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.config import ServiceParams, ShardingParams, SimRankParams
 from repro.core import montecarlo
+from repro.core import queries as queries_module
 from repro.core.queries import QueryEngine, definitional_pair_score
 from repro.graph.digraph import DiGraph
 from repro.service import PairQuery, QueryService, TopKQuery
@@ -198,3 +201,136 @@ def test_every_pair_answer_is_the_combine_of_fresh_walks(
                 head = int(data.draw(st.sampled_from(np.flatnonzero(dead).tolist())))
                 edges.append((int(data.draw(node)), head))
             service.add_edges(edges)
+
+
+# --------------------------------------------------------------------------- #
+# Property: pairs whose walks cannot meet answer 0.0 unwalked, exactly
+# --------------------------------------------------------------------------- #
+def _level_sets_meet(graph: DiGraph, node_i: int, node_j: int,
+                     steps: int) -> bool:
+    """Brute force, one pair: do the two exact-step level sets share a node
+    at some step ``t <= steps``?"""
+    left, right = {node_i}, {node_j}
+    for step in range(steps + 1):
+        if step:
+            left = {int(u) for v in left for u in graph.in_neighbors(v)}
+            right = {int(u) for v in right for u in graph.in_neighbors(v)}
+        if left & right:
+            return True
+    return False
+
+
+@st.composite
+def _cyclic_graphs(draw) -> DiGraph:
+    """Random graphs with at least one directed cycle through a few nodes."""
+    n = draw(st.integers(min_value=3, max_value=14))
+    node = st.integers(min_value=0, max_value=n - 1)
+    ring = draw(st.lists(node, min_size=2, max_size=n, unique=True))
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    return DiGraph(n, edges + draw(st.lists(st.tuples(node, node),
+                                            max_size=2 * n)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_cyclic_graphs(), st.sampled_from([1, 2, 5]), st.booleans(),
+       st.data())
+def test_unmeetable_pairs_answer_the_combine_of_fresh_walks(
+        graph, num_shards, approximate, data):
+    params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=2,
+                           index_walkers=10, query_walkers=20,
+                           seed=data.draw(st.integers(0, 1000)))
+    service_params = (ServiceParams(accuracy_budget=0.5, approx_walkers=9,
+                                    approx_steps=2)
+                      if approximate else ServiceParams())
+    with QueryService.build(graph, params, service_params=service_params,
+                            sharding=ShardingParams(num_shards=num_shards)
+                            ) as service:
+        steps = service.query_params.walk_steps
+        for _round in range(3):
+            n = service.graph.n_nodes
+            node = st.integers(min_value=0, max_value=n - 1)
+            pairs = [PairQuery(i, j) for i, j in data.draw(
+                st.lists(st.tuples(node, node), min_size=1, max_size=10))]
+            walked = [query for query in pairs
+                      if definitional_pair_score(service.graph, query.source,
+                                                 query.target) is None]
+            verdict = queries_module.pairs_that_can_meet(
+                service.graph, [query.source for query in walked],
+                [query.target for query in walked], steps)
+            unwalked = {query for query, meets in zip(walked, verdict)
+                        if not meets}
+            before = service.stats()
+            answers = service.run_batch(pairs)
+            after = service.stats()
+            assert (after["unmeetable_pairs"] - before["unmeetable_pairs"]
+                    == sum(query in unwalked for query in pairs))
+            for query, answer in zip(pairs, answers, strict=True):
+                if query in unwalked:
+                    expected = _reference(service, query.source,
+                                          query.target, None)
+                    assert np.float64(answer).tobytes() == \
+                        np.float64(expected).tobytes() == \
+                        np.float64(0.0).tobytes()
+            # Unbounded, the batched verdict is the per-pair brute force.
+            with mock.patch.object(queries_module, "MEET_FRONTIER_CAP", n):
+                unbounded = queries_module.pairs_that_can_meet(
+                    service.graph, [query.source for query in pairs],
+                    [query.target for query in pairs], steps)
+            assert unbounded.tolist() == [
+                _level_sets_meet(service.graph, query.source, query.target,
+                                 steps) for query in pairs]
+            # Grow the graph: a new node's out-edge and a random edge.
+            service.add_edges([(n, int(data.draw(node))),
+                               (int(data.draw(node)), int(data.draw(node)))])
+
+
+def _unmeetable(graph: DiGraph, steps: int, count: int):
+    """The first ``count`` pairs of live endpoints whose walks cannot meet."""
+    live = np.flatnonzero(graph.in_degrees() > 0).tolist()
+    found = []
+    for i in live:
+        for j in live:
+            if i < j and not queries_module.pairs_that_can_meet(
+                    graph, [i], [j], steps)[0]:
+                found.append((i, j))
+                if len(found) == count:
+                    return found
+    raise AssertionError("no unmeetable pair of live endpoints")
+
+
+class TestUnmeetablePairs:
+    def test_a_batch_of_unmeetable_pairs_does_no_walk_work(
+            self, make_any, service_graph, service_params, monkeypatch):
+        service = make_any()
+        pairs = [PairQuery(i, j) for i, j in
+                 _unmeetable(service_graph, service_params.walk_steps, 3)]
+        combines = _count_combines(monkeypatch)
+        before = service.stats()
+        answers = service.run_batch(pairs)
+        after = service.stats()
+        assert list(answers) == [0.0] * len(pairs)
+        assert all(type(answer) is float and not np.signbit(answer)
+                   for answer in answers)
+        assert combines == []
+        assert after["sources_simulated"] == before["sources_simulated"]
+        assert (after["cache_hits"] + after["cache_misses"]
+                == before["cache_hits"] + before["cache_misses"])
+        assert after["unmeetable_pairs"] - before["unmeetable_pairs"] == 3
+        assert after["dead_end_pairs"] == before["dead_end_pairs"]
+        assert after["pair_queries"] - before["pair_queries"] == 3
+
+    def test_the_engine_answers_them_unwalked(
+            self, service_graph, service_index, service_params, monkeypatch):
+        (i, j), = _unmeetable(service_graph, service_params.walk_steps, 1)
+        engine = QueryEngine(service_graph, service_index, service_params)
+        walks = []
+        for name in ("estimate_walk_distributions_batch",
+                     "exact_walk_distributions"):
+            original = getattr(montecarlo, name)
+            monkeypatch.setattr(
+                montecarlo, name,
+                lambda *args, _original=original, **kwargs:
+                walks.append(args) or _original(*args, **kwargs))
+        assert engine.single_pair(i, j) == 0.0
+        assert engine.exact_single_pair(j, i) == 0.0
+        assert walks == []

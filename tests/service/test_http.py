@@ -351,6 +351,32 @@ class TestProtocol:
         assert payload["queued"] == 1
         assert drained_version == version + 1
 
+    @pytest.mark.parametrize("wait", [False, True], ids=["queued", "waited"])
+    def test_update_past_node_growth_is_refused_at_intake(self, wait):
+        """An edge past ``max_node_growth`` is a counted 400 before anything
+        is queued, waited or not: no drain ever sees it."""
+        service = _sharded(_graph())
+        version = service.index_version
+        body = {"edges": [[0, 1_000_000]]}
+        if wait:
+            body["wait"] = True
+
+        async def scenario(server):
+            reply = await _request(server.port, "POST", "/update", body)
+            await asyncio.sleep(0.05)
+            _status, stats = await _request(server.port, "GET", "/stats")
+            return reply, stats, len(server._pending_edges)
+
+        (status, payload), stats, pending = _serve(service, scenario)
+        assert status == 400
+        assert "would grow the graph" in payload["error"]
+        assert stats["http"]["bad_requests"] == 1
+        assert stats["http"]["updates_accepted"] == 0
+        assert stats["http"]["edges_accepted"] == 0
+        assert stats["http"]["update_failures"] == 0
+        assert pending == 0
+        assert service.index_version == version
+
     def test_update_burst_past_pending_bound_is_429(self):
         graph = _graph()
         service = QueryService.build(

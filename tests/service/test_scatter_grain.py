@@ -22,8 +22,9 @@ from repro.service import PairQuery, QueryService, SourceQuery, TopKQuery
 
 PARAMS = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=2,
                        index_walkers=20, query_walkers=60, seed=5)
-QUERIES = [PairQuery(3, 40), SourceQuery(7), TopKQuery(11, k=5),
-           TopKQuery(3, k=4), PairQuery(12, 60), SourceQuery(25)]
+# Both pairs can meet within the walk length, so they are walked.
+QUERIES = [PairQuery(3, 14), SourceQuery(7), TopKQuery(11, k=5),
+           TopKQuery(3, k=4), PairQuery(12, 16), SourceQuery(25)]
 
 
 def _graph():

@@ -115,8 +115,8 @@ class TestScatterGatherTopK:
 class TestShardRouting:
     def test_sources_counted_on_owning_shard(self, make_sharded):
         sharded = make_sharded(num_shards=3)
-        sources = (4, 9, 17, 23)
-        sharded.run_batch([SourceQuery(4), SourceQuery(9), PairQuery(17, 23)])
+        sources = (4, 9, 17, 13)       # 17 and 13 can meet: walked
+        sharded.run_batch([SourceQuery(4), SourceQuery(9), PairQuery(17, 13)])
         assert {key.node for key in sharded.cache._entries} == set(sources)
         owners = [sharded.shard_of(source) for source in sources]
         for row in sharded.stats()["shards"]:
@@ -216,6 +216,43 @@ class TestLiveUpdates:
         sharded.add_edges(self.EDIT)
         routed = sum(row["edges_routed"] for row in sharded.stats()["shards"])
         assert routed == len(self.EDIT)
+
+    @staticmethod
+    def _routed(service):
+        return [row["edges_routed"] for row in service.stats()["shards"]]
+
+    def test_an_all_present_batch_routes_no_edge(self, service_graph,
+                                                 service_params):
+        _single, sharded = self._services(service_graph, service_params, 3)
+        present = [tuple(map(int, edge))
+                   for edge in service_graph.edge_array()[:3]]
+        assert sharded.add_edges(present) is None
+        assert self._routed(sharded) == [0, 0, 0]
+        assert sharded.stats()["edges_added"] == 0
+
+    def test_duplicates_and_present_edges_are_not_routed(
+            self, service_graph, service_params):
+        _single, sharded = self._services(service_graph, service_params, 3)
+        present = tuple(map(int, service_graph.edge_array()[0]))
+        new = [edge for edge in ((100, head) for head in range(3, 60))
+               if not service_graph.has_edge(*edge)][:2]
+        result = sharded.add_edges([new[0], present, new[0], new[1]])
+        assert result.edges_added == 2
+        expected = [0, 0, 0]
+        for _tail, head in new:
+            expected[sharded.shard_of(head)] += 1
+        assert self._routed(sharded) == expected
+
+    def test_a_deferred_edge_is_routed_when_drained(self, service_graph,
+                                                    service_params):
+        _single, sharded = self._services(service_graph, service_params, 3)
+        edge = (100, 3)
+        assert not service_graph.has_edge(*edge)
+        sharded.add_edges([edge], defer=True)
+        assert self._routed(sharded) == [0, 0, 0]
+        sharded.flush_updates()
+        assert self._routed(sharded) == [int(shard == sharded.shard_of(3))
+                                         for shard in range(3)]
 
 
 class TestShardedPersistence:
