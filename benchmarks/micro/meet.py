@@ -6,21 +6,26 @@ the spine's ``uniform_cold`` and ``zipf_hot`` streams still walk — the
 pairs :func:`~repro.core.queries.definitional_pair_score` leaves — batch
 by batch, for each frontier cap in ``CAPS`` (``None``: unbounded), beside
 :func:`repro.core.walks.simulate_walks_packed` on the same batches'
-endpoints.  Two graphs of 10 000 nodes and out-degree 5: the spine's
-copying-model graph, and an Erdős–Rényi graph whose level sets grow
-geometrically, so pairs meet within a few steps and the test proves
-little: it bounds what the test costs when it does not pay.  The walk
-parameters are the spine's (T = 10, 1 000 walkers), and the streams are
-the spine's (same generator, mix, length and seed, batches of 32), cut to
-their first ``REQUESTS`` batches.
+endpoints.  Three graphs of 10 000 nodes: the spine's copying-model
+graph of out-degree 5; an Erdős–Rényi graph of the same degree, whose
+level sets grow geometrically, so pairs meet within a few steps and the
+test proves little: it bounds what the test costs when it does not pay;
+and a dense Erdős–Rényi graph of degree ``DENSE_DEGREE``, whose step-1
+level sets (the endpoints' in-lists) already outgrow a cap of 64 on most
+pairs, so the test's guard skips its batches at caps 16 and 64 and not at
+256 — the guarded cells.  The walk parameters are the spine's (T = 10,
+1 000 walkers), and the streams are the spine's (same generator, mix,
+length and seed, batches of 32), cut to their first ``REQUESTS`` batches.
 
 Each ``(graph, stream, cap)`` cell's record carries the walked pairs, how
-many the test proved unmeetable, and the per-batch milliseconds of the
-test and of the walks.  In the manner of snippet 2 (``SNIPPETS.md``), the
-steady state is ``timeit``'s ``autorange`` loop count with the minimum
-over the repeats.  One JSONL record per cell goes to stdout, and is
-appended to ``--out`` when given; the cell where the share stops growing
-faster than the cost sized :data:`repro.core.queries.MEET_FRONTIER_CAP`.
+many the test proved unmeetable, how many batches the guard skipped, and
+the per-batch milliseconds of the test and of the walks.  In the manner
+of snippet 2 (``SNIPPETS.md``), the steady state is ``timeit``'s
+``autorange`` loop count with the minimum over the repeats.  One JSONL
+record per cell goes to stdout, and is appended to ``--out`` when given;
+the cell where the share stops growing faster than the cost sized
+:data:`repro.core.queries.MEET_FRONTIER_CAP`.  The dense graph's
+uncapped cells take about a minute each.
 
 Usage::
 
@@ -55,6 +60,8 @@ from repro.service.scenarios import uniform_trace, zipf_trace  # noqa: E402
 PARAMS = SimRankParams(c=0.6, walk_steps=10, jacobi_iterations=3,
                        index_walkers=100, query_walkers=1000, seed=0)
 OUT_DEGREE = 5
+#: In-degrees of about 80 sit above the default cap of 64 and below 256.
+DENSE_DEGREE = 80
 BATCH_SIZE = 32
 #: The spine's in-process stream length, in batches: the trace generators
 #: draw arrival times before sources, so only the same length gives the
@@ -83,7 +90,19 @@ def _graphs(nodes: int, seed: int) -> Dict[str, Any]:
                                                   seed=seed),
         "erdos_renyi": generators.erdos_renyi_graph(nodes, OUT_DEGREE,
                                                     seed=seed),
+        "erdos_renyi_dense": generators.erdos_renyi_graph(
+            nodes, DENSE_DEGREE, seed=seed),
     }
+
+
+def _skipped(graph, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether the test's guard skips this batch at the current cap: most
+    pairs have two non-empty in-lists, one longer than the cap."""
+    degree = np.diff(graph.in_csr[0])
+    left, right = degree[sources], degree[targets]
+    wide = ((np.minimum(left, right) > 0)
+            & (np.maximum(left, right) > queries.MEET_FRONTIER_CAP))
+    return 2 * int(wide.sum()) > len(sources)
 
 
 def _walked_pairs(graph, stream: str, seed: int
@@ -131,6 +150,7 @@ def measure(nodes: int = 10_000, seed: int = 0) -> Iterator[Dict[str, Any]]:
                 queries.MEET_FRONTIER_CAP = nodes if cap is None else cap
                 try:
                     proven = sum(int((~verdict).sum()) for verdict in test())
+                    skipped = sum(_skipped(graph, *pair) for pair in batches)
                     test_ms = _steady_seconds(test) * 1e3 / len(batches)
                 finally:
                     queries.MEET_FRONTIER_CAP = default_cap
@@ -140,6 +160,7 @@ def measure(nodes: int = 10_000, seed: int = 0) -> Iterator[Dict[str, Any]]:
                     "requests": len(batches), "walked_pairs": walked,
                     "unmeetable_pairs": proven,
                     "unmeetable_share": proven / walked if walked else 0.0,
+                    "skipped_batches": skipped,
                     "sources_per_batch": (sum(map(len, endpoints))
                                           / len(batches)),
                     "test_ms_per_batch": test_ms,

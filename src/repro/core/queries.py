@@ -34,6 +34,7 @@ from scipy import sparse
 from repro.config import SimRankParams
 from repro.core import montecarlo
 from repro.core.index import DiagonalIndex
+from repro.graph import frontier
 from repro.graph.digraph import DiGraph
 
 
@@ -135,39 +136,6 @@ class SourceScores:
 DENSE_FILL_FRACTION = 0.05
 
 
-def _row_slots(indptr: np.ndarray, keys: np.ndarray,
-               n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR slots of each packed ``column * n + node`` key's row.
-
-    Returns ``(positions, counts, nodes)``: every slot of row ``nodes[0]``,
-    then of ``nodes[1]``, …; ``counts`` slots per key.
-    """
-    nodes = keys % n
-    starts = indptr[nodes]
-    counts = indptr[nodes + 1] - starts
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return (np.arange(total) + np.repeat(starts - (ends - counts), counts),
-            counts, nodes)
-
-
-def _frontier_products(transition: sparse.csr_matrix, keys: np.ndarray,
-                       values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every term of one ``P^T`` step over a frontier, unsummed.
-
-    ``keys`` are ``column * n + node`` ascending.  Row ``u`` of ``P``'s CSR
-    is column ``u`` of ``P^T``, so the frontier entry ``(column, u)``
-    contributes ``P[u, i] * value`` to ``(column, i)`` for each out-edge
-    ``i`` of that row.  Terms come out entry by entry, i.e. for each
-    target in ascending ``u`` — the order SciPy's CSR kernel sums row ``i``
-    of ``P^T`` in.
-    """
-    positions, counts, nodes = _row_slots(transition.indptr, keys,
-                                          transition.shape[0])
-    return (np.repeat(keys - nodes, counts) + transition.indices[positions],
-            transition.data[positions] * np.repeat(values, counts))
-
-
 def propagate_scores(nodes: Sequence[int],
                      distributions: Sequence[montecarlo.WalkDistributions],
                      transition: sparse.csr_matrix,
@@ -179,7 +147,9 @@ def propagate_scores(nodes: Sequence[int],
     evaluated from ``t = T`` down to 0, one column per entry of ``nodes``.
     Each column carries only its support: keys ``column * n + node`` with
     their values, all columns in one pair of arrays.  A step expands the
-    frontier's out-edges (:func:`_frontier_products`), appends the step's
+    frontier along ``P``'s rows, ``P^T``'s columns
+    (:func:`repro.graph.frontier.expand`: each target's terms in ascending
+    ``u``, the order SciPy sums row ``i`` of ``P^T`` in), appends the step's
     weighted distribution terms and sums per key with one ``np.bincount``,
     which adds in input order from ``+0.0``: exactly the additions of the
     dense ``transition_t @ block`` product followed by the scatter-add,
@@ -240,7 +210,10 @@ def propagate_scores(nodes: Sequence[int],
                 step_column[~heavy], step_node[~heavy], step_weight[~heavy])
         terms = [(column_base[step_column] + step_node, step_weight)]
         if len(keys):
-            terms.insert(0, _frontier_products(transition, keys, values))
+            stepped, positions, counts = frontier.expand(
+                transition.indptr, transition.indices, keys, n)
+            terms.insert(0, (stepped, transition.data[positions]
+                             * np.repeat(values, counts)))
         if step == 0:
             # Make room for each source's 1.0 (its +0.0 term moves no sum).
             light = np.flatnonzero(~is_dense)
@@ -327,17 +300,6 @@ def definitional_pair_score(graph: DiGraph, node_i: int,
 MEET_FRONTIER_CAP = 64
 
 
-def _in_step(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray,
-             n: int) -> np.ndarray:
-    """One reverse step of packed ``pair · n + node`` level sets, ascending.
-
-    Each key moves to every in-neighbour of its node, within its pair; a
-    node without in-links drops out, as a walker standing there dies.
-    """
-    positions, counts, nodes = _row_slots(indptr, keys, n)
-    return np.unique(np.repeat(keys - nodes, counts) + indices[positions])
-
-
 def pairs_that_can_meet(graph: DiGraph, sources: Sequence[int],
                         targets: Sequence[int], steps: int) -> np.ndarray:
     """Which pairs' reverse walks may stand on a common node at a common step.
@@ -350,25 +312,30 @@ def pairs_that_can_meet(graph: DiGraph, sources: Sequence[int],
     walked or exact, for any walker count or seed.
 
     All pairs grow their two level sets together, one step at a time, as
-    packed ``pair · n + node`` keys (the layout :func:`_frontier_products`
-    uses).  A pair is decided at its first common key (it can meet), when
-    either side's set empties or past step ``steps`` (it cannot), or when
-    either side outgrows :data:`MEET_FRONTIER_CAP` nodes first (it is left
-    to the walks).  Returns a boolean array, one entry per pair: False only
-    for pairs proven unable to meet.
+    packed ``pair · n + node`` keys (:func:`repro.graph.frontier.expand`).
+    A pair is decided at its first common key (it can meet), when either
+    side's set empties or past step ``steps`` (it cannot), or when either
+    side outgrows :data:`MEET_FRONTIER_CAP` nodes first (it is left to the
+    walks).  Step-1 sets are the endpoints' in-lists: when on most pairs
+    both are non-empty and one outgrows the cap, every pair is left to the
+    walks untested.  Returns a boolean array, one entry per pair: False
+    only for pairs proven unable to meet.
     """
     cap = MEET_FRONTIER_CAP
     n = graph.n_nodes
     indptr, indices = graph.in_csr
     count = len(sources)
+    ends = np.array([sources, targets], dtype=np.int64).reshape(2, count)
+    degree = indptr[ends + 1] - indptr[ends]
+    if 2 * np.count_nonzero((degree.min(axis=0) > 0)
+                            & (degree.max(axis=0) > cap)) > count:
+        return np.ones(count, dtype=bool)
     can_meet = np.zeros(count, dtype=bool)
-    pair_base = np.arange(count, dtype=np.int64) * n
-    left = pair_base + np.asarray(sources, dtype=np.int64)
-    right = pair_base + np.asarray(targets, dtype=np.int64)
+    left, right = ends + np.arange(count, dtype=np.int64) * n
     for step in range(steps + 1):
         if step:
-            left = _in_step(indptr, indices, left, n)
-            right = _in_step(indptr, indices, right, n)
+            left = np.unique(frontier.expand(indptr, indices, left, n)[0])
+            right = np.unique(frontier.expand(indptr, indices, right, n)[0])
         # A key both ascending sides hold is a pair meeting at this step.
         at = np.minimum(np.searchsorted(right, left), max(len(right) - 1, 0))
         met = left[right[at] == left] // n if len(right) else left[:0]

@@ -63,6 +63,7 @@ from repro.engine.executor import (
     resolve_resident,
 )
 from repro.errors import ConfigurationError
+from repro.graph import frontier
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import ShardPlan
 
@@ -556,15 +557,12 @@ class ShardedIncrementalWalker:
         """
         ball = np.fromiter(affected, dtype=np.int64, count=len(affected))
         rows = np.sort(ball[ball < old_n])
-        indptr, indices = self._system.indptr, self._system.indices
-        starts = indptr[rows]
-        lengths = indptr[rows + 1] - starts
         # One gather of the rows' stored columns, tagged with their row.
+        positions, lengths = frontier.row_slots(self._system.indptr, rows)
         owner = np.repeat(np.arange(len(rows)), lengths)
-        columns = indices[np.arange(len(owner)) + np.repeat(
-            starts - np.cumsum(lengths) + lengths, lengths)]
         old_heads = np.fromiter((v for v in heads if v < old_n), dtype=np.int64)
-        hit = np.unique(owner[np.isin(columns, old_heads)])
+        hit = np.unique(owner[np.isin(self._system.indices[positions],
+                                      old_heads)])
         return np.concatenate([rows[hit], np.arange(old_n, new_n)])
 
     def __repr__(self) -> str:

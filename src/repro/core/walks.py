@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.streams import pcg64_states
 from repro.errors import StreamDerivationError
+from repro.graph import frontier
 from repro.graph.digraph import DiGraph
 
 DEAD = -1
@@ -48,27 +49,17 @@ def forward_reachable_set(
     # from the per-level frontiers so the O(n) mask is touched, not
     # re-scanned, and the returned set stays O(|reachable|) work.
     visited = np.zeros(graph.n_nodes, dtype=bool)
-    frontier = np.asarray(seed_list, dtype=np.int64)
-    visited[frontier] = True
+    level = np.asarray(seed_list, dtype=np.int64)
+    visited[level] = True
     reachable = set(seed_list)
     for _ in range(steps):
-        # One CSR sweep per level: gather every frontier node's out-row in
-        # a single fancy-index, then np.unique collapses duplicates before
-        # the visited mask filters already-reached nodes.
-        starts = indptr[frontier]
-        degrees = indptr[frontier + 1] - starts
-        total = int(degrees.sum())
-        if total == 0:
-            break
-        gather = np.repeat(starts - np.cumsum(degrees) + degrees,
-                           degrees) + np.arange(total, dtype=np.int64)
-        fresh = np.unique(indices[gather])
+        fresh = np.unique(indices[frontier.row_slots(indptr, level)[0]])
         fresh = fresh[~visited[fresh]]
         if len(fresh) == 0:
             break
         visited[fresh] = True
         reachable.update(fresh.tolist())
-        frontier = fresh
+        level = fresh
     return reachable
 
 

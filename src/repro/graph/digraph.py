@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import GraphFormatError, NodeNotFoundError
+from repro.graph import frontier
 
 
 class DiGraph:
@@ -297,14 +298,14 @@ class DiGraph:
         out_indptr = np.concatenate([self._out_indptr, grown])
         in_indptr = np.concatenate([self._in_indptr, grown])
 
-        slots, present = self._row_slots(
+        slots, present = _insertion_slots(
             out_indptr, self._out_indices, pairs[:, 0], pairs[:, 1])
         pairs, slots = pairs[~present], slots[~present]
         out_indices = np.insert(self._out_indices, slots, pairs[:, 1])
         out_indptr[1:] += np.cumsum(np.bincount(pairs[:, 0], minlength=n_nodes))
         # The in-adjacency groups by head, sources ascending within a row.
         pairs = pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
-        slots, _ = self._row_slots(
+        slots, _ = _insertion_slots(
             in_indptr, self._in_indices, pairs[:, 1], pairs[:, 0])
         in_indices = np.insert(self._in_indices, slots, pairs[:, 0])
         in_indptr[1:] += np.cumsum(np.bincount(pairs[:, 1], minlength=n_nodes))
@@ -312,24 +313,6 @@ class DiGraph:
             {"n_nodes": n_nodes, "n_edges": self._m + len(pairs), "name": self.name},
             [in_indptr, in_indices, out_indptr, out_indices],
         )
-
-    @staticmethod
-    def _row_slots(
-        indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray, values: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Where ``values[j]`` belongs in the sorted row ``keys[j]``.
-
-        Returns the position in ``indices`` before which to insert each
-        value, and whether the row already holds it.
-        """
-        slots = np.empty(len(keys), dtype=np.int64)
-        present = np.zeros(len(keys), dtype=bool)
-        for j, (key, value) in enumerate(zip(keys.tolist(), values.tolist())):
-            row = indices[indptr[key]:indptr[key + 1]]
-            at = int(np.searchsorted(row, value))
-            slots[j] = indptr[key] + at
-            present[j] = at < len(row) and row[at] == value
-        return slots, present
 
     def subgraph(self, nodes: Sequence[int]) -> "DiGraph":
         """Return the induced subgraph on ``nodes`` with ids relabelled 0..k-1.
@@ -449,3 +432,19 @@ class DiGraph:
             return 0
         digits = max(1, int(np.ceil(np.log10(max(self._n, 2)))))
         return int(self._m * (2 * digits + 2))
+
+
+def _insertion_slots(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where ``values[j]`` belongs in the sorted CSR row ``rows[j]``, and
+    whether the row already holds it: one search over the touched rows'
+    entries gathered as ascending ``row * n + node`` keys.
+    """
+    n = len(indptr) - 1
+    touched = np.unique(rows)
+    held = frontier.expand(indptr, indices, touched * n + touched, n)[0]
+    wanted = rows * n + values
+    at = np.searchsorted(held, wanted)
+    slots = indptr[rows] + at - np.searchsorted(held, rows * n)
+    return slots, np.append(held, -1)[at] == wanted

@@ -34,8 +34,9 @@ def test_micro_meet_writes_one_record_per_cell(tmp_path, monkeypatch, capsys):
     printed = [json.loads(line)
                for line in capsys.readouterr().out.splitlines()]
     assert printed == records
+    graphs = ("copying", "erdos_renyi", "erdos_renyi_dense")
     assert [(r["graph"], r["stream"], r["cap"]) for r in records] == [
-        (graph, stream, cap) for graph in ("copying", "erdos_renyi")
+        (graph, stream, cap) for graph in graphs
         for stream in module.STREAMS for cap in module.CAPS]
     for record in records:
         assert record["kernel"] == "pairs_that_can_meet"
@@ -43,11 +44,26 @@ def test_micro_meet_writes_one_record_per_cell(tmp_path, monkeypatch, capsys):
         assert 0 <= record["unmeetable_pairs"] <= record["walked_pairs"]
         assert record["test_ms_per_batch"] > 0
         assert record["simulate_ms_per_batch"] > 0
-    # A larger cap proves at least what a smaller one does.
-    for graph in ("copying", "erdos_renyi"):
+        assert 0 <= record["skipped_batches"] <= record["requests"]
+    # A larger cap proves at least what a smaller one does, and its guard
+    # skips at most the batches a smaller one's does.
+    for graph in graphs:
         for stream in module.STREAMS:
-            proven = [r["unmeetable_pairs"] for r in records
-                      if (r["graph"], r["stream"]) == (graph, stream)]
+            cells = [r for r in records
+                     if (r["graph"], r["stream"]) == (graph, stream)]
+            proven = [r["unmeetable_pairs"] for r in cells]
             assert proven == sorted(proven)
+            skipped = [r["skipped_batches"] for r in cells]
+            assert skipped == sorted(skipped, reverse=True)
+            assert skipped[-1] == 0          # unbounded: never skipped
+    # The dense graph's in-lists outgrow the default cap: the guard fires,
+    # and a batch it skips is left whole to the walks.
+    dense = module._graphs(300, 0)["erdos_renyi_dense"]
+    assert any(r["skipped_batches"] for r in records
+               if r["graph"] == "erdos_renyi_dense" and r["cap"] == 64)
+    for sources, targets in module._walked_pairs(dense, "uniform_cold", 0):
+        if module._skipped(dense, sources, targets):
+            assert module.queries.pairs_that_can_meet(
+                dense, sources, targets, module.PARAMS.walk_steps).all()
     # The sweep sets the cap per cell; the script must put it back.
     assert module.queries.MEET_FRONTIER_CAP == default_cap

@@ -334,3 +334,29 @@ class TestUnmeetablePairs:
         assert engine.single_pair(i, j) == 0.0
         assert engine.exact_single_pair(j, i) == 0.0
         assert walks == []
+
+    def test_a_batch_wide_at_step_one_is_left_to_the_walks(self):
+        cap = queries_module.MEET_FRONTIER_CAP
+        hub, a, b = 0, cap + 3, cap + 5
+        # The hub's in-list outgrows the cap; a and b each have one
+        # in-neighbour, a dead end, so their walks cannot meet.
+        graph = DiGraph(b + 2, [(j, hub) for j in range(1, cap + 2)]
+                        + [(a + 1, a), (b + 1, b)])
+        meet = queries_module.pairs_that_can_meet
+        assert meet(graph, [a], [b], 4).tolist() == [False]
+        # One wide pair of three (a dead end is not wide): the test runs.
+        assert meet(graph, [hub, hub, a], [a + 1, b + 1, b], 4).tolist() == [
+            False, False, False]
+        assert meet(graph, [hub, a], [a, b], 4).tolist() == [True, False]
+        # Two of three: every pair is left to the walks.
+        assert meet(graph, [hub, hub, a], [a, b, b], 4).tolist() == [True] * 3
+        params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=2,
+                               index_walkers=10, query_walkers=20, seed=3)
+        with QueryService.build(graph, params) as service:
+            skipped = service.run_batch([PairQuery(hub, a), PairQuery(hub, b),
+                                         PairQuery(a, b)])
+            assert service.stats()["unmeetable_pairs"] == 0
+            tested = service.run_batch([PairQuery(a, b)])
+            assert service.stats()["unmeetable_pairs"] == 1
+        assert np.float64(skipped[2]).tobytes() == \
+            np.float64(tested[0]).tobytes() == np.float64(0.0).tobytes()

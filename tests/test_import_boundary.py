@@ -1,11 +1,14 @@
-"""The serving side never loads the Spark simulator.
+"""The serving side never loads the Spark simulator, and the graph layer
+never loads the core.
 
 ``repro.service`` and the sharded build share exactly one module with
 ``repro.engine`` — ``executor`` (backends and the resident registry) — and
 none of the reproduction-side core modules (the ``CloudWalker`` facade, the
-paper's two execution models, the local diagonal estimator).  The
-check runs in a fresh interpreter, because this test session has long since
-imported everything.
+paper's two execution models, the local diagonal estimator).
+``repro.graph`` — the CSR frontier gather included — sits below
+``repro.core`` and imports none of it.  Each check runs in a fresh
+interpreter, because this test session has long since imported
+everything.
 """
 
 import json
@@ -52,3 +55,9 @@ def test_each_serving_module_imports_first_without_a_cycle(first):
     reverse: whichever serving module a fresh interpreter imports first, the
     import completes."""
     assert first in _loaded_after_importing([first])
+
+
+def test_the_graph_layer_loads_no_core_module():
+    loaded = _loaded_after_importing(["repro.graph", "repro.graph.frontier"])
+    assert "repro.graph.frontier" in loaded
+    assert not {name for name in loaded if name.startswith("repro.core")}
