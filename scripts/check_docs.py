@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Verify that documentation references resolve: paths, symbols, CLI flags.
 
-Documentation rots in four ways: the files it points at move, the code
+Documentation rots in five ways: the files it points at move, the code
 symbols it names get renamed, the command-line flags it recommends get
-deleted, and the config fields its knob tables list get removed.  This
-checker keeps the docs honest on all four axes by extracting, from
-``docs/*.md``, ``README.md`` and the module docstrings that cite ``docs/``
-files:
+deleted, the config fields its knob tables list get removed, and the
+modules its layer diagram lists get deleted.  This checker keeps the docs
+honest on all five axes by extracting, from ``docs/*.md``, ``README.md``
+and the module docstrings that cite ``docs/`` files:
 
 * every path-like reference (markdown links, backticked paths), failing
   when the path does not exist on disk;
@@ -22,7 +22,12 @@ files:
   failing when no ``python -m repro`` subcommand accepts that flag;
 * every knob table under a heading labelled with its config class
   (``### Update knobs (`UpdateParams`)``), failing when a row's backticked
-  first-column name is not a field of that dataclass.
+  first-column name is not a field of that dataclass;
+* every ``·``-separated item of a layer box in ``docs/architecture.md``
+  whose header names a package (``│ engine  src/repro/engine/ │``),
+  failing when the item does not start with the name of a module of that
+  package.  A row indented deeper than the box's first row continues the
+  item above it and is not split.
 
 Runs inside the test suite (``tests/test_docs.py``) and standalone::
 
@@ -65,6 +70,10 @@ _CODE_FLAG = re.compile(r"`(--[A-Za-z][\w-]*)")
 _KNOB_HEADING = re.compile(r"^#+ .*\(`([A-Za-z_]\w*)`\)\s*$")
 # A table row whose first cell is one backticked name: `| `cache_capacity` |`.
 _KNOB_ROW = re.compile(r"^\|\s*`([A-Za-z_]\w*)`\s*\|")
+# The header row of a layer box that holds one package's modules.
+_BOX_HEADER = re.compile(r"^│ \w+\s+src/repro/(\w+)/\s*│$")
+# Any other row of a box: its indentation and its text.
+_BOX_ROW = re.compile(r"^│( +)(\S.*?)\s*│$")
 
 
 def _doc_files() -> List[Path]:
@@ -111,6 +120,30 @@ def _iter_knob_rows(path: Path) -> Iterator[Tuple[str, str]]:
             row = _KNOB_ROW.match(line)
             if row:
                 yield owner, row.group(1)
+
+
+def _iter_box_items(path: Path) -> Iterator[Tuple[str, str]]:
+    """``(package, item)`` for each item of a package's layer box."""
+    package: Optional[str] = None
+    indent: Optional[int] = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        header = _BOX_HEADER.match(line)
+        row = _BOX_ROW.match(line)
+        if header:
+            package, indent = header.group(1), None
+        elif package is None or not row:
+            package = None
+        elif indent is None or len(row.group(1)) <= indent:
+            indent = len(row.group(1))
+            for item in row.group(2).split("·"):
+                yield package, item.strip()
+
+
+def _package_modules(package: str) -> Set[str]:
+    """Names of the modules and subpackages of ``src/repro/<package>``."""
+    directory = REPO_ROOT / "src" / "repro" / package
+    return ({path.stem for path in directory.glob("*.py")}
+            | {path.parent.name for path in directory.glob("*/__init__.py")})
 
 
 def _check_knob(owner: str, name: str,
@@ -271,6 +304,18 @@ def check_docs(verbose: bool = False) -> List[str]:
             problem = _check_knob(owner, name, table)
             if problem is not None:
                 problems.append(f"{doc.relative_to(REPO_ROOT)}: {problem}")
+    architecture = REPO_ROOT / "docs" / "architecture.md"
+    if architecture.exists():
+        for package, item in _iter_box_items(architecture):
+            checked += 1
+            if verbose:
+                print(f"docs/architecture.md: {package}: {item}")
+            name = re.match(r"[A-Za-z_]\w*", item)
+            if name is None or name.group(0) not in _package_modules(package):
+                problems.append(
+                    f"docs/architecture.md: the {package} box lists {item!r}, "
+                    f"which starts with no module of src/repro/{package}/"
+                )
     flags = _cli_flags()
     for doc in _doc_files():
         for flag in _CODE_FLAG.findall(doc.read_text(encoding="utf-8")):

@@ -496,13 +496,13 @@ class ClusterSpec:
 
 @dataclass
 class ExecutionOptions:
-    """Runtime knobs shared by the execution models.
+    """Knobs of the engine context the two execution models run on.
+
+    The engine runs every task serially in the calling process; the cluster
+    exists only in the cost model.
 
     Attributes
     ----------
-    backend:
-        ``"serial"``, ``"threads"`` or ``"processes"`` — how engine tasks are
-        physically executed on the local machine.
     num_partitions:
         Default number of partitions for RDDs created from graph data.
         ``None`` lets the engine pick ``max(total_cores, 2)``.
@@ -510,17 +510,10 @@ class ExecutionOptions:
         The cluster the cost model should simulate.
     """
 
-    backend: str = "serial"
     num_partitions: Optional[int] = None
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
 
-    _VALID_BACKENDS = ("serial", "threads", "processes")
-
     def __post_init__(self) -> None:
-        if self.backend not in self._VALID_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {self._VALID_BACKENDS}, got {self.backend!r}"
-            )
         if self.num_partitions is not None and self.num_partitions < 1:
             raise ConfigurationError(
                 f"num_partitions must be >= 1 or None, got {self.num_partitions}"

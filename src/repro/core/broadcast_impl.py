@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
+from repro.config import ClusterSpec, SimRankParams
 from repro.core import linear_system
 from repro.core.index import BuildInfo, DiagonalIndex
 from repro.core.jacobi import jacobi_step, relative_residual
@@ -43,7 +43,7 @@ class BroadcastingModel:
     params:
         Algorithmic parameters.
     context:
-        An existing :class:`ClusterContext`; a serial-backend context is
+        An existing :class:`ClusterContext`; a fresh context is
         created when omitted.
     num_partitions:
         How many node partitions to split the work into (default: the
@@ -62,9 +62,7 @@ class BroadcastingModel:
     ) -> None:
         self.graph = graph
         self.params = params or SimRankParams.paper_defaults()
-        self.context = context or ClusterContext(
-            ExecutionOptions(backend="serial"), cluster=cluster
-        )
+        self.context = context or ClusterContext(cluster=cluster)
         self.num_partitions = num_partitions or self.context.default_parallelism
         self.index: Optional[DiagonalIndex] = None
         self._graph_broadcast = None

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
+from repro.config import ClusterSpec, SimRankParams
 from repro.core.index import BuildInfo, DiagonalIndex
 from repro.core.jacobi import jacobi_step, relative_residual
 from repro.engine.context import ClusterContext
@@ -82,9 +82,7 @@ class RDDModel:
     ) -> None:
         self.graph = graph
         self.params = params or SimRankParams.paper_defaults()
-        self.context = context or ClusterContext(
-            ExecutionOptions(backend="serial"), cluster=cluster
-        )
+        self.context = context or ClusterContext(cluster=cluster)
         self.num_partitions = num_partitions or self.context.default_parallelism
         self.partitioner = partitioner or HashPartitioner(self.num_partitions)
         self.index: Optional[DiagonalIndex] = None

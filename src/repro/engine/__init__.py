@@ -3,21 +3,19 @@
 The paper implements CloudWalker on Apache Spark and compares two execution
 models (graph broadcast to every worker vs. graph stored in an RDD).  Spark
 itself is not available offline, so this subpackage provides a from-scratch
-engine exposing the subset of the Spark API the paper's jobs need:
+engine exposing the subset of the Spark API those two models run:
 
 * :class:`~repro.engine.context.ClusterContext` — entry point
-  (``parallelize``, ``broadcast``, ``accumulator``, ``text_file``,
-  ``graph_in_adjacency_rdd``, ``checkpoint`` / ``metrics_since``).
+  (``parallelize``, ``broadcast``, ``graph_in_adjacency_rdd``,
+  ``checkpoint`` / ``metrics_since``).
 * :class:`~repro.engine.rdd.RDD` — lazy, lineage-based distributed
-  collections with the usual transformations (``map``, ``flat_map``,
-  ``filter``, ``map_partitions``, ``reduce_by_key``, ``group_by_key``,
-  ``join``, ``cogroup``, …) and actions (``collect``, ``count``,
-  ``reduce``, ``take``).
+  collections: ``map``, ``flat_map``, ``map_partitions``, ``cogroup``,
+  ``reduce_by_key``, ``persist`` and ``collect``.
 * :class:`~repro.engine.scheduler.DAGScheduler` — splits the lineage graph
-  into stages at shuffle boundaries and runs them on a pluggable local
-  backend (serial, thread pool or process pool).
-* :class:`~repro.engine.broadcast.Broadcast` /
-  :class:`~repro.engine.accumulator.Accumulator` — shared variables.
+  into stages at shuffle boundaries and runs their tasks serially in
+  process, timing each one.
+* :class:`~repro.engine.broadcast.Broadcast` — the shared read-only
+  variable of the broadcasting model.
 * :class:`~repro.engine.cost_model.ClusterCostModel` — converts the measured
   task metrics of a job into an estimated wall-clock on a simulated cluster
   (:class:`~repro.config.ClusterSpec`), which is how the benchmark harness
@@ -26,17 +24,8 @@ engine exposing the subset of the Spark API the paper's jobs need:
 The engine executes everything locally and correctly; the *cluster* is
 simulated only in the cost model, never in the semantics.
 
-Only :mod:`repro.engine.executor` (the executor backends and the resident
-registry) is shared with the serving side; importing this package loads
-nothing else, so ``repro.service`` never pulls in the simulator.
+:mod:`repro.engine.executor` (the executor backends and the resident
+registry) belongs to the serving side and the sharded index build; the
+simulator does not import it.  This package re-exports nothing, so
+``repro.service`` loads only ``executor`` and never the simulator.
 """
-
-
-def __getattr__(name: str):
-    # The entry point stays reachable as ``repro.engine.ClusterContext``
-    # without an eager import, which would load the whole simulator.
-    if name == "ClusterContext":
-        from repro.engine.context import ClusterContext
-
-        return ClusterContext
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

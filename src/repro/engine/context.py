@@ -1,36 +1,34 @@
 """ClusterContext: the engine's entry point (Spark's ``SparkContext``).
 
-A context owns the execution backend, the DAG scheduler, the persistent RDD
-cache, the broadcast registry and the job-metrics history.  CloudWalker's
-execution models create one context per run and use it for every job.
+A context owns the DAG scheduler, the persistent RDD cache, the broadcast
+registry and the job-metrics history.  CloudWalker's execution models create
+one context per run and use it for every job; its tasks run serially in the
+calling process.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import ClusterSpec, ExecutionOptions
-from repro.engine.accumulator import Accumulator
 from repro.engine.broadcast import Broadcast
-from repro.engine.cost_model import ClusterCostModel, CostEstimate
+from repro.engine.cost_model import ClusterCostModel
 from repro.engine.metrics import JobMetrics, merge_job_metrics
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import DAGScheduler
-from repro.engine.executor import make_backend
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import Partitioner
 
 
 class ClusterContext:
-    """Entry point for creating RDDs, broadcasts and accumulators.
+    """Entry point for creating RDDs and broadcasts.
 
     Parameters
     ----------
     options:
-        Local execution options (backend, default partition count).
+        Local execution options (default partition count).
     cluster:
         The cluster simulated by the cost model; defaults to
         ``options.cluster``.
@@ -38,8 +36,8 @@ class ClusterContext:
     Example
     -------
     >>> ctx = ClusterContext()
-    >>> ctx.parallelize(range(10)).map(lambda x: x * x).sum()
-    285
+    >>> sorted(ctx.parallelize(range(4)).map(lambda x: x * x).collect())
+    [0, 1, 4, 9]
     """
 
     def __init__(
@@ -49,11 +47,7 @@ class ClusterContext:
     ) -> None:
         self.options = options or ExecutionOptions()
         self.cluster = cluster or self.options.cluster
-        self._backend = make_backend(
-            self.options.backend,
-            max_workers=min(self.cluster.total_cores, 16),
-        )
-        self._scheduler = DAGScheduler(self._backend)
+        self._scheduler = DAGScheduler()
         self.cost_model = ClusterCostModel(self.cluster)
         self._rdd_counter = 0
         self._job_counter = 0
@@ -69,14 +63,11 @@ class ClusterContext:
         self._rdd_counter += 1
         return self._rdd_counter
 
-    def _evict(self, rdd_id: int) -> None:
-        self._cache.pop(rdd_id, None)
-
-    def _run_job(self, rdd: RDD, action: str) -> List[List[Any]]:
+    def _run_job(self, rdd: RDD) -> List[List[Any]]:
         self._job_counter += 1
         partitions, metrics = self._scheduler.run(
             rdd,
-            action=action,
+            action="collect",
             job_id=self._job_counter,
             persistent_cache=self._cache,
             broadcast_bytes=self._pending_broadcast_bytes,
@@ -102,42 +93,12 @@ class ClusterContext:
             self, data, num_partitions or self.default_parallelism, name=name
         )
 
-    def empty_rdd(self) -> RDD:
-        """An RDD with no records and a single partition."""
-        return ParallelCollectionRDD(self, [], 1, name="empty")
-
-    def range(self, start: int, stop: Optional[int] = None,
-              num_partitions: Optional[int] = None) -> RDD:
-        """RDD over ``range(start, stop)`` (or ``range(start)``)."""
-        if stop is None:
-            start, stop = 0, start
-        return self.parallelize(range(start, stop), num_partitions, name="range")
-
-    def text_file(self, path, num_partitions: Optional[int] = None) -> RDD:
-        """RDD of lines from a text file (or all ``part-*`` files in a dir)."""
-        path = Path(path)
-        if path.is_dir():
-            files = sorted(path.glob("part-*"))
-        else:
-            files = [path]
-        lines: List[str] = []
-        for file_path in files:
-            with file_path.open("r", encoding="utf-8") as handle:
-                lines.extend(line.rstrip("\n") for line in handle)
-        return self.parallelize(lines, num_partitions, name=f"text_file({path.name})")
-
     def broadcast(self, value: Any, size_bytes: Optional[int] = None) -> Broadcast:
         """Create a broadcast variable and account its size for the cost model."""
         broadcast = Broadcast(value, size_bytes=size_bytes)
         self.broadcasts.append(broadcast)
         self._pending_broadcast_bytes += broadcast.size_bytes
         return broadcast
-
-    def accumulator(self, initial: Any = 0,
-                    combine: Callable[[Any, Any], Any] = lambda a, b: a + b,
-                    name: str = "accumulator") -> Accumulator:
-        """Create an accumulator."""
-        return Accumulator(initial, combine, name)
 
     # ------------------------------------------------------------------ #
     # Graph ingestion helpers (the RDD execution model starts here)
@@ -170,20 +131,9 @@ class ClusterContext:
         rdd._partitions = groups
         return rdd
 
-    def graph_edges_rdd(self, graph: DiGraph, num_partitions: Optional[int] = None) -> RDD:
-        """RDD of ``(src, dst)`` edges for ``graph``."""
-        return self.parallelize(
-            list(graph.edges()), num_partitions or self.default_parallelism, name="edges"
-        )
-
     # ------------------------------------------------------------------ #
-    # Metrics and cost estimation
+    # Metrics
     # ------------------------------------------------------------------ #
-    @property
-    def last_job_metrics(self) -> Optional[JobMetrics]:
-        """Metrics of the most recent job, if any."""
-        return self.job_history[-1] if self.job_history else None
-
     def metrics_since(self, job_index: int, action: str = "phase") -> JobMetrics:
         """Merge all job metrics recorded at or after ``job_index``."""
         return merge_job_metrics(self.job_history[job_index:], action=action)
@@ -192,18 +142,8 @@ class ClusterContext:
         """Return a marker usable with :meth:`metrics_since`."""
         return len(self.job_history)
 
-    def estimate_cost(self, metrics: Optional[JobMetrics] = None,
-                      cluster: Optional[ClusterSpec] = None) -> CostEstimate:
-        """Estimate cluster wall-clock for ``metrics`` (default: last job)."""
-        metrics = metrics or self.last_job_metrics
-        if metrics is None:
-            raise ValueError("no job has been run yet; nothing to estimate")
-        model = self.cost_model if cluster is None else ClusterCostModel(cluster)
-        return model.estimate(metrics)
-
     def shutdown(self) -> None:
-        """Release executor resources and cached partitions."""
-        self._backend.shutdown()
+        """Release cached partitions."""
         self._cache.clear()
 
     def __enter__(self) -> "ClusterContext":
@@ -214,6 +154,6 @@ class ClusterContext:
 
     def __repr__(self) -> str:
         return (
-            f"ClusterContext(backend={self.options.backend!r}, "
-            f"cluster={self.cluster.machines}x{self.cluster.cores_per_machine}cores)"
+            f"ClusterContext(cluster={self.cluster.machines}x"
+            f"{self.cluster.cores_per_machine}cores)"
         )

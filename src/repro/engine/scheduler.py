@@ -1,9 +1,10 @@
 """DAG scheduler: turns RDD lineage into stages and runs them locally.
 
-The scheduler materialises RDDs bottom-up.  Narrow chains are fused into a
-single stage per RDD level; a :class:`~repro.engine.rdd.ShuffledRDD` becomes
-two stages (shuffle-map and shuffle-reduce), exactly the boundary Spark
-introduces.  Every task is timed and counted so the
+The scheduler materialises RDDs bottom-up, running every task serially in
+the calling process.  Narrow chains are fused into a single stage per RDD
+level; a :class:`~repro.engine.rdd.ShuffledRDD` becomes two stages
+(shuffle-map and shuffle-reduce), exactly the boundary Spark introduces.
+Every task is timed and counted so the
 :class:`~repro.engine.cost_model.ClusterCostModel` can replay the job on a
 simulated cluster.
 """
@@ -12,9 +13,8 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
-from repro.engine.executor import ExecutorBackend
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.engine.rdd import RDD, ShuffledRDD
 from repro.errors import JobExecutionError
@@ -45,11 +45,26 @@ def estimate_records_bytes(partitions: List[List[Any]], sample_size: int = 20) -
     return int(per_record * total_records)
 
 
-class DAGScheduler:
-    """Executes RDD lineages on a local backend, collecting metrics."""
+def _run_task(stage: StageMetrics, index: int, input_records: int,
+              compute: Callable[[], Any], output_records: Callable[[Any], int] = len) -> Any:
+    """Run one task of ``stage``, recording its metrics in the stage."""
+    start = time.perf_counter()
+    try:
+        result = compute()
+    except Exception as exc:  # surface which task failed
+        raise JobExecutionError(stage.name, index, exc) from exc
+    stage.tasks.append(TaskMetrics(
+        stage_name=stage.name,
+        partition=index,
+        duration_seconds=time.perf_counter() - start,
+        input_records=input_records,
+        output_records=output_records(result),
+    ))
+    return result
 
-    def __init__(self, backend: ExecutorBackend) -> None:
-        self.backend = backend
+
+class DAGScheduler:
+    """Executes RDD lineages in-process, collecting metrics."""
 
     # ------------------------------------------------------------------ #
     def run(self, rdd: RDD, action: str, job_id: int,
@@ -101,37 +116,16 @@ class DAGScheduler:
             for parent in rdd.parents
         ]
         stage = StageMetrics(name=f"{rdd.name}#{rdd.rdd_id}", kind="narrow")
-
-        def make_task(index: int):
-            def task():
-                dependencies = rdd.partition_dependencies(index)
-                parent_data = [
-                    parent_partitions[parent_pos][parent_part]
-                    for parent_pos, parent_part in dependencies
-                ]
-                input_records = sum(len(chunk) for chunk in parent_data)
-                start = time.perf_counter()
-                try:
-                    result = rdd.compute_partition(index, parent_data)
-                except Exception as exc:  # surface which task failed
-                    raise JobExecutionError(stage.name, index, exc) from exc
-                duration = time.perf_counter() - start
-                return result, TaskMetrics(
-                    stage_name=stage.name,
-                    partition=index,
-                    duration_seconds=duration,
-                    input_records=input_records,
-                    output_records=len(result),
-                )
-
-            return task
-
-        tasks = [make_task(index) for index in range(rdd.num_partitions)]
-        outcomes = self.backend.run(tasks)
         partitions = []
-        for result, task_metrics in outcomes:
-            partitions.append(result)
-            stage.tasks.append(task_metrics)
+        for index in range(rdd.num_partitions):
+            parent_data = [
+                parent_partitions[parent_pos][parent_part]
+                for parent_pos, parent_part in rdd.partition_dependencies(index)
+            ]
+            partitions.append(_run_task(
+                stage, index, sum(len(chunk) for chunk in parent_data),
+                lambda: rdd.compute_partition(index, parent_data),
+            ))
         metrics.stages.append(stage)
         return partitions
 
@@ -143,39 +137,16 @@ class DAGScheduler:
         persistent_cache: Dict[int, List[List[Any]]],
         metrics: JobMetrics,
     ) -> List[List[Any]]:
-        parent = rdd.parents[0]
-        parent_partitions = self._materialize(parent, memo, persistent_cache, metrics)
+        parent_partitions = self._materialize(rdd.parents[0], memo, persistent_cache, metrics)
 
         # --- shuffle-map stage ------------------------------------------ #
         map_stage = StageMetrics(name=f"{rdd.name}#map#{rdd.rdd_id}", kind="shuffle-map")
-
-        def make_map_task(index: int):
-            def task():
-                records = parent_partitions[index]
-                start = time.perf_counter()
-                try:
-                    buckets = rdd.map_side(records)
-                except Exception as exc:
-                    raise JobExecutionError(map_stage.name, index, exc) from exc
-                duration = time.perf_counter() - start
-                output_records = sum(len(bucket) for bucket in buckets)
-                return buckets, TaskMetrics(
-                    stage_name=map_stage.name,
-                    partition=index,
-                    duration_seconds=duration,
-                    input_records=len(records),
-                    output_records=output_records,
-                )
-
-            return task
-
-        map_outcomes = self.backend.run(
-            [make_map_task(index) for index in range(parent.num_partitions)]
-        )
-        all_buckets = []
-        for buckets, task_metrics in map_outcomes:
-            all_buckets.append(buckets)
-            map_stage.tasks.append(task_metrics)
+        all_buckets = [
+            _run_task(map_stage, index, len(records),
+                      lambda: rdd.map_side(records),
+                      lambda buckets: sum(len(bucket) for bucket in buckets))
+            for index, records in enumerate(parent_partitions)
+        ]
         # Shuffle volume: everything the map side emits crosses the network
         # (minus what stays machine-local; the cost model discounts that).
         map_stage.shuffle_bytes = estimate_records_bytes(
@@ -187,33 +158,12 @@ class DAGScheduler:
         reduce_stage = StageMetrics(
             name=f"{rdd.name}#reduce#{rdd.rdd_id}", kind="shuffle-reduce"
         )
-
-        def make_reduce_task(target: int):
-            def task():
-                incoming = [buckets[target] for buckets in all_buckets]
-                input_records = sum(len(bucket) for bucket in incoming)
-                start = time.perf_counter()
-                try:
-                    result = rdd.reduce_side(incoming)
-                except Exception as exc:
-                    raise JobExecutionError(reduce_stage.name, target, exc) from exc
-                duration = time.perf_counter() - start
-                return result, TaskMetrics(
-                    stage_name=reduce_stage.name,
-                    partition=target,
-                    duration_seconds=duration,
-                    input_records=input_records,
-                    output_records=len(result),
-                )
-
-            return task
-
-        reduce_outcomes = self.backend.run(
-            [make_reduce_task(target) for target in range(rdd.num_partitions)]
-        )
         partitions = []
-        for result, task_metrics in reduce_outcomes:
-            partitions.append(result)
-            reduce_stage.tasks.append(task_metrics)
+        for target in range(rdd.num_partitions):
+            incoming = [buckets[target] for buckets in all_buckets]
+            partitions.append(_run_task(
+                reduce_stage, target, sum(len(bucket) for bucket in incoming),
+                lambda: rdd.reduce_side(incoming),
+            ))
         metrics.stages.append(reduce_stage)
         return partitions

@@ -4,20 +4,28 @@ The broadcasting model is exact: for any number of partitions its index is
 byte-equal to the local estimator's and to the query service's, because
 every row reads its own ``(seed, node)`` stream.  The RDD model samples
 walks its own way, so it matches the local index up to Monte-Carlo noise
-and must exercise the engine's shuffle machinery.  Both answer queries
-consistently with the local engine.
+and must exercise the engine's shuffle machinery; its own bytes are pinned
+by digest.  Both answer queries consistently with the local engine.
 """
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import ClusterSpec, ExecutionOptions, SimRankParams
+from repro.config import ClusterSpec, SimRankParams
 from repro.core.broadcast_impl import BroadcastingModel
 from repro.core.diagonal import build_diagonal_index
 from repro.core.rdd_impl import RDDModel, _spread_counts
-from repro.engine import ClusterContext
+from repro.engine.context import ClusterContext
 from repro.errors import IndexNotBuiltError
 from repro.graph import generators
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +96,7 @@ class TestBroadcastingModel:
         model.shutdown()
 
     def test_shared_context_reused(self, graph, params):
-        ctx = ClusterContext(ExecutionOptions(backend="serial"))
+        ctx = ClusterContext()
         model = BroadcastingModel(graph, params=params, context=ctx)
         model.build_index()
         assert model.context is ctx
@@ -102,6 +110,57 @@ class TestRDDModel:
         assert index.build_info.execution_model == "rdd"
         assert np.abs(index.diagonal - local_index.diagonal).mean() < 0.05
         model.shutdown()
+
+    # sha256 of the diagonal and of ``single_source(3)`` on the module
+    # fixture, so that no engine change moves the RDD model's bytes
+    # unnoticed (the mean-error test above tolerates noise).  The shuffle
+    # hashes keys to partitions and each walk step seeds its generator per
+    # node, so the bytes depend on the partition count but not on
+    # PYTHONHASHSEED (the keys are ints and tuples of ints).
+    PINNED_DIGESTS = {
+        1: ("f4c97ee76d297c09156df27339614bc6e52cf96b4188be45dbc926a2bb0a3264",
+            "b7ea26170fde06fb6dfa22a733cf1aec08116630f804c3711990efa0c1be0c38"),
+        2: ("b7e2f2dc672623c94819a501b2acc0eda09ecac74aeaf2cc205e617396624aeb",
+            "a499d9b4623ec7147e0cb24cc6ec107c7ec72e29c4875b1a5958e3bbff17019a"),
+        3: ("46e6ceff959d79bd4a5843dc83e321e3386e0c422e813861ef4065dc55d8be01",
+            "97ccf94596343fed2b126680c5f48ad1ba36139b186886a0fab38633c8a0d3e2"),
+        4: ("ca53e74b46ca377c54c0845a7c0366fb0daca06dbf865193148508ebd4727bb1",
+            "a37d3b67b8980b89f07d61e05c03549320b59d47d28c32755ce2035a5d0258fc"),
+        6: ("9480e67bc7d82d2c6553821952397e85657deef6b45b0d23294f9ff6d68f98ca",
+            "60a3bbab23d49be2430eed8fc2370f2b67b8d12206ce11d517e056d67ae35f1d"),
+    }
+
+    @pytest.mark.parametrize("num_partitions", sorted(PINNED_DIGESTS))
+    def test_answers_pinned(self, graph, params, num_partitions):
+        model = RDDModel(graph, params=params, num_partitions=num_partitions)
+        diagonal = model.build_index().diagonal
+        scores = model.single_source(3)
+        model.shutdown()
+        digests = tuple(hashlib.sha256(array.tobytes()).hexdigest()
+                        for array in (diagonal, scores))
+        assert digests == self.PINNED_DIGESTS[num_partitions]
+
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_answers_pinned_under_any_hash_seed(self, hash_seed):
+        # The same build in a fresh interpreter with another PYTHONHASHSEED.
+        script = (
+            "import hashlib\n"
+            "from repro.config import SimRankParams\n"
+            "from repro.core.rdd_impl import RDDModel\n"
+            "from repro.graph import generators\n"
+            "graph = generators.copying_model_graph(90, out_degree=4,"
+            " copy_prob=0.5, seed=21)\n"
+            "params = SimRankParams(c=0.6, walk_steps=5, jacobi_iterations=4,"
+            " index_walkers=120, query_walkers=400, seed=17)\n"
+            "model = RDDModel(graph, params=params, num_partitions=3)\n"
+            "arrays = (model.build_index().diagonal, model.single_source(3))\n"
+            "print(' '.join(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        completed = subprocess.run([sys.executable, "-c", script], env=env,
+                                   capture_output=True, text=True, timeout=120,
+                                   check=True)
+        assert tuple(completed.stdout.split()) == self.PINNED_DIGESTS[3]
 
     def test_shuffles_recorded(self, graph, params):
         model = RDDModel(graph, params=params, num_partitions=3)

@@ -1,4 +1,4 @@
-"""Unit tests for ClusterContext, Broadcast, Accumulator and metrics."""
+"""Unit tests for ClusterContext, Broadcast and job metrics."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.config import ClusterSpec, ExecutionOptions
 from repro.engine.context import ClusterContext
 from repro.engine.broadcast import Broadcast, estimate_size_bytes
+from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.graph.partition import HashPartitioner
 
@@ -52,30 +53,18 @@ class TestBroadcast:
 
     def test_broadcast_bytes_recorded_in_metrics(self, ctx):
         ctx.broadcast(np.zeros(1000))
-        ctx.parallelize([1, 2, 3]).count()
-        assert ctx.last_job_metrics.broadcast_bytes >= 8000
+        ctx.parallelize([1, 2, 3]).collect()
+        assert ctx.job_history[-1].broadcast_bytes >= 8000
+        # Only the first job after a broadcast carries its bytes.
+        ctx.parallelize([1, 2, 3]).collect()
+        assert ctx.job_history[-1].broadcast_bytes == 0
 
-
-class TestAccumulator:
-    def test_sum_accumulator(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.parallelize(range(10)).foreach(acc.add)
-        assert acc.value == 45
-        assert acc.updates == 10
-
-    def test_custom_combine(self, ctx):
-        acc = ctx.accumulator(1, combine=lambda a, b: a * b, name="product")
-        for value in [2, 3, 4]:
-            acc.add(value)
-        assert acc.value == 24
-        assert "product" in repr(acc)
-
-    def test_reset(self, ctx):
-        acc = ctx.accumulator(0)
-        acc.add(5)
-        acc.reset(0)
-        assert acc.value == 0
-        assert acc.updates == 0
+    def test_broadcast_bytes_add_up_across_broadcasts(self, ctx):
+        ctx.broadcast([1], size_bytes=100)
+        ctx.broadcast([2], size_bytes=23)
+        ctx.parallelize([1]).collect()
+        assert ctx.job_history[-1].broadcast_bytes == 123
+        assert len(ctx.broadcasts) == 2
 
 
 class TestContext:
@@ -93,23 +82,16 @@ class TestContext:
         finally:
             ctx.shutdown()
 
-    def test_range(self, ctx):
-        assert ctx.range(3).collect() == [0, 1, 2]
-        assert ctx.range(2, 5).collect() == [2, 3, 4]
-
-    def test_text_file(self, ctx, tmp_path):
-        path = tmp_path / "data.txt"
-        path.write_text("alpha\nbeta\ngamma\n")
-        assert ctx.text_file(path).count() == 3
-
-    def test_text_file_directory_of_parts(self, ctx, tmp_path):
-        (tmp_path / "part-00000").write_text("a\nb\n")
-        (tmp_path / "part-00001").write_text("c\n")
-        assert sorted(ctx.text_file(tmp_path).collect()) == ["a", "b", "c"]
+    def test_invalid_num_partitions_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ExecutionOptions(num_partitions=0)
 
     def test_context_manager_shuts_down(self):
         with ClusterContext() as ctx:
-            assert ctx.parallelize([1, 2]).count() == 2
+            rdd = ctx.parallelize([1, 2]).map(lambda x: x).persist()
+            assert sorted(rdd.collect()) == [1, 2]
+            assert ctx._cache
+        assert not ctx._cache
 
     def test_repr(self, ctx):
         assert "ClusterContext" in repr(ctx)
@@ -129,50 +111,62 @@ class TestContext:
         assert rdd.num_partitions == 3
         assert len(rdd.collect()) == 12
 
-    def test_graph_edges_rdd(self, ctx):
-        graph = generators.cycle_graph(5)
-        assert sorted(ctx.graph_edges_rdd(graph).collect()) == sorted(graph.edges())
+    def test_graph_in_adjacency_rdd_default_partitions(self, ctx):
+        rdd = ctx.graph_in_adjacency_rdd(generators.cycle_graph(30))
+        assert rdd.num_partitions == ctx.default_parallelism
 
+    def test_graph_edges_rdd(self, ctx):
+        # The adjacency RDD holds every edge exactly once, as in-lists.
+        graph = generators.cycle_graph(5)
+        edges = ctx.graph_in_adjacency_rdd(graph, 2).flat_map(
+            lambda record: [(int(source), record[0]) for source in record[1]]
+        ).collect()
+        assert sorted(edges) == sorted(graph.edges())
 
 class TestMetrics:
     def test_job_history_grows(self, ctx):
         before = len(ctx.job_history)
-        ctx.parallelize([1, 2, 3]).count()
+        ctx.parallelize([1, 2, 3]).collect()
         ctx.parallelize([1, 2, 3]).map(lambda x: x).collect()
         assert len(ctx.job_history) == before + 2
 
     def test_narrow_job_has_single_stage_per_rdd_level(self, ctx):
         ctx.parallelize(range(10), 2).map(lambda x: x).collect()
-        metrics = ctx.last_job_metrics
+        metrics = ctx.job_history[-1]
         assert metrics.num_stages == 2  # parallelize + map
         assert metrics.num_tasks == 4
 
     def test_shuffle_job_has_map_and_reduce_stages(self, ctx):
         ctx.parallelize([("a", 1), ("b", 2)], 2).reduce_by_key(lambda a, b: a + b).collect()
-        kinds = [stage.kind for stage in ctx.last_job_metrics.stages]
+        kinds = [stage.kind for stage in ctx.job_history[-1].stages]
         assert "shuffle-map" in kinds
         assert "shuffle-reduce" in kinds
 
     def test_shuffle_bytes_positive(self, ctx):
         pairs = [(i % 10, "x" * 50) for i in range(500)]
-        ctx.parallelize(pairs, 4).group_by_key().collect()
-        assert ctx.last_job_metrics.total_shuffle_bytes > 0
+        ctx.parallelize(pairs, 4).reduce_by_key(lambda a, b: a + b).collect()
+        assert ctx.job_history[-1].total_shuffle_bytes > 0
 
     def test_metrics_since_and_checkpoint(self, ctx):
         marker = ctx.checkpoint()
-        ctx.parallelize([1]).count()
-        ctx.parallelize([2]).count()
+        ctx.parallelize([1]).collect()
+        ctx.parallelize([2]).collect()
         merged = ctx.metrics_since(marker, action="phase")
         assert merged.num_stages >= 2
         assert merged.wall_clock_seconds > 0
 
+    def test_checkpoint_counts_jobs(self, ctx):
+        assert ctx.checkpoint() == 0
+        ctx.parallelize([1]).collect()
+        marker = ctx.checkpoint()
+        assert marker == 1
+        ctx.parallelize([2], 1).map(lambda x: x).collect()
+        merged = ctx.metrics_since(marker)
+        assert merged.num_stages == 2
+        assert merged.num_tasks == 2
+
     def test_metrics_to_dict(self, ctx):
         ctx.parallelize([("a", 1)]).reduce_by_key(lambda a, b: a + b).collect()
-        record = ctx.last_job_metrics.to_dict()
+        record = ctx.job_history[-1].to_dict()
         assert record["num_stages"] == len(record["stages"])
         assert record["action"] == "collect"
-
-    def test_estimate_cost_requires_a_job(self):
-        with ClusterContext() as fresh:
-            with pytest.raises(ValueError):
-                fresh.estimate_cost()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.context import ClusterContext
-from repro.engine.partitioner import HashKeyPartitioner, RangeKeyPartitioner
+from repro.engine.rdd import HashKeyPartitioner, ShuffledRDD
 from repro.engine.scheduler import estimate_records_bytes
 from repro.errors import ConfigurationError
 
@@ -36,39 +36,50 @@ class TestHashKeyPartitioner:
         assert HashKeyPartitioner(3) != HashKeyPartitioner(4)
         assert "num_partitions=3" in repr(HashKeyPartitioner(3))
 
+    def test_matches_python_hash(self):
+        partitioner = HashKeyPartitioner(5)
+        for key in [0, 7, -3, "walker", (4, 9)]:
+            assert partitioner.partition(key) == hash(key) % 5
+
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
             HashKeyPartitioner(0)
 
 
-class TestRangeKeyPartitioner:
-    def test_bounds_partitioning(self):
-        partitioner = RangeKeyPartitioner([10, 20])
-        assert partitioner.num_partitions == 3
-        assert partitioner.partition(5) == 0
-        assert partitioner.partition(10) == 0
-        assert partitioner.partition(15) == 1
-        assert partitioner.partition(99) == 2
+def _add(a, b):
+    return a + b
 
-    def test_from_sample_produces_balanced_bounds(self):
-        keys = list(range(100))
-        partitioner = RangeKeyPartitioner.from_sample(keys, 4)
-        assignments = [partitioner.partition(key) for key in keys]
-        counts = [assignments.count(p) for p in range(partitioner.num_partitions)]
-        assert max(counts) <= 2 * min(count for count in counts if count)
 
-    def test_from_sample_duplicate_keys_collapse(self):
-        partitioner = RangeKeyPartitioner.from_sample([1, 1, 1, 1], 4)
-        assert partitioner.num_partitions <= 2
+def _summing_shuffle(ctx, num_partitions):
+    return ShuffledRDD(ctx.parallelize([0]), HashKeyPartitioner(num_partitions),
+                       create_combiner=lambda value: value, merge_value=_add,
+                       merge_combiners=_add)
 
-    def test_from_sample_empty(self):
-        partitioner = RangeKeyPartitioner.from_sample([], 3)
-        assert partitioner.num_partitions == 1
-        assert partitioner.partition("anything") == 0
 
-    def test_from_sample_invalid(self):
-        with pytest.raises(ConfigurationError):
-            RangeKeyPartitioner.from_sample([1, 2], 0)
+class TestShuffleSides:
+    def test_map_side_buckets_by_partitioner(self):
+        with ClusterContext() as ctx:
+            shuffle = _summing_shuffle(ctx, 3)
+            buckets = shuffle.map_side([(0, 1), (1, 1), (2, 1), (4, 1)])
+            assert len(buckets) == 3
+            for index, bucket in enumerate(buckets):
+                assert all(key % 3 == index for key in bucket)
+
+    def test_map_side_precombines_same_key(self):
+        with ClusterContext() as ctx:
+            buckets = _summing_shuffle(ctx, 2).map_side([(1, 2), (1, 5), (3, 1)])
+            assert buckets[1] == {1: 7, 3: 1}
+            assert buckets[0] == {}
+
+    def test_reduce_side_merges_buckets(self):
+        with ClusterContext() as ctx:
+            merged = _summing_shuffle(ctx, 2).reduce_side([{1: 2, 3: 1}, {1: 5}, {}])
+            assert dict(merged) == {1: 7, 3: 1}
+            assert len(merged) == 2
+
+    def test_reduce_side_empty(self):
+        with ClusterContext() as ctx:
+            assert _summing_shuffle(ctx, 2).reduce_side([]) == []
 
 
 class TestStageStructure:
@@ -94,8 +105,21 @@ class TestStageStructure:
     def test_job_metrics_stage_kinds_in_order(self):
         with ClusterContext() as ctx:
             ctx.parallelize([("a", 1)], 1).reduce_by_key(lambda x, y: x + y).collect()
-            kinds = [stage.kind for stage in ctx.last_job_metrics.stages]
+            kinds = [stage.kind for stage in ctx.job_history[-1].stages]
             assert kinds == ["narrow", "shuffle-map", "shuffle-reduce"]
+
+    def test_cogroup_shuffles_the_union_of_both_sides(self):
+        with ClusterContext() as ctx:
+            left = ctx.parallelize([("a", 1), ("b", 2)], 2)
+            right = ctx.parallelize([("a", "x")], 1)
+            left.cogroup(right, 4).collect()
+            stages = ctx.job_history[-1].stages
+            kinds = [stage.kind for stage in stages]
+            assert kinds[-2:] == ["shuffle-map", "shuffle-reduce"]
+            assert kinds.count("shuffle-map") == 1
+            # One map task per union partition, one reduce task per output.
+            assert len(stages[-2].tasks) == 3
+            assert len(stages[-1].tasks) == 4
 
     def test_diamond_lineage_reuses_memoized_parent(self):
         with ClusterContext() as ctx:
@@ -109,6 +133,6 @@ class TestStageStructure:
             left = base.map(lambda x: x * 2)
             right = base.map(lambda x: x * 3)
             union = left.union(right)
-            assert union.count() == 20
+            assert len(union.collect()) == 20
             # `base` is materialised once per job even though two children use it.
             assert len(calls) == 10

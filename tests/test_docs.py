@@ -4,8 +4,9 @@ Three layers of honesty checks:
 
 * required documents exist and still cover the topics source docstrings
   cite them for;
-* every path, ``module.symbol``, ``--flag`` and knob-table reference in
-  the docs resolves (``scripts/check_docs.py``, also run standalone);
+* every path, ``module.symbol``, ``--flag``, knob-table and layer-box
+  reference in the docs resolves (``scripts/check_docs.py``, also run
+  standalone);
 * every public symbol of the serving/persistence API surface carries a
   docstring.
 """
@@ -138,6 +139,29 @@ class TestDocLinks:
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
         problems = checker.check_docs()
         assert len(problems) == 1 and "max_batch_size" in problems[0]
+
+    def test_checker_detects_deleted_module_in_layer_box(self, tmp_path, monkeypatch):
+        """A layer box that still lists a deleted module is rot too."""
+        checker = _load_checker()
+        package = tmp_path / "src" / "repro" / "engine"
+        package.mkdir(parents=True)
+        for module in ("__init__", "rdd", "cost_model"):
+            (package / f"{module}.py").write_text("")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "architecture.md").write_text(
+            "┌──────────────────────────────────┐\n"
+            "│ engine  src/repro/engine/        │\n"
+            "│   rdd (lazy) · accumulator       │\n"
+            "│     continued · not split        │\n"
+            "│   cost_model                     │\n"
+            "├──────────────────────────────────┤\n"
+            "│ cli     src/repro/cli.py         │\n"
+            "│   not a package box              │\n"
+            "└──────────────────────────────────┘\n"
+        )
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        problems = checker.check_docs()
+        assert len(problems) == 1 and "'accumulator'" in problems[0]
 
     def test_checker_cli_exit_codes(self):
         completed = subprocess.run(

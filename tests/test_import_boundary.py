@@ -1,10 +1,12 @@
-"""The serving side never loads the Spark simulator, and the graph layer
-never loads the core.
+"""The serving side and the Spark simulator load none of each other, and
+the graph layer never loads the core.
 
-``repro.service`` and the sharded build share exactly one module with
+``repro.service`` and the sharded build take exactly one module from
 ``repro.engine`` — ``executor`` (backends and the resident registry) — and
 none of the reproduction-side core modules (the ``CloudWalker`` facade, the
-paper's two execution models, the local diagonal estimator).
+paper's two execution models, the local diagonal estimator).  The
+simulator (``repro.engine.context`` and what it runs) runs its tasks in
+process, so it loads neither ``executor`` nor any ``repro.service`` module.
 ``repro.graph`` — the CSR frontier gather included — sits below
 ``repro.core`` and imports none of it.  Each check runs in a fresh
 interpreter, because this test session has long since imported
@@ -45,6 +47,13 @@ def test_serving_imports_stop_at_engine_executor():
     engine = {name for name in loaded if name.startswith("repro.engine.")}
     assert engine == {"repro.engine.executor"}
     assert not loaded & set(REPRODUCTION_CORE)
+
+
+def test_the_simulator_loads_no_executor_and_no_service():
+    loaded = _loaded_after_importing(["repro.engine.context", "repro.core.rdd_impl"])
+    assert "repro.core.rdd_impl" in loaded
+    assert "repro.engine.executor" not in loaded
+    assert not {name for name in loaded if name.startswith("repro.service")}
 
 
 @pytest.mark.parametrize("first", ["repro.service.sharded",

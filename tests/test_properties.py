@@ -512,18 +512,30 @@ class TestEngineProperties:
             expected[key] = expected.get(key, 0) + value
         assert result == expected
 
-    @given(st.lists(st.integers(min_value=-100, max_value=100), max_size=80),
+    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=60),
            st.integers(min_value=1, max_value=5))
-    def test_sort_by_matches_sorted(self, values, partitions):
+    def test_distinct_matches_set(self, values, partitions):
         with ClusterContext() as ctx:
-            result = ctx.parallelize(values, partitions).sort_by(lambda x: x).collect()
-        assert result == sorted(values)
-
-    @given(st.lists(st.integers(min_value=0, max_value=30), max_size=60))
-    def test_distinct_matches_set(self, values):
-        with ClusterContext() as ctx:
-            result = ctx.parallelize(values).distinct().collect()
+            result = (ctx.parallelize(values, partitions).map(lambda x: (x, None))
+                      .reduce_by_key(lambda a, b: a).map(lambda pair: pair[0]).collect())
         assert sorted(result) == sorted(set(values))
+
+    @given(
+        st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.integers()), max_size=40),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=6), st.integers()), max_size=40),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_cogroup_matches_sequential_grouping(self, left, right, partitions):
+        with ClusterContext() as ctx:
+            result = dict(
+                ctx.parallelize(left, 3).cogroup(ctx.parallelize(right, 2), partitions)
+                .collect()
+            )
+        keys = {key for key, _value in left + right}
+        assert set(result) == keys
+        for key in keys:
+            assert sorted(result[key][0]) == sorted(v for k, v in left if k == key)
+            assert sorted(result[key][1]) == sorted(v for k, v in right if k == key)
 
 
 # --------------------------------------------------------------------------- #
