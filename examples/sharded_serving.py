@@ -2,20 +2,19 @@
 """Sharded builds and serving, end to end.
 
 There is one serving class, ``QueryService``; ``ShardingParams(num_shards=K)``
-splits its index rows, versions and load counters across ``K`` shards,
-and the default ``K = 1`` is a one-shard plan of the same program.  Every
-query is served from one cache of ``cache_capacity × K`` entries per kind.
-This example:
+splits the rows an index build or update estimates into at most ``K``
+row tasks, and the default ``K = 1`` is the same program.  Every query is
+served from one cache of ``cache_capacity × K`` entries per kind.  This
+example:
 
 1. builds the same index with one shard and with 4 shards, and verifies
    the diagonals are *bitwise-identical*;
 2. serves pair / source / top-k queries at ``K = 4`` and checks every
    answer against the one-shard service;
-3. inserts edges live and watches only the *touched* shards re-estimate
-   and bump their versions, while the cache drops only the affected
-   sources;
-4. snapshots the 4-shard deployment (index, system and plan record) and
-   cold-starts a second service from it, under the lineage's plan.
+3. inserts edges live and re-estimates only the rows the edit can change,
+   while the cache drops only the affected sources;
+4. snapshots the 4-shard deployment (index and system) and cold-starts a
+   second service from it at ``K = 2``: the lineage does not record K.
 
 The 4-shard service simulates its cache misses through a persistent
 ``threads`` pool (``ServiceParams.serve_backend``) and is closed at the
@@ -47,7 +46,7 @@ def main() -> None:
     sharded = QueryService.build(
         graph, params,
         service_params=ServiceParams(serve_backend="threads", serve_workers=4),
-        sharding=ShardingParams(num_shards=4, strategy="hash"),
+        sharding=ShardingParams(num_shards=4),
     )
     identical = np.array_equal(single.index.diagonal, sharded.index.diagonal)
     print(f"4-shard build bitwise-identical to single-shard: {identical}")
@@ -59,32 +58,29 @@ def main() -> None:
     print(f"answers match single-shard: {list(reference) == list(answers)}")
     print(f"top-5 for node 3: {answers[1]}")
 
-    # 3. A live edit: only shards owning re-estimated rows are touched.
+    # 3. A live edit: only the rows whose walks met a head re-estimate.
     result = sharded.add_edges([(2, 120), (5, 120)])
-    touched = [shard for shard, version in enumerate(sharded.shard_versions)
-               if version == sharded.index_version]
-    print(f"edit affected {result.affected_rows} rows; touched shards "
-          f"{touched} of {sharded.num_shards} "
-          f"(shard versions {sharded.shard_versions})")
+    print(f"edit affected {result.affected_rows} rows; re-estimated "
+          f"{result.estimated_rows} in at most {sharded.num_shards} tasks")
     single.add_edges([(2, 120), (5, 120)])
     post = sharded.run_batch(queries)
     print(f"post-update answers match single-shard: "
           f"{list(single.run_batch(queries)) == list(post)}")
 
-    # 4. Snapshot: index, system and plan record, restored under its plan.
+    # 4. Snapshot: index and system, restored at another K.
     with tempfile.TemporaryDirectory() as snapshot_dir:
         version, where = sharded.save_snapshot(snapshot_dir)
         print(f"sharded snapshot v{version} written to {where}")
-        restored = QueryService.from_snapshot(sharded.graph, snapshot_dir)
+        restored = QueryService.from_snapshot(
+            sharded.graph, snapshot_dir,
+            sharding=ShardingParams(num_shards=2))
         match = list(restored.run_batch(queries)) == list(post)
         print(f"restored service (version {restored.index_version}, "
               f"{restored.num_shards} shards) answers match: {match}")
 
     stats = sharded.stats()
-    print("per-shard stats (nodes / routed / simulated): "
-          + ", ".join(f"s{row['shard']}: {row['nodes']}/{row['sources_routed']}"
-                      f"/{row['sources_simulated']}" for row in stats["shards"])
-          + f"; one cache of {stats['cache_size']} distributions")
+    print(f"{stats['sources_simulated']} sources simulated; one cache of "
+          f"{stats['cache_size']} distributions")
 
     # 5. Release the persistent scatter/build pools.
     single.close()

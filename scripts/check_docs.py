@@ -59,7 +59,7 @@ _CODE_PATH = re.compile(r"`([\w./-]+/[\w./-]+\.[A-Za-z0-9]+)`")
 # docs/ citations inside Python docstrings/comments, e.g. ``docs/DESIGN.md``.
 _DOCS_IN_SOURCE = re.compile(r"docs/[\w.-]+\.md")
 # Backticked dotted symbol references like `repro.service.QueryService`,
-# `QueryService.run_batch` or `ShardPlan.shard_of()` (no slashes = not a path).
+# `QueryService.run_batch` or `SnapshotStore.load()` (no slashes = not a path).
 _CODE_SYMBOL = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 # Backticked spans opening with a CLI flag, like `--shards 4` or `--force`.
 # Spans that open with a command (`pytest --benchmark-only`) name another

@@ -29,9 +29,10 @@
 #                                    reported phases cover update_seconds
 #                                    (and are printed); then one CLI
 #                                    snapshot lineage (index, update,
-#                                    restarted update, update): three
-#                                    files per version,
-#                                    newest diagonal == a fresh build
+#                                    update restarted at another K,
+#                                    update): two files per version
+#                                    (index, system), newest
+#                                    diagonal == a fresh build
 #   7. scripts/size_probe.py       - build, cold top-k, update and peak RSS
 #                                    at a tiny size, so the probe stays
 #                                    runnable (printed, not gated)

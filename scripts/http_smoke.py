@@ -15,8 +15,8 @@ a real child process:
 3. probe the score cache entries: one ``topk`` line and one ``source``
    line, each posted twice, return byte-identical JSON, the second served
    from its score entry (``cache_score_hits`` in ``/stats`` moves by
-   exactly one per line); ``POST /rebalance`` answers 404 (shard plans are
-   fixed at build) and leaves ``index_version`` unchanged,
+   exactly one per line); ``POST /rebalance`` answers 404 (there is no
+   shard assignment to migrate) and leaves ``index_version`` unchanged,
 4. post one ``pair`` line with an endpoint of in-degree 0 in the served
    graph: it answers ``0.0`` without a walk (``sources_simulated`` in
    ``/stats`` does not move, ``dead_end_pairs`` moves by one); then one

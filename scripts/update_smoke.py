@@ -3,9 +3,8 @@
 
 Drives the index maintainer (:class:`repro.core.sharding.
 ShardedIncrementalWalker`, per-source streams, cold solves — the service's
-configuration) through a storm of edge batches on a tiny graph, once on a
-one-shard and once on a three-shard plan, asserting after *every* batch
-that
+configuration) through a storm of edge batches on a tiny graph, once in
+one row task and once in three, asserting after *every* batch that
 
 * the graph ``DiGraph.with_edges`` merged equals the constructor's on the
   union (all four CSR arrays),
@@ -24,18 +23,18 @@ that
 
 This is the cheap always-on guard for the update path's core contract: an
 update may only ever be a cheaper route to the from-scratch result.  It
-also prints, per shard count, the per-phase cost of the storm and the
+also prints, per task count, the per-phase cost of the storm and the
 microseconds per re-estimated row (the walk kernel's per-row cost, over
 ``MutationResult.estimated_rows``), so a regression in the update path
 shows without a profiler.
 
 A last leg drives one snapshot lineage through the CLI, one process per
 command: ``index --shards 3``, an ``update --shards 3`` into
-``--snapshot-dir D``, a second ``update`` restarted from ``D`` and one
-more ``update``.  It asserts that ``D`` holds only ``index-``/``system-``/
-``plan-v*`` files, three per version, that ``snapshot list`` lists those
-versions, and that the newest diagonal is byte-equal to a from-scratch
-build on the final graph.
+``--snapshot-dir D``, a second ``update`` restarted from ``D`` at the
+default K = 1 and one more ``update``.  It asserts that ``D`` holds only
+``index-``/``system-v*`` files, two per version, that ``snapshot list``
+lists those versions, and that the newest diagonal is byte-equal to a
+from-scratch build on the final graph.
 Exit code 0 on success, 1 on any divergence; runs in a few seconds.
 
 Usage::
@@ -61,7 +60,7 @@ SHARD_COUNTS = (1, 3)
 
 
 def storm(num_shards: int) -> int:
-    """Run the storm on a ``num_shards`` plan; print its costs; 0 = pass."""
+    """Run the storm in ``num_shards`` row tasks; print its costs; 0 = pass."""
     import numpy as np
 
     from repro.config import SimRankParams
@@ -70,7 +69,6 @@ def storm(num_shards: int) -> int:
     from repro.core.sharding import PHASES, ShardedIncrementalWalker
     from repro.graph import generators
     from repro.graph.digraph import DiGraph
-    from repro.graph.partition import ShardPlan
 
     params = SimRankParams(c=0.6, walk_steps=WALK_STEPS, jacobi_iterations=3,
                            index_walkers=10, query_walkers=10, seed=7)
@@ -78,8 +76,7 @@ def storm(num_shards: int) -> int:
     rng = np.random.default_rng(7)
     hot = rng.permutation(N_NODES)[: N_NODES // 10]
 
-    walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
-                                      params=params)
+    walker = ShardedIncrementalWalker(graph, num_shards, params=params)
     walker.build()
     failures = []
     phase_totals = dict.fromkeys(PHASES, 0.0)
@@ -196,21 +193,18 @@ def lineage() -> int:
         names = sorted(path.name for path in snaps.iterdir())
         expected = sorted(
             store.index_path(v).name for v in versions) + sorted(
-            store.plan_path(v).name for v in versions) + sorted(
             store.system_path(v).name for v in versions)
         if versions != [2, 3, 4] or names != sorted(expected):
-            failures.append(f"lineage holds {names}, expected three files "
+            failures.append(f"lineage holds {names}, expected two files "
                             f"for each of versions 2..4")
         listed = [int(match.group(1)) for match in re.finditer(
             r"^(\d+)\s", _cli("snapshot", "list", "--dir", str(snaps)),
             re.MULTILINE)]
         if listed != versions:
             failures.append(f"snapshot list shows {listed}, not {versions}")
-        if store.load_plan().num_shards != 3:
-            failures.append("the lineage lost its 3-shard plan")
         final = graph_io.read_edge_list(current, relabel=False)
         params = DiagonalIndex.load(index).params
-        newest = store.load()[1].index.diagonal
+        newest = store.load()[1].diagonal
         if newest.tobytes() != build_diagonal_index(
                 final, params).diagonal.tobytes():
             failures.append("newest diagonal differs from a from-scratch "
@@ -221,7 +215,7 @@ def lineage() -> int:
         print(f"FAIL {label}: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print(f"{label}: index, update, restarted update, update; versions {versions}, three files each, newest diagonal "
+    print(f"{label}: index, update, restarted update, update; versions {versions}, two files each, newest diagonal "
           f"bitwise-equal to a from-scratch build")
     return 0
 

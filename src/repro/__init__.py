@@ -19,9 +19,9 @@ The public API is intentionally small; the most common entry points are:
 ``repro.service``
     The online serving layer: batched query execution over a persistently
     loaded index with an LRU cache of walk distributions, live edge
-    insertions folded in incrementally, versioned index snapshots, and
-    per-node state split across ``K`` shards (``QueryService``; ``K = 1``
-    is a one-shard plan).
+    insertions folded in incrementally, and versioned index snapshots
+    (``QueryService``; ``K`` shards split index builds and updates into
+    row tasks, ``K = 1`` by default).
 
 Quick start::
 

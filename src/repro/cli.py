@@ -7,9 +7,10 @@ validate it, and answer queries — all from the shell.
 Every serving and maintenance command (``query-batch``, ``serve``,
 ``serve-http``, ``replay``, ``update``, ``snapshot``) has one
 deployment shape for every ``--shards K``: a single machine is the K = 1
-cluster, a one-shard plan of the same :class:`~repro.service.QueryService`,
-and writes the same snapshot layout (per version ``index-vN.npz``, an
-optional ``system-vN.npz`` and ``plan-vN.json``) as any other K.
+cluster of the same :class:`~repro.service.QueryService`, K only splits
+index builds and updates into row tasks, and every K writes and reads the
+same snapshot layout (per version ``index-vN.npz`` and an optional
+``system-vN.npz``).
 
 Examples
 --------
@@ -48,11 +49,10 @@ from repro.config import (
     UpdateParams,
 )
 from repro.core.cloudwalker import CloudWalker
-from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
+from repro.core.index import DiagonalIndex, SnapshotStore
 from repro.errors import CloudWalkerError
 from repro.graph import datasets, generators, io, stats
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
 
 
 # --------------------------------------------------------------------------- #
@@ -92,12 +92,9 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
     defaults = ShardingParams()
     parser.add_argument("--shards", type=int, default=defaults.num_shards,
-                        help="number of index shards K (default: "
+                        help="number of index shards K: the most row tasks "
+                             "a build or an update runs (default: "
                              "%(default)s)")
-    parser.add_argument("--shard-strategy", dest="shard_strategy",
-                        default=defaults.strategy,
-                        choices=["hash", "contiguous", "partitioner"],
-                        help="node-to-shard assignment (default: %(default)s)")
     parser.add_argument("--shard-backend", dest="shard_backend",
                         default=defaults.backend,
                         choices=["serial", "threads", "processes"],
@@ -113,7 +110,6 @@ def _sharding_from_args(args: argparse.Namespace) -> ShardingParams:
     """Build (and validate) :class:`ShardingParams` from ``--shard-*`` args."""
     return ShardingParams(
         num_shards=args.shards,
-        strategy=args.shard_strategy,
         backend=args.shard_backend,
         max_workers=args.shard_workers,
     )
@@ -218,7 +214,7 @@ def _cmd_index(args: argparse.Namespace, out) -> int:
     critical_path = max(per_shard.values()) if per_shard else 0.0
     print(f"indexed {graph.n_nodes} nodes / {graph.n_edges} edges "
           f"in {elapsed:.2f}s across {sharding.num_shards} "
-          f"{sharding.strategy!r} shards ({sharding.backend} backend); "
+          f"shards ({sharding.backend} backend); "
           f"slowest shard {critical_path:.2f}s", file=out)
     print(f"index written to {args.output} "
           f"({index.memory_bytes / 1024:.1f} KiB, residual "
@@ -510,9 +506,8 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
                          graph: DiGraph, out):
     """Resolve the service an ``update`` run mutates, plus its description.
 
-    A ``--snapshot-dir`` holding a snapshot wins over ``--index`` and
-    keeps its own shard count; otherwise ``--index`` starts a lineage
-    with ``--shards K`` shards.
+    A ``--snapshot-dir`` holding a snapshot wins over ``--index``;
+    either way the service runs at ``--shards K``.
     """
     from repro.service import QueryService
 
@@ -524,16 +519,11 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
             graph, args.snapshot_dir, update_params=update_params,
             sharding=sharding,
         )
-        shards = service.num_shards
-        if args.shards > 1 and args.shards != shards:
-            print(f"note: a lineage's shard plan is fixed at its first "
-                  f"version; keeping the directory's {shards}-shard plan "
-                  f"(ignoring --shards {args.shards})", file=out)
         if not store.describe(service.index_version)["has_system"]:
             print("note: snapshot carries no linear system; estimating it once",
                   file=out)
         return service, (f"snapshot v{service.index_version} in "
-                         f"{args.snapshot_dir} ({shards}-shard plan)")
+                         f"{args.snapshot_dir} (shards: {service.num_shards})")
     if not args.index:
         raise CloudWalkerError(
             "update requires --index or a non-empty --snapshot-dir")
@@ -542,7 +532,7 @@ def _load_update_service(args: argparse.Namespace, update_params: UpdateParams,
     service = QueryService.from_index_file(
         graph, args.index, update_params=update_params, sharding=sharding,
     )
-    return service, f"{args.index} ({service.num_shards}-shard plan)"
+    return service, f"{args.index} (shards: {service.num_shards})"
 
 
 def _cmd_update(args: argparse.Namespace, out) -> int:
@@ -600,8 +590,7 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
 
     ``list`` shows the committed versions and whether each carries the
     linear system; ``save`` writes an index file's diagonal as a new
-    version with no system, under the lineage's plan (a new directory
-    gets a one-shard plan), so the first update estimates the system
+    version with no system, so the first update estimates the system
     once; ``prune`` keeps the newest ``--retain`` versions.
     """
     store = SnapshotStore(args.dir, retain=args.retain)
@@ -610,8 +599,6 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
         if not versions:
             print(f"no snapshots in {args.dir}", file=out)
             return 0
-        plan = store.load_plan()
-        print(f"{plan.num_shards}-shard {plan.strategy!r} lineage", file=out)
         print(f"{'version':<9} {'nodes':<9} {'edges':<10} {'system':<8} path",
               file=out)
         for version in versions:
@@ -624,13 +611,9 @@ def _cmd_snapshot(args: argparse.Namespace, out) -> int:
         if not args.index:
             print("snapshot save requires --index", file=out)
             return 2
-        latest = store.latest_version()
-        plan = store.load_plan(latest) if latest else ShardPlan.hashed(1)
-        version = store.save_snapshot(ShardedIndex(
-            index=DiagonalIndex.load(args.index), plan=plan,
-            shard_versions=[(latest or 0) + 1] * plan.num_shards))
+        version = store.save_snapshot(DiagonalIndex.load(args.index))
         print(f"snapshot v{version} written to {args.dir} "
-              f"({plan.num_shards}-shard plan, no linear system)", file=out)
+              "(no linear system)", file=out)
         return 0
     removed = store.prune()
     if removed:

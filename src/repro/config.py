@@ -345,32 +345,25 @@ class UpdateParams:
 
 @dataclass(frozen=True)
 class ShardingParams:
-    """How index rows are grouped into build and update tasks.
+    """How a build or an update splits the index rows it estimates.
 
-    The shard plan these parameters make is fixed for a service's lifetime:
-    it decides which task estimates a node's row of the indexing system
-    (at build and on every update) and which shard's per-shard counters and
-    version a node counts against.  Queries walk the whole graph and never
-    consult it, so ``K`` and the strategy change wall-clock only, never an
-    answer.
+    ``K`` is a task count and nothing else: the sorted rows a build or an
+    update estimates go out as at most ``K`` strided tasks (``rows[k::K]``,
+    empty tasks dropped), the gathered system is solved once, and every
+    worker serves from the whole broadcast diagonal.  Queries walk the
+    whole graph, so ``K`` changes wall-clock only, never an answer, and
+    nothing about the split is persisted.
 
     Attributes
     ----------
     num_shards:
-        ``K`` — number of index shards.  ``1`` is the one-shard cluster:
-        the same :class:`~repro.service.QueryService` and snapshot
-        layout as any other ``K``, with every node on shard 0.
-    strategy:
-        How nodes are assigned to shards: ``"hash"`` (multiplicative hash of
-        the node id — balanced, stable under growth), ``"contiguous"``
-        (node-id ranges — best locality for generators that number nodes in
-        arrival order) or ``"partitioner"`` (edge-balanced greedy assignment
-        computed from the graph's in-degrees; see
-        :class:`repro.graph.partition.EdgeBalancedPartitioner`).
+        ``K`` — the most row-estimation tasks a build or an update runs.
+        It also sizes the service's cache (``cache_capacity × K`` entries
+        per kind).
     backend:
-        Executor backend that builds shards concurrently: ``"serial"``,
+        Executor backend that runs the row tasks concurrently: ``"serial"``,
         ``"threads"`` or ``"processes"`` (see :mod:`repro.engine.executor`).
-        The backend changes only wall-clock, never results: every shard's
+        The backend changes only wall-clock, never results: every task's
         rows come from per-source random streams, so any execution order
         produces a bitwise-identical index.  Tasks ship a handle to the
         pool-resident graph (re-registered after each live update), never
@@ -380,22 +373,15 @@ class ShardingParams:
     """
 
     num_shards: int = 1
-    strategy: str = "hash"
     backend: str = "serial"
     max_workers: int = 4
 
-    _VALID_STRATEGIES = ("hash", "contiguous", "partitioner")
     _VALID_BACKENDS = ("serial", "threads", "processes")
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ConfigurationError(
                 f"num_shards must be >= 1, got {self.num_shards}"
-            )
-        if self.strategy not in self._VALID_STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {self._VALID_STRATEGIES}, "
-                f"got {self.strategy!r}"
             )
         if self.backend not in self._VALID_BACKENDS:
             raise ConfigurationError(

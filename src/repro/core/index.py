@@ -11,24 +11,21 @@ Two persistence layers live here:
 :class:`DiagonalIndex`
     The index payload itself plus provenance, with atomic ``.npz``
     save/load.
-:class:`ShardedIndex` / :class:`SnapshotStore`
-    A deployment's view — the (broadcast) diagonal plus a
-    :class:`~repro.graph.partition.ShardPlan` and per-shard versions — and
-    its versioned lineage: per version one index file, an optional file
-    holding the maintained linear system (so incremental maintenance
-    survives restarts) and one plan record, at every shard count.
+:class:`SnapshotStore`
+    A served index's versioned lineage: per version one index file and an
+    optional file holding the maintained linear system (so incremental
+    maintenance survives restarts), at every shard count.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -36,7 +33,6 @@ from scipy import sparse
 from repro.config import SimRankParams
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
 
 PathLike = Union[str, os.PathLike]
 
@@ -251,101 +247,37 @@ def _parse_literal(text: str) -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# Deployments and their snapshot lineage
+# The snapshot lineage
 # --------------------------------------------------------------------------- #
-@dataclass
-class ShardedIndex:
-    """The serving state of a sharded deployment.
-
-    The diagonal itself is *broadcast*: every shard serves from the same
-    full vector (it is one float per node — the paper ships it to every
-    worker for the online phase).  What is sharded is the *maintenance*
-    state: each shard owns the rows of the linear system for the nodes the
-    plan assigns to it, and carries its own version counter that only moves
-    when an update re-estimates one of its rows.
-
-    Attributes
-    ----------
-    index:
-        The global :class:`DiagonalIndex` (identical on every shard).
-    plan:
-        Node-to-shard assignment; also routes edge insertions and the
-        serving load counters.
-    shard_versions:
-        Per-shard generation counters, aligned with the plan's shard ids.
-        ``shard_versions[k]`` is the global :attr:`index version
-        <repro.service.QueryService.index_version>` at which shard ``k``'s
-        rows were last (re-)estimated.
-    """
-
-    index: DiagonalIndex
-    plan: ShardPlan
-    shard_versions: List[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.shard_versions:
-            self.shard_versions = [1] * self.plan.num_shards
-        if len(self.shard_versions) != self.plan.num_shards:
-            raise CloudWalkerError(
-                f"{len(self.shard_versions)} shard versions for a plan with "
-                f"{self.plan.num_shards} shards"
-            )
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards (``K``) in the plan."""
-        return self.plan.num_shards
-
-    def validate_for(self, graph: DiGraph) -> None:
-        """Raise if the (global) index does not match ``graph``."""
-        self.index.validate_for(graph)
-
-    def touch(self, shards: Sequence[int], version: int) -> None:
-        """Record that an update at global ``version`` re-estimated rows of
-        ``shards``."""
-        for shard in shards:
-            self.shard_versions[shard] = version
-
-    def summary(self) -> Dict[str, Any]:
-        """Human-readable summary (index summary plus shard layout)."""
-        return {
-            **self.index.summary(),
-            "num_shards": self.num_shards,
-            "shard_strategy": self.plan.strategy,
-            "shard_versions": list(self.shard_versions),
-        }
-
-
 class SnapshotStore:
-    """Versioned, bounded-retention snapshots of a deployment.
+    """Versioned, bounded-retention snapshots of a served index.
 
-    One lineage layout for every shard count — a version is three files::
+    One lineage layout whatever the shard count — a version is an index
+    file plus an optional system file::
 
         <directory>/
             system-v<NNNNNNNN>.npz   # optional: the maintained linear system
-            plan-v<NNNNNNNN>.json    # {"plan": ..., "shard_versions": [...]}
             index-v<NNNNNNNN>.npz    # the diagonal index: the commit marker
 
     :meth:`save_snapshot` writes them through :func:`atomic_write` in that
     order, so a version exists once its index file does, and
-    :meth:`versions` lists the index files whose plan record loads.  A
-    crash before the index write leaves debris that every load ignores and
-    the next save of that version replaces; a corrupt plan record rolls
-    loads back to the previous version.  The system is written as the
-    service maintains it and loads byte-equal, which is what makes
-    incremental maintenance survive restarts: a fresh process attaches it
+    :meth:`versions` lists the index files.  A crash before the index
+    write leaves debris that every load ignores and the next save of that
+    version replaces.  The system is written as the service maintains it
+    and loads byte-equal, which is what makes incremental maintenance
+    survive restarts: a fresh process attaches it
     (:meth:`~repro.core.sharding.ShardedIncrementalWalker.attach`) and
     updates for the cost of the affected rows, instead of re-estimating
-    every row first.
+    every row first.  Nothing in a version depends on how many row tasks
+    built it, so any shard count may continue any lineage.
 
-    Versions only move forward (saving the newest one again is a no-op),
-    retention prunes all three files of the oldest versions, and the shard
-    count is fixed per directory; each version's plan record holds the
-    assignment that version was saved under (lineages written by older
-    builds may change it between versions, and each loads under its own).  Two older layouts are refused with a
-    migration hint instead of being shadowed by a new lineage at v1: index
-    files with no loadable plan record (a single-store lineage), and a
-    ``shard_plan.json`` with one store per shard.
+    Versions only move forward (saving the newest one again is a no-op)
+    and retention prunes every file of the oldest versions — including the
+    ``plan-v*.json`` records that lineages written by older builds carry
+    beside each version; loads ignore those records.  A
+    ``shard_plan.json`` with one store per shard (an older per-shard
+    layout) is refused with a migration hint instead of being shadowed by
+    a new lineage at v1.
     """
 
     _FILE = re.compile(r"^(index|system|plan)-v(\d{8})\.(npz|json)$")
@@ -358,6 +290,7 @@ class SnapshotStore:
 
     # ------------------------------------------------------------------ #
     def _path(self, kind: str, version: int) -> Path:
+        # "plan" is an older build's per-version record: only pruned.
         suffix = "json" if kind == "plan" else "npz"
         return self.directory / f"{kind}-v{version:08d}.{suffix}"
 
@@ -368,10 +301,6 @@ class SnapshotStore:
     def system_path(self, version: int) -> Path:
         """Path of the (optional) linear-system file of ``version``."""
         return self._path("system", version)
-
-    def plan_path(self, version: int) -> Path:
-        """Path of the plan record of ``version``."""
-        return self._path("plan", version)
 
     def _files(self) -> Dict[str, List[int]]:
         """The versions on disk of each file kind, committed or not."""
@@ -384,23 +313,8 @@ class SnapshotStore:
                     found[match.group(1)].append(int(match.group(2)))
         return found
 
-    def _read_record(self, version: int) -> Tuple[ShardPlan, List[int]]:
-        path = self.plan_path(version)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            plan = ShardPlan.from_dict(record["plan"])
-            shard_versions = [int(value) for value in record["shard_versions"]]
-            if len(shard_versions) != plan.num_shards:
-                raise ValueError(f"{len(shard_versions)} shard versions for "
-                                 f"{plan.num_shards} shards")
-        except (OSError, ValueError, KeyError, TypeError,
-                CloudWalkerError) as exc:
-            raise CloudWalkerError(
-                f"cannot load plan record {path}: {exc}") from exc
-        return plan, shard_versions
-
-    def _refuse_legacy(self, indexed: List[int], committed: List[int]) -> None:
-        """Raise on a directory holding a layout this store no longer reads."""
+    def _refuse_legacy(self) -> None:
+        """Raise on a per-shard layout, which this store no longer reads."""
         if (self.directory / "shard_plan.json").exists():
             stores = self.directory / "shard-00"
             indexed = sorted(stores.glob("index-v*.npz"))
@@ -411,56 +325,33 @@ class SnapshotStore:
                 "read; migrate it into a new directory with 'snapshot save "
                 f"--dir NEW --index {source}'"
             )
-        if indexed and not committed:
-            raise CloudWalkerError(
-                f"{self.directory} holds index files but no loadable plan "
-                "record: a single-store snapshot lineage (index-v*.npz "
-                "without plan-v*.json), or every plan record is corrupt; "
-                "migrate it into a new directory with 'snapshot save --dir "
-                f"NEW --index {self.index_path(indexed[-1])}'"
-            )
 
     # ------------------------------------------------------------------ #
     def versions(self) -> List[int]:
-        """Committed versions, ascending: index files whose plan record
-        loads.  Raises on a legacy layout (see the class docstring)."""
-        indexed = sorted(self._files()["index"])
-        committed = []
-        for version in indexed:
-            with contextlib.suppress(CloudWalkerError):
-                self._read_record(version)
-                committed.append(version)
-        self._refuse_legacy(indexed, committed)
-        return committed
+        """Committed versions, ascending: the index files.  Raises on a
+        per-shard layout (see the class docstring)."""
+        self._refuse_legacy()
+        return sorted(self._files()["index"])
 
     def latest_version(self) -> Optional[int]:
         """The newest committed version, or None for an empty store."""
         versions = self.versions()
         return versions[-1] if versions else None
 
-    def load_plan(self, version: Optional[int] = None) -> ShardPlan:
-        """The :class:`ShardPlan` of ``version`` (default: the newest)."""
-        if version is None:
-            version = self.latest_version()
-            if version is None:
-                raise CloudWalkerError(f"no snapshots found in {self.directory}")
-        return self._read_record(version)[0]
-
     def save_snapshot(
         self,
-        sharded: ShardedIndex,
+        index: DiagonalIndex,
         system: Optional[sparse.spmatrix] = None,
         version: Optional[int] = None,
     ) -> int:
-        """Persist ``sharded`` (and optionally its system) as a version.
+        """Persist ``index`` (and optionally its system) as a version.
 
         Returns the version written.  ``version`` defaults to ``latest + 1``
         (1 for an empty store); an already-listed version is a no-op, and
         one below the newest is refused, so a restarted writer cannot
-        silently shadow newer state.  The plan's shard count must match the
-        newest version's.  The system (written as the caller maintains it)
-        and the plan record land before the index file, so a crash leaves
-        the previous version the newest committed one.
+        silently shadow newer state.  The system (written as the caller
+        maintains it) lands before the index file, so a crash leaves the
+        previous version the newest committed one.
         """
         versions = self.versions()
         latest = versions[-1] if versions else None
@@ -472,15 +363,6 @@ class SnapshotStore:
             raise CloudWalkerError(
                 f"snapshot version must increase: latest is {latest}, got {version}"
             )
-        if latest is not None:
-            lineage = self.load_plan(latest).num_shards
-            if lineage != sharded.num_shards:
-                raise CloudWalkerError(
-                    f"snapshot directory {self.directory} holds a "
-                    f"{lineage}-shard lineage; the shard count is immutable "
-                    f"per directory (got a {sharded.num_shards}-shard plan) "
-                    "— re-shard into a fresh directory"
-                )
         self.directory.mkdir(parents=True, exist_ok=True)
         if system is None:
             # A crashed save of this version may have left a system file.
@@ -496,18 +378,14 @@ class SnapshotStore:
                     shape=np.asarray(csr.shape, dtype=np.int64),
                 ),
             )
-        record = json.dumps({"plan": sharded.plan.to_dict(),
-                             "shard_versions": list(sharded.shard_versions)})
-        atomic_write(self.plan_path(version),
-                     lambda handle: handle.write(record.encode("utf-8")))
-        sharded.index.save(self.index_path(version))
+        index.save(self.index_path(version))
         self.prune()
         return version
 
     def load(
         self, version: Optional[int] = None
-    ) -> Tuple[int, ShardedIndex, Optional[sparse.csr_matrix]]:
-        """Load a snapshot as ``(version, sharded_index, system)``.
+    ) -> Tuple[int, DiagonalIndex, Optional[sparse.csr_matrix]]:
+        """Load a snapshot as ``(version, index, system)``.
 
         ``version`` defaults to the newest committed one.  ``system`` is
         None when the version was saved without one (callers then
@@ -523,7 +401,6 @@ class SnapshotStore:
                 f"version {version} is not a snapshot in {self.directory} "
                 f"(have {versions})"
             )
-        plan, shard_versions = self._read_record(version)
         index = DiagonalIndex.load(self.index_path(version))
         system: Optional[sparse.csr_matrix] = None
         path = self.system_path(version)
@@ -537,15 +414,13 @@ class SnapshotStore:
             except (OSError, KeyError, ValueError) as exc:
                 raise CloudWalkerError(
                     f"cannot load system from {path}: {exc}") from exc
-        sharded = ShardedIndex(index=index, plan=plan,
-                               shard_versions=shard_versions)
-        return version, sharded, system
+        return version, index, system
 
     def describe(self, version: int) -> Dict[str, Any]:
         """Cheap metadata of one version, without loading the diagonal.
 
         Reads only the scalar entries of the index ``.npz`` (lazy
-        per-member access) and the plan record, so listing a directory of
+        per-member access), so listing a directory of
         large-graph snapshots stays O(versions), not O(versions x index
         size).
         """
@@ -558,16 +433,16 @@ class SnapshotStore:
         return {
             "n_nodes": n_nodes,
             "n_edges": n_edges,
-            "num_shards": self.load_plan(version).num_shards,
             "has_system": self.system_path(version).exists(),
         }
 
     def prune(self, retain: Optional[int] = None) -> List[int]:
         """Keep the newest ``retain`` versions; returns the removed ones.
 
-        Every file of an older version goes, crash debris included — the
-        index files first, so an interrupted prune never leaves a
-        committed version without its plan record.
+        Every file of an older version goes, crash debris and an older
+        build's plan records included — the index files first, so an
+        interrupted prune never leaves a committed version without its
+        system.
         """
         retain = retain if retain is not None else self.retain
         if retain < 1:
@@ -597,14 +472,13 @@ def save_snapshot(
     system: Optional[sparse.spmatrix] = None,
     retain: int = 5,
 ) -> int:
-    """Convenience wrapper: persist a plain index into ``directory`` as a
-    one-shard deployment (the layout ``snapshot save`` starts)."""
-    sharded = ShardedIndex(index=index, plan=ShardPlan.hashed(1))
+    """Convenience wrapper: persist ``index`` into ``directory`` as the next
+    version of its lineage."""
     return SnapshotStore(directory, retain=retain).save_snapshot(
-        sharded, system=system)
+        index, system=system)
 
 
 def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
     """Convenience wrapper: load the newest snapshot's index from ``directory``."""
-    version, sharded, _system = SnapshotStore(directory).load()
-    return version, sharded.index
+    version, index, _system = SnapshotStore(directory).load()
+    return version, index

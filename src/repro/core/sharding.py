@@ -5,13 +5,12 @@ system is estimated row-by-row across workers, the solve is a scatter-gather
 Jacobi iteration, and the online phase serves from the gathered result.
 This module reproduces that shape for the offline phase:
 
-* a :class:`~repro.graph.partition.ShardPlan` assigns every node (row) to
-  one of ``K`` shards (``K = 1`` by default);
-* :class:`ShardedIncrementalWalker` — the one index maintainer — estimates
-  each shard's rows as an independent task and runs the tasks through an
-  :mod:`engine executor <repro.engine.executor>` backend, so shards build
-  concurrently;
-* the per-shard row sets are *gathered* into one linear system and solved
+* :class:`ShardedIncrementalWalker` — the one index maintainer — splits
+  the sorted rows it estimates into at most ``K`` strided tasks
+  (``rows[k::K]``, ``K = 1`` by default) and runs them through an
+  :mod:`engine executor <repro.engine.executor>` backend, so the tasks
+  run concurrently;
+* the tasks' row sets are *gathered* into one linear system and solved
   with ``L`` cold-started Jacobi sweeps;
 * an edge insertion re-runs the same computation on the affected rows
   only, and reports what it did as a :class:`MutationResult`.
@@ -20,10 +19,9 @@ Determinism is inherited, not re-proven: every row is estimated from its own
 ``(seed, source)`` random stream (:func:`repro.core.linear_system.
 build_rows`), so the gathered system — and therefore the solved
 diagonal — is **bitwise-identical** to a from-scratch
-:func:`repro.core.diagonal.build_diagonal_index` for any ``K``, any shard
-strategy and any executor backend.  The same argument covers incremental
-updates: an edge insertion's affected rows are grouped by owning shard,
-only the *touched* shards re-estimate, and the spliced system is
+:func:`repro.core.diagonal.build_diagonal_index` for any ``K`` and any
+executor backend.  The same argument covers incremental updates: only the
+rows an edge insertion can change re-estimate, and the spliced system is
 bitwise-equal to a from-scratch build on the updated graph (see
 ``docs/sharding.md`` for the full proof sketch).
 
@@ -31,11 +29,10 @@ Example
 -------
 >>> from repro.config import SimRankParams
 >>> from repro.graph import generators
->>> from repro.graph.partition import ShardPlan
 >>> from repro.core.sharding import ShardedIncrementalWalker
 >>> graph = generators.copying_model_graph(80, out_degree=4, seed=3)
 >>> walker = ShardedIncrementalWalker(
-...     graph, ShardPlan.hashed(4), params=SimRankParams.fast_defaults())
+...     graph, num_tasks=4, params=SimRankParams.fast_defaults())
 >>> index = walker.build()
 >>> index.n_nodes
 80
@@ -46,7 +43,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple, TypeVar
+from typing import (
+    Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar,
+)
 
 import numpy as np
 from scipy import sparse
@@ -65,7 +64,6 @@ from repro.engine.executor import (
 from repro.errors import ConfigurationError
 from repro.graph import frontier
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
 
 Triplets = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -81,17 +79,17 @@ def _timed_task(task: Callable[[], T]) -> Tuple[T, float]:
 def run_shard_tasks(
     backend: ExecutorBackend, tasks: Dict[int, Callable[[], T]]
 ) -> Dict[int, Tuple[T, float]]:
-    """Scatter one task per shard through ``backend``; gather with timings.
+    """Scatter tasks through ``backend``; gather with timings.
 
     This is the one fan-out primitive shared by the offline and online
-    phases: :class:`ShardedIncrementalWalker` runs per-shard row estimation
+    phases: :class:`ShardedIncrementalWalker` runs its row-estimation tasks
     through it at build/update time, and
     :func:`repro.service.sharded.simulate_misses` runs a batch's cache-miss
     walk simulation through it at query time.  ``tasks`` maps
-    shard id to a zero-argument callable; tasks are submitted in ascending
-    shard order (so a serial backend reproduces the historical sequential
+    task id to a zero-argument callable; tasks are submitted in ascending
+    id order (so a serial backend reproduces the historical sequential
     loop exactly) and each result is returned as ``(value, seconds)`` —
-    the per-shard wall-clock the spine benchmark's tracer
+    the per-task wall-clock the spine benchmark's tracer
     (``benchmarks/spine/spans.py``) reads as worker seconds.
 
     For the ``processes`` backend every task must be picklable: build each
@@ -105,23 +103,18 @@ def run_shard_tasks(
     return dict(zip(shard_ids, outcomes))
 
 
-def make_plan(graph: DiGraph, sharding: ShardingParams) -> ShardPlan:
-    """Build the :class:`ShardPlan` a :class:`ShardingParams` describes."""
-    return ShardPlan.for_graph(graph, sharding.num_shards, sharding.strategy)
-
-
 def estimate_shard_rows(
     handle: ResidentHandle, nodes: Sequence[int], params: SimRankParams
 ) -> Triplets:
-    """Estimate one shard's rows of the indexing system ``A x = 1``.
+    """Estimate one task's rows of the indexing system ``A x = 1``.
 
     This is the unit of distributed work: a worker holding the graph and the
-    shard's node list produces the shard's COO triplets, independently of
-    every other shard (per-source random streams).  Module-level so the
+    task's node list produces their COO triplets, independently of every
+    other task (per-source random streams).  Module-level so the
     ``processes`` executor backend can pickle it.
 
     The task ships the graph's :class:`~repro.engine.executor.
-    ResidentHandle` plus the shard's node list — O(nodes) bytes,
+    ResidentHandle` plus its node list — O(nodes) bytes,
     independent of graph size: a plain reference on ``serial``/``threads``,
     and on ``processes`` the worker materialises the graph once per
     residency epoch from shared memory
@@ -136,13 +129,13 @@ def estimate_shard_rows(
 def gather_shard_rows(
     shard_triplets: Sequence[Triplets], n_nodes: int
 ) -> sparse.csr_matrix:
-    """Gather per-shard row triplets into one CSR system matrix.
+    """Gather the tasks' row triplets into one CSR system matrix.
 
-    Shards own disjoint row sets, so the gather is a pure concatenation —
-    no summation across shards — and the resulting matrix is
+    Tasks own disjoint row sets, so the gather is a pure concatenation —
+    no summation across tasks — and the resulting matrix is
     bitwise-identical to estimating all rows in one call (each row's values
-    depend only on its own ``(seed, source)`` stream).  A single shard's
-    triplets (one touched shard, or K = 1) are used as they are, without a
+    depend only on its own ``(seed, source)`` stream).  A single task's
+    triplets (one row, or K = 1) are used as they are, without a
     concatenated copy.
     """
     if not shard_triplets:
@@ -179,8 +172,7 @@ class MutationResult:
         The affected-source set: every node whose walk distributions — and
         therefore cached entries and index row — may have changed (the
         forward ball of radius ``T`` around the new edges' heads).  New
-        nodes are included.  It drives cache invalidation and shard
-        version bumps.
+        nodes are included.  It drives cache invalidation.
     estimated:
         The index rows the update actually re-estimated: the affected rows
         whose stored support contains a head of a new edge, plus every new
@@ -258,7 +250,7 @@ def _choose_rows(mask: np.ndarray, when_true: sparse.csr_matrix,
 
 
 class ShardedIncrementalWalker:
-    """The index maintainer: builds a CloudWalker index shard by shard and
+    """The index maintainer: builds a CloudWalker index in row tasks and
     keeps it current across edge insertions.
 
     The offline phase is one computation — estimate each row of ``A`` from
@@ -270,26 +262,26 @@ class ShardedIncrementalWalker:
        forward BFS from the new edges' heads (an insertion ``u -> v`` only
        changes the reverse walks of nodes ``v`` reaches within ``T`` steps);
     3. re-estimate only the affected rows whose stored support holds a
-       head, plus the new nodes: :meth:`_build_rows` groups them by owning
-       shard and runs one :func:`estimate_shard_rows` task per touched
-       shard through the executor backend;
+       head, plus the new nodes: :meth:`_build_rows` splits them into at
+       most ``num_tasks`` strided :func:`estimate_shard_rows` tasks and
+       runs them through the executor backend;
     4. splice them into ``A`` and re-solve from the cold start a build uses.
 
     Every row reads its own ``(seed, source)`` random stream
     (:func:`repro.core.linear_system.build_rows`), so the maintained system
     and diagonal are **bitwise-identical** to a from-scratch
     :func:`repro.core.diagonal.build_diagonal_index` on the current graph,
-    for any ``K``, plan and backend (``docs/sharding.md``).
+    for any ``K`` and backend (``docs/sharding.md``).
 
     Parameters
     ----------
     graph:
         Initial graph (replaced by updates; read the current one from
         :attr:`graph`).
-    plan:
-        Node-to-shard assignment (default: one shard holding every node);
-        must answer :meth:`ShardPlan.shard_of` for ids created by later
-        updates (all built-in strategies do).
+    num_tasks:
+        ``K``: the most row tasks one build or update runs (default 1).
+        The sorted rows go out as ``rows[k::K]``, empty tasks dropped, so
+        the tasks differ in row count by at most one.
     params:
         Algorithmic parameters, shared by the build and all updates.
     exact:
@@ -297,7 +289,7 @@ class ShardedIncrementalWalker:
         the exact system is built in one pass, not sharded, and makes
         updates exactly equal to exact rebuilds, which tests exploit).
     backend:
-        Executor backend running the per-shard tasks (default serial).
+        Executor backend running the row tasks (default serial).
         The graph is registered on the backend's resident registry before
         each fan-out (see :meth:`repro.engine.executor.ExecutorBackend.
         ensure_resident`) and tasks ship its handle: ``processes`` workers
@@ -308,39 +300,30 @@ class ShardedIncrementalWalker:
     Attributes
     ----------
     shard_build_seconds:
-        Wall-clock of each shard's most recent row-estimation task, indexed
-        by shard id (the ``index`` CLI reports the slowest shard).
-    last_touched_shards:
-        Shards whose rows the most recent estimation touched (all shards
-        for a full build; the re-estimated rows' owners for an update).
-    last_added_edges:
-        The edges the most recent :meth:`add_edges` inserted, each once,
-        in submission order: none the graph already had (empty for an
-        all-present batch).
+        Wall-clock of each task of the most recent row estimation, indexed
+        by task id (the ``index`` CLI reports the slowest).
     """
 
     shard_build_seconds: Dict[int, float]
-    last_touched_shards: frozenset
-    last_added_edges: Tuple[Tuple[int, int], ...]
 
     def __init__(
         self,
         graph: DiGraph,
-        plan: Optional[ShardPlan] = None,
+        num_tasks: int = 1,
         params: Optional[SimRankParams] = None,
         exact: bool = False,
         backend: Optional[ExecutorBackend] = None,
     ) -> None:
+        if num_tasks < 1:
+            raise ConfigurationError(f"num_tasks must be >= 1, got {num_tasks}")
         self.graph = graph
-        self.plan = plan if plan is not None else ShardPlan.hashed(1)
+        self.num_tasks = int(num_tasks)
         self.params = params or SimRankParams.paper_defaults()
         self.exact = exact
         self.backend = backend or SerialBackend()
         self._system: Optional[sparse.csr_matrix] = None
         self.index: Optional[DiagonalIndex] = None
         self.shard_build_seconds: Dict[int, float] = {}
-        self.last_touched_shards: frozenset = frozenset()
-        self.last_added_edges: Tuple[Tuple[int, int], ...] = ()
 
     # ------------------------------------------------------------------ #
     def build(self) -> DiagonalIndex:
@@ -396,9 +379,8 @@ class ShardedIncrementalWalker:
 
     def _build_rows(self, graph: DiGraph,
                     sources: np.ndarray) -> sparse.csr_matrix:
-        """Estimate rows shard-by-shard through the executor backend."""
-        groups = self.plan.group_nodes(sources)
-        self.last_touched_shards = frozenset(groups)
+        """Estimate the ascending ``sources`` rows in at most ``num_tasks``
+        strided tasks through the executor backend."""
         if self.exact:
             # The exact system is assembled from one sparse matrix power
             # sweep — there is nothing row-independent to fan out.
@@ -412,16 +394,18 @@ class ShardedIncrementalWalker:
         # object, hence a new epoch) so each task ships a handle plus its
         # node list instead of the whole graph.
         handle = self.backend.ensure_resident("graph", graph)
+        rows: List[int] = sources.tolist()
+        stride = self.num_tasks
         tasks = {
-            shard: partial(estimate_shard_rows, handle, groups[shard],
-                           self.params)
-            for shard in groups
+            task: partial(estimate_shard_rows, handle, rows[task::stride],
+                          self.params)
+            for task in range(min(stride, len(rows)))
         }
         outcomes = run_shard_tasks(self.backend, tasks)
-        for shard, (_triplets, seconds) in outcomes.items():
-            self.shard_build_seconds[shard] = seconds
+        self.shard_build_seconds = {
+            task: seconds for task, (_triplets, seconds) in outcomes.items()}
         return gather_shard_rows(
-            [outcomes[shard][0] for shard in sorted(outcomes)], graph.n_nodes
+            [outcomes[task][0] for task in sorted(outcomes)], graph.n_nodes
         )
 
     def _solve(self, graph: DiGraph, system: sparse.csr_matrix,
@@ -486,7 +470,8 @@ class ShardedIncrementalWalker:
           step-``T`` visits, which only makes it conservative.
 
         The same holds for the exact system, whose rows depend on the same
-        in-lists.  Only the shards owning re-estimated rows run a task.
+        in-lists.  The re-estimated rows go out as at most ``num_tasks``
+        tasks, so a one-row update runs one task.
         """
         if self.index is None or self._system is None:
             raise ConfigurationError("call build() or attach() before add_edges()")
@@ -498,7 +483,6 @@ class ShardedIncrementalWalker:
             (u, v) for u, v in ((int(u), int(v)) for u, v in new_edges)
             if not (0 <= u < old_n and 0 <= v < old_n and self.graph.has_edge(u, v))
         ))
-        self.last_added_edges = ()
         if not fresh:
             return None
 
@@ -536,7 +520,6 @@ class ShardedIncrementalWalker:
         end = time.perf_counter()
         edges_added = new_graph.n_edges - self.graph.n_edges
         self.graph, self._system, self.index = new_graph, system, index
-        self.last_added_edges = tuple(fresh)
         return MutationResult(
             edges_added=edges_added,
             new_nodes=new_n - old_n,
@@ -568,7 +551,7 @@ class ShardedIncrementalWalker:
     def __repr__(self) -> str:
         return (
             f"ShardedIncrementalWalker(n_nodes={self.graph.n_nodes}, "
-            f"plan={self.plan!r}, backend={self.backend!r})"
+            f"num_tasks={self.num_tasks}, backend={self.backend!r})"
         )
 
 
@@ -580,13 +563,13 @@ def build_sharded_index(
     """Build a CloudWalker index with a sharded, concurrent offline phase.
 
     Returns ``(index, walker)``; the index is bitwise-identical to a
-    single-shard build with the same ``params``, and the walker retains the
-    linear system (and per-shard timings) for incremental updates or
+    single-task build with the same ``params``, and the walker retains the
+    linear system (and per-task timings) for incremental updates or
     snapshotting.  This is the call behind ``python -m repro index
     --shards K``.
     """
     walker = ShardedIncrementalWalker(
-        graph, make_plan(graph, sharding), params=params,
+        graph, sharding.num_shards, params=params,
         backend=make_backend(sharding.backend, max_workers=sharding.max_workers),
     )
     index = walker.build()

@@ -26,7 +26,7 @@ the pool.
 Resident objects
 ----------------
 Backends also carry a **resident object registry**: large read-mostly
-objects (the served graph, a shard plan) are registered once per pool
+objects (the served graph) are registered once per pool
 epoch via :meth:`ExecutorBackend.ensure_resident` and subsequent tasks
 ship only a small :class:`ResidentHandle` instead of the object itself.
 Tasks call :func:`resolve_resident` to get the object back:

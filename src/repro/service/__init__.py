@@ -16,10 +16,9 @@ serving layer fit for sustained query traffic:
     go through a bounded queue of edge insertions drained into incremental
     re-indexes (:class:`~repro.core.sharding.ShardedIncrementalWalker`)
     whose affected-source sets, reported on a :class:`MutationResult`,
-    drive targeted cache invalidation.  Index rows and their versions
-    follow a :class:`~repro.graph.partition.ShardPlan` of ``K`` shards,
-    fixed at build; ``K = 1`` (the default) is a one-shard plan, and
-    answers are bitwise-identical at every ``K``.
+    drive targeted cache invalidation.  ``K`` shards split index builds
+    and updates into at most ``K`` row tasks; ``K = 1`` is the default,
+    and answers are bitwise-identical at every ``K``.
 :mod:`repro.service.sharded`
     The cache-miss scatter: a batch's missing walk distributions
     simulated in one fan-out, in the serving thread or, once each run

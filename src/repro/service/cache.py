@@ -79,14 +79,10 @@ class CacheKey(NamedTuple):
     seed: Optional[int]
 
     @classmethod
-    def for_query(cls, node: int, params: SimRankParams, walkers: int) -> "CacheKey":
-        """Key for one source's distribution under ``params``.
-
-        ``walkers`` is passed separately because callers may override the
-        per-query Monte-Carlo budget (``params.query_walkers``) per call.
-        """
-        return cls(node=int(node), steps=params.walk_steps, walkers=int(walkers),
-                   seed=params.seed)
+    def for_query(cls, node: int, params: SimRankParams) -> "CacheKey":
+        """Key for one source's distribution under the serving ``params``."""
+        return cls(node=int(node), steps=params.walk_steps,
+                   walkers=int(params.query_walkers), seed=params.seed)
 
 
 Ranking = Tuple[Tuple[int, float], ...]

@@ -10,27 +10,18 @@ insertions** that are folded into the index incrementally between query
 batches (a bounded queue here, the re-index in
 :class:`~repro.core.sharding.ShardedIncrementalWalker`).
 
-The node space is split across ``K`` shards by a
-:class:`~repro.graph.partition.ShardPlan` (``ShardingParams``; ``K = 1``,
-one shard holding every node, by default), fixed at build.  The plan
-decides which task estimates an index row, as in the paper, where workers
-own rows of the indexing system but each holds the whole broadcast
-diagonal:
-
-* **index maintenance**: each shard owns its nodes' rows of the indexing
-  linear system; builds and incremental updates fan out per shard through
-  an executor backend (:class:`~repro.core.sharding.ShardedIncrementalWalker`);
-* **versions**: :attr:`~QueryService.index_version` bumps once per applied
-  update, while :attr:`~QueryService.shard_versions` records, per shard,
-  the last version at which one of its rows was re-estimated;
-* **load counters**: routed and simulated sources and routed edges are
-  counted against their owning shard (``stats()["shards"]``).
-
-The query path does not consult the plan: one
-:class:`~repro.service.cache.WalkDistributionCache` holds the walk
-distributions *and* the scores (with their memoised top-k rankings) of
-every source, keyed independently of the plan; an update invalidates the
-distributions inside its affected ball and drops every score entry.
+Only the offline phase is partitioned, as in the paper, where workers
+estimate rows of the indexing system but each holds the whole broadcast
+diagonal: ``ShardingParams.num_shards`` (``K``, 1 by default) is the most
+row tasks a build or an update splits its rows into
+(:class:`~repro.core.sharding.ShardedIncrementalWalker`, through an
+executor backend).  No shard assignment is kept: the query path walks the
+whole graph, :attr:`~QueryService.index_version` bumps once per applied
+update, and one :class:`~repro.service.cache.WalkDistributionCache` of
+``cache_capacity × K`` entries per kind holds the walk distributions *and*
+the scores (with their memoised top-k rankings) of every source; an update
+invalidates the distributions inside its affected ball and drops every
+score entry.
 
 A batch's cache misses are simulated in one scatter
 (:func:`repro.service.sharded.simulate_misses`): in the serving thread, or
@@ -43,8 +34,8 @@ concurrent batches and live updates serialise on an internal lock, while a
 drain's expensive re-index runs outside it.
 
 Determinism is the design invariant: for a fixed seed, every answer the
-service produces — batched, cached, or one-off, at any shard count, plan
-and backend — is bitwise-identical to the direct core computation for the
+service produces — batched, cached, or one-off, at any shard count and
+backend — is bitwise-identical to the direct core computation for the
 same source nodes, because all paths consume the same per-source
 ``(seed, source)`` random stream and share the scoring code of
 :class:`repro.core.queries.QueryEngine`.  Updates keep the invariant: after
@@ -90,7 +81,7 @@ from repro.config import (
     SimRankParams,
     UpdateParams,
 )
-from repro.core.index import DiagonalIndex, ShardedIndex, SnapshotStore
+from repro.core.index import DiagonalIndex, SnapshotStore
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import (
     QueryEngine,
@@ -101,12 +92,10 @@ from repro.core.sharding import (
     MutationResult,
     ShardedIncrementalWalker,
     build_sharded_index,
-    make_plan,
 )
 from repro.engine.executor import make_backend
 from repro.errors import CloudWalkerError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
 from repro.service.batching import (
     BatchPlan,
     PairQuery,
@@ -114,7 +103,6 @@ from repro.service.batching import (
     SourceQuery,
     TopKQuery,
     plan_batch,
-    required_sources,
 )
 from repro.service.cache import CacheKey, ScoreEntry, WalkDistributionCache
 from repro.service.sharded import simulate_misses
@@ -152,10 +140,7 @@ class QueryService:
     graph:
         The graph queries run against.
     index:
-        A built or loaded index: either a plain :class:`DiagonalIndex`
-        (shard state starts fresh) or a
-        :class:`~repro.core.index.ShardedIndex` restored from a snapshot
-        (its plan and shard versions are adopted); validated against
+        A built or loaded :class:`DiagonalIndex`, validated against
         ``graph``.
     params:
         Algorithmic parameters; defaults to the parameters the index was
@@ -171,12 +156,7 @@ class QueryService:
         Live-update knobs (pending-edge queue bound, node-growth limit,
         snapshot cadence).
     sharding:
-        Shard count / strategy / build backend; defaults to one shard.
-        Ignored when ``plan`` (or a :class:`ShardedIndex`) already fixes
-        the assignment, except for the backend settings.
-    plan:
-        An explicit node-to-shard assignment, overriding ``sharding``'s
-        strategy.
+        Row-task count ``K`` and build backend; defaults to one task.
 
     Attributes
     ----------
@@ -193,28 +173,14 @@ class QueryService:
     def __init__(
         self,
         graph: DiGraph,
-        index: Union[DiagonalIndex, ShardedIndex],
+        index: DiagonalIndex,
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
         sharding: Optional[ShardingParams] = None,
-        plan: Optional[ShardPlan] = None,
     ) -> None:
-        shard_versions: Optional[List[int]] = None
-        if isinstance(index, ShardedIndex):
-            plan = index.plan if plan is None else plan
-            shard_versions = list(index.shard_versions)
-            index = index.index
         index.validate_for(graph)
         self.sharding = sharding or ShardingParams()
-        if plan is None:
-            plan = make_plan(graph, self.sharding)
-        elif plan.num_shards != self.sharding.num_shards and sharding is not None:
-            raise CloudWalkerError(
-                f"plan has {plan.num_shards} shards but sharding params say "
-                f"{self.sharding.num_shards}"
-            )
-        self.plan = plan
         self.graph = graph
         self.index = index
         self.params = params or index.params
@@ -237,15 +203,7 @@ class QueryService:
             "snapshots_written": 0, "scatter_hops": 0, "scatter_payload_bytes": 0,
         }
         self.cache = WalkDistributionCache(
-            self.service_params.cache_capacity * self.plan.num_shards)
-        self._shard_counters: List[Dict[str, int]] = [
-            {"edges_routed": 0, "sources_simulated": 0, "sources_routed": 0}
-            for _ in range(self.plan.num_shards)
-        ]
-        self.sharded_index = ShardedIndex(
-            index=self.index, plan=self.plan,
-            shard_versions=shard_versions or [self._version] * self.plan.num_shards,
-        )
+            self.service_params.cache_capacity * self.num_shards)
         # Two reentrant locks with a strict acquisition order —
         # ``_update_lock`` before ``_lock``, never the reverse:
         #
@@ -309,7 +267,7 @@ class QueryService:
         params: Optional[SimRankParams] = None,
         service_params: Optional[ServiceParams] = None,
         update_params: Optional[UpdateParams] = None,
-        **options: Any,
+        sharding: Optional[ShardingParams] = None,
     ) -> "QueryService":
         """Cold-start a service from a persisted index — no re-indexing.
 
@@ -317,11 +275,10 @@ class QueryService:
         restarted service answers queries identically to the one that
         built it (provided ``params`` is left at its default).  It carries
         no linear system, so the first update estimates it once.
-        ``options`` go to the constructor (``sharding``, ``plan``).
         """
         return cls(graph, DiagonalIndex.load(path), params=params,
                    service_params=service_params, update_params=update_params,
-                   **options)
+                   sharding=sharding)
 
     @classmethod
     def build(
@@ -334,9 +291,9 @@ class QueryService:
     ) -> "QueryService":
         """Build an index for ``graph`` and serve it, update-ready.
 
-        The per-shard row estimations run through the executor backend of
-        ``sharding`` and are gathered into one solve, so the served index
-        is bitwise-identical at every shard count.  The service keeps the
+        The row tasks run through the executor backend of ``sharding`` and
+        are gathered into one solve, so the served index is
+        bitwise-identical at every shard count.  The service keeps the
         linear system in memory, so the first :meth:`add_edges` pays only
         for its affected rows — unlike a service constructed around a
         pre-built index, whose first update must re-estimate the system
@@ -347,8 +304,7 @@ class QueryService:
         index, walker = build_sharded_index(graph, sharding, params)
         service = cls(graph, index, params=params,
                       service_params=service_params,
-                      update_params=update_params, sharding=sharding,
-                      plan=walker.plan)
+                      update_params=update_params, sharding=sharding)
         service._walker = walker
         return service
 
@@ -364,53 +320,29 @@ class QueryService:
     ) -> "QueryService":
         """Cold-start from the newest snapshot of a lineage.
 
-        Restores the snapshot's plan and per-shard versions from its plan
-        record (the newest version's own plan, whatever earlier versions
-        held),
-        the broadcast diagonal and — when the snapshot carries one — the
-        linear system, byte for byte, so the restarted service resumes
-        incremental updates without re-estimating anything, continues the
-        version sequence where the snapshotting service left off, and
-        snapshots back into the same lineage.  ``sharding`` supplies only
-        the executor backend; the shard count and assignment always come
-        from the plan record.  ``graph`` must be the graph the snapshot
-        was taken of.
+        Restores the broadcast diagonal and — when the snapshot carries
+        one — the linear system, byte for byte, so the restarted service
+        resumes incremental updates without re-estimating anything,
+        continues the version sequence where the snapshotting service left
+        off, and snapshots back into the same lineage.  ``sharding`` may
+        name any ``K``: answers never depended on it.  ``graph`` must be
+        the graph the snapshot was taken of.
         """
         update_params = update_params or UpdateParams()
-        sharding = sharding or ShardingParams()
         store = SnapshotStore(directory, retain=update_params.snapshot_retain)
-        version, sharded_index, system = store.load()
-        service = cls(graph, sharded_index, params=params,
+        version, index, system = store.load()
+        service = cls(graph, index, params=params,
                       service_params=service_params, update_params=update_params,
-                      sharding=sharding.with_(
-                          num_shards=sharded_index.plan.num_shards,
-                          strategy=sharded_index.plan.strategy,
-                      ))
+                      sharding=sharding)
         service._version = version
         if system is not None:
             service._ensure_walker(system)
         return service
 
-    # ------------------------------------------------------------------ #
-    # Shard topology
-    # ------------------------------------------------------------------ #
     @property
     def num_shards(self) -> int:
-        """Number of shards (``K``) the service routes across."""
-        return self.plan.num_shards
-
-    @property
-    def shard_versions(self) -> List[int]:
-        """Per-shard generations: the global :attr:`index_version` at which
-        each shard's index rows were last (re-)estimated.  A shard whose
-        version trails the global one simply had no affected rows in the
-        updates since — its rows (and cached distributions) are still
-        bitwise-current."""
-        return list(self.sharded_index.shard_versions)
-
-    def shard_of(self, node: int) -> int:
-        """The shard owning ``node`` — its index rows and load counters."""
-        return self.plan.shard_of(node)
+        """``K``: the most row tasks a build or an update runs."""
+        return self.sharding.num_shards
 
     # ------------------------------------------------------------------ #
     # Live updates
@@ -435,11 +367,11 @@ class QueryService:
                        ) -> ShardedIncrementalWalker:
         if self._walker is None:
             # Attaching to a pre-built index estimates the linear system for
-            # the current graph once — shard by shard, through the build
+            # the current graph once — in row tasks, through the build
             # backend — unless a snapshot supplies ``system``; from then on
             # updates are incremental.  build() skips this.
             walker = ShardedIncrementalWalker(
-                self.graph, self.plan, params=self.params,
+                self.graph, self.num_shards, params=self.params,
                 backend=make_backend(self.sharding.backend,
                                      max_workers=self.sharding.max_workers),
             )
@@ -495,12 +427,7 @@ class QueryService:
         Edges are validated first (:meth:`validate_edges`: negative
         endpoints, runaway node growth), so a bad edge fails here — naming
         it — instead of poisoning the queue, and a refused batch changes
-        nothing.  Each edge the applied update inserts (not one the graph
-        already had, and a duplicate once) counts against the shard owning
-        its *head* (the node whose in-links change) in the ``edges_routed``
-        column of :meth:`stats` — a deferred edge when its drain applies
-        it.  The re-index touches only the shards owning
-        re-estimated rows and holds only the update lock — in-flight query
+        nothing.  The re-index holds only the update lock — in-flight query
         batches keep serving the previous consistent version until the
         swap-in.
 
@@ -560,8 +487,7 @@ class QueryService:
         lock): re-points the service at the walker's new graph/index and
         a query engine over them, invalidates exactly the affected sources'
         distributions, drops every score entry (they were propagated against
-        the diagonal the update just re-solved), and bumps the global
-        version and the versions of the shards whose rows were re-estimated
+        the diagonal the update just re-solved), and bumps the version
         together — so a concurrent batch sees either the complete old state
         or the complete new one, never a mixture.
         """
@@ -573,12 +499,6 @@ class QueryService:
             self._version += 1
             self.cache.invalidate_sources(result.affected)
             self.cache.drop_scores()
-            self.sharded_index.index = self.index
-            self.sharded_index.touch(sorted(self._walker.last_touched_shards),
-                                     self._version)
-            for shard, routed in self.plan.group_edges(
-                    self._walker.last_added_edges).items():
-                self._shard_counters[shard]["edges_routed"] += len(routed)
             self._counters["updates_applied"] += 1
             self._counters["edges_added"] += result.edges_added
             self._maybe_auto_snapshot()
@@ -591,16 +511,14 @@ class QueryService:
     def save_snapshot(self, directory: Optional[PathLike] = None) -> Tuple[int, str]:
         """Persist one snapshot at the current version.
 
-        Writes the diagonal, the plan record (plan and per-shard versions)
-        and — when the service maintains one — the linear system through
-        :class:`~repro.core.index.SnapshotStore`.  ``directory`` defaults
-        to ``update_params.snapshot_dir``.
+        Writes the diagonal and — when the service maintains one — the
+        linear system through :class:`~repro.core.index.SnapshotStore`.
+        ``directory`` defaults to ``update_params.snapshot_dir``.
         Returns ``(version, directory)``.  Saving the same version twice is
         a no-op (``snapshots_written`` does not move); a directory ahead of
-        this service, or holding another shard count, is rejected — it is
-        another lineage.  Taking the update lock before the serve lock
-        means a snapshot never reads the system mid-way through a detached
-        re-index.
+        this service is rejected — it is another lineage.  Taking the
+        update lock before the serve lock means a snapshot never reads the
+        system mid-way through a detached re-index.
         """
         with self._update_lock, self._lock:
             directory = (directory if directory is not None
@@ -620,7 +538,7 @@ class QueryService:
                 )
             if latest != self._version:
                 store.save_snapshot(
-                    self.sharded_index,
+                    self.index,
                     system=(self._walker.system
                             if self._walker is not None else None),
                     version=self._version)
@@ -630,8 +548,7 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # Batch execution
     # ------------------------------------------------------------------ #
-    def run_batch(self, queries: Sequence[Query],
-                  walkers: Optional[int] = None) -> BatchAnswers:
+    def run_batch(self, queries: Sequence[Query]) -> BatchAnswers:
         """Answer a batch of queries; answers align with the input order.
 
         Queued graph updates are applied first — unless another thread is
@@ -690,19 +607,10 @@ class QueryService:
             queries = list(queries)
             for query in queries:
                 self._validate_query(query)
-            walkers_count = (walkers if walkers is not None
-                             else self.query_params.query_walkers)
-            # Per-shard load accounting, before any cache lookup or
-            # shortcut: each distinct source counts once against its
-            # owning shard however it is served.
-            for source in dict.fromkeys(node for query in queries
-                                        for node in required_sources(query)):
-                self._shard_counters[self.plan.shard_of(source)][
-                    "sources_routed"] += 1
             scored = list(dict.fromkeys(
                 query.source for query in queries
                 if not isinstance(query, PairQuery)))
-            entries = self._lookup_scores(scored, walkers_count)
+            entries = self._lookup_scores(scored)
             # Read under the serve lock: the graph an update swaps in ends
             # a dead end's shortcut in the same swap.
             fixed = [definitional_pair_score(self.graph, query.source,
@@ -731,9 +639,8 @@ class QueryService:
             distributions: Dict[int, WalkDistributions] = {}
             if pending:
                 plan = plan_batch(pending)
-                distributions = self._resolve_distributions(plan, walkers_count)
-                entries.update(self._resolve_scores(pending, distributions,
-                                                    walkers_count))
+                distributions = self._resolve_distributions(plan)
+                entries.update(self._resolve_scores(pending, distributions))
                 self._counters["sources_deduplicated"] += plan.deduplicated
             answers = [self._assemble(query, score, distributions, entries)
                        for query, score in zip(queries, fixed)]
@@ -747,8 +654,7 @@ class QueryService:
                 self._counters["scatter_payload_bytes"] += delta
             return BatchAnswers(answers, self._version)
 
-    def _lookup_scores(self, sources: Sequence[int],
-                       walkers_count: int) -> Dict[int, ScoreEntry]:
+    def _lookup_scores(self, sources: Sequence[int]) -> Dict[int, ScoreEntry]:
         """The batch's distinct scored sources already propagated at this version.
 
         Each source is looked up as a score entry under its
@@ -758,7 +664,7 @@ class QueryService:
         found: Dict[int, ScoreEntry] = {}
         for source in sources:
             entry = self.cache.get_scores(
-                CacheKey.for_query(source, self.query_params, walkers_count))
+                CacheKey.for_query(source, self.query_params))
             if entry is not None:
                 found[source] = entry
         return found
@@ -774,20 +680,20 @@ class QueryService:
             raise CloudWalkerError(f"unknown query type {type(query).__name__!r}")
 
     def _resolve_distributions(
-        self, plan: BatchPlan, walkers_count: int
+        self, plan: BatchPlan
     ) -> Dict[int, WalkDistributions]:
         """Look every source of the batch up in the cache; simulate the rest.
 
         The misses are simulated in one ascending scatter
         (:func:`~repro.service.sharded.simulate_misses`: inline, or on the
-        serve pool when the batch carries the grain), counted against
-        their owning shards and stored in the cache in that order.
+        serve pool when the batch carries the grain) and stored in the
+        cache in that order.
         """
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
             cached = self.cache.get(
-                CacheKey.for_query(source, self.query_params, walkers_count)
+                CacheKey.for_query(source, self.query_params)
             )
             if cached is not None:
                 resolved[source] = cached
@@ -796,24 +702,22 @@ class QueryService:
         if missing:
             simulated, hops = simulate_misses(
                 self._serve_backend, self.graph, sorted(missing),
-                self.query_params, walkers_count)
+                self.query_params, self.query_params.query_walkers)
             self._counters["sources_simulated"] += len(simulated)
             self._counters["scatter_hops"] += hops
             if not hops:
                 self._counters["misses_walked_inline"] += len(simulated)
             for source, distribution in simulated.items():
-                self._shard_counters[self.plan.shard_of(source)][
-                    "sources_simulated"] += 1
                 resolved[source] = distribution
                 self.cache.put(
-                    CacheKey.for_query(source, self.query_params, walkers_count),
+                    CacheKey.for_query(source, self.query_params),
                     distribution,
                 )
         return resolved
 
     def _resolve_scores(
         self, queries: Sequence[Query],
-        distributions: Dict[int, WalkDistributions], walkers_count: int,
+        distributions: Dict[int, WalkDistributions],
     ) -> Dict[int, ScoreEntry]:
         """Score every distinct source of the source / top-k ``queries`` once.
 
@@ -825,7 +729,7 @@ class QueryService:
         ``n`` floats wide except the columns dense enough to take the dense
         product.  Each record is stored as a score entry, whose rankings
         (:meth:`~repro.core.queries.SourceScores.top_k`, in the canonical
-        order) are memoised per ``k``, so no shard splits a ranking and
+        order) are memoised per ``k``, so nothing splits a ranking and
         nothing needs merging.
         """
         sources = list(dict.fromkeys(
@@ -839,8 +743,7 @@ class QueryService:
         )
         return {
             source: self.cache.put_scores(
-                CacheKey.for_query(source, self.query_params, walkers_count),
-                scores)
+                CacheKey.for_query(source, self.query_params), scores)
             for source, scores in zip(sources, scored)
         }
 
@@ -909,31 +812,26 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # One-off convenience queries (single-element batches)
     # ------------------------------------------------------------------ #
-    def single_pair(self, node_i: int, node_j: int,
-                    walkers: Optional[int] = None) -> float:
+    def single_pair(self, node_i: int, node_j: int) -> float:
         """SimRank score of one pair, served through the cache."""
-        return self.run_batch([PairQuery(node_i, node_j)], walkers=walkers)[0]
+        return self.run_batch([PairQuery(node_i, node_j)])[0]
 
-    def single_source(self, node: int,
-                      walkers: Optional[int] = None) -> np.ndarray:
+    def single_source(self, node: int) -> np.ndarray:
         """Score vector of one source, served through the cache."""
-        return self.run_batch([SourceQuery(node)], walkers=walkers)[0]
+        return self.run_batch([SourceQuery(node)])[0]
 
-    def top_k(self, node: int, k: Optional[int] = None,
-              walkers: Optional[int] = None) -> List:
+    def top_k(self, node: int, k: Optional[int] = None) -> List:
         """Top-``k`` ranking for one source, served through the cache."""
         k = k if k is not None else self.service_params.default_top_k
-        return self.run_batch([TopKQuery(node, k=k)], walkers=walkers)[0]
+        return self.run_batch([TopKQuery(node, k=k)])[0]
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
-        """Serving counters, cache effectiveness and a per-shard breakdown.
+        """Serving counters and cache effectiveness.
 
-        Cache figures describe the service's one cache; the ``"shards"``
-        entry lists, per shard: owned nodes, the shard's version, and its
-        simulated and routed sources and routed edges.
+        Cache figures describe the service's one cache.
         ``serve_backend`` / ``serve_workers`` describe the simulation
         scatter pool; ``scatter_hops`` counts the runs handed to it and
         ``misses_walked_inline`` the misses walked in the serving thread.
@@ -942,14 +840,6 @@ class QueryService:
         concurrently.
         """
         with self._lock:
-            owned_nodes = np.bincount(self.plan.assign(self.graph.n_nodes),
-                                      minlength=self.num_shards)
-            shard_rows = [{
-                "shard": shard,
-                "nodes": int(owned_nodes[shard]),
-                "version": self.sharded_index.shard_versions[shard],
-                **self._shard_counters[shard],
-            } for shard in range(self.num_shards)]
             return {
                 **self._counters,
                 "index_version": self._version,
@@ -959,7 +849,6 @@ class QueryService:
                 "query_walkers_served": self.query_params.query_walkers,
                 "walk_steps_served": self.query_params.walk_steps,
                 "num_shards": self.num_shards,
-                "shard_strategy": self.plan.strategy,
                 "serve_backend": self.service_params.serve_backend,
                 "serve_workers": self.service_params.serve_workers,
                 "cache_size": len(self.cache),
@@ -969,13 +858,12 @@ class QueryService:
                 **{f"cache_{key}": value
                    for key, value in self.cache.stats.to_dict().items()},
                 "last_batch_payload_bytes": self.last_batch_payload_bytes,
-                "shards": shard_rows,
             }
 
     def __repr__(self) -> str:
         return (
             f"QueryService(graph={self.graph.name!r}, "
             f"n_nodes={self.graph.n_nodes}, shards={self.num_shards}, "
-            f"strategy={self.plan.strategy!r}, version={self._version}, "
+            f"version={self._version}, "
             f"queries={self._counters['queries']})"
         )

@@ -9,8 +9,8 @@ do the runs cross to the service's persistent serve pool
 :func:`repro.core.sharding.run_shard_tasks` primitive the build path fans
 out through).  One run is walked in the calling thread, on the ``serial``
 backend always: no hop, no pickled results, no resident registration.
-Every source has its own random stream, and the shard plan plays no part:
-the service holds one cache, and however the misses are split, and
+Every source has its own random stream, and the shard count plays no
+part: the service holds one cache, and however the misses are split, and
 wherever they run, the distributions are bitwise-identical to one
 in-process call.
 

@@ -19,7 +19,6 @@ from repro.core.walks import forward_reachable_set
 from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import ShardPlan
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +187,7 @@ class TestIncrementalMonteCarlo:
 
 
 def _walker(graph, params, num_shards=1):
-    walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(num_shards),
-                                      params=params)
+    walker = ShardedIncrementalWalker(graph, num_shards, params=params)
     walker.build()
     return walker
 

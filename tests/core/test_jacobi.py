@@ -94,12 +94,11 @@ class TestJacobiSolve:
         it reports the bytes a tracked solve ends on (``inf`` after zero
         sweeps), for a build and for an update."""
         from repro.core.sharding import ShardedIncrementalWalker
-        from repro.graph.partition import ShardPlan
 
         params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=iterations,
                                index_walkers=30, seed=5)
         graph = generators.copying_model_graph(60, out_degree=4, seed=2)
-        walker = ShardedIncrementalWalker(graph, ShardPlan.hashed(2), params=params)
+        walker = ShardedIncrementalWalker(graph, 2, params=params)
         for step in ("build", "update"):
             if step == "build":
                 walker.build()

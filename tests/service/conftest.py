@@ -53,12 +53,11 @@ def make_service(service_graph, service_index, service_params):
 def make_sharded(service_graph, service_index, service_params):
     """Factory producing a fresh sharded service per call."""
 
-    def factory(num_shards=3, strategy="hash",
-                **service_overrides) -> QueryService:
+    def factory(num_shards=3, **service_overrides) -> QueryService:
         return QueryService(
             service_graph, service_index, service_params,
             ServiceParams(**service_overrides) if service_overrides else None,
-            sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
+            sharding=ShardingParams(num_shards=num_shards),
         )
 
     return factory

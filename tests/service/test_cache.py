@@ -308,7 +308,8 @@ class TestScoreEntries:
         key = _key(7)
         assert isinstance(key, tuple) and hash(key) == hash((7, 5, 300, 13))
         assert key.node == 7 and key == CacheKey.for_query(
-            7, type("P", (), {"walk_steps": 5, "seed": 13})(), 300)
+            7, type("P", (), {"walk_steps": 5, "seed": 13,
+                              "query_walkers": 300})())
 
 
 class TestEviction:

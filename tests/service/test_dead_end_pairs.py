@@ -73,9 +73,6 @@ class TestDeadEndPairs:
                 == before["cache_hits"] + before["cache_misses"])
         assert after["pair_queries"] - before["pair_queries"] == len(pairs)
         assert after["dead_end_pairs"] - before["dead_end_pairs"] == len(pairs)
-        # The endpoints still count in the per-shard routed counters.
-        assert (sum(row["sources_routed"] for row in after["shards"])
-                - sum(row["sources_routed"] for row in before["shards"])) == 6
 
     def test_a_self_pair_on_a_dead_end_is_still_one(self, make_any,
                                                     service_graph):
@@ -152,24 +149,23 @@ def _graphs(draw) -> DiGraph:
     return DiGraph(n, draw(st.lists(st.tuples(node, node), max_size=3 * n)))
 
 
-def _reference(service: QueryService, node_i: int, node_j: int,
-               walkers) -> float:
+def _reference(service: QueryService, node_i: int, node_j: int) -> float:
     """The pair's score from the combine of freshly simulated walks."""
     if node_i == node_j:
         return 1.0
     distributions = montecarlo.estimate_walk_distributions_batch(
-        service.graph, [node_i, node_j], service.query_params, walkers=walkers)
+        service.graph, [node_i, node_j], service.query_params)
     engine = QueryEngine(service.graph, service.index, service.query_params)
     return engine.combine_pair(distributions[node_i], distributions[node_j])
 
 
 @settings(max_examples=15, deadline=None)
 @given(_graphs(), st.sampled_from([1, 2, 5]), st.booleans(),
-       st.sampled_from([None, 7]), st.data())
+       st.sampled_from([20, 7]), st.data())
 def test_every_pair_answer_is_the_combine_of_fresh_walks(
         graph, num_shards, approximate, walkers, data):
     params = SimRankParams(c=0.6, walk_steps=3, jacobi_iterations=2,
-                           index_walkers=10, query_walkers=20,
+                           index_walkers=10, query_walkers=walkers,
                            seed=data.draw(st.integers(0, 1000)))
     service_params = (ServiceParams(accuracy_budget=0.5, approx_walkers=9,
                                     approx_steps=2)
@@ -183,10 +179,9 @@ def test_every_pair_answer_is_the_combine_of_fresh_walks(
             pairs = [PairQuery(i, j) for i, j in data.draw(
                 st.lists(st.tuples(node, node), min_size=1, max_size=8))]
             before = service.stats()["dead_end_pairs"]
-            answers = service.run_batch(pairs, walkers=walkers)
+            answers = service.run_batch(pairs)
             for query, answer in zip(pairs, answers, strict=True):
-                expected = _reference(service, query.source, query.target,
-                                      walkers)
+                expected = _reference(service, query.source, query.target)
                 assert np.float64(answer).tobytes() == \
                     np.float64(expected).tobytes()
             dead = service.graph.in_degrees() == 0
@@ -267,7 +262,7 @@ def test_unmeetable_pairs_answer_the_combine_of_fresh_walks(
             for query, answer in zip(pairs, answers, strict=True):
                 if query in unwalked:
                     expected = _reference(service, query.source,
-                                          query.target, None)
+                                          query.target)
                     assert np.float64(answer).tobytes() == \
                         np.float64(expected).tobytes() == \
                         np.float64(0.0).tobytes()

@@ -270,9 +270,7 @@ class TestReplayDeterminism:
         first, second = results
         assert first.answer_checksum == second.answer_checksum
         assert counters[0] == counters[1]
-        # The walk includes every per-shard row and a non-trivial count.
-        assert sum(path[0] == "shards" for path in counters[0]) == 3 * 6
-        assert counters[0][("shards", 0, "sources_routed")] > 0
+        assert counters[0][("sources_simulated",)] > 0
         assert counters[0][("queries",)] == trace.n_queries
 
     def test_batches_split_on_size_window_and_updates(self, make_service):

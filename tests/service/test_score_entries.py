@@ -5,10 +5,10 @@ source's :class:`~repro.core.queries.SourceScores` record under its
 :class:`CacheKey`, with the source's top-k rankings memoised per ``k``.
 These tests pin the serving-side contract around them: a hit skips the
 whole pipeline yet hands out independent answers, every ``k`` of a source
-shares one entry, every applied update drops all of them in every shard
+shares one entry, every applied update drops all of them
 while distributions keep their per-ball invalidation, capacity 0 stores
-nothing, keys never collide across modes, their bytes are counted, and a
-batch answered from them still counts in the per-shard routed counters.  (The
+nothing, keys never collide across modes or walker counts, and their bytes
+are counted.  (The
 random-interleaving property against an uncached twin lives in
 ``tests/test_properties.py``.)
 """
@@ -29,7 +29,6 @@ from repro.service import (
 )
 from repro.service import service as service_module
 from repro.service import sharded as sharded_module
-from repro.service.batching import required_sources
 from repro.service.cache import ScoreEntry
 
 TOPK = [TopKQuery(3, k=5), TopKQuery(12, k=4), TopKQuery(3, k=5), TopKQuery(3, k=2)]
@@ -174,14 +173,20 @@ class TestHitSkipsThePipeline:
         assert [list(args[1]) for args in propagated] == [[12, 7]]
         assert_answers_equal(answers, make_any(cache_capacity=0).run_batch(mixed))
 
-    def test_walkers_override_is_part_of_the_key_and_k_is_not(self, make_any):
+    def test_walkers_are_part_of_the_key_and_k_is_not(
+            self, make_any, service_graph, service_index, service_params):
         service = make_any()
         service.run_batch([TopKQuery(3, k=5)])
-        service.run_batch([TopKQuery(3, k=5)], walkers=50)
-        assert service.stats()["cache_score_hits"] == 0
         service.run_batch([TopKQuery(3, k=6), SourceQuery(3)])
         assert service.stats()["cache_score_hits"] == 1
-        assert service.stats()["cache_score_entries"] == 2
+        assert service.stats()["cache_score_entries"] == 1
+        # A service at another walker count files the source elsewhere.
+        other = QueryService(service_graph, service_index,
+                             service_params.with_(query_walkers=50))
+        other.run_batch([TopKQuery(3, k=5)])
+        [key] = other.cache._scores
+        assert key.walkers == 50
+        assert key != next(iter(service.cache._scores))
 
 
 class TestInvalidation:
@@ -282,7 +287,7 @@ class TestKeysAndCapacity:
                                                service_params):
         service = make_service()
         service.run_batch([TopKQuery(3, k=5)])
-        key = CacheKey.for_query(3, service_params, service_params.query_walkers)
+        key = CacheKey.for_query(3, service_params)
         cache = service.cache
         assert key in cache and key in cache._scores
         entry = cache.get_scores(key)
@@ -303,43 +308,3 @@ class TestKeysAndCapacity:
         assert service.stats()["cache_memory_bytes"] == distributions + records
         assert cache.drop_scores() == 4
         assert service.stats()["cache_memory_bytes"] == distributions
-
-
-class TestLoadAccountingSeesCachedSources:
-    def test_batch_served_from_scores_still_counts_its_sources(self,
-                                                               make_sharded):
-        service = make_sharded(num_shards=3)
-        batch = TOPK + [SourceQuery(12)]
-        service.run_batch(batch)
-        before = service.stats()
-        service.run_batch(batch)       # served entirely from score entries
-        after = service.stats()
-        assert after["cache_score_hits"] - before["cache_score_hits"] == 2
-        distinct = len({query.source for query in batch})
-        routed = [row["sources_routed"] for row in after["shards"]]
-        routed_before = [row["sources_routed"] for row in before["shards"]]
-        assert sum(routed) - sum(routed_before) == distinct
-        for source in {query.source for query in batch}:
-            shard = service.shard_of(source)
-            assert routed[shard] > routed_before[shard]
-
-    def test_routed_counters_do_not_depend_on_the_cache(self, make_sharded):
-        """Hot top-k traffic routes the same sources per shard whether it
-        was served from score entries or recomputed every time
-        (``cache_capacity=0``)."""
-        hot = [[TopKQuery(3, k=5), TopKQuery(5, k=5), PairQuery(3, 40)],
-               [TopKQuery(3, k=5), SourceQuery(9)],
-               [TopKQuery(5, k=5), TopKQuery(3, k=5), PairQuery(7, 7)]] * 6
-        cached, plain = make_sharded(num_shards=3), make_sharded(
-            num_shards=3, cache_capacity=0)
-        for batch in hot:
-            cached.run_batch(batch)
-            plain.run_batch(batch)
-        assert cached.stats()["cache_score_hits"] > 0
-        # Each distinct source counts once per batch, not once per query.
-        routed = sum(row["sources_routed"] for row in cached.stats()["shards"])
-        assert routed == sum(len({node for query in batch
-                                  for node in required_sources(query)})
-                             for batch in hot)
-        for left, right in zip(cached.stats()["shards"], plain.stats()["shards"]):
-            assert left["sources_routed"] == right["sources_routed"]

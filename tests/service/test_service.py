@@ -80,10 +80,25 @@ class TestCoreEquivalence:
         scores = service.single_source(5)
         assert service.top_k(5, k=6) == rank_top_k(scores, 5, 6)
 
-    def test_walkers_override_matches_direct_core_call(
-        self, make_service, service_graph, service_params, direct_engine
-    ):
+    @pytest.mark.parametrize("call", [
+        lambda service: service.run_batch([PairQuery(3, 9)], walkers=64),
+        lambda service: service.single_pair(3, 9, walkers=64),
+        lambda service: service.single_source(3, walkers=64),
+        lambda service: service.top_k(3, k=4, walkers=64),
+    ], ids=["run_batch", "single_pair", "single_source", "top_k"])
+    def test_query_calls_take_no_walker_override(self, make_service, call):
+        # One operating point per service: the walker count is the
+        # service's query_walkers, never a per-call argument.
         service = make_service()
+        with pytest.raises(TypeError, match="walkers"):
+            call(service)
+        assert len(service.cache) == 0
+
+    def test_walker_count_matches_direct_core_call(
+        self, service_graph, service_index, service_params, direct_engine
+    ):
+        service = QueryService(service_graph, service_index,
+                               service_params.with_(query_walkers=64))
         dist_3 = montecarlo.estimate_walk_distributions(
             service_graph, 3, service_params, walkers=64
         )
@@ -91,9 +106,8 @@ class TestCoreEquivalence:
             service_graph, 9, service_params, walkers=64
         )
         expected = direct_engine.combine_pair(dist_3, dist_9)
-        assert service.single_pair(3, 9, walkers=64) == expected
-        # Different walker budgets live under different cache keys.
-        assert service.stats()["cache_size"] == 2
+        assert service.single_pair(3, 9) == expected
+        assert {key.walkers for key in service.cache._entries} == {64}
 
     def test_restart_reproduces_answers(self, make_service):
         first = make_service()

@@ -83,7 +83,7 @@ class TestShardedEquivalenceAcrossRestarts:
                                               tmp_path):
         service = QueryService(
             service_graph, service_index, service_params,
-            sharding=ShardingParams(num_shards=3, strategy="hash"),
+            sharding=ShardingParams(num_shards=3),
         )
         batches = edge_batches(service_graph.n_nodes, 4, 3, seed=77)
         for step, batch in enumerate(batches):

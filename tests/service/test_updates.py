@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.config import ServiceParams, SimRankParams, UpdateParams
+from repro.config import (
+    ServiceParams,
+    ShardingParams,
+    SimRankParams,
+    UpdateParams,
+)
 from repro.core.index import SnapshotStore
 from repro.core.walks import forward_reachable_set
 from repro.errors import CloudWalkerError, ConfigurationError
@@ -175,8 +180,7 @@ class TestUpdateSemantics:
                 with pytest.raises(CloudWalkerError, match=pattern) as info:
                     service.add_edges([bad], defer=defer)
                 assert message in str(info.value)
-            stats = service.stats()
-            assert sum(row["edges_routed"] for row in stats["shards"]) == 0
+            assert service.stats()["edges_added"] == 0
             assert service.pending_updates == 0
             assert service.index_version == 1
 
@@ -261,9 +265,8 @@ class TestTargetedInvalidation:
         assert stats["cache_invalidations"] == len(result.affected)
         assert stats["cache_size"] == n_cached - len(result.affected)
 
-        walkers = live_service.params.query_walkers
         for node in live_service.graph.nodes():
-            key = CacheKey.for_query(node, live_service.params, walkers)
+            key = CacheKey.for_query(node, live_service.params)
             if node in result.affected:
                 assert key not in live_service.cache
             else:
@@ -279,14 +282,16 @@ class TestTargetedInvalidation:
         # Every unaffected source was served from cache: zero new simulations.
         assert live_service.stats()["sources_simulated"] == before
 
-    def test_invalidation_covers_all_walker_variants(self, live_service):
-        live_service.single_source(10)
-        live_service.single_source(10, walkers=64)
-        assert live_service.stats()["cache_size"] == 2
+    def test_invalidation_at_another_walker_count(self, update_graph,
+                                                  update_params_cheap):
+        service = QueryService.build(
+            update_graph, update_params_cheap.with_(query_walkers=64))
+        service.single_source(10)
+        assert {key.walkers for key in service.cache._entries} == {64}
         # Node 10 is its own head -> certainly affected.
-        result = live_service.add_edges([(3, 10)])
+        result = service.add_edges([(3, 10)])
         assert 10 in result.affected
-        assert live_service.stats()["cache_size"] == 0
+        assert service.stats()["cache_size"] == 0
 
 
 class TestRebuildEquivalence:
@@ -403,20 +408,31 @@ class TestServiceSnapshots:
         with pytest.raises(CloudWalkerError):
             fresh.save_snapshot(tmp_path)
 
-    def test_single_store_lineage_rejected(
-        self, update_graph, update_params_cheap, tmp_path
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_index_only_lineage_restores_and_continues(
+        self, update_graph, update_params_cheap, tmp_path, num_shards
     ):
         service = QueryService.build(update_graph, update_params_cheap)
-        # A single-store lineage at v2: index files, no plan records.
+        # Index files and nothing else, at v2 (once refused as a
+        # single-store lineage).
         service.index.save(tmp_path / "index-v00000001.npz")
         service.index.save(tmp_path / "index-v00000002.npz")
-        # The service neither starts a second lineage at v1 next to it
-        # nor restores from it.
-        with pytest.raises(CloudWalkerError, match="single-store"):
+        # A service at v1 does not write behind it; a restore adopts v2,
+        # estimates the system on its first update and continues at v3.
+        with pytest.raises(CloudWalkerError, match="ahead of this service"):
             service.save_snapshot(tmp_path)
-        with pytest.raises(CloudWalkerError, match="single-store"):
-            QueryService.from_snapshot(update_graph, tmp_path)
-        assert not list(tmp_path.glob("plan-v*.json"))
+        restored = QueryService.from_snapshot(
+            update_graph, tmp_path,
+            sharding=ShardingParams(num_shards=num_shards))
+        assert restored.index_version == 2
+        restored.add_edges([(0, 50)])
+        service.add_edges([(0, 50)])
+        assert restored.run_batch([SourceQuery(3)])[0].tobytes() == \
+            service.run_batch([SourceQuery(3)])[0].tobytes()
+        assert restored.save_snapshot(tmp_path)[0] == 3
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "index-v00000001.npz", "index-v00000002.npz",
+            "index-v00000003.npz", "system-v00000003.npz"]
 
     def test_save_without_directory_rejected(self, live_service):
         with pytest.raises(CloudWalkerError):

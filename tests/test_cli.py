@@ -5,10 +5,10 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.core.index import ShardedIndex, SnapshotStore
+from repro.config import ShardingParams
+from repro.core.index import SnapshotStore
 from repro.graph import generators
 from repro.graph import io as graph_io
-from repro.graph.partition import ShardPlan
 
 
 def run_cli(*argv):
@@ -396,8 +396,7 @@ class TestUpdateAndSnapshot:
 
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        assert "1-shard 'hash' lineage" in output
-        rows = [line.split() for line in output.splitlines()[2:]]
+        rows = [line.split() for line in output.splitlines()[1:]]
         assert [(row[0], row[3]) for row in rows] == [("2", "yes"), ("3", "yes")]
 
     def test_update_warns_without_output_graph(self, indexed, tmp_path):
@@ -467,11 +466,11 @@ class TestUpdateAndSnapshot:
         assert "pruned versions [1, 2]; kept [3]" in output
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        # A new directory gets a one-shard plan; saves carry no system.
+        # Saves carry no system: a version is its index file.
         assert sorted(path.name for path in snaps.iterdir()) \
-            == ["index-v00000003.npz", "plan-v00000003.json"]
-        assert output.splitlines()[0] == "1-shard 'hash' lineage"
-        assert output.splitlines()[2].split()[::3] == ["3", "no"]
+            == ["index-v00000003.npz"]
+        assert output.splitlines()[0].split()[0] == "version"
+        assert output.splitlines()[1].split()[::3] == ["3", "no"]
 
     def test_snapshot_save_requires_index(self, tmp_path):
         code, output = run_cli("snapshot", "save", "--dir", str(tmp_path))
@@ -493,43 +492,38 @@ class TestUpdateAndSnapshot:
         assert "snapshot retention must be >= 1" in output
         assert not snaps.exists()
 
-    def test_single_store_lineage_is_refused_with_its_migration(
-            self, indexed, tmp_path):
-        """A directory of ``index-v*.npz`` files at its root (the old
-        single-store layout) is refused by every command, never shadowed
-        by a new lineage; the migration the error names works."""
+    def test_index_only_lineage_opens_in_every_command(self, indexed,
+                                                       tmp_path):
+        """A directory of ``index-v*.npz`` files and nothing else (once
+        refused as a single-store lineage) is a lineage to every command."""
         from repro.core.index import DiagonalIndex
 
         graph_file, index_path = indexed
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
+        lineage = tmp_path / "lineage"
+        lineage.mkdir()
         for version in (1, 2):
             DiagonalIndex.load(index_path).save(
-                legacy / f"index-v0000000{version}.npz")
-        before = sorted(path.name for path in legacy.iterdir())
+                lineage / f"index-v0000000{version}.npz")
+        code, output = run_cli("snapshot", "list", "--dir", str(lineage))
+        assert code == 0
+        assert [line.split()[::3] for line in output.splitlines()[1:]] \
+            == [["1", "no"], ["2", "no"]]
         edges = tmp_path / "edges.tsv"
         edges.write_text("2 50\n")
-        migration = f"--index {legacy / 'index-v00000002.npz'}"
-        for argv in (
-            ("snapshot", "list", "--dir", str(legacy)),
-            ("snapshot", "prune", "--dir", str(legacy)),
-            ("snapshot", "save", "--dir", str(legacy), "--index", str(index_path)),
-            ("update", "--graph", str(graph_file), "--edges", str(edges),
-             "--snapshot-dir", str(legacy)),
-            ("update", "--graph", str(graph_file), "--edges", str(edges),
-             "--snapshot-dir", str(legacy), "--index", str(index_path)),
-        ):
-            code, output = run_cli(*argv)
-            assert code == 1, argv
-            assert "single-store snapshot lineage" in output
-            assert migration in output
-        assert sorted(path.name for path in legacy.iterdir()) == before
-
-        fresh = tmp_path / "fresh"
-        code, output = run_cli("snapshot", "save", "--dir", str(fresh),
-                               *migration.split())
+        code, output = run_cli(
+            "update", "--graph", str(graph_file), "--edges", str(edges),
+            "--snapshot-dir", str(lineage),
+        )
         assert code == 0
-        assert f"snapshot v1 written to {fresh}" in output
+        assert f"loaded snapshot v2 in {lineage} (shards: 1)" in output
+        assert "estimating it once" in output
+        assert "snapshot v3 written" in output
+        code, output = run_cli("snapshot", "prune", "--dir", str(lineage),
+                               "--retain", "1")
+        assert code == 0
+        assert "pruned versions [1, 2]; kept [3]" in output
+        assert sorted(path.name for path in lineage.iterdir()) == [
+            "index-v00000003.npz", "system-v00000003.npz"]
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_restart_drill_reopens_the_lineage_without_writing(
@@ -555,7 +549,7 @@ class TestUpdateAndSnapshot:
             "--snapshot-dir", str(snaps),
         )
         assert code == 0
-        assert f"loaded snapshot v2 in {snaps} ({shards}-shard plan)" in output
+        assert f"loaded snapshot v2 in {snaps} (shards: 1)" in output
         assert "all 1 edges already present; nothing to update" in output
         assert f"snapshot v2 already on disk in {snaps}" in output
         assert "written" not in output
@@ -581,7 +575,7 @@ class TestShardedCli:
                 "--walkers", "40", "--steps", "5", "--shards", str(shards),
             )
             assert code == 0
-            assert f"across {shards} 'hash' shards" in output
+            assert f"across {shards} shards" in output
             diagonal = DiagonalIndex.load(path).diagonal
             assert diagonal.tobytes() == expected.tobytes(), shards
 
@@ -651,15 +645,14 @@ class TestShardedCli:
         # list: the sharded lineage's versions, not 'no snapshots'.
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert code == 0
-        assert "2-shard" in output
         assert output.splitlines()[-1].split()[::3] == ["2", "yes"]
         assert "no snapshots" not in output
-        # save: the diagonal as a new version under the lineage's plan,
-        # with no system (the first update estimates it).
+        # save: the diagonal as a new version, with no system (the first
+        # update estimates it).
         code, output = run_cli("snapshot", "save", "--dir", str(snaps),
                                "--index", str(index_path))
         assert code == 0
-        assert "snapshot v3 written" in output and "2-shard plan" in output
+        assert "snapshot v3 written" in output and "no linear system" in output
         code, output = run_cli("snapshot", "list", "--dir", str(snaps))
         assert output.splitlines()[-1].split()[::3] == ["3", "no"]
         # prune: keeps the newest versions, reports the removed ones.
@@ -718,14 +711,12 @@ class TestShardedCli:
             "--snapshot-dir", str(snap_dir), "--output-graph", str(graph2),
         )
         assert code == 0
-        assert "(2-shard plan)" in output
-        # One version: index, system and plan record, whatever K is.
+        assert "(shards: 2)" in output
+        # One version: index and system, whatever K is.
         assert sorted(path.name for path in snap_dir.iterdir()) == [
-            "index-v00000002.npz", "plan-v00000002.json",
-            "system-v00000002.npz"]
-        assert SnapshotStore(snap_dir).load_plan().num_shards == 2
+            "index-v00000002.npz", "system-v00000002.npz"]
 
-        # Resume from the sharded lineage (auto-detected, plan immutable).
+        # Resume from the lineage (auto-detected) at another K.
         edges2 = tmp_path / "edges2.tsv"
         edges2.write_text("5 9\n")
         code, output = run_cli(
@@ -734,14 +725,15 @@ class TestShardedCli:
             "--output-graph", str(graph2),
         )
         assert code == 0
-        assert f"snapshot v2 in {snap_dir} (2-shard plan)" in output
-        assert "keeping the directory's 2-shard plan" in output
+        assert f"snapshot v2 in {snap_dir} (shards: 4)" in output
+        assert "estimating" not in output
         assert "index now version 3" in output
+        assert "snapshot v3 written" in output
 
     def test_per_shard_lineage_is_refused_with_its_migration(
             self, indexed, tmp_path):
-        """A ``shard_plan.json`` lineage with one store per shard (the
-        layout before plan records) is refused by ``update`` and
+        """A ``shard_plan.json`` lineage with one store per shard (an
+        older layout) is refused by ``update`` and
         ``snapshot``, with a migration command that works."""
         import json
 
@@ -777,50 +769,11 @@ class TestShardedCli:
             "--snapshot-dir", str(new),
         )
         assert code == 0
-        assert f"loaded snapshot v1 in {new} (1-shard plan)" in output
+        assert f"loaded snapshot v1 in {new} (shards: 1)" in output
         assert "snapshot v2 written" in output
 
-    def test_update_resumes_under_the_newest_versions_plan(
-            self, indexed, tmp_path):
-        """A lineage whose newest version carries another plan (as older
-        builds wrote) is resumed under that plan, with its system: the
-        next ``update`` re-estimates nothing up front and saves under it,
-        while older versions keep theirs."""
-        graph_file, index_path = indexed
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("1 50\n")
-        snaps = tmp_path / "snaps"
-        graph2 = tmp_path / "updated.tsv"
-        code, _ = run_cli(
-            "update", "--graph", str(graph_file), "--index", str(index_path),
-            "--edges", str(edges), "--shards", "3",
-            "--shard-strategy", "contiguous",
-            "--snapshot-dir", str(snaps), "--output-graph", str(graph2),
-        )
-        assert code == 0
-        store = SnapshotStore(snaps)
-        _version, sharded, system = store.load(2)
-        other = ShardPlan.for_graph(graph_io.read_edge_list(str(graph2)), 3,
-                                    "partitioner")
-        store.save_snapshot(ShardedIndex(index=sharded.index, plan=other,
-                                         shard_versions=[3] * 3),
-                            system=system, version=3)
-        assert store.versions() == [2, 3]
-        assert store.load_plan(2).strategy == "contiguous"
-
-        edges.write_text("2 60\n")
-        code, output = run_cli(
-            "update", "--graph", str(graph2), "--edges", str(edges),
-            "--snapshot-dir", str(snaps), "--output-graph", str(graph2),
-        )
-        assert code == 0
-        assert f"snapshot v3 in {snaps} (3-shard plan)" in output
-        assert "estimating" not in output
-        assert "snapshot v4 written" in output
-        assert store.load_plan(4) == other
-
     def test_rebalance_is_no_subcommand(self, capsys):
-        """Shard plans are fixed at build; no command migrates them."""
+        """No shard assignment exists, so no command migrates one."""
         with pytest.raises(SystemExit) as excinfo:
             main(["rebalance", "--graph", "g.tsv", "--force"])
         assert excinfo.value.code == 2
@@ -831,18 +784,19 @@ class TestShardedCli:
         ["serve-http", "--rebalance-threshold", "1.5"],
         ["serve-http", "--rebalance-interval", "1"],
         ["replay", "--rebalance-every", "2"],
+        ["serve-http", "--shard-strategy", "hash"],
     ], ids=["auto-rebalance", "rebalance-threshold", "rebalance-interval",
-            "rebalance-every"])
+            "rebalance-every", "shard-strategy"])
     def test_plan_migration_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, "--graph", "g.tsv", "--index", "i.npz"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
-    def test_update_keeps_a_one_shard_lineage_shard_count(self, indexed,
-                                                          tmp_path):
-        """One shard-count policy for every K: ``--shards 2`` against a
-        one-shard lineage is noted and ignored, like any other mismatch."""
+    def test_update_continues_a_one_shard_lineage_at_two_shards(
+            self, indexed, tmp_path):
+        """``--shards 2`` against a lineage written at one shard runs at
+        two and saves into the same lineage: K never shaped a version."""
         graph_file, index_path = indexed
         edges = tmp_path / "edges.tsv"
         edges.write_text("1 50\n")
@@ -861,10 +815,43 @@ class TestShardedCli:
             "--output-graph", str(graph2),
         )
         assert code == 0
-        assert ("keeping the directory's 1-shard plan (ignoring --shards 2)"
-                in output)
+        assert f"loaded snapshot v2 in {snap_dir} (shards: 2)" in output
+        assert "estimating" not in output
         assert "snapshot v3 written" in output
-        assert SnapshotStore(snap_dir).load_plan().num_shards == 1
+        assert SnapshotStore(snap_dir).versions() == [2, 3]
+
+    @pytest.mark.parametrize("restart_shards", [1, 3])
+    def test_update_restarts_a_two_shard_lineage_at_any_shard_count(
+            self, indexed, tmp_path, restart_shards):
+        """A lineage written at ``--shards 2`` continues at another K, and
+        its next version equals the one a two-shard run writes."""
+        graph_file, index_path = indexed
+        edges = tmp_path / "edges.tsv"
+        diagonals = {}
+        for shards in (2, restart_shards):
+            snap_dir = tmp_path / f"snaps-{shards}"
+            graph2 = tmp_path / f"updated-{shards}.tsv"
+            edges.write_text("1 50\n")
+            code, _ = run_cli(
+                "update", "--graph", str(graph_file), "--index",
+                str(index_path), "--edges", str(edges), "--shards", "2",
+                "--snapshot-dir", str(snap_dir), "--output-graph", str(graph2),
+            )
+            assert code == 0
+            edges.write_text("2 50\n")
+            code, output = run_cli(
+                "update", "--graph", str(graph2), "--edges", str(edges),
+                "--snapshot-dir", str(snap_dir), "--shards", str(shards),
+                "--output-graph", str(graph2),
+            )
+            assert code == 0
+            assert (f"loaded snapshot v2 in {snap_dir} (shards: {shards})"
+                    in output)
+            assert "snapshot v3 written" in output
+            version, index, _system = SnapshotStore(snap_dir).load()
+            assert version == 3
+            diagonals[shards] = index.diagonal.tobytes()
+        assert diagonals[restart_shards] == diagonals[2]
 
     def test_query_service_lineage_opens_in_sharded_service_and_cli(
             self, indexed, tmp_path):
@@ -899,15 +886,15 @@ class TestShardedCli:
             "--snapshot-dir", str(snaps),
         )
         assert code == 0
-        assert f"loaded snapshot v2 in {snaps} (1-shard plan)" in output
+        assert f"loaded snapshot v2 in {snaps} (shards: 1)" in output
         assert "estimating" not in output
         assert "snapshot v3 written" in output
 
     def test_sharded_cli_lineage_opens_in_query_service(self, indexed,
                                                         tmp_path):
         """The other way: a two-shard CLI lineage opens in the library's
-        ``QueryService.from_snapshot`` with the system gathered from both
-        shard blocks."""
+        ``QueryService.from_snapshot``, at two shards and at one, with its
+        system."""
         from repro.service import PairQuery, QueryService
         from repro.service import SourceQuery, TopKQuery
 
@@ -924,7 +911,9 @@ class TestShardedCli:
         assert code == 0
         updated = graph_io.read_edge_list(graph2, relabel=False)
         queries = [PairQuery(3, 9), TopKQuery(50, k=5), SourceQuery(2)]
-        with QueryService.from_snapshot(updated, snaps) as sharded:
+        with QueryService.from_snapshot(
+                updated, snaps,
+                sharding=ShardingParams(num_shards=2)) as sharded:
             assert sharded.num_shards == 2
             expected = sharded.run_batch(queries)
             sharded.add_edges([(7, 61)])

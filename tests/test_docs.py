@@ -70,8 +70,8 @@ class TestDocsTree:
 
     def test_sharding_md_covers_contracted_topics(self):
         text = (DOCS_DIR / "sharding.md").read_text(encoding="utf-8")
-        for needle in ("ShardPlan", "bitwise", "scatter-gather", "merge",
-                       "touched shard", "shard_plan.json", "critical path",
+        for needle in ("row task", "bitwise", "scatter-gather", "merge",
+                       "rows[k::K]", "shard_plan.json", "critical path",
                        "Rebuild"):
             assert needle in text, f"docs/sharding.md no longer covers {needle!r}"
 

@@ -583,9 +583,8 @@ class TestLiveUpdateProperties:
         assert result.affected == frozenset(expected)
 
         # Exactly the affected entries were dropped from the cache.
-        walkers = params.query_walkers
         for node in old_nodes:
-            key = CacheKey.for_query(node, params, walkers)
+            key = CacheKey.for_query(node, params)
             assert (key in service.cache) == (node not in result.affected)
         assert service.stats()["cache_invalidations"] == \
             len(result.affected & old_nodes)
@@ -717,6 +716,9 @@ class TestScoreEntryProperties:
     def test_answers_equal_an_uncached_twin(self, tmp_path_factory, num_shards,
                                             graph, data):
         params = self._params(seed=data.draw(st.integers(0, 500)))
+        # One operating point per service: the walker count is drawn once.
+        params = params.with_(query_walkers=data.draw(
+            st.sampled_from([params.query_walkers, 25])))
         cached = self._build(num_shards, graph, params, capacity=64)
         plain = self._build(num_shards, graph, params, capacity=0)
         operations = ["batch", "batch", "batch", "add", "defer", "readd",
@@ -726,10 +728,8 @@ class TestScoreEntryProperties:
             n_nodes = cached.graph.n_nodes
             if operation == "batch":
                 queries = self._batch(data, n_nodes)
-                walkers = data.draw(st.sampled_from([None, None, 25]))
                 TestShardingProperties._assert_equal(
-                    plain.run_batch(queries, walkers=walkers),
-                    cached.run_batch(queries, walkers=walkers))
+                    plain.run_batch(queries), cached.run_batch(queries))
             elif operation in ("add", "defer"):
                 edges = data.draw(st.lists(
                     st.tuples(st.integers(0, n_nodes), st.integers(0, n_nodes)),
@@ -766,8 +766,8 @@ class TestScoreEntryProperties:
 class TestShardingProperties:
     """Sharded serving: bitwise equivalence to the single-shard path.
 
-    The contract under test (see ``docs/sharding.md``): for any graph, any
-    shard count and any strategy, every pair / source / top-k answer of the
+    The contract under test (see ``docs/sharding.md``): for any graph and
+    any shard count, every pair / source / top-k answer of the
     sharded service — before *and* after live edge insertions — is
     bitwise-identical to the single-shard service's.
     """
@@ -805,7 +805,6 @@ class TestShardingProperties:
 
         params = self._params(seed=data.draw(st.integers(0, 500)))
         num_shards = data.draw(st.sampled_from([1, 2, 5]))
-        strategy = data.draw(st.sampled_from(["hash", "contiguous", "partitioner"]))
         draw_node = lambda: data.draw(  # noqa: E731
             st.integers(min_value=0, max_value=graph.n_nodes - 1))
         queries = self._queries(draw_node, n_queries=2)
@@ -813,7 +812,7 @@ class TestShardingProperties:
         single = QueryService.build(graph, params)
         sharded = QueryService.build(
             graph, params,
-            sharding=ShardingParams(num_shards=num_shards, strategy=strategy),
+            sharding=ShardingParams(num_shards=num_shards),
         )
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
         # Second pass runs from the cache; still identical.
@@ -840,14 +839,13 @@ class TestShardingProperties:
         edges) splices to the byte-identical canonical CSR and diagonal of a
         from-scratch build on the final graph, for any shard count."""
         from repro.core.sharding import ShardedIncrementalWalker
-        from repro.graph.partition import ShardPlan
 
         params = self._params(seed=data.draw(st.integers(0, 500)))
         num_shards = data.draw(st.sampled_from([1, 2, 5]))
 
         def built(on_graph):
             walker = ShardedIncrementalWalker(
-                on_graph, ShardPlan.hashed(num_shards), params=params)
+                on_graph, num_shards, params=params)
             walker.build()
             return walker
 
@@ -866,26 +864,43 @@ class TestShardingProperties:
         assert np.count_nonzero(walker.system.data) == len(walker.system.data)
         assert walker.index.diagonal.tobytes() == reference.index.diagonal.tobytes()
 
-    @given(graphs(max_nodes=14, max_edges=50), st.data())
-    def test_shard_versions_partition_the_global_version(self, graph, data):
-        from repro.config import ShardingParams
 
-        params = self._params(seed=7)
-        sharded = QueryService.build(
-            graph, params, sharding=ShardingParams(num_shards=2),
-        )
-        head = data.draw(st.integers(0, graph.n_nodes - 1))
-        tail = data.draw(st.integers(0, graph.n_nodes - 1))
-        result = sharded.add_edges([(tail, head)])
-        if result is None:
-            assert sharded.shard_versions == [1, 1]
+    @given(graphs(max_nodes=14, max_edges=50), st.data())
+    def test_update_tasks_partition_the_estimated_rows(self, graph, data):
+        """Whatever the graph, K and edge batch, an update's row tasks are
+        ``sorted(estimated)[k::K]`` with empty tasks dropped: every
+        estimated row lands in exactly one task, sizes differing by at
+        most one."""
+        from repro.core import sharding
+        from repro.core.sharding import ShardedIncrementalWalker
+
+        params = self._params(seed=data.draw(st.integers(0, 500)))
+        num_shards = data.draw(st.sampled_from([1, 2, 3, 5, 8]))
+        walker = ShardedIncrementalWalker(graph, num_shards, params=params)
+        walker.build()
+        runs = []
+        real = sharding.run_shard_tasks
+
+        def recording(backend, tasks):
+            runs.append([list(tasks[task].args[1]) for task in sorted(tasks)])
+            return real(backend, tasks)
+
+        top = graph.n_nodes + 1
+        edges = data.draw(st.lists(
+            st.tuples(st.integers(0, top), st.integers(0, top)),
+            min_size=1, max_size=4))
+        with mock.patch.object(sharding, "run_shard_tasks", recording):
+            result = walker.add_edges(edges)
+        if result is None or not result.estimated:
+            assert runs == []
             return
-        # A shard's version moves when one of its rows is re-estimated.
-        touched = {sharded.shard_of(node) for node in result.estimated}
-        for shard in range(sharded.num_shards):
-            expected = 2 if shard in touched else 1
-            assert sharded.shard_versions[shard] == expected
-        assert max(sharded.shard_versions) == sharded.index_version
+        rows = sorted(result.estimated)
+        [tasks] = runs
+        assert tasks == [rows[k::num_shards]
+                         for k in range(min(num_shards, len(rows)))]
+        assert sorted(row for task in tasks for row in task) == rows
+        sizes = [len(task) for task in tasks]
+        assert max(sizes) - min(sizes) <= 1
 
 
 # --------------------------------------------------------------------------- #
@@ -893,9 +908,9 @@ class TestShardingProperties:
 # --------------------------------------------------------------------------- #
 class TestSnapshotRoundTripProperties:
     """A lineage version restores the writer exactly: after any run of
-    edge batches under any shard strategy, each saved as it happens,
-    ``from_snapshot`` gives the writer's system and diagonal byte for byte
-    (dtypes included), its plan, per-shard versions, version and answers.
+    edge batches at any shard count, each saved as it happens,
+    ``from_snapshot`` at any shard count gives the writer's system and
+    diagonal byte for byte (dtypes included), its version and answers.
     """
 
     @pytest.mark.parametrize("num_shards", [1, 2, 5])
@@ -911,10 +926,7 @@ class TestSnapshotRoundTripProperties:
         directory = tmp_path_factory.mktemp("lineage")
         writer = QueryService.build(
             graph, params, ServiceParams(cache_capacity=0),
-            sharding=ShardingParams(
-                num_shards=num_shards,
-                strategy=data.draw(st.sampled_from(
-                    ["hash", "contiguous", "partitioner"]))))
+            sharding=ShardingParams(num_shards=num_shards))
         for _ in range(data.draw(st.integers(1, 4))):
             top = writer.graph.n_nodes      # may grow the graph by one node
             writer.add_edges(data.draw(st.lists(
@@ -923,8 +935,10 @@ class TestSnapshotRoundTripProperties:
             writer.save_snapshot(directory)
             queries = [TopKQuery(node, k=4)
                        for node in range(min(writer.graph.n_nodes, 3))]
+            restart = ShardingParams(
+                num_shards=data.draw(st.sampled_from([1, 2, 5])))
             with QueryService.from_snapshot(
-                    writer.graph, directory,
+                    writer.graph, directory, sharding=restart,
                     service_params=ServiceParams(cache_capacity=0)) as restored:
                 for name in ("indptr", "indices", "data"):
                     ours = getattr(restored._walker.system, name)
@@ -933,8 +947,6 @@ class TestSnapshotRoundTripProperties:
                     assert ours.tobytes() == theirs.tobytes(), name
                 assert restored.index.diagonal.tobytes() == \
                     writer.index.diagonal.tobytes()
-                assert restored.plan == writer.plan
-                assert restored.shard_versions == writer.shard_versions
                 assert restored.index_version == writer.index_version
                 TestShardingProperties._assert_equal(
                     writer.run_batch(queries), restored.run_batch(queries))
@@ -979,11 +991,11 @@ class TestScatterGrainProperties:
         with mock.patch.object(sharded, "SCATTER_GRAIN", grain), \
                 QueryService.build(graph, params, ServiceParams(
                     serve_backend=backend, serve_workers=workers)) as service:
-            for kind, payload, walkers in steps:
+            for kind, payload in steps:
                 if kind == "add":
                     service.add_edges(payload)
                 else:
-                    replies.append(service.run_batch(payload, walkers=walkers))
+                    replies.append(service.run_batch(payload))
             return replies, service.stats()["scatter_hops"]
 
     @staticmethod
@@ -1004,15 +1016,17 @@ class TestScatterGrainProperties:
     def test_answers_byte_equal_across_grains_and_backends(self, graph, data):
         params = TestShardingProperties._params(
             seed=data.draw(st.integers(0, 500)))
+        # One operating point per service: the walker count is drawn once.
+        params = params.with_(query_walkers=data.draw(
+            st.sampled_from([params.query_walkers, 25, 300])))
         workers = data.draw(st.integers(2, 4))
         node = st.integers(0, graph.n_nodes - 1)
         steps = []
         for _ in range(data.draw(st.integers(1, 4))):
             if steps and data.draw(st.booleans()):
                 steps.append(("add", data.draw(st.lists(
-                    st.tuples(node, node), min_size=1, max_size=3)), None))
-            steps.append(("batch", self._draw_batch(data, graph.n_nodes),
-                          data.draw(st.sampled_from([None, 25, 300]))))
+                    st.tuples(node, node), min_size=1, max_size=3))))
+            steps.append(("batch", self._draw_batch(data, graph.n_nodes)))
         reference, hops = self._replay(graph, params, steps, "serial", 1,
                                        None)
         assert hops == 0
