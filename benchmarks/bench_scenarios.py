@@ -57,9 +57,8 @@ def _traces(n_nodes):
 def _replay(service, trace, reference=None):
     from repro.service import scenarios
 
-    options = scenarios.ReplayOptions(batch_size=BATCH_SIZE)
     try:
-        return scenarios.replay_trace(service, trace, options,
+        return scenarios.replay_trace(service, trace, batch_size=BATCH_SIZE,
                                       reference=reference)
     finally:
         service.close()

@@ -115,33 +115,6 @@ def evaluate_pairs(
     )
 
 
-def evaluate_matrix(
-    estimate: np.ndarray,
-    reference: np.ndarray,
-    estimator_name: str = "estimator",
-    include_diagonal: bool = False,
-) -> AccuracyReport:
-    """Compare two full similarity matrices entry-wise."""
-    if estimate.shape != reference.shape:
-        raise ValueError(
-            f"shape mismatch: estimate {estimate.shape} vs reference {reference.shape}"
-        )
-    mask = np.ones(reference.shape, dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
-    errors = (estimate - reference)[mask]
-    if errors.size == 0:
-        return AccuracyReport(estimator_name, 0, 0.0, 0.0, 0.0, 0.0)
-    return AccuracyReport(
-        estimator=estimator_name,
-        n_pairs=int(errors.size),
-        mean_abs_error=float(np.abs(errors).mean()),
-        max_abs_error=float(np.abs(errors).max()),
-        rmse=float(np.sqrt((errors ** 2).mean())),
-        mean_signed_error=float(errors.mean()),
-    )
-
-
 @dataclass(frozen=True)
 class BudgetCalibration:
     """Outcome of :func:`calibrate_query_budget`.
@@ -292,15 +265,3 @@ def calibrate_query_budget(
         n_pairs=len(pairs),
         ladder=tuple(evaluated),
     )
-
-
-def compare_estimators(
-    scorers: Dict[str, PairScorer],
-    reference: np.ndarray,
-    pairs: Sequence[Tuple[int, int]],
-) -> List[AccuracyReport]:
-    """Evaluate several estimators on the same pair sample (tidy output)."""
-    return [
-        evaluate_pairs(scorer, reference, pairs, estimator_name=name)
-        for name, scorer in scorers.items()
-    ]

@@ -80,16 +80,3 @@ def naive_simrank_pair(
     node_i = graph.check_node(node_i)
     node_j = graph.check_node(node_j)
     return float(naive_simrank(graph, c=c, iterations=iterations)[node_i, node_j])
-
-
-def naive_simrank_cost_estimate(graph: DiGraph) -> dict:
-    """Back-of-envelope cost of the naive algorithm (for reports).
-
-    Memory is 8 n² bytes for the dense matrix; per-iteration work is two
-    sparse-dense products, ~2 · n · |E| multiply-adds.
-    """
-    n = graph.n_nodes
-    return {
-        "memory_bytes": 8.0 * n * n,
-        "flops_per_iteration": 2.0 * n * graph.n_edges,
-    }

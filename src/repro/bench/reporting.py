@@ -18,19 +18,6 @@ from typing import Any, Dict, List, Optional, Sequence
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmark_results"
 
 
-def format_seconds(value: float) -> str:
-    """Render a duration the way the paper does (ms under a second, h over an hour)."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "-"
-    if value == float("inf"):
-        return "N/A"
-    if value < 1.0:
-        return f"{value * 1000:.1f}ms"
-    if value < 3600.0:
-        return f"{value:.1f}s"
-    return f"{value / 3600.0:.1f}h"
-
-
 def format_value(value: Any) -> str:
     """Generic cell renderer."""
     if value is None:
@@ -104,15 +91,3 @@ def _json_default(value: Any) -> Any:
     if isinstance(value, float) and math.isnan(value):
         return None
     return str(value)
-
-
-def format_series(series: Dict[str, List[Any]], x_label: str, title: str = "") -> str:
-    """Render figure-style data: one column for x, one per series."""
-    keys = [key for key in series if key != x_label]
-    rows = []
-    for index, x_value in enumerate(series[x_label]):
-        row = {x_label: x_value}
-        for key in keys:
-            row[key] = series[key][index] if index < len(series[key]) else None
-        rows.append(row)
-    return format_table(rows, columns=[x_label] + keys, title=title)

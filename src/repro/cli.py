@@ -71,14 +71,14 @@ def _load_graph(args: argparse.Namespace) -> DiGraph:
 
 
 def _params_from_args(args: argparse.Namespace) -> SimRankParams:
-    defaults = SimRankParams.paper_defaults()
+    """The ``index`` command's SimRank parameters (see ``_add_param_arguments``)."""
     return SimRankParams(
-        c=getattr(args, "decay", defaults.c),
-        walk_steps=getattr(args, "steps", defaults.walk_steps),
-        jacobi_iterations=getattr(args, "jacobi", defaults.jacobi_iterations),
-        index_walkers=getattr(args, "walkers", defaults.index_walkers),
-        query_walkers=getattr(args, "query_walkers", defaults.query_walkers),
-        seed=getattr(args, "seed", defaults.seed),
+        c=args.decay,
+        walk_steps=args.steps,
+        jacobi_iterations=args.jacobi,
+        index_walkers=args.walkers,
+        query_walkers=args.query_walkers,
+        seed=args.seed,
     )
 
 
@@ -239,9 +239,11 @@ def _cmd_validate(args: argparse.Namespace, out) -> int:
 
 def _cmd_query(args: argparse.Namespace, out) -> int:
     graph = _load_graph(args)
-    params = _params_from_args(args)
-    walker = CloudWalker(graph, params=params)
-    walker.load_index(args.index)
+    # Answer at the parameters the index was solved with, as query-batch,
+    # serve and replay do.
+    index = DiagonalIndex.load(args.index)
+    walker = CloudWalker(graph, params=index.params)
+    walker.set_index(index)
     if args.query_type == "pair":
         if args.target is None:
             print("query pair requires --target", file=out)
@@ -460,17 +462,14 @@ def _cmd_replay(args: argparse.Namespace, out) -> int:
         scenarios.write_trace(trace, args.save_trace)
         print(f"trace {trace.name!r} ({len(trace.events)} events) "
               f"written to {args.save_trace}", file=out)
-    options = scenarios.ReplayOptions(
-        batch_size=args.batch_size,
-        max_retry_seconds=args.max_retry_seconds,
-    )
     service = _make_service(args)
     try:
-        result = scenarios.replay_trace(service, trace, options)
+        result = scenarios.replay_trace(service, trace,
+                                        batch_size=args.batch_size)
     finally:
         service.close()
     record = result.to_record()
-    print(f"scenario {result.scenario!r} [{result.transport}, {result.mode}]: "
+    print(f"scenario {result.scenario!r} [{result.mode}]: "
           f"{result.n_queries} queries + {result.n_updates} updates in "
           f"{result.n_batches} batches, {result.duration_seconds:.3f}s "
           f"({result.qps:.1f} q/s)", file=out)
@@ -670,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     query = subparsers.add_parser("query", help="answer SimRank queries")
     query.add_argument("query_type", choices=["pair", "source", "topk"])
     _add_graph_arguments(query)
-    _add_param_arguments(query)
     query.add_argument("--index", required=True)
     query.add_argument("--source", type=int, required=True)
     query.add_argument("--target", type=int)
@@ -762,11 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=32,
                         help="max consecutive query events answered as one "
                              "batch (default: %(default)s)")
-    replay.add_argument("--max-retry-seconds", dest="max_retry_seconds",
-                        type=float, default=30.0,
-                        help="cumulative backoff budget per event before an "
-                             "HTTP replay gives up on persistent 429/503 "
-                             "backpressure (default: %(default)s)")
     replay.add_argument("--output",
                         help="append the per-scenario JSONL record here")
 

@@ -446,11 +446,6 @@ class ClusterSpec:
         return self.machines * self.cores_per_machine
 
     @property
-    def total_memory_gb(self) -> float:
-        """Total executor memory across the cluster, in gigabytes."""
-        return self.machines * self.memory_per_machine_gb
-
-    @property
     def memory_per_machine_bytes(self) -> float:
         """Executor memory per machine, in bytes."""
         return self.memory_per_machine_gb * 1e9

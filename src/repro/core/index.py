@@ -464,21 +464,3 @@ class SnapshotStore:
             f"SnapshotStore(directory={str(self.directory)!r}, "
             f"versions={self.versions()}, retain={self.retain})"
         )
-
-
-def save_snapshot(
-    index: DiagonalIndex,
-    directory: PathLike,
-    system: Optional[sparse.spmatrix] = None,
-    retain: int = 5,
-) -> int:
-    """Convenience wrapper: persist ``index`` into ``directory`` as the next
-    version of its lineage."""
-    return SnapshotStore(directory, retain=retain).save_snapshot(
-        index, system=system)
-
-
-def load_latest(directory: PathLike) -> Tuple[int, DiagonalIndex]:
-    """Convenience wrapper: load the newest snapshot's index from ``directory``."""
-    version, index, _system = SnapshotStore(directory).load()
-    return version, index

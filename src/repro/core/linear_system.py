@@ -142,21 +142,3 @@ def build_exact_system(graph: DiGraph, params: SimRankParams) -> sparse.csr_matr
             current.eliminate_zeros()
     system.sum_duplicates()
     return system.tocsr()
-
-
-def system_diagnostics(system: sparse.csr_matrix) -> dict:
-    """Summary statistics of an assembled system (used in reports/tests)."""
-    diagonal = system.diagonal()
-    off_diagonal_sums = np.asarray(np.abs(system).sum(axis=1)).ravel() - np.abs(diagonal)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dominance = np.where(diagonal > 0, off_diagonal_sums / diagonal, np.inf)
-    return {
-        "n_rows": system.shape[0],
-        "nnz": int(system.nnz),
-        "avg_row_nnz": float(system.nnz / max(system.shape[0], 1)),
-        "min_diagonal": float(diagonal.min()) if system.shape[0] else 0.0,
-        "max_off_diagonal_ratio": float(dominance.max()) if system.shape[0] else 0.0,
-        "rows_diagonally_dominant_fraction": float((dominance < 1.0).mean())
-        if system.shape[0]
-        else 1.0,
-    }

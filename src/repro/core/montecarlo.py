@@ -70,11 +70,6 @@ class WalkDistributions:
         vector[nodes] = values
         return vector
 
-    def survival(self, step: int) -> float:
-        """Total surviving probability mass at ``step`` (walk absorption)."""
-        _nodes, values = self.at(step)
-        return float(values.sum())
-
 
 def _from_steps(source: int, steps: int, walkers: int,
                 per_step: List[SparseVector]) -> WalkDistributions:
@@ -157,22 +152,6 @@ def exact_walk_distributions(
         nodes = np.flatnonzero(vector)
         per_step.append((nodes, vector[nodes]))
     return _from_steps(source, params.walk_steps, 0, per_step)
-
-
-def distribution_error(estimated: WalkDistributions, exact: WalkDistributions,
-                       n_nodes: int) -> float:
-    """Mean L1 distance between estimated and exact per-step distributions.
-
-    Used by the ablation that relates the number of walkers ``R`` to the
-    quality of the estimated linear system.
-    """
-    if estimated.steps != exact.steps:
-        raise ValueError("distributions cover different numbers of steps")
-    total = 0.0
-    for step in range(estimated.steps + 1):
-        difference = estimated.dense(n_nodes, step) - exact.dense(n_nodes, step)
-        total += float(np.abs(difference).sum())
-    return total / (estimated.steps + 1)
 
 
 def _sorted_intersection(

@@ -26,7 +26,7 @@ accuracy experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -537,26 +537,3 @@ class QueryEngine:
         for node in (nodes if nodes is not None else range(n)):
             matrix[node] = self.single_source(node, walkers=walkers)
         return matrix
-
-    def iter_all_pairs(self, walkers: Optional[int] = None
-                       ) -> Iterator[Tuple[int, np.ndarray]]:
-        """Memory-light MCAP: yield ``(node, scores)`` one source at a time."""
-        for node in range(self.graph.n_nodes):
-            yield node, self.single_source(node, walkers=walkers)
-
-    # ------------------------------------------------------------------ #
-    def query_cost_summary(self) -> Dict[str, float]:
-        """Predicted per-query costs from the paper's complexity bounds."""
-        stats_avg_degree = (
-            self.graph.n_edges / self.graph.n_nodes if self.graph.n_nodes else 0.0
-        )
-        log_degree = float(np.log(max(stats_avg_degree, np.e)))
-        walkers = self.params.query_walkers
-        steps = self.params.walk_steps
-        return {
-            "mcsp_operations": float(steps * walkers),
-            "mcss_operations": float(steps * steps * walkers * log_degree),
-            "mcap_operations": float(
-                self.graph.n_nodes * steps * steps * walkers * log_degree
-            ),
-        }

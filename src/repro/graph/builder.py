@@ -41,10 +41,6 @@ class GraphBuilder:
             self._labels.append(label)
         return node
 
-    def add_node(self, label: Hashable) -> int:
-        """Register a node (possibly isolated) and return its dense id."""
-        return self.node_id(label)
-
     def add_edge(self, src_label: Hashable, dst_label: Hashable) -> None:
         """Add a directed edge between two labelled nodes."""
         self._edges.append((self.node_id(src_label), self.node_id(dst_label)))
@@ -67,10 +63,6 @@ class GraphBuilder:
     def labels(self) -> List[Hashable]:
         """Return labels indexed by dense node id."""
         return list(self._labels)
-
-    def label_to_id(self) -> Dict[Hashable, int]:
-        """Return the label -> dense id mapping."""
-        return dict(self._ids)
 
     def build(self, name: str = "graph", n_nodes: Optional[int] = None) -> DiGraph:
         """Materialise the accumulated edges as an immutable :class:`DiGraph`.

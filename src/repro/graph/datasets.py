@@ -107,11 +107,6 @@ def _register(spec: DatasetSpec) -> DatasetSpec:
     return spec
 
 
-def register_dataset(spec: DatasetSpec) -> DatasetSpec:
-    """Register a custom dataset spec (e.g. from user code or tests)."""
-    return _register(spec)
-
-
 def names() -> List[str]:
     """Names of all registered datasets, in paper order then extras."""
     return list(_REGISTRY)

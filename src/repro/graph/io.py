@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -124,42 +124,3 @@ def load_binary(path: PathLike) -> DiGraph:
     srcs = np.repeat(np.arange(n_nodes, dtype=np.int64), np.diff(out_indptr))
     edges = np.column_stack([srcs, out_indices])
     return DiGraph(n_nodes, edges, name=name)
-
-
-def write_partitioned_edge_lists(
-    graph: DiGraph, directory: PathLike, num_parts: int
-) -> Iterable[Path]:
-    """Write the graph as ``num_parts`` edge-list shards (HDFS-style layout).
-
-    The RDD execution model in the paper reads the graph from HDFS as a set
-    of part files; this helper reproduces that layout locally so the RDD
-    ingestion path can be exercised end-to-end.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    handles = []
-    paths = []
-    try:
-        for part in range(num_parts):
-            part_path = directory / f"part-{part:05d}.tsv"
-            paths.append(part_path)
-            handles.append(part_path.open("w", encoding="utf-8"))
-        for src, dst in graph.edges():
-            handles[src % num_parts].write(f"{src}\t{dst}\n")
-    finally:
-        for handle in handles:
-            handle.close()
-    return paths
-
-
-def read_partitioned_edge_lists(directory: PathLike, name: str = "partitioned") -> DiGraph:
-    """Read all ``part-*.tsv`` shards in ``directory`` back into one graph."""
-    directory = Path(directory)
-    shards = sorted(directory.glob("part-*.tsv"))
-    if not shards:
-        raise GraphFormatError(f"no part-*.tsv files found under {directory}")
-    edges = []
-    for shard in shards:
-        for src, dst in iter_edge_list(shard):
-            edges.append((int(src), int(dst)))
-    return DiGraph.from_edge_list(edges, name=name)

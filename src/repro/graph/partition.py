@@ -15,7 +15,7 @@ the partitioning strategies the benchmarks compare:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -36,19 +36,6 @@ class Partitioner:
     def partition(self, node: int) -> int:
         """Return the partition index for ``node``."""
         raise NotImplementedError
-
-    def assign(self, graph: DiGraph) -> np.ndarray:
-        """Return an array mapping every node of ``graph`` to a partition."""
-        return np.array(
-            [self.partition(node) for node in range(graph.n_nodes)], dtype=np.int64
-        )
-
-    def partition_nodes(self, graph: DiGraph) -> List[np.ndarray]:
-        """Return, for each partition, the array of node ids assigned to it."""
-        assignment = self.assign(graph)
-        return [
-            np.flatnonzero(assignment == p) for p in range(self.num_partitions)
-        ]
 
 
 class HashPartitioner(Partitioner):
@@ -100,12 +87,6 @@ class EdgeBalancedPartitioner(Partitioner):
         self._assignment: Dict[int, int] = {
             int(node): int(part) for node, part in enumerate(assignment)
         }
-        self._loads = loads
 
     def partition(self, node: int) -> int:
         return self._assignment[int(node)]
-
-    @property
-    def edge_loads(self) -> np.ndarray:
-        """Number of (weighted) in-edges assigned to each partition."""
-        return self._loads.copy()

@@ -71,24 +71,3 @@ def compute_stats(graph: DiGraph) -> GraphStats:
         memory_bytes=graph.memory_bytes(),
         edge_list_bytes=graph.edge_list_bytes(),
     )
-
-
-def in_degree_histogram(graph: DiGraph) -> Dict[int, int]:
-    """Return {in_degree: count} for all observed in-degrees."""
-    degrees = graph.in_degrees()
-    values, counts = np.unique(degrees, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-def degree_power_law_exponent(graph: DiGraph) -> float:
-    """Crude maximum-likelihood estimate of the in-degree power-law exponent.
-
-    Uses the Hill estimator over degrees >= 2.  Returns ``nan`` for graphs
-    with fewer than 10 such nodes (the estimate would be meaningless).
-    """
-    degrees = graph.in_degrees().astype(np.float64)
-    tail = degrees[degrees >= 2.0]
-    if tail.size < 10:
-        return float("nan")
-    d_min = 2.0
-    return float(1.0 + tail.size / np.sum(np.log(tail / (d_min - 0.5))))

@@ -34,8 +34,8 @@ serving layer fit for sustained query traffic:
 :mod:`repro.service.scenarios`
     The scenario harness: a JSONL traffic-trace model, synthetic workload
     generators (uniform, Zipf, bursty, update storms, multi-tenant) and
-    replay drivers that run a trace against the in-process or HTTP tier
-    and emit normalized per-scenario records — including the realized
+    a replay driver that runs a trace against an in-process service and
+    emits normalized per-scenario records — including the realized
     error of the approximate serving mode
     (``ServiceParams.accuracy_budget``).
 """
@@ -57,7 +57,6 @@ from repro.service.coalesce import BatchCoalescer
 from repro.service.http import HttpServiceServer
 from repro.service.scenarios import (
     TRACE_GENERATORS,
-    ReplayOptions,
     ScenarioResult,
     Trace,
     TraceEvent,
@@ -65,7 +64,6 @@ from repro.service.scenarios import (
     parse_trace_line,
     read_trace,
     replay_trace,
-    replay_trace_http,
     trace_from_lines,
     write_records,
     write_trace,
@@ -86,7 +84,6 @@ __all__ = [
     "PairQuery",
     "Query",
     "QueryService",
-    "ReplayOptions",
     "ScenarioResult",
     "SourceQuery",
     "TopKQuery",
@@ -101,7 +98,6 @@ __all__ = [
     "plan_batch",
     "read_trace",
     "replay_trace",
-    "replay_trace_http",
     "required_sources",
     "trace_from_lines",
     "write_records",

@@ -19,12 +19,9 @@ pieces:
   seed;
 * a **replay driver**: :func:`replay_trace` runs a trace against an
   in-process :class:`~repro.service.service.QueryService` (any shard
-  count);
-  :func:`replay_trace_http` replays the same trace through the HTTP tier's
-  coalescer.  Both emit one normalized :class:`ScenarioResult` per run —
-  QPS, p50/p99 latency, cache hit rate and an answer checksum built from the lossless wire encoding
-  (:func:`repro.service.http.encode_answer`), so in-process and HTTP
-  replays of the same trace are checksum-comparable.
+  count) and emits one normalized :class:`ScenarioResult` per run — QPS,
+  p50/p99 latency, cache hit rate and an answer checksum built from the
+  lossless wire encoding (:func:`repro.service.http.encode_answer`).
 
 Approximate serving (``ServiceParams.accuracy_budget``) plugs in here:
 pass ``reference`` (an exact similarity matrix) to the replay driver and
@@ -35,7 +32,6 @@ budget.  See ``docs/scenarios.md`` for the runbook.
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import time
@@ -54,16 +50,11 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import (
-    CloudWalkerError,
-    ConfigurationError,
-    WireFormatError,
-)
+from repro.errors import ConfigurationError, WireFormatError
 from repro.service.batching import (
     PairQuery,
     Query,
     SourceQuery,
-    TopKQuery,
     parse_query,
 )
 from repro.service.http import encode_answer
@@ -561,63 +552,18 @@ def generate_trace(scenario: str, n_nodes: int, **kwargs: Any) -> Trace:
 # Replay driver
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ReplayOptions:
-    """Knobs of the replay drivers.
-
-    ``batch_size`` caps how many consecutive query events are answered as
-    one service batch; ``batch_window`` (seconds of trace time, ``None``
-    disables) additionally flushes a batch when the next event arrives too
-    long after the batch opened.  ``pace=True`` replays in (approximate)
-    real time by sleeping until each batch's first arrival offset; the
-    default replays as fast as possible.  ``update_wait``,
-    ``max_attempts`` and ``max_retry_seconds`` apply to the HTTP driver
-    only: whether ``POST /update`` blocks until applied, how many times a
-    429/503 backpressure response is retried (with linear backoff), and
-    the cumulative-sleep budget one event's retries may consume — the
-    replay fails loudly, naming the exhausted event's trace line, when
-    either bound is hit.
-    """
-
-    batch_size: int = 32
-    batch_window: Optional[float] = None
-    pace: bool = False
-    update_wait: bool = True
-    max_attempts: int = 50
-    max_retry_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if self.batch_window is not None and self.batch_window < 0:
-            raise ConfigurationError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.max_retry_seconds <= 0:
-            raise ConfigurationError(
-                f"max_retry_seconds must be > 0, got {self.max_retry_seconds}"
-            )
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     """Normalized outcome of one scenario replay.
 
     ``answer_checksum`` is a SHA-256 over every answer's lossless wire
-    encoding in trace order — two replays (in-process or HTTP) answered
-    identically if and only if their checksums match.  ``realized_*`` error
-    fields are populated only when the replay was given a ``reference``
-    similarity matrix; ``accuracy_budget`` echoes the service's declared
-    budget (``None`` in exact mode).
+    encoding in trace order — two replays answered identically if and only
+    if their checksums match.  ``realized_*`` error fields are populated
+    only when the replay was given a ``reference`` similarity matrix;
+    ``accuracy_budget`` echoes the service's declared budget (``None`` in
+    exact mode).
     """
 
     scenario: str
-    transport: str
     mode: str
     n_events: int
     n_queries: int
@@ -634,13 +580,11 @@ class ScenarioResult:
     accuracy_budget: Optional[float]
     realized_mean_error: Optional[float]
     realized_max_error: Optional[float]
-    retried_submissions: int = 0
 
     def to_record(self) -> Dict[str, Any]:
         """One JSON-serialisable record for the per-scenario JSONL log."""
         return {
             "scenario": self.scenario,
-            "transport": self.transport,
             "mode": self.mode,
             "n_events": self.n_events,
             "n_queries": self.n_queries,
@@ -657,7 +601,6 @@ class ScenarioResult:
             "accuracy_budget": self.accuracy_budget,
             "realized_mean_error": self.realized_mean_error,
             "realized_max_error": self.realized_max_error,
-            "retried_submissions": self.retried_submissions,
         }
 
 
@@ -668,48 +611,33 @@ def write_records(results: Iterable[ScenarioResult], path: Any) -> None:
             handle.write(json.dumps(result.to_record()) + "\n")
 
 
-def _iter_batches(
-    trace: Trace, options: ReplayOptions
-) -> Iterator[Tuple[str, Any, int]]:
+def _iter_batches(trace: Trace,
+                  batch_size: int) -> Iterator[Tuple[str, Any]]:
     """Group a trace into dispatch units, preserving event order.
 
-    Yields ``("query", [events], start_index)`` for runs of consecutive
-    query events (split by ``batch_size`` / ``batch_window``) and
-    ``("update", event, index)`` for each update event.  The index is the
-    unit's first event's position in ``trace.events``, so error paths can
-    name the JSONL trace line (``index + 2``: one header line, then
-    one 1-based line per event).
+    Yields ``("query", [events])`` for runs of at most ``batch_size``
+    consecutive query events and ``("update", event)`` for each update
+    event.
     """
     batch: List[TraceEvent] = []
-    batch_start = 0
-    for index, event in enumerate(trace.events):
+    for event in trace.events:
         if event.kind == UPDATE_EVENT:
             if batch:
-                yield QUERY_EVENT, batch, batch_start
+                yield QUERY_EVENT, batch
                 batch = []
-            yield UPDATE_EVENT, event, index
+            yield UPDATE_EVENT, event
             continue
-        if batch and (
-            len(batch) >= options.batch_size
-            or (options.batch_window is not None
-                and event.at - batch[0].at > options.batch_window)
-        ):
-            yield QUERY_EVENT, batch, batch_start
+        if len(batch) >= batch_size:
+            yield QUERY_EVENT, batch
             batch = []
-        if not batch:
-            batch_start = index
         batch.append(event)
     if batch:
-        yield QUERY_EVENT, batch, batch_start
+        yield QUERY_EVENT, batch
 
 
 def _accumulate_errors(query: Query, answer: Any, reference: np.ndarray,
                        errors: List[float]) -> None:
-    """Per-query absolute error vs a reference similarity matrix.
-
-    Accepts both in-process answers (floats / ndarrays / ranked tuples)
-    and their decoded JSON wire shapes.
-    """
+    """Per-query absolute error of a wire-encoded answer vs a reference."""
     if isinstance(query, PairQuery):
         errors.append(abs(float(answer)
                           - float(reference[query.source, query.target])))
@@ -724,12 +652,11 @@ def _accumulate_errors(query: Query, answer: Any, reference: np.ndarray,
             errors.append(float(np.mean(deltas)))
 
 
-def _finalize(scenario: str, transport: str, trace: Trace, checksum, latencies,
+def _finalize(scenario: str, trace: Trace, checksum, latencies,
               n_batches: int, duration: float, versions: List[int],
               stats_before: Dict[str, Any], stats_after: Dict[str, Any],
               errors: List[float],
-              budget: Optional[float], mode: str,
-              retried: int = 0) -> ScenarioResult:
+              budget: Optional[float], mode: str) -> ScenarioResult:
     """Assemble the normalized per-scenario record from raw replay state."""
     hits = stats_after.get("cache_hits", 0) - stats_before.get("cache_hits", 0)
     misses = (stats_after.get("cache_misses", 0)
@@ -740,7 +667,6 @@ def _finalize(scenario: str, transport: str, trace: Trace, checksum, latencies,
                     for earlier, later in zip(versions, versions[1:]))
     return ScenarioResult(
         scenario=scenario,
-        transport=transport,
         mode=mode,
         n_events=len(trace.events),
         n_queries=trace.n_queries,
@@ -759,7 +685,6 @@ def _finalize(scenario: str, transport: str, trace: Trace, checksum, latencies,
         accuracy_budget=budget,
         realized_mean_error=float(np.mean(errors)) if errors else None,
         realized_max_error=float(np.max(errors)) if errors else None,
-        retried_submissions=retried,
     )
 
 
@@ -771,22 +696,24 @@ def _digest_answer(checksum, encoded: Any) -> None:
     checksum.update(b"\n")
 
 
-def replay_trace(service, trace: Trace,
-                 options: Optional[ReplayOptions] = None,
+def replay_trace(service, trace: Trace, batch_size: int = 32,
                  reference: Optional[np.ndarray] = None) -> ScenarioResult:
     """Replay a trace against an in-process query service.
 
-    Query events are grouped into batches (see :class:`ReplayOptions`) and
-    answered via ``service.run_batch``; update events are applied in order
-    via ``service.add_edges``.  Per-query latency is the wall-clock of the
-    batch that answered it.  ``reference`` (an exact similarity matrix,
-    e.g. :func:`repro.analysis.accuracy.exact_linearized_matrix`) enables
+    Runs of at most ``batch_size`` consecutive query events are answered as
+    one batch via ``service.run_batch``; update events are applied in order
+    via ``service.add_edges``.  The trace replays as fast as the service
+    answers; per-query latency is the wall-clock of the batch that answered
+    it.  ``reference`` (an exact similarity matrix, e.g.
+    :func:`repro.analysis.accuracy.exact_linearized_matrix`) enables
     realized-error reporting — meaningful only for traces without update
     events, since updates change the ground truth mid-replay.  The replay
     is deterministic for a fixed service seed and backend: two replays of
     the same trace on freshly built services produce identical checksums.
+    Raises :class:`repro.errors.ConfigurationError` for ``batch_size < 1``.
     """
-    options = options or ReplayOptions()
+    if batch_size < 1:
+        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     default_k = service.service_params.default_top_k
     checksum = hashlib.sha256()
     latencies: List[float] = []
@@ -796,17 +723,13 @@ def replay_trace(service, trace: Trace,
     mode = "approximate" if stats_before.get("approx_mode") else "exact"
     n_batches = 0
     start = time.perf_counter()
-    for kind, unit, _index in _iter_batches(trace, options):
+    for kind, unit in _iter_batches(trace, batch_size):
         if kind == UPDATE_EVENT:
-            if options.pace:
-                _sleep_until(start, unit.at)
             service.add_edges(list(unit.edges))
             versions.append(service.stats()["index_version"])
             continue
         queries = [parse_query(event.query, default_k=default_k)
                    for event in unit]
-        if options.pace:
-            _sleep_until(start, unit[0].at)
         batch_start = time.perf_counter()
         answers = service.run_batch(queries)
         batch_seconds = time.perf_counter() - batch_start
@@ -819,143 +742,7 @@ def replay_trace(service, trace: Trace,
             if reference is not None:
                 _accumulate_errors(query, encoded, reference, errors)
     duration = time.perf_counter() - start
-    return _finalize(trace.name, "in-process", trace, checksum, latencies,
+    return _finalize(trace.name, trace, checksum, latencies,
                      n_batches, duration, versions, stats_before,
                      service.stats(), errors,
                      service.service_params.accuracy_budget, mode)
-
-
-def _sleep_until(start: float, at: float) -> None:
-    """Sleep until ``at`` seconds after ``start`` (perf_counter timeline)."""
-    remaining = at - (time.perf_counter() - start)
-    if remaining > 0:
-        time.sleep(remaining)
-
-
-def _http_request(connection: http.client.HTTPConnection, method: str,
-                  path: str, payload: Optional[Dict[str, Any]] = None):
-    """One HTTP round trip; returns ``(status, decoded JSON body)``."""
-    body = json.dumps(payload).encode("utf-8") if payload is not None else None
-    headers = {"Content-Type": "application/json"} if body else {}
-    connection.request(method, path, body=body, headers=headers)
-    response = connection.getresponse()
-    raw = response.read()
-    decoded = json.loads(raw.decode("utf-8")) if raw else {}
-    return response.status, decoded
-
-
-def _http_submit(connection, method: str, path: str,
-                 payload: Dict[str, Any], accepted: Tuple[int, ...],
-                 options: ReplayOptions,
-                 context: str = "") -> Tuple[Dict[str, Any], int]:
-    """Submit with bounded retries on 429/503 backpressure responses.
-
-    Returns ``(body, retries)``; raises :class:`repro.errors.
-    CloudWalkerError` on any other non-2xx status, after
-    ``options.max_attempts`` consecutive backpressure refusals, or once
-    the linear backoff would sleep past ``options.max_retry_seconds``
-    cumulatively — the backoff grows with the attempt number, so an
-    attempt bound alone lets a persistent 503 stall a replay for minutes.
-    ``context`` names the trace event being submitted and is embedded in
-    every failure message.
-    """
-    retries = 0
-    slept = 0.0
-    for attempt in range(options.max_attempts):
-        status, body = _http_request(connection, method, path, payload)
-        if status in accepted:
-            return body, retries
-        if status in (429, 503):
-            retries += 1
-            pause = 0.005 * (attempt + 1)
-            if slept + pause > options.max_retry_seconds:
-                raise CloudWalkerError(
-                    f"{method} {path}{context} still refused after {retries} "
-                    f"retries of 429/503 backpressure spanning {slept:.3f}s; "
-                    f"the next backoff would exceed max_retry_seconds="
-                    f"{options.max_retry_seconds}"
-                )
-            slept += pause
-            time.sleep(pause)
-            continue
-        raise CloudWalkerError(
-            f"{method} {path}{context} failed with HTTP {status}: {body!r}"
-        )
-    raise CloudWalkerError(
-        f"{method} {path}{context} still refused ({options.max_attempts} "
-        f"attempts of 429/503 backpressure); raise max_attempts or shrink "
-        f"the trace"
-    )
-
-
-def replay_trace_http(trace: Trace, host: str, port: int,
-                      options: Optional[ReplayOptions] = None,
-                      reference: Optional[np.ndarray] = None,
-                      default_top_k: int = 10) -> ScenarioResult:
-    """Replay a trace through the HTTP tier's batch coalescer.
-
-    Speaks the :mod:`repro.service.http` JSON protocol from a single
-    connection: query batches via ``POST /query``, update events via
-    ``POST /update`` (``wait`` per :class:`ReplayOptions`), service stats
-    via ``GET /stats`` before and after.  Documented backpressure responses
-    (429 on updates, 503 on queries) are retried with backoff and counted
-    in ``retried_submissions``; any other error status fails the replay
-    loudly.  Answer checksums use the same lossless wire encoding as the
-    in-process driver, so an HTTP replay of a trace is checksum-comparable
-    with an in-process replay of the same trace against an identically
-    built service.
-    """
-    options = options or ReplayOptions()
-    checksum = hashlib.sha256()
-    latencies: List[float] = []
-    errors: List[float] = []
-    versions: List[int] = []
-    retried = 0
-    connection = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        _, stats_before = _http_request(connection, "GET", "/stats")
-        mode = "approximate" if stats_before.get("approx_mode") else "exact"
-        budget = stats_before.get("accuracy_budget")
-        n_batches = 0
-        start = time.perf_counter()
-        for kind, unit, index in _iter_batches(trace, options):
-            if kind == UPDATE_EVENT:
-                if options.pace:
-                    _sleep_until(start, unit.at)
-                payload = {"edges": [[src, dst] for src, dst in unit.edges],
-                           "wait": options.update_wait}
-                context = (f" (trace line {index + 2}: update event, "
-                           f"{len(unit.edges)} edges)")
-                body, tries = _http_submit(connection, "POST", "/update",
-                                           payload, (200, 202), options,
-                                           context=context)
-                retried += tries
-                if "index_version" in body:
-                    versions.append(body["index_version"])
-                continue
-            if options.pace:
-                _sleep_until(start, unit[0].at)
-            queries = [parse_query(event.query, default_k=default_top_k)
-                       for event in unit]
-            payload = {"queries": [event.query for event in unit]}
-            context = (f" (trace lines {index + 2}-{index + 1 + len(unit)}: "
-                       f"query batch of {len(unit)})")
-            batch_start = time.perf_counter()
-            body, tries = _http_submit(connection, "POST", "/query", payload,
-                                       (200,), options, context=context)
-            batch_seconds = time.perf_counter() - batch_start
-            retried += tries
-            n_batches += 1
-            latencies.extend([batch_seconds] * len(queries))
-            versions.append(body["index_version"])
-            for query, encoded in zip(queries, body["answers"]):
-                _digest_answer(checksum, encoded)
-                if reference is not None:
-                    _accumulate_errors(query, encoded, reference, errors)
-        duration = time.perf_counter() - start
-        _, stats_after = _http_request(connection, "GET", "/stats")
-    finally:
-        connection.close()
-    return _finalize(trace.name, "http", trace, checksum, latencies,
-                     n_batches, duration, versions, stats_before, stats_after,
-                     errors, budget, mode, retried)

@@ -7,7 +7,6 @@ import pytest
 from repro.baselines.cocitation import cocitation_counts, cocitation_matrix, cocitation_similarity
 from repro.baselines.naive_simrank import (
     naive_simrank,
-    naive_simrank_cost_estimate,
     naive_simrank_pair,
 )
 from repro.errors import ConfigurationError
@@ -63,11 +62,6 @@ class TestNaiveSimRank:
             naive_simrank(graph, c=1.5)
         with pytest.raises(ConfigurationError):
             naive_simrank(graph, iterations=-1)
-
-    def test_cost_estimate(self, graph):
-        costs = naive_simrank_cost_estimate(graph)
-        assert costs["memory_bytes"] == 8.0 * graph.n_nodes ** 2
-        assert costs["flops_per_iteration"] > 0
 
     def test_early_stopping(self, graph):
         # With a loose tolerance the result is close to the converged one.

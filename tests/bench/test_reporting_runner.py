@@ -11,14 +11,6 @@ from repro.graph import datasets
 
 
 class TestFormatting:
-    def test_format_seconds_ranges(self):
-        assert reporting.format_seconds(0.004) == "4.0ms"
-        assert reporting.format_seconds(2.5) == "2.5s"
-        assert reporting.format_seconds(7200.0) == "2.0h"
-        assert reporting.format_seconds(float("nan")) == "-"
-        assert reporting.format_seconds(None) == "-"
-        assert reporting.format_seconds(float("inf")) == "N/A"
-
     def test_format_value(self):
         assert reporting.format_value(None) == "-"
         assert reporting.format_value(float("nan")) == "-"
@@ -43,12 +35,6 @@ class TestFormatting:
         rendered = reporting.format_table(rows, columns=["c", "a"])
         header = rendered.splitlines()[0]
         assert header.split() == ["c", "a"]
-
-    def test_format_series(self):
-        series = {"x": [1, 2], "y": [10.0, 20.0]}
-        rendered = reporting.format_series(series, x_label="x", title="curve")
-        assert "curve" in rendered
-        assert "10.0" in rendered or "10.000" in rendered
 
     def test_save_results_round_trip(self, tmp_path):
         payload = {"rows": [{"a": 1, "b": float("nan")}]}

@@ -28,9 +28,9 @@ class TestWalkDistributions:
         dist = montecarlo.estimate_walk_distributions(graph, 3, params)
         assert dist.source == 3
         assert len(dist.offsets) == params.walk_steps + 2 and dist.offsets[0] == 0
-        assert dist.survival(0) == pytest.approx(1.0)
+        assert dist.at(0)[1].sum() == pytest.approx(1.0)
         for step in range(params.walk_steps + 1):
-            assert dist.survival(step) <= 1.0 + 1e-12
+            assert dist.at(step)[1].sum() <= 1.0 + 1e-12
 
     def test_exact_matches_transition_power(self, graph, params):
         dist = montecarlo.exact_walk_distributions(graph, 3, params)
@@ -51,17 +51,12 @@ class TestWalkDistributions:
         exact = montecarlo.exact_walk_distributions(graph, 2, params)
         few = montecarlo.estimate_walk_distributions(graph, 2, params, walkers=20)
         many = montecarlo.estimate_walk_distributions(graph, 2, params, walkers=5000)
-        error_few = montecarlo.distribution_error(few, exact, graph.n_nodes)
-        error_many = montecarlo.distribution_error(many, exact, graph.n_nodes)
-        assert error_many < error_few
+        def l1_error(estimated):
+            return sum(np.abs(estimated.dense(graph.n_nodes, step)
+                              - exact.dense(graph.n_nodes, step)).sum()
+                       for step in range(params.walk_steps + 1))
 
-    def test_distribution_error_mismatched_steps_raises(self, graph, params):
-        a = montecarlo.estimate_walk_distributions(graph, 2, params, walkers=10)
-        b = montecarlo.estimate_walk_distributions(
-            graph, 2, params.with_(walk_steps=3), walkers=10
-        )
-        with pytest.raises(ValueError):
-            montecarlo.distribution_error(a, b, graph.n_nodes)
+        assert l1_error(many) < l1_error(few)
 
     def test_batch_entries_own_their_arrays(self, graph, params):
         """A cached entry must not pin the batch it was simulated in: each
@@ -121,7 +116,7 @@ class TestWalkDistributions:
                      montecarlo.exact_walk_distributions(graph, 0, params)):
             assert dist.offsets.tolist() == [0] + [1] * (params.walk_steps + 1)
             assert dist.nodes.tolist() == [0] and dist.values.tolist() == [1.0]
-            assert dist.survival(params.walk_steps) == 0.0
+            assert dist.at(params.walk_steps)[1].sum() == 0.0
 
     def test_batch_of_no_sources_is_empty(self, graph, params):
         assert montecarlo.estimate_walk_distributions_batch(
@@ -213,14 +208,6 @@ class TestLinearSystem:
         system = linear_system.build_exact_system(graph, params).toarray()
         assert system[0, 0] == pytest.approx(1.0)
         assert np.allclose(system[0, 1:], 0.0)
-
-    def test_system_diagnostics(self, graph, params):
-        system = linear_system.build_system(graph, params)
-        info = linear_system.system_diagnostics(system)
-        assert info["n_rows"] == graph.n_nodes
-        assert info["nnz"] == system.nnz
-        assert info["min_diagonal"] >= 1.0 - 1e-9
-        assert 0.0 <= info["rows_diagonally_dominant_fraction"] <= 1.0
 
 
 def _bits(value: float) -> bytes:

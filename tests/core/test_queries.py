@@ -128,18 +128,6 @@ class TestTopKAndAllPairs:
         assert matrix[0].sum() > 0
         assert matrix[1].sum() == 0  # row not requested
 
-    def test_iter_all_pairs_matches_single_source(self, small_graph, exact_params):
-        index = build_diagonal_index(small_graph, exact_params.with_(index_walkers=500))
-        engine = QueryEngine(small_graph, index, exact_params)
-        for node, scores in engine.iter_all_pairs(walkers=100):
-            assert scores.shape == (small_graph.n_nodes,)
-            if node >= 2:
-                break
-
-    def test_query_cost_summary(self, mc_engine):
-        costs = mc_engine.query_cost_summary()
-        assert costs["mcsp_operations"] < costs["mcss_operations"] < costs["mcap_operations"]
-
 
 class TestExactHelpers:
     def test_linearized_matrix_matches_ground_truth(self, small_graph, exact_params,

@@ -18,8 +18,6 @@ from repro.core.index import (
     BuildInfo,
     DiagonalIndex,
     SnapshotStore,
-    load_latest,
-    save_snapshot,
 )
 from repro.core.sharding import ShardedIncrementalWalker
 from repro.errors import CloudWalkerError
@@ -111,16 +109,9 @@ class TestRoundTrip:
         with pytest.raises(CloudWalkerError):
             store.describe(99)
 
-    def test_module_level_wrappers(self, index, tmp_path):
-        assert save_snapshot(index, tmp_path) == 1
-        version, loaded = load_latest(tmp_path)
-        assert version == 1
-        assert np.array_equal(loaded.diagonal, index.diagonal)
-        assert _names(tmp_path) == ["index-v00000001.npz"]
-
-    def test_module_wrapper_lineage_opens_in_the_service(self, tmp_path):
-        """``save_snapshot`` writes the one layout ``from_snapshot`` reads,
-        system included, at any K."""
+    def test_store_lineage_opens_in_the_service(self, tmp_path):
+        """``SnapshotStore.save_snapshot`` writes the one layout
+        ``from_snapshot`` reads, system included, at any K."""
         from repro.service import QueryService
 
         params = SimRankParams(c=0.6, walk_steps=4, jacobi_iterations=3,
@@ -128,8 +119,8 @@ class TestRoundTrip:
         graph = generators.copying_model_graph(60, out_degree=3, seed=2)
         walker = ShardedIncrementalWalker(graph, params=params)
         walker.build()
-        assert save_snapshot(walker.index, tmp_path / "one",
-                             system=walker.system) == 1
+        assert SnapshotStore(tmp_path / "one").save_snapshot(
+            walker.index, system=walker.system) == 1
         for num_shards in (1, 3):
             sharding = ShardingParams(num_shards=num_shards)
             with QueryService.from_snapshot(graph, tmp_path / "one",
@@ -440,7 +431,6 @@ class TestOlderLineages:
         version, loaded, system = store.load()
         assert (version, loaded.n_edges, system) == (2, index.n_edges + 2,
                                                      None)
-        assert load_latest(tmp_path)[0] == 2
         assert store.save_snapshot(_bump(index, 3)) == 3
 
 
@@ -460,8 +450,7 @@ class TestLegacyRefusals:
         store = SnapshotStore(tmp_path)
         hint = tmp_path / "shard-00" / "index-v00000003.npz"
         for attempt in (store.versions, store.load, store.prune,
-                        lambda: store.save_snapshot(index),
-                        lambda: load_latest(tmp_path)):
+                        lambda: store.save_snapshot(index)):
             with pytest.raises(CloudWalkerError,
                                match="per-shard snapshot lineage") as caught:
                 attempt()

@@ -109,7 +109,7 @@ class TestCostModel:
         spec = ClusterSpec.paper_cluster()
         assert spec.machines == 10
         assert spec.total_cores == 160
-        assert spec.total_memory_gb == pytest.approx(3770.0)
+        assert spec.memory_per_machine_gb == pytest.approx(377.0)
 
 
 def _square(value):

@@ -21,22 +21,12 @@ class TestGraphBuilder:
         builder.add_edge("x", "y")
         builder.add_edge("y", "z")
         assert builder.labels() == ["x", "y", "z"]
-        assert builder.label_to_id() == {"x": 0, "y": 1, "z": 2}
 
     def test_add_edges_bulk(self):
         builder = GraphBuilder()
         builder.add_edges([(1, 2), (2, 3), (3, 1)])
         assert builder.n_nodes == 3
         assert builder.n_edges == 3
-
-    def test_isolated_node(self):
-        builder = GraphBuilder()
-        builder.add_node("lonely")
-        builder.add_edge("a", "b")
-        graph = builder.build()
-        assert graph.n_nodes == 3
-        assert graph.in_degree(0) == 0
-        assert graph.out_degree(0) == 0
 
     def test_n_nodes_override(self):
         builder = GraphBuilder()

@@ -60,20 +60,6 @@ class TestRegistry:
         graph = datasets.load("communities")
         assert math.isnan(datasets.scaling_factor("communities", graph))
 
-    def test_register_custom_dataset(self):
-        from repro.graph import generators
-
-        spec = datasets.DatasetSpec(
-            name="custom-test-graph",
-            description="test entry",
-            paper=datasets.PaperStats(nodes=10, edges=10, size_bytes=100),
-            builder=lambda: generators.cycle_graph(10),
-            default_seed=0,
-            tier="small",
-        )
-        datasets.register_dataset(spec)
-        assert datasets.load("custom-test-graph").n_nodes == 10
-
     def test_human_formatting(self):
         stats = datasets.PaperStats(nodes=500, edges=2.4e6, size_bytes=45.6e6)
         assert stats.human_nodes == "500"

@@ -17,10 +17,16 @@ def skewed_graph():
     return generators.preferential_attachment_graph(400, out_degree=6, seed=3)
 
 
+def _assignment(partitioner, graph):
+    """Every node's partition, as the RDD model's ingestion routes it."""
+    return np.array([partitioner.partition(node)
+                     for node in range(graph.n_nodes)])
+
+
 class TestHashPartitioner:
     def test_all_partitions_used(self, skewed_graph):
         partitioner = HashPartitioner(8)
-        assignment = partitioner.assign(skewed_graph)
+        assignment = _assignment(partitioner, skewed_graph)
         assert set(assignment.tolist()) == set(range(8))
 
     def test_partition_in_range(self):
@@ -63,23 +69,10 @@ class TestEdgeBalancedPartitioner:
         degrees = skewed_graph.in_degrees()
 
         def loads(partitioner):
-            assignment = partitioner.assign(skewed_graph)
+            assignment = _assignment(partitioner, skewed_graph)
             return [
                 max(degrees[assignment == p].sum(), 1) for p in range(parts)
             ]
 
         # Equal totals, so the smaller maximum is the better balance.
         assert max(loads(balanced)) <= max(loads(range_part))
-
-    def test_partition_nodes_cover_all(self, skewed_graph):
-        partitioner = EdgeBalancedPartitioner(4, skewed_graph)
-        groups = partitioner.partition_nodes(skewed_graph)
-        total = np.concatenate(groups)
-        assert sorted(total.tolist()) == list(range(skewed_graph.n_nodes))
-
-    def test_edge_loads_property(self, skewed_graph):
-        partitioner = EdgeBalancedPartitioner(4, skewed_graph)
-        loads = partitioner.edge_loads
-        assert len(loads) == 4
-        assert loads.sum() >= skewed_graph.n_edges
-

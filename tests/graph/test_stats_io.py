@@ -1,7 +1,5 @@
 """Unit tests for graph statistics and IO."""
 
-import math
-
 import pytest
 
 from repro.errors import GraphFormatError
@@ -38,19 +36,6 @@ class TestStats:
         result = stats.compute_stats(DiGraph(0, []))
         assert result.n_nodes == 0
         assert result.avg_in_degree == 0.0
-
-    def test_in_degree_histogram_sums_to_n(self, graph):
-        hist = stats.in_degree_histogram(graph)
-        assert sum(hist.values()) == graph.n_nodes
-
-    def test_power_law_exponent_reasonable(self):
-        big = generators.preferential_attachment_graph(2000, out_degree=5, seed=3)
-        exponent = stats.degree_power_law_exponent(big)
-        assert 1.5 < exponent < 4.0
-
-    def test_power_law_exponent_nan_for_tiny_graph(self):
-        tiny = DiGraph(4, [(0, 1), (1, 2)])
-        assert math.isnan(stats.degree_power_law_exponent(tiny))
 
 
 class TestEdgeListIO:
@@ -104,17 +89,3 @@ class TestBinaryIO:
         path.write_bytes(b"not an npz file")
         with pytest.raises(GraphFormatError):
             io.load_binary(path)
-
-
-class TestPartitionedIO:
-    def test_round_trip(self, graph, tmp_path):
-        shard_dir = tmp_path / "shards"
-        paths = list(io.write_partitioned_edge_lists(graph, shard_dir, num_parts=4))
-        assert len(paths) == 4
-        loaded = io.read_partitioned_edge_lists(shard_dir, name=graph.name)
-        assert loaded.n_nodes == graph.n_nodes
-        assert loaded.n_edges == graph.n_edges
-
-    def test_missing_shards_raise(self, tmp_path):
-        with pytest.raises(GraphFormatError):
-            io.read_partitioned_edge_lists(tmp_path)

@@ -17,10 +17,12 @@ Three layers of coverage:
 """
 
 import asyncio
+import glob
 import http.client
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -732,6 +734,33 @@ class TestLifecycle:
         assert update == (200, {"index_version": version_after})
         assert second == (200, {"answers": after,
                                 "index_version": version_after})
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="/dev/shm is a Linux construct")
+    def test_processes_backend_server_leaves_no_shm_segments(self):
+        """A ``processes``-backed service behind the server answers like
+        the in-process reference, and stopping the server (which closes
+        the service) leaves no shared-memory segment behind."""
+        before = set(glob.glob("/dev/shm/psm_*"))
+        graph = _graph()
+        service = QueryService.build(
+            graph, PARAMS,
+            service_params=ServiceParams(cache_capacity=32,
+                                         serve_backend="processes",
+                                         serve_workers=2),
+            sharding=ShardingParams(num_shards=3),
+        )
+        with QueryService.build(graph, PARAMS) as reference:
+            expected, version = _expected(reference, QUERY_LINES)
+
+        async def scenario(server):
+            return await _request(server.port, "POST", "/query",
+                                  {"queries": QUERY_LINES})
+
+        assert _serve(service, scenario) == (
+            200, {"answers": expected, "index_version": version})
+        service.close()
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
 class _LoopThread:

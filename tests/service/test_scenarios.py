@@ -22,7 +22,6 @@ from repro.config import ServiceParams, ShardingParams
 from repro.errors import ConfigurationError, WireFormatError
 from repro.service import (
     QueryService,
-    ReplayOptions,
     Trace,
     TraceEvent,
     generate_trace,
@@ -234,10 +233,9 @@ class TestReplayDeterminism:
             self, make_service, make_sharded):
         trace = generate_trace("update_storm", N_NODES, n_events=24,
                                storm_every=8, seed=5)
-        options = ReplayOptions(batch_size=8)
-        single = replay_trace(make_service(), trace, options)
-        sharded_one = replay_trace(make_sharded(), trace, options)
-        sharded_two = replay_trace(make_sharded(), trace, options)
+        single = replay_trace(make_service(), trace, batch_size=8)
+        sharded_one = replay_trace(make_sharded(), trace, batch_size=8)
+        sharded_two = replay_trace(make_sharded(), trace, batch_size=8)
         assert sharded_one.answer_checksum == single.answer_checksum
         assert sharded_two.answer_checksum == single.answer_checksum
         assert single.versions_monotonic and sharded_one.versions_monotonic
@@ -258,14 +256,13 @@ class TestReplayDeterminism:
                                        seed=9)
         else:
             trace = generate_trace(scenario, N_NODES, n_events=48, seed=9)
-        options = ReplayOptions(batch_size=6)
         results, counters = [], []
         for _ in range(2):
             with QueryService(
                 service_graph, service_index, service_params,
                 sharding=ShardingParams(num_shards=3),
             ) as service:
-                results.append(replay_trace(service, trace, options))
+                results.append(replay_trace(service, trace, batch_size=6))
                 counters.append(_integers(service.stats()))
         first, second = results
         assert first.answer_checksum == second.answer_checksum
@@ -273,37 +270,27 @@ class TestReplayDeterminism:
         assert counters[0][("sources_simulated",)] > 0
         assert counters[0][("queries",)] == trace.n_queries
 
-    def test_batches_split_on_size_window_and_updates(self, make_service):
+    def test_batches_split_on_size_and_updates(self, make_service):
         query = TraceEvent(at=0.0, kind="query", query="pair 1 2")
         events = [query] * 5 + [
             TraceEvent(at=0.0, kind="update", edges=((0, 1),))
         ] + [TraceEvent(at=5.0, kind="query", query="pair 1 2")] * 3
         trace = Trace(name="grouping", events=tuple(events))
         # batch_size=2: ceil(5/2) + ceil(3/2) = 5 batches around the update.
-        result = replay_trace(make_service(), trace,
-                              ReplayOptions(batch_size=2))
+        result = replay_trace(make_service(), trace, batch_size=2)
         assert result.n_batches == 5
         assert result.n_updates == 1
-        # A tight batch_window may only split batches further.
-        windowed = replay_trace(
-            make_service(),
-            Trace(name="w", events=tuple(
-                TraceEvent(at=float(i), kind="query", query="pair 1 2")
-                for i in range(4)
-            )),
-            ReplayOptions(batch_size=10, batch_window=0.5),
-        )
-        assert windowed.n_batches == 4
 
     def test_approximate_replay_is_deterministic_and_diverges_from_exact(
             self, make_service, make_sharded):
         trace = generate_trace("zipf", N_NODES, n_events=20, seed=4)
-        options = ReplayOptions(batch_size=8)
-        exact = replay_trace(make_sharded(), trace, options)
+        exact = replay_trace(make_sharded(), trace, batch_size=8)
         approx_params = ServiceParams(accuracy_budget=0.1, approx_walkers=40,
                                       approx_steps=3)
-        approx_one = replay_trace(make_sharded(approx_params), trace, options)
-        approx_two = replay_trace(make_sharded(approx_params), trace, options)
+        approx_one = replay_trace(make_sharded(approx_params), trace,
+                                  batch_size=8)
+        approx_two = replay_trace(make_sharded(approx_params), trace,
+                                  batch_size=8)
         assert approx_one.mode == "approximate"
         assert approx_one.accuracy_budget == 0.1
         assert approx_one.answer_checksum == approx_two.answer_checksum
@@ -311,12 +298,12 @@ class TestReplayDeterminism:
         # A single-shard approximate service answers identically too.
         single = replay_trace(make_service(accuracy_budget=0.1,
                                            approx_walkers=40, approx_steps=3),
-                              trace, options)
+                              trace, batch_size=8)
         assert single.answer_checksum == approx_one.answer_checksum
 
     def test_records_append_as_parseable_jsonl(self, make_service, tmp_path):
         trace = generate_trace("uniform", N_NODES, n_events=10, seed=6)
-        result = replay_trace(make_service(), trace, ReplayOptions(batch_size=4))
+        result = replay_trace(make_service(), trace, batch_size=4)
         path = tmp_path / "records.jsonl"
         write_records([result], path)
         write_records([result], path)
@@ -359,10 +346,7 @@ class TestApproxModeConfiguration:
         with pytest.raises(ConfigurationError):
             ServiceParams(accuracy_budget=0.1, approx_walkers=0)
 
-    def test_replay_options_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReplayOptions(batch_size=0)
-        with pytest.raises(ConfigurationError):
-            ReplayOptions(batch_window=-0.1)
-        with pytest.raises(ConfigurationError):
-            ReplayOptions(max_attempts=0)
+    def test_replay_batch_size_validation(self, make_service):
+        trace = generate_trace("uniform", N_NODES, n_events=4, seed=1)
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            replay_trace(make_service(), trace, batch_size=0)

@@ -100,7 +100,7 @@ class TestStatsIndexValidateQuery:
         graph_file, index_path = indexed
         code, output = run_cli(
             "query", "pair", "--graph", str(graph_file), "--index", str(index_path),
-            "--source", "3", "--target", "9", "--query-walkers", "200",
+            "--source", "3", "--target", "9",
         )
         assert code == 0
         assert "s(3, 9)" in output
@@ -118,24 +118,24 @@ class TestStatsIndexValidateQuery:
         graph_file, index_path = indexed
         code, output = run_cli(
             "query", "source", "--graph", str(graph_file), "--index", str(index_path),
-            "--source", "5", "--query-walkers", "200",
+            "--source", "5",
         )
         assert code == 0
         assert "single-source" in output
         code, output = run_cli(
             "query", "topk", "--graph", str(graph_file), "--index", str(index_path),
-            "--source", "5", "--k", "3", "--query-walkers", "200",
+            "--source", "5", "--k", "3",
         )
         assert code == 0
         assert output.count("node") >= 3
 
     def test_one_off_queries_match_query_batch(self, indexed, tmp_path):
-        """``query`` and ``query-batch`` read the same per-source streams,
-        so on the same graph, index and parameters they print the same
-        scores — repeated one-off calls included."""
+        """``query`` and ``query-batch`` both answer at the parameters
+        stored in the index and read the same per-source streams, so on
+        the same graph and index they print the same scores — repeated
+        one-off calls included, with no parameter flag passed."""
         graph_file, index_path = indexed
-        common = ("--graph", str(graph_file), "--index", str(index_path),
-                  "--walkers", "50", "--query-walkers", "200", "--steps", "5")
+        common = ("--graph", str(graph_file), "--index", str(index_path))
         one_off = []
         for argv in (("pair", "--source", "3", "--target", "9"),
                      ("pair", "--source", "3", "--target", "9"),
@@ -793,6 +793,18 @@ class TestShardedCli:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["replay", "--max-retry-seconds", "5"], "--max-retry-seconds"),
+        (["query", "pair", "--source", "3", "--steps", "6"], "--steps"),
+    ], ids=["replay-max-retry-seconds", "query-steps"])
+    def test_removed_flags_are_usage_errors(self, argv, flag, capsys):
+        """``replay`` runs one in-process driver with no retry budget, and
+        ``query`` answers at the index's parameters."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--graph", "g.tsv", "--index", "i.npz"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_update_continues_a_one_shard_lineage_at_two_shards(
             self, indexed, tmp_path):
         """``--shards 2`` against a lineage written at one shard runs at
@@ -944,7 +956,7 @@ class TestReplay:
             "--shards", "2", "--output", str(records),
         )
         assert code == 0
-        assert "scenario 'zipf' [in-process, exact]" in output
+        assert "scenario 'zipf' [exact]" in output
         record = json.loads(records.read_text(encoding="utf-8"))
         assert record["n_queries"] == 12
         assert len(record["answer_checksum"]) == 64
@@ -980,7 +992,7 @@ class TestReplay:
             "--approx-steps", "3",
         )
         assert code == 0
-        assert "[in-process, approximate]" in output
+        assert "[approximate]" in output
 
     def test_malformed_trace_file_names_the_line(self, indexed, tmp_path):
         graph_file, index_path = indexed

@@ -8,7 +8,9 @@ paper's two execution models, the local diagonal estimator).  The
 simulator (``repro.engine.context`` and what it runs) runs its tasks in
 process, so it loads neither ``executor`` nor any ``repro.service`` module.
 ``repro.graph`` — the CSR frontier gather included — sits below
-``repro.core`` and imports none of it.  Each check runs in a fresh
+``repro.core`` and imports none of it.  The serving package and the CLI
+load no HTTP client: the HTTP tier is a server, and the replay driver runs
+in process.  Each check runs in a fresh
 interpreter, because this test session has long since imported
 everything.
 """
@@ -33,7 +35,7 @@ def _loaded_after_importing(modules):
         "import importlib, json, sys\n"
         f"for name in {list(modules)!r}:\n"
         "    importlib.import_module(name)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run([sys.executable, "-c", script], env=env,
@@ -70,3 +72,9 @@ def test_the_graph_layer_loads_no_core_module():
     loaded = _loaded_after_importing(["repro.graph", "repro.graph.frontier"])
     assert "repro.graph.frontier" in loaded
     assert not {name for name in loaded if name.startswith("repro.core")}
+
+
+def test_serving_and_the_cli_load_no_http_client():
+    loaded = _loaded_after_importing(["repro.service", "repro.cli"])
+    assert "repro.service.scenarios" in loaded
+    assert "http.client" not in loaded
