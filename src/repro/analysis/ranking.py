@@ -2,13 +2,12 @@
 
 SimRank is mostly consumed through rankings ("which nodes are most similar
 to v?"), so besides absolute score error the evaluation needs ranking
-metrics.  These are used by the effectiveness benchmark (F3), the
-recommendation example and the ablation module.
+metrics: the top-k ordering, precision@k and average precision.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,61 +54,3 @@ def average_precision(scores: np.ndarray, relevant: Sequence[int],
         return 0.0
     return float(np.mean(precisions))
 
-
-def ndcg_at_k(scores: np.ndarray, relevance: np.ndarray, k: int,
-              exclude: int = -1) -> float:
-    """Normalised discounted cumulative gain at ``k`` with graded relevance."""
-    relevance = np.asarray(relevance, dtype=np.float64)
-    if k <= 0 or relevance.sum() == 0:
-        return 0.0
-    top = top_k_indices(scores, k, exclude=exclude)
-    discounts = 1.0 / np.log2(np.arange(2, len(top) + 2))
-    dcg = float((relevance[top] * discounts).sum())
-    ideal_order = np.argsort(-relevance, kind="stable")
-    if 0 <= exclude < len(relevance):
-        ideal_order = ideal_order[ideal_order != exclude]
-    ideal_top = ideal_order[:k]
-    ideal_discounts = 1.0 / np.log2(np.arange(2, len(ideal_top) + 2))
-    idcg = float((relevance[ideal_top] * ideal_discounts).sum())
-    return dcg / idcg if idcg > 0 else 0.0
-
-
-def kendall_tau(first: Sequence[float], second: Sequence[float]) -> float:
-    """Kendall rank-correlation between two score vectors (ties -> 0 credit).
-
-    Returns a value in [-1, 1]; 1 means identical orderings.  The O(n²)
-    implementation is fine for the evaluation sizes used here.
-    """
-    first = np.asarray(first, dtype=np.float64)
-    second = np.asarray(second, dtype=np.float64)
-    if first.shape != second.shape:
-        raise ValueError("score vectors must have the same length")
-    n = len(first)
-    if n < 2:
-        return 1.0
-    concordant = discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.sign(first[i] - first[j])
-            b = np.sign(second[i] - second[j])
-            if a == 0 or b == 0:
-                continue
-            if a == b:
-                concordant += 1
-            else:
-                discordant += 1
-    total = n * (n - 1) // 2
-    return (concordant - discordant) / total if total else 1.0
-
-
-def ranking_report(scores_by_method: Dict[str, np.ndarray],
-                   relevant: Sequence[int], k: int,
-                   exclude: int = -1) -> Dict[str, Dict[str, float]]:
-    """Precision@k and average precision for several methods at once."""
-    return {
-        name: {
-            "precision_at_k": precision_at_k(scores, relevant, k, exclude=exclude),
-            "average_precision": average_precision(scores, relevant, exclude=exclude),
-        }
-        for name, scores in scores_by_method.items()
-    }

@@ -20,7 +20,7 @@ This subpackage provides everything the algorithms need from a graph:
 
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
-from repro.graph import datasets, generators, io, partition, stats
+from repro.graph import datasets, generators, io, partition, sampling, stats
 
 __all__ = [
     "DiGraph",
@@ -29,5 +29,6 @@ __all__ = [
     "generators",
     "io",
     "partition",
+    "sampling",
     "stats",
 ]

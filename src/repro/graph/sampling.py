@@ -95,17 +95,3 @@ def forest_fire_sample(graph: DiGraph, target_nodes: int,
     sample.name = f"{graph.name}-forestfire-{target_nodes}"
     return sample
 
-
-def degree_preserving_sizes(graph: DiGraph, fractions: List[float],
-                            seed: Optional[int] = None) -> List[DiGraph]:
-    """Forest-fire samples at several relative sizes (for scaling sweeps)."""
-    samples = []
-    for index, fraction in enumerate(fractions):
-        _check_fraction(fraction)
-        target = max(2, int(round(graph.n_nodes * fraction)))
-        samples.append(
-            forest_fire_sample(
-                graph, target, seed=None if seed is None else seed + index
-            )
-        )
-    return samples

@@ -1,9 +1,9 @@
-"""Tests for the accuracy analysis module."""
+"""Tests for the accuracy and ranking analysis modules."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import accuracy
+from repro.analysis import accuracy, ranking
 from repro.config import SimRankParams
 from repro.core.diagonal import build_diagonal_index
 from repro.core.queries import QueryEngine
@@ -57,3 +57,25 @@ class TestAccuracy:
         report = accuracy.evaluate_pairs(lambda i, j: 0.0, np.zeros((3, 3)), [], "none")
         assert report.n_pairs == 0
         assert np.isnan(report.mean_abs_error)
+
+
+class TestRanking:
+    def test_top_k_indices_ordering(self):
+        scores = np.array([0.1, 0.9, 0.5, 0.7])
+        assert ranking.top_k_indices(scores, 2).tolist() == [1, 3]
+        assert ranking.top_k_indices(scores, 2, exclude=1).tolist() == [3, 2]
+        assert ranking.top_k_indices(scores, 0).tolist() == []
+        assert len(ranking.top_k_indices(scores, 10)) == 4
+
+    def test_precision_at_k(self):
+        scores = np.array([0.9, 0.8, 0.1, 0.7])
+        assert ranking.precision_at_k(scores, relevant=[0, 1], k=2) == 1.0
+        assert ranking.precision_at_k(scores, relevant=[2], k=2) == 0.0
+        assert ranking.precision_at_k(scores, relevant=[0], k=0) == 0.0
+
+    def test_average_precision_perfect_and_worst(self):
+        scores = np.array([0.9, 0.8, 0.7, 0.1])
+        assert ranking.average_precision(scores, relevant=[0, 1]) == pytest.approx(1.0)
+        assert ranking.average_precision(scores, relevant=[]) == 0.0
+        worst = ranking.average_precision(scores, relevant=[3])
+        assert worst == pytest.approx(0.25)

@@ -71,14 +71,3 @@ class TestForestFireSample:
         with pytest.raises(ConfigurationError):
             sampling.forest_fire_sample(DiGraph(0, []), 5)
 
-
-class TestDegreePreservingSizes:
-    def test_sizes_grow_with_fractions(self, graph):
-        samples = sampling.degree_preserving_sizes(graph, [0.1, 0.3, 0.6], seed=6)
-        sizes = [sample.n_nodes for sample in samples]
-        assert sizes == sorted(sizes)
-        assert len(samples) == 3
-
-    def test_invalid_fraction_rejected(self, graph):
-        with pytest.raises(ConfigurationError):
-            sampling.degree_preserving_sizes(graph, [0.5, 2.0])

@@ -14,10 +14,13 @@ Three contracts are pinned here:
   included (approximate mode must *diverge* from it).
 """
 
+import hashlib
 import json
+import math
 
 import pytest
 
+from repro.analysis.accuracy import exact_linearized_matrix
 from repro.config import ServiceParams, ShardingParams
 from repro.errors import ConfigurationError, WireFormatError
 from repro.service import (
@@ -35,6 +38,37 @@ from repro.service import (
 from repro.service.scenarios import TRACE_GENERATORS, update_storm_trace
 
 N_NODES = 120  # matches the shared service_graph fixture
+
+# ``generate_trace(scenario, N_NODES, n_events=30, seed=3)``: sha256 of the
+# header line and every event line, and the answer checksum of its exact
+# replay on the shared service fixture.  The spine replays these
+# generators, so a change to either digest changes what it measures.
+PINNED_TRACES = {
+    "bursty": (
+        "fb5f25b835cdf54cca502925fe2e8fb7130b8bf53d90f2aa05d5f0da53bf39a5",
+        "c3cb8a3534c784141d5cc444665330146d5d4020d200fe291e294e9b80b390ed",
+    ),
+    "multi_tenant": (
+        "4e37dde5b39af88c45d37ff66e9ae34ea5023dc74cb4cda7365a98f324d177fd",
+        "b3db243b13be5c8117c64050313c34ed30f545849424110a95f464c69d6af1ab",
+    ),
+    "uniform": (
+        "d53ef94f290e9db62ec628c972a24415333aa942e36f4cb33befec786920ca47",
+        "5e920e6fafe45aca2d584b5695ff45c015d5ec6d98eb54cdd1298c59593151b2",
+    ),
+    "update_storm": (
+        "d4d6b5fd80287c71263d3abd44c339eb3541c2c4c02b2327b26967555a3bd4ee",
+        "e54d8c19851afd7cc0e493825a3b3ea01b744258cf207e0a2db4576ad672e4f4",
+    ),
+    "zipf": (
+        "b795903688ef5d3c7350c4addbcdbce5a126839484e434a70ec40f9271790d6f",
+        "66dab49ccca4d4a036f6e538704948a8260a0b66da7a608c6a99e49ebf2ae9e8",
+    ),
+}
+
+
+def _pinned_trace(scenario):
+    return generate_trace(scenario, N_NODES, n_events=30, seed=3)
 
 
 def _integers(value, path=()):
@@ -201,6 +235,16 @@ class TestGenerators:
             "tenant-0", "tenant-1", "tenant-2"
         }
 
+    @pytest.mark.parametrize("scenario", sorted(PINNED_TRACES))
+    def test_generated_bytes_are_pinned(self, scenario):
+        trace = _pinned_trace(scenario)
+        lines = [trace.header_json()] + [event.to_json()
+                                         for event in trace.events]
+        digest = hashlib.sha256(
+            "".join(line + "\n" for line in lines).encode("utf-8")
+        ).hexdigest()
+        assert digest == PINNED_TRACES[scenario][0]
+
     def test_unknown_scenario_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError, match="unknown scenario"):
             generate_trace("tsunami", N_NODES)
@@ -242,6 +286,34 @@ class TestReplayDeterminism:
         assert sharded_one.index_versions[1] > sharded_one.index_versions[0]
         assert single.mode == "exact" and single.accuracy_budget is None
 
+    @pytest.mark.parametrize("scenario", sorted(
+        set(TRACE_GENERATORS) - {"update_storm"}))
+    def test_exact_replay_matches_single_shard(self, make_service,
+                                               make_sharded, scenario):
+        trace = generate_trace(scenario, N_NODES, n_events=24, seed=5)
+        single = replay_trace(make_service(), trace, batch_size=8)
+        sharded = replay_trace(make_sharded(), trace, batch_size=8)
+        assert sharded.answer_checksum == single.answer_checksum
+        assert sharded.n_queries == single.n_queries == trace.n_queries
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_TRACES))
+    def test_exact_answers_are_pinned(self, make_service, scenario):
+        result = replay_trace(make_service(), _pinned_trace(scenario),
+                              batch_size=5)
+        assert result.answer_checksum == PINNED_TRACES[scenario][1]
+
+    @pytest.mark.parametrize("scenario", sorted(TRACE_GENERATORS))
+    def test_exact_answers_do_not_depend_on_batch_size(self, make_service,
+                                                       scenario):
+        """Batching only groups the work: each source's walks are seeded
+        by the source, so one-query batches, small batches and one batch
+        per query run answer identically."""
+        trace = generate_trace(scenario, N_NODES, n_events=30, seed=8)
+        checksums = {replay_trace(make_service(), trace,
+                                  batch_size=size).answer_checksum
+                     for size in (1, 4, 64)}
+        assert len(checksums) == 1
+
     @pytest.mark.parametrize("scenario", sorted(TRACE_GENERATORS))
     def test_counters_are_deterministic(self, service_graph, service_index,
                                         service_params, scenario):
@@ -281,6 +353,27 @@ class TestReplayDeterminism:
         assert result.n_batches == 5
         assert result.n_updates == 1
 
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 64])
+    def test_batches_are_runs_of_queries_cut_at_batch_size(
+            self, make_service, batch_size):
+        """Each run of consecutive queries between updates is answered in
+        ``ceil(run / batch_size)`` batches; updates never join a batch."""
+        trace = update_storm_trace(N_NODES, n_events=30, storm_every=7,
+                                   seed=4)
+        runs, run = [], 0
+        for event in trace.events:
+            if event.kind == "update":
+                runs.append(run)
+                run = 0
+            else:
+                run += 1
+        runs.append(run)
+        result = replay_trace(make_service(), trace, batch_size=batch_size)
+        assert result.n_batches == sum(math.ceil(length / batch_size)
+                                       for length in runs)
+        assert result.n_updates == trace.n_updates == len(runs) - 1
+        assert result.n_queries == trace.n_queries
+
     def test_approximate_replay_is_deterministic_and_diverges_from_exact(
             self, make_service, make_sharded):
         trace = generate_trace("zipf", N_NODES, n_events=20, seed=4)
@@ -313,6 +406,50 @@ class TestReplayDeterminism:
         assert records[0] == records[1] == result.to_record()
         assert records[0]["scenario"] == "uniform"
         assert len(records[0]["answer_checksum"]) == 64
+
+    def test_record_keys_are_the_scenario_schema(self, make_service):
+        trace = generate_trace("zipf", N_NODES, n_events=6, seed=6)
+        record = replay_trace(make_service(), trace).to_record()
+        assert set(record) == {
+            "scenario", "mode", "n_events", "n_queries", "n_updates",
+            "n_batches", "duration_seconds", "qps", "p50_latency_seconds",
+            "p99_latency_seconds", "cache_hit_rate", "answer_checksum",
+            "index_versions", "versions_monotonic", "accuracy_budget",
+            "realized_mean_error", "realized_max_error",
+        }
+
+
+@pytest.fixture(scope="module")
+def exact_reference(service_graph, service_params):
+    """A converged exact similarity matrix of the shared service graph."""
+    return exact_linearized_matrix(service_graph,
+                                   service_params.with_(walk_steps=12))
+
+
+class TestRealizedError:
+    def test_without_a_reference_no_error_is_reported(self, make_service):
+        trace = generate_trace("uniform", N_NODES, n_events=8, seed=2)
+        result = replay_trace(make_service(), trace)
+        assert result.realized_mean_error is None
+        assert result.realized_max_error is None
+
+    @pytest.mark.parametrize("mix,bound", [
+        ((1.0, 0.0, 0.0), 0.005),
+        ((0.0, 1.0, 0.0), 0.005),
+        ((0.0, 0.0, 1.0), 0.02),
+    ], ids=["pair", "source", "topk"])
+    def test_every_query_kind_is_measured_against_the_reference(
+            self, make_service, exact_reference, mix, bound):
+        """Each query kind folds its own error into the record: the exact
+        mode's Monte Carlo answers sit close to the converged scores, and
+        the mean of the per-query errors never exceeds their maximum."""
+        trace = generate_trace("uniform", N_NODES, n_events=20, seed=2,
+                               mix=mix)
+        result = replay_trace(make_service(), trace,
+                              reference=exact_reference)
+        assert result.realized_mean_error is not None
+        assert 0.0 < result.realized_mean_error <= result.realized_max_error
+        assert result.realized_max_error < bound
 
 
 class TestApproxModeConfiguration:

@@ -796,7 +796,16 @@ class TestShardedCli:
     @pytest.mark.parametrize("argv,flag", [
         (["replay", "--max-retry-seconds", "5"], "--max-retry-seconds"),
         (["query", "pair", "--source", "3", "--steps", "6"], "--steps"),
-    ], ids=["replay-max-retry-seconds", "query-steps"])
+        (["query", "pair", "--source", "3", "--decay", "0.8"], "--decay"),
+        (["query", "source", "--source", "3", "--jacobi", "2"], "--jacobi"),
+        (["query", "source", "--source", "3", "--walkers", "50"],
+         "--walkers"),
+        (["query", "topk", "--source", "3", "--query-walkers", "300"],
+         "--query-walkers"),
+        (["query", "topk", "--source", "3", "--seed", "4"], "--seed"),
+    ], ids=["replay-max-retry-seconds", "query-steps", "query-decay",
+            "query-jacobi", "query-walkers", "query-query-walkers",
+            "query-seed"])
     def test_removed_flags_are_usage_errors(self, argv, flag, capsys):
         """``replay`` runs one in-process driver with no retry budget, and
         ``query`` answers at the index's parameters."""

@@ -78,3 +78,12 @@ def test_serving_and_the_cli_load_no_http_client():
     loaded = _loaded_after_importing(["repro.service", "repro.cli"])
     assert "repro.service.scenarios" in loaded
     assert "http.client" not in loaded
+
+
+def test_service_exports_resolve_and_name_one_replay_driver():
+    import repro.service as service
+
+    assert [name for name in service.__all__
+            if not hasattr(service, name)] == []
+    assert [name for name in service.__all__
+            if name.lower().startswith("replay")] == ["replay_trace"]
