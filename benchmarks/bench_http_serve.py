@@ -42,7 +42,6 @@ WALK_STEPS = 6
 INDEX_WALKERS = 40
 QUERY_WALKERS = 4_000
 NUM_SHARDS = 4
-SERVE_WORKERS = 2
 SEED = 47
 
 N_CLIENTS = 8
@@ -75,9 +74,7 @@ def _make_service(graph, index):
 
     return QueryService(
         graph, index, _params(),
-        ServiceParams(cache_capacity=0, serve_backend="threads",
-                      serve_workers=SERVE_WORKERS,
-                      coalesce_window=COALESCE_WINDOW,
+        ServiceParams(cache_capacity=0, coalesce_window=COALESCE_WINDOW,
                       max_in_flight=MAX_IN_FLIGHT),
         sharding=ShardingParams(num_shards=NUM_SHARDS),
     )

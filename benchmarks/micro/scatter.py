@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Microbenchmark: where a batch's cache misses should be walked.
 
-Times :func:`repro.service.sharded.simulate_misses` on the ``serial``,
-``threads`` and ``processes`` backends over a grid of (walkers, misses)
-cells, at the spine's size: 10 000 nodes of a copying-model graph of
-out-degree 5 and the spine's walk parameters (T = 10), with two pool
-workers.  On ``serial`` the misses are walked inline; on the pools the
-scatter grain is lowered to one walker-step for the timing, so every
-batch crosses as ``min(workers, misses)`` runs.  The distributions are
-checked equal across the three before timing.
+Times :func:`repro.service.sharded.simulate_misses` on every backend of
+:data:`repro.engine.executor.BACKENDS` (``serial`` and ``processes``) over
+a grid of (walkers, misses) cells, at the spine's size: 10 000 nodes of a
+copying-model graph of out-degree 5 and the spine's walk parameters
+(T = 10), with two pool workers.  On ``serial`` the misses are walked
+inline; on the pool the scatter grain is lowered to one walker-step for
+the timing, so every batch crosses as ``min(workers, misses)`` runs.  The
+distributions are checked equal across the backends before timing.
 
 Each cell's record carries the walker-steps per pool run
 (``misses × walkers × (T + 1) / workers``) beside the timings, and the
 runs the default :data:`~repro.service.sharded.SCATTER_GRAIN` picks for
-it: the cell where the pools start to win is the grain.  In the manner of
+it: the cell where the pool starts to win is the grain.  In the manner of
 snippet 2 (``SNIPPETS.md``), each backend reports its first call apart from
 its steady state — on ``processes`` the first call forks the pool and
 exports the graph to shared memory — and the steady state is ``timeit``'s
@@ -44,7 +44,7 @@ if str(SRC_DIR) not in sys.path:
     sys.path.insert(0, str(SRC_DIR))
 
 from repro.config import SimRankParams  # noqa: E402
-from repro.engine.executor import make_backend  # noqa: E402
+from repro.engine.executor import BACKENDS, make_backend  # noqa: E402
 from repro.graph import generators  # noqa: E402
 from repro.service import sharded  # noqa: E402
 
@@ -53,7 +53,6 @@ PARAMS = SimRankParams(c=0.6, walk_steps=10, jacobi_iterations=3,
                        index_walkers=100, query_walkers=1000, seed=0)
 OUT_DEGREE = 5
 WORKERS = 2
-BACKENDS = ("serial", "threads", "processes")
 #: ``(walkers, misses)`` cells, in increasing walker-steps per run.
 GRID: Tuple[Tuple[int, int], ...] = (
     (1_000, 8), (1_000, 32), (3_000, 32), (1_000, 128), (10_000, 32),
@@ -100,7 +99,7 @@ def measure(nodes: int = 10_000, seed: int = 0) -> Iterator[Dict[str, Any]]:
                 "walkers": walkers, "misses": misses, "workers": WORKERS,
                 "work_per_run": work // min(WORKERS, misses),
                 "rule_runs": sharded.scatter_runs(
-                    backends["threads"], misses, walkers, PARAMS),
+                    backends["processes"], misses, walkers, PARAMS),
                 "grain": default_grain,
             }
             outputs = {}

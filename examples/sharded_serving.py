@@ -2,13 +2,14 @@
 """Sharded builds and serving, end to end.
 
 There is one serving class, ``QueryService``; ``ShardingParams(num_shards=K)``
-splits the rows an index build or update estimates into at most ``K``
-row tasks, and the default ``K = 1`` is the same program.  Every query is
+splits the rows an index build or update estimates into at most
+``min(K, workers)`` row tasks — one on the default ``serial`` backend —
+and the default ``K = 1`` is the same program.  Every query is
 served from one cache of ``cache_capacity × K`` entries per kind.  This
 example:
 
-1. builds the same index with one shard and with 4 shards, and verifies
-   the diagonals are *bitwise-identical*;
+1. builds the same index with one shard and with 4 shards on a two-worker
+   process pool, and verifies the diagonals are *bitwise-identical*;
 2. serves pair / source / top-k queries at ``K = 4`` and checks every
    answer against the one-shard service;
 3. inserts edges live and re-estimates only the rows the edit can change,
@@ -16,9 +17,12 @@ example:
 4. snapshots the 4-shard deployment (index and system) and cold-starts a
    second service from it at ``K = 2``: the lineage does not record K.
 
-The 4-shard service simulates its cache misses through a persistent
-``threads`` pool (``ServiceParams.serve_backend``) and is closed at the
-end — ``close()`` releases the serve pool and the walker's build backend.
+The 4-shard service builds its rows on a ``processes`` pool
+(``ShardingParams.backend``) and would send a batch's cache misses to a
+``processes`` serve pool (``ServiceParams.serve_backend``) once the batch
+carries the scatter grain — this example's toy batches never do, so they
+are walked in the serving thread.  It is closed at the end: ``close()``
+releases the serve pool and the walker's build backend.
 
 Run with::
 
@@ -40,13 +44,15 @@ def main() -> None:
     params = SimRankParams.fast_defaults()
     print(f"graph: {graph}")
 
-    # 1. One-shard vs 4-shard build: same diagonal, bit for bit.  The
-    # 4-shard service also scatters *query-time* work through a thread pool.
+    # 1. One-shard vs 4-shard build: same diagonal, bit for bit.  On two
+    # pool workers the 4-shard build runs min(4, 2) = 2 row tasks.
     single = QueryService.build(graph, params)
     sharded = QueryService.build(
         graph, params,
-        service_params=ServiceParams(serve_backend="threads", serve_workers=4),
-        sharding=ShardingParams(num_shards=4),
+        service_params=ServiceParams(serve_backend="processes",
+                                     serve_workers=2),
+        sharding=ShardingParams(num_shards=4, backend="processes",
+                                max_workers=2),
     )
     identical = np.array_equal(single.index.diagonal, sharded.index.diagonal)
     print(f"4-shard build bitwise-identical to single-shard: {identical}")
@@ -61,7 +67,7 @@ def main() -> None:
     # 3. A live edit: only the rows whose walks met a head re-estimate.
     result = sharded.add_edges([(2, 120), (5, 120)])
     print(f"edit affected {result.affected_rows} rows; re-estimated "
-          f"{result.estimated_rows} in at most {sharded.num_shards} tasks")
+          f"{result.estimated_rows} in at most 2 tasks")
     single.add_edges([(2, 120), (5, 120)])
     post = sharded.run_batch(queries)
     print(f"post-update answers match single-shard: "

@@ -19,7 +19,10 @@ and the module docstrings that cite ``docs/`` files:
   to ``repro`` (``np.ndarray``, ``os.PathLike``, …) are skipped — foreign
   libraries are not ours to police;
 * every backticked span that opens with a ``--flag`` (```--shards 4```),
-  failing when no ``python -m repro`` subcommand accepts that flag;
+  failing when no ``python -m repro`` subcommand accepts that flag, or
+  when the flag has argparse ``choices`` and the value after it (or any
+  item of a ``{a,b}`` value list) is none of them — a stale
+  ```--serve-backend threads``` is rot too;
 * every knob table under a heading labelled with its config class
   (``### Update knobs (`UpdateParams`)``), failing when a row's backticked
   first-column name is not a field of that dataclass;
@@ -61,10 +64,11 @@ _DOCS_IN_SOURCE = re.compile(r"docs/[\w.-]+\.md")
 # Backticked dotted symbol references like `repro.service.QueryService`,
 # `QueryService.run_batch` or `SnapshotStore.load()` (no slashes = not a path).
 _CODE_SYMBOL = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
-# Backticked spans opening with a CLI flag, like `--shards 4` or `--force`.
-# Spans that open with a command (`pytest --benchmark-only`) name another
-# program's flags and are left alone.
-_CODE_FLAG = re.compile(r"`(--[A-Za-z][\w-]*)")
+# Backticked spans opening with a CLI flag, like `--shards 4` or `--force`,
+# with the value after the flag when there is one.  Spans that open with a
+# command (`pytest --benchmark-only`) name another program's flags and are
+# left alone.
+_CODE_FLAG = re.compile(r"`(--[A-Za-z][\w-]*)(?: ([^`\s]+))?")
 # A heading that labels the knob tables below it with their config class,
 # like ``### Cache knobs (`ServiceParams`)``.
 _KNOB_HEADING = re.compile(r"^#+ .*\(`([A-Za-z_]\w*)`\)\s*$")
@@ -159,19 +163,40 @@ def _check_knob(owner: str, name: str,
     return f"knob table of {owner} lists {name!r}, which is no field of it"
 
 
-def _cli_flags() -> Set[str]:
-    """Every option string of every ``python -m repro`` (sub)command."""
+def _cli_flags() -> Dict[str, Set[str]]:
+    """Every option string of every ``python -m repro`` (sub)command, mapped
+    to the values its ``choices`` allow (empty: any value)."""
     from repro.cli import build_parser
 
-    flags: Set[str] = set()
+    flags: Dict[str, Set[str]] = {}
     pending = [build_parser()]
     while pending:
         parser = pending.pop()
-        flags.update(parser._option_string_actions)
+        for flag, action in parser._option_string_actions.items():
+            flags.setdefault(flag, set()).update(
+                str(choice) for choice in action.choices or ())
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
                 pending.extend(action.choices.values())
     return flags
+
+
+def _check_flag(flag: str, value: str,
+                flags: Dict[str, Set[str]]) -> Optional[str]:
+    """A problem string unless some subcommand takes ``flag`` and, where
+    the flag has choices, ``value`` (or each item of ``{a,b}``) is one."""
+    if flag not in flags:
+        return (f"names the flag {flag!r}, which no `python -m repro` "
+                f"subcommand accepts")
+    choices = flags[flag]
+    if not value or not choices:
+        return None
+    items = value[1:-1].split(",") if value.startswith("{") else [value]
+    stale = [item for item in items if item not in choices]
+    if stale:
+        return (f"names {flag} {', '.join(stale)}, which is no choice of "
+                f"it ({', '.join(sorted(choices))})")
+    return None
 
 
 def _public_symbol_table() -> Dict[str, List[object]]:
@@ -318,15 +343,13 @@ def check_docs(verbose: bool = False) -> List[str]:
                 )
     flags = _cli_flags()
     for doc in _doc_files():
-        for flag in _CODE_FLAG.findall(doc.read_text(encoding="utf-8")):
+        for flag, value in _CODE_FLAG.findall(doc.read_text(encoding="utf-8")):
             checked += 1
             if verbose:
-                print(f"{doc.relative_to(REPO_ROOT)}: {flag}")
-            if flag not in flags:
-                problems.append(
-                    f"{doc.relative_to(REPO_ROOT)} names the flag {flag!r}, "
-                    f"which no `python -m repro` subcommand accepts"
-                )
+                print(f"{doc.relative_to(REPO_ROOT)}: {flag} {value}")
+            problem = _check_flag(flag, value, flags)
+            if problem is not None:
+                problems.append(f"{doc.relative_to(REPO_ROOT)} {problem}")
     if verbose:
         print(f"checked {checked} references")
     return problems

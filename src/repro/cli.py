@@ -27,9 +27,9 @@ Examples
     python -m repro query-batch --graph graph.tsv --index index.npz --queries queries.txt
     python -m repro serve --graph graph.tsv --index index.npz
     python -m repro serve --graph graph.tsv --index index.npz --shards 4 \
-        --serve-backend threads --serve-workers 4
+        --serve-backend processes --serve-workers 4
     python -m repro serve-http --graph graph.tsv --index index.npz --shards 4 \
-        --serve-backend threads --port 8080 --coalesce-window 0.002
+        --port 8080 --coalesce-window 0.002
     python -m repro update --graph graph.tsv --index index.npz \
         --edges new_edges.tsv --snapshot-dir snapshots/ --output index.npz
     python -m repro snapshot list --dir snapshots/
@@ -50,6 +50,7 @@ from repro.config import (
 )
 from repro.core.cloudwalker import CloudWalker
 from repro.core.index import DiagonalIndex, SnapshotStore
+from repro.engine.executor import BACKENDS
 from repro.errors import CloudWalkerError
 from repro.graph import datasets, generators, io, stats
 from repro.graph.digraph import DiGraph
@@ -97,12 +98,13 @@ def _add_sharding_arguments(parser: argparse.ArgumentParser) -> None:
                              "%(default)s)")
     parser.add_argument("--shard-backend", dest="shard_backend",
                         default=defaults.backend,
-                        choices=["serial", "threads", "processes"],
-                        help="executor backend for concurrent shard builds "
+                        choices=BACKENDS,
+                        help="executor backend for the row tasks of a build "
+                             "or an update, min(shards, workers) of them "
                              "(default: %(default)s)")
     parser.add_argument("--shard-workers", dest="shard_workers", type=int,
                         default=defaults.max_workers,
-                        help="worker bound for threads/processes backends "
+                        help="worker bound for the processes backend "
                              "(default: %(default)s)")
 
 
@@ -214,8 +216,8 @@ def _cmd_index(args: argparse.Namespace, out) -> int:
     critical_path = max(per_shard.values()) if per_shard else 0.0
     print(f"indexed {graph.n_nodes} nodes / {graph.n_edges} edges "
           f"in {elapsed:.2f}s across {sharding.num_shards} "
-          f"shards ({sharding.backend} backend); "
-          f"slowest shard {critical_path:.2f}s", file=out)
+          f"shards ({len(per_shard)} row tasks, {sharding.backend} "
+          f"backend); slowest task {critical_path:.2f}s", file=out)
     print(f"index written to {args.output} "
           f"({index.memory_bytes / 1024:.1f} KiB, residual "
           f"{index.build_info.jacobi_residual:.4f}); bitwise-identical "
@@ -269,7 +271,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "disables (default: %(default)s)")
     parser.add_argument("--serve-backend", dest="serve_backend",
                         default=defaults.serve_backend,
-                        choices=["serial", "threads", "processes"],
+                        choices=BACKENDS,
                         help="executor pool a batch's cache-miss walk "
                              "simulation crosses to, one run per serve "
                              "worker, once each run carries the scatter "
@@ -278,7 +280,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "(default: %(default)s)")
     parser.add_argument("--serve-workers", dest="serve_workers", type=int,
                         default=defaults.serve_workers,
-                        help="worker bound for the threads/processes serve "
+                        help="worker bound for the processes serve "
                              "backend (default: %(default)s)")
     parser.add_argument("--accuracy-budget", dest="accuracy_budget",
                         type=float, default=defaults.accuracy_budget,

@@ -16,9 +16,9 @@ The dataclasses defined here:
     :meth:`repro.service.QueryService.add_edges`).
 
 :class:`ShardingParams`
-    How index rows are grouped into build tasks: how many shards, how nodes
-    are assigned to them, and which executor backend runs the tasks (see
-    :mod:`repro.core.sharding`).  Fixed at build; queries never read it.
+    How index rows are split into build tasks: the most tasks ``K`` and
+    the executor backend that runs them (see :mod:`repro.core.sharding`).
+    Queries never read it.
 
 :class:`ClusterSpec`
     A description of the (simulated) cluster used by the engine's cost
@@ -156,14 +156,13 @@ class ServiceParams:
         runs, :func:`repro.service.sharded.scatter_runs`; one run — always
         on ``"serial"`` — is walked in the serving thread, and scoring and
         ranking run in the serving process):
-        ``"serial"``, ``"threads"`` or ``"processes"`` (see
-        :mod:`repro.engine.executor`).  Tasks ship a handle to the
-        pool-resident graph plus their run's source ids, so payloads are
-        O(sources), not O(graph).  Like the build-time
+        one of :data:`repro.engine.executor.BACKENDS`.  Tasks ship a
+        handle to the pool-resident graph plus their run's source ids, so
+        payloads are O(sources), not O(graph).  Like the build-time
         ``ShardingParams.backend``, it changes only wall-clock, never
         answers, at every shard count (one shard included).
     serve_workers:
-        Worker bound for the ``threads`` / ``processes`` serve backends.
+        Worker bound for the ``processes`` serve backend.
         The pool is persistent (spun up once, reused per batch); call
         ``QueryService.close`` to release it.
     http_port:
@@ -217,8 +216,6 @@ class ServiceParams:
     approx_walkers: Optional[int] = None
     approx_steps: Optional[int] = None
 
-    _VALID_SERVE_BACKENDS = ("serial", "threads", "processes")
-
     def __post_init__(self) -> None:
         if self.cache_capacity < 0:
             raise ConfigurationError(
@@ -228,11 +225,11 @@ class ServiceParams:
             raise ConfigurationError(
                 f"default_top_k must be >= 1, got {self.default_top_k}"
             )
-        if self.serve_backend not in self._VALID_SERVE_BACKENDS:
-            raise ConfigurationError(
-                f"serve_backend must be one of {self._VALID_SERVE_BACKENDS}, "
-                f"got {self.serve_backend!r}"
-            )
+        # Imported here, not at the top: the Spark simulator imports this
+        # module and must not load the executor (test_import_boundary.py).
+        from repro.engine.executor import check_backend
+
+        check_backend(self.serve_backend, "serve_backend")
         if self.serve_workers < 1:
             raise ConfigurationError(
                 f"serve_workers must be >= 1, got {self.serve_workers}"
@@ -348,8 +345,8 @@ class ShardingParams:
     """How a build or an update splits the index rows it estimates.
 
     ``K`` is a task count and nothing else: the sorted rows a build or an
-    update estimates go out as at most ``K`` strided tasks (``rows[k::K]``,
-    empty tasks dropped), the gathered system is solved once, and every
+    update estimates go out as ``S = min(K, workers)`` strided tasks
+    (``rows[k::S]``, empty tasks dropped), the gathered system is solved once, and every
     worker serves from the whole broadcast diagonal.  Queries walk the
     whole graph, so ``K`` changes wall-clock only, never an answer, and
     nothing about the split is persisted.
@@ -361,33 +358,30 @@ class ShardingParams:
         It also sizes the service's cache (``cache_capacity × K`` entries
         per kind).
     backend:
-        Executor backend that runs the row tasks concurrently: ``"serial"``,
-        ``"threads"`` or ``"processes"`` (see :mod:`repro.engine.executor`).
-        The backend changes only wall-clock, never results: every task's
-        rows come from per-source random streams, so any execution order
+        Executor backend that runs the row tasks, one of
+        :data:`repro.engine.executor.BACKENDS`; a build or an update runs
+        ``min(K, workers)`` tasks on it, so one on ``"serial"``.  The
+        backend changes only wall-clock, never results: every task's rows
+        come from per-source random streams, so any execution order
         produces a bitwise-identical index.  Tasks ship a handle to the
         pool-resident graph (re-registered after each live update), never
         the graph itself.
     max_workers:
-        Worker bound for the ``threads`` / ``processes`` backends.
+        Worker bound for the ``processes`` backend.
     """
 
     num_shards: int = 1
     backend: str = "serial"
     max_workers: int = 4
 
-    _VALID_BACKENDS = ("serial", "threads", "processes")
-
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ConfigurationError(
                 f"num_shards must be >= 1, got {self.num_shards}"
             )
-        if self.backend not in self._VALID_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {self._VALID_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
+        from repro.engine.executor import check_backend
+
+        check_backend(self.backend)
         if self.max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1, got {self.max_workers}"

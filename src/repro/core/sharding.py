@@ -6,10 +6,11 @@ Jacobi iteration, and the online phase serves from the gathered result.
 This module reproduces that shape for the offline phase:
 
 * :class:`ShardedIncrementalWalker` — the one index maintainer — splits
-  the sorted rows it estimates into at most ``K`` strided tasks
-  (``rows[k::K]``, ``K = 1`` by default) and runs them through an
-  :mod:`engine executor <repro.engine.executor>` backend, so the tasks
-  run concurrently;
+  the sorted rows it estimates into ``S = min(K, workers)`` strided tasks
+  (``rows[k::S]``, ``K = 1`` by default) and runs them through an
+  :mod:`engine executor <repro.engine.executor>` backend: concurrently on
+  a process pool, and as one task on ``serial``, where splitting buys no
+  concurrency and pays per-task kernel setup;
 * the tasks' row sets are *gathered* into one linear system and solved
   with ``L`` cold-started Jacobi sweeps;
 * an edge insertion re-runs the same computation on the affected rows
@@ -115,8 +116,8 @@ def estimate_shard_rows(
 
     The task ships the graph's :class:`~repro.engine.executor.
     ResidentHandle` plus its node list — O(nodes) bytes,
-    independent of graph size: a plain reference on ``serial``/``threads``,
-    and on ``processes`` the worker materialises the graph once per
+    independent of graph size: a plain reference on ``serial``, and on
+    ``processes`` the worker materialises the graph once per
     residency epoch from shared memory
     (:func:`repro.engine.executor.resolve_resident`).  The restored graph's
     CSR arrays are byte-for-byte the registering process's, so the rows do
@@ -263,8 +264,9 @@ class ShardedIncrementalWalker:
        changes the reverse walks of nodes ``v`` reaches within ``T`` steps);
     3. re-estimate only the affected rows whose stored support holds a
        head, plus the new nodes: :meth:`_build_rows` splits them into at
-       most ``num_tasks`` strided :func:`estimate_shard_rows` tasks and
-       runs them through the executor backend;
+       most ``min(num_tasks, backend.max_workers)`` strided
+       :func:`estimate_shard_rows` tasks and runs them through the
+       executor backend;
     4. splice them into ``A`` and re-solve from the cold start a build uses.
 
     Every row reads its own ``(seed, source)`` random stream
@@ -280,8 +282,9 @@ class ShardedIncrementalWalker:
         :attr:`graph`).
     num_tasks:
         ``K``: the most row tasks one build or update runs (default 1).
-        The sorted rows go out as ``rows[k::K]``, empty tasks dropped, so
-        the tasks differ in row count by at most one.
+        With ``S = min(K, backend.max_workers)`` the sorted rows go out as
+        ``rows[k::S]``, empty tasks dropped, so the tasks differ in row
+        count by at most one; on ``serial`` that is one task.
     params:
         Algorithmic parameters, shared by the build and all updates.
     exact:
@@ -379,8 +382,9 @@ class ShardedIncrementalWalker:
 
     def _build_rows(self, graph: DiGraph,
                     sources: np.ndarray) -> sparse.csr_matrix:
-        """Estimate the ascending ``sources`` rows in at most ``num_tasks``
-        strided tasks through the executor backend."""
+        """Estimate the ascending ``sources`` rows in at most
+        ``min(num_tasks, backend.max_workers)`` strided tasks through the
+        executor backend."""
         if self.exact:
             # The exact system is assembled from one sparse matrix power
             # sweep — there is nothing row-independent to fan out.
@@ -395,7 +399,7 @@ class ShardedIncrementalWalker:
         # node list instead of the whole graph.
         handle = self.backend.ensure_resident("graph", graph)
         rows: List[int] = sources.tolist()
-        stride = self.num_tasks
+        stride = min(self.num_tasks, self.backend.max_workers)
         tasks = {
             task: partial(estimate_shard_rows, handle, rows[task::stride],
                           self.params)
@@ -470,8 +474,9 @@ class ShardedIncrementalWalker:
           step-``T`` visits, which only makes it conservative.
 
         The same holds for the exact system, whose rows depend on the same
-        in-lists.  The re-estimated rows go out as at most ``num_tasks``
-        tasks, so a one-row update runs one task.
+        in-lists.  The re-estimated rows go out as at most
+        ``min(num_tasks, backend.max_workers)`` tasks, so a one-row update
+        runs one task.
         """
         if self.index is None or self._system is None:
             raise ConfigurationError("call build() or attach() before add_edges()")

@@ -1,16 +1,15 @@
 """Local execution backends for engine tasks.
 
-A *task* is a zero-argument callable producing a partition's result.  The
-scheduler hands the backend a list of tasks belonging to one stage; the
-backend returns their results in order.  Three backends are provided:
+A *task* is a zero-argument callable.  The index maintainer's row
+estimation and the service's cache-miss scatter hand a backend a list of
+tasks; the backend returns their results in order.  Two backends are provided, named
+in :data:`BACKENDS` — the one list the config validators and the CLI's
+``choices`` read:
 
 ``SerialBackend``
     Runs tasks in the calling thread.  Deterministic, easiest to debug, and
-    the default (Python-level parallel speed-ups are limited by the GIL for
-    the NumPy-light portions of the workload anyway).
-``ThreadBackend``
-    A ``ThreadPoolExecutor``; effective when tasks spend their time inside
-    NumPy/SciPy kernels that release the GIL.
+    the default: the walks hold the GIL, so a thread pool never beat it
+    (``ROADMAP.md`` item 15(a)) and there is none.
 ``ProcessBackend``
     A ``ProcessPoolExecutor``; requires tasks (and the data they close over)
     to be picklable, so it is opt-in.
@@ -31,8 +30,8 @@ epoch via :meth:`ExecutorBackend.ensure_resident` and subsequent tasks
 ship only a small :class:`ResidentHandle` instead of the object itself.
 Tasks call :func:`resolve_resident` to get the object back:
 
-* ``SerialBackend`` / ``ThreadBackend`` tasks run in the registering
-  process, so the handle simply carries the object reference — zero
+* ``SerialBackend`` tasks run in the registering process, so the
+  handle simply carries the object reference — zero
   copies, zero serialisation, and the exact same task code as the
   process path;
 * ``ProcessBackend`` exports the object's arrays into one
@@ -64,7 +63,7 @@ import os
 import pickle
 import threading
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
@@ -155,8 +154,8 @@ def _attach_shared_memory(name: str):
 def resolve_resident(handle: ResidentHandle) -> Any:
     """Return the object a :class:`ResidentHandle` refers to.
 
-    Callable from anywhere a task runs: the registering process (serial /
-    thread backends — the handle carries the reference) or a pool worker
+    Callable from anywhere a task runs: the registering process (serial
+    backend — the handle carries the reference) or a pool worker
     (process backend — attaches the shared-memory segment on first use,
     restores the object as zero-copy views, and serves every later task
     for the same token from a per-worker cache).
@@ -189,9 +188,14 @@ def resolve_resident(handle: ResidentHandle) -> Any:
 
 
 class ExecutorBackend:
-    """Interface: run a batch of tasks and return their results in order."""
+    """Interface: run a batch of tasks and return their results in order.
+
+    ``max_workers`` is how many tasks it runs at once; callers split work
+    into at most that many tasks.
+    """
 
     name = "abstract"
+    max_workers: int
 
     def __init__(self) -> None:
         # key -> (object, handle, backend-specific resources)
@@ -306,43 +310,6 @@ class SerialBackend(ExecutorBackend):
         return [task() for task in tasks]
 
 
-class ThreadBackend(ExecutorBackend):
-    """Run tasks on a shared, persistent thread pool."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        super().__init__()
-        if max_workers < 1:
-            raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        # Guarded so concurrent first-runs (e.g. two query batches racing
-        # on a freshly opened service) cannot each spin up a pool and leak
-        # one of them.
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return self._pool
-
-    def run(self, tasks: Sequence[Task]) -> List[T]:
-        """Submit all tasks to the pool and gather results in order."""
-        pool = self._ensure_pool()
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def shutdown(self) -> None:
-        """Join and discard the pool; the next ``run`` recreates it."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        super().shutdown()
-
-
 class ProcessBackend(ExecutorBackend):
     """Run tasks on a persistent process pool (tasks must be picklable).
 
@@ -402,7 +369,7 @@ class ProcessBackend(ExecutorBackend):
                     f"task {position} of {len(tasks)} cannot be sent to the "
                     f"process backend because it is not picklable ({exc}); "
                     "use module-level functions instead of closures or "
-                    "lambdas, or switch to the 'serial'/'threads' backend"
+                    "lambdas, or switch to the 'serial' backend"
                 ) from exc
         return sizes
 
@@ -501,14 +468,20 @@ def _call(task: Task) -> T:
     return task()
 
 
+BACKENDS = (SerialBackend.name, ProcessBackend.name)
+"""Every backend name a config field or a CLI flag accepts."""
+
+
+def check_backend(name: str, field: str = "backend") -> None:
+    """Raise :class:`ConfigurationError` unless ``name`` is in :data:`BACKENDS`."""
+    if name not in BACKENDS:
+        raise ConfigurationError(
+            f"{field} must be one of {BACKENDS}, got {name!r}")
+
+
 def make_backend(name: str, max_workers: int = 4) -> ExecutorBackend:
-    """Factory used by :class:`~repro.engine.context.ClusterContext`."""
-    if name == "serial":
-        return SerialBackend()
-    if name == "threads":
-        return ThreadBackend(max_workers=max_workers)
-    if name == "processes":
+    """The backend ``name`` names; ``max_workers`` bounds a process pool."""
+    check_backend(name)
+    if name == ProcessBackend.name:
         return ProcessBackend(max_workers=max_workers)
-    raise ConfigurationError(
-        f"unknown backend {name!r}; expected 'serial', 'threads' or 'processes'"
-    )
+    return SerialBackend()

@@ -11,8 +11,8 @@ This subpackage provides everything the algorithms need from a graph:
   laptop-scale stand-ins for the paper's datasets.
 * :mod:`~repro.graph.datasets` — the dataset registry mirroring the paper's
   evaluation graphs (wiki-vote … clue-web).
-* :mod:`~repro.graph.partition` — node/edge partitioners used by the RDD
-  execution model.
+* :mod:`~repro.graph.partition` — the node partitioner the RDD execution
+  model's ingestion can take.
 * :mod:`~repro.graph.stats` — degree statistics and size estimates used by
   the dataset table and the cluster cost model.
 * :mod:`~repro.graph.io` — edge-list and binary serialisation.

@@ -4,8 +4,9 @@ This package turns the one-shot library calls of :mod:`repro.core` into a
 serving layer fit for sustained query traffic:
 
 :mod:`repro.service.cache`
-    An LRU cache of per-source walk distributions keyed on
-    ``(node, steps, walkers, seed)`` — the unit of reuse across queries.
+    An LRU cache of per-source walk distributions and score records,
+    keyed by source id (its service fixes steps, walkers and seed) — the
+    unit of reuse across queries.
 :mod:`repro.service.batching`
     Query dataclasses plus the batch planner that deduplicates sources and
     groups them for vectorised multi-source simulation.
@@ -17,7 +18,8 @@ serving layer fit for sustained query traffic:
     re-indexes (:class:`~repro.core.sharding.ShardedIncrementalWalker`)
     whose affected-source sets, reported on a :class:`MutationResult`,
     drive targeted cache invalidation.  ``K`` shards split index builds
-    and updates into at most ``K`` row tasks; ``K = 1`` is the default,
+    and updates into at most ``min(K, workers)`` row tasks; ``K = 1`` is
+    the default,
     and answers are bitwise-identical at every ``K``.
 :mod:`repro.service.sharded`
     The cache-miss scatter: a batch's missing walk distributions
@@ -52,7 +54,7 @@ from repro.service.batching import (
     plan_batch,
     required_sources,
 )
-from repro.service.cache import CacheKey, CacheStats, WalkDistributionCache
+from repro.service.cache import CacheStats, WalkDistributionCache
 from repro.service.coalesce import BatchCoalescer
 from repro.service.http import HttpServiceServer
 from repro.service.scenarios import (
@@ -77,7 +79,6 @@ __all__ = [
     "BatchAnswers",
     "BatchCoalescer",
     "BatchPlan",
-    "CacheKey",
     "CacheStats",
     "HttpServiceServer",
     "MutationResult",

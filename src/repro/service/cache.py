@@ -2,7 +2,9 @@
 
 The expensive part of every online query is estimating the walk
 distributions ``P^t e_source`` — O(T · R') work per source.  Those
-distributions depend only on ``(node, steps, walkers, seed)``, so under a
+distributions depend only on ``(node, steps, walkers, seed)``, and a cache
+belongs to one service, which fixes its steps, walkers and seed at
+construction — so an entry is keyed by its source node id alone.  Under a
 skewed workload (the usual shape of "millions of users" traffic) most
 queries can be answered from previously simulated distributions.  This cache
 makes that reuse explicit and observable: every lookup is accounted as a hit
@@ -10,8 +12,8 @@ or a miss, and evictions are counted so capacity tuning has data to work
 with.
 
 One cache holds two kinds of entry — each kind in its own LRU order bounded
-by the cache's capacity, both under one :class:`CacheKey` space and one set
-of counters:
+by the cache's capacity, both keyed by source node id and under one set of
+counters:
 
 * **distribution entries** (:meth:`WalkDistributionCache.get` /
   :meth:`~WalkDistributionCache.put`) — the
@@ -55,34 +57,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.config import SimRankParams
 from repro.core.montecarlo import WalkDistributions
 from repro.core.queries import SourceScores
 from repro.errors import ConfigurationError
-
-
-class CacheKey(NamedTuple):
-    """Identity of one cached source: its distributions and its scores.
-
-    Two queries share a cache entry exactly when the distribution they need
-    is mathematically identical: same source node, same number of walk
-    steps, same Monte-Carlo budget, and same base seed.  A named tuple, so
-    the dict and LRU operations of an update's invalidation sweep hash it
-    in C.
-    """
-
-    node: int
-    steps: int
-    walkers: int
-    seed: Optional[int]
-
-    @classmethod
-    def for_query(cls, node: int, params: SimRankParams) -> "CacheKey":
-        """Key for one source's distribution under the serving ``params``."""
-        return cls(node=int(node), steps=params.walk_steps,
-                   walkers=int(params.query_walkers), seed=params.seed)
 
 
 Ranking = Tuple[Tuple[int, float], ...]
@@ -185,10 +164,15 @@ class WalkDistributionCache:
     never the entry just stored.  0 disables caching (every lookup misses,
     nothing is stored).  Recency is updated on both successful
     lookups and inserts, so a hot source stays resident as long as queries
-    keep touching it.  A score hit also refreshes the same key's
+    keep touching it.  A score hit also refreshes the same source's
     distributions, if resident: a hot source answered from its scores
     keeps the distributions its next pair query reads, instead of letting
     them age out and be simulated again.
+
+    Both kinds are keyed by source node id: the owning service fixes the
+    walk steps, walker count and seed every entry was computed at, so
+    services at different operating points (exact and approximate modes)
+    keep apart by holding different caches.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -196,15 +180,15 @@ class WalkDistributionCache:
             raise ConfigurationError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        self._entries: "OrderedDict[CacheKey, WalkDistributions]" = OrderedDict()
-        self._scores: "OrderedDict[CacheKey, ScoreEntry]" = OrderedDict()
+        self._entries: "OrderedDict[int, WalkDistributions]" = OrderedDict()
+        self._scores: "OrderedDict[int, ScoreEntry]" = OrderedDict()
         self._score_budget = capacity * SCORE_SLOT_BYTES
         # Payload size per resident distribution, measured once at insert:
         # by the time an entry is evicted its arrays are cold, and walking
         # them again costs a cold workload as much as the insert did.  A
         # score entry carries its own size, so score entries keep only a
         # running total, and dropping them all touches no key.
-        self._sizes: Dict[CacheKey, int] = {}
+        self._sizes: Dict[int, int] = {}
         self._bytes = 0
         self._score_bytes = 0
 
@@ -212,52 +196,52 @@ class WalkDistributionCache:
         """Resident distributions (score entries: :attr:`score_entries`)."""
         return len(self._entries)
 
-    def __contains__(self, key: CacheKey) -> bool:
+    def __contains__(self, node: int) -> bool:
         """Distribution membership, without touching recency or the counters."""
-        return key in self._entries
+        return node in self._entries
 
     @property
     def score_entries(self) -> int:
         """Resident score entries."""
         return len(self._scores)
 
-    def get(self, key: CacheKey) -> Optional[WalkDistributions]:
-        """Return the cached distributions for ``key``, or None on a miss."""
-        entry = self._entries.get(key)
+    def get(self, node: int) -> Optional[WalkDistributions]:
+        """Return the cached distributions of ``node``, or None on a miss."""
+        entry = self._entries.get(node)
         if entry is None:
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._entries.move_to_end(node)
         self.stats.hits += 1
         return entry
 
-    def get_scores(self, key: CacheKey) -> Optional[ScoreEntry]:
-        """Return the score entry for ``key``, or None on a miss.
+    def get_scores(self, node: int) -> Optional[ScoreEntry]:
+        """Return the score entry of ``node``, or None on a miss.
 
-        A hit moves the key's distributions, when resident, to the
+        A hit moves the node's distributions, when resident, to the
         most-recent end too; that is no lookup, so no counter moves.
         """
-        entry = self._scores.get(key)
+        entry = self._scores.get(node)
         if entry is None:
             self.stats.misses += 1
             self.stats.score_misses += 1
             return None
-        self._scores.move_to_end(key)
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        self._scores.move_to_end(node)
+        if node in self._entries:
+            self._entries.move_to_end(node)
         self.stats.hits += 1
         self.stats.score_hits += 1
         return entry
 
-    def put(self, key: CacheKey, entry: WalkDistributions) -> None:
+    def put(self, node: int, entry: WalkDistributions) -> None:
         """Insert (or refresh) distributions, evicting the LRU one if full."""
         if self.capacity == 0:
             return
-        if key in self._entries:
-            self._bytes -= self._sizes[key]
-            self._entries.move_to_end(key)
-        self._entries[key] = entry
-        self._sizes[key] = size = _payload_bytes(entry)
+        if node in self._entries:
+            self._bytes -= self._sizes[node]
+            self._entries.move_to_end(node)
+        self._entries[node] = entry
+        self._sizes[node] = size = _payload_bytes(entry)
         self._bytes += size
         self.stats.inserts += 1
         while len(self._entries) > self.capacity:
@@ -265,7 +249,7 @@ class WalkDistributionCache:
             self._bytes -= self._sizes.pop(evicted)
             self.stats.evictions += 1
 
-    def put_scores(self, key: CacheKey, scores: SourceScores) -> ScoreEntry:
+    def put_scores(self, node: int, scores: SourceScores) -> ScoreEntry:
         """Wrap ``scores`` in a :class:`ScoreEntry` and store it; returns it.
 
         The entry is returned even at capacity 0, where nothing is stored,
@@ -274,11 +258,11 @@ class WalkDistributionCache:
         entry = ScoreEntry(scores)
         if self.capacity == 0:
             return entry
-        previous = self._scores.get(key)
+        previous = self._scores.get(node)
         if previous is not None:
             self._score_bytes -= previous.nbytes
-            self._scores.move_to_end(key)
-        self._scores[key] = entry
+            self._scores.move_to_end(node)
+        self._scores[node] = entry
         self._score_bytes += entry.nbytes
         self.stats.inserts += 1
         while len(self._scores) > self.capacity or (
@@ -294,21 +278,20 @@ class WalkDistributionCache:
         This is the graph-mutation hook: when edges are inserted, only the
         sources inside the forward ball of the new edges' heads
         (:func:`repro.core.walks.forward_reachable_set`) have stale
-        distributions, and a key's node identifies its source — so exactly
-        those entries are removed, across *all* ``(steps, walkers, seed)``
-        variants of each node, and every other distribution stays hot.
-        Removals are counted as ``invalidations``, separately from capacity
-        ``evictions``.  Score entries are not this method's business: the
-        update that calls it also moved the diagonal under every one of
-        them, so the service pairs it with :meth:`drop_scores`.
+        distributions, so exactly those entries are popped — a lookup per
+        stale node, no scan of the cache — and every other distribution
+        stays hot.  Removals are counted as ``invalidations``, separately
+        from capacity ``evictions``.  Score entries are not this method's
+        business: the update that calls it also moved the diagonal under
+        every one of them, so the service pairs it with :meth:`drop_scores`.
         """
-        stale_nodes = {int(node) for node in nodes}
-        stale_keys = [key for key in self._entries if key.node in stale_nodes]
-        for key in stale_keys:
-            del self._entries[key]
-            self._bytes -= self._sizes.pop(key)
-        self.stats.invalidations += len(stale_keys)
-        return len(stale_keys)
+        removed = 0
+        for node in {int(node) for node in nodes}:
+            if self._entries.pop(node, None) is not None:
+                self._bytes -= self._sizes.pop(node)
+                removed += 1
+        self.stats.invalidations += removed
+        return removed
 
     def drop_scores(self) -> int:
         """Drop every score entry; returns the count.

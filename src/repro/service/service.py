@@ -104,7 +104,7 @@ from repro.service.batching import (
     TopKQuery,
     plan_batch,
 )
-from repro.service.cache import CacheKey, ScoreEntry, WalkDistributionCache
+from repro.service.cache import ScoreEntry, WalkDistributionCache
 from repro.service.sharded import simulate_misses
 
 PathLike = Union[str, os.PathLike]
@@ -164,7 +164,7 @@ class QueryService:
         Pickled task bytes the most recent batch sent to a ``processes``
         serve pool: its cache-miss simulation tasks, each a graph handle
         plus a run of source ids.  Zero for a fully cached batch, a batch
-        walked inline, and on the in-process backends; accumulated in
+        walked inline, and on the serial backend; accumulated in
         ``stats()["scatter_payload_bytes"]``.
     """
 
@@ -575,7 +575,7 @@ class QueryService:
         ``0.0``, bit for bit the combine's answer, the same way, and
         counted in ``unmeetable_pairs``.  First each distinct source of
         the batch's source and top-k queries is looked up as a score entry
-        of the cache (key :class:`CacheKey`): a hit is the source's scores
+        of the cache (keyed by the source id): a hit is the source's scores
         as an earlier batch propagated them at this index version, and its
         queries go straight to assembly.  Only the remaining queries — the
         misses and every pair query that needs walks — are planned: a
@@ -657,14 +657,13 @@ class QueryService:
     def _lookup_scores(self, sources: Sequence[int]) -> Dict[int, ScoreEntry]:
         """The batch's distinct scored sources already propagated at this version.
 
-        Each source is looked up as a score entry under its
-        :class:`CacheKey`; a hit is valid because every applied update
-        drops all score entries (:meth:`_adopt_mutation`).
+        Each source is looked up as a score entry under its id; a hit is
+        valid because every applied update drops all score entries
+        (:meth:`_adopt_mutation`).
         """
         found: Dict[int, ScoreEntry] = {}
         for source in sources:
-            entry = self.cache.get_scores(
-                CacheKey.for_query(source, self.query_params))
+            entry = self.cache.get_scores(source)
             if entry is not None:
                 found[source] = entry
         return found
@@ -692,9 +691,7 @@ class QueryService:
         resolved: Dict[int, WalkDistributions] = {}
         missing: List[int] = []
         for source in plan.sources:
-            cached = self.cache.get(
-                CacheKey.for_query(source, self.query_params)
-            )
+            cached = self.cache.get(source)
             if cached is not None:
                 resolved[source] = cached
             else:
@@ -709,10 +706,7 @@ class QueryService:
                 self._counters["misses_walked_inline"] += len(simulated)
             for source, distribution in simulated.items():
                 resolved[source] = distribution
-                self.cache.put(
-                    CacheKey.for_query(source, self.query_params),
-                    distribution,
-                )
+                self.cache.put(source, distribution)
         return resolved
 
     def _resolve_scores(
@@ -742,8 +736,7 @@ class QueryService:
             sources, [distributions[source] for source in sources]
         )
         return {
-            source: self.cache.put_scores(
-                CacheKey.for_query(source, self.query_params), scores)
+            source: self.cache.put_scores(source, scores)
             for source, scores in zip(sources, scored)
         }
 
@@ -790,7 +783,7 @@ class QueryService:
         the other's segments.  Safe to call repeatedly, and the service
         stays usable afterwards — pooled backends recreate their workers,
         and residency re-registers, on the next scatter — so ``close`` is
-        about releasing threads/processes/memory, not about ending the
+        about releasing worker processes and memory, not about ending the
         service's life.  The CLI serve loop, the benchmarks and the tests
         call it via ``with service: ...``.
         """

@@ -7,7 +7,12 @@ The load-bearing claims pinned here:
   for every ``K`` and backend;
 * incremental updates through the walker splice to the exact same system
   and diagonal as a from-scratch build on the updated graph;
-* ``K`` only splits the sorted rows into strided tasks (``rows[k::K]``).
+* ``K`` only splits the sorted rows into ``S = min(K, workers)`` strided
+  tasks (``rows[k::S]``): one on the serial backend.
+
+Tests of the ``K``-way split run on :class:`_SerialPool`, a serial backend
+that declares many workers, so ``K`` alone sets the task count while the
+tasks still run back to back in process.
 """
 
 import numpy as np
@@ -24,9 +29,17 @@ from repro.core.sharding import (
     gather_shard_rows,
 )
 from repro.core.walks import forward_reachable_set
-from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend
+from repro.engine.executor import ProcessBackend, SerialBackend
 from repro.errors import ConfigurationError
 from repro.graph import generators
+
+
+class _SerialPool(SerialBackend):
+    """A serial backend that splits work as a pool of ``max_workers``."""
+
+    def __init__(self, max_workers: int = 256) -> None:
+        super().__init__()
+        self.max_workers = max_workers
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +60,8 @@ def reference(graph, params, from_scratch):
 
 
 class TestTaskSplit:
-    """``K`` is a task count: the sorted rows go out as ``rows[k::K]``."""
+    """``K`` caps the task count: the sorted rows go out as ``rows[k::S]``,
+    ``S = min(K, workers)``."""
 
     @staticmethod
     def _record_tasks(monkeypatch):
@@ -66,7 +80,8 @@ class TestTaskSplit:
     def test_build_tasks_are_strided_and_balanced(self, graph, params,
                                                   monkeypatch, num_tasks):
         runs = self._record_tasks(monkeypatch)
-        walker = ShardedIncrementalWalker(graph, num_tasks, params=params)
+        walker = ShardedIncrementalWalker(graph, num_tasks, params=params,
+                                          backend=_SerialPool())
         walker.build()
         rows = list(range(graph.n_nodes))
         [tasks] = runs
@@ -79,7 +94,8 @@ class TestTaskSplit:
     @pytest.mark.parametrize("num_tasks", [1, 2, 8])
     def test_one_row_update_runs_one_task(self, graph, params, monkeypatch,
                                           num_tasks):
-        walker = ShardedIncrementalWalker(graph, num_tasks, params=params)
+        walker = ShardedIncrementalWalker(graph, num_tasks, params=params,
+                                          backend=_SerialPool())
         walker.build()
         runs = self._record_tasks(monkeypatch)
         # A new sink node: its ball is itself, so one row re-estimates.
@@ -91,7 +107,8 @@ class TestTaskSplit:
     @pytest.mark.parametrize("num_tasks", [1, 2, 3, 8])
     def test_update_tasks_are_strided_over_the_estimated_rows(
             self, graph, params, monkeypatch, num_tasks):
-        walker = ShardedIncrementalWalker(graph, num_tasks, params=params)
+        walker = ShardedIncrementalWalker(graph, num_tasks, params=params,
+                                          backend=_SerialPool())
         walker.build()
         runs = self._record_tasks(monkeypatch)
         result = walker.add_edges([(0, 30), (2, 95)])
@@ -100,6 +117,25 @@ class TestTaskSplit:
         assert tasks == [rows[k::num_tasks]
                          for k in range(min(num_tasks, len(rows)))]
         assert len(tasks) == len(walker.shard_build_seconds)
+
+    @pytest.mark.parametrize("workers,num_tasks", [
+        (1, 1), (1, 4), (1, 90), (3, 2), (3, 8), (3, 200)])
+    def test_tasks_are_capped_at_the_backends_workers(
+            self, graph, params, reference, monkeypatch, workers, num_tasks):
+        """More tasks than workers buy no concurrency, so a build runs
+        ``min(K, workers)`` of them: on the serial backend (one worker)
+        one task for any ``K``, and the same index."""
+        runs = self._record_tasks(monkeypatch)
+        backend = SerialBackend() if workers == 1 else _SerialPool(workers)
+        walker = ShardedIncrementalWalker(graph, num_tasks, params=params,
+                                          backend=backend)
+        walker.build()
+        stride = min(num_tasks, workers)
+        rows = list(range(graph.n_nodes))
+        assert runs == [[rows[k::stride] for k in range(stride)]]
+        assert len(walker.shard_build_seconds) == stride
+        assert walker.index.diagonal.tobytes() == \
+            reference.index.diagonal.tobytes()
 
     @pytest.mark.parametrize("num_tasks", [0, -1])
     def test_invalid_task_count(self, graph, params, num_tasks):
@@ -114,25 +150,25 @@ class TestShardedBuild:
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5, 6, 7, 8, 90, 120])
     def test_build_bitwise_identical(self, graph, params, reference,
                                      num_shards):
-        walker = ShardedIncrementalWalker(graph, num_shards, params=params)
+        walker = ShardedIncrementalWalker(graph, num_shards, params=params,
+                                          backend=_SerialPool())
         index = walker.build()
         assert np.array_equal(index.diagonal, reference.index.diagonal)
         assert (walker.system - reference.system).nnz == 0
         assert len(walker.shard_build_seconds) == min(num_shards,
                                                       graph.n_nodes)
 
-    def test_thread_backend_identical(self, graph, params, reference):
-        # Pool backends too: threads, and processes materialising the graph
-        # from shared memory.
-        for backend in (ThreadBackend(max_workers=4),
-                        ProcessBackend(max_workers=2)):
+    def test_process_backend_identical(self, graph, params, reference):
+        # A process pool too, its workers materialising the graph from
+        # shared memory: K = 4 on two workers runs two tasks.
+        with ProcessBackend(max_workers=2) as backend:
             walker = ShardedIncrementalWalker(
                 graph, 4, params=params, backend=backend,
             )
             index = walker.build()
-            walker.backend.shutdown()
-            assert np.array_equal(index.diagonal, reference.index.diagonal)
-            assert (walker.system - reference.system).nnz == 0
+        assert sorted(walker.shard_build_seconds) == [0, 1]
+        assert np.array_equal(index.diagonal, reference.index.diagonal)
+        assert (walker.system - reference.system).nnz == 0
 
     def test_gather_matches_monolithic_estimation(self, graph, params):
         handle = SerialBackend().ensure_resident("graph", graph)
@@ -157,7 +193,7 @@ class TestShardedBuild:
         from repro.core import linear_system
 
         walker = ShardedIncrementalWalker(graph, num_shards, params=params,
-                                          exact=exact)
+                                          exact=exact, backend=_SerialPool())
         walker.build()
         if exact:
             exact_system = linear_system.build_exact_system(graph, params).tocoo()
@@ -177,7 +213,8 @@ class TestShardedBuild:
             assert ours.tobytes() == theirs.tobytes()
 
     def test_shard_build_timings_recorded(self, graph, params):
-        walker = ShardedIncrementalWalker(graph, 3, params=params)
+        walker = ShardedIncrementalWalker(graph, 3, params=params,
+                                          backend=_SerialPool())
         walker.build()
         assert sorted(walker.shard_build_seconds) == [0, 1, 2]
         assert all(seconds >= 0.0 for seconds in walker.shard_build_seconds.values())
@@ -195,7 +232,8 @@ class TestShardedUpdates:
     def test_add_edges_bitwise_identical(self, graph, params, num_shards,
                                          from_scratch):
         edges = [(0, 30), (2, 95), (95, 1)]  # includes node growth
-        walker = ShardedIncrementalWalker(graph, num_shards, params=params)
+        walker = ShardedIncrementalWalker(graph, num_shards, params=params,
+                                          backend=_SerialPool())
         walker.build()
         result = walker.add_edges(edges)
 
@@ -215,10 +253,12 @@ class TestShardedUpdates:
         # and index themselves (no re-estimation, no copy, no slicing), and
         # its updates are the original walker's bit for bit: K splits row
         # tasks, it does not shape the system.
-        walker = ShardedIncrementalWalker(graph, 3, params=params)
+        walker = ShardedIncrementalWalker(graph, 3, params=params,
+                                          backend=_SerialPool())
         walker.build()
         walker.add_edges([(0, 30), (2, 95)])
-        other = ShardedIncrementalWalker(walker.graph, 5, params=params)
+        other = ShardedIncrementalWalker(walker.graph, 5, params=params,
+                                         backend=_SerialPool())
         other.attach(walker.index, system=walker.system)
         assert other.system is walker.system
         assert other.index is walker.index

@@ -10,7 +10,7 @@ chunks a caller draws in.
 
 import re
 import sys
-from functools import partial
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 
 from repro.config import SimRankParams
 from repro.core import montecarlo, streams, walks
-from repro.core.sharding import run_shard_tasks
-from repro.engine.executor import ThreadBackend
 from repro.errors import StreamDerivationError
 from repro.graph import generators
 
@@ -134,26 +132,29 @@ def test_unseeded_kernel_yields_valid_records():
 def test_concurrent_threads_draw_their_own_streams():
     """Four threads (more than the cores) simulate overlapping source sets
     through small blocks at once; every entry equals the single-source
-    oracle, so no thread's pooled generators were reassigned mid-block."""
+    oracle, so no thread's pooled generators were reassigned mid-block.
+    The HTTP tier's query and update-drain threads call the kernel
+    concurrently like this."""
     graph = generators.copying_model_graph(120, out_degree=4, seed=5)
     params = SimRankParams(c=0.6, walk_steps=5, jacobi_iterations=3,
                            index_walkers=20, query_walkers=60, seed=31)
     source_sets = {task: list(range(task * 10, task * 10 + 70))
                    for task in range(4)}
-    backend = ThreadBackend(max_workers=4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(walks, "_BLOCK_DRAWS", 3 * 60 * 5):
-            outcomes = run_shard_tasks(backend, {
-                task: partial(montecarlo.estimate_walk_distributions_batch,
-                              graph, sources, params)
-                for task, sources in source_sets.items()})
+        with mock.patch.object(walks, "_BLOCK_DRAWS", 3 * 60 * 5), \
+                ThreadPoolExecutor(max_workers=4) as pool:
+            futures = {
+                task: pool.submit(montecarlo.estimate_walk_distributions_batch,
+                                  graph, sources, params)
+                for task, sources in source_sets.items()}
+            outcomes = {task: future.result()
+                        for task, future in futures.items()}
     finally:
         sys.setswitchinterval(interval)
-        backend.shutdown()
     for task, sources in source_sets.items():
-        batch, _seconds = outcomes[task]
+        batch = outcomes[task]
         assert sorted(batch) == sources
         for source, entry in batch.items():
             oracle = montecarlo.estimate_walk_distributions(graph, source, params)

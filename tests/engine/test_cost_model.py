@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.config import ClusterSpec
+from repro.config import ClusterSpec, ServiceParams, ShardingParams
 from repro.engine.context import ClusterContext
 from repro.engine.cost_model import ClusterCostModel
-from repro.engine.executor import ProcessBackend, SerialBackend, ThreadBackend, make_backend
+from repro.engine.executor import BACKENDS, ProcessBackend, SerialBackend, make_backend
 from repro.engine.metrics import JobMetrics, StageMetrics, TaskMetrics
 from repro.errors import CapacityExceededError, ConfigurationError
 
@@ -118,28 +118,28 @@ def _square(value):
 
 class TestBackends:
     def test_make_backend(self):
+        assert BACKENDS == ("serial", "processes")
         assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("threads"), ThreadBackend)
         assert isinstance(make_backend("processes"), ProcessBackend)
         with pytest.raises(ConfigurationError):
             make_backend("quantum")
+
+    @pytest.mark.parametrize("construct", [
+        lambda: make_backend("threads"),
+        lambda: ShardingParams(backend="threads"),
+        lambda: ServiceParams(serve_backend="threads"),
+    ], ids=["make_backend", "ShardingParams", "ServiceParams"])
+    def test_threads_is_no_backend(self, construct):
+        """The thread pool is gone; every place a backend is named refuses
+        it with the names that remain."""
+        with pytest.raises(ConfigurationError,
+                           match=r"'serial', 'processes'.*'threads'"):
+            construct()
 
     def test_serial_order_preserved(self):
         backend = SerialBackend()
         results = backend.run([lambda i=i: i * 2 for i in range(5)])
         assert results == [0, 2, 4, 6, 8]
-
-    def test_thread_backend_order_preserved(self):
-        backend = ThreadBackend(max_workers=4)
-        try:
-            results = backend.run([lambda i=i: i * 2 for i in range(20)])
-            assert results == [i * 2 for i in range(20)]
-        finally:
-            backend.shutdown()
-
-    def test_thread_backend_invalid_workers(self):
-        with pytest.raises(ConfigurationError):
-            ThreadBackend(max_workers=0)
 
     def test_process_backend_invalid_workers(self):
         with pytest.raises(ConfigurationError):

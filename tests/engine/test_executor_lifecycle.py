@@ -13,11 +13,7 @@ from functools import partial
 
 import pytest
 
-from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.engine.executor import ProcessBackend, SerialBackend
 from repro.errors import ConfigurationError
 
 
@@ -27,33 +23,6 @@ def _double(value):
 
 def _die_hard():
     os._exit(13)  # kills the worker process, breaking the pool
-
-
-class TestThreadBackendLifecycle:
-    def test_pool_persists_across_runs(self):
-        backend = ThreadBackend(max_workers=2)
-        assert backend._pool is None  # lazily created
-        assert backend.run([lambda: 1, lambda: 2]) == [1, 2]
-        pool = backend._pool
-        assert pool is not None
-        assert backend.run([lambda: 3]) == [3]
-        assert backend._pool is pool, "pool must be reused, not per-call"
-        backend.close()
-
-    def test_close_releases_and_reuse_recreates(self):
-        backend = ThreadBackend(max_workers=2)
-        backend.run([lambda: 1])
-        backend.close()
-        assert backend._pool is None
-        backend.close()  # idempotent
-        assert backend.run([lambda: 4]) == [4], "closed backend must revive"
-        backend.close()
-
-    def test_context_manager_closes(self):
-        with ThreadBackend(max_workers=2) as backend:
-            assert backend.run([lambda: 5]) == [5]
-            assert backend._pool is not None
-        assert backend._pool is None
 
 
 class TestProcessBackendLifecycle:

@@ -4,7 +4,7 @@ Every pool fan-out hangs off this contract: a backend owner
 registers a large object once per epoch (``ensure_resident``), scatter
 tasks ship only the returned :class:`~repro.engine.executor.ResidentHandle`
 and resolve it where they run (:func:`~repro.engine.executor.
-resolve_resident`) — in-process for serial/thread backends, via a
+resolve_resident`) — in-process for the serial backend, via a
 shared-memory attach cached per worker for the process backend.  The
 registry's lifecycle must be airtight: identity-keyed reuse, epoch bumps
 on object swaps, and release of every shared-memory segment on shutdown,
@@ -19,12 +19,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_resident,
-)
+from repro.engine.executor import ProcessBackend, SerialBackend, resolve_resident
 from repro.graph import generators
 
 
@@ -56,13 +51,12 @@ def graph():
 
 
 class TestLocalResidency:
-    @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend])
-    def test_resolves_to_the_same_object(self, backend_cls, graph):
-        with backend_cls() as backend:
+    def test_resolves_to_the_same_object(self, graph):
+        with SerialBackend() as backend:
             handle = backend.ensure_resident("graph", graph)
             assert handle.kind == "local"
             assert resolve_resident(handle) is graph
-            # Tasks resolve it too (thread tasks share the process).
+            # Tasks resolve it too (serial tasks share the process).
             assert backend.run([partial(_graph_fingerprint, handle)]) == [
                 _graph_fingerprint(handle)
             ]
@@ -108,7 +102,7 @@ class TestLocalResidency:
         del backend, probe
         gc.collect()
         assert ref() is None, (
-            "a dropped serial/thread backend must not leak its residents"
+            "a dropped serial backend must not leak its residents"
         )
 
 

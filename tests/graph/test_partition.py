@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph import generators
-from repro.graph.partition import (
-    EdgeBalancedPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-)
+from repro.graph.partition import HashPartitioner
 
 
 @pytest.fixture()
@@ -43,36 +39,3 @@ class TestHashPartitioner:
     def test_invalid_partition_count(self):
         with pytest.raises(ConfigurationError):
             HashPartitioner(0)
-
-
-class TestRangePartitioner:
-    def test_contiguous_ranges(self):
-        partitioner = RangePartitioner(4, n_nodes=100)
-        assignment = [partitioner.partition(i) for i in range(100)]
-        assert assignment == sorted(assignment)
-        assert set(assignment) == set(range(4))
-
-    def test_last_partition_catches_remainder(self):
-        partitioner = RangePartitioner(3, n_nodes=10)
-        assert partitioner.partition(9) == 2
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            RangePartitioner(3, n_nodes=0)
-
-
-class TestEdgeBalancedPartitioner:
-    def test_balances_edges_better_than_range(self, skewed_graph):
-        parts = 8
-        balanced = EdgeBalancedPartitioner(parts, skewed_graph)
-        range_part = RangePartitioner(parts, skewed_graph.n_nodes)
-        degrees = skewed_graph.in_degrees()
-
-        def loads(partitioner):
-            assignment = _assignment(partitioner, skewed_graph)
-            return [
-                max(degrees[assignment == p].sum(), 1) for p in range(parts)
-            ]
-
-        # Equal totals, so the smaller maximum is the better balance.
-        assert max(loads(balanced)) <= max(loads(range_part))

@@ -7,17 +7,12 @@ from repro.core import montecarlo
 from repro.core.queries import SourceScores
 from repro.errors import ConfigurationError
 from repro.service import (
-    CacheKey,
     PairQuery,
     SourceQuery,
     TopKQuery,
     WalkDistributionCache,
 )
 from repro.service.cache import SCORE_SLOT_BYTES, ScoreEntry
-
-
-def _key(node: int) -> CacheKey:
-    return CacheKey(node=node, steps=5, walkers=300, seed=13)
 
 
 def _distribution(service_graph, service_params, node: int):
@@ -29,11 +24,11 @@ def _distribution(service_graph, service_params, node: int):
 class TestAccounting:
     def test_miss_then_hit(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=4)
-        assert cache.get(_key(1)) is None
+        assert cache.get(1) is None
         assert cache.stats.misses == 1 and cache.stats.hits == 0
         entry = _distribution(service_graph, service_params, 1)
-        cache.put(_key(1), entry)
-        assert cache.get(_key(1)) is entry
+        cache.put(1, entry)
+        assert cache.get(1) is entry
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.inserts == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
@@ -41,27 +36,26 @@ class TestAccounting:
     def test_distinct_keys_do_not_collide(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=4)
         entry = _distribution(service_graph, service_params, 1)
-        cache.put(_key(1), entry)
-        assert cache.get(CacheKey(node=1, steps=5, walkers=999, seed=13)) is None
-        assert cache.get(CacheKey(node=1, steps=5, walkers=300, seed=99)) is None
-        assert cache.get(_key(1)) is entry
+        cache.put(1, entry)
+        assert cache.get(2) is None and cache.get_scores(1) is None
+        assert cache.get(1) is entry
 
     def test_contains_does_not_touch_stats_or_recency(
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=2)
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.put(_key(2), _distribution(service_graph, service_params, 2))
-        assert _key(1) in cache and _key(3) not in cache
+        cache.put(1, _distribution(service_graph, service_params, 1))
+        cache.put(2, _distribution(service_graph, service_params, 2))
+        assert 1 in cache and 3 not in cache
         assert cache.stats.lookups == 0
         # Key 1 is still least-recently-used despite the membership test.
-        cache.put(_key(3), _distribution(service_graph, service_params, 3))
-        assert _key(1) not in cache
+        cache.put(3, _distribution(service_graph, service_params, 3))
+        assert 1 not in cache
 
     def test_memory_accounting(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=4)
         assert cache.memory_bytes() == 0
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
+        cache.put(1, _distribution(service_graph, service_params, 1))
         assert cache.memory_bytes() > 0
 
     def test_served_entries_share_no_buffer(self, make_service):
@@ -92,8 +86,8 @@ class TestAccounting:
 
     def test_clear_keeps_stats(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=4)
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.get(_key(1))
+        cache.put(1, _distribution(service_graph, service_params, 1))
+        cache.get(1)
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 1 and cache.stats.inserts == 1
@@ -132,12 +126,12 @@ class TestRunningByteTotal:
                 p=[0.2, 0.2, 0.2, 0.12, 0.12, 0.1, 0.03, 0.02, 0.01])
             node = int(rng.integers(0, 12))
             if operation == "put":           # insert, refresh or evict
-                cache.put(_key(node), pool[node])
+                cache.put(node, pool[node])
             elif operation == "score":       # records of varying length
-                cache.put_scores(_key(node), _scores(node, int(rng.integers(0, 9))))
+                cache.put_scores(node, _scores(node, int(rng.integers(0, 9))))
             elif operation == "get":
-                cache.get(_key(node))
-                cache.get_scores(_key(node))
+                cache.get(node)
+                cache.get_scores(node)
             elif operation == "invalidate":
                 cache.invalidate_sources(rng.integers(0, 12, size=3).tolist())
             elif operation == "drop":
@@ -155,8 +149,8 @@ class TestRunningByteTotal:
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=4)
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.put_scores(_key(1), _scores(1, 2))
+        cache.put(1, _distribution(service_graph, service_params, 1))
+        cache.put_scores(1, _scores(1, 2))
         expected = _recount(cache)
 
         class Unwalkable(dict):
@@ -181,22 +175,22 @@ class TestScoreEntries:
     def test_kinds_keep_separate_lru_orders(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=2)
         for node in (1, 2):
-            cache.put(_key(node), _distribution(service_graph, service_params, node))
+            cache.put(node, _distribution(service_graph, service_params, node))
         # Score entries never push a distribution out, however many arrive,
         # though they share its keys ...
         for node in range(5):
-            cache.put_scores(_key(node), _scores(node, 1))
-        assert _key(1) in cache and _key(2) in cache and len(cache) == 2
+            cache.put_scores(node, _scores(node, 1))
+        assert 1 in cache and 2 in cache and len(cache) == 2
         # ... and evict among themselves, least recently used first.
         assert cache.score_entries == 2 and cache.stats.evictions == 3
-        assert list(cache._scores) == [_key(3), _key(4)]
+        assert list(cache._scores) == [3, 4]
 
     def test_lookups_count_once_overall_and_once_per_kind(self):
         cache = WalkDistributionCache(capacity=2)
-        assert cache.get_scores(_key(1)) is None
-        stored = cache.put_scores(_key(1), _scores(1, 0))  # empty support hits too
-        assert cache.get_scores(_key(1)) is stored
-        assert cache.get(_key(1)) is None
+        assert cache.get_scores(1) is None
+        stored = cache.put_scores(1, _scores(1, 0))  # empty support hits too
+        assert cache.get_scores(1) is stored
+        assert cache.get(1) is None
         stats = cache.stats
         assert (stats.hits, stats.misses) == (1, 2)
         assert (stats.score_hits, stats.score_misses) == (1, 1)
@@ -208,54 +202,54 @@ class TestScoreEntries:
             self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=3)
         for node in (1, 2, 3):
-            cache.put(_key(node), _distribution(service_graph, service_params, node))
-        cache.put_scores(_key(1), _scores(1, 2))
+            cache.put(node, _distribution(service_graph, service_params, node))
+        cache.put_scores(1, _scores(1, 2))
         # Source 1 is asked only for its scores while new distributions
         # churn through: each score hit moves its distribution to the
         # most-recent end, so the churn evicts the others.
         for node in (4, 5, 6, 7):
-            assert cache.get_scores(_key(1)) is not None
-            cache.put(_key(node), _distribution(service_graph, service_params, node))
-        assert _key(1) in cache
-        assert list(cache._entries) == [_key(6), _key(1), _key(7)]
+            assert cache.get_scores(1) is not None
+            cache.put(node, _distribution(service_graph, service_params, node))
+        assert 1 in cache
+        assert list(cache._entries) == [6, 1, 7]
         # The refresh is no lookup: only the four score hits were counted.
         assert (cache.stats.hits, cache.stats.misses) == (4, 0)
         assert cache.stats.score_hits == 4
         # A score hit with no resident distribution stores none.
-        cache.put_scores(_key(9), _scores(9, 1))
-        assert cache.get_scores(_key(9)) is not None and _key(9) not in cache
+        cache.put_scores(9, _scores(9, 1))
+        assert cache.get_scores(9) is not None and 9 not in cache
 
     def test_put_scores_at_capacity_zero_returns_an_unstored_entry(self):
         cache = WalkDistributionCache(capacity=0)
-        entry = cache.put_scores(_key(1), _scores(1, 3))
+        entry = cache.put_scores(1, _scores(1, 3))
         assert isinstance(entry, ScoreEntry) and entry.nbytes == 3 * 16
         assert cache.score_entries == 0 and cache.memory_bytes() == 0
         assert cache.stats.inserts == 0
 
     def test_refreshing_a_score_entry_replaces_its_bytes(self):
         cache = WalkDistributionCache(capacity=2)
-        cache.put_scores(_key(1), _scores(1, 4))
-        cache.put_scores(_key(2), _scores(2, 1))
-        fresh = cache.put_scores(_key(1), _scores(1, 2))
+        cache.put_scores(1, _scores(1, 4))
+        cache.put_scores(2, _scores(2, 1))
+        fresh = cache.put_scores(1, _scores(1, 2))
         assert cache.memory_bytes() == (2 + 1) * 16
-        assert list(cache._scores) == [_key(2), _key(1)]
-        assert cache._scores[_key(1)] is fresh and cache.stats.evictions == 0
+        assert list(cache._scores) == [2, 1]
+        assert cache._scores[1] is fresh and cache.stats.evictions == 0
 
     def test_score_kind_is_bounded_in_bytes_too(self):
         cache = WalkDistributionCache(capacity=4)
         budget = 4 * SCORE_SLOT_BYTES
         two_slots = 2 * SCORE_SLOT_BYTES // 16      # support nodes of 2 slots' bytes
         for node in range(3):
-            cache.put_scores(_key(node), _scores(node, two_slots))
+            cache.put_scores(node, _scores(node, two_slots))
         # Three records of two slots each overrun four slots' bytes: the
         # least recently used one leaves, though the entry count is below 4.
-        assert list(cache._scores) == [_key(1), _key(2)]
+        assert list(cache._scores) == [1, 2]
         assert cache.memory_bytes() == budget and cache.stats.evictions == 1
         # A record larger than the whole budget still stays, alone: the
         # entry just stored is never the one evicted.
-        cache.put_scores(_key(9), _scores(9, budget // 16 + 1))
-        assert list(cache._scores) == [_key(9)]
-        assert cache.get_scores(_key(9)) is not None
+        cache.put_scores(9, _scores(9, budget // 16 + 1))
+        assert list(cache._scores) == [9]
+        assert cache.get_scores(9) is not None
         assert cache.memory_bytes() == _recount(cache)
 
     def test_rankings_are_memoised_per_k_and_served_fresh(self):
@@ -275,13 +269,13 @@ class TestScoreEntries:
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=4)
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
-        cache.put_scores(_key(1), _scores(1, 1))
-        cache.put_scores(_key(2), _scores(2, 1))
+        cache.put(1, _distribution(service_graph, service_params, 1))
+        cache.put_scores(1, _scores(1, 1))
+        cache.put_scores(2, _scores(2, 1))
         assert cache.invalidate_sources([2]) == 0     # scores are not its business
         assert cache.score_entries == 2
         assert cache.drop_scores() == 2 and cache.drop_scores() == 0
-        assert _key(1) in cache and cache.score_entries == 0
+        assert 1 in cache and cache.score_entries == 0
         assert cache.stats.score_dropped == 2
         assert cache.stats.invalidations == 0
 
@@ -289,55 +283,68 @@ class TestScoreEntries:
         """An update drops every score entry; that must not cost a hash per key."""
         hashes = []
 
-        class CountedKey(CacheKey):
-            __slots__ = ()
-
+        class CountedNode(int):
             def __hash__(self):
                 hashes.append(1)
-                return tuple.__hash__(self)
+                return int.__hash__(self)
 
         cache = WalkDistributionCache(capacity=8)
         for node in range(5):
-            cache.put_scores(CountedKey(node, 5, 300, 13), _scores(node, 2))
+            cache.put_scores(CountedNode(node), _scores(node, 2))
         hashes.clear()
         assert cache.drop_scores() == 5
         assert hashes == [] and cache.memory_bytes() == 0
 
-    def test_cache_key_is_a_plain_tuple_subtype(self):
-        # Hashed in C like the tuple it is.
-        key = _key(7)
-        assert isinstance(key, tuple) and hash(key) == hash((7, 5, 300, 13))
-        assert key.node == 7 and key == CacheKey.for_query(
-            7, type("P", (), {"walk_steps": 5, "seed": 13,
-                              "query_walkers": 300})())
+    def test_invalidation_pops_the_stale_nodes_without_a_scan(
+            self, service_graph, service_params):
+        """An update's invalidation looks up each stale node; it never
+        walks the resident keys (counted here as hashes of resident
+        entries' keys)."""
+        hashes = []
+
+        class CountedNode(int):
+            def __hash__(self):
+                hashes.append(int(self))
+                return int.__hash__(self)
+
+        cache = WalkDistributionCache(capacity=8)
+        for node in range(6):
+            cache.put(CountedNode(node),
+                      _distribution(service_graph, service_params, node))
+        hashes.clear()
+        assert cache.invalidate_sources([1, 4, 4, 40]) == 2
+        assert hashes == []
+        assert sorted(cache._entries) == [0, 2, 3, 5]
+        assert cache.stats.invalidations == 2
+        assert cache.memory_bytes() == _recount(cache)
 
 
 class TestEviction:
     def test_eviction_at_capacity_is_lru(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=2)
         for node in (1, 2):
-            cache.put(_key(node), _distribution(service_graph, service_params, node))
-        cache.get(_key(1))  # 2 becomes least recently used
-        cache.put(_key(3), _distribution(service_graph, service_params, 3))
+            cache.put(node, _distribution(service_graph, service_params, node))
+        cache.get(1)  # 2 becomes least recently used
+        cache.put(3, _distribution(service_graph, service_params, 3))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert _key(2) not in cache
-        assert _key(1) in cache and _key(3) in cache
+        assert 2 not in cache
+        assert 1 in cache and 3 in cache
 
     def test_reinsert_refreshes_instead_of_evicting(
         self, service_graph, service_params
     ):
         cache = WalkDistributionCache(capacity=2)
         entry = _distribution(service_graph, service_params, 1)
-        cache.put(_key(1), entry)
-        cache.put(_key(1), entry)
+        cache.put(1, entry)
+        cache.put(1, entry)
         assert len(cache) == 1 and cache.stats.evictions == 0
 
     def test_capacity_zero_disables_storage(self, service_graph, service_params):
         cache = WalkDistributionCache(capacity=0)
-        cache.put(_key(1), _distribution(service_graph, service_params, 1))
+        cache.put(1, _distribution(service_graph, service_params, 1))
         assert len(cache) == 0
-        assert cache.get(_key(1)) is None
+        assert cache.get(1) is None
         assert cache.stats.misses == 1
 
     def test_negative_capacity_rejected(self):

@@ -1,6 +1,6 @@
 """Concurrency stress: interleaved updates and batches on a sharded service.
 
-A thread-backed :class:`~repro.service.QueryService` receives live
+A :class:`~repro.service.QueryService` on the serial backend receives live
 edge insertions (immediate *and* deferred) from one thread while two other
 threads hammer it with query batches.  The invariants pinned here:
 
@@ -78,8 +78,7 @@ def test_concurrent_updates_and_batches_are_never_torn():
 
     with QueryService.build(
         graph, PARAMS,
-        service_params=ServiceParams(cache_capacity=64, serve_backend="threads",
-                                     serve_workers=4),
+        service_params=ServiceParams(cache_capacity=64),
         sharding=ShardingParams(num_shards=3),
     ) as service:
         def query_worker(slot):
@@ -157,7 +156,6 @@ def test_deferred_and_immediate_interleave_single_threaded_baseline():
     by_version = _reference_by_version(graph)
     with QueryService.build(
         graph, PARAMS,
-        service_params=ServiceParams(serve_backend="threads", serve_workers=2),
         sharding=ShardingParams(num_shards=3),
     ) as service:
         _assert_equal(by_version[1], service.run_batch(QUERIES))

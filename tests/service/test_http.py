@@ -60,8 +60,7 @@ def _graph():
 
 def _sharded(graph, **service_overrides):
     service_params = ServiceParams(
-        cache_capacity=32, serve_backend="threads", serve_workers=2,
-        coalesce_window=0.005, **service_overrides,
+        cache_capacity=32, coalesce_window=0.005, **service_overrides,
     )
     return QueryService.build(
         graph, PARAMS, service_params=service_params,
@@ -383,8 +382,6 @@ class TestProtocol:
         graph = _graph()
         service = QueryService.build(
             graph, PARAMS,
-            service_params=ServiceParams(serve_backend="threads",
-                                         serve_workers=2),
             update_params=UpdateParams(max_pending_edges=2),
             sharding=ShardingParams(num_shards=2),
         )

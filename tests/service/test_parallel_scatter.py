@@ -1,8 +1,8 @@
 """Seeded randomized parallel-scatter identity tests.
 
-The tentpole contract of the parallel serving path: for random graphs, any
-shard count K in {1, 2, 5}, any serve backend in {serial, threads,
-processes} and worker counts from 1 to 8, every answer of the sharded
+The contract of the parallel serving path: for random graphs, any shard
+count K in {1, 2, 5}, any serve backend in {serial, processes} and worker
+counts from 1 to 8, every answer of the sharded
 service — pair, source and top-k (including the score-descending /
 node-id-ascending tie order of the canonical ranking) — is
 bitwise-identical to the single-shard :class:`~repro.service.QueryService`,
@@ -15,13 +15,17 @@ with fixed seeds) rather than hypothesis properties, so the expensive
 Toy batches carry far fewer walker-steps than
 :data:`repro.service.sharded.SCATTER_GRAIN`, so every test here lowers the
 grain to one walker-step: each batch then crosses to the pool whenever the
-pool has more than one worker, which is the route under test.
+pool has more than one worker, which is the route under test.  The
+``"serial-pool"`` rows run the same route at serial cost: serial backends
+are patched to split work as a pool of that many workers would, running
+the runs back to back in process.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import ServiceParams, ShardingParams, SimRankParams
+from repro.engine.executor import SerialBackend
 from repro.graph.digraph import DiGraph
 from repro.service import (
     PairQuery,
@@ -33,9 +37,8 @@ from repro.service import (
 #: backends x workers grid; processes runs fewer trials.
 BACKEND_GRID = [
     ("serial", 1), ("serial", 4),
-    ("threads", 1), ("threads", 4),
-    ("processes", 1), ("processes", 4),
-    ("threads", 2), ("threads", 8), ("processes", 2),
+    ("serial-pool", 2), ("serial-pool", 4), ("serial-pool", 8),
+    ("processes", 1), ("processes", 2), ("processes", 4),
 ]
 SHARD_COUNTS = (1, 2, 5)
 K_VALUES = (1, 2, 5)
@@ -101,8 +104,17 @@ def _assert_canonical_order(answers):
         assert keys == sorted(keys), f"tie order violated: {answer}"
 
 
+def _serve_on(backend, workers, monkeypatch):
+    """The ``serve_backend`` to configure for a grid row ``backend``."""
+    if backend != "serial-pool":
+        return backend
+    monkeypatch.setattr(SerialBackend, "max_workers", workers)
+    return "serial"
+
+
 @pytest.mark.parametrize("backend,workers", BACKEND_GRID)
-def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
+def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers,
+                                                            monkeypatch):
     trials = 1 if backend == "processes" else 3
     rng = np.random.default_rng(20_150_731 + 13 * workers)
     for _trial in range(trials):
@@ -115,7 +127,8 @@ def test_parallel_scatter_bitwise_identical_to_single_shard(backend, workers):
             with QueryService.build(
                 graph, params,
                 service_params=ServiceParams(
-                    serve_backend=backend, serve_workers=workers,
+                    serve_backend=_serve_on(backend, workers, monkeypatch),
+                    serve_workers=workers,
                 ),
                 sharding=ShardingParams(num_shards=num_shards),
             ) as sharded:
@@ -154,7 +167,7 @@ def _count_scatters(monkeypatch):
     return scatters
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "serial-pool", "processes"])
 def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
     """A batch's misses, whichever rows they are, simulate with one
     ``run_shard_tasks`` call of at most ``min(workers, misses)`` runs — one
@@ -169,7 +182,8 @@ def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
     scatters = _count_scatters(monkeypatch)
     with QueryService.build(
         graph, params,
-        service_params=ServiceParams(serve_backend=backend, serve_workers=2),
+        service_params=ServiceParams(
+            serve_backend=_serve_on(backend, 2, monkeypatch), serve_workers=2),
         sharding=ShardingParams(num_shards=3),
     ) as sharded:
         misses = {source for query in queries
@@ -183,7 +197,7 @@ def test_misses_of_every_shard_simulate_in_one_scatter(backend, monkeypatch):
     _assert_equal(QueryService.build(graph, params).run_batch(queries), answers)
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "serial-pool", "processes"])
 def test_batch_scores_each_source_once_and_scatters_once(backend,
                                                          monkeypatch):
     """A batch that repeats sources answers like one-query batches, from at
@@ -201,7 +215,8 @@ def test_batch_scores_each_source_once_and_scatters_once(backend,
         TopKQuery(5, k=1), TopKQuery(6, k=2), TopKQuery(7, k=3),
     ]
     scatters = _count_scatters(monkeypatch)
-    service_params = ServiceParams(serve_backend=backend, serve_workers=2)
+    service_params = ServiceParams(
+        serve_backend=_serve_on(backend, 2, monkeypatch), serve_workers=2)
     with QueryService.build(
         graph, params, service_params=service_params,
         sharding=ShardingParams(num_shards=3),

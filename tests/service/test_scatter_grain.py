@@ -7,7 +7,9 @@ These tests pin the rule's three consequences: a batch below the grain never
 starts (or registers anything on) a serve pool, a batch above it ships
 exactly that many runs, and the rule's counters are fixed by the graph and
 the request stream.  Answers stay byte-equal on every route; the Hypothesis
-property is in ``tests/test_properties.py``.
+property is in ``tests/test_properties.py``.  Where a test needs a
+multi-worker pool but not a process one, serial backends are patched to
+split work as a pool of that many workers would (:func:`_serial_pool`).
 """
 
 import glob
@@ -17,6 +19,7 @@ import pytest
 
 import repro.service.sharded as sharded
 from repro.config import ServiceParams, ShardingParams, SimRankParams
+from repro.engine.executor import SerialBackend
 from repro.graph import generators
 from repro.service import PairQuery, QueryService, SourceQuery, TopKQuery
 
@@ -44,6 +47,12 @@ def _service(graph, backend, workers=2, cache_capacity=0):
                                      serve_backend=backend,
                                      serve_workers=workers),
         sharding=ShardingParams(num_shards=2))
+
+
+def _serial_pool(monkeypatch, workers):
+    """Serial backends split work as a pool of ``workers``, in process."""
+    monkeypatch.setattr(SerialBackend, "max_workers", workers)
+    return "serial"
 
 
 def _assert_byte_equal(expected, answers):
@@ -108,7 +117,8 @@ class TestAboveTheGrain:
 
         monkeypatch.setattr(sharded, "run_shard_tasks", counting)
         graph = _graph()
-        with _service(graph, "threads", workers=workers) as service:
+        pool = _serial_pool(monkeypatch, workers)
+        with _service(graph, pool, workers=workers) as service:
             answers = service.run_batch(QUERIES)
             ((backend, runs),) = scatters
             assert runs == expected
@@ -118,6 +128,7 @@ class TestAboveTheGrain:
             stats = service.stats()
             assert stats["scatter_hops"] == (0 if inline else expected)
             assert stats["misses_walked_inline"] == (misses if inline else 0)
+        monkeypatch.undo()      # the reference walks its batch inline
         with _service(graph, "serial") as reference:
             _assert_byte_equal(reference.run_batch(QUERIES), answers)
 
@@ -172,7 +183,8 @@ class TestCountersAreDeterministic:
         """The rule reads no clock: replaying a stream gives equal counters.
         The grain is set so the stream mixes inline and pool batches."""
         monkeypatch.setattr(sharded, "SCATTER_GRAIN", 1_000)
-        first, second = self._replay("threads"), self._replay("threads")
+        pool = _serial_pool(monkeypatch, 3)
+        first, second = self._replay(pool), self._replay(pool)
         assert first == second
         assert first["scatter_hops"] > 0
         assert 0 < first["misses_walked_inline"] < first["sources_simulated"]

@@ -246,7 +246,7 @@ class TestResidentSystemLifecycle:
         single.add_edges(more_edges)
         last_reference = single.run_batch(queries)
 
-        for backend in ("serial", "threads", "processes"):
+        for backend in ("serial", "processes"):
             service_params = ServiceParams(
                 cache_capacity=0, serve_backend=backend, serve_workers=2)
             with _build_service(graph, service_params) as service:

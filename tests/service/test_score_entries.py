@@ -1,14 +1,14 @@
 """Score cache entries: what a hit skips, what drops them, what counts.
 
 The score entries of :class:`~repro.service.WalkDistributionCache` hold one
-source's :class:`~repro.core.queries.SourceScores` record under its
-:class:`CacheKey`, with the source's top-k rankings memoised per ``k``.
+source's :class:`~repro.core.queries.SourceScores` record under its id,
+with the source's top-k rankings memoised per ``k``.
 These tests pin the serving-side contract around them: a hit skips the
 whole pipeline yet hands out independent answers, every ``k`` of a source
 shares one entry, every applied update drops all of them
 while distributions keep their per-ball invalidation, capacity 0 stores
-nothing, keys never collide across modes or walker counts, and their bytes
-are counted.  (The
+nothing, services at different operating points keep separate caches, and
+their bytes are counted.  (The
 random-interleaving property against an uncached twin lives in
 ``tests/test_properties.py``.)
 """
@@ -20,7 +20,6 @@ from repro.core import montecarlo
 from repro.core.queries import QueryEngine
 from repro.core.walks import forward_reachable_set
 from repro.service import (
-    CacheKey,
     PairQuery,
     QueryService,
     SourceQuery,
@@ -173,20 +172,21 @@ class TestHitSkipsThePipeline:
         assert [list(args[1]) for args in propagated] == [[12, 7]]
         assert_answers_equal(answers, make_any(cache_capacity=0).run_batch(mixed))
 
-    def test_walkers_are_part_of_the_key_and_k_is_not(
+    def test_one_entry_per_source_whatever_k(
             self, make_any, service_graph, service_index, service_params):
         service = make_any()
         service.run_batch([TopKQuery(3, k=5)])
         service.run_batch([TopKQuery(3, k=6), SourceQuery(3)])
         assert service.stats()["cache_score_hits"] == 1
         assert service.stats()["cache_score_entries"] == 1
-        # A service at another walker count files the source elsewhere.
+        # A service at another walker count files the source in its own
+        # cache, from its own walks.
         other = QueryService(service_graph, service_index,
                              service_params.with_(query_walkers=50))
         other.run_batch([TopKQuery(3, k=5)])
-        [key] = other.cache._scores
-        assert key.walkers == 50
-        assert key != next(iter(service.cache._scores))
+        assert list(other.cache._scores) == [3]
+        assert other.cache is not service.cache
+        assert other.cache.get(3).walkers == 50
 
 
 class TestInvalidation:
@@ -200,7 +200,7 @@ class TestInvalidation:
         nodes = range(service_graph.n_nodes)
         service.run_batch([TopKQuery(node, k=3) for node in nodes])
         assert service.cache.score_entries == service_graph.n_nodes
-        cached = {key.node for key in service.cache._entries}
+        cached = set(service.cache._entries)
         assert cached == set(nodes)
 
         tail, head = 0, 7
@@ -216,7 +216,7 @@ class TestInvalidation:
         # Distributions keep the per-ball rule: exactly cached ∩ ball left.
         assert stats["cache_invalidations"] == len(ball & cached)
         assert stats["cache_size"] == len(cached - ball)
-        assert {key.node for key in service.cache._entries} == cached - ball
+        assert set(service.cache._entries) == cached - ball
         service.close()
 
     def test_answers_after_the_update_are_the_fresh_ones(self, make_any,
@@ -269,28 +269,33 @@ class TestKeysAndCapacity:
         assert len(service.cache._scores) == 0
 
     def test_exact_and_approximate_modes_never_share_an_entry(self, make_service):
+        """Entries are keyed by source id alone; what keeps the modes apart
+        is that each service owns its cache, and a service fixes its
+        operating point at construction."""
         exact = make_service()
         approx = make_service(accuracy_budget=0.1, approx_walkers=40,
                               approx_steps=3)
+        assert exact.cache is not approx.cache
+        assert (approx.query_params.query_walkers,
+                approx.query_params.walk_steps) == (40, 3)
         for service in (exact, approx):
             service.run_batch([TopKQuery(3, k=5)])
-        exact_keys = set(exact.cache._scores)
-        approx_keys = set(approx.cache._scores)
-        assert len(exact_keys) == len(approx_keys) == 1
-        assert exact_keys.isdisjoint(approx_keys)
-        key, = approx_keys
-        assert (key.walkers, key.steps) == (40, 3)
-        # An entry filed by one mode is a miss for the other.
-        assert exact.cache.get_scores(key) is None
+        assert list(exact.cache._scores) == list(approx.cache._scores) == [3]
+        # Each holds what its own mode walked.
+        for service in (exact, approx):
+            entry = service.cache.get(3)
+            assert (entry.walkers, entry.steps) == (
+                service.query_params.query_walkers,
+                service.query_params.walk_steps)
+        assert exact.cache.get(3).walkers != 40
 
     def test_score_key_is_the_distribution_key(self, make_service,
                                                service_params):
         service = make_service()
         service.run_batch([TopKQuery(3, k=5)])
-        key = CacheKey.for_query(3, service_params)
         cache = service.cache
-        assert key in cache and key in cache._scores
-        entry = cache.get_scores(key)
+        assert 3 in cache and 3 in cache._scores
+        entry = cache.get_scores(3)
         assert isinstance(entry, ScoreEntry) and entry.scores.source == 3
         assert len(entry.top_k(5)) == 5
 

@@ -107,7 +107,7 @@ class TestCoreEquivalence:
         )
         expected = direct_engine.combine_pair(dist_3, dist_9)
         assert service.single_pair(3, 9) == expected
-        assert {key.walkers for key in service.cache._entries} == {64}
+        assert {entry.walkers for entry in service.cache._entries.values()} == {64}
 
     def test_restart_reproduces_answers(self, make_service):
         first = make_service()

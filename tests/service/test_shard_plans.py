@@ -195,9 +195,8 @@ def test_queries_during_updates_are_never_torn():
 
     with QueryService.build(
         graph, STRESS_PARAMS,
-        sharding=ShardingParams(num_shards=3, backend="threads"),
-        service_params=ServiceParams(serve_backend="threads",
-                                     cache_capacity=0),
+        sharding=ShardingParams(num_shards=3),
+        service_params=ServiceParams(cache_capacity=0),
     ) as sharded:
 
         def hammer():

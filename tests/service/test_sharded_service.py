@@ -113,7 +113,7 @@ class TestShardRouting:
         sharded = make_sharded(num_shards=3)
         sources = (4, 9, 17, 13)       # 17 and 13 can meet: walked
         sharded.run_batch([SourceQuery(4), SourceQuery(9), PairQuery(17, 13)])
-        assert {key.node for key in sharded.cache._entries} == set(sources)
+        assert set(sharded.cache._entries) == set(sources)
         assert sharded.stats()["sources_simulated"] == len(sources)
 
     def test_per_shard_capacity(self, make_sharded):
@@ -169,11 +169,11 @@ class TestLiveUpdates:
             graph, service_params, sharding=ShardingParams(num_shards=4),
         )
         sharded.run_batch([SourceQuery(node) for node in range(0, 64, 4)])
-        cached_before = {key.node for key in sharded.cache._entries}
+        cached_before = set(sharded.cache._entries)
         result = sharded.add_edges([(0, 5)])
         assert result is not None
         assert result.affected <= set(range(16))
-        dropped = cached_before - {key.node for key in sharded.cache._entries}
+        dropped = cached_before - set(sharded.cache._entries)
         assert dropped and dropped == cached_before & result.affected
 
     @pytest.mark.parametrize("num_shards", [1, 3, 5])
@@ -308,7 +308,7 @@ class TestLifecycle:
     @pytest.mark.usefixtures("every_batch_crosses")
     def test_close_releases_serve_pool_and_service_revives(self, make_service,
                                                            make_sharded):
-        sharded = make_sharded(serve_backend="threads", serve_workers=2)
+        sharded = make_sharded(serve_backend="processes", serve_workers=2)
         single = make_service()
         assert_answers_equal(single.run_batch(QUERIES), sharded.run_batch(QUERIES))
         assert sharded._serve_backend._pool is not None
@@ -321,7 +321,7 @@ class TestLifecycle:
 
     @pytest.mark.usefixtures("every_batch_crosses")
     def test_context_manager_closes_pool(self, make_sharded):
-        with make_sharded(serve_backend="threads") as sharded:
+        with make_sharded(serve_backend="processes", serve_workers=2) as sharded:
             sharded.run_batch(QUERIES)
             assert sharded._serve_backend._pool is not None
         assert sharded._serve_backend._pool is None
@@ -329,7 +329,8 @@ class TestLifecycle:
     def test_close_shuts_down_walker_backend(self, service_graph, service_params):
         sharded = QueryService.build(
             service_graph, service_params,
-            sharding=ShardingParams(num_shards=2, backend="threads"),
+            sharding=ShardingParams(num_shards=2, backend="processes",
+                                    max_workers=2),
         )
         walker_backend = sharded._walker.backend
         assert walker_backend._pool is not None  # the build fanned out
@@ -343,9 +344,9 @@ class TestLifecycle:
         assert single.run_batch(QUERIES)  # still serving
 
     def test_stats_report_serve_backend(self, make_sharded):
-        with make_sharded(serve_backend="threads", serve_workers=3) as sharded:
+        with make_sharded(serve_backend="processes", serve_workers=3) as sharded:
             stats = sharded.stats()
-            assert stats["serve_backend"] == "threads"
+            assert stats["serve_backend"] == "processes"
             assert stats["serve_workers"] == 3
 
 class TestConstruction:

@@ -40,7 +40,7 @@ def edge_batches(n_nodes, n_batches, per_batch, seed):
 
 
 def cached_nodes(service):
-    return {key.node for key in service.cache._entries}
+    return set(service.cache._entries)
 
 
 def add_edges_checked(service, batch):

@@ -607,7 +607,7 @@ class TestShardedCli:
         for shards, backend, workers in (("1", "serial", "1"),
                                          ("1", "processes", "2"),
                                          ("3", "serial", "1"),
-                                         ("3", "threads", "4"),
+                                         ("3", "processes", "4"),
                                          ("3", "processes", "2")):
             code, output = run_cli(
                 "query-batch", "--graph", str(graph_file),
@@ -813,6 +813,20 @@ class TestShardedCli:
             main([*argv, "--graph", "g.tsv", "--index", "i.npz"])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("query-batch", "--serve-backend"), ("serve", "--serve-backend"),
+        ("index", "--shard-backend"), ("update", "--shard-backend"),
+    ])
+    def test_threads_is_no_backend_choice(self, command, flag, capsys):
+        """Backends are ``serial`` or a process pool; the thread pool that
+        never beat ``serial`` is gone from every backend flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "threads"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid choice: 'threads'" in err
+        assert "'serial', 'processes'" in err
 
     def test_update_continues_a_one_shard_lineage_at_two_shards(
             self, indexed, tmp_path):

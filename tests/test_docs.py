@@ -50,7 +50,7 @@ class TestDocsTree:
     def test_architecture_md_covers_contracted_topics(self):
         text = (DOCS_DIR / "architecture.md").read_text(encoding="utf-8")
         for needle in ("graph", "core", "engine", "service", "cli",
-                       "index_version", "CacheKey", "invalidat", "snapshot"):
+                       "index_version", "Cache key", "invalidat", "snapshot"):
             assert needle in text, f"docs/architecture.md no longer covers {needle!r}"
 
     def test_readme_documents_live_updates(self):
@@ -124,6 +124,24 @@ class TestDocLinks:
         monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
         problems = checker.check_docs()
         assert len(problems) == 1 and "--no-resident-graph" in problems[0]
+
+    def test_checker_detects_a_stale_flag_choice(self, tmp_path, monkeypatch):
+        """A flag value its argparse ``choices`` no longer allow is rot
+        too, in a ``{a,b}`` list as well; free-valued flags are not checked."""
+        checker = _load_checker()
+        (tmp_path / "src").mkdir()
+        (tmp_path / "README.md").write_text(
+            "serve with `--serve-backend processes` or `--shard-backend "
+            "{serial,processes}`, never with `--serve-backend threads` or "
+            "`--shard-backend {serial,threads}`; `--shards 4` takes any K\n"
+        )
+        monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+        problems = checker.check_docs()
+        assert len(problems) == 2
+        assert all("threads, which is no choice" in problem
+                   and "processes, serial" in problem for problem in problems)
+        assert "--serve-backend" in problems[0]
+        assert "--shard-backend" in problems[1]
 
     def test_checker_detects_deleted_config_field(self, tmp_path, monkeypatch):
         """A knob-table row that outlives its config field is rot too."""

@@ -36,6 +36,7 @@ from repro.core.diagonal import build_diagonal_index
 from repro.core.jacobi import exact_solve, jacobi_solve
 from repro.core.queries import QueryEngine
 from repro.engine.context import ClusterContext
+from repro.engine.executor import SerialBackend
 from repro.graph.digraph import DiGraph
 from repro.service import PairQuery, QueryService, SourceQuery
 
@@ -46,6 +47,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("repro")
+
+
+def _serial_pool(workers: int):
+    """Patch serial backends to split work as a pool of ``workers`` would.
+
+    Their tasks still run back to back in process, so ``K`` and the serve
+    workers shape the row tasks and the miss scatter as on a process pool,
+    at serial cost.
+    """
+    return mock.patch.object(SerialBackend, "max_workers", workers)
 
 
 # --------------------------------------------------------------------------- #
@@ -552,7 +563,6 @@ class TestLiveUpdateProperties:
     @given(graphs(max_nodes=15, max_edges=50), st.data())
     def test_invalidation_set_is_exactly_the_affected_ball(self, graph, data):
         from repro.core.walks import forward_reachable_set
-        from repro.service.cache import CacheKey
 
         params = self._params(seed=data.draw(st.integers(0, 500)))
         service = QueryService.build(graph, params)
@@ -584,8 +594,7 @@ class TestLiveUpdateProperties:
 
         # Exactly the affected entries were dropped from the cache.
         for node in old_nodes:
-            key = CacheKey.for_query(node, params)
-            assert (key in service.cache) == (node not in result.affected)
+            assert (node in service.cache) == (node not in result.affected)
         assert service.stats()["cache_invalidations"] == \
             len(result.affected & old_nodes)
 
@@ -810,10 +819,11 @@ class TestShardingProperties:
         queries = self._queries(draw_node, n_queries=2)
 
         single = QueryService.build(graph, params)
-        sharded = QueryService.build(
-            graph, params,
-            sharding=ShardingParams(num_shards=num_shards),
-        )
+        with _serial_pool(8):
+            sharded = QueryService.build(
+                graph, params,
+                sharding=ShardingParams(num_shards=num_shards),
+            )
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
         # Second pass runs from the cache; still identical.
         self._assert_equal(single.run_batch(queries), sharded.run_batch(queries))
@@ -827,7 +837,8 @@ class TestShardingProperties:
             min_size=n_edges, max_size=n_edges,
         ))
         single_result = single.add_edges(new_edges)
-        sharded_result = sharded.add_edges(new_edges)
+        with _serial_pool(8):
+            sharded_result = sharded.add_edges(new_edges)
         assert (single_result is None) == (sharded_result is None)
         if single_result is not None:
             assert sharded_result.affected == single_result.affected
@@ -849,12 +860,13 @@ class TestShardingProperties:
             walker.build()
             return walker
 
-        walker = built(graph)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            top = walker.graph.n_nodes + 1     # up to two new nodes per call
-            walker.add_edges(data.draw(st.lists(
-                st.tuples(st.integers(0, top), st.integers(0, top)),
-                min_size=1, max_size=4)))
+        with _serial_pool(8):
+            walker = built(graph)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                top = walker.graph.n_nodes + 1  # up to two new nodes per call
+                walker.add_edges(data.draw(st.lists(
+                    st.tuples(st.integers(0, top), st.integers(0, top)),
+                    min_size=1, max_size=4)))
         reference = built(DiGraph(walker.graph.n_nodes, walker.graph.edge_array()))
         assert walker.graph == reference.graph
         for name in ("indptr", "indices", "data"):
@@ -867,15 +879,17 @@ class TestShardingProperties:
 
     @given(graphs(max_nodes=14, max_edges=50), st.data())
     def test_update_tasks_partition_the_estimated_rows(self, graph, data):
-        """Whatever the graph, K and edge batch, an update's row tasks are
-        ``sorted(estimated)[k::K]`` with empty tasks dropped: every
-        estimated row lands in exactly one task, sizes differing by at
-        most one."""
+        """Whatever the graph, K, worker count and edge batch, an update's
+        row tasks are ``sorted(estimated)[k::S]``, ``S = min(K, workers)``,
+        with empty tasks dropped: every estimated row lands in exactly one
+        task, sizes differing by at most one."""
         from repro.core import sharding
         from repro.core.sharding import ShardedIncrementalWalker
 
         params = self._params(seed=data.draw(st.integers(0, 500)))
         num_shards = data.draw(st.sampled_from([1, 2, 3, 5, 8]))
+        workers = data.draw(st.sampled_from([1, 2, 8]))
+        stride = min(num_shards, workers)
         walker = ShardedIncrementalWalker(graph, num_shards, params=params)
         walker.build()
         runs = []
@@ -889,15 +903,16 @@ class TestShardingProperties:
         edges = data.draw(st.lists(
             st.tuples(st.integers(0, top), st.integers(0, top)),
             min_size=1, max_size=4))
-        with mock.patch.object(sharding, "run_shard_tasks", recording):
+        with mock.patch.object(sharding, "run_shard_tasks", recording), \
+                _serial_pool(workers):
             result = walker.add_edges(edges)
         if result is None or not result.estimated:
             assert runs == []
             return
         rows = sorted(result.estimated)
         [tasks] = runs
-        assert tasks == [rows[k::num_shards]
-                         for k in range(min(num_shards, len(rows)))]
+        assert tasks == [rows[k::stride]
+                         for k in range(min(stride, len(rows)))]
         assert sorted(row for task in tasks for row in task) == rows
         sizes = [len(task) for task in tasks]
         assert max(sizes) - min(sizes) <= 1
@@ -924,33 +939,34 @@ class TestSnapshotRoundTripProperties:
         params = TestShardingProperties._params(
             seed=data.draw(st.integers(0, 500)))
         directory = tmp_path_factory.mktemp("lineage")
-        writer = QueryService.build(
-            graph, params, ServiceParams(cache_capacity=0),
-            sharding=ShardingParams(num_shards=num_shards))
-        for _ in range(data.draw(st.integers(1, 4))):
-            top = writer.graph.n_nodes      # may grow the graph by one node
-            writer.add_edges(data.draw(st.lists(
-                st.tuples(st.integers(0, top), st.integers(0, top)),
-                min_size=1, max_size=3)))
-            writer.save_snapshot(directory)
-            queries = [TopKQuery(node, k=4)
-                       for node in range(min(writer.graph.n_nodes, 3))]
-            restart = ShardingParams(
-                num_shards=data.draw(st.sampled_from([1, 2, 5])))
-            with QueryService.from_snapshot(
-                    writer.graph, directory, sharding=restart,
-                    service_params=ServiceParams(cache_capacity=0)) as restored:
-                for name in ("indptr", "indices", "data"):
-                    ours = getattr(restored._walker.system, name)
-                    theirs = getattr(writer._walker.system, name)
-                    assert ours.dtype == theirs.dtype, name
-                    assert ours.tobytes() == theirs.tobytes(), name
-                assert restored.index.diagonal.tobytes() == \
-                    writer.index.diagonal.tobytes()
-                assert restored.index_version == writer.index_version
-                TestShardingProperties._assert_equal(
-                    writer.run_batch(queries), restored.run_batch(queries))
-        writer.close()
+        with _serial_pool(8):
+            writer = QueryService.build(
+                graph, params, ServiceParams(cache_capacity=0),
+                sharding=ShardingParams(num_shards=num_shards))
+            for _ in range(data.draw(st.integers(1, 4))):
+                top = writer.graph.n_nodes      # may grow the graph by one node
+                writer.add_edges(data.draw(st.lists(
+                    st.tuples(st.integers(0, top), st.integers(0, top)),
+                    min_size=1, max_size=3)))
+                writer.save_snapshot(directory)
+                queries = [TopKQuery(node, k=4)
+                           for node in range(min(writer.graph.n_nodes, 3))]
+                restart = ShardingParams(
+                    num_shards=data.draw(st.sampled_from([1, 2, 5])))
+                with QueryService.from_snapshot(
+                        writer.graph, directory, sharding=restart,
+                        service_params=ServiceParams(cache_capacity=0)) as restored:
+                    for name in ("indptr", "indices", "data"):
+                        ours = getattr(restored._walker.system, name)
+                        theirs = getattr(writer._walker.system, name)
+                        assert ours.dtype == theirs.dtype, name
+                        assert ours.tobytes() == theirs.tobytes(), name
+                    assert restored.index.diagonal.tobytes() == \
+                        writer.index.diagonal.tobytes()
+                    assert restored.index_version == writer.index_version
+                    TestShardingProperties._assert_equal(
+                        writer.run_batch(queries), restored.run_batch(queries))
+            writer.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -960,7 +976,8 @@ class TestScatterGrainProperties:
     """Where a batch's misses are walked never changes an answer.
 
     The same drawn run of batches and edge insertions is replayed on the
-    ``serial`` backend (always inline) and on a ``threads`` pool at three
+    ``serial`` backend (always inline) and on a serial backend that splits
+    work like a pool of two to four workers (:func:`_serial_pool`) at three
     grains: one walker-step (every batch of two or more misses crosses to
     the pool), the default :data:`repro.service.sharded.SCATTER_GRAIN`,
     and a grain no batch reaches (every batch inline).  Every answer must
@@ -989,6 +1006,7 @@ class TestScatterGrainProperties:
         grain = sharded.SCATTER_GRAIN if grain is None else grain
         replies = []
         with mock.patch.object(sharded, "SCATTER_GRAIN", grain), \
+                _serial_pool(workers), \
                 QueryService.build(graph, params, ServiceParams(
                     serve_backend=backend, serve_workers=workers)) as service:
             for kind, payload in steps:
@@ -1031,7 +1049,7 @@ class TestScatterGrainProperties:
                                        None)
         assert hops == 0
         for grain in self.GRAINS:
-            replies, hops = self._replay(graph, params, steps, "threads",
+            replies, hops = self._replay(graph, params, steps, "serial",
                                          workers, grain)
             self._assert_byte_equal(reference, replies)
             if grain == self.GRAINS[-1]:
